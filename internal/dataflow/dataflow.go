@@ -52,12 +52,14 @@ func (c Coord) coveredBy(tabs []string, cursors map[string]uint64) bool {
 	return true
 }
 
-// weightedRow is a row with a net multiplicity — the unit of an
-// operator's materialized current output (used to seed join states and
-// initialize late-attaching state).
+// weightedRow is a row with a multiplicity — the unit of an operator's
+// materialized current output (used to seed join states). Rows not
+// marked loose are netted: distinct from one another and non-zero.
+// Loose rows may repeat or cancel.
 type weightedRow struct {
-	row storage.Row
-	w   int64
+	row   storage.Row
+	w     int64
+	loose bool
 }
 
 // concatRows concatenates a join pair into the combined output row.

@@ -565,18 +565,9 @@ func TestTrimWatermark(t *testing.T) {
 	if err := p.h.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	joinEntries := func() int {
-		n := 0
-		for _, nd := range g.nodes {
-			if j, ok := nd.(*joinNode); ok {
-				n += len(j.lstate.entries) + len(j.rstate.entries)
-			}
-		}
-		return n
-	}
-	before := joinEntries()
+	before := g.Stats().StateRows
 	g.Trim(p.h.DurableCursors())
-	after := joinEntries()
+	after := g.Stats().StateRows
 	if after >= before {
 		t.Fatalf("trim did not consolidate join state: %d -> %d entries", before, after)
 	}
@@ -623,5 +614,121 @@ func TestSignatures(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing canonical join signature %q in %v", want, s1)
+	}
+}
+
+// trimWorkAt replays one fixed 200-modification stream — inserts,
+// deletes and in-place updates confined to the first 1,000 sales and
+// their 50 stations — over a sales table of nSales rows, trimming every
+// 8 steps, and returns the number of entries the trims examined.
+func trimWorkAt(t *testing.T, nSales int) uint64 {
+	t.Helper()
+	const rowsPerStation = 20
+	db := sizedDB(t, nSales, rowsPerStation)
+	g := NewGraph(db)
+	p, err := ivm.PlanView(trimBenchQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.Subscribe(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	live := rng.Perm(1000)
+	nextKey := int64(1_000_000)
+	for step := 1; step <= 200; step++ {
+		var mod ivm.Mod
+		switch rng.Intn(3) {
+		case 0:
+			mod = ivm.Mod{Kind: ivm.ModInsert, Row: storage.Row{storage.I(nextKey), storage.I(int64(rng.Intn(50))), storage.F(float64(1 + rng.Intn(9)))}}
+			nextKey++
+		case 1:
+			key := int64(live[len(live)-1])
+			live = live[:len(live)-1]
+			mod = ivm.Mod{Kind: ivm.ModDelete, Key: []storage.Value{storage.I(key)}}
+		case 2:
+			key := int64(live[rng.Intn(len(live))])
+			mod = ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(key)},
+				Row: storage.Row{storage.I(key), storage.I(key / rowsPerStation), storage.F(float64(10 + rng.Intn(9)))}}
+		}
+		if err := g.Ingest("sales", mod); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(3) > 0 { // lag: some steps leave a backlog across a trim
+			if err := h.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%8 == 0 {
+			if err := h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			g.Trim(h.DurableCursors())
+		}
+	}
+	return g.Stats().TrimVisited
+}
+
+// TestTrimWorkIndependentOfTableSize pins the GC cost bound as an exact
+// count: the same modification stream makes trims examine the same
+// number of entries whether sales holds 1,000 rows or 20,000.
+func TestTrimWorkIndependentOfTableSize(t *testing.T) {
+	small, large := trimWorkAt(t, 1_000), trimWorkAt(t, 20_000)
+	if small == 0 || small != large {
+		t.Fatalf("trims examined %d entries over 1,000 rows, %d over 20,000", small, large)
+	}
+}
+
+// TestDetachSinkStopsRetention: two identical views share their top
+// node; its output log exists for sinks' crash recovery, so it must
+// survive the first release and go with the last sink, after which the
+// node — still wired to its child — retains nothing more.
+func TestDetachSinkStopsRetention(t *testing.T) {
+	db := testDB(t)
+	g := NewGraph(db)
+	subscribe := func() *ViewHandle {
+		p, err := ivm.PlanView("SELECT salekey, amount FROM sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := g.Subscribe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	ingest := func(key int64) {
+		mod := ivm.Mod{Kind: ivm.ModInsert, Row: storage.Row{storage.I(key), storage.I(1), storage.F(3)}}
+		if err := g.Ingest("sales", mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h1, h2 := subscribe(), subscribe()
+	top := h1.top
+	if h2.top != top {
+		t.Fatal("identical views must share their top node")
+	}
+	ingest(100)
+	if n := len(top.retained()); n != 1 {
+		t.Fatalf("two sinks attached: %d retained deltas, want 1", n)
+	}
+	g.Release(h1)
+	ingest(101)
+	if n := len(top.retained()); n != 2 {
+		t.Fatalf("one sink left: %d retained deltas, want 2", n)
+	}
+	// Detach the last sink without dropping the node, so it keeps
+	// receiving its child's deltas.
+	top.detachSink(h2)
+	if n := len(top.retained()); n != 0 {
+		t.Fatalf("last sink gone: log of %d deltas kept", n)
+	}
+	ingest(102)
+	if n := len(top.retained()); n != 0 {
+		t.Fatalf("no sink attached: node retained %d more deltas", n)
+	}
+	if got := g.Stats().RetainedDeltas; got != 0 {
+		t.Fatalf("RetainedDeltas = %d with no sink attached", got)
 	}
 }

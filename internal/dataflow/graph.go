@@ -28,14 +28,14 @@ const (
 // into graph nodes, reusing any node whose signature is already
 // interned; Signatures renders the same tree for EXPLAIN output.
 type opSpec struct {
-	kind        opKind
-	sig         string
-	table       string   // opScan
-	conjs       []sql.Expr // opFilter, sorted canonically
+	kind         opKind
+	sig          string
+	table        string     // opScan
+	conjs        []sql.Expr // opFilter, sorted canonically
 	equiL, equiR []sql.Expr // opJoin equi-key pairs, aligned, sorted canonically
-	residual    []sql.Expr // opJoin non-equi conjuncts, sorted canonically
-	items       []sql.Expr // opProject, in SELECT order
-	left, right *opSpec
+	residual     []sql.Expr // opJoin non-equi conjuncts, sorted canonically
+	items        []sql.Expr // opProject, in SELECT order
+	left, right  *opSpec
 }
 
 // buildSpecs derives the canonical operator tree for a view plan:
@@ -230,6 +230,10 @@ type Graph struct {
 	scans map[string]*scanNode
 	hits  uint64
 	subs  int
+	ctr   counters
+	// trimOrder caches the nodes in signature order for Trim; realize and
+	// drop reset it to nil.
+	trimOrder []node
 }
 
 // NewGraph builds an empty operator graph over the live database.
@@ -296,7 +300,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc := newScanNode(s.sig, tbl)
+		sc := newScanNode(s.sig, &g.ctr, tbl)
 		g.scans[s.table] = sc
 		n = sc
 	case opFilter:
@@ -311,7 +315,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 				return nil, err
 			}
 		}
-		n = newFilterNode(s.sig, child, preds)
+		n = newFilterNode(s.sig, &g.ctr, child, preds)
 	case opJoin:
 		left, err := g.realize(s.left, used)
 		if err != nil {
@@ -340,7 +344,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 				return nil, err
 			}
 		}
-		n = newJoinNode(s.sig, left, right, lkeys, rkeys, residual, cols)
+		n = newJoinNode(s.sig, &g.ctr, left, right, lkeys, rkeys, residual, cols)
 	case opProject:
 		child, err := g.realize(s.left, used)
 		if err != nil {
@@ -356,11 +360,12 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 			scalars[i] = sc
 			cols[i] = exec.Col{Name: fmt.Sprintf("c%d", i), Type: typ}
 		}
-		n = newProjectNode(s.sig, child, scalars, cols)
+		n = newProjectNode(s.sig, &g.ctr, child, scalars, cols)
 	default:
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}
 	g.nodes[s.sig] = n
+	g.trimOrder = nil
 	*used = append(*used, s.sig)
 	return n, nil
 }
@@ -383,6 +388,7 @@ func (g *Graph) drop(sig string, n node) {
 	n.detach()
 	delete(g.nodes, sig)
 	delete(g.refs, sig)
+	g.trimOrder = nil
 	if sc, ok := n.(*scanNode); ok {
 		delete(g.scans, sc.tableName)
 	}
@@ -437,15 +443,22 @@ func (g *Graph) LogLen(table string) uint64 {
 // wm maps each table to the minimum checkpoint-covered cursor across
 // all views reading it. Retained output-log entries fully below the
 // watermark are dropped, and join-side entries fully below it are
-// consolidated into net base entries.
+// netted into their bucket's base. The cost is proportional to what
+// arrived since the watermark last covered it, not to table sizes.
 func (g *Graph) Trim(wm map[string]uint64) {
-	sigs := make([]string, 0, len(g.nodes))
-	for sig := range g.nodes {
-		sigs = append(sigs, sig)
+	if g.trimOrder == nil {
+		sigs := make([]string, 0, len(g.nodes))
+		for sig := range g.nodes {
+			sigs = append(sigs, sig)
+		}
+		sort.Strings(sigs)
+		g.trimOrder = make([]node, len(sigs))
+		for i, sig := range sigs {
+			g.trimOrder[i] = g.nodes[sig]
+		}
 	}
-	sort.Strings(sigs)
-	for _, sig := range sigs {
-		g.nodes[sig].trim(wm)
+	for _, n := range g.trimOrder {
+		n.trim(wm)
 	}
 }
 
@@ -460,11 +473,25 @@ type GraphStats struct {
 	// MaxFanout is the widest downstream edge count of any operator
 	// (operator edges plus sinks).
 	MaxFanout int
+	// StateRows is the number of entries held across all join sides
+	// (consolidated base rows plus not-yet-covered deltas);
+	// RetainedDeltas the number of output deltas retained for sinks'
+	// crash recovery. Both should track table sizes and checkpoint lag,
+	// not run length.
+	StateRows      int
+	RetainedDeltas int
+	// TrimVisited counts the retained deltas and join-state entries Trim
+	// has examined so far — a deterministic work count.
+	TrimVisited uint64
 }
 
-// Stats snapshots the graph shape.
+// Stats snapshots the graph shape. It reads counters and walks the
+// operator list, never operator state.
 func (g *Graph) Stats() GraphStats {
-	st := GraphStats{Nodes: len(g.nodes), Views: g.subs, InternHits: g.hits}
+	st := GraphStats{
+		Nodes: len(g.nodes), Views: g.subs, InternHits: g.hits,
+		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
+	}
 	for _, n := range g.nodes {
 		if f := n.fanout(); f > st.MaxFanout {
 			st.MaxFanout = f

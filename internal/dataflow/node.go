@@ -45,11 +45,19 @@ type node interface {
 	detach()
 	// fanout is the number of downstream consumers (edges + sinks).
 	fanout() int
-	// retained returns the retained output log (nil unless a sink ever
+	// retained returns the retained output log (nil while no sink is
 	// attached); trim discards retained/stored deltas whose coordinates
 	// are all covered by the per-table watermark.
 	retained() []Delta
 	trim(wm map[string]uint64)
+}
+
+// counters are the graph-wide totals behind GraphStats, shared by
+// pointer with every node so Stats never walks state.
+type counters struct {
+	stateRows   int    // join-side entries, base and tail
+	retained    int    // deltas in retained output logs
+	trimVisited uint64 // log and join-state entries examined by trims
 }
 
 // nodeBase carries the shared node mechanics: identity, schema, the
@@ -60,16 +68,16 @@ type nodeBase struct {
 	schema    []exec.Col
 	outs      []receiver
 	sinks     int
-	retain    bool
 	log       []Delta
+	ctr       *counters
 }
 
-func (n *nodeBase) sig() string        { return n.signature }
-func (n *nodeBase) tables() []string   { return n.tabs }
-func (n *nodeBase) cols() []exec.Col   { return n.schema }
-func (n *nodeBase) fanout() int        { return len(n.outs) }
-func (n *nodeBase) retained() []Delta  { return n.log }
-func (n *nodeBase) addOut(r receiver)  { n.outs = append(n.outs, r) }
+func (n *nodeBase) sig() string       { return n.signature }
+func (n *nodeBase) tables() []string  { return n.tabs }
+func (n *nodeBase) cols() []exec.Col  { return n.schema }
+func (n *nodeBase) fanout() int       { return len(n.outs) }
+func (n *nodeBase) retained() []Delta { return n.log }
+func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
 func (n *nodeBase) removeOut(r receiver) {
 	for i, o := range n.outs {
 		if o == r {
@@ -82,20 +90,30 @@ func (n *nodeBase) removeOut(r receiver) {
 func (n *nodeBase) attachSink(r receiver) {
 	n.addOut(r)
 	n.sinks++
-	n.retain = true
 }
 
+// detachSink removes a view sink; the retained log exists only for
+// sinks' crash recovery, so it goes with the last one.
 func (n *nodeBase) detachSink(r receiver) {
 	n.removeOut(r)
 	n.sinks--
+	if n.sinks == 0 {
+		n.dropLog()
+	}
+}
+
+func (n *nodeBase) dropLog() {
+	n.ctr.retained -= len(n.log)
+	n.log = nil
 }
 
 // emit forwards one delta to every consumer in attachment order
 // (deterministic: subscription order) and retains it when a sink
 // depends on this node for crash recovery.
 func (n *nodeBase) emit(d Delta) {
-	if n.retain {
+	if n.sinks > 0 {
 		n.log = append(n.log, d)
+		n.ctr.retained++
 	}
 	for _, o := range n.outs {
 		o.onDelta(d)
@@ -109,15 +127,15 @@ func (n *nodeBase) trimLog(wm map[string]uint64) {
 	if len(n.log) == 0 {
 		return
 	}
+	n.ctr.trimVisited += uint64(len(n.log))
 	kept := n.log[:0]
 	for _, d := range n.log {
 		if !d.Coord.coveredBy(n.tabs, wm) {
 			kept = append(kept, d)
 		}
 	}
-	for i := len(kept); i < len(n.log); i++ {
-		n.log[i] = Delta{}
-	}
+	n.ctr.retained -= len(n.log) - len(kept)
+	clear(n.log[len(kept):])
 	n.log = kept
 }
 
@@ -133,7 +151,7 @@ type scanNode struct {
 	mods      uint64
 }
 
-func newScanNode(sig string, tbl *storage.Table) *scanNode {
+func newScanNode(sig string, ctr *counters, tbl *storage.Table) *scanNode {
 	schema := tbl.Schema()
 	cols := make([]exec.Col, len(schema.Columns))
 	for i, c := range schema.Columns {
@@ -144,6 +162,7 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 			signature: sig,
 			tabs:      []string{schema.Name},
 			schema:    cols,
+			ctr:       ctr,
 		},
 		tableName: schema.Name,
 		keyCols:   schema.Key,
@@ -157,7 +176,7 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 	return s
 }
 
-func (s *scanNode) detach() {}
+func (s *scanNode) detach() { s.dropLog() }
 
 // ingest converts one base-table modification into signed deltas and
 // propagates them. The coordinate is the modification's position on the
@@ -226,12 +245,13 @@ type filterNode struct {
 	preds []exec.Predicate
 }
 
-func newFilterNode(sig string, child node, preds []exec.Predicate) *filterNode {
+func newFilterNode(sig string, ctr *counters, child node, preds []exec.Predicate) *filterNode {
 	f := &filterNode{
 		nodeBase: nodeBase{
 			signature: sig,
 			tabs:      child.tables(),
 			schema:    child.cols(),
+			ctr:       ctr,
 		},
 		child: child,
 		preds: preds,
@@ -265,7 +285,11 @@ func (f *filterNode) current() []weightedRow {
 	return out
 }
 
-func (f *filterNode) detach()                  { f.child.removeOut(f) }
+func (f *filterNode) detach() {
+	f.child.removeOut(f)
+	f.dropLog()
+}
+
 func (f *filterNode) trim(wm map[string]uint64) { f.trimLog(wm) }
 
 // projectNode evaluates scalar select items.
@@ -275,12 +299,13 @@ type projectNode struct {
 	scalars []exec.Scalar
 }
 
-func newProjectNode(sig string, child node, scalars []exec.Scalar, cols []exec.Col) *projectNode {
+func newProjectNode(sig string, ctr *counters, child node, scalars []exec.Scalar, cols []exec.Col) *projectNode {
 	p := &projectNode{
 		nodeBase: nodeBase{
 			signature: sig,
 			tabs:      child.tables(),
 			schema:    cols,
+			ctr:       ctr,
 		},
 		child:   child,
 		scalars: scalars,
@@ -304,12 +329,16 @@ func (p *projectNode) onDelta(d Delta) {
 func (p *projectNode) current() []weightedRow {
 	var out []weightedRow
 	for _, wr := range p.child.current() {
-		out = append(out, weightedRow{row: p.project(wr.row), w: wr.w})
+		out = append(out, weightedRow{row: p.project(wr.row), w: wr.w, loose: true})
 	}
 	return out
 }
 
-func (p *projectNode) detach()                  { p.child.removeOut(p) }
+func (p *projectNode) detach() {
+	p.child.removeOut(p)
+	p.dropLog()
+}
+
 func (p *projectNode) trim(wm map[string]uint64) { p.trimLog(wm) }
 
 // port disambiguates which input of a binary join a delta arrives on.
@@ -320,25 +349,188 @@ type port struct {
 
 func (p *port) onDelta(d Delta) { p.j.onSide(p.left, d) }
 
-// stateEntry is one retained input delta of a join side: the row, its
-// attribution, and its signed weight. Entries fully covered by the GC
-// watermark are consolidated into net coordinate-zero entries by trim.
-type stateEntry struct {
+// baseEntry is one consolidated row of a join side: its net weight over
+// every input delta the GC watermark has covered. The coordinate is not
+// stored — it is always zero.
+type baseEntry struct {
+	row storage.Row
+	w   int64
+}
+
+// tailEntry is one input delta of a join side that some live cursor may
+// still be below: row, attribution, signed weight.
+type tailEntry struct {
 	row   storage.Row
 	coord Coord
 	w     int64
 }
 
-// sideState is one join input's retained history plus a hash index on
-// the equi-join key.
-type sideState struct {
-	entries []stateEntry
-	index   map[string][]int
+// bucket holds one join key's share of a side: the consolidated base
+// (one entry per distinct row, never zero-weight) and the uncovered
+// tail in arrival order.
+type bucket struct {
+	base []baseEntry
+	tail []tailEntry
 }
 
-func (s *sideState) add(e stateEntry, key string) {
-	s.index[key] = append(s.index[key], len(s.entries))
-	s.entries = append(s.entries, e)
+// sideState is one join input's retained history, partitioned by
+// equi-join key so a delta — and a trim — touches only its own bucket.
+// touched lists the keys whose tail is non-empty, in the order they
+// became so; it is the whole of a trim's work list.
+type sideState struct {
+	buckets map[string]*bucket
+	touched []string
+	zero    Coord // the coordinate of every base entry
+	ctr     *counters
+}
+
+func newSideState(tabs int, ctr *counters) sideState {
+	return sideState{buckets: make(map[string]*bucket), zero: make(Coord, tabs), ctr: ctr}
+}
+
+// appendTight appends with bounded slack: capacity grows by a quarter,
+// not by doubling, because buckets are many, long-lived and random-walk
+// in size — doubled capacity would never be given back.
+func appendTight[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), len(s)+len(s)/4+1)
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
+}
+
+// truncTight shortens s to its first n elements, zeroing the rest so
+// dropped rows are collectable, and reallocates when more than half the
+// capacity would sit unused.
+func truncTight[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(s) > 2*n {
+		return append(make([]T, 0, n+n/4+1), s[:n]...)
+	}
+	clear(s[n:])
+	return s[:n]
+}
+
+func (s *sideState) bucketFor(key string) *bucket {
+	b := s.buckets[key]
+	if b == nil {
+		b = &bucket{}
+		s.buckets[key] = b
+	}
+	return b
+}
+
+// rows counts the side's entries by walking it (tests and teardown; the
+// running total lives in ctr.stateRows).
+func (s *sideState) rows() int {
+	n := 0
+	for _, b := range s.buckets {
+		n += len(b.base) + len(b.tail)
+	}
+	return n
+}
+
+// add appends one arriving delta to its bucket's tail.
+func (s *sideState) add(key string, d Delta) {
+	b := s.bucketFor(key)
+	if len(b.tail) == 0 {
+		s.touched = append(s.touched, key)
+	}
+	b.tail = appendTight(b.tail, tailEntry{row: d.Row, coord: d.Coord, w: d.W})
+	s.ctr.stateRows++
+}
+
+// seed loads a child's present output. Netted rows are base entries as
+// they stand; loose ones enter the tail under the zero coordinate, which
+// every watermark covers, so the next trim nets them like any other
+// covered delta.
+func (s *sideState) seed(rows []weightedRow, keys []exec.Scalar) {
+	for _, wr := range rows {
+		key := joinKey(keys, wr.row)
+		if wr.loose {
+			s.add(key, Delta{Row: wr.row, W: wr.w, Coord: s.zero})
+			continue
+		}
+		b := s.bucketFor(key)
+		b.base = appendTight(b.base, baseEntry{row: wr.row, w: wr.w})
+		s.ctr.stateRows++
+	}
+}
+
+// sortedKeys returns the bucket keys in sorted order — the global
+// iteration order wherever one is needed, so none leaks from the map.
+func (s *sideState) sortedKeys() []string {
+	keys := make([]string, 0, len(s.buckets))
+	for k := range s.buckets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// consolidate nets every tail entry the watermark covers into its bucket's
+// base — cancelling to zero removes the row — and keeps the rest. Only
+// touched buckets are visited, so the cost is O(deltas since the last
+// trim × bucket size), independent of the side's total size. Safe
+// because every live cursor is at or above the watermark and new
+// subscribers start fully covered: nobody can ever distinguish a covered
+// entry's coordinate from zero again.
+func (s *sideState) consolidate(tabs []string, wm map[string]uint64) {
+	stillTouched := s.touched[:0]
+	for _, key := range s.touched {
+		b := s.buckets[key]
+		s.ctr.trimVisited += uint64(len(b.tail))
+		before := len(b.base) + len(b.tail)
+		kept, cancelled := 0, false
+		for _, e := range b.tail {
+			if !e.coord.coveredBy(tabs, wm) {
+				b.tail[kept] = e
+				kept++
+				continue
+			}
+			if b.net(e.row, e.w, s.ctr) {
+				cancelled = true
+			}
+		}
+		b.tail = truncTight(b.tail, kept)
+		if cancelled {
+			live := 0
+			for _, e := range b.base {
+				if e.w != 0 {
+					b.base[live] = e
+					live++
+				}
+			}
+			b.base = truncTight(b.base, live)
+		}
+		s.ctr.stateRows += len(b.base) + len(b.tail) - before
+		switch {
+		case kept > 0:
+			stillTouched = append(stillTouched, key)
+		case len(b.base) == 0:
+			delete(s.buckets, key)
+		}
+	}
+	clear(s.touched[len(stillTouched):])
+	s.touched = stillTouched
+}
+
+// net folds one covered delta into the base, reporting whether some
+// entry now weighs zero (the caller compacts once per bucket).
+func (b *bucket) net(row storage.Row, w int64, ctr *counters) bool {
+	for i := range b.base {
+		if b.base[i].row.SameKey(row) {
+			ctr.trimVisited += uint64(i + 1)
+			b.base[i].w += w
+			return b.base[i].w == 0
+		}
+	}
+	ctr.trimVisited += uint64(len(b.base))
+	b.base = appendTight(b.base, baseEntry{row: row, w: w})
+	return false
 }
 
 // joinNode is a binary equi-join with optional residual predicates over
@@ -355,7 +547,7 @@ type joinNode struct {
 	lstate, rstate      sideState
 }
 
-func newJoinNode(sig string, left, right node, lkeys, rkeys []exec.Scalar, residual []exec.Predicate, cols []exec.Col) *joinNode {
+func newJoinNode(sig string, ctr *counters, left, right node, lkeys, rkeys []exec.Scalar, residual []exec.Predicate, cols []exec.Col) *joinNode {
 	tabs := make([]string, 0, len(left.tables())+len(right.tables()))
 	tabs = append(tabs, left.tables()...)
 	tabs = append(tabs, right.tables()...)
@@ -364,32 +556,29 @@ func newJoinNode(sig string, left, right node, lkeys, rkeys []exec.Scalar, resid
 			signature: sig,
 			tabs:      tabs,
 			schema:    cols,
+			ctr:       ctr,
 		},
 		left:     left,
 		right:    right,
 		lkeys:    lkeys,
 		rkeys:    rkeys,
 		residual: residual,
-		lstate:   sideState{index: make(map[string][]int)},
-		rstate:   sideState{index: make(map[string][]int)},
+		lstate:   newSideState(len(left.tables()), ctr),
+		rstate:   newSideState(len(right.tables()), ctr),
 	}
 	j.leftPort = &port{j: j, left: true}
 	j.rightPort = &port{j: j, left: false}
 	// Seed each side from the child's present output: the new node (and
 	// the one new view behind it) treats everything already there as
 	// covered at creation.
-	for _, wr := range left.current() {
-		j.lstate.add(stateEntry{row: wr.row, coord: make(Coord, len(left.tables())), w: wr.w}, j.key(j.lkeys, wr.row))
-	}
-	for _, wr := range right.current() {
-		j.rstate.add(stateEntry{row: wr.row, coord: make(Coord, len(right.tables())), w: wr.w}, j.key(j.rkeys, wr.row))
-	}
+	j.lstate.seed(left.current(), lkeys)
+	j.rstate.seed(right.current(), rkeys)
 	left.addOut(j.leftPort)
 	right.addOut(j.rightPort)
 	return j
 }
 
-func (j *joinNode) key(fns []exec.Scalar, r storage.Row) string {
+func joinKey(fns []exec.Scalar, r storage.Row) string {
 	vals := make([]storage.Value, len(fns))
 	for i, fn := range fns {
 		vals[i] = fn(r)
@@ -406,46 +595,65 @@ func (j *joinNode) pass(r storage.Row) bool {
 	return true
 }
 
-func (j *joinNode) onSide(left bool, d Delta) {
-	var own, other *sideState
-	var ownKeys []exec.Scalar
-	if left {
-		own, other, ownKeys = &j.lstate, &j.rstate, j.lkeys
-	} else {
-		own, other, ownKeys = &j.rstate, &j.lstate, j.rkeys
+// emitPair emits the product of a delta arriving on one side with one
+// entry of the other side, if it passes the residual predicates.
+func (j *joinNode) emitPair(left bool, d Delta, row storage.Row, coord Coord, w int64) {
+	lrow, lcoord, rrow, rcoord := d.Row, d.Coord, row, coord
+	if !left {
+		lrow, lcoord, rrow, rcoord = row, coord, d.Row, d.Coord
 	}
-	key := j.key(ownKeys, d.Row)
-	for _, idx := range other.index[key] {
-		e := other.entries[idx]
-		var row storage.Row
-		var coord Coord
-		if left {
-			row = concatRows(d.Row, e.row)
-			coord = concatCoords(d.Coord, e.coord)
-		} else {
-			row = concatRows(e.row, d.Row)
-			coord = concatCoords(e.coord, d.Coord)
-		}
-		if !j.pass(row) {
-			continue
-		}
-		j.emit(Delta{Row: row, W: d.W * e.w, Coord: coord})
+	out := concatRows(lrow, rrow)
+	if j.pass(out) {
+		j.emit(Delta{Row: out, W: d.W * w, Coord: concatCoords(lcoord, rcoord)})
 	}
-	own.add(stateEntry{row: d.Row, coord: d.Coord, w: d.W}, key)
 }
 
+// onSide probes the other side's bucket for the delta's key — base then
+// tail, each in insertion order — and appends the delta to its own.
+func (j *joinNode) onSide(left bool, d Delta) {
+	own, other, ownKeys := &j.rstate, &j.lstate, j.rkeys
+	if left {
+		own, other, ownKeys = &j.lstate, &j.rstate, j.lkeys
+	}
+	key := joinKey(ownKeys, d.Row)
+	if b := other.buckets[key]; b != nil {
+		for _, e := range b.base {
+			j.emitPair(left, d, e.row, other.zero, e.w)
+		}
+		for _, e := range b.tail {
+			j.emitPair(left, d, e.row, e.coord, e.w)
+		}
+	}
+	own.add(key, d)
+}
+
+// each visits the bucket's entries, base then tail.
+func (b *bucket) each(fn func(row storage.Row, w int64, tail bool)) {
+	for _, e := range b.base {
+		fn(e.row, e.w, false)
+	}
+	for _, e := range b.tail {
+		fn(e.row, e.w, true)
+	}
+}
+
+// current pairs the two sides bucket by bucket in sorted key order.
+// Products of two base entries are distinct and non-zero because base
+// entries are; any product involving a tail entry is loose.
 func (j *joinNode) current() []weightedRow {
 	var out []weightedRow
-	for _, le := range j.lstate.entries {
-		key := j.key(j.lkeys, le.row)
-		for _, idx := range j.rstate.index[key] {
-			re := j.rstate.entries[idx]
-			row := concatRows(le.row, re.row)
-			if !j.pass(row) {
-				continue
-			}
-			out = append(out, weightedRow{row: row, w: le.w * re.w})
+	for _, key := range j.lstate.sortedKeys() {
+		rb := j.rstate.buckets[key]
+		if rb == nil {
+			continue
 		}
+		j.lstate.buckets[key].each(func(lrow storage.Row, lw int64, ltail bool) {
+			rb.each(func(rrow storage.Row, rw int64, rtail bool) {
+				if row := concatRows(lrow, rrow); j.pass(row) {
+					out = append(out, weightedRow{row: row, w: lw * rw, loose: ltail || rtail})
+				}
+			})
+		})
 	}
 	return out
 }
@@ -453,63 +661,12 @@ func (j *joinNode) current() []weightedRow {
 func (j *joinNode) detach() {
 	j.left.removeOut(j.leftPort)
 	j.right.removeOut(j.rightPort)
+	j.dropLog()
+	j.ctr.stateRows -= j.lstate.rows() + j.rstate.rows()
 }
 
 func (j *joinNode) trim(wm map[string]uint64) {
 	j.trimLog(wm)
-	j.lstate.consolidate(j.left.tables(), wm, j.lkeys, j.key)
-	j.rstate.consolidate(j.right.tables(), wm, j.rkeys, j.key)
-}
-
-// consolidate nets every state entry fully covered by the watermark
-// into a single coordinate-zero base entry per distinct row (dropping
-// rows whose weights cancel), keeping uncovered entries verbatim. Safe
-// because every live cursor is at or above the watermark and new
-// subscribers start fully covered — nobody can ever distinguish a
-// covered entry's coordinate from zero again.
-func (s *sideState) consolidate(tabs []string, wm map[string]uint64, keyFns []exec.Scalar, keyOf func([]exec.Scalar, storage.Row) string) {
-	covered := 0
-	for _, e := range s.entries {
-		if e.coord.coveredBy(tabs, wm) {
-			covered++
-		}
-	}
-	if covered == 0 {
-		return
-	}
-	type baseEntry struct {
-		row storage.Row
-		w   int64
-	}
-	net := make(map[string]*baseEntry, covered)
-	order := make([]string, 0, covered)
-	var live []stateEntry
-	for _, e := range s.entries {
-		if !e.coord.coveredBy(tabs, wm) {
-			live = append(live, e)
-			continue
-		}
-		rk := storage.EncodeKey(e.row...)
-		b, ok := net[rk]
-		if !ok {
-			b = &baseEntry{row: e.row}
-			net[rk] = b
-			order = append(order, rk)
-		}
-		b.w += e.w
-	}
-	sort.Strings(order)
-	rebuilt := sideState{index: make(map[string][]int)}
-	zero := make(Coord, len(tabs))
-	for _, rk := range order {
-		b := net[rk]
-		if b.w == 0 {
-			continue
-		}
-		rebuilt.add(stateEntry{row: b.row, coord: zero, w: b.w}, keyOf(keyFns, b.row))
-	}
-	for _, e := range live {
-		rebuilt.add(e, keyOf(keyFns, e.row))
-	}
-	*s = rebuilt
+	j.lstate.consolidate(j.left.tables(), wm)
+	j.rstate.consolidate(j.right.tables(), wm)
 }

@@ -38,12 +38,16 @@ type brokerObs struct {
 
 	// Shared-dataflow graph shape, synced at the end of each step while
 	// the shared runtime is active (zero otherwise): live operator count,
-	// attached views, cumulative hash-consing intern hits, and the widest
-	// operator fan-out.
-	dfOperators  *obs.Gauge
-	dfViews      *obs.Gauge
-	dfInternHits *obs.Gauge
-	dfMaxFanout  *obs.Gauge
+	// attached views, cumulative hash-consing intern hits, the widest
+	// operator fan-out, join-state rows, retained output deltas, and the
+	// cumulative count of entries trims examined.
+	dfOperators   *obs.Gauge
+	dfViews       *obs.Gauge
+	dfInternHits  *obs.Gauge
+	dfMaxFanout   *obs.Gauge
+	dfStateRows   *obs.Gauge
+	dfRetained    *obs.Gauge
+	dfTrimVisited *obs.Gauge
 
 	// ivm is the maintainer-layer bundle shared by every subscription's
 	// maintainer and WAL; its histograms aggregate across subscriptions.
@@ -73,6 +77,9 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, shard string) *brokerObs {
 		dfViews:       reg.Gauge("ivm_dataflow_views", lbl...),
 		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total", lbl...),
 		dfMaxFanout:   reg.Gauge("ivm_dataflow_max_fanout", lbl...),
+		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows", lbl...),
+		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas", lbl...),
+		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total", lbl...),
 		// The maintainer-layer bundle stays unlabeled on purpose: ivm
 		// histograms aggregate across every shard's subscriptions, and the
 		// registry dedupes the same-name series so all shards share one
@@ -259,6 +266,9 @@ func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
 	o.dfViews.Set(float64(st.Views))
 	o.dfInternHits.Set(float64(st.InternHits))
 	o.dfMaxFanout.Set(float64(st.MaxFanout))
+	o.dfStateRows.Set(float64(st.StateRows))
+	o.dfRetained.Set(float64(st.RetainedDeltas))
+	o.dfTrimVisited.Set(float64(st.TrimVisited))
 }
 
 // syncSub refreshes a subscription's gauges after its share of a step

@@ -169,6 +169,8 @@ type Broker struct {
 	// later subscriptions compile into (see SetSharedDataflow); nil
 	// selects the classic one-maintainer-per-view runtime.
 	shared *dataflow.Graph
+	// trimWM is trimShared's watermark map, reused across checkpoints.
+	trimWM map[string]uint64
 
 	// pendPool recycles the scratch vectors behind the shared-lock read
 	// paths (backlogCost, HealthInto); pooling instead of a single broker

@@ -749,6 +749,9 @@ func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
 		total.Nodes += st.Nodes
 		total.Views += st.Views
 		total.InternHits += st.InternHits
+		total.StateRows += st.StateRows
+		total.RetainedDeltas += st.RetainedDeltas
+		total.TrimVisited += st.TrimVisited
 		if st.MaxFanout > total.MaxFanout {
 			total.MaxFanout = st.MaxFanout
 		}

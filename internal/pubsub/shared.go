@@ -206,7 +206,11 @@ func (b *Broker) checkpointShared(s *sub) error {
 // across the subscriptions reading it. Retained deltas and join state
 // below the watermark can never be needed by any recovery again.
 func (b *Broker) trimShared() {
-	wm := make(map[string]uint64)
+	if b.trimWM == nil {
+		b.trimWM = make(map[string]uint64)
+	}
+	wm := b.trimWM
+	clear(wm)
 	for _, s := range b.subs {
 		if s.h == nil {
 			continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abivm/internal/fault"
+	"abivm/internal/obs"
 )
 
 // sharedViewQueries returns n overlapping content queries over the
@@ -299,5 +300,88 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 		if sites[site] == 0 {
 			t.Errorf("site %s never fired in shared-mode chaos runs", site)
 		}
+	}
+}
+
+// TestSharedStateGauges pins the state-side observability of the shared
+// graph: the ivm_dataflow_state_rows / _retained_deltas /
+// _trim_visited_total series mirror DataflowStats at every step
+// boundary, and once the views have refreshed and checkpointed past the
+// last modification, join state is exactly its inputs (every update and
+// delete cancelled) and nothing is retained.
+func TestSharedStateGauges(t *testing.T) {
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	reg := obs.NewRegistry()
+	b.SetObs(reg, nil)
+	if err := b.SetSharedDataflow(true); err != nil {
+		t.Fatal(err)
+	}
+	subscribeSharedViews(t, b, 3)
+	gauge := func(name string) float64 {
+		for _, m := range reg.Snapshot() {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		t.Fatalf("series %s not exported", name)
+		return 0
+	}
+	endStep := func(step int) {
+		if _, err := b.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		st := b.DataflowStats()
+		for name, want := range map[string]float64{
+			"ivm_dataflow_state_rows":         float64(st.StateRows),
+			"ivm_dataflow_retained_deltas":    float64(st.RetainedDeltas),
+			"ivm_dataflow_trim_visited_total": float64(st.TrimVisited),
+		} {
+			if got := gauge(name); got != want {
+				t.Fatalf("step %d: %s = %v, DataflowStats says %v", step, name, got, want)
+			}
+		}
+	}
+	script := chaosScript(11, 120, DefaultWorkloadSpec())
+	for step, evs := range script {
+		for _, ev := range evs {
+			if err := b.Publish(ev.table, ev.mod); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		endStep(step)
+	}
+	// Quiet steps: every view's condition fires and a checkpoint passes.
+	for step := len(script); step < len(script)+16; step++ {
+		endStep(step)
+	}
+	sales, err := db.Table("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stations, err := db.Table("stations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := b.DataflowStats()
+	if want := sales.Len() + stations.Len(); st.StateRows != want {
+		t.Errorf("quiesced join state holds %d rows, its inputs %d", st.StateRows, want)
+	}
+	if st.RetainedDeltas != 0 {
+		t.Errorf("quiesced graph retains %d deltas", st.RetainedDeltas)
+	}
+	if st.TrimVisited == 0 {
+		t.Error("TrimVisited = 0 after 136 steps of checkpoints")
+	}
+	for _, name := range []string{"v0", "v1", "v2"} {
+		if err := b.Unsubscribe(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.DataflowStats(); st.StateRows != 0 || st.RetainedDeltas != 0 {
+		t.Errorf("empty graph still counts %d state rows, %d retained deltas", st.StateRows, st.RetainedDeltas)
 	}
 }

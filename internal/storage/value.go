@@ -193,6 +193,36 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// SameKey reports whether r and o encode to the same EncodeKey string —
+// column-wise identical type and payload, floats by bit pattern —
+// without building either encoding.
+func (r Row) SameKey(o Row) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i, a := range r {
+		b := o[i]
+		if a.T != b.T {
+			return false
+		}
+		switch a.T {
+		case TInt:
+			if a.i != b.i {
+				return false
+			}
+		case TFloat:
+			if math.Float64bits(a.f) != math.Float64bits(b.f) {
+				return false
+			}
+		case TString:
+			if a.s != b.s {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Project returns the sub-row at the given column positions.
 func (r Row) Project(cols []int) Row {
 	out := make(Row, len(cols))

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,24 @@ func TestEncodeKeyInjective(t *testing.T) {
 	// Composite keys are not ambiguous under concatenation.
 	if EncodeKey(S("ab"), S("c")) == EncodeKey(S("a"), S("bc")) {
 		t.Error("composite string keys ambiguous")
+	}
+}
+
+// TestRowSameKeyMatchesEncodeKey: SameKey is EncodeKey equality without
+// the encoding, including where it differs from Equal (1 vs 1.0, the
+// two float zeros) and on rows of different width.
+func TestRowSameKeyMatchesEncodeKey(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rows := []Row{
+		{}, {I(1)}, {F(1)}, {I(1), I(2)}, {I(2), I(1)}, {S("1")}, {S("")},
+		{F(0)}, {F(negZero)}, {F(math.NaN())}, {I(1), S("a"), F(2.5)}, {I(1), S("a"), F(2.5)}, {I(1), S("b"), F(2.5)},
+	}
+	for _, a := range rows {
+		for _, b := range rows {
+			if got, want := a.SameKey(b), EncodeKey(a...) == EncodeKey(b...); got != want {
+				t.Errorf("%v.SameKey(%v) = %v, EncodeKey equality %v", a, b, got, want)
+			}
+		}
 	}
 }
 

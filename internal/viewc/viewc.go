@@ -107,14 +107,14 @@ func (c Calibration) FuncString() string { return describeFunc(c.Func) }
 // model, and QoS parameters, ready to subscribe (it implements
 // pubsub.CompiledSubscription).
 type CompiledView struct {
-	Name  string
-	QoS   float64
-	Query string // canonical view SQL
-	Plan  *ivm.DeltaPlan
-	Fit   string
-	Seed  int64
+	Name         string
+	QoS          float64
+	Query        string // canonical view SQL
+	Plan         *ivm.DeltaPlan
+	Fit          string
+	Seed         int64
 	Calibrations []Calibration
-	Model *core.CostModel
+	Model        *core.CostModel
 	// Dataflow mirrors Options.Dataflow; when set, Explain appends the
 	// shared-runtime operator signatures.
 	Dataflow bool

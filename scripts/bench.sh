@@ -54,6 +54,6 @@ fi
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 # shellcheck disable=SC2086 # benchtime intentionally word-splits away when empty
-go test -run '^$' -bench "$pattern" -benchmem $benchtime . ./internal/core | tee "$tmp"
+go test -run '^$' -bench "$pattern" -benchmem $benchtime . ./internal/core ./internal/pubsub ./internal/dataflow | tee "$tmp"
 go run ./cmd/benchjson -label "$label" -out "$out" <"$tmp"
 echo "recorded -> $out"

@@ -1,9 +1,17 @@
 #!/bin/sh
-# Full verification gate: vet, domain lint, build, race-enabled tests.
+# Full verification gate: gofmt, vet, domain lint, build, race-enabled tests.
 # This is what `make verify` and CI run; it must pass before merging.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
