@@ -53,7 +53,8 @@ bench-quick:
 
 # bench-gate re-runs the durability benchmarks at a pinned iteration
 # count and fails on a >15% ns/op or allocs/op regression against the
-# committed gate-baseline label in the newest BENCH_<date>.json.
+# committed gate-baseline label, in the newest BENCH_<date>.json that
+# holds it.
 bench-gate:
 	sh scripts/bench_gate.sh
 

@@ -445,6 +445,87 @@ func BenchmarkCheckpointHeavy(b *testing.B) {
 	}
 }
 
+// BenchmarkChainRollover measures the one checkpoint in every
+// DefaultChainDepth+1 that replaces the chain with a fresh base: a
+// three-column replica of 1k/10k/100k rows, 128 dirty keys per
+// checkpoint. Only that checkpoint is timed; the delta checkpoints and
+// the drains between rollovers run with the timer stopped. It is the
+// O(table) term of the checkpoint path: ns/op and B/op scale with rows
+// (the benchmark records how steeply), allocs/op must not.
+func BenchmarkChainRollover(b *testing.B) {
+	const dirtyKeys = 128
+	for _, rows := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			db := storage.NewDB()
+			schema, err := storage.NewSchema("sales", []storage.Column{
+				{Name: "salekey", Type: storage.TInt},
+				{Name: "station", Type: storage.TString},
+				{Name: "amount", Type: storage.TFloat},
+			}, "salekey")
+			if err != nil {
+				b.Fatal(err)
+			}
+			tbl, err := db.CreateTable(schema)
+			if err != nil {
+				b.Fatal(err)
+			}
+			station := func(k int) storage.Value { return storage.S(fmt.Sprintf("st%03d", k%100)) }
+			for k := 0; k < rows; k++ {
+				if err := tbl.Insert(storage.Row{storage.I(int64(k)), station(k), storage.F(float64(k % 500))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m, err := ivm.New(db, `SELECT s.station, COUNT(*) AS n, SUM(s.amount) AS total FROM sales AS s GROUP BY s.station`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wal := ivm.NewWAL()
+			m.AttachWAL(wal)
+			chain := ivm.NewCheckpointChain(ivm.DefaultChainDepth)
+			next := 0
+			// dirty updates dirtyKeys distinct rows and drains them.
+			dirty := func() {
+				for j := 0; j < dirtyKeys; j++ {
+					k := next % rows
+					next += 7919 // a stride coprime to every size spreads the keys
+					key := storage.I(int64(k))
+					row := storage.Row{key, station(k), storage.F(float64((next + j) % 500))}
+					if err := m.Apply(ivm.Update("s", []storage.Value{key}, row)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := m.ProcessBatch("s", dirtyKeys); err != nil {
+					b.Fatal(err)
+				}
+			}
+			checkpoint := func() {
+				if err := chain.Checkpoint(m); err != nil {
+					b.Fatal(err)
+				}
+				if err := wal.TruncateThrough(chain.TipLSN()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			checkpoint() // the first base
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for d := 0; d < ivm.DefaultChainDepth; d++ {
+					dirty()
+					checkpoint()
+				}
+				dirty()
+				b.StartTimer()
+				checkpoint()
+				if chain.Depth() != 0 {
+					b.Fatalf("checkpoint %d did not replace the chain: depth %d", i, chain.Depth())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDrainHotPath measures the fault-free publish→drain→notify
 // step loop with periodic checkpoints disabled: pure hot-path work
 // (routing, WAL appends, queue drains, refresh, notification fan-out)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"abivm/internal/ivm"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
 )
@@ -122,5 +123,44 @@ func TestSandboxDeterminism(t *testing.T) {
 	}
 	if reflect.DeepEqual(a[0], ms) {
 		t.Log("different seed produced identical measurements (possible but suspicious)")
+	}
+}
+
+// TestCalibrationIgnoresCheckpoints: checkpoints are bookkeeping, so a
+// calibration whose maintainer is checkpointed between samples — base,
+// deltas and a rollover — fits the same curve and ends on bit-identical
+// work-unit counters as one that never checkpoints.
+func TestCalibrationIgnoresCheckpoints(t *testing.T) {
+	db := sandboxDB(t)
+	run := func(checkpoint bool) ([]*Measurement, storage.Stats) {
+		sb, err := NewSandbox(db, tpcr.PaperView, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := ivm.NewCheckpointChain(1)
+		var out []*Measurement
+		for _, alias := range sb.Aliases() {
+			for _, ks := range [][]int{{1, 4}, {8, 16}} {
+				ms, err := sb.Measure(alias, ks, storage.DefaultWeights())
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, ms)
+				if checkpoint {
+					if err := chain.Checkpoint(sb.Maintainer()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return out, *sb.Maintainer().Stats()
+	}
+	plain, plainStats := run(false)
+	cp, cpStats := run(true)
+	if !reflect.DeepEqual(plain, cp) {
+		t.Fatalf("checkpoints changed the measured curves:\n%v\n%v", plain, cp)
+	}
+	if plainStats != cpStats {
+		t.Fatalf("checkpoints charged work to the calibrated counters: %+v", cpStats.Sub(plainStats))
 	}
 }

@@ -16,11 +16,12 @@ import (
 // segments, each covering the WAL range since the previous segment. A
 // delta serializes only the replica rows committed drains have touched
 // (the maintainer's dirty-key set) plus the pending queues — typically a
-// few rows instead of every table. Compaction folds the chain back into
-// a fresh base once it exceeds a configurable depth; it is a pure
-// transformation of already-written segments, never touching the live
-// maintainer, so when it runs relative to drains and crashes cannot
-// change what recovery produces.
+// few rows instead of every table. Once the chain holds its configured
+// depth of deltas, the next checkpoint rolls over: it writes a fresh
+// base from the live replica and drops the deltas. Compact is the
+// offline counterpart — a pure transformation of already-written
+// segments that never touches the live maintainer, so when it runs
+// relative to drains and crashes cannot change what recovery produces.
 
 // deltaCheckpointVersion guards against reading delta segments written
 // by an incompatible layout. It is independent of checkpointVersion:
@@ -145,16 +146,16 @@ func (p *modPool) put(s []Mod) {
 }
 
 // DefaultChainDepth is the default maximum number of delta segments a
-// CheckpointChain accumulates before compacting into a fresh base.
+// CheckpointChain accumulates before rolling over to a fresh base.
 const DefaultChainDepth = 4
 
 // ChainStore mirrors a chain's segment mutations to a durable backend
 // (see internal/durable). PutBase receives every event that resets the
 // chain to a single base segment covering WAL position lsn (the first
-// checkpoint, a compaction, SetBase); PutDelta receives every appended
-// delta segment with its FromLSN→LSN link. Calls arrive in mutation
-// order on the broker's serial checkpoint path; a store error aborts
-// the checkpoint that triggered it.
+// checkpoint, a rollover, a compaction, SetBase); PutDelta receives
+// every appended delta segment with its FromLSN→LSN link. Calls arrive
+// in mutation order on the broker's serial checkpoint path; a store
+// error aborts the checkpoint that triggered it.
 type ChainStore interface {
 	PutBase(seg []byte, lsn uint64) error
 	PutDelta(seg []byte, fromLSN, lsn uint64) error
@@ -170,17 +171,17 @@ type CheckpointChain struct {
 	base   []byte
 	deltas [][]byte
 	tipLSN uint64
-	// maxDepth is the compaction trigger: after a checkpoint pushes the
-	// chain past maxDepth delta segments, Checkpoint compacts. 0 means
-	// "compact immediately" — every checkpoint folds to a full base,
-	// which is exactly the pre-chain full-checkpoint behavior.
+	// maxDepth is the rollover trigger: a chain holding maxDepth delta
+	// segments takes its next checkpoint as a fresh base. 0 means every
+	// checkpoint is a full base, which is exactly the pre-chain
+	// full-checkpoint behavior.
 	maxDepth int
 
 	store ChainStore
 	obs   *Metrics
 }
 
-// NewCheckpointChain returns an empty chain compacting beyond maxDepth
+// NewCheckpointChain returns an empty chain rolling over beyond maxDepth
 // delta segments; maxDepth < 0 selects DefaultChainDepth.
 func NewCheckpointChain(maxDepth int) *CheckpointChain {
 	if maxDepth < 0 {
@@ -202,7 +203,7 @@ func RestoreChain(base []byte, deltas [][]byte, tipLSN uint64, maxDepth int) *Ch
 	return c
 }
 
-// SetMetrics attaches an instrumentation bundle observing delta writes,
+// SetMetrics attaches an instrumentation bundle observing rollovers,
 // compactions, and chain depth; nil detaches.
 func (c *CheckpointChain) SetMetrics(ms *Metrics) { c.obs = ms }
 
@@ -223,7 +224,7 @@ func (c *CheckpointChain) putBase(lsn uint64) error {
 	return nil
 }
 
-// SetMaxDepth changes the compaction trigger; it takes effect at the
+// SetMaxDepth changes the rollover trigger; it takes effect at the
 // next Checkpoint. n < 0 selects DefaultChainDepth.
 func (c *CheckpointChain) SetMaxDepth(n int) {
 	if n < 0 {
@@ -254,25 +255,33 @@ func (c *CheckpointChain) SetBase(base []byte, lsn uint64) error {
 }
 
 // Checkpoint writes the maintainer's next checkpoint segment into the
-// chain: a full base when the chain is empty, an incremental delta
-// otherwise. When the chain grows past its configured depth it is
-// compacted before returning. On success the chain's tip covers the
-// maintainer's current WAL position, so the caller may truncate the WAL
-// through TipLSN.
+// chain: an incremental delta while the chain has room, a full base
+// when it is empty or already holds maxDepth delta segments. That
+// second case is the rollover: the maintainer *is* the state at the
+// chain tip, so the fresh base is serialized straight from its replica
+// and replaces base and deltas alike — no step ever decodes, folds and
+// re-encodes the segments it wrote (Compact does that, offline). On
+// success the chain's tip covers the maintainer's current WAL position,
+// so the caller may truncate the WAL through TipLSN.
 func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	lsn := uint64(0)
 	if w := m.WAL(); w != nil {
 		lsn = w.LastLSN()
 	}
-	if c.base == nil {
+	if c.base == nil || len(c.deltas) >= c.maxDepth {
 		var buf bytes.Buffer
 		if err := m.Checkpoint(&buf); err != nil {
+			// Nothing was swapped: the chain still recovers to its old tip.
 			return err
 		}
 		// The base covers everything up to now; dirty keys accumulated
 		// before it are folded in.
 		m.clearDirty()
+		if c.base != nil {
+			c.obs.observeCompaction()
+		}
 		c.base = buf.Bytes()
+		c.deltas = nil
 		c.tipLSN = lsn
 		c.observeDepth()
 		return c.putBase(lsn)
@@ -289,9 +298,6 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 			return fmt.Errorf("ivm: chain store delta: %w", err)
 		}
 	}
-	if len(c.deltas) > c.maxDepth {
-		return c.Compact()
-	}
 	c.observeDepth()
 	return nil
 }
@@ -301,7 +307,9 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 // the already-written segments — the maintainer is not consulted — so
 // it is safe to run at any point between checkpoints: recovery from the
 // compacted chain produces byte-identical state to recovery from the
-// original chain.
+// original chain. Checkpoint never calls it (a rollover gets the same
+// base from the live replica for less); it serves callers that hold
+// segments but no maintainer.
 func (c *CheckpointChain) Compact() error {
 	if len(c.deltas) == 0 {
 		return nil

@@ -156,7 +156,7 @@ func TestChainCompactionPreservesRecovery(t *testing.T) {
 	assertConsistent(t, m1)
 }
 
-func TestChainAutoCompactsPastMaxDepth(t *testing.T) {
+func TestChainRollsOverAtMaxDepth(t *testing.T) {
 	db := liveDB(t)
 	m, err := New(db, paperView)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestChainAutoCompactsPastMaxDepth(t *testing.T) {
 	if err := chain.Checkpoint(m); err != nil {
 		t.Fatal(err)
 	}
-	depths := []int{1, 2, 0, 1} // the third checkpoint trips maxDepth=2
+	depths := []int{1, 2, 0, 1} // the third checkpoint finds the chain at maxDepth=2 and rolls over
 	for i, want := range depths {
 		applyN(t, m, 100+10*i, 2)
 		if err := m.ProcessBatch("PS", 2); err != nil {
@@ -186,7 +186,7 @@ func TestChainAutoCompactsPastMaxDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pendingKey(rec) != pendingKey(m) || rowsKey(rec.Result()) != rowsKey(m.Result()) {
-		t.Error("recovery after auto-compaction diverged")
+		t.Error("recovery after a rollover diverged")
 	}
 }
 

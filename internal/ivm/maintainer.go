@@ -53,7 +53,7 @@ type Maintainer struct {
 	dirty map[string]storage.KeySet
 
 	// Checkpoint-path scratch state, reused across checkpoints so the
-	// durability hot path stops allocating per call: the replica
+	// durability hot path stops allocating per call: the replica-delta
 	// serialization buffer, the queue-copy map of the checkpoint DTOs,
 	// and the free list backing those copies.
 	cpBuf    bytes.Buffer

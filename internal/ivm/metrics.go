@@ -42,10 +42,12 @@ type Metrics struct {
 	// delta-segment writes (full-segment writes stay in Checkpoints) and
 	// CheckpointDeltaBytes observes each segment's size — the pair whose
 	// ratio to Checkpoints/CheckpointBytes shows what incremental
-	// checkpointing saves. CheckpointCompactions counts chain
-	// compactions and CheckpointChainDepth tracks the delta segments
-	// currently chained behind the base. Delta durations fold into
-	// CheckpointSeconds alongside full checkpoints.
+	// checkpointing saves. CheckpointCompactions counts the times a
+	// chain's deltas were replaced by a fresh base — rollovers on the
+	// checkpoint path plus explicit Compact folds — and
+	// CheckpointChainDepth tracks the delta segments currently chained
+	// behind the base. Delta durations fold into CheckpointSeconds
+	// alongside full checkpoints.
 	CheckpointDeltas      *obs.Counter
 	CheckpointDeltaBytes  *obs.Histogram
 	CheckpointCompactions *obs.Counter
@@ -194,7 +196,7 @@ func (ms *Metrics) observeCheckpointDelta(elapsed time.Duration, bytes int) {
 	ms.CheckpointSeconds.Observe(elapsed.Seconds())
 }
 
-// observeCompaction records one chain compaction.
+// observeCompaction records one rollover or Compact fold.
 func (ms *Metrics) observeCompaction() {
 	if ms == nil {
 		return

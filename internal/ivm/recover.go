@@ -65,16 +65,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 func (m *Maintainer) checkpoint(w io.Writer) error {
-	// The replica serialization buffer and the queue copies are reused
-	// across checkpoints (cpBuf / the modPool free list): the encoder
-	// consumes them before this function returns, so nothing escapes.
-	m.cpBuf.Reset()
-	if err := m.replica.WriteSnapshot(&m.cpBuf); err != nil {
+	// A full snapshot gets a buffer of its own rather than cpBuf: that
+	// one outlives the call, and a maintainer that kept a replica-sized
+	// buffer (regrown whenever the replica outgrew it) between the rare
+	// full checkpoints would hold more memory than the checkpoint saves.
+	// The queue copies still come from the modPool free list; the encoder
+	// consumes them before this function returns.
+	var replica bytes.Buffer
+	if err := m.replica.WriteSnapshot(&replica); err != nil {
 		return fmt.Errorf("ivm: checkpoint replica snapshot: %w", err)
 	}
 	dto := checkpointDTO{
 		Version:   checkpointVersion,
-		Replica:   m.cpBuf.Bytes(),
+		Replica:   replica.Bytes(),
 		Queues:    m.takeQueues(),
 		Namespace: m.ns,
 	}

@@ -243,9 +243,10 @@ func (b *Broker) SetCheckpointEvery(n int) {
 }
 
 // SetCheckpointChainDepth sets how many incremental delta segments a
-// subscription's checkpoint chain accumulates before compacting into a
-// fresh full base. 0 compacts on every checkpoint — the pre-chain
-// full-checkpoint behavior — and n < 0 selects ivm.DefaultChainDepth.
+// subscription's checkpoint chain accumulates before rolling over to a
+// fresh full base. 0 writes a full base on every checkpoint — the
+// pre-chain full-checkpoint behavior — and n < 0 selects
+// ivm.DefaultChainDepth.
 // Applies to current and future subscriptions.
 func (b *Broker) SetCheckpointChainDepth(n int) {
 	b.mu.Lock()
@@ -780,9 +781,10 @@ func (b *Broker) maybeCrash(s *sub) error {
 // checkpointDue takes the periodic per-subscription checkpoints and
 // truncates the covered WAL prefixes. Each checkpoint extends the
 // subscription's chain — a small delta segment in the steady state, a
-// full base only when the chain is empty or compaction triggers. An
-// injected checkpoint failure skips that subscription's checkpoint —
-// recovery simply replays a longer WAL suffix, so nothing degrades.
+// full base only when the chain is empty or at its depth and rolls
+// over. An injected checkpoint failure skips that subscription's
+// checkpoint — recovery simply replays a longer WAL suffix, so nothing
+// degrades.
 func (b *Broker) checkpointDue() error {
 	if b.cpEvery <= 0 || (b.step+1)%b.cpEvery != 0 {
 		return nil

@@ -800,7 +800,7 @@ func (sb *ShardedBroker) SetCheckpointEvery(n int) {
 	}
 }
 
-// SetCheckpointChainDepth sets every shard's checkpoint-chain compaction
+// SetCheckpointChainDepth sets every shard's checkpoint-chain rollover
 // trigger (see Broker.SetCheckpointChainDepth).
 func (sb *ShardedBroker) SetCheckpointChainDepth(n int) {
 	sb.mu.Lock()

@@ -13,18 +13,15 @@ import (
 // (indexes are rebuilt on load, not stored). Work-unit counters are not
 // part of a snapshot. The format is encoding/gob over explicit DTOs, so
 // internal representation changes never break old snapshots silently —
-// the DTO types below are the compatibility surface.
+// the DTO types below are the compatibility surface. Rows are the one
+// exception to gob: they travel as a count plus one byte string of
+// packed rows (see AppendRow), because reflecting over a struct per
+// value dominated both writing and reading a snapshot.
 
 // snapshotVersion guards against reading snapshots from incompatible
-// layouts.
-const snapshotVersion = 1
-
-type valueDTO struct {
-	T Type
-	I int64
-	F float64
-	S string
-}
+// layouts. Version 1 carried rows as gob structs; nothing persists
+// across builds, so a v1 stream is refused rather than converted.
+const snapshotVersion = 2
 
 type indexDTO struct {
 	Name string
@@ -36,7 +33,10 @@ type tableDTO struct {
 	Name    string
 	Columns []Column
 	KeyCols []string
-	Rows    [][]valueDTO
+	// NRows packed rows of len(Columns) values each, in slot order, back
+	// to back in Rows.
+	NRows   int
+	Rows    []byte
 	Indexes []indexDTO
 }
 
@@ -45,11 +45,36 @@ type dbDTO struct {
 	Tables  []tableDTO
 }
 
-func toDTO(v Value) valueDTO { return valueDTO{T: v.T, I: v.i, F: v.f, S: v.s} }
+// eachPackedRow decodes the n packed rows of arity values that make up
+// data and hands each to fn. The row is reused between calls, so fn must
+// copy what it keeps. n comes off the wire: it is checked against the
+// bytes that many rows need at the least, and nothing is allocated from
+// it. Callers wrap the error with the table it concerns.
+func eachPackedRow(n, arity int, data []byte, fn func(Row) error) error {
+	if n < 0 || arity < 1 || n > len(data)/(arity*minValueSize) {
+		return fmt.Errorf("%d packed rows of %d values claimed in %d bytes", n, arity, len(data))
+	}
+	row := make(Row, 0, arity)
+	for i := 0; i < n; i++ {
+		var err error
+		if row, data, err = DecodeRow(row[:0], data, arity); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d bytes left over after %d packed rows", len(data), n)
+	}
+	return nil
+}
 
-func fromDTO(d valueDTO) Value { return Value{T: d.T, i: d.I, f: d.F, s: d.S} }
-
-// WriteSnapshot serializes the database to w.
+// WriteSnapshot serializes the database to w. Rows are read straight
+// from the slots, not through Scan: a snapshot is bookkeeping, and a
+// checkpoint must not charge a table scan to the work-unit counters the
+// cost model reads. Tables go in name order and rows in slot order, so
+// identical databases produce identical bytes.
 func (db *DB) WriteSnapshot(w io.Writer) error {
 	dto := dbDTO{Version: snapshotVersion}
 	for _, name := range db.TableNames() {
@@ -59,14 +84,18 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		for _, k := range schema.Key {
 			td.KeyCols = append(td.KeyCols, schema.Columns[k].Name)
 		}
-		t.Scan(func(r Row) bool {
-			row := make([]valueDTO, len(r))
-			for i, v := range r {
-				row[i] = toDTO(v)
+		size := 0
+		for _, r := range t.rows {
+			if r != nil {
+				size += rowSize(r)
 			}
-			td.Rows = append(td.Rows, row)
-			return true
-		})
+		}
+		td.NRows, td.Rows = t.live, make([]byte, 0, size)
+		for _, r := range t.rows {
+			if r != nil {
+				td.Rows = AppendRow(td.Rows, r)
+			}
+		}
 		for _, ix := range t.Indexes() {
 			cols := make([]string, len(ix.Cols))
 			for i, c := range ix.Cols {
@@ -98,14 +127,8 @@ func ReadSnapshot(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range td.Rows {
-			vals := make(Row, len(row))
-			for i, d := range row {
-				vals[i] = fromDTO(d)
-			}
-			if err := tbl.Insert(vals); err != nil {
-				return nil, fmt.Errorf("storage: snapshot row in %s: %w", td.Name, err)
-			}
+		if err := eachPackedRow(td.NRows, len(td.Columns), td.Rows, tbl.Insert); err != nil {
+			return nil, fmt.Errorf("storage: snapshot rows of %s: %w", td.Name, err)
 		}
 		for _, ix := range td.Indexes {
 			if err := tbl.CreateIndex(ix.Name, ix.Kind, ix.Cols...); err != nil {
@@ -126,8 +149,9 @@ func ReadSnapshot(r io.Reader) (*DB, error) {
 // full-snapshot DTOs.
 
 // snapshotDeltaVersion guards against reading snapshot deltas from
-// incompatible layouts.
-const snapshotDeltaVersion = 1
+// incompatible layouts; it moved to 2 with the packed row format, in
+// step with snapshotVersion.
+const snapshotDeltaVersion = 2
 
 // KeySet is one table's dirty keys: encoded primary key -> the key
 // values. Over-marking is harmless — a dirty key whose row is unchanged
@@ -138,9 +162,12 @@ type tableDeltaDTO struct {
 	Name string
 	// Upserts carries the full current row of every dirty key present in
 	// the table; Deletes carries the key values of dirty keys absent from
-	// it.
-	Upserts [][]valueDTO
-	Deletes [][]valueDTO
+	// it. Both are packed rows, counted by NUpserts and NDeletes; a key
+	// row has one value per key column.
+	NUpserts int
+	Upserts  []byte
+	NDeletes int
+	Deletes  []byte
 }
 
 type dbDeltaDTO struct {
@@ -181,19 +208,11 @@ func (db *DB) WriteSnapshotDelta(w io.Writer, dirty map[string]KeySet) error {
 			// Resolve through the primary-key index directly: a checkpoint
 			// must not charge probe work to the shared maintenance counters.
 			if slot, found := t.pk[k]; found {
-				row := t.rows[slot]
-				enc := make([]valueDTO, len(row))
-				for i, v := range row {
-					enc[i] = toDTO(v)
-				}
-				td.Upserts = append(td.Upserts, enc)
+				td.NUpserts++
+				td.Upserts = AppendRow(td.Upserts, t.rows[slot])
 			} else {
-				keyVals := ks[k]
-				enc := make([]valueDTO, len(keyVals))
-				for i, v := range keyVals {
-					enc[i] = toDTO(v)
-				}
-				td.Deletes = append(td.Deletes, enc)
+				td.NDeletes++
+				td.Deletes = AppendRow(td.Deletes, ks[k])
 			}
 		}
 		dto.Tables = append(dto.Tables, td)
@@ -219,31 +238,27 @@ func ApplySnapshotDelta(db *DB, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("storage: snapshot delta: %w", err)
 		}
-		key := tbl.Schema().Key
-		for _, enc := range td.Upserts {
-			row := make(Row, len(enc))
-			for i, d := range enc {
-				row[i] = fromDTO(d)
-			}
-			keyVals := row.Project(key)
+		schema := tbl.Schema()
+		err = eachPackedRow(td.NUpserts, len(schema.Columns), td.Upserts, func(row Row) error {
+			keyVals := row.Project(schema.Key)
 			if _, found := tbl.Get(keyVals...); found {
-				if _, err := tbl.Update(keyVals, row); err != nil {
-					return fmt.Errorf("storage: snapshot delta upsert in %s: %w", td.Name, err)
-				}
-			} else if err := tbl.Insert(row); err != nil {
-				return fmt.Errorf("storage: snapshot delta upsert in %s: %w", td.Name, err)
+				_, err := tbl.Update(keyVals, row)
+				return err
 			}
+			return tbl.Insert(row)
+		})
+		if err != nil {
+			return fmt.Errorf("storage: snapshot delta upserts in %s: %w", td.Name, err)
 		}
-		for _, enc := range td.Deletes {
-			keyVals := make([]Value, len(enc))
-			for i, d := range enc {
-				keyVals[i] = fromDTO(d)
-			}
+		err = eachPackedRow(td.NDeletes, len(schema.Key), td.Deletes, func(keyVals Row) error {
 			if _, found := tbl.Get(keyVals...); found {
-				if _, err := tbl.Delete(keyVals...); err != nil {
-					return fmt.Errorf("storage: snapshot delta delete in %s: %w", td.Name, err)
-				}
+				_, err := tbl.Delete(keyVals...)
+				return err
 			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("storage: snapshot delta deletes in %s: %w", td.Name, err)
 		}
 	}
 	return nil

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func snapshotDB(t *testing.T) *DB {
+func snapshotDB(t testing.TB) *DB {
 	t.Helper()
 	db := NewDB()
 	schema, err := NewSchema("items", []Column{

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Benchmark regression gate: re-runs the durability benchmarks and
-# compares ns/op and allocs/op against the committed baseline label in
-# the newest BENCH_*.json via cmd/benchgate, failing on a >15%
-# regression (see that command's doc for the noise rationale).
+# compares ns/op and allocs/op against the committed baseline label, in
+# the newest BENCH_*.json that holds it, via cmd/benchgate, failing on a
+# >15% regression (see that command's doc for the noise rationale).
 #
 # The iteration count is pinned (-benchtime=300x) because these
 # benchmarks run a workload whose tables grow across iterations: their
@@ -39,8 +39,14 @@ while [ $# -gt 0 ]; do
 	shift
 done
 if [ -z "$file" ]; then
-	# Newest committed history file wins; the dated names sort by date.
-	file=$(ls BENCH_*.json | sort | tail -n 1)
+	# The newest history file that holds the base label wins (the dated
+	# names sort by date): perf PRs add BENCH_<date>.json files with
+	# labels of their own, and those must not hide the gate's baseline.
+	file=$(grep -l "\"label\": \"$base\"" BENCH_*.json | sort | tail -n 1)
+	if [ -z "$file" ]; then
+		echo "bench_gate: no BENCH_*.json holds a run labeled \"$base\"" >&2
+		exit 1
+	fi
 fi
 
 go test -run '^$' -bench 'BenchmarkCheckpointHeavy|BenchmarkDrainHotPath|BenchmarkWALFileAppend|BenchmarkDiskRecovery' -benchmem -benchtime=300x . |

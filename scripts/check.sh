@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full verification gate: gofmt, vet, domain lint, build, race-enabled tests.
+# Full verification gate: gofmt, vet, domain lint, build, race-enabled
+# tests, and the nested benchmark module.
 # This is what `make verify` and CI run; it must pass before merging.
 set -eu
 
@@ -24,5 +25,14 @@ go run ./cmd/abivmlint ./...
 
 echo "==> go test -race"
 go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
+
+# The benchmark is a nested module (its own go.mod, replace => ../), so
+# the ./... patterns above never reach it: a refactor of ivm, storage or
+# durable that breaks its build would otherwise surface only when the
+# benchmark is next run. Read-only use — build, vet, test, one toy-size
+# run with its checks on.
+echo "==> benchmark module (vet, tests, quick run)"
+(cd benchmark && go vet ./... && go test -timeout "${TEST_TIMEOUT:-10m}" ./...)
+bash benchmark/run.sh -quick
 
 echo "OK"
