@@ -344,11 +344,13 @@ func BenchmarkReplanningAblation(b *testing.B) {
 
 // BenchmarkIndexAsymmetry measures the engine-level source of the whole
 // paper: the cost of one 20-modification batch on the indexed join side
-// vs the unindexed one.
+// vs the unindexed one. The -10x runs repeat both over ten times the
+// rows: the indexed side's cost stays put (a_i·k), the unindexed side's
+// grows with the table (b_i is one scan of it per hash-join run).
 func BenchmarkIndexAsymmetry(b *testing.B) {
-	cfg := tpcr.Config{ScaleFactor: 0.002, Seed: 1, SupplierSuppkeyIndex: true}
 	w := storage.DefaultWeights()
-	run := func(b *testing.B, alias string) {
+	run := func(b *testing.B, alias string, scale float64) {
+		cfg := tpcr.Config{ScaleFactor: scale, Seed: 1, SupplierSuppkeyIndex: true}
 		db := storage.NewDB()
 		if err := tpcr.Generate(db, cfg); err != nil {
 			b.Fatal(err)
@@ -378,8 +380,10 @@ func BenchmarkIndexAsymmetry(b *testing.B) {
 		}
 		b.ReportMetric(cost, "pseudo-ms/batch")
 	}
-	b.Run("indexed-PS", func(b *testing.B) { run(b, "PS") })
-	b.Run("unindexed-S", func(b *testing.B) { run(b, "S") })
+	b.Run("indexed-PS", func(b *testing.B) { run(b, "PS", 0.002) })
+	b.Run("unindexed-S", func(b *testing.B) { run(b, "S", 0.002) })
+	b.Run("indexed-PS-10x", func(b *testing.B) { run(b, "PS", 0.02) })
+	b.Run("unindexed-S-10x", func(b *testing.B) { run(b, "S", 0.02) })
 }
 
 // BenchmarkShardedStep measures broker step throughput on the sharded

@@ -1,0 +1,290 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"abivm/internal/storage"
+	"abivm/internal/testenv"
+)
+
+// unbounded hides its input's row bound, which makes a HashJoin treat
+// that side as "size unknown".
+type unbounded struct{ Op }
+
+// joinCase is one randomly drawn pair of join inputs.
+type joinCase struct {
+	lcols, rcols []Col
+	left, right  []storage.Row
+	lkeys, rkeys []int
+}
+
+// drawValue returns a value of the column type from a pool small enough
+// that keys collide often; the float pool has both zeros (distinct join
+// keys, equal numbers) and the string pool the empty string.
+func drawValue(rng *rand.Rand, t storage.Type) storage.Value {
+	switch t {
+	case storage.TInt:
+		return storage.I(int64(rng.Intn(5)) - 1)
+	case storage.TFloat:
+		return storage.F([]float64{0, math.Copysign(0, -1), 1.5, -2.25, 1e9}[rng.Intn(5)])
+	}
+	return storage.S([]string{"", "a", "b", "ab", "ba"}[rng.Intn(5)])
+}
+
+func drawCase(rng *rand.Rand) joinCase {
+	types := []storage.Type{storage.TInt, storage.TFloat, storage.TString}
+	nkeys := 1 + rng.Intn(2)
+	keyTypes := make([]storage.Type, nkeys)
+	for i := range keyTypes {
+		keyTypes[i] = types[rng.Intn(len(types))]
+	}
+	// side draws n rows of (id, key columns..., payload); the id makes
+	// every row distinguishable so a wrong emission order shows.
+	side := func(alias string, n int) ([]Col, []storage.Row, []int) {
+		cols := []Col{{Table: alias, Name: "id", Type: storage.TInt}}
+		keys := make([]int, nkeys)
+		for i, t := range keyTypes {
+			keys[i] = len(cols)
+			cols = append(cols, Col{Table: alias, Name: fmt.Sprint("k", i), Type: t})
+		}
+		cols = append(cols, Col{Table: alias, Name: "pay", Type: storage.TFloat})
+		rows := make([]storage.Row, n)
+		for i := range rows {
+			r := storage.Row{storage.I(int64(i))}
+			for _, t := range keyTypes {
+				r = append(r, drawValue(rng, t))
+			}
+			rows[i] = append(r, storage.F(rng.Float64()))
+		}
+		return cols, rows, keys
+	}
+	sizes := []int{0, 1, 2, 5, 17, 40}
+	var c joinCase
+	c.lcols, c.left, c.lkeys = side("l", sizes[rng.Intn(len(sizes))])
+	c.rcols, c.right, c.rkeys = side("r", sizes[rng.Intn(len(sizes))])
+	return c
+}
+
+// nestedLoop is the reference: left-major, right-input order inside one
+// left row, keys equal when EncodeKey of them is.
+func nestedLoop(c joinCase) []storage.Row {
+	var out []storage.Row
+	for _, l := range c.left {
+		for _, r := range c.right {
+			if l.Project(c.lkeys).SameKey(r.Project(c.rkeys)) {
+				out = append(out, append(l.Clone(), r...))
+			}
+		}
+	}
+	return out
+}
+
+// runJoin joins the case with the bound of either side optionally
+// hidden, and returns the rows, the work charged and which side's keys
+// the table held.
+func runJoin(t *testing.T, c joinCase, hideLeft, hideRight bool) ([]storage.Row, storage.Stats, bool) {
+	t.Helper()
+	var st storage.Stats
+	var left Op = NewRowsSource(c.lcols, c.left, &st)
+	var right Op = NewRowsSource(c.rcols, c.right, &st)
+	if hideLeft {
+		left = unbounded{left}
+	}
+	if hideRight {
+		right = unbounded{right}
+	}
+	j, err := NewHashJoin(left, right, c.lkeys, c.rkeys, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	onLeft := j.onLeft
+	var rows []storage.Row
+	for {
+		r, ok := j.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, r)
+	}
+	j.Close()
+	return rows, st, onLeft
+}
+
+func sameRows(a, b []storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].SameKey(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHashJoinBuildSideEquivalence: whichever input the table is keyed
+// on, the join emits the nested-loop row sequence and charges the same
+// work units. Mutation-checked: emitting right-major, or dropping any
+// one of the three charges, fails it.
+func TestHashJoinBuildSideEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	for i := 0; i < 400; i++ {
+		c := drawCase(rng)
+		want := nestedLoop(c)
+		wantStats := storage.Stats{
+			RowsScanned:   uint64(len(c.left) + len(c.right)),
+			BatchSetups:   1,
+			HashBuildRows: uint64(len(c.right)),
+			HashProbeRows: uint64(len(c.left)),
+			RowsEmitted:   uint64(len(want)),
+		}
+		onRight, rightStats, mode := runJoin(t, c, true, false)
+		if mode {
+			t.Fatalf("case %d: left bound hidden, yet the table was keyed on the left", i)
+		}
+		onLeft, leftStats, mode := runJoin(t, c, false, true)
+		if !mode {
+			t.Fatalf("case %d: only the left bound known, yet the table was keyed on the right", i)
+		}
+		chosen, chosenStats, mode := runJoin(t, c, false, false)
+		if wantMode := len(c.left) <= len(c.right); mode != wantMode {
+			t.Fatalf("case %d: %d left rows, %d right rows: keyed on left = %v, want %v", i, len(c.left), len(c.right), mode, wantMode)
+		}
+		for _, got := range []struct {
+			name  string
+			rows  []storage.Row
+			stats storage.Stats
+		}{{"keyed on right", onRight, rightStats}, {"keyed on left", onLeft, leftStats}, {"rule's choice", chosen, chosenStats}} {
+			if !sameRows(got.rows, want) {
+				t.Fatalf("case %d (%d x %d rows), %s: row sequence differs from nested loop\n got %v\nwant %v", i, len(c.left), len(c.right), got.name, got.rows, want)
+			}
+			if got.stats != wantStats {
+				t.Fatalf("case %d, %s: stats %+v, want %+v", i, got.name, got.stats, wantStats)
+			}
+		}
+	}
+}
+
+// TestRowBounds pins which operators report a bound.
+func TestRowBounds(t *testing.T) {
+	tbl := suppliers(t)
+	scan := NewSeqScan(tbl, "s")
+	src := NewRowsSource(scan.Columns(), []storage.Row{{storage.I(9), storage.S("x"), storage.I(1)}}, nil)
+	proj, err := NewProject(NewFilter(src, func(storage.Row) bool { return true }), scan.Columns()[:1], []Scalar{func(r storage.Row) storage.Value { return r[0] }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := NewFilter(unbounded{scan}, func(storage.Row) bool { return true })
+	for _, tc := range []struct {
+		name string
+		op   Op
+		n    int
+		ok   bool
+	}{
+		{"seq scan", scan, 3, true},
+		{"rows source", src, 1, true},
+		{"project over filter over source", proj, 1, true},
+		{"filter over unknown", hidden, 0, false},
+	} {
+		if n, ok := rowBound(tc.op); n != tc.n || ok != tc.ok {
+			t.Errorf("%s: bound (%d, %v), want (%d, %v)", tc.name, n, ok, tc.n, tc.ok)
+		}
+	}
+	src.Reset(nil)
+	if n, ok := rowBound(proj); n != 0 || !ok {
+		t.Errorf("after Reset(nil): bound (%d, %v), want (0, true)", n, ok)
+	}
+}
+
+// failOpen is an input whose Open fails.
+type failOpen struct{ Op }
+
+func (failOpen) Open() error { return fmt.Errorf("open failed") }
+
+// TestHashJoinReleasesRows: a join kept for reuse holds no input rows
+// after Close, nor after an Open that failed half-way.
+func TestHashJoinReleasesRows(t *testing.T) {
+	held := func(j *HashJoin) bool {
+		return j.slots != nil || j.buckets != nil || j.leftRows != nil || j.curLeft != nil || j.matches != nil
+	}
+	c := drawCase(rand.New(rand.NewSource(3)))
+	left := NewRowsSource(c.lcols, c.left, nil)
+	right := NewRowsSource(c.rcols, c.right, nil)
+	j, err := NewHashJoin(unbounded{left}, right, c.lkeys, c.rkeys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect(j); err != nil {
+		t.Fatal(err)
+	}
+	if held(j) {
+		t.Errorf("join holds rows after Close: %+v", j)
+	}
+	// Keyed on the right, the left input opens last, after the table is
+	// filled; keyed on the left, the right one does.
+	for _, j := range []*HashJoin{
+		{left: failOpen{left}, right: right, leftKeys: c.lkeys, rightKeys: c.rkeys},
+		{left: left, right: failOpen{right}, leftKeys: c.lkeys, rightKeys: c.rkeys},
+	} {
+		if err := j.Open(); err == nil {
+			t.Fatal("Open succeeded over a failing input")
+		}
+		if held(j) {
+			t.Errorf("join holds rows after a failed Open: %+v", j)
+		}
+	}
+}
+
+// TestHashJoinScanAllocsIndependentOfStoredRows: streaming stored rows
+// past a batch-keyed table allocates nothing per row — a 4-row batch
+// against 1,000 and against 10,000 stored rows with the same matches
+// costs the same number of allocations.
+func TestHashJoinScanAllocsIndependentOfStoredRows(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	cols := []storage.Column{{Name: "id", Type: storage.TInt}, {Name: "k", Type: storage.TString}}
+	batch := []storage.Row{
+		{storage.I(0), storage.S("k0")}, {storage.I(1), storage.S("k1")},
+		{storage.I(2), storage.S("k2")}, {storage.I(3), storage.S("none")},
+	}
+	allocs := func(stored int) (float64, int) {
+		rows := make([]storage.Row, stored)
+		for i := range rows {
+			// The first 30 rows carry the batch's keys; the rest match nothing.
+			k := fmt.Sprint("miss", i)
+			if i < 30 {
+				k = fmt.Sprint("k", i%3)
+			}
+			rows[i] = storage.Row{storage.I(int64(i)), storage.S(k)}
+		}
+		tbl := mkTable(t, "stored", cols, "id", rows)
+		scan := NewSeqScan(tbl, "t")
+		j, err := NewHashJoin(NewRowsSource(scan.Columns(), batch, nil), scan, []int{1}, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		a := testing.AllocsPerRun(20, func() {
+			out, err := Collect(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = len(out)
+		})
+		return a, n
+	}
+	small, nSmall := allocs(1000)
+	large, nLarge := allocs(10000)
+	t.Logf("allocs per join: %.0f against 1,000 stored rows, %.0f against 10,000 (%d rows out)", small, large, nSmall)
+	if nSmall != 30 || nLarge != 30 {
+		t.Fatalf("joins emitted %d and %d rows, want 30 each", nSmall, nLarge)
+	}
+	if small != large {
+		t.Errorf("allocations grew with the stored side: %.0f at 1,000 rows, %.0f at 10,000", small, large)
+	}
+}

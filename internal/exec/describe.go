@@ -31,10 +31,10 @@ func (a *HashAgg) Describe() string {
 	return fmt.Sprintf("group=[%s] aggs=[%s]", strings.Join(groups, ", "), strings.Join(aggs, ", "))
 }
 
-// Left returns the probe side of the hash join.
+// Left returns the driving input of the hash join.
 func (j *HashJoin) Left() Op { return j.left }
 
-// Right returns the build side of the hash join.
+// Right returns the stored input of the hash join.
 func (j *HashJoin) Right() Op { return j.right }
 
 // Describe renders the hash join's key columns.

@@ -61,6 +61,21 @@ type Op interface {
 	Close()
 }
 
+// rowBounder is implemented by operators that know, before Open, an
+// upper bound on the number of rows they will emit. HashJoin reads it to
+// decide which input to key its table on.
+type rowBounder interface {
+	RowBound() (n int, ok bool)
+}
+
+// rowBound returns op's row bound; ok is false when op does not know one.
+func rowBound(op Op) (int, bool) {
+	if b, ok := op.(rowBounder); ok {
+		return b.RowBound()
+	}
+	return 0, false
+}
+
 // Scalar evaluates an expression over an input row.
 type Scalar func(storage.Row) storage.Value
 
@@ -117,6 +132,9 @@ func (s *SeqScan) Next() (storage.Row, bool) { return s.cur.Next() }
 // Close implements Op.
 func (s *SeqScan) Close() { s.cur = nil }
 
+// RowBound reports the table's current row count.
+func (s *SeqScan) RowBound() (int, bool) { return s.table.Len(), true }
+
 // RowsSource emits a fixed set of rows; the IVM engine uses it to feed
 // delta batches into operator trees.
 type RowsSource struct {
@@ -157,6 +175,13 @@ func (s *RowsSource) Next() (storage.Row, bool) {
 // Close implements Op.
 func (s *RowsSource) Close() {}
 
+// Reset rebinds the source to a new batch, so one compiled operator
+// tree can be run over successive batches.
+func (s *RowsSource) Reset(rows []storage.Row) { s.rows = rows }
+
+// RowBound reports the batch length.
+func (s *RowsSource) RowBound() (int, bool) { return len(s.rows), true }
+
 // Filter passes through rows satisfying a predicate.
 type Filter struct {
 	in   Op
@@ -187,6 +212,9 @@ func (f *Filter) Next() (storage.Row, bool) {
 
 // Close implements Op.
 func (f *Filter) Close() { f.in.Close() }
+
+// RowBound passes the input's bound through: a filter only drops rows.
+func (f *Filter) RowBound() (int, bool) { return rowBound(f.in) }
 
 // Project computes output expressions over input rows.
 type Project struct {
@@ -228,3 +256,6 @@ func (p *Project) Next() (storage.Row, bool) {
 
 // Close implements Op.
 func (p *Project) Close() { p.in.Close() }
+
+// RowBound passes the input's bound through: one output row per input row.
+func (p *Project) RowBound() (int, bool) { return rowBound(p.in) }

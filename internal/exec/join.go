@@ -6,18 +6,39 @@ import (
 	"abivm/internal/storage"
 )
 
-// HashJoin is an equi-join that builds a hash table on its right input
-// and probes it with rows from the left input. Output rows are the left
-// row concatenated with the right row. Building charges one HashBuildRows
-// unit per build row plus one BatchSetups unit per (re)build; probing
-// charges one HashProbeRows unit per probe.
+// HashJoin is an equi-join of a driving (left) input against a stored
+// (right) input. Output rows are the left row concatenated with the
+// right row, left-major: left rows in their input order, and inside one
+// left row its matches in right-input order.
+//
+// Open always reads the right input once and buckets its rows by join
+// key; what it chooses, from the row bounds the inputs report, is which
+// keys get a bucket. When the left input is known to be no larger than
+// the right (a delta batch against a table scan), the left rows are
+// read first and only their keys are registered, so the right rows
+// stream past a batch-sized table and a row that matches nothing costs
+// one allocation-free lookup. Otherwise every right key gets a bucket
+// and the left rows stream past them. Either way a left row's matches
+// are the right rows with its key in right-input order, so the emitted
+// sequence is the same.
+//
+// Work units are charged by role, not by which side was hashed: one
+// BatchSetups per Open, one HashBuildRows per right row, one
+// HashProbeRows per left row — the model of the paper's DBMS, which
+// pays a scan of the stored side per batch.
 type HashJoin struct {
 	left, right         Op
 	leftKeys, rightKeys []int
 	cols                []Col
 	stats               *storage.Stats
 
-	table   map[string][]storage.Row
+	keyBuf   []byte          // reused key encoding
+	slots    map[string]int  // encoded join key -> position in buckets
+	buckets  [][]storage.Row // right rows per key, in right-input order
+	leftRows []storage.Row   // the left input, when it was read up front
+	onLeft   bool            // slots holds the left input's keys only
+	leftI    int
+
 	curLeft storage.Row
 	matches []storage.Row
 	matchI  int
@@ -48,13 +69,37 @@ func NewHashJoin(left, right Op, leftKeys, rightKeys []int, stats *storage.Stats
 // Columns implements Op.
 func (j *HashJoin) Columns() []Col { return j.cols }
 
-// Open implements Op: it materializes the build side.
-func (j *HashJoin) Open() error {
+// Open implements Op: it reads the right input into per-key buckets
+// (and, when the left input is the smaller one, the left input first).
+func (j *HashJoin) Open() (err error) {
+	j.release()
+	defer func() {
+		if err != nil {
+			j.release()
+		}
+	}()
+	ln, lok := rowBound(j.left)
+	rn, rok := rowBound(j.right)
+	j.onLeft = lok && (!rok || ln <= rn)
+	j.slots = make(map[string]int)
+	if j.onLeft {
+		if err := j.left.Open(); err != nil {
+			return err
+		}
+		for {
+			l, ok := j.left.Next()
+			if !ok {
+				break
+			}
+			j.leftRows = append(j.leftRows, l)
+			j.slot(l, j.leftKeys, true)
+		}
+		j.left.Close()
+	}
 	if err := j.right.Open(); err != nil {
 		return err
 	}
 	defer j.right.Close()
-	j.table = make(map[string][]storage.Row)
 	if j.stats != nil {
 		j.stats.BatchSetups++
 	}
@@ -63,16 +108,34 @@ func (j *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		key := joinKey(r, j.rightKeys)
-		j.table[key] = append(j.table[key], r)
 		if j.stats != nil {
 			j.stats.HashBuildRows++
 		}
+		if b, ok := j.slot(r, j.rightKeys, !j.onLeft); ok {
+			j.buckets[b] = append(j.buckets[b], r)
+		}
 	}
-	j.curLeft = nil
-	j.matches = nil
-	j.matchI = 0
+	if j.onLeft {
+		return nil
+	}
 	return j.left.Open()
+}
+
+// slot returns the bucket position of the row's join key, registering
+// the key with an empty bucket when it is new and add is set. Only a
+// registration allocates (the map's copy of the key).
+func (j *HashJoin) slot(r storage.Row, keys []int, add bool) (int, bool) {
+	j.keyBuf = j.keyBuf[:0]
+	for _, k := range keys {
+		j.keyBuf = storage.AppendKey(j.keyBuf, r[k])
+	}
+	b, ok := j.slots[string(j.keyBuf)]
+	if !ok && add {
+		b, ok = len(j.buckets), true
+		j.slots[string(j.keyBuf)] = b
+		j.buckets = append(j.buckets, nil)
+	}
+	return b, ok
 }
 
 // Next implements Op.
@@ -89,32 +152,42 @@ func (j *HashJoin) Next() (storage.Row, bool) {
 			}
 			return out, true
 		}
-		l, ok := j.left.Next()
-		if !ok {
-			return nil, false
+		var l storage.Row
+		if j.onLeft {
+			if j.leftI >= len(j.leftRows) {
+				return nil, false
+			}
+			l = j.leftRows[j.leftI]
+			j.leftI++
+		} else {
+			var ok bool
+			if l, ok = j.left.Next(); !ok {
+				return nil, false
+			}
 		}
 		j.curLeft = l
 		if j.stats != nil {
 			j.stats.HashProbeRows++
 		}
-		j.matches = j.table[joinKey(l, j.leftKeys)]
-		j.matchI = 0
+		j.matches, j.matchI = nil, 0
+		if b, ok := j.slot(l, j.leftKeys, false); ok {
+			j.matches = j.buckets[b]
+		}
 	}
 }
 
 // Close implements Op.
 func (j *HashJoin) Close() {
 	j.left.Close()
-	j.table = nil
-	j.matches = nil
+	j.release()
 }
 
-func joinKey(r storage.Row, keys []int) string {
-	vals := make([]storage.Value, len(keys))
-	for i, k := range keys {
-		vals[i] = r[k]
-	}
-	return storage.EncodeKey(vals...)
+// release drops every reference to input rows, so a join kept for
+// reuse (a prepared plan) pins nothing between runs.
+func (j *HashJoin) release() {
+	j.slots, j.buckets, j.leftRows = nil, nil, nil
+	j.leftI = 0
+	j.curLeft, j.matches, j.matchI = nil, nil, 0
 }
 
 // IndexLoopJoin is an index-nested-loop equi-join: for each left row it
@@ -129,6 +202,7 @@ type IndexLoopJoin struct {
 	leftKeys []int
 	cols     []Col
 
+	vals    []storage.Value // reused probe key
 	curLeft storage.Row
 	matches []storage.Row
 	matchI  int
@@ -189,14 +263,17 @@ func (j *IndexLoopJoin) Next() (storage.Row, bool) {
 			return nil, false
 		}
 		j.curLeft = l
-		vals := make([]storage.Value, len(j.leftKeys))
-		for i, k := range j.leftKeys {
-			vals[i] = l[k]
+		j.vals = j.vals[:0]
+		for _, k := range j.leftKeys {
+			j.vals = append(j.vals, l[k])
 		}
-		j.matches = j.right.LookupVia(j.index, vals...)
+		j.matches = j.right.LookupVia(j.index, j.vals...)
 		j.matchI = 0
 	}
 }
 
 // Close implements Op.
-func (j *IndexLoopJoin) Close() { j.left.Close() }
+func (j *IndexLoopJoin) Close() {
+	j.left.Close()
+	j.curLeft, j.matches = nil, nil
+}

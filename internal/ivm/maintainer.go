@@ -33,6 +33,12 @@ type Maintainer struct {
 	view     *ViewState
 	deltaSel *sql.Select // join query emitting (group cols..., agg args...)
 
+	// prepared holds, per alias, deltaSel compiled with that alias's
+	// table replaced by a rebindable batch source — built on the alias's
+	// first drain and reused by every later one. The operators point at
+	// the replica's tables, so setReplica drops them.
+	prepared map[string]*preparedDelta
+
 	// Fault-tolerance hooks: an optional redo log of arrivals and drain
 	// commits, and an optional fault injector consulted at the drain
 	// sites (see internal/fault).
@@ -63,6 +69,13 @@ type Maintainer struct {
 	// Observability hook: nil (the default) means no measurement work at
 	// all on the drain path, including time.Now calls.
 	obs *Metrics
+}
+
+// preparedDelta is one alias's compiled delta query and the source its
+// batches are bound to.
+type preparedDelta struct {
+	src *exec.RowsSource
+	op  exec.Op
 }
 
 type bagEntry struct {
@@ -173,9 +186,7 @@ func (m *Maintainer) Stats() *storage.Stats { return m.stats }
 // buildReplicas snapshots every base table (rows and index definitions)
 // into the maintainer's private replica database.
 func (m *Maintainer) buildReplicas() error {
-	m.replica = storage.NewDB()
-	m.stats = m.replica.Stats()
-	m.view.SetStats(m.stats)
+	m.setReplica(storage.NewDB())
 	for _, alias := range m.aliases {
 		src, err := m.live.Table(m.tables[alias])
 		if err != nil {
@@ -188,6 +199,16 @@ func (m *Maintainer) buildReplicas() error {
 	// Snapshotting is setup cost, not maintenance cost: reset counters.
 	*m.stats = storage.Stats{}
 	return nil
+}
+
+// setReplica installs db as the replica database: work units are charged
+// to its counters from here on, and delta plans prepared against the
+// previous replica's tables are dropped.
+func (m *Maintainer) setReplica(db *storage.DB) {
+	m.replica = db
+	m.stats = db.Stats()
+	m.view.SetStats(m.stats)
+	m.prepared = make(map[string]*preparedDelta)
 }
 
 // initialize computes the initial view content by running the delta query
@@ -525,12 +546,29 @@ func (m *Maintainer) deltaJoin(alias string, repl *storage.Table, rows []storage
 	if len(rows) == 0 {
 		return nil, nil
 	}
+	p, err := m.preparedFor(alias, repl)
+	if err != nil {
+		return nil, err
+	}
+	p.src.Reset(rows)
+	defer p.src.Reset(nil) // the kept plan must not pin the batch
+	return exec.Collect(p.op)
+}
+
+// preparedFor returns the alias's prepared delta plan, compiling it on
+// first use. The plan's shape depends only on the query and on which
+// replica tables have which indexes, neither of which changes while the
+// replica database stays in place.
+func (m *Maintainer) preparedFor(alias string, repl *storage.Table) (*preparedDelta, error) {
+	if p := m.prepared[alias]; p != nil {
+		return p, nil
+	}
 	schema := repl.Schema()
 	cols := make([]exec.Col, len(schema.Columns))
 	for i, c := range schema.Columns {
 		cols[i] = exec.Col{Table: alias, Name: c.Name, Type: c.Type}
 	}
-	src := exec.NewRowsSource(cols, rows, m.stats)
+	src := exec.NewRowsSource(cols, nil, m.stats)
 	op, err := plan.Compile(m.deltaSel, nil, &plan.Options{
 		Sources: map[string]exec.Op{alias: src},
 		Resolve: m.replica.Table,
@@ -539,7 +577,9 @@ func (m *Maintainer) deltaJoin(alias string, repl *storage.Table, rows []storage
 	if err != nil {
 		return nil, err
 	}
-	return exec.Collect(op)
+	p := &preparedDelta{src: src, op: op}
+	m.prepared[alias] = p
+	return p, nil
 }
 
 // addRows folds delta rows (group cols + agg args, or plain view rows)

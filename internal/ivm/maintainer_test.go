@@ -530,6 +530,47 @@ func TestCostAsymmetryIndexedVsUnindexed(t *testing.T) {
 	assertConsistent(t, m)
 }
 
+// TestDeltaPlanPreparedOncePerAlias: an alias's delta query is compiled
+// on its first drain and the same operators run every later batch; a
+// plan binds the replica's tables, so replacing the replica drops it,
+// and between drains it holds no batch.
+func TestDeltaPlanPreparedOncePerAlias(t *testing.T) {
+	m, err := New(liveDB(t), paperView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.prepared) != 0 {
+		t.Fatalf("%d plans prepared before any drain", len(m.prepared))
+	}
+	drain := func(cost float64) {
+		t.Helper()
+		if err := m.Apply(Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(cost)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ProcessBatch("PS", 1); err != nil {
+			t.Fatal(err)
+		}
+		assertConsistent(t, m)
+	}
+	drain(90)
+	first := m.prepared["PS"]
+	if first == nil || len(m.prepared) != 1 {
+		t.Fatalf("after a PS drain: prepared = %v, want PS only", m.prepared)
+	}
+	drain(70)
+	if m.prepared["PS"] != first {
+		t.Error("second PS drain compiled a new plan")
+	}
+	if n, _ := first.src.RowBound(); n != 0 {
+		t.Errorf("prepared plan still holds a %d-row batch between drains", n)
+	}
+	m.setReplica(m.replica)
+	if len(m.prepared) != 0 {
+		t.Error("replacing the replica kept the prepared plans")
+	}
+	drain(50)
+}
+
 func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 	// Long randomized soak: interleave inserts, deletes and updates on
 	// two tables with partial batch processing, comparing against a fresh

@@ -148,9 +148,7 @@ func recoverMaintainer(live *storage.DB, query, wantNS string, checkNS bool, cp 
 	if err := foldChainInto(&dto, replica, deltas); err != nil {
 		return nil, err
 	}
-	m.replica = replica
-	m.stats = replica.Stats()
-	m.view.SetStats(m.stats)
+	m.setReplica(replica)
 	for _, alias := range m.aliases {
 		if _, err := replica.Table(m.tables[alias]); err != nil {
 			return nil, fmt.Errorf("ivm: checkpoint is missing replica of %q: %w", alias, err)

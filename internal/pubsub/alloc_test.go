@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abivm/internal/fault"
+	"abivm/internal/testenv"
 )
 
 // The shared-lock read paths — HealthInto for pollers, backlogCost for
@@ -33,6 +34,7 @@ func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 }
 
 func TestHealthIntoAllocFree(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
 	b := steppedBroker(t, 11, 20)
 	var h Health
 	// First call sizes h.Pending; steady state starts at the second.
@@ -50,6 +52,7 @@ func TestHealthIntoAllocFree(t *testing.T) {
 }
 
 func TestBacklogCostAllocFree(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
 	b := steppedBroker(t, 11, 20)
 	// First call populates pendPool with a right-sized scratch vector.
 	b.backlogCost()

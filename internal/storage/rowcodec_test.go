@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"abivm/internal/testenv"
 )
 
 func TestRowCodecRoundTrip(t *testing.T) {
@@ -135,6 +137,7 @@ func wideDB(t testing.TB, n int) *DB {
 // allocation count: it is a property of the number of tables (the gob
 // envelope, one row buffer per table), not of the number of rows.
 func TestWriteSnapshotAllocsIndependentOfRows(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
 	allocs := func(rows int) float64 {
 		db := wideDB(t, rows)
 		return testing.AllocsPerRun(10, func() {

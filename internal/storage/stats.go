@@ -15,8 +15,8 @@ type Stats struct {
 	RowsDeleted   uint64
 	RowsUpdated   uint64
 	IndexWrites   uint64 // secondary-index maintenance entries touched
-	HashBuildRows uint64 // rows inserted into transient hash tables
-	HashProbeRows uint64 // probes against transient hash tables
+	HashBuildRows uint64 // rows read from the stored (right) input of a hash join
+	HashProbeRows uint64 // rows read from the driving (left) input of a hash join
 	RowsEmitted   uint64 // rows produced by operators
 	AggUpdates    uint64 // aggregate-state updates
 	BatchSetups   uint64 // per-batch fixed setup events (plan prep, hash builds)

@@ -141,10 +141,9 @@ func (v Value) String() string {
 	return "?"
 }
 
-// appendKey appends an order-preserving, injective encoding of v to dst.
-// It is used to build composite map keys for hash indexes and primary
-// keys. A leading type tag keeps encodings of different types disjoint.
-func appendKey(dst []byte, v Value) []byte {
+// appendValue appends an order-preserving, injective encoding of v to
+// dst. A leading type tag keeps encodings of different types disjoint.
+func appendValue(dst []byte, v Value) []byte {
 	switch v.T {
 	case TInt:
 		dst = append(dst, 'i')
@@ -171,15 +170,22 @@ func appendKey(dst []byte, v Value) []byte {
 	return dst
 }
 
+// AppendKey appends the composite key encoding of vals to dst and
+// returns the extended buffer: string(AppendKey(nil, vals...)) is
+// EncodeKey(vals...). Callers that look keys up in a map encode into a
+// reused buffer and index with m[string(buf)], which does not allocate.
+func AppendKey(dst []byte, vals ...Value) []byte {
+	for _, v := range vals {
+		dst = appendValue(dst, v)
+	}
+	return dst
+}
+
 // EncodeKey builds a composite key string from values. The encoding is
 // injective, so it is safe as a map key; for single-type prefixes it is
-// also order-preserving.
+// also order-preserving. It is used for hash-index and primary-key maps.
 func EncodeKey(vals ...Value) string {
-	var buf []byte
-	for _, v := range vals {
-		buf = appendKey(buf, v)
-	}
-	return string(buf)
+	return string(AppendKey(nil, vals...))
 }
 
 // Row is one tuple. Rows are positional; the schema maps names to

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +169,67 @@ func TestRowCloneAndProject(t *testing.T) {
 	if got := r.String(); got != "(1, x, 2.5)" {
 		t.Errorf("Row.String = %q", got)
 	}
+}
+
+// fuzzValues decodes fuzz bytes into a value list: a tag byte picks the
+// type, ints and floats take the next eight bytes (floats as raw bits,
+// so NaNs and both zeros occur), strings a length byte and that many
+// bytes. Strings are made NUL-free: the encoding terminates a string
+// with a NUL, so it tells value lists apart only for such strings.
+func fuzzValues(data []byte) Row {
+	var out Row
+	for len(data) > 0 {
+		tag := data[0]
+		data = data[1:]
+		if tag%3 == 2 {
+			n := 0
+			if len(data) > 0 {
+				n, data = int(data[0]%6), data[1:]
+			}
+			n = min(n, len(data))
+			out = append(out, S(strings.ReplaceAll(string(data[:n]), "\x00", "0")))
+			data = data[n:]
+			continue
+		}
+		var word [8]byte
+		data = data[copy(word[:], data):]
+		bits := binary.BigEndian.Uint64(word[:])
+		if tag%3 == 0 {
+			out = append(out, I(int64(bits)))
+		} else {
+			out = append(out, F(math.Float64frombits(bits)))
+		}
+	}
+	return out
+}
+
+// FuzzAppendKeyMatchesEncodeKey: the exported buffer codec, the string
+// codec and SameKey are one definition of key equality — what lets a
+// hash join look rows up by AppendKey bytes while everything else keys
+// its maps by EncodeKey.
+func FuzzAppendKeyMatchesEncodeKey(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{1, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 2, 'a', 'b', 2, 0}, []byte{2, 1, 'a', 2, 1, 'b'})
+	f.Add([]byte{}, []byte{2, 0})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ra, rb := fuzzValues(a), fuzzValues(b)
+		for _, r := range []Row{ra, rb} {
+			want := EncodeKey(r...)
+			if got := string(AppendKey(nil, r...)); got != want {
+				t.Fatalf("AppendKey(nil, %v) = %q, EncodeKey %q", r, got, want)
+			}
+			// Value by value after a prefix, as a join encodes key columns.
+			buf := []byte("prefix")
+			for _, v := range r {
+				buf = AppendKey(buf, v)
+			}
+			if got := string(buf); got != "prefix"+want {
+				t.Fatalf("AppendKey after a prefix, %v: %q, want %q", r, got, "prefix"+want)
+			}
+		}
+		if got, want := ra.SameKey(rb), EncodeKey(ra...) == EncodeKey(rb...); got != want {
+			t.Fatalf("%v.SameKey(%v) = %v, EncodeKey equality %v", ra, rb, got, want)
+		}
+	})
 }

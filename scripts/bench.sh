@@ -4,12 +4,13 @@
 # file via cmd/benchjson, so every perf PR leaves a comparable data
 # point behind.
 #
-# Usage: scripts/bench.sh [-quick] [-label NAME] [-out FILE] [-bench REGEX]
+# Usage: scripts/bench.sh [-quick] [-label NAME] [-out FILE] [-bench REGEX] [-benchtime T]
 #
 #   -quick   CI smoke mode: one iteration of the headline benches only
 #   -label   run label inside the JSON (default: local)
 #   -out     history file (default: BENCH_<utc-date>.json)
 #   -bench   benchmark regex for full mode (default: .)
+#   -benchtime  go test -benchtime for full mode, e.g. 300x (default: go's)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,8 +35,12 @@ while [ $# -gt 0 ]; do
 		pattern=$2
 		shift
 		;;
+	-benchtime)
+		benchtime="-benchtime=$2"
+		shift
+		;;
 	*)
-		echo "usage: scripts/bench.sh [-quick] [-label NAME] [-out FILE] [-bench REGEX]" >&2
+		echo "usage: scripts/bench.sh [-quick] [-label NAME] [-out FILE] [-bench REGEX] [-benchtime T]" >&2
 		exit 2
 		;;
 	esac

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full verification gate: gofmt, vet, domain lint, build, race-enabled
-# tests, and the nested benchmark module.
+# tests, the allocation-count tests without the race detector, and the
+# nested benchmark module.
 # This is what `make verify` and CI run; it must pass before merging.
 set -eu
 
@@ -25,6 +26,11 @@ go run ./cmd/abivmlint ./...
 
 echo "==> go test -race"
 go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
+
+# testing.AllocsPerRun assertions skip themselves under -race (see
+# internal/testenv), so the packages that have them run once more without.
+echo "==> go test (allocation counts, no race detector)"
+go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or
