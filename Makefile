@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify chaos bench bench-quick bench-gate serve-smoke compile-smoke docs-check
+.PHONY: build test race lint lint-json lint-self vet verify fuzz-smoke chaos bench bench-quick bench-gate serve-smoke compile-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ vet:
 # verify is the merge gate: everything CI runs, in one command.
 verify:
 	sh scripts/check.sh
+
+# fuzz-smoke runs every native fuzz target (the decoders of snapshots,
+# checkpoint segments, WAL frames and the MANIFEST, and the key codec)
+# for 10s each from its committed seed corpus.
+fuzz-smoke:
+	sh scripts/fuzz_smoke.sh
 
 # chaos runs the full seeded fault-injection sweep (50 schedules) plus
 # the race-enabled chaos tests.

@@ -14,7 +14,7 @@ import (
 // runChaos implements `abivm chaos`: it runs the seeded fault-injection
 // harness for a range of seeds and reports, per seed, how many faults
 // fired, how many notifications degraded, which recovery variants were
-// compared (full checkpoints, incremental chains, scheduled compaction),
+// compared (full checkpoints, incremental chains, shared and disk ones),
 // and whether every faulted variant stayed byte-identical to the
 // fault-free baseline. Any divergence is a fault-handling bug and makes
 // the command exit nonzero.
@@ -22,7 +22,7 @@ import (
 //	abivm chaos -seed 1 -runs 50 -steps 60
 //	abivm chaos -seed 1 -runs 50 -shared
 //	abivm chaos -seed 1 -runs 5 -shards 4
-//	abivm chaos -seed 1 -runs 10 -chain-depth 3 -compact-every 4
+//	abivm chaos -seed 1 -runs 10 -chain-depth 3
 //	abivm chaos -seed 1 -runs 50 -data-dir /tmp/abivm -disk-faults
 func runChaos(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
@@ -32,7 +32,6 @@ func runChaos(ctx context.Context, args []string) error {
 	cpEvery := fs.Int("checkpoint", 5, "checkpoint cadence in steps (0 disables)")
 	shards := fs.Int("shards", 0, "run the sharded runtime with this many shards and per-shard fault streams (0 = serial broker)")
 	chainDepth := fs.Int("chain-depth", 0, "checkpoint-chain depth of the incremental variants (0 derives it from each seed)")
-	compactEvery := fs.Int("compact-every", 0, "scheduled chain-compaction cadence in steps (0 derives it from each seed)")
 	shared := fs.Bool("shared", false, "add shared-dataflow variants: the workload re-run on the hash-consed operator graph, fault-free and faulted, compared against the classic baseline")
 	disk := fs.Bool("disk", false, "add a disk-backed durability variant (in-memory files unless -data-dir)")
 	dataDir := fs.String("data-dir", "", "root directory for the disk variants' WAL and checkpoint files (implies -disk)")
@@ -54,7 +53,7 @@ func runChaos(ctx context.Context, args []string) error {
 		s := *seed + int64(i)
 		rep, err := pubsub.RunChaos(pubsub.ChaosConfig{
 			Seed: s, Steps: *steps, CheckpointEvery: *cpEvery, Shards: *shards,
-			ChainDepth: *chainDepth, CompactEvery: *compactEvery, Shared: *shared,
+			ChainDepth: *chainDepth, Shared: *shared,
 			Disk: *disk, DataDir: *dataDir, DiskFaults: *diskFaults,
 		})
 		if err != nil {

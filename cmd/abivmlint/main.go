@@ -1,5 +1,5 @@
 // Command abivmlint is the domain-aware static-analysis suite for the
-// abivm tree. It bundles ten analyzers over invariants the compiler
+// abivm tree. It bundles nine analyzers over invariants the compiler
 // cannot check:
 //
 //	vecalias    core.Vector parameters retained without Clone()
@@ -11,7 +11,6 @@
 //	maporder    map iteration order escaping into observable state
 //	nondet      wall-clock / global rand / env reads in deterministic packages
 //	mutexheld   mutex-guarded struct fields accessed without the lock
-//	gobcompat   gob checkpoint types with droppable fields or unstable names
 //
 // Usage:
 //
@@ -35,7 +34,6 @@ import (
 	"abivm/internal/lint"
 	"abivm/internal/lint/errdrop"
 	"abivm/internal/lint/floateq"
-	"abivm/internal/lint/gobcompat"
 	"abivm/internal/lint/maporder"
 	"abivm/internal/lint/metricname"
 	"abivm/internal/lint/mutexheld"
@@ -55,7 +53,6 @@ var all = []*lint.Analyzer{
 	maporder.Analyzer,
 	nondet.Analyzer,
 	mutexheld.Analyzer,
-	gobcompat.Analyzer,
 }
 
 // report is the -json output shape: live findings fail the build,

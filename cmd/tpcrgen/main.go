@@ -33,14 +33,9 @@ func main() {
 	cfg := tpcr.Config{ScaleFactor: *scale, Seed: *seed, SupplierSuppkeyIndex: true}
 	var db *storage.DB
 	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tpcrgen:", err)
-			os.Exit(1)
-		}
-		db, err = storage.ReadSnapshot(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		data, err := os.ReadFile(*in)
+		if err == nil {
+			db, err = storage.ReadSnapshot(data)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tpcrgen:", err)
@@ -54,16 +49,7 @@ func main() {
 		}
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tpcrgen:", err)
-			os.Exit(1)
-		}
-		if err := db.WriteSnapshot(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tpcrgen:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*out, db.AppendSnapshot(nil), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "tpcrgen:", err)
 			os.Exit(1)
 		}

@@ -13,15 +13,20 @@ import (
 //
 //	[u32le payload length][u32le CRC32C of payload][payload]
 //
-// and the payload is a compact custom encoding of ivm.WALRecord (uvarint
-// LSN, kind byte, length-prefixed strings, length-prefixed
-// storage.Value gob bytes). CRC32C (Castagnoli) is hardware-accelerated
-// on every platform the toolchain targets and — unlike a plain length
-// check — catches the bit flips and mid-frame tears the fault model
-// injects. The frame length lives *outside* the checksummed payload, so
-// a corrupt length cannot send the scanner past the tear: the scanner
-// bounds-checks the length against the remaining bytes first and treats
-// any overrun as a torn tail.
+// and the payload is an ivm.WALRecord in the packed codec the checkpoint
+// segments use (storage/rowcodec.go):
+//
+//	payload := lsn:uvarint tag:byte body     tag = version<<4 | kind
+//	body    := mod                  an arrival (ivm.AppendMod's form)
+//	         | alias k:varint       a drain commit
+//
+// CRC32C (Castagnoli) is hardware-accelerated on every platform the
+// toolchain targets and — unlike a plain length check — catches the bit
+// flips and mid-frame tears the fault model injects. The frame length
+// lives *outside* the checksummed payload, so a corrupt length cannot
+// send the scanner past the tear: the scanner bounds-checks the length
+// against the remaining bytes first and treats any overrun as a torn
+// tail.
 
 // frameHeaderSize is the fixed per-frame overhead: length + CRC32C.
 const frameHeaderSize = 8
@@ -75,154 +80,42 @@ func readFrame(data []byte, off int) (ivm.WALRecord, int, error) {
 	return rec, off + frameHeaderSize + n, nil
 }
 
+// payloadVersion guards against decoding payloads of another layout. It
+// rides in the high nibble of the kind byte, not in a leading byte of its
+// own: version 1 payloads (no version, values as text) began with the
+// uvarint LSN, which can start with any byte, so no leading byte tells
+// the layouts apart — but their kind byte was 0 or 1, high nibble 0.
+const payloadVersion = 2
+
 // appendRecordPayload appends the payload encoding of rec to dst.
 func appendRecordPayload(dst []byte, rec ivm.WALRecord) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, rec.LSN)
-	dst = append(dst, byte(rec.Kind))
-	dst = appendLenBytes(dst, []byte(rec.Alias))
-	dst = binary.AppendVarint(dst, int64(rec.K))
-	dst = append(dst, byte(rec.Mod.Kind))
-	dst = appendLenBytes(dst, []byte(rec.Mod.Alias))
-	dst, err := appendValues(dst, rec.Mod.Row)
-	if err != nil {
-		return dst, err
+	dst = append(dst, payloadVersion<<4|byte(rec.Kind))
+	switch rec.Kind {
+	case ivm.WALArrival:
+		return ivm.AppendMod(dst, rec.Mod)
+	case ivm.WALDrain:
+		return binary.AppendVarint(storage.AppendString(dst, rec.Alias), int64(rec.K)), nil
 	}
-	return appendValues(dst, rec.Mod.Key)
+	return dst, fmt.Errorf("unknown wal record kind %d", rec.Kind)
 }
 
 // decodeRecordPayload is appendRecordPayload's inverse; trailing bytes
 // are a defect (a frame holds exactly one record).
 func decodeRecordPayload(payload []byte) (ivm.WALRecord, error) {
-	var rec ivm.WALRecord
-	r := payloadReader{buf: payload}
-	rec.LSN = r.uvarint()
-	rec.Kind = ivm.WALKind(r.byte())
-	rec.Alias = string(r.lenBytes())
-	rec.K = int(r.varint())
-	rec.Mod.Kind = ivm.ModKind(r.byte())
-	rec.Mod.Alias = string(r.lenBytes())
-	rec.Mod.Row = r.values()
-	key := r.values()
-	if len(key) > 0 {
-		rec.Mod.Key = []storage.Value(key)
+	r := storage.NewReader(payload)
+	lsn, tag := r.Uvarint(), r.Byte()
+	if v := tag >> 4; r.Err() == nil && v != payloadVersion {
+		return ivm.WALRecord{}, fmt.Errorf("wal payload version %d, want %d (0: the unversioned version 1)", v, payloadVersion)
 	}
-	if r.err != nil {
-		return rec, r.err
+	rec := ivm.WALRecord{LSN: lsn, Kind: ivm.WALKind(tag & 0xf)}
+	switch rec.Kind {
+	case ivm.WALArrival:
+		rec.Mod = ivm.ReadMod(r)
+	case ivm.WALDrain:
+		rec.Alias, rec.K = r.Str(), int(r.Varint())
+	default:
+		r.Fail("unknown wal record kind %d", rec.Kind)
 	}
-	if r.off != len(payload) {
-		return rec, fmt.Errorf("%d trailing payload bytes", len(payload)-r.off)
-	}
-	return rec, nil
-}
-
-// appendLenBytes appends a uvarint length prefix followed by b.
-func appendLenBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// appendValues appends a uvarint count followed by each value's
-// length-prefixed gob encoding (the same tag-plus-text form the
-// checkpoint format uses, so frames and segments share one value
-// layout).
-func appendValues(dst []byte, vals []storage.Value) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		b, err := v.GobEncode()
-		if err != nil {
-			return dst, err
-		}
-		dst = appendLenBytes(dst, b)
-	}
-	return dst, nil
-}
-
-// payloadReader decodes a frame payload with sticky error handling: the
-// first defect latches and every later read returns zero values, so the
-// decode sequence stays linear instead of error-checking each field.
-type payloadReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *payloadReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *payloadReader) byte() byte {
-	if r.err != nil || r.off >= len(r.buf) {
-		r.fail("payload truncated at byte field")
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("payload truncated at uvarint field")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *payloadReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("payload truncated at varint field")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *payloadReader) lenBytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail("payload field length %d overruns %d remaining bytes", n, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-func (r *payloadReader) values() storage.Row {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		// Each value takes at least one byte; a count beyond the remaining
-		// bytes is damage, not a huge row.
-		r.fail("payload value count %d overruns %d remaining bytes", n, len(r.buf)-r.off)
-		return nil
-	}
-	vals := make(storage.Row, n)
-	for i := range vals {
-		b := r.lenBytes()
-		if r.err != nil {
-			return nil
-		}
-		if err := vals[i].GobDecode(b); err != nil {
-			r.fail("payload value %d: %v", i, err)
-			return nil
-		}
-	}
-	return vals
+	return rec, r.Done()
 }

@@ -177,7 +177,7 @@ func (st *Store) scanWALLocked() scanState {
 // chainState is the usable part of the on-disk checkpoint chain: the
 // manifest, the base segment, and the longest valid delta prefix.
 type chainState struct {
-	man    *manifestDTO
+	man    *manifest
 	base   []byte
 	deltas [][]byte
 	// tip is the WAL position the usable prefix covers through: the last
@@ -361,7 +361,7 @@ func (st *Store) recoverLocked(live *storage.DB, query string, maxDepth int, ms 
 	// sequence gap-free.
 	if dropped := len(cs.deltas) < len(cs.man.Deltas); dropped {
 		man := *cs.man
-		man.Deltas = append([]segmentRefDTO(nil), cs.man.Deltas[:len(cs.deltas)]...)
+		man.Deltas = append([]segmentRef(nil), cs.man.Deltas[:len(cs.deltas)]...)
 		if err := st.writeManifestLocked(&man); err == nil {
 			cs.man = &man
 		}

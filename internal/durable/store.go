@@ -130,7 +130,7 @@ type Store struct {
 
 	// Checkpoint state: the current manifest and its generation counter
 	// (monotonic across chain resets and fallbacks).
-	man *manifestDTO
+	man *manifest
 	gen uint64
 
 	// qseq uniquifies quarantine names across recoveries.
@@ -299,8 +299,7 @@ func (st *Store) PutBase(seg []byte, lsn uint64) error {
 	if err := st.writeAtomic(name, seg); err != nil {
 		return fmt.Errorf("durable: writing base segment %s: %w", name, err)
 	}
-	man := &manifestDTO{
-		Version:   manifestVersion,
+	man := &manifest{
 		Namespace: st.ns,
 		Gen:       st.gen,
 		BaseName:  name,
@@ -331,8 +330,8 @@ func (st *Store) PutDelta(seg []byte, fromLSN, lsn uint64) error {
 		return fmt.Errorf("durable: writing delta segment %s: %w", name, err)
 	}
 	man := *st.man
-	man.Deltas = append(append([]segmentRefDTO(nil), st.man.Deltas...),
-		segmentRefDTO{Name: name, CRC: crcOf(seg), FromLSN: fromLSN, LSN: lsn})
+	man.Deltas = append(append([]segmentRef(nil), st.man.Deltas...),
+		segmentRef{Name: name, CRC: crcOf(seg), FromLSN: fromLSN, LSN: lsn})
 	if err := st.writeManifestLocked(&man); err != nil {
 		return err
 	}
@@ -341,12 +340,8 @@ func (st *Store) PutDelta(seg []byte, fromLSN, lsn uint64) error {
 }
 
 // writeManifestLocked lands man atomically at the well-known name.
-func (st *Store) writeManifestLocked(man *manifestDTO) error {
-	data, err := encodeManifest(man)
-	if err != nil {
-		return err
-	}
-	if err := st.writeAtomic(manifestName, data); err != nil {
+func (st *Store) writeManifestLocked(man *manifest) error {
+	if err := st.writeAtomic(manifestName, encodeManifest(man)); err != nil {
 		return fmt.Errorf("durable: writing manifest: %w", err)
 	}
 	return nil

@@ -2,17 +2,15 @@ package ivm
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"abivm/internal/storage"
 )
 
-// Incremental checkpointing: instead of re-serializing the full replica
-// state at every checkpoint, a CheckpointChain keeps one base segment
-// (the v1 full-checkpoint format, unchanged) plus a chain of delta
+// Checkpointing: a maintainer's recovery point is a CheckpointChain —
+// one base segment holding the full replica state plus a chain of delta
 // segments, each covering the WAL range since the previous segment. A
 // delta serializes only the replica rows committed drains have touched
 // (the maintainer's dirty-key set) plus the pending queues — typically a
@@ -22,127 +20,147 @@ import (
 // offline counterpart — a pure transformation of already-written
 // segments that never touches the live maintainer, so when it runs
 // relative to drains and crashes cannot change what recovery produces.
+//
+// Both kinds of segment share one layout in the packed codec (see
+// storage/rowcodec.go; count is a uvarint, strings are length-prefixed):
+//
+//	segment := version:byte kind:byte namespace fromLSN:uvarint lsn:uvarint
+//	           queues:count (alias mods:count mod*)* replica
+//
+// kind is 0 for a base, whose replica is a storage snapshot and whose
+// fromLSN is 0, and 1 for a delta, whose replica is a storage snapshot
+// delta and whose fromLSN names the WAL position of the segment it
+// extends; folding refuses a chain whose fromLSN links don't match — the
+// truncated/reordered-chain guard. lsn is the WAL position the segment
+// covers through. The queues replace the pending queues wholesale (they
+// are step-sized) and go in FROM order; mod is AppendMod's form. The
+// replica bytes run to the end of the segment, so they need no length.
+// The view content itself is not stored — it is a pure function of the
+// replicas (the delta query over them), so recovery recomputes it,
+// keeping the format small and immune to view-state layout changes.
 
-// deltaCheckpointVersion guards against reading delta segments written
-// by an incompatible layout. It is independent of checkpointVersion:
-// base segments remain plain v1 full checkpoints, which is what keeps
-// pre-chain checkpoints recoverable.
-const deltaCheckpointVersion = 1
+// segmentVersion guards against reading segments of another layout.
+// Version 1 was a pair of gob envelopes, which never start with this
+// byte.
+const segmentVersion = 2
 
-// deltaDTO is the on-stream delta-segment format. FromLSN names the WAL
-// position of the segment it extends and LSN the position it covers
-// through; RecoverChain and Compact refuse a chain whose FromLSN links
-// don't match — the truncated/reordered-chain guard. Queues replace the
-// pending queues wholesale (they are step-sized), while Delta carries
-// only the changed replica rows (see storage.WriteSnapshotDelta).
-type deltaDTO struct {
-	Version   int
-	FromLSN   uint64
-	LSN       uint64
-	Delta     []byte
-	Queues    map[string][]Mod
-	Namespace string
+type segmentKind uint8
+
+const (
+	segmentBase segmentKind = iota
+	segmentDelta
+)
+
+// minModSize is the smallest encoded modification (kind, empty alias,
+// empty row, empty key); decoders cap a claimed queue length by it.
+const minModSize = 4
+
+// aliasQueue is one FROM alias's pending modifications.
+type aliasQueue struct {
+	alias string
+	mods  []Mod
 }
 
-// CheckpointDelta serializes an incremental checkpoint segment to w:
-// the replica rows drained since the previous segment (which must have
-// covered WAL position fromLSN), the pending queues, and the current
-// WAL position. On success the dirty-key set is cleared — the segment
-// now owns those changes. Callers normally go through
-// CheckpointChain.Checkpoint, which threads fromLSN correctly.
-func (m *Maintainer) CheckpointDelta(w io.Writer, fromLSN uint64) error {
-	if m.obs == nil {
-		return m.checkpointDelta(w, fromLSN)
+// segment is a checkpoint segment's content. replica is filled by
+// decodeSegment only: writers append it straight from the database.
+type segment struct {
+	kind         segmentKind
+	ns           string
+	fromLSN, lsn uint64
+	queues       []aliasQueue
+	replica      []byte
+}
+
+// appendSegmentHead appends everything of seg up to the replica bytes,
+// which the caller appends next.
+func appendSegmentHead(dst []byte, seg *segment) ([]byte, error) {
+	dst = storage.AppendString(append(dst, segmentVersion, byte(seg.kind)), seg.ns)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, seg.fromLSN), seg.lsn)
+	dst = binary.AppendUvarint(dst, uint64(len(seg.queues)))
+	for _, q := range seg.queues {
+		dst = binary.AppendUvarint(storage.AppendString(dst, q.alias), uint64(len(q.mods)))
+		for _, mod := range q.mods {
+			var err error
+			if dst, err = AppendMod(dst, mod); err != nil {
+				return dst, err
+			}
+		}
 	}
-	cw := &countingWriter{w: w}
+	return dst, nil
+}
+
+// decodeSegment is the one reader of checkpoint segments.
+func decodeSegment(data []byte) (*segment, error) {
+	r := storage.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != segmentVersion {
+		return nil, fmt.Errorf("ivm: checkpoint segment version %d, want %d", v, segmentVersion)
+	}
+	seg := &segment{kind: segmentKind(r.Byte()), ns: r.Str(), fromLSN: r.Uvarint(), lsn: r.Uvarint()}
+	if seg.kind > segmentDelta {
+		r.Fail("unknown segment kind %d", uint8(seg.kind))
+	}
+	seg.queues = make([]aliasQueue, r.Count(2))
+	for i := range seg.queues {
+		q := &seg.queues[i]
+		q.alias = r.Str()
+		q.mods = make([]Mod, r.Count(minModSize))
+		for j := range q.mods {
+			q.mods[j] = ReadMod(r)
+		}
+	}
+	seg.replica = r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ivm: decoding checkpoint segment: %w", err)
+	}
+	return seg, nil
+}
+
+// checkpointSegment serializes the maintainer's durable state as one
+// segment covering the WAL through lsn: the pending queues, read in
+// place, and the replica — all of it for a base, the rows behind the
+// dirty keys for a delta extending the segment that covered fromLSN.
+// The caller clears the dirty keys once the segment is safely its own.
+func (m *Maintainer) checkpointSegment(kind segmentKind, fromLSN, lsn uint64) ([]byte, error) {
+	if m.obs == nil {
+		return m.encodeSegment(kind, fromLSN, lsn)
+	}
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
-	err := m.checkpointDelta(cw, fromLSN)
+	seg, err := m.encodeSegment(kind, fromLSN, lsn)
 	if err == nil {
 		//lint:ignore nondet measurement of the checkpoint, not part of it
-		m.obs.observeCheckpointDelta(time.Since(start), cw.n)
+		m.obs.observeCheckpoint(kind, time.Since(start), len(seg))
 	}
-	return err
+	return seg, err
 }
 
-func (m *Maintainer) checkpointDelta(w io.Writer, fromLSN uint64) error {
-	m.cpBuf.Reset()
-	if err := m.replica.WriteSnapshotDelta(&m.cpBuf, m.dirty); err != nil {
-		return fmt.Errorf("ivm: checkpoint replica delta: %w", err)
+func (m *Maintainer) encodeSegment(kind segmentKind, fromLSN, lsn uint64) ([]byte, error) {
+	seg := segment{kind: kind, ns: m.ns, fromLSN: fromLSN, lsn: lsn, queues: make([]aliasQueue, len(m.aliases))}
+	for i, alias := range m.aliases {
+		seg.queues[i] = aliasQueue{alias: alias, mods: m.deltas[alias]}
 	}
-	dto := deltaDTO{
-		Version:   deltaCheckpointVersion,
-		FromLSN:   fromLSN,
-		Delta:     m.cpBuf.Bytes(),
-		Queues:    m.takeQueues(),
-		Namespace: m.ns,
-	}
-	defer m.releaseQueues(dto.Queues)
-	if m.wal != nil {
-		dto.LSN = m.wal.LastLSN()
-	}
-	if err := gob.NewEncoder(w).Encode(dto); err != nil {
-		return fmt.Errorf("ivm: encoding checkpoint delta: %w", err)
-	}
-	m.clearDirty()
-	return nil
-}
-
-// takeQueues copies the pending delta queues into pooled slices for a
-// checkpoint DTO. The copies stay valid until releaseQueues returns
-// them to the free list — which the caller does once the DTO is
-// encoded, so steady-state checkpointing reuses the same arrays.
-func (m *Maintainer) takeQueues() map[string][]Mod {
-	if m.cpQueues == nil {
-		m.cpQueues = make(map[string][]Mod, len(m.aliases))
-	}
-	for _, alias := range m.aliases {
-		m.cpQueues[alias] = append(m.qpool.get(len(m.deltas[alias])), m.deltas[alias]...)
-	}
-	return m.cpQueues
-}
-
-// releaseQueues returns a takeQueues result to the free list.
-func (m *Maintainer) releaseQueues(qs map[string][]Mod) {
-	for _, alias := range m.aliases {
-		if q, ok := qs[alias]; ok {
-			m.qpool.put(q)
-			delete(qs, alias)
+	if kind == segmentBase {
+		// A base gets a buffer of its own (AppendSnapshot grows it once to
+		// the replica's size) rather than cpBuf: that one outlives the
+		// call, and a maintainer that kept a replica-sized buffer between
+		// the rare bases would hold more memory than the checkpoint saves.
+		buf, err := appendSegmentHead(nil, &seg)
+		if err != nil {
+			return nil, err
 		}
+		return m.replica.AppendSnapshot(buf), nil
 	}
-}
-
-// modPool is a small free list of []Mod backing arrays. The checkpoint
-// path takes short-lived copies of every delta queue; recycling them
-// makes steady-state checkpointing allocation-free instead of producing
-// one garbage slice per queue per checkpoint.
-type modPool struct {
-	free [][]Mod
-}
-
-// get returns a zero-length slice with capacity at least n, reusing a
-// freed array when one is large enough.
-func (p *modPool) get(n int) []Mod {
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			s := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free = p.free[:len(p.free)-1]
-			return s
-		}
+	// A delta is step-sized: encode into the reused scratch, hand out an
+	// exact copy (the chain and its store keep segments).
+	buf, err := appendSegmentHead(m.cpBuf[:0], &seg)
+	if err == nil {
+		buf, err = m.replica.AppendSnapshotDelta(buf, m.dirty)
 	}
-	if n == 0 {
-		return nil
+	m.cpBuf = buf[:0]
+	if err != nil {
+		return nil, err
 	}
-	return make([]Mod, 0, n)
-}
-
-// put returns a slice's backing array to the free list.
-func (p *modPool) put(s []Mod) {
-	if cap(s) == 0 {
-		return
-	}
-	p.free = append(p.free, s[:0])
+	return bytes.Clone(buf), nil
 }
 
 // DefaultChainDepth is the default maximum number of delta segments a
@@ -152,21 +170,20 @@ const DefaultChainDepth = 4
 // ChainStore mirrors a chain's segment mutations to a durable backend
 // (see internal/durable). PutBase receives every event that resets the
 // chain to a single base segment covering WAL position lsn (the first
-// checkpoint, a rollover, a compaction, SetBase); PutDelta receives
-// every appended delta segment with its FromLSN→LSN link. Calls arrive
-// in mutation order on the broker's serial checkpoint path; a store
-// error aborts the checkpoint that triggered it.
+// checkpoint, a rollover, a compaction); PutDelta receives every
+// appended delta segment with its FromLSN→LSN link. Calls arrive in
+// mutation order on the broker's serial checkpoint path; a store error
+// aborts the checkpoint that triggered it.
 type ChainStore interface {
 	PutBase(seg []byte, lsn uint64) error
 	PutDelta(seg []byte, fromLSN, lsn uint64) error
 }
 
 // CheckpointChain owns a maintainer's incremental recovery point: one
-// base segment (a v1 full checkpoint) plus the delta segments written
-// since. It is the unit the broker stores per subscription and hands to
-// RecoverChain after a crash. A chain is not safe for concurrent use;
-// the broker serializes access under its own lock, like the maintainer
-// itself.
+// base segment plus the delta segments written since. It is the unit the
+// broker stores per subscription and hands to RecoverChain after a
+// crash. A chain is not safe for concurrent use; the broker serializes
+// access under its own lock, like the maintainer itself.
 type CheckpointChain struct {
 	base   []byte
 	deltas [][]byte
@@ -243,17 +260,6 @@ func (c *CheckpointChain) Depth() int { return len(c.deltas) }
 // HasBase reports whether the chain holds a recovery point at all.
 func (c *CheckpointChain) HasBase() bool { return c.base != nil }
 
-// SetBase installs a pre-existing v1 full checkpoint as the chain's
-// base segment, dropping any delta segments. This is how a chain adopts
-// a checkpoint written before incremental checkpointing existed.
-func (c *CheckpointChain) SetBase(base []byte, lsn uint64) error {
-	c.base = base
-	c.deltas = nil
-	c.tipLSN = lsn
-	c.observeDepth()
-	return c.putBase(lsn)
-}
-
 // Checkpoint writes the maintainer's next checkpoint segment into the
 // chain: an incremental delta while the chain has room, a full base
 // when it is empty or already holds maxDepth delta segments. That
@@ -268,33 +274,30 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	if w := m.WAL(); w != nil {
 		lsn = w.LastLSN()
 	}
-	if c.base == nil || len(c.deltas) >= c.maxDepth {
-		var buf bytes.Buffer
-		if err := m.Checkpoint(&buf); err != nil {
-			// Nothing was swapped: the chain still recovers to its old tip.
-			return err
-		}
-		// The base covers everything up to now; dirty keys accumulated
-		// before it are folded in.
-		m.clearDirty()
+	rollover := c.base == nil || len(c.deltas) >= c.maxDepth
+	kind, fromLSN := segmentDelta, c.tipLSN
+	if rollover {
+		kind, fromLSN = segmentBase, 0
+	}
+	seg, err := m.checkpointSegment(kind, fromLSN, lsn)
+	if err != nil {
+		// Nothing was swapped: the chain still recovers to its old tip.
+		return err
+	}
+	// The segment owns the changes behind the dirty keys now.
+	m.clearDirty()
+	c.tipLSN = lsn
+	if rollover {
 		if c.base != nil {
 			c.obs.observeCompaction()
 		}
-		c.base = buf.Bytes()
-		c.deltas = nil
-		c.tipLSN = lsn
+		c.base, c.deltas = seg, nil
 		c.observeDepth()
 		return c.putBase(lsn)
 	}
-	fromLSN := c.tipLSN
-	var buf bytes.Buffer
-	if err := m.CheckpointDelta(&buf, fromLSN); err != nil {
-		return err
-	}
-	c.deltas = append(c.deltas, buf.Bytes())
-	c.tipLSN = lsn
+	c.deltas = append(c.deltas, seg)
 	if c.store != nil {
-		if err := c.store.PutDelta(buf.Bytes(), fromLSN, lsn); err != nil {
+		if err := c.store.PutDelta(seg, fromLSN, lsn); err != nil {
 			return fmt.Errorf("ivm: chain store delta: %w", err)
 		}
 	}
@@ -317,30 +320,15 @@ func (c *CheckpointChain) Compact() error {
 	if c.base == nil {
 		return fmt.Errorf("ivm: compacting a chain with delta segments but no base")
 	}
-	var dto checkpointDTO
-	if err := gob.NewDecoder(bytes.NewReader(c.base)).Decode(&dto); err != nil {
-		return fmt.Errorf("ivm: decoding chain base: %w", err)
-	}
-	if dto.Version != checkpointVersion {
-		return fmt.Errorf("ivm: chain base version %d, want %d", dto.Version, checkpointVersion)
-	}
-	replica, err := storage.ReadSnapshot(bytes.NewReader(dto.Replica))
+	seg, replica, err := foldChain(c.base, c.deltas, "", false)
 	if err != nil {
-		return fmt.Errorf("ivm: chain base replica: %w", err)
-	}
-	if err := foldChainInto(&dto, replica, c.deltas); err != nil {
 		return err
 	}
-	var rbuf bytes.Buffer
-	if err := replica.WriteSnapshot(&rbuf); err != nil {
-		return fmt.Errorf("ivm: compaction replica snapshot: %w", err)
-	}
-	dto.Replica = rbuf.Bytes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+	buf, err := appendSegmentHead(nil, seg)
+	if err != nil {
 		return fmt.Errorf("ivm: encoding compacted base: %w", err)
 	}
-	c.base = buf.Bytes()
+	c.base = replica.AppendSnapshot(buf)
 	c.deltas = nil
 	c.obs.observeCompaction()
 	c.observeDepth()
@@ -353,56 +341,47 @@ func (c *CheckpointChain) observeDepth() {
 	}
 }
 
-// foldChainInto validates and applies delta segments on top of a
-// decoded base: the replica absorbs each segment's row delta, the
-// queues are replaced by each segment's queue snapshot, and dto.LSN
-// advances to the last segment's position. Every continuity violation —
-// a missing, reordered, or foreign segment — fails here with a
-// diagnosis naming the segment.
-func foldChainInto(dto *checkpointDTO, replica *storage.DB, deltas [][]byte) error {
-	cur := dto.LSN
-	for i, seg := range deltas {
-		var d deltaDTO
-		if err := gob.NewDecoder(bytes.NewReader(seg)).Decode(&d); err != nil {
-			return fmt.Errorf("ivm: decoding delta segment %d: %w", i, err)
-		}
-		if d.Version != deltaCheckpointVersion {
-			return fmt.Errorf("ivm: delta segment %d version %d, want %d", i, d.Version, deltaCheckpointVersion)
-		}
-		if d.Namespace != dto.Namespace {
-			return fmt.Errorf("ivm: delta segment %d namespace %q, want %q", i, d.Namespace, dto.Namespace)
-		}
-		if d.FromLSN != cur {
-			return fmt.Errorf("ivm: delta chain gap at segment %d: extends lsn %d but chain covers %d (truncated or reordered chain)", i, d.FromLSN, cur)
-		}
-		if err := storage.ApplySnapshotDelta(replica, bytes.NewReader(d.Delta)); err != nil {
-			return fmt.Errorf("ivm: applying delta segment %d: %w", i, err)
-		}
-		dto.Queues = d.Queues
-		cur = d.LSN
+// foldChain decodes a chain's base and folds its delta segments over
+// it: the replica absorbs each segment's row delta, the queues are
+// replaced by each segment's queue snapshot, and the returned base
+// segment's lsn advances to the last segment's position. With checkNS
+// the base must carry exactly the namespace wantNS, checked before any
+// state is rebuilt. Every continuity violation — a missing, reordered,
+// or foreign segment — fails here with a diagnosis naming the segment.
+func foldChain(base []byte, deltas [][]byte, wantNS string, checkNS bool) (*segment, *storage.DB, error) {
+	seg, err := decodeSegment(base)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ivm: chain base: %w", err)
 	}
-	dto.LSN = cur
-	return nil
-}
-
-// RecoverChain rebuilds a crashed maintainer from an incremental
-// checkpoint chain plus the WAL: load the base, fold the delta
-// segments, recompute the view, then redo the WAL suffix past the
-// chain's tip. See Recover for the single-segment contract it extends.
-func RecoverChain(live *storage.DB, query string, chain *CheckpointChain, wal *WAL) (*Maintainer, error) {
-	return recoverChain(live, query, "", false, chain, wal, nil)
-}
-
-// RecoverChainNamespaced is RecoverChain with the namespace-ownership
-// check of RecoverNamespaced applied to the base and every delta
-// segment.
-func RecoverChainNamespaced(live *storage.DB, query, ns string, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	return recoverChain(live, query, ns, true, chain, wal, ms)
-}
-
-func recoverChain(live *storage.DB, query, wantNS string, checkNS bool, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
-	if chain == nil || chain.base == nil {
-		return nil, fmt.Errorf("ivm: recovering from a checkpoint chain with no base segment")
+	if seg.kind != segmentBase {
+		return nil, nil, fmt.Errorf("ivm: chain base is a delta segment")
 	}
-	return recoverMaintainer(live, query, wantNS, checkNS, bytes.NewReader(chain.base), chain.deltas, wal, ms)
+	if checkNS && seg.ns != wantNS {
+		return nil, nil, fmt.Errorf("ivm: checkpoint namespace %q, want %q", seg.ns, wantNS)
+	}
+	replica, err := storage.ReadSnapshot(seg.replica)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ivm: chain base replica: %w", err)
+	}
+	for i, data := range deltas {
+		d, err := decodeSegment(data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("ivm: delta segment %d: %w", i, err)
+		}
+		if d.kind != segmentDelta {
+			return nil, nil, fmt.Errorf("ivm: delta segment %d is a base segment", i)
+		}
+		if d.ns != seg.ns {
+			return nil, nil, fmt.Errorf("ivm: delta segment %d namespace %q, want %q", i, d.ns, seg.ns)
+		}
+		if d.fromLSN != seg.lsn {
+			return nil, nil, fmt.Errorf("ivm: delta chain gap at segment %d: extends lsn %d but chain covers %d (truncated or reordered chain)", i, d.fromLSN, seg.lsn)
+		}
+		if err := storage.ApplySnapshotDelta(replica, d.replica); err != nil {
+			return nil, nil, fmt.Errorf("ivm: applying delta segment %d: %w", i, err)
+		}
+		seg.queues, seg.lsn = d.queues, d.lsn
+	}
+	seg.replica = nil
+	return seg, replica, nil
 }

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 // runs a scripted workload that interleaves arrivals, drains, and chain
 // checkpoints, and returns everything for inspection. The script is
 // deterministic, so two fixtures are byte-for-byte interchangeable.
-func chainFixture(t *testing.T, maxDepth int) (*storage.DB, *Maintainer, *WAL, *CheckpointChain) {
+func chainFixture(t testing.TB, maxDepth int) (*storage.DB, *Maintainer, *WAL, *CheckpointChain) {
 	t.Helper()
 	db := liveDB(t)
 	m, err := New(db, paperView)
@@ -99,16 +98,13 @@ func TestChainRecoveryMatchesFullCheckpointRecovery(t *testing.T) {
 	// The two recovery points cover different WAL prefixes (chain tip vs.
 	// this instant) but recovery must converge because the WAL suffix
 	// fills the difference.
-	var full bytes.Buffer
-	if err := m2.Checkpoint(&full); err != nil {
-		t.Fatal(err)
-	}
+	full := fullCheckpoint(t, m2)
 
 	recChain, err := RecoverChain(db1, paperView, chain, wal1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recFull, err := Recover(db2, paperView, bytes.NewReader(full.Bytes()), wal2)
+	recFull, err := RecoverChain(db2, paperView, full, wal2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +217,9 @@ func TestChainDepthZeroIsFullCheckpointing(t *testing.T) {
 	}
 }
 
-func TestChainAdoptsV1FullCheckpointAsBase(t *testing.T) {
-	// Backward compatibility: a checkpoint written through the plain v1
-	// Checkpoint API (the pre-chain format) serves as a chain base, and
+func TestRestoredChainExtendsAdoptedBase(t *testing.T) {
+	// A base segment written by one chain serves another chain restored
+	// around it (what durable recovery does with the files it finds), and
 	// delta segments extend it.
 	db := liveDB(t)
 	m, err := New(db, paperView)
@@ -236,12 +232,7 @@ func TestChainAdoptsV1FullCheckpointAsBase(t *testing.T) {
 	if err := m.ProcessBatch("PS", 2); err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := m.Checkpoint(&v1); err != nil {
-		t.Fatal(err)
-	}
-	chain := NewCheckpointChain(DefaultChainDepth)
-	chain.SetBase(v1.Bytes(), wal.LastLSN())
+	chain := RestoreChain(fullCheckpoint(t, m).base, nil, wal.LastLSN(), DefaultChainDepth)
 	if !chain.HasBase() {
 		t.Fatal("chain did not adopt the base")
 	}
@@ -261,7 +252,7 @@ func TestChainAdoptsV1FullCheckpointAsBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pendingKey(rec) != pendingKey(m) || rowsKey(rec.Result()) != rowsKey(m.Result()) {
-		t.Error("recovery from adopted v1 base diverged")
+		t.Error("recovery from an adopted base diverged")
 	}
 }
 

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -46,10 +45,10 @@ type Maintainer struct {
 	inj fault.Injector
 
 	// ns is the maintainer's durability namespace. It is stamped into
-	// every checkpoint, and RecoverNamespaced refuses a checkpoint whose
-	// namespace does not match — the guard that keeps a sharded broker
-	// from restoring one shard's subscription from another shard's
-	// recovery point.
+	// every checkpoint segment, and RecoverChainNamespaced refuses a
+	// chain whose namespace does not match — the guard that keeps a
+	// sharded broker from restoring one shard's subscription from another
+	// shard's recovery point.
 	ns string
 
 	// dirty tracks, per replica table, the primary keys committed drains
@@ -58,13 +57,10 @@ type Maintainer struct {
 	// Cleared only when a checkpoint segment covering it succeeds.
 	dirty map[string]storage.KeySet
 
-	// Checkpoint-path scratch state, reused across checkpoints so the
-	// durability hot path stops allocating per call: the replica-delta
-	// serialization buffer, the queue-copy map of the checkpoint DTOs,
-	// and the free list backing those copies.
-	cpBuf    bytes.Buffer
-	cpQueues map[string][]Mod
-	qpool    modPool
+	// cpBuf is the scratch a delta checkpoint segment is encoded into,
+	// reused across checkpoints so the steady-state checkpoint makes one
+	// allocation, the exact-size copy it hands out.
+	cpBuf []byte
 
 	// Observability hook: nil (the default) means no measurement work at
 	// all on the drain path, including time.Now calls.
@@ -106,9 +102,9 @@ func New(live *storage.DB, query string) (*Maintainer, error) {
 
 // newSkeleton parses and binds the view definition and derives the delta
 // query, but builds no replicas and computes no content — the shared
-// front half of New (replicas snapshotted from live) and Recover
-// (replicas loaded from a checkpoint). The analysis itself lives in
-// PlanView; the skeleton just adopts the resulting DeltaPlan.
+// front half of New (replicas snapshotted from live) and RecoverChain
+// (replicas loaded from a checkpoint chain). The analysis itself lives
+// in PlanView; the skeleton just adopts the resulting DeltaPlan.
 func newSkeleton(live *storage.DB, query string) (*Maintainer, error) {
 	p, err := PlanView(query)
 	if err != nil {
@@ -136,13 +132,13 @@ func newSkeleton(live *storage.DB, query string) (*Maintainer, error) {
 func (m *Maintainer) Plan() *DeltaPlan { return m.plan }
 
 // AttachWAL makes the maintainer record every accepted arrival and every
-// committed drain to w, enabling Checkpoint/Recover. A nil w detaches.
+// committed drain to w, enabling CheckpointChain.Checkpoint and
+// RecoverChain. A nil w detaches.
 func (m *Maintainer) AttachWAL(w *WAL) { m.wal = w }
 
 // SetNamespace names the maintainer's durability namespace (typically
 // "<shard>/<subscription>"). Checkpoints taken afterwards carry the
-// namespace, and RecoverNamespaced validates it. The empty namespace
-// (the default) disables the check.
+// namespace, and RecoverChainNamespaced validates it.
 func (m *Maintainer) SetNamespace(ns string) { m.ns = ns }
 
 // Namespace returns the durability namespace, or "" when unset.

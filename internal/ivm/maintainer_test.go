@@ -13,7 +13,7 @@ import (
 
 // liveDB builds the miniature TPC-R-shaped database used across the IVM
 // tests: region(2) <- nation(4) <- supplier(6) <- partsupp(12).
-func liveDB(t *testing.T) *storage.DB {
+func liveDB(t testing.TB) *storage.DB {
 	t.Helper()
 	db := storage.NewDB()
 	mk := func(name string, cols []storage.Column, key string) *storage.Table {

@@ -150,10 +150,10 @@ func (ms *Metrics) ObserveDrain(elapsed time.Duration, k int, err error) {
 	ms.observeDrain(elapsed, k, err)
 }
 
-// ObserveCheckpoint records one successful checkpoint taken by an
+// ObserveCheckpoint records one successful full checkpoint taken by an
 // external view runtime.
 func (ms *Metrics) ObserveCheckpoint(elapsed time.Duration, bytes int) {
-	ms.observeCheckpoint(elapsed, bytes)
+	ms.observeCheckpoint(segmentBase, elapsed, bytes)
 }
 
 // ObserveRecovery records one successful recovery by an external view
@@ -176,23 +176,19 @@ func (ms *Metrics) observeDrain(elapsed time.Duration, k int, err error) {
 	ms.DrainedMods.Add(int64(k))
 }
 
-// observeCheckpoint records one successful Checkpoint.
-func (ms *Metrics) observeCheckpoint(elapsed time.Duration, bytes int) {
+// observeCheckpoint records one successfully written checkpoint
+// segment under its kind's series.
+func (ms *Metrics) observeCheckpoint(kind segmentKind, elapsed time.Duration, bytes int) {
 	if ms == nil {
 		return
 	}
-	ms.Checkpoints.Inc()
-	ms.CheckpointBytes.Observe(float64(bytes))
-	ms.CheckpointSeconds.Observe(elapsed.Seconds())
-}
-
-// observeCheckpointDelta records one successful CheckpointDelta.
-func (ms *Metrics) observeCheckpointDelta(elapsed time.Duration, bytes int) {
-	if ms == nil {
-		return
+	if kind == segmentBase {
+		ms.Checkpoints.Inc()
+		ms.CheckpointBytes.Observe(float64(bytes))
+	} else {
+		ms.CheckpointDeltas.Inc()
+		ms.CheckpointDeltaBytes.Observe(float64(bytes))
 	}
-	ms.CheckpointDeltas.Inc()
-	ms.CheckpointDeltaBytes.Observe(float64(bytes))
 	ms.CheckpointSeconds.Observe(elapsed.Seconds())
 }
 
@@ -204,7 +200,7 @@ func (ms *Metrics) observeCompaction() {
 	ms.CheckpointCompactions.Inc()
 }
 
-// observeRecovery records one successful Recover with the replayed
+// observeRecovery records one successful recovery with the replayed
 // record count.
 func (ms *Metrics) observeRecovery(replayed int) {
 	if ms == nil {

@@ -25,6 +25,7 @@
 package ivm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"abivm/internal/storage"
@@ -77,4 +78,42 @@ func Delete(alias string, key ...storage.Value) Mod {
 // Update builds an update modification replacing the row at key with row.
 func Update(alias string, key []storage.Value, row storage.Row) Mod {
 	return Mod{Kind: ModUpdate, Alias: alias, Key: key, Row: row}
+}
+
+// AppendMod appends the packed encoding of mod to dst — the one form a
+// modification takes in checkpoint segments and WAL frames alike:
+//
+//	mod := kind:byte alias row:count value* key:count value*
+//
+// with count a uvarint, alias a length-prefixed string and value as in
+// storage.AppendRow. A value of no known type is an error here, at write
+// time, instead of a segment that fails to decode at recovery; dst is
+// returned unextended then.
+func AppendMod(dst []byte, mod Mod) ([]byte, error) {
+	for _, vals := range [2][]storage.Value{mod.Row, mod.Key} {
+		for _, v := range vals {
+			if v.T > storage.TString {
+				return dst, fmt.Errorf("ivm: encoding %s on %q: value of unknown type %d", mod.Kind, mod.Alias, uint8(v.T))
+			}
+		}
+	}
+	dst = storage.AppendString(append(dst, byte(mod.Kind)), mod.Alias)
+	dst = storage.AppendRow(binary.AppendUvarint(dst, uint64(len(mod.Row))), mod.Row)
+	return storage.AppendRow(binary.AppendUvarint(dst, uint64(len(mod.Key))), mod.Key), nil
+}
+
+// ReadMod is AppendMod's inverse; a defect latches in r. An absent row
+// or key decodes as nil, as the constructors above leave them.
+func ReadMod(r *storage.Reader) Mod {
+	mod := Mod{Kind: ModKind(r.Byte()), Alias: r.Str()}
+	if mod.Kind > ModUpdate {
+		r.Fail("unknown modification kind %d", uint8(mod.Kind))
+	}
+	if n := r.Count(storage.MinValueSize); n > 0 {
+		mod.Row = r.Row(make(storage.Row, 0, n), n)
+	}
+	if n := r.Count(storage.MinValueSize); n > 0 {
+		mod.Key = r.Row(make(storage.Row, 0, n), n)
+	}
+	return mod
 }

@@ -1,15 +1,14 @@
 package ivm
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
 // TestRecoverNamespacedValidatesOwnership: a namespaced checkpoint
 // recovers only under its own namespace; a mismatch fails before any
-// state is rebuilt, and the legacy Recover entry points ignore
-// namespaces entirely (old checkpoints carry the zero value).
+// state is rebuilt, and RecoverChain adopts whatever namespace the chain
+// carries.
 func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	db := liveDB(t)
 	m, err := New(db, paperView)
@@ -23,13 +22,10 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 		t.Fatalf("Namespace() = %q after SetNamespace", got)
 	}
 	applyN(t, m, 100, 4)
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 
 	// Matching namespace: recovery succeeds and the namespace survives.
-	rec, err := RecoverNamespaced(db, paperView, "shard2/east", bytes.NewReader(cp.Bytes()), wal, nil)
+	rec, err := RecoverChainNamespaced(db, paperView, "shard2/east", cp, wal, nil)
 	if err != nil {
 		t.Fatalf("matching namespace: %v", err)
 	}
@@ -41,20 +37,20 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	}
 
 	// Foreign namespace: refused with both names in the error.
-	if _, err := RecoverNamespaced(db, paperView, "shard0/east", bytes.NewReader(cp.Bytes()), wal, nil); err == nil {
+	if _, err := RecoverChainNamespaced(db, paperView, "shard0/east", cp, wal, nil); err == nil {
 		t.Fatal("recovering another shard's checkpoint succeeded")
 	} else if !strings.Contains(err.Error(), "shard2/east") || !strings.Contains(err.Error(), "shard0/east") {
 		t.Errorf("mismatch error %q does not name both namespaces", err)
 	}
 
-	// Un-namespaced Recover accepts any checkpoint and preserves the
-	// recorded namespace.
-	rec2, err := Recover(db, paperView, bytes.NewReader(cp.Bytes()), wal)
+	// RecoverChain accepts any checkpoint and preserves the recorded
+	// namespace.
+	rec2, err := RecoverChain(db, paperView, cp, wal)
 	if err != nil {
-		t.Fatalf("legacy Recover on namespaced checkpoint: %v", err)
+		t.Fatalf("RecoverChain on namespaced checkpoint: %v", err)
 	}
 	if got := rec2.Namespace(); got != "shard2/east" {
-		t.Errorf("legacy Recover dropped the namespace: %q", got)
+		t.Errorf("RecoverChain dropped the namespace: %q", got)
 	}
 
 	// An un-namespaced checkpoint recovers under the empty namespace.
@@ -62,14 +58,11 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp2 bytes.Buffer
-	if err := m2.Checkpoint(&cp2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecoverNamespaced(db, paperView, "", bytes.NewReader(cp2.Bytes()), nil, nil); err != nil {
+	cp2 := fullCheckpoint(t, m2)
+	if _, err := RecoverChainNamespaced(db, paperView, "", cp2, nil, nil); err != nil {
 		t.Errorf("empty-namespace recovery: %v", err)
 	}
-	if _, err := RecoverNamespaced(db, paperView, "shard1/west", bytes.NewReader(cp2.Bytes()), nil, nil); err == nil {
+	if _, err := RecoverChainNamespaced(db, paperView, "shard1/west", cp2, nil, nil); err == nil {
 		t.Error("un-namespaced checkpoint recovered under a shard namespace")
 	}
 }

@@ -1,9 +1,7 @@
 package ivm
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"abivm/internal/fault"
@@ -11,7 +9,7 @@ import (
 )
 
 // applyN applies n partsupp inserts with keys starting at base.
-func applyN(t *testing.T, m *Maintainer, base, n int) {
+func applyN(t testing.TB, m *Maintainer, base, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		k := int64(base + i)
@@ -20,6 +18,17 @@ func applyN(t *testing.T, m *Maintainer, base, n int) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// fullCheckpoint takes one full checkpoint of m: a depth-0 chain holds
+// exactly one base segment.
+func fullCheckpoint(t *testing.T, m *Maintainer) *CheckpointChain {
+	t.Helper()
+	chain := NewCheckpointChain(0)
+	if err := chain.Checkpoint(m); err != nil {
+		t.Fatal(err)
+	}
+	return chain
 }
 
 // pendingKey renders the pending vector for comparison.
@@ -39,10 +48,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	if err := m.ProcessBatch("PS", 2); err != nil {
 		t.Fatal(err)
 	}
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	applyN(t, m, 200, 3)
 	if err := m.Apply(Update("S", []storage.Value{storage.I(0)},
 		storage.Row{storage.I(0), storage.S("S2"), storage.I(1)})); err != nil {
@@ -58,7 +64,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	wantPending := pendingKey(m)
 	wantView := rowsKey(m.Result())
 
-	rec, err := Recover(db, paperView, bytes.NewReader(cp.Bytes()), wal)
+	rec, err := RecoverChain(db, paperView, cp, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +96,11 @@ func TestRecoverAfterWALTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lsn := wal.LastLSN()
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	wal.TruncateThrough(lsn)
 	applyN(t, m, 300, 2)
 
-	rec, err := Recover(db, paperView, bytes.NewReader(cp.Bytes()), wal)
+	rec, err := RecoverChain(db, paperView, cp, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +112,17 @@ func TestRecoverAfterWALTruncation(t *testing.T) {
 
 func TestRecoverRejectsBadCheckpoint(t *testing.T) {
 	db := liveDB(t)
-	if _, err := Recover(db, paperView, strings.NewReader("not a checkpoint"), NewWAL()); err == nil {
+	if _, err := RecoverChain(db, paperView, RestoreChain([]byte("not a checkpoint"), nil, 0, 0), NewWAL()); err == nil {
 		t.Error("garbage checkpoint accepted")
 	}
 	m, err := New(db, paperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	// A view over a table the checkpoint has no replica for must be
 	// rejected, not silently rebuilt.
-	if _, err := Recover(db, "SELECT a.x FROM audit AS a", bytes.NewReader(cp.Bytes()), NewWAL()); err == nil {
+	if _, err := RecoverChain(db, "SELECT a.x FROM audit AS a", cp, NewWAL()); err == nil {
 		t.Error("checkpoint missing the view's replica accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"bytes"
 	"testing"
 
 	"abivm/internal/obs"
@@ -97,10 +96,7 @@ func TestCheckpointWALTruncationMidBurst(t *testing.T) {
 
 	// Checkpoint lands mid-burst; the coordinator truncates everything
 	// the checkpoint covers.
-	var cp bytes.Buffer
-	if err := m.Checkpoint(&cp); err != nil {
-		t.Fatal(err)
-	}
+	cp := fullCheckpoint(t, m)
 	wal.TruncateThrough(wal.LastLSN())
 	if wal.Len() != 0 {
 		t.Fatalf("WAL holds %d records after full truncation", wal.Len())
@@ -121,7 +117,7 @@ func TestCheckpointWALTruncationMidBurst(t *testing.T) {
 
 	// Crash. Recovery sees only the checkpoint and the truncated tail.
 	rms := NewMetrics(obs.NewRegistry())
-	rec, err := RecoverWithMetrics(db, paperView, bytes.NewReader(cp.Bytes()), wal, rms)
+	rec, err := RecoverChainNamespaced(db, paperView, "", cp, wal, rms)
 	if err != nil {
 		t.Fatal(err)
 	}

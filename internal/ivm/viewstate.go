@@ -176,11 +176,12 @@ func (v *ViewState) Result() []storage.Row {
 	return out
 }
 
-// ViewStateSnapshot is the portable (gob-safe, exported-fields-only)
-// serialization of a ViewState: groups and bag entries in sorted key
-// order, aggregate states flattened to (sum, sorted multiset) pairs.
-// The aggregate kinds are not stored — they are re-derived from the
-// view's DeltaPlan at restore time, keeping the format layout-stable.
+// ViewStateSnapshot is the plain-data copy of a ViewState a dataflow
+// view handle keeps in memory as its checkpoint (it is never encoded):
+// groups and bag entries in sorted key order, aggregate states flattened
+// to (sum, sorted multiset) pairs. The aggregate kinds are not stored —
+// they are re-derived from the view's DeltaPlan at restore time, keeping
+// the format layout-stable.
 type ViewStateSnapshot struct {
 	Groups []GroupSnapshot
 	Bag    []BagSnapshot

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"strings"
@@ -39,15 +40,13 @@ type ChaosConfig struct {
 	// Shards selects the runtime: 0 runs the serial broker on the legacy
 	// east/west workload; n >= 1 runs the sharded runtime with n shards
 	// on a widened workload (2n regions), per-shard fault injectors, and
-	// quiesced mid-run cost/health sampling folded into the transcripts.
+	// quiesced mid-run cost/health sampling folded into the transcripts
+	// (so the comparison proves those schedule-independent too).
 	Shards int
 	// ChainDepth is the checkpoint-chain depth of the incremental
 	// recovery variants; <= 0 derives it from the seed (1..4), so the
 	// seed sweep covers the depth space.
 	ChainDepth int
-	// CompactEvery is the scheduled chain-compaction cadence (in steps)
-	// of the compacted variant; <= 0 derives it from the seed (3..7).
-	CompactEvery int
 	// Shared adds two shared-dataflow variants: the whole workload re-run
 	// on the shared operator-graph runtime (SetSharedDataflow), once
 	// fault-free and once faulted. Both must stay byte-identical to the
@@ -97,8 +96,9 @@ type ChaosReport struct {
 	// every faulted variant are byte-identical to the baseline.
 	Identical bool
 	// Variants names the recovery configurations that were compared
-	// against the baseline (full checkpoints, incremental chain,
-	// scheduled compaction; one combined entry in sharded mode).
+	// against the baseline (full checkpoints and an incremental chain on
+	// the serial broker, one combined entry in sharded mode, then the
+	// shared-dataflow and disk variants the config asked for).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -123,11 +123,6 @@ type ChaosReport struct {
 type chaosEvent struct {
 	table string
 	mod   ivm.Mod
-}
-
-// chaosDB builds the legacy two-region base database.
-func chaosDB() (*storage.DB, error) {
-	return chaosDBSpec(DefaultWorkloadSpec())
 }
 
 // chaosDBSpec builds the deterministic base database of the chaos
@@ -200,8 +195,7 @@ func chaosModel() (*core.CostModel, error) {
 	return core.NewCostModel(fSales, fStations), nil
 }
 
-// chaosQoS is the shared response-time constraint C of the demo
-// subscriptions.
+// chaosQoS is the response-time constraint C of the demo subscriptions.
 const chaosQoS = 40.0
 
 // regionQuery is one region's aggregate content query: total and count
@@ -211,166 +205,125 @@ func regionQuery(region string) string {
 		WHERE s.station = st.stationkey AND st.region = '%s'`, region)
 }
 
-// chaosRun executes the scripted workload against a fresh broker under
-// the given injector and returns the rendered notification transcript,
-// the rendered final view contents, the degraded-notification count,
-// and (for a non-nil opener) the aggregated durability counters. The
-// retry jitter is seeded from the same seed as the workload, so the
-// backoff sequence is part of the reproducible execution, not noise.
-func chaosRun(script [][]chaosEvent, seed int64, inj fault.Injector, cpEvery, chainDepth, compactEvery int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
-	db, err := chaosDB()
-	if err != nil {
-		return "", "", 0, stats, err
-	}
-	b := NewBroker(db)
-	b.setSleep(func(time.Duration) {})
-	b.SetRetrySeed(seed)
-	b.SetCheckpointEvery(cpEvery)
-	b.SetCheckpointChainDepth(chainDepth)
-	if opener != nil {
-		b.SetStoreOpener(opener)
-	}
-	if shared {
-		if err := b.SetSharedDataflow(true); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
-	if inj != nil {
-		b.SetInjector(inj)
-	}
-	subs, err := demoSubscriptions()
-	if err != nil {
-		return "", "", 0, stats, err
-	}
-	for _, sc := range subs {
-		if err := b.Subscribe(sc); err != nil {
-			return "", "", 0, stats, err
-		}
-	}
-	var out strings.Builder
-	for t, evs := range script {
-		for _, ev := range evs {
-			if err := b.Publish(ev.table, ev.mod); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
-			}
-		}
-		ns, err := b.EndStep()
-		if err != nil {
-			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
-		}
-		// Scheduled compaction interleaves with the periodic checkpoints
-		// and the injected crashes; recovery from a just-compacted chain
-		// must be indistinguishable from recovery from the chained form.
-		if compactEvery > 0 && (t+1)%compactEvery == 0 {
-			if err := b.CompactCheckpoints(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: compaction: %w", t, err)
-			}
-		}
-		for _, n := range ns {
-			if n.Degraded {
-				degraded++
-			} else if !core.ApproxLE(n.RefreshCost, chaosQoS) {
-				return "", "", 0, stats, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
-					t, n.Subscription, n.RefreshCost, chaosQoS)
-			}
-			fmt.Fprintf(&out, "step=%d sub=%s degraded=%v behind=%d over=%.9g cost=%.9g rows=%s\n",
-				n.Step, n.Subscription, n.Degraded, n.StepsBehind, n.CostOvershoot,
-				n.RefreshCost, renderRows(n.Rows))
-		}
-	}
-	var fin strings.Builder
-	for _, sc := range subs {
-		rows, err := b.Result(sc.Name)
-		if err != nil {
-			return "", "", 0, stats, err
-		}
-		fmt.Fprintf(&fin, "%s: %s\n", sc.Name, renderRows(rows))
-	}
-	return out.String(), fin.String(), degraded, b.DurabilityStats(), nil
+// chaosRuntime is what the harness drives: the method set *Broker and
+// *ShardedBroker have in common.
+type chaosRuntime interface {
+	Subscribe(Subscription) error
+	Publish(table string, mod ivm.Mod) error
+	EndStep() ([]Notification, error)
+	Result(name string) ([]storage.Row, error)
+	TotalCost(name string) (float64, error)
+	Health(name string) (Health, error)
+	SetRetrySeed(seed int64)
+	SetCheckpointEvery(n int)
+	SetCheckpointChainDepth(n int)
+	SetStoreOpener(open durable.Opener)
+	SetSharedDataflow(on bool) error
+	DurabilityStats() durable.Stats
+	setSleep(f func(time.Duration))
 }
 
-// chaosSampleEvery is the cadence (in steps) of the mid-run cost/health
-// samples the sharded chaos run folds into its transcript.
+// chaosParams configures one run: shards 0 is the serial broker (it takes
+// shard 0's injector), a nil opener in-memory durability, nil injectors
+// no faults.
+type chaosParams struct {
+	seed           int64
+	shards         int
+	spec           WorkloadSpec
+	cpEvery, depth int
+	opener         durable.Opener
+	shared         bool
+	injectors      func(shard int) fault.Injector
+}
+
+// chaosResult is what a run leaves to compare: the rendered notification
+// transcript followed by the final view contents, the degraded count,
+// and the summed durability counters (zero without an opener).
+type chaosResult struct {
+	output   string
+	degraded int
+	stats    durable.Stats
+}
+
+// chaosSampleEvery is the step cadence of the quiesced mid-run samples.
 const chaosSampleEvery = 10
 
-// chaosRunSharded is chaosRun on the sharded runtime: the same scripted
-// workload against a fresh ShardedBroker, with per-shard injectors from
-// the factory (nil = fault-free baseline). Every chaosSampleEvery steps
-// it quiesces the shards and samples each subscription's accumulated
-// cost and pending vector into the transcript — reading them without the
-// quiesce would race the shard workers mid-drain and make the sample
-// depend on scheduling, exactly the bug the quiesce exists to prevent.
-func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec WorkloadSpec, factory func(int) fault.Injector, cpEvery, chainDepth, compactEvery int, opener durable.Opener, shared bool) (transcript, finals string, degraded int, stats durable.Stats, err error) {
-	db, err := chaosDBSpec(spec)
+// chaosRun executes the scripted workload against a fresh runtime. The
+// retry jitter is seeded like the workload, so the backoff sequence is
+// part of the reproducible execution. A runtime that has Quiesce (the
+// sharded one) is quiesced every chaosSampleEvery steps and each
+// subscription's cost and pending vector sampled into the transcript —
+// unquiesced, the read would race the shard workers mid-drain.
+func chaosRun(script [][]chaosEvent, p chaosParams) (res chaosResult, err error) {
+	db, err := chaosDBSpec(p.spec)
 	if err != nil {
-		return "", "", 0, stats, err
+		return res, err
 	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	defer sb.Close()
-	sb.setSleep(func(time.Duration) {})
-	sb.SetRetrySeed(seed)
-	sb.SetCheckpointEvery(cpEvery)
-	sb.SetCheckpointChainDepth(chainDepth)
-	if opener != nil {
-		sb.SetStoreOpener(opener)
+	var rt chaosRuntime
+	if p.shards == 0 {
+		b := NewBroker(db)
+		if p.injectors != nil {
+			b.SetInjector(p.injectors(0))
+		}
+		rt = b
+	} else {
+		sb := NewShardedBroker(db, ShardOptions{Shards: p.shards})
+		defer sb.Close()
+		if p.injectors != nil {
+			sb.SetInjectors(p.injectors)
+		}
+		rt = sb
 	}
-	if shared {
-		if err := sb.SetSharedDataflow(true); err != nil {
-			return "", "", 0, stats, err
+	rt.setSleep(func(time.Duration) {})
+	rt.SetRetrySeed(p.seed)
+	rt.SetCheckpointEvery(p.cpEvery)
+	rt.SetCheckpointChainDepth(p.depth)
+	rt.SetStoreOpener(p.opener)
+	if p.shared {
+		if err := rt.SetSharedDataflow(true); err != nil {
+			return res, err
 		}
 	}
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	subs, err := demoSubscriptionsSpec(spec)
+	subs, err := demoSubscriptionsSpec(p.spec)
 	if err != nil {
-		return "", "", 0, stats, err
+		return res, err
 	}
 	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
-			return "", "", 0, stats, err
+		if err := rt.Subscribe(sc); err != nil {
+			return res, err
 		}
 	}
+	quiescer, _ := rt.(interface{ Quiesce() error })
 	var out strings.Builder
 	for t, evs := range script {
 		for _, ev := range evs {
-			if err := sb.Publish(ev.table, ev.mod); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
+			if err := rt.Publish(ev.table, ev.mod); err != nil {
+				return res, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
 			}
 		}
-		if (t+1)%chaosSampleEvery == 0 {
-			if err := sb.Quiesce(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: quiesce: %w", t, err)
+		if quiescer != nil && (t+1)%chaosSampleEvery == 0 {
+			if err := quiescer.Quiesce(); err != nil {
+				return res, fmt.Errorf("step %d: quiesce: %w", t, err)
 			}
 			for _, sc := range subs {
-				cost, err := sb.TotalCost(sc.Name)
-				if err != nil {
-					return "", "", 0, stats, err
-				}
-				h, err := sb.Health(sc.Name)
-				if err != nil {
-					return "", "", 0, stats, err
+				cost, cerr := rt.TotalCost(sc.Name)
+				h, herr := rt.Health(sc.Name)
+				if err := errors.Join(cerr, herr); err != nil {
+					return res, err
 				}
 				fmt.Fprintf(&out, "sample step=%d sub=%s cost=%.9g pending=%v\n",
 					t, sc.Name, cost, h.Pending)
 			}
 		}
-		ns, err := sb.EndStep()
+		ns, err := rt.EndStep()
 		if err != nil {
-			return "", "", 0, stats, fmt.Errorf("step %d: %w", t, err)
-		}
-		// Scheduled compaction between barriers: each shard's broker takes
-		// its own lock, so the workers are idle with respect to chains.
-		if compactEvery > 0 && (t+1)%compactEvery == 0 {
-			if err := sb.CompactCheckpoints(); err != nil {
-				return "", "", 0, stats, fmt.Errorf("step %d: compaction: %w", t, err)
-			}
+			return res, fmt.Errorf("step %d: %w", t, err)
 		}
 		for _, n := range ns {
 			if n.Degraded {
-				degraded++
+				res.degraded++
 			} else if !core.ApproxLE(n.RefreshCost, chaosQoS) {
-				return "", "", 0, stats, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
+				return res, fmt.Errorf("step %d: %s: non-degraded refresh cost %.6g > QoS %.6g",
 					t, n.Subscription, n.RefreshCost, chaosQoS)
 			}
 			fmt.Fprintf(&out, "step=%d sub=%s degraded=%v behind=%d over=%.9g cost=%.9g rows=%s\n",
@@ -378,15 +331,15 @@ func chaosRunSharded(script [][]chaosEvent, seed int64, shards int, spec Workloa
 				n.RefreshCost, renderRows(n.Rows))
 		}
 	}
-	var fin strings.Builder
 	for _, sc := range subs {
-		rows, err := sb.Result(sc.Name)
+		rows, err := rt.Result(sc.Name)
 		if err != nil {
-			return "", "", 0, stats, err
+			return res, err
 		}
-		fmt.Fprintf(&fin, "%s: %s\n", sc.Name, renderRows(rows))
+		fmt.Fprintf(&out, "%s: %s\n", sc.Name, renderRows(rows))
 	}
-	return out.String(), fin.String(), degraded, sb.DurabilityStats(), nil
+	res.output, res.stats = out.String(), rt.DurabilityStats()
+	return res, nil
 }
 
 // renderRows renders rows canonically for byte comparison.
@@ -398,30 +351,37 @@ func renderRows(rows []storage.Row) string {
 	return strings.Join(parts, "|")
 }
 
-// chaosChainParams resolves the incremental chain depth and compaction
-// cadence for a seed: explicit config values win, otherwise both derive
-// from the seed so a seed sweep covers the (depth, cadence) space.
-func chaosChainParams(cfg ChaosConfig) (depth, compactEvery int) {
-	depth = cfg.ChainDepth
-	if depth <= 0 {
-		depth = 1 + int(((cfg.Seed%4)+4)%4)
-	}
-	compactEvery = cfg.CompactEvery
-	if compactEvery <= 0 {
-		compactEvery = 3 + int(((cfg.Seed%5)+5)%5)
-	}
-	return depth, compactEvery
+// chaosRule is how a variant's execution must relate to the baseline.
+type chaosRule int
+
+const (
+	// byteIdentical: notifications and final contents equal the baseline's.
+	byteIdentical chaosRule = iota
+	// identicalOrLoudFallback: byte-identical, or at least one recovery
+	// gave up on damaged artifacts and rebuilt from the live tables,
+	// counting the corruption; diverging with no fallback is silent loss.
+	identicalOrLoudFallback
+)
+
+// chaosVariant is one row of the comparison table: a recovery
+// configuration, whether the config selects it, and its rule.
+type chaosVariant struct {
+	on      bool
+	name    string
+	depth   int
+	opener  durable.Opener
+	shared  bool
+	faulted bool
+	rule    chaosRule
 }
 
-// RunChaos runs the seeded workload fault-free once and faulted once per
-// recovery variant — full checkpoints (chain depth 0), an incremental
-// delta chain, and the same chain under a scheduled compaction cadence —
-// and compares every execution byte for byte. The fault schedule is
-// identical across variants (checkpoint layout never changes which sites
-// are polled), so any divergence isolates a bug in that variant's
-// recovery path. All injectors are seeded from the workload seed, so the
-// whole comparison is reproducible from one integer (plus, in sharded
-// mode, the shard count).
+// RunChaos runs the seeded workload fault-free once and then once per
+// selected row of the variant table, holding each run to its rule
+// against the baseline. The fault schedule is identical across variants
+// (checkpoint layout never changes which sites are polled), so a
+// divergence isolates a bug in that variant's recovery path; everything
+// is seeded from the workload seed, so one integer (plus the shard
+// count) reproduces the comparison.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 60
@@ -438,280 +398,119 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.MediaRates == (fault.MediaRates{}) {
 		cfg.MediaRates = fault.DefaultMediaRates()
 	}
-	if cfg.Shards > 0 {
-		return runChaosSharded(cfg)
+	depth := cfg.ChainDepth
+	if depth <= 0 {
+		depth = 1 + int(((cfg.Seed%4)+4)%4)
 	}
-	script := chaosScript(cfg.Seed, cfg.Steps, DefaultWorkloadSpec())
-	depth, compactEvery := chaosChainParams(cfg)
+	sharded, pre := cfg.Shards > 0, ""
+	p := chaosParams{seed: cfg.Seed, shards: cfg.Shards, spec: DefaultWorkloadSpec(), cpEvery: cfg.CheckpointEvery, depth: depth}
+	if sharded {
+		pre, p.spec = "sharded-", ScaledWorkloadSpec(2*cfg.Shards)
+	}
+	script := chaosScript(cfg.Seed, cfg.Steps, p.spec)
 
-	// The baseline runs with the compacted variant's configuration: a
-	// fault-free run's observable output must not depend on checkpoint
-	// layout at all, so comparing it against every variant also proves
-	// compaction alone perturbs nothing.
-	baseT, baseF, _, _, err := chaosRun(script, cfg.Seed, nil, cfg.CheckpointEvery, depth, compactEvery, nil, false)
+	// Fault-free output cannot depend on checkpoint layout: one baseline.
+	base, err := chaosRun(script, p)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
 	}
+	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true,
+		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	variants := []struct {
-		name                string
-		depth, compactEvery int
-		opener              durable.Opener
-	}{
-		{"full", 0, 0, nil},
-		{fmt.Sprintf("incremental(depth=%d)", depth), depth, 0, nil},
-		{fmt.Sprintf("compacted(depth=%d,every=%d)", depth, compactEvery), depth, compactEvery, nil},
-	}
-	if cfg.Disk {
-		// The clean-disk variant must be byte-identical like the in-memory
-		// ones: with intact files, disk recovery is an exact redo.
-		variants = append(variants, struct {
-			name                string
-			depth, compactEvery int
-			opener              durable.Opener
-		}{fmt.Sprintf("disk(depth=%d)", depth), depth, compactEvery, cfg.diskOpener("disk", nil)})
-	}
-	rep := &ChaosReport{
-		Seed:          cfg.Seed,
-		Steps:         cfg.Steps,
-		Notifications: strings.Count(baseT, "\n"),
-		Identical:     true,
-	}
-	for _, v := range variants {
+	// Serial: full checkpoints (depth 0) and a delta chain; sharded: one
+	// combined row. The ChaosConfig fields that select the optional rows
+	// say what each proves.
+	var medias []*fault.Media
+	disk := chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, opener: cfg.diskOpener("disk", nil, nil), faulted: true}
+	for _, v := range []chaosVariant{
+		{on: !sharded, name: "full", faulted: true},
+		{on: !sharded, name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
+		{on: sharded, name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true},
+		{on: !sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
+		{on: cfg.Shared, name: pre + "shared", depth: depth, shared: true},
+		{on: cfg.Shared, name: pre + "shared-faulted", depth: depth, shared: true, faulted: true},
+		{on: sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
+		{on: cfg.DiskFaults, name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true, rule: identicalOrLoudFallback,
+			opener: cfg.diskOpener("disk-faulted", &cfg.MediaRates, &medias)},
+	} {
+		if !v.on {
+			continue
+		}
 		rep.Variants = append(rep.Variants, v.name)
-		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, degraded, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, v.depth, v.compactEvery, v.opener, false)
+		// Track the injectors handed out, to sum fault counts over shards;
+		// the runtime calls the factory sequentially, before any faulted
+		// work, so the append does not race the workers.
+		var injs []*fault.Seeded
+		p.depth, p.opener, p.shared, p.injectors = v.depth, v.opener, v.shared, nil
+		if v.faulted {
+			seeded := SeededShardInjectors(cfg.Seed, cfg.Rates)
+			p.injectors = func(shard int) fault.Injector {
+				inj := seeded(shard).(*fault.Seeded)
+				injs = append(injs, inj)
+				return inj
+			}
+		}
+		got, err := chaosRun(script, p)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
 		}
-		// Every variant sees the same fault schedule; report the counts
-		// once, from the first variant's injector.
-		if rep.Faults == nil {
-			rep.Faults = inj.Fired()
-			rep.TotalFaults = inj.Total()
-			rep.Degraded = degraded
-		}
-		if baseT != faultT || baseF != faultF {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, faultT+faultF)
-			}
-		}
-	}
-	if cfg.Shared {
-		// Shared-dataflow variants: the same workload on the hash-consed
-		// operator graph. Fault-free first (runtime equivalence alone),
-		// then faulted (crash recovery restores each view's sink from its
-		// snapshot plus WAL while the graph itself carries on).
-		for _, v := range []struct {
-			name    string
-			faulted bool
-		}{{"shared", false}, {"shared-faulted", true}} {
-			rep.Variants = append(rep.Variants, v.name)
-			var inj fault.Injector
-			if v.faulted {
-				inj = fault.NewSeeded(cfg.Seed, cfg.Rates)
-			}
-			sT, sF, _, _, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, compactEvery, nil, true)
-			if err != nil {
-				return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
-			}
-			if baseT != sT || baseF != sF {
-				rep.Identical = false
-				if rep.Diff == "" {
-					rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, sT+sF)
+		// Every faulted variant sees the same fault schedule; report the
+		// counts once, from the first one.
+		if v.faulted && rep.Faults == nil {
+			rep.Faults = map[fault.Site]int{}
+			for _, inj := range injs {
+				for site, n := range inj.Fired() {
+					rep.Faults[site] += n
 				}
+				rep.TotalFaults += inj.Total()
 			}
+			rep.Degraded = got.degraded
 		}
-	}
-	if cfg.DiskFaults {
-		name := fmt.Sprintf("disk-faulted(depth=%d)", depth)
-		rep.Variants = append(rep.Variants, name)
-		var medias []*fault.Media
-		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
-		inj := fault.NewSeeded(cfg.Seed, cfg.Rates)
-		faultT, faultF, _, stats, err := chaosRun(script, cfg.Seed, inj, cfg.CheckpointEvery, depth, compactEvery, opener, false)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, name, err)
-		}
-		rep.DiskStats = stats
-		rep.MediaFaults = map[fault.MediaFault]int{}
-		for _, m := range medias {
-			for kind, n := range m.Fired() {
-				rep.MediaFaults[kind] += n
+		identical := got.output == base.output
+		if v.rule == identicalOrLoudFallback {
+			rep.DiskStats, rep.DiskExact = got.stats, identical
+			rep.MediaFaults = map[fault.MediaFault]int{}
+			for _, m := range medias {
+				for kind, n := range m.Fired() {
+					rep.MediaFaults[kind] += n
+				}
+				rep.TotalMediaFaults += m.Total()
 			}
-			rep.TotalMediaFaults += m.Total()
+			identical = identical || got.stats.Fallbacks > 0
 		}
-		rep.DiskExact = faultT == baseT && faultF == baseF
-		// Divergence is acceptable only when the run degraded loudly: at
-		// least one recovery gave up on the damaged artifacts and rebuilt
-		// from the live tables, counting the corruption as it went. A
-		// divergence with zero fallbacks is silent data loss.
-		if !rep.DiskExact && stats.Fallbacks == 0 {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant diverged without a fallback: " + firstDiff(baseT+baseF, faultT+faultF)
-			}
+		if !identical && rep.Diff == "" {
+			rep.Diff = v.name + " variant: " + firstDiff(base.output, got.output)
 		}
+		rep.Identical = rep.Identical && identical
 	}
 	return rep, nil
 }
 
 // diskOpener builds the durable-store opener of one disk variant:
 // directory-backed under DataDir/seed-<n>/<variant> when DataDir is
-// set, per-namespace in-memory file systems otherwise; a non-nil rates
-// inserts the seeded byte-level media injector underneath each store.
-func (cfg ChaosConfig) diskOpener(variant string, rates *fault.MediaRates) durable.Opener {
-	if cfg.DataDir == "" {
-		if rates == nil {
-			return durable.MemOpener()
-		}
-		return durable.FaultyMemOpener(cfg.Seed, *rates)
-	}
+// set, per-namespace in-memory file systems otherwise. A non-nil rates
+// puts the seeded byte-level media injector under each store and records
+// it in medias for totalling after the run; opens happen sequentially at
+// Subscribe time, so that append is unsynchronized on purpose.
+func (cfg ChaosConfig) diskOpener(variant string, rates *fault.MediaRates, medias *[]*fault.Media) durable.Opener {
 	root := path.Join(cfg.DataDir, fmt.Sprintf("seed-%d", cfg.Seed), variant)
 	if rates == nil {
+		if cfg.DataDir == "" {
+			return durable.MemOpener()
+		}
 		return durable.DirOpener(root)
 	}
-	return durable.FaultyDirOpener(root, cfg.Seed, *rates)
-}
-
-// trackedOpener records the media injector of every store open opens,
-// so a harness can aggregate the injected damage after the run. Opens
-// happen sequentially at Subscribe time, before any concurrent work, so
-// the append is unsynchronized on purpose.
-func trackedOpener(open durable.Opener, medias *[]*fault.Media) durable.Opener {
+	open := durable.FaultyDirOpener(root, cfg.Seed, *rates)
+	if cfg.DataDir == "" {
+		open = durable.FaultyMemOpener(cfg.Seed, *rates)
+	}
 	return func(ns string) (*durable.Store, error) {
 		st, err := open(ns)
 		if err == nil {
-			if m := st.Media(); m != nil {
-				*medias = append(*medias, m)
-			}
+			*medias = append(*medias, st.Media())
 		}
 		return st, err
 	}
-}
-
-// runChaosSharded is the sharded-mode comparison: baseline and faulted
-// runs on cfg.Shards shards over a 2·Shards-region workload, each shard
-// carrying an independent seeded fault stream. The transcripts include
-// the quiesced mid-run samples, so the comparison also proves the
-// sampled costs and pending vectors are schedule-independent.
-func runChaosSharded(cfg ChaosConfig) (*ChaosReport, error) {
-	spec := ScaledWorkloadSpec(2 * cfg.Shards)
-	script := chaosScript(cfg.Seed, cfg.Steps, spec)
-	depth, compactEvery := chaosChainParams(cfg)
-
-	baseT, baseF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, nil, cfg.CheckpointEvery, depth, compactEvery, nil, false)
-	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d shards %d: baseline run: %w", cfg.Seed, cfg.Shards, err)
-	}
-	// Track the injectors the factory hands out so the report can
-	// aggregate fault counts across shards. SetInjectors calls the
-	// factory sequentially under the broker lock, before any faulted
-	// work, so the append does not race the workers.
-	var injs []*fault.Seeded
-	base := SeededShardInjectors(cfg.Seed, cfg.Rates)
-	factory := func(shard int) fault.Injector {
-		inj := base(shard).(*fault.Seeded)
-		injs = append(injs, inj)
-		return inj
-	}
-	faultT, faultF, degraded, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, factory, cfg.CheckpointEvery, depth, compactEvery, nil, false)
-	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d shards %d: faulted run: %w", cfg.Seed, cfg.Shards, err)
-	}
-
-	rep := &ChaosReport{
-		Seed:      cfg.Seed,
-		Steps:     cfg.Steps,
-		Shards:    cfg.Shards,
-		Faults:    map[fault.Site]int{},
-		Degraded:  degraded,
-		Variants:  []string{fmt.Sprintf("sharded(depth=%d,every=%d)", depth, compactEvery)},
-		Identical: baseT == faultT && baseF == faultF,
-	}
-	for _, line := range strings.Split(baseT, "\n") {
-		if line != "" && !strings.HasPrefix(line, "sample ") {
-			rep.Notifications++
-		}
-	}
-	for _, inj := range injs {
-		for site, n := range inj.Fired() {
-			rep.Faults[site] += n
-		}
-		rep.TotalFaults += inj.Total()
-	}
-	if !rep.Identical {
-		rep.Diff = firstDiff(baseT+baseF, faultT+faultF)
-	}
-	if cfg.Shared {
-		// Sharded shared-dataflow variants: each shard builds its own
-		// operator graph over the views it hosts; fault-free and faulted
-		// runs must both match the classic sharded baseline.
-		for _, v := range []struct {
-			name    string
-			factory func(int) fault.Injector
-		}{
-			{"sharded-shared", nil},
-			{"sharded-shared-faulted", SeededShardInjectors(cfg.Seed, cfg.Rates)},
-		} {
-			rep.Variants = append(rep.Variants, v.name)
-			sT, sF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, v.factory, cfg.CheckpointEvery, depth, compactEvery, nil, true)
-			if err != nil {
-				return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, v.name, err)
-			}
-			if baseT != sT || baseF != sF {
-				rep.Identical = false
-				if rep.Diff == "" {
-					rep.Diff = v.name + " variant: " + firstDiff(baseT+baseF, sT+sF)
-				}
-			}
-		}
-	}
-	if cfg.Disk {
-		// Clean-disk sharded variant: per-store media-free files, the
-		// same per-shard fault schedule, byte-identity required. Each
-		// store's damage and recovery is keyed to its own namespace, so
-		// shard scheduling cannot perturb the outcome.
-		name := fmt.Sprintf("sharded-disk(depth=%d)", depth)
-		rep.Variants = append(rep.Variants, name)
-		dT, dF, _, _, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, compactEvery, cfg.diskOpener("disk", nil), false)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
-		}
-		if baseT != dT || baseF != dF {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant: " + firstDiff(baseT+baseF, dT+dF)
-			}
-		}
-	}
-	if cfg.DiskFaults {
-		name := fmt.Sprintf("sharded-disk-faulted(depth=%d)", depth)
-		rep.Variants = append(rep.Variants, name)
-		var medias []*fault.Media
-		opener := trackedOpener(cfg.diskOpener("disk-faulted", &cfg.MediaRates), &medias)
-		fT, fF, _, stats, err := chaosRunSharded(script, cfg.Seed, cfg.Shards, spec, SeededShardInjectors(cfg.Seed, cfg.Rates), cfg.CheckpointEvery, depth, compactEvery, opener, false)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d shards %d: %s run: %w", cfg.Seed, cfg.Shards, name, err)
-		}
-		rep.DiskStats = stats
-		rep.MediaFaults = map[fault.MediaFault]int{}
-		for _, m := range medias {
-			for kind, n := range m.Fired() {
-				rep.MediaFaults[kind] += n
-			}
-			rep.TotalMediaFaults += m.Total()
-		}
-		rep.DiskExact = fT == baseT && fF == baseF
-		if !rep.DiskExact && stats.Fallbacks == 0 {
-			rep.Identical = false
-			if rep.Diff == "" {
-				rep.Diff = name + " variant diverged without a fallback: " + firstDiff(baseT+baseF, fT+fF)
-			}
-		}
-	}
-	return rep, nil
 }
 
 // firstDiff excerpts the first divergence between two transcripts.

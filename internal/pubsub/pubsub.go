@@ -262,26 +262,6 @@ func (b *Broker) SetCheckpointChainDepth(n int) {
 	}
 }
 
-// CompactCheckpoints folds every subscription's checkpoint chain into a
-// single full base segment. Compaction transforms only the stored
-// segments — maintainers are not consulted — so recovery before and
-// after a compaction produces identical state; operators call it (via
-// the ops endpoint or on a schedule) to bound recovery's segment-fold
-// work.
-func (b *Broker) CompactCheckpoints() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range b.subs {
-		if s.chain == nil {
-			continue // shared-dataflow subs keep a single snapshot, no chain
-		}
-		if err := s.chain.Compact(); err != nil {
-			return fmt.Errorf("pubsub: %s: compacting checkpoint chain: %w", s.cfg.Name, err)
-		}
-	}
-	return nil
-}
-
 // SetStoreOpener installs a durable-store opener: every subscription
 // registered afterwards gets a disk-backed WAL and checkpoint segment
 // store under its durability namespace, and simulated crashes recover

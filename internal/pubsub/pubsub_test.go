@@ -256,11 +256,7 @@ func TestTwoSubscriptionsShareOneStream(t *testing.T) {
 // integration check that snapshots preserve query results.
 func cloneDB(t *testing.T, db *storage.DB) *storage.DB {
 	t.Helper()
-	var buf strings.Builder
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out, err := storage.ReadSnapshot(strings.NewReader(buf.String()))
+	out, err := storage.ReadSnapshot(db.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

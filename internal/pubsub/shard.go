@@ -810,21 +810,6 @@ func (sb *ShardedBroker) SetCheckpointChainDepth(n int) {
 	}
 }
 
-// CompactCheckpoints folds every subscription's checkpoint chain on
-// every shard into a single base segment. Each shard's Broker takes its
-// own lock, so calling this between steps is safe alongside the worker
-// loops; the first failing shard's error wins.
-func (sb *ShardedBroker) CompactCheckpoints() error {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		if err := sh.b.CompactCheckpoints(); err != nil {
-			return fmt.Errorf("pubsub: shard %d: %w", sh.id, err)
-		}
-	}
-	return nil
-}
-
 // setSleep replaces every shard's backoff sleeper (tests use a no-op).
 func (sb *ShardedBroker) setSleep(f func(time.Duration)) {
 	sb.mu.Lock()

@@ -12,6 +12,14 @@ import (
 	"abivm/internal/storage"
 )
 
+// chaosDB and demoSubscriptions are the default-spec (two-region) forms
+// most tests here and in shared_test.go want.
+func chaosDB() (*storage.DB, error) { return chaosDBSpec(DefaultWorkloadSpec()) }
+
+func demoSubscriptions() ([]Subscription, error) {
+	return demoSubscriptionsSpec(DefaultWorkloadSpec())
+}
+
 // runSerialScript executes a scripted workload on the serial broker and
 // renders every notification plus the final contents — the reference
 // transcript the sharded runs are compared against byte for byte.
@@ -215,14 +223,15 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		tr, fin, _, _, err := chaosRunSharded(script, seed, shards, spec, SeededShardInjectors(seed, fault.DefaultRates()), 5, 3, 4, nil, false)
+		res, err := chaosRun(script, chaosParams{seed: seed, shards: shards, spec: spec, cpEvery: 5, depth: 3,
+			injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if run == 0 {
-			first = tr + fin
-		} else if tr+fin != first {
-			t.Fatalf("same seed+shards produced different output:\n%s", firstDiff(first, tr+fin))
+			first = res.output
+		} else if res.output != first {
+			t.Fatalf("same seed+shards produced different output:\n%s", firstDiff(first, res.output))
 		}
 	}
 	if !strings.Contains(first, "sample ") {

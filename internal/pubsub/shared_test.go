@@ -59,19 +59,18 @@ func subscribeSharedViews(t testing.TB, b *Broker, n int) {
 // fault machinery in the way.
 func TestSharedRunMatchesClassic(t *testing.T) {
 	script := chaosScript(3, 40, DefaultWorkloadSpec())
-	ct, cf, _, _, err := chaosRun(script, 3, nil, 5, 2, 0, nil, false)
+	p := chaosParams{seed: 3, spec: DefaultWorkloadSpec(), cpEvery: 5, depth: 2}
+	classic, err := chaosRun(script, p)
 	if err != nil {
 		t.Fatalf("classic run: %v", err)
 	}
-	st, sf, _, _, err := chaosRun(script, 3, nil, 5, 2, 0, nil, true)
+	p.shared = true
+	shared, err := chaosRun(script, p)
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
-	if ct != st {
-		t.Errorf("shared transcript diverged:\n%s", firstDiff(ct, st))
-	}
-	if cf != sf {
-		t.Errorf("shared final contents diverged:\n%s", firstDiff(cf, sf))
+	if classic.output != shared.output {
+		t.Errorf("shared transcript or final contents diverged:\n%s", firstDiff(classic.output, shared.output))
 	}
 }
 
@@ -286,7 +285,9 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		script := chaosScript(seed, 40, DefaultWorkloadSpec())
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		if _, _, _, _, err := chaosRun(script, seed, inj, 5, 2, 0, nil, true); err != nil {
+		p := chaosParams{seed: seed, spec: DefaultWorkloadSpec(), cpEvery: 5, depth: 2, shared: true,
+			injectors: func(int) fault.Injector { return inj }}
+		if _, err := chaosRun(script, p); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for site, n := range inj.Fired() {

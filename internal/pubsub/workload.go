@@ -104,12 +104,6 @@ func (g *eventGen) step() []chaosEvent {
 // the legacy east (Every 7) / west (Every 11) pair.
 var demoConditionCycle = []int{7, 11, 5, 13, 6, 9, 12, 8}
 
-// demoSubscriptions returns the standard east/west subscription pair of
-// the chaos workload, with fresh cost models.
-func demoSubscriptions() ([]Subscription, error) {
-	return demoSubscriptionsSpec(DefaultWorkloadSpec())
-}
-
 // demoSubscriptionsSpec builds one aggregate subscription per region of
 // the spec: name = lowercase region, staggered notification cadence,
 // the shared QoS bound, and a fresh cost model each.

@@ -2,9 +2,9 @@ package storage
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -60,6 +60,8 @@ func TestDecodeRowRejectsDamage(t *testing.T) {
 		"string beyond end":  {byte(TString), 50, 'a'},
 		"huge string length": {byte(TString), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
 		"overlong varint":    {byte(TInt), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"non-minimal int":    {byte(TInt), 0x82, 0x00},
+		"non-minimal length": {byte(TString), 0x81, 0x00, 'a'},
 	} {
 		if _, _, err := DecodeRow(nil, bad, 1); err == nil {
 			t.Errorf("%s: decoded without error", name)
@@ -78,13 +80,11 @@ func TestDecodeRowRejectsDamage(t *testing.T) {
 func TestWriteSnapshotChargesNoWork(t *testing.T) {
 	db := snapshotDB(t)
 	before := *db.Stats()
-	if err := db.WriteSnapshot(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	db.AppendSnapshot(nil)
 	dirty := map[string]KeySet{}
 	markDirty(dirty, "items", I(3))
 	markDirty(dirty, "items", I(9999))
-	if err := db.WriteSnapshotDelta(io.Discard, dirty); err != nil {
+	if _, err := db.AppendSnapshotDelta(nil, dirty); err != nil {
 		t.Fatal(err)
 	}
 	if got := *db.Stats(); got != before {
@@ -92,22 +92,60 @@ func TestWriteSnapshotChargesNoWork(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesV1: the version moved with the row format, and an
-// old stream fails with the version error instead of decoding rows from
-// fields that no longer exist.
-func TestSnapshotRefusesV1(t *testing.T) {
-	var base, delta bytes.Buffer
-	if err := gob.NewEncoder(&base).Encode(dbDTO{Version: 1, Tables: []tableDTO{{Name: "t"}}}); err != nil {
-		t.Fatal(err)
+// TestSnapshotRefusesGobLayout: the layouts before this one were
+// gob streams. Their first bytes (captured from the last commit
+// that wrote them) fail with the version error — there is no second
+// reader to fall into.
+func TestSnapshotRefusesGobLayout(t *testing.T) {
+	base, _ := hex.DecodeString("2a7f03010105646244544f01ff80000102010756657273696f6e01040001065461626c657301ff8e00000021ff8d0201")
+	delta, _ := hex.DecodeString("30ff8f0301010a646244656c746144544f01ff90000102010756657273696f6e01040001065461626c657301ff940000")
+	if _, err := ReadSnapshot(base); err == nil || !strings.Contains(err.Error(), "snapshot version 42, want 3") {
+		t.Errorf("gob-era base: %v", err)
 	}
-	if _, err := ReadSnapshot(&base); err == nil || !strings.Contains(err.Error(), "snapshot version 1, want 2") {
-		t.Errorf("v1 base: %v", err)
+	if err := ApplySnapshotDelta(NewDB(), delta); err == nil || !strings.Contains(err.Error(), "snapshot delta version 48, want 3") {
+		t.Errorf("gob-era delta: %v", err)
 	}
-	if err := gob.NewEncoder(&delta).Encode(dbDeltaDTO{Version: 1}); err != nil {
-		t.Fatal(err)
+}
+
+// TestReaderLatchesFirstDefect: every read is bounds-checked, the first
+// defect sticks, and later reads return zero values without moving.
+func TestReaderLatchesFirstDefect(t *testing.T) {
+	buf := AppendString(binary.AppendUvarint([]byte{7}, 300), "name")
+	buf = AppendRow(binary.AppendVarint(buf, -5), Row{I(1), S("x")})
+	r := NewReader(buf)
+	if b, u, s, v := r.Byte(), r.Uvarint(), r.Str(), r.Varint(); b != 7 || u != 300 || s != "name" || v != -5 {
+		t.Fatalf("read %d %d %q %d", b, u, s, v)
 	}
-	if err := ApplySnapshotDelta(NewDB(), &delta); err == nil || !strings.Contains(err.Error(), "snapshot delta version 1, want 2") {
-		t.Errorf("v1 delta: %v", err)
+	if row := r.Row(nil, 2); !row.SameKey(Row{I(1), S("x")}) {
+		t.Fatalf("row %v", row)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("clean artifact: %v", err)
+	}
+	for name, read := range map[string]func(*Reader){
+		"byte past the end":    func(r *Reader) { r.Rest(); r.Byte() },
+		"overlong uvarint":     func(r *Reader) { *r = *NewReader(bytes.Repeat([]byte{0x80}, 11)); r.Uvarint() },
+		"string beyond end":    func(r *Reader) { *r = *NewReader([]byte{50, 'a'}); r.Str() },
+		"count beyond bytes":   func(r *Reader) { *r = *NewReader([]byte{200, 1, 0, 0}); r.Count(2) },
+		"row of a missing tag": func(r *Reader) { *r = *NewReader([]byte{9, 0}); r.Row(nil, 1) },
+		"bytes left over":      func(r *Reader) { *r = *NewReader([]byte{1, 2}); r.Byte(); _ = r.Done() },
+		"non-minimal uvarint":  func(r *Reader) { *r = *NewReader([]byte{0x80, 0x00}); r.Uvarint() },
+		"non-minimal varint":   func(r *Reader) { *r = *NewReader([]byte{0x81, 0x00}); r.Varint() },
+	} {
+		r := NewReader(buf)
+		read(r)
+		first := r.Err()
+		if first == nil {
+			t.Errorf("%s: no error", name)
+			continue
+		}
+		if r.Byte() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.Str() != "" || r.Count(1) != 0 || len(r.Row(nil, 1)) != 0 {
+			t.Errorf("%s: reads after the defect returned data", name)
+		}
+		r.Fail("a later failure")
+		if r.Err() != first || r.Done() != first {
+			t.Errorf("%s: the first defect did not stick", name)
+		}
 	}
 }
 
@@ -134,27 +172,20 @@ func wideDB(t testing.TB, n int) *DB {
 }
 
 // TestWriteSnapshotAllocsIndependentOfRows pins the base writer's
-// allocation count: it is a property of the number of tables (the gob
-// envelope, one row buffer per table), not of the number of rows.
+// allocation count: the table-name list and one buffer sized for all
+// the rows — nothing per table, nothing per row.
 func TestWriteSnapshotAllocsIndependentOfRows(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	allocs := func(rows int) float64 {
 		db := wideDB(t, rows)
 		return testing.AllocsPerRun(10, func() {
-			if err := db.WriteSnapshot(io.Discard); err != nil {
-				t.Fatal(err)
-			}
+			db.AppendSnapshot(nil)
 		})
 	}
 	small, large := allocs(2500), allocs(10000)
 	t.Logf("allocs per base write: %.0f at 2,500 rows, %.0f at 10,000", small, large)
-	if small > 100 {
-		t.Errorf("base write of a 2,500-row table made %.0f allocations; want O(tables)", small)
-	}
-	// Four times the rows may add a few doublings of gob's own message
-	// buffer, nothing per row.
-	if large-small > 8 {
-		t.Errorf("allocations grew from %.0f to %.0f with the row count", small, large)
+	if small > 4 || large != small {
+		t.Errorf("base write made %.0f allocations at 2,500 rows and %.0f at 10,000; want the same handful", small, large)
 	}
 }
 
@@ -185,11 +216,7 @@ func contentKey(db *DB) string {
 // internally coherent.
 func reserialize(t *testing.T, db *DB) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("re-serializing a decoded database: %v", err)
-	}
-	again, err := ReadSnapshot(&buf)
+	again, err := ReadSnapshot(db.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatalf("re-reading a decoded database: %v", err)
 	}
@@ -198,56 +225,43 @@ func reserialize(t *testing.T, db *DB) {
 	}
 }
 
-// damaged returns variations of a valid stream: every short prefix up to
-// a stride, and single-bit flips spread over the stream.
-func damaged(valid []byte) [][]byte {
-	var out [][]byte
-	for n := 0; n < len(valid); n += 1 + len(valid)/40 {
-		out = append(out, valid[:n])
-	}
-	for i := 0; i < len(valid); i += 1 + len(valid)/60 {
-		flipped := bytes.Clone(valid)
-		flipped[i] ^= 1 << (i % 8)
-		out = append(out, flipped)
-	}
-	return out
+// tSnapshot hand-lays a snapshot of one table t(id INTEGER, key id)
+// that claims nrows rows and carries rows as given, so a seed can lie
+// about either.
+func tSnapshot(nrows uint64, rows []byte) []byte {
+	b := AppendString([]byte{snapshotVersion, 1}, "t")
+	b = append(AppendString(append(b, 1), "id"), byte(TInt))
+	b = AppendString(append(b, 1), "id")
+	b = append(binary.AppendUvarint(b, nrows), rows...)
+	return append(b, 0) // no indexes
 }
 
-func gobBytes(t testing.TB, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// itemsDelta hand-lays a snapshot delta for table items whose entries
+// are given as raw bytes, claimed to number n.
+func itemsDelta(n uint64, entries ...[]byte) []byte {
+	b := AppendString([]byte{snapshotDeltaVersion, 1}, "items")
+	return append(binary.AppendUvarint(b, n), bytes.Join(entries, nil)...)
 }
 
 // FuzzReadSnapshot: ReadSnapshot reads bytes it did not just write. It
 // must fail, or hand out a coherent database — never panic, never
 // allocate from a count the stream merely claims.
 func FuzzReadSnapshot(f *testing.F) {
-	var valid bytes.Buffer
-	if err := snapshotDB(f).WriteSnapshot(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	for _, b := range damaged(valid.Bytes()) {
+	valid := snapshotDB(f).AppendSnapshot(nil)
+	f.Add(valid)
+	for _, b := range testenv.Damaged(valid, 8) {
 		f.Add(b)
 	}
-	cols := []Column{{Name: "id", Type: TInt}}
 	one := AppendRow(nil, Row{I(1)})
-	for _, td := range []tableDTO{
-		{NRows: 1 << 40, Rows: one},                        // inflated row count
-		{NRows: -1, Rows: one},                             // negative row count
-		{NRows: 1, Rows: append(bytes.Clone(one), 0, 0)},   // bytes left over
-		{NRows: 2, Rows: one},                              // one row short
-		{NRows: 2, Rows: append(bytes.Clone(one), one...)}, // duplicate key
-	} {
-		td.Name, td.Columns, td.KeyCols = "t", cols, []string{"id"}
-		f.Add(gobBytes(f, dbDTO{Version: snapshotVersion, Tables: []tableDTO{td}}))
-	}
+	f.Add(tSnapshot(1, one))                                                      // the well-formed shape of the seeds below
+	f.Add(tSnapshot(1<<40, one))                                                  // inflated row count
+	f.Add(tSnapshot(math.MaxUint64, one))                                         // a count that overflows int
+	f.Add(tSnapshot(1, append(bytes.Clone(one), 0, 0)))                           // bytes left over
+	f.Add(tSnapshot(2, one))                                                      // one row short
+	f.Add(tSnapshot(2, append(bytes.Clone(one), one...)))                         // duplicate key
+	f.Add(append(tSnapshot(1, one)[:len(tSnapshot(1, one))-1], 0xff, 0xff, 0x03)) // inflated index count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := ReadSnapshot(bytes.NewReader(data))
+		db, err := ReadSnapshot(data)
 		if err != nil {
 			return
 		}
@@ -264,30 +278,27 @@ func FuzzApplySnapshotDelta(f *testing.F) {
 	markDirty(dirty, "items", I(10)) // an upsert
 	markDirty(dirty, "items", I(11))
 	markDirty(dirty, "items", I(5000)) // a delete of an absent key
-	var valid bytes.Buffer
-	if err := db.WriteSnapshotDelta(&valid, dirty); err != nil {
+	valid, err := db.AppendSnapshotDelta(nil, dirty)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	for _, b := range damaged(valid.Bytes()) {
+	f.Add(valid)
+	for _, b := range testenv.Damaged(valid, 8) {
 		f.Add(b)
 	}
-	row := AppendRow(nil, Row{I(10), S("x"), F(1), I(1)})
-	key := AppendRow(nil, Row{I(10)})
-	for _, td := range []tableDeltaDTO{
-		{NUpserts: 1 << 40, Upserts: row},                            // inflated count
-		{NDeletes: -3, Deletes: key},                                 // negative count
-		{NUpserts: 1, Upserts: key},                                  // upsert narrower than the schema
-		{NDeletes: 1, Deletes: nil},                                  // a key that is not there
-		{NDeletes: 1, Deletes: AppendRow(nil, Row{I(10), I(11)})},    // key wider than the schema's
-		{NUpserts: 1, Upserts: AppendRow(nil, Row{S("id"), S("x")})}, // wrong types
-	} {
-		td.Name = "items"
-		f.Add(gobBytes(f, dbDeltaDTO{Version: snapshotDeltaVersion, Tables: []tableDeltaDTO{td}}))
-	}
+	upsert := AppendRow([]byte{deltaUpsert}, Row{I(10), S("x"), F(1), I(1)})
+	remove := AppendRow([]byte{deltaDelete}, Row{I(10)})
+	f.Add(itemsDelta(2, upsert, remove))                                                       // well-formed
+	f.Add(itemsDelta(1<<40, upsert))                                                           // inflated count
+	f.Add(itemsDelta(math.MaxUint64, remove))                                                  // a count that overflows int
+	f.Add(itemsDelta(1, AppendRow([]byte{deltaUpsert}, Row{I(10)})))                           // upsert narrower than the schema
+	f.Add(itemsDelta(1, []byte{deltaDelete}))                                                  // a key that is not there
+	f.Add(itemsDelta(1, AppendRow([]byte{deltaDelete}, Row{I(10), I(11)})))                    // key wider than the schema's
+	f.Add(itemsDelta(1, AppendRow([]byte{deltaUpsert}, Row{S("id"), S("x"), S("y"), S("z")}))) // wrong types
+	f.Add(itemsDelta(1, AppendRow([]byte{7}, Row{I(10)})))                                     // unknown entry kind
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := snapshotDB(t)
-		_ = ApplySnapshotDelta(db, bytes.NewReader(data)) // an error is an acceptable outcome
+		_ = ApplySnapshotDelta(db, data) // an error is an acceptable outcome
 		reserialize(t, db)
 	})
 }

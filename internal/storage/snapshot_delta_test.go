@@ -40,12 +40,8 @@ func TestSnapshotDeltaRoundTrip(t *testing.T) {
 	db := snapshotDB(t)
 
 	// Base: a full snapshot restored into a second database.
-	var base bytes.Buffer
-	if err := db.WriteSnapshot(&base); err != nil {
-		t.Fatal(err)
-	}
-	baseLen := base.Len()
-	restored, err := ReadSnapshot(&base)
+	base := db.AppendSnapshot(nil)
+	restored, err := ReadSnapshot(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +66,14 @@ func TestSnapshotDeltaRoundTrip(t *testing.T) {
 	markDirty(dirty, "items", I(30))
 	markDirty(dirty, "items", I(9999))
 
-	var delta bytes.Buffer
-	if err := db.WriteSnapshotDelta(&delta, dirty); err != nil {
+	delta, err := db.AppendSnapshotDelta(nil, dirty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.Len() >= baseLen {
-		t.Fatalf("delta (%d bytes) not smaller than base snapshot (%d bytes)", delta.Len(), baseLen)
+	if len(delta) >= len(base) {
+		t.Fatalf("delta (%d bytes) not smaller than base snapshot (%d bytes)", len(delta), len(base))
 	}
-	if err := ApplySnapshotDelta(restored, bytes.NewReader(delta.Bytes())); err != nil {
+	if err := ApplySnapshotDelta(restored, delta); err != nil {
 		t.Fatal(err)
 	}
 	sameTable(t, restored.MustTable("items"), tbl)
@@ -93,14 +89,15 @@ func TestSnapshotDeltaDeterministicBytes(t *testing.T) {
 	if _, err := tbl.Delete(I(9)); err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := db.WriteSnapshotDelta(&a, dirty); err != nil {
+	a, err := db.AppendSnapshotDelta(nil, dirty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteSnapshotDelta(&b, dirty); err != nil {
+	b, err := db.AppendSnapshotDelta(nil, dirty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("identical (db, dirty) pairs produced different delta bytes")
 	}
 }
@@ -109,8 +106,7 @@ func TestSnapshotDeltaUnknownTable(t *testing.T) {
 	db := snapshotDB(t)
 	dirty := map[string]KeySet{}
 	markDirty(dirty, "ghost", I(1))
-	var buf bytes.Buffer
-	err := db.WriteSnapshotDelta(&buf, dirty)
+	_, err := db.AppendSnapshotDelta(nil, dirty)
 	if err == nil || !strings.Contains(err.Error(), "unknown table") {
 		t.Fatalf("err = %v, want unknown-table error", err)
 	}
@@ -118,26 +114,26 @@ func TestSnapshotDeltaUnknownTable(t *testing.T) {
 	// Applying a delta that names a table the target lacks must fail too.
 	dirty = map[string]KeySet{}
 	markDirty(dirty, "items", I(1))
-	buf.Reset()
-	if err := db.WriteSnapshotDelta(&buf, dirty); err != nil {
+	delta, err := db.AppendSnapshotDelta(nil, dirty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplySnapshotDelta(NewDB(), bytes.NewReader(buf.Bytes())); err == nil {
+	if err := ApplySnapshotDelta(NewDB(), delta); err == nil {
 		t.Fatal("applying a delta to a DB missing the table succeeded")
 	}
 }
 
 func TestSnapshotDeltaVersionAndGarbage(t *testing.T) {
 	db := snapshotDB(t)
-	if err := ApplySnapshotDelta(db, bytes.NewReader([]byte("not a delta"))); err == nil {
+	if err := ApplySnapshotDelta(db, []byte("not a delta")); err == nil {
 		t.Fatal("decoding garbage succeeded")
 	}
 	// An empty dirty set still writes a valid (empty) delta.
-	var buf bytes.Buffer
-	if err := db.WriteSnapshotDelta(&buf, nil); err != nil {
+	empty, err := db.AppendSnapshotDelta(nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplySnapshotDelta(db, bytes.NewReader(buf.Bytes())); err != nil {
+	if err := ApplySnapshotDelta(db, empty); err != nil {
 		t.Fatal(err)
 	}
 }

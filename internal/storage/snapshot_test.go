@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func snapshotDB(t testing.TB) *DB {
 	t.Helper()
@@ -39,11 +35,7 @@ func snapshotDB(t testing.TB) *DB {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := snapshotDB(t)
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshot(db.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +93,7 @@ func TestSnapshotMultipleTables(t *testing.T) {
 	if err := tbl.Insert(Row{I(1)}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshot(db.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +104,13 @@ func TestSnapshotMultipleTables(t *testing.T) {
 }
 
 func TestReadSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not a snapshot")); err == nil {
+	if _, err := ReadSnapshot([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestSnapshotEmptyDB(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewDB().WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&buf)
+	restored, err := ReadSnapshot(NewDB().AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

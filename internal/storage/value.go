@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Type enumerates the value types the engine supports.
@@ -163,9 +164,17 @@ func appendValue(dst []byte, v Value) []byte {
 			dst = append(dst, byte(bits>>uint(shift)))
 		}
 	case TString:
+		// A NUL inside the string is escaped as 00 FF and the string ends
+		// with 00 01, which sorts below every escape: without the escape
+		// ("a\x00sb") and ("a", "b") would share an encoding, and with this
+		// terminator a string still sorts before every extension of itself.
 		dst = append(dst, 's')
-		dst = append(dst, v.s...)
-		dst = append(dst, 0)
+		s := v.s
+		for i := strings.IndexByte(s, 0); i >= 0; i = strings.IndexByte(s, 0) {
+			dst = append(append(dst, s[:i]...), 0x00, 0xFF)
+			s = s[i+1:]
+		}
+		dst = append(append(dst, s...), 0x00, 0x01)
 	}
 	return dst
 }
@@ -182,8 +191,10 @@ func AppendKey(dst []byte, vals ...Value) []byte {
 }
 
 // EncodeKey builds a composite key string from values. The encoding is
-// injective, so it is safe as a map key; for single-type prefixes it is
-// also order-preserving. It is used for hash-index and primary-key maps.
+// injective over value lists — two lists share an encoding exactly when
+// Row.SameKey holds, strings containing NUL included — so it is safe as
+// a map key; for lists whose columns agree in type it is also
+// order-preserving. It is used for hash-index and primary-key maps.
 func EncodeKey(vals ...Value) string {
 	return string(AppendKey(nil, vals...))
 }

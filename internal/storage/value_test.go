@@ -109,9 +109,34 @@ func TestEncodeKeyInjective(t *testing.T) {
 	if EncodeKey(S("1")) == EncodeKey(I(1)) {
 		t.Error("string/int encodings collide")
 	}
-	// Composite keys are not ambiguous under concatenation.
+	// Composite keys are not ambiguous under concatenation, whatever bytes
+	// the strings hold.
 	if EncodeKey(S("ab"), S("c")) == EncodeKey(S("a"), S("bc")) {
 		t.Error("composite string keys ambiguous")
+	}
+	if EncodeKey(S("a\x00sb")) == EncodeKey(S("a"), S("b")) {
+		t.Error("a NUL inside a string reads as the end of it")
+	}
+	if EncodeKey(S("a\x00\x01sb")) == EncodeKey(S("a"), S("b")) {
+		t.Error("a terminator inside a string reads as the end of it")
+	}
+}
+
+// TestEncodeKeyOrderPreservingStrings: byte order of the encoding is
+// string order, through NULs, escapes and a following column.
+func TestEncodeKeyOrderPreservingStrings(t *testing.T) {
+	ordered := []string{"", "\x00", "\x00\x00", "\x00\x01", "\x00\xff", "\x01", "a", "a\x00", "a\x00b", "a\x01", "ab", "b", "\xff"}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			got := strings.Compare(EncodeKey(S(a), I(int64(j))), EncodeKey(S(b), I(int64(i))))
+			want := strings.Compare(a, b)
+			if want == 0 {
+				continue
+			}
+			if got != want {
+				t.Errorf("EncodeKey(%q, …) vs EncodeKey(%q, …): order %d, strings order %d", a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -121,7 +146,7 @@ func TestEncodeKeyInjective(t *testing.T) {
 func TestRowSameKeyMatchesEncodeKey(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	rows := []Row{
-		{}, {I(1)}, {F(1)}, {I(1), I(2)}, {I(2), I(1)}, {S("1")}, {S("")},
+		{}, {I(1)}, {F(1)}, {I(1), I(2)}, {I(2), I(1)}, {S("1")}, {S("")}, {S("a\x00sb")}, {S("a"), S("b")},
 		{F(0)}, {F(negZero)}, {F(math.NaN())}, {I(1), S("a"), F(2.5)}, {I(1), S("a"), F(2.5)}, {I(1), S("b"), F(2.5)},
 	}
 	for _, a := range rows {
@@ -174,8 +199,7 @@ func TestRowCloneAndProject(t *testing.T) {
 // fuzzValues decodes fuzz bytes into a value list: a tag byte picks the
 // type, ints and floats take the next eight bytes (floats as raw bits,
 // so NaNs and both zeros occur), strings a length byte and that many
-// bytes. Strings are made NUL-free: the encoding terminates a string
-// with a NUL, so it tells value lists apart only for such strings.
+// bytes — any bytes, NUL included.
 func fuzzValues(data []byte) Row {
 	var out Row
 	for len(data) > 0 {
@@ -187,7 +211,7 @@ func fuzzValues(data []byte) Row {
 				n, data = int(data[0]%6), data[1:]
 			}
 			n = min(n, len(data))
-			out = append(out, S(strings.ReplaceAll(string(data[:n]), "\x00", "0")))
+			out = append(out, S(string(data[:n])))
 			data = data[n:]
 			continue
 		}
@@ -212,6 +236,8 @@ func FuzzAppendKeyMatchesEncodeKey(f *testing.F) {
 	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{2, 2, 'a', 'b', 2, 0}, []byte{2, 1, 'a', 2, 1, 'b'})
 	f.Add([]byte{}, []byte{2, 0})
+	// ("a\x00sb") and ("a", "b"): one encoding before NULs were escaped.
+	f.Add([]byte{2, 4, 'a', 0, 's', 'b'}, []byte{2, 1, 'a', 2, 1, 'b'})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ra, rb := fuzzValues(a), fuzzValues(b)
 		for _, r := range []Row{ra, rb} {
