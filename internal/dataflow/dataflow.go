@@ -40,12 +40,12 @@ type Delta struct {
 	Coord Coord
 }
 
-// coveredBy reports whether every coordinate is at or below the cursor
-// for its table. tabs aligns positionally with c; cursors maps table →
-// covered log prefix length (missing tables cover only coordinate 0).
-func (c Coord) coveredBy(tabs []string, cursors map[string]uint64) bool {
+// covered reports whether every coordinate is at or below the cursor at
+// its position: cursors aligns with c, one entry per base table of the
+// producing operator in the operator's table order.
+func (c Coord) covered(cursors []uint64) bool {
 	for i, v := range c {
-		if v > cursors[tabs[i]] {
+		if v > cursors[i] {
 			return false
 		}
 	}

@@ -234,15 +234,22 @@ type Graph struct {
 	// trimOrder caches the nodes in signature order for Trim; realize and
 	// drop reset it to nil.
 	trimOrder []node
+	// Netting scratch of the sinks' drains (netCovered): the key buffer,
+	// the net entries, and the index from encoded row to entry. Empty
+	// between drains.
+	netKey []byte
+	nets   []netEntry
+	netIdx map[string]int
 }
 
 // NewGraph builds an empty operator graph over the live database.
 func NewGraph(db *storage.DB) *Graph {
 	return &Graph{
-		db:    db,
-		nodes: make(map[string]node),
-		refs:  make(map[string]int),
-		scans: make(map[string]*scanNode),
+		db:     db,
+		nodes:  make(map[string]node),
+		refs:   make(map[string]int),
+		scans:  make(map[string]*scanNode),
+		netIdx: make(map[string]int),
 	}
 }
 

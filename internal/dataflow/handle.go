@@ -26,14 +26,20 @@ type ViewHandle struct {
 	g    *Graph
 	plan *ivm.DeltaPlan
 
-	aliases  []string
-	tables   map[string]string // alias -> table name
-	top      node
-	sigs     []string // post-order node signatures (the refcount receipt)
-	tabOrder []string // top node's coordinate order (== FROM order)
+	top  node
+	sigs []string // post-order node signatures (the refcount receipt)
 
-	cursors map[string]uint64 // table -> covered ingest-log prefix
-	pending []Delta           // propagated deltas not yet covered
+	// Everything per table is held by position: aliases, tabOrder (the top
+	// node's coordinate order), scans and cursors align, because the
+	// operator spine is left-deep in FROM order and a view reads a table
+	// under one alias only. pos maps an alias to its position.
+	aliases  []string
+	pos      map[string]int
+	tabOrder []string
+	scans    []*scanNode // the tables' sources, for their ingest-log lengths
+	cursors  []uint64    // covered ingest-log prefix per table
+
+	pending []Delta // propagated deltas not yet covered
 	view    *ivm.ViewState
 	stats   *storage.Stats
 
@@ -42,18 +48,20 @@ type ViewHandle struct {
 	ns   string
 	obs  *ivm.Metrics
 	snap *handleSnapshot
-
-	scratchCur map[string]uint64 // drain-phase tentative cursors, reused
 }
 
-// handleSnapshot is a checkpoint of the per-view state. It lives in the
+// handleSnapshot is the checkpoint of the per-view state: one copy,
+// allocated by the first Checkpoint and patched by every later one — the
+// cursors overwritten, the view content brought up to date entry by
+// touched entry (ivm.ViewStateSnapshot) — so a checkpoint costs what
+// changed since the previous one, not the view's size. It lives in the
 // handle (the in-memory durability tier, like the broker's default
 // checkpoint chain); the shared graph itself is not checkpointed — it
 // survives per-view crashes exactly as the live database does.
 type handleSnapshot struct {
 	lsn     uint64
-	cursors map[string]uint64
-	state   ivm.ViewStateSnapshot
+	cursors map[string]uint64 // table -> cursor, the form Graph.Trim's watermark takes
+	state   *ivm.ViewStateSnapshot
 	ns      string
 }
 
@@ -61,17 +69,24 @@ func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, sigs []string) (*ViewHa
 	h := &ViewHandle{
 		g:        g,
 		plan:     p,
-		tables:   make(map[string]string, len(p.Sources)),
 		top:      top,
 		sigs:     sigs,
+		pos:      make(map[string]int, len(p.Sources)),
 		tabOrder: top.tables(),
-		cursors:  make(map[string]uint64, len(p.Sources)),
 		stats:    &storage.Stats{},
 	}
-	for _, s := range p.Sources {
+	if len(h.tabOrder) != len(p.Sources) {
+		return nil, fmt.Errorf("dataflow: view reads %d tables, its top operator %d", len(p.Sources), len(h.tabOrder))
+	}
+	for i, s := range p.Sources {
+		sc := g.scans[s.Table]
+		if sc == nil || h.tabOrder[i] != s.Table {
+			return nil, fmt.Errorf("dataflow: table %q is not at position %d of the operator spine", s.Table, i)
+		}
 		h.aliases = append(h.aliases, s.Alias)
-		h.tables[s.Alias] = s.Table
-		h.cursors[s.Table] = g.LogLen(s.Table)
+		h.pos[s.Alias] = i
+		h.scans = append(h.scans, sc)
+		h.cursors = append(h.cursors, sc.mods)
 	}
 	h.view = ivm.NewViewState(p, h.stats)
 	if err := h.initialize(); err != nil {
@@ -113,7 +128,12 @@ func (h *ViewHandle) Plan() *ivm.DeltaPlan { return h.plan }
 func (h *ViewHandle) Aliases() []string { return h.aliases }
 
 // TableOf returns the base-table name behind a FROM alias, or "".
-func (h *ViewHandle) TableOf(alias string) string { return h.tables[alias] }
+func (h *ViewHandle) TableOf(alias string) string {
+	if i, ok := h.pos[alias]; ok {
+		return h.tabOrder[i]
+	}
+	return ""
+}
 
 // Stats exposes the view-side work-unit counters (folds and drain
 // setups; operator work is shared and charged to the graph's tables).
@@ -171,9 +191,8 @@ func (h *ViewHandle) PendingInto(dst []int) []int {
 		dst = make([]int, len(h.aliases))
 	}
 	dst = dst[:len(h.aliases)]
-	for i, a := range h.aliases {
-		t := h.tables[a]
-		dst[i] = int(h.g.LogLen(t) - h.cursors[t])
+	for i, sc := range h.scans {
+		dst[i] = int(sc.mods - h.cursors[i])
 	}
 	return dst
 }
@@ -196,34 +215,20 @@ func (h *ViewHandle) ProcessBatch(alias string, k int) error {
 }
 
 func (h *ViewHandle) processBatch(alias string, k int) error {
-	table, ok := h.tables[alias]
+	i, ok := h.pos[alias]
 	if !ok {
 		return fmt.Errorf("dataflow: unknown alias %q", alias)
 	}
-	avail := int(h.g.LogLen(table) - h.cursors[table])
+	avail := int(h.scans[i].mods - h.cursors[i])
 	if k < 0 || k > avail {
 		return fmt.Errorf("dataflow: batch size %d out of range (queue %d)", k, avail)
 	}
 	if k == 0 {
 		return nil
 	}
+	// Nothing is mutated until all three sites have passed.
 	if err := h.hit(fault.SiteDrainPlan); err != nil {
 		return err
-	}
-	// Plan phase (mutates nothing): tentative cursors, then the set of
-	// pending deltas they newly cover.
-	if h.scratchCur == nil {
-		h.scratchCur = make(map[string]uint64, len(h.tabOrder))
-	}
-	for t, c := range h.cursors {
-		h.scratchCur[t] = c
-	}
-	h.scratchCur[table] += uint64(k)
-	covered := 0
-	for _, d := range h.pending {
-		if d.Coord.coveredBy(h.tabOrder, h.scratchCur) {
-			covered++
-		}
 	}
 	if err := h.hit(fault.SiteDrainApply); err != nil {
 		return err
@@ -231,97 +236,117 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 	if err := h.hit(fault.SiteWALCommit); err != nil {
 		return err
 	}
-	// Commit point: fold the covered deltas, log the drain, advance the
-	// cursor, trim the pending set.
-	h.foldCovered(h.scratchCur)
+	// Commit point: advance the cursor, fold the deltas it newly covers,
+	// log the drain, trim the pending set. A failed log append takes the
+	// fold and the cursor back.
+	h.cursors[i] += uint64(k)
+	nets := h.g.netCovered(h.pending, h.cursors)
+	defer h.g.releaseNets()
+	h.fold(nets)
 	if h.wal != nil {
 		if _, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALDrain, Alias: alias, K: k}); err != nil {
-			h.unfoldCovered(h.scratchCur)
+			h.unfold(nets)
+			h.cursors[i] -= uint64(k)
 			return fmt.Errorf("dataflow: wal commit: %w", err)
 		}
 	}
-	h.cursors[table] = h.scratchCur[table]
 	kept := h.pending[:0]
 	for _, d := range h.pending {
-		if !d.Coord.coveredBy(h.tabOrder, h.scratchCur) {
+		if !d.Coord.covered(h.cursors) {
 			kept = append(kept, d)
 		}
 	}
-	for i := len(kept); i < len(h.pending); i++ {
-		h.pending[i] = Delta{}
-	}
+	clear(h.pending[len(kept):])
 	h.pending = kept
 	h.stats.BatchSetups++
 	return nil
 }
 
-// foldCovered folds every pending delta covered by cur into the view
-// state: net weight per distinct row in first-touch order, positive
-// nets applied before negative ones. Netting keeps the fold equal to
-// the per-view maintainer's net-delta fold; positives-first guarantees
+// fold folds the net weight of every newly covered row into the view
+// state, positive nets before negative ones. Netting keeps the fold equal
+// to the per-view maintainer's net-delta fold; positives-first guarantees
 // no transient negative bag or group count even though the shared
-// graph's delta order differs from the maintainer's minus-then-plus
-// row sets.
-func (h *ViewHandle) foldCovered(cur map[string]uint64) {
-	order := h.netCovered(cur)
-	for _, e := range order {
+// graph's delta order differs from the maintainer's minus-then-plus row
+// sets.
+func (h *ViewHandle) fold(nets []netEntry) {
+	for _, e := range nets {
 		if e.w > 0 {
 			h.view.AddWeighted(e.row, e.w)
 		}
 	}
-	for _, e := range order {
+	for _, e := range nets {
 		if e.w < 0 {
 			h.view.AddWeighted(e.row, e.w)
 		}
 	}
 }
 
-// unfoldCovered exactly inverts foldCovered (negatives first), used to
-// compensate a failed WAL commit.
-func (h *ViewHandle) unfoldCovered(cur map[string]uint64) {
-	order := h.netCovered(cur)
-	for _, e := range order {
+// unfold exactly inverts fold (negatives first), used to compensate a
+// failed WAL commit.
+func (h *ViewHandle) unfold(nets []netEntry) {
+	for _, e := range nets {
 		if e.w < 0 {
 			h.view.AddWeighted(e.row, -e.w)
 		}
 	}
-	for _, e := range order {
+	for _, e := range nets {
 		if e.w > 0 {
 			h.view.AddWeighted(e.row, -e.w)
 		}
 	}
 }
 
+// netEntry is one distinct row among a drain's newly covered deltas with
+// its net weight.
 type netEntry struct {
 	row storage.Row
 	w   int64
 }
 
-func (h *ViewHandle) netCovered(cur map[string]uint64) []*netEntry {
-	nets := make(map[string]*netEntry)
-	var order []*netEntry
-	for _, d := range h.pending {
-		if !d.Coord.coveredBy(h.tabOrder, cur) {
+// maxNetScratch bounds the netting scratch a graph keeps between drains,
+// in entries: a drain that netted more gives its scratch up, so one large
+// refresh does not leave every later drain clearing a large map.
+const maxNetScratch = 256
+
+// netCovered nets the pending deltas the cursors cover: one entry per
+// distinct row, in first-touch order. Each delta's row is encoded once,
+// into the graph's reused buffer, and looked up without allocating; only
+// a row's first touch pays for its key string. The result lives in the
+// graph's scratch — one copy serves every sink, drains being serialised
+// like everything else on the graph — until releaseNets.
+func (g *Graph) netCovered(pending []Delta, cursors []uint64) []netEntry {
+	for _, d := range pending {
+		if !d.Coord.covered(cursors) {
 			continue
 		}
-		key := storage.EncodeKey(d.Row...)
-		e, ok := nets[key]
+		g.netKey = storage.AppendKey(g.netKey[:0], d.Row...)
+		i, ok := g.netIdx[string(g.netKey)]
 		if !ok {
-			e = &netEntry{row: d.Row}
-			nets[key] = e
-			order = append(order, e)
+			i = len(g.nets)
+			g.netIdx[string(g.netKey)] = i
+			g.nets = append(g.nets, netEntry{row: d.Row})
 		}
-		e.w += d.W
+		g.nets[i].w += d.W
 	}
-	return order
+	return g.nets
+}
+
+// releaseNets empties the netting scratch, pinning no row.
+func (g *Graph) releaseNets() {
+	if len(g.nets) > maxNetScratch {
+		g.nets, g.netIdx = nil, make(map[string]int)
+		return
+	}
+	clear(g.netIdx)
+	clear(g.nets)
+	g.nets = g.nets[:0]
 }
 
 // Refresh drains every pending modification, one full batch per table
 // in alias order, bringing the view fully up to date.
 func (h *ViewHandle) Refresh() error {
-	for _, alias := range h.aliases {
-		t := h.tables[alias]
-		if n := int(h.g.LogLen(t) - h.cursors[t]); n > 0 {
+	for i, alias := range h.aliases {
+		if n := int(h.scans[i].mods - h.cursors[i]); n > 0 {
 			if err := h.ProcessBatch(alias, n); err != nil {
 				return err
 			}
@@ -334,24 +359,25 @@ func (h *ViewHandle) Refresh() error {
 // per-view maintainer and the planner.
 func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
-// Checkpoint captures the per-view durable state (cursors, view
-// content, WAL position) in memory. Everything at or below the captured
-// LSN may be truncated from the WAL afterwards.
+// Checkpoint brings the per-view durable state (cursors, view content,
+// WAL position) in memory up to date, rewriting only what changed since
+// the previous checkpoint. Everything at or below the captured LSN may
+// be truncated from the WAL afterwards.
 func (h *ViewHandle) Checkpoint() error {
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
-	snap := &handleSnapshot{
-		cursors: make(map[string]uint64, len(h.cursors)),
-		state:   h.view.Snapshot(),
-		ns:      h.ns,
+	if h.snap == nil {
+		h.snap = &handleSnapshot{cursors: make(map[string]uint64, len(h.cursors))}
 	}
-	for t, c := range h.cursors {
-		snap.cursors[t] = c
+	h.snap.state = h.view.Checkpoint()
+	h.snap.ns = h.ns
+	for i, t := range h.tabOrder {
+		h.snap.cursors[t] = h.cursors[i]
 	}
+	h.snap.lsn = 0
 	if h.wal != nil {
-		snap.lsn = h.wal.LastLSN()
+		h.snap.lsn = h.wal.LastLSN()
 	}
-	h.snap = snap
 	if h.obs != nil {
 		//lint:ignore nondet measurement of the checkpoint, not part of it
 		h.obs.ObserveCheckpoint(time.Since(start), 0)
@@ -370,7 +396,7 @@ func (h *ViewHandle) TipLSN() uint64 {
 // DurableCursors returns the per-table cursors of the last checkpoint —
 // the view's contribution to the graph's GC watermark. Nil when no
 // checkpoint was ever taken (the broker checkpoints at subscribe, so
-// this is transient).
+// this is transient). The next Checkpoint overwrites the map in place.
 func (h *ViewHandle) DurableCursors() map[string]uint64 {
 	if h.snap == nil {
 		return nil
@@ -379,11 +405,13 @@ func (h *ViewHandle) DurableCursors() map[string]uint64 {
 }
 
 // Recover rebuilds the view from its last checkpoint plus the WAL
-// suffix: restore cursors and content, rebuild the pending set from the
-// top operator's retained output (the shared graph survives a per-view
-// crash exactly as the live database does), then redo logged drains.
-// Arrival records only validate — their deltas are already in the
-// graph. The WAL and injector stay detached during replay.
+// suffix: restore cursors and content (the rebuilt state adopts the
+// checkpoint copy, so later checkpoints keep patching it), rebuild the
+// pending set from the top operator's retained output (the shared graph
+// survives a per-view crash exactly as the live database does), then
+// redo logged drains. Arrival records only validate — their deltas are
+// already in the graph. The WAL and injector stay detached during
+// replay.
 func (h *ViewHandle) Recover() error {
 	if h.snap == nil {
 		return fmt.Errorf("dataflow: no checkpoint to recover %q from", h.ns)
@@ -396,12 +424,12 @@ func (h *ViewHandle) Recover() error {
 		return err
 	}
 	h.view = view
-	for t := range h.cursors {
-		h.cursors[t] = h.snap.cursors[t]
+	for i, t := range h.tabOrder {
+		h.cursors[i] = h.snap.cursors[t]
 	}
 	h.pending = h.pending[:0]
 	for _, d := range h.top.retained() {
-		if !d.Coord.coveredBy(h.tabOrder, h.cursors) {
+		if !d.Coord.covered(h.cursors) {
 			h.pending = append(h.pending, d)
 		}
 	}
@@ -413,7 +441,7 @@ func (h *ViewHandle) Recover() error {
 			replayed++
 			switch rec.Kind {
 			case ivm.WALArrival:
-				if _, ok := h.tables[rec.Mod.Alias]; !ok {
+				if _, ok := h.pos[rec.Mod.Alias]; !ok {
 					return fmt.Errorf("dataflow: wal arrival for unknown alias %q", rec.Mod.Alias)
 				}
 				return nil

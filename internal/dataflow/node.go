@@ -47,7 +47,8 @@ type node interface {
 	fanout() int
 	// retained returns the retained output log (nil while no sink is
 	// attached); trim discards retained/stored deltas whose coordinates
-	// are all covered by the per-table watermark.
+	// are all covered by the per-table watermark, which the node resolves
+	// to its own coordinate positions once per call.
 	retained() []Delta
 	trim(wm map[string]uint64)
 }
@@ -70,6 +71,7 @@ type nodeBase struct {
 	sinks     int
 	log       []Delta
 	ctr       *counters
+	wm        []uint64 // watermark's result, aligned with tabs and reused
 }
 
 func (n *nodeBase) sig() string       { return n.signature }
@@ -120,17 +122,33 @@ func (n *nodeBase) emit(d Delta) {
 	}
 }
 
+// watermark resolves a per-table watermark to the node's coordinate
+// positions (a table the map lacks covers only coordinate 0). The result
+// is valid until the next call.
+func (n *nodeBase) watermark(wm map[string]uint64) []uint64 {
+	if n.wm == nil {
+		n.wm = make([]uint64, len(n.tabs))
+	}
+	for i, t := range n.tabs {
+		n.wm[i] = wm[t]
+	}
+	return n.wm
+}
+
+// trim is the whole of a stateless operator's trim: its retained log.
+func (n *nodeBase) trim(wm map[string]uint64) { n.trimLog(n.watermark(wm)) }
+
 // trimLog drops retained deltas fully covered by the watermark — every
 // live view's durable cursors are at or above wm, so no recovery will
 // ever need them again.
-func (n *nodeBase) trimLog(wm map[string]uint64) {
+func (n *nodeBase) trimLog(wm []uint64) {
 	if len(n.log) == 0 {
 		return
 	}
 	n.ctr.trimVisited += uint64(len(n.log))
 	kept := n.log[:0]
 	for _, d := range n.log {
-		if !d.Coord.coveredBy(n.tabs, wm) {
+		if !d.Coord.covered(wm) {
 			kept = append(kept, d)
 		}
 	}
@@ -236,8 +254,6 @@ func (s *scanNode) current() []weightedRow {
 	return out
 }
 
-func (s *scanNode) trim(wm map[string]uint64) { s.trimLog(wm) }
-
 // filterNode applies a conjunction of predicates.
 type filterNode struct {
 	nodeBase
@@ -290,8 +306,6 @@ func (f *filterNode) detach() {
 	f.dropLog()
 }
 
-func (f *filterNode) trim(wm map[string]uint64) { f.trimLog(wm) }
-
 // projectNode evaluates scalar select items.
 type projectNode struct {
 	nodeBase
@@ -338,8 +352,6 @@ func (p *projectNode) detach() {
 	p.child.removeOut(p)
 	p.dropLog()
 }
-
-func (p *projectNode) trim(wm map[string]uint64) { p.trimLog(wm) }
 
 // port disambiguates which input of a binary join a delta arrives on.
 type port struct {
@@ -477,8 +489,9 @@ func (s *sideState) sortedKeys() []string {
 // trim × bucket size), independent of the side's total size. Safe
 // because every live cursor is at or above the watermark and new
 // subscribers start fully covered: nobody can ever distinguish a covered
-// entry's coordinate from zero again.
-func (s *sideState) consolidate(tabs []string, wm map[string]uint64) {
+// entry's coordinate from zero again. wm aligns with the side's
+// coordinates.
+func (s *sideState) consolidate(wm []uint64) {
 	stillTouched := s.touched[:0]
 	for _, key := range s.touched {
 		b := s.buckets[key]
@@ -486,7 +499,7 @@ func (s *sideState) consolidate(tabs []string, wm map[string]uint64) {
 		before := len(b.base) + len(b.tail)
 		kept, cancelled := 0, false
 		for _, e := range b.tail {
-			if !e.coord.coveredBy(tabs, wm) {
+			if !e.coord.covered(wm) {
 				b.tail[kept] = e
 				kept++
 				continue
@@ -578,12 +591,16 @@ func newJoinNode(sig string, ctr *counters, left, right node, lkeys, rkeys []exe
 	return j
 }
 
+// joinKey encodes a row's equi-join key scalar by scalar, as
+// storage.EncodeKey does a value list: built on the stack, one
+// allocation for the string.
 func joinKey(fns []exec.Scalar, r storage.Row) string {
-	vals := make([]storage.Value, len(fns))
-	for i, fn := range fns {
-		vals[i] = fn(r)
+	var a [64]byte
+	buf := a[:0]
+	for _, fn := range fns {
+		buf = storage.AppendKey(buf, fn(r))
 	}
-	return storage.EncodeKey(vals...)
+	return string(buf)
 }
 
 func (j *joinNode) pass(r storage.Row) bool {
@@ -665,8 +682,12 @@ func (j *joinNode) detach() {
 	j.ctr.stateRows -= j.lstate.rows() + j.rstate.rows()
 }
 
+// trim splits the resolved watermark at the join's seam: its coordinates
+// are the left side's followed by the right side's.
 func (j *joinNode) trim(wm map[string]uint64) {
-	j.trimLog(wm)
-	j.lstate.consolidate(j.left.tables(), wm)
-	j.rstate.consolidate(j.right.tables(), wm)
+	pos := j.watermark(wm)
+	j.trimLog(pos)
+	nl := len(j.left.tables())
+	j.lstate.consolidate(pos[:nl])
+	j.rstate.consolidate(pos[nl:])
 }

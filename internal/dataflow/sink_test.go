@@ -1,0 +1,281 @@
+package dataflow
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"abivm/internal/ivm"
+	"abivm/internal/storage"
+	"abivm/internal/testenv"
+)
+
+// failingSink is a WAL sink that refuses one drain record when armed —
+// the only way a handle's WAL commit fails.
+type failingSink struct{ armed bool }
+
+func (f *failingSink) AppendRecord(rec ivm.WALRecord) error {
+	if f.armed && rec.Kind == ivm.WALDrain {
+		f.armed = false
+		return errors.New("sink down")
+	}
+	return nil
+}
+
+func (f *failingSink) TruncateRecords(uint64) error { return nil }
+
+// TestRecoverThenCheckpointKeepsPatching runs two handles of one view
+// through the same modifications, drains and checkpoints. One of them
+// crashes and recovers twice, with drains and a checkpoint in between —
+// so the second recovery rebuilds from a copy that a recovered state
+// patched — and suffers one WAL commit that fails and unfolds between
+// two checkpoints; the other is never disturbed. They must agree
+// throughout.
+func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
+	for qi, query := range equivalenceQueries {
+		t.Run(fmt.Sprintf("view%d", qi), func(t *testing.T) {
+			db := testDB(t)
+			g := NewGraph(db)
+			p, err := ivm.PlanView(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &failingSink{}
+			var hs [2]*ViewHandle // 0 crashes, 1 is the control
+			var wals [2]*ivm.WAL
+			for i := range hs {
+				if hs[i], err = g.Subscribe(p); err != nil {
+					t.Fatal(err)
+				}
+				wals[i] = ivm.NewWAL()
+				hs[i].AttachWAL(wals[i])
+				hs[i].SetNamespace(fmt.Sprintf("test/%d", i))
+			}
+			wals[0].SetSink(sink)
+			checkpoint := func() {
+				t.Helper()
+				for i, h := range hs {
+					if err := h.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := wals[i].TruncateThrough(h.TipLSN()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := func(ctx string) {
+				t.Helper()
+				if got, want := renderRows(hs[0].Result()), renderRows(hs[1].Result()); got != want {
+					t.Fatalf("%s: content diverged\ncrashed: %s\ncontrol: %s", ctx, got, want)
+				}
+				if got, want := fmt.Sprint(hs[0].Pending()), fmt.Sprint(hs[1].Pending()); got != want {
+					t.Fatalf("%s: backlog %s, control has %s", ctx, got, want)
+				}
+			}
+			mu := newMutator(int64(31 + qi))
+			drains := rand.New(rand.NewSource(int64(7 + qi)))
+			unfolded := false
+			steps := func(ctx string, n int, failOne bool) {
+				t.Helper()
+				for s := 0; s < n; s++ {
+					tables, mods := mu.step()
+					for i, mod := range mods {
+						applyLive(t, db, tables[i], mod)
+						if !g.Watches(tables[i]) {
+							continue
+						}
+						if err := g.Ingest(tables[i], mod); err != nil {
+							t.Fatal(err)
+						}
+						for _, h := range hs {
+							for _, alias := range h.Aliases() {
+								if h.TableOf(alias) == tables[i] {
+									mod.Alias = alias
+								}
+							}
+							if err := h.LogArrival(mod); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					aliases := hs[1].Aliases()
+					ai := drains.Intn(len(aliases))
+					avail := hs[1].Pending()[ai]
+					if avail == 0 {
+						continue
+					}
+					k := 1 + drains.Intn(avail)
+					if failOne && !unfolded {
+						before := renderRows(hs[0].Result())
+						sink.armed = true
+						if err := hs[0].ProcessBatch(aliases[ai], k); err == nil {
+							t.Fatal("drain committed through a failing WAL sink")
+						}
+						unfolded = true
+						if got := renderRows(hs[0].Result()); got != before {
+							t.Fatalf("%s: failed commit left the fold behind\nbefore: %s\nafter:  %s", ctx, before, got)
+						}
+					}
+					for _, h := range hs {
+						if err := h.ProcessBatch(aliases[ai], k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					check(fmt.Sprintf("%s step %d", ctx, s))
+				}
+			}
+			crash := func(ctx string) {
+				t.Helper()
+				if err := hs[0].Recover(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				check(ctx)
+			}
+
+			checkpoint()
+			steps("first interval", 10, false)
+			checkpoint()
+			// The refused drain record stays in the in-memory log; the
+			// checkpoint that closes this interval truncates it away before
+			// any replay could see it.
+			steps("interval with a failed commit", 10, true)
+			if !unfolded {
+				t.Fatal("no drain was due in the interval that should fail one")
+			}
+			checkpoint()
+			steps("before the first crash", 6, false)
+			crash("first recovery")
+			steps("between the crashes", 10, false)
+			checkpoint()
+			steps("before the second crash", 6, false)
+			crash("second recovery")
+			steps("after the second crash", 6, false)
+			checkpoint()
+			crash("recovery with nothing to replay")
+		})
+	}
+}
+
+// mallocsOf counts the heap allocations of f on one P, as
+// testing.AllocsPerRun does, for code that cannot simply run again.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// updateSale is an in-place amount update of one sale of sizedDB.
+func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
+	return ivm.Mod{
+		Kind: ivm.ModUpdate,
+		Key:  []storage.Value{storage.I(key)},
+		Row:  storage.Row{storage.I(key), storage.I(key / int64(rowsPerStation)), storage.F(amount)},
+	}
+}
+
+// TestSinkDrainAllocsIndependentOfPending: a drain that folds eight
+// sales updates into existing groups allocates the same — one key string
+// per distinct netted row — whether the sink holds 16 or 1,024 deltas
+// the drain does not cover.
+func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation, batch = 8, 8
+	drainAllocs := func(backlogStations int) (allocs uint64, pending int) {
+		g := NewGraph(sizedDB(t, 2_000, rowsPerStation))
+		p, err := ivm.PlanView(trimBenchQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := g.Subscribe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The uncovered backlog: region flips of the first stations, each
+		// retracting and re-adding its eight sales, never drained.
+		for st := 0; st < backlogStations; st++ {
+			mod := ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(int64(st))},
+				Row: storage.Row{storage.I(int64(st)), storage.S("NORTH")}}
+			if err := g.Ingest("stations", mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pending = len(h.pending)
+		// Sales of stations the backlog leaves alone.
+		next := int64(1_000)
+		for round := 0; round < 4; round++ {
+			for i := 0; i < batch; i++ {
+				if err := g.Ingest("sales", updateSale(next, rowsPerStation, float64(10+round))); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			allocs = mallocsOf(func() {
+				if err := h.ProcessBatch("s", batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if len(h.pending) != pending {
+			t.Fatalf("drains changed the uncovered backlog: %d deltas, was %d", len(h.pending), pending)
+		}
+		return allocs, pending
+	}
+	small, smallPending := drainAllocs(1)
+	large, largePending := drainAllocs(64)
+	if smallPending != 16 || largePending != 1_024 {
+		t.Fatalf("backlogs of %d and %d deltas, want 16 and 1,024", smallPending, largePending)
+	}
+	// Sixteen distinct rows are netted (old and new of eight sales).
+	if small != large || small > 2*batch {
+		t.Fatalf("a drain of %d updates allocated %d times beside 16 pending deltas, %d beside 1,024; want equal and at most %d",
+			batch, small, large, 2*batch)
+	}
+}
+
+// TestCheckpointAllocsIndependentOfViewSize: a checkpoint after the same
+// eight rows changed allocates the same over a bag of 200 rows and one
+// of 5,000.
+func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation, batch = 20, 8
+	checkpointAllocs := func(nSales int) (allocs uint64) {
+		g := NewGraph(sizedDB(t, nSales, rowsPerStation))
+		p, err := ivm.PlanView("SELECT s.salekey, s.amount FROM sales AS s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := g.Subscribe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(h.Result()); n != nSales {
+			t.Fatalf("view holds %d rows, want %d", n, nSales)
+		}
+		for round := 0; round < 4; round++ {
+			for key := int64(0); key < batch; key++ {
+				if err := g.Ingest("sales", updateSale(key, rowsPerStation, float64(100+round))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			allocs = mallocsOf(func() {
+				if err := h.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return allocs
+	}
+	small, large := checkpointAllocs(200), checkpointAllocs(5_000)
+	// Eight rows vanished and eight appeared: a copy entry and its key each.
+	if small != large || small > 2*batch+2 {
+		t.Fatalf("checkpoint allocated %d times over 200 rows, %d over 5,000; want equal and at most %d", small, large, 2*batch+2)
+	}
+}

@@ -7,11 +7,14 @@ import (
 )
 
 // groupState holds the incrementally maintainable state of one group: a
-// contribution count plus one aggregate state per aggregate item.
+// contribution count plus one aggregate state per aggregate item. dirty
+// is ViewState's mark that the group is listed as touched since the last
+// checkpoint.
 type groupState struct {
 	keyVals storage.Row // the group-by values
 	count   int64       // joined rows contributing to the group
 	aggs    []aggState
+	dirty   bool
 }
 
 // aggState is the incremental state of one aggregate.

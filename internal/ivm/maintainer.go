@@ -74,9 +74,13 @@ type preparedDelta struct {
 	op  exec.Op
 }
 
+// bagEntry is one distinct row of an SPJ view with its multiplicity.
+// dirty is ViewState's mark that the entry is listed as touched since
+// the last checkpoint.
 type bagEntry struct {
 	row   storage.Row
 	count int64
+	dirty bool
 }
 
 type itemRef struct {

@@ -16,6 +16,10 @@ import (
 // folds its operator-graph output through exactly the same state
 // machine — one implementation of the aggregate semantics (including
 // the MIN/MAX multisets), two runtimes on top.
+//
+// A state that has been checkpointed (Checkpoint, Restore) also tracks
+// which of its entries differ from the checkpoint copy, so the next
+// checkpoint costs what changed; one that never was tracks nothing.
 type ViewState struct {
 	isAgg    bool
 	gbCount  int
@@ -24,6 +28,19 @@ type ViewState struct {
 	groups   map[string]*groupState
 	bag      map[string]*bagEntry
 	stats    *storage.Stats
+
+	// keyBuf is the one buffer every fold and every patch encodes its key
+	// into; lookups index the maps with string(keyBuf), which does not
+	// allocate, so only a new entry pays for a key string.
+	keyBuf []byte
+
+	// cp is the checkpoint copy (nil until the first Checkpoint or
+	// Restore). dirtyBag and dirtyGroups list the entries folds have
+	// touched since cp was last brought up to date, each once — the
+	// entry's dirty flag — vanished ones included.
+	cp          *ViewStateSnapshot
+	dirtyBag    []*bagEntry
+	dirtyGroups []*groupState
 }
 
 // NewViewState builds the empty fold state for a planned view. stats
@@ -62,64 +79,71 @@ func (v *ViewState) Remove(rows []storage.Row) {
 // adds the row w times, w < 0 retracts it -w times. The dataflow
 // runtime's Z-set fold entry point.
 func (v *ViewState) AddWeighted(row storage.Row, w int64) {
-	for ; w > 0; w-- {
-		v.fold(row, 1)
-	}
-	for ; w < 0; w++ {
-		v.fold(row, -1)
+	if w != 0 {
+		v.fold(row, w)
 	}
 }
 
-// fold applies one unit-weight delta row.
-func (v *ViewState) fold(r storage.Row, sign int64) {
+// fold applies one delta row |w| times, w's sign choosing between adding
+// and retracting, and is charged as |w| unit folds. The bag entry or
+// group is looked up once, through keyBuf.
+func (v *ViewState) fold(r storage.Row, w int64) {
 	if v.stats != nil {
-		v.stats.RowsMaterial++
+		v.stats.RowsMaterial += uint64(max(w, -w))
 	}
 	if !v.isAgg {
-		key := storage.EncodeKey(r...)
-		e, ok := v.bag[key]
-		if sign > 0 {
-			if !ok {
-				e = &bagEntry{row: r}
-				v.bag[key] = e
+		v.keyBuf = storage.AppendKey(v.keyBuf[:0], r...)
+		e := v.bag[string(v.keyBuf)]
+		if e == nil {
+			if w < 0 {
+				panic("ivm: retracting a row absent from the view bag")
 			}
-			e.count++
-			return
+			e = &bagEntry{row: r}
+			v.bag[string(v.keyBuf)] = e
 		}
-		if !ok || e.count <= 0 {
-			panic("ivm: retracting a row absent from the view bag")
+		if e.count+w < 0 {
+			panic("ivm: retracting a row more often than the view bag holds it")
 		}
-		e.count--
+		e.count += w
+		if v.cp != nil && !e.dirty {
+			e.dirty = true
+			v.dirtyBag = append(v.dirtyBag, e)
+		}
 		if e.count == 0 {
-			delete(v.bag, key)
+			delete(v.bag, string(v.keyBuf))
 		}
 		return
 	}
-	key := storage.EncodeKey(r[:v.gbCount]...)
-	g, ok := v.groups[key]
-	if sign > 0 {
-		if !ok {
-			g = &groupState{keyVals: r[:v.gbCount].Clone(), aggs: make([]aggState, len(v.aggKinds))}
-			for i, kind := range v.aggKinds {
-				g.aggs[i] = newAggState(kind)
-			}
-			v.groups[key] = g
+	v.keyBuf = storage.AppendKey(v.keyBuf[:0], r[:v.gbCount]...)
+	g := v.groups[string(v.keyBuf)]
+	if g == nil {
+		if w < 0 {
+			panic("ivm: retracting from a missing group")
 		}
+		g = &groupState{keyVals: r[:v.gbCount].Clone(), aggs: make([]aggState, len(v.aggKinds))}
+		for i, kind := range v.aggKinds {
+			g.aggs[i] = newAggState(kind)
+		}
+		v.groups[string(v.keyBuf)] = g
+	}
+	if v.cp != nil && !g.dirty {
+		g.dirty = true
+		v.dirtyGroups = append(v.dirtyGroups, g)
+	}
+	for ; w > 0; w-- {
 		g.count++
 		for i := range g.aggs {
 			g.aggs[i].add(r[v.gbCount+i], v.stats)
 		}
-		return
 	}
-	if !ok {
-		panic("ivm: retracting from a missing group")
-	}
-	g.count--
-	for i := range g.aggs {
-		g.aggs[i].remove(r[v.gbCount+i], v.stats)
+	for ; w < 0; w++ {
+		g.count--
+		for i := range g.aggs {
+			g.aggs[i].remove(r[v.gbCount+i], v.stats)
+		}
 	}
 	if g.count == 0 {
-		delete(v.groups, key)
+		delete(v.groups, string(v.keyBuf))
 	} else if g.count < 0 {
 		panic("ivm: negative group count")
 	}
@@ -176,27 +200,31 @@ func (v *ViewState) Result() []storage.Row {
 	return out
 }
 
-// ViewStateSnapshot is the plain-data copy of a ViewState a dataflow
-// view handle keeps in memory as its checkpoint (it is never encoded):
-// groups and bag entries in sorted key order, aggregate states flattened
-// to (sum, sorted multiset) pairs. The aggregate kinds are not stored —
-// they are re-derived from the view's DeltaPlan at restore time, keeping
-// the format layout-stable.
+// ViewStateSnapshot is the checkpoint copy of a ViewState: the plain data
+// of every bag entry or group under the key the live state holds it
+// under, aggregate states flattened to (sum, sorted multiset) pairs. A
+// dataflow view handle keeps one in memory as its recovery point; it is
+// never encoded. ViewState.Checkpoint creates it and afterwards patches
+// it — only the entries touched since are rewritten or deleted, never the
+// whole copy rebuilt — and ViewState.Restore rebuilds a state from it.
+// Rows are immutable by the package's convention, so the copy aliases
+// them. The aggregate kinds are not stored: they are re-derived from the
+// view's DeltaPlan at restore time.
 type ViewStateSnapshot struct {
-	Groups []GroupSnapshot
-	Bag    []BagSnapshot
+	Groups map[string]*GroupSnapshot
+	Bag    map[string]*BagSnapshot
 }
 
-// GroupSnapshot is one group's serialized state.
+// GroupSnapshot is one group's plain-data state.
 type GroupSnapshot struct {
 	Key   storage.Row
 	Count int64
 	Aggs  []AggSnapshot
 }
 
-// AggSnapshot is one aggregate's serialized state: Sum carries
+// AggSnapshot is one aggregate's plain-data state: Sum carries
 // SUM/AVG accumulators, Multiset the sorted (value, count) pairs of a
-// MIN/MAX B-tree (nil otherwise).
+// MIN/MAX B-tree (empty otherwise).
 type AggSnapshot struct {
 	Sum      float64
 	Multiset []ValueCount
@@ -214,62 +242,121 @@ type BagSnapshot struct {
 	Count int64
 }
 
-// Snapshot serializes the state deterministically (sorted keys).
-func (v *ViewState) Snapshot() ViewStateSnapshot {
-	var snap ViewStateSnapshot
-	if v.isAgg {
-		keys := make([]string, 0, len(v.groups))
-		for k := range v.groups {
-			keys = append(keys, k)
+// Checkpoint brings the state's checkpoint copy up to date and returns
+// it — the same copy every time. The first call copies every entry;
+// each later one visits only the entries folds have touched since the
+// previous call, so its cost follows the changes, not the view's size.
+func (v *ViewState) Checkpoint() *ViewStateSnapshot {
+	if v.cp == nil {
+		v.cp = &ViewStateSnapshot{
+			Groups: make(map[string]*GroupSnapshot, len(v.groups)),
+			Bag:    make(map[string]*BagSnapshot, len(v.bag)),
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := v.groups[k]
-			gs := GroupSnapshot{Key: g.keyVals.Clone(), Count: g.count}
-			for i := range g.aggs {
-				as := AggSnapshot{Sum: g.aggs[i].sum}
-				if ms := g.aggs[i].multiset; ms != nil {
-					ms.Ascend(func(val storage.Value, n int64) bool {
-						as.Multiset = append(as.Multiset, ValueCount{V: val, N: n})
-						return true
-					})
-				}
-				gs.Aggs = append(gs.Aggs, as)
-			}
-			snap.Groups = append(snap.Groups, gs)
+		for k, e := range v.bag {
+			v.cp.Bag[k] = &BagSnapshot{Row: e.row, Count: e.count}
 		}
-		return snap
+		for k, g := range v.groups {
+			gs := &GroupSnapshot{}
+			g.copyTo(gs)
+			v.cp.Groups[k] = gs
+		}
+		return v.cp
 	}
-	keys := make([]string, 0, len(v.bag))
-	for k := range v.bag {
-		keys = append(keys, k)
+	for _, e := range v.dirtyBag {
+		e.dirty = false
+		v.patchBag(e.row)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := v.bag[k]
-		snap.Bag = append(snap.Bag, BagSnapshot{Row: e.row.Clone(), Count: e.count})
+	clear(v.dirtyBag)
+	v.dirtyBag = v.dirtyBag[:0]
+	for _, g := range v.dirtyGroups {
+		g.dirty = false
+		v.patchGroup(g.keyVals)
 	}
-	return snap
+	clear(v.dirtyGroups)
+	v.dirtyGroups = v.dirtyGroups[:0]
+	return v.cp
 }
 
-// Restore replaces the state with a snapshot's content. The snapshot
-// must come from a view with the same plan shape (aggregate count and
-// kinds); a mismatch is an error, not a panic.
-func (v *ViewState) Restore(snap ViewStateSnapshot) error {
-	v.groups = make(map[string]*groupState, len(snap.Groups))
-	v.bag = make(map[string]*bagEntry, len(snap.Bag))
+// patchBag makes the copy agree with the live bag on one row: rewritten
+// in place where both hold it, added where only the bag does, deleted
+// where the row has vanished. What the bag holds now decides, not the
+// touched entry — a row that vanished and came back is a different entry.
+func (v *ViewState) patchBag(row storage.Row) {
+	v.keyBuf = storage.AppendKey(v.keyBuf[:0], row...)
+	e := v.bag[string(v.keyBuf)]
+	bs := v.cp.Bag[string(v.keyBuf)]
+	switch {
+	case e == nil:
+		delete(v.cp.Bag, string(v.keyBuf))
+	case bs == nil:
+		v.cp.Bag[string(v.keyBuf)] = &BagSnapshot{Row: e.row, Count: e.count}
+	default:
+		bs.Row, bs.Count = e.row, e.count
+	}
+}
+
+// patchGroup is patchBag for one group key.
+func (v *ViewState) patchGroup(keyVals storage.Row) {
+	v.keyBuf = storage.AppendKey(v.keyBuf[:0], keyVals...)
+	g := v.groups[string(v.keyBuf)]
+	gs := v.cp.Groups[string(v.keyBuf)]
+	switch {
+	case g == nil:
+		delete(v.cp.Groups, string(v.keyBuf))
+	case gs == nil:
+		gs = &GroupSnapshot{}
+		g.copyTo(gs)
+		v.cp.Groups[string(v.keyBuf)] = gs
+	default:
+		g.copyTo(gs)
+	}
+}
+
+// copyTo overwrites gs with the group's plain data, reusing the slices
+// gs already holds.
+func (g *groupState) copyTo(gs *GroupSnapshot) {
+	gs.Key, gs.Count = g.keyVals, g.count
+	if gs.Aggs == nil {
+		gs.Aggs = make([]AggSnapshot, len(g.aggs))
+	}
+	for i := range g.aggs {
+		as := &gs.Aggs[i]
+		as.Sum = g.aggs[i].sum
+		as.Multiset = as.Multiset[:0]
+		if ms := g.aggs[i].multiset; ms != nil {
+			if cap(as.Multiset) < ms.Len() {
+				as.Multiset = make([]ValueCount, 0, ms.Len())
+			}
+			ms.Ascend(func(val storage.Value, n int64) bool {
+				as.Multiset = append(as.Multiset, ValueCount{V: val, N: n})
+				return true
+			})
+		}
+	}
+}
+
+// Restore replaces the state with a checkpoint copy's content and adopts
+// snap as the copy later checkpoints patch: the two agree entry for
+// entry afterwards, so nothing is marked touched. The snapshot must come
+// from a view with the same plan shape (aggregate count and kinds); a
+// mismatch is an error, not a panic, and leaves the state as it was.
+func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
+	groups := make(map[string]*groupState, len(snap.Groups))
+	bag := make(map[string]*bagEntry, len(snap.Bag))
 	if v.isAgg {
 		if len(snap.Bag) > 0 {
 			return fmt.Errorf("ivm: bag entries in an aggregate view snapshot")
 		}
-		for _, gs := range snap.Groups {
+		for k, gs := range snap.Groups {
 			if len(gs.Aggs) != len(v.aggKinds) {
+				//lint:ignore maporder one view's groups share a shape: any of them witnesses the mismatch
 				return fmt.Errorf("ivm: snapshot group carries %d aggregates, plan has %d", len(gs.Aggs), len(v.aggKinds))
 			}
 			if len(gs.Key) != v.gbCount {
+				//lint:ignore maporder as above
 				return fmt.Errorf("ivm: snapshot group key width %d, plan has %d", len(gs.Key), v.gbCount)
 			}
-			g := &groupState{keyVals: gs.Key.Clone(), count: gs.Count, aggs: make([]aggState, len(v.aggKinds))}
+			g := &groupState{keyVals: gs.Key, count: gs.Count, aggs: make([]aggState, len(v.aggKinds))}
 			for i, kind := range v.aggKinds {
 				g.aggs[i] = newAggState(kind)
 				g.aggs[i].sum = gs.Aggs[i].Sum
@@ -279,15 +366,17 @@ func (v *ViewState) Restore(snap ViewStateSnapshot) error {
 					}
 				}
 			}
-			v.groups[storage.EncodeKey(g.keyVals...)] = g
+			groups[k] = g
 		}
-		return nil
+	} else {
+		if len(snap.Groups) > 0 {
+			return fmt.Errorf("ivm: group entries in an SPJ view snapshot")
+		}
+		for k, bs := range snap.Bag {
+			bag[k] = &bagEntry{row: bs.Row, count: bs.Count}
+		}
 	}
-	if len(snap.Groups) > 0 {
-		return fmt.Errorf("ivm: group entries in an SPJ view snapshot")
-	}
-	for _, bs := range snap.Bag {
-		v.bag[storage.EncodeKey(bs.Row...)] = &bagEntry{row: bs.Row.Clone(), count: bs.Count}
-	}
+	v.groups, v.bag, v.cp = groups, bag, snap
+	v.dirtyBag, v.dirtyGroups = nil, nil
 	return nil
 }

@@ -58,9 +58,12 @@ type WALSink interface {
 type WAL struct {
 	mu   sync.Mutex
 	recs []WALRecord
-	next uint64
-	sink WALSink
-	obs  *Metrics
+	// period is the number of records the last emptying truncation
+	// dropped: the capacity the next backing array starts at.
+	period int
+	next   uint64
+	sink   WALSink
+	obs    *Metrics
 }
 
 // NewWAL returns an empty log.
@@ -114,6 +117,9 @@ func (w *WAL) Append(rec WALRecord) (uint64, error) {
 	defer w.mu.Unlock()
 	rec.LSN = w.next
 	w.next++
+	if w.recs == nil {
+		w.recs = make([]WALRecord, 0, w.period)
+	}
 	w.recs = append(w.recs, rec)
 	w.obs.observeWALAppend(len(w.recs))
 	if w.sink != nil {
@@ -175,15 +181,21 @@ func (w *WAL) Replay(lsn uint64, fn func(WALRecord) error) error {
 // unaffected. Truncation re-slices instead of copying down — O(1), and
 // it preserves the write-once record cells that make Replay's captured
 // suffixes immutable; the abandoned prefix is reclaimed when the backing
-// array next grows (or immediately, when the log empties). With a sink
-// attached the truncation is mirrored to the durable backend (which may
-// retain a longer suffix for its own fallback ladder); a sink error is
-// returned after the in-memory truncation has happened.
+// array next grows, or at once when the log empties. An emptied log's
+// next append starts a fresh array as large as the records just dropped
+// — a checkpoint period's worth, so the period appends without regrowing
+// — and never goes back onto the old one, which a Replay may still be
+// reading. With a sink attached the truncation is mirrored to the durable
+// backend (which may retain a longer suffix for its own fallback ladder);
+// a sink error is returned after the in-memory truncation has happened.
 func (w *WAL) TruncateThrough(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	i := w.suffixFrom(lsn)
 	if i == len(w.recs) {
+		if i > 0 {
+			w.period = i
+		}
 		w.recs = nil
 	} else {
 		w.recs = w.recs[i:]

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abivm/internal/storage"
+	"abivm/internal/testenv"
 )
 
 func TestWALAppendSinceTruncate(t *testing.T) {
@@ -129,6 +130,54 @@ func TestWALTruncateAllReleasesLog(t *testing.T) {
 	}
 	if got := w.Since(0); len(got) != 1 || got[0].LSN != 5 {
 		t.Fatalf("Since(0) = %+v", got)
+	}
+}
+
+// appendPeriod appends n drain records under alias and truncates them all
+// away, as a checkpoint period does.
+func appendPeriod(t *testing.T, w *WAL, alias string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(WALRecord{Kind: WALDrain, Alias: alias, K: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.TruncateThrough(w.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALPeriodAllocsOneArray: a log that a checkpoint empties every
+// period appends the next period into one array sized by the last.
+func TestWALPeriodAllocsOneArray(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	w := NewWAL()
+	if n := testing.AllocsPerRun(10, func() { appendPeriod(t, w, "a", 100) }); n != 1 {
+		t.Errorf("a period of 100 appends and its truncation allocated %v times, want 1", n)
+	}
+}
+
+// TestWALEmptiedLogLeavesOldArrayAlone: the array an emptied log moves to
+// is a fresh one, so a suffix captured the way Replay captures it stays
+// intact while later periods go by.
+func TestWALEmptiedLogLeavesOldArrayAlone(t *testing.T) {
+	w := NewWAL()
+	appendPeriod(t, w, "a", 50)
+	for i := 0; i < 50; i++ {
+		if _, err := w.Append(WALRecord{Kind: WALDrain, Alias: "held", K: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := w.recs
+	if err := w.TruncateThrough(w.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+	appendPeriod(t, w, "b", 50)
+	appendPeriod(t, w, "c", 50)
+	for i, rec := range held {
+		if rec.Alias != "held" || rec.K != i {
+			t.Fatalf("record %d of a captured suffix was overwritten: %+v", i, rec)
+		}
 	}
 }
 

@@ -251,10 +251,14 @@ func TestPlanTransformsDoNotAliasInput(t *testing.T) {
 		"MakeLazyPlan": MakeLazyPlan,
 		"MakeLGMPlan":  MakeLGMPlan,
 	} {
-		q := transform(in, p.Clone())
+		// Each transform gets its own copy of the plan: scribbling over
+		// the shared one made whichever transform the map yielded second
+		// run on garbage (and MakeLazyPlan panic on it).
+		input := p.Clone()
+		q := transform(in, input)
 		snapshot := q.Clone()
 		// Scribble over the input plan's vectors.
-		for _, act := range p {
+		for _, act := range input {
 			for i := range act {
 				act[i] = 997
 			}

@@ -106,10 +106,13 @@ type sub struct {
 	// Exactly one of m / h is set: m is the classic per-view maintainer,
 	// h the shared-dataflow sink (see SetSharedDataflow). engine()
 	// returns whichever is live.
-	m        *ivm.Maintainer
-	h        *dataflow.ViewHandle
-	pol      policy.Policy
-	aliasIdx map[string]int
+	m   *ivm.Maintainer
+	h   *dataflow.ViewHandle
+	pol policy.Policy
+	// tableIdx routes a modification: base table -> index (in Aliases()
+	// and stepMods) of the alias that receives it, resolved once at
+	// subscribe.
+	tableIdx map[string]int
 	stepMods core.Vector
 	total    float64
 
@@ -347,11 +350,8 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	pol.Reset(n)
 	s := &sub{
 		cfg: cfg, m: m, pol: pol,
-		aliasIdx: map[string]int{}, stepMods: core.NewVector(n),
+		tableIdx: tableIndex(m), stepMods: core.NewVector(n),
 		wal: ivm.NewWAL(), lastFresh: b.step,
-	}
-	for i, a := range m.Aliases() {
-		s.aliasIdx[a] = i
 	}
 	// Durability from the first step: attach the redo log, stamp the
 	// durability namespace, and take the initial checkpoint, so a crash
@@ -408,20 +408,11 @@ func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	}
 	routed := false
 	for _, s := range b.subs {
-		// Resolve the table to an alias in registration order, not map
-		// order: a self-join view references the same table under two
-		// aliases, and which one receives the mod must be deterministic.
-		idx := -1
-		for _, alias := range s.m.Aliases() {
-			if b.tableOf(s, alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
-				break
-			}
-		}
-		if idx < 0 {
+		idx, ok := s.tableIdx[table]
+		if !ok {
 			continue
 		}
+		mod.Alias = s.m.Aliases()[idx]
 		if !routed {
 			if err := s.m.Apply(mod); err != nil {
 				return err
@@ -456,18 +447,11 @@ func (b *Broker) publishDeferred(table string, mod ivm.Mod) (int, error) {
 	}
 	routed := 0
 	for _, s := range b.subs {
-		// Registration-order alias resolution, as in Publish.
-		idx := -1
-		for _, alias := range s.m.Aliases() {
-			if b.tableOf(s, alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
-				break
-			}
-		}
-		if idx < 0 {
+		idx, ok := s.tableIdx[table]
+		if !ok {
 			continue
 		}
+		mod.Alias = s.m.Aliases()[idx]
 		if err := s.m.ApplyDeferred(mod); err != nil {
 			return routed, err
 		}
@@ -483,10 +467,8 @@ func (b *Broker) watchesTable(table string) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	for _, s := range b.subs {
-		for alias := range s.aliasIdx {
-			if b.tableOf(s, alias) == table {
-				return true
-			}
+		if _, ok := s.tableIdx[table]; ok {
+			return true
 		}
 	}
 	return false
@@ -524,8 +506,19 @@ func (b *Broker) pending(s *sub) core.Vector {
 	return core.Vector(s.pendBuf)
 }
 
-// tableOf resolves a subscription alias to its base table name.
-func (b *Broker) tableOf(s *sub, alias string) string { return s.engine().TableOf(alias) }
+// tableIndex builds a subscription's routing table: each base table the
+// view reads -> the index of the first alias, in registration order, it
+// is read under.
+func tableIndex(eng viewEngine) map[string]int {
+	idx := make(map[string]int)
+	for i, alias := range eng.Aliases() {
+		table := eng.TableOf(alias)
+		if _, seen := idx[table]; !seen {
+			idx[table] = i
+		}
+	}
+	return idx
+}
 
 // applyLive applies one modification to a live base table on behalf of
 // the sharded ingest path, enforcing the same update rule the maintainer
@@ -653,7 +646,7 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	if err := b.checkpointDue(); err != nil {
 		return nil, err
 	}
-	if b.shared != nil {
+	if b.shared != nil && b.obs != nil {
 		b.obs.syncDataflow(b.shared.Stats())
 	}
 	b.obs.observeStep(stepStart)

@@ -110,11 +110,8 @@ func (b *Broker) subscribeShared(cfg Subscription, ns string) (*sub, error) {
 	pol.Reset(n)
 	s := &sub{
 		cfg: cfg, h: h, pol: pol,
-		aliasIdx: map[string]int{}, stepMods: core.NewVector(n),
+		tableIdx: tableIndex(h), stepMods: core.NewVector(n),
 		wal: ivm.NewWAL(), lastFresh: b.step,
-	}
-	for i, a := range h.Aliases() {
-		s.aliasIdx[a] = i
 	}
 	h.AttachWAL(s.wal)
 	h.SetNamespace(ns)
@@ -158,18 +155,11 @@ func (b *Broker) Unsubscribe(name string) error {
 func (b *Broker) publishShared(table string, mod ivm.Mod, live bool) (int, error) {
 	routed := 0
 	for _, s := range b.subs {
-		// Registration-order alias resolution, as in classic Publish.
-		idx := -1
-		for _, alias := range s.h.Aliases() {
-			if s.h.TableOf(alias) == table {
-				idx = s.aliasIdx[alias]
-				mod.Alias = alias
-				break
-			}
-		}
-		if idx < 0 {
+		idx, ok := s.tableIdx[table]
+		if !ok {
 			continue
 		}
+		mod.Alias = s.h.Aliases()[idx]
 		if routed == 0 {
 			if live {
 				if err := applyLive(b.db, table, mod); err != nil {

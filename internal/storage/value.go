@@ -195,8 +195,11 @@ func AppendKey(dst []byte, vals ...Value) []byte {
 // Row.SameKey holds, strings containing NUL included — so it is safe as
 // a map key; for lists whose columns agree in type it is also
 // order-preserving. It is used for hash-index and primary-key maps.
+// Keys of up to 64 bytes are built in a stack array, so the returned
+// string is the only allocation.
 func EncodeKey(vals ...Value) string {
-	return string(AppendKey(nil, vals...))
+	var a [64]byte
+	return string(AppendKey(a[:0], vals...))
 }
 
 // Row is one tuple. Rows are positional; the schema maps names to

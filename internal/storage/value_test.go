@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"abivm/internal/testenv"
 )
 
 func TestValueAccessors(t *testing.T) {
@@ -177,6 +179,25 @@ func TestEncodeKeyOrderPreservingFloats(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("float key encoding not order-preserving: %q", keys)
+	}
+}
+
+// TestEncodeKeyOneAlloc: a key of up to 64 bytes is built on the stack,
+// so the string is the only allocation; a longer one is still the same
+// encoding AppendKey produces.
+func TestEncodeKeyOneAlloc(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	vals := []Value{I(42), S("a station name")}
+	var key string
+	if n := testing.AllocsPerRun(100, func() { key = EncodeKey(vals...) }); n != 1 {
+		t.Errorf("EncodeKey of a %d-byte key allocated %v times, want 1", len(key), n)
+	}
+	if want := string(AppendKey(nil, vals...)); key != want || len(key) > 64 {
+		t.Errorf("EncodeKey = %q (%d bytes), AppendKey = %q", key, len(key), want)
+	}
+	long := []Value{S(strings.Repeat("x\x00", 100)), I(7)}
+	if got, want := EncodeKey(long...), string(AppendKey(nil, long...)); got != want || len(got) < 200 {
+		t.Errorf("EncodeKey of a long key = %q, AppendKey = %q", got, want)
 	}
 }
 

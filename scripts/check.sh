@@ -34,7 +34,7 @@ go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 # testing.AllocsPerRun assertions skip themselves under -race (see
 # internal/testenv), so the packages that have them run once more without.
 echo "==> go test (allocation counts, no race detector)"
-go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable
+go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or
