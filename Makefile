@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify fuzz-smoke chaos bench bench-quick bench-gate serve-smoke compile-smoke docs-check
+.PHONY: build test race lint lint-json lint-self vet verify fuzz-smoke chaos bench bench-quick serve-smoke compile-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -36,9 +36,10 @@ vet:
 verify:
 	sh scripts/check.sh
 
-# fuzz-smoke runs every native fuzz target (the decoders of snapshots,
-# checkpoint segments, WAL frames and the MANIFEST, and the key codec)
-# for 10s each from its committed seed corpus.
+# fuzz-smoke runs every native fuzz target (the SQL front end, the
+# decoders of snapshots, checkpoint segments, WAL frames and the
+# MANIFEST, and the key codec) for 10s each from its committed seed
+# corpus.
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 
@@ -56,13 +57,6 @@ bench:
 # bench-quick is the CI smoke: one iteration of the headline benches.
 bench-quick:
 	sh scripts/bench.sh -quick -label quick
-
-# bench-gate re-runs the durability benchmarks at a pinned iteration
-# count and fails on a >15% ns/op or allocs/op regression against the
-# committed gate-baseline label, in the newest BENCH_<date>.json that
-# holds it.
-bench-gate:
-	sh scripts/bench_gate.sh
 
 # serve-smoke boots `abivm serve` and asserts the ops endpoints answer
 # with the required metric series.

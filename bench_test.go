@@ -7,22 +7,17 @@ package abivm
 // tractable; run `cmd/abivm all` for the full-resolution tables.
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"abivm/internal/arrivals"
 	"abivm/internal/astar"
 	"abivm/internal/core"
 	"abivm/internal/costfn"
 	"abivm/internal/costmodel"
-	"abivm/internal/durable"
 	"abivm/internal/experiments"
-	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/obs"
 	"abivm/internal/policy"
-	"abivm/internal/pubsub"
 	"abivm/internal/sim"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
@@ -386,275 +381,6 @@ func BenchmarkIndexAsymmetry(b *testing.B) {
 	b.Run("unindexed-S-10x", func(b *testing.B) { run(b, "S", 0.02) })
 }
 
-// BenchmarkShardedStep measures broker step throughput on the sharded
-// runtime at 1/4/8 shards over one fixed 16-subscription workload where
-// every subscription fully refreshes each step. Drains suffer injected
-// transient failures whose retry backoff sleeps real wall-clock time
-// (fixed 2ms, no jitter) — the benchmark's stand-in for the I/O stalls a
-// persistent backend would impose. The speedup therefore comes from
-// shard workers overlapping their stalls, which is exactly the
-// concurrency the sharded runtime exists to exploit and the only kind
-// available on a single-core runner; see EXPERIMENTS.md for the
-// methodology note.
-func BenchmarkShardedStep(b *testing.B) {
-	const seed = 1
-	spec := pubsub.ScaledWorkloadSpec(16)
-	spec.NotifyEvery = 1
-	rates := fault.Rates{DrainPlan: 0.8}
-	pol := pubsub.DefaultRetryPolicy()
-	pol.BaseDelay = 2 * time.Millisecond
-	pol.MaxDelay = 2 * time.Millisecond
-	pol.Jitter = 0
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			w, err := pubsub.NewShardedDemoWorkload(seed, shards, spec,
-				pubsub.SeededShardInjectors(seed, rates))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			w.Broker.SetRetryPolicy(pol)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
-		})
-	}
-}
-
-// BenchmarkCheckpointHeavy measures one broker step in the most
-// checkpoint-bound configuration the runtime supports: an 8-subscription
-// workload (each subscription replicating the full stations+sales base
-// state) checkpointing after EVERY step. Before incremental
-// checkpointing each op re-serialized eight full replica snapshots; with
-// it each op writes eight delta segments covering only the step's
-// changed rows. allocs/op is reported because the checkpoint path is the
-// durability hot path's dominant allocator.
-func BenchmarkCheckpointHeavy(b *testing.B) {
-	w, err := pubsub.NewDemoWorkloadSpec(1, pubsub.ScaledWorkloadSpec(8), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Broker.SetCheckpointEvery(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkChainRollover measures the one checkpoint in every
-// DefaultChainDepth+1 that replaces the chain with a fresh base: a
-// three-column replica of 1k/10k/100k rows, 128 dirty keys per
-// checkpoint. Only that checkpoint is timed; the delta checkpoints and
-// the drains between rollovers run with the timer stopped. It is the
-// O(table) term of the checkpoint path: ns/op and B/op scale with rows
-// (the benchmark records how steeply), allocs/op must not.
-func BenchmarkChainRollover(b *testing.B) {
-	const dirtyKeys = 128
-	for _, rows := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			db := storage.NewDB()
-			schema, err := storage.NewSchema("sales", []storage.Column{
-				{Name: "salekey", Type: storage.TInt},
-				{Name: "station", Type: storage.TString},
-				{Name: "amount", Type: storage.TFloat},
-			}, "salekey")
-			if err != nil {
-				b.Fatal(err)
-			}
-			tbl, err := db.CreateTable(schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			station := func(k int) storage.Value { return storage.S(fmt.Sprintf("st%03d", k%100)) }
-			for k := 0; k < rows; k++ {
-				if err := tbl.Insert(storage.Row{storage.I(int64(k)), station(k), storage.F(float64(k % 500))}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m, err := ivm.New(db, `SELECT s.station, COUNT(*) AS n, SUM(s.amount) AS total FROM sales AS s GROUP BY s.station`)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wal := ivm.NewWAL()
-			m.AttachWAL(wal)
-			chain := ivm.NewCheckpointChain(ivm.DefaultChainDepth)
-			next := 0
-			// dirty updates dirtyKeys distinct rows and drains them.
-			dirty := func() {
-				for j := 0; j < dirtyKeys; j++ {
-					k := next % rows
-					next += 7919 // a stride coprime to every size spreads the keys
-					key := storage.I(int64(k))
-					row := storage.Row{key, station(k), storage.F(float64((next + j) % 500))}
-					if err := m.Apply(ivm.Update("s", []storage.Value{key}, row)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := m.ProcessBatch("s", dirtyKeys); err != nil {
-					b.Fatal(err)
-				}
-			}
-			checkpoint := func() {
-				if err := chain.Checkpoint(m); err != nil {
-					b.Fatal(err)
-				}
-				if err := wal.TruncateThrough(chain.TipLSN()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			checkpoint() // the first base
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for d := 0; d < ivm.DefaultChainDepth; d++ {
-					dirty()
-					checkpoint()
-				}
-				dirty()
-				b.StartTimer()
-				checkpoint()
-				if chain.Depth() != 0 {
-					b.Fatalf("checkpoint %d did not replace the chain: depth %d", i, chain.Depth())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDrainHotPath measures the fault-free publish→drain→notify
-// step loop with periodic checkpoints disabled: pure hot-path work
-// (routing, WAL appends, queue drains, refresh, notification fan-out)
-// with every subscription refreshing every step. allocs/op is the
-// headline number — the allocation-lean pass (queue recycling, pending
-// scratch buffers, in-place step-vector reset) shows up here.
-func BenchmarkDrainHotPath(b *testing.B) {
-	spec := pubsub.ScaledWorkloadSpec(4)
-	spec.NotifyEvery = 1
-	w, err := pubsub.NewDemoWorkloadSpec(1, spec, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Broker.SetCheckpointEvery(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWALFileAppend measures the file-backed WAL hot path: one
-// arrival record framed (length + CRC32C) into the append buffer and
-// flushed to the on-disk segment — the worst-case sync-per-record
-// discipline (the broker amortizes the flush over a full step; this
-// pins the unamortized cost). Runs under bench-gate at a pinned
-// iteration count: the current segment grows across iterations, so only
-// fixed-count runs compare cleanly.
-func BenchmarkWALFileAppend(b *testing.B) {
-	fsys, err := durable.NewDirFS(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := durable.NewStore(fsys, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wal := ivm.NewWAL()
-	wal.SetSink(st)
-	mod := ivm.Insert("PS", storage.Row{storage.I(1), storage.I(2), storage.F(3)})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wal.Append(ivm.WALRecord{Kind: ivm.WALArrival, Mod: mod}); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Sync(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDiskRecovery measures corruption-hardened recovery from a
-// realistic clean on-disk state: a base checkpoint, a depth-3 delta
-// chain, and an uncheckpointed WAL suffix, all on real files. Each op
-// validates every segment checksum, decodes the chain, rebuilds the
-// maintainer, and replays the WAL tail — the crash-restart path end to
-// end on recovery's fast rung.
-func BenchmarkDiskRecovery(b *testing.B) {
-	const depth = 3
-	cfg := tpcr.Config{ScaleFactor: 0.002, Seed: 1, SupplierSuppkeyIndex: true}
-	db := storage.NewDB()
-	if err := tpcr.Generate(db, cfg); err != nil {
-		b.Fatal(err)
-	}
-	fsys, err := durable.NewDirFS(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := durable.NewStore(fsys, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := ivm.New(db, tpcr.PaperView)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.SetNamespace("bench")
-	wal := ivm.NewWAL()
-	m.AttachWAL(wal)
-	chain := ivm.NewCheckpointChain(depth)
-	wal.SetSink(st)
-	chain.SetStore(st)
-	if err := chain.Checkpoint(m); err != nil {
-		b.Fatal(err)
-	}
-	gen := tpcr.NewUpdateGen(db, cfg, 5)
-	step := func(n int) {
-		for j := 0; j < n; j++ {
-			if err := m.Apply(gen.PartSuppUpdate()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := m.ProcessBatch("PS", n); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for r := 0; r < depth; r++ {
-		step(25)
-		if err := chain.Checkpoint(m); err != nil {
-			b.Fatal(err)
-		}
-		if err := wal.TruncateThrough(chain.TipLSN()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	step(25)
-	if err := st.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := st.Recover(db, tpcr.PaperView, depth, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec.Fallback {
-			b.Fatal("unexpected full-refresh fallback recovering clean state")
-		}
-	}
-}
-
 // --- micro-benchmarks on the core algorithms -------------------------
 
 // BenchmarkAStarSearch measures planning throughput on the standard
@@ -676,32 +402,6 @@ func BenchmarkOnlinePolicyRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(in, policy.NewOnline(in.Model, in.C, nil), sim.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProcessBatch measures raw engine throughput for a
-// 50-modification PartSupp batch on the paper view.
-func BenchmarkProcessBatch(b *testing.B) {
-	cfg := tpcr.Config{ScaleFactor: 0.002, Seed: 1, SupplierSuppkeyIndex: true}
-	db := storage.NewDB()
-	if err := tpcr.Generate(db, cfg); err != nil {
-		b.Fatal(err)
-	}
-	m, err := ivm.New(db, tpcr.PaperView)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := tpcr.NewUpdateGen(db, cfg, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 50; j++ {
-			if err := m.Apply(gen.PartSuppUpdate()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := m.ProcessBatch("PS", 50); err != nil {
 			b.Fatal(err)
 		}
 	}

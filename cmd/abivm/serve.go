@@ -14,6 +14,7 @@ import (
 	"abivm/internal/fault"
 	"abivm/internal/obs"
 	"abivm/internal/pubsub"
+	"abivm/internal/storage"
 	"abivm/internal/viewc"
 )
 
@@ -30,6 +31,7 @@ import (
 //	abivm serve -addr 127.0.0.1:8080 -seed 1 -interval 50ms -faults
 //	abivm serve -shared -faults
 //	abivm serve -shards 4 -faults
+//	abivm serve -shards 2 -shared -catalog examples/views.sql
 //	abivm serve -data-dir /var/lib/abivm -faults
 //	abivm serve -catalog examples/views.sql
 func runServe(ctx context.Context, args []string) error {
@@ -43,72 +45,42 @@ func runServe(ctx context.Context, args []string) error {
 	tracebuf := fs.Int("tracebuf", obs.DefaultTraceCapacity, "span ring-buffer capacity")
 	shards := fs.Int("shards", 0, "run the sharded broker runtime with this many shards over a 2*shards-region workload (0 = serial broker)")
 	dataDir := fs.String("data-dir", "", "persist each subscription's WAL and checkpoints under this directory (empty = in-memory durability)")
-	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in east/west pair (serial broker only)")
-	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (serial broker, in-memory durability)")
+	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in per-region aggregates")
+	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph (per shard) instead of per-view maintainers (in-memory durability only)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *catalog != "" && *shards > 0 {
-		return fmt.Errorf("serve: -catalog currently runs on the serial broker; drop -shards")
-	}
-	if *shared && *shards > 0 {
-		return fmt.Errorf("serve: -shared currently runs on the serial broker; drop -shards")
 	}
 	if *shared && *dataDir != "" {
 		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
 	}
-	var opener durable.Opener
-	if *dataDir != "" {
-		opener = durable.DirOpener(*dataDir)
-	}
-
-	// Both runtimes expose the same stepping and health surface; the
-	// sharded path widens the workload to 2*shards regions so the
-	// assignment policy has subscriptions to spread.
-	var (
-		step   func() ([]pubsub.Notification, error)
-		health healthSource
-		setObs func(*obs.Registry, *obs.Tracer)
-	)
+	// The sharded runtime widens the workload to 2*shards regions so the
+	// placement rule has subscriptions to spread.
+	cfg := pubsub.RuntimeConfig{Seed: *seed, Spec: pubsub.DefaultWorkloadSpec(), Shards: *shards, Shared: *shared}
 	if *shards > 0 {
-		var factory func(int) fault.Injector
-		if *faults {
-			factory = pubsub.SeededShardInjectors(*seed, fault.DefaultRates())
-		}
-		w, err := pubsub.NewShardedDemoWorkloadDurable(*seed, *shards, pubsub.ScaledWorkloadSpec(2*(*shards)), factory, opener)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		defer w.Close()
-		step, health, setObs = w.Step, w.Broker, w.Broker.SetObs
-	} else {
-		var inj fault.Injector
-		if *faults {
-			inj = fault.NewSeeded(*seed, fault.DefaultRates())
-		}
-		var w *pubsub.DemoWorkload
-		var err error
-		switch {
-		case *catalog != "":
-			w, err = catalogWorkload(*catalog, *seed, inj, opener, *shared)
-		case *shared:
-			w, err = pubsub.NewDemoWorkloadShared(*seed, pubsub.DefaultWorkloadSpec(), inj)
-		default:
-			w, err = pubsub.NewDemoWorkloadDurable(*seed, pubsub.DefaultWorkloadSpec(), inj, opener)
-		}
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		step, health, setObs = w.Step, w.Broker, w.Broker.SetObs
+		cfg.Spec = pubsub.ScaledWorkloadSpec(2 * (*shards))
 	}
+	if *dataDir != "" {
+		cfg.Opener = durable.DirOpener(*dataDir)
+	}
+	if *faults {
+		cfg.Injectors = pubsub.SeededShardInjectors(*seed, fault.DefaultRates())
+	}
+	if *catalog != "" {
+		cfg.Subscribe = subscribeCatalog(*catalog, *seed, *shared)
+	}
+	w, err := pubsub.NewDemoWorkload(cfg)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	defer w.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(*tracebuf)
-	setObs(reg, tr)
+	w.Broker.SetObs(reg, tr)
 
 	mux := obs.NewMux(obs.Options{
 		Registry: reg,
 		Tracer:   tr,
-		Health:   brokerHealth(health),
+		Health:   brokerHealth(w.Broker),
 		Pprof:    *pprofOn,
 	})
 	ln, err := net.Listen("tcp", *addr)
@@ -131,7 +103,7 @@ loop:
 		case err := <-serveErr:
 			return fmt.Errorf("serve: http server: %w", err)
 		case <-ticker.C:
-			if _, err := step(); err != nil {
+			if _, err := w.Step(); err != nil {
 				stepErr = fmt.Errorf("serve: workload step: %w", err)
 				break loop
 			}
@@ -151,53 +123,36 @@ loop:
 	return stepErr
 }
 
-// catalogWorkload builds the demo workload with subscriptions compiled
-// from a views.sql catalog instead of the built-in east/west pair: the
-// catalog is compiled against the demo database (delta plans, sandboxed
-// cost calibration, QoS from each statement's QOS clause) and every
-// compiled view is registered through SubscribeCompiled. The event
-// stream is the same seeded stations/sales stream the built-in demo
-// uses, so any catalog view over those tables sees live deltas.
-func catalogWorkload(path string, seed int64, inj fault.Injector, opener durable.Opener, shared bool) (*pubsub.DemoWorkload, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec := pubsub.DefaultWorkloadSpec()
-	db, err := pubsub.DemoDB(spec)
-	if err != nil {
-		return nil, err
-	}
-	views, err := viewc.CompileCatalog(db, string(src), viewc.Options{Seed: seed, Condition: pubsub.Every(5), Dataflow: shared})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
-	return pubsub.NewDemoWorkloadOn(db, seed, spec, inj, opener, func(b *pubsub.Broker) error {
-		if shared {
-			if err := b.SetSharedDataflow(true); err != nil {
-				return err
-			}
+// subscribeCatalog returns the subscribe step that serves a views.sql
+// catalog instead of the built-in per-region aggregates: the catalog is
+// compiled against the demo database (delta plans, sandboxed cost
+// calibration, QoS from each statement's QOS clause) and every compiled
+// view is registered through SubscribeCompiled. The event stream is the
+// same seeded stations/sales stream the built-in demo uses, so any
+// catalog view over those tables sees live deltas.
+func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pubsub.Runtime) error {
+	return func(db *storage.DB, rt pubsub.Runtime) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
 		}
+		views, err := viewc.CompileCatalog(db, string(src), viewc.Options{Seed: seed, Condition: pubsub.Every(5), Dataflow: shared})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
 		for _, cv := range views {
-			if err := b.SubscribeCompiled(cv); err != nil {
+			if err := rt.SubscribeCompiled(cv); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-}
-
-// healthSource is the health surface the serial and sharded brokers
-// share: subscription names plus per-subscription health snapshots.
-type healthSource interface {
-	Subscriptions() []string
-	Health(name string) (pubsub.Health, error)
+	}
 }
 
 // brokerHealth aggregates per-subscription broker health into the
 // /healthz probe: healthy iff no subscription is degraded.
-func brokerHealth(b healthSource) obs.HealthFunc {
+func brokerHealth(b pubsub.Runtime) obs.HealthFunc {
 	return func() (any, bool) {
 		type subHealth struct {
 			Name string `json:"name"`

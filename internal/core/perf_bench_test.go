@@ -35,14 +35,6 @@ func BenchmarkVectorKey(b *testing.B) {
 	}
 }
 
-func BenchmarkVectorKeyLegacy(b *testing.B) {
-	v := benchVector()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = legacyKey(v)
-	}
-}
-
 func BenchmarkGreedyActionSet(b *testing.B) {
 	m := NewCostModel(linFunc{0.5, 2}, linFunc{1.5, 1}, linFunc{0.8, 3})
 	s := Vector{14, 9, 22}

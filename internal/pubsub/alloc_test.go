@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"abivm/internal/fault"
+	"abivm/internal/ivm"
+	"abivm/internal/storage"
 	"abivm/internal/testenv"
 )
 
@@ -21,7 +23,8 @@ import (
 // empty vectors.
 func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 	t.Helper()
-	w, err := NewDemoWorkload(seed, fault.NewSeeded(seed, fault.DefaultRates()))
+	w, err := NewDemoWorkload(RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
+		Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatalf("NewDemoWorkload: %v", err)
 	}
@@ -30,7 +33,7 @@ func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	return w.Broker
+	return w.Broker.(*Broker)
 }
 
 func TestHealthIntoAllocFree(t *testing.T) {
@@ -84,5 +87,60 @@ func BenchmarkBacklogCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.backlogCost()
+	}
+}
+
+// publishAllocsPerSub measures what routing one modification costs per
+// watching subscription: the allocation count of a batch of sales
+// inserts published to a broker with n overlapping views, minus the same
+// batch on a one-view broker (the live-table change and the graph's
+// shared work cancel out), per modification and extra subscription.
+func publishAllocsPerSub(t *testing.T, shared bool, n int) float64 {
+	const batch = 512
+	run := func(views int) float64 {
+		db, err := chaosDB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBroker(db)
+		if shared {
+			if err := b.SetSharedDataflow(true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		subscribeSharedViews(t, b, views)
+		next := int64(1000)
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < batch; i++ {
+				row := storage.Row{storage.I(next), storage.I(next % 8), storage.F(1)}
+				next++
+				if err := b.Publish("sales", ivm.Insert("", row)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	return (run(n) - run(1)) / float64(batch*(n-1))
+}
+
+// TestPublishRoutingAllocs pins the ingest hot path on both engines:
+// handing a modification to one more subscription costs no allocation
+// beyond the amortized growth of that subscription's queue and redo log
+// (a few dozen doublings over the batch — far below one per
+// modification). An arrival method that allocates per call — a variadic
+// parameter behind the viewEngine interface does — lands at one or more
+// and fails here, before it shows up as +24 allocs/mod on a 24-view
+// workload.
+func TestPublishRoutingAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	for _, mode := range []struct {
+		name   string
+		shared bool
+	}{{"classic", false}, {"shared", true}} {
+		if got := publishAllocsPerSub(t, mode.shared, 24); got >= 0.5 {
+			t.Errorf("%s: routing one modification costs %.2f allocations per subscription, want amortized growth only (< 0.5)", mode.name, got)
+		} else {
+			t.Logf("%s: %.3f allocations per modification per subscription", mode.name, got)
+		}
 	}
 }

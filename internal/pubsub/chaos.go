@@ -125,10 +125,12 @@ type chaosEvent struct {
 	mod   ivm.Mod
 }
 
-// chaosDBSpec builds the deterministic base database of the chaos
+// DemoDB builds the deterministic base database of the demo and chaos
 // workload — stations(stationkey, region) and sales(salekey, station,
-// amount) — sized by the spec.
-func chaosDBSpec(spec WorkloadSpec) (*storage.DB, error) {
+// amount), sized by the spec — without a broker on top. The compiler
+// front end calibrates catalog views against it, and tests use it to
+// hand-wire comparison brokers.
+func DemoDB(spec WorkloadSpec) (*storage.DB, error) {
 	db := storage.NewDB()
 	st, err := storage.NewSchema("stations", []storage.Column{
 		{Name: "stationkey", Type: storage.TInt},
@@ -205,37 +207,6 @@ func regionQuery(region string) string {
 		WHERE s.station = st.stationkey AND st.region = '%s'`, region)
 }
 
-// chaosRuntime is what the harness drives: the method set *Broker and
-// *ShardedBroker have in common.
-type chaosRuntime interface {
-	Subscribe(Subscription) error
-	Publish(table string, mod ivm.Mod) error
-	EndStep() ([]Notification, error)
-	Result(name string) ([]storage.Row, error)
-	TotalCost(name string) (float64, error)
-	Health(name string) (Health, error)
-	SetRetrySeed(seed int64)
-	SetCheckpointEvery(n int)
-	SetCheckpointChainDepth(n int)
-	SetStoreOpener(open durable.Opener)
-	SetSharedDataflow(on bool) error
-	DurabilityStats() durable.Stats
-	setSleep(f func(time.Duration))
-}
-
-// chaosParams configures one run: shards 0 is the serial broker (it takes
-// shard 0's injector), a nil opener in-memory durability, nil injectors
-// no faults.
-type chaosParams struct {
-	seed           int64
-	shards         int
-	spec           WorkloadSpec
-	cpEvery, depth int
-	opener         durable.Opener
-	shared         bool
-	injectors      func(shard int) fault.Injector
-}
-
 // chaosResult is what a run leaves to compare: the rendered notification
 // transcript followed by the final view contents, the degraded count,
 // and the summed durability counters (zero without an opener).
@@ -248,51 +219,24 @@ type chaosResult struct {
 // chaosSampleEvery is the step cadence of the quiesced mid-run samples.
 const chaosSampleEvery = 10
 
-// chaosRun executes the scripted workload against a fresh runtime. The
-// retry jitter is seeded like the workload, so the backoff sequence is
-// part of the reproducible execution. A runtime that has Quiesce (the
-// sharded one) is quiesced every chaosSampleEvery steps and each
-// subscription's cost and pending vector sampled into the transcript —
-// unquiesced, the read would race the shard workers mid-drain.
-func chaosRun(script [][]chaosEvent, p chaosParams) (res chaosResult, err error) {
-	db, err := chaosDBSpec(p.spec)
+// chaosRun executes the scripted workload against a fresh runtime built
+// from cfg, checkpointing every cpEvery steps into chains of the given
+// depth. The retry jitter is seeded like the workload, so the backoff
+// sequence is part of the reproducible execution. A runtime that has
+// Quiesce (the sharded one) is quiesced every chaosSampleEvery steps and
+// each subscription's cost and pending vector sampled into the
+// transcript — unquiesced, the read would race the shard workers
+// mid-drain.
+func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery, depth int) (res chaosResult, err error) {
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		return res, err
 	}
-	var rt chaosRuntime
-	if p.shards == 0 {
-		b := NewBroker(db)
-		if p.injectors != nil {
-			b.SetInjector(p.injectors(0))
-		}
-		rt = b
-	} else {
-		sb := NewShardedBroker(db, ShardOptions{Shards: p.shards})
-		defer sb.Close()
-		if p.injectors != nil {
-			sb.SetInjectors(p.injectors)
-		}
-		rt = sb
-	}
+	defer rt.Close()
 	rt.setSleep(func(time.Duration) {})
-	rt.SetRetrySeed(p.seed)
-	rt.SetCheckpointEvery(p.cpEvery)
-	rt.SetCheckpointChainDepth(p.depth)
-	rt.SetStoreOpener(p.opener)
-	if p.shared {
-		if err := rt.SetSharedDataflow(true); err != nil {
-			return res, err
-		}
-	}
-	subs, err := demoSubscriptionsSpec(p.spec)
-	if err != nil {
-		return res, err
-	}
-	for _, sc := range subs {
-		if err := rt.Subscribe(sc); err != nil {
-			return res, err
-		}
-	}
+	rt.SetCheckpointEvery(cpEvery)
+	rt.SetCheckpointChainDepth(depth)
+	subs := rt.Subscriptions()
 	quiescer, _ := rt.(interface{ Quiesce() error })
 	var out strings.Builder
 	for t, evs := range script {
@@ -305,14 +249,14 @@ func chaosRun(script [][]chaosEvent, p chaosParams) (res chaosResult, err error)
 			if err := quiescer.Quiesce(); err != nil {
 				return res, fmt.Errorf("step %d: quiesce: %w", t, err)
 			}
-			for _, sc := range subs {
-				cost, cerr := rt.TotalCost(sc.Name)
-				h, herr := rt.Health(sc.Name)
+			for _, name := range subs {
+				cost, cerr := rt.TotalCost(name)
+				h, herr := rt.Health(name)
 				if err := errors.Join(cerr, herr); err != nil {
 					return res, err
 				}
 				fmt.Fprintf(&out, "sample step=%d sub=%s cost=%.9g pending=%v\n",
-					t, sc.Name, cost, h.Pending)
+					t, name, cost, h.Pending)
 			}
 		}
 		ns, err := rt.EndStep()
@@ -331,12 +275,12 @@ func chaosRun(script [][]chaosEvent, p chaosParams) (res chaosResult, err error)
 				n.RefreshCost, renderRows(n.Rows))
 		}
 	}
-	for _, sc := range subs {
-		rows, err := rt.Result(sc.Name)
+	for _, name := range subs {
+		rows, err := rt.Result(name)
 		if err != nil {
 			return res, err
 		}
-		fmt.Fprintf(&out, "%s: %s\n", sc.Name, renderRows(rows))
+		fmt.Fprintf(&out, "%s: %s\n", name, renderRows(rows))
 	}
 	res.output, res.stats = out.String(), rt.DurabilityStats()
 	return res, nil
@@ -403,14 +347,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		depth = 1 + int(((cfg.Seed%4)+4)%4)
 	}
 	sharded, pre := cfg.Shards > 0, ""
-	p := chaosParams{seed: cfg.Seed, shards: cfg.Shards, spec: DefaultWorkloadSpec(), cpEvery: cfg.CheckpointEvery, depth: depth}
+	p := RuntimeConfig{Seed: cfg.Seed, Shards: cfg.Shards, Spec: DefaultWorkloadSpec()}
 	if sharded {
-		pre, p.spec = "sharded-", ScaledWorkloadSpec(2*cfg.Shards)
+		pre, p.Spec = "sharded-", ScaledWorkloadSpec(2*cfg.Shards)
 	}
-	script := chaosScript(cfg.Seed, cfg.Steps, p.spec)
+	script := chaosScript(cfg.Seed, cfg.Steps, p.Spec)
 
 	// Fault-free output cannot depend on checkpoint layout: one baseline.
-	base, err := chaosRun(script, p)
+	base, err := chaosRun(script, p, cfg.CheckpointEvery, depth)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
 	}
@@ -441,16 +385,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// the runtime calls the factory sequentially, before any faulted
 		// work, so the append does not race the workers.
 		var injs []*fault.Seeded
-		p.depth, p.opener, p.shared, p.injectors = v.depth, v.opener, v.shared, nil
+		p.Opener, p.Shared, p.Injectors = v.opener, v.shared, nil
 		if v.faulted {
 			seeded := SeededShardInjectors(cfg.Seed, cfg.Rates)
-			p.injectors = func(shard int) fault.Injector {
+			p.Injectors = func(shard int) fault.Injector {
 				inj := seeded(shard).(*fault.Seeded)
 				injs = append(injs, inj)
 				return inj
 			}
 		}
-		got, err := chaosRun(script, p)
+		got, err := chaosRun(script, p, cfg.CheckpointEvery, v.depth)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
 		}

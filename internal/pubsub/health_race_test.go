@@ -18,7 +18,8 @@ import (
 // live, and the race detector proves the broker's RWMutex contract
 // covers it.
 func TestHealthConcurrentWithWorkload(t *testing.T) {
-	w, err := NewDemoWorkload(5, fault.NewSeeded(5, fault.DefaultRates()))
+	w, err := NewDemoWorkload(RuntimeConfig{Seed: 5, Spec: DefaultWorkloadSpec(),
+		Injectors: SeededShardInjectors(5, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func TestBackoffJitterSeeded(t *testing.T) {
 // retry loop requested.
 func sleepTrace(t *testing.T, seed int64, steps int) []time.Duration {
 	t.Helper()
-	w, err := NewDemoWorkload(seed, fault.NewSeeded(seed, fault.DefaultRates()))
+	w, err := NewDemoWorkload(RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
+		Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,14 +126,7 @@ func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 		b.obs = nil
 		for _, s := range b.subs {
 			s.obs = nil
-			s.engine().SetMetrics(nil)
-			s.wal.SetMetrics(nil)
-			if s.chain != nil {
-				s.chain.SetMetrics(nil)
-			}
-			if s.store != nil {
-				s.store.SetMetrics(nil)
-			}
+			s.eng.SetMetrics(nil)
 		}
 		if seeded, ok := b.inj.(*fault.Seeded); ok {
 			seeded.SetObserver(nil)
@@ -154,14 +147,7 @@ func (b *Broker) wireSub(s *sub) {
 		return
 	}
 	s.obs = newSubObs(b.obs.reg, s.cfg.Name)
-	s.engine().SetMetrics(b.obs.ivm)
-	s.wal.SetMetrics(b.obs.ivm)
-	if s.chain != nil {
-		s.chain.SetMetrics(b.obs.ivm)
-	}
-	if s.store != nil {
-		s.store.SetMetrics(b.obs.ivm)
-	}
+	s.eng.SetMetrics(b.obs.ivm)
 }
 
 // observeInjector hooks the fault counter into a seeded injector. Caller
@@ -287,7 +273,7 @@ func (o *brokerObs) syncSub(b *Broker, s *sub) {
 	}
 	s.obs.pendingMods.Set(float64(total))
 	s.obs.stepsBehind.Set(float64(b.step - s.lastFresh))
-	s.obs.walRecords.Set(float64(s.wal.Len()))
+	s.obs.walRecords.Set(float64(s.eng.WALLen()))
 	if s.degraded {
 		s.obs.degraded.Set(1)
 		o.degradedSteps.Inc()

@@ -100,14 +100,13 @@ func (b *Broker) SubscribeCompiled(cv CompiledSubscription) error {
 	return b.Subscribe(cv.Subscription())
 }
 
-// sub is the broker-side state of one subscription.
+// sub is the broker-side state of one subscription: the scheduling,
+// QoS and notification state that is the same whichever engine
+// maintains the view.
 type sub struct {
 	cfg Subscription
-	// Exactly one of m / h is set: m is the classic per-view maintainer,
-	// h the shared-dataflow sink (see SetSharedDataflow). engine()
-	// returns whichever is live.
-	m   *ivm.Maintainer
-	h   *dataflow.ViewHandle
+	// eng maintains the view and keeps it recoverable (see viewEngine).
+	eng viewEngine
 	pol policy.Policy
 	// tableIdx routes a modification: base table -> index (in Aliases()
 	// and stepMods) of the alias that receives it, resolved once at
@@ -116,21 +115,10 @@ type sub struct {
 	stepMods core.Vector
 	total    float64
 
-	// Fault-tolerance state: the subscription's redo log, its incremental
-	// checkpoint chain (the recovery point: base segment plus deltas), the
-	// last step a full refresh succeeded, and whether the QoS promise is
-	// currently broken.
-	wal       *ivm.WAL
-	chain     *ivm.CheckpointChain
+	// Fault-tolerance state: the last step a full refresh succeeded, and
+	// whether the QoS promise is currently broken.
 	lastFresh int
 	degraded  bool
-
-	// store is the subscription's disk-backed durability store: the WAL
-	// sink and checkpoint segment store behind wal and chain. nil unless
-	// the broker has a store opener installed, in which case recovery goes
-	// through the corruption-hardened disk path instead of the in-memory
-	// chain replay.
-	store *durable.Store
 
 	// pendBuf is the scratch slice behind Broker.pending: reused across
 	// steps so polling the state vector allocates nothing. Only the
@@ -203,6 +191,11 @@ func NewBroker(db *storage.DB) *Broker {
 	}
 }
 
+// Close releases what the broker holds outside the garbage collector's
+// reach — nothing, for the serial broker, which runs no goroutine; it
+// exists so a Runtime can be closed without asking which broker it is.
+func (b *Broker) Close() {}
+
 // SetInjector installs a fault injector on the broker and every current
 // and future subscription's maintainer. Pass nil to disable injection.
 func (b *Broker) SetInjector(inj fault.Injector) {
@@ -213,7 +206,7 @@ func (b *Broker) SetInjector(inj fault.Injector) {
 	}
 	b.inj = inj
 	for _, s := range b.subs {
-		s.engine().SetInjector(inj)
+		s.eng.SetInjector(inj)
 	}
 	b.observeInjector()
 }
@@ -250,7 +243,8 @@ func (b *Broker) SetCheckpointEvery(n int) {
 // fresh full base. 0 writes a full base on every checkpoint — the
 // pre-chain full-checkpoint behavior — and n < 0 selects
 // ivm.DefaultChainDepth.
-// Applies to current and future subscriptions.
+// Applies to current and future subscriptions, from their next
+// checkpoint on.
 func (b *Broker) SetCheckpointChainDepth(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -258,11 +252,6 @@ func (b *Broker) SetCheckpointChainDepth(n int) {
 		n = ivm.DefaultChainDepth
 	}
 	b.chainDepth = n
-	for _, s := range b.subs {
-		if s.chain != nil {
-			s.chain.SetMaxDepth(n)
-		}
-	}
 }
 
 // SetStoreOpener installs a durable-store opener: every subscription
@@ -285,9 +274,7 @@ func (b *Broker) DurabilityStats() durable.Stats {
 	defer b.mu.RUnlock()
 	var total durable.Stats
 	for _, s := range b.subs {
-		if s.store != nil {
-			total.Add(s.store.Stats())
-		}
+		total.Add(s.eng.DurableStats())
 	}
 	return total
 }
@@ -318,160 +305,144 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 		}
 	}
+	p, err := ivm.PlanView(cfg.Query)
+	if err != nil {
+		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
+	}
+	n := len(p.Sources)
+	if cfg.Model.N() != n {
+		return fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
+	}
 	// The durability namespace ("<shard>/<name>" under a sharded broker,
-	// "<name>" standalone) names the recovery point whichever runtime
+	// "<name>" standalone) names the recovery point whichever engine
 	// backs the view.
 	ns := cfg.Name
 	if b.ns != "" {
 		ns = b.ns + "/" + cfg.Name
 	}
-	if b.shared != nil {
-		s, err := b.subscribeShared(cfg, ns)
-		if err != nil {
-			return err
-		}
-		s.h.SetInjector(b.inj)
-		b.wireSub(s)
-		b.subs = append(b.subs, s)
-		return nil
-	}
-	m, err := ivm.New(b.db, cfg.Query)
+	// The engine is born with its recovery baseline: initial content, redo
+	// log, namespace-stamped first checkpoint — so a crash at any later
+	// point has a recovery point whose ownership is verifiable. The
+	// injector is attached only afterwards.
+	eng, err := b.newEngine(p, cfg.Query, ns)
 	if err != nil {
 		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
-	}
-	n := len(m.Aliases())
-	if cfg.Model.N() != n {
-		return fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
 	}
 	pol := cfg.Policy
 	if pol == nil {
 		pol = policy.NewOnlineMarginal(cfg.Model, cfg.QoS, nil)
 	}
 	pol.Reset(n)
+	eng.SetInjector(b.inj)
 	s := &sub{
-		cfg: cfg, m: m, pol: pol,
-		tableIdx: tableIndex(m), stepMods: core.NewVector(n),
-		wal: ivm.NewWAL(), lastFresh: b.step,
+		cfg: cfg, eng: eng, pol: pol,
+		tableIdx: tableIndex(p), stepMods: core.NewVector(n),
+		lastFresh: b.step,
 	}
-	// Durability from the first step: attach the redo log, stamp the
-	// durability namespace, and take the initial checkpoint, so a crash
-	// at any later point has a recovery point whose ownership is
-	// verifiable. The injector is attached only after the checkpoint —
-	// the subscription must be born with a consistent recovery baseline.
-	m.AttachWAL(s.wal)
-	m.SetNamespace(ns)
-	s.chain = ivm.NewCheckpointChain(b.chainDepth)
-	// Disk-backed durability attaches before the initial checkpoint: the
-	// store becomes the WAL's sink and the chain's segment store, so the
-	// subscription's very first base segment already lands on disk and a
-	// crash before the first step recovers from files.
-	if b.opener != nil {
-		store, err := b.opener(ns)
-		if err != nil {
-			return fmt.Errorf("pubsub: subscription %q: opening durable store: %w", cfg.Name, err)
-		}
-		s.store = store
-		s.wal.SetSink(store)
-		s.chain.SetStore(store)
-	}
-	if err := s.chain.Checkpoint(m); err != nil {
-		return fmt.Errorf("pubsub: subscription %q: initial checkpoint: %w", cfg.Name, err)
-	}
-	m.SetInjector(b.inj)
 	b.wireSub(s)
 	b.subs = append(b.subs, s)
 	return nil
 }
 
+// newEngine builds the engine behind a new subscription — the one place
+// the broker chooses between the shared operator graph and a per-view
+// maintainer, and between the in-memory and the disk-backed durability
+// tier. Caller holds b.mu.
+func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, error) {
+	if b.shared == nil {
+		return newClassicEngine(b.db, query, ns, b.chainDepth, b.opener)
+	}
+	if b.opener != nil {
+		return nil, errSharedStore
+	}
+	return newSharedEngine(b.shared, p, ns)
+}
+
+// Unsubscribe removes a subscription and closes its engine.
+func (b *Broker) Unsubscribe(name string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, s := range b.subs {
+		if s.cfg.Name != name {
+			continue
+		}
+		s.eng.Close()
+		b.subs = append(b.subs[:i], b.subs[i+1:]...)
+		return nil
+	}
+	return fmt.Errorf("pubsub: no subscription %q", name)
+}
+
 // Publish applies one modification to the shared base tables and routes
 // it to every subscription whose view references the table. The mod's
 // Alias field names the *table*; the broker translates it to each
-// subscription's alias.
-//
-// Because base tables are shared while maintainers apply modifications
-// themselves, Publish applies the change through the FIRST matching
-// subscription and enqueues it logically for the others; if no
-// subscription references the table, the change is applied directly.
+// subscription's alias. The live table changes exactly once, before any
+// subscription hears of the modification; a table no subscription
+// watches is simply updated.
 func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.obs.observePublish()
-	if b.shared != nil {
-		routed, err := b.publishShared(table, mod, true)
-		if err != nil {
+	if err := applyLive(b.db, table, mod, b.watches(table)); err != nil {
+		return err
+	}
+	return b.route(table, mod)
+}
+
+// routeDeferred is the shard-worker half of the sharded broker's ingest
+// path: the ShardedBroker has applied the live change exactly once on
+// the publisher side, and each shard routes its own copy here WITHOUT
+// touching the live base tables.
+func (b *Broker) routeDeferred(table string, mod ivm.Mod) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.obs.observePublish()
+	return b.route(table, mod)
+}
+
+// route hands one modification, already applied to the live table, to
+// every subscription whose view references the table: the arrival is
+// queued and logged under the subscription's own alias and counted
+// toward its policy's step vector. Under the shared runtime the operator
+// graph ingests the modification first, once, propagating deltas to
+// every view's pending set in a single pass. Caller holds b.mu.
+func (b *Broker) route(table string, mod ivm.Mod) error {
+	if b.shared != nil && b.shared.Watches(table) {
+		if err := b.shared.Ingest(table, mod); err != nil {
 			return err
 		}
-		if routed == 0 {
-			return applyDirect(b.db, table, mod)
-		}
-		return nil
 	}
-	routed := false
 	for _, s := range b.subs {
 		idx, ok := s.tableIdx[table]
 		if !ok {
 			continue
 		}
-		mod.Alias = s.m.Aliases()[idx]
-		if !routed {
-			if err := s.m.Apply(mod); err != nil {
-				return err
-			}
-			routed = true
-		} else {
-			if err := s.m.ApplyDeferred(mod); err != nil {
-				return err
-			}
+		mod.Alias = s.eng.Aliases()[idx]
+		if err := s.eng.Arrive(mod); err != nil {
+			return err
 		}
 		s.stepMods[idx]++
-	}
-	if !routed {
-		return applyDirect(b.db, table, mod)
 	}
 	return nil
 }
 
-// publishDeferred routes one modification to every subscription whose
-// view references the table WITHOUT touching the live base tables: the
-// deltas are enqueued (and WAL-logged) through ApplyDeferred only. It is
-// the shard-worker half of the sharded broker's ingest path — the
-// ShardedBroker applies the live change exactly once on the publisher
-// side, then each shard applies its own deferred copies here. Returns
-// the number of subscriptions the modification was routed to.
-func (b *Broker) publishDeferred(table string, mod ivm.Mod) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.obs.observePublish()
-	if b.shared != nil {
-		return b.publishShared(table, mod, false)
-	}
-	routed := 0
-	for _, s := range b.subs {
-		idx, ok := s.tableIdx[table]
-		if !ok {
-			continue
-		}
-		mod.Alias = s.m.Aliases()[idx]
-		if err := s.m.ApplyDeferred(mod); err != nil {
-			return routed, err
-		}
-		s.stepMods[idx]++
-		routed++
-	}
-	return routed, nil
-}
-
-// watchesTable reports whether any subscription's view references the
-// base table.
-func (b *Broker) watchesTable(table string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// watches reports whether any subscription's view references the base
+// table. Caller holds b.mu.
+func (b *Broker) watches(table string) bool {
 	for _, s := range b.subs {
 		if _, ok := s.tableIdx[table]; ok {
 			return true
 		}
 	}
 	return false
+}
+
+// watchesTable is watches for callers outside the broker's lock (the
+// sharded broker's routing cache).
+func (b *Broker) watchesTable(table string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.watches(table)
 }
 
 // backlogCost returns the summed model cost of fully refreshing every
@@ -488,7 +459,7 @@ func (b *Broker) backlogCost() float64 {
 	}
 	total := 0.0
 	for _, s := range b.subs {
-		*buf = s.engine().PendingInto(*buf)
+		*buf = s.eng.PendingInto(*buf)
 		total += s.cfg.Model.Total(core.Vector(*buf))
 	}
 	b.pendPool.Put(buf)
@@ -496,49 +467,35 @@ func (b *Broker) backlogCost() float64 {
 }
 
 // pending returns s's state vector through the subscription's reusable
-// scratch slice — the allocation-free variant of s.m.Pending() for the
+// scratch slice — the allocation-free variant of Pending() for the
 // step loop, which polls the vector several times per subscription per
 // step. The returned vector is valid until the next pending call for
 // the same subscription. Callers must hold b.mu exclusively; the
 // shared-lock readers (backlogCost, Health) allocate instead.
 func (b *Broker) pending(s *sub) core.Vector {
-	s.pendBuf = s.engine().PendingInto(s.pendBuf)
+	s.pendBuf = s.eng.PendingInto(s.pendBuf)
 	return core.Vector(s.pendBuf)
 }
 
 // tableIndex builds a subscription's routing table: each base table the
-// view reads -> the index of the first alias, in registration order, it
-// is read under.
-func tableIndex(eng viewEngine) map[string]int {
+// view reads -> the index of the first alias, in FROM order (the order
+// of every engine's Aliases), it is read under.
+func tableIndex(p *ivm.DeltaPlan) map[string]int {
 	idx := make(map[string]int)
-	for i, alias := range eng.Aliases() {
-		table := eng.TableOf(alias)
-		if _, seen := idx[table]; !seen {
-			idx[table] = i
+	for i, src := range p.Sources {
+		if _, seen := idx[src.Table]; !seen {
+			idx[src.Table] = i
 		}
 	}
 	return idx
 }
 
-// applyLive applies one modification to a live base table on behalf of
-// the sharded ingest path, enforcing the same update rule the maintainer
-// enforces on the serial path (the primary key must not change), so a
-// watched table behaves identically whichever broker fronts it.
-func applyLive(db *storage.DB, table string, mod ivm.Mod) error {
-	if mod.Kind == ivm.ModUpdate {
-		tbl, err := db.Table(table)
-		if err != nil {
-			return err
-		}
-		if tbl.Schema().KeyOf(mod.Row) != storage.EncodeKey(mod.Key...) {
-			return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
-		}
-	}
-	return applyDirect(db, table, mod)
-}
-
-// applyDirect applies a modification to a table no subscription watches.
-func applyDirect(db *storage.DB, table string, mod ivm.Mod) error {
+// applyLive applies one modification to a live base table. On a table
+// some subscription watches it first enforces the rule view maintenance
+// depends on — an update must not change the primary key — so a watched
+// table behaves identically whichever broker fronts it; a table nobody
+// watches is simply updated.
+func applyLive(db *storage.DB, table string, mod ivm.Mod, watched bool) error {
 	tbl, err := db.Table(table)
 	if err != nil {
 		return err
@@ -550,6 +507,9 @@ func applyDirect(db *storage.DB, table string, mod ivm.Mod) error {
 		_, err := tbl.Delete(mod.Key...)
 		return err
 	case ivm.ModUpdate:
+		if watched && tbl.Schema().KeyOf(mod.Row) != storage.EncodeKey(mod.Key...) {
+			return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
+		}
 		_, err := tbl.Update(mod.Key, mod.Row)
 		return err
 	}
@@ -580,10 +540,7 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	// later in this step are covered by the next step's barrier, and a
 	// crash is only ever simulated at the top of a subscription's turn.)
 	for _, s := range b.subs {
-		if s.store == nil {
-			continue
-		}
-		if err := s.store.Sync(); err != nil {
+		if err := s.eng.Sync(); err != nil {
 			return nil, fmt.Errorf("pubsub: %s: wal sync: %w", s.cfg.Name, err)
 		}
 	}
@@ -646,8 +603,8 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	if err := b.checkpointDue(); err != nil {
 		return nil, err
 	}
-	if b.shared != nil && b.obs != nil {
-		b.obs.syncDataflow(b.shared.Stats())
+	if b.obs != nil {
+		b.obs.syncDataflow(b.dataflowStats())
 	}
 	b.obs.observeStep(stepStart)
 	b.step++
@@ -665,7 +622,7 @@ func (b *Broker) notify(s *sub) (Notification, error) {
 		n := Notification{
 			Subscription: s.cfg.Name,
 			Step:         b.step,
-			Rows:         s.engine().Result(),
+			Rows:         s.eng.Result(),
 			RefreshCost:  cost,
 		}
 		b.obs.observeNotification(s, n)
@@ -682,7 +639,7 @@ func (b *Broker) notify(s *sub) (Notification, error) {
 	n := Notification{
 		Subscription:  s.cfg.Name,
 		Step:          b.step,
-		Rows:          s.engine().Result(),
+		Rows:          s.eng.Result(),
 		RefreshCost:   cost,
 		Degraded:      true,
 		StepsBehind:   b.step - s.lastFresh,
@@ -692,70 +649,34 @@ func (b *Broker) notify(s *sub) (Notification, error) {
 	return n, nil
 }
 
-// maybeCrash polls the crash site and, when it fires, simulates a
-// maintainer crash: the in-memory state is dropped and rebuilt from the
-// last checkpoint plus the WAL. A failed recovery is fatal — there is
-// nothing sound left to degrade to.
+// maybeCrash polls the crash site and, when it fires, simulates a crash
+// of the subscription's engine: its in-memory state is dropped and
+// rebuilt from its recovery point plus the redo log. A fallback recovery
+// means the durable artifacts were too damaged for exact replay — the
+// rebuilt view reflects the live tables directly, so the un-drained
+// backlog and the staleness clock restart here. A failed recovery is
+// fatal — there is nothing sound left to degrade to.
 func (b *Broker) maybeCrash(s *sub) error {
 	if b.inj == nil || b.inj.Hit(fault.SiteCrash) == nil {
 		return nil
 	}
-	var ms *ivm.Metrics
-	if b.obs != nil {
-		ms = b.obs.ivm
-	}
-	if s.h != nil {
-		// Shared path: the view's sink state (cursors, folded content,
-		// pending deltas) is rebuilt from its snapshot plus WAL; the
-		// operator graph itself survives the per-view crash the way the
-		// live database does, and the handle re-derives its pending set
-		// from the graph's retained delta log.
-		if err := s.h.Recover(); err != nil {
-			return fmt.Errorf("pubsub: %s: recovery failed: %w", s.cfg.Name, err)
-		}
-		b.obs.observeCrashRecovery()
-		return nil
-	}
-	if s.store != nil {
-		// Disk path: the in-memory WAL and chain die with the process;
-		// everything is rebuilt from the store's files through the
-		// corruption-hardened ladder. A fallback recovery means the
-		// artifacts were too damaged for exact replay — the rebuilt view
-		// reflects the live tables directly, so the un-drained backlog and
-		// the staleness clock restart here.
-		rec, err := s.store.Recover(b.db, s.cfg.Query, b.chainDepth, ms)
-		if err != nil {
-			return fmt.Errorf("pubsub: %s: disk recovery failed: %w", s.cfg.Name, err)
-		}
-		rec.M.SetInjector(b.inj)
-		s.m, s.wal, s.chain = rec.M, rec.WAL, rec.Chain
-		if rec.Fallback {
-			for i := range s.stepMods {
-				s.stepMods[i] = 0
-			}
-			s.lastFresh = b.step
-			s.degraded = false
-		}
-		b.obs.observeCrashRecovery()
-		return nil
-	}
-	// Recovery validates the checkpoint's durability namespace: a shard
-	// can only restore its own subscription's recovery point.
-	m, err := ivm.RecoverChainNamespaced(b.db, s.cfg.Query, s.m.Namespace(), s.chain, s.wal, ms)
+	fallback, err := s.eng.Recover()
 	if err != nil {
 		return fmt.Errorf("pubsub: %s: recovery failed: %w", s.cfg.Name, err)
 	}
-	m.SetInjector(b.inj)
-	s.m = m
+	if fallback {
+		for i := range s.stepMods {
+			s.stepMods[i] = 0
+		}
+		s.lastFresh = b.step
+		s.degraded = false
+	}
 	b.obs.observeCrashRecovery()
 	return nil
 }
 
-// checkpointDue takes the periodic per-subscription checkpoints and
-// truncates the covered WAL prefixes. Each checkpoint extends the
-// subscription's chain — a small delta segment in the steady state, a
-// full base only when the chain is empty or at its depth and rolls
-// over. An injected checkpoint failure skips that subscription's
+// checkpointDue takes the periodic per-subscription checkpoints, each
+// truncating the WAL prefix it covers. An injected checkpoint failure skips that subscription's
 // checkpoint — recovery simply replays a longer WAL suffix, so nothing
 // degrades.
 func (b *Broker) checkpointDue() error {
@@ -771,17 +692,8 @@ func (b *Broker) checkpointDue() error {
 				return err
 			}
 		}
-		if s.h != nil {
-			if err := b.checkpointShared(s); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.chain.Checkpoint(s.m); err != nil {
-			return fmt.Errorf("pubsub: %s: checkpoint: %w", s.cfg.Name, err)
-		}
-		if err := s.wal.TruncateThrough(s.chain.TipLSN()); err != nil {
-			return fmt.Errorf("pubsub: %s: wal truncation: %w", s.cfg.Name, err)
+		if err := s.eng.Checkpoint(b.chainDepth); err != nil {
+			return fmt.Errorf("pubsub: %s: %w", s.cfg.Name, err)
 		}
 	}
 	// With every shared subscription's durable cursor advanced, retained
@@ -794,13 +706,13 @@ func (b *Broker) checkpointDue() error {
 }
 
 // process drains act[i] modifications from each of s's queues. Each
-// per-table drain is atomic in the maintainer and retried within the
+// per-table drain is atomic in the engine and retried within the
 // broker's budget, so on error the completed prefix has committed, the
 // failed drain has rolled back, and the returned cost covers exactly the
 // committed work.
 func (b *Broker) process(s *sub, act core.Vector) (float64, error) {
 	cost := 0.0
-	eng := s.engine()
+	eng := s.eng
 	for i, alias := range eng.Aliases() {
 		if act[i] == 0 {
 			continue
@@ -847,7 +759,7 @@ func (b *Broker) Result(name string) ([]storage.Row, error) {
 	defer b.mu.RUnlock()
 	for _, s := range b.subs {
 		if s.cfg.Name == name {
-			return s.engine().Result(), nil
+			return s.eng.Result(), nil
 		}
 	}
 	return nil, fmt.Errorf("pubsub: no subscription %q", name)
@@ -890,8 +802,8 @@ func (b *Broker) HealthInto(name string, h *Health) error {
 		if s.cfg.Name == name {
 			h.Degraded = s.degraded
 			h.StepsBehind = b.step - s.lastFresh
-			h.Pending = s.engine().PendingInto(h.Pending)
-			h.WALRecords = s.wal.Len()
+			h.Pending = s.eng.PendingInto(h.Pending)
+			h.WALRecords = s.eng.WALLen()
 			return nil
 		}
 	}

@@ -1,8 +1,8 @@
 package pubsub
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"time"
@@ -24,42 +24,6 @@ const (
 	// drains per wakeup.
 	DefaultIngestBatch = 32
 )
-
-// ShardLoad is the assignment-time view of one shard: how many
-// subscriptions it already owns and their summed cost weight.
-type ShardLoad struct {
-	Shard         int
-	Subscriptions int
-	Weight        float64
-}
-
-// AssignPolicy picks the shard for a new subscription. weight is the
-// subscription's unit-drain cost Σ_i f_i(1) (its f_i cost weight); loads
-// describes every shard. The returned index must be in [0, len(loads)).
-type AssignPolicy func(cfg Subscription, weight float64, loads []ShardLoad) int
-
-// AssignLoadAware places the subscription on the shard with the least
-// accumulated cost weight (ties break to the lowest shard id), keeping
-// the per-shard Σ f_i balanced the way the paper's per-table asymmetric
-// costs suggest: an expensive view counts for more than a cheap one.
-func AssignLoadAware(cfg Subscription, weight float64, loads []ShardLoad) int {
-	best := 0
-	for i := 1; i < len(loads); i++ {
-		if loads[i].Weight < loads[best].Weight {
-			best = i
-		}
-	}
-	return best
-}
-
-// AssignHash places the subscription by FNV-1a hash of its name —
-// stateless and stable across restarts, but blind to cost skew.
-func AssignHash(cfg Subscription, weight float64, loads []ShardLoad) int {
-	h := fnv.New32a()
-	//lint:ignore errdrop hash.Hash32 Write is documented to never return an error
-	h.Write([]byte(cfg.Name))
-	return int(h.Sum32() % uint32(len(loads)))
-}
 
 // RejectReason says which admission bound a rejected publish hit.
 type RejectReason int
@@ -114,8 +78,7 @@ func (e *RejectionError) Error() string {
 }
 
 // ShardOptions configures a ShardedBroker. The zero value means one
-// shard with default queue sizing, load-aware assignment, and no backlog
-// bound.
+// shard with default queue sizing and no backlog bound.
 type ShardOptions struct {
 	// Shards is the number of worker-owned partitions; <= 0 means 1.
 	Shards int
@@ -125,16 +88,10 @@ type ShardOptions struct {
 	// depth, so whether a publish is rejected depends only on the publish
 	// sequence — never on worker timing.
 	QueueCap int
-	// BatchSize is how many queued modifications a worker drains per
-	// wakeup; <= 0 selects DefaultIngestBatch.
-	BatchSize int
 	// MaxBacklogCost, when > 0, rejects publishes to a shard whose
 	// refresh cost Σ_i f(s_i) measured at the last step barrier exceeds
 	// the bound. The stale sample keeps admission deterministic.
 	MaxBacklogCost float64
-	// Assign picks the shard for each subscription; nil selects
-	// AssignLoadAware.
-	Assign AssignPolicy
 }
 
 // ingest is one queued modification awaiting deferred routing on a shard.
@@ -222,10 +179,15 @@ type ShardedBroker struct {
 	// routes caches table → watching shards; invalidated on Subscribe.
 	routes map[string][]*shard
 
-	so     *shardedObs
-	step   int
+	so *shardedObs
+	// closed is set by Close: the workers have exited, so anything that
+	// would hand them work returns errClosed instead of blocking on them.
 	closed bool
 }
+
+// errClosed is returned by every ShardedBroker method that needs a
+// shard worker once Close has stopped them.
+var errClosed = errors.New("pubsub: broker closed")
 
 // subRef locates one subscription: its name and owning shard.
 type subRef struct {
@@ -242,12 +204,6 @@ func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = DefaultShardQueueCap
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultIngestBatch
-	}
-	if opts.Assign == nil {
-		opts.Assign = AssignLoadAware
-	}
 	sb := &ShardedBroker{db: db, opts: opts}
 	for i := 0; i < opts.Shards; i++ {
 		b := NewBroker(db)
@@ -262,21 +218,16 @@ func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 			done: make(chan struct{}),
 		}
 		sb.shards = append(sb.shards, sh)
-		go sh.run(opts.BatchSize)
+		go sh.run()
 	}
 	return sb
 }
 
-// Shards returns the number of worker-owned partitions.
-func (sb *ShardedBroker) Shards() int {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return len(sb.shards)
-}
-
 // Close stops every shard worker. Queued-but-undrained modifications are
 // dropped (their live-table effects already happened); call Quiesce
-// first if they must reach the maintainers. Close is idempotent.
+// first if they must reach the maintainers. Close is idempotent; after
+// it Publish, EndStep, Quiesce and Subscribe return an error, while the
+// read accessors keep answering from the shards' last state.
 func (sb *ShardedBroker) Close() {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -295,12 +246,12 @@ func (sb *ShardedBroker) Close() {
 // run is the shard worker loop: drain on wake, execute barriers in-loop,
 // exit on stop. The worker is the only goroutine that touches the
 // shard's Broker mutators, so a shard's step work never races another's.
-func (sh *shard) run(batchSize int) {
+func (sh *shard) run() {
 	defer close(sh.done)
 	for {
 		select {
 		case <-sh.wake:
-			sh.drain(batchSize)
+			sh.drain(DefaultIngestBatch)
 		case c := <-sh.cmd:
 			// The barrier sees every admitted modification: drain fully
 			// before stepping.
@@ -326,7 +277,7 @@ func (sh *shard) run(batchSize int) {
 // drain pops and routes queued modifications, batchSize at a time
 // (batchSize <= 0 drains everything in one batch). Routing errors are
 // parked in asyncErr for the next barrier — they cannot happen on the
-// deferred path today (see Broker.publishDeferred), but a shard must
+// deferred path today (see Broker.routeDeferred), but a shard must
 // never swallow one silently.
 func (sh *shard) drain(batchSize int) {
 	for {
@@ -360,7 +311,7 @@ func (sh *shard) drain(batchSize int) {
 		depth := len(sh.queue)
 		sh.qmu.Unlock()
 		for _, in := range batch {
-			if _, err := sh.b.publishDeferred(in.table, in.mod); err != nil {
+			if err := sh.b.routeDeferred(in.table, in.mod); err != nil {
 				sh.errMu.Lock()
 				if sh.asyncErr == nil {
 					sh.asyncErr = fmt.Errorf("pubsub: shard %d: deferred publish on %q: %w", sh.id, in.table, err)
@@ -412,6 +363,20 @@ func (sb *ShardedBroker) barrier(endStep bool) ([][]Notification, error) {
 	return notes, firstErr
 }
 
+// lightestShard is the placement rule: the shard with the least
+// accumulated cost weight (ties break to the lowest shard id), keeping
+// the per-shard Σ f_i balanced the way the paper's per-table asymmetric
+// costs suggest — an expensive view counts for more than a cheap one.
+func lightestShard(shards []*shard) *shard {
+	best := shards[0]
+	for _, sh := range shards[1:] {
+		if sh.weight < best.weight {
+			best = sh
+		}
+	}
+	return best
+}
+
 // subWeight is a subscription's assignment weight: the cost of draining
 // one modification from every one of its delta queues, Σ_i f_i(1).
 func subWeight(cfg Subscription) float64 {
@@ -425,29 +390,23 @@ func subWeight(cfg Subscription) float64 {
 	return cfg.Model.Total(ones)
 }
 
-// Subscribe registers a subscription on the shard the assignment policy
-// picks. The target shard is quiesced first so a mid-run subscription's
+// Subscribe registers a subscription on the shard carrying the least
+// cost weight. The target shard is quiesced first so a mid-run subscription's
 // initial snapshot (computed from the live tables, which already include
 // every published modification) is not double-counted by deferred
 // modifications still sitting in the shard's queue.
 func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
+	if sb.closed {
+		return errClosed
+	}
 	for _, ref := range sb.order {
 		if ref.name == cfg.Name {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 		}
 	}
-	loads := make([]ShardLoad, len(sb.shards))
-	for i, sh := range sb.shards {
-		loads[i] = ShardLoad{Shard: i, Subscriptions: sh.subs, Weight: sh.weight}
-	}
-	w := subWeight(cfg)
-	id := sb.opts.Assign(cfg, w, loads)
-	if id < 0 || id >= len(sb.shards) {
-		return fmt.Errorf("pubsub: assignment policy picked shard %d of %d", id, len(sb.shards))
-	}
-	sh := sb.shards[id]
+	sh := lightestShard(sb.shards)
 	if err := sb.quiesceShard(sh); err != nil {
 		return err
 	}
@@ -455,16 +414,15 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 		return err
 	}
 	sh.subs++
-	sh.weight += w
-	sb.order = append(sb.order, subRef{name: cfg.Name, shard: id})
+	sh.weight += subWeight(cfg)
+	sb.order = append(sb.order, subRef{name: cfg.Name, shard: sh.id})
 	sb.routes = nil
 	sh.syncObs()
 	return nil
 }
 
-// SubscribeCompiled registers a compiled view's subscription on the
-// shard the assignment policy picks — identical to
-// Subscribe(cv.Subscription()).
+// SubscribeCompiled registers a compiled view's subscription —
+// identical to Subscribe(cv.Subscription()).
 func (sb *ShardedBroker) SubscribeCompiled(cv CompiledSubscription) error {
 	return sb.Subscribe(cv.Subscription())
 }
@@ -494,6 +452,9 @@ func (sb *ShardedBroker) quiesceShard(sh *shard) error {
 func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
+	if sb.closed {
+		return errClosed
+	}
 	targets := sb.routesFor(table)
 	for _, sh := range targets {
 		if sh.admitted >= sb.opts.QueueCap {
@@ -511,10 +472,7 @@ func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 			}
 		}
 	}
-	if len(targets) == 0 {
-		return applyDirect(sb.db, table, mod)
-	}
-	if err := applyLive(sb.db, table, mod); err != nil {
+	if err := applyLive(sb.db, table, mod, len(targets) > 0); err != nil {
 		return err
 	}
 	for _, sh := range targets {
@@ -552,11 +510,13 @@ func (sb *ShardedBroker) routesFor(table string) []*shard {
 func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
+	if sb.closed {
+		return nil, errClosed
+	}
 	notes, err := sb.barrier(true)
 	if err != nil {
 		return nil, err
 	}
-	sb.step++
 	// Merge: walk the global registration order; each shard's stream is a
 	// subsequence in its own registration order, so taking the head when
 	// it matches reconstructs the serial interleaving.
@@ -579,18 +539,33 @@ func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 func (sb *ShardedBroker) Quiesce() error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
+	if sb.closed {
+		return errClosed
+	}
 	_, err := sb.barrier(false)
 	return err
 }
 
-// shardOf finds the shard owning a subscription. Caller holds sb.mu.
-func (sb *ShardedBroker) shardOf(name string) (*shard, error) {
+// owner finds the broker of the shard owning a subscription. Its
+// accessors synchronize against the shard's worker themselves.
+func (sb *ShardedBroker) owner(name string) (*Broker, error) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
 	for _, ref := range sb.order {
 		if ref.name == name {
-			return sb.shards[ref.shard], nil
+			return sb.shards[ref.shard].b, nil
 		}
 	}
 	return nil, fmt.Errorf("pubsub: no subscription %q", name)
+}
+
+// each runs f on every shard's broker, in shard order, under sb.mu.
+func (sb *ShardedBroker) each(f func(id int, b *Broker)) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	for _, sh := range sb.shards {
+		f(sh.id, sh.b)
+	}
 }
 
 // Subscriptions returns the registered subscription names in global
@@ -609,48 +584,30 @@ func (sb *ShardedBroker) Subscriptions() []string {
 // its owning shard. Like the serial broker it is safe to call while the
 // workload runs; for a timing-stable Pending vector, Quiesce first.
 func (sb *ShardedBroker) Health(name string) (Health, error) {
-	sb.mu.Lock()
-	sh, err := sb.shardOf(name)
-	sb.mu.Unlock()
+	b, err := sb.owner(name)
 	if err != nil {
 		return Health{}, err
 	}
-	return sh.b.Health(name)
-}
-
-// HealthInto is the allocation-free Health variant, delegated to the
-// owning shard (see Broker.HealthInto).
-func (sb *ShardedBroker) HealthInto(name string, h *Health) error {
-	sb.mu.Lock()
-	sh, err := sb.shardOf(name)
-	sb.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return sh.b.HealthInto(name, h)
+	return b.Health(name)
 }
 
 // Result returns the (possibly stale) current content of a subscription.
 func (sb *ShardedBroker) Result(name string) ([]storage.Row, error) {
-	sb.mu.Lock()
-	sh, err := sb.shardOf(name)
-	sb.mu.Unlock()
+	b, err := sb.owner(name)
 	if err != nil {
 		return nil, err
 	}
-	return sh.b.Result(name)
+	return b.Result(name)
 }
 
 // TotalCost returns the accumulated model maintenance cost of a
 // subscription.
 func (sb *ShardedBroker) TotalCost(name string) (float64, error) {
-	sb.mu.Lock()
-	sh, err := sb.shardOf(name)
-	sb.mu.Unlock()
+	b, err := sb.owner(name)
 	if err != nil {
 		return 0, err
 	}
-	return sh.b.TotalCost(name)
+	return b.TotalCost(name)
 }
 
 // ShardStat is an operator-facing snapshot of one shard.
@@ -697,15 +654,13 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 // with shard 0 getting the base seed, so a 1-shard faulted run replays a
 // serial broker seeded the same way.
 func (sb *ShardedBroker) SetInjectors(factory func(shard int) fault.Injector) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
+	sb.each(func(id int, b *Broker) {
 		if factory == nil {
-			sh.b.SetInjector(nil)
+			b.SetInjector(nil)
 		} else {
-			sh.b.SetInjector(factory(sh.id))
+			b.SetInjector(factory(id))
 		}
-	}
+	})
 }
 
 // SetStoreOpener installs a durable-store opener on every shard. Each
@@ -714,11 +669,7 @@ func (sb *ShardedBroker) SetInjectors(factory func(shard int) fault.Injector) {
 // subscription its own subtree. Install before subscribing, like the
 // serial broker's SetStoreOpener.
 func (sb *ShardedBroker) SetStoreOpener(open durable.Opener) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.SetStoreOpener(open)
-	}
+	sb.each(func(_ int, b *Broker) { b.SetStoreOpener(open) })
 }
 
 // SetSharedDataflow switches every shard onto (or off) the shared
@@ -741,11 +692,9 @@ func (sb *ShardedBroker) SetSharedDataflow(on bool) error {
 // (MaxFanout takes the widest shard). Zero when the classic runtime is
 // active.
 func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
 	var total dataflow.GraphStats
-	for _, sh := range sb.shards {
-		st := sh.b.DataflowStats()
+	sb.each(func(_ int, b *Broker) {
+		st := b.DataflowStats()
 		total.Nodes += st.Nodes
 		total.Views += st.Views
 		total.InternHits += st.InternHits
@@ -755,19 +704,15 @@ func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
 		if st.MaxFanout > total.MaxFanout {
 			total.MaxFanout = st.MaxFanout
 		}
-	}
+	})
 	return total
 }
 
 // DurabilityStats sums the durable-store counters across every shard's
 // subscriptions.
 func (sb *ShardedBroker) DurabilityStats() durable.Stats {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
 	var total durable.Stats
-	for _, sh := range sb.shards {
-		total.Add(sh.b.DurabilityStats())
-	}
+	sb.each(func(_ int, b *Broker) { total.Add(b.DurabilityStats()) })
 	return total
 }
 
@@ -775,46 +720,21 @@ func (sb *ShardedBroker) DurabilityStats() durable.Stats {
 // so shard 0 matches a serial broker seeded with seed and every shard's
 // jitter stream is independent yet replayable.
 func (sb *ShardedBroker) SetRetrySeed(seed int64) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.SetRetrySeed(seed + int64(sh.id))
-	}
-}
-
-// SetRetryPolicy replaces every shard's retry budget.
-func (sb *ShardedBroker) SetRetryPolicy(r RetryPolicy) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.SetRetryPolicy(r)
-	}
+	sb.each(func(id int, b *Broker) { b.SetRetrySeed(seed + int64(id)) })
 }
 
 // SetCheckpointEvery sets every shard's checkpoint cadence in steps.
 func (sb *ShardedBroker) SetCheckpointEvery(n int) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.SetCheckpointEvery(n)
-	}
+	sb.each(func(_ int, b *Broker) { b.SetCheckpointEvery(n) })
 }
 
 // SetCheckpointChainDepth sets every shard's checkpoint-chain rollover
 // trigger (see Broker.SetCheckpointChainDepth).
 func (sb *ShardedBroker) SetCheckpointChainDepth(n int) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.SetCheckpointChainDepth(n)
-	}
+	sb.each(func(_ int, b *Broker) { b.SetCheckpointChainDepth(n) })
 }
 
 // setSleep replaces every shard's backoff sleeper (tests use a no-op).
 func (sb *ShardedBroker) setSleep(f func(time.Duration)) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		sh.b.setSleep(f)
-	}
+	sb.each(func(_ int, b *Broker) { b.setSleep(f) })
 }

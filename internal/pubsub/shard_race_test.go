@@ -19,12 +19,13 @@ import (
 // schedule-independent, not merely race-free.
 func TestShardedAccessorsConcurrentWithWorkload(t *testing.T) {
 	const seed, shards, steps = 13, 4, 60
-	w, err := NewShardedDemoWorkload(seed, shards, ScaledWorkloadSpec(2*shards),
-		SeededShardInjectors(seed, fault.DefaultRates()))
+	w, err := NewDemoWorkload(RuntimeConfig{Seed: seed, Shards: shards, Spec: ScaledWorkloadSpec(2 * shards),
+		Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	sb := w.Broker.(*ShardedBroker)
 	w.Broker.setSleep(func(time.Duration) {})
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(obs.DefaultTraceCapacity)
@@ -56,7 +57,7 @@ func TestShardedAccessorsConcurrentWithWorkload(t *testing.T) {
 					return
 				}
 			}
-			w.Broker.ShardStats()
+			sb.ShardStats()
 			reg.Snapshot()
 		}
 	}()
@@ -68,7 +69,7 @@ func TestShardedAccessorsConcurrentWithWorkload(t *testing.T) {
 				return
 			default:
 			}
-			if err := w.Broker.Quiesce(); err != nil {
+			if err := sb.Quiesce(); err != nil {
 				t.Errorf("Quiesce: %v", err)
 				return
 			}

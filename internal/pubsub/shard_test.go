@@ -14,85 +14,49 @@ import (
 
 // chaosDB and demoSubscriptions are the default-spec (two-region) forms
 // most tests here and in shared_test.go want.
-func chaosDB() (*storage.DB, error) { return chaosDBSpec(DefaultWorkloadSpec()) }
+func chaosDB() (*storage.DB, error) { return DemoDB(DefaultWorkloadSpec()) }
 
 func demoSubscriptions() ([]Subscription, error) {
 	return demoSubscriptionsSpec(DefaultWorkloadSpec())
 }
 
-// runSerialScript executes a scripted workload on the serial broker and
-// renders every notification plus the final contents — the reference
-// transcript the sharded runs are compared against byte for byte.
-func runSerialScript(t *testing.T, script [][]chaosEvent, subs []Subscription, seed int64, inj fault.Injector) string {
+// runScript executes a scripted workload on the runtime cfg describes
+// (checkpointing every 5 steps, no real backoff sleeps) and renders
+// every notification plus the final contents and accumulated costs —
+// the transcript the runtimes are compared on byte for byte.
+func runScript(t *testing.T, script [][]chaosEvent, cfg RuntimeConfig) string {
 	t.Helper()
-	db, err := chaosDB()
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker(db)
-	b.setSleep(func(time.Duration) {})
-	b.SetRetrySeed(seed)
-	b.SetCheckpointEvery(5)
-	if inj != nil {
-		b.SetInjector(inj)
-	}
-	for _, sc := range subs {
-		if err := b.Subscribe(sc); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer rt.Close()
+	rt.setSleep(func(time.Duration) {})
+	rt.SetCheckpointEvery(5)
 	var out strings.Builder
 	for t2, evs := range script {
 		for _, ev := range evs {
-			if err := b.Publish(ev.table, ev.mod); err != nil {
+			if err := rt.Publish(ev.table, ev.mod); err != nil {
 				t.Fatalf("step %d: publish: %v", t2, err)
 			}
 		}
-		ns, err := b.EndStep()
+		ns, err := rt.EndStep()
 		if err != nil {
 			t.Fatalf("step %d: %v", t2, err)
 		}
 		renderNotes(&out, ns)
 	}
-	renderFinals(t, &out, b.Result, b.TotalCost, subs)
-	return out.String()
-}
-
-// runShardedScript is runSerialScript on a ShardedBroker with the given
-// shard count; factory supplies per-shard injectors (nil = fault-free).
-func runShardedScript(t *testing.T, script [][]chaosEvent, subs []Subscription, seed int64, shards int, factory func(int) fault.Injector) string {
-	t.Helper()
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	defer sb.Close()
-	sb.setSleep(func(time.Duration) {})
-	sb.SetRetrySeed(seed)
-	sb.SetCheckpointEvery(5)
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
+	for _, name := range rt.Subscriptions() {
+		rows, err := rt.Result(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var out strings.Builder
-	for t2, evs := range script {
-		for _, ev := range evs {
-			if err := sb.Publish(ev.table, ev.mod); err != nil {
-				t.Fatalf("step %d: publish: %v", t2, err)
-			}
-		}
-		ns, err := sb.EndStep()
+		cost, err := rt.TotalCost(name)
 		if err != nil {
-			t.Fatalf("step %d: %v", t2, err)
+			t.Fatal(err)
 		}
-		renderNotes(&out, ns)
+		fmt.Fprintf(&out, "final %s: cost=%.9g rows=%s\n", name, cost, renderRows(rows))
 	}
-	renderFinals(t, &out, sb.Result, sb.TotalCost, subs)
 	return out.String()
 }
 
@@ -104,61 +68,20 @@ func renderNotes(out *strings.Builder, ns []Notification) {
 	}
 }
 
-func renderFinals(t *testing.T, out *strings.Builder, result func(string) ([]storage.Row, error), totalCost func(string) (float64, error), subs []Subscription) {
-	t.Helper()
-	for _, sc := range subs {
-		rows, err := result(sc.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cost, err := totalCost(sc.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(out, "final %s: cost=%.9g rows=%s\n", sc.Name, cost, renderRows(rows))
-	}
-}
-
-// TestSingleShardMatchesSerialBroker is the tentpole's core invariant:
-// with one shard, the sharded runtime's observable output —
-// notifications, final contents, accumulated costs — is byte-identical
-// to the serial broker on the same workload, fault-free.
-func TestSingleShardMatchesSerialBroker(t *testing.T) {
-	const seed, steps = 11, 60
-	script := chaosScript(seed, steps, DefaultWorkloadSpec())
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs2, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := runSerialScript(t, script, subs, seed, nil)
-	sharded := runShardedScript(t, script, subs2, seed, 1, nil)
-	if serial != sharded {
-		t.Fatalf("single-shard output diverged from serial broker:\n%s", firstDiff(serial, sharded))
-	}
-}
-
-// TestSingleShardMatchesSerialBrokerUnderFaults extends the invariant to
-// faulted runs: shard 0's injector and jitter seed equal the serial
-// broker's, so retries, rollbacks, checkpoints, and crash recoveries
-// replay identically through the sharded ingest path.
+// TestSingleShardMatchesSerialBrokerUnderFaults extends the fault-free
+// single-shard identity (TestRuntimeMatrix) to faulted runs: shard 0's
+// injector and jitter seed equal the serial broker's, so retries,
+// rollbacks, checkpoints, and crash recoveries replay identically
+// through the sharded ingest path.
 func TestSingleShardMatchesSerialBrokerUnderFaults(t *testing.T) {
 	const steps = 60
 	for seed := int64(1); seed <= 5; seed++ {
 		script := chaosScript(seed, steps, DefaultWorkloadSpec())
-		subs, err := demoSubscriptions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs2, err := demoSubscriptions()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := runSerialScript(t, script, subs, seed, fault.NewSeeded(seed, fault.DefaultRates()))
-		sharded := runShardedScript(t, script, subs2, seed, 1, SeededShardInjectors(seed, fault.DefaultRates()))
+		cfg := RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
+			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}
+		serial := runScript(t, script, cfg)
+		cfg.Shards = 1
+		sharded := runScript(t, script, cfg)
 		if serial != sharded {
 			t.Fatalf("seed %d: faulted single-shard output diverged from serial broker:\n%s",
 				seed, firstDiff(serial, sharded))
@@ -175,41 +98,11 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var want string
 	for _, shards := range []int{1, 2, 3, 4} {
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := chaosDBSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-		sb.SetRetrySeed(seed)
-		sb.SetCheckpointEvery(5)
-		for _, sc := range subs {
-			if err := sb.Subscribe(sc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out strings.Builder
-		for t2, evs := range script {
-			for _, ev := range evs {
-				if err := sb.Publish(ev.table, ev.mod); err != nil {
-					t.Fatalf("shards=%d step %d: %v", shards, t2, err)
-				}
-			}
-			ns, err := sb.EndStep()
-			if err != nil {
-				t.Fatalf("shards=%d step %d: %v", shards, t2, err)
-			}
-			renderNotes(&out, ns)
-		}
-		renderFinals(t, &out, sb.Result, sb.TotalCost, subs)
-		sb.Close()
+		got := runScript(t, script, RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
 		if want == "" {
-			want = out.String()
-		} else if out.String() != want {
-			t.Fatalf("shards=%d output diverged from shards=1:\n%s", shards, firstDiff(want, out.String()))
+			want = got
+		} else if got != want {
+			t.Fatalf("shards=%d output diverged from shards=1:\n%s", shards, firstDiff(want, got))
 		}
 	}
 }
@@ -223,8 +116,8 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		res, err := chaosRun(script, chaosParams{seed: seed, shards: shards, spec: spec, cpEvery: 5, depth: 3,
-			injectors: SeededShardInjectors(seed, fault.DefaultRates())})
+		res, err := chaosRun(script, RuntimeConfig{Seed: seed, Shards: shards, Spec: spec,
+			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}, 5, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,17 +138,9 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 func TestShardWithZeroSubscriptions(t *testing.T) {
 	const seed, steps = 5, 30
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs2, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 5 shards, 2 subscriptions: at least 3 shards stay empty.
-	got := runShardedScript(t, script, subs, seed, 5, nil)
-	want := runShardedScript(t, script, subs2, seed, 1, nil)
+	got := runScript(t, script, RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shards: 5})
+	want := runScript(t, script, RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shards: 1})
 	if got != want {
 		t.Fatalf("empty shards changed the merged output:\n%s", firstDiff(want, got))
 	}
@@ -266,6 +151,10 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	}
 	sb := NewShardedBroker(db, ShardOptions{Shards: 5})
 	defer sb.Close()
+	subs, err := demoSubscriptions()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sc := range subs {
 		sc.Name += "-b"
 		if err := sb.Subscribe(sc); err != nil {
@@ -456,5 +345,51 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 
 	if serial != sharded {
 		t.Fatalf("mid-run subscribe diverged from serial broker:\n%s", firstDiff(serial, sharded))
+	}
+}
+
+// TestClosedShardedBrokerReturnsErrors: after Close the shard workers are
+// gone, so every method that would hand them work must fail fast instead
+// of blocking on their channels while holding the broker's lock.
+func TestClosedShardedBrokerReturnsErrors(t *testing.T) {
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewShardedBroker(db, ShardOptions{Shards: 2})
+	subs, err := demoSubscriptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Subscribe(subs[0]); err != nil {
+		t.Fatal(err)
+	}
+	sb.Close()
+	sb.Close() // idempotent
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := sb.EndStep(); !errors.Is(err, errClosed) {
+			t.Errorf("EndStep after Close: %v", err)
+		}
+		if err := sb.Quiesce(); !errors.Is(err, errClosed) {
+			t.Errorf("Quiesce after Close: %v", err)
+		}
+		if err := sb.Subscribe(subs[1]); !errors.Is(err, errClosed) {
+			t.Errorf("Subscribe after Close: %v", err)
+		}
+		err := sb.Publish("sales", ivm.Insert("", storage.Row{storage.I(900), storage.I(0), storage.F(1)}))
+		if !errors.Is(err, errClosed) {
+			t.Errorf("Publish after Close: %v", err)
+		}
+		// The read side keeps answering from the shards' last state.
+		if _, err := sb.Result(subs[0].Name); err != nil {
+			t.Errorf("Result after Close: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a closed ShardedBroker blocked instead of returning an error")
 	}
 }

@@ -1,9 +1,11 @@
 package pubsub
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/obs"
 )
@@ -49,28 +51,6 @@ func subscribeSharedViews(t testing.TB, b *Broker, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSharedRunMatchesClassic drives the full scripted chaos workload
-// (fault-free) through a classic broker and a shared-dataflow broker
-// and requires byte-identical transcripts and final contents — the
-// runtime-equivalence half of the tentpole acceptance bar, without the
-// fault machinery in the way.
-func TestSharedRunMatchesClassic(t *testing.T) {
-	script := chaosScript(3, 40, DefaultWorkloadSpec())
-	p := chaosParams{seed: 3, spec: DefaultWorkloadSpec(), cpEvery: 5, depth: 2}
-	classic, err := chaosRun(script, p)
-	if err != nil {
-		t.Fatalf("classic run: %v", err)
-	}
-	p.shared = true
-	shared, err := chaosRun(script, p)
-	if err != nil {
-		t.Fatalf("shared run: %v", err)
-	}
-	if classic.output != shared.output {
-		t.Errorf("shared transcript or final contents diverged:\n%s", firstDiff(classic.output, shared.output))
 	}
 }
 
@@ -132,9 +112,6 @@ func TestSharedBrokerSharing(t *testing.T) {
 	b := NewBroker(db)
 	if err := b.SetSharedDataflow(true); err != nil {
 		t.Fatal(err)
-	}
-	if !b.SharedDataflow() {
-		t.Fatal("SharedDataflow() = false after enabling")
 	}
 	subscribeSharedViews(t, b, 6)
 	st := b.DataflowStats()
@@ -221,6 +198,35 @@ func TestSharedModeGuards(t *testing.T) {
 	if err := b2.SetSharedDataflow(false); err != nil {
 		t.Errorf("disabling with no live shared views: %v", err)
 	}
+
+	// Shared dataflow has no disk tier, whichever of the two is asked for
+	// first: an opener installed after the switch must not be dropped
+	// silently at Subscribe.
+	db3, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b3 := NewBroker(db3)
+	b3.SetStoreOpener(durable.MemOpener())
+	if err := b3.SetSharedDataflow(true); !errors.Is(err, errSharedStore) {
+		t.Errorf("enabling shared dataflow over a store opener: %v", err)
+	}
+	b3.SetStoreOpener(nil)
+	if err := b3.SetSharedDataflow(true); err != nil {
+		t.Fatal(err)
+	}
+	b3.SetStoreOpener(durable.MemOpener())
+	model, err := chaosModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b3.Subscribe(Subscription{Name: "v0", Query: sharedViewQueries(1)[0], Condition: Every(5), Model: model, QoS: chaosQoS})
+	if !errors.Is(err, errSharedStore) {
+		t.Errorf("shared subscribe over a store opener installed after the switch: %v", err)
+	}
+	if st := b3.DataflowStats(); st.Views != 0 || st.Nodes != 0 {
+		t.Errorf("refused subscribe left Views=%d Nodes=%d in the graph", st.Views, st.Nodes)
+	}
 }
 
 // runSharedBench drives steps scripted modification steps through a
@@ -285,9 +291,9 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		script := chaosScript(seed, 40, DefaultWorkloadSpec())
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		p := chaosParams{seed: seed, spec: DefaultWorkloadSpec(), cpEvery: 5, depth: 2, shared: true,
-			injectors: func(int) fault.Injector { return inj }}
-		if _, err := chaosRun(script, p); err != nil {
+		p := RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shared: true,
+			Injectors: func(int) fault.Injector { return inj }}
+		if _, err := chaosRun(script, p, 5, 2); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for site, n := range inj.Fired() {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
@@ -20,11 +19,6 @@ type WorkloadSpec struct {
 	Stations  int
 	SalesRows int
 	Regions   []string
-	// NotifyEvery, when > 0, gives every subscription the same Every(n)
-	// condition instead of the staggered cadence cycle — the sharded
-	// throughput benchmark uses 1 so each step refreshes every
-	// subscription.
-	NotifyEvery int
 }
 
 // DefaultWorkloadSpec is the original chaos workload: 8 stations, 40
@@ -59,10 +53,6 @@ type eventGen struct {
 	spec WorkloadSpec
 	live []int64
 	next int64
-}
-
-func newEventGen(seed int64) *eventGen {
-	return newEventGenSpec(seed, DefaultWorkloadSpec())
 }
 
 func newEventGenSpec(seed int64, spec WorkloadSpec) *eventGen {
@@ -114,14 +104,10 @@ func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
 		if err != nil {
 			return nil, err
 		}
-		every := demoConditionCycle[i%len(demoConditionCycle)]
-		if spec.NotifyEvery > 0 {
-			every = spec.NotifyEvery
-		}
 		subs[i] = Subscription{
 			Name:      strings.ToLower(region),
 			Query:     regionQuery(region),
-			Condition: Every(every),
+			Condition: Every(demoConditionCycle[i%len(demoConditionCycle)]),
 			Model:     model,
 			QoS:       chaosQoS,
 		}
@@ -130,109 +116,26 @@ func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
 }
 
 // DemoWorkload is a self-contained, endlessly steppable pub/sub workload
-// over the chaos harness's stations/sales schema with the east/west
-// aggregate subscriptions. `abivm serve` drives one to have live data
-// behind its metrics endpoint; everything it does is deterministic in
-// the seed (including retry-backoff jitter).
+// over the chaos harness's stations/sales schema: a runtime built by
+// NewRuntime plus the seeded event stream that feeds it. `abivm serve`
+// drives one to have live data behind its metrics endpoint; everything
+// it does is deterministic in the seed (including retry-backoff jitter).
 type DemoWorkload struct {
-	// Broker is the underlying broker; attach observability with SetObs
+	// Broker is the underlying runtime; attach observability with SetObs
 	// and inspect subscriptions through the usual accessors.
-	Broker *Broker
+	Broker Runtime
 
 	gen *eventGen
 }
 
-// NewDemoWorkload builds the demo database, broker, and subscriptions.
-// A non-nil injector puts the workload into chaos mode (retries,
-// degradations, crash recoveries all live).
-func NewDemoWorkload(seed int64, inj fault.Injector) (*DemoWorkload, error) {
-	return NewDemoWorkloadSpec(seed, DefaultWorkloadSpec(), inj)
-}
-
-// NewDemoWorkloadSpec is NewDemoWorkload over an arbitrary workload
-// spec: base tables and one subscription per region from spec, on a
-// serial broker. The durability benchmarks use it to size the replica
-// state a checkpoint has to cover.
-func NewDemoWorkloadSpec(seed int64, spec WorkloadSpec, inj fault.Injector) (*DemoWorkload, error) {
-	return NewDemoWorkloadDurable(seed, spec, inj, nil)
-}
-
-// NewDemoWorkloadDurable is NewDemoWorkloadSpec with disk-backed
-// durability: a non-nil opener gives every subscription a durable store
-// (installed before the subscriptions exist, so their initial
-// checkpoints land on disk).
-func NewDemoWorkloadDurable(seed int64, spec WorkloadSpec, inj fault.Injector, opener durable.Opener) (*DemoWorkload, error) {
-	db, err := DemoDB(spec)
+// NewDemoWorkload builds the runtime cfg describes and the event stream
+// for cfg.Seed over cfg.Spec.
+func NewDemoWorkload(cfg RuntimeConfig) (*DemoWorkload, error) {
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewDemoWorkloadOn(db, seed, spec, inj, opener, func(b *Broker) error {
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			return err
-		}
-		for _, sc := range subs {
-			if err := b.Subscribe(sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// NewDemoWorkloadShared is NewDemoWorkloadSpec on the shared
-// delta-dataflow runtime: the demo subscriptions compile into one
-// hash-consed operator graph (SetSharedDataflow) instead of per-view
-// maintainers. In-memory durability only — the shared runtime has no
-// per-operator disk checkpoint yet.
-func NewDemoWorkloadShared(seed int64, spec WorkloadSpec, inj fault.Injector) (*DemoWorkload, error) {
-	db, err := DemoDB(spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewDemoWorkloadOn(db, seed, spec, inj, nil, func(b *Broker) error {
-		if err := b.SetSharedDataflow(true); err != nil {
-			return err
-		}
-		subs, err := demoSubscriptionsSpec(spec)
-		if err != nil {
-			return err
-		}
-		for _, sc := range subs {
-			if err := b.Subscribe(sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// DemoDB builds the demo workload's deterministic base database
-// (stations and sales, populated per spec) without a broker on top. The
-// compiler front end calibrates catalog views against it, and tests use
-// it to hand-wire comparison brokers.
-func DemoDB(spec WorkloadSpec) (*storage.DB, error) { return chaosDBSpec(spec) }
-
-// NewDemoWorkloadOn assembles a demo workload over an existing demo
-// database with caller-provided subscriptions: the broker is configured
-// (retry seed, optional durability, optional injector) and then handed
-// to subscribe to register whatever subscriptions the caller wants —
-// `abivm serve -catalog` compiles a views.sql catalog and registers the
-// compiled subscriptions here. db must come from DemoDB(spec) (or match
-// its schema); the event stream publishes into stations and sales.
-func NewDemoWorkloadOn(db *storage.DB, seed int64, spec WorkloadSpec, inj fault.Injector, opener durable.Opener, subscribe func(*Broker) error) (*DemoWorkload, error) {
-	b := NewBroker(db)
-	b.SetRetrySeed(seed)
-	if opener != nil {
-		b.SetStoreOpener(opener)
-	}
-	if inj != nil {
-		b.SetInjector(inj)
-	}
-	if err := subscribe(b); err != nil {
-		return nil, err
-	}
-	return &DemoWorkload{Broker: b, gen: newEventGenSpec(seed, spec)}, nil
+	return &DemoWorkload{Broker: rt, gen: newEventGenSpec(cfg.Seed, cfg.Spec)}, nil
 }
 
 // Step publishes one generated step of modifications and closes the
@@ -246,69 +149,8 @@ func (w *DemoWorkload) Step() ([]Notification, error) {
 	return w.Broker.EndStep()
 }
 
-// ShardedDemoWorkload is DemoWorkload on the sharded runtime: the same
-// deterministic event stream feeding a ShardedBroker, with one
-// subscription per region of the spec spread across the shards by the
-// assignment policy. `abivm serve -shards N` drives one.
-type ShardedDemoWorkload struct {
-	// Broker is the underlying sharded broker; callers own its lifecycle
-	// through Close.
-	Broker *ShardedBroker
-
-	gen *eventGen
-}
-
-// NewShardedDemoWorkload builds the sharded demo: base tables and
-// subscriptions from spec, shards workers, per-shard retry seeds derived
-// from seed, and — when factory is non-nil — one independent fault
-// injector per shard.
-func NewShardedDemoWorkload(seed int64, shards int, spec WorkloadSpec, factory func(shard int) fault.Injector) (*ShardedDemoWorkload, error) {
-	return NewShardedDemoWorkloadDurable(seed, shards, spec, factory, nil)
-}
-
-// NewShardedDemoWorkloadDurable is NewShardedDemoWorkload with
-// disk-backed durability; each shard prefixes its subscriptions'
-// store namespaces with "shard<i>/".
-func NewShardedDemoWorkloadDurable(seed int64, shards int, spec WorkloadSpec, factory func(shard int) fault.Injector, opener durable.Opener) (*ShardedDemoWorkload, error) {
-	db, err := chaosDBSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
-	sb.SetRetrySeed(seed)
-	if opener != nil {
-		sb.SetStoreOpener(opener)
-	}
-	if factory != nil {
-		sb.SetInjectors(factory)
-	}
-	subs, err := demoSubscriptionsSpec(spec)
-	if err != nil {
-		sb.Close()
-		return nil, err
-	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
-			sb.Close()
-			return nil, err
-		}
-	}
-	return &ShardedDemoWorkload{Broker: sb, gen: newEventGenSpec(seed, spec)}, nil
-}
-
-// Step publishes one generated step of modifications and closes the
-// step across every shard, returning the merged notifications.
-func (w *ShardedDemoWorkload) Step() ([]Notification, error) {
-	for _, ev := range w.gen.step() {
-		if err := w.Broker.Publish(ev.table, ev.mod); err != nil {
-			return nil, fmt.Errorf("pubsub: demo publish %s: %w", ev.table, err)
-		}
-	}
-	return w.Broker.EndStep()
-}
-
-// Close stops the shard workers.
-func (w *ShardedDemoWorkload) Close() { w.Broker.Close() }
+// Close stops the runtime's workers.
+func (w *DemoWorkload) Close() { w.Broker.Close() }
 
 // SeededShardInjectors returns a per-shard injector factory: shard i
 // gets an independent deterministic fault.Seeded stream derived from

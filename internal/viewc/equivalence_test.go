@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abivm/internal/pubsub"
+	"abivm/internal/storage"
 )
 
 // TestCompiledMatchesHandWired is the acceptance property for the serve
@@ -19,18 +20,15 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 	const seed, steps = 11, 40
 	spec := pubsub.DefaultWorkloadSpec()
 
-	run := func(wire func(b *pubsub.Broker, views []*CompiledView) error) string {
-		db, err := pubsub.DemoDB(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views, err := CompileCatalog(db, demoCatalog, Options{Seed: seed, Condition: pubsub.Every(5)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := pubsub.NewDemoWorkloadOn(db, seed, spec, nil, nil, func(b *pubsub.Broker) error {
-			return wire(b, views)
-		})
+	run := func(wire func(rt pubsub.Runtime, views []*CompiledView) error) string {
+		w, err := pubsub.NewDemoWorkload(pubsub.RuntimeConfig{Seed: seed, Spec: spec,
+			Subscribe: func(db *storage.DB, rt pubsub.Runtime) error {
+				views, err := CompileCatalog(db, demoCatalog, Options{Seed: seed, Condition: pubsub.Every(5)})
+				if err != nil {
+					return err
+				}
+				return wire(rt, views)
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +46,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 		return sb.String()
 	}
 
-	compiled := run(func(b *pubsub.Broker, views []*CompiledView) error {
+	compiled := run(func(b pubsub.Runtime, views []*CompiledView) error {
 		for _, cv := range views {
 			if err := b.SubscribeCompiled(cv); err != nil {
 				return err
@@ -56,7 +54,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 		}
 		return nil
 	})
-	handWired := run(func(b *pubsub.Broker, views []*CompiledView) error {
+	handWired := run(func(b pubsub.Runtime, views []*CompiledView) error {
 		for _, cv := range views {
 			// Spread the compiled parts into a plain Subscription by hand —
 			// the pre-compiler wiring style.

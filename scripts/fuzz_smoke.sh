@@ -1,6 +1,9 @@
 #!/bin/sh
 # Fuzz smoke: every native fuzz target (func Fuzz* in a _test.go file of
-# the root module) run for 10s from its seed corpus.
+# the root module) run for 10s from its seed corpus — today the SQL front
+# end (FuzzParse), the snapshot, checkpoint-segment, WAL-frame and
+# MANIFEST decoders, and the key codec. Targets are discovered, not
+# listed: a new Fuzz* function is picked up by the loop below.
 # `go test -fuzz` takes one package and one target at a time, hence the
 # loop. A crasher the fuzzer finds is written under the package's
 # testdata/fuzz/ and fails the run; commit it with the fix.

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Serve smoke: start `abivm serve` against the demo workload — once on
-# the serial broker and once on the sharded runtime (-shards 4) — scrape
-# the ops endpoints, and assert the required metric series exist. This is
+# Serve smoke: start `abivm serve` against the demo workload — on the
+# serial broker, on the sharded runtime (-shards 4) and on the sharded
+# runtime over shared dataflow graphs (-shards 2 -shared) — scrape the
+# ops endpoints, and assert the required metric series exist. This is
 # the end-to-end proof that the observability wiring — broker, shard
 # workers, maintainer, fault injector — actually emits on a live
 # process, not just in unit tests.
@@ -87,5 +88,13 @@ smoke sharded "-shards 4" \
     pubsub_shard_backlog_cost \
     pubsub_ingest_batches_total \
     pubsub_ingest_batch_size
+
+# Shared dataflow on the sharded runtime: one operator graph per shard,
+# so the graph-shape series must appear next to the shard series.
+smoke sharded-shared "-shards 2 -shared" \
+    pubsub_shards \
+    pubsub_ingest_batches_total \
+    ivm_dataflow_operators \
+    ivm_dataflow_views
 
 echo "serve_smoke: OK"
