@@ -26,7 +26,7 @@ func runCompile(args []string) error {
 	fit := fs.String("fit", "linear", "cost-function fit: linear or piecewise")
 	seed := fs.Int64("seed", 1, "calibration seed")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of the EXPLAIN IVM report")
-	dataflow := fs.Bool("dataflow", false, "target the shared delta-dataflow runtime: the report gains the canonical operator signatures the view would intern into the shared graph")
+	dataflow := fs.Bool("dataflow", false, "target the shared delta-dataflow runtime: the report gains the canonical operator signatures the view would intern into the shared graph and the join-input arrangements under them")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

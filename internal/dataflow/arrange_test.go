@@ -1,0 +1,140 @@
+package dataflow
+
+import (
+	"strings"
+	"testing"
+
+	"abivm/internal/ivm"
+	"abivm/internal/testenv"
+)
+
+const salesByStation = "arrange(scan(sales), [sales.station])"
+
+// TestArrangementSharedAcrossJoins pins the sharing of a join input as
+// exact counts: the unfiltered view plus N regional-filter views build
+// N+1 joins over one arrangement of sales, so state and trim work carry
+// no per-join term, and the arrangement lives exactly as long as some
+// join side reads it.
+func TestArrangementSharedAcrossJoins(t *testing.T) {
+	const nSales, rowsPerStation, regions, updates = 2_400, 20, 12, 128
+	const nStations = nSales / rowsPerStation
+	var arrangeWork uint64 // what a round's trim examines beyond retained logs
+	for _, n := range []int{1, 4, 12} {
+		g := NewGraph(regionalDB(t, nSales, rowsPerStation, regionNames(regions)))
+		handles := subscribeRegional(t, g, n)
+		rightRows := nStations + n*nStations/regions
+		st := g.Stats()
+		if st.StateRows != nSales+rightRows {
+			t.Fatalf("N=%d: %d state rows, want |sales| %d + right sides %d", n, st.StateRows, nSales, rightRows)
+		}
+		if st.Arrangements != 1+(n+1) || st.ArrangementHits != uint64(n) {
+			t.Fatalf("N=%d: %d arrangements, %d hits; want %d and %d", n, st.Arrangements, st.ArrangementHits, n+2, n)
+		}
+		sales := g.arrs[salesByStation]
+		if sales == nil || len(sales.ports) != n+1 {
+			t.Fatalf("N=%d: %s missing or not read by all %d joins: %v", n, salesByStation, n+1, sales)
+		}
+
+		next := 0
+		updateRound(t, g, updates, rowsPerStation, &next)
+		wm := settle(t, handles)
+		before := g.Stats()
+		if before.StateRows != nSales+rightRows+2*updates {
+			t.Fatalf("N=%d: %d updates grew state to %d rows, want %d", n, updates, before.StateRows, nSales+rightRows+2*updates)
+		}
+		g.Trim(wm)
+		after := g.Stats()
+		if after.StateRows != nSales+rightRows || after.RetainedDeltas != 0 {
+			t.Fatalf("N=%d: trimmed to %d state rows, %d retained; want %d and 0", n, after.StateRows, after.RetainedDeltas, nSales+rightRows)
+		}
+		work := after.TrimVisited - before.TrimVisited - uint64(before.RetainedDeltas)
+		if arrangeWork == 0 {
+			arrangeWork = work
+		}
+		if work == 0 || work != arrangeWork {
+			t.Fatalf("N=%d: trim examined %d entries beyond the %d retained ones, %d at N=1",
+				n, work, before.RetainedDeltas, arrangeWork)
+		}
+
+		// A subscribe that fails once its join is built (the projection's
+		// string arithmetic does not bind) leaves nothing behind.
+		p, err := ivm.PlanView("SELECT s.amount + st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'NOWHERE'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Subscribe(p); err == nil || !strings.Contains(err.Error(), "string operands") {
+			t.Fatalf("N=%d: ill-typed projection subscribed: %v", n, err)
+		}
+		if got := g.Stats(); got.Arrangements != after.Arrangements || got.Nodes != after.Nodes ||
+			got.StateRows != after.StateRows || len(sales.ports) != n+1 {
+			t.Fatalf("N=%d: failed subscribe left state behind: %+v, was %+v; %d ports", n, got, after, len(sales.ports))
+		}
+		checkGraphInvariants(t, "after failed subscribe", g)
+
+		// The view that created the arrangement leaves first; it stays for
+		// the others, down to the last regional view.
+		for _, h := range handles[:n] {
+			g.Release(h)
+		}
+		if g.arrs[salesByStation] != sales || len(sales.ports) != 1 {
+			t.Fatalf("N=%d: arrangement not kept for its last reader: %d ports", n, len(sales.ports))
+		}
+		if got, want := g.Stats().StateRows, nSales+nStations/regions; got != want {
+			t.Fatalf("N=%d: one regional view left holds %d state rows, want %d", n, got, want)
+		}
+		checkGraphInvariants(t, "one view left", g)
+		g.Release(handles[n])
+		if st := g.Stats(); st.StateRows != 0 || st.Arrangements != 0 || st.Nodes != 0 {
+			t.Fatalf("N=%d: released graph keeps %+v", n, st)
+		}
+	}
+}
+
+// TestIngestAllocsIndependentOfSharingJoins: one sales update — of a
+// sale the unfiltered and the R00 join emit for, whatever else is
+// subscribed — allocates the same with 2 joins reading sales as with 13:
+// one key string and one tail slot per delta, not per join.
+func TestIngestAllocsIndependentOfSharingJoins(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation, regions = 20, 12
+	ingestAllocs := func(regional int) (allocs uint64) {
+		g := NewGraph(regionalDB(t, 2_400, rowsPerStation, regionNames(regions)))
+		subscribeRegional(t, g, regional)
+		for round := 0; round < 4; round++ {
+			mod := updateSale(7, rowsPerStation, float64(10+round)) // station 0, region R00
+			allocs = mallocsOf(func() {
+				if err := g.Ingest("sales", mod); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return allocs
+	}
+	if few, many := ingestAllocs(1), ingestAllocs(regions); few != many {
+		t.Fatalf("one sales update allocated %d times under 2 joins, %d under 13", few, many)
+	}
+}
+
+// TestArrangementsListing pins the EXPLAIN order on a three-way join:
+// the inner join's two inputs, then the outer join's — whose left input
+// is the inner join itself, arranged by the outer key.
+func TestArrangementsListing(t *testing.T) {
+	p, err := ivm.PlanView(propQueries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Arrangements(p, NewGraph(propDB(t)).schemaOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := "join(scan(sales), scan(stations), on=[sales.station=stations.stationkey])"
+	want := []string{
+		salesByStation,
+		"arrange(scan(stations), [stations.stationkey])",
+		"arrange(" + inner + ", [stations.region])",
+		"arrange(scan(regions), [regions.region])",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("arrangements:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

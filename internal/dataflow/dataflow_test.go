@@ -404,6 +404,43 @@ func TestSharingOpCount(t *testing.T) {
 	if renderRows(hB.Result()) != renderRows(wantB.Result()) {
 		t.Fatalf("view B diverged from fresh recompute")
 	}
+
+	// The benchmark's 24-view fanout catalogue: 12 regional aggregates, 4
+	// GROUP BY variants over the unfiltered join, 4 regional row lists
+	// repeating the first four regions, 4 sales-only filters. Its 13 joins
+	// read scan(sales) through one arrangement, and the scan's fan-out
+	// still counts each of them beside the 4 direct filter edges.
+	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
+	var catalogue []string
+	for r := 0; r < 12; r++ {
+		catalogue = append(catalogue, regionalQuery(regionName(r)))
+	}
+	for _, aggs := range []string{"SUM(s.amount), COUNT(*)", "MIN(s.amount), MAX(s.amount)", "AVG(s.amount)", "COUNT(*)"} {
+		catalogue = append(catalogue, "SELECT st.region, "+aggs+" FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region")
+	}
+	for r := 0; r < 4; r++ {
+		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = '%s'", regionName(r)))
+	}
+	for i := 0; i < 4; i++ {
+		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, s.amount FROM sales AS s WHERE s.amount >= %d", 91+2*i))
+	}
+	for _, q := range catalogue {
+		p, err := ivm.PlanView(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fan.Subscribe(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := GraphStats{Nodes: 55, Views: 24, InternHits: 53, MaxFanout: 17, Arrangements: 14, ArrangementHits: 12,
+		StateRows: 240 + 2*12}
+	if got := fan.Stats(); got != want {
+		t.Fatalf("fanout catalogue built %+v, want %+v", got, want)
+	}
+	if f := fan.scans["sales"].fanout(); f != 17 {
+		t.Fatalf("scan(sales) fans out to %d consumers, want 13 join sides + 4 filters", f)
+	}
 }
 
 // TestReleaseRefcounts proves unsubscribe releases only unshared nodes

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,6 +34,7 @@ type opSpec struct {
 	table        string     // opScan
 	conjs        []sql.Expr // opFilter, sorted canonically
 	equiL, equiR []sql.Expr // opJoin equi-key pairs, aligned, sorted canonically
+	arrL, arrR   string     // opJoin: identities of the two input arrangements
 	residual     []sql.Expr // opJoin non-equi conjuncts, sorted canonically
 	items        []sql.Expr // opProject, in SELECT order
 	left, right  *opSpec
@@ -132,6 +134,7 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 			j.sig += ", where=[" + joinExprs(residual) + "]"
 		}
 		j.sig += ")"
+		j.arrL, j.arrR = arrangementID(cur.sig, j.equiL), arrangementID(leaf.sig, j.equiR)
 		cur = j
 		curTabs = joinedTabs
 	}
@@ -181,6 +184,18 @@ func filterSpec(child *opSpec, conjs []sql.Expr) *opSpec {
 	}
 }
 
+// arrangementID names a child's output indexed by a key list: the child's
+// signature and the canonical key expressions in the join's pair order.
+// Equal identities index the same rows the same way, so the graph keeps
+// one arrangement per identity.
+func arrangementID(childSig string, keys []sql.Expr) string {
+	strs := make([]string, len(keys))
+	for i, e := range keys {
+		strs[i] = e.String()
+	}
+	return fmt.Sprintf("arrange(%s, [%s])", childSig, strings.Join(strs, ", "))
+}
+
 func sortExprs(es []sql.Expr) {
 	sort.Slice(es, func(i, j int) bool { return es[i].String() < es[j].String() })
 }
@@ -219,21 +234,45 @@ func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 	return sigs, nil
 }
 
+// Arrangements returns the identities of the join-input arrangements a
+// view plan reads, left before right, inner joins first, without
+// building any state. Two views share exactly the arrangements whose
+// identities coincide — a wider overlap than their operators', since
+// joins that differ on the other side still index this one once.
+func Arrangements(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) ([]string, error) {
+	top, err := buildSpecs(p, schemaOf)
+	if err != nil {
+		return nil, err
+	}
+	// The spine is left-deep: every join is on the chain of left children.
+	var ids []string
+	for s := top; s != nil; s = s.left {
+		if s.kind == opJoin {
+			ids = append([]string{s.arrL, s.arrR}, ids...)
+		}
+	}
+	return ids, nil
+}
+
 // Graph is the shared operator DAG: one set of hash-consed nodes over
-// one live database, fanning out to any number of view sinks. All
-// methods assume external synchronization (the broker's lock), matching
-// the rest of the engine.
+// one live database, fanning out to any number of view sinks, and one
+// set of arrangements — the indexed join inputs — interned beside them.
+// All methods assume external synchronization (the broker's lock),
+// matching the rest of the engine.
 type Graph struct {
-	db    *storage.DB
-	nodes map[string]node
-	refs  map[string]int
-	scans map[string]*scanNode
-	hits  uint64
-	subs  int
-	ctr   counters
-	// trimOrder caches the nodes in signature order for Trim; realize and
-	// drop reset it to nil.
+	db      *storage.DB
+	nodes   map[string]node
+	refs    map[string]int
+	scans   map[string]*scanNode
+	arrs    map[string]*arrangement // by arrangementID; alive while a join side reads it
+	hits    uint64
+	arrHits uint64
+	subs    int
+	ctr     counters
+	// trimOrder and arrOrder cache the nodes in signature order and the
+	// arrangements in identity order for Trim; realize and drop reset both.
 	trimOrder []node
+	arrOrder  []*arrangement
 	// Netting scratch of the sinks' drains (netCovered): the key buffer,
 	// the net entries, and the index from encoded row to entry. Empty
 	// between drains.
@@ -249,6 +288,7 @@ func NewGraph(db *storage.DB) *Graph {
 		nodes:  make(map[string]node),
 		refs:   make(map[string]int),
 		scans:  make(map[string]*scanNode),
+		arrs:   make(map[string]*arrangement),
 		netIdx: make(map[string]int),
 	}
 }
@@ -351,7 +391,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 				return nil, err
 			}
 		}
-		n = newJoinNode(s.sig, &g.ctr, left, right, lkeys, rkeys, residual, cols)
+		n = newJoinNode(s.sig, &g.ctr, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), residual, cols)
 	case opProject:
 		child, err := g.realize(s.left, used)
 		if err != nil {
@@ -372,9 +412,33 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}
 	g.nodes[s.sig] = n
-	g.trimOrder = nil
+	g.trimOrder, g.arrOrder = nil, nil
 	*used = append(*used, s.sig)
 	return n, nil
+}
+
+// arrange returns the arrangement with the given identity, indexing the
+// child's present output by keys when no join side reads it yet.
+func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement {
+	if a, ok := g.arrs[id]; ok {
+		g.arrHits++
+		return a
+	}
+	a := newArrangement(id, &g.ctr, child, keys)
+	g.arrs[id] = a
+	return a
+}
+
+// unarrange detaches one join side from its arrangement, which goes —
+// rows, child edge and all — with its last port.
+func (g *Graph) unarrange(a *arrangement, p port) {
+	a.ports = slices.DeleteFunc(a.ports, func(q port) bool { return q == p })
+	if len(a.ports) > 0 {
+		return
+	}
+	a.child.removeOut(a)
+	g.ctr.stateRows -= a.rows()
+	delete(g.arrs, a.id)
 }
 
 // sweepUnreferenced removes nodes created by a failed Subscribe before
@@ -395,9 +459,13 @@ func (g *Graph) drop(sig string, n node) {
 	n.detach()
 	delete(g.nodes, sig)
 	delete(g.refs, sig)
-	g.trimOrder = nil
-	if sc, ok := n.(*scanNode); ok {
-		delete(g.scans, sc.tableName)
+	g.trimOrder, g.arrOrder = nil, nil
+	switch n := n.(type) {
+	case *scanNode:
+		delete(g.scans, n.tableName)
+	case *joinNode:
+		g.unarrange(n.lstate, port{j: n, left: true})
+		g.unarrange(n.rstate, port{j: n, left: false})
 	}
 }
 
@@ -449,24 +517,37 @@ func (g *Graph) LogLen(table string) uint64 {
 // Trim garbage-collects retained state below the durability watermark:
 // wm maps each table to the minimum checkpoint-covered cursor across
 // all views reading it. Retained output-log entries fully below the
-// watermark are dropped, and join-side entries fully below it are
-// netted into their bucket's base. The cost is proportional to what
-// arrived since the watermark last covered it, not to table sizes.
+// watermark are dropped, and arrangement entries fully below it are
+// netted into their bucket's base — once per arrangement, however many
+// joins read it. The cost is proportional to what arrived since the
+// watermark last covered it, not to table sizes or to the number of joins
+// sharing an input.
 func (g *Graph) Trim(wm map[string]uint64) {
 	if g.trimOrder == nil {
-		sigs := make([]string, 0, len(g.nodes))
-		for sig := range g.nodes {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		g.trimOrder = make([]node, len(sigs))
-		for i, sig := range sigs {
-			g.trimOrder[i] = g.nodes[sig]
-		}
+		g.trimOrder = sortedByKey(g.nodes)
+		g.arrOrder = sortedByKey(g.arrs)
 	}
 	for _, n := range g.trimOrder {
 		n.trim(wm)
 	}
+	for _, a := range g.arrOrder {
+		a.trim(wm)
+	}
+}
+
+// sortedByKey returns the map's values in key order, so no iteration
+// order leaks from the map. Never nil.
+func sortedByKey[V any](m map[string]V) []V {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]V, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
 }
 
 // GraphStats is the observable shape of the shared graph.
@@ -477,17 +558,24 @@ type GraphStats struct {
 	Nodes      int
 	Views      int
 	InternHits uint64
-	// MaxFanout is the widest downstream edge count of any operator
-	// (operator edges plus sinks).
+	// MaxFanout is the widest downstream consumer count of any operator:
+	// operator edges, sinks, and the join sides reading it through an
+	// arrangement.
 	MaxFanout int
-	// StateRows is the number of entries held across all join sides
+	// Arrangements is the number of live indexed join inputs, one per
+	// distinct (input operator, key list); ArrangementHits counts join
+	// sides served by an arrangement that already existed instead of
+	// indexing their input again — InternHits' analogue for state.
+	Arrangements    int
+	ArrangementHits uint64
+	// StateRows is the number of entries held across all arrangements
 	// (consolidated base rows plus not-yet-covered deltas);
 	// RetainedDeltas the number of output deltas retained for sinks'
 	// crash recovery. Both should track table sizes and checkpoint lag,
 	// not run length.
 	StateRows      int
 	RetainedDeltas int
-	// TrimVisited counts the retained deltas and join-state entries Trim
+	// TrimVisited counts the retained deltas and arrangement entries Trim
 	// has examined so far — a deterministic work count.
 	TrimVisited uint64
 }
@@ -497,6 +585,7 @@ type GraphStats struct {
 func (g *Graph) Stats() GraphStats {
 	st := GraphStats{
 		Nodes: len(g.nodes), Views: g.subs, InternHits: g.hits,
+		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
 	}
 	for _, n := range g.nodes {

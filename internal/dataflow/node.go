@@ -9,16 +9,17 @@ import (
 	"abivm/internal/storage"
 )
 
-// receiver consumes deltas emitted by an upstream node. Operator nodes
-// are receivers (join inputs through port wrappers), and so are view
-// sinks (ViewHandle).
+// receiver consumes deltas emitted by an upstream node. Stateless
+// operator nodes are receivers, and so are view sinks (ViewHandle) and
+// arrangements — a join never subscribes to its children itself, it reads
+// them through the arrangements it is a port of.
 type receiver interface {
 	onDelta(d Delta)
 }
 
 // node is one operator in the shared graph. Rows inside deltas are
 // immutable by convention — cloned once on scan ingest, shared freely
-// downstream — so retained logs and join states may alias them.
+// downstream — so retained logs and arrangements may alias them.
 type node interface {
 	// sig is the canonical structural signature; nodes with equal
 	// signatures compute identical functions of the base tables and are
@@ -30,25 +31,28 @@ type node interface {
 	// cols returns the output schema for binding parent expressions.
 	cols() []exec.Col
 	// current returns a deterministic snapshot of the node's present
-	// output as net weighted rows — the seed for newly created parents,
-	// which treat it as covered-at-creation (coordinate zero).
+	// output as net weighted rows — the seed of a newly created
+	// arrangement, which treats it as covered-at-creation (coordinate
+	// zero).
 	current() []weightedRow
-	// addOut / removeOut manage downstream operator edges; attachSink /
-	// detachSink manage view sinks (which additionally turn on output
-	// retention for crash recovery).
+	// addOut / removeOut manage downstream edges (operators and
+	// arrangements); attachSink / detachSink manage view sinks (which
+	// additionally turn on output retention for crash recovery).
 	addOut(r receiver)
 	removeOut(r receiver)
 	attachSink(r receiver)
 	detachSink(r receiver)
 	// detach unlinks the node from its children; called when the node's
-	// reference count drops to zero.
+	// reference count drops to zero. (A join's ports are the graph's to
+	// release: Graph.drop.)
 	detach()
-	// fanout is the number of downstream consumers (edges + sinks).
+	// fanout is the number of downstream consumers: direct edges, sinks,
+	// and the join ports reached through an arrangement.
 	fanout() int
 	// retained returns the retained output log (nil while no sink is
-	// attached); trim discards retained/stored deltas whose coordinates
-	// are all covered by the per-table watermark, which the node resolves
-	// to its own coordinate positions once per call.
+	// attached); trim discards the retained deltas whose coordinates are
+	// all covered by the per-table watermark, which the node resolves to
+	// its own coordinate positions once per call.
 	retained() []Delta
 	trim(wm map[string]uint64)
 }
@@ -56,9 +60,9 @@ type node interface {
 // counters are the graph-wide totals behind GraphStats, shared by
 // pointer with every node so Stats never walks state.
 type counters struct {
-	stateRows   int    // join-side entries, base and tail
+	stateRows   int    // arrangement entries, base and tail
 	retained    int    // deltas in retained output logs
-	trimVisited uint64 // log and join-state entries examined by trims
+	trimVisited uint64 // log and arrangement entries examined by trims
 }
 
 // nodeBase carries the shared node mechanics: identity, schema, the
@@ -77,7 +81,6 @@ type nodeBase struct {
 func (n *nodeBase) sig() string       { return n.signature }
 func (n *nodeBase) tables() []string  { return n.tabs }
 func (n *nodeBase) cols() []exec.Col  { return n.schema }
-func (n *nodeBase) fanout() int       { return len(n.outs) }
 func (n *nodeBase) retained() []Delta { return n.log }
 func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
 func (n *nodeBase) removeOut(r receiver) {
@@ -87,6 +90,20 @@ func (n *nodeBase) removeOut(r receiver) {
 			return
 		}
 	}
+}
+
+// fanout counts an arrangement as the join ports it serves, so sharing a
+// join input does not read as the child losing consumers.
+func (n *nodeBase) fanout() int {
+	f := 0
+	for _, o := range n.outs {
+		if a, ok := o.(*arrangement); ok {
+			f += len(a.ports)
+		} else {
+			f++
+		}
+	}
+	return f
 }
 
 func (n *nodeBase) attachSink(r receiver) {
@@ -135,7 +152,7 @@ func (n *nodeBase) watermark(wm map[string]uint64) []uint64 {
 	return n.wm
 }
 
-// trim is the whole of a stateless operator's trim: its retained log.
+// trim is the whole of an operator's trim: its retained log.
 func (n *nodeBase) trim(wm map[string]uint64) { n.trimLog(n.watermark(wm)) }
 
 // trimLog drops retained deltas fully covered by the watermark — every
@@ -353,42 +370,34 @@ func (p *projectNode) detach() {
 	p.dropLog()
 }
 
-// port disambiguates which input of a binary join a delta arrives on.
-type port struct {
-	j    *joinNode
-	left bool
-}
-
-func (p *port) onDelta(d Delta) { p.j.onSide(p.left, d) }
-
-// baseEntry is one consolidated row of a join side: its net weight over
-// every input delta the GC watermark has covered. The coordinate is not
-// stored — it is always zero.
+// baseEntry is one consolidated row of an arrangement: its net weight
+// over every input delta the GC watermark has covered. The coordinate is
+// not stored — it is always zero.
 type baseEntry struct {
 	row storage.Row
 	w   int64
 }
 
-// tailEntry is one input delta of a join side that some live cursor may
-// still be below: row, attribution, signed weight.
+// tailEntry is one input delta of an arrangement that some live cursor
+// may still be below: row, attribution, signed weight.
 type tailEntry struct {
 	row   storage.Row
 	coord Coord
 	w     int64
 }
 
-// bucket holds one join key's share of a side: the consolidated base
-// (one entry per distinct row, never zero-weight) and the uncovered
+// bucket holds one join key's share of an arrangement: the consolidated
+// base (one entry per distinct row, never zero-weight) and the uncovered
 // tail in arrival order.
 type bucket struct {
 	base []baseEntry
 	tail []tailEntry
 }
 
-// sideState is one join input's retained history, partitioned by
-// equi-join key so a delta — and a trim — touches only its own bucket.
-// touched lists the keys whose tail is non-empty, in the order they
-// became so; it is the whole of a trim's work list.
+// sideState is an arrangement's retained history of its child's output,
+// partitioned by equi-join key so a delta — and a trim — touches only its
+// own bucket. touched lists the keys whose tail is non-empty, in the
+// order they became so; it is the whole of a trim's work list.
 type sideState struct {
 	buckets map[string]*bucket
 	touched []string
@@ -435,7 +444,7 @@ func (s *sideState) bucketFor(key string) *bucket {
 	return b
 }
 
-// rows counts the side's entries by walking it (tests and teardown; the
+// rows counts the entries by walking them (tests and teardown; the
 // running total lives in ctr.stateRows).
 func (s *sideState) rows() int {
 	n := 0
@@ -486,10 +495,10 @@ func (s *sideState) sortedKeys() []string {
 // consolidate nets every tail entry the watermark covers into its bucket's
 // base — cancelling to zero removes the row — and keeps the rest. Only
 // touched buckets are visited, so the cost is O(deltas since the last
-// trim × bucket size), independent of the side's total size. Safe
+// trim × bucket size), independent of the arrangement's total size. Safe
 // because every live cursor is at or above the watermark and new
 // subscribers start fully covered: nobody can ever distinguish a covered
-// entry's coordinate from zero again. wm aligns with the side's
+// entry's coordinate from zero again. wm aligns with the child's
 // coordinates.
 func (s *sideState) consolidate(wm []uint64) {
 	stillTouched := s.touched[:0]
@@ -546,24 +555,94 @@ func (b *bucket) net(row storage.Row, w int64, ctr *counters) bool {
 	return false
 }
 
-// joinNode is a binary equi-join with optional residual predicates over
-// the concatenated row. Delta rule: a delta on one side joins the other
-// side's full retained state (including negative-weight entries), THEN
-// is appended to its own side — each (left, right) pair is produced
-// exactly once, when the later of its two inputs arrives.
-type joinNode struct {
-	nodeBase
-	left, right         node
-	leftPort, rightPort *port
-	lkeys, rkeys        []exec.Scalar
-	residual            []exec.Predicate
-	lstate, rstate      sideState
+// port is one join input served by an arrangement.
+type port struct {
+	j    *joinNode
+	left bool
 }
 
-func newJoinNode(sig string, ctr *counters, left, right node, lkeys, rkeys []exec.Scalar, residual []exec.Predicate, cols []exec.Col) *joinNode {
-	tabs := make([]string, 0, len(left.tables())+len(right.tables()))
-	tabs = append(tabs, left.tables()...)
-	tabs = append(tabs, right.tables()...)
+// arrangement is one child operator's output indexed by one equi-key
+// list, in sideState's base/tail bucket layout. The graph interns one per
+// (child signature, canonical key list); it subscribes to the child once
+// and is referenced — not owned — by every join side that reads that
+// child under those keys, so a delta is key-encoded, bucketed and later
+// trimmed once however many joins probe it.
+type arrangement struct {
+	sideState
+	id    string // "arrange(<child signature>, [<key expressions>])"
+	child node
+	keys  []exec.Scalar
+	ports []port   // attached join sides, in attachment order
+	wm    []uint64 // the trim watermark at the child's coordinates, reused
+}
+
+// newArrangement indexes the child's present output — everything already
+// there is covered at creation for whichever view's join asked first, and
+// at real, already-covered coordinates for any join attaching later — and
+// subscribes to what follows.
+func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *arrangement {
+	tabs := len(child.tables())
+	a := &arrangement{
+		sideState: newSideState(tabs, ctr),
+		id:        id,
+		child:     child,
+		keys:      keys,
+		wm:        make([]uint64, tabs),
+	}
+	a.seed(child.current(), keys)
+	child.addOut(a)
+	return a
+}
+
+// onDelta encodes the key once, lets every attached join side probe the
+// arrangement opposite it, and only then appends the delta to its own
+// bucket. No join has one arrangement on both sides and no view reads a
+// table twice, so nothing a port emits can reach this arrangement before
+// the append: each (left, right) pair is still produced exactly once,
+// when the later of its two inputs arrives.
+func (a *arrangement) onDelta(d Delta) {
+	key := joinKey(a.keys, d.Row)
+	for _, p := range a.ports {
+		p.j.onSide(p.left, key, d)
+	}
+	a.add(key, d)
+}
+
+// trim resolves the per-table watermark to the child's coordinates and
+// nets what it covers.
+func (a *arrangement) trim(wm map[string]uint64) {
+	for i, t := range a.child.tables() {
+		a.wm[i] = wm[t]
+	}
+	a.consolidate(a.wm)
+}
+
+// joinNode is a binary equi-join with optional residual predicates over
+// the concatenated row. It holds no input state of its own: lstate and
+// rstate are the graph's arrangements of its children by its key lists,
+// shared with every other join reading the same child under the same
+// keys. Delta rule: a delta on one side joins the other side's full
+// retained state (including negative-weight entries), THEN is appended
+// to its own side — each (left, right) pair is produced exactly once,
+// when the later of its two inputs arrives.
+type joinNode struct {
+	nodeBase
+	residual       []exec.Predicate
+	lstate, rstate *arrangement
+}
+
+// newJoinNode attaches a join to its two arrangements as one port of
+// each. It panics if they are one arrangement: ivm.PlanView rejects
+// self-joins, and a delta must never probe the bucket it is about to
+// join.
+func newJoinNode(sig string, ctr *counters, lstate, rstate *arrangement, residual []exec.Predicate, cols []exec.Col) *joinNode {
+	if lstate == rstate {
+		panic("dataflow: join " + sig + " reads one arrangement on both sides")
+	}
+	ltabs, rtabs := lstate.child.tables(), rstate.child.tables()
+	tabs := make([]string, 0, len(ltabs)+len(rtabs))
+	tabs = append(tabs, ltabs...)
+	tabs = append(tabs, rtabs...)
 	j := &joinNode{
 		nodeBase: nodeBase{
 			signature: sig,
@@ -571,23 +650,12 @@ func newJoinNode(sig string, ctr *counters, left, right node, lkeys, rkeys []exe
 			schema:    cols,
 			ctr:       ctr,
 		},
-		left:     left,
-		right:    right,
-		lkeys:    lkeys,
-		rkeys:    rkeys,
 		residual: residual,
-		lstate:   newSideState(len(left.tables()), ctr),
-		rstate:   newSideState(len(right.tables()), ctr),
+		lstate:   lstate,
+		rstate:   rstate,
 	}
-	j.leftPort = &port{j: j, left: true}
-	j.rightPort = &port{j: j, left: false}
-	// Seed each side from the child's present output: the new node (and
-	// the one new view behind it) treats everything already there as
-	// covered at creation.
-	j.lstate.seed(left.current(), lkeys)
-	j.rstate.seed(right.current(), rkeys)
-	left.addOut(j.leftPort)
-	right.addOut(j.rightPort)
+	lstate.ports = append(lstate.ports, port{j: j, left: true})
+	rstate.ports = append(rstate.ports, port{j: j, left: false})
 	return j
 }
 
@@ -625,23 +693,24 @@ func (j *joinNode) emitPair(left bool, d Delta, row storage.Row, coord Coord, w 
 	}
 }
 
-// onSide probes the other side's bucket for the delta's key — base then
-// tail, each in insertion order — and appends the delta to its own.
-func (j *joinNode) onSide(left bool, d Delta) {
-	own, other, ownKeys := &j.rstate, &j.lstate, j.rkeys
+// onSide probes the other side's bucket for the arriving delta's key —
+// base then tail, each in insertion order. The delta's own arrangement
+// encoded the key and appends the delta once all its ports have probed.
+func (j *joinNode) onSide(left bool, key string, d Delta) {
+	other := j.lstate
 	if left {
-		own, other, ownKeys = &j.lstate, &j.rstate, j.lkeys
+		other = j.rstate
 	}
-	key := joinKey(ownKeys, d.Row)
-	if b := other.buckets[key]; b != nil {
-		for _, e := range b.base {
-			j.emitPair(left, d, e.row, other.zero, e.w)
-		}
-		for _, e := range b.tail {
-			j.emitPair(left, d, e.row, e.coord, e.w)
-		}
+	b := other.buckets[key]
+	if b == nil {
+		return
 	}
-	own.add(key, d)
+	for _, e := range b.base {
+		j.emitPair(left, d, e.row, other.zero, e.w)
+	}
+	for _, e := range b.tail {
+		j.emitPair(left, d, e.row, e.coord, e.w)
+	}
 }
 
 // each visits the bucket's entries, base then tail.
@@ -675,19 +744,4 @@ func (j *joinNode) current() []weightedRow {
 	return out
 }
 
-func (j *joinNode) detach() {
-	j.left.removeOut(j.leftPort)
-	j.right.removeOut(j.rightPort)
-	j.dropLog()
-	j.ctr.stateRows -= j.lstate.rows() + j.rstate.rows()
-}
-
-// trim splits the resolved watermark at the join's seam: its coordinates
-// are the left side's followed by the right side's.
-func (j *joinNode) trim(wm map[string]uint64) {
-	pos := j.watermark(wm)
-	j.trimLog(pos)
-	nl := len(j.left.tables())
-	j.lstate.consolidate(pos[:nl])
-	j.rstate.consolidate(pos[nl:])
-}
+func (j *joinNode) detach() { j.dropLog() }

@@ -255,51 +255,64 @@ func (w *propWorld) check(ctx string) {
 }
 
 // checkGraphInvariants walks the graph's state and holds it against the
-// O(1) counters and the layout rules: base entries distinct and
-// non-zero within a bucket, touched = the keys with a non-empty tail, no
-// empty buckets, capacity slack bounded.
+// O(1) counters and the layout rules: every arrangement is read by at
+// least one join side, is its child's edge exactly once and is walked
+// once however many joins share it; base entries distinct and non-zero
+// within a bucket, touched = the keys with a non-empty tail, no empty
+// buckets, capacity slack bounded.
 func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
-	rows, retained := 0, 0
-	for sig, n := range g.nodes {
+	rows, retained, sides, joins := 0, 0, 0, 0
+	for _, n := range g.nodes {
 		retained += len(n.retained())
-		j, ok := n.(*joinNode)
-		if !ok {
-			continue
+		if j, ok := n.(*joinNode); ok {
+			joins++
+			for _, a := range []*arrangement{j.lstate, j.rstate} {
+				if g.arrs[a.id] != a {
+					t.Fatalf("%s: %s reads %s, which the graph does not hold", ctx, j.sig(), a.id)
+				}
+			}
 		}
-		for _, s := range []*sideState{&j.lstate, &j.rstate} {
-			sideRows, withTail := 0, 0
-			for key, b := range s.buckets {
-				if len(b.base)+len(b.tail) == 0 {
-					t.Fatalf("%s: %s: empty bucket %q kept", ctx, sig, key)
-				}
-				if cap(b.base) > 2*len(b.base)+1 || cap(b.tail) > 2*len(b.tail)+1 {
-					t.Fatalf("%s: %s: bucket %q slack: base %d/%d tail %d/%d", ctx, sig, key,
-						len(b.base), cap(b.base), len(b.tail), cap(b.tail))
-				}
-				sideRows += len(b.base) + len(b.tail)
-				if len(b.tail) > 0 {
-					withTail++
-				}
-				seen := map[string]bool{}
-				for _, e := range b.base {
-					rk := storage.EncodeKey(e.row...)
-					if e.w == 0 || seen[rk] {
-						t.Fatalf("%s: %s: bucket %q base holds a zero or repeated row %v", ctx, sig, key, e.row)
-					}
-					seen[rk] = true
-				}
-			}
-			if withTail != len(s.touched) {
-				t.Fatalf("%s: %s: %d touched keys, %d buckets with a tail", ctx, sig, len(s.touched), withTail)
-			}
-			for _, key := range s.touched {
-				if b := s.buckets[key]; b == nil || len(b.tail) == 0 {
-					t.Fatalf("%s: %s: touched key %q has no tail", ctx, sig, key)
-				}
-			}
-			rows += sideRows
+	}
+	for id, a := range g.arrs {
+		if len(a.ports) == 0 {
+			t.Fatalf("%s: %s kept with no join side reading it", ctx, id)
 		}
+		sides += len(a.ports)
+		sideRows, withTail := 0, 0
+		for key, b := range a.buckets {
+			if len(b.base)+len(b.tail) == 0 {
+				t.Fatalf("%s: %s: empty bucket %q kept", ctx, id, key)
+			}
+			if cap(b.base) > 2*len(b.base)+1 || cap(b.tail) > 2*len(b.tail)+1 {
+				t.Fatalf("%s: %s: bucket %q slack: base %d/%d tail %d/%d", ctx, id, key,
+					len(b.base), cap(b.base), len(b.tail), cap(b.tail))
+			}
+			sideRows += len(b.base) + len(b.tail)
+			if len(b.tail) > 0 {
+				withTail++
+			}
+			seen := map[string]bool{}
+			for _, e := range b.base {
+				rk := storage.EncodeKey(e.row...)
+				if e.w == 0 || seen[rk] {
+					t.Fatalf("%s: %s: bucket %q base holds a zero or repeated row %v", ctx, id, key, e.row)
+				}
+				seen[rk] = true
+			}
+		}
+		if withTail != len(a.touched) {
+			t.Fatalf("%s: %s: %d touched keys, %d buckets with a tail", ctx, id, len(a.touched), withTail)
+		}
+		for _, key := range a.touched {
+			if b := a.buckets[key]; b == nil || len(b.tail) == 0 {
+				t.Fatalf("%s: %s: touched key %q has no tail", ctx, id, key)
+			}
+		}
+		rows += sideRows
+	}
+	if sides != 2*joins {
+		t.Fatalf("%s: %d join sides attached to arrangements, %d joins", ctx, sides, joins)
 	}
 	st := g.Stats()
 	if st.StateRows != rows || st.RetainedDeltas != retained {
@@ -414,9 +427,9 @@ func TestTrimPreservesMeaning(t *testing.T) {
 			if st := w.trimmed.Stats(); st.RetainedDeltas != 0 {
 				t.Fatalf("fully covered graph retains %d deltas", st.RetainedDeltas)
 			}
-			for sig, n := range w.trimmed.nodes {
-				if j, ok := n.(*joinNode); ok && len(j.lstate.touched)+len(j.rstate.touched) != 0 {
-					t.Fatalf("fully covered %s keeps tails: %q %q", sig, j.lstate.touched, j.rstate.touched)
+			for id, a := range w.trimmed.arrs {
+				if len(a.touched) != 0 {
+					t.Fatalf("fully covered %s keeps tails: %q", id, a.touched)
 				}
 			}
 		})

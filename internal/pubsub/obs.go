@@ -39,12 +39,15 @@ type brokerObs struct {
 	// Shared-dataflow graph shape, synced at the end of each step while
 	// the shared runtime is active (zero otherwise): live operator count,
 	// attached views, cumulative hash-consing intern hits, the widest
-	// operator fan-out, join-state rows, retained output deltas, and the
-	// cumulative count of entries trims examined.
+	// operator fan-out, live arrangements and the join sides that reused
+	// one, arrangement rows, retained output deltas, and the cumulative
+	// count of entries trims examined.
 	dfOperators   *obs.Gauge
 	dfViews       *obs.Gauge
 	dfInternHits  *obs.Gauge
 	dfMaxFanout   *obs.Gauge
+	dfArrs        *obs.Gauge
+	dfArrHits     *obs.Gauge
 	dfStateRows   *obs.Gauge
 	dfRetained    *obs.Gauge
 	dfTrimVisited *obs.Gauge
@@ -77,6 +80,8 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, shard string) *brokerObs {
 		dfViews:       reg.Gauge("ivm_dataflow_views", lbl...),
 		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total", lbl...),
 		dfMaxFanout:   reg.Gauge("ivm_dataflow_max_fanout", lbl...),
+		dfArrs:        reg.Gauge("ivm_dataflow_arrangements", lbl...),
+		dfArrHits:     reg.Gauge("ivm_dataflow_arrangement_hits_total", lbl...),
 		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows", lbl...),
 		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas", lbl...),
 		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total", lbl...),
@@ -252,6 +257,8 @@ func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
 	o.dfViews.Set(float64(st.Views))
 	o.dfInternHits.Set(float64(st.InternHits))
 	o.dfMaxFanout.Set(float64(st.MaxFanout))
+	o.dfArrs.Set(float64(st.Arrangements))
+	o.dfArrHits.Set(float64(st.ArrangementHits))
 	o.dfStateRows.Set(float64(st.StateRows))
 	o.dfRetained.Set(float64(st.RetainedDeltas))
 	o.dfTrimVisited.Set(float64(st.TrimVisited))

@@ -698,6 +698,8 @@ func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
 		total.Nodes += st.Nodes
 		total.Views += st.Views
 		total.InternHits += st.InternHits
+		total.Arrangements += st.Arrangements
+		total.ArrangementHits += st.ArrangementHits
 		total.StateRows += st.StateRows
 		total.RetainedDeltas += st.RetainedDeltas
 		total.TrimVisited += st.TrimVisited

@@ -312,10 +312,11 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 
 // TestSharedStateGauges pins the state-side observability of the shared
 // graph: the ivm_dataflow_state_rows / _retained_deltas /
-// _trim_visited_total series mirror DataflowStats at every step
-// boundary, and once the views have refreshed and checkpointed past the
-// last modification, join state is exactly its inputs (every update and
-// delete cancelled) and nothing is retained.
+// _trim_visited_total / _arrangements / _arrangement_hits_total series
+// mirror DataflowStats at every step boundary, and once the views have
+// refreshed and checkpointed past the last modification, join state is
+// exactly its inputs (every update and delete cancelled) and nothing is
+// retained.
 func TestSharedStateGauges(t *testing.T) {
 	db, err := chaosDB()
 	if err != nil {
@@ -343,9 +344,11 @@ func TestSharedStateGauges(t *testing.T) {
 		}
 		st := b.DataflowStats()
 		for name, want := range map[string]float64{
-			"ivm_dataflow_state_rows":         float64(st.StateRows),
-			"ivm_dataflow_retained_deltas":    float64(st.RetainedDeltas),
-			"ivm_dataflow_trim_visited_total": float64(st.TrimVisited),
+			"ivm_dataflow_state_rows":             float64(st.StateRows),
+			"ivm_dataflow_retained_deltas":        float64(st.RetainedDeltas),
+			"ivm_dataflow_trim_visited_total":     float64(st.TrimVisited),
+			"ivm_dataflow_arrangements":           float64(st.Arrangements),
+			"ivm_dataflow_arrangement_hits_total": float64(st.ArrangementHits),
 		} {
 			if got := gauge(name); got != want {
 				t.Fatalf("step %d: %s = %v, DataflowStats says %v", step, name, got, want)
@@ -388,7 +391,7 @@ func TestSharedStateGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := b.DataflowStats(); st.StateRows != 0 || st.RetainedDeltas != 0 {
-		t.Errorf("empty graph still counts %d state rows, %d retained deltas", st.StateRows, st.RetainedDeltas)
+	if st := b.DataflowStats(); st.StateRows != 0 || st.RetainedDeltas != 0 || st.Arrangements != 0 {
+		t.Errorf("empty graph still counts %d state rows, %d retained deltas, %d arrangements", st.StateRows, st.RetainedDeltas, st.Arrangements)
 	}
 }

@@ -56,9 +56,10 @@ type Options struct {
 	Condition pubsub.Condition
 	// Dataflow targets the shared delta-dataflow runtime: the EXPLAIN
 	// report gains the canonical operator signatures the view would
-	// intern into the shared graph (internal/dataflow), so an operator
-	// can read off exactly which sub-plans two views will share before
-	// subscribing them. The packaged subscription is unchanged — the
+	// intern into the shared graph (internal/dataflow) and the identities
+	// of the join-input arrangements under them, so an operator can read
+	// off exactly which sub-plans and which indexed inputs two views will
+	// share before subscribing them. The packaged subscription is unchanged — the
 	// broker's SetSharedDataflow decides which runtime executes it.
 	Dataflow bool
 }
@@ -116,7 +117,7 @@ type CompiledView struct {
 	Calibrations []Calibration
 	Model        *core.CostModel
 	// Dataflow mirrors Options.Dataflow; when set, Explain appends the
-	// shared-runtime operator signatures.
+	// shared-runtime operator signatures and arrangements.
 	Dataflow bool
 
 	cond pubsub.Condition
@@ -297,6 +298,16 @@ func (cv *CompiledView) Explain() (string, error) {
 		for _, sig := range sigs {
 			fmt.Fprintf(&sb, "  %s\n", sig)
 		}
+		arrs, err := dataflow.Arrangements(cv.Plan, cv.schemaOf)
+		if err != nil {
+			return "", err
+		}
+		if len(arrs) > 0 {
+			sb.WriteString("dataflow arrangements (join inputs indexed once per identity, whatever joins read them):\n")
+			for _, id := range arrs {
+				fmt.Fprintf(&sb, "  %s\n", id)
+			}
+		}
 	}
 	return sb.String(), nil
 }
@@ -307,11 +318,13 @@ func (cv *CompiledView) Explain() (string, error) {
 // whose signatures coincide, so diffing two views' signature lists
 // predicts the shared graph's shape.
 func (cv *CompiledView) OperatorSignatures() ([]string, error) {
-	return dataflow.Signatures(cv.Plan, func(table string) (*storage.Schema, error) {
-		tbl, err := cv.db.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		return tbl.Schema(), nil
-	})
+	return dataflow.Signatures(cv.Plan, cv.schemaOf)
+}
+
+func (cv *CompiledView) schemaOf(table string) (*storage.Schema, error) {
+	tbl, err := cv.db.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	return tbl.Schema(), nil
 }

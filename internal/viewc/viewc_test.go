@@ -203,7 +203,8 @@ func TestCompileDataflowSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"dataflow operators", "scan(sales)", "scan(stations)", "join("} {
+	for _, want := range []string{"dataflow operators", "scan(sales)", "scan(stations)", "join(",
+		"dataflow arrangements", "  arrange(scan(sales), [sales.station])\n", "  arrange(scan(stations), [stations.stationkey])\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dataflow report missing %q:\n%s", want, out)
 		}

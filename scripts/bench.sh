@@ -51,8 +51,10 @@ if [ -z "$out" ]; then
 fi
 if [ "$quick" -eq 1 ]; then
 	# One iteration of the headline benches: enough for CI to catch gross
-	# regressions (and keep an artifact trail) without a long job.
-	pattern='BenchmarkFig6VaryRefresh|BenchmarkAStarSearch$|BenchmarkVectorKey|BenchmarkGreedyActionSet'
+	# regressions (and keep an artifact trail) without a long job. The two
+	# shared-graph benchmarks are here so their set-up code runs in CI, not
+	# only compiles (each alternative of the pattern is split at its own /).
+	pattern='BenchmarkFig6VaryRefresh|BenchmarkAStarSearch$|BenchmarkVectorKey|BenchmarkGreedyActionSet|BenchmarkSharedDataflow|BenchmarkDataflowTrim/rows=1000$'
 	benchtime='-benchtime=1x'
 fi
 

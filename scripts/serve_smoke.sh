@@ -95,6 +95,8 @@ smoke sharded-shared "-shards 2 -shared" \
     pubsub_shards \
     pubsub_ingest_batches_total \
     ivm_dataflow_operators \
-    ivm_dataflow_views
+    ivm_dataflow_views \
+    ivm_dataflow_arrangements \
+    ivm_dataflow_arrangement_hits_total
 
 echo "serve_smoke: OK"
