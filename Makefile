@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify fuzz-smoke chaos bench bench-quick serve-smoke compile-smoke docs-check
+.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick serve-smoke compile-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ vet:
 # verify is the merge gate: everything CI runs, in one command.
 verify:
 	sh scripts/check.sh
+
+# results-check fails when the committed figures lag the engine that
+# produces them: `abivm all` is deterministic, so RESULTS.txt must equal
+# its output byte for byte. A change that moves a charged work unit
+# regenerates it with `go run ./cmd/abivm all > RESULTS.txt`.
+results-check:
+	$(GO) run ./cmd/abivm all | diff - RESULTS.txt
 
 # fuzz-smoke runs every native fuzz target (the SQL front end, the
 # decoders of snapshots, checkpoint segments, WAL frames and the

@@ -14,6 +14,19 @@ import (
 // that side as "size unknown".
 type unbounded struct{ Op }
 
+// spy counts the Opens of its input and passes its row bound through.
+type spy struct {
+	Op
+	opens int
+}
+
+func (s *spy) Open() error {
+	s.opens++
+	return s.Op.Open()
+}
+
+func (s *spy) RowBound() (int, bool) { return rowBound(s.Op) }
+
 // joinCase is one randomly drawn pair of join inputs.
 type joinCase struct {
 	lcols, rcols []Col
@@ -83,13 +96,14 @@ func nestedLoop(c joinCase) []storage.Row {
 }
 
 // runJoin joins the case with the bound of either side optionally
-// hidden, and returns the rows, the work charged and which side's keys
-// the table held.
-func runJoin(t *testing.T, c joinCase, hideLeft, hideRight bool) ([]storage.Row, storage.Stats, bool) {
+// hidden, and returns the rows, the work charged, which side's keys the
+// table held and how often the stored (right) input was opened.
+func runJoin(t *testing.T, c joinCase, hideLeft, hideRight bool) ([]storage.Row, storage.Stats, bool, int) {
 	t.Helper()
 	var st storage.Stats
 	var left Op = NewRowsSource(c.lcols, c.left, &st)
-	var right Op = NewRowsSource(c.rcols, c.right, &st)
+	stored := &spy{Op: NewRowsSource(c.rcols, c.right, &st)}
+	var right Op = stored
 	if hideLeft {
 		left = unbounded{left}
 	}
@@ -113,7 +127,7 @@ func runJoin(t *testing.T, c joinCase, hideLeft, hideRight bool) ([]storage.Row,
 		rows = append(rows, r)
 	}
 	j.Close()
-	return rows, st, onLeft
+	return rows, st, onLeft, stored.opens
 }
 
 func sameRows(a, b []storage.Row) bool {
@@ -130,45 +144,120 @@ func sameRows(a, b []storage.Row) bool {
 
 // TestHashJoinBuildSideEquivalence: whichever input the table is keyed
 // on, the join emits the nested-loop row sequence and charges the same
-// work units. Mutation-checked: emitting right-major, or dropping any
-// one of the three charges, fails it.
+// work units — with one exception, the empty-driving-side rule: keyed on
+// a left input that turns out empty, the stored input is never opened
+// and nothing at all is charged. Mutation-checked: emitting right-major,
+// dropping any one of the three charges, or scanning the stored side for
+// an empty batch fails it.
 func TestHashJoinBuildSideEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
+	skipped := 0
 	for i := 0; i < 400; i++ {
 		c := drawCase(rng)
 		want := nestedLoop(c)
-		wantStats := storage.Stats{
-			RowsScanned:   uint64(len(c.left) + len(c.right)),
-			BatchSetups:   1,
-			HashBuildRows: uint64(len(c.right)),
-			HashProbeRows: uint64(len(c.left)),
-			RowsEmitted:   uint64(len(want)),
-		}
-		onRight, rightStats, mode := runJoin(t, c, true, false)
-		if mode {
-			t.Fatalf("case %d: left bound hidden, yet the table was keyed on the left", i)
-		}
-		onLeft, leftStats, mode := runJoin(t, c, false, true)
-		if !mode {
-			t.Fatalf("case %d: only the left bound known, yet the table was keyed on the right", i)
-		}
-		chosen, chosenStats, mode := runJoin(t, c, false, false)
-		if wantMode := len(c.left) <= len(c.right); mode != wantMode {
-			t.Fatalf("case %d: %d left rows, %d right rows: keyed on left = %v, want %v", i, len(c.left), len(c.right), mode, wantMode)
-		}
-		for _, got := range []struct {
-			name  string
-			rows  []storage.Row
-			stats storage.Stats
-		}{{"keyed on right", onRight, rightStats}, {"keyed on left", onLeft, leftStats}, {"rule's choice", chosen, chosenStats}} {
-			if !sameRows(got.rows, want) {
-				t.Fatalf("case %d (%d x %d rows), %s: row sequence differs from nested loop\n got %v\nwant %v", i, len(c.left), len(c.right), got.name, got.rows, want)
+		for _, run := range []struct {
+			name                string
+			hideLeft, hideRight bool
+			onLeft              bool
+		}{
+			{"keyed on right", true, false, false},
+			{"keyed on left", false, true, true},
+			{"rule's choice", false, false, len(c.left) <= len(c.right)},
+		} {
+			rows, stats, mode, opens := runJoin(t, c, run.hideLeft, run.hideRight)
+			if mode != run.onLeft {
+				t.Fatalf("case %d (%d x %d rows), %s: keyed on left = %v, want %v", i, len(c.left), len(c.right), run.name, mode, run.onLeft)
 			}
-			if got.stats != wantStats {
-				t.Fatalf("case %d, %s: stats %+v, want %+v", i, got.name, got.stats, wantStats)
+			if !sameRows(rows, want) {
+				t.Fatalf("case %d (%d x %d rows), %s: row sequence differs from nested loop\n got %v\nwant %v", i, len(c.left), len(c.right), run.name, rows, want)
+			}
+			wantStats := storage.Stats{
+				RowsScanned:   uint64(len(c.left) + len(c.right)),
+				BatchSetups:   1,
+				HashBuildRows: uint64(len(c.right)),
+				HashProbeRows: uint64(len(c.left)),
+				RowsEmitted:   uint64(len(want)),
+			}
+			wantOpens := 1
+			if mode && len(c.left) == 0 {
+				wantStats, wantOpens = storage.Stats{}, 0
+				skipped++
+			}
+			if stats != wantStats {
+				t.Fatalf("case %d (%d x %d rows), %s: stats %+v, want %+v", i, len(c.left), len(c.right), run.name, stats, wantStats)
+			}
+			if opens != wantOpens {
+				t.Fatalf("case %d (%d x %d rows), %s: stored input opened %d times, want %d", i, len(c.left), len(c.right), run.name, opens, wantOpens)
 			}
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("no case exercised the empty-driving-side rule")
+	}
+}
+
+// TestCollectSplit: a signed batch — retractions, then insertions — run
+// once through filter, hash join (keyed on either side) and projection
+// comes out split where the nested loop over the retractions alone ends,
+// for every split point including none and all. An input that hides its
+// ordinals is an error, not a guess.
+func TestCollectSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	modes := map[bool]int{}
+	for i := 0; i < 200; i++ {
+		c := drawCase(rng)
+		// Drop every third driving row below the join, so ordinals have gaps.
+		keep := func(r storage.Row) bool { return r[0].Int()%3 != 0 }
+		var kept []storage.Row
+		for _, l := range c.left {
+			if keep(l) {
+				kept = append(kept, l)
+			}
+		}
+		for _, minus := range []int{0, len(c.left) / 2, len(c.left)} {
+			src := NewRowsSource(c.lcols, c.left, nil)
+			j, err := NewHashJoin(NewFilter(src, keep), NewRowsSource(c.rcols, c.right, nil), c.lkeys, c.rkeys, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proj, err := NewProject(j, j.Columns(), identity(len(j.Columns())), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, split, err := CollectSplit(proj, minus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes[len(c.left) <= len(c.right)]++
+			want := nestedLoop(joinCase{left: kept, right: c.right, lkeys: c.lkeys, rkeys: c.rkeys})
+			wantSplit := 0
+			for _, r := range want {
+				if r[0].Int() < int64(minus) { // the id column is the source position
+					wantSplit++
+				}
+			}
+			if !sameRows(rows, want) || split != wantSplit {
+				t.Fatalf("case %d (%d x %d rows, minus %d): %d rows split at %d, want %d split at %d", i, len(c.left), len(c.right), minus, len(rows), split, len(want), wantSplit)
+			}
+		}
+	}
+	if modes[true] == 0 || modes[false] == 0 {
+		t.Fatalf("key sides exercised: %v, want both", modes)
+	}
+	one := []storage.Row{{storage.I(0)}}
+	cols := []Col{{Name: "id", Type: storage.TInt}}
+	if _, _, err := CollectSplit(unbounded{NewRowsSource(cols, one, nil)}, 0); err == nil {
+		t.Error("CollectSplit accepted an input that reports no source ordinals")
+	}
+}
+
+// identity returns n scalars, the i-th picking column i.
+func identity(n int) []Scalar {
+	out := make([]Scalar, n)
+	for i := range out {
+		out[i] = func(r storage.Row) storage.Value { return r[i] }
+	}
+	return out
 }
 
 // TestRowBounds pins which operators report a bound.
@@ -208,12 +297,17 @@ type failOpen struct{ Op }
 func (failOpen) Open() error { return fmt.Errorf("open failed") }
 
 // TestHashJoinReleasesRows: a join kept for reuse holds no input rows
-// after Close, nor after an Open that failed half-way.
+// after Close, nor after an Open that failed half-way, nor after a run
+// the empty-driving-side rule cut short.
 func TestHashJoinReleasesRows(t *testing.T) {
 	held := func(j *HashJoin) bool {
 		return j.slots != nil || j.buckets != nil || j.leftRows != nil || j.curLeft != nil || j.matches != nil
 	}
-	c := drawCase(rand.New(rand.NewSource(3)))
+	rng := rand.New(rand.NewSource(3))
+	c := drawCase(rng)
+	for len(c.left) == 0 || len(c.right) == 0 {
+		c = drawCase(rng)
+	}
 	left := NewRowsSource(c.lcols, c.left, nil)
 	right := NewRowsSource(c.rcols, c.right, nil)
 	j, err := NewHashJoin(unbounded{left}, right, c.lkeys, c.rkeys, nil)
@@ -238,6 +332,35 @@ func TestHashJoinReleasesRows(t *testing.T) {
 		if held(j) {
 			t.Errorf("join holds rows after a failed Open: %+v", j)
 		}
+	}
+	// Keyed on a left input no row of which survives, the stored input is
+	// not opened at all, so its failing Open goes unseen: the join opens,
+	// emits nothing, charges nothing and holds nothing. The same join
+	// fails as above once a left row gets through.
+	var st storage.Stats
+	pass := false
+	j = &HashJoin{
+		left:     NewFilter(left, func(storage.Row) bool { return pass }),
+		right:    failOpen{right},
+		leftKeys: c.lkeys, rightKeys: c.rkeys,
+		stats: &st,
+	}
+	rows, err := Collect(j)
+	if err != nil || len(rows) != 0 {
+		t.Fatalf("empty driving side over a failing stored input: %d rows, err %v; want none and nil", len(rows), err)
+	}
+	if st.BatchSetups != 0 || st.HashBuildRows != 0 {
+		t.Errorf("empty driving side charged %+v, want no setup and no build rows", st)
+	}
+	if held(j) {
+		t.Errorf("join holds rows after an empty run: %+v", j)
+	}
+	pass = true
+	if _, err := Collect(j); err == nil {
+		t.Fatal("Open succeeded over a failing stored input with a driving row to join")
+	}
+	if held(j) {
+		t.Errorf("join holds rows after a failed Open: %+v", j)
 	}
 }
 

@@ -76,6 +76,24 @@ func rowBound(op Op) (int, bool) {
 	return 0, false
 }
 
+// sourceOrdinaler is implemented by operators that emit left-major over
+// one driving source — the RowsSource leftmost under them — and can say
+// which of its rows the row Next last returned derives from. It is what
+// lets a batch of retractions followed by insertions run through a plan
+// once and still be told apart afterwards, without a sign column.
+type sourceOrdinaler interface {
+	SourceOrdinal() (i int, ok bool)
+}
+
+// sourceOrdinal returns the driving-source position behind op's last
+// row; ok is false when op does not track one.
+func sourceOrdinal(op Op) (int, bool) {
+	if o, ok := op.(sourceOrdinaler); ok {
+		return o.SourceOrdinal()
+	}
+	return 0, false
+}
+
 // Scalar evaluates an expression over an input row.
 type Scalar func(storage.Row) storage.Value
 
@@ -96,6 +114,38 @@ func Collect(op Op) ([]storage.Row, error) {
 		}
 		out = append(out, r)
 	}
+}
+
+// CollectSplit is Collect for a plan whose driving source holds a signed
+// batch, the first minus rows retractions and the rest insertions: it
+// also returns how many leading output rows derive from the retractions.
+// Output is left-major, so those rows are a prefix.
+func CollectSplit(op Op, minus int) (out []storage.Row, split int, err error) {
+	if err := op.Open(); err != nil {
+		return nil, 0, err
+	}
+	defer op.Close()
+	split = -1
+	for {
+		r, ok := op.Next()
+		if !ok {
+			break
+		}
+		if split < 0 {
+			i, ok := sourceOrdinal(op)
+			if !ok {
+				return nil, 0, fmt.Errorf("exec: %T does not report source ordinals", op)
+			}
+			if i >= minus {
+				split = len(out)
+			}
+		}
+		out = append(out, r)
+	}
+	if split < 0 {
+		split = len(out)
+	}
+	return out, split, nil
 }
 
 // SeqScan reads all live rows of a table.
@@ -182,6 +232,9 @@ func (s *RowsSource) Reset(rows []storage.Row) { s.rows = rows }
 // RowBound reports the batch length.
 func (s *RowsSource) RowBound() (int, bool) { return len(s.rows), true }
 
+// SourceOrdinal reports the position of the row Next last returned.
+func (s *RowsSource) SourceOrdinal() (int, bool) { return s.pos - 1, true }
+
 // Filter passes through rows satisfying a predicate.
 type Filter struct {
 	in   Op
@@ -215,6 +268,9 @@ func (f *Filter) Close() { f.in.Close() }
 
 // RowBound passes the input's bound through: a filter only drops rows.
 func (f *Filter) RowBound() (int, bool) { return rowBound(f.in) }
+
+// SourceOrdinal passes the input's ordinal through.
+func (f *Filter) SourceOrdinal() (int, bool) { return sourceOrdinal(f.in) }
 
 // Project computes output expressions over input rows.
 type Project struct {
@@ -259,3 +315,6 @@ func (p *Project) Close() { p.in.Close() }
 
 // RowBound passes the input's bound through: one output row per input row.
 func (p *Project) RowBound() (int, bool) { return rowBound(p.in) }
+
+// SourceOrdinal passes the input's ordinal through.
+func (p *Project) SourceOrdinal() (int, bool) { return sourceOrdinal(p.in) }

@@ -11,7 +11,7 @@ import (
 // right row, left-major: left rows in their input order, and inside one
 // left row its matches in right-input order.
 //
-// Open always reads the right input once and buckets its rows by join
+// Open reads the right input at most once and buckets its rows by join
 // key; what it chooses, from the row bounds the inputs report, is which
 // keys get a bucket. When the left input is known to be no larger than
 // the right (a delta batch against a table scan), the left rows are
@@ -22,10 +22,17 @@ import (
 // are the right rows with its key in right-input order, so the emitted
 // sequence is the same.
 //
-// Work units are charged by role, not by which side was hashed: one
-// BatchSetups per Open, one HashBuildRows per right row, one
-// HashProbeRows per left row — the model of the paper's DBMS, which
-// pays a scan of the stored side per batch.
+// Keyed on the left, an Open that finds no left row never opens the
+// right input: a batch nothing of which survived the operators below
+// the join pays no scan. An error the right input's Open would have
+// returned is therefore not seen by that Open; it surfaces on the first
+// one with a left row to join.
+//
+// Work units are charged by role, not by which side was hashed, and only
+// for work done: one BatchSetups per scan of the right input, one
+// HashBuildRows per right row read, one HashProbeRows per left row — the
+// model of the paper's DBMS, which pays a scan of the stored side per
+// non-empty batch.
 type HashJoin struct {
 	left, right         Op
 	leftKeys, rightKeys []int
@@ -36,6 +43,7 @@ type HashJoin struct {
 	slots    map[string]int  // encoded join key -> position in buckets
 	buckets  [][]storage.Row // right rows per key, in right-input order
 	leftRows []storage.Row   // the left input, when it was read up front
+	leftOrds []int           // source ordinal of each leftRows entry, when the left input reports one
 	onLeft   bool            // slots holds the left input's keys only
 	leftI    int
 
@@ -70,7 +78,8 @@ func NewHashJoin(left, right Op, leftKeys, rightKeys []int, stats *storage.Stats
 func (j *HashJoin) Columns() []Col { return j.cols }
 
 // Open implements Op: it reads the right input into per-key buckets
-// (and, when the left input is the smaller one, the left input first).
+// (and, when the left input is the smaller one, the left input first,
+// stopping there when it is empty).
 func (j *HashJoin) Open() (err error) {
 	j.release()
 	defer func() {
@@ -92,9 +101,15 @@ func (j *HashJoin) Open() (err error) {
 				break
 			}
 			j.leftRows = append(j.leftRows, l)
+			if i, ok := sourceOrdinal(j.left); ok {
+				j.leftOrds = append(j.leftOrds, i)
+			}
 			j.slot(l, j.leftKeys, true)
 		}
 		j.left.Close()
+		if len(j.leftRows) == 0 {
+			return nil
+		}
 	}
 	if err := j.right.Open(); err != nil {
 		return err
@@ -176,6 +191,19 @@ func (j *HashJoin) Next() (storage.Row, bool) {
 	}
 }
 
+// SourceOrdinal reports the ordinal of the current left row: kept beside
+// the row when the left input was read up front, the left input's own
+// otherwise.
+func (j *HashJoin) SourceOrdinal() (int, bool) {
+	if !j.onLeft {
+		return sourceOrdinal(j.left)
+	}
+	if j.leftI == 0 || len(j.leftOrds) != len(j.leftRows) {
+		return 0, false
+	}
+	return j.leftOrds[j.leftI-1], true
+}
+
 // Close implements Op.
 func (j *HashJoin) Close() {
 	j.left.Close()
@@ -183,9 +211,11 @@ func (j *HashJoin) Close() {
 }
 
 // release drops every reference to input rows, so a join kept for
-// reuse (a prepared plan) pins nothing between runs.
+// reuse (a prepared plan) pins nothing between runs. The ordinals are
+// plain ints and keep their buffer.
 func (j *HashJoin) release() {
 	j.slots, j.buckets, j.leftRows = nil, nil, nil
+	j.leftOrds = j.leftOrds[:0]
 	j.leftI = 0
 	j.curLeft, j.matches, j.matchI = nil, nil, 0
 }
@@ -271,6 +301,10 @@ func (j *IndexLoopJoin) Next() (storage.Row, bool) {
 		j.matchI = 0
 	}
 }
+
+// SourceOrdinal passes the left input's ordinal through: it is curLeft's
+// whenever a row has just been returned.
+func (j *IndexLoopJoin) SourceOrdinal() (int, bool) { return sourceOrdinal(j.left) }
 
 // Close implements Op.
 func (j *IndexLoopJoin) Close() {

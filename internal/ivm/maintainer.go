@@ -226,7 +226,7 @@ func (m *Maintainer) initialize() error {
 	if err != nil {
 		return err
 	}
-	m.addRows(rows)
+	m.view.Add(rows)
 	*m.stats = storage.Stats{} // initial computation is setup cost
 	return nil
 }
@@ -356,15 +356,14 @@ func (m *Maintainer) processBatch(alias string, k int) error {
 	batch := queue[:k]
 
 	repl := m.replica.MustTable(m.tables[alias])
-	delRows, insRows, err := m.netDelta(repl, batch)
+	// The batch as one signed relation: delta[:minus] are the rows it
+	// retracts, delta[minus:] the rows it inserts.
+	delta, minus, err := m.netDelta(repl, batch)
 	if err != nil {
 		return err
 	}
-	minus, err := m.deltaJoin(alias, repl, delRows)
-	if err != nil {
-		return err
-	}
-	plus, err := m.deltaJoin(alias, repl, insRows)
+	// out is the view's delta in the same form, split at outMinus.
+	out, outMinus, err := m.deltaJoin(alias, repl, delta, minus)
 	if err != nil {
 		return err
 	}
@@ -383,7 +382,7 @@ func (m *Maintainer) processBatch(alias string, k int) error {
 		}
 		return cause
 	}
-	for _, r := range delRows {
+	for _, r := range delta[:minus] {
 		row := r
 		if _, err := repl.Delete(row.Project(repl.Schema().Key)...); err != nil {
 			return rollback(fmt.Errorf("ivm: replica delete: %w", err))
@@ -393,7 +392,7 @@ func (m *Maintainer) processBatch(alias string, k int) error {
 	if err := m.hit(fault.SiteDrainApply); err != nil {
 		return rollback(err)
 	}
-	for _, r := range insRows {
+	for _, r := range delta[minus:] {
 		row := r
 		if err := repl.Insert(row); err != nil {
 			return rollback(fmt.Errorf("ivm: replica insert: %w", err))
@@ -410,18 +409,15 @@ func (m *Maintainer) processBatch(alias string, k int) error {
 	// Commit point: fold the delta into the view state (exact inverse
 	// deltas, cannot fail), log the drain, mark the touched keys dirty
 	// for the next incremental checkpoint, trim the queue.
-	m.removeRows(minus)
-	m.addRows(plus)
+	m.view.FoldSigned(out, outMinus, 1)
 	if m.wal != nil {
 		if _, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k}); err != nil {
-			m.addRows(minus)
-			m.removeRows(plus)
+			m.view.FoldSigned(out, outMinus, -1)
 			return rollback(fmt.Errorf("ivm: wal commit: %w", err))
 		}
 	}
 	m.stats.BatchSetups++
-	m.markDirty(m.tables[alias], repl, delRows)
-	m.markDirty(m.tables[alias], repl, insRows)
+	m.markDirty(m.tables[alias], repl, delta)
 	// Recycle the drained prefix in place instead of re-slicing: the
 	// queue is an append/drain cycle, and keeping the backing array's
 	// start fixed lets future arrivals reuse the freed cells. The batch
@@ -466,14 +462,15 @@ func (m *Maintainer) clearDirty() {
 }
 
 // netDelta replays a batch against the replica state and collapses it to
-// per-key net (delete, insert) row sets.
-func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (delRows, insRows []storage.Row, err error) {
+// one signed relation: per key, in first-touch order, the row the batch
+// retracts (rows[:minus]) and the row it inserts (rows[minus:]).
+func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (rows []storage.Row, minus int, err error) {
 	type keyState struct {
 		initial storage.Row // replica row at batch start; nil if absent
 		final   storage.Row // row after replaying the batch; nil if absent
 	}
 	states := map[string]*keyState{}
-	order := []string{} // first-touch order, for deterministic output
+	order := []*keyState{} // first-touch order, for deterministic output
 	lookup := func(keyVals []storage.Value) *keyState {
 		k := storage.EncodeKey(keyVals...)
 		st, ok := states[k]
@@ -484,7 +481,7 @@ func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (delRows, insRow
 				st.final = row
 			}
 			states[k] = st
-			order = append(order, k)
+			order = append(order, st)
 		}
 		return st
 	}
@@ -493,39 +490,43 @@ func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (delRows, insRow
 		case ModInsert:
 			st := lookup(mod.Row.Project(repl.Schema().Key))
 			if st.final != nil {
-				return nil, nil, fmt.Errorf("ivm: replay insert over existing key %v", mod.Row)
+				return nil, 0, fmt.Errorf("ivm: replay insert over existing key %v", mod.Row)
 			}
 			st.final = mod.Row
 		case ModDelete:
 			st := lookup(mod.Key)
 			if st.final == nil {
-				return nil, nil, fmt.Errorf("ivm: replay delete of missing key %v", mod.Key)
+				return nil, 0, fmt.Errorf("ivm: replay delete of missing key %v", mod.Key)
 			}
 			st.final = nil
 		case ModUpdate:
 			st := lookup(mod.Key)
 			if st.final == nil {
-				return nil, nil, fmt.Errorf("ivm: replay update of missing key %v", mod.Key)
+				return nil, 0, fmt.Errorf("ivm: replay update of missing key %v", mod.Key)
 			}
 			st.final = mod.Row
 		}
 	}
-	for _, k := range order {
-		st := states[k]
-		if st.initial == nil && st.final == nil {
-			continue
-		}
+	// A key whose row the batch left as it found it contributes nothing;
+	// clearing it here lets the two passes below test one field each.
+	for _, st := range order {
 		if st.initial != nil && st.final != nil && rowsEqual(st.initial, st.final) {
-			continue
-		}
-		if st.initial != nil {
-			delRows = append(delRows, st.initial)
-		}
-		if st.final != nil {
-			insRows = append(insRows, st.final)
+			st.initial, st.final = nil, nil
 		}
 	}
-	return delRows, insRows, nil
+	rows = make([]storage.Row, 0, 2*len(order))
+	for _, st := range order {
+		if st.initial != nil {
+			rows = append(rows, st.initial)
+		}
+	}
+	minus = len(rows)
+	for _, st := range order {
+		if st.final != nil {
+			rows = append(rows, st.final)
+		}
+	}
+	return rows, minus, nil
 }
 
 func rowsEqual(a, b storage.Row) bool {
@@ -540,19 +541,21 @@ func rowsEqual(a, b storage.Row) bool {
 	return true
 }
 
-// deltaJoin runs the delta query with the alias's table replaced by the
-// given rows, joining them against the view-consistent replicas.
-func (m *Maintainer) deltaJoin(alias string, repl *storage.Table, rows []storage.Row) ([]storage.Row, error) {
+// deltaJoin runs the delta query once with the alias's table replaced by
+// the signed batch, joining it against the view-consistent replicas, and
+// returns the output split the same way: out[:split] derives from
+// rows[:minus].
+func (m *Maintainer) deltaJoin(alias string, repl *storage.Table, rows []storage.Row, minus int) (out []storage.Row, split int, err error) {
 	if len(rows) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	p, err := m.preparedFor(alias, repl)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.src.Reset(rows)
 	defer p.src.Reset(nil) // the kept plan must not pin the batch
-	return exec.Collect(p.op)
+	return exec.CollectSplit(p.op, minus)
 }
 
 // preparedFor returns the alias's prepared delta plan, compiling it on
@@ -581,13 +584,6 @@ func (m *Maintainer) preparedFor(alias string, repl *storage.Table) (*preparedDe
 	m.prepared[alias] = p
 	return p, nil
 }
-
-// addRows folds delta rows (group cols + agg args, or plain view rows)
-// into the view state.
-func (m *Maintainer) addRows(rows []storage.Row) { m.view.Add(rows) }
-
-// removeRows retracts delta rows from the view state.
-func (m *Maintainer) removeRows(rows []storage.Row) { m.view.Remove(rows) }
 
 // Refresh processes every pending delta, one full batch per table in
 // alias order, bringing the view fully up to date.

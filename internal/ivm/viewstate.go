@@ -68,10 +68,15 @@ func (v *ViewState) Add(rows []storage.Row) {
 	}
 }
 
-// Remove retracts delta rows from the state (weight -1 each).
-func (v *ViewState) Remove(rows []storage.Row) {
-	for _, r := range rows {
-		v.fold(r, -1)
+// FoldSigned folds one signed delta batch in slice order: rows[:minus]
+// with weight -w each, then rows[minus:] with weight +w. w is 1 to apply
+// the batch and -1 to take it back.
+func (v *ViewState) FoldSigned(rows []storage.Row, minus int, w int64) {
+	for _, r := range rows[:minus] {
+		v.fold(r, -w)
+	}
+	for _, r := range rows[minus:] {
+		v.fold(r, w)
 	}
 }
 
@@ -186,11 +191,13 @@ func (v *ViewState) Result() []storage.Row {
 		return out
 	}
 	keys := make([]string, 0, len(v.bag))
-	for k := range v.bag {
+	var n int64
+	for k, e := range v.bag {
 		keys = append(keys, k)
+		n += e.count
 	}
 	sort.Strings(keys)
-	var out []storage.Row
+	out := make([]storage.Row, 0, n)
 	for _, k := range keys {
 		e := v.bag[k]
 		for i := int64(0); i < e.count; i++ {

@@ -4,7 +4,8 @@ package storage
 // order, so the clone's slot order is deterministic given the source's
 // operation history), and every secondary-index definition. It is the
 // snapshot primitive behind view-consistent replicas and the compiler's
-// calibration sandboxes; src is only read, never mutated.
+// calibration sandboxes; src is only read, never mutated. Insert makes
+// the clone's own copy of each row.
 func CloneTable(dst *DB, src *Table) (*Table, error) {
 	out, err := dst.CreateTable(src.Schema())
 	if err != nil {
@@ -12,7 +13,7 @@ func CloneTable(dst *DB, src *Table) (*Table, error) {
 	}
 	var insertErr error
 	src.Scan(func(r Row) bool {
-		if err := out.Insert(r.Clone()); err != nil {
+		if err := out.Insert(r); err != nil {
 			insertErr = err
 			return false
 		}

@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"testing"
+
+	"abivm/internal/testenv"
+)
 
 func TestCloneTable(t *testing.T) {
 	src := NewDB()
@@ -55,5 +59,48 @@ func TestCloneTable(t *testing.T) {
 	}
 	if _, ok := orig.Get(I(99)); ok {
 		t.Fatal("insert into clone visible in source")
+	}
+}
+
+// TestCloneTableCopiesEachRowOnceAllocs: cloning a table allocates what
+// inserting its rows into a fresh table does — Insert's own copy of each
+// row — and not a second copy on top.
+func TestCloneTableCopiesEachRowOnceAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rows = 500
+	schema, err := NewSchema("t", []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TString}}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewDB().CreateTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Row
+	for i := 0; i < rows; i++ {
+		all = append(all, Row{I(int64(i)), S("v")})
+		if err := src.Insert(all[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inserting := testing.AllocsPerRun(10, func() {
+		out, err := NewDB().CreateTable(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range all {
+			if err := out.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	cloning := testing.AllocsPerRun(10, func() {
+		if _, err := CloneTable(NewDB(), src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs for %d rows: %.0f inserting, %.0f cloning", rows, inserting, cloning)
+	if cloning > inserting {
+		t.Errorf("CloneTable allocates %.0f for %d rows, inserting them allocates %.0f: rows are copied more than once", cloning, rows, inserting)
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification gate: gofmt, vet, build, domain lint (the nine
 # abivmlint analyzers, zero live findings), race-enabled tests, the
-# allocation-count tests without the race detector, and the nested
-# benchmark module.
+# allocation-count tests without the race detector, the committed
+# RESULTS.txt against the engine's output, and the nested benchmark
+# module.
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the
@@ -35,6 +36,9 @@ go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 # internal/testenv), so the packages that have them run once more without.
 echo "==> go test (allocation counts, no race detector)"
 go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow
+
+echo "==> RESULTS.txt is what the engine prints"
+make results-check
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or
