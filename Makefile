@@ -71,7 +71,8 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # docs-check fails when ARCHITECTURE.md/README.md drift from the
-# package tree (stale references or unmapped packages).
+# package tree (stale references or unmapped packages), or
+# OPERATIONS.md's metric catalogue from the registered series.
 docs-check:
 	sh scripts/docs_check.sh
 

@@ -140,8 +140,8 @@ func updateRound(tb testing.TB, g *Graph, n, rowsPerStation int, next *int) {
 // 100k rows read by 1 join or by 13 (the unfiltered view plus twelve
 // regional-filter views). ns/op is flat across sizes when a trim costs
 // O(modifications since the last trim) rather than O(table), and flat
-// across joins — but for their retained logs — when the shared input is
-// arranged once rather than once per join.
+// across joins when the shared input is arranged once rather than once
+// per join.
 func BenchmarkDataflowTrim(b *testing.B) {
 	const modsPerTrim, rowsPerStation, regions = 128, 20, 12
 	for _, n := range []int{1_000, 10_000, 100_000} {

@@ -527,9 +527,6 @@ func TestCheckpointRecover(t *testing.T) {
 			if err := p.g.Ingest(tables[i], mod); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.h.LogArrival(mod); err != nil {
-				t.Fatal(err)
-			}
 		}
 		aliases := p.m.Aliases()
 		alias := aliases[drains.Intn(len(aliases))]
@@ -565,8 +562,10 @@ func TestCheckpointRecover(t *testing.T) {
 	}
 }
 
-// TestTrimWatermark garbage-collects retained state below the durable
-// watermark and proves maintenance stays correct afterwards.
+// TestTrimWatermark garbage-collects below the durable watermark — the
+// checkpoint empties the fully covered sink's inbox, the trim
+// consolidates join state — and proves maintenance stays correct
+// afterwards.
 func TestTrimWatermark(t *testing.T) {
 	query := equivalenceQueries[1]
 	db := testDB(t)
@@ -599,17 +598,20 @@ func TestTrimWatermark(t *testing.T) {
 	if err := p.m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	if len(p.h.inbox) == 0 {
+		t.Fatal("twenty steps of drains left nothing buffered for the checkpoint to drop")
+	}
 	if err := p.h.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(p.h.inbox); n != 0 {
+		t.Fatalf("inbox not emptied by a checkpoint at full coverage: %d deltas", n)
 	}
 	before := g.Stats().StateRows
 	g.Trim(p.h.DurableCursors())
 	after := g.Stats().StateRows
 	if after >= before {
 		t.Fatalf("trim did not consolidate join state: %d -> %d entries", before, after)
-	}
-	if n := len(p.h.top.retained()); n != 0 {
-		t.Fatalf("retained log not emptied at full coverage: %d entries", n)
 	}
 	for i := 0; i < 20; i++ {
 		step(fmt.Sprintf("post-trim step %d", i))
@@ -718,9 +720,10 @@ func TestTrimWorkIndependentOfTableSize(t *testing.T) {
 }
 
 // TestDetachSinkStopsRetention: two identical views share their top
-// node; its output log exists for sinks' crash recovery, so it must
-// survive the first release and go with the last sink, after which the
-// node — still wired to its child — retains nothing more.
+// node, and each sink buffers what the node emits for itself. Releasing
+// one takes its buffered deltas with it and stops its retention — the
+// node keeps feeding the other — and the last release leaves no buffered
+// delta anywhere.
 func TestDetachSinkStopsRetention(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -741,31 +744,34 @@ func TestDetachSinkStopsRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h1, h2 := subscribe(), subscribe()
-	top := h1.top
-	if h2.top != top {
+	var h1, h2 *ViewHandle
+	buffered := func(ctx string, n1, n2 int) {
+		t.Helper()
+		if len(h1.inbox) != n1 || len(h2.inbox) != n2 {
+			t.Fatalf("%s: sinks buffer %d and %d deltas, want %d and %d", ctx, len(h1.inbox), len(h2.inbox), n1, n2)
+		}
+		if got := g.Stats().RetainedDeltas; got != n1+n2 {
+			t.Fatalf("%s: RetainedDeltas = %d, want %d", ctx, got, n1+n2)
+		}
+	}
+	h1, h2 = subscribe(), subscribe()
+	if h2.top != h1.top {
 		t.Fatal("identical views must share their top node")
 	}
 	ingest(100)
-	if n := len(top.retained()); n != 1 {
-		t.Fatalf("two sinks attached: %d retained deltas, want 1", n)
-	}
+	buffered("two sinks attached", 1, 1)
 	g.Release(h1)
+	buffered("first sink released", 0, 1)
 	ingest(101)
-	if n := len(top.retained()); n != 2 {
-		t.Fatalf("one sink left: %d retained deltas, want 2", n)
-	}
-	// Detach the last sink without dropping the node, so it keeps
-	// receiving its child's deltas.
-	top.detachSink(h2)
-	if n := len(top.retained()); n != 0 {
-		t.Fatalf("last sink gone: log of %d deltas kept", n)
-	}
+	buffered("one sink left", 0, 2)
+	// Detach the last sink's edge without dropping the node, so the node
+	// keeps receiving its child's deltas: with no sink, nothing keeps them.
+	h2.top.removeOut(h2)
 	ingest(102)
-	if n := len(top.retained()); n != 0 {
-		t.Fatalf("no sink attached: node retained %d more deltas", n)
-	}
-	if got := g.Stats().RetainedDeltas; got != 0 {
-		t.Fatalf("RetainedDeltas = %d with no sink attached", got)
+	buffered("no sink attached", 0, 2)
+	g.Release(h2)
+	buffered("last sink released", 0, 0)
+	if st := g.Stats(); st.Nodes != 0 {
+		t.Fatalf("released graph keeps %d nodes", st.Nodes)
 	}
 }

@@ -269,10 +269,9 @@ type Graph struct {
 	arrHits uint64
 	subs    int
 	ctr     counters
-	// trimOrder and arrOrder cache the nodes in signature order and the
-	// arrangements in identity order for Trim; realize and drop reset both.
-	trimOrder []node
-	arrOrder  []*arrangement
+	// arrOrder caches the arrangements in identity order for Trim; realize
+	// and drop reset it.
+	arrOrder []*arrangement
 	// Netting scratch of the sinks' drains (netCovered): the key buffer,
 	// the net entries, and the index from encoded row to entry. Empty
 	// between drains.
@@ -325,7 +324,7 @@ func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 	for _, sig := range used {
 		g.refs[sig]++
 	}
-	n.attachSink(h)
+	n.addOut(h)
 	g.subs++
 	return h, nil
 }
@@ -347,7 +346,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc := newScanNode(s.sig, &g.ctr, tbl)
+		sc := newScanNode(s.sig, tbl)
 		g.scans[s.table] = sc
 		n = sc
 	case opFilter:
@@ -362,7 +361,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 				return nil, err
 			}
 		}
-		n = newFilterNode(s.sig, &g.ctr, child, preds)
+		n = newFilterNode(s.sig, child, preds)
 	case opJoin:
 		left, err := g.realize(s.left, used)
 		if err != nil {
@@ -391,7 +390,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 				return nil, err
 			}
 		}
-		n = newJoinNode(s.sig, &g.ctr, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), residual, cols)
+		n = newJoinNode(s.sig, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), residual, cols)
 	case opProject:
 		child, err := g.realize(s.left, used)
 		if err != nil {
@@ -407,12 +406,12 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 			scalars[i] = sc
 			cols[i] = exec.Col{Name: fmt.Sprintf("c%d", i), Type: typ}
 		}
-		n = newProjectNode(s.sig, &g.ctr, child, scalars, cols)
+		n = newProjectNode(s.sig, child, scalars, cols)
 	default:
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}
 	g.nodes[s.sig] = n
-	g.trimOrder, g.arrOrder = nil, nil
+	g.arrOrder = nil
 	*used = append(*used, s.sig)
 	return n, nil
 }
@@ -459,7 +458,7 @@ func (g *Graph) drop(sig string, n node) {
 	n.detach()
 	delete(g.nodes, sig)
 	delete(g.refs, sig)
-	g.trimOrder, g.arrOrder = nil, nil
+	g.arrOrder = nil
 	switch n := n.(type) {
 	case *scanNode:
 		delete(g.scans, n.tableName)
@@ -469,11 +468,13 @@ func (g *Graph) drop(sig string, n node) {
 	}
 }
 
-// Release detaches a view's sink and returns its node references,
-// dropping (parents before children) every node whose count reaches
-// zero. Shared nodes survive untouched.
+// Release detaches a view's sink, buffered deltas and all, and returns
+// its node references, dropping (parents before children) every node
+// whose count reaches zero. Shared nodes survive untouched.
 func (g *Graph) Release(h *ViewHandle) {
-	h.top.detachSink(h)
+	h.top.removeOut(h)
+	g.ctr.retained -= len(h.inbox)
+	h.inbox = nil
 	for i := len(h.sigs) - 1; i >= 0; i-- {
 		sig := h.sigs[i]
 		g.refs[sig]--
@@ -493,9 +494,10 @@ func (g *Graph) Watches(table string) bool {
 	return ok
 }
 
-// Ingest feeds one base-table modification into the table's scan node,
-// propagating the resulting deltas through the whole shared graph (all
-// views' pending sets) in one pass.
+// Ingest appends one base-table modification to the table's ingest log —
+// the one record of the arrival, which every view reading the table
+// counts its backlog against — and propagates the resulting deltas
+// through the whole shared graph, into every view's sink, in one pass.
 func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	sc, ok := g.scans[table]
 	if !ok {
@@ -504,31 +506,16 @@ func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	return sc.ingest(mod)
 }
 
-// LogLen returns the table's ingest-log length (the coordinate a
-// brand-new subscriber starts fully covered at), or 0 when untracked.
-func (g *Graph) LogLen(table string) uint64 {
-	sc, ok := g.scans[table]
-	if !ok {
-		return 0
-	}
-	return sc.mods
-}
-
-// Trim garbage-collects retained state below the durability watermark:
-// wm maps each table to the minimum checkpoint-covered cursor across
-// all views reading it. Retained output-log entries fully below the
-// watermark are dropped, and arrangement entries fully below it are
-// netted into their bucket's base — once per arrangement, however many
-// joins read it. The cost is proportional to what arrived since the
-// watermark last covered it, not to table sizes or to the number of joins
-// sharing an input.
+// Trim garbage-collects join state below the durability watermark: wm
+// maps each table to the minimum checkpoint-covered cursor across all
+// views reading it, and arrangement entries fully below it are netted
+// into their bucket's base — once per arrangement, however many joins
+// read it. The cost is proportional to what arrived since the watermark
+// last covered it, not to table sizes or to the number of joins sharing
+// an input. (A sink drops its own buffered deltas when it checkpoints.)
 func (g *Graph) Trim(wm map[string]uint64) {
-	if g.trimOrder == nil {
-		g.trimOrder = sortedByKey(g.nodes)
+	if g.arrOrder == nil {
 		g.arrOrder = sortedByKey(g.arrs)
-	}
-	for _, n := range g.trimOrder {
-		n.trim(wm)
 	}
 	for _, a := range g.arrOrder {
 		a.trim(wm)
@@ -570,14 +557,29 @@ type GraphStats struct {
 	ArrangementHits uint64
 	// StateRows is the number of entries held across all arrangements
 	// (consolidated base rows plus not-yet-covered deltas);
-	// RetainedDeltas the number of output deltas retained for sinks'
-	// crash recovery. Both should track table sizes and checkpoint lag,
-	// not run length.
+	// RetainedDeltas the number of propagated deltas waiting in sink
+	// buffers — each once, in the sink it was propagated to, until that
+	// sink's checkpoint covers it. Both should track table sizes and
+	// checkpoint lag, not run length.
 	StateRows      int
 	RetainedDeltas int
-	// TrimVisited counts the retained deltas and arrangement entries Trim
-	// has examined so far — a deterministic work count.
+	// TrimVisited counts the arrangement entries Trim has examined so far
+	// — a deterministic work count.
 	TrimVisited uint64
+}
+
+// Add accumulates another graph's shape into s, for aggregating across
+// a sharded broker's graphs: counts sum, MaxFanout takes the widest.
+func (s *GraphStats) Add(o GraphStats) {
+	s.Nodes += o.Nodes
+	s.Views += o.Views
+	s.InternHits += o.InternHits
+	s.MaxFanout = max(s.MaxFanout, o.MaxFanout)
+	s.Arrangements += o.Arrangements
+	s.ArrangementHits += o.ArrangementHits
+	s.StateRows += o.StateRows
+	s.RetainedDeltas += o.RetainedDeltas
+	s.TrimVisited += o.TrimVisited
 }
 
 // Stats snapshots the graph shape. It reads counters and walks the

@@ -12,8 +12,8 @@ import (
 )
 
 // ViewHandle is one view's sink on the shared graph: the per-view
-// cursors, the pending (propagated-but-not-yet-folded) deltas, and the
-// foldable view state. It mirrors the broker-facing surface of
+// cursors, the inbox of deltas propagated to it, and the foldable view
+// state. It mirrors the broker-facing surface of
 // ivm.Maintainer — aliases, pending counts, ProcessBatch with the same
 // fault-injection sites, WAL, checkpoint/recover — so the pub/sub layer
 // drives either runtime through the same choreography.
@@ -39,9 +39,15 @@ type ViewHandle struct {
 	scans    []*scanNode // the tables' sources, for their ingest-log lengths
 	cursors  []uint64    // covered ingest-log prefix per table
 
-	pending []Delta // propagated deltas not yet covered
-	view    *ivm.ViewState
-	stats   *storage.Stats
+	// inbox is the one place a delta propagated to this view waits: every
+	// delta the top operator has emitted that the last checkpoint's cursors
+	// do not cover, in arrival order. A drain folds the ones its cursor
+	// advance newly covers and leaves them where they are; Checkpoint drops
+	// what it covers. It is the graph's edge into the sink, so it survives a
+	// sink crash as all graph state does, and Recover replays drains over it.
+	inbox []Delta
+	view  *ivm.ViewState
+	stats *storage.Stats
 
 	wal  *ivm.WAL
 	inj  fault.Injector
@@ -116,9 +122,12 @@ func (h *ViewHandle) initialize() error {
 }
 
 // onDelta receives one propagated delta from the top operator. Freshly
-// emitted deltas always carry at least one uncovered coordinate, so
-// they are pending by construction.
-func (h *ViewHandle) onDelta(d Delta) { h.pending = append(h.pending, d) }
+// emitted deltas always carry at least one uncovered coordinate, so no
+// drain has folded them yet.
+func (h *ViewHandle) onDelta(d Delta) {
+	h.inbox = append(h.inbox, d)
+	h.g.ctr.retained++
+}
 
 // Plan returns the view's delta plan, shared and read-only.
 func (h *ViewHandle) Plan() *ivm.DeltaPlan { return h.plan }
@@ -142,8 +151,9 @@ func (h *ViewHandle) Stats() *storage.Stats { return h.stats }
 // Signatures returns the view's operator signatures in post-order.
 func (h *ViewHandle) Signatures() []string { return h.sigs }
 
-// AttachWAL makes the handle record arrivals and drain commits to w,
-// enabling Checkpoint/Recover. A nil w detaches.
+// AttachWAL makes the handle record drain commits to w — all its
+// recovery replays; arrivals are on the graph's ingest logs. A nil w
+// detaches.
 func (h *ViewHandle) AttachWAL(w *ivm.WAL) { h.wal = w }
 
 // WAL returns the attached redo log, or nil.
@@ -167,17 +177,6 @@ func (h *ViewHandle) hit(site fault.Site) error {
 		return nil
 	}
 	return h.inj.Hit(site)
-}
-
-// LogArrival records one accepted modification to the WAL — the shared
-// graph holds the modification itself; the record only preserves the
-// arrival order for post-checkpoint replay parity.
-func (h *ViewHandle) LogArrival(mod ivm.Mod) error {
-	if h.wal == nil {
-		return nil
-	}
-	_, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALArrival, Mod: mod})
-	return err
 }
 
 // Pending returns the per-table backlog sizes in alias order — the
@@ -237,27 +236,19 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 		return err
 	}
 	// Commit point: advance the cursor, fold the deltas it newly covers,
-	// log the drain, trim the pending set. A failed log append takes the
-	// fold and the cursor back.
-	h.cursors[i] += uint64(k)
-	nets := h.g.netCovered(h.pending, h.cursors)
+	// log the drain. A failed log append takes the fold and the cursor back.
+	old := h.cursors[i]
+	h.cursors[i] = old + uint64(k)
+	nets := h.g.netCovered(h.inbox, i, old, h.cursors)
 	defer h.g.releaseNets()
 	h.fold(nets)
 	if h.wal != nil {
 		if _, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALDrain, Alias: alias, K: k}); err != nil {
 			h.unfold(nets)
-			h.cursors[i] -= uint64(k)
+			h.cursors[i] = old
 			return fmt.Errorf("dataflow: wal commit: %w", err)
 		}
 	}
-	kept := h.pending[:0]
-	for _, d := range h.pending {
-		if !d.Coord.covered(h.cursors) {
-			kept = append(kept, d)
-		}
-	}
-	clear(h.pending[len(kept):])
-	h.pending = kept
 	h.stats.BatchSetups++
 	return nil
 }
@@ -308,15 +299,19 @@ type netEntry struct {
 // refresh does not leave every later drain clearing a large map.
 const maxNetScratch = 256
 
-// netCovered nets the pending deltas the cursors cover: one entry per
-// distinct row, in first-touch order. Each delta's row is encoded once,
-// into the graph's reused buffer, and looked up without allocating; only
-// a row's first touch pays for its key string. The result lives in the
-// graph's scratch — one copy serves every sink, drains being serialised
-// like everything else on the graph — until releaseNets.
-func (g *Graph) netCovered(pending []Delta, cursors []uint64) []netEntry {
-	for _, d := range pending {
-		if !d.Coord.covered(cursors) {
+// netCovered nets the buffered deltas a drain newly covers: only the
+// cursor at position i moved, up from old, so they are the deltas above
+// old there that cursors now cover everywhere — whatever was covered
+// before, and so folded by an earlier drain, is at or below old. One
+// entry per distinct row, in first-touch order. Each delta's row is
+// encoded once, into the graph's reused buffer, and looked up without
+// allocating; only a row's first touch pays for its key string. The
+// result lives in the graph's scratch — one copy serves every sink,
+// drains being serialised like everything else on the graph — until
+// releaseNets.
+func (g *Graph) netCovered(inbox []Delta, i int, old uint64, cursors []uint64) []netEntry {
+	for _, d := range inbox {
+		if d.Coord[i] <= old || !d.Coord.covered(cursors) {
 			continue
 		}
 		g.netKey = storage.AppendKey(g.netKey[:0], d.Row...)
@@ -361,8 +356,9 @@ func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
 // Checkpoint brings the per-view durable state (cursors, view content,
 // WAL position) in memory up to date, rewriting only what changed since
-// the previous checkpoint. Everything at or below the captured LSN may
-// be truncated from the WAL afterwards.
+// the previous checkpoint, and drops the buffered deltas the checkpointed
+// cursors cover — no recovery will fold them again. Everything at or
+// below the captured LSN may be truncated from the WAL afterwards.
 func (h *ViewHandle) Checkpoint() error {
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
@@ -378,6 +374,15 @@ func (h *ViewHandle) Checkpoint() error {
 	if h.wal != nil {
 		h.snap.lsn = h.wal.LastLSN()
 	}
+	kept := h.inbox[:0]
+	for _, d := range h.inbox {
+		if !d.Coord.covered(h.cursors) {
+			kept = append(kept, d)
+		}
+	}
+	h.g.ctr.retained -= len(h.inbox) - len(kept)
+	clear(h.inbox[len(kept):])
+	h.inbox = kept
 	if h.obs != nil {
 		//lint:ignore nondet measurement of the checkpoint, not part of it
 		h.obs.ObserveCheckpoint(time.Since(start), 0)
@@ -406,12 +411,11 @@ func (h *ViewHandle) DurableCursors() map[string]uint64 {
 
 // Recover rebuilds the view from its last checkpoint plus the WAL
 // suffix: restore cursors and content (the rebuilt state adopts the
-// checkpoint copy, so later checkpoints keep patching it), rebuild the
-// pending set from the top operator's retained output (the shared graph
-// survives a per-view crash exactly as the live database does), then
-// redo logged drains. Arrival records only validate — their deltas are
-// already in the graph. The WAL and injector stay detached during
-// replay.
+// checkpoint copy, so later checkpoints keep patching it), then redo the
+// logged drains over the inbox as it stands — it holds exactly what the
+// checkpointed cursors do not cover, and the shared graph survives a
+// per-view crash as the live database does. The WAL and injector stay
+// detached during replay.
 func (h *ViewHandle) Recover() error {
 	if h.snap == nil {
 		return fmt.Errorf("dataflow: no checkpoint to recover %q from", h.ns)
@@ -427,32 +431,19 @@ func (h *ViewHandle) Recover() error {
 	for i, t := range h.tabOrder {
 		h.cursors[i] = h.snap.cursors[t]
 	}
-	h.pending = h.pending[:0]
-	for _, d := range h.top.retained() {
-		if !d.Coord.covered(h.cursors) {
-			h.pending = append(h.pending, d)
-		}
-	}
 	wal, inj := h.wal, h.inj
 	h.wal, h.inj = nil, nil
 	replayed := 0
 	if wal != nil {
 		if err := wal.Replay(h.snap.lsn, func(rec ivm.WALRecord) error {
 			replayed++
-			switch rec.Kind {
-			case ivm.WALArrival:
-				if _, ok := h.pos[rec.Mod.Alias]; !ok {
-					return fmt.Errorf("dataflow: wal arrival for unknown alias %q", rec.Mod.Alias)
-				}
-				return nil
-			case ivm.WALDrain:
-				if err := h.processBatch(rec.Alias, rec.K); err != nil {
-					return fmt.Errorf("dataflow: replaying drain lsn=%d %s/%d: %w", rec.LSN, rec.Alias, rec.K, err)
-				}
-				return nil
-			default:
-				return fmt.Errorf("dataflow: unknown wal record kind %d at lsn %d", rec.Kind, rec.LSN)
+			if rec.Kind != ivm.WALDrain {
+				return fmt.Errorf("dataflow: wal record kind %d at lsn %d is not a drain", rec.Kind, rec.LSN)
 			}
+			if err := h.processBatch(rec.Alias, rec.K); err != nil {
+				return fmt.Errorf("dataflow: replaying drain lsn=%d %s/%d: %w", rec.LSN, rec.Alias, rec.K, err)
+			}
+			return nil
 		}); err != nil {
 			h.wal, h.inj = wal, inj
 			return err

@@ -19,7 +19,7 @@ type receiver interface {
 
 // node is one operator in the shared graph. Rows inside deltas are
 // immutable by convention — cloned once on scan ingest, shared freely
-// downstream — so retained logs and arrangements may alias them.
+// downstream — so arrangements and sink buffers may alias them.
 type node interface {
 	// sig is the canonical structural signature; nodes with equal
 	// signatures compute identical functions of the base tables and are
@@ -35,13 +35,10 @@ type node interface {
 	// arrangement, which treats it as covered-at-creation (coordinate
 	// zero).
 	current() []weightedRow
-	// addOut / removeOut manage downstream edges (operators and
-	// arrangements); attachSink / detachSink manage view sinks (which
-	// additionally turn on output retention for crash recovery).
+	// addOut / removeOut manage downstream edges: operators, arrangements
+	// and view sinks.
 	addOut(r receiver)
 	removeOut(r receiver)
-	attachSink(r receiver)
-	detachSink(r receiver)
 	// detach unlinks the node from its children; called when the node's
 	// reference count drops to zero. (A join's ports are the graph's to
 	// release: Graph.drop.)
@@ -49,39 +46,29 @@ type node interface {
 	// fanout is the number of downstream consumers: direct edges, sinks,
 	// and the join ports reached through an arrangement.
 	fanout() int
-	// retained returns the retained output log (nil while no sink is
-	// attached); trim discards the retained deltas whose coordinates are
-	// all covered by the per-table watermark, which the node resolves to
-	// its own coordinate positions once per call.
-	retained() []Delta
-	trim(wm map[string]uint64)
 }
 
 // counters are the graph-wide totals behind GraphStats, shared by
-// pointer with every node so Stats never walks state.
+// pointer with every arrangement and sink so Stats never walks state.
 type counters struct {
 	stateRows   int    // arrangement entries, base and tail
-	retained    int    // deltas in retained output logs
-	trimVisited uint64 // log and arrangement entries examined by trims
+	retained    int    // deltas in sink buffers
+	trimVisited uint64 // arrangement entries examined by trims
 }
 
-// nodeBase carries the shared node mechanics: identity, schema, the
-// downstream edge list, and the sink-driven retained output log.
+// nodeBase carries the shared node mechanics: identity, schema and the
+// downstream edge list. Operators keep nothing they emit — a delta
+// waits in the arrangements and sink buffers downstream, nowhere else.
 type nodeBase struct {
 	signature string
 	tabs      []string
 	schema    []exec.Col
 	outs      []receiver
-	sinks     int
-	log       []Delta
-	ctr       *counters
-	wm        []uint64 // watermark's result, aligned with tabs and reused
 }
 
 func (n *nodeBase) sig() string       { return n.signature }
 func (n *nodeBase) tables() []string  { return n.tabs }
 func (n *nodeBase) cols() []exec.Col  { return n.schema }
-func (n *nodeBase) retained() []Delta { return n.log }
 func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
 func (n *nodeBase) removeOut(r receiver) {
 	for i, o := range n.outs {
@@ -106,72 +93,16 @@ func (n *nodeBase) fanout() int {
 	return f
 }
 
-func (n *nodeBase) attachSink(r receiver) {
-	n.addOut(r)
-	n.sinks++
-}
-
-// detachSink removes a view sink; the retained log exists only for
-// sinks' crash recovery, so it goes with the last one.
-func (n *nodeBase) detachSink(r receiver) {
-	n.removeOut(r)
-	n.sinks--
-	if n.sinks == 0 {
-		n.dropLog()
-	}
-}
-
-func (n *nodeBase) dropLog() {
-	n.ctr.retained -= len(n.log)
-	n.log = nil
-}
+// detach is the leaf's and the join's: a scan has no child, and a join
+// reaches its children through arrangements the graph releases.
+func (n *nodeBase) detach() {}
 
 // emit forwards one delta to every consumer in attachment order
-// (deterministic: subscription order) and retains it when a sink
-// depends on this node for crash recovery.
+// (deterministic: subscription order).
 func (n *nodeBase) emit(d Delta) {
-	if n.sinks > 0 {
-		n.log = append(n.log, d)
-		n.ctr.retained++
-	}
 	for _, o := range n.outs {
 		o.onDelta(d)
 	}
-}
-
-// watermark resolves a per-table watermark to the node's coordinate
-// positions (a table the map lacks covers only coordinate 0). The result
-// is valid until the next call.
-func (n *nodeBase) watermark(wm map[string]uint64) []uint64 {
-	if n.wm == nil {
-		n.wm = make([]uint64, len(n.tabs))
-	}
-	for i, t := range n.tabs {
-		n.wm[i] = wm[t]
-	}
-	return n.wm
-}
-
-// trim is the whole of an operator's trim: its retained log.
-func (n *nodeBase) trim(wm map[string]uint64) { n.trimLog(n.watermark(wm)) }
-
-// trimLog drops retained deltas fully covered by the watermark — every
-// live view's durable cursors are at or above wm, so no recovery will
-// ever need them again.
-func (n *nodeBase) trimLog(wm []uint64) {
-	if len(n.log) == 0 {
-		return
-	}
-	n.ctr.trimVisited += uint64(len(n.log))
-	kept := n.log[:0]
-	for _, d := range n.log {
-		if !d.Coord.covered(wm) {
-			kept = append(kept, d)
-		}
-	}
-	n.ctr.retained -= len(n.log) - len(kept)
-	clear(n.log[len(kept):])
-	n.log = kept
 }
 
 // scanNode is a base-table source. It mirrors the live table (base
@@ -186,7 +117,7 @@ type scanNode struct {
 	mods      uint64
 }
 
-func newScanNode(sig string, ctr *counters, tbl *storage.Table) *scanNode {
+func newScanNode(sig string, tbl *storage.Table) *scanNode {
 	schema := tbl.Schema()
 	cols := make([]exec.Col, len(schema.Columns))
 	for i, c := range schema.Columns {
@@ -197,7 +128,6 @@ func newScanNode(sig string, ctr *counters, tbl *storage.Table) *scanNode {
 			signature: sig,
 			tabs:      []string{schema.Name},
 			schema:    cols,
-			ctr:       ctr,
 		},
 		tableName: schema.Name,
 		keyCols:   schema.Key,
@@ -210,8 +140,6 @@ func newScanNode(sig string, ctr *counters, tbl *storage.Table) *scanNode {
 	})
 	return s
 }
-
-func (s *scanNode) detach() { s.dropLog() }
 
 // ingest converts one base-table modification into signed deltas and
 // propagates them. The coordinate is the modification's position on the
@@ -278,13 +206,12 @@ type filterNode struct {
 	preds []exec.Predicate
 }
 
-func newFilterNode(sig string, ctr *counters, child node, preds []exec.Predicate) *filterNode {
+func newFilterNode(sig string, child node, preds []exec.Predicate) *filterNode {
 	f := &filterNode{
 		nodeBase: nodeBase{
 			signature: sig,
 			tabs:      child.tables(),
 			schema:    child.cols(),
-			ctr:       ctr,
 		},
 		child: child,
 		preds: preds,
@@ -318,10 +245,7 @@ func (f *filterNode) current() []weightedRow {
 	return out
 }
 
-func (f *filterNode) detach() {
-	f.child.removeOut(f)
-	f.dropLog()
-}
+func (f *filterNode) detach() { f.child.removeOut(f) }
 
 // projectNode evaluates scalar select items.
 type projectNode struct {
@@ -330,13 +254,12 @@ type projectNode struct {
 	scalars []exec.Scalar
 }
 
-func newProjectNode(sig string, ctr *counters, child node, scalars []exec.Scalar, cols []exec.Col) *projectNode {
+func newProjectNode(sig string, child node, scalars []exec.Scalar, cols []exec.Col) *projectNode {
 	p := &projectNode{
 		nodeBase: nodeBase{
 			signature: sig,
 			tabs:      child.tables(),
 			schema:    cols,
-			ctr:       ctr,
 		},
 		child:   child,
 		scalars: scalars,
@@ -365,10 +288,7 @@ func (p *projectNode) current() []weightedRow {
 	return out
 }
 
-func (p *projectNode) detach() {
-	p.child.removeOut(p)
-	p.dropLog()
-}
+func (p *projectNode) detach() { p.child.removeOut(p) }
 
 // baseEntry is one consolidated row of an arrangement: its net weight
 // over every input delta the GC watermark has covered. The coordinate is
@@ -635,7 +555,7 @@ type joinNode struct {
 // each. It panics if they are one arrangement: ivm.PlanView rejects
 // self-joins, and a delta must never probe the bucket it is about to
 // join.
-func newJoinNode(sig string, ctr *counters, lstate, rstate *arrangement, residual []exec.Predicate, cols []exec.Col) *joinNode {
+func newJoinNode(sig string, lstate, rstate *arrangement, residual []exec.Predicate, cols []exec.Col) *joinNode {
 	if lstate == rstate {
 		panic("dataflow: join " + sig + " reads one arrangement on both sides")
 	}
@@ -648,7 +568,6 @@ func newJoinNode(sig string, ctr *counters, lstate, rstate *arrangement, residua
 			signature: sig,
 			tabs:      tabs,
 			schema:    cols,
-			ctr:       ctr,
 		},
 		residual: residual,
 		lstate:   lstate,
@@ -743,5 +662,3 @@ func (j *joinNode) current() []weightedRow {
 	}
 	return out
 }
-
-func (j *joinNode) detach() { j.dropLog() }

@@ -255,16 +255,28 @@ func (w *propWorld) check(ctx string) {
 }
 
 // checkGraphInvariants walks the graph's state and holds it against the
-// O(1) counters and the layout rules: every arrangement is read by at
+// O(1) counters and the layout rules: a propagated delta waits in the
+// buffers of the sinks attached to the operators and nowhere else, and
+// no buffered delta is one its sink's last checkpoint covers; every
+// arrangement is read by at
 // least one join side, is its child's edge exactly once and is walked
 // once however many joins share it; base entries distinct and non-zero
 // within a bucket, touched = the keys with a non-empty tail, no empty
 // buckets, capacity slack bounded.
 func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
-	rows, retained, sides, joins := 0, 0, 0, 0
+	rows, retained, sinks, sides, joins := 0, 0, 0, 0, 0
 	for _, n := range g.nodes {
-		retained += len(n.retained())
+		for _, h := range sinksOf(n) {
+			sinks++
+			retained += len(h.inbox)
+			durable := durableByPosition(h)
+			for _, d := range h.inbox {
+				if d.Coord.covered(durable) {
+					t.Fatalf("%s: sink %q buffers %v, which its checkpoint at %v covers", ctx, h.ns, d.Coord, durable)
+				}
+			}
+		}
 		if j, ok := n.(*joinNode); ok {
 			joins++
 			for _, a := range []*arrangement{j.lstate, j.rstate} {
@@ -315,9 +327,35 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 		t.Fatalf("%s: %d join sides attached to arrangements, %d joins", ctx, sides, joins)
 	}
 	st := g.Stats()
-	if st.StateRows != rows || st.RetainedDeltas != retained {
-		t.Fatalf("%s: counters say %d state rows, %d retained; walked %d, %d", ctx, st.StateRows, st.RetainedDeltas, rows, retained)
+	if st.StateRows != rows || st.RetainedDeltas != retained || st.Views != sinks {
+		t.Fatalf("%s: counters say %d state rows, %d retained, %d views; walked %d, %d, %d",
+			ctx, st.StateRows, st.RetainedDeltas, st.Views, rows, retained, sinks)
 	}
+}
+
+// durableByPosition returns the cursors of a sink's last checkpoint in
+// coordinate order (zeros before the first checkpoint).
+func durableByPosition(h *ViewHandle) []uint64 {
+	durable := make([]uint64, len(h.tabOrder))
+	for i, table := range h.tabOrder {
+		durable[i] = h.DurableCursors()[table]
+	}
+	return durable
+}
+
+// consumers exposes an operator's edge list to the walk above; every
+// operator embeds nodeBase.
+func (n *nodeBase) consumers() []receiver { return n.outs }
+
+// sinksOf returns the view sinks among an operator's consumers.
+func sinksOf(n node) []*ViewHandle {
+	var out []*ViewHandle
+	for _, o := range n.(interface{ consumers() []receiver }).consumers() {
+		if h, ok := o.(*ViewHandle); ok {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // trim checkpoints a random subset of the trimmed graph's views (all of

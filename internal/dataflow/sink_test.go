@@ -89,16 +89,6 @@ func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 						if err := g.Ingest(tables[i], mod); err != nil {
 							t.Fatal(err)
 						}
-						for _, h := range hs {
-							for _, alias := range h.Aliases() {
-								if h.TableOf(alias) == tables[i] {
-									mod.Alias = alias
-								}
-							}
-							if err := h.LogArrival(mod); err != nil {
-								t.Fatal(err)
-							}
-						}
 					}
 					aliases := hs[1].Aliases()
 					ai := drains.Intn(len(aliases))
@@ -180,11 +170,12 @@ func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
 
 // TestSinkDrainAllocsIndependentOfPending: a drain that folds eight
 // sales updates into existing groups allocates the same — one key string
-// per distinct netted row — whether the sink holds 16 or 1,024 deltas
-// the drain does not cover.
+// per distinct netted row, nothing for the buffer — whether the sink's
+// inbox holds 16 or 1,024 deltas the drain does not cover, and however
+// many earlier drains' deltas still wait in it for a checkpoint.
 func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
-	const rowsPerStation, batch = 8, 8
+	const rowsPerStation, batch, rounds = 8, 8, 4
 	drainAllocs := func(backlogStations int) (allocs uint64, pending int) {
 		g := NewGraph(sizedDB(t, 2_000, rowsPerStation))
 		p, err := ivm.PlanView(trimBenchQuery)
@@ -204,10 +195,10 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pending = len(h.pending)
+		pending = len(h.inbox)
 		// Sales of stations the backlog leaves alone.
 		next := int64(1_000)
-		for round := 0; round < 4; round++ {
+		for round := 0; round < rounds; round++ {
 			for i := 0; i < batch; i++ {
 				if err := g.Ingest("sales", updateSale(next, rowsPerStation, float64(10+round))); err != nil {
 					t.Fatal(err)
@@ -220,8 +211,16 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 				}
 			})
 		}
-		if len(h.pending) != pending {
-			t.Fatalf("drains changed the uncovered backlog: %d deltas, was %d", len(h.pending), pending)
+		// A drain moves nothing: the deltas it folded (old and new row of
+		// each update) wait where they arrived until a checkpoint covers them.
+		if want := pending + rounds*2*batch; len(h.inbox) != want {
+			t.Fatalf("inbox holds %d deltas after %d drains, want the backlog and the folded ones, %d", len(h.inbox), rounds, want)
+		}
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.inbox) != pending {
+			t.Fatalf("checkpoint left %d deltas, want the uncovered backlog of %d", len(h.inbox), pending)
 		}
 		return allocs, pending
 	}
@@ -277,5 +276,130 @@ func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 	// Eight rows vanished and eight appeared: a copy entry and its key each.
 	if small != large || small > 2*batch+2 {
 		t.Fatalf("checkpoint allocated %d times over 200 rows, %d over 5,000; want equal and at most %d", small, large, 2*batch+2)
+	}
+}
+
+// recorder is the test's own copy of everything an operator emitted.
+type recorder struct{ all []Delta }
+
+func (r *recorder) onDelta(d Delta) { r.all = append(r.all, d) }
+
+// TestSinkBuffersEachDeltaOnce holds every sink's inbox, at every step of
+// a run with lagging drains, staggered checkpoints and a recovery, against
+// an independent recording of what its top operator emitted: the inbox is
+// exactly the emitted deltas its last checkpoint's cursors do not cover,
+// in emission order — drains and recoveries move nothing — so right after
+// a checkpoint it is the uncovered backlog alone, and RetainedDeltas is
+// the sum of the inboxes because no other copy exists.
+func TestSinkBuffersEachDeltaOnce(t *testing.T) {
+	db := testDB(t)
+	g := NewGraph(db)
+	// The first query twice: two sinks fed by one top operator.
+	queries := append([]string{equivalenceQueries[0]}, equivalenceQueries...)
+	var sinks []*ViewHandle
+	emitted := map[node]*recorder{}
+	for i, q := range queries {
+		p, err := ivm.PlanView(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := g.Subscribe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.AttachWAL(ivm.NewWAL())
+		h.SetNamespace(fmt.Sprintf("once/%d", i))
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if emitted[h.top] == nil {
+			emitted[h.top] = &recorder{}
+			h.top.addOut(emitted[h.top])
+		}
+		sinks = append(sinks, h)
+	}
+	if sinks[0].top != sinks[1].top || len(emitted) != len(queries)-1 {
+		t.Fatal("the repeated query must share its top operator")
+	}
+	check := func(ctx string) {
+		t.Helper()
+		total := 0
+		for _, h := range sinks {
+			durable := durableByPosition(h)
+			var want []Delta
+			for _, d := range emitted[h.top].all {
+				if !d.Coord.covered(durable) {
+					want = append(want, d)
+				}
+			}
+			if len(h.inbox) != len(want) {
+				t.Fatalf("%s: sink %s buffers %d deltas, %d emitted ones are above its checkpoint", ctx, h.ns, len(h.inbox), len(want))
+			}
+			for i, d := range h.inbox {
+				if &d.Row[0] != &want[i].Row[0] || d.W != want[i].W || fmt.Sprint(d.Coord) != fmt.Sprint(want[i].Coord) {
+					t.Fatalf("%s: sink %s inbox[%d] = %v, emitted %v", ctx, h.ns, i, d, want[i])
+				}
+			}
+			total += len(h.inbox)
+		}
+		if got := g.Stats().RetainedDeltas; got != total {
+			t.Fatalf("%s: RetainedDeltas = %d, the inboxes hold %d", ctx, got, total)
+		}
+		checkGraphInvariants(t, ctx, g)
+	}
+	mu := newMutator(53)
+	rng := rand.New(rand.NewSource(59))
+	for step := 0; step < 40; step++ {
+		ctx := fmt.Sprintf("step %d", step)
+		tables, mods := mu.step()
+		for i, mod := range mods {
+			applyLive(t, db, tables[i], mod)
+			if err := g.Ingest(tables[i], mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range sinks {
+			pend := h.Pending()
+			for i, alias := range h.Aliases() {
+				if pend[i] > 0 && rng.Intn(2) == 0 {
+					if err := h.ProcessBatch(alias, 1+rng.Intn(pend[i])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		check(ctx)
+		for _, h := range sinks {
+			if rng.Intn(6) > 0 {
+				continue
+			}
+			if err := h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.WAL().TruncateThrough(h.TipLSN()); err != nil {
+				t.Fatal(err)
+			}
+			uncovered := 0
+			for _, d := range emitted[h.top].all {
+				if !d.Coord.covered(h.cursors) {
+					uncovered++
+				}
+			}
+			if len(h.inbox) != uncovered {
+				t.Fatalf("%s: sink %s holds %d deltas right after its checkpoint, %d are uncovered", ctx, h.ns, len(h.inbox), uncovered)
+			}
+		}
+		check(ctx + " checkpointed")
+		if step%9 == 8 {
+			h := sinks[rng.Intn(len(sinks))]
+			content, backlog := renderRows(h.Result()), fmt.Sprint(h.Pending())
+			if err := h.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if renderRows(h.Result()) != content || fmt.Sprint(h.Pending()) != backlog {
+				t.Fatalf("%s: sink %s recovered to a different state", ctx, h.ns)
+			}
+			check(ctx + " recovered")
+		}
 	}
 }

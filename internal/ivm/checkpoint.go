@@ -292,7 +292,6 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 			c.obs.observeCompaction()
 		}
 		c.base, c.deltas = seg, nil
-		c.observeDepth()
 		return c.putBase(lsn)
 	}
 	c.deltas = append(c.deltas, seg)
@@ -301,7 +300,6 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 			return fmt.Errorf("ivm: chain store delta: %w", err)
 		}
 	}
-	c.observeDepth()
 	return nil
 }
 
@@ -331,14 +329,7 @@ func (c *CheckpointChain) Compact() error {
 	c.base = replica.AppendSnapshot(buf)
 	c.deltas = nil
 	c.obs.observeCompaction()
-	c.observeDepth()
 	return c.putBase(c.tipLSN)
-}
-
-func (c *CheckpointChain) observeDepth() {
-	if c.obs != nil {
-		c.obs.CheckpointChainDepth.Set(float64(len(c.deltas)))
-	}
 }
 
 // foldChain decodes a chain's base and folds its delta segments over

@@ -11,7 +11,11 @@ import (
 // length. Attach one bundle per registry via Maintainer.SetMetrics /
 // WAL.SetMetrics; several maintainers may share a bundle (every
 // instrument is atomic), which is exactly what the broker does — the
-// histograms then aggregate across subscriptions. A nil *Metrics is the
+// counters and histograms then aggregate across subscriptions. That is
+// why the bundle holds no gauge: a gauge Set from one subscription's
+// state would be overwritten by the next subscription's, and mean
+// nothing (per-subscription levels are the broker's `sub`-labeled
+// series). A nil *Metrics is the
 // detached state: every recording helper no-ops and the hot paths skip
 // all measurement work, including time.Now calls.
 type Metrics struct {
@@ -25,12 +29,12 @@ type Metrics struct {
 	// drains — the runtime's integral of the paper's batch sizes k.
 	DrainedMods *obs.Counter
 
-	// WALAppends counts redo-log appends (arrivals and drain commits);
-	// the in-memory WAL has no separate fsync, so an append is also the
-	// durability point. WALRecords tracks the retained suffix length.
+	// WALAppends counts redo-log appends — drain commits, and on the
+	// per-view engine arrivals too (the shared graph records an arrival in
+	// its ingest log, not in any view's redo log); the in-memory WAL has no
+	// separate fsync, so an append is also the durability point.
 	WALAppends     *obs.Counter
 	WALTruncations *obs.Counter
-	WALRecords     *obs.Gauge
 
 	// Checkpoints counts successful Checkpoint calls; bytes and seconds
 	// observe each checkpoint's size and duration.
@@ -44,14 +48,11 @@ type Metrics struct {
 	// ratio to Checkpoints/CheckpointBytes shows what incremental
 	// checkpointing saves. CheckpointCompactions counts the times a
 	// chain's deltas were replaced by a fresh base — rollovers on the
-	// checkpoint path plus explicit Compact folds — and
-	// CheckpointChainDepth tracks the delta segments currently chained
-	// behind the base. Delta durations fold into CheckpointSeconds
-	// alongside full checkpoints.
+	// checkpoint path plus explicit Compact folds. Delta durations fold
+	// into CheckpointSeconds alongside full checkpoints.
 	CheckpointDeltas      *obs.Counter
 	CheckpointDeltaBytes  *obs.Histogram
 	CheckpointCompactions *obs.Counter
-	CheckpointChainDepth  *obs.Gauge
 
 	// Recoveries counts successful Recover calls; RecoveryReplay
 	// observes the WAL suffix length each recovery replayed.
@@ -91,7 +92,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		DrainedMods:    r.Counter("ivm_drained_mods_total"),
 		WALAppends:     r.Counter("ivm_wal_appends_total"),
 		WALTruncations: r.Counter("ivm_wal_truncations_total"),
-		WALRecords:     r.Gauge("ivm_wal_records"),
 		Checkpoints:    r.Counter("ivm_checkpoints_total"),
 		CheckpointBytes: r.Histogram("ivm_checkpoint_bytes",
 			obs.SizeBuckets()),
@@ -100,7 +100,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		CheckpointDeltaBytes: r.Histogram("ivm_checkpoint_delta_bytes",
 			obs.SizeBuckets()),
 		CheckpointCompactions: r.Counter("ivm_checkpoint_compactions_total"),
-		CheckpointChainDepth:  r.Gauge("ivm_checkpoint_chain_depth"),
 		Recoveries:            r.Counter("ivm_recoveries_total"),
 		RecoveryReplay: r.Histogram("ivm_recovery_replayed_records",
 			[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}),
@@ -210,20 +209,17 @@ func (ms *Metrics) observeRecovery(replayed int) {
 	ms.RecoveryReplay.Observe(float64(replayed))
 }
 
-// observeWALAppend / observeWALTruncate record redo-log activity with
-// the retained length after the operation.
-func (ms *Metrics) observeWALAppend(retained int) {
+// observeWALAppend / observeWALTruncate record redo-log activity.
+func (ms *Metrics) observeWALAppend() {
 	if ms == nil {
 		return
 	}
 	ms.WALAppends.Inc()
-	ms.WALRecords.Set(float64(retained))
 }
 
-func (ms *Metrics) observeWALTruncate(retained int) {
+func (ms *Metrics) observeWALTruncate() {
 	if ms == nil {
 		return
 	}
 	ms.WALTruncations.Inc()
-	ms.WALRecords.Set(float64(retained))
 }

@@ -99,8 +99,8 @@ func (w *WAL) SetSink(sink WALSink) {
 	w.sink = sink
 }
 
-// SetMetrics attaches an instrumentation bundle recording appends,
-// truncations, and the retained record count; nil detaches.
+// SetMetrics attaches an instrumentation bundle recording appends and
+// truncations; nil detaches.
 func (w *WAL) SetMetrics(ms *Metrics) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -121,7 +121,7 @@ func (w *WAL) Append(rec WALRecord) (uint64, error) {
 		w.recs = make([]WALRecord, 0, w.period)
 	}
 	w.recs = append(w.recs, rec)
-	w.obs.observeWALAppend(len(w.recs))
+	w.obs.observeWALAppend()
 	if w.sink != nil {
 		if err := w.sink.AppendRecord(rec); err != nil {
 			return rec.LSN, fmt.Errorf("ivm: wal sink append lsn=%d: %w", rec.LSN, err)
@@ -200,7 +200,7 @@ func (w *WAL) TruncateThrough(lsn uint64) error {
 	} else {
 		w.recs = w.recs[i:]
 	}
-	w.obs.observeWALTruncate(len(w.recs))
+	w.obs.observeWALTruncate()
 	if w.sink != nil {
 		if err := w.sink.TruncateRecords(lsn); err != nil {
 			return fmt.Errorf("ivm: wal sink truncate lsn=%d: %w", lsn, err)

@@ -22,8 +22,9 @@ type viewEngine interface {
 	Aliases() []string
 
 	// Arrive accepts one modification whose live-table effect already
-	// happened, under the view's own alias: it is queued for a later drain
-	// and logged. One Mod, not a variadic list — a variadic call through an
+	// happened, under the view's own alias: from here on it counts in the
+	// state vector and survives a crash of the engine, wherever the engine
+	// keeps it. One Mod, not a variadic list — a variadic call through an
 	// interface heap-allocates its slice on every routed modification.
 	Arrive(mod ivm.Mod) error
 	// PendingInto writes the state vector s (queued modifications per
@@ -48,8 +49,9 @@ type viewEngine interface {
 	// Sync is the durability barrier: when it returns, every logged record
 	// is as durable as the engine's tier can make it.
 	Sync() error
-	// WALLen is the number of redo-log records not yet covered by a
-	// checkpoint; DurableStats the disk tier's counters (zero in memory).
+	// WALLen is the number of redo-log records a recovery would replay —
+	// those not yet covered by a checkpoint; DurableStats the disk tier's
+	// counters (zero in memory).
 	WALLen() int
 	DurableStats() durable.Stats
 	// Close gives back whatever the engine holds outside itself.

@@ -8,6 +8,7 @@ import (
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/obs"
+	"abivm/internal/policy"
 )
 
 // brokerObs is the broker's instrumentation bundle. A nil *brokerObs —
@@ -40,8 +41,8 @@ type brokerObs struct {
 	// the shared runtime is active (zero otherwise): live operator count,
 	// attached views, cumulative hash-consing intern hits, the widest
 	// operator fan-out, live arrangements and the join sides that reused
-	// one, arrangement rows, retained output deltas, and the cumulative
-	// count of entries trims examined.
+	// one, arrangement rows, deltas buffered in sinks, and the cumulative
+	// count of arrangement entries trims examined.
 	dfOperators   *obs.Gauge
 	dfViews       *obs.Gauge
 	dfInternHits  *obs.Gauge
@@ -132,6 +133,9 @@ func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 		for _, s := range b.subs {
 			s.obs = nil
 			s.eng.SetMetrics(nil)
+			if om, ok := s.defaultPolicy(); ok {
+				om.SetMetrics(nil)
+			}
 		}
 		if seeded, ok := b.inj.(*fault.Seeded); ok {
 			seeded.SetObserver(nil)
@@ -153,6 +157,19 @@ func (b *Broker) wireSub(s *sub) {
 	}
 	s.obs = newSubObs(b.obs.reg, s.cfg.Name)
 	s.eng.SetMetrics(b.obs.ivm)
+	// The decision-loop series are labeled by policy name only, so every
+	// subscription's policy reports into the same registry-deduped
+	// instruments.
+	if om, ok := s.defaultPolicy(); ok {
+		om.SetMetrics(policy.NewMetrics(b.obs.reg, om.Name()))
+	}
+}
+
+// defaultPolicy returns the subscription's policy when the broker chose
+// it — a policy the subscriber brought is the subscriber's to instrument.
+func (s *sub) defaultPolicy() (*policy.OnlineMarginal, bool) {
+	om, ok := s.pol.(*policy.OnlineMarginal)
+	return om, ok && s.cfg.Policy == nil
 }
 
 // observeInjector hooks the fault counter into a seeded injector. Caller

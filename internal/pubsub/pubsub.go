@@ -402,10 +402,11 @@ func (b *Broker) routeDeferred(table string, mod ivm.Mod) error {
 
 // route hands one modification, already applied to the live table, to
 // every subscription whose view references the table: the arrival is
-// queued and logged under the subscription's own alias and counted
+// accepted by the engine under the subscription's own alias and counted
 // toward its policy's step vector. Under the shared runtime the operator
-// graph ingests the modification first, once, propagating deltas to
-// every view's pending set in a single pass. Caller holds b.mu.
+// graph ingests the modification first, once — that is its one record —
+// propagating deltas to every view's sink in a single pass. Caller holds
+// b.mu.
 func (b *Broker) route(table string, mod ivm.Mod) error {
 	if b.shared != nil && b.shared.Watches(table) {
 		if err := b.shared.Ingest(table, mod); err != nil {
@@ -696,9 +697,9 @@ func (b *Broker) checkpointDue() error {
 			return fmt.Errorf("pubsub: %s: %w", s.cfg.Name, err)
 		}
 	}
-	// With every shared subscription's durable cursor advanced, retained
-	// deltas and join state below the cross-view watermark can never be
-	// replayed again — garbage-collect them.
+	// With every shared subscription's durable cursor advanced, join state
+	// below the cross-view watermark can never be read at its own
+	// coordinates again — consolidate it.
 	if b.shared != nil {
 		b.trimShared()
 	}

@@ -1,12 +1,14 @@
 package pubsub
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"abivm/internal/core"
 	"abivm/internal/costfn"
 	"abivm/internal/ivm"
+	"abivm/internal/obs"
 	"abivm/internal/storage"
 )
 
@@ -291,4 +293,69 @@ func TestEveryValidation(t *testing.T) {
 		}
 	}()
 	Every(0)
+}
+
+// TestDefaultPolicyReportsDecisions: a subscription that names no policy
+// runs the broker's ONLINE-M, and with a registry attached its decision
+// loop reports under policy="ONLINE-M" — full-state decisions, the
+// candidates they weighed, the drain sizes they chose. Detaching the
+// registry stops the reporting.
+func TestDefaultPolicyReportsDecisions(t *testing.T) {
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	reg := obs.NewRegistry()
+	b.SetObs(reg, nil)
+	model, err := chaosModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rare notifications, so the backlog reaches the bound in between and
+	// the policy has to decide what to drain.
+	for i, q := range sharedViewQueries(2) {
+		sc := Subscription{Name: fmt.Sprintf("v%d", i), Query: q, Condition: Every(60), Model: model, QoS: chaosQoS}
+		if err := b.Subscribe(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := func(name string) obs.MetricSnapshot {
+		t.Helper()
+		for _, m := range reg.Snapshot() {
+			if m.Key() == name+`{policy="ONLINE-M"}` {
+				return m
+			}
+		}
+		t.Fatalf("series %s{policy=\"ONLINE-M\"} not exported", name)
+		return obs.MetricSnapshot{}
+	}
+	run := func(script [][]chaosEvent) {
+		t.Helper()
+		for step, evs := range script {
+			for _, ev := range evs {
+				if err := b.Publish(ev.table, ev.mod); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if _, err := b.EndStep(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	script := chaosScript(13, 80, DefaultWorkloadSpec())
+	run(script[:40])
+	decisions := series("policy_decisions_total").Value
+	if decisions == 0 || series("policy_candidates_total").Value < decisions {
+		t.Fatalf("40 steps: %v decisions over %v candidates", decisions, series("policy_candidates_total").Value)
+	}
+	if got := series("policy_action_mods").Count; float64(got) != decisions {
+		t.Fatalf("policy_action_mods observed %d actions for %v decisions", got, decisions)
+	}
+	series("policy_refreshes_total")
+	b.SetObs(nil, nil)
+	run(script[40:])
+	if got := series("policy_decisions_total").Value; got != decisions {
+		t.Fatalf("detached policy still reported: %v decisions, was %v", got, decisions)
+	}
 }

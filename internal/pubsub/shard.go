@@ -693,20 +693,7 @@ func (sb *ShardedBroker) SetSharedDataflow(on bool) error {
 // active.
 func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
 	var total dataflow.GraphStats
-	sb.each(func(_ int, b *Broker) {
-		st := b.DataflowStats()
-		total.Nodes += st.Nodes
-		total.Views += st.Views
-		total.InternHits += st.InternHits
-		total.Arrangements += st.Arrangements
-		total.ArrangementHits += st.ArrangementHits
-		total.StateRows += st.StateRows
-		total.RetainedDeltas += st.RetainedDeltas
-		total.TrimVisited += st.TrimVisited
-		if st.MaxFanout > total.MaxFanout {
-			total.MaxFanout = st.MaxFanout
-		}
-	})
+	sb.each(func(_ int, b *Broker) { total.Add(b.DataflowStats()) })
 	return total
 }
 

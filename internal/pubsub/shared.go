@@ -11,9 +11,11 @@ import (
 
 // sharedEngine is the shared-dataflow engine: the view's sink on the
 // broker's operator graph plus its redo log. The graph holds the
-// modifications and does the join work once for all views; the sink
-// holds the per-view cursors, pending deltas and folded content, and
-// checkpoints them in memory. The graph itself is not part of a view's
+// modifications — its ingest logs are the one record of every arrival —
+// and does the join work once for all views; the sink holds the per-view
+// cursors, the deltas propagated to it and the folded content, and
+// checkpoints cursors and content in memory. The redo log holds what a
+// recovery replays: drains. The graph itself is not part of a view's
 // recovery point — it survives a per-view crash the way the live
 // database does.
 type sharedEngine struct {
@@ -38,9 +40,9 @@ func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEng
 	return &sharedEngine{ViewHandle: h, g: g}, nil
 }
 
-// Arrive logs the arrival; the modification itself already sits in the
-// graph's ingest log, where the sink's cursor will find it.
-func (e *sharedEngine) Arrive(mod ivm.Mod) error { return e.LogArrival(mod) }
+// Arrive has nothing to add: Graph.Ingest appended the modification to
+// the table's ingest log, where the sink's cursor will find it.
+func (e *sharedEngine) Arrive(ivm.Mod) error { return nil }
 
 func (e *sharedEngine) Checkpoint(int) error {
 	if err := e.ViewHandle.Checkpoint(); err != nil {
@@ -52,9 +54,9 @@ func (e *sharedEngine) Checkpoint(int) error {
 	return nil
 }
 
-// Recover rebuilds the sink from its snapshot plus WAL; the handle
-// re-derives its pending set from the graph's retained delta log, so the
-// redo is always exact.
+// Recover rebuilds the sink from its snapshot plus WAL; the deltas the
+// replayed drains fold are still in the sink's inbox, so the redo is
+// always exact.
 func (e *sharedEngine) Recover() (bool, error) { return false, e.ViewHandle.Recover() }
 
 func (e *sharedEngine) Sync() error                 { return nil }
@@ -122,10 +124,10 @@ func (b *Broker) dataflowStats() dataflow.GraphStats {
 	return b.shared.Stats()
 }
 
-// trimShared garbage-collects the shared graph below the durability
-// watermark: for every table, the minimum checkpoint-covered cursor
-// across the subscriptions reading it. Retained deltas and join state
-// below the watermark can never be needed by any recovery again.
+// trimShared garbage-collects the shared graph's join state below the
+// durability watermark: for every table, the minimum checkpoint-covered
+// cursor across the subscriptions reading it. No recovery will ever
+// put a cursor below it again.
 func (b *Broker) trimShared() {
 	if b.trimWM == nil {
 		b.trimWM = make(map[string]uint64)

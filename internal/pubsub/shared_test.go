@@ -3,11 +3,13 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/obs"
+	"abivm/internal/storage"
 )
 
 // sharedViewQueries returns n overlapping content queries over the
@@ -310,6 +312,18 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	}
 }
 
+// seriesValue reads an unlabeled counter or gauge off the registry.
+func seriesValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("series %s not exported", name)
+	return 0
+}
+
 // TestSharedStateGauges pins the state-side observability of the shared
 // graph: the ivm_dataflow_state_rows / _retained_deltas /
 // _trim_visited_total / _arrangements / _arrangement_hits_total series
@@ -329,15 +343,6 @@ func TestSharedStateGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	subscribeSharedViews(t, b, 3)
-	gauge := func(name string) float64 {
-		for _, m := range reg.Snapshot() {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		t.Fatalf("series %s not exported", name)
-		return 0
-	}
 	endStep := func(step int) {
 		if _, err := b.EndStep(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -350,7 +355,7 @@ func TestSharedStateGauges(t *testing.T) {
 			"ivm_dataflow_arrangements":           float64(st.Arrangements),
 			"ivm_dataflow_arrangement_hits_total": float64(st.ArrangementHits),
 		} {
-			if got := gauge(name); got != want {
+			if got := seriesValue(t, reg, name); got != want {
 				t.Fatalf("step %d: %s = %v, DataflowStats says %v", step, name, got, want)
 			}
 		}
@@ -393,5 +398,158 @@ func TestSharedStateGauges(t *testing.T) {
 	}
 	if st := b.DataflowStats(); st.StateRows != 0 || st.RetainedDeltas != 0 || st.Arrangements != 0 {
 		t.Errorf("empty graph still counts %d state rows, %d retained deltas, %d arrangements", st.StateRows, st.RetainedDeltas, st.Arrangements)
+	}
+}
+
+// TestSharedArrivalWritesNoRecord: the graph's ingest log is the one
+// record of an arrival. Publishing to 24 shared views appends nothing to
+// any of their redo logs — no view keeps its own copy of the Mod — while
+// every view's state vector counts the arrival; what the logs do get is
+// one record per committed drain.
+func TestSharedArrivalWritesNoRecord(t *testing.T) {
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	reg := obs.NewRegistry()
+	b.SetObs(reg, nil)
+	if err := b.SetSharedDataflow(true); err != nil {
+		t.Fatal(err)
+	}
+	const views = 24
+	subscribeSharedViews(t, b, views)
+	counter := func(name string) float64 { return seriesValue(t, reg, name) }
+	published := 0
+	for _, evs := range chaosScript(3, 4, DefaultWorkloadSpec()) {
+		for _, ev := range evs {
+			if err := b.Publish(ev.table, ev.mod); err != nil {
+				t.Fatal(err)
+			}
+			published++
+		}
+	}
+	if published == 0 {
+		t.Fatal("the script published nothing")
+	}
+	if got := counter("ivm_wal_appends_total"); got != 0 {
+		t.Fatalf("%d publishes appended %v redo-log records", published, got)
+	}
+	for _, name := range b.Subscriptions() {
+		h, err := b.Health(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.WALRecords != 0 {
+			t.Fatalf("%s holds %d redo-log records after arrivals only", name, h.WALRecords)
+		}
+		if h.Pending[0]+h.Pending[1] != published {
+			t.Fatalf("%s counts %v pending of %d published", name, h.Pending, published)
+		}
+	}
+	for _, s := range b.subs {
+		if recs := s.eng.(*sharedEngine).WAL().Since(0); len(recs) != 0 {
+			t.Fatalf("%s retains %d records: %+v", s.cfg.Name, len(recs), recs[0])
+		}
+	}
+	// Step 5 fires every view's condition (Every(5)): each refreshes.
+	for step := 0; step <= 5; step++ {
+		if _, err := b.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drains := counter("ivm_drains_total") - counter("ivm_drain_failures_total")
+	if got := counter("ivm_wal_appends_total"); got != drains || drains < views {
+		t.Fatalf("redo logs took %v appends for %v committed drains over %d views", got, drains, views)
+	}
+}
+
+// crashOnce fires one crash, at the n-th poll of the crash site — the
+// broker polls it once per subscription per step — and nothing else.
+type crashOnce struct{ n, polls int }
+
+func (c *crashOnce) Hit(site fault.Site) error {
+	if site != fault.SiteCrash {
+		return nil
+	}
+	c.polls++
+	if c.polls-1 != c.n {
+		return nil
+	}
+	return &fault.Error{Site: site, Kind: fault.KindCrash, Seq: 1}
+}
+
+// TestSharedCrashAtEveryStep crashes one shared sink at every
+// (step, subscription) turn of a scripted run in turn — before its first
+// drain, between a drain and the next checkpoint, right after a
+// checkpoint — under a 3-step checkpoint cadence and with periodic
+// checkpoints off, where every recovery replays all drains since
+// subscribe over an inbox nothing has trimmed. Each run's transcript —
+// notifications, and every view's content, state vector and redo-log
+// length after every step — must equal the crash-free run's byte for
+// byte.
+func TestSharedCrashAtEveryStep(t *testing.T) {
+	const steps, views = 16, 4
+	script := chaosScript(5, steps, DefaultWorkloadSpec())
+	run := func(cpEvery int, inj fault.Injector) (transcript string, walSeen bool) {
+		t.Helper()
+		cfg := RuntimeConfig{Seed: 5, Spec: DefaultWorkloadSpec(), Shared: true,
+			Subscribe: func(_ *storage.DB, rt Runtime) error {
+				subscribeSharedViews(t, rt.(*Broker), views)
+				return nil
+			}}
+		if inj != nil {
+			cfg.Injectors = func(int) fault.Injector { return inj }
+		}
+		rt, err := NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rt.SetCheckpointEvery(cpEvery)
+		var out strings.Builder
+		for step, evs := range script {
+			for _, ev := range evs {
+				if err := rt.Publish(ev.table, ev.mod); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			ns, err := rt.EndStep()
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			for _, n := range ns {
+				fmt.Fprintf(&out, "step=%d notify %s degraded=%v cost=%.9g rows=%s\n", step, n.Subscription, n.Degraded, n.RefreshCost, renderRows(n.Rows))
+			}
+			for _, name := range rt.Subscriptions() {
+				h, err := rt.Health(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := rt.Result(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walSeen = walSeen || h.WALRecords > 0
+				fmt.Fprintf(&out, "step=%d %s pending=%v wal=%d rows=%s\n", step, name, h.Pending, h.WALRecords, renderRows(rows))
+			}
+		}
+		return out.String(), walSeen
+	}
+	for _, cpEvery := range []int{3, 0} {
+		want, walSeen := run(cpEvery, nil)
+		if !walSeen {
+			t.Fatalf("cpEvery=%d: no step ended with a logged drain ahead of the checkpoint — no crash would replay anything", cpEvery)
+		}
+		for n := 0; n < steps*views; n++ {
+			inj := &crashOnce{n: n}
+			got, _ := run(cpEvery, inj)
+			if inj.polls != steps*views {
+				t.Fatalf("cpEvery=%d: crash site polled %d times, want %d", cpEvery, inj.polls, steps*views)
+			}
+			if got != want {
+				t.Fatalf("cpEvery=%d: crash at step %d, subscription %d diverged from the crash-free run:\n%s", cpEvery, n/views, n%views, firstDiff(want, got))
+			}
+		}
 	}
 }

@@ -284,10 +284,6 @@ func (t *Table) ScanRangeVia(ix *Index, lo, hi *Bound, fn func(r Row) bool) {
 	})
 }
 
-// RowAt returns the row in the given slot (nil for tombstones); used by
-// index range scans in the exec package.
-func (t *Table) RowAt(slot int) Row { return t.rows[slot] }
-
 // Cursor iterates a table's live rows in slot order, counting scan work.
 type Cursor struct {
 	t    *Table

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Documentation drift gate: the repo map in ARCHITECTURE.md must track
-# the package tree. Two directions:
+# the package tree, and the metric catalogue the registered series.
+# Three directions:
 #
 #   1. Every internal/<pkg> and cmd/<binary> mentioned in
 #      ARCHITECTURE.md or README.md must exist — a doc referencing a
@@ -8,6 +9,11 @@
 #   2. Every package that exists must be mentioned in ARCHITECTURE.md —
 #      a new package landing without a line in the repo map fails the
 #      check.
+#   3. OPERATIONS.md's metric catalogue (section 2) and the series the
+#      code registers — the constant first argument of every
+#      Counter(/Gauge(/Histogram( call outside tests — must be the same
+#      set: a deleted series left in the catalogue fails, and so does a
+#      new one an operator cannot look up.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -46,8 +52,35 @@ for dir in internal/*/ cmd/*/; do
 	fi
 done
 
+# Direction 3: catalogue <-> registered series. A catalogued name is a
+# backticked `<prefix>_<rest>` (optionally with a {label} suffix) whose
+# prefix some registered series has; `pubsub_sub_*`-style globs name a
+# family, not a series, and are skipped.
+registered=$(grep -rhoE '\.(Counter|Gauge|Histogram)\("[a-z0-9_]+"' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal |
+	sed -E 's/.*"([a-z0-9_]+)"/\1/' | sort -u)
+prefixes=$(printf '%s\n' "$registered" | cut -d_ -f1 | sort -u | paste -sd'|' -)
+catalogued=$(sed -n '/^## 2\. /,/^## 3\. /p' OPERATIONS.md |
+	grep -oE "\`($prefixes)_[a-z0-9_]+[\`{]" | tr -d '`{' | sort -u)
+[ -n "$registered" ] && [ -n "$catalogued" ] || {
+	echo "docs-check: found no registered series or no metric catalogue in OPERATIONS.md section 2"
+	fail=1
+}
+for name in $catalogued; do
+	if ! printf '%s\n' "$registered" | grep -qx "$name"; then
+		echo "docs-check: OPERATIONS.md's metric catalogue names $name, which no Counter(/Gauge(/Histogram( call registers"
+		fail=1
+	fi
+done
+for name in $registered; do
+	if ! printf '%s\n' "$catalogued" | grep -qx "$name"; then
+		echo "docs-check: $name is registered but missing from OPERATIONS.md's metric catalogue"
+		fail=1
+	fi
+done
+
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series"
 	exit 1
 fi
 echo "docs-check: OK"

@@ -50,6 +50,10 @@ smoke() {
         ivm_drains_total \
         ivm_drain_latency_seconds \
         ivm_wal_appends_total \
+        policy_decisions_total \
+        policy_candidates_total \
+        policy_action_mods \
+        policy_refreshes_total \
         fault_injections_total \
         "$@"; do
         if ! printf '%s\n' "$METRICS" | grep -q "^$name"; then
