@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick serve-smoke compile-smoke docs-check
+.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ bench:
 # bench-quick is the CI smoke: one iteration of the headline benches.
 bench-quick:
 	sh scripts/bench.sh -quick -label quick
+
+# bench-pairs runs the wall-clock protocol of a perf PR: alternating
+# parent/change runs of one benchmark/ workload, medians and spreads per
+# end-to-end metric. PARENT=rev (default HEAD~1), WORKLOAD=name (default
+# fanout-shared), PAIRS=n (default 10).
+bench-pairs:
+	sh scripts/bench_pairs.sh "$(or $(PARENT),HEAD~1)" -workload "$(or $(WORKLOAD),fanout-shared)" -pairs "$(or $(PAIRS),10)"
 
 # serve-smoke boots `abivm serve` and asserts the ops endpoints answer
 # with the required metric series.

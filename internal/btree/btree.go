@@ -85,21 +85,39 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 // Set stores val under key, replacing any existing value. It reports
 // whether the key was newly inserted.
 func (m *Map[K, V]) Set(key K, val V) bool {
+	slot, inserted := m.slot(key)
+	*slot = val
+	return inserted
+}
+
+// Upsert calls fn on the value stored under key, in place and in one
+// descent; an absent key is inserted first with the zero value. It
+// reports whether the key was newly inserted. fn must not touch the map.
+func (m *Map[K, V]) Upsert(key K, fn func(val *V)) bool {
+	slot, inserted := m.slot(key)
+	fn(slot)
+	return inserted
+}
+
+// slot returns the address of the value stored under key, inserting the
+// key with the zero value when it is absent. The address is good until
+// the map is next modified.
+func (m *Map[K, V]) slot(key K) (*V, bool) {
 	if m.root == nil {
-		m.root = &node[K, V]{items: []item[K, V]{{key, val}}}
+		m.root = &node[K, V]{items: []item[K, V]{{key: key}}}
 		m.size = 1
-		return true
+		return &m.root.items[0].val, true
 	}
 	if len(m.root.items) == maxItems {
 		old := m.root
 		m.root = &node[K, V]{children: []*node[K, V]{old}}
 		m.splitChild(m.root, 0)
 	}
-	inserted := m.insertNonFull(m.root, key, val)
+	slot, inserted := m.insertNonFull(m.root, key)
 	if inserted {
 		m.size++
 	}
-	return inserted
+	return slot, inserted
 }
 
 // splitChild splits the full child at index i of parent p.
@@ -125,25 +143,23 @@ func (m *Map[K, V]) splitChild(p *node[K, V], i int) {
 	p.children[i+1] = right
 }
 
-func (m *Map[K, V]) insertNonFull(n *node[K, V], key K, val V) bool {
+func (m *Map[K, V]) insertNonFull(n *node[K, V], key K) (*V, bool) {
 	for {
 		i, ok := m.find(n, key)
 		if ok {
-			n.items[i].val = val
-			return false
+			return &n.items[i].val, false
 		}
 		if n.leaf() {
 			n.items = append(n.items, item[K, V]{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item[K, V]{key, val}
-			return true
+			n.items[i] = item[K, V]{key: key}
+			return &n.items[i].val, true
 		}
 		if len(n.children[i].items) == maxItems {
 			m.splitChild(n, i)
 			switch c := m.cmp(key, n.items[i].key); {
 			case c == 0:
-				n.items[i].val = val
-				return false
+				return &n.items[i].val, false
 			case c > 0:
 				i++
 			}
@@ -153,11 +169,17 @@ func (m *Map[K, V]) insertNonFull(n *node[K, V], key K, val V) bool {
 }
 
 // Delete removes key from the map and reports whether it was present.
-func (m *Map[K, V]) Delete(key K) bool {
+func (m *Map[K, V]) Delete(key K) bool { return m.DeleteIf(key, nil) }
+
+// DeleteIf calls drop on the value stored under key, in place and in one
+// descent, and removes the key when drop returns true (a nil drop always
+// removes). It reports whether the key was present. drop must not touch
+// the map.
+func (m *Map[K, V]) DeleteIf(key K, drop func(val *V) bool) bool {
 	if m.root == nil {
 		return false
 	}
-	deleted := m.delete(m.root, key)
+	found, removed := m.delete(m.root, key, drop)
 	if len(m.root.items) == 0 {
 		if m.root.leaf() {
 			m.root = nil
@@ -165,48 +187,50 @@ func (m *Map[K, V]) Delete(key K) bool {
 			m.root = m.root.children[0]
 		}
 	}
-	if deleted {
+	if removed {
 		m.size--
 	}
-	return deleted
+	return found
 }
 
 // delete removes key from the subtree rooted at n, which is guaranteed to
-// have at least degree items unless it is the root.
-func (m *Map[K, V]) delete(n *node[K, V], key K) bool {
+// have at least degree items unless it is the root — unless drop, asked
+// once where the key is found, keeps it. Topping nodes up on the way down
+// is harmless when the key then stays.
+func (m *Map[K, V]) delete(n *node[K, V], key K, drop func(*V) bool) (found, removed bool) {
 	i, found := m.find(n, key)
+	if found && drop != nil && !drop(&n.items[i].val) {
+		return true, false
+	}
 	if n.leaf() {
-		if !found {
-			return false
+		if found {
+			n.items = append(n.items[:i], n.items[i+1:]...)
 		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
+		return found, found
 	}
 	if found {
-		// Replace with predecessor from the left child (after ensuring it
-		// can spare an item), then delete the predecessor recursively.
+		// The removal is decided: everything below is unconditional. Replace
+		// with the predecessor from the left child (or the successor from the
+		// right) when it can spare an item, and delete that recursively.
 		if len(n.children[i].items) >= degree {
 			pred := m.max(n.children[i])
 			n.items[i] = pred
-			return m.delete(n.children[i], pred.key)
+			return m.delete(n.children[i], pred.key, nil)
 		}
 		if len(n.children[i+1].items) >= degree {
 			succ := m.min(n.children[i+1])
 			n.items[i] = succ
-			return m.delete(n.children[i+1], succ.key)
+			return m.delete(n.children[i+1], succ.key, nil)
 		}
 		m.merge(n, i)
-		return m.delete(n.children[i], key)
+		return m.delete(n.children[i], key, nil)
 	}
-	// Descend into child i, topping it up to degree items first.
-	child := n.children[i]
-	if len(child.items) < degree {
+	// Descend into child i, topping it up to degree items first; a merge
+	// may shift the key's position, so the child re-resolves it.
+	if len(n.children[i].items) < degree {
 		i = m.fill(n, i)
-		child = n.children[i]
-		// The key's position may have shifted after a merge; re-resolve.
-		return m.delete(child, key)
 	}
-	return m.delete(child, key)
+	return m.delete(n.children[i], key, drop)
 }
 
 // fill ensures n.children[i] has at least degree items by borrowing from a

@@ -1,12 +1,14 @@
 // Package dataflow is the shared incremental-view runtime: instead of
 // one monolithic maintainer per view (internal/ivm), views compile into
-// a DAG of composable incremental operators — scan, filter, join,
-// project — over signed-multiplicity delta batches (Z-sets, per DBSP
-// and DBToaster's delta processing). Structurally equal sub-plans are
-// hash-consed at subscription time, so N overlapping views share one
-// filtered-join operator whose output fans out to N per-view sinks; a
-// per-operator reference count releases only unshared nodes on
-// unsubscribe.
+// a DAG of composable incremental operators — scan, filter, join — over
+// signed-multiplicity delta batches (Z-sets, per DBSP and DBToaster's
+// delta processing). Structurally equal sub-plans are hash-consed at
+// subscription time, so N overlapping views share one filtered-join
+// operator whose output fans out to N per-view sinks; a per-operator
+// reference count releases only unshared nodes on unsubscribe. What is
+// a view's alone — its SELECT list, its grouping and aggregates — is not
+// in the graph at all: the sink applies it when a drain folds, so
+// publishing a modification does no per-view work beyond buffering.
 //
 // Byte-identity with the per-view maintainer rests on coordinate
 // attribution: every delta carries, per base table of its producing

@@ -312,8 +312,9 @@ func TestEquivalenceLateSubscriber(t *testing.T) {
 }
 
 // TestSharingOpCount proves sharing is real: two views over the same
-// join with different group-bys instantiate the shared sub-plan once,
-// and a third identical view adds no nodes at all.
+// join with different group-bys instantiate the shared sub-plan once —
+// their SELECT lists live in their sinks, so the second view adds no node
+// at all, and neither does a third identical one.
 func TestSharingOpCount(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -329,8 +330,8 @@ func TestSharingOpCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := g.Stats()
-	if base.Nodes != 4 { // scan(sales), scan(stations), join, project
-		t.Fatalf("single view built %d nodes, want 4: %v", base.Nodes, hA.Signatures())
+	if base.Nodes != 3 { // scan(sales), scan(stations), join
+		t.Fatalf("single view built %d nodes, want 3: %v", base.Nodes, hA.Signatures())
 	}
 
 	pB, err := ivm.PlanView(qB)
@@ -342,8 +343,8 @@ func TestSharingOpCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := g.Stats()
-	if st.Nodes != 5 { // + project only; both scans and the join shared
-		t.Fatalf("two overlapping views built %d nodes, want 5", st.Nodes)
+	if st.Nodes != 3 { // both scans and the join shared, nothing else to build
+		t.Fatalf("two overlapping views built %d nodes, want 3", st.Nodes)
 	}
 	if st.InternHits != 3 {
 		t.Fatalf("intern hits = %d, want 3 (scan, scan, join reused)", st.InternHits)
@@ -352,8 +353,8 @@ func TestSharingOpCount(t *testing.T) {
 		t.Fatalf("views = %d, want 2", st.Views)
 	}
 
-	// An identical third view shares everything including the top
-	// projection; its sink rides the existing node.
+	// An identical third view shares everything too; its sink rides the
+	// existing join beside the other two.
 	pA2, err := ivm.PlanView(qA)
 	if err != nil {
 		t.Fatal(err)
@@ -363,11 +364,11 @@ func TestSharingOpCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = g.Stats()
-	if st.Nodes != 5 {
-		t.Fatalf("identical view added nodes: %d, want 5", st.Nodes)
+	if st.Nodes != 3 {
+		t.Fatalf("identical view added nodes: %d, want 3", st.Nodes)
 	}
-	if st.InternHits != 3+4 {
-		t.Fatalf("intern hits = %d, want 7", st.InternHits)
+	if st.InternHits != 3+3 {
+		t.Fatalf("intern hits = %d, want 6", st.InternHits)
 	}
 
 	// The shared join feeds all three sinks with correct, divergent
@@ -409,7 +410,8 @@ func TestSharingOpCount(t *testing.T) {
 	// GROUP BY variants over the unfiltered join, 4 regional row lists
 	// repeating the first four regions, 4 sales-only filters. Its 13 joins
 	// read scan(sales) through one arrangement, and the scan's fan-out
-	// still counts each of them beside the 4 direct filter edges.
+	// still counts each of them beside the 4 direct filter edges. No view
+	// adds an operator of its own: 24 SELECT lists, 24 sinks, 31 operators.
 	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
 	var catalogue []string
 	for r := 0; r < 12; r++ {
@@ -433,7 +435,7 @@ func TestSharingOpCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := GraphStats{Nodes: 55, Views: 24, InternHits: 53, MaxFanout: 17, Arrangements: 14, ArrangementHits: 12,
+	want := GraphStats{Nodes: 31, Views: 24, InternHits: 53, MaxFanout: 17, Arrangements: 14, ArrangementHits: 12,
 		StateRows: 240 + 2*12}
 	if got := fan.Stats(); got != want {
 		t.Fatalf("fanout catalogue built %+v, want %+v", got, want)
@@ -463,16 +465,16 @@ func TestReleaseRefcounts(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	// 2 scans + shared join + 3 projections; qC rides scan(stations).
-	if n := g.Stats().Nodes; n != 6 {
-		t.Fatalf("three views built %d nodes, want 6", n)
+	// 2 scans + shared join; qC's sink rides scan(stations) itself.
+	if n := g.Stats().Nodes; n != 3 {
+		t.Fatalf("three views built %d nodes, want 3", n)
 	}
 
-	// Releasing B drops only its projection; the shared join and scans
-	// stay for A.
+	// Releasing B drops no operator — it owned none alone; the shared join
+	// and scans stay for A — only its sink leaves the join's edge list.
 	g.Release(handles[1])
-	if n := g.Stats().Nodes; n != 5 {
-		t.Fatalf("after releasing B: %d nodes, want 5", n)
+	if st := g.Stats(); st.Nodes != 3 || st.Views != 2 || st.MaxFanout != 2 {
+		t.Fatalf("after releasing B: %+v, want 3 nodes, 2 views, fan-out 2", st)
 	}
 	if !g.Watches("sales") || !g.Watches("stations") {
 		t.Fatal("shared scans must survive releasing one of their views")
@@ -480,8 +482,8 @@ func TestReleaseRefcounts(t *testing.T) {
 
 	// Releasing A drops the join spine; C keeps scan(stations) alive.
 	g.Release(handles[0])
-	if n := g.Stats().Nodes; n != 2 { // scan(stations) + C's project
-		t.Fatalf("after releasing A: %d nodes, want 2", n)
+	if n := g.Stats().Nodes; n != 1 { // scan(stations), C's top operator
+		t.Fatalf("after releasing A: %d nodes, want 1", n)
 	}
 	if g.Watches("sales") {
 		t.Fatal("sales scan leaked after its last view released")
@@ -619,7 +621,8 @@ func TestTrimWatermark(t *testing.T) {
 }
 
 // TestSignatures pins the canonical EXPLAIN surface: alias-insensitive,
-// conjunct-order-insensitive signatures.
+// conjunct-order-insensitive signatures that end at the view's top
+// operator, and the SELECT list apart from them as the sink's projection.
 func TestSignatures(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -633,26 +636,31 @@ func TestSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := Signatures(p1, g.schemaOf)
+	s1, sink1, err := Signatures(p1, g.schemaOf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Signatures(p2, g.schemaOf)
+	s2, sink2, err := Signatures(p2, g.schemaOf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(s1, "\n") != strings.Join(s2, "\n") {
-		t.Fatalf("alias/order-insensitive signatures diverged:\n%v\n%v", s1, s2)
+	if strings.Join(s1, "\n") != strings.Join(s2, "\n") || sink1 != sink2 {
+		t.Fatalf("alias/order-insensitive signatures diverged:\n%v %s\n%v %s", s1, sink1, s2, sink2)
 	}
 	want := "join(scan(sales), filter(scan(stations), [stations.region = 'EAST']), on=[sales.station=stations.stationkey])"
-	found := false
-	for _, s := range s1 {
-		if s == want {
-			found = true
-		}
+	if len(s1) != 4 || s1[3] != want {
+		t.Fatalf("operator list %v does not end at the canonical join %q", s1, want)
 	}
-	if !found {
-		t.Fatalf("missing canonical join signature %q in %v", want, s1)
+	if sink1 != "project [sales.amount]" {
+		t.Fatalf("sink projection %q, want the canonical SELECT list", sink1)
+	}
+	// What Subscribe interns is what Signatures lists.
+	h, err := g.Subscribe(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(h.Signatures(), "\n") != strings.Join(s1, "\n") || g.Stats().Nodes != len(s1) {
+		t.Fatalf("subscribed %v (%d nodes), Signatures listed %v", h.Signatures(), g.Stats().Nodes, s1)
 	}
 }
 

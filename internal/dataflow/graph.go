@@ -20,7 +20,6 @@ const (
 	opScan opKind = iota
 	opFilter
 	opJoin
-	opProject
 )
 
 // opSpec is one operator of a view's canonical plan shape: the
@@ -36,23 +35,23 @@ type opSpec struct {
 	equiL, equiR []sql.Expr // opJoin equi-key pairs, aligned, sorted canonically
 	arrL, arrR   string     // opJoin: identities of the two input arrangements
 	residual     []sql.Expr // opJoin non-equi conjuncts, sorted canonically
-	items        []sql.Expr // opProject, in SELECT order
 	left, right  *opSpec
 }
 
 // buildSpecs derives the canonical operator tree for a view plan:
-// per-table filters pushed onto their scans, a left-deep join spine in
-// FROM order with conjuncts attached at the lowest covering join
-// (split into equi-key pairs and residuals), and a projection of the
-// delta-query items on top. All expressions are canonicalized
-// (alias→table) so structurally equal sub-plans from different views
-// render identical signatures.
-func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) (*opSpec, error) {
+// per-table filters pushed onto their scans and a left-deep join spine in
+// FROM order with conjuncts attached at the lowest covering join (split
+// into equi-key pairs and residuals). The delta query's SELECT list is
+// not an operator: it is returned beside the tree, canonicalized, for
+// the view's sink to evaluate over the top operator's rows when it folds
+// them. All expressions are canonicalized (alias→table) so structurally
+// equal sub-plans from different views render identical signatures.
+func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) (top *opSpec, items []sql.Expr, err error) {
 	sources := make([]sourceTable, len(p.Sources))
 	for i, s := range p.Sources {
 		sch, err := schemaOf(s.Table)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sources[i] = sourceTable{alias: s.Alias, table: s.Table, schema: *sch}
 	}
@@ -67,7 +66,7 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 	for _, w := range p.Delta.Where {
 		cw, err := canon.expr(w)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		conjs = append(conjs, &conjunct{e: cw, tabs: tablesOf(cw)})
 	}
@@ -131,7 +130,7 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 		}
 		j.sig = fmt.Sprintf("join(%s, %s, on=[%s]", cur.sig, leaf.sig, strings.Join(onStrs, "; "))
 		if len(residual) > 0 {
-			j.sig += ", where=[" + joinExprs(residual) + "]"
+			j.sig += ", where=[" + joinExprs(residual, " AND ") + "]"
 		}
 		j.sig += ")"
 		j.arrL, j.arrR = arrangementID(cur.sig, j.equiL), arrangementID(leaf.sig, j.equiR)
@@ -152,26 +151,17 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 	}
 	for _, c := range conjs {
 		if !c.attached {
-			return nil, fmt.Errorf("dataflow: conjunct %q not attachable to the join spine", c.e.String())
+			return nil, nil, fmt.Errorf("dataflow: conjunct %q not attachable to the join spine", c.e.String())
 		}
 	}
 
-	items := make([]sql.Expr, len(p.Delta.Items))
-	strs := make([]string, len(items))
+	items = make([]sql.Expr, len(p.Delta.Items))
 	for i, it := range p.Delta.Items {
-		ce, err := canon.expr(it.Expr)
-		if err != nil {
-			return nil, err
+		if items[i], err = canon.expr(it.Expr); err != nil {
+			return nil, nil, err
 		}
-		items[i] = ce
-		strs[i] = ce.String()
 	}
-	return &opSpec{
-		kind:  opProject,
-		left:  cur,
-		items: items,
-		sig:   fmt.Sprintf("project(%s, [%s])", cur.sig, strings.Join(strs, ", ")),
-	}, nil
+	return cur, items, nil
 }
 
 func filterSpec(child *opSpec, conjs []sql.Expr) *opSpec {
@@ -180,7 +170,7 @@ func filterSpec(child *opSpec, conjs []sql.Expr) *opSpec {
 		kind:  opFilter,
 		left:  child,
 		conjs: conjs,
-		sig:   fmt.Sprintf("filter(%s, [%s])", child.sig, joinExprs(conjs)),
+		sig:   fmt.Sprintf("filter(%s, [%s])", child.sig, joinExprs(conjs, " AND ")),
 	}
 }
 
@@ -189,23 +179,19 @@ func filterSpec(child *opSpec, conjs []sql.Expr) *opSpec {
 // Equal identities index the same rows the same way, so the graph keeps
 // one arrangement per identity.
 func arrangementID(childSig string, keys []sql.Expr) string {
-	strs := make([]string, len(keys))
-	for i, e := range keys {
-		strs[i] = e.String()
-	}
-	return fmt.Sprintf("arrange(%s, [%s])", childSig, strings.Join(strs, ", "))
+	return fmt.Sprintf("arrange(%s, [%s])", childSig, joinExprs(keys, ", "))
 }
 
 func sortExprs(es []sql.Expr) {
 	sort.Slice(es, func(i, j int) bool { return es[i].String() < es[j].String() })
 }
 
-func joinExprs(es []sql.Expr) string {
+func joinExprs(es []sql.Expr, sep string) string {
 	strs := make([]string, len(es))
 	for i, e := range es {
 		strs[i] = e.String()
 	}
-	return strings.Join(strs, " AND ")
+	return strings.Join(strs, sep)
 }
 
 // recordSigs appends the spec subtree's signatures in post-order
@@ -221,17 +207,20 @@ func recordSigs(s *opSpec, used *[]string) {
 }
 
 // Signatures returns the canonical operator signatures of a view plan
-// in post-order (leaves first, projection last) without building any
-// state — the EXPLAIN surface for the shared-dataflow mode, and the
-// identity under which Subscribe hash-conses operators.
-func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) ([]string, error) {
-	top, err := buildSpecs(p, schemaOf)
+// in post-order (leaves first, the view's top operator last) and, apart
+// from them, the one thing the view does not put into the graph: its
+// sink's projection, the canonical SELECT list evaluated when the sink
+// folds. No state is built — this is the EXPLAIN surface for the
+// shared-dataflow mode, and the operator signatures are the identity
+// under which Subscribe hash-conses, so two views share exactly the
+// operators both lists name.
+func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) (ops []string, sink string, err error) {
+	top, items, err := buildSpecs(p, schemaOf)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	var sigs []string
-	recordSigs(top, &sigs)
-	return sigs, nil
+	recordSigs(top, &ops)
+	return ops, "project [" + joinExprs(items, ", ") + "]", nil
 }
 
 // Arrangements returns the identities of the join-input arrangements a
@@ -240,7 +229,7 @@ func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 // identities coincide — a wider overlap than their operators', since
 // joins that differ on the other side still index this one once.
 func Arrangements(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) ([]string, error) {
-	top, err := buildSpecs(p, schemaOf)
+	top, _, err := buildSpecs(p, schemaOf)
 	if err != nil {
 		return nil, err
 	}
@@ -272,23 +261,20 @@ type Graph struct {
 	// arrOrder caches the arrangements in identity order for Trim; realize
 	// and drop reset it.
 	arrOrder []*arrangement
-	// Netting scratch of the sinks' drains (netCovered): the key buffer,
-	// the net entries, and the index from encoded row to entry. Empty
+	// nets is the netting scratch of the sinks' drains (netCovered); empty
 	// between drains.
-	netKey []byte
-	nets   []netEntry
-	netIdx map[string]int
+	nets netTable
 }
 
 // NewGraph builds an empty operator graph over the live database.
 func NewGraph(db *storage.DB) *Graph {
 	return &Graph{
-		db:     db,
-		nodes:  make(map[string]node),
-		refs:   make(map[string]int),
-		scans:  make(map[string]*scanNode),
-		arrs:   make(map[string]*arrangement),
-		netIdx: make(map[string]int),
+		db:    db,
+		nodes: make(map[string]node),
+		refs:  make(map[string]int),
+		scans: make(map[string]*scanNode),
+		arrs:  make(map[string]*arrangement),
+		nets:  newNetTable(),
 	}
 }
 
@@ -302,11 +288,12 @@ func (g *Graph) schemaOf(table string) (*storage.Schema, error) {
 
 // Subscribe compiles a view plan into the graph — reusing every
 // operator whose canonical signature is already interned, creating and
-// wiring the rest — attaches a sink, computes the view's initial
-// content from the live database, and returns the handle. Each node in
-// the view's plan gains one reference; Release returns them.
+// wiring the rest — attaches a sink holding the view's own projection,
+// computes the view's initial content from the live database, and
+// returns the handle. Each node in the view's plan gains one reference;
+// Release returns them.
 func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
-	top, err := buildSpecs(p, g.schemaOf)
+	top, items, err := buildSpecs(p, g.schemaOf)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +303,7 @@ func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 		g.sweepUnreferenced(used)
 		return nil, err
 	}
-	h, err := newViewHandle(g, p, n, used)
+	h, err := newViewHandle(g, p, n, items, used)
 	if err != nil {
 		g.sweepUnreferenced(used)
 		return nil, err
@@ -391,22 +378,6 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 			}
 		}
 		n = newJoinNode(s.sig, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), residual, cols)
-	case opProject:
-		child, err := g.realize(s.left, used)
-		if err != nil {
-			return nil, err
-		}
-		scalars := make([]exec.Scalar, len(s.items))
-		cols := make([]exec.Col, len(s.items))
-		for i, e := range s.items {
-			sc, typ, err := plan.BindScalar(e, child.cols())
-			if err != nil {
-				return nil, err
-			}
-			scalars[i] = sc
-			cols[i] = exec.Col{Name: fmt.Sprintf("c%d", i), Type: typ}
-		}
-		n = newProjectNode(s.sig, child, scalars, cols)
 	default:
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}

@@ -1,22 +1,27 @@
 package dataflow
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"time"
 
 	"abivm/internal/exec"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/plan"
+	"abivm/internal/sql"
 	"abivm/internal/storage"
 )
 
-// ViewHandle is one view's sink on the shared graph: the per-view
-// cursors, the inbox of deltas propagated to it, and the foldable view
-// state. It mirrors the broker-facing surface of
-// ivm.Maintainer — aliases, pending counts, ProcessBatch with the same
-// fault-injection sites, WAL, checkpoint/recover — so the pub/sub layer
-// drives either runtime through the same choreography.
+// ViewHandle is one view's sink on the shared graph — everything that is
+// the view's own and no other's: the per-view cursors, the inbox of deltas
+// propagated to it, the SELECT list it projects them through, and the
+// foldable view state. None of it runs before a drain asks for it. It
+// mirrors the broker-facing surface of ivm.Maintainer — aliases, pending
+// counts, ProcessBatch with the same fault-injection sites, WAL,
+// checkpoint/recover — so the pub/sub layer drives either runtime through
+// the same choreography.
 //
 // The asymmetry of the paper survives sharing: operators propagate
 // eagerly, but folding stays per-view and per-table — ProcessBatch
@@ -26,8 +31,9 @@ type ViewHandle struct {
 	g    *Graph
 	plan *ivm.DeltaPlan
 
-	top  node
-	sigs []string // post-order node signatures (the refcount receipt)
+	top     node
+	sigs    []string      // post-order node signatures (the refcount receipt)
+	project []exec.Scalar // the delta query's SELECT list over the top operator's rows
 
 	// Everything per table is held by position: aliases, tabOrder (the top
 	// node's coordinate order), scans and cursors align, because the
@@ -41,10 +47,12 @@ type ViewHandle struct {
 
 	// inbox is the one place a delta propagated to this view waits: every
 	// delta the top operator has emitted that the last checkpoint's cursors
-	// do not cover, in arrival order. A drain folds the ones its cursor
-	// advance newly covers and leaves them where they are; Checkpoint drops
-	// what it covers. It is the graph's edge into the sink, so it survives a
-	// sink crash as all graph state does, and Recover replays drains over it.
+	// do not cover, in arrival order, as emitted — unprojected, its row the
+	// one every other view over that operator buffers too. A drain folds
+	// the ones its cursor advance newly covers and leaves them where they
+	// are; Checkpoint drops what it covers. It is the graph's edge into the
+	// sink, so it survives a sink crash as all graph state does, and Recover
+	// replays drains over it.
 	inbox []Delta
 	view  *ivm.ViewState
 	stats *storage.Stats
@@ -71,15 +79,23 @@ type handleSnapshot struct {
 	ns      string
 }
 
-func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, sigs []string) (*ViewHandle, error) {
+func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, items []sql.Expr, sigs []string) (*ViewHandle, error) {
 	h := &ViewHandle{
 		g:        g,
 		plan:     p,
 		top:      top,
 		sigs:     sigs,
+		project:  make([]exec.Scalar, len(items)),
 		pos:      make(map[string]int, len(p.Sources)),
 		tabOrder: top.tables(),
 		stats:    &storage.Stats{},
+	}
+	for i, e := range items {
+		sc, _, err := plan.BindScalar(e, top.cols())
+		if err != nil {
+			return nil, err
+		}
+		h.project[i] = sc
 	}
 	if len(h.tabOrder) != len(p.Sources) {
 		return nil, fmt.Errorf("dataflow: view reads %d tables, its top operator %d", len(p.Sources), len(h.tabOrder))
@@ -239,7 +255,7 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 	// log the drain. A failed log append takes the fold and the cursor back.
 	old := h.cursors[i]
 	h.cursors[i] = old + uint64(k)
-	nets := h.g.netCovered(h.inbox, i, old, h.cursors)
+	nets := h.g.netCovered(h.inbox, h.project, i, old, h.cursors)
 	defer h.g.releaseNets()
 	h.fold(nets)
 	if h.wal != nil {
@@ -287,11 +303,33 @@ func (h *ViewHandle) unfold(nets []netEntry) {
 	}
 }
 
-// netEntry is one distinct row among a drain's newly covered deltas with
-// its net weight.
+// netEntry is one distinct projected row among a drain's newly covered
+// deltas with its net weight. row and key live in the net table's
+// scratch; next chains the entries whose keys hash alike (1-based, 0 ends).
 type netEntry struct {
-	row storage.Row
-	w   int64
+	row  storage.Row
+	w    int64
+	key  []byte // the row's encoding, what makes it distinct
+	next int
+}
+
+// netTable is the netting scratch of the sinks' drains: the net entries in
+// first-touch order, the projected rows' values and encodings back to
+// back, and the index from an encoding's hash to the chain of entries
+// sharing it. Nothing in it is a Go string or a row of its own, so a drain
+// allocates nothing once the table has grown to fit it. Empty between
+// drains. The seed is the process's own: it shapes the chains, never the
+// entries or their order.
+type netTable struct {
+	entries []netEntry
+	vals    []storage.Value
+	keys    []byte
+	idx     map[uint64]int
+	seed    maphash.Seed
+}
+
+func newNetTable() netTable {
+	return netTable{idx: make(map[uint64]int), seed: maphash.MakeSeed()}
 }
 
 // maxNetScratch bounds the netting scratch a graph keeps between drains,
@@ -299,43 +337,66 @@ type netEntry struct {
 // refresh does not leave every later drain clearing a large map.
 const maxNetScratch = 256
 
-// netCovered nets the buffered deltas a drain newly covers: only the
-// cursor at position i moved, up from old, so they are the deltas above
-// old there that cursors now cover everywhere — whatever was covered
-// before, and so folded by an earlier drain, is at or below old. One
-// entry per distinct row, in first-touch order. Each delta's row is
-// encoded once, into the graph's reused buffer, and looked up without
-// allocating; only a row's first touch pays for its key string. The
-// result lives in the graph's scratch — one copy serves every sink,
-// drains being serialised like everything else on the graph — until
-// releaseNets.
-func (g *Graph) netCovered(inbox []Delta, i int, old uint64, cursors []uint64) []netEntry {
-	for _, d := range inbox {
-		if d.Coord[i] <= old || !d.Coord.covered(cursors) {
-			continue
-		}
-		g.netKey = storage.AppendKey(g.netKey[:0], d.Row...)
-		i, ok := g.netIdx[string(g.netKey)]
-		if !ok {
-			i = len(g.nets)
-			g.netIdx[string(g.netKey)] = i
-			g.nets = append(g.nets, netEntry{row: d.Row})
-		}
-		g.nets[i].w += d.W
+// add runs row through the SELECT list project and adds w to the net
+// weight of the projected row's entry, a new one at first touch. The
+// projected row and its encoding are appended to the scratch; the
+// encoding's hash finds the entries it could equal, the bytes decide, and
+// a row seen before gives both appends back.
+func (t *netTable) add(project []exec.Scalar, row storage.Row, w int64) {
+	vals, keys := len(t.vals), len(t.keys)
+	for _, sc := range project {
+		t.vals = append(t.vals, sc(row))
 	}
-	return g.nets
+	projected := storage.Row(t.vals[vals:len(t.vals):len(t.vals)])
+	t.keys = storage.AppendKey(t.keys, projected...)
+	key := t.keys[keys:len(t.keys):len(t.keys)]
+	hash := maphash.Bytes(t.seed, key)
+	n := t.idx[hash]
+	for n > 0 && !bytes.Equal(t.entries[n-1].key, key) {
+		n = t.entries[n-1].next
+	}
+	if n > 0 {
+		clear(t.vals[vals:])
+		t.vals, t.keys = t.vals[:vals], t.keys[:keys]
+	} else {
+		t.entries = append(t.entries, netEntry{row: projected, key: key, next: t.idx[hash]})
+		n = len(t.entries)
+		t.idx[hash] = n
+	}
+	t.entries[n-1].w += w
 }
 
-// releaseNets empties the netting scratch, pinning no row.
-func (g *Graph) releaseNets() {
-	if len(g.nets) > maxNetScratch {
-		g.nets, g.netIdx = nil, make(map[string]int)
+// reset empties the table, pinning no row or value.
+func (t *netTable) reset() {
+	if len(t.entries) > maxNetScratch {
+		*t = newNetTable()
 		return
 	}
-	clear(g.netIdx)
-	clear(g.nets)
-	g.nets = g.nets[:0]
+	clear(t.idx)
+	clear(t.entries)
+	clear(t.vals)
+	t.entries, t.vals, t.keys = t.entries[:0], t.vals[:0], t.keys[:0]
 }
+
+// netCovered projects and nets the buffered deltas a drain newly covers:
+// only the cursor at position pos moved, up from old, so they are the
+// deltas above old there that cursors now cover everywhere — whatever was
+// covered before, and so folded by an earlier drain, is at or below old.
+// One entry per distinct projected row, in first-touch order. The result
+// — rows included — lives in the graph's net table, one copy serving
+// every sink, drains being serialised like everything else on the graph,
+// until releaseNets: a fold that keeps a row copies it.
+func (g *Graph) netCovered(inbox []Delta, project []exec.Scalar, pos int, old uint64, cursors []uint64) []netEntry {
+	for _, d := range inbox {
+		if d.Coord[pos] > old && d.Coord.covered(cursors) {
+			g.nets.add(project, d.Row, d.W)
+		}
+	}
+	return g.nets.entries
+}
+
+// releaseNets empties the net table once a drain is done with its nets.
+func (g *Graph) releaseNets() { g.nets.reset() }
 
 // Refresh drains every pending modification, one full batch per table
 // in alias order, bringing the view fully up to date.
@@ -351,7 +412,8 @@ func (h *ViewHandle) Refresh() error {
 }
 
 // Result renders the current view content — same layout as the
-// per-view maintainer and the planner.
+// per-view maintainer and the planner, and like theirs not a read (see
+// ivm.ViewState.Result).
 func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
 // Checkpoint brings the per-view durable state (cursors, view content,

@@ -98,7 +98,8 @@ func (n *nodeBase) fanout() int {
 func (n *nodeBase) detach() {}
 
 // emit forwards one delta to every consumer in attachment order
-// (deterministic: subscription order).
+// (deterministic: subscription order). Every consumer gets the same Delta,
+// row and coordinate aliased: nothing downstream may write to either.
 func (n *nodeBase) emit(d Delta) {
 	for _, o := range n.outs {
 		o.onDelta(d)
@@ -246,49 +247,6 @@ func (f *filterNode) current() []weightedRow {
 }
 
 func (f *filterNode) detach() { f.child.removeOut(f) }
-
-// projectNode evaluates scalar select items.
-type projectNode struct {
-	nodeBase
-	child   node
-	scalars []exec.Scalar
-}
-
-func newProjectNode(sig string, child node, scalars []exec.Scalar, cols []exec.Col) *projectNode {
-	p := &projectNode{
-		nodeBase: nodeBase{
-			signature: sig,
-			tabs:      child.tables(),
-			schema:    cols,
-		},
-		child:   child,
-		scalars: scalars,
-	}
-	child.addOut(p)
-	return p
-}
-
-func (p *projectNode) project(r storage.Row) storage.Row {
-	out := make(storage.Row, len(p.scalars))
-	for i, s := range p.scalars {
-		out[i] = s(r)
-	}
-	return out
-}
-
-func (p *projectNode) onDelta(d Delta) {
-	p.emit(Delta{Row: p.project(d.Row), W: d.W, Coord: d.Coord})
-}
-
-func (p *projectNode) current() []weightedRow {
-	var out []weightedRow
-	for _, wr := range p.child.current() {
-		out = append(out, weightedRow{row: p.project(wr.row), w: wr.w, loose: true})
-	}
-	return out
-}
-
-func (p *projectNode) detach() { p.child.removeOut(p) }
 
 // baseEntry is one consolidated row of an arrangement: its net weight
 // over every input delta the GC watermark has covered. The coordinate is

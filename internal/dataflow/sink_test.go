@@ -3,10 +3,12 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"abivm/internal/exec"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 	"abivm/internal/testenv"
@@ -169,10 +171,10 @@ func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
 }
 
 // TestSinkDrainAllocsIndependentOfPending: a drain that folds eight
-// sales updates into existing groups allocates the same — one key string
-// per distinct netted row, nothing for the buffer — whether the sink's
-// inbox holds 16 or 1,024 deltas the drain does not cover, and however
-// many earlier drains' deltas still wait in it for a checkpoint.
+// sales updates into existing groups allocates the same — nothing for the
+// buffer, nothing per netted row once the scratch has grown — whether the
+// sink's inbox holds 16 or 1,024 deltas the drain does not cover, and
+// however many earlier drains' deltas still wait in it for a checkpoint.
 func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, batch, rounds = 8, 8, 4
@@ -233,6 +235,133 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	if small != large || small > 2*batch {
 		t.Fatalf("a drain of %d updates allocated %d times beside 16 pending deltas, %d beside 1,024; want equal and at most %d",
 			batch, small, large, 2*batch)
+	}
+}
+
+// TestIngestAllocsIndependentOfViews: one sales update allocates the same
+// whether 1 view or 12 with 12 different SELECT lists sit on the join it
+// flows through — the join builds its two output rows and coordinates
+// once, and each sink only buffers them as they are; nothing per view runs
+// before a drain.
+func TestIngestAllocsIndependentOfViews(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation = 8
+	ingestAllocs := func(views int) (allocs uint64) {
+		g := NewGraph(sizedDB(t, 2_000, rowsPerStation))
+		handles := make([]*ViewHandle, views)
+		for i := range handles {
+			p, err := ivm.PlanView(fmt.Sprintf("SELECT st.region, SUM(s.amount + %d), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if handles[i], err = g.Subscribe(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := g.Stats(); st.Nodes != 3 || st.Views != views {
+			t.Fatalf("%d views built %+v, want them all on one join", views, st)
+		}
+		// Steady state: every inbox has held two deltas before and is
+		// emptied, capacity kept, by the checkpoint that ends a round.
+		for round := 0; round < 4; round++ {
+			mod := updateSale(7, rowsPerStation, float64(10+round))
+			allocs = mallocsOf(func() {
+				if err := g.Ingest("sales", mod); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for _, h := range handles {
+				if len(h.inbox) != 2 {
+					t.Fatalf("a sink buffers %d deltas of one update, want its retraction and insertion", len(h.inbox))
+				}
+				if &h.inbox[0].Row[0] != &handles[0].inbox[0].Row[0] {
+					t.Fatal("two sinks on one join buffer different copies of a row")
+				}
+			}
+			settle(t, handles)
+		}
+		return allocs
+	}
+	if one, twelve := ingestAllocs(1), ingestAllocs(12); one != twelve {
+		t.Fatalf("one sales update allocated %d times into 1 view, %d into 12", one, twelve)
+	}
+}
+
+// TestAggregateDrainAllocsNothing: at steady state — groups present, the
+// netting scratch grown by one larger drain, no redo log attached — a
+// drain of an aggregate view allocates nothing, whether it covers 16
+// deltas or 128: projecting, netting and folding a covered delta all run
+// in reused memory.
+func TestAggregateDrainAllocsNothing(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation = 8
+	g := NewGraph(sizedDB(t, 2_000, rowsPerStation))
+	handles := subscribeRegional(t, g, 0)
+	h := handles[0]
+	next := 0
+	for _, batch := range []int{100, 8, 64, 8} {
+		for round := 0; round < 3; round++ {
+			updateRound(t, g, batch, rowsPerStation, &next)
+			allocs := mallocsOf(func() {
+				if err := h.ProcessBatch("s", batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if batch < 100 && allocs != 0 {
+				t.Fatalf("a drain covering %d deltas allocated %d times, want 0", 2*batch, allocs)
+			}
+			settle(t, handles)
+		}
+	}
+	if n := g.nets; len(n.entries)+len(n.vals)+len(n.keys)+len(n.idx) != 0 {
+		t.Fatalf("scratch not empty between drains: %d entries, %d values, %d key bytes, %d hashes",
+			len(n.entries), len(n.vals), len(n.keys), len(n.idx))
+	}
+}
+
+// TestNetCoveredTellsCollidingKeysApart: the hash only finds candidates,
+// the encoded bytes decide. An entry planted under the hash of a row it
+// does not equal — what a 64-bit collision would leave there — is walked
+// past, not merged into; the row nets into an entry of its own chained
+// behind it; and projection happens before netting, so two deltas whose
+// rows differ only in a column the view does not select are one entry.
+func TestNetCoveredTellsCollidingKeysApart(t *testing.T) {
+	g := NewGraph(storage.NewDB())
+	project := []exec.Scalar{func(r storage.Row) storage.Value { return r[1] }}
+	a1, a2, b := storage.Row{storage.I(1), storage.S("a")}, storage.Row{storage.I(2), storage.S("a")}, storage.Row{storage.I(3), storage.S("b")}
+	foreign := netEntry{row: storage.Row{storage.S("z")}, w: 5, key: []byte("collides with a")}
+	g.nets.entries = append(g.nets.entries, foreign)
+	g.nets.idx[maphash.Bytes(g.nets.seed, storage.AppendKey(nil, storage.S("a")))] = 1
+	inbox := []Delta{
+		{Row: a1, W: 1, Coord: Coord{1}},
+		{Row: b, W: -1, Coord: Coord{2}},
+		{Row: a2, W: 1, Coord: Coord{3}},
+		{Row: b, W: 1, Coord: Coord{4}}, // not covered
+	}
+	nets := g.netCovered(inbox, project, 0, 0, []uint64{3})
+	if len(nets) != 3 {
+		t.Fatalf("netted %d entries, want the planted one, a and b", len(nets))
+	}
+	if nets[0].w != 5 || string(nets[0].key) != "collides with a" {
+		t.Fatalf("the colliding entry was merged into: %+v", nets[0])
+	}
+	if nets[1].w != 2 || nets[1].next != 1 || !nets[1].row.SameKey(storage.Row{storage.S("a")}) {
+		t.Fatalf("a netted as %+v, want weight 2 chained behind the colliding entry", nets[1])
+	}
+	if nets[2].w != -1 || !nets[2].row.SameKey(storage.Row{storage.S("b")}) {
+		t.Fatalf("b netted as %+v, want weight -1", nets[2])
+	}
+	if len(g.nets.vals) != 2 {
+		t.Fatalf("value scratch holds %d values for 2 distinct rows: a repeated row did not give its scratch back", len(g.nets.vals))
+	}
+	g.releaseNets()
+	if n := g.nets; len(n.entries)+len(n.vals)+len(n.keys)+len(n.idx) != 0 {
+		t.Fatal("scratch not empty after release")
+	}
+	for _, v := range g.nets.vals[:cap(g.nets.vals)] {
+		if v != (storage.Value{}) {
+			t.Fatalf("released scratch still pins %v", v)
+		}
 	}
 }
 

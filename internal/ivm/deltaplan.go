@@ -40,7 +40,12 @@ type DeltaPlan struct {
 	GroupCols int
 
 	aggKinds []exec.AggKind // per aggregate item, in select order
-	itemRefs []itemRef      // select item -> group col or aggregate index
+	// aggSet names, per aggregate item, the aggregate that keeps the value
+	// multiset it reads: the first MIN or MAX over the same argument
+	// expression — itself when it is that one — and -1 for the other kinds.
+	// A group's MINs and MAXes over one argument thus share one multiset.
+	aggSet   []int
+	itemRefs []itemRef // select item -> group col or aggregate index
 }
 
 // PlanView parses a view definition and derives its delta plan. It is
@@ -102,6 +107,7 @@ func (p *DeltaPlan) deriveDelta() error {
 		ds.Items = append(ds.Items, sql.SelectItem{Expr: g})
 	}
 	p.itemRefs = make([]itemRef, len(sel.Items))
+	var args []string // per aggregate item, its argument's canonical text
 	for i, item := range sel.Items {
 		switch x := item.Expr.(type) {
 		case *sql.AggExpr:
@@ -118,6 +124,8 @@ func (p *DeltaPlan) deriveDelta() error {
 			}
 			p.itemRefs[i] = itemRef{groupIdx: -1, aggIdx: len(p.aggKinds)}
 			p.aggKinds = append(p.aggKinds, kind)
+			args = append(args, arg.String())
+			p.aggSet = append(p.aggSet, multisetOf(p.aggKinds, args))
 			ds.Items = append(ds.Items, sql.SelectItem{Expr: arg})
 		case *sql.ColumnRef:
 			pos := -1
@@ -137,6 +145,22 @@ func (p *DeltaPlan) deriveDelta() error {
 	}
 	p.Delta = ds
 	return nil
+}
+
+// multisetOf resolves aggSet for the last aggregate of kinds: the first
+// MIN or MAX whose argument text equals its own, or -1 when it is neither.
+func multisetOf(kinds []exec.AggKind, args []string) int {
+	minmax := func(k exec.AggKind) bool { return k == exec.AggMin || k == exec.AggMax }
+	last := len(kinds) - 1
+	if !minmax(kinds[last]) {
+		return -1
+	}
+	for j := 0; j < last; j++ {
+		if minmax(kinds[j]) && args[j] == args[last] {
+			return j
+		}
+	}
+	return last
 }
 
 func aggKind(x *sql.AggExpr) (exec.AggKind, error) {

@@ -7,35 +7,56 @@ import (
 )
 
 // groupState holds the incrementally maintainable state of one group: a
-// contribution count plus one aggregate state per aggregate item. dirty
-// is ViewState's mark that the group is listed as touched since the last
+// contribution count plus one aggregate state per aggregate item. key is
+// the encoded group-by values the view holds it under; dirty is
+// ViewState's mark that the group is listed as touched since the last
 // checkpoint.
 type groupState struct {
+	key     string
 	keyVals storage.Row // the group-by values
 	count   int64       // joined rows contributing to the group
 	aggs    []aggState
 	dirty   bool
 }
 
+func (g *groupState) orderKey() string { return g.key }
+func (g *groupState) live() bool       { return g.count != 0 }
+
 // aggState is the incremental state of one aggregate.
 type aggState struct {
 	kind exec.AggKind
 	sum  float64
 	// multiset tracks contributing values for MIN/MAX so deletions never
-	// force a recompute; nil for other aggregates.
+	// force a recompute; nil for other aggregates. A group's MINs and MAXes
+	// over one argument read the same multiset (DeltaPlan.aggSet); owns marks
+	// the one aggregate that updates it.
 	multiset *btree.Map[storage.Value, int64]
+	owns     bool
 }
 
-func newAggState(kind exec.AggKind) aggState {
-	st := aggState{kind: kind}
-	if kind == exec.AggMin || kind == exec.AggMax {
-		st.multiset = btree.New[storage.Value, int64](storage.Compare)
+// newAggStates builds a new group's aggregate states: one multiset per
+// distinct MIN/MAX argument, created by the aggregate set[i] == i and
+// read by every other aggregate naming it.
+func newAggStates(kinds []exec.AggKind, set []int) []aggState {
+	aggs := make([]aggState, len(kinds))
+	for i, kind := range kinds {
+		aggs[i].kind = kind
+		switch j := set[i]; {
+		case j == i:
+			aggs[i].multiset, aggs[i].owns = btree.New[storage.Value, int64](storage.Compare), true
+		case j >= 0:
+			aggs[i].multiset = aggs[j].multiset
+		}
 	}
-	return st
+	return aggs
 }
+
+func countUp(n *int64) { *n++ }
+
+func countDown(n *int64) bool { *n--; return *n == 0 }
 
 // add folds one contributing value into the aggregate (v is unused for
-// COUNT).
+// COUNT). A shared multiset is updated by its owner alone, in one descent.
 func (st *aggState) add(v storage.Value, stats *storage.Stats) {
 	if stats != nil {
 		stats.AggUpdates++
@@ -45,8 +66,9 @@ func (st *aggState) add(v storage.Value, stats *storage.Stats) {
 	case exec.AggSum, exec.AggAvg:
 		st.sum += v.Float()
 	case exec.AggMin, exec.AggMax:
-		n, _ := st.multiset.Get(v)
-		st.multiset.Set(v, n+1)
+		if st.owns {
+			st.multiset.Upsert(v, countUp)
+		}
 	}
 }
 
@@ -60,14 +82,8 @@ func (st *aggState) remove(v storage.Value, stats *storage.Stats) {
 	case exec.AggSum, exec.AggAvg:
 		st.sum -= v.Float()
 	case exec.AggMin, exec.AggMax:
-		n, ok := st.multiset.Get(v)
-		if !ok {
+		if st.owns && !st.multiset.DeleteIf(v, countDown) {
 			panic("ivm: retracting a value absent from the MIN/MAX multiset")
-		}
-		if n <= 1 {
-			st.multiset.Delete(v)
-		} else {
-			st.multiset.Set(v, n-1)
 		}
 	}
 }
@@ -85,16 +101,18 @@ func (st *aggState) result(count int64) storage.Value {
 			return storage.F(0)
 		}
 		return storage.F(st.sum / float64(count))
-	case exec.AggMin:
-		if k, _, ok := st.multiset.Min(); ok {
+	case exec.AggMin, exec.AggMax:
+		// An empty group has contributed no value: its state may not even
+		// carry a multiset (the grand aggregate over nothing).
+		if count == 0 {
+			return storage.F(0)
+		}
+		if st.kind == exec.AggMin {
+			k, _, _ := st.multiset.Min()
 			return k
 		}
-		return storage.F(0)
-	case exec.AggMax:
-		if k, _, ok := st.multiset.Max(); ok {
-			return k
-		}
-		return storage.F(0)
+		k, _, _ := st.multiset.Max()
+		return k
 	}
 	return storage.Value{}
 }

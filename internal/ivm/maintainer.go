@@ -74,14 +74,18 @@ type preparedDelta struct {
 	op  exec.Op
 }
 
-// bagEntry is one distinct row of an SPJ view with its multiplicity.
-// dirty is ViewState's mark that the entry is listed as touched since
-// the last checkpoint.
+// bagEntry is one distinct row of an SPJ view with its multiplicity. key
+// is the encoded row the view holds it under; dirty is ViewState's mark
+// that the entry is listed as touched since the last checkpoint.
 type bagEntry struct {
+	key   string
 	row   storage.Row
 	count int64
 	dirty bool
 }
+
+func (e *bagEntry) orderKey() string { return e.key }
+func (e *bagEntry) live() bool       { return e.count != 0 }
 
 type itemRef struct {
 	groupIdx int // >= 0: group-by column position
@@ -601,7 +605,8 @@ func (m *Maintainer) Refresh() error {
 // Result renders the current view content in the SELECT-item order, rows
 // sorted by group key (aggregate views) or encoded row (SPJ views, with
 // multiplicities expanded). The layout matches what executing the view
-// query through the planner produces, enabling direct comparison.
+// query through the planner produces, enabling direct comparison. Not a
+// read (see ViewState.Result): no two calls may run at once.
 func (m *Maintainer) Result() []storage.Row { return m.view.Result() }
 
 // RecomputeFresh evaluates the view query from scratch against the live

@@ -2,7 +2,8 @@ package ivm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"abivm/internal/exec"
 	"abivm/internal/storage"
@@ -24,10 +25,17 @@ type ViewState struct {
 	isAgg    bool
 	gbCount  int
 	aggKinds []exec.AggKind
+	aggSet   []int
 	itemRefs []itemRef
 	groups   map[string]*groupState
 	bag      map[string]*bagEntry
 	stats    *storage.Stats
+
+	// The entries of the two maps in key order, kept between renders so a
+	// render costs what was created or dropped since the previous one.
+	// Bringing them up to date is the one write a Result makes.
+	groupOrder keyOrder[*groupState]
+	bagOrder   keyOrder[*bagEntry]
 
 	// keyBuf is the one buffer every fold and every patch encodes its key
 	// into; lookups index the maps with string(keyBuf), which does not
@@ -50,6 +58,7 @@ func NewViewState(p *DeltaPlan, stats *storage.Stats) *ViewState {
 		isAgg:    p.Aggregate,
 		gbCount:  p.GroupCols,
 		aggKinds: p.aggKinds,
+		aggSet:   p.aggSet,
 		itemRefs: p.itemRefs,
 		groups:   make(map[string]*groupState),
 		bag:      make(map[string]*bagEntry),
@@ -61,38 +70,41 @@ func NewViewState(p *DeltaPlan, stats *storage.Stats) *ViewState {
 func (v *ViewState) SetStats(stats *storage.Stats) { v.stats = stats }
 
 // Add folds delta rows (group cols + agg args for aggregate views,
-// plain view rows otherwise) into the state with weight +1 each.
+// plain view rows otherwise) into the state with weight +1 each. The
+// state keeps the rows.
 func (v *ViewState) Add(rows []storage.Row) {
 	for _, r := range rows {
-		v.fold(r, 1)
+		v.fold(r, 1, false)
 	}
 }
 
 // FoldSigned folds one signed delta batch in slice order: rows[:minus]
 // with weight -w each, then rows[minus:] with weight +w. w is 1 to apply
-// the batch and -1 to take it back.
+// the batch and -1 to take it back. The state keeps the rows.
 func (v *ViewState) FoldSigned(rows []storage.Row, minus int, w int64) {
 	for _, r := range rows[:minus] {
-		v.fold(r, -w)
+		v.fold(r, -w, false)
 	}
 	for _, r := range rows[minus:] {
-		v.fold(r, w)
+		v.fold(r, w, false)
 	}
 }
 
 // AddWeighted folds one delta row with a signed multiplicity: w > 0
 // adds the row w times, w < 0 retracts it -w times. The dataflow
-// runtime's Z-set fold entry point.
+// runtime's Z-set fold entry point: row is only borrowed — the caller
+// may overwrite it afterwards — and is copied if the state keeps it.
 func (v *ViewState) AddWeighted(row storage.Row, w int64) {
 	if w != 0 {
-		v.fold(row, w)
+		v.fold(row, w, true)
 	}
 }
 
 // fold applies one delta row |w| times, w's sign choosing between adding
 // and retracting, and is charged as |w| unit folds. The bag entry or
-// group is looked up once, through keyBuf.
-func (v *ViewState) fold(r storage.Row, w int64) {
+// group is looked up once, through keyBuf; a new bag entry keeps r, or a
+// copy of it when r is borrowed.
+func (v *ViewState) fold(r storage.Row, w int64, borrowed bool) {
 	if v.stats != nil {
 		v.stats.RowsMaterial += uint64(max(w, -w))
 	}
@@ -103,8 +115,12 @@ func (v *ViewState) fold(r storage.Row, w int64) {
 			if w < 0 {
 				panic("ivm: retracting a row absent from the view bag")
 			}
-			e = &bagEntry{row: r}
-			v.bag[string(v.keyBuf)] = e
+			if borrowed {
+				r = r.Clone()
+			}
+			e = &bagEntry{key: string(v.keyBuf), row: r}
+			v.bag[e.key] = e
+			v.bagOrder.created(e)
 		}
 		if e.count+w < 0 {
 			panic("ivm: retracting a row more often than the view bag holds it")
@@ -115,7 +131,8 @@ func (v *ViewState) fold(r storage.Row, w int64) {
 			v.dirtyBag = append(v.dirtyBag, e)
 		}
 		if e.count == 0 {
-			delete(v.bag, string(v.keyBuf))
+			delete(v.bag, e.key)
+			v.bagOrder.dropped()
 		}
 		return
 	}
@@ -125,11 +142,9 @@ func (v *ViewState) fold(r storage.Row, w int64) {
 		if w < 0 {
 			panic("ivm: retracting from a missing group")
 		}
-		g = &groupState{keyVals: r[:v.gbCount].Clone(), aggs: make([]aggState, len(v.aggKinds))}
-		for i, kind := range v.aggKinds {
-			g.aggs[i] = newAggState(kind)
-		}
-		v.groups[string(v.keyBuf)] = g
+		g = &groupState{key: string(v.keyBuf), keyVals: r[:v.gbCount].Clone(), aggs: newAggStates(v.aggKinds, v.aggSet)}
+		v.groups[g.key] = g
+		v.groupOrder.created(g)
 	}
 	if v.cp != nil && !g.dirty {
 		g.dirty = true
@@ -148,26 +163,88 @@ func (v *ViewState) fold(r storage.Row, w int64) {
 		}
 	}
 	if g.count == 0 {
-		delete(v.groups, string(v.keyBuf))
+		delete(v.groups, g.key)
+		v.groupOrder.dropped()
 	} else if g.count < 0 {
 		panic("ivm: negative group count")
 	}
 }
 
+// keyed is a map entry that remembers the key it is held under and knows
+// whether the map still holds it.
+type keyed interface {
+	orderKey() string
+	live() bool
+}
+
+// keyOrder keeps the entries of one of the state's maps in key order
+// between renders: sorted is the order as of the last render, fresh the
+// entries created since, dead how many entries of the two lists the map
+// has dropped since they were last swept. An entry that vanishes and
+// returns is a new entry, so a listed one is never revived.
+type keyOrder[E keyed] struct {
+	sorted, fresh []E
+	dead          int
+}
+
+func (o *keyOrder[E]) created(e E) { o.fresh = append(o.fresh, e) }
+
+// dropped notes that the map let go of a listed entry, and sweeps once
+// the dead outnumber the living, so a state nobody renders still holds
+// lists in proportion to its content.
+func (o *keyOrder[E]) dropped() {
+	o.dead++
+	if 2*o.dead > len(o.sorted)+len(o.fresh)+32 {
+		o.sweep()
+	}
+}
+
+// sweep removes the dropped entries from both lists, keeping their order.
+func (o *keyOrder[E]) sweep() {
+	dropped := func(e E) bool { return !e.live() }
+	o.sorted, o.fresh, o.dead = slices.DeleteFunc(o.sorted, dropped), slices.DeleteFunc(o.fresh, dropped), 0
+}
+
+// render returns the live entries in key order. Since the last call only
+// the entries created in between need sorting — among themselves — and
+// merging in from the back: O(d log d) comparisons for d of them plus the
+// moves behind the lowest, and one pass dropping the vanished if there
+// are any. Nothing was created or dropped: nothing to do.
+func (o *keyOrder[E]) render() []E {
+	if o.dead > 0 {
+		o.sweep()
+	}
+	if len(o.fresh) == 0 {
+		return o.sorted
+	}
+	slices.SortFunc(o.fresh, func(a, b E) int { return strings.Compare(a.orderKey(), b.orderKey()) })
+	i, j := len(o.sorted)-1, len(o.fresh)-1
+	o.sorted = append(o.sorted, o.fresh...)
+	for k := len(o.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && o.sorted[i].orderKey() > o.fresh[j].orderKey() {
+			o.sorted[k] = o.sorted[i]
+			i--
+		} else {
+			o.sorted[k] = o.fresh[j]
+			j--
+		}
+	}
+	clear(o.fresh)
+	o.fresh = o.fresh[:0]
+	return o.sorted
+}
+
 // Result renders the current content in SELECT-item order, rows sorted
 // by group key (aggregate views) or encoded row (SPJ views, with
 // multiplicities expanded) — the same layout the planner produces for
-// the view query, enabling direct comparison.
+// the view query, enabling direct comparison. It brings the state's key
+// order up to date on the way, so like a fold it needs the state to
+// itself: two Results must not run at once.
 func (v *ViewState) Result() []storage.Row {
 	if v.isAgg {
-		keys := make([]string, 0, len(v.groups))
-		for k := range v.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]storage.Row, 0, len(keys))
-		for _, k := range keys {
-			g := v.groups[k]
+		groups := v.groupOrder.render()
+		out := make([]storage.Row, 0, len(groups))
+		for _, g := range groups {
 			row := make(storage.Row, len(v.itemRefs))
 			for i, ref := range v.itemRefs {
 				if ref.aggIdx >= 0 {
@@ -183,23 +260,20 @@ func (v *ViewState) Result() []storage.Row {
 		if len(out) == 0 && v.gbCount == 0 {
 			row := make(storage.Row, len(v.itemRefs))
 			for i, ref := range v.itemRefs {
-				empty := newAggState(v.aggKinds[ref.aggIdx])
+				empty := aggState{kind: v.aggKinds[ref.aggIdx]}
 				row[i] = empty.result(0)
 			}
 			out = append(out, row)
 		}
 		return out
 	}
-	keys := make([]string, 0, len(v.bag))
+	entries := v.bagOrder.render()
 	var n int64
-	for k, e := range v.bag {
-		keys = append(keys, k)
+	for _, e := range entries {
 		n += e.count
 	}
-	sort.Strings(keys)
 	out := make([]storage.Row, 0, n)
-	for _, k := range keys {
-		e := v.bag[k]
+	for _, e := range entries {
 		for i := int64(0); i < e.count; i++ {
 			out = append(out, e.row)
 		}
@@ -230,8 +304,10 @@ type GroupSnapshot struct {
 }
 
 // AggSnapshot is one aggregate's plain-data state: Sum carries
-// SUM/AVG accumulators, Multiset the sorted (value, count) pairs of a
-// MIN/MAX B-tree (empty otherwise).
+// SUM/AVG accumulators, Multiset the sorted (value, count) pairs of the
+// MIN/MAX B-tree the aggregate owns (empty otherwise: the other kinds, and
+// a MIN or MAX reading the multiset of an earlier aggregate over the same
+// argument, which is stored once, there).
 type AggSnapshot struct {
 	Sum      float64
 	Multiset []ValueCount
@@ -271,56 +347,55 @@ func (v *ViewState) Checkpoint() *ViewStateSnapshot {
 	}
 	for _, e := range v.dirtyBag {
 		e.dirty = false
-		v.patchBag(e.row)
+		v.patchBag(e.key)
 	}
 	clear(v.dirtyBag)
 	v.dirtyBag = v.dirtyBag[:0]
 	for _, g := range v.dirtyGroups {
 		g.dirty = false
-		v.patchGroup(g.keyVals)
+		v.patchGroup(g.key)
 	}
 	clear(v.dirtyGroups)
 	v.dirtyGroups = v.dirtyGroups[:0]
 	return v.cp
 }
 
-// patchBag makes the copy agree with the live bag on one row: rewritten
+// patchBag makes the copy agree with the live bag on one key: rewritten
 // in place where both hold it, added where only the bag does, deleted
 // where the row has vanished. What the bag holds now decides, not the
 // touched entry — a row that vanished and came back is a different entry.
-func (v *ViewState) patchBag(row storage.Row) {
-	v.keyBuf = storage.AppendKey(v.keyBuf[:0], row...)
-	e := v.bag[string(v.keyBuf)]
-	bs := v.cp.Bag[string(v.keyBuf)]
+func (v *ViewState) patchBag(key string) {
+	e := v.bag[key]
+	bs := v.cp.Bag[key]
 	switch {
 	case e == nil:
-		delete(v.cp.Bag, string(v.keyBuf))
+		delete(v.cp.Bag, key)
 	case bs == nil:
-		v.cp.Bag[string(v.keyBuf)] = &BagSnapshot{Row: e.row, Count: e.count}
+		v.cp.Bag[key] = &BagSnapshot{Row: e.row, Count: e.count}
 	default:
 		bs.Row, bs.Count = e.row, e.count
 	}
 }
 
 // patchGroup is patchBag for one group key.
-func (v *ViewState) patchGroup(keyVals storage.Row) {
-	v.keyBuf = storage.AppendKey(v.keyBuf[:0], keyVals...)
-	g := v.groups[string(v.keyBuf)]
-	gs := v.cp.Groups[string(v.keyBuf)]
+func (v *ViewState) patchGroup(key string) {
+	g := v.groups[key]
+	gs := v.cp.Groups[key]
 	switch {
 	case g == nil:
-		delete(v.cp.Groups, string(v.keyBuf))
+		delete(v.cp.Groups, key)
 	case gs == nil:
 		gs = &GroupSnapshot{}
 		g.copyTo(gs)
-		v.cp.Groups[string(v.keyBuf)] = gs
+		v.cp.Groups[key] = gs
 	default:
 		g.copyTo(gs)
 	}
 }
 
 // copyTo overwrites gs with the group's plain data, reusing the slices
-// gs already holds.
+// gs already holds. A shared multiset is copied once, under the aggregate
+// that owns it.
 func (g *groupState) copyTo(gs *GroupSnapshot) {
 	gs.Key, gs.Count = g.keyVals, g.count
 	if gs.Aggs == nil {
@@ -330,7 +405,7 @@ func (g *groupState) copyTo(gs *GroupSnapshot) {
 		as := &gs.Aggs[i]
 		as.Sum = g.aggs[i].sum
 		as.Multiset = as.Multiset[:0]
-		if ms := g.aggs[i].multiset; ms != nil {
+		if ms := g.aggs[i].multiset; g.aggs[i].owns {
 			if cap(as.Multiset) < ms.Len() {
 				as.Multiset = make([]ValueCount, 0, ms.Len())
 			}
@@ -350,6 +425,9 @@ func (g *groupState) copyTo(gs *GroupSnapshot) {
 func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
 	groups := make(map[string]*groupState, len(snap.Groups))
 	bag := make(map[string]*bagEntry, len(snap.Bag))
+	// Every entry is new to the render order; the next render sorts them.
+	var groupOrder keyOrder[*groupState]
+	var bagOrder keyOrder[*bagEntry]
 	if v.isAgg {
 		if len(snap.Bag) > 0 {
 			return fmt.Errorf("ivm: bag entries in an aggregate view snapshot")
@@ -363,27 +441,29 @@ func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
 				//lint:ignore maporder as above
 				return fmt.Errorf("ivm: snapshot group key width %d, plan has %d", len(gs.Key), v.gbCount)
 			}
-			g := &groupState{keyVals: gs.Key, count: gs.Count, aggs: make([]aggState, len(v.aggKinds))}
-			for i, kind := range v.aggKinds {
-				g.aggs[i] = newAggState(kind)
+			g := &groupState{key: k, keyVals: gs.Key, count: gs.Count, aggs: newAggStates(v.aggKinds, v.aggSet)}
+			for i := range g.aggs {
 				g.aggs[i].sum = gs.Aggs[i].Sum
-				if g.aggs[i].multiset != nil {
+				if g.aggs[i].owns {
 					for _, vc := range gs.Aggs[i].Multiset {
 						g.aggs[i].multiset.Set(vc.V, vc.N)
 					}
 				}
 			}
 			groups[k] = g
+			groupOrder.created(g)
 		}
 	} else {
 		if len(snap.Groups) > 0 {
 			return fmt.Errorf("ivm: group entries in an SPJ view snapshot")
 		}
 		for k, bs := range snap.Bag {
-			bag[k] = &bagEntry{row: bs.Row, count: bs.Count}
+			bag[k] = &bagEntry{key: k, row: bs.Row, count: bs.Count}
+			bagOrder.created(bag[k])
 		}
 	}
 	v.groups, v.bag, v.cp = groups, bag, snap
+	v.groupOrder, v.bagOrder = groupOrder, bagOrder
 	v.dirtyBag, v.dirtyGroups = nil, nil
 	return nil
 }

@@ -34,7 +34,9 @@ type viewEngine interface {
 	// the view, atomically: on error nothing changed and a retry restarts
 	// from the pre-action state.
 	ProcessBatch(alias string, k int) error
-	// Result renders the view's current (possibly stale) content.
+	// Result renders the view's current (possibly stale) content. Not a
+	// read: it may reorder the engine's entry lists, so the broker calls
+	// it under its exclusive lock.
 	Result() []storage.Row
 
 	// Checkpoint advances the recovery point to the current state and

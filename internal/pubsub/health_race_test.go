@@ -1,12 +1,14 @@
 package pubsub
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"abivm/internal/fault"
 	"abivm/internal/obs"
+	"abivm/internal/storage"
 )
 
 // TestHealthConcurrentWithWorkload hammers the broker's read-side API —
@@ -81,6 +83,82 @@ func TestHealthConcurrentWithWorkload(t *testing.T) {
 		}
 		if h.StepsBehind < 0 {
 			t.Errorf("%s: negative StepsBehind %d", name, h.StepsBehind)
+		}
+	}
+}
+
+// TestResultConcurrentAfterPartialDrainAndRecover calls Broker.Result from
+// several goroutines at once after every step of a scripted run — between
+// steps nothing writes, which is all the broker's read lock promises — on
+// both engines, with one sink crashing and recovering midway. A step that
+// drained without notifying, or restored a view, leaves entries no render
+// has yet put in key order; concurrent readers must each see the content
+// one reader alone sees. It exists to run under `go test -race`.
+func TestResultConcurrentAfterPartialDrainAndRecover(t *testing.T) {
+	const steps, readers = 24, 4
+	queries := []string{
+		`SELECT s.station, s.amount FROM sales AS s, stations AS st WHERE s.station = st.stationkey`,
+		`SELECT s.station, MIN(s.amount), MAX(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY s.station`,
+	}
+	script := chaosScript(7, steps, DefaultWorkloadSpec())
+	for _, shared := range []bool{false, true} {
+		model, err := chaosModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		crash := &crashOnce{n: steps}
+		rt, err := NewRuntime(RuntimeConfig{Seed: 7, Spec: DefaultWorkloadSpec(), Shared: shared,
+			Injectors: func(int) fault.Injector { return crash },
+			Subscribe: func(_ *storage.DB, rt Runtime) error {
+				for i, q := range queries {
+					if err := rt.Subscribe(Subscription{Name: fmt.Sprintf("v%d", i), Query: q,
+						Condition: Every(steps), Model: model, QoS: chaosQoS}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step, evs := range script {
+			for _, ev := range evs {
+				if err := rt.Publish(ev.table, ev.mod); err != nil {
+					t.Fatalf("shared=%v step %d: %v", shared, step, err)
+				}
+			}
+			if _, err := rt.EndStep(); err != nil {
+				t.Fatalf("shared=%v step %d: %v", shared, step, err)
+			}
+			for _, name := range rt.Subscriptions() {
+				got := make([]string, readers)
+				var wg sync.WaitGroup
+				for r := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rows, err := rt.Result(name)
+						if err != nil {
+							t.Error(err)
+						}
+						got[r] = renderRows(rows)
+					}()
+				}
+				wg.Wait()
+				rows, err := rt.Result(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, g := range got {
+					if want := renderRows(rows); g != want {
+						t.Fatalf("shared=%v step %d %s: reader %d saw\n%s\nwant\n%s", shared, step, name, r, g, want)
+					}
+				}
+			}
+		}
+		rt.Close()
+		if crash.polls <= crash.n {
+			t.Fatalf("shared=%v: crash site polled %d times, the crash at poll %d never fired", shared, crash.polls, crash.n)
 		}
 	}
 }

@@ -135,9 +135,11 @@ type sub struct {
 // Broker owns the base tables and dispatches modifications to
 // subscriptions. All exported methods are safe for concurrent use: the
 // mutators (Subscribe, Publish, EndStep, the setters) serialize on an
-// internal lock while the read-only accessors (Health, Result,
-// TotalCost, Subscriptions) share it — which is what lets a live ops
-// endpoint scrape health while the workload loop runs.
+// internal lock while the read-only accessors (Health, TotalCost,
+// Subscriptions) share it — which is what lets a live ops endpoint scrape
+// health while the workload loop runs. Result serializes with the
+// mutators: rendering brings the view's key order up to date, a write to
+// the engine's state.
 type Broker struct {
 	mu   sync.RWMutex
 	db   *storage.DB
@@ -755,9 +757,10 @@ func (b *Broker) TotalCost(name string) (float64, error) {
 }
 
 // Result returns the (possibly stale) current content of a subscription.
+// It takes the exclusive lock: an engine's Result updates its render order.
 func (b *Broker) Result(name string) ([]storage.Row, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	for _, s := range b.subs {
 		if s.cfg.Name == name {
 			return s.eng.Result(), nil

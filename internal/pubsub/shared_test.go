@@ -104,8 +104,8 @@ func TestChaosSharedSharded(t *testing.T) {
 
 // TestSharedBrokerSharing pins the sub-linear operator count: six
 // distinct views over the same join spine must build exactly one
-// scan(sales), one scan(stations), and one join, with only the
-// per-view group/projection tops private.
+// scan(sales), one scan(stations), and one join — and nothing else: a
+// view's SELECT list and grouping are its sink's, not operators.
 func TestSharedBrokerSharing(t *testing.T) {
 	db, err := chaosDB()
 	if err != nil {
@@ -120,16 +120,16 @@ func TestSharedBrokerSharing(t *testing.T) {
 	if st.Views != 6 {
 		t.Fatalf("Views = %d, want 6", st.Views)
 	}
-	// 6 distinct SELECT lists over one shared spine: 2 scans + 1 join +
-	// 6 projection tops. A per-view build would cost 6·4 = 24 operators.
-	if want := 9; st.Nodes != want {
+	// 6 distinct SELECT lists over one shared spine: 2 scans + 1 join. A
+	// per-view build would cost 6·3 = 18 operators.
+	if want := 3; st.Nodes != want {
 		t.Errorf("Nodes = %d, want %d (sharing regressed)", st.Nodes, want)
 	}
 	if st.InternHits == 0 {
 		t.Error("InternHits = 0 — hash-consing never fired")
 	}
 	if st.MaxFanout < 6 {
-		t.Errorf("MaxFanout = %d, want >= 6 (join fans out to every view top)", st.MaxFanout)
+		t.Errorf("MaxFanout = %d, want >= 6 (join fans out to every view's sink)", st.MaxFanout)
 	}
 }
 
@@ -146,15 +146,16 @@ func TestSharedUnsubscribeReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	subscribeSharedViews(t, b, 3)
-	if st := b.DataflowStats(); st.Nodes != 6 || st.Views != 3 {
-		t.Fatalf("3 views: Nodes=%d Views=%d, want 6/3", st.Nodes, st.Views)
+	if st := b.DataflowStats(); st.Nodes != 3 || st.Views != 3 || st.MaxFanout != 3 {
+		t.Fatalf("3 views: Nodes=%d Views=%d MaxFanout=%d, want 3/3/3", st.Nodes, st.Views, st.MaxFanout)
 	}
-	// v1 owns only its projection top; the spine stays for v0 and v2.
+	// v1 owns no operator alone, only its sink on the join; the spine
+	// stays for v0 and v2.
 	if err := b.Unsubscribe("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.DataflowStats(); st.Nodes != 5 || st.Views != 2 {
-		t.Fatalf("after unsubscribe v1: Nodes=%d Views=%d, want 5/2", st.Nodes, st.Views)
+	if st := b.DataflowStats(); st.Nodes != 3 || st.Views != 2 || st.MaxFanout != 2 {
+		t.Fatalf("after unsubscribe v1: Nodes=%d Views=%d MaxFanout=%d, want 3/2/2", st.Nodes, st.Views, st.MaxFanout)
 	}
 	if err := b.Unsubscribe("v0"); err != nil {
 		t.Fatal(err)

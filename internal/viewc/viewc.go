@@ -195,7 +195,7 @@ func compileSelect(db *storage.DB, sel *sql.Select, opts Options) (*CompiledView
 		// Surface unmappable constructs at compile time, not at
 		// subscribe time: the signature build exercises the same spec
 		// pass Graph.Subscribe runs.
-		if _, err := cv.OperatorSignatures(); err != nil {
+		if _, _, err := cv.OperatorSignatures(); err != nil {
 			return nil, fmt.Errorf("view %q: dataflow operators: %w", opts.Name, err)
 		}
 	}
@@ -290,7 +290,7 @@ func (cv *CompiledView) Explain() (string, error) {
 		fmt.Fprintf(&sb, "    max |residual| = %.4f\n", cal.MaxAbsResidual)
 	}
 	if cv.Dataflow {
-		sigs, err := cv.OperatorSignatures()
+		sigs, sink, err := cv.OperatorSignatures()
 		if err != nil {
 			return "", err
 		}
@@ -298,6 +298,7 @@ func (cv *CompiledView) Explain() (string, error) {
 		for _, sig := range sigs {
 			fmt.Fprintf(&sb, "  %s\n", sig)
 		}
+		fmt.Fprintf(&sb, "  sink: %s\n", sink)
 		arrs, err := dataflow.Arrangements(cv.Plan, cv.schemaOf)
 		if err != nil {
 			return "", err
@@ -314,10 +315,12 @@ func (cv *CompiledView) Explain() (string, error) {
 
 // OperatorSignatures returns the canonical signatures of the operators
 // this view compiles into under the shared delta-dataflow runtime, in
-// post-order (leaves first). Two views share exactly the operators
+// post-order (leaves first, the view's top operator last), and the
+// projection its sink applies when it folds — the view's own SELECT
+// list, which is no operator. Two views share exactly the operators
 // whose signatures coincide, so diffing two views' signature lists
 // predicts the shared graph's shape.
-func (cv *CompiledView) OperatorSignatures() ([]string, error) {
+func (cv *CompiledView) OperatorSignatures() (ops []string, sink string, err error) {
 	return dataflow.Signatures(cv.Plan, cv.schemaOf)
 }
 

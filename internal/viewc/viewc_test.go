@@ -185,8 +185,9 @@ CREATE MATERIALIZED VIEW ord QOS 10 AS SELECT s.salekey FROM sales AS s ORDER BY
 
 // TestCompileDataflowSignatures: the -dataflow compile surfaces the
 // canonical operator signatures, and two views over the same join spine
-// agree on every signature except their private projection top — the
-// compile-time prediction of what the shared runtime will intern.
+// agree on every one of them and differ only in the projection their
+// sinks apply — the compile-time prediction of what the shared runtime
+// will intern.
 func TestCompileDataflowSignatures(t *testing.T) {
 	db := demoDB(t)
 	qa := "SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region"
@@ -204,30 +205,35 @@ func TestCompileDataflowSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"dataflow operators", "scan(sales)", "scan(stations)", "join(",
-		"dataflow arrangements", "  arrange(scan(sales), [sales.station])\n", "  arrange(scan(stations), [stations.stationkey])\n"} {
+		"on=[sales.station=stations.stationkey])\n  sink: project [stations.region, sales.amount]\ndataflow arrangements",
+		"  arrange(scan(sales), [sales.station])\n", "  arrange(scan(stations), [stations.stationkey])\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dataflow report missing %q:\n%s", want, out)
 		}
 	}
-	sa, err := a.OperatorSignatures()
+	sa, sinkA, err := a.OperatorSignatures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := bv.OperatorSignatures()
+	sb, sinkB, err := bv.OperatorSignatures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sa) != 4 || len(sb) != 4 {
-		t.Fatalf("signature counts %d/%d, want 4/4", len(sa), len(sb))
+	if len(sa) != 3 || len(sb) != 3 {
+		t.Fatalf("signature counts %d/%d, want 3/3", len(sa), len(sb))
 	}
-	// Post-order: everything below the top coincides, the tops differ.
-	for i := 0; i < 3; i++ {
+	// Post-order: every operator coincides, the join on top included; what
+	// differs is outside the graph.
+	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Errorf("spine signature %d differs: %q vs %q", i, sa[i], sb[i])
 		}
 	}
-	if sa[3] == sb[3] {
-		t.Errorf("projection tops identical: %q", sa[3])
+	if !strings.HasPrefix(sa[2], "join(") {
+		t.Errorf("top operator %q is not the join", sa[2])
+	}
+	if sinkA == sinkB || sinkB != "project [sales.station, 1]" {
+		t.Errorf("sink projections %q / %q, want distinct canonical SELECT lists", sinkA, sinkB)
 	}
 	// Without the option the section stays out of the report.
 	plain, err := Compile(db, qa, Options{Name: "p", Seed: 1})

@@ -1,0 +1,127 @@
+#!/bin/sh
+# Alternating parent/change pairs of the steady-state benchmark: the
+# protocol ROADMAP asks of every PR that claims (or must not lose) wall-
+# clock performance. One run of each side per pair, the order flipped from
+# pair to pair so drift of the machine lands on both sides alike; then,
+# per end-to-end metric, the two medians, the two spreads (interquartile
+# range) and in how many pairs the change was the better one. A claim
+# holds when the change wins at least nine pairs of ten and its median is
+# better by more than the parent's spread.
+#
+# Usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N]
+#
+#   <parent-rev>  commit to compare against (HEAD~1, a hash, a tag); its
+#                 committed files are unpacked with `git archive` under
+#                 .bench_build/pairs/ and built there by its own
+#                 benchmark/run.sh — nothing is checked out or registered
+#                 in the repository
+#   -workload     one of BENCHMARK.json's workloads (default fanout-shared)
+#   -pairs        number of pairs (default 10)
+#
+# The change side is the working tree as it stands, uncommitted edits
+# included. Every run is `benchmark/run.sh --workload W --seed 1`, so both
+# sides see the same input; a content hash or failure count that differs
+# between any two runs fails the script. Reads benchmark/ and
+# BENCHMARK.json, writes only under .bench_build/.
+set -eu
+
+cd "$(dirname "$0")/.."
+root=$(pwd)
+
+usage() {
+	echo "usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N]" >&2
+	exit 2
+}
+
+[ $# -ge 1 ] || usage
+rev=$1
+shift
+workload=fanout-shared
+pairs=10
+while [ $# -gt 0 ]; do
+	[ $# -ge 2 ] || usage
+	case "$1" in
+	-workload) workload=$2 ;;
+	-pairs) pairs=$2 ;;
+	*) usage ;;
+	esac
+	shift 2
+done
+
+sha=$(git rev-parse --verify "$rev^{commit}")
+parent=$root/.bench_build/pairs/src-$sha
+out=$root/.bench_build/pairs/$workload
+if [ ! -d "$parent" ]; then
+	mkdir -p "$parent.tmp"
+	git archive "$sha" | tar -x -C "$parent.tmp"
+	mv "$parent.tmp" "$parent"
+fi
+rm -rf "$out"
+mkdir -p "$out"
+
+# run <side> <dir> <pair>: one benchmark run from dir, its report kept.
+run() {
+	echo "pair $3/$pairs: $1" >&2
+	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1) >"$out/$1-$3.txt"
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+	if [ $((i % 2)) -eq 1 ]; then
+		run parent "$parent" "$i"
+		run change "$root" "$i"
+	else
+		run change "$root" "$i"
+		run parent "$parent" "$i"
+	fi
+	i=$((i + 1))
+done
+
+# Same input, same answers: every run must report one content hash and
+# one failure count.
+if [ "$(grep -h '^== ' "$out"/*.txt | sed 's/.* failed=\([0-9]*\).* hash=\([0-9a-f]*\).*/\1 \2/' | sort -u | wc -l)" -ne 1 ]; then
+	echo "bench_pairs: runs disagree on failures or content hash:" >&2
+	grep -H '^== ' "$out"/*.txt >&2
+	exit 1
+fi
+
+echo "== $workload seed=1: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
+# The report's metric lines are "   name   value unit  (raw ...)"; the
+# direction of each metric comes from BENCHMARK.json.
+awk -v pairs="$pairs" -v dir="$out" '
+function sorted(src, n, dst,    a, b, t) {
+	for (a = 1; a <= n; a++) dst[a] = src[a]
+	for (a = 2; a <= n; a++)
+		for (b = a; b > 1 && dst[b-1] > dst[b]; b--) { t = dst[b]; dst[b] = dst[b-1]; dst[b-1] = t }
+}
+function quantile(s, n, q,    pos, lo) {
+	pos = 1 + (n - 1) * q; lo = int(pos)
+	if (lo >= n) return s[n]
+	return s[lo] + (pos - lo) * (s[lo+1] - s[lo])
+}
+FILENAME == "BENCHMARK.json" {
+	if ($1 == "\"name\":") { gsub(/[",]/, "", $2); name = $2 }
+	if ($1 == "\"better\":") { gsub(/[",]/, "", $2); better[name] = $2 }
+	next
+}
+/^   [a-z0-9_]+ +[-0-9.]+ / {
+	side = FILENAME; sub(/.*\//, "", side); pair = side
+	sub(/-.*/, "", side); sub(/.*-/, "", pair); sub(/\.txt$/, "", pair)
+	if (!($1 in seen)) { seen[$1] = 1; order[++metrics] = $1; unit[$1] = $3 }
+	val[side, $1, pair + 0] = $2 + 0
+}
+END {
+	printf "%-20s %14s %14s %8s %12s %12s %6s  %s\n", "metric", "parent median", "change median", "delta", "parent iqr", "change iqr", "wins", "unit"
+	for (m = 1; m <= metrics; m++) {
+		name = order[m]; wins = 0
+		for (p = 1; p <= pairs; p++) {
+			a[p] = val["parent", name, p]; b[p] = val["change", name, p]
+			if (better[name] == "higher" ? b[p] > a[p] : b[p] < a[p]) wins++
+		}
+		sorted(a, pairs, sa); sorted(b, pairs, sb)
+		ma = quantile(sa, pairs, 0.5); mb = quantile(sb, pairs, 0.5)
+		printf "%-20s %14.4f %14.4f %+7.1f%% %12.4f %12.4f %3d/%-2d  %s\n", name, ma, mb, (ma ? 100 * (mb - ma) / ma : 0),
+			quantile(sa, pairs, 0.75) - quantile(sa, pairs, 0.25), quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25), wins, pairs, unit[name]
+	}
+}' BENCHMARK.json "$out"/parent-*.txt "$out"/change-*.txt
+echo "reports kept in ${out#"$root"/}/"
