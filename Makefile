@@ -68,7 +68,8 @@ bench-quick:
 # bench-pairs runs the wall-clock protocol of a perf PR: alternating
 # parent/change runs of one benchmark/ workload, medians and spreads per
 # end-to-end metric. PARENT=rev (default HEAD~1), WORKLOAD=name (default
-# fanout-shared), PAIRS=n (default 10).
+# fanout-shared; `all` runs every workload BENCHMARK.json names, one
+# table each), PAIRS=n (default 10).
 bench-pairs:
 	sh scripts/bench_pairs.sh "$(or $(PARENT),HEAD~1)" -workload "$(or $(WORKLOAD),fanout-shared)" -pairs "$(or $(PAIRS),10)"
 

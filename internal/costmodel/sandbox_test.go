@@ -27,7 +27,7 @@ func snapshot(db *storage.DB) map[string]map[string]string {
 		tbl := db.MustTable(name)
 		rows := map[string]string{}
 		tbl.Scan(func(r storage.Row) bool {
-			rows[tbl.Schema().KeyOf(r)] = storage.EncodeKey(r...)
+			rows[storage.EncodeKey(r.Project(tbl.Schema().Key)...)] = storage.EncodeKey(r...)
 			return true
 		})
 		out[name] = rows

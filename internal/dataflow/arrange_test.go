@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abivm/internal/ivm"
+	"abivm/internal/storage"
 	"abivm/internal/testenv"
 )
 
@@ -138,5 +139,43 @@ func TestArrangementsListing(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("arrangements:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestArrangementOnDeltaAllocs: a delta whose join key the arrangement
+// already holds, and which finds no partner opposite, allocates nothing
+// once its bucket's tail has room — the key is probed and bucketed as
+// bytes, and only a delta that opens a bucket makes the key a string.
+func TestArrangementOnDeltaAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation, regions = 20, 12
+	g := NewGraph(regionalDB(t, 2_400, rowsPerStation, regionNames(regions)))
+	p, err := ivm.PlanView(regionalQuery(regionName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Subscribe(p); err != nil {
+		t.Fatal(err)
+	}
+	sales := g.arrs[salesByStation]
+	// Station 1 lies in R01: sales holds its bucket, the R00-filtered
+	// stations arrangement opposite holds none.
+	b := sales.buckets[storage.EncodeKey(storage.I(1))]
+	if b == nil || len(sales.ports) != 1 {
+		t.Fatalf("sales bucket of station 1: %v, %d ports", b, len(sales.ports))
+	}
+	d := Delta{Row: storage.Row{storage.I(-1), storage.I(1), storage.F(1)}, W: 1, Coord: Coord{1}}
+	roomy := 0
+	for i := 0; i < 12; i++ {
+		hadRoom := len(b.tail) < cap(b.tail)
+		if n := mallocsOf(func() { sales.onDelta(d) }); hadRoom && n != 0 {
+			t.Fatalf("delta %d into an existing bucket with tail room allocated %d times, want 0", i, n)
+		}
+		if hadRoom {
+			roomy++
+		}
+	}
+	if roomy == 0 || len(b.tail) != 12 || len(sales.touched) != 1 || sales.touched[0] != b {
+		t.Fatalf("%d deltas had tail room; tail %d, touched %d", roomy, len(b.tail), len(sales.touched))
 	}
 }

@@ -109,12 +109,18 @@ func (n *nodeBase) emit(d Delta) {
 // scanNode is a base-table source. It mirrors the live table (base
 // snapshot plus every ingested modification) so deletes and updates can
 // resolve the old row, and stamps each emitted delta with the 1-based
-// ingest sequence number as its coordinate.
+// ingest sequence number as its coordinate. The mirror is laid out as
+// storage.Table lays out its heap — encoded primary key -> slot, rows by
+// slot, freed slots reused — so a key becomes a string only when an
+// insert stores it; a delete or an update looks its key up as bytes and
+// an update replaces the row in its slot.
 type scanNode struct {
 	nodeBase
 	tableName string
 	keyCols   []int
-	state     map[string]storage.Row
+	slots     map[string]int
+	rows      []storage.Row // nil entries are free slots
+	free      []int
 	mods      uint64
 }
 
@@ -132,14 +138,27 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 		},
 		tableName: schema.Name,
 		keyCols:   schema.Key,
-		state:     make(map[string]storage.Row, tbl.Len()),
+		slots:     make(map[string]int, tbl.Len()),
+		rows:      make([]storage.Row, 0, tbl.Len()),
 	}
 	tbl.Scan(func(r storage.Row) bool {
-		row := r.Clone()
-		s.state[storage.EncodeKey(row.Project(s.keyCols)...)] = row
+		var a [64]byte
+		s.store(storage.AppendKeyCols(a[:0], r, s.keyCols), r.Clone())
 		return true
 	})
 	return s
+}
+
+// store puts a row under a key the mirror does not hold yet.
+func (s *scanNode) store(key []byte, row storage.Row) {
+	slot := len(s.rows)
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+		s.rows[slot] = row
+	} else {
+		s.rows = append(s.rows, row)
+	}
+	s.slots[string(key)] = slot
 }
 
 // ingest converts one base-table modification into signed deltas and
@@ -148,37 +167,40 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 // under the same coordinate, so views always fold both or neither.
 func (s *scanNode) ingest(mod ivm.Mod) error {
 	seq := s.mods + 1
+	var a [64]byte
 	switch mod.Kind {
 	case ivm.ModInsert:
-		row := mod.Row.Clone()
-		key := storage.EncodeKey(row.Project(s.keyCols)...)
-		if _, ok := s.state[key]; ok {
+		key := storage.AppendKeyCols(a[:0], mod.Row, s.keyCols)
+		if _, ok := s.slots[string(key)]; ok {
 			return fmt.Errorf("dataflow: insert over existing key on %q", s.tableName)
 		}
+		row := mod.Row.Clone()
 		s.mods = seq
-		s.state[key] = row
+		s.store(key, row)
 		s.emit(Delta{Row: row, W: 1, Coord: Coord{seq}})
 	case ivm.ModDelete:
-		key := storage.EncodeKey(mod.Key...)
-		old, ok := s.state[key]
+		key := storage.AppendKey(a[:0], mod.Key...)
+		slot, ok := s.slots[string(key)]
 		if !ok {
 			return fmt.Errorf("dataflow: delete of missing key on %q", s.tableName)
 		}
+		old := s.rows[slot]
 		s.mods = seq
-		delete(s.state, key)
+		delete(s.slots, string(key))
+		s.rows[slot] = nil
+		s.free = append(s.free, slot)
 		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
 	case ivm.ModUpdate:
-		key := storage.EncodeKey(mod.Key...)
-		old, ok := s.state[key]
+		slot, ok := s.slots[string(storage.AppendKey(a[:0], mod.Key...))]
 		if !ok {
 			return fmt.Errorf("dataflow: update of missing key on %q", s.tableName)
 		}
-		row := mod.Row.Clone()
-		if storage.EncodeKey(row.Project(s.keyCols)...) != key {
+		if !mod.Row.KeyIs(s.keyCols, mod.Key) {
 			return fmt.Errorf("dataflow: update must not change the primary key on %q", s.tableName)
 		}
+		old, row := s.rows[slot], mod.Row.Clone()
 		s.mods = seq
-		s.state[key] = row
+		s.rows[slot] = row
 		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
 		s.emit(Delta{Row: row, W: 1, Coord: Coord{seq}})
 	default:
@@ -188,14 +210,14 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 }
 
 func (s *scanNode) current() []weightedRow {
-	keys := make([]string, 0, len(s.state))
-	for k := range s.state {
+	keys := make([]string, 0, len(s.slots))
+	for k := range s.slots {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]weightedRow, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, weightedRow{row: s.state[k], w: 1})
+		out = append(out, weightedRow{row: s.rows[s.slots[k]], w: 1})
 	}
 	return out
 }
@@ -266,19 +288,23 @@ type tailEntry struct {
 
 // bucket holds one join key's share of an arrangement: the consolidated
 // base (one entry per distinct row, never zero-weight) and the uncovered
-// tail in arrival order.
+// tail in arrival order. key is the string the bucket is stored under,
+// made once when the bucket was: everything that reaches a bucket later
+// looks it up by the key's bytes, and a trim that empties it deletes it
+// by this.
 type bucket struct {
+	key  string
 	base []baseEntry
 	tail []tailEntry
 }
 
 // sideState is an arrangement's retained history of its child's output,
 // partitioned by equi-join key so a delta — and a trim — touches only its
-// own bucket. touched lists the keys whose tail is non-empty, in the
+// own bucket. touched lists the buckets whose tail is non-empty, in the
 // order they became so; it is the whole of a trim's work list.
 type sideState struct {
 	buckets map[string]*bucket
-	touched []string
+	touched []*bucket
 	zero    Coord // the coordinate of every base entry
 	ctr     *counters
 }
@@ -313,11 +339,13 @@ func truncTight[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (s *sideState) bucketFor(key string) *bucket {
-	b := s.buckets[key]
+// bucketFor returns the bucket of an encoded join key, making it — and
+// the key's only string — when the key is new.
+func (s *sideState) bucketFor(key []byte) *bucket {
+	b := s.buckets[string(key)]
 	if b == nil {
-		b = &bucket{}
-		s.buckets[key] = b
+		b = &bucket{key: string(key)}
+		s.buckets[b.key] = b
 	}
 	return b
 }
@@ -333,10 +361,10 @@ func (s *sideState) rows() int {
 }
 
 // add appends one arriving delta to its bucket's tail.
-func (s *sideState) add(key string, d Delta) {
+func (s *sideState) add(key []byte, d Delta) {
 	b := s.bucketFor(key)
 	if len(b.tail) == 0 {
-		s.touched = append(s.touched, key)
+		s.touched = append(s.touched, b)
 	}
 	b.tail = appendTight(b.tail, tailEntry{row: d.Row, coord: d.Coord, w: d.W})
 	s.ctr.stateRows++
@@ -347,8 +375,9 @@ func (s *sideState) add(key string, d Delta) {
 // every watermark covers, so the next trim nets them like any other
 // covered delta.
 func (s *sideState) seed(rows []weightedRow, keys []exec.Scalar) {
+	var a [64]byte
 	for _, wr := range rows {
-		key := joinKey(keys, wr.row)
+		key := appendJoinKey(a[:0], keys, wr.row)
 		if wr.loose {
 			s.add(key, Delta{Row: wr.row, W: wr.w, Coord: s.zero})
 			continue
@@ -380,8 +409,7 @@ func (s *sideState) sortedKeys() []string {
 // coordinates.
 func (s *sideState) consolidate(wm []uint64) {
 	stillTouched := s.touched[:0]
-	for _, key := range s.touched {
-		b := s.buckets[key]
+	for _, b := range s.touched {
 		s.ctr.trimVisited += uint64(len(b.tail))
 		before := len(b.base) + len(b.tail)
 		kept, cancelled := 0, false
@@ -409,9 +437,9 @@ func (s *sideState) consolidate(wm []uint64) {
 		s.ctr.stateRows += len(b.base) + len(b.tail) - before
 		switch {
 		case kept > 0:
-			stillTouched = append(stillTouched, key)
+			stillTouched = append(stillTouched, b)
 		case len(b.base) == 0:
-			delete(s.buckets, key)
+			delete(s.buckets, b.key)
 		}
 	}
 	clear(s.touched[len(stillTouched):])
@@ -472,14 +500,17 @@ func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *a
 	return a
 }
 
-// onDelta encodes the key once, lets every attached join side probe the
-// arrangement opposite it, and only then appends the delta to its own
-// bucket. No join has one arrangement on both sides and no view reads a
-// table twice, so nothing a port emits can reach this arrangement before
-// the append: each (left, right) pair is still produced exactly once,
-// when the later of its two inputs arrives.
+// onDelta encodes the key once — into a stack buffer: it becomes a
+// string only if the append below has to make a bucket for it — lets
+// every attached join side probe the arrangement opposite it, and only
+// then appends the delta to its own bucket. No join has one arrangement
+// on both sides and no view reads a table twice, so nothing a port emits
+// can reach this arrangement before the append: each (left, right) pair
+// is still produced exactly once, when the later of its two inputs
+// arrives.
 func (a *arrangement) onDelta(d Delta) {
-	key := joinKey(a.keys, d.Row)
+	var buf [64]byte
+	key := appendJoinKey(buf[:0], a.keys, d.Row)
 	for _, p := range a.ports {
 		p.j.onSide(p.left, key, d)
 	}
@@ -536,16 +567,13 @@ func newJoinNode(sig string, lstate, rstate *arrangement, residual []exec.Predic
 	return j
 }
 
-// joinKey encodes a row's equi-join key scalar by scalar, as
-// storage.EncodeKey does a value list: built on the stack, one
-// allocation for the string.
-func joinKey(fns []exec.Scalar, r storage.Row) string {
-	var a [64]byte
-	buf := a[:0]
+// appendJoinKey appends a row's equi-join key to dst scalar by scalar,
+// as storage.AppendKey does a value list.
+func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 	for _, fn := range fns {
-		buf = storage.AppendKey(buf, fn(r))
+		dst = storage.AppendKey(dst, fn(r))
 	}
-	return string(buf)
+	return dst
 }
 
 func (j *joinNode) pass(r storage.Row) bool {
@@ -573,12 +601,12 @@ func (j *joinNode) emitPair(left bool, d Delta, row storage.Row, coord Coord, w 
 // onSide probes the other side's bucket for the arriving delta's key —
 // base then tail, each in insertion order. The delta's own arrangement
 // encoded the key and appends the delta once all its ports have probed.
-func (j *joinNode) onSide(left bool, key string, d Delta) {
+func (j *joinNode) onSide(left bool, key []byte, d Delta) {
 	other := j.lstate
 	if left {
 		other = j.rstate
 	}
-	b := other.buckets[key]
+	b := other.buckets[string(key)]
 	if b == nil {
 		return
 	}

@@ -261,8 +261,9 @@ func (w *propWorld) check(ctx string) {
 // arrangement is read by at
 // least one join side, is its child's edge exactly once and is walked
 // once however many joins share it; base entries distinct and non-zero
-// within a bucket, touched = the keys with a non-empty tail, no empty
-// buckets, capacity slack bounded.
+// within a bucket, every bucket stored under the key it remembers,
+// touched = the buckets with a non-empty tail, no empty buckets,
+// capacity slack bounded.
 func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
 	rows, retained, sinks, sides, joins := 0, 0, 0, 0, 0
@@ -296,6 +297,9 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 			if len(b.base)+len(b.tail) == 0 {
 				t.Fatalf("%s: %s: empty bucket %q kept", ctx, id, key)
 			}
+			if b.key != key {
+				t.Fatalf("%s: %s: bucket stored under %q remembers %q", ctx, id, key, b.key)
+			}
 			if cap(b.base) > 2*len(b.base)+1 || cap(b.tail) > 2*len(b.tail)+1 {
 				t.Fatalf("%s: %s: bucket %q slack: base %d/%d tail %d/%d", ctx, id, key,
 					len(b.base), cap(b.base), len(b.tail), cap(b.tail))
@@ -316,9 +320,9 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 		if withTail != len(a.touched) {
 			t.Fatalf("%s: %s: %d touched keys, %d buckets with a tail", ctx, id, len(a.touched), withTail)
 		}
-		for _, key := range a.touched {
-			if b := a.buckets[key]; b == nil || len(b.tail) == 0 {
-				t.Fatalf("%s: %s: touched key %q has no tail", ctx, id, key)
+		for _, b := range a.touched {
+			if a.buckets[b.key] != b || len(b.tail) == 0 {
+				t.Fatalf("%s: %s: touched bucket %q is not held or has no tail", ctx, id, b.key)
 			}
 		}
 		rows += sideRows
@@ -467,7 +471,7 @@ func TestTrimPreservesMeaning(t *testing.T) {
 			}
 			for id, a := range w.trimmed.arrs {
 				if len(a.touched) != 0 {
-					t.Fatalf("fully covered %s keeps tails: %q", id, a.touched)
+					t.Fatalf("fully covered %s keeps %d tails", id, len(a.touched))
 				}
 			}
 		})

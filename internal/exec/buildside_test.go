@@ -411,3 +411,41 @@ func TestHashJoinScanAllocsIndependentOfStoredRows(t *testing.T) {
 		t.Errorf("allocations grew with the stored side: %.0f at 1,000 rows, %.0f at 10,000", small, large)
 	}
 }
+
+// TestIndexLoopJoinProbeAllocs: a prepared index-loop join, once its
+// probe buffer is warm, allocates the rows it emits and nothing else —
+// the probe key is encoded on the stack, the index bucket is read in
+// place and the matches land in the reused buffer.
+func TestIndexLoopJoinProbeAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	cols := []storage.Column{{Name: "id", Type: storage.TInt}, {Name: "k", Type: storage.TString}}
+	rows := make([]storage.Row, 400)
+	for i := range rows {
+		rows[i] = storage.Row{storage.I(int64(i)), storage.S(fmt.Sprint("k", i%8))}
+	}
+	tbl := mkTable(t, "stored", cols, "id", rows)
+	if err := tbl.CreateIndex("by_k", storage.HashIndex, "k"); err != nil {
+		t.Fatal(err)
+	}
+	batch := []storage.Row{{storage.I(-1), storage.S("k3")}, {storage.I(-2), storage.S("nowhere")}, {storage.I(-3), storage.S("k5")}}
+	left := NewRowsSource(NewSeqScan(tbl, "b").Columns(), batch, nil)
+	j, err := NewIndexLoopJoin(left, tbl, "t", tbl.IndexOn("k"), []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	run := func() {
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for emitted = 0; ; emitted++ {
+			if _, ok := j.Next(); !ok {
+				break
+			}
+		}
+		j.Close()
+	}
+	if a := testing.AllocsPerRun(20, run); emitted != 100 || a != float64(emitted) {
+		t.Errorf("a run emitting %d rows allocated %.0f times, want 100 rows and one allocation each", emitted, a)
+	}
+}

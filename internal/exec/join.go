@@ -234,7 +234,7 @@ type IndexLoopJoin struct {
 
 	vals    []storage.Value // reused probe key
 	curLeft storage.Row
-	matches []storage.Row
+	matches []storage.Row // reused probe result
 	matchI  int
 }
 
@@ -269,7 +269,7 @@ func (j *IndexLoopJoin) Columns() []Col { return j.cols }
 // Open implements Op.
 func (j *IndexLoopJoin) Open() error {
 	j.curLeft = nil
-	j.matches = nil
+	j.matches = j.matches[:0]
 	j.matchI = 0
 	return j.left.Open()
 }
@@ -297,7 +297,7 @@ func (j *IndexLoopJoin) Next() (storage.Row, bool) {
 		for _, k := range j.leftKeys {
 			j.vals = append(j.vals, l[k])
 		}
-		j.matches = j.right.LookupVia(j.index, j.vals...)
+		j.matches = j.right.LookupVia(j.matches[:0], j.index, j.vals...)
 		j.matchI = 0
 	}
 }
@@ -306,8 +306,12 @@ func (j *IndexLoopJoin) Next() (storage.Row, bool) {
 // whenever a row has just been returned.
 func (j *IndexLoopJoin) SourceOrdinal() (int, bool) { return sourceOrdinal(j.left) }
 
-// Close implements Op.
+// Close implements Op. The probe buffer is kept for the next run but
+// emptied to its capacity, so a prepared plan pins no table row between
+// runs.
 func (j *IndexLoopJoin) Close() {
 	j.left.Close()
-	j.curLeft, j.matches = nil, nil
+	j.curLeft = nil
+	clear(j.matches[:cap(j.matches)])
+	j.matches = j.matches[:0]
 }

@@ -258,8 +258,7 @@ func (m *Maintainer) Apply(mods ...Mod) error {
 				return err
 			}
 		case ModUpdate:
-			newKey := tbl.Schema().KeyOf(mod.Row)
-			if newKey != storage.EncodeKey(mod.Key...) {
+			if !mod.Row.KeyIs(tbl.Schema().Key, mod.Key) {
 				return fmt.Errorf("ivm: update must not change the primary key (alias %q)", mod.Alias)
 			}
 			if _, err := tbl.Update(mod.Key, mod.Row); err != nil {
@@ -449,9 +448,12 @@ func (m *Maintainer) markDirty(table string, repl *storage.Table, rows []storage
 		m.dirty[table] = ks
 	}
 	keyCols := repl.Schema().Key
+	var a [64]byte
 	for _, r := range rows {
-		keyVals := r.Project(keyCols)
-		ks[storage.EncodeKey(keyVals...)] = keyVals
+		key := storage.AppendKeyCols(a[:0], r, keyCols)
+		if _, marked := ks[string(key)]; !marked {
+			ks[string(key)] = r.Project(keyCols)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"abivm/internal/sql"
 	"abivm/internal/storage"
+	"abivm/internal/testenv"
 )
 
 // liveDB builds the miniature TPC-R-shaped database used across the IVM
@@ -650,4 +651,29 @@ func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 		}
 	}
 	assertConsistent(t, m)
+}
+
+// TestMarkDirtyAllocs: marking a key that is already dirty looks it up
+// as bytes and allocates nothing; only a key new to the set costs its
+// string and its key values.
+func TestMarkDirtyAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	m, err := New(liveDB(t), paperView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := m.replica.MustTable("partsupp")
+	rows := []storage.Row{
+		{storage.I(3), storage.I(3), storage.F(1)},
+		{storage.I(4), storage.I(4), storage.F(2)},
+		{storage.I(3), storage.I(3), storage.F(3)},
+	}
+	m.markDirty("partsupp", repl, rows)
+	if n := testing.AllocsPerRun(100, func() { m.markDirty("partsupp", repl, rows) }); n != 0 {
+		t.Errorf("re-marking dirty keys allocated %v times, want 0", n)
+	}
+	ks := m.dirty["partsupp"]
+	if len(ks) != 2 || !storage.Row(ks[storage.EncodeKey(storage.I(3))]).SameKey(storage.Row{storage.I(3)}) {
+		t.Errorf("dirty set %v, want keys 3 and 4 with their values", ks)
+	}
 }

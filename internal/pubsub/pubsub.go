@@ -510,7 +510,7 @@ func applyLive(db *storage.DB, table string, mod ivm.Mod, watched bool) error {
 		_, err := tbl.Delete(mod.Key...)
 		return err
 	case ivm.ModUpdate:
-		if watched && tbl.Schema().KeyOf(mod.Row) != storage.EncodeKey(mod.Key...) {
+		if watched && !mod.Row.KeyIs(tbl.Schema().Key, mod.Key) {
 			return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
 		}
 		_, err := tbl.Update(mod.Key, mod.Row)

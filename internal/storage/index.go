@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"abivm/internal/btree"
 )
@@ -20,85 +20,124 @@ const (
 )
 
 // Index is a secondary index over one or more columns of a table. Hash
-// indexes map an encoded composite key to the set of row slots holding
-// it; ordered indexes keep a B-tree from the indexed value to the slot
-// set (single-column only).
+// indexes map an encoded composite key to the bucket of row slots
+// holding it; ordered indexes keep a B-tree from the indexed value to
+// its bucket (single-column only).
 type Index struct {
 	Name string
 	Kind IndexKind
 	Cols []int // column positions, in index order
 
-	hash map[string][]int
-	tree *btree.Map[Value, map[int]struct{}]
+	hash map[string]*bucket
+	tree *btree.Map[Value, *bucket]
+}
+
+// bucket is the row slots under one index key. Both index kinds hold
+// buckets by pointer and update them in place, so maintaining an index
+// entry under a key that is already there touches no map and builds no
+// key string. A hash bucket keeps its slots in insertion order (a
+// removal moves the last slot into the gap); an ordered bucket keeps
+// them ascending, so a lookup hands the slice out as it stands.
+type bucket struct {
+	slots []int
 }
 
 func newIndex(name string, kind IndexKind, cols []int) (*Index, error) {
 	idx := &Index{Name: name, Kind: kind, Cols: cols}
 	switch kind {
 	case HashIndex:
-		idx.hash = make(map[string][]int)
+		idx.hash = make(map[string]*bucket)
 	case OrderedIndex:
 		if len(cols) != 1 {
 			return nil, fmt.Errorf("storage: ordered index %s must cover exactly one column", name)
 		}
-		idx.tree = btree.New[Value, map[int]struct{}](Compare)
+		idx.tree = btree.New[Value, *bucket](Compare)
 	default:
 		return nil, fmt.Errorf("storage: unknown index kind %d", kind)
 	}
 	return idx, nil
 }
 
-// keyOf extracts the index key values from a row.
-func (ix *Index) keyOf(r Row) []Value {
-	vals := make([]Value, len(ix.Cols))
-	for i, c := range ix.Cols {
-		vals[i] = r[c]
-	}
-	return vals
-}
-
 func (ix *Index) insert(r Row, slot int) {
 	switch ix.Kind {
 	case HashIndex:
-		k := EncodeKey(ix.keyOf(r)...)
-		ix.hash[k] = append(ix.hash[k], slot)
+		var a [64]byte
+		k := AppendKeyCols(a[:0], r, ix.Cols)
+		b := ix.hash[string(k)]
+		if b == nil {
+			b = &bucket{}
+			ix.hash[string(k)] = b
+		}
+		b.slots = append(b.slots, slot)
 	case OrderedIndex:
 		v := r[ix.Cols[0]]
-		set, ok := ix.tree.Get(v)
+		b, ok := ix.tree.Get(v)
 		if !ok {
-			set = make(map[int]struct{})
-			ix.tree.Set(v, set)
+			b = &bucket{}
+			ix.tree.Set(v, b)
 		}
-		set[slot] = struct{}{}
+		i, _ := slices.BinarySearch(b.slots, slot)
+		b.slots = slices.Insert(b.slots, i, slot)
 	}
 }
 
 func (ix *Index) remove(r Row, slot int) {
 	switch ix.Kind {
 	case HashIndex:
-		k := EncodeKey(ix.keyOf(r)...)
-		slots := ix.hash[k]
-		for i, s := range slots {
-			if s == slot {
-				slots[i] = slots[len(slots)-1]
-				slots = slots[:len(slots)-1]
-				break
-			}
+		var a [64]byte
+		k := AppendKeyCols(a[:0], r, ix.Cols)
+		b := ix.hash[string(k)]
+		if b == nil {
+			return
 		}
-		if len(slots) == 0 {
-			delete(ix.hash, k)
-		} else {
-			ix.hash[k] = slots
+		if i := slices.Index(b.slots, slot); i >= 0 {
+			last := len(b.slots) - 1
+			b.slots[i] = b.slots[last]
+			b.slots = b.slots[:last]
+		}
+		if len(b.slots) == 0 {
+			delete(ix.hash, string(k))
 		}
 	case OrderedIndex:
 		v := r[ix.Cols[0]]
-		if set, ok := ix.tree.Get(v); ok {
-			delete(set, slot)
-			if len(set) == 0 {
-				ix.tree.Delete(v)
-			}
+		b, ok := ix.tree.Get(v)
+		if !ok {
+			return
+		}
+		if i, found := slices.BinarySearch(b.slots, slot); found {
+			b.slots = slices.Delete(b.slots, i, i+1)
+		}
+		if len(b.slots) == 0 {
+			ix.tree.Delete(v)
 		}
 	}
+}
+
+// reinsert does what remove(old, slot) followed by insert(cur, slot)
+// would when the two rows agree on the indexed columns, without leaving
+// the bucket: on a hash index the slot moves to the end of its bucket,
+// on an ordered one it stays where it is. It reports false, having done
+// nothing, when the rows differ there.
+func (ix *Index) reinsert(old, cur Row, slot int) bool {
+	for _, c := range ix.Cols {
+		if old[c] != cur[c] {
+			return false
+		}
+	}
+	if ix.Kind == HashIndex {
+		var a [64]byte
+		b := ix.hash[string(AppendKeyCols(a[:0], old, ix.Cols))]
+		if b == nil {
+			return false
+		}
+		i := slices.Index(b.slots, slot)
+		if i < 0 {
+			return false
+		}
+		last := len(b.slots) - 1
+		b.slots[i], b.slots[last] = b.slots[last], slot
+	}
+	return true
 }
 
 // Bound is one end of an index range; a nil *Bound means unbounded.
@@ -107,14 +146,14 @@ type Bound struct {
 	Exclusive bool
 }
 
-// ascendRange visits (value, slot set) pairs of an ordered index within
-// [lo, hi] (each bound optional, exclusivity per bound) in ascending
-// order until fn returns false. It panics on hash indexes.
-func (ix *Index) ascendRange(lo, hi *Bound, fn func(v Value, slots map[int]struct{}) bool) {
+// ascendRange visits (value, ascending slots) pairs of an ordered index
+// within [lo, hi] (each bound optional, exclusivity per bound) in
+// ascending order until fn returns false. It panics on hash indexes.
+func (ix *Index) ascendRange(lo, hi *Bound, fn func(v Value, slots []int) bool) {
 	if ix.Kind != OrderedIndex {
 		panic("storage: range scan on a non-ordered index")
 	}
-	visit := func(v Value, slots map[int]struct{}) bool {
+	visit := func(v Value, b *bucket) bool {
 		if lo != nil && lo.Exclusive && Compare(v, lo.Value) == 0 {
 			return true
 		}
@@ -124,7 +163,7 @@ func (ix *Index) ascendRange(lo, hi *Bound, fn func(v Value, slots map[int]struc
 				return false
 			}
 		}
-		return fn(v, slots)
+		return fn(v, b.slots)
 	}
 	if lo == nil {
 		ix.tree.Ascend(visit)
@@ -133,25 +172,22 @@ func (ix *Index) ascendRange(lo, hi *Bound, fn func(v Value, slots map[int]struc
 	ix.tree.AscendFrom(lo.Value, visit)
 }
 
-// lookupEq returns the row slots whose index key equals vals.
+// lookupEq returns the row slots whose index key equals vals — the
+// bucket's own slice, which the caller must not keep or write to — in a
+// replay-deterministic order: insertion order on a hash index, slot
+// order on an ordered one. The hash key is encoded on the stack and
+// never becomes a string.
 func (ix *Index) lookupEq(vals []Value) []int {
+	var b *bucket
 	switch ix.Kind {
 	case HashIndex:
-		return ix.hash[EncodeKey(vals...)]
+		var a [64]byte
+		b = ix.hash[string(AppendKey(a[:0], vals...))]
 	case OrderedIndex:
-		set, ok := ix.tree.Get(vals[0])
-		if !ok {
-			return nil
-		}
-		// The slot set is a map; return slots in a stable order so
-		// lookup results are replay-deterministic (the hash path already
-		// is: it returns slots in insertion order).
-		out := make([]int, 0, len(set))
-		for s := range set {
-			out = append(out, s)
-		}
-		sort.Ints(out)
-		return out
+		b, _ = ix.tree.Get(vals[0])
 	}
-	return nil
+	if b == nil {
+		return nil
+	}
+	return b.slots
 }

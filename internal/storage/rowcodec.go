@@ -32,9 +32,9 @@ func AppendRow(dst []byte, r Row) []byte {
 		dst = append(dst, byte(v.T))
 		switch v.T {
 		case TInt:
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, int64(v.n))
 		case TFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.LittleEndian.AppendUint64(dst, v.n)
 		case TString:
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
@@ -51,7 +51,7 @@ func rowSize(r Row) int {
 		n++
 		switch v.T {
 		case TInt:
-			n += uvarintLen(zigzag(v.i))
+			n += uvarintLen(zigzag(int64(v.n)))
 		case TFloat:
 			n += 8
 		case TString:

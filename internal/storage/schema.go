@@ -78,12 +78,3 @@ func (s *Schema) CheckRow(r Row) error {
 	}
 	return nil
 }
-
-// KeyOf extracts the primary-key string of a row.
-func (s *Schema) KeyOf(r Row) string {
-	vals := make([]Value, len(s.Key))
-	for i, c := range s.Key {
-		vals[i] = r[c]
-	}
-	return EncodeKey(vals...)
-}

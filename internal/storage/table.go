@@ -131,8 +131,9 @@ func (t *Table) Insert(r Row) error {
 	if err := t.schema.CheckRow(r); err != nil {
 		return err
 	}
-	key := t.schema.KeyOf(r)
-	if _, dup := t.pk[key]; dup {
+	var a [64]byte
+	key := AppendKeyCols(a[:0], r, t.schema.Key)
+	if _, dup := t.pk[string(key)]; dup {
 		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.schema.Name, r.Project(t.schema.Key))
 	}
 	r = r.Clone()
@@ -145,7 +146,7 @@ func (t *Table) Insert(r Row) error {
 		slot = len(t.rows)
 		t.rows = append(t.rows, r)
 	}
-	t.pk[key] = slot
+	t.pk[string(key)] = slot // a new key enters the map: its string is made here
 	for _, ix := range t.indexes {
 		ix.insert(r, slot)
 		t.stats.IndexWrites++
@@ -158,7 +159,8 @@ func (t *Table) Insert(r Row) error {
 // Get returns the row with the given primary-key values.
 func (t *Table) Get(keyVals ...Value) (Row, bool) {
 	t.stats.IndexProbes++
-	slot, ok := t.pk[EncodeKey(keyVals...)]
+	var a [64]byte
+	slot, ok := t.pk[string(AppendKey(a[:0], keyVals...))]
 	if !ok {
 		return nil, false
 	}
@@ -168,9 +170,10 @@ func (t *Table) Get(keyVals ...Value) (Row, bool) {
 
 // Delete removes the row with the given primary key and returns it.
 func (t *Table) Delete(keyVals ...Value) (Row, error) {
-	key := EncodeKey(keyVals...)
+	var a [64]byte
+	key := AppendKey(a[:0], keyVals...)
 	t.stats.IndexProbes++
-	slot, ok := t.pk[key]
+	slot, ok := t.pk[string(key)]
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.schema.Name, keyVals)
 	}
@@ -179,7 +182,7 @@ func (t *Table) Delete(keyVals ...Value) (Row, error) {
 		ix.remove(r, slot)
 		t.stats.IndexWrites++
 	}
-	delete(t.pk, key)
+	delete(t.pk, string(key))
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
@@ -193,25 +196,28 @@ func (t *Table) Update(keyVals []Value, newRow Row) (Row, error) {
 	if err := t.schema.CheckRow(newRow); err != nil {
 		return nil, err
 	}
-	oldKey := EncodeKey(keyVals...)
+	var a, b [64]byte
+	oldKey := AppendKey(a[:0], keyVals...)
 	t.stats.IndexProbes++
-	slot, ok := t.pk[oldKey]
+	slot, ok := t.pk[string(oldKey)]
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.schema.Name, keyVals)
 	}
 	old := t.rows[slot]
-	newKey := t.schema.KeyOf(newRow)
-	if newKey != oldKey {
-		if _, dup := t.pk[newKey]; dup {
+	if !newRow.KeyIs(t.schema.Key, keyVals) {
+		newKey := AppendKeyCols(b[:0], newRow, t.schema.Key)
+		if _, dup := t.pk[string(newKey)]; dup {
 			return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.schema.Name, newRow.Project(t.schema.Key))
 		}
-		delete(t.pk, oldKey)
-		t.pk[newKey] = slot
+		delete(t.pk, string(oldKey))
+		t.pk[string(newKey)] = slot
 	}
 	newRow = newRow.Clone()
 	for _, ix := range t.indexes {
-		ix.remove(old, slot)
-		ix.insert(newRow, slot)
+		if !ix.reinsert(old, newRow, slot) {
+			ix.remove(old, slot)
+			ix.insert(newRow, slot)
+		}
 		t.stats.IndexWrites += 2
 	}
 	t.rows[slot] = newRow
@@ -240,24 +246,27 @@ func (t *Table) LookupIndex(name string, vals ...Value) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: table %s has no index %q", t.schema.Name, name)
 	}
-	return t.lookupVia(ix, vals), nil
+	return t.lookupVia(nil, ix, vals), nil
 }
 
-// lookupVia resolves an equality lookup through an index, accounting work.
-func (t *Table) lookupVia(ix *Index, vals []Value) []Row {
+// lookupVia resolves an equality lookup through an index, accounting
+// work, and appends the matching rows to dst. The probe key is encoded
+// on the stack and the index's slot bucket is read in place, so with a
+// dst of sufficient capacity a lookup allocates nothing.
+func (t *Table) lookupVia(dst []Row, ix *Index, vals []Value) []Row {
 	t.stats.IndexProbes++
-	slots := ix.lookupEq(vals)
-	out := make([]Row, 0, len(slots))
-	for _, s := range slots {
+	for _, s := range ix.lookupEq(vals) {
 		t.stats.IndexEntries++
-		out = append(out, t.rows[s])
+		dst = append(dst, t.rows[s])
 	}
-	return out
+	return dst
 }
 
-// LookupVia is the exported form of lookupVia for planner-chosen indexes.
-func (t *Table) LookupVia(ix *Index, vals ...Value) []Row {
-	return t.lookupVia(ix, vals)
+// LookupVia is the exported form of lookupVia for planner-chosen
+// indexes; a caller that probes in a loop passes its previous result's
+// [:0] as dst.
+func (t *Table) LookupVia(dst []Row, ix *Index, vals ...Value) []Row {
+	return t.lookupVia(dst, ix, vals)
 }
 
 // ScanRangeVia visits rows whose ordered-index key lies within [lo, hi]
@@ -266,15 +275,10 @@ func (t *Table) LookupVia(ix *Index, vals ...Value) []Row {
 // entry read; the range probe counts as one index probe.
 func (t *Table) ScanRangeVia(ix *Index, lo, hi *Bound, fn func(r Row) bool) {
 	t.stats.IndexProbes++
-	ix.ascendRange(lo, hi, func(_ Value, slots map[int]struct{}) bool {
-		// Slot sets are maps; visit the rows of one index key in slot
-		// order so the scan order is replay-deterministic.
-		ordered := make([]int, 0, len(slots))
-		for slot := range slots {
-			ordered = append(ordered, slot)
-		}
-		sort.Ints(ordered)
-		for _, slot := range ordered {
+	ix.ascendRange(lo, hi, func(_ Value, slots []int) bool {
+		// The rows of one index key come in slot order, so the scan
+		// order is replay-deterministic.
+		for _, slot := range slots {
 			t.stats.IndexEntries++
 			if !fn(t.rows[slot]) {
 				return false

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -437,6 +438,46 @@ func TestTableRandomOpsConsistency(t *testing.T) {
 		}
 		if len(rows) != want {
 			t.Fatalf("index count for nation %d: %d, want %d", nk, len(rows), want)
+		}
+	}
+}
+
+// TestUpdateKeepsIndexBucketOrder: an update that leaves the indexed
+// column alone still moves the row to the end of its hash bucket (the
+// order remove-then-insert always produced, which join output order
+// rests on) and leaves an ordered bucket in slot order.
+func TestUpdateKeepsIndexBucketOrder(t *testing.T) {
+	tbl := NewTable(suppSchema(t), nil)
+	if err := tbl.CreateIndex("by_nation", HashIndex, "nationkey"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("ord_nation", OrderedIndex, "nationkey"); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 4; i++ {
+		if err := tbl.Insert(Row{I(i), S("s"), I(7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int64{1, 2} {
+		if _, err := tbl.Update([]Value{I(k)}, Row{I(k), S("renamed"), I(7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string][]int64{"by_nation": {4, 1, 3, 2}, "ord_nation": {1, 2, 3, 4}} {
+		rows, err := tbl.LookupIndex(name, I(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for _, r := range rows {
+			if renamed := r[1].Str() == "renamed"; renamed != (r[0].Int() <= 2) {
+				t.Errorf("%s: stale row %v", name, r)
+			}
+			got = append(got, r[0].Int())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: keys in lookup order %v, want %v", name, got, want)
 		}
 	}
 }

@@ -42,19 +42,22 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Value is a typed scalar. The zero Value is the integer 0.
+// Value is a typed scalar, 32 bytes wide. The zero Value is the integer
+// 0. A number lives in n — an integer as its two's-complement bits, a
+// float as its IEEE-754 bit pattern — and a string in s; the constructors
+// leave the slot a type does not use zero, so two values share a key
+// encoding exactly when they are == as structs.
 type Value struct {
 	T Type
-	i int64
-	f float64
+	n uint64
 	s string
 }
 
 // I returns an integer value.
-func I(v int64) Value { return Value{T: TInt, i: v} }
+func I(v int64) Value { return Value{T: TInt, n: uint64(v)} }
 
 // F returns a float value.
-func F(v float64) Value { return Value{T: TFloat, f: v} }
+func F(v float64) Value { return Value{T: TFloat, n: math.Float64bits(v)} }
 
 // S returns a string value.
 func S(v string) Value { return Value{T: TString, s: v} }
@@ -64,7 +67,7 @@ func (v Value) Int() int64 {
 	if v.T != TInt {
 		panic(fmt.Sprintf("storage: Int() on %s value", v.T))
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // Float returns the float payload, widening integers; it panics on
@@ -72,9 +75,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.T {
 	case TFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	case TInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
 	panic(fmt.Sprintf("storage: Float() on %s value", v.T))
 }
@@ -97,10 +100,11 @@ func (v Value) numeric() bool { return v.T == TInt || v.T == TFloat }
 func Compare(a, b Value) int {
 	if a.numeric() && b.numeric() {
 		if a.T == TInt && b.T == TInt {
+			ai, bi := int64(a.n), int64(b.n)
 			switch {
-			case a.i < b.i:
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			}
 			return 0
@@ -133,9 +137,9 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 func (v Value) String() string {
 	switch v.T {
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case TString:
 		return v.s
 	}
@@ -148,13 +152,13 @@ func appendValue(dst []byte, v Value) []byte {
 	switch v.T {
 	case TInt:
 		dst = append(dst, 'i')
-		u := uint64(v.i) ^ (1 << 63) // flip sign bit: preserves order
+		u := v.n ^ (1 << 63) // flip sign bit: preserves order
 		for shift := 56; shift >= 0; shift -= 8 {
 			dst = append(dst, byte(u>>uint(shift)))
 		}
 	case TFloat:
 		dst = append(dst, 'f')
-		bits := math.Float64bits(v.f)
+		bits := v.n
 		if bits&(1<<63) != 0 {
 			bits = ^bits
 		} else {
@@ -181,11 +185,24 @@ func appendValue(dst []byte, v Value) []byte {
 
 // AppendKey appends the composite key encoding of vals to dst and
 // returns the extended buffer: string(AppendKey(nil, vals...)) is
-// EncodeKey(vals...). Callers that look keys up in a map encode into a
-// reused buffer and index with m[string(buf)], which does not allocate.
+// EncodeKey(vals...). It is the form every keyed probe uses — the rule
+// throughout the engine is that a key stays bytes until it is stored:
+// encode into a stack buffer (var a [64]byte; AppendKey(a[:0], ...)),
+// look up as m[string(buf)], which builds no string, and convert only
+// when a key that is not in the map yet has to enter it.
 func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		dst = appendValue(dst, v)
+	}
+	return dst
+}
+
+// AppendKeyCols appends the key encoding of r's values at cols to dst:
+// AppendKey(dst, r.Project(cols)...) without the projection. It is how a
+// row's primary or index key is encoded for a probe.
+func AppendKeyCols(dst []byte, r Row, cols []int) []byte {
+	for _, c := range cols {
+		dst = appendValue(dst, r[c])
 	}
 	return dst
 }
@@ -194,9 +211,10 @@ func AppendKey(dst []byte, vals ...Value) []byte {
 // injective over value lists — two lists share an encoding exactly when
 // Row.SameKey holds, strings containing NUL included — so it is safe as
 // a map key; for lists whose columns agree in type it is also
-// order-preserving. It is used for hash-index and primary-key maps.
-// Keys of up to 64 bytes are built in a stack array, so the returned
-// string is the only allocation.
+// order-preserving. Keys of up to 64 bytes are built in a stack array,
+// so the returned string is the only allocation. It is for a caller
+// that keeps the string (a new map entry, a sort key, a test); one that
+// only looks a key up uses AppendKey and pays for no string at all.
 func EncodeKey(vals ...Value) string {
 	var a [64]byte
 	return string(AppendKey(a[:0], vals...))
@@ -221,23 +239,26 @@ func (r Row) SameKey(o Row) bool {
 		return false
 	}
 	for i, a := range r {
-		b := o[i]
-		if a.T != b.T {
+		if a != o[i] {
 			return false
 		}
-		switch a.T {
-		case TInt:
-			if a.i != b.i {
-				return false
-			}
-		case TFloat:
-			if math.Float64bits(a.f) != math.Float64bits(b.f) {
-				return false
-			}
-		case TString:
-			if a.s != b.s {
-				return false
-			}
+	}
+	return true
+}
+
+// KeyIs reports whether r's values at cols are exactly keyVals — what
+// comparing EncodeKey(r.Project(cols)...) with EncodeKey(keyVals...)
+// would say, SameKey's rule, without building a projection or an
+// encoding. A row too short to have one of the columns does not match.
+// The brokers and engines use it to refuse an update that would change
+// a primary key.
+func (r Row) KeyIs(cols []int, keyVals []Value) bool {
+	if len(keyVals) != len(cols) {
+		return false
+	}
+	for i, c := range cols {
+		if c >= len(r) || r[c] != keyVals[i] {
+			return false
 		}
 	}
 	return true

@@ -15,8 +15,10 @@
 #                 .bench_build/pairs/ and built there by its own
 #                 benchmark/run.sh — nothing is checked out or registered
 #                 in the repository
-#   -workload     one of BENCHMARK.json's workloads (default fanout-shared)
-#   -pairs        number of pairs (default 10)
+#   -workload     one of BENCHMARK.json's workloads (default fanout-shared),
+#                 or `all`: every workload BENCHMARK.json names, in its
+#                 order, one table each
+#   -pairs        number of pairs per workload (default 10)
 #
 # The change side is the working tree as it stands, uncommitted edits
 # included. Every run is `benchmark/run.sh --workload W --seed 1`, so both
@@ -50,45 +52,55 @@ done
 
 sha=$(git rev-parse --verify "$rev^{commit}")
 parent=$root/.bench_build/pairs/src-$sha
-out=$root/.bench_build/pairs/$workload
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
 	git archive "$sha" | tar -x -C "$parent.tmp"
 	mv "$parent.tmp" "$parent"
 fi
-rm -rf "$out"
-mkdir -p "$out"
+
+# The names in BENCHMARK.json's "workloads" list, in file order.
+workloads=$workload
+if [ "$workload" = all ]; then
+	workloads=$(awk '/"workloads":/ { on = 1 } on && /^  \]/ { on = 0 }
+		on && $1 == "\"name\":" { gsub(/[",]/, "", $2); print $2 }' BENCHMARK.json)
+	[ -n "$workloads" ] || { echo "bench_pairs: no workloads in BENCHMARK.json" >&2; exit 1; }
+fi
 
 # run <side> <dir> <pair>: one benchmark run from dir, its report kept.
 run() {
-	echo "pair $3/$pairs: $1" >&2
+	echo "$workload pair $3/$pairs: $1" >&2
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1) >"$out/$1-$3.txt"
 }
 
-i=1
-while [ "$i" -le "$pairs" ]; do
-	if [ $((i % 2)) -eq 1 ]; then
-		run parent "$parent" "$i"
-		run change "$root" "$i"
-	else
-		run change "$root" "$i"
-		run parent "$parent" "$i"
+# measure runs the pairs of $workload and prints its table.
+measure() {
+	out=$root/.bench_build/pairs/$workload
+	rm -rf "$out"
+	mkdir -p "$out"
+	i=1
+	while [ "$i" -le "$pairs" ]; do
+		if [ $((i % 2)) -eq 1 ]; then
+			run parent "$parent" "$i"
+			run change "$root" "$i"
+		else
+			run change "$root" "$i"
+			run parent "$parent" "$i"
+		fi
+		i=$((i + 1))
+	done
+
+	# Same input, same answers: every run must report one content hash and
+	# one failure count.
+	if [ "$(grep -h '^== ' "$out"/*.txt | sed 's/.* failed=\([0-9]*\).* hash=\([0-9a-f]*\).*/\1 \2/' | sort -u | wc -l)" -ne 1 ]; then
+		echo "bench_pairs: runs disagree on failures or content hash:" >&2
+		grep -H '^== ' "$out"/*.txt >&2
+		exit 1
 	fi
-	i=$((i + 1))
-done
 
-# Same input, same answers: every run must report one content hash and
-# one failure count.
-if [ "$(grep -h '^== ' "$out"/*.txt | sed 's/.* failed=\([0-9]*\).* hash=\([0-9a-f]*\).*/\1 \2/' | sort -u | wc -l)" -ne 1 ]; then
-	echo "bench_pairs: runs disagree on failures or content hash:" >&2
-	grep -H '^== ' "$out"/*.txt >&2
-	exit 1
-fi
-
-echo "== $workload seed=1: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
-# The report's metric lines are "   name   value unit  (raw ...)"; the
-# direction of each metric comes from BENCHMARK.json.
-awk -v pairs="$pairs" -v dir="$out" '
+	echo "== $workload seed=1: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
+	# The report's metric lines are "   name   value unit  (raw ...)"; the
+	# direction of each metric comes from BENCHMARK.json.
+	awk -v pairs="$pairs" -v dir="$out" '
 function sorted(src, n, dst,    a, b, t) {
 	for (a = 1; a <= n; a++) dst[a] = src[a]
 	for (a = 2; a <= n; a++)
@@ -124,4 +136,9 @@ END {
 			quantile(sa, pairs, 0.75) - quantile(sa, pairs, 0.25), quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25), wins, pairs, unit[name]
 	}
 }' BENCHMARK.json "$out"/parent-*.txt "$out"/change-*.txt
-echo "reports kept in ${out#"$root"/}/"
+	echo "reports kept in ${out#"$root"/}/"
+}
+
+for workload in $workloads; do
+	measure
+done
