@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check
+.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,10 @@ serve-smoke:
 # OPERATIONS.md's metric catalogue from the registered series.
 docs-check:
 	sh scripts/docs_check.sh
+
+# loc prints the non-test Go line counts ROADMAP item 3 tracks.
+loc:
+	sh scripts/loc.sh
 
 # compile-smoke runs the SQL→IVM compiler end-to-end over the example
 # catalog, then serves the compiled views for a short run.

@@ -127,7 +127,7 @@ loop:
 // catalog instead of the built-in per-region aggregates: the catalog is
 // compiled against the demo database (delta plans, sandboxed cost
 // calibration, QoS from each statement's QOS clause) and every compiled
-// view is registered through SubscribeCompiled. The event stream is the
+// view is subscribed as it was compiled. The event stream is the
 // same seeded stations/sales stream the built-in demo uses, so any
 // catalog view over those tables sees live deltas.
 func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pubsub.Runtime) error {
@@ -142,7 +142,7 @@ func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pu
 		}
 		fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
 		for _, cv := range views {
-			if err := rt.SubscribeCompiled(cv); err != nil {
+			if err := rt.Subscribe(cv.Subscription()); err != nil {
 				return err
 			}
 		}

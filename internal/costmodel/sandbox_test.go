@@ -70,9 +70,8 @@ func TestSandboxWorkloadIsPureUpdates(t *testing.T) {
 	if _, err := sb.Measure(alias, []int{1, 8, 16}, storage.DefaultWeights()); err != nil {
 		t.Fatal(err)
 	}
-	m := sb.Maintainer()
-	for _, a := range sb.Aliases() {
-		name := m.TableOf(a)
+	for _, src := range sb.Maintainer().Plan().Sources {
+		name := src.Table
 		if want, ok := sizes[name]; ok {
 			if got := mustLen(t, sb, name); got != want {
 				t.Errorf("table %s: %d rows after calibration, want %d", name, got, want)

@@ -38,7 +38,7 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 
 		next := 0
 		updateRound(t, g, updates, rowsPerStation, &next)
-		wm := settle(t, handles)
+		settle(t, handles)
 		before := g.Stats()
 		if before.StateRows != nSales+rightRows+2*updates {
 			t.Fatalf("N=%d: %d updates grew state to %d rows, want %d", n, updates, before.StateRows, nSales+rightRows+2*updates)
@@ -46,7 +46,7 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 		if before.RetainedDeltas != 0 {
 			t.Fatalf("N=%d: sinks checkpointed at full coverage still buffer %d deltas", n, before.RetainedDeltas)
 		}
-		g.Trim(wm)
+		g.Trim()
 		after := g.Stats()
 		if after.StateRows != nSales+rightRows {
 			t.Fatalf("N=%d: trimmed to %d state rows, want %d", n, after.StateRows, nSales+rightRows)
@@ -178,4 +178,50 @@ func TestArrangementOnDeltaAllocs(t *testing.T) {
 	if roomy == 0 || len(b.tail) != 12 || len(sales.touched) != 1 || sales.touched[0] != b {
 		t.Fatalf("%d deltas had tail room; tail %d, touched %d", roomy, len(b.tail), len(sales.touched))
 	}
+}
+
+// TestTrimWatermarkIsLowestSink: the graph computes the watermark from its
+// own sinks. Two sinks over one join checkpoint at different cursors; Trim
+// consolidates exactly the updates the lower one covers, the rest stay as
+// tail entries however far the other sink is ahead; releasing the lower
+// sink lets the next Trim advance to the remaining one's cursors.
+func TestTrimWatermarkIsLowestSink(t *testing.T) {
+	const nSales, rowsPerStation, first, second = 400, 20, 10, 6
+	g := NewGraph(sizedDB(t, nSales, rowsPerStation))
+	var sinks [2]*ViewHandle
+	for i, q := range []string{trimBenchQuery, "SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey"} {
+		p, err := ivm.PlanView(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sinks[i], err = g.Subscribe(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lower, upper := sinks[0], sinks[1]
+	base := g.Stats()
+	if base.Nodes != 3 || base.Views != 2 {
+		t.Fatalf("two views over one join built %d nodes under %d sinks, want 3 and 2", base.Nodes, base.Views)
+	}
+	// A sink that never checkpointed holds the watermark at zero.
+	next := 0
+	updateRound(t, g, first, rowsPerStation, &next)
+	settle(t, []*ViewHandle{upper})
+	g.Trim()
+	if got, want := g.Stats().StateRows, base.StateRows+2*first; got != want {
+		t.Fatalf("trim with one sink never checkpointed left %d state rows, want all %d", got, want)
+	}
+	settle(t, []*ViewHandle{lower})
+	updateRound(t, g, second, rowsPerStation, &next)
+	settle(t, []*ViewHandle{upper})
+	g.Trim()
+	if got, want := g.Stats().StateRows, base.StateRows+2*second; got != want {
+		t.Fatalf("trim at the lower sink's cursors left %d state rows, want %d: the %d updates only the upper sink covers", got, want, second)
+	}
+	g.Release(lower)
+	g.Trim()
+	if st := g.Stats(); st.StateRows != base.StateRows || st.Views != 1 || st.Nodes != base.Nodes {
+		t.Fatalf("trim after releasing the lower sink: %d state rows, %d sinks, %d nodes; want %d, 1, %d", st.StateRows, st.Views, st.Nodes, base.StateRows, base.Nodes)
+	}
+	checkGraphInvariants(t, "after release and trim", g)
 }

@@ -100,11 +100,10 @@ func subscribeRegional(tb testing.TB, g *Graph, regional int) []*ViewHandle {
 	return handles
 }
 
-// settle refreshes and checkpoints every view and returns the GC
-// watermark: per table, the lowest durable cursor among them.
-func settle(tb testing.TB, handles []*ViewHandle) map[string]uint64 {
+// settle refreshes and checkpoints every view, bringing the GC watermark
+// up to everything ingested.
+func settle(tb testing.TB, handles []*ViewHandle) {
 	tb.Helper()
-	wm := map[string]uint64{}
 	for _, h := range handles {
 		if err := h.Refresh(); err != nil {
 			tb.Fatal(err)
@@ -112,13 +111,7 @@ func settle(tb testing.TB, handles []*ViewHandle) map[string]uint64 {
 		if err := h.Checkpoint(); err != nil {
 			tb.Fatal(err)
 		}
-		for table, c := range h.DurableCursors() {
-			if cur, seen := wm[table]; !seen || c < cur {
-				wm[table] = c
-			}
-		}
 	}
-	return wm
 }
 
 // updateRound ingests n in-place amount updates over the first 1,000
@@ -150,18 +143,19 @@ func BenchmarkDataflowTrim(b *testing.B) {
 				g := NewGraph(regionalDB(b, n, rowsPerStation, regionNames(regions)))
 				handles := subscribeRegional(b, g, joins-1)
 				next := 0
-				round := func() map[string]uint64 {
+				round := func() {
 					updateRound(b, g, modsPerTrim, rowsPerStation, &next)
-					return settle(b, handles)
+					settle(b, handles)
 				}
-				g.Trim(round())
+				round()
+				g.Trim()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					wm := round()
+					round()
 					b.StartTimer()
-					g.Trim(wm)
+					g.Trim()
 				}
 			})
 		}

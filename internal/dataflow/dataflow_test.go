@@ -211,9 +211,9 @@ var equivalenceQueries = []string{
 // aliasFor maps a table to a query's FROM alias; the equivalence
 // queries use s/st or the bare table names.
 func aliasFor(m *ivm.Maintainer, table string) string {
-	for _, a := range m.Aliases() {
-		if m.TableOf(a) == table {
-			return a
+	for _, src := range m.Plan().Sources {
+		if src.Table == table {
+			return src.Alias
 		}
 	}
 	return ""
@@ -331,7 +331,7 @@ func TestSharingOpCount(t *testing.T) {
 	}
 	base := g.Stats()
 	if base.Nodes != 3 { // scan(sales), scan(stations), join
-		t.Fatalf("single view built %d nodes, want 3: %v", base.Nodes, hA.Signatures())
+		t.Fatalf("single view built %d nodes, want 3: %v", base.Nodes, hA.sigs)
 	}
 
 	pB, err := ivm.PlanView(qB)
@@ -610,7 +610,7 @@ func TestTrimWatermark(t *testing.T) {
 		t.Fatalf("inbox not emptied by a checkpoint at full coverage: %d deltas", n)
 	}
 	before := g.Stats().StateRows
-	g.Trim(p.h.DurableCursors())
+	g.Trim()
 	after := g.Stats().StateRows
 	if after >= before {
 		t.Fatalf("trim did not consolidate join state: %d -> %d entries", before, after)
@@ -659,8 +659,8 @@ func TestSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(h.Signatures(), "\n") != strings.Join(s1, "\n") || g.Stats().Nodes != len(s1) {
-		t.Fatalf("subscribed %v (%d nodes), Signatures listed %v", h.Signatures(), g.Stats().Nodes, s1)
+	if strings.Join(h.sigs, "\n") != strings.Join(s1, "\n") || g.Stats().Nodes != len(s1) {
+		t.Fatalf("subscribed %v (%d nodes), Signatures listed %v", h.sigs, g.Stats().Nodes, s1)
 	}
 }
 
@@ -711,7 +711,7 @@ func trimWorkAt(t *testing.T, nSales int) uint64 {
 			if err := h.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			g.Trim(h.DurableCursors())
+			g.Trim()
 		}
 	}
 	return g.Stats().TrimVisited

@@ -256,11 +256,12 @@ type Graph struct {
 	arrs    map[string]*arrangement // by arrangementID; alive while a join side reads it
 	hits    uint64
 	arrHits uint64
-	subs    int
+	views   []*ViewHandle // the attached sinks, in subscribe order
 	ctr     counters
 	// arrOrder caches the arrangements in identity order for Trim; realize
-	// and drop reset it.
+	// and drop reset it. wm is Trim's watermark, reused across calls.
 	arrOrder []*arrangement
+	wm       map[string]uint64
 	// nets is the netting scratch of the sinks' drains (netCovered); empty
 	// between drains.
 	nets netTable
@@ -274,6 +275,7 @@ func NewGraph(db *storage.DB) *Graph {
 		refs:  make(map[string]int),
 		scans: make(map[string]*scanNode),
 		arrs:  make(map[string]*arrangement),
+		wm:    make(map[string]uint64),
 		nets:  newNetTable(),
 	}
 }
@@ -312,7 +314,7 @@ func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 		g.refs[sig]++
 	}
 	n.addOut(h)
-	g.subs++
+	g.views = append(g.views, h)
 	return h, nil
 }
 
@@ -456,7 +458,7 @@ func (g *Graph) Release(h *ViewHandle) {
 			g.drop(sig, n)
 		}
 	}
-	g.subs--
+	g.views = slices.DeleteFunc(g.views, func(v *ViewHandle) bool { return v == h })
 }
 
 // Watches reports whether any subscribed view reads the table.
@@ -477,19 +479,32 @@ func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	return sc.ingest(mod)
 }
 
-// Trim garbage-collects join state below the durability watermark: wm
-// maps each table to the minimum checkpoint-covered cursor across all
-// views reading it, and arrangement entries fully below it are netted
-// into their bucket's base — once per arrangement, however many joins
-// read it. The cost is proportional to what arrived since the watermark
-// last covered it, not to table sizes or to the number of joins sharing
-// an input. (A sink drops its own buffered deltas when it checkpoints.)
-func (g *Graph) Trim(wm map[string]uint64) {
+// Trim garbage-collects join state below the durability watermark — per
+// table, the minimum checkpointed cursor over the sinks reading it (0 for
+// a sink that never checkpointed), below which no recovery will ever put
+// a cursor again: arrangement entries fully below it are netted into
+// their bucket's base, once per arrangement however many joins read it.
+// The cost is proportional to what arrived since the watermark last
+// covered it, not to table sizes or to the number of joins sharing an
+// input. (A sink drops its own buffered deltas when it checkpoints.)
+func (g *Graph) Trim() {
+	clear(g.wm)
+	for _, h := range g.views {
+		for i, t := range h.tabOrder {
+			c := uint64(0)
+			if h.snap != nil {
+				c = h.snap.cursors[i]
+			}
+			if cur, seen := g.wm[t]; !seen || c < cur {
+				g.wm[t] = c
+			}
+		}
+	}
 	if g.arrOrder == nil {
 		g.arrOrder = sortedByKey(g.arrs)
 	}
 	for _, a := range g.arrOrder {
-		a.trim(wm)
+		a.trim(g.wm)
 	}
 }
 
@@ -557,7 +572,7 @@ func (s *GraphStats) Add(o GraphStats) {
 // operator list, never operator state.
 func (g *Graph) Stats() GraphStats {
 	st := GraphStats{
-		Nodes: len(g.nodes), Views: g.subs, InternHits: g.hits,
+		Nodes: len(g.nodes), Views: len(g.views), InternHits: g.hits,
 		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
 	}

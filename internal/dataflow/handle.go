@@ -74,7 +74,7 @@ type ViewHandle struct {
 // survives per-view crashes exactly as the live database does.
 type handleSnapshot struct {
 	lsn     uint64
-	cursors map[string]uint64 // table -> cursor, the form Graph.Trim's watermark takes
+	cursors []uint64 // by position, like ViewHandle.cursors; what Graph.Trim's watermark is the minimum of
 	state   *ivm.ViewStateSnapshot
 	ns      string
 }
@@ -145,27 +145,13 @@ func (h *ViewHandle) onDelta(d Delta) {
 	h.g.ctr.retained++
 }
 
-// Plan returns the view's delta plan, shared and read-only.
-func (h *ViewHandle) Plan() *ivm.DeltaPlan { return h.plan }
-
 // Aliases returns the FROM aliases in order; index i corresponds to the
 // paper's base table R_i.
 func (h *ViewHandle) Aliases() []string { return h.aliases }
 
-// TableOf returns the base-table name behind a FROM alias, or "".
-func (h *ViewHandle) TableOf(alias string) string {
-	if i, ok := h.pos[alias]; ok {
-		return h.tabOrder[i]
-	}
-	return ""
-}
-
 // Stats exposes the view-side work-unit counters (folds and drain
 // setups; operator work is shared and charged to the graph's tables).
 func (h *ViewHandle) Stats() *storage.Stats { return h.stats }
-
-// Signatures returns the view's operator signatures in post-order.
-func (h *ViewHandle) Signatures() []string { return h.sigs }
 
 // AttachWAL makes the handle record drain commits to w — all its
 // recovery replays; arrivals are on the graph's ingest logs. A nil w
@@ -425,13 +411,11 @@ func (h *ViewHandle) Checkpoint() error {
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
 	if h.snap == nil {
-		h.snap = &handleSnapshot{cursors: make(map[string]uint64, len(h.cursors))}
+		h.snap = &handleSnapshot{cursors: make([]uint64, len(h.cursors))}
 	}
 	h.snap.state = h.view.Checkpoint()
 	h.snap.ns = h.ns
-	for i, t := range h.tabOrder {
-		h.snap.cursors[t] = h.cursors[i]
-	}
+	copy(h.snap.cursors, h.cursors)
 	h.snap.lsn = 0
 	if h.wal != nil {
 		h.snap.lsn = h.wal.LastLSN()
@@ -460,17 +444,6 @@ func (h *ViewHandle) TipLSN() uint64 {
 	return h.snap.lsn
 }
 
-// DurableCursors returns the per-table cursors of the last checkpoint —
-// the view's contribution to the graph's GC watermark. Nil when no
-// checkpoint was ever taken (the broker checkpoints at subscribe, so
-// this is transient). The next Checkpoint overwrites the map in place.
-func (h *ViewHandle) DurableCursors() map[string]uint64 {
-	if h.snap == nil {
-		return nil
-	}
-	return h.snap.cursors
-}
-
 // Recover rebuilds the view from its last checkpoint plus the WAL
 // suffix: restore cursors and content (the rebuilt state adopts the
 // checkpoint copy, so later checkpoints keep patching it), then redo the
@@ -490,9 +463,7 @@ func (h *ViewHandle) Recover() error {
 		return err
 	}
 	h.view = view
-	for i, t := range h.tabOrder {
-		h.cursors[i] = h.snap.cursors[t]
-	}
+	copy(h.cursors, h.snap.cursors)
 	wal, inj := h.wal, h.inj
 	h.wal, h.inj = nil, nil
 	replayed := 0

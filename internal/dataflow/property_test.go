@@ -232,7 +232,8 @@ func (w *propWorld) drain(v *propView, alias string, k int) {
 			w.t.Fatal(err)
 		}
 	}
-	table := v.handles[0].TableOf(alias)
+	h := v.handles[0]
+	table := h.tabOrder[h.pos[alias]]
 	from := v.applied[table]
 	for _, mod := range w.log[table][from : from+k] {
 		applyLive(w.t, v.shadow, table, mod)
@@ -340,11 +341,10 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 // durableByPosition returns the cursors of a sink's last checkpoint in
 // coordinate order (zeros before the first checkpoint).
 func durableByPosition(h *ViewHandle) []uint64 {
-	durable := make([]uint64, len(h.tabOrder))
-	for i, table := range h.tabOrder {
-		durable[i] = h.DurableCursors()[table]
+	if h.snap == nil {
+		return make([]uint64, len(h.tabOrder))
 	}
-	return durable
+	return h.snap.cursors
 }
 
 // consumers exposes an operator's edge list to the walk above; every
@@ -367,7 +367,6 @@ func sinksOf(n node) []*ViewHandle {
 // way the broker does at checkpoint cadence.
 func (w *propWorld) trim(rng *rand.Rand, all bool) {
 	w.t.Helper()
-	wm := map[string]uint64{}
 	for _, v := range w.views {
 		h := v.handles[0]
 		if all || rng.Intn(3) > 0 {
@@ -378,15 +377,8 @@ func (w *propWorld) trim(rng *rand.Rand, all bool) {
 				w.t.Fatal(err)
 			}
 		}
-		dc := h.DurableCursors()
-		for _, alias := range h.Aliases() {
-			table := h.TableOf(alias)
-			if cur, seen := wm[table]; !seen || dc[table] < cur {
-				wm[table] = dc[table]
-			}
-		}
 	}
-	w.trimmed.Trim(wm)
+	w.trimmed.Trim()
 }
 
 // TestTrimPreservesMeaning is the GC's correctness property: whatever

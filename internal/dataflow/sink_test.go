@@ -366,14 +366,16 @@ func TestNetCoveredTellsCollidingKeysApart(t *testing.T) {
 }
 
 // TestCheckpointAllocsIndependentOfViewSize: a checkpoint after the same
-// eight rows changed allocates the same over a bag of 200 rows and one
-// of 5,000.
+// eight rows changed allocates the same over a view of 200 sales and one
+// of 5,000 — an SPJ view, where eight entries vanished and eight appeared
+// (a copy entry and its key each), and an aggregate view, where the one
+// group they belong to is rewritten in place.
 func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, batch = 20, 8
-	checkpointAllocs := func(nSales int) (allocs uint64) {
+	checkpointAllocs := func(query string, nSales, salesPerRow int) (allocs uint64) {
 		g := NewGraph(sizedDB(t, nSales, rowsPerStation))
-		p, err := ivm.PlanView("SELECT s.salekey, s.amount FROM sales AS s")
+		p, err := ivm.PlanView(query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,8 +383,8 @@ func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(h.Result()); n != nSales {
-			t.Fatalf("view holds %d rows, want %d", n, nSales)
+		if n := len(h.Result()); n != nSales/salesPerRow {
+			t.Fatalf("view holds %d rows, want %d", n, nSales/salesPerRow)
 		}
 		for round := 0; round < 4; round++ {
 			for key := int64(0); key < batch; key++ {
@@ -401,10 +403,18 @@ func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 		}
 		return allocs
 	}
-	small, large := checkpointAllocs(200), checkpointAllocs(5_000)
-	// Eight rows vanished and eight appeared: a copy entry and its key each.
-	if small != large || small > 2*batch+2 {
-		t.Fatalf("checkpoint allocated %d times over 200 rows, %d over 5,000; want equal and at most %d", small, large, 2*batch+2)
+	for _, c := range []struct {
+		query       string
+		salesPerRow int
+		most        uint64
+	}{
+		{"SELECT s.salekey, s.amount FROM sales AS s", 1, 2*batch + 2},
+		{"SELECT s.station, SUM(s.amount), COUNT(*) FROM sales AS s GROUP BY s.station", rowsPerStation, 0},
+	} {
+		small, large := checkpointAllocs(c.query, 200, c.salesPerRow), checkpointAllocs(c.query, 5_000, c.salesPerRow)
+		if small != large || small > c.most {
+			t.Fatalf("%s: checkpoint allocated %d times over 200 rows, %d over 5,000; want equal and at most %d", c.query, small, large, c.most)
+		}
 	}
 }
 

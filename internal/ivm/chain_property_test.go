@@ -181,8 +181,8 @@ func TestChainEquivalenceProperty(t *testing.T) {
 			rollovers := int64(0)
 
 			checkpoint := func() {
-				wantBase := !roll.chain.HasBase() || roll.chain.Depth() >= depth
-				if wantBase && roll.chain.HasBase() {
+				wantBase := !(roll.chain.base != nil) || roll.chain.Depth() >= depth
+				if wantBase && (roll.chain.base != nil) {
 					rollovers++
 				}
 				prevTip := roll.chain.TipLSN()

@@ -241,24 +241,12 @@ func (c *CheckpointChain) putBase(lsn uint64) error {
 	return nil
 }
 
-// SetMaxDepth changes the rollover trigger; it takes effect at the
-// next Checkpoint. n < 0 selects DefaultChainDepth.
-func (c *CheckpointChain) SetMaxDepth(n int) {
-	if n < 0 {
-		n = DefaultChainDepth
-	}
-	c.maxDepth = n
-}
-
 // TipLSN returns the WAL position the chain covers through: everything
 // at or below it may be truncated from the WAL.
 func (c *CheckpointChain) TipLSN() uint64 { return c.tipLSN }
 
 // Depth returns the current number of delta segments.
 func (c *CheckpointChain) Depth() int { return len(c.deltas) }
-
-// HasBase reports whether the chain holds a recovery point at all.
-func (c *CheckpointChain) HasBase() bool { return c.base != nil }
 
 // Checkpoint writes the maintainer's next checkpoint segment into the
 // chain: an incremental delta while the chain has room, a full base

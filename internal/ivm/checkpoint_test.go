@@ -233,7 +233,7 @@ func TestRestoredChainExtendsAdoptedBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := RestoreChain(fullCheckpoint(t, m).base, nil, wal.LastLSN(), DefaultChainDepth)
-	if !chain.HasBase() {
+	if chain.base == nil {
 		t.Fatal("chain did not adopt the base")
 	}
 

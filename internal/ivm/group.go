@@ -6,21 +6,18 @@ import (
 	"abivm/internal/storage"
 )
 
-// groupState holds the incrementally maintainable state of one group: a
-// contribution count plus one aggregate state per aggregate item. key is
-// the encoded group-by values the view holds it under; dirty is
-// ViewState's mark that the group is listed as touched since the last
-// checkpoint.
+// groupState is one entry of a ViewState, the incrementally maintainable
+// state of one group: a contribution count plus one aggregate state per
+// aggregate item. key is the encoded key values the view holds it under;
+// dirty is ViewState's mark that the entry is listed as touched since the
+// last checkpoint. The view drops an entry when its count reaches zero.
 type groupState struct {
 	key     string
-	keyVals storage.Row // the group-by values
-	count   int64       // joined rows contributing to the group
-	aggs    []aggState
+	keyVals storage.Row // the group-by values; an SPJ view's whole row
+	count   int64       // joined rows contributing: an SPJ row's multiplicity
+	aggs    []aggState  // empty for an SPJ view
 	dirty   bool
 }
-
-func (g *groupState) orderKey() string { return g.key }
-func (g *groupState) live() bool       { return g.count != 0 }
 
 // aggState is the incremental state of one aggregate.
 type aggState struct {

@@ -27,7 +27,7 @@ type Maintainer struct {
 	tables  map[string]string // alias -> table name
 	deltas  map[string][]Mod
 
-	// view is the foldable content: the bag (SPJ) or per-group aggregate
+	// view is the foldable content, keyed entries with counts and aggregate
 	// states, shared with the dataflow runtime (see viewstate.go).
 	view     *ViewState
 	deltaSel *sql.Select // join query emitting (group cols..., agg args...)
@@ -73,19 +73,6 @@ type preparedDelta struct {
 	src *exec.RowsSource
 	op  exec.Op
 }
-
-// bagEntry is one distinct row of an SPJ view with its multiplicity. key
-// is the encoded row the view holds it under; dirty is ViewState's mark
-// that the entry is listed as touched since the last checkpoint.
-type bagEntry struct {
-	key   string
-	row   storage.Row
-	count int64
-	dirty bool
-}
-
-func (e *bagEntry) orderKey() string { return e.key }
-func (e *bagEntry) live() bool       { return e.count != 0 }
 
 type itemRef struct {
 	groupIdx int // >= 0: group-by column position
@@ -294,10 +281,6 @@ func (m *Maintainer) ApplyDeferred(mods ...Mod) error {
 	}
 	return nil
 }
-
-// TableOf returns the base-table name behind a FROM alias, or "" when
-// the alias is unknown.
-func (m *Maintainer) TableOf(alias string) string { return m.tables[alias] }
 
 // Pending returns the per-table delta queue sizes in alias order — the
 // paper's state vector s.

@@ -343,17 +343,11 @@ func TestDeleteThenReinsertSameRowInOneBatch(t *testing.T) {
 	assertConsistent(t, m)
 }
 
-func TestApplyDeferredAndTableOf(t *testing.T) {
+func TestApplyDeferred(t *testing.T) {
 	db := liveDB(t)
 	m, err := New(db, paperView)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := m.TableOf("PS"); got != "partsupp" {
-		t.Fatalf("TableOf(PS) = %q", got)
-	}
-	if got := m.TableOf("nope"); got != "" {
-		t.Fatalf("TableOf(nope) = %q", got)
 	}
 	// Apply the live change out-of-band, then observe it via deferral.
 	ps := db.MustTable("partsupp")

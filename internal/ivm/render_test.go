@@ -15,46 +15,41 @@ import (
 
 // sortedReference renders v the way Result did before the state kept its
 // entries in order: collect the map's keys, sort.Strings them, render in
-// that order. It reads the maps only, never the kept order.
+// that order. It reads the map only, never the kept order.
 func sortedReference(v *ViewState) []storage.Row {
-	var out []storage.Row
-	if v.isAgg {
-		keys := make([]string, 0, len(v.groups))
-		for k := range v.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := v.groups[k]
-			row := make(storage.Row, len(v.itemRefs))
-			for i, ref := range v.itemRefs {
-				if ref.aggIdx >= 0 {
-					row[i] = g.aggs[ref.aggIdx].result(g.count)
-				} else {
-					row[i] = g.keyVals[ref.groupIdx]
-				}
-			}
-			out = append(out, row)
-		}
-		if len(out) == 0 && v.gbCount == 0 {
-			row := make(storage.Row, len(v.itemRefs))
-			for i, ref := range v.itemRefs {
-				empty := aggState{kind: v.aggKinds[ref.aggIdx]}
-				row[i] = empty.result(0)
-			}
-			out = append(out, row)
-		}
-		return out
-	}
-	keys := make([]string, 0, len(v.bag))
-	for k := range v.bag {
+	keys := make([]string, 0, len(v.groups))
+	for k := range v.groups {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		for i := int64(0); i < v.bag[k].count; i++ {
-			out = append(out, v.bag[k].row)
+	var out []storage.Row
+	if !v.isAgg {
+		for _, k := range keys {
+			for i := int64(0); i < v.groups[k].count; i++ {
+				out = append(out, v.groups[k].keyVals)
+			}
 		}
+		return out
+	}
+	for _, k := range keys {
+		g := v.groups[k]
+		row := make(storage.Row, len(v.itemRefs))
+		for i, ref := range v.itemRefs {
+			if ref.aggIdx >= 0 {
+				row[i] = g.aggs[ref.aggIdx].result(g.count)
+			} else {
+				row[i] = g.keyVals[ref.groupIdx]
+			}
+		}
+		out = append(out, row)
+	}
+	if len(out) == 0 && v.keyCols == 0 {
+		row := make(storage.Row, len(v.itemRefs))
+		for i, ref := range v.itemRefs {
+			empty := aggState{kind: v.aggKinds[ref.aggIdx]}
+			row[i] = empty.result(0)
+		}
+		out = append(out, row)
 	}
 	return out
 }
@@ -194,24 +189,28 @@ func TestRenderMatchesSortedReference(t *testing.T) {
 }
 
 // TestKeyOrderSweepsUnrendered: a state nobody renders keeps its order
-// lists in proportion to what it holds, not to what it ever held.
+// lists in proportion to what it holds, not to what it ever held — whether
+// its entries are an SPJ view's rows or an aggregate view's groups.
 func TestKeyOrderSweepsUnrendered(t *testing.T) {
-	p, err := PlanView(`SELECT t.a FROM t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewViewState(p, nil)
-	for i := int64(0); i < 10000; i++ {
-		v.AddWeighted(storage.Row{storage.I(i)}, 1)
-		if i >= 10 {
-			v.AddWeighted(storage.Row{storage.I(i - 10)}, -1)
+	for _, query := range []string{`SELECT t.a FROM t`, `SELECT t.a, COUNT(*) FROM t GROUP BY t.a`} {
+		p, err := PlanView(query)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n := len(v.bagOrder.sorted) + len(v.bagOrder.fresh); n > 2*len(v.bag)+64 {
-		t.Fatalf("order lists hold %d entries for a bag of %d", n, len(v.bag))
-	}
-	if got, want := renderBytes(v.Result()), renderBytes(sortedReference(v)); got != want {
-		t.Fatalf("rendered %q, want %q", got, want)
+		v := NewViewState(p, nil)
+		row := func(i int64) storage.Row { return storage.Row{storage.I(i), storage.I(1)}[:len(p.Delta.Items)] }
+		for i := int64(0); i < 10000; i++ {
+			v.AddWeighted(row(i), 1)
+			if i >= 10 {
+				v.AddWeighted(row(i-10), -1)
+			}
+		}
+		if n := len(v.order.sorted) + len(v.order.fresh); n > 2*len(v.groups)+64 {
+			t.Fatalf("%s: order lists hold %d entries for a state of %d", query, n, len(v.groups))
+		}
+		if got, want := renderBytes(v.Result()), renderBytes(sortedReference(v)); got != want {
+			t.Fatalf("%s: rendered %q, want %q", query, got, want)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"abivm/internal/storage"
@@ -45,10 +47,7 @@ var foldViews = []foldView{
 // fullCopy builds the checkpoint copy of v from nothing, by walking all
 // of it.
 func fullCopy(v *ViewState) *ViewStateSnapshot {
-	snap := &ViewStateSnapshot{Groups: map[string]*GroupSnapshot{}, Bag: map[string]*BagSnapshot{}}
-	for k, e := range v.bag {
-		snap.Bag[k] = &BagSnapshot{Row: e.row, Count: e.count}
-	}
+	snap := &ViewStateSnapshot{Groups: map[string]*GroupSnapshot{}}
 	for k, g := range v.groups {
 		gs := &GroupSnapshot{}
 		g.copyTo(gs)
@@ -60,29 +59,23 @@ func fullCopy(v *ViewState) *ViewStateSnapshot {
 // diffSnapshots compares two copies entry for entry and describes the
 // first difference, or returns "".
 func diffSnapshots(got, want *ViewStateSnapshot) string {
-	if len(got.Bag) != len(want.Bag) || len(got.Groups) != len(want.Groups) {
-		return fmt.Sprintf("%d bag entries and %d groups, want %d and %d", len(got.Bag), len(got.Groups), len(want.Bag), len(want.Groups))
-	}
-	for k, w := range want.Bag {
-		g := got.Bag[k]
-		if g == nil || g.Count != w.Count || !g.Row.SameKey(w.Row) {
-			return fmt.Sprintf("bag entry %q: %+v, want %+v", k, g, w)
-		}
+	if len(got.Groups) != len(want.Groups) {
+		return fmt.Sprintf("%d entries, want %d", len(got.Groups), len(want.Groups))
 	}
 	for k, w := range want.Groups {
 		g := got.Groups[k]
 		if g == nil || g.Count != w.Count || !g.Key.SameKey(w.Key) || len(g.Aggs) != len(w.Aggs) {
-			return fmt.Sprintf("group %q: %+v, want %+v", k, g, w)
+			return fmt.Sprintf("entry %q: %+v, want %+v", k, g, w)
 		}
 		for i := range w.Aggs {
 			ga, wa := g.Aggs[i], w.Aggs[i]
 			//lint:ignore floateq the copy must carry the accumulator's very bits
 			if ga.Sum != wa.Sum || len(ga.Multiset) != len(wa.Multiset) {
-				return fmt.Sprintf("group %q aggregate %d: %+v, want %+v", k, i, ga, wa)
+				return fmt.Sprintf("entry %q aggregate %d: %+v, want %+v", k, i, ga, wa)
 			}
 			for j := range wa.Multiset {
 				if ga.Multiset[j].N != wa.Multiset[j].N || storage.Compare(ga.Multiset[j].V, wa.Multiset[j].V) != 0 {
-					return fmt.Sprintf("group %q aggregate %d multiset: %+v, want %+v", k, i, ga.Multiset, wa.Multiset)
+					return fmt.Sprintf("entry %q aggregate %d multiset: %+v, want %+v", k, i, ga.Multiset, wa.Multiset)
 				}
 			}
 		}
@@ -158,32 +151,114 @@ func TestPatchedSnapshotEqualsFullCopy(t *testing.T) {
 	}
 }
 
+// TestSPJFoldsAsGroupByEveryColumn: an SPJ view is GROUP BY on all of its
+// columns with COUNT(*) rendered by expansion. The same signed stream is
+// folded into the SPJ plan and into the plan rewritten that way, and after
+// every fold, checkpoint and restore the SPJ view's Result is the grouped
+// view's with each row repeated COUNT(*) times. Both are charged the same
+// unit folds; only the one with an aggregate is charged aggregate updates.
+func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
+	spj, err := PlanView(`SELECT t.a, t.b FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := PlanView(`SELECT t.a, t.b, COUNT(*) FROM t GROUP BY t.a, t.b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var vStats, gStats storage.Stats
+		v, g := NewViewState(spj, &vStats), NewViewState(grouped, &gStats)
+		check := func(op int, what string) {
+			var want []storage.Row
+			for _, r := range g.Result() {
+				for n := r[2].Int(); n > 0; n-- {
+					want = append(want, r[:2])
+				}
+			}
+			if got := v.Result(); renderBytes(got) != renderBytes(want) {
+				t.Fatalf("seed %d op %d (%s): SPJ view renders\n%v\nthe grouped view expands to\n%v", seed, op, what, got, want)
+			}
+		}
+		var present []storage.Row // one element per unit of folded weight
+		for op := 0; op < 300; op++ {
+			row, w := foldViews[0].row(rng), int64(1+rng.Intn(2))
+			if len(present) > 0 && rng.Intn(5) < 2 {
+				// Retract a present row, sometimes every copy of it at once.
+				row, w = present[rng.Intn(len(present))], 0
+				all := rng.Intn(2) == 0
+				present = slices.DeleteFunc(present, func(r storage.Row) bool {
+					if r.SameKey(row) && (all || w == 0) {
+						w--
+						return true
+					}
+					return false
+				})
+			}
+			for i := int64(0); i < w; i++ {
+				present = append(present, row)
+			}
+			v.AddWeighted(row, w)
+			g.AddWeighted(append(row.Clone(), storage.I(1)), w)
+			check(op, "fold")
+			if rng.Intn(7) > 0 {
+				continue
+			}
+			vSnap, gSnap := v.Checkpoint(), g.Checkpoint()
+			check(op, "checkpoint")
+			if rng.Intn(2) == 0 {
+				v, g = NewViewState(spj, &vStats), NewViewState(grouped, &gStats)
+				if err := errors.Join(v.Restore(vSnap), g.Restore(gSnap)); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				check(op, "restore")
+			}
+		}
+		if vStats.RowsMaterial != gStats.RowsMaterial || vStats.AggUpdates != 0 || gStats.AggUpdates != gStats.RowsMaterial {
+			t.Fatalf("seed %d: SPJ view charged %d folds and %d aggregate updates, grouped view %d and %d",
+				seed, vStats.RowsMaterial, vStats.AggUpdates, gStats.RowsMaterial, gStats.AggUpdates)
+		}
+	}
+}
+
 // TestRestoreRejectsForeignSnapshot: a copy of another view's shape is an
-// error and leaves the state untouched.
+// error and leaves the state untouched — an SPJ view's into an aggregate
+// view and back (the aggregate counts differ), and between an SPJ view and
+// a GROUP BY without aggregates, which only the key width tells apart.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
-	spj, err := PlanView(foldViews[0].query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := PlanView(foldViews[1].query)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shapes := []foldView{foldViews[0], foldViews[1],
+		{"distinct", `SELECT t.g FROM t GROUP BY t.g`, func(r *rand.Rand) storage.Row {
+			return storage.Row{storage.I(int64(r.Intn(3)))}
+		}}}
 	rng := rand.New(rand.NewSource(1))
-	bag, groups := NewViewState(spj, nil), NewViewState(agg, nil)
-	for i := 0; i < 20; i++ {
-		bag.AddWeighted(foldViews[0].row(rng), 1)
-		groups.AddWeighted(foldViews[1].row(rng), 1)
+	states := make([]*ViewState, len(shapes))
+	for i, fv := range shapes {
+		p, err := PlanView(fv.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[i] = NewViewState(p, nil)
+		for n := 0; n < 20; n++ {
+			states[i].AddWeighted(fv.row(rng), 1)
+		}
 	}
-	want := groups.Result()
-	if err := groups.Restore(bag.Checkpoint()); err == nil {
-		t.Fatal("an aggregate view restored an SPJ view's copy")
-	}
-	if err := bag.Restore(groups.Checkpoint()); err == nil {
-		t.Fatal("an SPJ view restored an aggregate view's copy")
-	}
-	if got := groups.Result(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("failed restore changed the state: %v, want %v", got, want)
+	for i, into := range states {
+		want := into.Result()
+		for j, from := range states {
+			if i == j {
+				continue
+			}
+			if err := into.Restore(from.Checkpoint()); err == nil {
+				t.Fatalf("view %s restored view %s's copy", shapes[i].name, shapes[j].name)
+			}
+			if got := into.Result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("failed restore of %s's copy changed %s: %v, want %v", shapes[j].name, shapes[i].name, got, want)
+			}
+		}
+		if err := into.Restore(into.Checkpoint()); err != nil {
+			t.Fatalf("view %s refused its own copy: %v", shapes[i].name, err)
+		}
 	}
 }
 

@@ -146,17 +146,6 @@ func (w *WAL) suffixFrom(lsn uint64) int {
 	return sort.Search(len(w.recs), func(i int) bool { return w.recs[i].LSN > lsn })
 }
 
-// Since returns a copy of every record with LSN > lsn, in order. Replay
-// is the zero-copy variant for recovery-sized suffixes.
-func (w *WAL) Since(lsn uint64) []WALRecord {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := w.suffixFrom(lsn)
-	out := make([]WALRecord, len(w.recs)-i)
-	copy(out, w.recs[i:])
-	return out
-}
-
 // Replay invokes fn on every record with LSN > lsn, in order, without
 // copying the suffix. The suffix slice is captured under the lock and
 // iterated outside it, which is safe because record cells are

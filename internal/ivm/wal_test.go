@@ -9,6 +9,19 @@ import (
 	"abivm/internal/testenv"
 )
 
+// recordsSince collects every record with LSN > lsn through Replay.
+func recordsSince(t *testing.T, w *WAL, lsn uint64) []WALRecord {
+	t.Helper()
+	var out []WALRecord
+	if err := w.Replay(lsn, func(rec WALRecord) error {
+		out = append(out, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestWALAppendSinceTruncate(t *testing.T) {
 	w := NewWAL()
 	if got := w.LastLSN(); got != 0 {
@@ -26,11 +39,11 @@ func TestWALAppendSinceTruncate(t *testing.T) {
 	if got := w.LastLSN(); got != 5 {
 		t.Fatalf("LastLSN = %d", got)
 	}
-	since := w.Since(2)
+	since := recordsSince(t, w, 2)
 	if len(since) != 3 || since[0].LSN != 3 || since[2].LSN != 5 {
 		t.Fatalf("Since(2) = %+v", since)
 	}
-	if got := w.Since(99); len(got) != 0 {
+	if got := recordsSince(t, w, 99); len(got) != 0 {
 		t.Fatalf("Since(99) = %+v", got)
 	}
 
@@ -46,7 +59,7 @@ func TestWALAppendSinceTruncate(t *testing.T) {
 	if lsn != 6 {
 		t.Fatalf("post-truncate lsn = %d, want 6", lsn)
 	}
-	got := w.Since(0)
+	got := recordsSince(t, w, 0)
 	if len(got) != 3 || got[0].LSN != 4 || got[2].LSN != 6 {
 		t.Fatalf("Since(0) after truncate = %+v", got)
 	}
@@ -128,7 +141,7 @@ func TestWALTruncateAllReleasesLog(t *testing.T) {
 	if lsn != 5 {
 		t.Fatalf("lsn = %d, want 5", lsn)
 	}
-	if got := w.Since(0); len(got) != 1 || got[0].LSN != 5 {
+	if got := recordsSince(t, w, 0); len(got) != 1 || got[0].LSN != 5 {
 		t.Fatalf("Since(0) = %+v", got)
 	}
 }

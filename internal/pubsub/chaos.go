@@ -220,14 +220,13 @@ type chaosResult struct {
 const chaosSampleEvery = 10
 
 // chaosRun executes the scripted workload against a fresh runtime built
-// from cfg, checkpointing every cpEvery steps into chains of the given
-// depth. The retry jitter is seeded like the workload, so the backoff
-// sequence is part of the reproducible execution. A runtime that has
-// Quiesce (the sharded one) is quiesced every chaosSampleEvery steps and
+// from cfg, checkpointing every cpEvery steps. The retry jitter is seeded
+// like the workload, so the backoff sequence is part of the reproducible
+// execution. A runtime that has Quiesce (the sharded one) is quiesced every chaosSampleEvery steps and
 // each subscription's cost and pending vector sampled into the
 // transcript — unquiesced, the read would race the shard workers
 // mid-drain.
-func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery, depth int) (res chaosResult, err error) {
+func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosResult, err error) {
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		return res, err
@@ -235,7 +234,6 @@ func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery, depth int) (res
 	defer rt.Close()
 	rt.setSleep(func(time.Duration) {})
 	rt.SetCheckpointEvery(cpEvery)
-	rt.SetCheckpointChainDepth(depth)
 	subs := rt.Subscriptions()
 	quiescer, _ := rt.(interface{ Quiesce() error })
 	var out strings.Builder
@@ -308,7 +306,8 @@ const (
 )
 
 // chaosVariant is one row of the comparison table: a recovery
-// configuration, whether the config selects it, and its rule.
+// configuration (depth as in RuntimeConfig.ChainDepth), whether the
+// config selects it, and its rule.
 type chaosVariant struct {
 	on      bool
 	name    string
@@ -354,20 +353,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	script := chaosScript(cfg.Seed, cfg.Steps, p.Spec)
 
 	// Fault-free output cannot depend on checkpoint layout: one baseline.
-	base, err := chaosRun(script, p, cfg.CheckpointEvery, depth)
+	p.ChainDepth = depth
+	base, err := chaosRun(script, p, cfg.CheckpointEvery)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
 	}
 	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true,
 		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	// Serial: full checkpoints (depth 0) and a delta chain; sharded: one
+	// Serial: full checkpoints (no chain) and a delta chain; sharded: one
 	// combined row. The ChaosConfig fields that select the optional rows
 	// say what each proves.
 	var medias []*fault.Media
 	disk := chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, opener: cfg.diskOpener("disk", nil, nil), faulted: true}
 	for _, v := range []chaosVariant{
-		{on: !sharded, name: "full", faulted: true},
+		{on: !sharded, name: "full", depth: -1, faulted: true},
 		{on: !sharded, name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
 		{on: sharded, name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true},
 		{on: !sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
@@ -385,7 +385,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// the runtime calls the factory sequentially, before any faulted
 		// work, so the append does not race the workers.
 		var injs []*fault.Seeded
-		p.Opener, p.Shared, p.Injectors = v.opener, v.shared, nil
+		p.Opener, p.Shared, p.ChainDepth, p.Injectors = v.opener, v.shared, v.depth, nil
 		if v.faulted {
 			seeded := SeededShardInjectors(cfg.Seed, cfg.Rates)
 			p.Injectors = func(shard int) fault.Injector {
@@ -394,7 +394,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				return inj
 			}
 		}
-		got, err := chaosRun(script, p, cfg.CheckpointEvery, v.depth)
+		got, err := chaosRun(script, p, cfg.CheckpointEvery)
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d: %s run: %w", cfg.Seed, v.name, err)
 		}

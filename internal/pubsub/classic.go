@@ -65,9 +65,7 @@ func (e *classicEngine) Arrive(mod ivm.Mod) error { return e.ApplyDeferred(mod) 
 
 // Checkpoint extends the chain — a small delta segment in the steady
 // state, a full base when the chain is at depth and rolls over.
-func (e *classicEngine) Checkpoint(depth int) error {
-	e.depth = depth
-	e.chain.SetMaxDepth(depth)
+func (e *classicEngine) Checkpoint() error {
 	if err := e.chain.Checkpoint(e.Maintainer); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

@@ -40,9 +40,8 @@ type viewEngine interface {
 	Result() []storage.Row
 
 	// Checkpoint advances the recovery point to the current state and
-	// truncates the WAL prefix it covers. depth is the broker's
-	// checkpoint-chain depth, for engines that keep a chain.
-	Checkpoint(depth int) error
+	// truncates the WAL prefix it covers.
+	Checkpoint() error
 	// Recover drops the in-memory state and rebuilds it from the recovery
 	// point plus the WAL. fallback reports that the durable artifacts were
 	// too damaged for an exact redo and the view was recomputed from the

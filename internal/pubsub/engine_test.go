@@ -185,7 +185,7 @@ func TestViewEngineContract(t *testing.T) {
 
 			// A checkpoint truncates the WAL prefix it covers, and the
 			// barrier has nothing left to refuse.
-			if err := e.Checkpoint(2); err != nil {
+			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			if e.WALLen() != 0 {

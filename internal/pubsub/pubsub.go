@@ -84,22 +84,6 @@ type Subscription struct {
 	Policy policy.Policy
 }
 
-// CompiledSubscription is anything that can provision a complete
-// subscription — typically a view compiled by the SQL→IVM compiler
-// front end (internal/viewc), which derives the delta plan, calibrates
-// the cost model, and packages the result. The interface lives here so
-// the compiler can depend on pubsub without pubsub depending back on the
-// compiler.
-type CompiledSubscription interface {
-	Subscription() Subscription
-}
-
-// SubscribeCompiled registers a compiled view's subscription — identical
-// to Subscribe(cv.Subscription()).
-func (b *Broker) SubscribeCompiled(cv CompiledSubscription) error {
-	return b.Subscribe(cv.Subscription())
-}
-
 // sub is the broker-side state of one subscription: the scheduling,
 // QoS and notification state that is the same whichever engine
 // maintains the view.
@@ -162,8 +146,6 @@ type Broker struct {
 	// later subscriptions compile into (see SetSharedDataflow); nil
 	// selects the classic one-maintainer-per-view runtime.
 	shared *dataflow.Graph
-	// trimWM is trimShared's watermark map, reused across checkpoints.
-	trimWM map[string]uint64
 
 	// pendPool recycles the scratch vectors behind the shared-lock read
 	// paths (backlogCost, HealthInto); pooling instead of a single broker
@@ -238,22 +220,6 @@ func (b *Broker) SetCheckpointEvery(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.cpEvery = n
-}
-
-// SetCheckpointChainDepth sets how many incremental delta segments a
-// subscription's checkpoint chain accumulates before rolling over to a
-// fresh full base. 0 writes a full base on every checkpoint — the
-// pre-chain full-checkpoint behavior — and n < 0 selects
-// ivm.DefaultChainDepth.
-// Applies to current and future subscriptions, from their next
-// checkpoint on.
-func (b *Broker) SetCheckpointChainDepth(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n < 0 {
-		n = ivm.DefaultChainDepth
-	}
-	b.chainDepth = n
 }
 
 // SetStoreOpener installs a durable-store opener: every subscription
@@ -360,7 +326,9 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 	return newSharedEngine(b.shared, p, ns)
 }
 
-// Unsubscribe removes a subscription and closes its engine.
+// Unsubscribe removes a subscription, closes its engine and zeroes its
+// gauges: the registry keeps a series for good, and a view that is gone
+// must not go on reading as backlogged or degraded.
 func (b *Broker) Unsubscribe(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -369,6 +337,9 @@ func (b *Broker) Unsubscribe(name string) error {
 			continue
 		}
 		s.eng.Close()
+		if s.obs != nil {
+			s.obs.zeroGauges()
+		}
 		b.subs = append(b.subs[:i], b.subs[i+1:]...)
 		return nil
 	}
@@ -695,7 +666,7 @@ func (b *Broker) checkpointDue() error {
 				return err
 			}
 		}
-		if err := s.eng.Checkpoint(b.chainDepth); err != nil {
+		if err := s.eng.Checkpoint(); err != nil {
 			return fmt.Errorf("pubsub: %s: %w", s.cfg.Name, err)
 		}
 	}
@@ -703,7 +674,7 @@ func (b *Broker) checkpointDue() error {
 	// below the cross-view watermark can never be read at its own
 	// coordinates again — consolidate it.
 	if b.shared != nil {
-		b.trimShared()
+		b.shared.Trim()
 	}
 	return nil
 }

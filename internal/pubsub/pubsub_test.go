@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -357,5 +358,72 @@ func TestDefaultPolicyReportsDecisions(t *testing.T) {
 	run(script[40:])
 	if got := series("policy_decisions_total").Value; got != decisions {
 		t.Fatalf("detached policy still reported: %v decisions, was %v", got, decisions)
+	}
+}
+
+// TestUnsubscribeZeroesGauges: a subscription's pubsub_sub_* gauges go to
+// zero when it leaves — the registry keeps the series, and the last
+// backlog, staleness or degraded flag of a view that no longer exists must
+// not read as current — while a remaining subscription's keep counting.
+func TestUnsubscribeZeroesGauges(t *testing.T) {
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	reg := obs.NewRegistry()
+	b.SetObs(reg, nil)
+	b.SetCheckpointEvery(0)
+	model, err := chaosModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range sharedViewQueries(2) {
+		sc := Subscription{Name: fmt.Sprintf("v%d", i), Query: q, Condition: Every(60), Model: model, QoS: chaosQoS}
+		if err := b.Subscribe(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step, evs := range chaosScript(13, 20, DefaultWorkloadSpec()) {
+		for _, ev := range evs {
+			if err := b.Publish(ev.table, ev.mod); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		if _, err := b.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	// Mark v0 degraded the way a spent retry budget does, and mirror it.
+	b.subs[0].degraded = true
+	b.obs.syncSub(b, b.subs[0])
+	gauges := func(sub string) map[string]float64 {
+		out := map[string]float64{}
+		for _, m := range reg.Snapshot() {
+			if name, ok := strings.CutSuffix(m.Key(), `{sub="`+sub+`"}`); ok && !strings.HasSuffix(name, "_total") {
+				out[name] = m.Value
+			}
+		}
+		return out
+	}
+	before, other := gauges("v0"), gauges("v1")
+	for _, name := range []string{"pubsub_sub_steps_behind", "pubsub_sub_pending_mods", "pubsub_sub_degraded", "pubsub_sub_wal_records"} {
+		if before[name] == 0 {
+			t.Fatalf("%s is zero before the unsubscribe, nothing to freeze: %v", name, before)
+		}
+	}
+	if len(before) != 5 {
+		t.Fatalf("v0 exports %d gauges, want 5: %v", len(before), before)
+	}
+	if err := b.Unsubscribe("v0"); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range gauges("v0") {
+		if v != 0 {
+			t.Errorf("%s still reads %v after the unsubscribe", name, v)
+		}
+	}
+	if got := gauges("v1"); !reflect.DeepEqual(got, other) {
+		t.Fatalf("unsubscribing v0 moved v1's gauges: %v, were %v", got, other)
 	}
 }

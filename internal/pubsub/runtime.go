@@ -16,7 +16,6 @@ import (
 // broker, engine or durability tier it holds.
 type Runtime interface {
 	Subscribe(Subscription) error
-	SubscribeCompiled(CompiledSubscription) error
 	Publish(table string, mod ivm.Mod) error
 	EndStep() ([]Notification, error)
 	Close()
@@ -30,7 +29,6 @@ type Runtime interface {
 	SetObs(reg *obs.Registry, tr *obs.Tracer)
 	SetRetrySeed(seed int64)
 	SetCheckpointEvery(n int)
-	SetCheckpointChainDepth(n int)
 	SetStoreOpener(open durable.Opener)
 	SetSharedDataflow(on bool) error
 
@@ -57,6 +55,12 @@ type RuntimeConfig struct {
 	// Opener, when set, backs every subscription with a durable store
 	// under its namespace. Not available with Shared.
 	Opener durable.Opener
+	// ChainDepth is how many incremental delta segments a per-view
+	// maintainer's checkpoint chain accumulates before rolling over to a
+	// fresh full base, fixed for the runtime's life. 0 selects
+	// ivm.DefaultChainDepth; a negative depth keeps no chain — every
+	// checkpoint writes a full base.
+	ChainDepth int
 	// Injectors builds shard i's fault injector (see SetInjectors); the
 	// serial broker takes shard 0's. Nil runs fault-free.
 	Injectors func(shard int) fault.Injector
@@ -73,13 +77,22 @@ func NewRuntime(cfg RuntimeConfig) (Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
+	depth := cfg.ChainDepth
+	switch {
+	case depth == 0:
+		depth = ivm.DefaultChainDepth
+	case depth < 0:
+		depth = 0
+	}
 	var rt Runtime
 	if cfg.Shards > 0 {
 		sb := NewShardedBroker(db, ShardOptions{Shards: cfg.Shards})
+		sb.each(func(_ int, b *Broker) { b.chainDepth = depth })
 		sb.SetInjectors(cfg.Injectors)
 		rt = sb
 	} else {
 		b := NewBroker(db)
+		b.chainDepth = depth
 		if cfg.Injectors != nil {
 			b.SetInjector(cfg.Injectors(0))
 		}

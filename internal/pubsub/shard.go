@@ -421,12 +421,6 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	return nil
 }
 
-// SubscribeCompiled registers a compiled view's subscription —
-// identical to Subscribe(cv.Subscription()).
-func (sb *ShardedBroker) SubscribeCompiled(cv CompiledSubscription) error {
-	return sb.Subscribe(cv.Subscription())
-}
-
 // quiesceShard drains one shard's queue through its worker. Caller holds
 // sb.mu.
 func (sb *ShardedBroker) quiesceShard(sh *shard) error {
@@ -715,12 +709,6 @@ func (sb *ShardedBroker) SetRetrySeed(seed int64) {
 // SetCheckpointEvery sets every shard's checkpoint cadence in steps.
 func (sb *ShardedBroker) SetCheckpointEvery(n int) {
 	sb.each(func(_ int, b *Broker) { b.SetCheckpointEvery(n) })
-}
-
-// SetCheckpointChainDepth sets every shard's checkpoint-chain rollover
-// trigger (see Broker.SetCheckpointChainDepth).
-func (sb *ShardedBroker) SetCheckpointChainDepth(n int) {
-	sb.each(func(_ int, b *Broker) { b.SetCheckpointChainDepth(n) })
 }
 
 // setSleep replaces every shard's backoff sleeper (tests use a no-op).

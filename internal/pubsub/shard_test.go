@@ -116,8 +116,8 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		res, err := chaosRun(script, RuntimeConfig{Seed: seed, Shards: shards, Spec: spec,
-			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}, 5, 3)
+		res, err := chaosRun(script, RuntimeConfig{Seed: seed, Shards: shards, Spec: spec, ChainDepth: 3,
+			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

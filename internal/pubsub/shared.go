@@ -44,7 +44,7 @@ func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEng
 // the table's ingest log, where the sink's cursor will find it.
 func (e *sharedEngine) Arrive(ivm.Mod) error { return nil }
 
-func (e *sharedEngine) Checkpoint(int) error {
+func (e *sharedEngine) Checkpoint() error {
 	if err := e.ViewHandle.Checkpoint(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -122,35 +122,4 @@ func (b *Broker) dataflowStats() dataflow.GraphStats {
 		return dataflow.GraphStats{}
 	}
 	return b.shared.Stats()
-}
-
-// trimShared garbage-collects the shared graph's join state below the
-// durability watermark: for every table, the minimum checkpoint-covered
-// cursor across the subscriptions reading it. No recovery will ever
-// put a cursor below it again.
-func (b *Broker) trimShared() {
-	if b.trimWM == nil {
-		b.trimWM = make(map[string]uint64)
-	}
-	wm := b.trimWM
-	clear(wm)
-	for _, s := range b.subs {
-		e, ok := s.eng.(*sharedEngine)
-		if !ok {
-			continue
-		}
-		dc := e.DurableCursors()
-		// Iterate via the alias list, not the cursor map, so the fold
-		// order is deterministic.
-		for _, alias := range e.Aliases() {
-			t := e.TableOf(alias)
-			c := dc[t]
-			if cur, seen := wm[t]; !seen || c < cur {
-				wm[t] = c
-			}
-		}
-	}
-	if len(wm) > 0 {
-		b.shared.Trim(wm)
-	}
 }

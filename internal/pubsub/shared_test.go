@@ -296,7 +296,7 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
 		p := RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shared: true,
 			Injectors: func(int) fault.Injector { return inj }}
-		if _, err := chaosRun(script, p, 5, 2); err != nil {
+		if _, err := chaosRun(script, p, 5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for site, n := range inj.Fired() {
@@ -449,8 +449,8 @@ func TestSharedArrivalWritesNoRecord(t *testing.T) {
 		}
 	}
 	for _, s := range b.subs {
-		if recs := s.eng.(*sharedEngine).WAL().Since(0); len(recs) != 0 {
-			t.Fatalf("%s retains %d records: %+v", s.cfg.Name, len(recs), recs[0])
+		if n := s.eng.(*sharedEngine).WAL().Len(); n != 0 {
+			t.Fatalf("%s retains %d records", s.cfg.Name, n)
 		}
 	}
 	// Step 5 fires every view's condition (Every(5)): each refreshes.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCompiledMatchesHandWired is the acceptance property for the serve
-// -catalog path: a broker fed compiled subscriptions (SubscribeCompiled)
+// -catalog path: a broker fed compiled subscriptions (CompiledView.Subscription)
 // produces step results byte-identical to a broker whose subscriptions
 // were hand-wired from the same parts via plain Subscribe, over the same
 // deterministic event stream. The two brokers share nothing — separate
@@ -48,7 +48,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 
 	compiled := run(func(b pubsub.Runtime, views []*CompiledView) error {
 		for _, cv := range views {
-			if err := b.SubscribeCompiled(cv); err != nil {
+			if err := b.Subscribe(cv.Subscription()); err != nil {
 				return err
 			}
 		}
@@ -78,7 +78,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 	}
 }
 
-// TestCompiledOnShardedBroker: SubscribeCompiled works on the sharded
+// TestCompiledOnShardedBroker: a compiled subscription works on the sharded
 // runtime too.
 func TestCompiledOnShardedBroker(t *testing.T) {
 	spec := pubsub.ScaledWorkloadSpec(4)
@@ -93,7 +93,7 @@ func TestCompiledOnShardedBroker(t *testing.T) {
 	sb := pubsub.NewShardedBroker(db, pubsub.ShardOptions{Shards: 2})
 	defer sb.Close()
 	for _, cv := range views {
-		if err := sb.SubscribeCompiled(cv); err != nil {
+		if err := sb.Subscribe(cv.Subscription()); err != nil {
 			t.Fatalf("%s: %v", cv.Name, err)
 		}
 	}

@@ -105,8 +105,7 @@ type Calibration struct {
 func (c Calibration) FuncString() string { return describeFunc(c.Func) }
 
 // CompiledView is a fully provisioned view: delta plan, calibrated cost
-// model, and QoS parameters, ready to subscribe (it implements
-// pubsub.CompiledSubscription).
+// model, and QoS parameters, ready to subscribe (Subscription).
 type CompiledView struct {
 	Name         string
 	QoS          float64

@@ -52,8 +52,8 @@ func TestCompileCatalogEndToEnd(t *testing.T) {
 		}
 		// The compiled subscription must be accepted by a broker as-is.
 		b := pubsub.NewBroker(demoDB(t))
-		if err := b.SubscribeCompiled(cv); err != nil {
-			t.Errorf("%s: SubscribeCompiled: %v", cv.Name, err)
+		if err := b.Subscribe(cv.Subscription()); err != nil {
+			t.Errorf("%s: Subscribe: %v", cv.Name, err)
 		}
 	}
 	if views[2].QoS != 40 || !views[2].Plan.Aggregate {

@@ -3,7 +3,7 @@
 # abivmlint analyzers, zero live findings), race-enabled tests, the
 # allocation-count tests without the race detector, the committed
 # RESULTS.txt against the engine's output, and the nested benchmark
-# module.
+# module; its last line is the tracked line count (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the
@@ -50,3 +50,6 @@ echo "==> benchmark module (vet, tests, quick run)"
 bash benchmark/run.sh -quick
 
 echo "OK"
+# Informational, never a failure: the size ROADMAP item 3 tracks, so every
+# PR's record of this gate carries it.
+sh scripts/loc.sh
