@@ -9,17 +9,15 @@ import (
 	"abivm/internal/testenv"
 )
 
-// The shared-lock read paths — HealthInto for pollers, backlogCost for
-// the sharded barrier's admission control — run on every scrape and
-// every barrier, concurrent with the step loop. They are written to be
-// allocation-free in steady state (pooled or caller-supplied scratch);
-// these tests pin that property so a refactor that quietly reintroduces
-// a per-call allocation fails loudly instead of showing up as GC
-// pressure under load.
+// The shared-lock read path HealthInto runs on every scrape, concurrent
+// with the step loop. It is written to be allocation-free in steady state
+// (caller-supplied scratch); this test pins that property so a refactor
+// that quietly reintroduces a per-call allocation fails loudly instead of
+// showing up as GC pressure under load.
 
 // steppedBroker returns a demo broker advanced through enough faulted
 // steps that subscriptions have pending deltas, WAL records, and (for
-// some seeds) degradations — so the read paths exercise real state, not
+// some seeds) degradations — so the read path exercises real state, not
 // empty vectors.
 func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 	t.Helper()
@@ -54,17 +52,6 @@ func TestHealthIntoAllocFree(t *testing.T) {
 	}
 }
 
-func TestBacklogCostAllocFree(t *testing.T) {
-	testenv.NeedsAllocCounts(t)
-	b := steppedBroker(t, 11, 20)
-	// First call populates pendPool with a right-sized scratch vector.
-	b.backlogCost()
-	allocs := testing.AllocsPerRun(200, func() { b.backlogCost() })
-	if allocs != 0 {
-		t.Errorf("backlogCost with pooled scratch: %v allocs/op, want 0", allocs)
-	}
-}
-
 func BenchmarkHealthInto(b *testing.B) {
 	br := steppedBroker(b, 11, 20)
 	var h Health
@@ -77,16 +64,6 @@ func BenchmarkHealthInto(b *testing.B) {
 		if err := br.HealthInto("east", &h); err != nil {
 			b.Fatalf("HealthInto: %v", err)
 		}
-	}
-}
-
-func BenchmarkBacklogCost(b *testing.B) {
-	br := steppedBroker(b, 11, 20)
-	br.backlogCost()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br.backlogCost()
 	}
 }
 

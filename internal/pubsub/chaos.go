@@ -39,9 +39,10 @@ type ChaosConfig struct {
 	CheckpointEvery int
 	// Shards selects the runtime: 0 runs the serial broker on the legacy
 	// east/west workload; n >= 1 runs the sharded runtime with n shards
-	// on a widened workload (2n regions), per-shard fault injectors, and
-	// quiesced mid-run cost/health sampling folded into the transcripts
-	// (so the comparison proves those schedule-independent too).
+	// on a widened workload (2n regions) with per-shard fault injectors.
+	// Either way mid-step cost/health samples are folded into the
+	// transcripts (so the comparison proves those schedule-independent
+	// too).
 	Shards int
 	// ChainDepth is the checkpoint-chain depth of the incremental
 	// recovery variants; <= 0 derives it from the seed (1..4), so the
@@ -216,16 +217,16 @@ type chaosResult struct {
 	stats    durable.Stats
 }
 
-// chaosSampleEvery is the step cadence of the quiesced mid-run samples.
+// chaosSampleEvery is the step cadence of the mid-step samples.
 const chaosSampleEvery = 10
 
 // chaosRun executes the scripted workload against a fresh runtime built
 // from cfg, checkpointing every cpEvery steps. The retry jitter is seeded
 // like the workload, so the backoff sequence is part of the reproducible
-// execution. A runtime that has Quiesce (the sharded one) is quiesced every chaosSampleEvery steps and
-// each subscription's cost and pending vector sampled into the
-// transcript — unquiesced, the read would race the shard workers
-// mid-drain.
+// execution. Every chaosSampleEvery steps, after the step's publishes and
+// before its EndStep, each subscription's cost and pending vector are
+// sampled into the transcript — the sharded Health routes the owning
+// shard's buffer first, so the sample is the serial broker's.
 func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosResult, err error) {
 	rt, err := NewRuntime(cfg)
 	if err != nil {
@@ -235,7 +236,6 @@ func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosR
 	rt.setSleep(func(time.Duration) {})
 	rt.SetCheckpointEvery(cpEvery)
 	subs := rt.Subscriptions()
-	quiescer, _ := rt.(interface{ Quiesce() error })
 	var out strings.Builder
 	for t, evs := range script {
 		for _, ev := range evs {
@@ -243,10 +243,7 @@ func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosR
 				return res, fmt.Errorf("step %d: publish %s: %w", t, ev.table, err)
 			}
 		}
-		if quiescer != nil && (t+1)%chaosSampleEvery == 0 {
-			if err := quiescer.Quiesce(); err != nil {
-				return res, fmt.Errorf("step %d: quiesce: %w", t, err)
-			}
+		if (t+1)%chaosSampleEvery == 0 {
 			for _, name := range subs {
 				cost, cerr := rt.TotalCost(name)
 				h, herr := rt.Health(name)
@@ -383,7 +380,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		rep.Variants = append(rep.Variants, v.name)
 		// Track the injectors handed out, to sum fault counts over shards;
 		// the runtime calls the factory sequentially, before any faulted
-		// work, so the append does not race the workers.
+		// work, so the append does not race the shards' steps.
 		var injs []*fault.Seeded
 		p.Opener, p.Shared, p.ChainDepth, p.Injectors = v.opener, v.shared, v.depth, nil
 		if v.faulted {

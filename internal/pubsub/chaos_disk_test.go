@@ -93,7 +93,7 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 // TestChaosDiskShardedSmoke exercises the disk variants on the sharded
 // runtime: clean disk must stay identical, media damage must stay
 // identical-or-loud, and the per-namespace media seeding keeps the
-// outcome independent of worker scheduling.
+// outcome independent of goroutine scheduling.
 func TestChaosDiskShardedSmoke(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, Shards: 2, Disk: true, DiskFaults: true})

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -157,5 +158,51 @@ func TestEndStepAfterFailedStepLeavesStateUnchanged(t *testing.T) {
 	}
 	if rowsText(got[0].Rows) != rowsText(check.Result()) {
 		t.Errorf("post-recovery notification %v, ground truth %v", got[0].Rows, check.Result())
+	}
+}
+
+// TestSubscribeRejectsInvalidQoS: a negative or NaN QoS bound can never be
+// met — the policy answers with no action — so Subscribe refuses it,
+// naming the subscription, instead of letting the first EndStep fail
+// every subscription's step. QoS 0, refresh every step, stays valid.
+func TestSubscribeRejectsInvalidQoS(t *testing.T) {
+	b := NewBroker(salesDB(t))
+	for _, qos := range []float64{-1, math.NaN()} {
+		err := b.Subscribe(Subscription{Name: "bad", Query: eastQuery, Condition: Every(5), Model: model2(t), QoS: qos})
+		if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "QoS") {
+			t.Errorf("QoS %v: err = %v, want an error naming the subscription and its QoS", qos, err)
+		}
+	}
+	if err := b.Subscribe(Subscription{Name: "east", Query: eastQuery, Condition: Every(1), Model: model2(t), QoS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		if err := b.Publish("sales", ivm.Insert("", storage.Row{storage.I(400 + i), storage.I(0), storage.F(1)})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		h, err := b.Health("east")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !core.Vector(h.Pending).IsZero() {
+			t.Fatalf("step %d: QoS 0 left %v pending", i, h.Pending)
+		}
+	}
+}
+
+// TestShortPolicyActionIsAnError: an action of the wrong length is out of
+// range like any other malformed action — an error, not a panic.
+func TestShortPolicyActionIsAnError(t *testing.T) {
+	b := NewBroker(salesDB(t))
+	if err := b.Subscribe(Subscription{
+		Name: "east", Query: eastQuery, Condition: Every(3), Model: model2(t), QoS: 30, Policy: &rogue{act: core.Vector{0}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.EndStep(); err == nil || !strings.Contains(err.Error(), "out-of-range") {
+		t.Fatalf("EndStep with a one-entry action on a two-table view: err = %v", err)
 	}
 }

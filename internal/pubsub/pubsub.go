@@ -106,9 +106,8 @@ type sub struct {
 
 	// pendBuf is the scratch slice behind Broker.pending: reused across
 	// steps so polling the state vector allocates nothing. Only the
-	// exclusive-lock step path may touch it; shared-lock readers
-	// (backlogCost, HealthInto) use the broker's pendPool or caller
-	// scratch instead.
+	// exclusive-lock step path may touch it; the shared-lock reader
+	// HealthInto uses caller scratch instead.
 	pendBuf []int
 
 	// obs holds the subscription's labeled metric series; nil until the
@@ -146,11 +145,6 @@ type Broker struct {
 	// later subscriptions compile into (see SetSharedDataflow); nil
 	// selects the classic one-maintainer-per-view runtime.
 	shared *dataflow.Graph
-
-	// pendPool recycles the scratch vectors behind the shared-lock read
-	// paths (backlogCost, HealthInto); pooling instead of a single broker
-	// field because concurrent readers each need their own scratch.
-	pendPool sync.Pool
 
 	// Sharded-runtime identity, set by ShardedBroker before any
 	// subscription exists: ns prefixes the durability namespace of every
@@ -268,6 +262,11 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	if cfg.Model == nil {
 		return fmt.Errorf("pubsub: subscription %q needs a cost model", cfg.Name)
 	}
+	// Written to reject NaN too: no refresh cost is within a NaN or
+	// negative bound, and the policy would answer with no action at all.
+	if !(cfg.QoS >= 0) {
+		return fmt.Errorf("pubsub: subscription %q: QoS %v is not a non-negative bound", cfg.Name, cfg.QoS)
+	}
 	for _, existing := range b.subs {
 		if existing.cfg.Name == cfg.Name {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
@@ -362,15 +361,20 @@ func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	return b.route(table, mod)
 }
 
-// routeDeferred is the shard-worker half of the sharded broker's ingest
-// path: the ShardedBroker has applied the live change exactly once on
-// the publisher side, and each shard routes its own copy here WITHOUT
+// routeDeferred is the shard half of the sharded broker's publish path:
+// the ShardedBroker applied each live change exactly once at Publish, and
+// the shard routes its buffered copies here, in publish order, WITHOUT
 // touching the live base tables.
-func (b *Broker) routeDeferred(table string, mod ivm.Mod) error {
+func (b *Broker) routeDeferred(buf []ingest) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.obs.observePublish()
-	return b.route(table, mod)
+	for _, in := range buf {
+		b.obs.observePublish()
+		if err := b.route(in.table, in.mod); err != nil {
+			return fmt.Errorf("deferred publish on %q: %w", in.table, err)
+		}
+	}
+	return nil
 }
 
 // route hands one modification, already applied to the live table, to
@@ -419,33 +423,12 @@ func (b *Broker) watchesTable(table string) bool {
 	return b.watches(table)
 }
 
-// backlogCost returns the summed model cost of fully refreshing every
-// subscription — the shard-level Σ_i f(s_i) that the sharded broker's
-// admission control compares against its headroom bound. It runs on the
-// shared lock once per barrier per shard, so the pending vector goes
-// through pooled scratch instead of a fresh allocation.
-func (b *Broker) backlogCost() float64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	buf, _ := b.pendPool.Get().(*[]int)
-	if buf == nil {
-		buf = new([]int)
-	}
-	total := 0.0
-	for _, s := range b.subs {
-		*buf = s.eng.PendingInto(*buf)
-		total += s.cfg.Model.Total(core.Vector(*buf))
-	}
-	b.pendPool.Put(buf)
-	return total
-}
-
 // pending returns s's state vector through the subscription's reusable
 // scratch slice — the allocation-free variant of Pending() for the
 // step loop, which polls the vector several times per subscription per
 // step. The returned vector is valid until the next pending call for
 // the same subscription. Callers must hold b.mu exclusively; the
-// shared-lock readers (backlogCost, Health) allocate instead.
+// shared-lock reader HealthInto uses caller scratch instead.
 func (b *Broker) pending(s *sub) core.Vector {
 	s.pendBuf = s.eng.PendingInto(s.pendBuf)
 	return core.Vector(s.pendBuf)
@@ -528,7 +511,7 @@ func (b *Broker) EndStep() ([]Notification, error) {
 		}
 		pending := b.pending(s)
 		act := s.pol.Act(b.step, s.stepMods.Clone(), pending.Clone(), false)
-		if !act.NonNegative() || !act.DominatedBy(pending) {
+		if len(act) != len(pending) || !act.NonNegative() || !act.DominatedBy(pending) {
 			sp.End()
 			return nil, fmt.Errorf("pubsub: %s: policy returned out-of-range action %v", s.cfg.Name, act)
 		}

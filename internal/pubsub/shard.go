@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -15,161 +14,52 @@ import (
 	"abivm/internal/storage"
 )
 
-// Default sizing for the sharded ingest path.
-const (
-	// DefaultShardQueueCap bounds how many modifications one shard admits
-	// between step barriers.
-	DefaultShardQueueCap = 1024
-	// DefaultIngestBatch is how many queued modifications a shard worker
-	// drains per wakeup.
-	DefaultIngestBatch = 32
-)
-
-// RejectReason says which admission bound a rejected publish hit.
-type RejectReason int
-
-const (
-	// RejectQueueFull: the shard already admitted QueueCap modifications
-	// since the last step barrier.
-	RejectQueueFull RejectReason = iota
-	// RejectBacklog: the shard's end-of-step refresh cost Σ_i f(s_i)
-	// exceeded MaxBacklogCost, so it takes no new work until a step
-	// drains it back under the bound.
-	RejectBacklog
-)
-
-// String names the reason for logs and metric labels.
-func (r RejectReason) String() string {
-	switch r {
-	case RejectQueueFull:
-		return "queue_full"
-	case RejectBacklog:
-		return "backlog"
-	}
-	return "unknown"
-}
-
-// RejectionError is the typed error returned by ShardedBroker.Publish
-// when admission control turns a modification away. The base tables are
-// untouched and no shard received the modification — a rejected publish
-// is all-or-nothing, so the caller can retry it after the next step.
-type RejectionError struct {
-	Shard  int
-	Table  string
-	Reason RejectReason
-	// Admitted is the shard's admission count this step (queue_full).
-	Admitted int
-	// Cost is the shard's end-of-step backlog cost (backlog).
-	Cost float64
-	// Limit is the bound that was exceeded: QueueCap or MaxBacklogCost.
-	Limit float64
-}
-
-func (e *RejectionError) Error() string {
-	switch e.Reason {
-	case RejectQueueFull:
-		return fmt.Sprintf("pubsub: shard %d rejected publish on %q: queue full (%d admitted this step, cap %g)",
-			e.Shard, e.Table, e.Admitted, e.Limit)
-	case RejectBacklog:
-		return fmt.Sprintf("pubsub: shard %d rejected publish on %q: backlog cost %.4g over limit %.4g",
-			e.Shard, e.Table, e.Cost, e.Limit)
-	}
-	return fmt.Sprintf("pubsub: shard %d rejected publish on %q", e.Shard, e.Table)
-}
-
 // ShardOptions configures a ShardedBroker. The zero value means one
-// shard with default queue sizing and no backlog bound.
+// shard.
 type ShardOptions struct {
-	// Shards is the number of worker-owned partitions; <= 0 means 1.
+	// Shards is the number of partitions; <= 0 means 1.
 	Shards int
-	// QueueCap bounds the modifications one shard admits between step
-	// barriers; <= 0 selects DefaultShardQueueCap. The bound is checked
-	// against a per-step admission counter, not the instantaneous queue
-	// depth, so whether a publish is rejected depends only on the publish
-	// sequence — never on worker timing.
-	QueueCap int
-	// MaxBacklogCost, when > 0, rejects publishes to a shard whose
-	// refresh cost Σ_i f(s_i) measured at the last step barrier exceeds
-	// the bound. The stale sample keeps admission deterministic.
-	MaxBacklogCost float64
 }
 
-// ingest is one queued modification awaiting deferred routing on a shard.
+// ingest is one published modification awaiting routing on a shard.
 type ingest struct {
 	table string
 	mod   ivm.Mod
 }
 
-// shardCmd is the barrier message a shard worker executes in-loop: drain
-// the queue, optionally run EndStep, and reply.
-type shardCmd struct {
-	endStep bool
-	reply   chan stepReply
-}
-
-// stepReply carries one shard's barrier results back to the merge layer.
-type stepReply struct {
-	notes   []Notification
-	backlog float64
-	err     error
-}
-
-// shard is one worker-owned partition: a full serial Broker plus the
-// ingest queue feeding it.
+// shard is one partition: a full serial Broker plus the publishes it has
+// not routed yet. Every field but b, which locks itself, is guarded by
+// the ShardedBroker's mutex.
 type shard struct {
 	id int
 	b  *Broker
 
-	// qmu guards the ingest queue and the obs pointer the worker reads.
-	qmu   sync.Mutex
-	queue []ingest
-	so    *shardObs
+	// buf holds the modifications published to the shard since it last
+	// routed, in publish order; their live-table effect already happened.
+	buf []ingest
+	so  *shardObs
 
-	// batch is the worker's reusable drain buffer. Only the worker
-	// goroutine touches it (drain runs nowhere else), so it needs no lock;
-	// reusing it keeps the steady-state ingest path free of per-drain
-	// allocations.
-	batch []ingest
-
-	wake chan struct{} // cap 1: coalesced "queue non-empty" signal
-	cmd  chan shardCmd
-	stop chan struct{}
-	done chan struct{}
-
-	// errMu guards asyncErr, the first deferred-routing failure since the
-	// last barrier; it surfaces as that barrier's error.
-	errMu    sync.Mutex
-	asyncErr error
-
-	// Publisher-side state, guarded by the ShardedBroker mutex: the
-	// assignment load, the admission counter (reset at each barrier), and
-	// the backlog cost sampled at the last barrier.
-	subs     int
-	weight   float64
-	admitted int
-	backlog  float64
+	// The assignment load lightestShard balances.
+	subs   int
+	weight float64
 }
 
-// ShardedBroker is the sharded broker runtime: it partitions
-// subscriptions across N worker-owned shards — each a full serial Broker
-// with its own maintainers, WAL/checkpoint namespace, retry/degradation
-// state, and fault injector — and merges their results. The publisher
-// applies each live-table change exactly once, then hands the deferred
-// copies to the owning shards through bounded ingest queues that the
-// workers drain in batches (the paper's d_t count vectors arriving in
-// bulk), while admission control rejects publishes that would overrun a
-// shard's queue or its Σ f_i(s) cost headroom. The EndStep barrier
-// drains every queue, steps every shard concurrently, and merges the
+// ShardedBroker is the sharded broker runtime: N serial Brokers over one
+// shared database, stepped in parallel. Subscriptions are partitioned
+// across the shards, each a full serial Broker with its own maintainers,
+// WAL/checkpoint namespace, retry/degradation state, and fault injector.
+// Publish applies each live-table change exactly once and buffers the
+// modification on every shard that watches the table — an arrival does no
+// work, it only adds to the paper's d_t. EndStep routes each shard's
+// buffer and steps the shard, one goroutine per shard, then merges the
 // notifications back into global registration order — which is what
 // makes a single-shard run byte-identical to the serial broker, every
 // observable output included (notifications, results, health, costs).
-// All methods are safe for concurrent use; Publish and EndStep serialize
-// on the broker's own lock while each shard's accessors synchronize
-// against its worker.
+// All methods are safe for concurrent use and serialize on the broker's
+// own lock; no goroutine outlives the EndStep that started it.
 type ShardedBroker struct {
 	mu     sync.Mutex
 	db     *storage.DB
-	opts   ShardOptions
 	shards []*shard
 
 	// order is the global subscription registration order — the merge key
@@ -178,16 +68,7 @@ type ShardedBroker struct {
 
 	// routes caches table → watching shards; invalidated on Subscribe.
 	routes map[string][]*shard
-
-	so *shardedObs
-	// closed is set by Close: the workers have exited, so anything that
-	// would hand them work returns errClosed instead of blocking on them.
-	closed bool
 }
-
-// errClosed is returned by every ShardedBroker method that needs a
-// shard worker once Close has stopped them.
-var errClosed = errors.New("pubsub: broker closed")
 
 // subRef locates one subscription: its name and owning shard.
 type subRef struct {
@@ -196,171 +77,35 @@ type subRef struct {
 }
 
 // NewShardedBroker builds the sharded runtime over a database of base
-// tables and starts one worker goroutine per shard. Close stops them.
+// tables. It starts no goroutine.
 func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = DefaultShardQueueCap
-	}
-	sb := &ShardedBroker{db: db, opts: opts}
-	for i := 0; i < opts.Shards; i++ {
+	sb := &ShardedBroker{db: db}
+	for i := 0; i < max(opts.Shards, 1); i++ {
 		b := NewBroker(db)
 		b.ns = "shard" + strconv.Itoa(i)
 		b.shardLabel = strconv.Itoa(i)
-		sh := &shard{
-			id:   i,
-			b:    b,
-			wake: make(chan struct{}, 1),
-			cmd:  make(chan shardCmd),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		sb.shards = append(sb.shards, sh)
-		go sh.run()
+		sb.shards = append(sb.shards, &shard{id: i, b: b})
 	}
 	return sb
 }
 
-// Close stops every shard worker. Queued-but-undrained modifications are
-// dropped (their live-table effects already happened); call Quiesce
-// first if they must reach the maintainers. Close is idempotent; after
-// it Publish, EndStep, Quiesce and Subscribe return an error, while the
-// read accessors keep answering from the shards' last state.
-func (sb *ShardedBroker) Close() {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.closed {
-		return
-	}
-	sb.closed = true
-	for _, sh := range sb.shards {
-		close(sh.stop)
-	}
-	for _, sh := range sb.shards {
-		<-sh.done
-	}
-}
+// Close releases what the broker holds outside the garbage collector's
+// reach — nothing: like the serial Broker it runs no goroutine between
+// calls. It exists so a Runtime can be closed without asking which
+// broker it is.
+func (sb *ShardedBroker) Close() {}
 
-// run is the shard worker loop: drain on wake, execute barriers in-loop,
-// exit on stop. The worker is the only goroutine that touches the
-// shard's Broker mutators, so a shard's step work never races another's.
-func (sh *shard) run() {
-	defer close(sh.done)
-	for {
-		select {
-		case <-sh.wake:
-			sh.drain(DefaultIngestBatch)
-		case c := <-sh.cmd:
-			// The barrier sees every admitted modification: drain fully
-			// before stepping.
-			sh.drain(0)
-			var r stepReply
-			if c.endStep {
-				r.notes, r.err = sh.b.EndStep()
-			}
-			if r.err == nil {
-				sh.errMu.Lock()
-				r.err = sh.asyncErr
-				sh.asyncErr = nil
-				sh.errMu.Unlock()
-			}
-			r.backlog = sh.b.backlogCost()
-			c.reply <- r
-		case <-sh.stop:
-			return
-		}
+// flush routes the shard's buffered publishes into its broker, in publish
+// order, and empties the buffer. Caller holds sb.mu, or is the one
+// EndStep goroutine of this shard.
+func (sh *shard) flush() error {
+	if len(sh.buf) == 0 {
+		return nil
 	}
-}
-
-// drain pops and routes queued modifications, batchSize at a time
-// (batchSize <= 0 drains everything in one batch). Routing errors are
-// parked in asyncErr for the next barrier — they cannot happen on the
-// deferred path today (see Broker.routeDeferred), but a shard must
-// never swallow one silently.
-func (sh *shard) drain(batchSize int) {
-	for {
-		sh.qmu.Lock()
-		n := len(sh.queue)
-		if n == 0 {
-			if sh.so != nil {
-				sh.so.queueDepth.Set(0)
-			}
-			sh.qmu.Unlock()
-			return
-		}
-		if batchSize > 0 && n > batchSize {
-			n = batchSize
-		}
-		if cap(sh.batch) < n {
-			sh.batch = make([]ingest, n)
-		}
-		batch := sh.batch[:n]
-		copy(batch, sh.queue[:n])
-		// Copy-down instead of re-slicing forward: the queue keeps its
-		// backing array, so steady-state enqueue/drain cycles stop
-		// re-growing it.
-		if n == len(sh.queue) {
-			sh.queue = sh.queue[:0]
-		} else {
-			rest := copy(sh.queue, sh.queue[n:])
-			sh.queue = sh.queue[:rest]
-		}
-		so := sh.so
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
-		for _, in := range batch {
-			if err := sh.b.routeDeferred(in.table, in.mod); err != nil {
-				sh.errMu.Lock()
-				if sh.asyncErr == nil {
-					sh.asyncErr = fmt.Errorf("pubsub: shard %d: deferred publish on %q: %w", sh.id, in.table, err)
-				}
-				sh.errMu.Unlock()
-			}
-		}
-		so.observeBatch(n, depth)
-	}
-}
-
-// enqueue appends one modification to the ingest queue and wakes the
-// worker (coalesced: a pending wakeup covers any number of enqueues).
-func (sh *shard) enqueue(in ingest) {
-	sh.qmu.Lock()
-	sh.queue = append(sh.queue, in)
-	if sh.so != nil {
-		sh.so.queueDepth.Set(float64(len(sh.queue)))
-	}
-	sh.qmu.Unlock()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// barrier sends cmd to every shard and collects the replies in shard
-// order, updating each shard's backlog sample and resetting its
-// admission counter. The first error (lowest shard id) wins, but every
-// reply is always collected so no worker blocks. Caller holds sb.mu.
-func (sb *ShardedBroker) barrier(endStep bool) ([][]Notification, error) {
-	replies := make([]chan stepReply, len(sb.shards))
-	for i, sh := range sb.shards {
-		replies[i] = make(chan stepReply, 1)
-		sh.cmd <- shardCmd{endStep: endStep, reply: replies[i]}
-	}
-	notes := make([][]Notification, len(sb.shards))
-	var firstErr error
-	for i, sh := range sb.shards {
-		r := <-replies[i]
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("pubsub: shard %d: %w", sh.id, r.err)
-		}
-		notes[i] = r.notes
-		sh.backlog = r.backlog
-		sh.admitted = 0
-		sh.syncObs()
-	}
-	return notes, firstErr
+	err := sh.b.routeDeferred(sh.buf)
+	sh.buf = sh.buf[:0]
+	sh.so.observeDepth(0)
+	return err
 }
 
 // lightestShard is the placement rule: the shard with the least
@@ -391,24 +136,21 @@ func subWeight(cfg Subscription) float64 {
 }
 
 // Subscribe registers a subscription on the shard carrying the least
-// cost weight. The target shard is quiesced first so a mid-run subscription's
-// initial snapshot (computed from the live tables, which already include
-// every published modification) is not double-counted by deferred
-// modifications still sitting in the shard's queue.
+// cost weight. The target shard routes its buffer first: a mid-run
+// subscription's initial snapshot comes from the live tables, which
+// already include every published modification, so routing the buffered
+// ones after it would count them twice.
 func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	if sb.closed {
-		return errClosed
-	}
 	for _, ref := range sb.order {
 		if ref.name == cfg.Name {
 			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 		}
 	}
 	sh := lightestShard(sb.shards)
-	if err := sb.quiesceShard(sh); err != nil {
-		return err
+	if err := sh.flush(); err != nil {
+		return fmt.Errorf("pubsub: shard %d: %w", sh.id, err)
 	}
 	if err := sh.b.Subscribe(cfg); err != nil {
 		return err
@@ -417,62 +159,24 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	sh.weight += subWeight(cfg)
 	sb.order = append(sb.order, subRef{name: cfg.Name, shard: sh.id})
 	sb.routes = nil
-	sh.syncObs()
+	sh.so.observeLoad(sh)
 	return nil
 }
 
-// quiesceShard drains one shard's queue through its worker. Caller holds
-// sb.mu.
-func (sb *ShardedBroker) quiesceShard(sh *shard) error {
-	reply := make(chan stepReply, 1)
-	sh.cmd <- shardCmd{reply: reply}
-	r := <-reply
-	sh.backlog = r.backlog
-	sh.syncObs()
-	if r.err != nil {
-		return fmt.Errorf("pubsub: shard %d: %w", sh.id, r.err)
-	}
-	return nil
-}
-
-// Publish applies one modification to the shared base tables and routes
-// it to every shard owning a subscription that references the table.
-// The live-table change happens exactly once, synchronously, on the
-// publisher's goroutine; the per-subscription deferred copies are
-// enqueued on the owning shards and routed by their workers. Admission
-// control runs before anything mutates: if any target shard is over its
-// queue or backlog bound the publish returns a *RejectionError and no
-// state — live table or queue — has changed.
+// Publish applies one modification to the shared base tables, exactly
+// once, and buffers it on every shard owning a subscription that
+// references the table. Routing waits for the next EndStep (or a read
+// that needs it: Subscribe, Health).
 func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	if sb.closed {
-		return errClosed
-	}
 	targets := sb.routesFor(table)
-	for _, sh := range targets {
-		if sh.admitted >= sb.opts.QueueCap {
-			sh.observeReject(RejectQueueFull)
-			return &RejectionError{
-				Shard: sh.id, Table: table, Reason: RejectQueueFull,
-				Admitted: sh.admitted, Limit: float64(sb.opts.QueueCap),
-			}
-		}
-		if sb.opts.MaxBacklogCost > 0 && sh.backlog > sb.opts.MaxBacklogCost {
-			sh.observeReject(RejectBacklog)
-			return &RejectionError{
-				Shard: sh.id, Table: table, Reason: RejectBacklog,
-				Cost: sh.backlog, Limit: sb.opts.MaxBacklogCost,
-			}
-		}
-	}
 	if err := applyLive(sb.db, table, mod, len(targets) > 0); err != nil {
 		return err
 	}
 	for _, sh := range targets {
-		sh.admitted++
-		sh.enqueue(ingest{table: table, mod: mod})
-		sh.syncObs()
+		sh.buf = append(sh.buf, ingest{table: table, mod: mod})
+		sh.so.observeDepth(len(sh.buf))
 	}
 	return nil
 }
@@ -496,20 +200,32 @@ func (sb *ShardedBroker) routesFor(table string) []*shard {
 	return targets
 }
 
-// EndStep closes a time step across every shard: each worker drains its
-// remaining queue, steps its own Broker (policies drain delta queues,
-// conditions fire, degradation heals) concurrently with the others, and
-// the merge layer reassembles the notifications into global registration
-// order — exactly the order the serial broker would have emitted.
+// EndStep closes a time step across every shard: one goroutine per shard
+// routes the shard's buffer and steps its own Broker (policies drain
+// delta queues, conditions fire, degradation heals) in parallel with the
+// others; the first error in shard order wins. The merge then
+// reassembles the notifications into global registration order —
+// exactly the order the serial broker would have emitted.
 func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	if sb.closed {
-		return nil, errClosed
+	notes := make([][]Notification, len(sb.shards))
+	errs := make([]error, len(sb.shards))
+	var wg sync.WaitGroup
+	for i, sh := range sb.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = sh.flush(); errs[i] == nil {
+				notes[i], errs[i] = sh.b.EndStep()
+			}
+		}()
 	}
-	notes, err := sb.barrier(true)
-	if err != nil {
-		return nil, err
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("pubsub: shard %d: %w", i, err)
+		}
 	}
 	// Merge: walk the global registration order; each shard's stream is a
 	// subsequence in its own registration order, so taking the head when
@@ -526,31 +242,27 @@ func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	return out, nil
 }
 
-// Quiesce blocks until every shard's ingest queue is fully drained into
-// its maintainers, without stepping anyone. Accessors called after a
-// Quiesce (and before further publishes) see a stable, fully-routed
-// state — the chaos harness quiesces before comparing mid-run samples.
-func (sb *ShardedBroker) Quiesce() error {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.closed {
-		return errClosed
-	}
-	_, err := sb.barrier(false)
-	return err
-}
-
-// owner finds the broker of the shard owning a subscription. Its
-// accessors synchronize against the shard's worker themselves.
-func (sb *ShardedBroker) owner(name string) (*Broker, error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
+// owner finds the shard owning a subscription. Caller holds sb.mu.
+func (sb *ShardedBroker) owner(name string) (*shard, error) {
 	for _, ref := range sb.order {
 		if ref.name == name {
-			return sb.shards[ref.shard].b, nil
+			return sb.shards[ref.shard], nil
 		}
 	}
 	return nil, fmt.Errorf("pubsub: no subscription %q", name)
+}
+
+// ownerBroker is owner for the reads that do not depend on routing: it
+// takes sb.mu for the lookup only, and the broker's accessors lock
+// themselves.
+func (sb *ShardedBroker) ownerBroker(name string) (*Broker, error) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	sh, err := sb.owner(name)
+	if err != nil {
+		return nil, err
+	}
+	return sh.b, nil
 }
 
 // each runs f on every shard's broker, in shard order, under sb.mu.
@@ -575,19 +287,25 @@ func (sb *ShardedBroker) Subscriptions() []string {
 }
 
 // Health reports a subscription's fault-tolerance status, delegated to
-// its owning shard. Like the serial broker it is safe to call while the
-// workload runs; for a timing-stable Pending vector, Quiesce first.
+// its owning shard after that shard routes its buffer — so it equals the
+// serial broker's Health at every point of a workload, mid-step
+// included. Safe to call while the workload runs.
 func (sb *ShardedBroker) Health(name string) (Health, error) {
-	b, err := sb.owner(name)
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	sh, err := sb.owner(name)
 	if err != nil {
 		return Health{}, err
 	}
-	return b.Health(name)
+	if err := sh.flush(); err != nil {
+		return Health{}, fmt.Errorf("pubsub: shard %d: %w", sh.id, err)
+	}
+	return sh.b.Health(name)
 }
 
 // Result returns the (possibly stale) current content of a subscription.
 func (sb *ShardedBroker) Result(name string) ([]storage.Row, error) {
-	b, err := sb.owner(name)
+	b, err := sb.ownerBroker(name)
 	if err != nil {
 		return nil, err
 	}
@@ -597,7 +315,7 @@ func (sb *ShardedBroker) Result(name string) ([]storage.Row, error) {
 // TotalCost returns the accumulated model maintenance cost of a
 // subscription.
 func (sb *ShardedBroker) TotalCost(name string) (float64, error) {
-	b, err := sb.owner(name)
+	b, err := sb.ownerBroker(name)
 	if err != nil {
 		return 0, err
 	}
@@ -611,12 +329,9 @@ type ShardStat struct {
 	// Weight is the summed assignment weight Σ f_i(1) of the shard's
 	// subscriptions.
 	Weight float64
-	// QueueDepth is the current ingest-queue length.
+	// QueueDepth counts the modifications published to the shard since
+	// the last barrier and not yet routed.
 	QueueDepth int
-	// Admitted counts modifications admitted since the last step barrier.
-	Admitted int
-	// BacklogCost is Σ_i f(s_i) sampled at the last step barrier.
-	BacklogCost float64
 }
 
 // ShardStats snapshots every shard's load, in shard order.
@@ -625,17 +340,7 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 	defer sb.mu.Unlock()
 	out := make([]ShardStat, len(sb.shards))
 	for i, sh := range sb.shards {
-		sh.qmu.Lock()
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
-		out[i] = ShardStat{
-			Shard:         sh.id,
-			Subscriptions: sh.subs,
-			Weight:        sh.weight,
-			QueueDepth:    depth,
-			Admitted:      sh.admitted,
-			BacklogCost:   sh.backlog,
-		}
+		out[i] = ShardStat{Shard: sh.id, Subscriptions: sh.subs, Weight: sh.weight, QueueDepth: len(sh.buf)}
 	}
 	return out
 }
@@ -643,10 +348,10 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 // SetInjectors installs per-shard fault injectors: factory(i) builds
 // shard i's injector, so each shard owns an independent deterministic
 // fault stream (a single shared *fault.Seeded would be both racy and
-// schedule-dependent across workers). A nil factory disables injection
-// everywhere. Convention: give shard i a seed derived from (base, i)
-// with shard 0 getting the base seed, so a 1-shard faulted run replays a
-// serial broker seeded the same way.
+// schedule-dependent across shards stepping in parallel). A nil factory
+// disables injection everywhere. Convention: give shard i a seed derived
+// from (base, i) with shard 0 getting the base seed, so a 1-shard faulted
+// run replays a serial broker seeded the same way.
 func (sb *ShardedBroker) SetInjectors(factory func(shard int) fault.Injector) {
 	sb.each(func(id int, b *Broker) {
 		if factory == nil {

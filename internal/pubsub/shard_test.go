@@ -1,12 +1,14 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"abivm/internal/core"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
@@ -72,7 +74,7 @@ func renderNotes(out *strings.Builder, ns []Notification) {
 // single-shard identity (TestRuntimeMatrix) to faulted runs: shard 0's
 // injector and jitter seed equal the serial broker's, so retries,
 // rollbacks, checkpoints, and crash recoveries replay identically
-// through the sharded ingest path.
+// through the sharded publish path.
 func TestSingleShardMatchesSerialBrokerUnderFaults(t *testing.T) {
 	const steps = 60
 	for seed := int64(1); seed <= 5; seed++ {
@@ -109,7 +111,7 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 
 // TestShardedDeterminismSameSeed: a faulted sharded run is a pure
 // function of (seed, shard count) — running it twice must be
-// byte-identical, quiesced mid-run samples included.
+// byte-identical, mid-step samples included.
 func TestShardedDeterminismSameSeed(t *testing.T) {
 	const seed, steps, shards = 9, 40, 3
 	spec := ScaledWorkloadSpec(2 * shards)
@@ -128,7 +130,7 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 		}
 	}
 	if !strings.Contains(first, "sample ") {
-		t.Fatal("sharded transcript is missing quiesced mid-run samples")
+		t.Fatal("sharded transcript is missing mid-step samples")
 	}
 }
 
@@ -171,7 +173,7 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	empty := 0
 	for _, st := range stats {
 		if st.Subscriptions == 0 {
-			if st.Weight != 0 || st.QueueDepth != 0 || st.BacklogCost != 0 {
+			if st.Weight != 0 || st.QueueDepth != 0 {
 				t.Fatalf("empty shard %d has non-zero load: %+v", st.Shard, st)
 			}
 			empty++
@@ -182,109 +184,9 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejection: overrunning a shard's per-step admission cap
-// surfaces as a typed *RejectionError, leaves the base tables untouched,
-// and clears at the next step barrier.
-func TestQueueFullRejection(t *testing.T) {
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: 2, QueueCap: 3})
-	defer sb.Close()
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range subs {
-		if err := sb.Subscribe(sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sales, err := db.Table("sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := func(key int64) error {
-		return sb.Publish("sales", ivm.Insert("", storage.Row{storage.I(key), storage.I(0), storage.F(1)}))
-	}
-	for i := int64(0); i < 3; i++ {
-		if err := pub(100 + i); err != nil {
-			t.Fatalf("publish %d within cap: %v", i, err)
-		}
-	}
-	before := sales.Len()
-	err = pub(200)
-	var rej *RejectionError
-	if !errors.As(err, &rej) {
-		t.Fatalf("over-cap publish returned %v, want *RejectionError", err)
-	}
-	if rej.Reason != RejectQueueFull || rej.Table != "sales" || rej.Admitted != 3 {
-		t.Fatalf("unexpected rejection detail: %+v", rej)
-	}
-	if got := sales.Len(); got != before {
-		t.Fatalf("rejected publish mutated the live table: %d rows, want %d", got, before)
-	}
-	if _, err := sb.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-	// The barrier reset the admission counter; the same publish is
-	// admitted now.
-	if err := pub(200); err != nil {
-		t.Fatalf("publish after barrier still rejected: %v", err)
-	}
-}
-
-// TestBacklogRejection: a shard whose end-of-step refresh cost exceeds
-// MaxBacklogCost rejects publishes with the typed backlog reason until a
-// step drains it back under the bound.
-func TestBacklogRejection(t *testing.T) {
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A bound far below one queued modification's refresh cost: the first
-	// step with any pending backlog trips it.
-	sb := NewShardedBroker(db, ShardOptions{Shards: 1, MaxBacklogCost: 1e-6})
-	defer sb.Close()
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Conditions that never fire inside the test keep the policy from
-	// draining the backlog to zero.
-	for _, sc := range subs {
-		sc.Condition = Every(1 << 20)
-		if err := sb.Subscribe(sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sb.Publish("sales", ivm.Insert("", storage.Row{storage.I(500), storage.I(0), storage.F(1)})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sb.EndStep(); err != nil {
-		t.Fatal(err)
-	}
-	stats := sb.ShardStats()
-	if stats[0].BacklogCost <= 1e-6 {
-		t.Fatalf("test setup: backlog cost %.9g did not exceed the bound", stats[0].BacklogCost)
-	}
-	err = sb.Publish("sales", ivm.Insert("", storage.Row{storage.I(501), storage.I(0), storage.F(1)}))
-	var rej *RejectionError
-	if !errors.As(err, &rej) {
-		t.Fatalf("over-backlog publish returned %v, want *RejectionError", err)
-	}
-	if rej.Reason != RejectBacklog {
-		t.Fatalf("rejection reason %v, want backlog", rej.Reason)
-	}
-	if rej.Error() == "" || !strings.Contains(rej.Error(), "backlog") {
-		t.Fatalf("unhelpful rejection message %q", rej.Error())
-	}
-}
-
 // TestMidRunSubscribeMatchesSerial: subscribing while deferred
-// modifications are still queued must quiesce the target shard first —
-// otherwise the new subscription's initial snapshot double-counts them.
+// modifications are still buffered must route the target shard's buffer
+// first — otherwise the new subscription's initial snapshot double-counts them.
 func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 	const seed, steps, joinAt = 21, 40, 17
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
@@ -348,48 +250,154 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClosedShardedBrokerReturnsErrors: after Close the shard workers are
-// gone, so every method that would hand them work must fail fast instead
-// of blocking on their channels while holding the broker's lock.
-func TestClosedShardedBrokerReturnsErrors(t *testing.T) {
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
+// TestShardedHealthMidStepMatchesSerial: Health routes the owning shard's
+// buffer before it reads, so after every publish — mid-step, before the
+// barrier — every subscription's health on a sharded runtime equals the
+// serial broker's on the same script.
+func TestShardedHealthMidStepMatchesSerial(t *testing.T) {
+	const seed, steps = 4, 30
+	spec := ScaledWorkloadSpec(6)
+	script := chaosScript(seed, steps, spec)
+	transcript := func(shards int) string {
+		rt, err := NewRuntime(RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		names := rt.Subscriptions()
+		var out strings.Builder
+		for step, evs := range script {
+			for i, ev := range evs {
+				if err := rt.Publish(ev.table, ev.mod); err != nil {
+					t.Fatalf("shards=%d step %d: %v", shards, step, err)
+				}
+				for _, name := range names {
+					h, err := rt.Health(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&out, "step=%d pub=%d sub=%s %+v\n", step, i, name, h)
+				}
+			}
+			ns, err := rt.EndStep()
+			if err != nil {
+				t.Fatalf("shards=%d step %d: %v", shards, step, err)
+			}
+			renderNotes(&out, ns)
+		}
+		return out.String()
 	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: 2})
-	subs, err := demoSubscriptions()
-	if err != nil {
-		t.Fatal(err)
+	serial := transcript(0)
+	for _, shards := range []int{1, 3} {
+		if got := transcript(shards); got != serial {
+			t.Fatalf("shards=%d: mid-step health diverged from the serial broker:\n%s", shards, firstDiff(serial, got))
+		}
 	}
-	if err := sb.Subscribe(subs[0]); err != nil {
-		t.Fatal(err)
+}
+
+// rendezvous is a policy whose Act blocks until want calls have entered
+// it, or a timeout passes, and then drains nothing.
+type rendezvous struct {
+	want int
+	all  chan struct{}
+
+	mu       sync.Mutex
+	entered  int
+	timedOut bool
+}
+
+func (r *rendezvous) Name() string { return "rendezvous" }
+func (r *rendezvous) Reset(int)    {}
+func (r *rendezvous) Act(_ int, _, pre core.Vector, _ bool) core.Vector {
+	r.mu.Lock()
+	if r.entered++; r.entered == r.want {
+		close(r.all)
 	}
-	sb.Close()
-	sb.Close() // idempotent
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := sb.EndStep(); !errors.Is(err, errClosed) {
-			t.Errorf("EndStep after Close: %v", err)
-		}
-		if err := sb.Quiesce(); !errors.Is(err, errClosed) {
-			t.Errorf("Quiesce after Close: %v", err)
-		}
-		if err := sb.Subscribe(subs[1]); !errors.Is(err, errClosed) {
-			t.Errorf("Subscribe after Close: %v", err)
-		}
-		err := sb.Publish("sales", ivm.Insert("", storage.Row{storage.I(900), storage.I(0), storage.F(1)}))
-		if !errors.Is(err, errClosed) {
-			t.Errorf("Publish after Close: %v", err)
-		}
-		// The read side keeps answering from the shards' last state.
-		if _, err := sb.Result(subs[0].Name); err != nil {
-			t.Errorf("Result after Close: %v", err)
-		}
-	}()
+	r.mu.Unlock()
 	select {
-	case <-done:
+	case <-r.all:
 	case <-time.After(5 * time.Second):
-		t.Fatal("a closed ShardedBroker blocked instead of returning an error")
+		r.mu.Lock()
+		r.timedOut = true
+		r.mu.Unlock()
+	}
+	return core.NewVector(len(pre))
+}
+
+// TestShardedEndStepRunsShardsInParallel: one subscription per shard, each
+// with a policy that waits inside Act until every shard's policy has
+// entered. Stepping the shards one after another times every wait out.
+func TestShardedEndStepRunsShardsInParallel(t *testing.T) {
+	const shards = 3
+	spec := ScaledWorkloadSpec(shards)
+	db, err := DemoDB(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := demoSubscriptionsSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
+	defer sb.Close()
+	r := &rendezvous{want: shards, all: make(chan struct{})}
+	for _, sc := range subs {
+		sc.Policy = r
+		if err := sb.Subscribe(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range sb.ShardStats() {
+		if st.Subscriptions != 1 {
+			t.Fatalf("test setup: shard %d holds %d subscriptions, want 1", st.Shard, st.Subscriptions)
+		}
+	}
+	if _, err := sb.EndStep(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.timedOut {
+		t.Fatal("a shard's policy waited out its timeout for the others: EndStep stepped the shards one after another")
+	}
+}
+
+// TestShardedBrokerLeavesNoGoroutines: building, subscribing and
+// publishing start no goroutine, and a run of steps leaves none behind.
+func TestShardedBrokerLeavesNoGoroutines(t *testing.T) {
+	const seed, steps, shards = 2, 20, 4
+	spec := ScaledWorkloadSpec(shards)
+	base := runtime.NumGoroutine()
+	rt, err := NewRuntime(RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("construction and subscription started %d goroutines", n-base)
+	}
+	for step, evs := range chaosScript(seed, steps, spec) {
+		for _, ev := range evs {
+			if err := rt.Publish(ev.table, ev.mod); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		// Before the first EndStep no stepping goroutine can be unwinding,
+		// so the count is exact.
+		if n := runtime.NumGoroutine(); step == 0 && n > base {
+			t.Fatalf("publishing started %d goroutines", n-base)
+		}
+		if _, err := rt.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	// A shard's goroutine may still be unwinding past wg.Done when EndStep
+	// returns; give it a moment to exit.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines outlived the steps", n-base)
 	}
 }

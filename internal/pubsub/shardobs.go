@@ -6,121 +6,58 @@ import (
 	"abivm/internal/obs"
 )
 
-// shardedObs is the sharded broker's own instrumentation: the ingest and
-// admission-control series the serial broker has no equivalent for. The
-// per-shard Broker series (steps, latency, retries, …) are handled by
-// each shard's brokerObs with its `shard` label; this bundle adds the
-// queue/backpressure view. Nil (the default) is the detached no-op
-// state, mirroring brokerObs.
-type shardedObs struct {
-	shards   *obs.Gauge
-	perShard []*shardObs
-}
-
-// shardObs is one shard's ingest-path series, all labeled `shard`.
+// shardObs is one shard's own series, all labeled `shard`: what the
+// serial broker has no equivalent for. The per-shard Broker series
+// (steps, latency, retries, …) are handled by each shard's brokerObs
+// with its `shard` label. Nil (the default) is the detached no-op state,
+// mirroring brokerObs.
 type shardObs struct {
-	queueDepth    *obs.Gauge
-	backlogCost   *obs.Gauge
-	admitted      *obs.Gauge
-	subs          *obs.Gauge
-	weight        *obs.Gauge
-	batches       *obs.Counter
-	batchSize     *obs.Histogram
-	rejectQueue   *obs.Counter
-	rejectBacklog *obs.Counter
+	queueDepth *obs.Gauge
+	subs       *obs.Gauge
+	weight     *obs.Gauge
 }
 
-func newShardedObs(reg *obs.Registry, shards int) *shardedObs {
-	if reg == nil {
-		return nil
-	}
-	so := &shardedObs{shards: reg.Gauge("pubsub_shards")}
-	so.shards.Set(float64(shards))
-	for i := 0; i < shards; i++ {
-		id := strconv.Itoa(i)
-		so.perShard = append(so.perShard, &shardObs{
-			queueDepth:    reg.Gauge("pubsub_shard_queue_depth", "shard", id),
-			backlogCost:   reg.Gauge("pubsub_shard_backlog_cost", "shard", id),
-			admitted:      reg.Gauge("pubsub_shard_admitted_mods", "shard", id),
-			subs:          reg.Gauge("pubsub_shard_subscriptions", "shard", id),
-			weight:        reg.Gauge("pubsub_shard_weight", "shard", id),
-			batches:       reg.Counter("pubsub_ingest_batches_total", "shard", id),
-			batchSize:     reg.Histogram("pubsub_ingest_batch_size", obs.SizeBuckets(), "shard", id),
-			rejectQueue:   reg.Counter("pubsub_shard_rejections_total", "shard", id, "reason", "queue_full"),
-			rejectBacklog: reg.Counter("pubsub_shard_rejections_total", "shard", id, "reason", "backlog"),
-		})
-	}
-	return so
-}
-
-// observeBatch records one drained ingest batch and the depth left
-// behind. Called from the shard worker.
-func (o *shardObs) observeBatch(n, depth int) {
+// observeDepth records how many publishes await the shard's next
+// routing. Caller holds the ShardedBroker mutex or is the shard's EndStep
+// goroutine.
+func (o *shardObs) observeDepth(n int) {
 	if o == nil {
 		return
 	}
-	o.batches.Inc()
-	o.batchSize.Observe(float64(n))
-	o.queueDepth.Set(float64(depth))
+	o.queueDepth.Set(float64(n))
 }
 
-// syncObs refreshes the shard's publisher-side gauges (admission count,
-// backlog sample, assignment load). Caller holds the ShardedBroker
-// mutex; the obs pointer itself is read under qmu, the lock SetObs
-// hands it over under.
-func (sh *shard) syncObs() {
-	sh.qmu.Lock()
-	o := sh.so
-	sh.qmu.Unlock()
+// observeLoad refreshes the shard's assignment-load gauges. Caller holds
+// the ShardedBroker mutex.
+func (o *shardObs) observeLoad(sh *shard) {
 	if o == nil {
 		return
 	}
-	o.admitted.Set(float64(sh.admitted))
-	o.backlogCost.Set(sh.backlog)
 	o.subs.Set(float64(sh.subs))
 	o.weight.Set(sh.weight)
 }
 
-// observeReject counts one admission-control rejection. Caller holds the
-// ShardedBroker mutex; the obs pointer itself is read under qmu, the
-// lock SetObs hands it over under.
-func (sh *shard) observeReject(r RejectReason) {
-	sh.qmu.Lock()
-	o := sh.so
-	sh.qmu.Unlock()
-	if o == nil {
-		return
-	}
-	switch r {
-	case RejectQueueFull:
-		o.rejectQueue.Inc()
-	case RejectBacklog:
-		o.rejectBacklog.Inc()
-	}
-}
-
 // SetObs attaches an observability sink to the sharded runtime: every
-// shard's Broker instruments (labeled `shard`), the ingest-path series
-// above, and span recording on tr. A nil registry detaches everything.
-// The swap is safe while workers run — each shard's obs pointer is
-// handed over under the queue mutex its worker reads it under.
+// shard's Broker instruments (labeled `shard`), the shard series above,
+// and span recording on tr. A nil registry detaches everything.
 func (sb *ShardedBroker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	sb.so = newShardedObs(reg, len(sb.shards))
-	for i, sh := range sb.shards {
+	if reg != nil {
+		reg.Gauge("pubsub_shards").Set(float64(len(sb.shards)))
+	}
+	for _, sh := range sb.shards {
 		sh.b.SetObs(reg, tr)
-		var o *shardObs
-		if sb.so != nil {
-			o = sb.so.perShard[i]
+		sh.so = nil
+		if reg != nil {
+			id := strconv.Itoa(sh.id)
+			sh.so = &shardObs{
+				queueDepth: reg.Gauge("pubsub_shard_queue_depth", "shard", id),
+				subs:       reg.Gauge("pubsub_shard_subscriptions", "shard", id),
+				weight:     reg.Gauge("pubsub_shard_weight", "shard", id),
+			}
 		}
-		sh.qmu.Lock()
-		sh.so = o
-		depth := len(sh.queue)
-		sh.qmu.Unlock()
-		if o != nil {
-			o.queueDepth.Set(float64(depth))
-		}
-		sh.syncObs()
+		sh.so.observeDepth(len(sh.buf))
+		sh.so.observeLoad(sh)
 	}
 }

@@ -149,7 +149,7 @@ func (w *DemoWorkload) Step() ([]Notification, error) {
 	return w.Broker.EndStep()
 }
 
-// Close stops the runtime's workers.
+// Close closes the runtime.
 func (w *DemoWorkload) Close() { w.Broker.Close() }
 
 // SeededShardInjectors returns a per-shard injector factory: shard i

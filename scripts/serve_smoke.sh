@@ -4,7 +4,7 @@
 # runtime over shared dataflow graphs (-shards 2 -shared) — scrape the
 # ops endpoints, and assert the required metric series exist. This is
 # the end-to-end proof that the observability wiring — broker, shard
-# workers, maintainer, fault injector — actually emits on a live
+# runtime, maintainer, fault injector — actually emits on a live
 # process, not just in unit tests.
 set -eu
 
@@ -89,15 +89,13 @@ smoke serial ""
 smoke sharded "-shards 4" \
     pubsub_shards \
     pubsub_shard_queue_depth \
-    pubsub_shard_backlog_cost \
-    pubsub_ingest_batches_total \
-    pubsub_ingest_batch_size
+    pubsub_shard_weight
 
 # Shared dataflow on the sharded runtime: one operator graph per shard,
 # so the graph-shape series must appear next to the shard series.
 smoke sharded-shared "-shards 2 -shared" \
     pubsub_shards \
-    pubsub_ingest_batches_total \
+    pubsub_shard_queue_depth \
     ivm_dataflow_operators \
     ivm_dataflow_views \
     ivm_dataflow_arrangements \
