@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify results-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
+.PHONY: build test race lint lint-json lint-self vet verify results-check examples-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ verify:
 # regenerates it with `go run ./cmd/abivm all > RESULTS.txt`.
 results-check:
 	$(GO) run ./cmd/abivm all | diff - RESULTS.txt
+
+# examples-check gates the library facade's numbers the same way: both
+# examples are deterministic, so each must print its committed
+# expected.txt byte for byte. A change that means to move them
+# regenerates it with `go run ./examples/<name> > examples/<name>/expected.txt`.
+examples-check:
+	$(GO) run ./examples/quickstart | diff - examples/quickstart/expected.txt
+	$(GO) run ./examples/warehouse | diff - examples/warehouse/expected.txt
 
 # fuzz-smoke runs every native fuzz target (the SQL front end, the
 # decoders of snapshots, checkpoint segments, WAL frames and the
@@ -84,7 +92,7 @@ serve-smoke:
 docs-check:
 	sh scripts/docs_check.sh
 
-# loc prints the non-test Go line counts ROADMAP item 3 tracks.
+# loc prints the non-test Go line counts ROADMAP item 5 tracks.
 loc:
 	sh scripts/loc.sh
 

@@ -23,11 +23,13 @@
 //	v.EndStep()                                  // policy may drain queues
 //	rows, _ := v.Refresh()                       // on demand, cost <= C
 //
-// The heavy lifting lives in the internal packages: internal/core (the
-// problem model), internal/astar (optimal LGM plans), internal/policy
-// (runtime policies), internal/ivm (the maintenance engine),
-// internal/storage + internal/exec + internal/plan (the relational
-// engine), and internal/experiments (the paper's figures).
+// A View is a one-subscription broker and runs the step loop a served
+// subscription runs. The heavy lifting lives in the internal packages:
+// internal/core (the problem model), internal/astar (optimal LGM plans),
+// internal/policy (runtime policies), internal/pubsub (the step loop),
+// internal/ivm (the maintenance engine), internal/storage + internal/exec
+// + internal/plan (the relational engine), and internal/experiments (the
+// paper's figures).
 package abivm
 
 import (
@@ -36,6 +38,7 @@ import (
 	"abivm/internal/core"
 	"abivm/internal/ivm"
 	"abivm/internal/policy"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 )
 
@@ -101,23 +104,27 @@ func WithCustomPolicy(p policy.Policy) Option {
 }
 
 // View is a materialized view maintained under a response-time
-// constraint. It is not safe for concurrent use.
+// constraint: a pubsub.Broker holding one subscription whose condition
+// never fires, so the content refreshes only on demand. The broker's step
+// loop enforces the constraint, retries failed drains, and keeps the view
+// recoverable from an in-memory redo log plus checkpoints. It is not
+// safe for concurrent use.
 type View struct {
-	m     *ivm.Maintainer
-	model *core.CostModel
-	c     float64
-	pol   policy.Policy
-
-	t         int
-	stepMods  core.Vector // arrivals accumulated within the current step
-	totalCost float64
-	weights   storage.Weights
+	b       *pubsub.Broker
+	model   *core.CostModel
+	aliases []string
+	tables  map[string]string // FROM alias -> base table
 }
+
+// sub names the view's one subscription on its broker.
+const sub = "view"
 
 // NewView parses the view query over the live database, snapshots
 // replicas, computes the initial content, and attaches a scheduling
-// policy. Configuration problems are returned as errors; it panics only
-// if a custom policy installed with WithCustomPolicy panics in Reset.
+// policy. Configuration problems — a missing or mis-sized cost model, a
+// constraint that is negative or NaN, an unknown policy — are returned
+// as errors; it panics only if a custom policy installed with
+// WithCustomPolicy panics in Reset.
 func NewView(db *storage.DB, query string, opts ...Option) (*View, error) {
 	cfg := config{kind: PolicyOnline}
 	for _, o := range opts {
@@ -126,13 +133,9 @@ func NewView(db *storage.DB, query string, opts ...Option) (*View, error) {
 	if cfg.model == nil {
 		return nil, fmt.Errorf("abivm: WithConstraint is required")
 	}
-	m, err := ivm.New(db, query)
+	p, err := ivm.PlanView(query)
 	if err != nil {
 		return nil, err
-	}
-	n := len(m.Aliases())
-	if cfg.model.N() != n {
-		return nil, fmt.Errorf("abivm: cost model covers %d tables, view has %d", cfg.model.N(), n)
 	}
 	pol := cfg.custom
 	if pol == nil {
@@ -147,34 +150,35 @@ func NewView(db *storage.DB, query string, opts ...Option) (*View, error) {
 			return nil, fmt.Errorf("abivm: unknown policy %q", cfg.kind)
 		}
 	}
-	pol.Reset(n)
-	v := &View{
-		m:        m,
-		model:    cfg.model,
-		c:        cfg.c,
-		pol:      pol,
-		stepMods: core.NewVector(n),
-		weights:  storage.DefaultWeights(),
+	b := pubsub.NewBroker(db)
+	if err := b.Subscribe(pubsub.Subscription{
+		Name: sub, Query: query, Condition: func(int) bool { return false },
+		Model: cfg.model, QoS: cfg.c, Policy: pol,
+	}); err != nil {
+		return nil, err
+	}
+	v := &View{b: b, model: cfg.model, tables: make(map[string]string)}
+	for _, src := range p.Sources {
+		v.aliases = append(v.aliases, src.Alias)
+		v.tables[src.Alias] = src.Table
 	}
 	return v, nil
 }
 
 // Aliases returns the view's FROM aliases; index i is table i of the
 // cost model.
-func (v *View) Aliases() []string { return v.m.Aliases() }
+func (v *View) Aliases() []string { return v.aliases }
 
 // Apply applies modifications to the live base tables immediately and
 // queues them for deferred view maintenance.
 func (v *View) Apply(mods ...Mod) error {
-	if err := v.m.Apply(mods...); err != nil {
-		return err
-	}
 	for _, mod := range mods {
-		for i, a := range v.m.Aliases() {
-			if a == mod.Alias {
-				v.stepMods[i]++
-				break
-			}
+		table, ok := v.tables[mod.Alias]
+		if !ok {
+			return fmt.Errorf("abivm: unknown alias %q", mod.Alias)
+		}
+		if err := v.b.Publish(table, mod); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -183,24 +187,18 @@ func (v *View) Apply(mods ...Mod) error {
 // EndStep closes the current time step: the policy observes the step's
 // arrivals and may drain delta queues to keep the refresh cost within the
 // constraint. It returns the action taken (modifications processed per
-// table) and its model cost. Out-of-range policy actions are returned as
-// errors; it panics only if a custom policy returns an action whose
-// length differs from the view arity (or itself panics in Act).
+// table) and its model cost. A policy action that is out of range, or
+// that leaves the refresh cost above the constraint, is returned as an
+// error; it panics only if a custom policy panics in Act.
 func (v *View) EndStep() (core.Vector, float64, error) {
-	pending := core.Vector(v.m.Pending())
-	act := v.pol.Act(v.t, v.stepMods.Clone(), pending.Clone(), false)
-	v.t++
-	v.stepMods = core.NewVector(len(v.stepMods))
-	if !act.NonNegative() || !act.DominatedBy(pending) {
-		return nil, 0, fmt.Errorf("abivm: policy %s returned out-of-range action %v", v.pol.Name(), act)
-	}
-	cost, err := v.process(act)
-	if err != nil {
+	before := v.Pending()
+	if _, err := v.b.EndStep(); err != nil {
 		return nil, 0, err
 	}
-	if post := pending.Sub(act); v.model.Full(post, v.c) {
-		return nil, 0, fmt.Errorf("abivm: policy %s left a full state %v (refresh cost %.4g > C %.4g)",
-			v.pol.Name(), post, v.model.Total(post), v.c)
+	act := before.Sub(v.Pending())
+	cost := 0.0
+	for i, k := range act {
+		cost += v.model.TableCost(i, k)
 	}
 	return act, cost, nil
 }
@@ -211,36 +209,21 @@ func (v *View) EndStep() (core.Vector, float64, error) {
 // it panics only if the pending counts are corrupted (negative), which
 // the engine never produces.
 func (v *View) Refresh() ([]storage.Row, float64, error) {
-	pending := core.Vector(v.m.Pending())
-	cost, err := v.process(pending)
+	n, err := v.b.Refresh(sub)
 	if err != nil {
 		return nil, 0, err
 	}
-	return v.m.Result(), cost, nil
-}
-
-// process drains act[i] modifications from each queue, accounting cost.
-func (v *View) process(act core.Vector) (float64, error) {
-	cost := 0.0
-	for i, alias := range v.m.Aliases() {
-		if act[i] == 0 {
-			continue
-		}
-		if err := v.m.ProcessBatch(alias, act[i]); err != nil {
-			return 0, err
-		}
-		cost += v.model.TableCost(i, act[i])
-	}
-	v.totalCost += cost
-	return cost, nil
+	return n.Rows, n.RefreshCost, nil
 }
 
 // Result returns the view content as of the last processed batches
-// (possibly stale with respect to the live tables).
-func (v *View) Result() []storage.Row { return v.m.Result() }
+// (possibly stale with respect to the live tables); it panics only if
+// the view's subscription is gone from its broker.
+func (v *View) Result() []storage.Row { return must(v.b.Result(sub)) }
 
-// Pending returns the per-table delta queue sizes.
-func (v *View) Pending() core.Vector { return core.Vector(v.m.Pending()) }
+// Pending returns the per-table delta queue sizes; it panics only if the
+// view's subscription is gone from its broker.
+func (v *View) Pending() core.Vector { return core.Vector(must(v.b.Health(sub)).Pending) }
 
 // RefreshCost returns the model cost a refresh would incur right now;
 // the library keeps it at or below the constraint between steps. It
@@ -248,9 +231,16 @@ func (v *View) Pending() core.Vector { return core.Vector(v.m.Pending()) }
 // a state NewView rules out.
 func (v *View) RefreshCost() float64 { return v.model.Total(v.Pending()) }
 
-// TotalCost returns the accumulated model cost of all maintenance work.
-func (v *View) TotalCost() float64 { return v.totalCost }
+// TotalCost returns the accumulated model cost of all maintenance work;
+// it panics only if the view's subscription is gone from its broker.
+func (v *View) TotalCost() float64 { return must(v.b.TotalCost(sub)) }
 
-// EngineStats exposes the maintenance engine's work-unit counters (the
-// measured ground truth behind the model costs).
-func (v *View) EngineStats() *storage.Stats { return v.m.Stats() }
+// must unwraps a broker read of the view's own subscription. NewView
+// registered it and nothing here removes it, so an error is a broken
+// invariant.
+func must[T any](x T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return x
+}

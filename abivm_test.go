@@ -1,6 +1,8 @@
 package abivm
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -47,7 +49,7 @@ func TestNewViewRequiresConstraint(t *testing.T) {
 func TestNewViewChecksModelArity(t *testing.T) {
 	bad := core.NewCostModel(mustLin(t, 1, 1))
 	_, err := NewView(testDB(t), tpcr.PaperView, WithConstraint(bad, 10))
-	if err == nil || !strings.Contains(err.Error(), "cost model covers") {
+	if err == nil || !strings.Contains(err.Error(), "model covers") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -111,8 +113,44 @@ func TestViewLifecycle(t *testing.T) {
 	if !v.Pending().IsZero() {
 		t.Fatalf("pending after refresh = %v", v.Pending())
 	}
-	if v.EngineStats().BatchSetups == 0 {
-		t.Fatal("engine did no work")
+	// The refreshed content is the query over the live tables now.
+	fresh, err := NewView(db, tpcr.PaperView, WithConstraint(model, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rows), fmt.Sprint(fresh.Result()); got != want {
+		t.Fatalf("refreshed rows %s, fresh view %s", got, want)
+	}
+}
+
+func TestNewViewRejectsBadConstraint(t *testing.T) {
+	for _, c := range []float64{math.NaN(), -1} {
+		if _, err := NewView(testDB(t), tpcr.PaperView, WithConstraint(testModel(t), c)); err == nil {
+			t.Errorf("NewView accepted C = %v", c)
+		}
+	}
+}
+
+// shortPolicy answers every step with a one-table action, whatever the
+// view's arity.
+type shortPolicy struct{}
+
+func (shortPolicy) Name() string                                        { return "SHORT" }
+func (shortPolicy) Reset(int)                                           {}
+func (shortPolicy) Act(int, core.Vector, core.Vector, bool) core.Vector { return core.NewVector(1) }
+
+func TestViewShortPolicyActionIsAnError(t *testing.T) {
+	db := testDB(t)
+	v, err := NewView(db, tpcr.PaperView, WithConstraint(testModel(t), 20), WithCustomPolicy(shortPolicy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := tpcr.NewUpdateGen(db, tpcr.Config{ScaleFactor: 0.002, Seed: 1}, 9)
+	if err := v.Apply(gen.PartSuppUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.EndStep(); err == nil || !strings.Contains(err.Error(), "out-of-range action") {
+		t.Fatalf("EndStep with a short action: err = %v", err)
 	}
 }
 

@@ -86,10 +86,8 @@ func rowsKey(rows []storage.Row) string {
 	return strings.Join(keys, "|")
 }
 
-// rig is a broker-shaped wiring of one maintainer over a durable store:
-// WAL sink and chain store attached before any logged work, base
-// checkpoint seeding the directory — the same order pubsub.Subscribe
-// uses.
+// rig is a broker-shaped wiring of one maintainer over a durable store
+// (see build).
 type rig struct {
 	db    *storage.DB
 	fs    FS
@@ -107,11 +105,22 @@ func newRig(t *testing.T, fsys FS, depth int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := &rig{db: db, fs: fsys, st: st, depth: depth}
+	r.m, r.wal, r.chain = build(t, db, st, depth)
+	return r
+}
+
+// build wires a fresh maintainer over the live tables and st: WAL sink
+// and chain store attached before any logged work, base checkpoint
+// seeding the directory — the order the classic pubsub engine uses at
+// Subscribe and after a fallback recovery.
+func build(t *testing.T, db *storage.DB, st *Store, depth int) (*ivm.Maintainer, *ivm.WAL, *ivm.CheckpointChain) {
+	t.Helper()
 	m, err := ivm.New(db, paperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetNamespace("sub")
+	m.SetNamespace(st.ns)
 	wal := ivm.NewWAL()
 	m.AttachWAL(wal)
 	chain := ivm.NewCheckpointChain(depth)
@@ -120,7 +129,7 @@ func newRig(t *testing.T, fsys FS, depth int) *rig {
 	if err := chain.Checkpoint(m); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{db: db, fs: fsys, st: st, m: m, wal: wal, chain: chain, depth: depth}
+	return m, wal, chain
 }
 
 // apply feeds n partsupp inserts with keys starting at base.
@@ -188,14 +197,21 @@ func intsKey(v []int) string {
 
 // crash simulates losing the maintainer, WAL, and chain (the store,
 // like the broker-owned WAL it replaces, survives) and recovers from
-// disk.
+// disk — on the fallback rung by building afresh over the reset store.
 func (r *rig) crash(t *testing.T) *Recovery {
 	t.Helper()
 	rec, err := r.st.Recover(r.db, paperView, r.depth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.m, r.wal, r.chain = rec.M, rec.WAL, rec.Chain
+	if rec.Fallback {
+		if rec.M != nil || rec.WAL != nil || rec.Chain != nil {
+			t.Fatal("fallback recovery returned a maintainer")
+		}
+		r.m, r.wal, r.chain = build(t, r.db, r.st, r.depth)
+	} else {
+		r.m, r.wal, r.chain = rec.M, rec.WAL, rec.Chain
+	}
 	return rec
 }
 
@@ -474,19 +490,7 @@ func TestDirOpenerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := liveDB(t)
-	m, err := ivm.New(db, paperView)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetNamespace("shard0/orders")
-	wal := ivm.NewWAL()
-	m.AttachWAL(wal)
-	chain := ivm.NewCheckpointChain(4)
-	wal.SetSink(st)
-	chain.SetStore(st)
-	if err := chain.Checkpoint(m); err != nil {
-		t.Fatal(err)
-	}
+	m, _, _ := build(t, db, st, 4)
 	for i := 0; i < 5; i++ {
 		if err := m.Apply(ivm.Insert("PS", storage.Row{storage.I(int64(900 + i)), storage.I(1), storage.F(42)})); err != nil {
 			t.Fatal(err)

@@ -16,12 +16,12 @@ type Corruption struct {
 	Detail   string
 }
 
-// Recovery is the result of Store.Recover: a rebuilt maintainer with its
-// WAL and checkpoint chain, plus the ladder rung taken. Fallback is
-// false for an exact recovery (byte-identical to the crashed maintainer)
-// and true when corruption forced a full refresh from the live tables —
-// the last rung, where the view is recomputed from current base state
-// and un-drained deltas are lost. Corruptions lists every artifact the
+// Recovery is the result of Store.Recover: the ladder rung taken and, on
+// an exact rung, the rebuilt maintainer with its WAL and checkpoint
+// chain (byte-identical to the crashed maintainer). Fallback is true when
+// corruption forced the last rung: the store was reset, M, WAL and Chain
+// are nil, and the caller recomputes the view from current base state —
+// un-drained deltas are lost. Corruptions lists every artifact the
 // ladder stepped over either way.
 type Recovery struct {
 	M           *ivm.Maintainer
@@ -256,10 +256,12 @@ func (st *Store) loadChainLocked() chainState {
 //     kept by the base-LSN retention floor is replayed instead — still
 //     exact.
 //  3. Full refresh: the chain or the acknowledged log is unrecoverable,
-//     so the maintainer is rebuilt from the live tables — current state,
-//     with un-drained deltas lost — and a fresh generation checkpoint
-//     re-seeds the store. Loud (Fallback flag, corruption metrics),
-//     never silent.
+//     so the store resets itself to a fresh generation and returns
+//     Fallback with M, WAL and Chain nil. The caller rebuilds the view
+//     from the live tables — current state, with un-drained deltas lost
+//     — the way it built it in the first place, and that build's base
+//     checkpoint re-seeds the store. Loud (Fallback flag, corruption
+//     metrics), never silent.
 //
 // The store detects silent tail loss with its in-memory acknowledged-LSN
 // watermark: a scan that ends below the last successful Sync means an
@@ -268,42 +270,12 @@ func (st *Store) loadChainLocked() chainState {
 // watermark and trusts the scan — the same trust a real log places in
 // its last fsync.
 //
-// The rebuilt maintainer has the store re-attached as WAL sink and chain
-// store, and ms attached to maintainer, WAL, and chain.
+// On the exact rungs the rebuilt maintainer has the store re-attached as
+// WAL sink and chain store, and ms attached to maintainer, WAL, and
+// chain.
 func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.Metrics) (*Recovery, error) {
 	st.mu.Lock()
-	rec, err := st.recoverLocked(live, query, maxDepth, ms)
-	st.mu.Unlock()
-	if err != nil || !rec.Fallback {
-		return rec, err
-	}
-	// Full-refresh fallback: build the maintainer outside the store lock,
-	// because seeding the fresh chain calls straight back into PutBase.
-	m, err := ivm.New(live, query)
-	if err != nil {
-		return nil, fmt.Errorf("durable: fallback rebuild: %w", err)
-	}
-	m.SetNamespace(st.ns)
-	m.SetMetrics(ms)
-	wal := ivm.NewWAL()
-	wal.SetMetrics(ms)
-	m.AttachWAL(wal)
-	chain := ivm.NewCheckpointChain(maxDepth)
-	chain.SetMetrics(ms)
-	wal.SetSink(st)
-	chain.SetStore(st)
-	if err := chain.Checkpoint(m); err != nil {
-		return nil, fmt.Errorf("durable: fallback checkpoint: %w", err)
-	}
-	rec.M, rec.WAL, rec.Chain = m, wal, chain
-	return rec, nil
-}
-
-// recoverLocked runs the ladder's read side under the store lock. On the
-// exact rungs it returns the finished Recovery; on the fallback rung it
-// resets the store and returns Fallback=true with M/WAL/Chain nil for
-// Recover to fill in.
-func (st *Store) recoverLocked(live *storage.DB, query string, maxDepth int, ms *ivm.Metrics) (*Recovery, error) {
+	defer st.mu.Unlock()
 	// Whatever was buffered but never synced died with the crash.
 	st.buf = nil
 	st.bufFirst = 0
@@ -399,9 +371,7 @@ func (st *Store) recoverLocked(live *storage.DB, query string, maxDepth int, ms 
 
 // fallbackLocked takes the ladder's last rung: quarantining already
 // happened at detection time, so this just resets the store to a fresh
-// (but generation-continuous) state and reports the damage. The caller
-// rebuilds the maintainer from the live tables and re-seeds the store
-// with a fresh base checkpoint.
+// (but generation-continuous) state and reports the damage.
 func (st *Store) fallbackLocked(ms *ivm.Metrics, events []Corruption, quars int) *Recovery {
 	st.buf = nil
 	st.bufFirst = 0

@@ -5,8 +5,9 @@
 // the chain together. Recovery (see recover.go) validates every artifact
 // before decoding it and degrades down a documented ladder — truncate
 // the WAL at the first corrupt frame, drop corrupt delta segments, fall
-// back to the base, and as the last rung rebuild from the live tables —
-// quarantining damaged artifacts instead of failing the maintainer. The
+// back to the base, and as the last rung reset the store for its caller
+// to rebuild from the live tables — quarantining damaged artifacts
+// instead of failing the maintainer. The
 // byte-level damage it must survive is modeled by fault.Media, which
 // wraps the FS with seeded torn writes, bit flips, truncations, dropped
 // files, and skipped renames.
@@ -101,7 +102,8 @@ func (s *Stats) Add(o Stats) {
 // by the broker at its step boundary and implicitly before every
 // truncation. A Store survives the (simulated) crash of its maintainer —
 // like the in-memory WAL it backs, it is owned by the broker — and
-// Recover rebuilds maintainer, WAL, and chain from the file state.
+// Recover rebuilds maintainer, WAL, and chain from the file state — or,
+// when the files are past repair, resets itself for a rebuild.
 //
 // Store is safe for concurrent use, but recovery exactness relies on the
 // broker's sequencing: at every crash point the last Sync must have

@@ -31,32 +31,44 @@ type classicEngine struct {
 	ms    *ivm.Metrics
 }
 
-// newClassicEngine builds the maintainer, attaches its redo log and
-// chain — on disk when open is non-nil, so the very first base segment
-// already lands in files and a crash before the first step recovers from
-// them — and takes the initial checkpoint.
+// newClassicEngine opens the namespace's store when open is non-nil and
+// builds the engine over it, so the very first base segment already
+// lands in files and a crash before the first step recovers from them.
 func newClassicEngine(db *storage.DB, query, ns string, depth int, open durable.Opener) (*classicEngine, error) {
-	m, err := ivm.New(db, query)
-	if err != nil {
-		return nil, err
-	}
-	e := &classicEngine{
-		Maintainer: m, wal: ivm.NewWAL(), chain: ivm.NewCheckpointChain(depth),
-		db: db, query: query, depth: depth,
-	}
-	m.AttachWAL(e.wal)
-	m.SetNamespace(ns)
+	e := &classicEngine{db: db, query: query, depth: depth}
 	if open != nil {
+		var err error
 		if e.store, err = open(ns); err != nil {
 			return nil, fmt.Errorf("opening durable store: %w", err)
 		}
+	}
+	if err := e.build(ns); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// build is the one place a classic view is wired, at Subscribe and on a
+// fallback recovery: a maintainer over the live tables, its redo log and
+// chain mirrored to the store if any, metrics attached, and the base
+// checkpoint taken.
+func (e *classicEngine) build(ns string) error {
+	m, err := ivm.New(e.db, e.query)
+	if err != nil {
+		return err
+	}
+	e.Maintainer, e.wal, e.chain = m, ivm.NewWAL(), ivm.NewCheckpointChain(e.depth)
+	m.AttachWAL(e.wal)
+	m.SetNamespace(ns)
+	if e.store != nil {
 		e.wal.SetSink(e.store)
 		e.chain.SetStore(e.store)
 	}
+	e.SetMetrics(e.ms)
 	if err := e.chain.Checkpoint(m); err != nil {
-		return nil, fmt.Errorf("initial checkpoint: %w", err)
+		return fmt.Errorf("base checkpoint: %w", err)
 	}
-	return e, nil
+	return nil
 }
 
 // Arrive queues and logs the modification. The call is on the concrete
@@ -79,21 +91,23 @@ func (e *classicEngine) Checkpoint() error {
 // the simulated crash and the redo is exact; recovery validates the
 // chain's namespace, so a shard can only restore its own subscription.
 // On disk the in-memory log and chain die with the process and
-// everything is rebuilt from the store's files — possibly by falling
-// back to a full refresh.
+// everything is rebuilt from the store's files. When those are too
+// damaged to replay, the store resets itself and the engine is built
+// afresh over the live tables, re-seeding the store — a full refresh.
 func (e *classicEngine) Recover() (fallback bool, err error) {
+	ns := e.Namespace()
 	if e.store == nil {
-		m, err := ivm.RecoverChainNamespaced(e.db, e.query, e.Namespace(), e.chain, e.wal, e.ms)
+		m, err := ivm.RecoverChainNamespaced(e.db, e.query, ns, e.chain, e.wal, e.ms)
 		if err != nil {
 			return false, err
 		}
 		e.Maintainer = m
-	} else {
-		rec, err := e.store.Recover(e.db, e.query, e.depth, e.ms)
-		if err != nil {
-			return false, fmt.Errorf("disk: %w", err)
-		}
-		e.Maintainer, e.wal, e.chain, fallback = rec.M, rec.WAL, rec.Chain, rec.Fallback
+	} else if rec, err := e.store.Recover(e.db, e.query, e.depth, e.ms); err != nil {
+		return false, fmt.Errorf("disk: %w", err)
+	} else if fallback = rec.Fallback; !fallback {
+		e.Maintainer, e.wal, e.chain = rec.M, rec.WAL, rec.Chain
+	} else if err := e.build(ns); err != nil {
+		return false, fmt.Errorf("disk fallback: %w", err)
 	}
 	e.Maintainer.SetInjector(e.inj)
 	return fallback, nil

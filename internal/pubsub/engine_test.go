@@ -236,3 +236,87 @@ func TestViewEngineContract(t *testing.T) {
 		})
 	}
 }
+
+// TestViewEngineContractDiskFallback is the disk-backed classic engine's
+// last recovery rung at the engine level: with the base segment damaged
+// the store cannot replay, so Recover reports a fallback and the engine
+// rebuilds itself over the live tables — the constructor Subscribe uses —
+// re-seeding the store, from which the next crash recovers exactly.
+func TestViewEngineContractDiskFallback(t *testing.T) {
+	fsys := durable.NewMemFS()
+	e := buildClassic(t, func(ns string) (*durable.Store, error) { return durable.NewStore(fsys, ns) })
+	script := engineScript()
+	for _, ev := range script {
+		e.feed(t, ev.table, ev.mod)
+	}
+	if err := e.ProcessBatch("s", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := fsys.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, name := range names {
+		if !strings.HasSuffix(name, "-base.seg") {
+			continue
+		}
+		data, err := fsys.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := fsys.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged == 0 {
+		t.Fatalf("no base segment among %v", names)
+	}
+
+	fallback, err := e.Recover()
+	if err != nil || !fallback {
+		t.Fatalf("Recover over a damaged base: fallback=%v err=%v", fallback, err)
+	}
+	live := e.viewEngine.(*classicEngine).db
+	fresh, err := ivm.New(live, eastQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rowsText(e.Result()), rowsText(fresh.Result()); got != want {
+		t.Fatalf("fallback content %s, fresh maintainer over the live tables %s", got, want)
+	}
+	if p := pendingOf(e); p[0] != 0 || p[1] != 0 {
+		t.Fatalf("pending after a fallback = %v, want the backlog gone", p)
+	}
+
+	// The rebuild re-seeded the store: more arrivals, a drain and a sync
+	// later, a second crash is exact.
+	for _, ev := range script[:4] {
+		ev.mod.Row = storage.Row{storage.I(ev.mod.Row[0].Int() + 100), ev.mod.Row[1], ev.mod.Row[2]}
+		e.feed(t, ev.table, ev.mod)
+	}
+	if err := e.ProcessBatch("s", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	wantPending, wantRows := pendingOf(e), rowsText(e.Result())
+	if fallback, err := e.Recover(); err != nil || fallback {
+		t.Fatalf("second Recover: fallback=%v err=%v", fallback, err)
+	}
+	if got := pendingOf(e); got[0] != wantPending[0] || got[1] != wantPending[1] {
+		t.Fatalf("recovered pending %v, want %v", got, wantPending)
+	}
+	if got := rowsText(e.Result()); got != wantRows {
+		t.Fatalf("recovered content %s, want %s", got, wantRows)
+	}
+}

@@ -19,6 +19,7 @@ package pubsub
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -267,10 +268,8 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	if !(cfg.QoS >= 0) {
 		return fmt.Errorf("pubsub: subscription %q: QoS %v is not a non-negative bound", cfg.Name, cfg.QoS)
 	}
-	for _, existing := range b.subs {
-		if existing.cfg.Name == cfg.Name {
-			return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
-		}
+	if slices.ContainsFunc(b.subs, func(s *sub) bool { return s.cfg.Name == cfg.Name }) {
+		return fmt.Errorf("pubsub: duplicate subscription %q", cfg.Name)
 	}
 	p, err := ivm.PlanView(cfg.Query)
 	if err != nil {
@@ -331,18 +330,16 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 func (b *Broker) Unsubscribe(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i, s := range b.subs {
-		if s.cfg.Name != name {
-			continue
-		}
-		s.eng.Close()
-		if s.obs != nil {
-			s.obs.zeroGauges()
-		}
-		b.subs = append(b.subs[:i], b.subs[i+1:]...)
-		return nil
+	s, err := b.find(name)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("pubsub: no subscription %q", name)
+	s.eng.Close()
+	if s.obs != nil {
+		s.obs.zeroGauges()
+	}
+	b.subs = slices.DeleteFunc(b.subs, func(x *sub) bool { return x == s })
+	return nil
 }
 
 // Publish applies one modification to the shared base tables and routes
@@ -685,6 +682,30 @@ func (b *Broker) process(s *sub, act core.Vector) (float64, error) {
 	return cost, nil
 }
 
+// Refresh brings a subscription's content up to date on demand, outside
+// any step — the paper's refresh, whose cost the step loop keeps within
+// the QoS bound. It returns the notification a firing condition would
+// deliver now, degraded when the refresh fails within the retry budget.
+func (b *Broker) Refresh(name string) (Notification, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s, err := b.find(name)
+	if err != nil {
+		return Notification{}, err
+	}
+	return b.notify(s)
+}
+
+// find returns the named subscription. Caller holds b.mu.
+func (b *Broker) find(name string) (*sub, error) {
+	for _, s := range b.subs {
+		if s.cfg.Name == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("pubsub: no subscription %q", name)
+}
+
 // Subscriptions returns the registered subscription names, in
 // registration order.
 func (b *Broker) Subscriptions() []string {
@@ -702,12 +723,11 @@ func (b *Broker) Subscriptions() []string {
 func (b *Broker) TotalCost(name string) (float64, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for _, s := range b.subs {
-		if s.cfg.Name == name {
-			return s.total, nil
-		}
+	s, err := b.find(name)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("pubsub: no subscription %q", name)
+	return s.total, nil
 }
 
 // Result returns the (possibly stale) current content of a subscription.
@@ -715,12 +735,11 @@ func (b *Broker) TotalCost(name string) (float64, error) {
 func (b *Broker) Result(name string) ([]storage.Row, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, s := range b.subs {
-		if s.cfg.Name == name {
-			return s.eng.Result(), nil
-		}
+	s, err := b.find(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("pubsub: no subscription %q", name)
+	return s.eng.Result(), nil
 }
 
 // Health is a snapshot of one subscription's fault-tolerance state.
@@ -756,14 +775,13 @@ func (b *Broker) Health(name string) (Health, error) {
 func (b *Broker) HealthInto(name string, h *Health) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for _, s := range b.subs {
-		if s.cfg.Name == name {
-			h.Degraded = s.degraded
-			h.StepsBehind = b.step - s.lastFresh
-			h.Pending = s.eng.PendingInto(h.Pending)
-			h.WALRecords = s.eng.WALLen()
-			return nil
-		}
+	s, err := b.find(name)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("pubsub: no subscription %q", name)
+	h.Degraded = s.degraded
+	h.StepsBehind = b.step - s.lastFresh
+	h.Pending = s.eng.PendingInto(h.Pending)
+	h.WALRecords = s.eng.WALLen()
+	return nil
 }

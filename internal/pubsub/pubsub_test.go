@@ -183,6 +183,37 @@ func TestNotificationContentIsFresh(t *testing.T) {
 	}
 }
 
+// TestRefreshOnDemand: a refresh outside any step drains the whole
+// backlog, charges it to the subscription, and returns the fresh content,
+// even for a condition that never fires.
+func TestRefreshOnDemand(t *testing.T) {
+	b := NewBroker(salesDB(t))
+	if err := b.Subscribe(Subscription{
+		Name: "east", Query: eastQuery, Condition: func(int) bool { return false }, Model: model2(t), QoS: 30,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish("sales", ivm.Insert("", storage.Row{storage.I(100), storage.I(0), storage.F(7)})); err != nil {
+		t.Fatal(err)
+	}
+	n, err := b.Refresh("east")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Rows[0][0].Float(); got != 207 || n.Degraded || n.RefreshCost <= 0 {
+		t.Fatalf("refresh = %+v, want SUM 207 at a positive cost", n)
+	}
+	if total, _ := b.TotalCost("east"); total != n.RefreshCost {
+		t.Fatalf("TotalCost = %g, want the refresh's %g", total, n.RefreshCost)
+	}
+	if h, _ := b.Health("east"); h.Pending[0] != 0 || h.Pending[1] != 0 {
+		t.Fatalf("pending after refresh = %v", h.Pending)
+	}
+	if _, err := b.Refresh("nope"); err == nil {
+		t.Fatal("Refresh of an unknown subscription succeeded")
+	}
+}
+
 func TestTwoSubscriptionsShareOneStream(t *testing.T) {
 	db := salesDB(t)
 	b := NewBroker(db)

@@ -2,8 +2,9 @@
 # Full verification gate: gofmt, vet, build, domain lint (the nine
 # abivmlint analyzers, zero live findings), race-enabled tests, the
 # allocation-count tests without the race detector, the committed
-# RESULTS.txt against the engine's output, and the nested benchmark
-# module; its last line is the tracked line count (scripts/loc.sh).
+# RESULTS.txt and examples/*/expected.txt against what the code prints,
+# and the nested benchmark module; its last line is the tracked line
+# count (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the
@@ -40,6 +41,9 @@ go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./inte
 echo "==> RESULTS.txt is what the engine prints"
 make results-check
 
+echo "==> the examples print their expected.txt"
+make examples-check
+
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or
 # durable that breaks its build would otherwise surface only when the
@@ -50,6 +54,6 @@ echo "==> benchmark module (vet, tests, quick run)"
 bash benchmark/run.sh -quick
 
 echo "OK"
-# Informational, never a failure: the size ROADMAP item 3 tracks, so every
+# Informational, never a failure: the size ROADMAP item 5 tracks, so every
 # PR's record of this gate carries it.
 sh scripts/loc.sh
