@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json lint-self vet verify results-check examples-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
+.PHONY: build test race lint lint-json vet verify results-check examples-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
 
 build:
 	$(GO) build ./...
@@ -23,11 +23,6 @@ lint:
 # the report is written either way but the target only passes clean.
 lint-json:
 	$(GO) run ./cmd/abivmlint -json ./... > abivmlint.json
-
-# lint-self points the analyzers at their own implementation and the
-# CLIs — the linter must hold itself to the rules it enforces.
-lint-self:
-	$(GO) run ./cmd/abivmlint ./internal/lint/... ./cmd/...
 
 vet:
 	$(GO) vet ./...

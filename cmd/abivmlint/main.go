@@ -1,25 +1,20 @@
 // Command abivmlint is the domain-aware static-analysis suite for the
-// abivm tree. It bundles nine analyzers over invariants the compiler
-// cannot check:
+// abivm tree. It bundles three analyzers over the invariants replay
+// determinism rests on and the compiler cannot check:
 //
-//	vecalias    core.Vector parameters retained without Clone()
-//	floateq     ==/!= between float64s in cost-bearing packages
-//	errdrop     discarded error return values in internal/... and cmd/...
-//	panicdoc    undocumented panics on the exported abivm / core surface
-//	metricname  dynamic (non-constant) metric names registered on obs.Registry
-//	pkgdoc      missing or malformed package comments under internal/ and cmd/
 //	maporder    map iteration order escaping into observable state
 //	nondet      wall-clock / global rand / env reads in deterministic packages
 //	mutexheld   mutex-guarded struct fields accessed without the lock
 //
 // Usage:
 //
-//	abivmlint [-only name,name] [-list] [-json] [packages]
+//	abivmlint [-list] [-json] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The exit
 // status is 1 when any live finding is reported. Findings are suppressed
 // by a "//lint:ignore <analyzer> <reason>" comment on the offending line
-// or the line above it; -json reports the suppressed findings (with
+// or the line above it, and a directive that suppresses nothing is a
+// live finding of its own; -json reports the suppressed findings (with
 // their justifications) alongside the live ones, so CI can publish the
 // exception count next to the failures.
 package main
@@ -29,27 +24,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"abivm/internal/lint"
-	"abivm/internal/lint/errdrop"
-	"abivm/internal/lint/floateq"
 	"abivm/internal/lint/maporder"
-	"abivm/internal/lint/metricname"
 	"abivm/internal/lint/mutexheld"
 	"abivm/internal/lint/nondet"
-	"abivm/internal/lint/panicdoc"
-	"abivm/internal/lint/pkgdoc"
-	"abivm/internal/lint/vecalias"
 )
 
 var all = []*lint.Analyzer{
-	vecalias.Analyzer,
-	floateq.Analyzer,
-	errdrop.Analyzer,
-	panicdoc.Analyzer,
-	metricname.Analyzer,
-	pkgdoc.Analyzer,
 	maporder.Analyzer,
 	nondet.Analyzer,
 	mutexheld.Analyzer,
@@ -72,7 +54,6 @@ type counts struct {
 
 func main() {
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings and suppression counts as JSON")
 	flag.Parse()
 
@@ -81,11 +62,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fatal(err)
 	}
 
 	modRoot, err := lint.FindModRoot()
@@ -104,7 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	findings, suppressed, err := lint.RunAll(pkgs, analyzers)
+	findings, suppressed, err := lint.RunAll(pkgs, all)
 	if err != nil {
 		fatal(err)
 	}
@@ -141,25 +117,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "abivmlint: %d finding(s), %d suppressed\n", len(findings), len(suppressed))
 		os.Exit(1)
 	}
-}
-
-func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	if only == "" {
-		return all, nil
-	}
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("abivmlint: unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

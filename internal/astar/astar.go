@@ -126,7 +126,8 @@ type priorityQueue []*pqItem
 
 func (pq priorityQueue) Len() int { return len(pq) }
 func (pq priorityQueue) Less(i, j int) bool {
-	//lint:ignore floateq heap ordering must be a strict weak order; epsilon comparisons are not transitive
+	// Heap ordering must be a strict weak order; epsilon comparisons are
+	// not transitive.
 	if pq[i].d != pq[j].d {
 		return pq[i].d < pq[j].d
 	}
@@ -404,7 +405,7 @@ func (s *searcher) putVec(v core.Vector) {
 	if v == nil {
 		return
 	}
-	//lint:ignore vecalias ownership transfers to the free list by the putVec contract
+	// Ownership transfers to the free list by the putVec contract.
 	s.vecFree = append(s.vecFree, v)
 }
 
@@ -520,7 +521,7 @@ func (s *searcher) relax(parent *pqItem, t int, pre, action core.Vector, weight 
 		existing.d = g + existing.h
 		heap.Fix(&s.open, existing.index)
 		old := s.parents[key]
-		//lint:ignore vecalias the search owns action and the parent map is its sole holder
+		// The search owns action and the parent map is its sole holder.
 		s.parents[key] = parentLink{from: parent.key, action: action, t: t}
 		s.putVec(old.action)
 		return
@@ -536,7 +537,7 @@ func (s *searcher) relax(parent *pqItem, t int, pre, action core.Vector, weight 
 	item.h = s.h(t, state)
 	item.d = g + item.h
 	s.items[key] = item
-	//lint:ignore vecalias the search owns action and the parent map is its sole holder
+	// The search owns action and the parent map is its sole holder.
 	s.parents[key] = parentLink{from: parent.key, action: action, t: t}
 	heap.Push(&s.open, item)
 }

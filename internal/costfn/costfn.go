@@ -171,7 +171,7 @@ func NewPiecewiseLinear(knots []Knot) (*PiecewiseLinear, error) {
 	if len(knots) < 2 {
 		return nil, fmt.Errorf("costfn: need at least two knots, got %d", len(knots))
 	}
-	//lint:ignore floateq the (0,0) anchor knot must be exact, not approximate
+	// The (0,0) anchor knot must be exact, not approximate.
 	if knots[0].K != 0 || knots[0].Cost != 0 {
 		return nil, fmt.Errorf("costfn: first knot must be (0,0), got (%d,%g)", knots[0].K, knots[0].Cost)
 	}
@@ -243,7 +243,7 @@ func NewTable(samples []float64) (*Table, error) {
 	if len(samples) < 2 {
 		return nil, fmt.Errorf("costfn: need at least two samples, got %d", len(samples))
 	}
-	//lint:ignore floateq samples[0] anchors Cost(0)==0 and must be exact
+	// samples[0] anchors Cost(0) == 0 and must be exact.
 	if samples[0] != 0 {
 		return nil, fmt.Errorf("costfn: samples[0] must be 0, got %g", samples[0])
 	}

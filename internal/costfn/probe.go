@@ -25,7 +25,7 @@ func CheckMonotone(f core.CostFunc, upTo int) int {
 // for all 1 <= x <= y with x+y <= upTo, within a small relative tolerance
 // for float drift. It returns the first violating (x, y), or (0, 0).
 func CheckSubadditive(f core.CostFunc, upTo int) (x, y int) {
-	//lint:ignore floateq the CostFunc contract requires an exact zero at k=0
+	// The CostFunc contract requires an exact zero at k=0.
 	if f.Cost(0) != 0 {
 		return 0, 1
 	}
@@ -60,7 +60,6 @@ func CheckInvariants(f core.CostFunc, maxK int) error {
 	if maxK < 1 {
 		return fmt.Errorf("costfn: CheckInvariants needs maxK >= 1, got %d", maxK)
 	}
-	//lint:ignore floateq the CostFunc contract requires an exact zero at k=0
 	if z := f.Cost(0); z != 0 {
 		return fmt.Errorf("costfn: Cost(0) = %g, want exactly 0", z)
 	}

@@ -95,12 +95,11 @@ func writeSynced(p string, flags int, data []byte) error {
 	}
 	if _, err := f.Write(data); err != nil {
 		// The write already failed; Close can add nothing but noise.
-		//lint:ignore errdrop the write error is the failure being reported
 		f.Close()
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		//lint:ignore errdrop the sync error is the failure being reported
+		// The sync error is the failure being reported.
 		f.Close()
 		return err
 	}

@@ -60,7 +60,6 @@ func FaultyMemOpener(seed int64, rates fault.MediaRates) Opener {
 // mediaSeed derives a per-namespace injector seed.
 func mediaSeed(seed int64, ns string) int64 {
 	h := fnv.New64a()
-	//lint:ignore errdrop fnv.Write cannot fail
 	h.Write([]byte(ns))
 	return seed ^ int64(h.Sum64())
 }

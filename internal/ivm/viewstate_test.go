@@ -69,7 +69,7 @@ func diffSnapshots(got, want *ViewStateSnapshot) string {
 		}
 		for i := range w.Aggs {
 			ga, wa := g.Aggs[i], w.Aggs[i]
-			//lint:ignore floateq the copy must carry the accumulator's very bits
+			// The copy must carry the accumulator's very bits.
 			if ga.Sum != wa.Sum || len(ga.Multiset) != len(wa.Multiset) {
 				return fmt.Sprintf("entry %q aggregate %d: %+v, want %+v", k, i, ga, wa)
 			}

@@ -4,18 +4,21 @@
 // library (go/parser + go/types), so the module keeps its zero-dependency,
 // offline-buildable property.
 //
-// Analyzers check invariants the compiler cannot see — core.Vector
-// aliasing, float64 equality in cost-bearing code, dropped errors, and
-// undocumented panics — and are wired together by cmd/abivmlint.
+// Analyzers check the invariants replay determinism rests on and the
+// compiler cannot see — map iteration order leaking into output,
+// wall-clock and global-rand reads in the deterministic core, and
+// mutex-guarded fields touched without the lock — and are wired together
+// by cmd/abivmlint.
 //
 // A finding can be suppressed with a directive comment on the offending
 // line or the line directly above it:
 //
-//	//lint:ignore vecalias the callee owns the vector by contract
+//	//lint:ignore nondet drain latency feeds metrics only, never maintained state
 //
 // The first field after "ignore" is a comma-separated list of analyzer
 // names ("*" matches every analyzer); the rest of the line is a mandatory
-// justification.
+// justification. A directive that suppresses nothing is itself a finding,
+// so a waiver cannot outlive the code or the analyzer it was written for.
 package lint
 
 import (
@@ -43,9 +46,6 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// All holds every loaded package, for whole-program analyses such as
-	// panicdoc's transitive panic propagation.
-	All []*Package
 
 	findings *[]Finding
 }
@@ -73,6 +73,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 }
 
+// staleIgnore is the analyzer name on findings about lint:ignore
+// directives that suppress nothing.
+const staleIgnore = "lint"
+
 // Run applies the analyzers to the packages, drops findings suppressed by
 // lint:ignore directives, and returns the rest sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
@@ -83,24 +87,31 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // RunAll is Run, but it also returns the findings that lint:ignore
 // directives suppressed (each tagged with its justification), so drivers
 // can count and publish the waived exceptions alongside the live ones —
-// the -json CI artifact reports both. Both slices are sorted by position.
+// the -json CI artifact reports both. Every directive that suppressed
+// nothing is a live finding: one naming no analyzer in the set, and one
+// whose analyzers matched nothing at its line, including an analyzer
+// whose AppliesTo skips the package. Both slices are sorted by position.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) (kept, suppressed []Finding, err error) {
 	var findings []Finding
+	known := map[string]bool{"*": true}
 	for _, a := range analyzers {
 		if a.Run == nil {
 			return nil, nil, fmt.Errorf("lint: analyzer %q has no Run function", a.Name)
 		}
+		known[a.Name] = true
 		for _, pkg := range pkgs {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.PkgPath) {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, All: pkgs, findings: &findings}
+			pass := &Pass{Analyzer: a, Pkg: pkg, findings: &findings}
 			if err := a.Run(pass); err != nil {
 				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
 	}
-	kept, suppressed = suppressIgnored(pkgs, findings)
+	directives := parseDirectives(pkgs)
+	kept, suppressed = suppressIgnored(directives, findings)
+	kept = append(kept, staleDirectives(directives, known)...)
 	sortFindings(kept)
 	sortFindings(suppressed)
 	return kept, suppressed, nil
@@ -122,49 +133,61 @@ func sortFindings(findings []Finding) {
 	})
 }
 
+// ignoreDirective is one parsed lint:ignore comment.
+type ignoreDirective struct {
+	pos    token.Position
+	names  []string
+	reason string
+	used   bool // suppressed at least one finding
+}
+
+// parseDirectives collects every lint:ignore directive of the packages
+// in source order.
+func parseDirectives(pkgs []*Package) []*ignoreDirective {
+	var out []*ignoreDirective
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Syntax {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					if d, ok := parseIgnore(c.Text); ok {
+						d.pos = pkg.Fset.Position(c.Pos())
+						out = append(out, &d)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // ignoreKey locates one lint:ignore directive.
 type ignoreKey struct {
 	file string
 	line int
 }
 
-// ignoreDirective is one parsed lint:ignore comment.
-type ignoreDirective struct {
-	names  []string
-	reason string
-}
-
 // suppressIgnored splits findings into those that survive and those
 // covered by a lint:ignore directive on the same line or the line
-// directly above; suppressed findings carry the directive's reason.
-func suppressIgnored(pkgs []*Package, findings []Finding) (kept, suppressed []Finding) {
-	ignores := map[ignoreKey][]ignoreDirective{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Syntax {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					d, ok := parseIgnore(c.Text)
-					if !ok {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					k := ignoreKey{pos.Filename, pos.Line}
-					ignores[k] = append(ignores[k], d)
-				}
-			}
-		}
-	}
-	if len(ignores) == 0 {
+// directly above; suppressed findings carry the directive's reason, and
+// the directives that covered one are marked used.
+func suppressIgnored(directives []*ignoreDirective, findings []Finding) (kept, suppressed []Finding) {
+	if len(directives) == 0 {
 		return findings, nil
+	}
+	ignores := map[ignoreKey][]*ignoreDirective{}
+	for _, d := range directives {
+		k := ignoreKey{d.pos.Filename, d.pos.Line}
+		ignores[k] = append(ignores[k], d)
 	}
 	kept = findings[:0]
 	for _, f := range findings {
-		reason, ok := ignoredAt(ignores, f.Pos.Filename, f.Pos.Line, f.Analyzer)
-		if !ok {
-			reason, ok = ignoredAt(ignores, f.Pos.Filename, f.Pos.Line-1, f.Analyzer)
+		d := ignoredAt(ignores[ignoreKey{f.Pos.Filename, f.Pos.Line}], f.Analyzer)
+		if d == nil {
+			d = ignoredAt(ignores[ignoreKey{f.Pos.Filename, f.Pos.Line - 1}], f.Analyzer)
 		}
-		if ok {
-			f.Suppressed = reason
+		if d != nil {
+			d.used = true
+			f.Suppressed = d.reason
 			suppressed = append(suppressed, f)
 			continue
 		}
@@ -173,15 +196,35 @@ func suppressIgnored(pkgs []*Package, findings []Finding) (kept, suppressed []Fi
 	return kept, suppressed
 }
 
-func ignoredAt(ignores map[ignoreKey][]ignoreDirective, file string, line int, analyzer string) (string, bool) {
-	for _, d := range ignores[ignoreKey{file, line}] {
+func ignoredAt(directives []*ignoreDirective, analyzer string) *ignoreDirective {
+	for _, d := range directives {
 		for _, name := range d.names {
 			if name == "*" || name == analyzer {
-				return d.reason, true
+				return d
 			}
 		}
 	}
-	return "", false
+	return nil
+}
+
+// staleDirectives reports every directive that suppressed nothing.
+func staleDirectives(directives []*ignoreDirective, known map[string]bool) []Finding {
+	var out []Finding
+	for _, d := range directives {
+		if d.used {
+			continue
+		}
+		names := strings.Join(d.names, ",")
+		msg := "lint:ignore " + names + " names no registered analyzer"
+		for _, name := range d.names {
+			if known[name] {
+				msg = "lint:ignore " + names + " suppresses nothing here; delete it"
+				break
+			}
+		}
+		out = append(out, Finding{Analyzer: staleIgnore, Pos: d.pos, Message: msg})
+	}
+	return out
 }
 
 // parseIgnore recognizes "//lint:ignore name1,name2 justification" and
@@ -206,11 +249,11 @@ func parseIgnore(text string) (ignoreDirective, bool) {
 
 // InspectFuncDecls walks every function declaration with a body in the
 // package — the shared entry point of the syntactic analyzers.
-func InspectFuncDecls(pkg *Package, fn func(file *ast.File, decl *ast.FuncDecl)) {
+func InspectFuncDecls(pkg *Package, fn func(decl *ast.FuncDecl)) {
 	for _, file := range pkg.Syntax {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(file, fd)
+				fn(fd)
 			}
 		}
 	}

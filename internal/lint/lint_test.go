@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"path/filepath"
 	"strings"
@@ -12,11 +13,11 @@ func TestParseIgnore(t *testing.T) {
 		text string
 		want []string
 	}{
-		{"//lint:ignore vecalias caller owns it", []string{"vecalias"}},
-		{"//lint:ignore vecalias,floateq shared reason", []string{"vecalias", "floateq"}},
+		{"//lint:ignore nondet metrics only", []string{"nondet"}},
+		{"//lint:ignore nondet,maporder shared reason", []string{"nondet", "maporder"}},
 		{"//lint:ignore * blanket waiver with reason", []string{"*"}},
-		{"//lint:ignore vecalias", nil}, // missing justification: not honored
-		{"// lint:ignore vecalias reason", nil},
+		{"//lint:ignore nondet", nil}, // missing justification: not honored
+		{"// lint:ignore nondet reason", nil},
 		{"// plain comment", nil},
 	}
 	for _, c := range cases {
@@ -104,6 +105,31 @@ func TestRunSortsAndSuppresses(t *testing.T) {
 	if base := filepath.Base(findings[0].Pos.Filename); !strings.HasSuffix(base, ".go") {
 		t.Errorf("finding position %q is not a Go file", base)
 	}
+}
+
+// TestStaleIgnoreIsAFinding runs an analyzer flagging every call to
+// flagged over a fixture with one directive that suppresses a finding and
+// two that suppress nothing: the first names the analyzer, the second no
+// analyzer at all. Both stale ones are live findings.
+func TestStaleIgnoreIsAFinding(t *testing.T) {
+	flagCall := &Analyzer{
+		Name: "flagcall",
+		Doc:  "test analyzer reporting every call to flagged",
+		Run: func(p *Pass) error {
+			for _, f := range p.Pkg.Syntax {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "flagged" {
+							p.Reportf(call.Pos(), "call to flagged")
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		},
+	}
+	RunFixture(t, flagCall, "testdata/src/stale")
 }
 
 func TestFindingString(t *testing.T) {

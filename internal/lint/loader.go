@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -26,9 +27,11 @@ type Package struct {
 // Loader parses and type-checks packages of a single module without any
 // external tooling: module-local imports are resolved by walking the
 // module tree, standard-library imports through the compiler's source
-// importer. It deliberately supports only what this repo needs — one
-// module, no vendoring, no cgo, no build tags — which keeps it small
-// enough to audit and free of golang.org/x/tools.
+// importer. It loads the package set the go command loads for the host
+// platform: build constraints apply, and a nested module is not part of
+// "./...". Beyond that it supports only what this repo needs — one
+// module, no vendoring, no cgo — which keeps it small enough to audit
+// and free of golang.org/x/tools.
 type Loader struct {
 	ModRoot string // directory containing go.mod
 	ModPath string // module path declared in go.mod
@@ -102,13 +105,14 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor" || isModuleRoot(path)) {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
+			names, err := goFiles(path)
+			if len(names) > 0 {
 				dirs[path] = true
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -145,24 +149,36 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.check(dir, asPath)
 }
 
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if isSourceFile(e) {
-			return true
-		}
-	}
-	return false
+// isModuleRoot reports whether dir holds its own go.mod: a nested module,
+// which the go command leaves out of the enclosing module's "./...".
+func isModuleRoot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
-func isSourceFile(e os.DirEntry) bool {
-	name := e.Name()
-	return !e.IsDir() && strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
+// goFiles lists the non-test Go files of dir that the go command builds
+// for the host platform: build constraints and _GOOS/_GOARCH file-name
+// suffixes apply, and names starting with "_" or "." are skipped.
+func goFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			names = append(names, name)
+		}
+	}
+	return names, nil
 }
 
 // loadPath loads a module-local package by import path, caching results
@@ -188,16 +204,13 @@ func (l *Loader) loadPath(pkgPath string) (*Package, error) {
 
 // check parses and type-checks the non-test Go files of one directory.
 func (l *Loader) check(dir, pkgPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range entries {
-		if !isSourceFile(e) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

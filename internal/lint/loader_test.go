@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,5 +164,53 @@ func TestLoadRecursivePatternSkipsTestdata(t *testing.T) {
 	want := []string{"walk/p", "walk/p/inner"}
 	if len(paths) != len(want) || paths[0] != want[0] || paths[1] != want[1] {
 		t.Fatalf("Load(p/...) = %v, want %v", paths, want)
+	}
+}
+
+func TestLoadRecursivePatternSkipsNestedModule(t *testing.T) {
+	root := writeModule(t, "module outer\n", map[string]string{
+		"p/p.go":        "package p\n",
+		"nested/go.mod": "module outer/nested\n",
+		"nested/n.go":   "package nested\n\nvar x undeclaredType\n",
+		"nested/q/q.go": "package q\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("./... should not reach a nested module: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].PkgPath != "outer/p" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.PkgPath)
+		}
+		t.Fatalf("Load(./...) = %v, want [outer/p]", paths)
+	}
+}
+
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	root := writeModule(t, "module tags\n", map[string]string{
+		// The shape of internal/testenv: one name, declared once per side
+		// of a constraint. Loading both files would redeclare it.
+		"p/on.go":     "//go:build abivm_never_set\n\npackage p\n\nconst On = true\n",
+		"p/off.go":    "//go:build !abivm_never_set\n\npackage p\n\nconst On = false\n",
+		"p/ignore.go": "//go:build ignore\n\npackage main\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("files excluded by their build constraints must not be loaded: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Syntax) != 1 {
+		t.Fatalf("loaded %d packages, want one package of one file", len(pkgs))
+	}
+	if c, ok := pkgs[0].Types.Scope().Lookup("On").(*types.Const); !ok || c.Val().String() != "false" {
+		t.Fatalf("On should come from the !abivm_never_set file, got %v", pkgs[0].Types.Scope().Lookup("On"))
 	}
 }

@@ -49,7 +49,7 @@ var sinkName = regexp.MustCompile(`^(Write|Print|Fprint|Notify|Publish|Send|Emit
 
 func run(pass *lint.Pass) error {
 	info := pass.Pkg.TypesInfo
-	lint.InspectFuncDecls(pass.Pkg, func(_ *ast.File, decl *ast.FuncDecl) {
+	lint.InspectFuncDecls(pass.Pkg, func(decl *ast.FuncDecl) {
 		inspectBlocks(decl.Body, func(stmts []ast.Stmt) {
 			for i, s := range stmts {
 				rs, ok := s.(*ast.RangeStmt)

@@ -110,7 +110,7 @@ func checkStruct(pass *lint.Pass, ms *mutexStruct) {
 	info := pass.Pkg.TypesInfo
 	methods := map[string]*method{}
 
-	lint.InspectFuncDecls(pass.Pkg, func(_ *ast.File, decl *ast.FuncDecl) {
+	lint.InspectFuncDecls(pass.Pkg, func(decl *ast.FuncDecl) {
 		recvObj := receiverOf(info, decl, ms.obj)
 		if recvObj == nil {
 			return

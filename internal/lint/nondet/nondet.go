@@ -10,12 +10,15 @@
 // Which packages count as "deterministic core" is driven by the Policy
 // table below, mirroring the replay-determinism contract: everything the
 // chaos and byte-identity harnesses compare byte-for-byte must compute
-// identical state from identical inputs. That includes the SQL→IVM
-// compiler path (internal/viewc, internal/costmodel): the same seed,
-// database, and query must calibrate byte-identical cost models. internal/obs (the measurement
-// layer), internal/experiments (the timing harness), and cmd/... (the
-// I/O shell) are deliberately exempt — wall-clock there feeds metrics
-// and reports, never replayed state.
+// identical state from identical inputs. That includes the shared engine
+// (internal/dataflow), whose output the chaos harness compares with the
+// classic engine's, the planner, executor and B-tree on both engines'
+// drain paths (internal/plan, internal/exec, internal/btree), and the
+// SQL→IVM compiler path (internal/viewc, internal/costmodel): the same
+// seed, database, and query must calibrate byte-identical cost models.
+// internal/obs (the measurement layer), internal/experiments (the timing
+// harness), and cmd/... (the I/O shell) are deliberately exempt —
+// wall-clock there feeds metrics and reports, never replayed state.
 package nondet
 
 import (
@@ -36,6 +39,10 @@ import (
 //	cmd/...               process shell: flags, stdout, signals
 var Policy = map[string]bool{
 	"internal/ivm":       true,
+	"internal/dataflow":  true,
+	"internal/exec":      true,
+	"internal/plan":      true,
+	"internal/btree":     true,
 	"internal/pubsub":    true,
 	"internal/core":      true,
 	"internal/astar":     true,

@@ -19,6 +19,10 @@ func TestPolicyTable(t *testing.T) {
 	cases := map[string]bool{
 		"abivm/internal/ivm":       true,
 		"abivm/internal/pubsub":    true,
+		"abivm/internal/dataflow":  true, // shared engine: chaos compares it with ivm
+		"abivm/internal/exec":      true,
+		"abivm/internal/plan":      true,
+		"abivm/internal/btree":     true,
 		"abivm/internal/core":      true,
 		"abivm/internal/astar":     true,
 		"abivm/internal/fault":     true,

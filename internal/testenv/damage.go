@@ -33,7 +33,7 @@ func Damaged(valid []byte, n int) [][]byte {
 			if rates.TornAppend > 0 {
 				write = m.AppendFile
 			}
-			//lint:ignore errdrop oneFile never fails, and Media reports success whatever it did
+			// oneFile never fails, and Media reports success whatever it did.
 			write("artifact", valid)
 			out = append(out, f.data)
 		}

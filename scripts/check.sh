@@ -1,10 +1,11 @@
 #!/bin/sh
-# Full verification gate: gofmt, vet, build, domain lint (the nine
-# abivmlint analyzers, zero live findings), race-enabled tests, the
-# allocation-count tests without the race detector, the committed
-# RESULTS.txt and examples/*/expected.txt against what the code prints,
-# and the nested benchmark module; its last line is the tracked line
-# count (scripts/loc.sh).
+# Full verification gate: gofmt, vet, build, domain lint (the three
+# abivmlint analyzers: zero live findings and no stale lint:ignore
+# waivers), race-enabled tests (the analyzers' fixture tests among
+# them), the allocation-count tests without the race detector, the
+# committed RESULTS.txt and examples/*/expected.txt against what the
+# code prints, and the nested benchmark module; its last lines are the
+# tracked line counts (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the

@@ -10,10 +10,12 @@
 #      a new package landing without a line in the repo map fails the
 #      check.
 #   3. OPERATIONS.md's metric catalogue (section 2) and the series the
-#      code registers — the constant first argument of every
+#      code registers — the string-literal first argument of every
 #      Counter(/Gauge(/Histogram( call outside tests — must be the same
 #      set: a deleted series left in the catalogue fails, and so does a
-#      new one an operator cannot look up.
+#      new one an operator cannot look up. A call whose first argument
+#      is not a string literal fails too: its name could be anything, so
+#      neither the catalogue nor this check could see it.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -52,10 +54,18 @@ for dir in internal/*/ cmd/*/; do
 	fi
 done
 
-# Direction 3: catalogue <-> registered series. A catalogued name is a
-# backticked `<prefix>_<rest>` (optionally with a {label} suffix) whose
-# prefix some registered series has; `pubsub_sub_*`-style globs name a
-# family, not a series, and are skipped.
+# Direction 3: catalogue <-> registered series. First, every name must
+# be a literal on the call's own line, or the grep below misses it.
+dynamic=$(grep -rnE '\.(Counter|Gauge|Histogram)\(([^"]|$)' \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal || true)
+if [ -n "$dynamic" ]; then
+	printf '%s\n' "$dynamic" | sed 's/^/docs-check: metric name is not a string literal: /'
+	fail=1
+fi
+# Then a catalogued name is a backticked `<prefix>_<rest>` (optionally
+# with a {label} suffix) whose prefix some registered series has;
+# `pubsub_sub_*`-style globs name a family, not a series, and are
+# skipped.
 registered=$(grep -rhoE '\.(Counter|Gauge|Histogram)\("[a-z0-9_]+"' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal |
 	sed -E 's/.*"([a-z0-9_]+)"/\1/' | sort -u)
