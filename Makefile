@@ -53,10 +53,12 @@ examples-check:
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 
-# chaos runs the full seeded fault-injection sweep (50 schedules) plus
-# the race-enabled chaos tests.
+# chaos runs the full seeded fault-injection sweep (50 schedules), again
+# with periodic checkpoints off (pure-WAL recovery), plus the
+# race-enabled chaos tests.
 chaos:
 	$(GO) run ./cmd/abivm chaos -seed 1 -runs 50
+	$(GO) run ./cmd/abivm chaos -seed 1 -runs 50 -checkpoint 0
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestChaos' ./internal/fault/
 
 # bench records a full benchmark run into BENCH_<date>.json; set

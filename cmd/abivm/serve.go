@@ -37,7 +37,7 @@ import (
 func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	seed := fs.Int64("seed", 1, "workload, fault, and jitter seed")
+	seed := fs.Int64("seed", 1, "workload and fault seed")
 	interval := fs.Duration("interval", 50*time.Millisecond, "broker step interval")
 	steps := fs.Int("steps", 0, "stop after this many steps (0 = run until interrupted)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -111,28 +111,29 @@ func (ms *Measurement) Piecewise() (*costfn.PiecewiseLinear, error) {
 	return costfn.NewPiecewiseLinear(knots)
 }
 
+// Fit converts the measurement into a cost function of the named
+// functional form: "linear" (FitLinear) or "piecewise" (Piecewise).
+func (ms *Measurement) Fit(fit string) (core.CostFunc, error) {
+	switch fit {
+	case "linear":
+		return ms.FitLinear()
+	case "piecewise":
+		return ms.Piecewise()
+	}
+	return nil, fmt.Errorf("costmodel: unknown fit %q (want linear or piecewise)", fit)
+}
+
 // Model fits one cost function per measured alias and assembles a
-// core.CostModel in the order given. fit selects the functional form:
-// "linear" or "piecewise".
+// core.CostModel in the order given. fit selects the functional form, as
+// in Measurement.Fit.
 func Model(fit string, ms ...*Measurement) (*core.CostModel, error) {
 	funcs := make([]core.CostFunc, len(ms))
 	for i, m := range ms {
-		switch fit {
-		case "linear":
-			f, err := m.FitLinear()
-			if err != nil {
-				return nil, err
-			}
-			funcs[i] = f
-		case "piecewise":
-			f, err := m.Piecewise()
-			if err != nil {
-				return nil, err
-			}
-			funcs[i] = f
-		default:
-			return nil, fmt.Errorf("costmodel: unknown fit %q", fit)
+		f, err := m.Fit(fit)
+		if err != nil {
+			return nil, err
 		}
+		funcs[i] = f
 	}
 	return core.NewCostModel(funcs...), nil
 }

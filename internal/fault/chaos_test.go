@@ -42,7 +42,7 @@ func TestChaosDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rep, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: seed})
+			rep, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: seed, CheckpointEvery: 5})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -87,14 +87,33 @@ func TestChaosDeterminism(t *testing.T) {
 	})
 }
 
+// TestChaosPureWALRecovery is the harder recovery drill: with periodic
+// checkpoints off (the zero CheckpointEvery), the checkpoint site is
+// never polled and every crash replays the whole WAL from the
+// Subscribe-time checkpoint — which must still be an exact redo.
+func TestChaosPureWALRecovery(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rep, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if n := rep.Faults[fault.SiteCheckpoint]; n != 0 {
+			t.Errorf("seed %d: checkpoint site fired %d times with periodic checkpoints off", seed, n)
+		}
+		if !rep.Identical {
+			t.Errorf("seed %d: pure-WAL recovery diverged from baseline:\n%s", seed, rep.Diff)
+		}
+	}
+}
+
 // TestChaosIsReproducible re-runs one seed and checks the report itself
 // is stable — the injector schedule, not just the outcome.
 func TestChaosIsReproducible(t *testing.T) {
-	a, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17})
+	a, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17, CheckpointEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17})
+	b, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17, CheckpointEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

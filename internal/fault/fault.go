@@ -20,9 +20,9 @@
 //     log.
 //
 // The Seeded injector bounds consecutive failures per site (MaxRun), so
-// a retry budget larger than the sum of per-site bounds is guaranteed to
-// clear every transient fault — the foundation of the chaos harness's
-// byte-identical determinism property.
+// a retry budget larger than the sum of per-site bounds (MaxAttempts) is
+// guaranteed to clear every transient fault — the foundation of the chaos
+// harness's byte-identical determinism property.
 package fault
 
 import (
@@ -184,9 +184,17 @@ func (r Rates) of(site Site) float64 {
 // MaxRun is the per-site cap on consecutive injected failures. After
 // MaxRun failures in a row at one site, the next Hit there is forced to
 // succeed. A retry budget of at least 1 + MaxRun*(number of in-drain
-// sites) therefore always clears transient faults; the broker's default
-// budget is derived from this bound.
+// sites) therefore always clears transient faults; MaxAttempts is derived
+// from this bound.
 const MaxRun = 2
+
+// MaxAttempts is the broker's budget of tries (first attempt included)
+// for one drain. It exceeds 1 + MaxRun times the three in-drain sites
+// (drain.plan, drain.apply, wal.commit), so every transient fault the
+// Seeded injector can produce clears within budget — the invariant the
+// chaos determinism property rests on. An injector fails by call
+// sequence, never by elapsed time, so a retry follows its failure at once.
+const MaxAttempts = 2 + 3*MaxRun
 
 // Seeded is a deterministic probabilistic injector: for a fixed seed and
 // call sequence it fires the exact same faults. It is safe for

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path"
 	"strings"
-	"time"
 
 	"abivm/internal/core"
 	"abivm/internal/costfn"
@@ -32,10 +31,9 @@ type ChaosConfig struct {
 	Seed int64
 	// Steps is the number of broker steps to run (default 60).
 	Steps int
-	// Rates is the per-site fault mix; the zero value selects
-	// fault.DefaultRates().
-	Rates fault.Rates
-	// CheckpointEvery is the broker checkpoint cadence (default 5).
+	// CheckpointEvery is the broker checkpoint cadence in steps; 0
+	// disables periodic checkpoints, so recovery replays the whole WAL
+	// from the Subscribe-time checkpoint.
 	CheckpointEvery int
 	// Shards selects the runtime: 0 runs the serial broker on the legacy
 	// east/west workload; n >= 1 runs the sharded runtime with n shards
@@ -72,9 +70,6 @@ type ChaosConfig struct {
 	// a loud full-refresh fallback with corruption counted — silent
 	// divergence fails the comparison.
 	DiskFaults bool
-	// MediaRates is the damage mix of the DiskFaults variant; the zero
-	// value selects fault.DefaultMediaRates().
-	MediaRates fault.MediaRates
 }
 
 // ChaosReport summarizes a faulted-vs-baseline comparison.
@@ -221,19 +216,17 @@ type chaosResult struct {
 const chaosSampleEvery = 10
 
 // chaosRun executes the scripted workload against a fresh runtime built
-// from cfg, checkpointing every cpEvery steps. The retry jitter is seeded
-// like the workload, so the backoff sequence is part of the reproducible
-// execution. Every chaosSampleEvery steps, after the step's publishes and
-// before its EndStep, each subscription's cost and pending vector are
-// sampled into the transcript — the sharded Health routes the owning
-// shard's buffer first, so the sample is the serial broker's.
+// from cfg, checkpointing every cpEvery steps (0: never). Every
+// chaosSampleEvery steps, after the step's publishes and before its
+// EndStep, each subscription's cost and pending vector are sampled into
+// the transcript — the sharded Health routes the owning shard's buffer
+// first, so the sample is the serial broker's.
 func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosResult, err error) {
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		return res, err
 	}
 	defer rt.Close()
-	rt.setSleep(func(time.Duration) {})
 	rt.SetCheckpointEvery(cpEvery)
 	subs := rt.Subscriptions()
 	var out strings.Builder
@@ -326,24 +319,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 60
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 5
-	}
-	if cfg.Rates == (fault.Rates{}) {
-		cfg.Rates = fault.DefaultRates()
-	}
 	if cfg.DataDir != "" || cfg.DiskFaults {
 		cfg.Disk = true
-	}
-	if cfg.MediaRates == (fault.MediaRates{}) {
-		cfg.MediaRates = fault.DefaultMediaRates()
 	}
 	depth := cfg.ChainDepth
 	if depth <= 0 {
 		depth = 1 + int(((cfg.Seed%4)+4)%4)
 	}
 	sharded, pre := cfg.Shards > 0, ""
-	p := RuntimeConfig{Seed: cfg.Seed, Shards: cfg.Shards, Spec: DefaultWorkloadSpec()}
+	p := RuntimeConfig{Shards: cfg.Shards, Spec: DefaultWorkloadSpec()}
 	if sharded {
 		pre, p.Spec = "sharded-", ScaledWorkloadSpec(2*cfg.Shards)
 	}
@@ -362,7 +346,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// combined row. The ChaosConfig fields that select the optional rows
 	// say what each proves.
 	var medias []*fault.Media
-	disk := chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, opener: cfg.diskOpener("disk", nil, nil), faulted: true}
+	disk := chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, opener: cfg.diskOpener("disk", nil), faulted: true}
 	for _, v := range []chaosVariant{
 		{on: !sharded, name: "full", depth: -1, faulted: true},
 		{on: !sharded, name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
@@ -372,7 +356,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		{on: cfg.Shared, name: pre + "shared-faulted", depth: depth, shared: true, faulted: true},
 		{on: sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
 		{on: cfg.DiskFaults, name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true, rule: identicalOrLoudFallback,
-			opener: cfg.diskOpener("disk-faulted", &cfg.MediaRates, &medias)},
+			opener: cfg.diskOpener("disk-faulted", &medias)},
 	} {
 		if !v.on {
 			continue
@@ -384,7 +368,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		var injs []*fault.Seeded
 		p.Opener, p.Shared, p.ChainDepth, p.Injectors = v.opener, v.shared, v.depth, nil
 		if v.faulted {
-			seeded := SeededShardInjectors(cfg.Seed, cfg.Rates)
+			seeded := SeededShardInjectors(cfg.Seed, fault.DefaultRates())
 			p.Injectors = func(shard int) fault.Injector {
 				inj := seeded(shard).(*fault.Seeded)
 				injs = append(injs, inj)
@@ -429,21 +413,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 // diskOpener builds the durable-store opener of one disk variant:
 // directory-backed under DataDir/seed-<n>/<variant> when DataDir is
-// set, per-namespace in-memory file systems otherwise. A non-nil rates
-// puts the seeded byte-level media injector under each store and records
-// it in medias for totalling after the run; opens happen sequentially at
-// Subscribe time, so that append is unsynchronized on purpose.
-func (cfg ChaosConfig) diskOpener(variant string, rates *fault.MediaRates, medias *[]*fault.Media) durable.Opener {
+// set, per-namespace in-memory file systems otherwise. A non-nil medias
+// puts the seeded byte-level media injector (fault.DefaultMediaRates)
+// under each store and records it there for totalling after the run;
+// opens happen sequentially at Subscribe time, so that append is
+// unsynchronized on purpose.
+func (cfg ChaosConfig) diskOpener(variant string, medias *[]*fault.Media) durable.Opener {
 	root := path.Join(cfg.DataDir, fmt.Sprintf("seed-%d", cfg.Seed), variant)
-	if rates == nil {
+	if medias == nil {
 		if cfg.DataDir == "" {
 			return durable.MemOpener()
 		}
 		return durable.DirOpener(root)
 	}
-	open := durable.FaultyDirOpener(root, cfg.Seed, *rates)
+	open := durable.FaultyDirOpener(root, cfg.Seed, fault.DefaultMediaRates())
 	if cfg.DataDir == "" {
-		open = durable.FaultyMemOpener(cfg.Seed, *rates)
+		open = durable.FaultyMemOpener(cfg.Seed, fault.DefaultMediaRates())
 	}
 	return func(ns string) (*durable.Store, error) {
 		st, err := open(ns)

@@ -18,7 +18,7 @@ func TestChaosDiskCleanIdentity(t *testing.T) {
 		seeds = 4
 	}
 	for seed := 0; seed < seeds; seed++ {
-		rep, err := RunChaos(ChaosConfig{Seed: int64(seed), Steps: 40, Disk: true})
+		rep, err := RunChaos(ChaosConfig{Seed: int64(seed), Steps: 40, CheckpointEvery: 5, Disk: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -44,7 +44,7 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 	kinds := map[fault.MediaFault]int{}
 	exact, inexact, fallbacks, corruptions := 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
-		rep, err := RunChaos(ChaosConfig{Seed: int64(seed), Steps: 40, DiskFaults: true})
+		rep, err := RunChaos(ChaosConfig{Seed: int64(seed), Steps: 40, CheckpointEvery: 5, DiskFaults: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -96,7 +96,7 @@ func TestChaosDiskFaultSweep(t *testing.T) {
 // outcome independent of goroutine scheduling.
 func TestChaosDiskShardedSmoke(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, Shards: 2, Disk: true, DiskFaults: true})
+		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, CheckpointEvery: 5, Shards: 2, Disk: true, DiskFaults: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -113,7 +113,7 @@ func TestChaosDiskShardedSmoke(t *testing.T) {
 // checks the on-disk layout appears where -data-dir points.
 func TestChaosDataDirOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	rep, err := RunChaos(ChaosConfig{Seed: 7, Steps: 30, DataDir: dir, DiskFaults: true})
+	rep, err := RunChaos(ChaosConfig{Seed: 7, Steps: 30, CheckpointEvery: 5, DataDir: dir, DiskFaults: true})
 	if err != nil {
 		t.Fatal(err)
 	}

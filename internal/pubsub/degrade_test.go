@@ -9,14 +9,12 @@ import (
 	"abivm/internal/storage"
 )
 
-// degradedBroker builds a broker whose drains always fail, with a tiny
-// retry budget and no real backoff sleeps.
+// degradedBroker builds a broker whose drains always fail, so every
+// drain exhausts its retry budget.
 func degradedBroker(t *testing.T, qos float64) (*Broker, *storage.DB) {
 	t.Helper()
 	db := salesDB(t)
 	b := NewBroker(db)
-	b.setSleep(func(time.Duration) {})
-	b.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
 	b.SetInjector(fault.AlwaysAt(fault.SiteDrainPlan))
 	if err := b.Subscribe(Subscription{
 		Name: "east", Query: eastQuery, Condition: Every(3), Model: model2(t), QoS: qos,
@@ -129,11 +127,46 @@ func TestDegradedSubscriptionHealsOnSuccessfulDrain(t *testing.T) {
 	}
 }
 
+// TestRetryCostsNoWallClock: an injector fails by call sequence, not by
+// elapsed time, so the broker retries a failed drain at once. Ten steps
+// whose every refresh exhausts the retry budget take no measurable time.
+func TestRetryCostsNoWallClock(t *testing.T) {
+	b := NewBroker(salesDB(t))
+	b.SetInjector(fault.AlwaysAt(fault.SiteDrainPlan))
+	if err := b.Subscribe(Subscription{
+		Name: "east", Query: eastQuery, Condition: Every(1), Model: model2(t), QoS: 25,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	degraded := 0
+	for step := 0; step < 10; step++ {
+		mod := ivm.Insert("", storage.Row{storage.I(int64(40 + step)), storage.I(int64(step % 8)), storage.F(5)})
+		if err := b.Publish("sales", mod); err != nil {
+			t.Fatal(err)
+		}
+		ns, err := b.EndStep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ns {
+			if n.Degraded {
+				degraded++
+			}
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
+		t.Errorf("10 steps of exhausted retries took %v, want < 200ms", elapsed)
+	}
+	if degraded == 0 {
+		t.Error("no degraded notification: the retries were never exhausted")
+	}
+}
+
 func TestCrashEveryStepStillMatchesCrashFreeRun(t *testing.T) {
 	run := func(inj fault.Injector) []Notification {
 		t.Helper()
 		b := NewBroker(salesDB(t))
-		b.setSleep(func(time.Duration) {})
 		if inj != nil {
 			b.SetInjector(inj)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"abivm/internal/fault"
 	"abivm/internal/obs"
@@ -25,7 +24,6 @@ func TestHealthConcurrentWithWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Broker.setSleep(func(time.Duration) {})
 	w.Broker.SetObs(obs.NewRegistry(), obs.NewTracer(64))
 
 	const (
@@ -107,7 +105,7 @@ func TestResultConcurrentAfterPartialDrainAndRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		crash := &crashOnce{n: steps}
-		rt, err := NewRuntime(RuntimeConfig{Seed: 7, Spec: DefaultWorkloadSpec(), Shared: shared,
+		rt, err := NewRuntime(RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: shared,
 			Injectors: func(int) fault.Injector { return crash },
 			Subscribe: func(_ *storage.DB, rt Runtime) error {
 				for i, q := range queries {

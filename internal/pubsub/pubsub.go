@@ -18,10 +18,8 @@ package pubsub
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
-	"time"
 
 	"abivm/internal/core"
 	"abivm/internal/dataflow"
@@ -131,11 +129,8 @@ type Broker struct {
 	step int
 
 	inj        fault.Injector
-	retryPol   RetryPolicy
-	retryRNG   *rand.Rand // seeded jitter source; nil disables jitter
 	cpEvery    int
 	chainDepth int
-	sleep      func(time.Duration)
 	obs        *brokerObs
 
 	// opener, when set, gives every later subscription a disk-backed
@@ -163,10 +158,8 @@ const DefaultCheckpointEvery = 8
 func NewBroker(db *storage.DB) *Broker {
 	return &Broker{
 		db:         db,
-		retryPol:   DefaultRetryPolicy(),
 		cpEvery:    DefaultCheckpointEvery,
 		chainDepth: ivm.DefaultChainDepth,
-		sleep:      time.Sleep,
 	}
 }
 
@@ -188,24 +181,6 @@ func (b *Broker) SetInjector(inj fault.Injector) {
 		s.eng.SetInjector(inj)
 	}
 	b.observeInjector()
-}
-
-// SetRetryPolicy replaces the broker's retry budget.
-func (b *Broker) SetRetryPolicy(r RetryPolicy) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.retryPol = r
-}
-
-// SetRetrySeed seeds the backoff-jitter source. Jitter is always drawn
-// from this broker-owned, seeded generator — never from the global rand
-// — so runs with the same seed and schedule produce byte-identical
-// backoff sequences, keeping chaos executions replayable. Without a
-// seed (the default) backoff has no jitter at all.
-func (b *Broker) SetRetrySeed(seed int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.retryRNG = rand.New(rand.NewSource(seed))
 }
 
 // SetCheckpointEvery sets the checkpoint cadence in steps; n <= 0
@@ -240,13 +215,6 @@ func (b *Broker) DurabilityStats() durable.Stats {
 		total.Add(s.eng.DurableStats())
 	}
 	return total
-}
-
-// setSleep replaces the backoff sleeper (tests use a no-op).
-func (b *Broker) setSleep(f func(time.Duration)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sleep = f
 }
 
 // Subscribe registers a subscription; its initial content is computed
@@ -660,19 +628,28 @@ func (b *Broker) checkpointDue() error {
 }
 
 // process drains act[i] modifications from each of s's queues. Each
-// per-table drain is atomic in the engine and retried within the
-// broker's budget, so on error the completed prefix has committed, the
-// failed drain has rolled back, and the returned cost covers exactly the
-// committed work.
+// per-table drain is atomic in the engine, so a drain that fails with an
+// injected fault (fault.Transient) has rolled back and is retried at once,
+// up to fault.MaxAttempts tries. On error the completed prefix has
+// committed, the failed drain has rolled back, and the returned cost
+// covers exactly the committed work.
 func (b *Broker) process(s *sub, act core.Vector) (float64, error) {
 	cost := 0.0
-	eng := s.eng
-	for i, alias := range eng.Aliases() {
-		if act[i] == 0 {
+	for i, alias := range s.eng.Aliases() {
+		k := act[i]
+		if k == 0 {
 			continue
 		}
-		alias, k := alias, act[i]
-		if err := b.retry(func() error { return eng.ProcessBatch(alias, k) }); err != nil {
+		err := s.eng.ProcessBatch(alias, k)
+		for tries := 1; err != nil && fault.Transient(err); tries++ {
+			if tries == fault.MaxAttempts {
+				b.obs.observeRetryGiveup()
+				break
+			}
+			b.obs.observeRetry()
+			err = s.eng.ProcessBatch(alias, k)
+		}
+		if err != nil {
 			return cost, err
 		}
 		c := s.cfg.Model.TableCost(i, k)

@@ -1,8 +1,6 @@
 package pubsub
 
 import (
-	"time"
-
 	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
@@ -27,12 +25,9 @@ type Runtime interface {
 	DurabilityStats() durable.Stats
 
 	SetObs(reg *obs.Registry, tr *obs.Tracer)
-	SetRetrySeed(seed int64)
 	SetCheckpointEvery(n int)
 	SetStoreOpener(open durable.Opener)
 	SetSharedDataflow(on bool) error
-
-	setSleep(f func(time.Duration))
 }
 
 // RuntimeConfig describes one demo runtime: which broker, which engine,
@@ -41,8 +36,7 @@ type Runtime interface {
 // durability, no faults and one aggregate subscription per region of
 // Spec.
 type RuntimeConfig struct {
-	// Seed seeds the retry-backoff jitter (and, for a DemoWorkload, the
-	// event stream).
+	// Seed seeds a DemoWorkload's event stream; NewRuntime does not read it.
 	Seed int64
 	// Spec sizes the stations/sales base tables and names the regions.
 	Spec WorkloadSpec
@@ -98,7 +92,6 @@ func NewRuntime(cfg RuntimeConfig) (Runtime, error) {
 		}
 		rt = b
 	}
-	rt.SetRetrySeed(cfg.Seed)
 	rt.SetStoreOpener(cfg.Opener)
 	if cfg.Shared {
 		err = rt.SetSharedDataflow(true)

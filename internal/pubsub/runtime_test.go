@@ -20,14 +20,14 @@ func TestRuntimeMatrix(t *testing.T) {
 	const seed, steps = 3, 40
 	spec := ScaledWorkloadSpec(4)
 	script := chaosScript(seed, steps, spec)
-	want := runScript(t, script, RuntimeConfig{Seed: seed, Spec: spec})
+	want := runScript(t, script, RuntimeConfig{Spec: spec})
 	if !strings.Contains(want, "step=") {
 		t.Fatal("reference run delivered no notification — vacuous comparison")
 	}
 	for _, shared := range []bool{false, true} {
 		for _, shards := range []int{0, 1, 2} {
 			for _, disk := range []bool{false, true} {
-				cfg := RuntimeConfig{Seed: seed, Spec: spec, Shards: shards, Shared: shared}
+				cfg := RuntimeConfig{Spec: spec, Shards: shards, Shared: shared}
 				name := map[bool]string{false: "classic", true: "shared"}[shared]
 				if shards == 0 {
 					name += "/serial"

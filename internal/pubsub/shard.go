@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"abivm/internal/core"
 	"abivm/internal/dataflow"
@@ -404,19 +403,7 @@ func (sb *ShardedBroker) DurabilityStats() durable.Stats {
 	return total
 }
 
-// SetRetrySeed seeds each shard's backoff-jitter source with seed+shard,
-// so shard 0 matches a serial broker seeded with seed and every shard's
-// jitter stream is independent yet replayable.
-func (sb *ShardedBroker) SetRetrySeed(seed int64) {
-	sb.each(func(id int, b *Broker) { b.SetRetrySeed(seed + int64(id)) })
-}
-
 // SetCheckpointEvery sets every shard's checkpoint cadence in steps.
 func (sb *ShardedBroker) SetCheckpointEvery(n int) {
 	sb.each(func(_ int, b *Broker) { b.SetCheckpointEvery(n) })
-}
-
-// setSleep replaces every shard's backoff sleeper (tests use a no-op).
-func (sb *ShardedBroker) setSleep(f func(time.Duration)) {
-	sb.each(func(_ int, b *Broker) { b.setSleep(f) })
 }

@@ -3,7 +3,6 @@ package pubsub
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"abivm/internal/fault"
 	"abivm/internal/obs"
@@ -24,7 +23,6 @@ func TestShardedAccessorsConcurrentWithWorkload(t *testing.T) {
 	}
 	defer w.Close()
 	sb := w.Broker.(*ShardedBroker)
-	w.Broker.setSleep(func(time.Duration) {})
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(obs.DefaultTraceCapacity)
 	w.Broker.SetObs(reg, tr)

@@ -23,7 +23,7 @@ func demoSubscriptions() ([]Subscription, error) {
 }
 
 // runScript executes a scripted workload on the runtime cfg describes
-// (checkpointing every 5 steps, no real backoff sleeps) and renders
+// (checkpointing every 5 steps) and renders
 // every notification plus the final contents and accumulated costs —
 // the transcript the runtimes are compared on byte for byte.
 func runScript(t *testing.T, script [][]chaosEvent, cfg RuntimeConfig) string {
@@ -33,7 +33,6 @@ func runScript(t *testing.T, script [][]chaosEvent, cfg RuntimeConfig) string {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	rt.setSleep(func(time.Duration) {})
 	rt.SetCheckpointEvery(5)
 	var out strings.Builder
 	for t2, evs := range script {
@@ -72,14 +71,14 @@ func renderNotes(out *strings.Builder, ns []Notification) {
 
 // TestSingleShardMatchesSerialBrokerUnderFaults extends the fault-free
 // single-shard identity (TestRuntimeMatrix) to faulted runs: shard 0's
-// injector and jitter seed equal the serial broker's, so retries,
+// injector equals the serial broker's, so retries,
 // rollbacks, checkpoints, and crash recoveries replay identically
 // through the sharded publish path.
 func TestSingleShardMatchesSerialBrokerUnderFaults(t *testing.T) {
 	const steps = 60
 	for seed := int64(1); seed <= 5; seed++ {
 		script := chaosScript(seed, steps, DefaultWorkloadSpec())
-		cfg := RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
+		cfg := RuntimeConfig{Spec: DefaultWorkloadSpec(),
 			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}
 		serial := runScript(t, script, cfg)
 		cfg.Shards = 1
@@ -100,7 +99,7 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var want string
 	for _, shards := range []int{1, 2, 3, 4} {
-		got := runScript(t, script, RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
+		got := runScript(t, script, RuntimeConfig{Spec: spec, Shards: shards})
 		if want == "" {
 			want = got
 		} else if got != want {
@@ -118,7 +117,7 @@ func TestShardedDeterminismSameSeed(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var first string
 	for run := 0; run < 2; run++ {
-		res, err := chaosRun(script, RuntimeConfig{Seed: seed, Shards: shards, Spec: spec, ChainDepth: 3,
+		res, err := chaosRun(script, RuntimeConfig{Shards: shards, Spec: spec, ChainDepth: 3,
 			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -141,8 +140,8 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	const seed, steps = 5, 30
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
 	// 5 shards, 2 subscriptions: at least 3 shards stay empty.
-	got := runScript(t, script, RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shards: 5})
-	want := runScript(t, script, RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shards: 1})
+	got := runScript(t, script, RuntimeConfig{Spec: DefaultWorkloadSpec(), Shards: 5})
+	want := runScript(t, script, RuntimeConfig{Spec: DefaultWorkloadSpec(), Shards: 1})
 	if got != want {
 		t.Fatalf("empty shards changed the merged output:\n%s", firstDiff(want, got))
 	}
@@ -259,7 +258,7 @@ func TestShardedHealthMidStepMatchesSerial(t *testing.T) {
 	spec := ScaledWorkloadSpec(6)
 	script := chaosScript(seed, steps, spec)
 	transcript := func(shards int) string {
-		rt, err := NewRuntime(RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
+		rt, err := NewRuntime(RuntimeConfig{Spec: spec, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +367,7 @@ func TestShardedBrokerLeavesNoGoroutines(t *testing.T) {
 	const seed, steps, shards = 2, 20, 4
 	spec := ScaledWorkloadSpec(shards)
 	base := runtime.NumGoroutine()
-	rt, err := NewRuntime(RuntimeConfig{Seed: seed, Spec: spec, Shards: shards})
+	rt, err := NewRuntime(RuntimeConfig{Spec: spec, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

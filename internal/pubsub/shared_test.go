@@ -69,7 +69,7 @@ func TestChaosSharedDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 40, Shared: true})
+			rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 40, CheckpointEvery: 5, Shared: true})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -92,7 +92,7 @@ func TestChaosSharedSharded(t *testing.T) {
 		t.Skip("sharded shared sweep skipped in -short")
 	}
 	for _, seed := range []int64{2, 11} {
-		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, Shards: 2, Shared: true})
+		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, CheckpointEvery: 5, Shards: 2, Shared: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -294,7 +294,7 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		script := chaosScript(seed, 40, DefaultWorkloadSpec())
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		p := RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(), Shared: true,
+		p := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true,
 			Injectors: func(int) fault.Injector { return inj }}
 		if _, err := chaosRun(script, p, 5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -494,7 +494,7 @@ func TestSharedCrashAtEveryStep(t *testing.T) {
 	script := chaosScript(5, steps, DefaultWorkloadSpec())
 	run := func(cpEvery int, inj fault.Injector) (transcript string, walSeen bool) {
 		t.Helper()
-		cfg := RuntimeConfig{Seed: 5, Spec: DefaultWorkloadSpec(), Shared: true,
+		cfg := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true,
 			Subscribe: func(_ *storage.DB, rt Runtime) error {
 				subscribeSharedViews(t, rt.(*Broker), views)
 				return nil

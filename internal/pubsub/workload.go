@@ -119,7 +119,7 @@ func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
 // over the chaos harness's stations/sales schema: a runtime built by
 // NewRuntime plus the seeded event stream that feeds it. `abivm serve`
 // drives one to have live data behind its metrics endpoint; everything
-// it does is deterministic in the seed (including retry-backoff jitter).
+// it does is deterministic in the seed and the fault schedule.
 type DemoWorkload struct {
 	// Broker is the underlying runtime; attach observability with SetObs
 	// and inspect subscriptions through the usual accessors.

@@ -204,7 +204,7 @@ func compileSelect(db *storage.DB, sel *sql.Select, opts Options) (*CompiledView
 		if err != nil {
 			return nil, fmt.Errorf("view %q: calibrating %s: %w", opts.Name, src.Alias, err)
 		}
-		f, err := fitOne(ms, opts.Fit)
+		f, err := ms.Fit(opts.Fit)
 		if err != nil {
 			return nil, fmt.Errorf("view %q: fitting %s: %w", opts.Name, src.Alias, err)
 		}
@@ -227,16 +227,6 @@ func compileSelect(db *storage.DB, sel *sql.Select, opts Options) (*CompiledView
 	}
 	cv.Model = core.NewCostModel(funcs...)
 	return cv, nil
-}
-
-func fitOne(ms *costmodel.Measurement, fit string) (core.CostFunc, error) {
-	switch fit {
-	case "linear":
-		return ms.FitLinear()
-	case "piecewise":
-		return ms.Piecewise()
-	}
-	return nil, fmt.Errorf("unknown fit %q (want linear or piecewise)", fit)
 }
 
 // diagnose rewrites an unsupported-feature error into the compiler's
