@@ -74,9 +74,9 @@ bench-quick:
 # parent/change runs of one benchmark/ workload, medians and spreads per
 # end-to-end metric. PARENT=rev (default HEAD~1), WORKLOAD=name (default
 # fanout-shared; `all` runs every workload BENCHMARK.json names, one
-# table each), PAIRS=n (default 10).
+# table each), PAIRS=n (default 10), SEED=n (the input seed, default 1).
 bench-pairs:
-	sh scripts/bench_pairs.sh "$(or $(PARENT),HEAD~1)" -workload "$(or $(WORKLOAD),fanout-shared)" -pairs "$(or $(PAIRS),10)"
+	sh scripts/bench_pairs.sh "$(or $(PARENT),HEAD~1)" -workload "$(or $(WORKLOAD),fanout-shared)" -pairs "$(or $(PAIRS),10)" -seed "$(or $(SEED),1)"
 
 # serve-smoke boots `abivm serve` and asserts the ops endpoints answer
 # with the required metric series.

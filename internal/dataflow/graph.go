@@ -262,9 +262,6 @@ type Graph struct {
 	// and drop reset it. wm is Trim's watermark, reused across calls.
 	arrOrder []*arrangement
 	wm       map[string]uint64
-	// nets is the netting scratch of the sinks' drains (netCovered); empty
-	// between drains.
-	nets netTable
 }
 
 // NewGraph builds an empty operator graph over the live database.
@@ -276,7 +273,6 @@ func NewGraph(db *storage.DB) *Graph {
 		scans: make(map[string]*scanNode),
 		arrs:  make(map[string]*arrangement),
 		wm:    make(map[string]uint64),
-		nets:  newNetTable(),
 	}
 }
 

@@ -1,9 +1,7 @@
 package dataflow
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"time"
 
 	"abivm/internal/exec"
@@ -34,6 +32,7 @@ type ViewHandle struct {
 	top     node
 	sigs    []string      // post-order node signatures (the refcount receipt)
 	project []exec.Scalar // the delta query's SELECT list over the top operator's rows
+	row     storage.Row   // a drain's scratch for one projected delta
 
 	// Everything per table is held by position: aliases, tabOrder (the top
 	// node's coordinate order), scans and cursors align, because the
@@ -86,6 +85,7 @@ func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, items []sql.Expr, sigs 
 		top:      top,
 		sigs:     sigs,
 		project:  make([]exec.Scalar, len(items)),
+		row:      make(storage.Row, len(items)),
 		pos:      make(map[string]int, len(p.Sources)),
 		tabOrder: top.tables(),
 		stats:    &storage.Stats{},
@@ -241,12 +241,10 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 	// log the drain. A failed log append takes the fold and the cursor back.
 	old := h.cursors[i]
 	h.cursors[i] = old + uint64(k)
-	nets := h.g.netCovered(h.inbox, h.project, i, old, h.cursors)
-	defer h.g.releaseNets()
-	h.fold(nets)
+	h.fold(i, old, 1)
 	if h.wal != nil {
 		if _, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALDrain, Alias: alias, K: k}); err != nil {
-			h.unfold(nets)
+			h.fold(i, old, -1)
 			h.cursors[i] = old
 			return fmt.Errorf("dataflow: wal commit: %w", err)
 		}
@@ -255,134 +253,45 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 	return nil
 }
 
-// fold folds the net weight of every newly covered row into the view
-// state, positive nets before negative ones. Netting keeps the fold equal
-// to the per-view maintainer's net-delta fold; positives-first guarantees
-// no transient negative bag or group count even though the shared
-// graph's delta order differs from the maintainer's minus-then-plus row
-// sets.
-func (h *ViewHandle) fold(nets []netEntry) {
-	for _, e := range nets {
-		if e.w > 0 {
-			h.view.AddWeighted(e.row, e.w)
+// fold folds every delta a drain newly covers into the view state with
+// its weight times dir: 1 applies the drain, -1 takes it back. Only the
+// cursor at position pos moved, up from old, so those are the deltas above
+// old there that the cursors now cover everywhere — whatever was covered
+// before, and so folded by an earlier drain, is at or below old. The
+// first walk folds the positive weights and notes the stretch of the
+// inbox that holds the negative ones; a second walk over that stretch
+// folds them. So no entry count — a row's multiplicity or a group's —
+// dips below zero on the way, whatever order the shared graph emitted
+// the deltas in, and taking a drain back restores its retractions first.
+// Sums are exact, so the order decides nothing else.
+func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
+	lo, hi := len(h.inbox), 0
+	for i, d := range h.inbox {
+		if d.Coord[pos] > old && d.Coord.covered(h.cursors) {
+			if w := dir * d.W; w > 0 {
+				h.foldDelta(d, w)
+			} else {
+				lo, hi = min(lo, i), i+1
+			}
 		}
 	}
-	for _, e := range nets {
-		if e.w < 0 {
-			h.view.AddWeighted(e.row, e.w)
+	for i := lo; i < hi; i++ {
+		if d := h.inbox[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) {
+			h.foldDelta(d, dir*d.W)
 		}
 	}
+	clear(h.row)
 }
 
-// unfold exactly inverts fold (negatives first), used to compensate a
-// failed WAL commit.
-func (h *ViewHandle) unfold(nets []netEntry) {
-	for _, e := range nets {
-		if e.w < 0 {
-			h.view.AddWeighted(e.row, -e.w)
-		}
+// foldDelta projects d's row through the SELECT list into the handle's
+// one scratch row and folds it with weight w; the view state only
+// borrows the row.
+func (h *ViewHandle) foldDelta(d Delta, w int64) {
+	for j, sc := range h.project {
+		h.row[j] = sc(d.Row)
 	}
-	for _, e := range nets {
-		if e.w > 0 {
-			h.view.AddWeighted(e.row, -e.w)
-		}
-	}
+	h.view.AddWeighted(h.row, w)
 }
-
-// netEntry is one distinct projected row among a drain's newly covered
-// deltas with its net weight. row and key live in the net table's
-// scratch; next chains the entries whose keys hash alike (1-based, 0 ends).
-type netEntry struct {
-	row  storage.Row
-	w    int64
-	key  []byte // the row's encoding, what makes it distinct
-	next int
-}
-
-// netTable is the netting scratch of the sinks' drains: the net entries in
-// first-touch order, the projected rows' values and encodings back to
-// back, and the index from an encoding's hash to the chain of entries
-// sharing it. Nothing in it is a Go string or a row of its own, so a drain
-// allocates nothing once the table has grown to fit it. Empty between
-// drains. The seed is the process's own: it shapes the chains, never the
-// entries or their order.
-type netTable struct {
-	entries []netEntry
-	vals    []storage.Value
-	keys    []byte
-	idx     map[uint64]int
-	seed    maphash.Seed
-}
-
-func newNetTable() netTable {
-	return netTable{idx: make(map[uint64]int), seed: maphash.MakeSeed()}
-}
-
-// maxNetScratch bounds the netting scratch a graph keeps between drains,
-// in entries: a drain that netted more gives its scratch up, so one large
-// refresh does not leave every later drain clearing a large map.
-const maxNetScratch = 256
-
-// add runs row through the SELECT list project and adds w to the net
-// weight of the projected row's entry, a new one at first touch. The
-// projected row and its encoding are appended to the scratch; the
-// encoding's hash finds the entries it could equal, the bytes decide, and
-// a row seen before gives both appends back.
-func (t *netTable) add(project []exec.Scalar, row storage.Row, w int64) {
-	vals, keys := len(t.vals), len(t.keys)
-	for _, sc := range project {
-		t.vals = append(t.vals, sc(row))
-	}
-	projected := storage.Row(t.vals[vals:len(t.vals):len(t.vals)])
-	t.keys = storage.AppendKey(t.keys, projected...)
-	key := t.keys[keys:len(t.keys):len(t.keys)]
-	hash := maphash.Bytes(t.seed, key)
-	n := t.idx[hash]
-	for n > 0 && !bytes.Equal(t.entries[n-1].key, key) {
-		n = t.entries[n-1].next
-	}
-	if n > 0 {
-		clear(t.vals[vals:])
-		t.vals, t.keys = t.vals[:vals], t.keys[:keys]
-	} else {
-		t.entries = append(t.entries, netEntry{row: projected, key: key, next: t.idx[hash]})
-		n = len(t.entries)
-		t.idx[hash] = n
-	}
-	t.entries[n-1].w += w
-}
-
-// reset empties the table, pinning no row or value.
-func (t *netTable) reset() {
-	if len(t.entries) > maxNetScratch {
-		*t = newNetTable()
-		return
-	}
-	clear(t.idx)
-	clear(t.entries)
-	clear(t.vals)
-	t.entries, t.vals, t.keys = t.entries[:0], t.vals[:0], t.keys[:0]
-}
-
-// netCovered projects and nets the buffered deltas a drain newly covers:
-// only the cursor at position pos moved, up from old, so they are the
-// deltas above old there that cursors now cover everywhere — whatever was
-// covered before, and so folded by an earlier drain, is at or below old.
-// One entry per distinct projected row, in first-touch order. The result
-// — rows included — lives in the graph's net table, one copy serving
-// every sink, drains being serialised like everything else on the graph,
-// until releaseNets: a fold that keeps a row copies it.
-func (g *Graph) netCovered(inbox []Delta, project []exec.Scalar, pos int, old uint64, cursors []uint64) []netEntry {
-	for _, d := range inbox {
-		if d.Coord[pos] > old && d.Coord.covered(cursors) {
-			g.nets.add(project, d.Row, d.W)
-		}
-	}
-	return g.nets.entries
-}
-
-// releaseNets empties the net table once a drain is done with its nets.
-func (g *Graph) releaseNets() { g.nets.reset() }
 
 // Refresh drains every pending modification, one full batch per table
 // in alias order, bringing the view fully up to date.

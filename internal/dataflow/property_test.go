@@ -16,7 +16,7 @@ import (
 
 // propDB builds the property test's three-table world: regions (the
 // small dimension a three-way join reaches through stations), stations,
-// and sales with whole-number amounts so float sums are exact.
+// and sales, whose generated amounts are arbitrary fractions.
 func propDB(t *testing.T) *storage.DB {
 	t.Helper()
 	db := testDB(t)
@@ -73,7 +73,7 @@ func newPropGen(seed int64) *propGen {
 }
 
 func (g *propGen) saleRow(id int64) storage.Row {
-	return storage.Row{storage.I(id), storage.I(int64(g.rng.Intn(6))), storage.F(float64(1 + g.rng.Intn(12)))}
+	return storage.Row{storage.I(id), storage.I(int64(g.rng.Intn(6))), storage.F(float64(1+g.rng.Intn(12)) + g.rng.Float64()/3)}
 }
 
 func (g *propGen) step() []tableMod {

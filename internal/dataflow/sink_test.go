@@ -3,12 +3,13 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
+	"math"
 	"math/rand"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
-	"abivm/internal/exec"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 	"abivm/internal/testenv"
@@ -172,7 +173,7 @@ func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
 
 // TestSinkDrainAllocsIndependentOfPending: a drain that folds eight
 // sales updates into existing groups allocates the same — nothing for the
-// buffer, nothing per netted row once the scratch has grown — whether the
+// buffer, nothing per covered delta — whether the
 // sink's inbox holds 16 or 1,024 deltas the drain does not cover, and
 // however many earlier drains' deltas still wait in it for a checkpoint.
 func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
@@ -231,7 +232,7 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	if smallPending != 16 || largePending != 1_024 {
 		t.Fatalf("backlogs of %d and %d deltas, want 16 and 1,024", smallPending, largePending)
 	}
-	// Sixteen distinct rows are netted (old and new of eight sales).
+	// Sixteen deltas are covered (old and new row of eight sales).
 	if small != large || small > 2*batch {
 		t.Fatalf("a drain of %d updates allocated %d times beside 16 pending deltas, %d beside 1,024; want equal and at most %d",
 			batch, small, large, 2*batch)
@@ -287,11 +288,11 @@ func TestIngestAllocsIndependentOfViews(t *testing.T) {
 	}
 }
 
-// TestAggregateDrainAllocsNothing: at steady state — groups present, the
-// netting scratch grown by one larger drain, no redo log attached — a
-// drain of an aggregate view allocates nothing, whether it covers 16
-// deltas or 128: projecting, netting and folding a covered delta all run
-// in reused memory.
+// TestAggregateDrainAllocsNothing: at steady state — groups present, no
+// redo log attached — a drain of an aggregate view allocates nothing,
+// whether it covers 16 deltas or 128: projecting a covered delta into the
+// handle's scratch row and folding it into its group's exact sums run in
+// memory that is already there.
 func TestAggregateDrainAllocsNothing(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation = 8
@@ -313,56 +314,104 @@ func TestAggregateDrainAllocsNothing(t *testing.T) {
 			settle(t, handles)
 		}
 	}
-	if n := g.nets; len(n.entries)+len(n.vals)+len(n.keys)+len(n.idx) != 0 {
-		t.Fatalf("scratch not empty between drains: %d entries, %d values, %d key bytes, %d hashes",
-			len(n.entries), len(n.vals), len(n.keys), len(n.idx))
+}
+
+// TestCancellingDrainLeavesNothing: a drain whose deltas cancel — two
+// sales inserted and deleted again, one updated to another station and
+// amount and back — leaves every view as it was and no entry behind: not
+// the group the station-9 sale opened in the view over sales alone, nor
+// the SPJ rows, though the sink folds each covered delta rather than net
+// weights. Refused by its WAL append first, the same drain leaves the
+// content and the checkpoint copy exactly as they were too: the amounts
+// include 1e300 and 0.1, so only an exact sum comes back bit for bit.
+func TestCancellingDrainLeavesNothing(t *testing.T) {
+	for _, query := range []string{
+		"SELECT s.salekey, s.amount, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey",
+		"SELECT st.region, SUM(s.amount), MIN(s.amount), MAX(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region",
+		"SELECT station, SUM(amount), AVG(amount), COUNT(*) FROM sales GROUP BY station",
+	} {
+		db := testDB(t)
+		g := NewGraph(db)
+		p, err := ivm.PlanView(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := g.Subscribe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &failingSink{}
+		wal := ivm.NewWAL()
+		wal.SetSink(sink)
+		h.AttachWAL(wal)
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		content, copied := renderRows(h.Result()), snapshotText(h.snap.state)
+		sale := func(key, station int64, amount float64) storage.Row {
+			return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
+		}
+		key := func(k int64) []storage.Value { return []storage.Value{storage.I(k)} }
+		mods := []ivm.Mod{
+			{Kind: ivm.ModInsert, Row: sale(100, 1, 1e300)},
+			{Kind: ivm.ModInsert, Row: sale(101, 9, 0.1)},
+			{Kind: ivm.ModUpdate, Key: key(3), Row: sale(3, 4, 0.3)},
+			{Kind: ivm.ModDelete, Key: key(100)},
+			{Kind: ivm.ModUpdate, Key: key(3), Row: sale(3, 3, 4)},
+			{Kind: ivm.ModDelete, Key: key(101)},
+		}
+		for _, mod := range mods {
+			applyLive(t, db, "sales", mod)
+			if err := g.Ingest("sales", mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alias := h.Aliases()[0]
+		unchanged := func(ctx string) {
+			t.Helper()
+			if got := renderRows(h.Result()); got != content {
+				t.Fatalf("%s: %s\ncontent %s\nwant    %s", query, ctx, got, content)
+			}
+			if err := h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotText(h.snap.state); got != copied {
+				t.Fatalf("%s: %s\ncheckpoint copy %s\nwant            %s", query, ctx, got, copied)
+			}
+		}
+		sink.armed = true
+		if err := h.ProcessBatch(alias, len(mods)); err == nil {
+			t.Fatalf("%s: drain committed through a failing WAL sink", query)
+		}
+		unchanged("a refused drain left its fold behind")
+		if err := h.ProcessBatch(alias, len(mods)); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("a cancelling drain changed the view")
+		if len(h.inbox) != 0 || fmt.Sprint(h.Pending()) != fmt.Sprint(make([]int, len(h.Aliases()))) {
+			t.Fatalf("%s: %d deltas and a backlog of %v left after a checkpoint covering everything", query, len(h.inbox), h.Pending())
+		}
 	}
 }
 
-// TestNetCoveredTellsCollidingKeysApart: the hash only finds candidates,
-// the encoded bytes decide. An entry planted under the hash of a row it
-// does not equal — what a 64-bit collision would leave there — is walked
-// past, not merged into; the row nets into an entry of its own chained
-// behind it; and projection happens before netting, so two deltas whose
-// rows differ only in a column the view does not select are one entry.
-func TestNetCoveredTellsCollidingKeysApart(t *testing.T) {
-	g := NewGraph(storage.NewDB())
-	project := []exec.Scalar{func(r storage.Row) storage.Value { return r[1] }}
-	a1, a2, b := storage.Row{storage.I(1), storage.S("a")}, storage.Row{storage.I(2), storage.S("a")}, storage.Row{storage.I(3), storage.S("b")}
-	foreign := netEntry{row: storage.Row{storage.S("z")}, w: 5, key: []byte("collides with a")}
-	g.nets.entries = append(g.nets.entries, foreign)
-	g.nets.idx[maphash.Bytes(g.nets.seed, storage.AppendKey(nil, storage.S("a")))] = 1
-	inbox := []Delta{
-		{Row: a1, W: 1, Coord: Coord{1}},
-		{Row: b, W: -1, Coord: Coord{2}},
-		{Row: a2, W: 1, Coord: Coord{3}},
-		{Row: b, W: 1, Coord: Coord{4}}, // not covered
+// snapshotText renders a checkpoint copy entry by entry in key order: the
+// count, each sum's rendered bits, each multiset.
+func snapshotText(snap *ivm.ViewStateSnapshot) string {
+	keys := make([]string, 0, len(snap.Groups))
+	for k := range snap.Groups {
+		keys = append(keys, k)
 	}
-	nets := g.netCovered(inbox, project, 0, 0, []uint64{3})
-	if len(nets) != 3 {
-		t.Fatalf("netted %d entries, want the planted one, a and b", len(nets))
-	}
-	if nets[0].w != 5 || string(nets[0].key) != "collides with a" {
-		t.Fatalf("the colliding entry was merged into: %+v", nets[0])
-	}
-	if nets[1].w != 2 || nets[1].next != 1 || !nets[1].row.SameKey(storage.Row{storage.S("a")}) {
-		t.Fatalf("a netted as %+v, want weight 2 chained behind the colliding entry", nets[1])
-	}
-	if nets[2].w != -1 || !nets[2].row.SameKey(storage.Row{storage.S("b")}) {
-		t.Fatalf("b netted as %+v, want weight -1", nets[2])
-	}
-	if len(g.nets.vals) != 2 {
-		t.Fatalf("value scratch holds %d values for 2 distinct rows: a repeated row did not give its scratch back", len(g.nets.vals))
-	}
-	g.releaseNets()
-	if n := g.nets; len(n.entries)+len(n.vals)+len(n.keys)+len(n.idx) != 0 {
-		t.Fatal("scratch not empty after release")
-	}
-	for _, v := range g.nets.vals[:cap(g.nets.vals)] {
-		if v != (storage.Value{}) {
-			t.Fatalf("released scratch still pins %v", v)
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		gs := snap.Groups[k]
+		fmt.Fprintf(&b, "%q %v x%d", k, gs.Key, gs.Count)
+		for _, as := range gs.Aggs {
+			fmt.Fprintf(&b, " %#x %v", math.Float64bits(as.Sum.Float64()), as.Multiset)
 		}
+		b.WriteString("; ")
 	}
+	return b.String()
 }
 
 // TestCheckpointAllocsIndependentOfViewSize: a checkpoint after the same

@@ -62,7 +62,7 @@ type HashAgg struct {
 // aggState accumulates one aggregate within one group.
 type aggState struct {
 	count    int64
-	sum      float64
+	sum      ExactSum
 	min, max storage.Value
 	seen     bool
 }
@@ -185,7 +185,7 @@ func (st *aggState) update(sp AggSpec, r storage.Row) {
 	v := sp.Arg(r)
 	switch sp.Kind {
 	case AggSum, AggAvg:
-		st.sum += v.Float()
+		st.sum.Add(v.Float())
 	case AggMin:
 		if !st.seen || storage.Compare(v, st.min) < 0 {
 			st.min = v
@@ -203,12 +203,12 @@ func (st *aggState) result(sp AggSpec) storage.Value {
 	case AggCount:
 		return storage.I(st.count)
 	case AggSum:
-		return storage.F(st.sum)
+		return storage.F(st.sum.Float64())
 	case AggAvg:
 		if st.count == 0 {
 			return storage.F(0)
 		}
-		return storage.F(st.sum / float64(st.count))
+		return storage.F(st.sum.Float64() / float64(st.count))
 	case AggMin:
 		if !st.seen {
 			return storage.F(0)

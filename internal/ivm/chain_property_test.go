@@ -126,7 +126,7 @@ type streamGen struct {
 }
 
 func (g *streamGen) next() []Mod {
-	cost := func() storage.Value { return storage.F(float64(g.rng.Intn(400))) } // whole numbers: float sums stay exact
+	cost := func() storage.Value { return storage.F(float64(g.rng.Intn(400)) + g.rng.Float64()/3) }
 	supp := func() storage.Value { return storage.I(int64(g.rng.Intn(6))) }
 	insert := func() Mod {
 		k := g.nextPS

@@ -22,7 +22,7 @@ type groupState struct {
 // aggState is the incremental state of one aggregate.
 type aggState struct {
 	kind exec.AggKind
-	sum  float64
+	sum  exec.ExactSum
 	// multiset tracks contributing values for MIN/MAX so deletions never
 	// force a recompute; nil for other aggregates. A group's MINs and MAXes
 	// over one argument read the same multiset (DeltaPlan.aggSet); owns marks
@@ -61,7 +61,7 @@ func (st *aggState) add(v storage.Value, stats *storage.Stats) {
 	switch st.kind {
 	case exec.AggCount:
 	case exec.AggSum, exec.AggAvg:
-		st.sum += v.Float()
+		st.sum.Add(v.Float())
 	case exec.AggMin, exec.AggMax:
 		if st.owns {
 			st.multiset.Upsert(v, countUp)
@@ -77,7 +77,7 @@ func (st *aggState) remove(v storage.Value, stats *storage.Stats) {
 	switch st.kind {
 	case exec.AggCount:
 	case exec.AggSum, exec.AggAvg:
-		st.sum -= v.Float()
+		st.sum.Sub(v.Float())
 	case exec.AggMin, exec.AggMax:
 		if st.owns && !st.multiset.DeleteIf(v, countDown) {
 			panic("ivm: retracting a value absent from the MIN/MAX multiset")
@@ -92,12 +92,12 @@ func (st *aggState) result(count int64) storage.Value {
 	case exec.AggCount:
 		return storage.I(count)
 	case exec.AggSum:
-		return storage.F(st.sum)
+		return storage.F(st.sum.Float64())
 	case exec.AggAvg:
 		if count == 0 {
 			return storage.F(0)
 		}
-		return storage.F(st.sum / float64(count))
+		return storage.F(st.sum.Float64() / float64(count))
 	case exec.AggMin, exec.AggMax:
 		// An empty group has contributed no value: its state may not even
 		// carry a multiset (the grand aggregate over nothing).

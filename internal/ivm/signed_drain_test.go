@@ -81,9 +81,9 @@ func sdStation(rng *rand.Rand, key int64) storage.Row {
 }
 
 // sdSale draws a sale; a few reference a station that never exists, and
-// amounts are quarters so float sums are exact in any order.
+// amounts are arbitrary fractions: sums are exact in any order.
 func sdSale(rng *rand.Rand, key int64) storage.Row {
-	return storage.Row{storage.I(key), storage.I(int64(rng.Intn(sdStations + 2))), storage.F(float64(rng.Intn(240)) / 4)}
+	return storage.Row{storage.I(key), storage.I(int64(rng.Intn(sdStations + 2))), storage.F(rng.Float64() * 60)}
 }
 
 // sdBatch draws at least n modifications of one table against its live

@@ -270,12 +270,13 @@ type GroupSnapshot struct {
 }
 
 // AggSnapshot is one aggregate's plain-data state: Sum carries
-// SUM/AVG accumulators, Multiset the sorted (value, count) pairs of the
+// SUM/AVG accumulators (a copy sharing no memory with the live one),
+// Multiset the sorted (value, count) pairs of the
 // MIN/MAX B-tree the aggregate owns (empty otherwise: the other kinds, and
 // a MIN or MAX reading the multiset of an earlier aggregate over the same
 // argument, which is stored once, there).
 type AggSnapshot struct {
-	Sum      float64
+	Sum      exec.ExactSum
 	Multiset []ValueCount
 }
 
@@ -334,7 +335,7 @@ func (g *groupState) copyTo(gs *GroupSnapshot) {
 	}
 	for i := range g.aggs {
 		as := &gs.Aggs[i]
-		as.Sum = g.aggs[i].sum
+		as.Sum.Set(&g.aggs[i].sum)
 		as.Multiset = as.Multiset[:0]
 		if ms := g.aggs[i].multiset; g.aggs[i].owns {
 			if cap(as.Multiset) < ms.Len() {
@@ -369,7 +370,7 @@ func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
 		}
 		g := &groupState{key: k, keyVals: gs.Key, count: gs.Count, aggs: newAggStates(v.aggKinds, v.aggSet)}
 		for i := range g.aggs {
-			g.aggs[i].sum = gs.Aggs[i].Sum
+			g.aggs[i].sum.Set(&gs.Aggs[i].Sum)
 			if g.aggs[i].owns {
 				for _, vc := range gs.Aggs[i].Multiset {
 					g.aggs[i].multiset.Set(vc.V, vc.N)

@@ -3,6 +3,7 @@ package ivm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -31,7 +32,7 @@ var foldViews = []foldView{
 		return storage.Row{storage.I(int64(r.Intn(4))), storage.S(string(rune('p' + r.Intn(3))))}
 	}},
 	{"sum-count-avg", `SELECT t.g, SUM(t.x), COUNT(*), AVG(t.x) FROM t GROUP BY t.g`, func(r *rand.Rand) storage.Row {
-		x := storage.F(float64(r.Intn(5)) + 0.25)
+		x := storage.F(float64(r.Intn(5)) + r.Float64())
 		return storage.Row{storage.I(int64(r.Intn(3))), x, storage.I(1), x}
 	}},
 	{"min-max", `SELECT t.g, MIN(t.x), MAX(t.x) FROM t GROUP BY t.g`, func(r *rand.Rand) storage.Row {
@@ -69,8 +70,8 @@ func diffSnapshots(got, want *ViewStateSnapshot) string {
 		}
 		for i := range w.Aggs {
 			ga, wa := g.Aggs[i], w.Aggs[i]
-			// The copy must carry the accumulator's very bits.
-			if ga.Sum != wa.Sum || len(ga.Multiset) != len(wa.Multiset) {
+			// The copy must render the accumulator's very bits.
+			if math.Float64bits(ga.Sum.Float64()) != math.Float64bits(wa.Sum.Float64()) || len(ga.Multiset) != len(wa.Multiset) {
 				return fmt.Sprintf("entry %q aggregate %d: %+v, want %+v", k, i, ga, wa)
 			}
 			for j := range wa.Multiset {
@@ -289,4 +290,111 @@ func TestFoldIntoExistingEntryAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations folding into existing entries and checkpointing them, want 0", fv.name, n)
 		}
 	}
+}
+
+// TestViewStateSumsExactly folds random float streams into one group's
+// SUM, AVG and COUNT through AddWeighted with random weights: terms with
+// signed zeros, subnormals, magnitudes near 1e±300 and MaxFloat64, the
+// infinities and NaN, exact negations, and retractions of part of a
+// term's weight. Each stream is folded in several random orders, cut into
+// random chunks; after every chunk the rendered SUM must carry the bits
+// of the math/big reference for what has been folded, AVG must be that
+// divided by COUNT, and a group whose count fell to zero must be gone.
+func TestViewStateSumsExactly(t *testing.T) {
+	p, err := PlanView(`SELECT t.g, SUM(t.x), AVG(t.x), COUNT(*) FROM t GROUP BY t.g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -0x1p-1060, 1e300, -1.5e300, 1e-300,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	type op struct {
+		x float64
+		w int64
+	}
+	rng := rand.New(rand.NewSource(5))
+	for stream := 0; stream < 200; stream++ {
+		// Insertions with weights 1-3; a retraction takes back part of
+		// the weight an earlier insertion still holds.
+		var ops []op
+		var held []int64
+		for n := 1 + rng.Intn(30); len(ops) < n; {
+			switch r := rng.Intn(10); {
+			case r < 2 && len(ops) > 0:
+				if i := rng.Intn(len(ops)); held[i] > 0 {
+					w := 1 + rng.Int63n(held[i])
+					held[i] -= w
+					ops, held = append(ops, op{ops[i].x, -w}), append(held, 0)
+				}
+			case r == 2 && len(ops) > 0:
+				ops, held = append(ops, op{-ops[rng.Intn(len(ops))].x, 1}), append(held, 1)
+			case r < 5:
+				ops, held = append(ops, op{specials[rng.Intn(len(specials))], 1}), append(held, 1)
+			default:
+				w := 1 + rng.Int63n(3)
+				x := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(30)-15))
+				ops, held = append(ops, op{x, w}), append(held, w)
+			}
+		}
+		for perm := 0; perm < 5; perm++ {
+			// A random order that still retracts only what is held: a
+			// retraction drawn before its insertion waits for it.
+			var order []op
+			waiting := map[uint64][]op{}
+			inserted := map[uint64]int64{}
+			for _, i := range rng.Perm(len(ops)) {
+				o := ops[i]
+				key := math.Float64bits(o.x) // by bits, so a NaN finds its insertion
+				if o.w < 0 && inserted[key]+o.w < 0 {
+					waiting[key] = append(waiting[key], o)
+					continue
+				}
+				order = append(order, o)
+				inserted[key] += o.w
+				for len(waiting[key]) > 0 && inserted[key]+waiting[key][0].w >= 0 {
+					inserted[key] += waiting[key][0].w
+					order = append(order, waiting[key][0])
+					waiting[key] = waiting[key][1:]
+				}
+			}
+			v := NewViewState(p, nil)
+			var terms []float64
+			var weights []int64
+			var count int64
+			for done := 0; done < len(order); {
+				next := min(len(order), done+1+rng.Intn(6))
+				for _, o := range order[done:next] {
+					v.AddWeighted(storage.Row{storage.I(0), storage.F(o.x), storage.F(o.x), storage.I(1)}, o.w)
+					terms, weights, count = append(terms, o.x), append(weights, o.w), count+o.w
+				}
+				done = next
+				rows := v.Result()
+				if count == 0 {
+					if len(rows) != 0 {
+						t.Fatalf("stream %d perm %d: %d rows with nothing held", stream, perm, len(rows))
+					}
+					continue
+				}
+				sum := testenv.RoundedSum(terms, weights)
+				want := storage.Row{storage.I(0), storage.F(sum), storage.F(sum / float64(count)), storage.I(count)}
+				if len(rows) != 1 || !sameBits(rows[0], want) {
+					t.Fatalf("stream %d perm %d after %v: renders %v, want %v", stream, perm, order[:done], rows, want)
+				}
+			}
+		}
+	}
+}
+
+// sameBits compares two rendered rows value by value, floats by their
+// bits, so a NaN equals a NaN.
+func sameBits(a, b storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].T != b[i].T || a[i].T == storage.TFloat && math.Float64bits(a[i].Float()) != math.Float64bits(b[i].Float()) ||
+			a[i].T != storage.TFloat && storage.Compare(a[i], b[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }

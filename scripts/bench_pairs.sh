@@ -8,7 +8,7 @@
 # holds when the change wins at least nine pairs of ten and its median is
 # better by more than the parent's spread.
 #
-# Usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N]
+# Usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N] [-seed N]
 #
 #   <parent-rev>  commit to compare against (HEAD~1, a hash, a tag); its
 #                 committed files are unpacked with `git archive` under
@@ -19,9 +19,11 @@
 #                 or `all`: every workload BENCHMARK.json names, in its
 #                 order, one table each
 #   -pairs        number of pairs per workload (default 10)
+#   -seed         the benchmark's input seed (default 1); a claim tuned on
+#                 one seed is checked on another
 #
 # The change side is the working tree as it stands, uncommitted edits
-# included. Every run is `benchmark/run.sh --workload W --seed 1`, so both
+# included. Every run is `benchmark/run.sh --workload W --seed N`, so both
 # sides see the same input; a content hash or failure count that differs
 # between any two runs fails the script. Reads benchmark/ and
 # BENCHMARK.json, writes only under .bench_build/.
@@ -31,7 +33,7 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 
 usage() {
-	echo "usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N]" >&2
+	echo "usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N] [-seed N]" >&2
 	exit 2
 }
 
@@ -40,11 +42,13 @@ rev=$1
 shift
 workload=fanout-shared
 pairs=10
+seed=1
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || usage
 	case "$1" in
 	-workload) workload=$2 ;;
 	-pairs) pairs=$2 ;;
+	-seed) seed=$2 ;;
 	*) usage ;;
 	esac
 	shift 2
@@ -69,7 +73,7 @@ fi
 # run <side> <dir> <pair>: one benchmark run from dir, its report kept.
 run() {
 	echo "$workload pair $3/$pairs: $1" >&2
-	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1) >"$out/$1-$3.txt"
+	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed") >"$out/$1-$3.txt"
 }
 
 # measure runs the pairs of $workload and prints its table.
@@ -97,7 +101,7 @@ measure() {
 		exit 1
 	fi
 
-	echo "== $workload seed=1: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
+	echo "== $workload seed=$seed: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
 	# The report's metric lines are "   name   value unit  (raw ...)"; the
 	# direction of each metric comes from BENCHMARK.json.
 	awk -v pairs="$pairs" -v dir="$out" '
