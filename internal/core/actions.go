@@ -44,6 +44,23 @@ func GreedyActionSet(s Vector, m *CostModel, c float64, minimalOnly bool) []Vect
 // panics if s has more than maxEnumTables components or does not match
 // the model arity.
 func (sc *ActionScratch) AppendGreedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
+	return sc.greedyActions(dst, s, m, c, minimalOnly, false)
+}
+
+// GreedyActionsInto is AppendGreedyActions into dst[:0] for a caller that
+// is done with the actions before its next call: each action overwrites
+// the vector of its length that dst's backing array already holds at its
+// position, and only a missing one is allocated, so a caller that passes
+// back the slice it got allocates nothing once the set stops growing. The
+// returned vectors are valid until the next call with the same dst.
+func (sc *ActionScratch) GreedyActionsInto(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
+	return sc.greedyActions(dst[:0], s, m, c, minimalOnly, true)
+}
+
+// greedyActions appends the greedy action set of s to dst; reuse
+// overwrites the vectors dst's spare capacity holds instead of
+// allocating them.
+func (sc *ActionScratch) greedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly, reuse bool) []Vector {
 	n := len(s)
 	if n > maxEnumTables {
 		panic(fmt.Sprintf("core: %d tables exceeds the greedy-action enumeration cap %d", n, maxEnumTables))
@@ -95,7 +112,16 @@ func (sc *ActionScratch) AppendGreedyActions(dst []Vector, s Vector, m *CostMode
 				continue
 			}
 		}
-		act := NewVector(n)
+		var act Vector
+		if reuse && len(dst) < cap(dst) {
+			if v := dst[:len(dst)+1][len(dst)]; len(v) == n {
+				act = v
+				clear(act)
+			}
+		}
+		if act == nil {
+			act = NewVector(n)
+		}
 		for j, i := range occupied {
 			if mask&(1<<uint(j)) != 0 {
 				act[i] = s[i]
@@ -160,7 +186,7 @@ func CheapestGreedyMinimalAction(s Vector, m *CostModel, c float64) Vector {
 	bestCost := 0.0
 	for _, q := range GreedyActionSet(s, m, c, true) {
 		cost := m.Total(q)
-		if best == nil || cost < bestCost || (ApproxEq(cost, bestCost) && q.Key() < best.Key()) {
+		if best == nil || cost < bestCost || (ApproxEq(cost, bestCost) && q.KeyLess(best)) {
 			best, bestCost = q, cost
 		}
 	}

@@ -108,6 +108,35 @@ func TestGreedyActionSetFullDrainAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestGreedyActionsIntoReusesVectors: enumerating into the slice the
+// previous call returned yields the same action set as GreedyActionSet,
+// overwriting the vectors it already holds in place.
+func TestGreedyActionsIntoReusesVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	m := NewCostModel(linFunc{1, 0}, linFunc{2, 1}, linFunc{0.5, 3})
+	var sc ActionScratch
+	var buf []Vector
+	for trial := 0; trial < 200; trial++ {
+		s := Vector{rng.Intn(10), rng.Intn(10), rng.Intn(10)}
+		c := float64(rng.Intn(12))
+		minimal := rng.Intn(2) == 0
+		held := buf[:cap(buf)]
+		buf = sc.GreedyActionsInto(buf, s, m, c, minimal)
+		want := GreedyActionSet(s, m, c, minimal)
+		if len(buf) != len(want) {
+			t.Fatalf("state %v (C=%g): %d actions, want %d", s, c, len(buf), len(want))
+		}
+		for i, q := range buf {
+			if !q.Equal(want[i]) {
+				t.Fatalf("state %v (C=%g): action %d is %v, want %v", s, c, i, q, want[i])
+			}
+			if i < len(held) && len(held[i]) == len(q) && &q[0] != &held[i][0] {
+				t.Fatalf("state %v: action %d was allocated beside the vector already at its position", s, i)
+			}
+		}
+	}
+}
+
 func TestMinimizeAction(t *testing.T) {
 	m := NewCostModel(linFunc{1, 0}, linFunc{2, 0}, linFunc{1, 0})
 	s := Vector{3, 2, 1}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -120,10 +121,29 @@ var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b
 // Key returns a compact string usable as a map key for deduplicating
 // states, and as the debug rendering of a vector's components. The hot
 // search path in internal/astar packs states into fixed-size comparable
-// keys instead; Key remains the debug/String formatting path and the
-// deterministic tie-break order for action selection.
+// keys instead; Key remains the debug/String formatting path, and its
+// order (KeyLess) the deterministic tie-break order for action selection.
 func (v Vector) Key() string {
 	return v.render(',', "")
+}
+
+// KeyLess reports whether v.Key() < w.Key() — the tie-break order of
+// action selection — without allocating either string: both keys are
+// rendered into stack buffers.
+func (v Vector) KeyLess(w Vector) bool {
+	var a, b [128]byte
+	return bytes.Compare(v.appendJoined(a[:0], ','), w.appendJoined(b[:0], ',')) < 0
+}
+
+// appendJoined appends v's components to dst in decimal, separated by sep.
+func (v Vector) appendJoined(dst []byte, sep byte) []byte {
+	for i, x := range v {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return dst
 }
 
 // String renders v as "[a b c]".
@@ -139,12 +159,7 @@ func (v Vector) render(sep byte, brackets string) string {
 	if brackets != "" {
 		b = append(b, brackets[0])
 	}
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, sep)
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
+	b = v.appendJoined(b, sep)
 	if brackets != "" {
 		b = append(b, brackets[1])
 	}

@@ -112,6 +112,29 @@ func TestVectorStringAndKey(t *testing.T) {
 	}
 }
 
+// TestVectorKeyLessIsKeyOrder: KeyLess orders vectors as their rendered
+// keys compare — "10" before "9" — which is the tie-break order action
+// selection has always used.
+func TestVectorKeyLessIsKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(4)
+		v, w := NewVector(n), NewVector(n)
+		for i := range v {
+			v[i], w[i] = rng.Intn(120), rng.Intn(120)
+		}
+		if rng.Intn(4) == 0 {
+			copy(w, v)
+		}
+		if got, want := v.KeyLess(w), v.Key() < w.Key(); got != want {
+			t.Fatalf("%v.KeyLess(%v) = %v, want %v", v, w, got, want)
+		}
+	}
+	if !(Vector{10, 0}).KeyLess(Vector{9, 0}) {
+		t.Fatal("KeyLess compares components, not keys")
+	}
+}
+
 func TestVectorAddSubRoundTrip(t *testing.T) {
 	f := func(a, b [4]uint8) bool {
 		v := Vector{int(a[0]), int(a[1]), int(a[2]), int(a[3])}

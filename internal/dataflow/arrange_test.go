@@ -225,3 +225,102 @@ func TestTrimWatermarkIsLowestSink(t *testing.T) {
 	}
 	checkGraphInvariants(t, "after release and trim", g)
 }
+
+// TestIngestAllocsIndependentOfPartners: one station update allocates
+// the same whether 8 sales or 64 sit at the station. Each of its two
+// deltas probes the station's sales bucket once, and a probe builds all
+// its products in one array and gives those with a base partner one
+// shared coordinate, so the allocations count probes, not products.
+func TestIngestAllocsIndependentOfPartners(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	ingestAllocs := func(rowsPerStation int) (allocs uint64) {
+		g := NewGraph(sizedDB(t, 16*rowsPerStation, rowsPerStation))
+		handles := subscribeRegional(t, g, 0)
+		// Steady state: each round's deltas are folded, checkpointed and
+		// trimmed, so inboxes and buckets keep their capacity.
+		for round := 0; round < 4; round++ {
+			mod := ivm.Mod{
+				Kind: ivm.ModUpdate,
+				Key:  []storage.Value{storage.I(7)},
+				Row:  storage.Row{storage.I(7), storage.S([]string{"EAST", "WEST"}[round%2])},
+			}
+			allocs = mallocsOf(func() {
+				if err := g.Ingest("stations", mod); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := len(handles[0].inbox); got != 2*rowsPerStation {
+				t.Fatalf("a station update sent %d deltas to the sink, want %d", got, 2*rowsPerStation)
+			}
+			settle(t, handles)
+			g.Trim()
+		}
+		return allocs
+	}
+	if few, many := ingestAllocs(8), ingestAllocs(64); few != many {
+		t.Fatalf("one station update allocated %d times over 8 sales, %d over 64", few, many)
+	}
+}
+
+// TestArrangedProductsOwnTheirRows: the three-way view arranges its
+// inner join's output by region. The join hands out its products as
+// windows of one array per probe; the arrangement keeps copies, so after
+// a trim every base row it holds has its own array, capped at its length,
+// and none is a product the join emitted.
+func TestArrangedProductsOwnTheirRows(t *testing.T) {
+	db := propDB(t)
+	g := NewGraph(db)
+	p, err := ivm.PlanView(propQueries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.Subscribe(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := "join(scan(sales), scan(stations), on=[sales.station=stations.stationkey])"
+	emitted := &recorder{}
+	g.nodes[inner].addOut(emitted)
+	gen := newPropGen(34)
+	for step := 0; step < 40; step++ {
+		for _, tm := range gen.step() {
+			applyLive(t, db, tm.table, tm.mod)
+			if err := g.Ingest(tm.table, tm.mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	settle(t, []*ViewHandle{h})
+	g.Trim()
+	a := g.arrs["arrange("+inner+", [stations.region])"]
+	if a == nil || len(emitted.all) == 0 {
+		t.Fatalf("arrangement %v; the inner join emitted %d products", a, len(emitted.all))
+	}
+	products := make(map[*storage.Value]bool, len(emitted.all))
+	for _, d := range emitted.all {
+		products[&d.Row[0]] = true
+	}
+	owners := make(map[*storage.Value]bool)
+	rows := 0
+	for _, b := range a.buckets {
+		if len(b.tail) != 0 {
+			t.Fatalf("bucket %q keeps %d tail entries after a full trim", b.key, len(b.tail))
+		}
+		for _, e := range b.base {
+			rows++
+			if cap(e.row) != len(e.row) {
+				t.Fatalf("base row %v has capacity %d beyond its %d values", e.row, cap(e.row), len(e.row))
+			}
+			if products[&e.row[0]] {
+				t.Fatalf("base row %v is the join's own product, not a copy", e.row)
+			}
+			if owners[&e.row[0]] {
+				t.Fatalf("base row %v shares its array with another", e.row)
+			}
+			owners[&e.row[0]] = true
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the arrangement holds no base rows")
+	}
+}

@@ -70,10 +70,3 @@ func concatRows(l, r storage.Row) storage.Row {
 	out = append(out, l...)
 	return append(out, r...)
 }
-
-// concatCoords concatenates a join pair's attributions.
-func concatCoords(l, r Coord) Coord {
-	out := make(Coord, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}

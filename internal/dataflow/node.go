@@ -480,6 +480,11 @@ type arrangement struct {
 	keys  []exec.Scalar
 	ports []port   // attached join sides, in attachment order
 	wm    []uint64 // the trim watermark at the child's coordinates, reused
+	// copies is set when the child reads more than one table, so its rows
+	// are join products — windows of one probe's shared array
+	// (joinNode.onSide): the arrangement keeps a copy of each, lest a
+	// long-lived base entry pin the whole probe.
+	copies bool
 }
 
 // newArrangement indexes the child's present output — everything already
@@ -494,6 +499,7 @@ func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *a
 		child:     child,
 		keys:      keys,
 		wm:        make([]uint64, tabs),
+		copies:    tabs > 1,
 	}
 	a.seed(child.current(), keys)
 	child.addOut(a)
@@ -507,12 +513,15 @@ func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *a
 // on both sides and no view reads a table twice, so nothing a port emits
 // can reach this arrangement before the append: each (left, right) pair
 // is still produced exactly once, when the later of its two inputs
-// arrives.
+// arrives. A join's product is copied before it is kept (see copies).
 func (a *arrangement) onDelta(d Delta) {
 	var buf [64]byte
 	key := appendJoinKey(buf[:0], a.keys, d.Row)
 	for _, p := range a.ports {
 		p.j.onSide(p.left, key, d)
+	}
+	if a.copies {
+		d.Row = d.Row.Clone()
 	}
 	a.add(key, d)
 }
@@ -585,22 +594,20 @@ func (j *joinNode) pass(r storage.Row) bool {
 	return true
 }
 
-// emitPair emits the product of a delta arriving on one side with one
-// entry of the other side, if it passes the residual predicates.
-func (j *joinNode) emitPair(left bool, d Delta, row storage.Row, coord Coord, w int64) {
-	lrow, lcoord, rrow, rcoord := d.Row, d.Coord, row, coord
-	if !left {
-		lrow, lcoord, rrow, rcoord = row, coord, d.Row, d.Coord
-	}
-	out := concatRows(lrow, rrow)
-	if j.pass(out) {
-		j.emit(Delta{Row: out, W: d.W * w, Coord: concatCoords(lcoord, rcoord)})
-	}
-}
-
 // onSide probes the other side's bucket for the arriving delta's key —
-// base then tail, each in insertion order. The delta's own arrangement
-// encoded the key and appends the delta once all its ports have probed.
+// base then tail, each in insertion order — and emits every product that
+// passes the residual predicates. The delta's own arrangement encoded the
+// key and appends the delta once all its ports have probed.
+//
+// A probe allocates its products together: every row is a window of one
+// backing array, capped at its own length so nothing appended to one can
+// reach the next, and every coordinate a window of a second. The products
+// with a base partner share one coordinate, the delta's beside the base's
+// zero; each tail partner's product gets its own. A product the residual
+// rejects leaves its space to the next. Consumers alias the windows as
+// they alias any emitted row: a sink until its checkpoint covers the
+// product, an arrangement over this join not at all (it copies what it
+// keeps), so no long-lived state pins a probe's array.
 func (j *joinNode) onSide(left bool, key []byte, d Delta) {
 	other := j.lstate
 	if left {
@@ -610,12 +617,37 @@ func (j *joinNode) onSide(left bool, key []byte, d Delta) {
 	if b == nil {
 		return
 	}
+	rows := make(storage.Row, len(j.schema)*(len(b.base)+len(b.tail)))
+	shared, coords := pairInto(make(Coord, len(j.tabs)*(1+len(b.tail))), left, d.Coord, other.zero)
 	for _, e := range b.base {
-		j.emitPair(left, d, e.row, other.zero, e.w)
+		row, rest := pairInto(rows, left, d.Row, e.row)
+		if j.pass(row) {
+			rows = rest
+			j.emit(Delta{Row: row, W: d.W * e.w, Coord: shared})
+		}
 	}
 	for _, e := range b.tail {
-		j.emitPair(left, d, e.row, e.coord, e.w)
+		row, rest := pairInto(rows, left, d.Row, e.row)
+		if j.pass(row) {
+			rows = rest
+			var coord Coord
+			coord, coords = pairInto(coords, left, d.Coord, e.coord)
+			j.emit(Delta{Row: row, W: d.W * e.w, Coord: coord})
+		}
 	}
+}
+
+// pairInto writes a join pair — the arriving side's part and its
+// partner's, left part first — at the front of buf and returns that
+// window, capped at its length, and the rest of buf.
+func pairInto[S ~[]E, E any](buf S, left bool, arriving, partner S) (pair, rest S) {
+	l, r := arriving, partner
+	if !left {
+		l, r = partner, arriving
+	}
+	n := copy(buf, l)
+	n += copy(buf[n:], r)
+	return buf[:n:n], buf[n:]
 }
 
 // each visits the bucket's entries, base then tail.

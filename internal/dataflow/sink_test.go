@@ -241,9 +241,9 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 
 // TestIngestAllocsIndependentOfViews: one sales update allocates the same
 // whether 1 view or 12 with 12 different SELECT lists sit on the join it
-// flows through — the join builds its two output rows and coordinates
-// once, and each sink only buffers them as they are; nothing per view runs
-// before a drain.
+// flows through — each of its two deltas probes the join once, building
+// its product's row and coordinate once, and each sink only buffers them
+// as they are; nothing per view runs before a drain.
 func TestIngestAllocsIndependentOfViews(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation = 8

@@ -24,6 +24,7 @@ type OnlineMarginal struct {
 	est   RateEstimator
 	obs   *Metrics
 	inner *Online // reuses the TTF machinery
+	sc    actScratch
 }
 
 // NewOnlineMarginal returns the marginal-rate online policy. If est is
@@ -56,16 +57,16 @@ func (p *OnlineMarginal) Act(t int, d, pre core.Vector, refresh bool) core.Vecto
 	if !p.model.Full(pre, p.c) {
 		return core.NewVector(len(pre))
 	}
-	candidates := core.GreedyActionSet(pre, p.model, p.c, true)
+	candidates := p.sc.candidates(pre, p.model, p.c)
 	var best core.Vector
 	bestScore := 0.0
 	for _, q := range candidates {
-		ttf := p.inner.timeToFull(pre.Sub(q))
+		ttf := p.inner.timeToFull(p.sc.postOf(pre, q))
 		score := p.model.Total(q) / float64(ttf)
-		if best == nil || score < bestScore || (core.ApproxEq(score, bestScore) && q.Key() < best.Key()) {
+		if best == nil || score < bestScore || (core.ApproxEq(score, bestScore) && q.KeyLess(best)) {
 			best, bestScore = q, score
 		}
 	}
 	p.obs.observeDecision(len(candidates), best)
-	return best
+	return best.Clone()
 }

@@ -30,7 +30,10 @@ type Policy interface {
 	// Act is called once per step. d is the arrival vector at t, pre is
 	// the pre-action state (arrivals already included), and refresh marks
 	// the final step, at which the returned action must drain everything.
-	// Implementations must not retain or mutate d or pre.
+	// Implementations must not retain or mutate d or pre, and the returned
+	// vector must alias neither: callers pass their live vectors (the
+	// broker its arrival counter and pending scratch) and go on using
+	// them beside the action.
 	Act(t int, d, pre core.Vector, refresh bool) core.Vector
 }
 

@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"abivm/internal/fault"
@@ -118,6 +120,80 @@ func TestPublishRoutingAllocs(t *testing.T) {
 			t.Errorf("%s: routing one modification costs %.2f allocations per subscription, want amortized growth only (< 0.5)", mode.name, got)
 		} else {
 			t.Logf("%s: %.3f allocations per modification per subscription", mode.name, got)
+		}
+	}
+}
+
+// endStepAllocs counts what one EndStep allocates on a broker with n
+// overlapping views whose conditions never fire and whose bound no
+// backlog reaches: a step in which no subscription drains or notifies.
+// Each measured step follows the publish of one sale, so every policy
+// sees arrivals and a non-empty state.
+func endStepAllocs(t *testing.T, shared bool, n int) uint64 {
+	t.Helper()
+	db, err := chaosDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	b.SetCheckpointEvery(0)
+	if shared {
+		if err := b.SetSharedDataflow(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model, err := chaosModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range sharedViewQueries(n) {
+		if err := b.Subscribe(Subscription{
+			Name: fmt.Sprintf("v%d", i), Query: q, Model: model, QoS: 1e9,
+			Condition: func(int) bool { return false },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var allocs uint64
+	for step := int64(0); step < 4; step++ {
+		row := storage.Row{storage.I(1000 + step), storage.I(step % 8), storage.F(1)}
+		if err := b.Publish("sales", ivm.Insert("", row)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		notes, err := b.EndStep()
+		runtime.ReadMemStats(&after)
+		if err != nil || len(notes) != 0 {
+			t.Fatalf("step %d: %d notifications, err %v; want a quiet step", step, len(notes), err)
+		}
+		allocs = after.Mallocs - before.Mallocs
+	}
+	for _, s := range b.subs {
+		if s.total != 0 {
+			t.Fatalf("%s drained (cost %g); want a step without drains", s.cfg.Name, s.total)
+		}
+	}
+	return allocs
+}
+
+// TestEndStepAllocsPerIdleSubscription pins the step loop's cost per
+// subscription that neither drains nor notifies: at most one allocation,
+// the zero action its policy returns. The broker hands the policy its
+// live arrival counter and pending scratch instead of copies of them, and
+// the policy keeps its own scratch across calls.
+func TestEndStepAllocsPerIdleSubscription(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const few, many = 1, 9
+	for _, mode := range []struct {
+		name   string
+		shared bool
+	}{{"classic", false}, {"shared", true}} {
+		lo, hi := endStepAllocs(t, mode.shared, few), endStepAllocs(t, mode.shared, many)
+		if per := float64(hi-lo) / (many - few); per > 1 {
+			t.Errorf("%s: a quiet step allocates %d times with %d subscriptions, %d with %d: %.2f per subscription, want at most 1",
+				mode.name, lo, few, hi, many, per)
 		}
 	}
 }

@@ -91,10 +91,9 @@ type sub struct {
 	// eng maintains the view and keeps it recoverable (see viewEngine).
 	eng viewEngine
 	pol policy.Policy
-	// tableIdx routes a modification: base table -> index (in Aliases()
-	// and stepMods) of the alias that receives it, resolved once at
-	// subscribe.
-	tableIdx map[string]int
+	// tables is the base table each alias reads, by index in Aliases()
+	// and stepMods: what Broker.routes is built from.
+	tables   []string
 	stepMods core.Vector
 	total    float64
 
@@ -127,6 +126,11 @@ type Broker struct {
 	db   *storage.DB
 	subs []*sub
 	step int
+	// routes lists, per base table, the subscriptions whose view reads it,
+	// in registration order, each with the alias index its arrivals are
+	// counted under — so a publish walks only its table's readers.
+	// Subscribe and Unsubscribe rebuild it.
+	routes map[string][]route
 
 	inj        fault.Injector
 	cpEvery    int
@@ -270,11 +274,15 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	eng.SetInjector(b.inj)
 	s := &sub{
 		cfg: cfg, eng: eng, pol: pol,
-		tableIdx: tableIndex(p), stepMods: core.NewVector(n),
+		tables: make([]string, n), stepMods: core.NewVector(n),
 		lastFresh: b.step,
+	}
+	for i, src := range p.Sources {
+		s.tables[i] = src.Table
 	}
 	b.wireSub(s)
 	b.subs = append(b.subs, s)
+	b.rebuildRoutes()
 	return nil
 }
 
@@ -307,7 +315,31 @@ func (b *Broker) Unsubscribe(name string) error {
 		s.obs.zeroGauges()
 	}
 	b.subs = slices.DeleteFunc(b.subs, func(x *sub) bool { return x == s })
+	b.rebuildRoutes()
 	return nil
+}
+
+// route is one subscription's share of a table's arrivals: the
+// subscription and the index of the alias that receives them.
+type route struct {
+	s   *sub
+	idx int
+}
+
+// rebuildRoutes recomputes b.routes from the subscriptions, each table's
+// readers in registration order, each under the first alias, in FROM
+// order (the order of every engine's Aliases), it reads the table by.
+// Caller holds b.mu.
+func (b *Broker) rebuildRoutes() {
+	routes := make(map[string][]route)
+	for _, s := range b.subs {
+		for i, t := range s.tables {
+			if !slices.Contains(s.tables[:i], t) {
+				routes[t] = append(routes[t], route{s: s, idx: i})
+			}
+		}
+	}
+	b.routes = routes
 }
 
 // Publish applies one modification to the shared base tables and routes
@@ -355,16 +387,12 @@ func (b *Broker) route(table string, mod ivm.Mod) error {
 			return err
 		}
 	}
-	for _, s := range b.subs {
-		idx, ok := s.tableIdx[table]
-		if !ok {
-			continue
-		}
-		mod.Alias = s.eng.Aliases()[idx]
-		if err := s.eng.Arrive(mod); err != nil {
+	for _, r := range b.routes[table] {
+		mod.Alias = r.s.eng.Aliases()[r.idx]
+		if err := r.s.eng.Arrive(mod); err != nil {
 			return err
 		}
-		s.stepMods[idx]++
+		r.s.stepMods[r.idx]++
 	}
 	return nil
 }
@@ -372,12 +400,7 @@ func (b *Broker) route(table string, mod ivm.Mod) error {
 // watches reports whether any subscription's view references the base
 // table. Caller holds b.mu.
 func (b *Broker) watches(table string) bool {
-	for _, s := range b.subs {
-		if _, ok := s.tableIdx[table]; ok {
-			return true
-		}
-	}
-	return false
+	return len(b.routes[table]) > 0
 }
 
 // watchesTable is watches for callers outside the broker's lock (the
@@ -397,19 +420,6 @@ func (b *Broker) watchesTable(table string) bool {
 func (b *Broker) pending(s *sub) core.Vector {
 	s.pendBuf = s.eng.PendingInto(s.pendBuf)
 	return core.Vector(s.pendBuf)
-}
-
-// tableIndex builds a subscription's routing table: each base table the
-// view reads -> the index of the first alias, in FROM order (the order
-// of every engine's Aliases), it is read under.
-func tableIndex(p *ivm.DeltaPlan) map[string]int {
-	idx := make(map[string]int)
-	for i, src := range p.Sources {
-		if _, seen := idx[src.Table]; !seen {
-			idx[src.Table] = i
-		}
-	}
-	return idx
 }
 
 // applyLive applies one modification to a live base table. On a table
@@ -474,19 +484,20 @@ func (b *Broker) EndStep() ([]Notification, error) {
 			sp.End()
 			return nil, err
 		}
+		// The policy gets the live arrival counter and the pending scratch
+		// as they are: the Policy contract forbids retaining or mutating
+		// either, and the action it returns must alias neither.
 		pending := b.pending(s)
-		act := s.pol.Act(b.step, s.stepMods.Clone(), pending.Clone(), false)
+		act := s.pol.Act(b.step, s.stepMods, pending, false)
 		if len(act) != len(pending) || !act.NonNegative() || !act.DominatedBy(pending) {
 			sp.End()
 			return nil, fmt.Errorf("pubsub: %s: policy returned out-of-range action %v", s.cfg.Name, act)
 		}
-		// The policy received a clone, so the live counter can be zeroed in
-		// place instead of reallocated each step.
-		for i := range s.stepMods {
-			s.stepMods[i] = 0
-		}
 		drained := !act.IsZero()
-		if _, err := b.process(s, act); err != nil {
+		_, err := b.process(s, act)
+		// Zeroed in place, and only once the action has been used.
+		clear(s.stepMods)
+		if err != nil {
 			if !fault.Transient(err) {
 				sp.End()
 				return nil, err
@@ -587,9 +598,7 @@ func (b *Broker) maybeCrash(s *sub) error {
 		return fmt.Errorf("pubsub: %s: recovery failed: %w", s.cfg.Name, err)
 	}
 	if fallback {
-		for i := range s.stepMods {
-			s.stepMods[i] = 0
-		}
+		clear(s.stepMods)
 		s.lastFresh = b.step
 		s.degraded = false
 	}

@@ -37,7 +37,7 @@ go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 # testing.AllocsPerRun assertions skip themselves under -race (see
 # internal/testenv), so the packages that have them run once more without.
 echo "==> go test (allocation counts, no race detector)"
-go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow
+go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy
 
 echo "==> RESULTS.txt is what the engine prints"
 make results-check
