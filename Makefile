@@ -42,9 +42,14 @@ results-check:
 # examples are deterministic, so each must print its committed
 # expected.txt byte for byte. A change that means to move them
 # regenerates it with `go run ./examples/<name> > examples/<name>/expected.txt`.
+# It also diffs the example catalog's compiled plans, shared-dataflow
+# operators and arrangements included, so a change of plan shape shows
+# as a reviewable diff; regenerate with
+# `go run ./cmd/abivm compile -dataflow -catalog examples/views.sql > examples/views.dataflow.txt`.
 examples-check:
 	$(GO) run ./examples/quickstart | diff - examples/quickstart/expected.txt
 	$(GO) run ./examples/warehouse | diff - examples/warehouse/expected.txt
+	$(GO) run ./cmd/abivm compile -dataflow -catalog examples/views.sql | diff - examples/views.dataflow.txt
 
 # fuzz-smoke runs every native fuzz target (the SQL front end, the
 # decoders of snapshots, checkpoint segments, WAL frames and the

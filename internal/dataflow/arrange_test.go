@@ -11,11 +11,12 @@ import (
 
 const salesByStation = "arrange(scan(sales), [sales.station])"
 
-// TestArrangementSharedAcrossJoins pins the sharing of a join input as
+// TestArrangementSharedAcrossJoins pins the sharing of join inputs as
 // exact counts: the unfiltered view plus N regional-filter views build
-// N+1 joins over one arrangement of sales, so state and trim work carry
-// no per-join term, and the arrangement lives exactly as long as some
-// join side reads it.
+// N+1 joins over one arrangement of sales and one of stations — a
+// regional filter is its join's side residual, not a filtered copy of
+// stations — so state and trim work carry no per-join term, and each
+// arrangement lives exactly as long as some join side reads it.
 func TestArrangementSharedAcrossJoins(t *testing.T) {
 	const nSales, rowsPerStation, regions, updates = 2_400, 20, 12, 128
 	const nStations = nSales / rowsPerStation
@@ -23,16 +24,16 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 	for _, n := range []int{1, 4, 12} {
 		g := NewGraph(regionalDB(t, nSales, rowsPerStation, regionNames(regions)))
 		handles := subscribeRegional(t, g, n)
-		rightRows := nStations + n*nStations/regions
+		const rightRows = nStations
 		st := g.Stats()
 		if st.StateRows != nSales+rightRows {
 			t.Fatalf("N=%d: %d state rows, want |sales| %d + right sides %d", n, st.StateRows, nSales, rightRows)
 		}
-		if st.Arrangements != 1+(n+1) || st.ArrangementHits != uint64(n) {
-			t.Fatalf("N=%d: %d arrangements, %d hits; want %d and %d", n, st.Arrangements, st.ArrangementHits, n+2, n)
+		if st.Arrangements != 2 || st.ArrangementHits != uint64(2*n) {
+			t.Fatalf("N=%d: %d arrangements, %d hits; want 2 and %d", n, st.Arrangements, st.ArrangementHits, 2*n)
 		}
 		sales := g.arrs[salesByStation]
-		if sales == nil || len(sales.ports) != n+1 {
+		if sales == nil || sales.ports() != n+1 {
 			t.Fatalf("N=%d: %s missing or not read by all %d joins: %v", n, salesByStation, n+1, sales)
 		}
 
@@ -69,8 +70,8 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 			t.Fatalf("N=%d: ill-typed projection subscribed: %v", n, err)
 		}
 		if got := g.Stats(); got.Arrangements != after.Arrangements || got.Nodes != after.Nodes ||
-			got.StateRows != after.StateRows || len(sales.ports) != n+1 {
-			t.Fatalf("N=%d: failed subscribe left state behind: %+v, was %+v; %d ports", n, got, after, len(sales.ports))
+			got.StateRows != after.StateRows || sales.ports() != n+1 {
+			t.Fatalf("N=%d: failed subscribe left state behind: %+v, was %+v; %d ports", n, got, after, sales.ports())
 		}
 		checkGraphInvariants(t, "after failed subscribe", g)
 
@@ -79,10 +80,10 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 		for _, h := range handles[:n] {
 			g.Release(h)
 		}
-		if g.arrs[salesByStation] != sales || len(sales.ports) != 1 {
-			t.Fatalf("N=%d: arrangement not kept for its last reader: %d ports", n, len(sales.ports))
+		if g.arrs[salesByStation] != sales || sales.ports() != 1 {
+			t.Fatalf("N=%d: arrangement not kept for its last reader: %d ports", n, sales.ports())
 		}
-		if got, want := g.Stats().StateRows, nSales+nStations/regions; got != want {
+		if got, want := g.Stats().StateRows, nSales+nStations; got != want {
 			t.Fatalf("N=%d: one regional view left holds %d state rows, want %d", n, got, want)
 		}
 		checkGraphInvariants(t, "one view left", g)
@@ -118,6 +119,48 @@ func TestIngestAllocsIndependentOfSharingJoins(t *testing.T) {
 	}
 }
 
+// TestIngestAllocsIndependentOfFilteredJoins: beside the unfiltered
+// view, 1 regional view or 12 — one join each, every one reading the same
+// two unfiltered arrangements — and a sales update and a station update
+// each allocate the same. A delta looks its opposite bucket up once for
+// all the joins and builds each product once, however many regional
+// joins emit it too; both updates touch station 5, which moves between
+// R05 and R06, regions the single R00 view never sees.
+func TestIngestAllocsIndependentOfFilteredJoins(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	const rowsPerStation, regions, station = 20, 12, 5
+	ingestAllocs := func(regional int) (sale, moved uint64) {
+		g := NewGraph(regionalDB(t, 2_400, rowsPerStation, regionNames(regions)))
+		handles := subscribeRegional(t, g, regional)
+		ingest := func(table string, mod ivm.Mod) uint64 {
+			return mallocsOf(func() {
+				if err := g.Ingest(table, mod); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Steady state: each round's deltas are folded, checkpointed and
+		// trimmed before the next.
+		for round := 0; round < 4; round++ {
+			sale = ingest("sales", updateSale(station*rowsPerStation+3, rowsPerStation, float64(10+round)))
+			moved = ingest("stations", ivm.Mod{
+				Kind: ivm.ModUpdate,
+				Key:  []storage.Value{storage.I(station)},
+				Row:  storage.Row{storage.I(station), storage.S(regionName(station + 1 - round%2))},
+			})
+			settle(t, handles)
+			g.Trim()
+		}
+		return sale, moved
+	}
+	fewSale, fewMoved := ingestAllocs(1)
+	manySale, manyMoved := ingestAllocs(regions)
+	if fewSale != manySale || fewMoved != manyMoved {
+		t.Fatalf("a sales update allocated %d times beside 1 regional join, %d beside %d; a station update %d and %d",
+			fewSale, manySale, regions, fewMoved, manyMoved)
+	}
+}
+
 // TestArrangementsListing pins the EXPLAIN order on a three-way join:
 // the inner join's two inputs, then the outer join's — whose left input
 // is the inner join itself, arranged by the outer key.
@@ -143,9 +186,11 @@ func TestArrangementsListing(t *testing.T) {
 }
 
 // TestArrangementOnDeltaAllocs: a delta whose join key the arrangement
-// already holds, and which finds no partner opposite, allocates nothing
-// once its bucket's tail has room — the key is probed and bucketed as
-// bytes, and only a delta that opens a bucket makes the key a string.
+// already holds, and whose partner opposite no join accepts, allocates
+// nothing once its bucket's tail has room — the key is probed and
+// bucketed as bytes, only a delta that opens a bucket makes the key a
+// string, and a probe allocates its products' arrays only when it builds
+// one.
 func TestArrangementOnDeltaAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, regions = 20, 12
@@ -158,11 +203,11 @@ func TestArrangementOnDeltaAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sales := g.arrs[salesByStation]
-	// Station 1 lies in R01: sales holds its bucket, the R00-filtered
-	// stations arrangement opposite holds none.
+	// Station 1 lies in R01: sales holds its bucket, and the R00 join's
+	// rwhere rejects the station row opposite.
 	b := sales.buckets[storage.EncodeKey(storage.I(1))]
-	if b == nil || len(sales.ports) != 1 {
-		t.Fatalf("sales bucket of station 1: %v, %d ports", b, len(sales.ports))
+	if b == nil || sales.ports() != 1 {
+		t.Fatalf("sales bucket of station 1: %v, %d ports", b, sales.ports())
 	}
 	d := Delta{Row: storage.Row{storage.I(-1), storage.I(1), storage.F(1)}, W: 1, Coord: Coord{1}}
 	roomy := 0

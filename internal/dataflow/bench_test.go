@@ -28,9 +28,9 @@ func regionNames(n int) []string {
 	return names
 }
 
-// regionalQuery is the regional-filter view template: its filter is
-// pushed below the join onto stations, so views of different regions
-// build different joins over the same sales input and key.
+// regionalQuery is the regional-filter view template: its filter is its
+// join's rwhere over stations, so views of different regions build
+// different joins over the same two arrangements.
 func regionalQuery(region string) string {
 	return fmt.Sprintf("SELECT SUM(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = '%s'", region)
 }

@@ -409,10 +409,13 @@ func TestSharingOpCount(t *testing.T) {
 
 	// The benchmark's 24-view fanout catalogue: 12 regional aggregates, 4
 	// GROUP BY variants over the unfiltered join, 4 regional row lists
-	// repeating the first four regions, 4 sales-only filters. Its 13 joins
-	// read scan(sales) through one arrangement, and the scan's fan-out
-	// still counts each of them beside the 4 direct filter edges. No view
-	// adds an operator of its own: 24 SELECT lists, 24 sinks, 31 operators.
+	// repeating the first four regions, 4 sales-only filters. A regional
+	// view's filter is its join's rwhere, not an operator, so its 13 joins
+	// read the two unfiltered scans through two arrangements, which hold
+	// each row once; the sales scan's fan-out still counts the 13 join
+	// sides beside the 4 direct filter edges. No view adds an operator of
+	// its own: 24 SELECT lists, 24 sinks, 19 operators (2 scans, 4
+	// filters, 13 joins).
 	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
 	var catalogue []string
 	for r := 0; r < 12; r++ {
@@ -436,13 +439,26 @@ func TestSharingOpCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := GraphStats{Nodes: 31, Views: 24, InternHits: 53, MaxFanout: 17, Arrangements: 14, ArrangementHits: 12,
-		StateRows: 240 + 2*12}
+	want := GraphStats{Nodes: 19, Views: 24, InternHits: 49, MaxFanout: 17, Arrangements: 2, ArrangementHits: 24,
+		StateRows: 240 + 12}
 	if got := fan.Stats(); got != want {
 		t.Fatalf("fanout catalogue built %+v, want %+v", got, want)
 	}
 	if f := fan.scans["sales"].fanout(); f != 17 {
 		t.Fatalf("scan(sales) fans out to %d consumers, want 13 join sides + 4 filters", f)
+	}
+
+	// One station update moving station 5 and its 20 sales from R05 to
+	// R06: its retraction and its insertion each look the station's sales
+	// bucket up once for all 13 joins, and build each product once for
+	// the unfiltered join and the one regional join that accepts it.
+	const k = 20
+	mod := ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(5)}, Row: storage.Row{storage.I(5), storage.S(regionName(6))}}
+	if err := fan.Ingest("stations", mod); err != nil {
+		t.Fatal(err)
+	}
+	if st := fan.Stats(); st.Probes != 2 || st.Products != 2*k {
+		t.Fatalf("a station update with %d sales made %d probes and %d products, want 2 and %d", k, st.Probes, st.Products, 2*k)
 	}
 }
 
@@ -648,8 +664,8 @@ func TestSignatures(t *testing.T) {
 	if strings.Join(s1, "\n") != strings.Join(s2, "\n") || sink1 != sink2 {
 		t.Fatalf("alias/order-insensitive signatures diverged:\n%v %s\n%v %s", s1, sink1, s2, sink2)
 	}
-	want := "join(scan(sales), filter(scan(stations), [stations.region = 'EAST']), on=[sales.station=stations.stationkey])"
-	if len(s1) != 4 || s1[3] != want {
+	want := "join(scan(sales), scan(stations), on=[sales.station=stations.stationkey], rwhere=[stations.region = 'EAST'])"
+	if len(s1) != 3 || s1[2] != want {
 		t.Fatalf("operator list %v does not end at the canonical join %q", s1, want)
 	}
 	if sink1 != "project [sales.amount]" {

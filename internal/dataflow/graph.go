@@ -34,14 +34,22 @@ type opSpec struct {
 	conjs        []sql.Expr // opFilter, sorted canonically
 	equiL, equiR []sql.Expr // opJoin equi-key pairs, aligned, sorted canonically
 	arrL, arrR   string     // opJoin: identities of the two input arrangements
-	residual     []sql.Expr // opJoin non-equi conjuncts, sorted canonically
+	lwhere       []sql.Expr // opJoin: the left input's single-table conjuncts, sorted canonically
+	rwhere       []sql.Expr // opJoin: the right input's, likewise
+	residual     []sql.Expr // opJoin: the other multi-table conjuncts, sorted canonically
 	left, right  *opSpec
 }
 
-// buildSpecs derives the canonical operator tree for a view plan:
-// per-table filters pushed onto their scans and a left-deep join spine in
-// FROM order with conjuncts attached at the lowest covering join (split
-// into equi-key pairs and residuals). The delta query's SELECT list is
+// buildSpecs derives the canonical operator tree for a view plan: a
+// left-deep join spine in FROM order over unfiltered scans, each
+// conjunct attached at the lowest covering join. A single-table conjunct
+// is a side residual of the join that brings its table into the spine —
+// lwhere of the first join for the leading table, rwhere of its own join
+// for every other — so joins that differ only in such filters read the
+// same arrangements. Every other conjunct, a table-free one included,
+// splits into equi-key pairs and residuals over the joined row. Only a
+// single-table view's conjuncts are filters: over its scan, and its
+// table-free ones above that. The delta query's SELECT list is
 // not an operator: it is returned beside the tree, canonicalized, for
 // the view's sink to evaluate over the top operator's rows when it folds
 // them. All expressions are canonicalized (alias→table) so structurally
@@ -72,20 +80,23 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 	}
 
 	var cur *opSpec
-	var curTabs []string // sorted canonical tables covered so far
+	var curTabs []string  // sorted canonical tables covered so far
+	var lwhere []sql.Expr // the leading table's conjuncts, for the first join
 	for _, src := range sources {
 		leaf := &opSpec{kind: opScan, table: src.table, sig: "scan(" + src.table + ")"}
-		var fc []sql.Expr
+		var own []sql.Expr
 		for _, c := range conjs {
 			if !c.attached && len(c.tabs) == 1 && c.tabs[0] == src.table {
-				fc = append(fc, c.e)
+				own = append(own, c.e)
 				c.attached = true
 			}
 		}
-		if len(fc) > 0 {
-			leaf = filterSpec(leaf, fc)
-		}
 		if cur == nil {
+			if len(sources) > 1 {
+				lwhere = own
+			} else if len(own) > 0 {
+				leaf = filterSpec(leaf, own)
+			}
 			cur = leaf
 			curTabs = []string{src.table}
 			continue
@@ -120,19 +131,19 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 			residual = append(residual, c.e)
 		}
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].s < pairs[j].s })
+		sortExprs(lwhere)
+		sortExprs(own)
 		sortExprs(residual)
-		j := &opSpec{kind: opJoin, left: cur, right: leaf, residual: residual}
+		j := &opSpec{kind: opJoin, left: cur, right: leaf, lwhere: lwhere, rwhere: own, residual: residual}
+		lwhere = nil
 		onStrs := make([]string, len(pairs))
 		for i, pr := range pairs {
 			j.equiL = append(j.equiL, pr.l)
 			j.equiR = append(j.equiR, pr.r)
 			onStrs[i] = pr.s
 		}
-		j.sig = fmt.Sprintf("join(%s, %s, on=[%s]", cur.sig, leaf.sig, strings.Join(onStrs, "; "))
-		if len(residual) > 0 {
-			j.sig += ", where=[" + joinExprs(residual, " AND ") + "]"
-		}
-		j.sig += ")"
+		j.sig = fmt.Sprintf("join(%s, %s, on=[%s]%s%s%s)", cur.sig, leaf.sig, strings.Join(onStrs, "; "),
+			sigClause("lwhere", j.lwhere), sigClause("rwhere", j.rwhere), sigClause("where", residual))
 		j.arrL, j.arrR = arrangementID(cur.sig, j.equiL), arrangementID(leaf.sig, j.equiR)
 		cur = j
 		curTabs = joinedTabs
@@ -162,6 +173,15 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 		}
 	}
 	return cur, items, nil
+}
+
+// sigClause renders one residual list of a join signature, or nothing
+// when it is empty.
+func sigClause(name string, conjs []sql.Expr) string {
+	if len(conjs) == 0 {
+		return ""
+	}
+	return ", " + name + "=[" + joinExprs(conjs, " AND ") + "]"
 }
 
 func filterSpec(child *opSpec, conjs []sql.Expr) *opSpec {
@@ -339,12 +359,9 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		preds := make([]exec.Predicate, len(s.conjs))
-		for i, e := range s.conjs {
-			preds[i], err = plan.BindPredicate(e, child.cols())
-			if err != nil {
-				return nil, err
-			}
+		preds, err := bindConjunction(s.conjs, child.cols())
+		if err != nil {
+			return nil, err
 		}
 		n = newFilterNode(s.sig, child, preds)
 	case opJoin:
@@ -369,13 +386,19 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		cols := make([]exec.Col, 0, len(left.cols())+len(right.cols()))
 		cols = append(cols, left.cols()...)
 		cols = append(cols, right.cols()...)
-		residual := make([]exec.Predicate, len(s.residual))
-		for i, e := range s.residual {
-			if residual[i], err = plan.BindPredicate(e, cols); err != nil {
-				return nil, err
-			}
+		lwhere, err := bindConjunction(s.lwhere, left.cols())
+		if err != nil {
+			return nil, err
 		}
-		n = newJoinNode(s.sig, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), residual, cols)
+		rwhere, err := bindConjunction(s.rwhere, right.cols())
+		if err != nil {
+			return nil, err
+		}
+		where, err := bindConjunction(s.residual, cols)
+		if err != nil {
+			return nil, err
+		}
+		n = newJoinNode(s.sig, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), lwhere, rwhere, where, cols)
 	default:
 		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
 	}
@@ -383,6 +406,18 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 	g.arrOrder = nil
 	*used = append(*used, s.sig)
 	return n, nil
+}
+
+// bindConjunction binds each conjunct against a schema.
+func bindConjunction(conjs []sql.Expr, cols []exec.Col) (conjunction, error) {
+	out := make(conjunction, len(conjs))
+	for i, e := range conjs {
+		var err error
+		if out[i], err = plan.BindPredicate(e, cols); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // arrange returns the arrangement with the given identity, indexing the
@@ -399,9 +434,9 @@ func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement 
 
 // unarrange detaches one join side from its arrangement, which goes —
 // rows, child edge and all — with its last port.
-func (g *Graph) unarrange(a *arrangement, p port) {
-	a.ports = slices.DeleteFunc(a.ports, func(q port) bool { return q == p })
-	if len(a.ports) > 0 {
+func (g *Graph) unarrange(a *arrangement, j *joinNode) {
+	a.detachPort(j)
+	if len(a.groups) > 0 {
 		return
 	}
 	a.child.removeOut(a)
@@ -432,8 +467,8 @@ func (g *Graph) drop(sig string, n node) {
 	case *scanNode:
 		delete(g.scans, n.tableName)
 	case *joinNode:
-		g.unarrange(n.lstate, port{j: n, left: true})
-		g.unarrange(n.rstate, port{j: n, left: false})
+		g.unarrange(n.lstate, n)
+		g.unarrange(n.rstate, n)
 	}
 }
 
@@ -548,6 +583,12 @@ type GraphStats struct {
 	// TrimVisited counts the arrangement entries Trim has examined so far
 	// — a deterministic work count.
 	TrimVisited uint64
+	// Probes counts the opposite buckets looked up for arriving join
+	// inputs — once per delta and port group, not per join — and Products
+	// the join products built, each once however many joins emit it. Both
+	// are deterministic work counts.
+	Probes   uint64
+	Products uint64
 }
 
 // Add accumulates another graph's shape into s, for aggregating across
@@ -562,6 +603,8 @@ func (s *GraphStats) Add(o GraphStats) {
 	s.StateRows += o.StateRows
 	s.RetainedDeltas += o.RetainedDeltas
 	s.TrimVisited += o.TrimVisited
+	s.Probes += o.Probes
+	s.Products += o.Products
 }
 
 // Stats snapshots the graph shape. It reads counters and walks the
@@ -571,6 +614,7 @@ func (g *Graph) Stats() GraphStats {
 		Nodes: len(g.nodes), Views: len(g.views), InternHits: g.hits,
 		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
+		Probes: g.ctr.probes, Products: g.ctr.products,
 	}
 	for _, n := range g.nodes {
 		if f := n.fanout(); f > st.MaxFanout {

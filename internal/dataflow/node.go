@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"abivm/internal/exec"
@@ -54,6 +55,8 @@ type counters struct {
 	stateRows   int    // arrangement entries, base and tail
 	retained    int    // deltas in sink buffers
 	trimVisited uint64 // arrangement entries examined by trims
+	probes      uint64 // bucket lookups made by port groups
+	products    uint64 // join products built
 }
 
 // nodeBase carries the shared node mechanics: identity, schema and the
@@ -85,7 +88,7 @@ func (n *nodeBase) fanout() int {
 	f := 0
 	for _, o := range n.outs {
 		if a, ok := o.(*arrangement); ok {
-			f += len(a.ports)
+			f += a.ports()
 		} else {
 			f++
 		}
@@ -222,14 +225,28 @@ func (s *scanNode) current() []weightedRow {
 	return out
 }
 
-// filterNode applies a conjunction of predicates.
+// conjunction is a list of bound predicates that a row passes when it
+// passes every one; the empty conjunction passes everything.
+type conjunction []exec.Predicate
+
+func (c conjunction) pass(r storage.Row) bool {
+	for _, p := range c {
+		if !p(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// filterNode applies a conjunction of predicates: a single-table view's
+// WHERE clause, or the table-free conjuncts above a join spine.
 type filterNode struct {
 	nodeBase
 	child node
-	preds []exec.Predicate
+	preds conjunction
 }
 
-func newFilterNode(sig string, child node, preds []exec.Predicate) *filterNode {
+func newFilterNode(sig string, child node, preds conjunction) *filterNode {
 	f := &filterNode{
 		nodeBase: nodeBase{
 			signature: sig,
@@ -243,17 +260,8 @@ func newFilterNode(sig string, child node, preds []exec.Predicate) *filterNode {
 	return f
 }
 
-func (f *filterNode) pass(r storage.Row) bool {
-	for _, p := range f.preds {
-		if !p(r) {
-			return false
-		}
-	}
-	return true
-}
-
 func (f *filterNode) onDelta(d Delta) {
-	if f.pass(d.Row) {
+	if f.preds.pass(d.Row) {
 		f.emit(d)
 	}
 }
@@ -261,7 +269,7 @@ func (f *filterNode) onDelta(d Delta) {
 func (f *filterNode) current() []weightedRow {
 	var out []weightedRow
 	for _, wr := range f.child.current() {
-		if f.pass(wr.row) {
+		if f.preds.pass(wr.row) {
 			out = append(out, wr)
 		}
 	}
@@ -461,10 +469,16 @@ func (b *bucket) net(row storage.Row, w int64, ctr *counters) bool {
 	return false
 }
 
-// port is one join input served by an arrangement.
-type port struct {
-	j    *joinNode
-	left bool
+// portGroup is the join sides an arrangement serves that read one
+// arrangement opposite on one side: joins of the same two children under
+// the same keys, which differ only in their residuals. A delta probes the
+// opposite bucket once for the whole group, and a product two of its
+// joins accept is built once and emitted by both.
+type portGroup struct {
+	other *arrangement
+	left  bool        // the arriving delta is the joins' left input
+	joins []*joinNode // in attachment order
+	live  []*joinNode // a probe's scratch: the joins whose arriving-side residual passes
 }
 
 // arrangement is one child operator's output indexed by one equi-key
@@ -472,17 +486,20 @@ type port struct {
 // (child signature, canonical key list); it subscribes to the child once
 // and is referenced — not owned — by every join side that reads that
 // child under those keys, so a delta is key-encoded, bucketed and later
-// trimmed once however many joins probe it.
+// trimmed once however many joins probe it. Its child is never a filter
+// of a join input: a join evaluates its inputs' single-table conjuncts
+// itself (joinNode.lwhere, rwhere), so joins that differ only in those
+// share the arrangement of the unfiltered input.
 type arrangement struct {
 	sideState
-	id    string // "arrange(<child signature>, [<key expressions>])"
-	child node
-	keys  []exec.Scalar
-	ports []port   // attached join sides, in attachment order
-	wm    []uint64 // the trim watermark at the child's coordinates, reused
+	id     string // "arrange(<child signature>, [<key expressions>])"
+	child  node
+	keys   []exec.Scalar
+	groups []*portGroup // attached join sides by (opposite arrangement, side), in attachment order
+	wm     []uint64     // the trim watermark at the child's coordinates, reused
 	// copies is set when the child reads more than one table, so its rows
 	// are join products — windows of one probe's shared array
-	// (joinNode.onSide): the arrangement keeps a copy of each, lest a
+	// (portGroup.probe): the arrangement keeps a copy of each, lest a
 	// long-lived base entry pin the whole probe.
 	copies bool
 }
@@ -508,22 +525,57 @@ func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *a
 
 // onDelta encodes the key once — into a stack buffer: it becomes a
 // string only if the append below has to make a bucket for it — lets
-// every attached join side probe the arrangement opposite it, and only
-// then appends the delta to its own bucket. No join has one arrangement
-// on both sides and no view reads a table twice, so nothing a port emits
-// can reach this arrangement before the append: each (left, right) pair
-// is still produced exactly once, when the later of its two inputs
-// arrives. A join's product is copied before it is kept (see copies).
+// every port group probe the arrangement opposite it, and only then
+// appends the delta to its own bucket. No join has one arrangement on
+// both sides and no view reads a table twice, so nothing a port emits can
+// reach this arrangement before the append: each (left, right) pair is
+// still produced exactly once, when the later of its two inputs arrives.
+// A join's product is copied before it is kept (see copies).
 func (a *arrangement) onDelta(d Delta) {
 	var buf [64]byte
 	key := appendJoinKey(buf[:0], a.keys, d.Row)
-	for _, p := range a.ports {
-		p.j.onSide(p.left, key, d)
+	for _, g := range a.groups {
+		g.probe(key, d)
 	}
 	if a.copies {
 		d.Row = d.Row.Clone()
 	}
 	a.add(key, d)
+}
+
+// attach adds one join side to the group reading other on that side,
+// making the group if it is the first.
+func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
+	var g *portGroup
+	for _, h := range a.groups {
+		if h.other == other && h.left == left {
+			g = h
+			break
+		}
+	}
+	if g == nil {
+		g = &portGroup{other: other, left: left}
+		a.groups = append(a.groups, g)
+	}
+	g.joins = append(g.joins, j)
+	g.live = make([]*joinNode, 0, len(g.joins))
+}
+
+// detachPort removes a join's side, and its group with its last join.
+func (a *arrangement) detachPort(j *joinNode) {
+	for _, g := range a.groups {
+		g.joins = slices.DeleteFunc(g.joins, func(k *joinNode) bool { return k == j })
+	}
+	a.groups = slices.DeleteFunc(a.groups, func(g *portGroup) bool { return len(g.joins) == 0 })
+}
+
+// ports is the number of join sides attached.
+func (a *arrangement) ports() int {
+	n := 0
+	for _, g := range a.groups {
+		n += len(g.joins)
+	}
+	return n
 }
 
 // trim resolves the per-table watermark to the child's coordinates and
@@ -535,17 +587,20 @@ func (a *arrangement) trim(wm map[string]uint64) {
 	a.consolidate(a.wm)
 }
 
-// joinNode is a binary equi-join with optional residual predicates over
-// the concatenated row. It holds no input state of its own: lstate and
-// rstate are the graph's arrangements of its children by its key lists,
-// shared with every other join reading the same child under the same
-// keys. Delta rule: a delta on one side joins the other side's full
-// retained state (including negative-weight entries), THEN is appended
-// to its own side — each (left, right) pair is produced exactly once,
-// when the later of its two inputs arrives.
+// joinNode is a binary equi-join with three residual conjunctions:
+// lwhere over its left input's rows, rwhere over its right input's — the
+// single-table conjuncts of the tables it brings into the spine — and
+// where over the concatenated row. It holds no input state of its own:
+// lstate and rstate are the graph's arrangements of its children by its
+// key lists, shared with every other join reading the same child under
+// the same keys, whatever its residuals. Delta rule: a delta on one side
+// joins the other side's full retained state (including negative-weight
+// entries), THEN is appended to its own side — each (left, right) pair is
+// produced exactly once, when the later of its two inputs arrives.
 type joinNode struct {
 	nodeBase
-	residual       []exec.Predicate
+	lwhere, rwhere conjunction
+	where          conjunction
 	lstate, rstate *arrangement
 }
 
@@ -553,7 +608,7 @@ type joinNode struct {
 // each. It panics if they are one arrangement: ivm.PlanView rejects
 // self-joins, and a delta must never probe the bucket it is about to
 // join.
-func newJoinNode(sig string, lstate, rstate *arrangement, residual []exec.Predicate, cols []exec.Col) *joinNode {
+func newJoinNode(sig string, lstate, rstate *arrangement, lwhere, rwhere, where conjunction, cols []exec.Col) *joinNode {
 	if lstate == rstate {
 		panic("dataflow: join " + sig + " reads one arrangement on both sides")
 	}
@@ -567,13 +622,23 @@ func newJoinNode(sig string, lstate, rstate *arrangement, residual []exec.Predic
 			tabs:      tabs,
 			schema:    cols,
 		},
-		residual: residual,
-		lstate:   lstate,
-		rstate:   rstate,
+		lwhere: lwhere,
+		rwhere: rwhere,
+		where:  where,
+		lstate: lstate,
+		rstate: rstate,
 	}
-	lstate.ports = append(lstate.ports, port{j: j, left: true})
-	rstate.ports = append(rstate.ports, port{j: j, left: false})
+	lstate.attach(j, true, rstate)
+	rstate.attach(j, false, lstate)
 	return j
+}
+
+// sideWhere is the residual over one input's rows.
+func (j *joinNode) sideWhere(left bool) conjunction {
+	if left {
+		return j.lwhere
+	}
+	return j.rwhere
 }
 
 // appendJoinKey appends a row's equi-join key to dst scalar by scalar,
@@ -585,54 +650,81 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 	return dst
 }
 
-func (j *joinNode) pass(r storage.Row) bool {
-	for _, p := range j.residual {
-		if !p(r) {
-			return false
+// probe offers the arriving delta to every join of the group. The joins
+// whose arriving-side residual rejects it sit the probe out; if none is
+// left, the opposite bucket is not even looked up. Otherwise the bucket
+// for the delta's key is looked up once, and each of its entries — base
+// then tail, each in insertion order — is offered to the remaining joins
+// in attachment order, so every join still emits its products in bucket
+// order. The first join whose partner-side residual accepts an entry
+// builds the product; the first whose where also accepts it fixes its
+// coordinate; every later join that accepts it emits that same Delta.
+//
+// A probe allocates its products together, when it builds the first: every
+// row is a window of one backing array, capped at its own length so
+// nothing appended to one can reach the next, and every coordinate a
+// window of a second. The products with a base partner share one
+// coordinate, the delta's beside the base's zero; each tail partner's
+// product gets its own. A product every join rejects leaves its space to
+// the next. Consumers alias the windows as they alias any emitted row: a
+// sink until its checkpoint covers the product, an arrangement over a
+// join not at all (it copies what it keeps), so no long-lived state pins
+// a probe's array.
+func (g *portGroup) probe(key []byte, d Delta) {
+	live := g.live[:0]
+	for _, j := range g.joins {
+		if j.sideWhere(g.left).pass(d.Row) {
+			live = append(live, j)
 		}
 	}
-	return true
-}
-
-// onSide probes the other side's bucket for the arriving delta's key —
-// base then tail, each in insertion order — and emits every product that
-// passes the residual predicates. The delta's own arrangement encoded the
-// key and appends the delta once all its ports have probed.
-//
-// A probe allocates its products together: every row is a window of one
-// backing array, capped at its own length so nothing appended to one can
-// reach the next, and every coordinate a window of a second. The products
-// with a base partner share one coordinate, the delta's beside the base's
-// zero; each tail partner's product gets its own. A product the residual
-// rejects leaves its space to the next. Consumers alias the windows as
-// they alias any emitted row: a sink until its checkpoint covers the
-// product, an arrangement over this join not at all (it copies what it
-// keeps), so no long-lived state pins a probe's array.
-func (j *joinNode) onSide(left bool, key []byte, d Delta) {
-	other := j.lstate
-	if left {
-		other = j.rstate
+	g.live = live
+	if len(live) == 0 {
+		return
 	}
-	b := other.buckets[string(key)]
+	ctr := g.other.ctr
+	ctr.probes++
+	b := g.other.buckets[string(key)]
 	if b == nil {
 		return
 	}
-	rows := make(storage.Row, len(j.schema)*(len(b.base)+len(b.tail)))
-	shared, coords := pairInto(make(Coord, len(j.tabs)*(1+len(b.tail))), left, d.Coord, other.zero)
-	for _, e := range b.base {
-		row, rest := pairInto(rows, left, d.Row, e.row)
-		if j.pass(row) {
-			rows = rest
-			j.emit(Delta{Row: row, W: d.W * e.w, Coord: shared})
+	partners := len(b.base) + len(b.tail)
+	var rows storage.Row
+	var shared, coords Coord
+	for i := 0; i < partners; i++ {
+		var partner storage.Row
+		var w int64
+		var pc Coord // the partner's own coordinate; nil for a base entry
+		if i < len(b.base) {
+			partner, w = b.base[i].row, b.base[i].w
+		} else {
+			e := &b.tail[i-len(b.base)]
+			partner, w, pc = e.row, e.w, e.coord
 		}
-	}
-	for _, e := range b.tail {
-		row, rest := pairInto(rows, left, d.Row, e.row)
-		if j.pass(row) {
-			rows = rest
-			var coord Coord
-			coord, coords = pairInto(coords, left, d.Coord, e.coord)
-			j.emit(Delta{Row: row, W: d.W * e.w, Coord: coord})
+		var row, rest storage.Row
+		var out Delta
+		for _, j := range live {
+			if !j.sideWhere(!g.left).pass(partner) {
+				continue
+			}
+			if row == nil {
+				if rows == nil {
+					rows = make(storage.Row, len(j.schema)*partners)
+					shared, coords = pairInto(make(Coord, len(j.tabs)*(1+len(b.tail))), g.left, d.Coord, g.other.zero)
+				}
+				row, rest = pairInto(rows, g.left, d.Row, partner)
+				ctr.products++
+			}
+			if !j.where.pass(row) {
+				continue
+			}
+			if out.Row == nil {
+				out = Delta{Row: row, W: d.W * w, Coord: shared}
+				if pc != nil {
+					out.Coord, coords = pairInto(coords, g.left, d.Coord, pc)
+				}
+				rows = rest
+			}
+			j.emit(out)
 		}
 	}
 }
@@ -660,9 +752,10 @@ func (b *bucket) each(fn func(row storage.Row, w int64, tail bool)) {
 	}
 }
 
-// current pairs the two sides bucket by bucket in sorted key order.
-// Products of two base entries are distinct and non-zero because base
-// entries are; any product involving a tail entry is loose.
+// current pairs the two sides bucket by bucket in sorted key order,
+// keeping the pairs all three residuals pass. Products of two base
+// entries are distinct and non-zero because base entries are; any product
+// involving a tail entry is loose.
 func (j *joinNode) current() []weightedRow {
 	var out []weightedRow
 	for _, key := range j.lstate.sortedKeys() {
@@ -671,8 +764,14 @@ func (j *joinNode) current() []weightedRow {
 			continue
 		}
 		j.lstate.buckets[key].each(func(lrow storage.Row, lw int64, ltail bool) {
+			if !j.lwhere.pass(lrow) {
+				return
+			}
 			rb.each(func(rrow storage.Row, rw int64, rtail bool) {
-				if row := concatRows(lrow, rrow); j.pass(row) {
+				if !j.rwhere.pass(rrow) {
+					return
+				}
+				if row := concatRows(lrow, rrow); j.where.pass(row) {
 					out = append(out, weightedRow{row: row, w: lw * rw, loose: ltail || rtail})
 				}
 			})

@@ -92,15 +92,18 @@ func bindArith(x *sql.BinaryExpr, cols []exec.Col) (exec.Scalar, storage.Type, e
 	}, storage.TFloat, nil
 }
 
-// bindPredicate compiles a comparison conjunct into a Predicate.
+// bindPredicate compiles a comparison conjunct into a Predicate. The
+// operator is resolved here, not per row, and a column compared with a
+// literal gets a closure that reads the column and compares it with the
+// literal built once (compareLit) — the shape of every single-table
+// filter a view pushes onto a join side.
 func bindPredicate(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
 	b, ok := e.(*sql.BinaryExpr)
 	if !ok {
 		return nil, fmt.Errorf("plan: WHERE conjunct %s is not a comparison", e)
 	}
-	switch b.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-	default:
+	holds, ok := cmpOutcomes[b.Op]
+	if !ok {
 		return nil, fmt.Errorf("plan: WHERE conjunct %s is not a comparison", e)
 	}
 	left, _, err := bindScalar(b.Left, cols)
@@ -111,24 +114,90 @@ func bindPredicate(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := b.Op
+	if col, ok := b.Left.(*sql.ColumnRef); ok && isLiteral(b.Right) {
+		return compareLit(exec.FindCol(cols, col.Table, col.Column), right(nil), false, holds), nil
+	}
+	if col, ok := b.Right.(*sql.ColumnRef); ok && isLiteral(b.Left) {
+		return compareLit(exec.FindCol(cols, col.Table, col.Column), left(nil), true, holds), nil
+	}
 	return func(r storage.Row) bool {
-		c := storage.Compare(left(r), right(r))
-		switch op {
-		case "=":
-			return c == 0
-		case "<>":
-			return c != 0
-		case "<":
-			return c < 0
-		case "<=":
-			return c <= 0
-		case ">":
-			return c > 0
-		default: // ">="
-			return c >= 0
-		}
+		return holds.of(storage.Compare(left(r), right(r)))
 	}, nil
+}
+
+// outcomes is the set of three-way comparison results under which a
+// comparison operator holds: bit 0 for less, bit 1 for equal, bit 2 for
+// greater.
+type outcomes uint8
+
+var cmpOutcomes = map[string]outcomes{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
+
+// of reports whether the operator holds for a storage.Compare result.
+func (o outcomes) of(c int) bool { return o&(1<<(c+1)) != 0 }
+
+// swapped is the operator with its operands exchanged: < becomes >.
+func (o outcomes) swapped() outcomes { return o&2 | o&1<<2 | o&4>>2 }
+
+// compareLit is the predicate "row[idx] op lit" (or "lit op row[idx]"
+// when litLeft). A string against a string literal, or a number against
+// a number, compares inline as storage.Compare would — two integers as
+// integers, any other pair of numbers as floats; whatever else goes
+// through storage.Compare in the written operand order, so a cross-type
+// comparison panics exactly as it does unbound.
+func compareLit(idx int, lit storage.Value, litLeft bool, holds outcomes) exec.Predicate {
+	if litLeft {
+		holds = holds.swapped()
+	}
+	switch lit.T {
+	case storage.TString:
+		s := lit.Str()
+		return func(r storage.Row) bool {
+			if v := r[idx]; v.T == storage.TString {
+				return holds.of(three(v.Str(), s))
+			}
+			return holds.of(compareWritten(r[idx], lit, litLeft))
+		}
+	case storage.TInt:
+		n, f := lit.Int(), lit.Float()
+		return func(r storage.Row) bool {
+			switch v := r[idx]; v.T {
+			case storage.TInt:
+				return holds.of(three(v.Int(), n))
+			case storage.TFloat:
+				return holds.of(three(v.Float(), f))
+			}
+			return holds.of(compareWritten(r[idx], lit, litLeft))
+		}
+	default:
+		f := lit.Float()
+		return func(r storage.Row) bool {
+			if v := r[idx]; v.T != storage.TString {
+				return holds.of(three(v.Float(), f))
+			}
+			return holds.of(compareWritten(r[idx], lit, litLeft))
+		}
+	}
+}
+
+// compareWritten is storage.Compare(v, lit) called with the operands in
+// the order the conjunct wrote them, so its panic names them that way.
+func compareWritten(v, lit storage.Value, litLeft bool) int {
+	if litLeft {
+		return -storage.Compare(lit, v)
+	}
+	return storage.Compare(v, lit)
+}
+
+// three is storage.Compare on two values of one ordered kind: NaN is
+// neither below nor above anything, so it compares as equal.
+func three[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // exprTables collects the table aliases referenced by an expression.

@@ -52,6 +52,8 @@ type brokerObs struct {
 	dfStateRows   *obs.Gauge
 	dfRetained    *obs.Gauge
 	dfTrimVisited *obs.Gauge
+	dfProbes      *obs.Gauge
+	dfProducts    *obs.Gauge
 
 	// ivm is the maintainer-layer bundle shared by every subscription's
 	// maintainer and WAL; its histograms aggregate across subscriptions.
@@ -86,6 +88,8 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, shard string) *brokerObs {
 		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows", lbl...),
 		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas", lbl...),
 		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total", lbl...),
+		dfProbes:      reg.Gauge("ivm_dataflow_probes_total", lbl...),
+		dfProducts:    reg.Gauge("ivm_dataflow_products_total", lbl...),
 		// The maintainer-layer bundle stays unlabeled on purpose: ivm
 		// histograms aggregate across every shard's subscriptions, and the
 		// registry dedupes the same-name series so all shards share one
@@ -286,6 +290,8 @@ func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
 	o.dfStateRows.Set(float64(st.StateRows))
 	o.dfRetained.Set(float64(st.RetainedDeltas))
 	o.dfTrimVisited.Set(float64(st.TrimVisited))
+	o.dfProbes.Set(float64(st.Probes))
+	o.dfProducts.Set(float64(st.Products))
 }
 
 // syncSub refreshes a subscription's gauges after its share of a step

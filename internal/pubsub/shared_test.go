@@ -327,8 +327,9 @@ func seriesValue(t *testing.T, reg *obs.Registry, name string) float64 {
 
 // TestSharedStateGauges pins the state-side observability of the shared
 // graph: the ivm_dataflow_state_rows / _retained_deltas /
-// _trim_visited_total / _arrangements / _arrangement_hits_total series
-// mirror DataflowStats at every step boundary, and once the views have
+// _trim_visited_total / _arrangements / _arrangement_hits_total /
+// _probes_total / _products_total series mirror DataflowStats at every
+// step boundary, and once the views have
 // refreshed and checkpointed past the last modification, join state is
 // exactly its inputs (every update and delete cancelled) and nothing is
 // retained.
@@ -355,6 +356,8 @@ func TestSharedStateGauges(t *testing.T) {
 			"ivm_dataflow_trim_visited_total":     float64(st.TrimVisited),
 			"ivm_dataflow_arrangements":           float64(st.Arrangements),
 			"ivm_dataflow_arrangement_hits_total": float64(st.ArrangementHits),
+			"ivm_dataflow_probes_total":           float64(st.Probes),
+			"ivm_dataflow_products_total":         float64(st.Products),
 		} {
 			if got := seriesValue(t, reg, name); got != want {
 				t.Fatalf("step %d: %s = %v, DataflowStats says %v", step, name, got, want)
@@ -391,6 +394,9 @@ func TestSharedStateGauges(t *testing.T) {
 	}
 	if st.TrimVisited == 0 {
 		t.Error("TrimVisited = 0 after 136 steps of checkpoints")
+	}
+	if st.Probes == 0 || st.Products == 0 {
+		t.Errorf("%d probes and %d products after 120 steps of joined modifications", st.Probes, st.Products)
 	}
 	for _, name := range []string{"v0", "v1", "v2"} {
 		if err := b.Unsubscribe(name); err != nil {

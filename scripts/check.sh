@@ -3,9 +3,10 @@
 # abivmlint analyzers: zero live findings and no stale lint:ignore
 # waivers), race-enabled tests (the analyzers' fixture tests among
 # them), the allocation-count tests without the race detector, the
-# committed RESULTS.txt and examples/*/expected.txt against what the
-# code prints, and the nested benchmark module; its last lines are the
-# tracked line counts (scripts/loc.sh).
+# committed RESULTS.txt, examples/*/expected.txt and
+# examples/views.dataflow.txt against what the code prints, and the
+# nested benchmark module; its last lines are the tracked line counts
+# (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the
@@ -37,12 +38,12 @@ go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 # testing.AllocsPerRun assertions skip themselves under -race (see
 # internal/testenv), so the packages that have them run once more without.
 echo "==> go test (allocation counts, no race detector)"
-go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy
+go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy ./internal/plan
 
 echo "==> RESULTS.txt is what the engine prints"
 make results-check
 
-echo "==> the examples print their expected.txt"
+echo "==> the examples print their expected.txt and compiled plans"
 make examples-check
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so

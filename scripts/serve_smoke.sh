@@ -99,6 +99,8 @@ smoke sharded-shared "-shards 2 -shared" \
     ivm_dataflow_operators \
     ivm_dataflow_views \
     ivm_dataflow_arrangements \
-    ivm_dataflow_arrangement_hits_total
+    ivm_dataflow_arrangement_hits_total \
+    ivm_dataflow_probes_total \
+    ivm_dataflow_products_total
 
 echo "serve_smoke: OK"
