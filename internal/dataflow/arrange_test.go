@@ -44,11 +44,11 @@ func TestArrangementSharedAcrossJoins(t *testing.T) {
 		if before.StateRows != nSales+rightRows+2*updates {
 			t.Fatalf("N=%d: %d updates grew state to %d rows, want %d", n, updates, before.StateRows, nSales+rightRows+2*updates)
 		}
-		if before.RetainedDeltas != 0 {
-			t.Fatalf("N=%d: sinks checkpointed at full coverage still buffer %d deltas", n, before.RetainedDeltas)
-		}
 		g.Trim()
 		after := g.Stats()
+		if after.RetainedDeltas != 0 {
+			t.Fatalf("N=%d: logs trimmed at full coverage still hold %d deltas", n, after.RetainedDeltas)
+		}
 		if after.StateRows != nSales+rightRows {
 			t.Fatalf("N=%d: trimmed to %d state rows, want %d", n, after.StateRows, nSales+rightRows)
 		}
@@ -248,7 +248,8 @@ func TestTrimWatermarkIsLowestSink(t *testing.T) {
 	if base.Nodes != 3 || base.Views != 2 {
 		t.Fatalf("two views over one join built %d nodes under %d sinks, want 3 and 2", base.Nodes, base.Views)
 	}
-	// A sink that never checkpointed holds the watermark at zero.
+	// A sink that never checkpointed holds the watermark at its
+	// subscribe-time cursors, below every update.
 	next := 0
 	updateRound(t, g, first, rowsPerStation, &next)
 	settle(t, []*ViewHandle{upper})
@@ -282,7 +283,7 @@ func TestIngestAllocsIndependentOfPartners(t *testing.T) {
 		g := NewGraph(sizedDB(t, 16*rowsPerStation, rowsPerStation))
 		handles := subscribeRegional(t, g, 0)
 		// Steady state: each round's deltas are folded, checkpointed and
-		// trimmed, so inboxes and buckets keep their capacity.
+		// trimmed, so the delta log and the buckets keep their capacity.
 		for round := 0; round < 4; round++ {
 			mod := ivm.Mod{
 				Kind: ivm.ModUpdate,
@@ -294,8 +295,8 @@ func TestIngestAllocsIndependentOfPartners(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if got := len(handles[0].inbox); got != 2*rowsPerStation {
-				t.Fatalf("a station update sent %d deltas to the sink, want %d", got, 2*rowsPerStation)
+			if got := len(handles[0].log.deltas); got != 2*rowsPerStation {
+				t.Fatalf("a station update logged %d deltas for the sink, want %d", got, 2*rowsPerStation)
 			}
 			settle(t, handles)
 			g.Trim()

@@ -582,8 +582,8 @@ func TestCheckpointRecover(t *testing.T) {
 }
 
 // TestTrimWatermark garbage-collects below the durable watermark — the
-// checkpoint empties the fully covered sink's inbox, the trim
-// consolidates join state — and proves maintenance stays correct
+// trim after a checkpoint at full coverage empties the sink's delta log
+// and consolidates join state — and proves maintenance stays correct
 // afterwards.
 func TestTrimWatermark(t *testing.T) {
 	query := equivalenceQueries[1]
@@ -617,17 +617,17 @@ func TestTrimWatermark(t *testing.T) {
 	if err := p.m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.h.inbox) == 0 {
-		t.Fatal("twenty steps of drains left nothing buffered for the checkpoint to drop")
+	if len(p.h.log.deltas) == 0 {
+		t.Fatal("twenty steps of drains left nothing logged for the trim to drop")
 	}
 	if err := p.h.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(p.h.inbox); n != 0 {
-		t.Fatalf("inbox not emptied by a checkpoint at full coverage: %d deltas", n)
-	}
 	before := g.Stats().StateRows
 	g.Trim()
+	if n := len(p.h.log.deltas); n != 0 {
+		t.Fatalf("log not emptied by a trim after a checkpoint at full coverage: %d deltas", n)
+	}
 	after := g.Stats().StateRows
 	if after >= before {
 		t.Fatalf("trim did not consolidate join state: %d -> %d entries", before, after)
@@ -745,10 +745,10 @@ func TestTrimWorkIndependentOfTableSize(t *testing.T) {
 }
 
 // TestDetachSinkStopsRetention: two identical views share their top
-// node, and each sink buffers what the node emits for itself. Releasing
-// one takes its buffered deltas with it and stops its retention — the
-// node keeps feeding the other — and the last release leaves no buffered
-// delta anywhere.
+// node and its delta log. Releasing one leaves the log to the other,
+// holding what that one has not checkpointed; a trim after its checkpoint
+// empties it; with the log's edge cut the node's deltas are kept nowhere;
+// and the last release takes the log, leaving no delta anywhere.
 func TestDetachSinkStopsRetention(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -769,35 +769,38 @@ func TestDetachSinkStopsRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var h1, h2 *ViewHandle
-	buffered := func(ctx string, n1, n2 int) {
-		t.Helper()
-		if len(h1.inbox) != n1 || len(h2.inbox) != n2 {
-			t.Fatalf("%s: sinks buffer %d and %d deltas, want %d and %d", ctx, len(h1.inbox), len(h2.inbox), n1, n2)
-		}
-		if got := g.Stats().RetainedDeltas; got != n1+n2 {
-			t.Fatalf("%s: RetainedDeltas = %d, want %d", ctx, got, n1+n2)
-		}
+	h1, h2 := subscribe(), subscribe()
+	if h2.top != h1.top || h2.log != h1.log {
+		t.Fatal("identical views must share their top node and its log")
 	}
-	h1, h2 = subscribe(), subscribe()
-	if h2.top != h1.top {
-		t.Fatal("identical views must share their top node")
+	logged := func(ctx string, n int) {
+		t.Helper()
+		if got, retained := len(h2.log.deltas), g.Stats().RetainedDeltas; got != n || retained != n {
+			t.Fatalf("%s: the log holds %d deltas, %d retained; want %d", ctx, got, retained, n)
+		}
 	}
 	ingest(100)
-	buffered("two sinks attached", 1, 1)
+	logged("two sinks attached", 1)
 	g.Release(h1)
-	buffered("first sink released", 0, 1)
+	logged("first sink released", 1)
 	ingest(101)
-	buffered("one sink left", 0, 2)
-	// Detach the last sink's edge without dropping the node, so the node
-	// keeps receiving its child's deltas: with no sink, nothing keeps them.
-	h2.top.removeOut(h2)
+	logged("one sink left", 2)
+	if err := h2.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	g.Trim()
+	logged("checkpointed and trimmed", 0)
+	// Cut the log's edge without dropping the node, so the node keeps
+	// receiving its child's deltas: with no log, nothing keeps them.
+	h2.top.removeOut(h2.log)
 	ingest(102)
-	buffered("no sink attached", 0, 2)
+	logged("no log attached", 0)
 	g.Release(h2)
-	buffered("last sink released", 0, 0)
-	if st := g.Stats(); st.Nodes != 0 {
-		t.Fatalf("released graph keeps %d nodes", st.Nodes)
+	if st := g.Stats(); st.Nodes != 0 || st.RetainedDeltas != 0 || len(g.logs) != 0 {
+		t.Fatalf("released graph keeps %d nodes, %d logs, %d deltas", st.Nodes, len(g.logs), st.RetainedDeltas)
 	}
 }
 

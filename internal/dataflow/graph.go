@@ -277,6 +277,7 @@ type Graph struct {
 	hits    uint64
 	arrHits uint64
 	views   []*ViewHandle // the attached sinks, in subscribe order
+	logs    []*deltaLog   // one per operator with sinks, in order of their first sink
 	ctr     counters
 	// arrOrder caches the arrangements in identity order for Trim; realize
 	// and drop reset it. wm is Trim's watermark, reused across calls.
@@ -306,10 +307,10 @@ func (g *Graph) schemaOf(table string) (*storage.Schema, error) {
 
 // Subscribe compiles a view plan into the graph — reusing every
 // operator whose canonical signature is already interned, creating and
-// wiring the rest — attaches a sink holding the view's own projection,
-// computes the view's initial content from the live database, and
-// returns the handle. Each node in the view's plan gains one reference;
-// Release returns them.
+// wiring the rest — attaches a sink holding the view's own projection to
+// the top operator's delta log, computes the view's initial content from
+// the live database, and returns the handle. Each node in the view's plan
+// gains one reference; Release returns them.
 func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 	top, items, err := buildSpecs(p, g.schemaOf)
 	if err != nil {
@@ -329,9 +330,25 @@ func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 	for _, sig := range used {
 		g.refs[sig]++
 	}
-	n.addOut(h)
+	h.log = g.logOf(n)
+	h.log.readers = append(h.log.readers, h)
+	h.from = len(h.log.deltas)
 	g.views = append(g.views, h)
 	return h, nil
+}
+
+// logOf returns the delta log of an operator's output, making it — and
+// wiring it below the operator — for the operator's first sink.
+func (g *Graph) logOf(n node) *deltaLog {
+	for _, l := range g.logs {
+		if l.src == n {
+			return l
+		}
+	}
+	l := &deltaLog{src: n, wm: make([]uint64, len(n.tables())), ctr: &g.ctr}
+	n.addOut(l)
+	g.logs = append(g.logs, l)
+	return l
 }
 
 // realize returns the node for a spec, creating it (and recursively its
@@ -472,13 +489,22 @@ func (g *Graph) drop(sig string, n node) {
 	}
 }
 
-// Release detaches a view's sink, buffered deltas and all, and returns
-// its node references, dropping (parents before children) every node
-// whose count reaches zero. Shared nodes survive untouched.
+// Release detaches a view's sink and returns its node references,
+// dropping (parents before children) every node whose count reaches zero.
+// Shared nodes survive untouched. The sink's delta log goes with its last
+// reader; otherwise it keeps only what the remaining readers have not
+// checkpointed.
 func (g *Graph) Release(h *ViewHandle) {
-	h.top.removeOut(h)
-	g.ctr.retained -= len(h.inbox)
-	h.inbox = nil
+	l := h.log
+	l.readers = slices.DeleteFunc(l.readers, func(v *ViewHandle) bool { return v == h })
+	if len(l.readers) == 0 {
+		h.top.removeOut(l)
+		g.ctr.retained -= len(l.deltas)
+		g.logs = slices.DeleteFunc(g.logs, func(m *deltaLog) bool { return m == l })
+	} else {
+		l.trim()
+	}
+	h.log = nil
 	for i := len(h.sigs) - 1; i >= 0; i-- {
 		sig := h.sigs[i]
 		g.refs[sig]--
@@ -510,24 +536,22 @@ func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	return sc.ingest(mod)
 }
 
-// Trim garbage-collects join state below the durability watermark — per
-// table, the minimum checkpointed cursor over the sinks reading it (0 for
-// a sink that never checkpointed), below which no recovery will ever put
-// a cursor again: arrangement entries fully below it are netted into
-// their bucket's base, once per arrangement however many joins read it.
-// The cost is proportional to what arrived since the watermark last
-// covered it, not to table sizes or to the number of joins sharing an
-// input. (A sink drops its own buffered deltas when it checkpoints.)
+// Trim garbage-collects graph state below the durability watermarks,
+// below which no recovery will ever put a cursor again — a sink's
+// checkpointed cursors, or its subscribe-time ones before its first
+// checkpoint. Arrangement entries fully below the per-table watermark (the
+// minimum over the sinks reading the table) are netted into their bucket's
+// base, once per arrangement however many joins read it; the cost is
+// proportional to what arrived since the watermark last covered it, not to
+// table sizes or to the number of joins sharing an input. Each delta log
+// drops what all of its own readers have checkpointed, so a stuck view
+// holds back its own operator's log and no other.
 func (g *Graph) Trim() {
 	clear(g.wm)
 	for _, h := range g.views {
 		for i, t := range h.tabOrder {
-			c := uint64(0)
-			if h.snap != nil {
-				c = h.snap.cursors[i]
-			}
-			if cur, seen := g.wm[t]; !seen || c < cur {
-				g.wm[t] = c
+			if cur, seen := g.wm[t]; !seen || h.durable[i] < cur {
+				g.wm[t] = h.durable[i]
 			}
 		}
 	}
@@ -536,6 +560,9 @@ func (g *Graph) Trim() {
 	}
 	for _, a := range g.arrOrder {
 		a.trim(g.wm)
+	}
+	for _, l := range g.logs {
+		l.trim()
 	}
 }
 
@@ -574,9 +601,10 @@ type GraphStats struct {
 	ArrangementHits uint64
 	// StateRows is the number of entries held across all arrangements
 	// (consolidated base rows plus not-yet-covered deltas);
-	// RetainedDeltas the number of propagated deltas waiting in sink
-	// buffers — each once, in the sink it was propagated to, until that
-	// sink's checkpoint covers it. Both should track table sizes and
+	// RetainedDeltas the number of propagated deltas waiting in delta
+	// logs — each once, in the log of the operator that emitted it,
+	// however many views read it, until a Trim finds every reader's
+	// checkpoint covering it. Both should track table sizes and
 	// checkpoint lag, not run length.
 	StateRows      int
 	RetainedDeltas int

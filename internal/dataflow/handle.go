@@ -2,6 +2,8 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"abivm/internal/exec"
@@ -13,13 +15,13 @@ import (
 )
 
 // ViewHandle is one view's sink on the shared graph — everything that is
-// the view's own and no other's: the per-view cursors, the inbox of deltas
-// propagated to it, the SELECT list it projects them through, and the
-// foldable view state. None of it runs before a drain asks for it. It
-// mirrors the broker-facing surface of ivm.Maintainer — aliases, pending
-// counts, ProcessBatch with the same fault-injection sites, WAL,
-// checkpoint/recover — so the pub/sub layer drives either runtime through
-// the same choreography.
+// the view's own and no other's: the per-view cursors, its place in the
+// delta log of its top operator, the SELECT list it projects the log's
+// deltas through, and the foldable view state. None of it runs before a
+// drain asks for it. It mirrors the broker-facing surface of
+// ivm.Maintainer — aliases, pending counts, ProcessBatch with the same
+// fault-injection sites, WAL, checkpoint/recover — so the pub/sub layer
+// drives either runtime through the same choreography.
 //
 // The asymmetry of the paper survives sharing: operators propagate
 // eagerly, but folding stays per-view and per-table — ProcessBatch
@@ -43,16 +45,20 @@ type ViewHandle struct {
 	tabOrder []string
 	scans    []*scanNode // the tables' sources, for their ingest-log lengths
 	cursors  []uint64    // covered ingest-log prefix per table
+	// durable is the cursors the last checkpoint captured — the
+	// subscribe-time cursors before the first: what Recover restores, and
+	// what Graph.Trim's watermarks are minima of.
+	durable []uint64
 
-	// inbox is the one place a delta propagated to this view waits: every
-	// delta the top operator has emitted that the last checkpoint's cursors
-	// do not cover, in arrival order, as emitted — unprojected, its row the
-	// one every other view over that operator buffers too. A drain folds
-	// the ones its cursor advance newly covers and leaves them where they
-	// are; Checkpoint drops what it covers. It is the graph's edge into the
-	// sink, so it survives a sink crash as all graph state does, and Recover
-	// replays drains over it.
-	inbox []Delta
+	// log is where a delta propagated to this view waits: the top
+	// operator's delta log, shared with every view over that operator. A
+	// drain folds the deltas its cursor advance newly covers and leaves
+	// them where they are; Graph.Trim drops what every reader's checkpoint
+	// covers. It is graph state, so it survives a sink crash, and Recover
+	// replays drains over it. from is the first of its deltas the cursors
+	// do not cover: a drain's walk starts there.
+	log   *deltaLog
+	from  int
 	view  *ivm.ViewState
 	stats *storage.Stats
 
@@ -63,19 +69,80 @@ type ViewHandle struct {
 	snap *handleSnapshot
 }
 
-// handleSnapshot is the checkpoint of the per-view state: one copy,
-// allocated by the first Checkpoint and patched by every later one — the
-// cursors overwritten, the view content brought up to date entry by
-// touched entry (ivm.ViewStateSnapshot) — so a checkpoint costs what
-// changed since the previous one, not the view's size. It lives in the
-// handle (the in-memory durability tier, like the broker's default
-// checkpoint chain); the shared graph itself is not checkpointed — it
-// survives per-view crashes exactly as the live database does.
+// handleSnapshot is the checkpoint of the per-view state besides its
+// cursors (ViewHandle.durable): one copy, allocated by the first
+// Checkpoint and patched by every later one — the view content brought up
+// to date entry by touched entry (ivm.ViewStateSnapshot) — so a
+// checkpoint costs what changed since the previous one, not the view's
+// size. It lives in the handle (the in-memory durability tier, like the
+// broker's default checkpoint chain); the shared graph itself is not
+// checkpointed — it survives per-view crashes exactly as the live
+// database does.
 type handleSnapshot struct {
-	lsn     uint64
-	cursors []uint64 // by position, like ViewHandle.cursors; what Graph.Trim's watermark is the minimum of
-	state   *ivm.ViewStateSnapshot
-	ns      string
+	lsn   uint64
+	state *ivm.ViewStateSnapshot
+	ns    string
+}
+
+// deltaLog is the one buffer of an operator's output that view sinks
+// read: every delta the operator emitted that some reader's checkpointed
+// cursors do not cover, in emission order, as emitted — unprojected, so
+// each is held once however many views read the operator. The graph keeps
+// one per operator with sinks. A sink that subscribes later starts with
+// cursors that cover every delta already there.
+type deltaLog struct {
+	src     node
+	deltas  []Delta
+	readers []*ViewHandle // in subscribe order
+	wm      []uint64      // trim's watermark, reused
+	ctr     *counters
+}
+
+func (l *deltaLog) onDelta(d Delta) {
+	l.deltas = append(l.deltas, d)
+	l.ctr.retained++
+}
+
+// trim drops the deltas every reader's checkpointed cursors cover — those
+// the per-position minimum of the readers' durable cursors covers — so
+// the log keeps exactly the union of what its readers have not
+// checkpointed. No recovery folds a dropped delta again, and no reader's
+// from points at one: its live cursors cover it too. The capacity follows
+// the peak since the last trim, the length found here: more than twice a
+// quarter's slack over it is given back.
+func (l *deltaLog) trim() {
+	for i := range l.wm {
+		l.wm[i] = math.MaxUint64
+	}
+	for _, h := range l.readers {
+		for i, c := range h.durable {
+			l.wm[i] = min(l.wm[i], c)
+		}
+	}
+	peak, kept := len(l.deltas), 0
+	for i, d := range l.deltas {
+		for _, h := range l.readers {
+			if h.from == i {
+				h.from = kept
+			}
+		}
+		if !d.Coord.covered(l.wm) {
+			l.deltas[kept] = d
+			kept++
+		}
+	}
+	for _, h := range l.readers {
+		if h.from == peak {
+			h.from = kept
+		}
+	}
+	l.ctr.retained -= peak - kept
+	if size := peak + peak/4 + 1; cap(l.deltas) > 2*size {
+		l.deltas = append(make([]Delta, 0, size), l.deltas[:kept]...)
+		return
+	}
+	clear(l.deltas[kept:peak])
+	l.deltas = l.deltas[:kept]
 }
 
 func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, items []sql.Expr, sigs []string) (*ViewHandle, error) {
@@ -110,6 +177,7 @@ func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, items []sql.Expr, sigs 
 		h.scans = append(h.scans, sc)
 		h.cursors = append(h.cursors, sc.mods)
 	}
+	h.durable = slices.Clone(h.cursors)
 	h.view = ivm.NewViewState(p, h.stats)
 	if err := h.initialize(); err != nil {
 		return nil, err
@@ -135,14 +203,6 @@ func (h *ViewHandle) initialize() error {
 	h.view.Add(rows)
 	*h.stats = storage.Stats{} // initial computation is setup cost
 	return nil
-}
-
-// onDelta receives one propagated delta from the top operator. Freshly
-// emitted deltas always carry at least one uncovered coordinate, so no
-// drain has folded them yet.
-func (h *ViewHandle) onDelta(d Delta) {
-	h.inbox = append(h.inbox, d)
-	h.g.ctr.retained++
 }
 
 // Aliases returns the FROM aliases in order; index i corresponds to the
@@ -249,24 +309,37 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 			return fmt.Errorf("dataflow: wal commit: %w", err)
 		}
 	}
+	h.skipCovered()
 	h.stats.BatchSetups++
 	return nil
+}
+
+// skipCovered moves from past the log's deltas the cursors cover. Cursors
+// only advance between calls (Recover resets from first), so everything
+// before from stays covered.
+func (h *ViewHandle) skipCovered() {
+	ds := h.log.deltas
+	for h.from < len(ds) && ds[h.from].Coord.covered(h.cursors) {
+		h.from++
+	}
 }
 
 // fold folds every delta a drain newly covers into the view state with
 // its weight times dir: 1 applies the drain, -1 takes it back. Only the
 // cursor at position pos moved, up from old, so those are the deltas above
 // old there that the cursors now cover everywhere — whatever was covered
-// before, and so folded by an earlier drain, is at or below old. The
-// first walk folds the positive weights and notes the stretch of the
-// inbox that holds the negative ones; a second walk over that stretch
-// folds them. So no entry count — a row's multiplicity or a group's —
-// dips below zero on the way, whatever order the shared graph emitted
-// the deltas in, and taking a drain back restores its retractions first.
-// Sums are exact, so the order decides nothing else.
+// before, and so folded by an earlier drain, is at or below old. They all
+// lie at or after from, where the walk starts. The first walk folds the
+// positive weights and notes the stretch of the log that holds the
+// negative ones; a second walk over that stretch folds them. So no entry
+// count — a row's multiplicity or a group's — dips below zero on the way,
+// whatever order the shared graph emitted the deltas in, and taking a
+// drain back restores its retractions first. Sums are exact, so the order
+// decides nothing else.
 func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
-	lo, hi := len(h.inbox), 0
-	for i, d := range h.inbox {
+	ds := h.log.deltas[h.from:]
+	lo, hi := len(ds), 0
+	for i, d := range ds {
 		if d.Coord[pos] > old && d.Coord.covered(h.cursors) {
 			if w := dir * d.W; w > 0 {
 				h.foldDelta(d, w)
@@ -276,7 +349,7 @@ func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
 		}
 	}
 	for i := lo; i < hi; i++ {
-		if d := h.inbox[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) {
+		if d := ds[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) {
 			h.foldDelta(d, dir*d.W)
 		}
 	}
@@ -313,31 +386,23 @@ func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
 // Checkpoint brings the per-view durable state (cursors, view content,
 // WAL position) in memory up to date, rewriting only what changed since
-// the previous checkpoint, and drops the buffered deltas the checkpointed
-// cursors cover — no recovery will fold them again. Everything at or
-// below the captured LSN may be truncated from the WAL afterwards.
+// the previous checkpoint. The next Graph.Trim drops the logged deltas
+// that every reader's checkpointed cursors now cover — no recovery will
+// fold them again. Everything at or below the captured LSN may be
+// truncated from the WAL afterwards.
 func (h *ViewHandle) Checkpoint() error {
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
 	if h.snap == nil {
-		h.snap = &handleSnapshot{cursors: make([]uint64, len(h.cursors))}
+		h.snap = &handleSnapshot{}
 	}
 	h.snap.state = h.view.Checkpoint()
 	h.snap.ns = h.ns
-	copy(h.snap.cursors, h.cursors)
+	copy(h.durable, h.cursors)
 	h.snap.lsn = 0
 	if h.wal != nil {
 		h.snap.lsn = h.wal.LastLSN()
 	}
-	kept := h.inbox[:0]
-	for _, d := range h.inbox {
-		if !d.Coord.covered(h.cursors) {
-			kept = append(kept, d)
-		}
-	}
-	h.g.ctr.retained -= len(h.inbox) - len(kept)
-	clear(h.inbox[len(kept):])
-	h.inbox = kept
 	if h.obs != nil {
 		//lint:ignore nondet measurement of the checkpoint, not part of it
 		h.obs.ObserveCheckpoint(time.Since(start), 0)
@@ -356,7 +421,7 @@ func (h *ViewHandle) TipLSN() uint64 {
 // Recover rebuilds the view from its last checkpoint plus the WAL
 // suffix: restore cursors and content (the rebuilt state adopts the
 // checkpoint copy, so later checkpoints keep patching it), then redo the
-// logged drains over the inbox as it stands — it holds exactly what the
+// logged drains over the delta log as it stands — it holds every delta the
 // checkpointed cursors do not cover, and the shared graph survives a
 // per-view crash as the live database does. The WAL and injector stay
 // detached during replay.
@@ -372,7 +437,9 @@ func (h *ViewHandle) Recover() error {
 		return err
 	}
 	h.view = view
-	copy(h.cursors, h.snap.cursors)
+	copy(h.cursors, h.durable)
+	h.from = 0
+	h.skipCovered()
 	wal, inj := h.wal, h.inj
 	h.wal, h.inj = nil, nil
 	replayed := 0

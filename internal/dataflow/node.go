@@ -11,16 +11,17 @@ import (
 )
 
 // receiver consumes deltas emitted by an upstream node. Stateless
-// operator nodes are receivers, and so are view sinks (ViewHandle) and
-// arrangements — a join never subscribes to its children itself, it reads
-// them through the arrangements it is a port of.
+// operator nodes are receivers, and so are the delta logs view sinks read
+// (deltaLog) and arrangements — a join never subscribes to its children
+// itself, it reads them through the arrangements it is a port of.
 type receiver interface {
 	onDelta(d Delta)
 }
 
 // node is one operator in the shared graph. Rows inside deltas are
-// immutable by convention — cloned once on scan ingest, shared freely
-// downstream — so arrangements and sink buffers may alias them.
+// immutable by convention — a scan's are the live table's own, or copied
+// once on ingest, and shared freely downstream — so arrangements and
+// delta logs may alias them.
 type node interface {
 	// sig is the canonical structural signature; nodes with equal
 	// signatures compute identical functions of the base tables and are
@@ -37,23 +38,24 @@ type node interface {
 	// zero).
 	current() []weightedRow
 	// addOut / removeOut manage downstream edges: operators, arrangements
-	// and view sinks.
+	// and the delta log view sinks read.
 	addOut(r receiver)
 	removeOut(r receiver)
 	// detach unlinks the node from its children; called when the node's
 	// reference count drops to zero. (A join's ports are the graph's to
 	// release: Graph.drop.)
 	detach()
-	// fanout is the number of downstream consumers: direct edges, sinks,
-	// and the join ports reached through an arrangement.
+	// fanout is the number of downstream consumers: direct edges, the
+	// sinks reading its delta log, and the join ports reached through an
+	// arrangement.
 	fanout() int
 }
 
 // counters are the graph-wide totals behind GraphStats, shared by
-// pointer with every arrangement and sink so Stats never walks state.
+// pointer with every arrangement and delta log so Stats never walks state.
 type counters struct {
 	stateRows   int    // arrangement entries, base and tail
-	retained    int    // deltas in sink buffers
+	retained    int    // deltas in delta logs
 	trimVisited uint64 // arrangement entries examined by trims
 	probes      uint64 // bucket lookups made by port groups
 	products    uint64 // join products built
@@ -61,7 +63,7 @@ type counters struct {
 
 // nodeBase carries the shared node mechanics: identity, schema and the
 // downstream edge list. Operators keep nothing they emit — a delta
-// waits in the arrangements and sink buffers downstream, nowhere else.
+// waits in the arrangements and the delta log downstream, nowhere else.
 type nodeBase struct {
 	signature string
 	tabs      []string
@@ -82,14 +84,18 @@ func (n *nodeBase) removeOut(r receiver) {
 	}
 }
 
-// fanout counts an arrangement as the join ports it serves, so sharing a
-// join input does not read as the child losing consumers.
+// fanout counts an arrangement as the join ports it serves and a delta
+// log as the sinks reading it, so sharing a join input or a log does not
+// read as the node losing consumers.
 func (n *nodeBase) fanout() int {
 	f := 0
 	for _, o := range n.outs {
-		if a, ok := o.(*arrangement); ok {
-			f += a.ports()
-		} else {
+		switch o := o.(type) {
+		case *arrangement:
+			f += o.ports()
+		case *deltaLog:
+			f += len(o.readers)
+		default:
 			f++
 		}
 	}
@@ -116,9 +122,11 @@ func (n *nodeBase) emit(d Delta) {
 // storage.Table lays out its heap — encoded primary key -> slot, rows by
 // slot, freed slots reused — so a key becomes a string only when an
 // insert stores it; a delete or an update looks its key up as bytes and
-// an update replaces the row in its slot.
+// an update replaces the row in its slot. The rows are the live table's
+// own wherever they can be (see keep), so a base row is held once.
 type scanNode struct {
 	nodeBase
+	tbl       *storage.Table
 	tableName string
 	keyCols   []int
 	slots     map[string]int
@@ -139,6 +147,7 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 			tabs:      []string{schema.Name},
 			schema:    cols,
 		},
+		tbl:       tbl,
 		tableName: schema.Name,
 		keyCols:   schema.Key,
 		slots:     make(map[string]int, tbl.Len()),
@@ -146,7 +155,7 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 	}
 	tbl.Scan(func(r storage.Row) bool {
 		var a [64]byte
-		s.store(storage.AppendKeyCols(a[:0], r, s.keyCols), r.Clone())
+		s.store(storage.AppendKeyCols(a[:0], r, s.keyCols), r)
 		return true
 	})
 	return s
@@ -177,7 +186,7 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 		if _, ok := s.slots[string(key)]; ok {
 			return fmt.Errorf("dataflow: insert over existing key on %q", s.tableName)
 		}
-		row := mod.Row.Clone()
+		row := s.keep(key, mod.Row)
 		s.mods = seq
 		s.store(key, row)
 		s.emit(Delta{Row: row, W: 1, Coord: Coord{seq}})
@@ -194,14 +203,15 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 		s.free = append(s.free, slot)
 		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
 	case ivm.ModUpdate:
-		slot, ok := s.slots[string(storage.AppendKey(a[:0], mod.Key...))]
+		key := storage.AppendKey(a[:0], mod.Key...)
+		slot, ok := s.slots[string(key)]
 		if !ok {
 			return fmt.Errorf("dataflow: update of missing key on %q", s.tableName)
 		}
 		if !mod.Row.KeyIs(s.keyCols, mod.Key) {
 			return fmt.Errorf("dataflow: update must not change the primary key on %q", s.tableName)
 		}
-		old, row := s.rows[slot], mod.Row.Clone()
+		old, row := s.rows[slot], s.keep(key, mod.Row)
 		s.mods = seq
 		s.rows[slot] = row
 		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
@@ -210,6 +220,20 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 		return fmt.Errorf("dataflow: unknown modification kind %d", mod.Kind)
 	}
 	return nil
+}
+
+// keep returns the row to mirror for an inserted or updated row r under
+// an encoded key: the live table's own row under that key when it equals
+// r, as it does whenever the live change was applied just before the
+// ingest (the serial broker's Publish), and a copy of r otherwise — a
+// sharded broker ingests a step's modifications at its end, when a later
+// change to the key may have replaced the live row. The lookup charges
+// the live table no work unit.
+func (s *scanNode) keep(key []byte, r storage.Row) storage.Row {
+	if live := s.tbl.Stored(key); live != nil && live.SameKey(r) {
+		return live
+	}
+	return r.Clone()
 }
 
 func (s *scanNode) current() []weightedRow {
@@ -667,9 +691,9 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 // coordinate, the delta's beside the base's zero; each tail partner's
 // product gets its own. A product every join rejects leaves its space to
 // the next. Consumers alias the windows as they alias any emitted row: a
-// sink until its checkpoint covers the product, an arrangement over a
-// join not at all (it copies what it keeps), so no long-lived state pins
-// a probe's array.
+// delta log until its readers' checkpoints cover the product, an
+// arrangement over a join not at all (it copies what it keeps), so no
+// long-lived state pins a probe's array.
 func (g *portGroup) probe(key []byte, d Delta) {
 	live := g.live[:0]
 	for _, j := range g.joins {

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -187,6 +188,7 @@ type propWorld struct {
 	never   *Graph
 	fresh   []*Graph
 	views   []*propView
+	recs    map[*deltaLog]*recorder // what each log of the trimmed graph was sent
 }
 
 func (w *propWorld) subscribe(query string, lag float64, late bool) {
@@ -209,6 +211,7 @@ func (w *propWorld) subscribe(query string, lag float64, late bool) {
 		}
 		v.handles = append(v.handles, h)
 	}
+	recordLogs(w.trimmed, w.recs)
 	v.handles[0].AttachWAL(v.wal)
 	if err := v.handles[0].Checkpoint(); err != nil {
 		w.t.Fatal(err)
@@ -266,32 +269,58 @@ func (w *propWorld) check(ctx string) {
 		}
 	}
 	checkGraphInvariants(w.t, ctx, w.trimmed)
+	checkLogContents(w.t, ctx, w.trimmed, w.recs)
 }
 
 // checkGraphInvariants walks the graph's state and holds it against the
-// O(1) counters and the layout rules: a propagated delta waits in the
-// buffers of the sinks attached to the operators and nowhere else, and
-// no buffered delta is one its sink's last checkpoint covers; every
-// arrangement is read by at
-// least one join side, is its child's edge exactly once and is walked
-// once however many joins share it; base entries distinct and non-zero
-// within a bucket, every bucket stored under the key it remembers,
-// touched = the buckets with a non-empty tail, no empty buckets,
-// capacity slack bounded.
+// O(1) counters and the layout rules, as they stand after a trim: a
+// propagated delta waits in the delta log of the operator that emitted it
+// and nowhere else — one log per operator with sinks, its edge exactly
+// once, read by exactly the sinks over that operator — no logged delta is
+// one every reader's last checkpoint covers, and each reader's walk
+// starts at its first delta its cursors do not cover; every arrangement
+// is read by at least one join side, is its child's edge exactly once and
+// is walked once however many joins share it; base entries distinct and
+// non-zero within a bucket, every bucket stored under the key it
+// remembers, touched = the buckets with a non-empty tail, no empty
+// buckets, capacity slack bounded.
 func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
 	rows, retained, sinks, sides, joins := 0, 0, 0, 0, 0
-	for _, n := range g.nodes {
-		for _, h := range sinksOf(n) {
+	for _, l := range g.logs {
+		if g.nodes[l.src.sig()] != l.src || edgesTo(l.src, l) != 1 {
+			t.Fatalf("%s: the log of %s hangs off an operator the graph does not hold, or not once", ctx, l.src.sig())
+		}
+		if len(l.readers) == 0 {
+			t.Fatalf("%s: the log of %s kept with no reader", ctx, l.src.sig())
+		}
+		retained += len(l.deltas)
+		for _, d := range l.deltas {
+			if !slices.ContainsFunc(l.readers, func(h *ViewHandle) bool { return !d.Coord.covered(h.durable) }) {
+				t.Fatalf("%s: the log of %s holds %v, which every reader's checkpoint covers", ctx, l.src.sig(), d.Coord)
+			}
+		}
+		for _, h := range l.readers {
 			sinks++
-			retained += len(h.inbox)
-			durable := durableByPosition(h)
-			for _, d := range h.inbox {
-				if d.Coord.covered(durable) {
-					t.Fatalf("%s: sink %q buffers %v, which its checkpoint at %v covers", ctx, h.ns, d.Coord, durable)
+			if h.log != l || h.top != l.src || !slices.Contains(g.views, h) {
+				t.Fatalf("%s: sink %q reads the log of %s but is not a sink over it", ctx, h.ns, l.src.sig())
+			}
+			if h.from > len(l.deltas) {
+				t.Fatalf("%s: sink %q starts its walk at %d of %d", ctx, h.ns, h.from, len(l.deltas))
+			}
+			// Covered up to from, and not at it.
+			for i, d := range l.deltas[:min(h.from+1, len(l.deltas))] {
+				if d.Coord.covered(h.cursors) != (i < h.from) {
+					t.Fatalf("%s: sink %q starts its walk at %d of %d, but its cursors %v cover delta %d at %v: %v",
+						ctx, h.ns, h.from, len(l.deltas), h.cursors, i, d.Coord, i >= h.from)
 				}
 			}
 		}
+	}
+	if sinks != len(g.views) {
+		t.Fatalf("%s: %d sinks read logs, %d are attached", ctx, sinks, len(g.views))
+	}
+	for _, n := range g.nodes {
 		if j, ok := n.(*joinNode); ok {
 			joins++
 			for _, a := range []*arrangement{j.lstate, j.rstate} {
@@ -351,28 +380,64 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	}
 }
 
-// durableByPosition returns the cursors of a sink's last checkpoint in
-// coordinate order (zeros before the first checkpoint).
-func durableByPosition(h *ViewHandle) []uint64 {
-	if h.snap == nil {
-		return make([]uint64, len(h.tabOrder))
-	}
-	return h.snap.cursors
-}
-
 // consumers exposes an operator's edge list to the walk above; every
 // operator embeds nodeBase.
 func (n *nodeBase) consumers() []receiver { return n.outs }
 
-// sinksOf returns the view sinks among an operator's consumers.
-func sinksOf(n node) []*ViewHandle {
-	var out []*ViewHandle
+// edgesTo counts the operator's edges to r.
+func edgesTo(n node, r receiver) int {
+	c := 0
 	for _, o := range n.(interface{ consumers() []receiver }).consumers() {
-		if h, ok := o.(*ViewHandle); ok {
-			out = append(out, h)
+		if o == r {
+			c++
 		}
 	}
-	return out
+	return c
+}
+
+// recorder is the test's own copy of everything an operator emitted.
+type recorder struct{ all []Delta }
+
+func (r *recorder) onDelta(d Delta) { r.all = append(r.all, d) }
+
+// recordLogs puts a recorder beside every delta log that has none yet,
+// right below the log's operator: called after each Subscribe, it sees
+// everything the log has been sent.
+func recordLogs(g *Graph, recs map[*deltaLog]*recorder) {
+	for _, l := range g.logs {
+		if recs[l] == nil {
+			recs[l] = &recorder{}
+			l.src.addOut(recs[l])
+		}
+	}
+}
+
+// checkLogContents holds every delta log against the recording of what
+// its operator emitted: the log is exactly the emitted deltas some reader's
+// checkpointed cursors do not cover — the union of the readers' uncovered
+// deltas — in emission order, each the very row emitted. Checkpointed
+// cursors never move back, so a delta that has left the union never
+// returns to it: the recording keeps only the union.
+func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*recorder) {
+	t.Helper()
+	for _, l := range g.logs {
+		want := make([]Delta, 0, len(l.deltas))
+		for _, d := range recs[l].all {
+			if slices.ContainsFunc(l.readers, func(h *ViewHandle) bool { return !d.Coord.covered(h.durable) }) {
+				want = append(want, d)
+			}
+		}
+		if len(l.deltas) != len(want) {
+			t.Fatalf("%s: the log of %s holds %d deltas, %d emitted ones are above some reader's checkpoint",
+				ctx, l.src.sig(), len(l.deltas), len(want))
+		}
+		for i, d := range l.deltas {
+			if &d.Row[0] != &want[i].Row[0] || d.W != want[i].W || !slices.Equal(d.Coord, want[i].Coord) {
+				t.Fatalf("%s: the log of %s holds %v at %d, emitted %v", ctx, l.src.sig(), d, i, want[i])
+			}
+		}
+		recs[l].all = want
+	}
 }
 
 // trim checkpoints a random subset of the trimmed graph's views (all of
@@ -408,6 +473,7 @@ func TestTrimPreservesMeaning(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 7919))
 			live := propDB(t)
 			w := &propWorld{t: t, live: live, log: map[string][]ivm.Mod{}, trimmed: NewGraph(live), never: NewGraph(live)}
+			w.recs = map[*deltaLog]*recorder{}
 			for _, i := range []int{0, 1, 2, 5, 6} {
 				w.subscribe(propQueries[i], rng.Float64()*0.8, false)
 			}

@@ -173,9 +173,9 @@ func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
 
 // TestSinkDrainAllocsIndependentOfPending: a drain that folds eight
 // sales updates into existing groups allocates the same — nothing for the
-// buffer, nothing per covered delta — whether the
-// sink's inbox holds 16 or 1,024 deltas the drain does not cover, and
-// however many earlier drains' deltas still wait in it for a checkpoint.
+// log, nothing per covered delta — whether the sink's delta log holds 16
+// or 1,024 deltas the drain does not cover, and however many earlier
+// drains' deltas still wait in it for a checkpoint and a trim.
 func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, batch, rounds = 8, 8, 4
@@ -198,7 +198,7 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pending = len(h.inbox)
+		pending = len(h.log.deltas)
 		// Sales of stations the backlog leaves alone.
 		next := int64(1_000)
 		for round := 0; round < rounds; round++ {
@@ -215,15 +215,17 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 			})
 		}
 		// A drain moves nothing: the deltas it folded (old and new row of
-		// each update) wait where they arrived until a checkpoint covers them.
-		if want := pending + rounds*2*batch; len(h.inbox) != want {
-			t.Fatalf("inbox holds %d deltas after %d drains, want the backlog and the folded ones, %d", len(h.inbox), rounds, want)
+		// each update) wait where they arrived until a trim finds a
+		// checkpoint covering them.
+		if want := pending + rounds*2*batch; len(h.log.deltas) != want {
+			t.Fatalf("log holds %d deltas after %d drains, want the backlog and the folded ones, %d", len(h.log.deltas), rounds, want)
 		}
 		if err := h.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if len(h.inbox) != pending {
-			t.Fatalf("checkpoint left %d deltas, want the uncovered backlog of %d", len(h.inbox), pending)
+		g.Trim()
+		if len(h.log.deltas) != pending {
+			t.Fatalf("checkpoint and trim left %d deltas, want the uncovered backlog of %d", len(h.log.deltas), pending)
 		}
 		return allocs, pending
 	}
@@ -242,8 +244,9 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 // TestIngestAllocsIndependentOfViews: one sales update allocates the same
 // whether 1 view or 12 with 12 different SELECT lists sit on the join it
 // flows through — each of its two deltas probes the join once, building
-// its product's row and coordinate once, and each sink only buffers them
-// as they are; nothing per view runs before a drain.
+// its product's row and coordinate once, and the join's one delta log
+// keeps them as they are for every sink; nothing per view runs before a
+// drain.
 func TestIngestAllocsIndependentOfViews(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation = 8
@@ -262,8 +265,8 @@ func TestIngestAllocsIndependentOfViews(t *testing.T) {
 		if st := g.Stats(); st.Nodes != 3 || st.Views != views {
 			t.Fatalf("%d views built %+v, want them all on one join", views, st)
 		}
-		// Steady state: every inbox has held two deltas before and is
-		// emptied, capacity kept, by the checkpoint that ends a round.
+		// Steady state: the log has held two deltas before and is emptied,
+		// capacity kept, by the checkpoints and the trim that end a round.
 		for round := 0; round < 4; round++ {
 			mod := updateSale(7, rowsPerStation, float64(10+round))
 			allocs = mallocsOf(func() {
@@ -272,14 +275,16 @@ func TestIngestAllocsIndependentOfViews(t *testing.T) {
 				}
 			})
 			for _, h := range handles {
-				if len(h.inbox) != 2 {
-					t.Fatalf("a sink buffers %d deltas of one update, want its retraction and insertion", len(h.inbox))
-				}
-				if &h.inbox[0].Row[0] != &handles[0].inbox[0].Row[0] {
-					t.Fatal("two sinks on one join buffer different copies of a row")
+				if h.log != handles[0].log {
+					t.Fatal("two sinks on one join read different logs")
 				}
 			}
+			if n := len(handles[0].log.deltas); n != 2 || g.Stats().RetainedDeltas != 2 {
+				t.Fatalf("the join logs %d deltas of one update (%d retained), want its retraction and insertion once",
+					n, g.Stats().RetainedDeltas)
+			}
 			settle(t, handles)
+			g.Trim()
 		}
 		return allocs
 	}
@@ -388,8 +393,9 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		unchanged("a cancelling drain changed the view")
-		if len(h.inbox) != 0 || fmt.Sprint(h.Pending()) != fmt.Sprint(make([]int, len(h.Aliases()))) {
-			t.Fatalf("%s: %d deltas and a backlog of %v left after a checkpoint covering everything", query, len(h.inbox), h.Pending())
+		g.Trim()
+		if len(h.log.deltas) != 0 || fmt.Sprint(h.Pending()) != fmt.Sprint(make([]int, len(h.Aliases()))) {
+			t.Fatalf("%s: %d deltas and a backlog of %v left after a checkpoint covering everything", query, len(h.log.deltas), h.Pending())
 		}
 	}
 }
@@ -467,25 +473,20 @@ func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 	}
 }
 
-// recorder is the test's own copy of everything an operator emitted.
-type recorder struct{ all []Delta }
-
-func (r *recorder) onDelta(d Delta) { r.all = append(r.all, d) }
-
-// TestSinkBuffersEachDeltaOnce holds every sink's inbox, at every step of
-// a run with lagging drains, staggered checkpoints and a recovery, against
-// an independent recording of what its top operator emitted: the inbox is
-// exactly the emitted deltas its last checkpoint's cursors do not cover,
-// in emission order — drains and recoveries move nothing — so right after
-// a checkpoint it is the uncovered backlog alone, and RetainedDeltas is
-// the sum of the inboxes because no other copy exists.
+// TestSinkBuffersEachDeltaOnce holds every delta log, at every step of a
+// run with lagging drains, staggered checkpoints, trims and a recovery,
+// against an independent recording of what its operator emitted. The
+// first query is subscribed twice: its two sinks read one log, which
+// holds each delta once. After each trim a log is exactly the emitted
+// deltas some reader's checkpointed cursors do not cover, in emission
+// order — drains and recoveries move nothing — and RetainedDeltas is the
+// sum of the logs because no other copy exists.
 func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
-	// The first query twice: two sinks fed by one top operator.
 	queries := append([]string{equivalenceQueries[0]}, equivalenceQueries...)
 	var sinks []*ViewHandle
-	emitted := map[node]*recorder{}
+	recs := map[*deltaLog]*recorder{}
 	for i, q := range queries {
 		p, err := ivm.PlanView(q)
 		if err != nil {
@@ -500,38 +501,21 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 		if err := h.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if emitted[h.top] == nil {
-			emitted[h.top] = &recorder{}
-			h.top.addOut(emitted[h.top])
-		}
+		recordLogs(g, recs)
 		sinks = append(sinks, h)
 	}
-	if sinks[0].top != sinks[1].top || len(emitted) != len(queries)-1 {
-		t.Fatal("the repeated query must share its top operator")
+	if sinks[0].log != sinks[1].log || len(sinks[0].log.readers) != 2 || len(g.logs) != len(queries)-1 {
+		t.Fatalf("%d logs for %d queries: the repeated query's two sinks must read one", len(g.logs), len(queries))
 	}
 	check := func(ctx string) {
 		t.Helper()
+		checkLogContents(t, ctx, g, recs)
 		total := 0
-		for _, h := range sinks {
-			durable := durableByPosition(h)
-			var want []Delta
-			for _, d := range emitted[h.top].all {
-				if !d.Coord.covered(durable) {
-					want = append(want, d)
-				}
-			}
-			if len(h.inbox) != len(want) {
-				t.Fatalf("%s: sink %s buffers %d deltas, %d emitted ones are above its checkpoint", ctx, h.ns, len(h.inbox), len(want))
-			}
-			for i, d := range h.inbox {
-				if &d.Row[0] != &want[i].Row[0] || d.W != want[i].W || fmt.Sprint(d.Coord) != fmt.Sprint(want[i].Coord) {
-					t.Fatalf("%s: sink %s inbox[%d] = %v, emitted %v", ctx, h.ns, i, d, want[i])
-				}
-			}
-			total += len(h.inbox)
+		for _, l := range g.logs {
+			total += len(l.deltas)
 		}
 		if got := g.Stats().RetainedDeltas; got != total {
-			t.Fatalf("%s: RetainedDeltas = %d, the inboxes hold %d", ctx, got, total)
+			t.Fatalf("%s: RetainedDeltas = %d, the logs hold %d", ctx, got, total)
 		}
 		checkGraphInvariants(t, ctx, g)
 	}
@@ -567,17 +551,9 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 			if err := h.WAL().TruncateThrough(h.TipLSN()); err != nil {
 				t.Fatal(err)
 			}
-			uncovered := 0
-			for _, d := range emitted[h.top].all {
-				if !d.Coord.covered(h.cursors) {
-					uncovered++
-				}
-			}
-			if len(h.inbox) != uncovered {
-				t.Fatalf("%s: sink %s holds %d deltas right after its checkpoint, %d are uncovered", ctx, h.ns, len(h.inbox), uncovered)
-			}
 		}
-		check(ctx + " checkpointed")
+		g.Trim()
+		check(ctx + " checkpointed and trimmed")
 		if step%9 == 8 {
 			h := sinks[rng.Intn(len(sinks))]
 			content, backlog := renderRows(h.Result()), fmt.Sprint(h.Pending())

@@ -46,9 +46,13 @@ type ViewState struct {
 	// cp is the checkpoint copy (nil until the first Checkpoint or
 	// Restore). dirty lists the entries folds have touched since cp was
 	// last brought up to date, each once — the entry's dirty flag —
-	// vanished ones included.
-	cp    *ViewStateSnapshot
-	dirty []*groupState
+	// vanished ones included. dropped counts the entries deleted from the
+	// copy since its map was built: a Go map keeps the room deleted keys
+	// took, so Checkpoint builds the map afresh once they outnumber the
+	// entries it holds.
+	cp      *ViewStateSnapshot
+	dirty   []*groupState
+	dropped int
 }
 
 // NewViewState builds the empty fold state for a planned view. stats
@@ -255,9 +259,10 @@ func (v *ViewState) Result() []storage.Row {
 // rebuilt — and ViewState.Restore rebuilds a state from it. Rows are
 // immutable by the package's convention, so the copy aliases them. The
 // aggregate kinds are not stored: they are re-derived from the view's
-// DeltaPlan at restore time.
+// DeltaPlan at restore time. Entries are held by value, so a new one
+// costs its map slot and, for an aggregate view, its Aggs slice.
 type ViewStateSnapshot struct {
-	Groups map[string]*GroupSnapshot
+	Groups map[string]GroupSnapshot
 }
 
 // GroupSnapshot is one entry's plain-data state: the key values (an SPJ
@@ -292,7 +297,7 @@ type ValueCount struct {
 // previous call, so its cost follows the changes, not the view's size.
 func (v *ViewState) Checkpoint() *ViewStateSnapshot {
 	if v.cp == nil {
-		v.cp = &ViewStateSnapshot{Groups: make(map[string]*GroupSnapshot, len(v.groups))}
+		v.cp = &ViewStateSnapshot{Groups: make(map[string]GroupSnapshot, len(v.groups))}
 		for k := range v.groups {
 			v.patch(k)
 		}
@@ -304,25 +309,31 @@ func (v *ViewState) Checkpoint() *ViewStateSnapshot {
 	}
 	clear(v.dirty)
 	v.dirty = v.dirty[:0]
+	if v.dropped > len(v.cp.Groups) {
+		fresh := make(map[string]GroupSnapshot, len(v.cp.Groups))
+		for k, gs := range v.cp.Groups {
+			fresh[k] = gs
+		}
+		v.cp.Groups, v.dropped = fresh, 0
+	}
 	return v.cp
 }
 
-// patch makes the copy agree with the live state on one key: rewritten in
-// place where both hold it, added where only the state does, deleted
-// where the entry has vanished. What the state holds now decides, not the
-// touched entry — one that vanished and came back is a different entry.
+// patch makes the copy agree with the live state on one key: rewritten
+// where both hold it — into the Aggs slices the copy already has — added
+// where only the state does, deleted where the entry has vanished. What
+// the state holds now decides, not the touched entry — one that vanished
+// and came back is a different entry.
 func (v *ViewState) patch(key string) {
 	g := v.groups[key]
 	if g == nil {
 		delete(v.cp.Groups, key)
+		v.dropped++
 		return
 	}
 	gs := v.cp.Groups[key]
-	if gs == nil {
-		gs = &GroupSnapshot{}
-		v.cp.Groups[key] = gs
-	}
-	g.copyTo(gs)
+	g.copyTo(&gs)
+	v.cp.Groups[key] = gs
 }
 
 // copyTo overwrites gs with the entry's plain data, reusing the slices
@@ -380,6 +391,6 @@ func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
 		groups[k] = g
 		order.created(g)
 	}
-	v.groups, v.order, v.cp, v.dirty = groups, order, snap, nil
+	v.groups, v.order, v.cp, v.dirty, v.dropped = groups, order, snap, nil, 0
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -48,10 +49,10 @@ var foldViews = []foldView{
 // fullCopy builds the checkpoint copy of v from nothing, by walking all
 // of it.
 func fullCopy(v *ViewState) *ViewStateSnapshot {
-	snap := &ViewStateSnapshot{Groups: map[string]*GroupSnapshot{}}
+	snap := &ViewStateSnapshot{Groups: map[string]GroupSnapshot{}}
 	for k, g := range v.groups {
-		gs := &GroupSnapshot{}
-		g.copyTo(gs)
+		var gs GroupSnapshot
+		g.copyTo(&gs)
 		snap.Groups[k] = gs
 	}
 	return snap
@@ -64,8 +65,8 @@ func diffSnapshots(got, want *ViewStateSnapshot) string {
 		return fmt.Sprintf("%d entries, want %d", len(got.Groups), len(want.Groups))
 	}
 	for k, w := range want.Groups {
-		g := got.Groups[k]
-		if g == nil || g.Count != w.Count || !g.Key.SameKey(w.Key) || len(g.Aggs) != len(w.Aggs) {
+		g, ok := got.Groups[k]
+		if !ok || g.Count != w.Count || !g.Key.SameKey(w.Key) || len(g.Aggs) != len(w.Aggs) {
 			return fmt.Sprintf("entry %q: %+v, want %+v", k, g, w)
 		}
 		for i := range w.Aggs {
@@ -288,6 +289,72 @@ func TestFoldIntoExistingEntryAllocs(t *testing.T) {
 			v.Checkpoint()
 		}); n != 0 {
 			t.Errorf("%s: %v allocations folding into existing entries and checkpointing them, want 0", fv.name, n)
+		}
+	}
+}
+
+// TestCheckpointOfExistingEntriesAllocs: a checkpoint that rewrites only
+// entries its copy already holds allocates nothing — the copy holds them
+// by value and rewrites each into the slices it has. Neither does one
+// that puts back into an SPJ view's copy a few entries a previous
+// checkpoint deleted: an SPJ entry has no aggregates, and the map has
+// room where they were.
+func TestCheckpointOfExistingEntriesAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, fv := range foldViews[:3] {
+		p, err := PlanView(fv.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		rows := make([]storage.Row, 64)
+		v := NewViewState(p, &storage.Stats{})
+		for i := range rows {
+			rows[i] = fv.row(rng)
+			v.AddWeighted(rows[i], 2)
+		}
+		v.Checkpoint()
+		for round := 0; round < 3; round++ {
+			for _, r := range rows {
+				v.AddWeighted(r, 1)
+			}
+			if n := mallocs(func() { v.Checkpoint() }); n != 0 {
+				t.Errorf("%s: a checkpoint of touched existing entries allocated %d times, want 0", fv.name, n)
+			}
+		}
+		if p.Aggregate {
+			continue
+		}
+		// Three entries vanish, are checkpointed away and come back.
+		entries := len(v.cp.Groups)
+		var back []storage.Row // three distinct rows
+		for _, r := range rows {
+			if len(back) < 3 && !slices.ContainsFunc(back, r.SameKey) {
+				back = append(back, r)
+			}
+		}
+		for _, r := range back {
+			for _, o := range rows {
+				if o.SameKey(r) {
+					v.AddWeighted(o, -2-3)
+				}
+			}
+		}
+		if v.Checkpoint(); len(v.cp.Groups) != entries-len(back) {
+			t.Fatalf("%s: %d entries left in the copy, want %d", fv.name, len(v.cp.Groups), entries-len(back))
+		}
+		for _, r := range back {
+			v.AddWeighted(r, 1)
+		}
+		if n := mallocs(func() { v.Checkpoint() }); n != 0 {
+			t.Errorf("%s: a checkpoint putting back %d dropped entries allocated %d times, want 0", fv.name, len(back), n)
 		}
 	}
 }

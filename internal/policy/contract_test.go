@@ -25,7 +25,10 @@ func overlaps(a, b core.Vector) bool {
 // random stream, forcing full states and ending on a refresh, and checks
 // the Policy contract at every step: Act leaves d and pre as it found
 // them, and the action it returns aliases neither — the broker passes its
-// live arrival counter and pending scratch and keeps using both.
+// live arrival counter and pending scratch and keeps using both. A zero
+// action it returned stays zero: a policy may hand the same one out
+// again, but never write to it. The online policies' idle Act, on a
+// state that is not full, allocates nothing.
 func TestActKeepsItsContract(t *testing.T) {
 	model := mkModel(t)
 	const c = 10.0
@@ -49,6 +52,7 @@ func TestActKeepsItsContract(t *testing.T) {
 			pol.Reset(2)
 			state := core.NewVector(2)
 			acted := 0
+			var idle []core.Vector
 			for ti, arrived := range arr {
 				d := arrived.Clone()
 				state.AddInPlace(d)
@@ -60,7 +64,9 @@ func TestActKeepsItsContract(t *testing.T) {
 				if overlaps(act, d) || overlaps(act, pre) {
 					t.Fatalf("t=%d: the action %v aliases d or pre", ti, act)
 				}
-				if !act.IsZero() {
+				if act.IsZero() {
+					idle = append(idle, act)
+				} else {
 					acted++
 				}
 				state.SubInPlace(act)
@@ -68,6 +74,29 @@ func TestActKeepsItsContract(t *testing.T) {
 			if acted < 2 || !state.IsZero() {
 				t.Fatalf("%d drains, final state %v: the stream did not exercise the policy", acted, state)
 			}
+			for _, act := range idle {
+				if !act.IsZero() {
+					t.Fatalf("a zero action the policy returned now reads %v", act)
+				}
+			}
+			if name := pol.Name(); name != "ONLINE" && name != "ONLINE-M" {
+				return
+			}
+			t.Run("idle", func(t *testing.T) {
+				testenv.NeedsAllocCounts(t)
+				pol.Reset(2)
+				d, pre := core.Vector{1, 0}, core.Vector{1, 1}
+				if model.Full(pre, c) {
+					t.Fatalf("state %v is full", pre)
+				}
+				if allocs := testing.AllocsPerRun(100, func() {
+					if !pol.Act(0, d, pre, false).IsZero() {
+						t.Fatal("acted on a state that is not full")
+					}
+				}); allocs != 0 {
+					t.Errorf("an idle Act allocates %v times, want 0", allocs)
+				}
+			})
 		})
 	}
 }

@@ -96,13 +96,24 @@ type Online struct {
 }
 
 // actScratch is what the online policies reuse from one decision to the
-// next — the enumeration buffers, the candidate actions and the
-// post-action state a candidate is scored on — so a decision allocates
-// only the action it returns.
+// next — the enumeration buffers, the candidate actions, the post-action
+// state a candidate is scored on and the zero action of a step they do
+// not act at — so a decision allocates only the action it returns, and a
+// step without one nothing.
 type actScratch struct {
 	enum  core.ActionScratch
 	cands []core.Vector
 	post  core.Vector
+	idle  core.Vector
+}
+
+// none returns the zero action over n tables, the same vector every time:
+// callers only read an action.
+func (sc *actScratch) none(n int) core.Vector {
+	if len(sc.idle) != n {
+		sc.idle = core.NewVector(n)
+	}
+	return sc.idle
 }
 
 // candidates enumerates the greedy minimal valid actions of pre into the
@@ -154,7 +165,7 @@ func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 		return act
 	}
 	if !p.model.Full(pre, p.c) {
-		return core.NewVector(len(pre))
+		return p.sc.none(len(pre))
 	}
 	candidates := p.sc.candidates(pre, p.model, p.c)
 	var best core.Vector

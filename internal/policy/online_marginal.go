@@ -55,7 +55,7 @@ func (p *OnlineMarginal) Act(t int, d, pre core.Vector, refresh bool) core.Vecto
 		return pre.Clone()
 	}
 	if !p.model.Full(pre, p.c) {
-		return core.NewVector(len(pre))
+		return p.sc.none(len(pre))
 	}
 	candidates := p.sc.candidates(pre, p.model, p.c)
 	var best core.Vector

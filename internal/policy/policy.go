@@ -33,7 +33,9 @@ type Policy interface {
 	// Implementations must not retain or mutate d or pre, and the returned
 	// vector must alias neither: callers pass their live vectors (the
 	// broker its arrival counter and pending scratch) and go on using
-	// them beside the action.
+	// them beside the action. The returned action is read-only to the
+	// caller: a policy may return the same vector again (the online
+	// policies return one zero vector whenever they do not act).
 	Act(t int, d, pre core.Vector, refresh bool) core.Vector
 }
 

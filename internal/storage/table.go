@@ -168,6 +168,17 @@ func (t *Table) Get(keyVals ...Value) (Row, bool) {
 	return t.rows[slot], true
 }
 
+// Stored returns the row held under an encoded primary key (AppendKey's
+// encoding), or nil, charging no work unit: it serves a mirror that
+// shares the table's immutable rows, not a query.
+func (t *Table) Stored(key []byte) Row {
+	slot, ok := t.pk[string(key)]
+	if !ok {
+		return nil
+	}
+	return t.rows[slot]
+}
+
 // Delete removes the row with the given primary key and returns it.
 func (t *Table) Delete(keyVals ...Value) (Row, error) {
 	var a [64]byte
