@@ -69,19 +69,17 @@ type ViewHandle struct {
 	snap *handleSnapshot
 }
 
-// handleSnapshot is the checkpoint of the per-view state besides its
-// cursors (ViewHandle.durable): one copy, allocated by the first
-// Checkpoint and patched by every later one — the view content brought up
-// to date entry by touched entry (ivm.ViewStateSnapshot) — so a
-// checkpoint costs what changed since the previous one, not the view's
-// size. It lives in the handle (the in-memory durability tier, like the
+// handleSnapshot is the checkpoint of a sink besides its cursors
+// (ViewHandle.durable): the WAL position they go with and the namespace.
+// It holds no view content — the cursors fix it, and Recover rebuilds it
+// from the graph (ViewHandle.rebuild) — so a checkpoint copies nothing.
+// It lives in the handle (the in-memory durability tier, like the
 // broker's default checkpoint chain); the shared graph itself is not
 // checkpointed — it survives per-view crashes exactly as the live
 // database does.
 type handleSnapshot struct {
-	lsn   uint64
-	state *ivm.ViewStateSnapshot
-	ns    string
+	lsn uint64
+	ns  string
 }
 
 // deltaLog is the one buffer of an operator's output that view sinks
@@ -342,7 +340,7 @@ func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
 	for i, d := range ds {
 		if d.Coord[pos] > old && d.Coord.covered(h.cursors) {
 			if w := dir * d.W; w > 0 {
-				h.foldDelta(d, w)
+				h.foldDelta(d.Row, w)
 			} else {
 				lo, hi = min(lo, i), i+1
 			}
@@ -350,18 +348,18 @@ func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
 	}
 	for i := lo; i < hi; i++ {
 		if d := ds[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) {
-			h.foldDelta(d, dir*d.W)
+			h.foldDelta(d.Row, dir*d.W)
 		}
 	}
 	clear(h.row)
 }
 
-// foldDelta projects d's row through the SELECT list into the handle's
-// one scratch row and folds it with weight w; the view state only
-// borrows the row.
-func (h *ViewHandle) foldDelta(d Delta, w int64) {
+// foldDelta projects a row of the top operator's output through the
+// SELECT list into the handle's one scratch row and folds it with weight
+// w; the view state only borrows the row.
+func (h *ViewHandle) foldDelta(row storage.Row, w int64) {
 	for j, sc := range h.project {
-		h.row[j] = sc(d.Row)
+		h.row[j] = sc(row)
 	}
 	h.view.AddWeighted(h.row, w)
 }
@@ -384,30 +382,35 @@ func (h *ViewHandle) Refresh() error {
 // ivm.ViewState.Result).
 func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
-// Checkpoint brings the per-view durable state (cursors, view content,
-// WAL position) in memory up to date, rewriting only what changed since
-// the previous checkpoint. The next Graph.Trim drops the logged deltas
-// that every reader's checkpointed cursors now cover — no recovery will
-// fold them again. Everything at or below the captured LSN may be
-// truncated from the WAL afterwards.
+// Checkpoint records the per-view durable state in memory: the cursors
+// and the WAL position. The content is not copied: the cursors fix it,
+// and Recover rebuilds it from the graph. The next Graph.Trim drops the
+// logged deltas that every reader's checkpointed cursors now cover — no
+// recovery will take them back again. Everything at or below the captured
+// LSN may be truncated from the WAL afterwards.
 func (h *ViewHandle) Checkpoint() error {
+	if h.obs == nil {
+		h.checkpoint()
+		return nil
+	}
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
+	h.checkpoint()
+	//lint:ignore nondet measurement of the checkpoint, not part of it
+	h.obs.ObserveCheckpoint(time.Since(start), 0)
+	return nil
+}
+
+func (h *ViewHandle) checkpoint() {
 	if h.snap == nil {
 		h.snap = &handleSnapshot{}
 	}
-	h.snap.state = h.view.Checkpoint()
 	h.snap.ns = h.ns
 	copy(h.durable, h.cursors)
 	h.snap.lsn = 0
 	if h.wal != nil {
 		h.snap.lsn = h.wal.LastLSN()
 	}
-	if h.obs != nil {
-		//lint:ignore nondet measurement of the checkpoint, not part of it
-		h.obs.ObserveCheckpoint(time.Since(start), 0)
-	}
-	return nil
 }
 
 // TipLSN returns the WAL position the last checkpoint covers.
@@ -419,12 +422,11 @@ func (h *ViewHandle) TipLSN() uint64 {
 }
 
 // Recover rebuilds the view from its last checkpoint plus the WAL
-// suffix: restore cursors and content (the rebuilt state adopts the
-// checkpoint copy, so later checkpoints keep patching it), then redo the
-// logged drains over the delta log as it stands — it holds every delta the
-// checkpointed cursors do not cover, and the shared graph survives a
-// per-view crash as the live database does. The WAL and injector stay
-// detached during replay.
+// suffix: rebuild the content at the checkpointed cursors from the graph,
+// then redo the logged drains over the delta log as it stands — it holds
+// every delta the checkpointed cursors do not cover, and the shared graph
+// survives a per-view crash as the live database does. The WAL and
+// injector stay detached during replay.
 func (h *ViewHandle) Recover() error {
 	if h.snap == nil {
 		return fmt.Errorf("dataflow: no checkpoint to recover %q from", h.ns)
@@ -432,11 +434,7 @@ func (h *ViewHandle) Recover() error {
 	if h.snap.ns != h.ns {
 		return fmt.Errorf("dataflow: checkpoint namespace %q, want %q", h.snap.ns, h.ns)
 	}
-	view := ivm.NewViewState(h.plan, h.stats)
-	if err := view.Restore(h.snap.state); err != nil {
-		return err
-	}
-	h.view = view
+	h.rebuild()
 	copy(h.cursors, h.durable)
 	h.from = 0
 	h.skipCovered()
@@ -465,4 +463,33 @@ func (h *ViewHandle) Recover() error {
 	// Replay work is recovery overhead, not maintenance cost.
 	*h.stats = storage.Stats{}
 	return nil
+}
+
+// rebuild replaces the view state with its content at the checkpointed
+// cursors, computed from the graph — the shared graph's recompute. The
+// top operator's present output is its content when it was created plus
+// every delta it has emitted since; its delta log holds every emitted
+// delta some reader's checkpointed cursors do not cover, so every one
+// these cursors do not cover. Folding the present output and taking those
+// deltas back leaves exactly the deltas the checkpointed cursors cover on
+// top of the content at creation: the view at durable. Positive weights
+// fold first, so no entry count dips below zero on the way. It reads the
+// graph, not the live database, which a sharded broker changes before it
+// ingests.
+func (h *ViewHandle) rebuild() {
+	h.view = ivm.NewViewState(h.plan, h.stats)
+	rows := h.top.current()
+	for _, sign := range [2]int64{1, -1} {
+		for _, wr := range rows {
+			if wr.w*sign > 0 {
+				h.foldDelta(wr.row, wr.w)
+			}
+		}
+		for _, d := range h.log.deltas {
+			if -d.W*sign > 0 && !d.Coord.covered(h.durable) {
+				h.foldDelta(d.Row, -d.W)
+			}
+		}
+	}
+	clear(h.row)
 }

@@ -8,15 +8,13 @@ import (
 
 // groupState is one entry of a ViewState, the incrementally maintainable
 // state of one group: a contribution count plus one aggregate state per
-// aggregate item. key is the encoded key values the view holds it under;
-// dirty is ViewState's mark that the entry is listed as touched since the
-// last checkpoint. The view drops an entry when its count reaches zero.
+// aggregate item. key is the encoded key values the view holds it under.
+// The view drops an entry when its count reaches zero.
 type groupState struct {
 	key     string
 	keyVals storage.Row // the group-by values; an SPJ view's whole row
 	count   int64       // joined rows contributing: an SPJ row's multiplicity
 	aggs    []aggState  // empty for an SPJ view
-	dirty   bool
 }
 
 // aggState is the incremental state of one aggregate.

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -20,10 +19,6 @@ import (
 // output through exactly the same state machine — one implementation of
 // the aggregate semantics (including the MIN/MAX multisets), two runtimes
 // on top.
-//
-// A state that has been checkpointed (Checkpoint, Restore) also tracks
-// which of its entries differ from the checkpoint copy, so the next
-// checkpoint costs what changed; one that never was tracks nothing.
 type ViewState struct {
 	isAgg    bool
 	keyCols  int // leading delta-row columns that are the key: all of them for an SPJ view
@@ -42,17 +37,6 @@ type ViewState struct {
 	// index the map with string(keyBuf), which does not allocate, so only a
 	// new entry pays for a key string.
 	keyBuf []byte
-
-	// cp is the checkpoint copy (nil until the first Checkpoint or
-	// Restore). dirty lists the entries folds have touched since cp was
-	// last brought up to date, each once — the entry's dirty flag —
-	// vanished ones included. dropped counts the entries deleted from the
-	// copy since its map was built: a Go map keeps the room deleted keys
-	// took, so Checkpoint builds the map afresh once they outnumber the
-	// entries it holds.
-	cp      *ViewStateSnapshot
-	dirty   []*groupState
-	dropped int
 }
 
 // NewViewState builds the empty fold state for a planned view. stats
@@ -132,10 +116,6 @@ func (v *ViewState) fold(r storage.Row, w int64, borrowed bool) {
 		panic("ivm: retracting more than the view's entry holds")
 	}
 	g.count += w
-	if v.cp != nil && !g.dirty {
-		g.dirty = true
-		v.dirty = append(v.dirty, g)
-	}
 	for i := range g.aggs {
 		arg := r[v.keyCols+i]
 		for n := w; n > 0; n-- {
@@ -248,149 +228,4 @@ func (v *ViewState) Result() []storage.Row {
 		out = append(out, row)
 	}
 	return out
-}
-
-// ViewStateSnapshot is the checkpoint copy of a ViewState: the plain data
-// of every entry under the key the live state holds it under, aggregate
-// states flattened to (sum, sorted multiset) pairs. A dataflow view handle
-// keeps one in memory as its recovery point; it is never encoded.
-// ViewState.Checkpoint creates it and afterwards patches it — only the
-// entries touched since are rewritten or deleted, never the whole copy
-// rebuilt — and ViewState.Restore rebuilds a state from it. Rows are
-// immutable by the package's convention, so the copy aliases them. The
-// aggregate kinds are not stored: they are re-derived from the view's
-// DeltaPlan at restore time. Entries are held by value, so a new one
-// costs its map slot and, for an aggregate view, its Aggs slice.
-type ViewStateSnapshot struct {
-	Groups map[string]GroupSnapshot
-}
-
-// GroupSnapshot is one entry's plain-data state: the key values (an SPJ
-// view's whole row), the contribution count (its multiplicity) and one
-// AggSnapshot per aggregate (none for an SPJ view).
-type GroupSnapshot struct {
-	Key   storage.Row
-	Count int64
-	Aggs  []AggSnapshot
-}
-
-// AggSnapshot is one aggregate's plain-data state: Sum carries
-// SUM/AVG accumulators (a copy sharing no memory with the live one),
-// Multiset the sorted (value, count) pairs of the
-// MIN/MAX B-tree the aggregate owns (empty otherwise: the other kinds, and
-// a MIN or MAX reading the multiset of an earlier aggregate over the same
-// argument, which is stored once, there).
-type AggSnapshot struct {
-	Sum      exec.ExactSum
-	Multiset []ValueCount
-}
-
-// ValueCount is one multiset bucket.
-type ValueCount struct {
-	V storage.Value
-	N int64
-}
-
-// Checkpoint brings the state's checkpoint copy up to date and returns
-// it — the same copy every time. The first call copies every entry;
-// each later one visits only the entries folds have touched since the
-// previous call, so its cost follows the changes, not the view's size.
-func (v *ViewState) Checkpoint() *ViewStateSnapshot {
-	if v.cp == nil {
-		v.cp = &ViewStateSnapshot{Groups: make(map[string]GroupSnapshot, len(v.groups))}
-		for k := range v.groups {
-			v.patch(k)
-		}
-		return v.cp
-	}
-	for _, g := range v.dirty {
-		g.dirty = false
-		v.patch(g.key)
-	}
-	clear(v.dirty)
-	v.dirty = v.dirty[:0]
-	if v.dropped > len(v.cp.Groups) {
-		fresh := make(map[string]GroupSnapshot, len(v.cp.Groups))
-		for k, gs := range v.cp.Groups {
-			fresh[k] = gs
-		}
-		v.cp.Groups, v.dropped = fresh, 0
-	}
-	return v.cp
-}
-
-// patch makes the copy agree with the live state on one key: rewritten
-// where both hold it — into the Aggs slices the copy already has — added
-// where only the state does, deleted where the entry has vanished. What
-// the state holds now decides, not the touched entry — one that vanished
-// and came back is a different entry.
-func (v *ViewState) patch(key string) {
-	g := v.groups[key]
-	if g == nil {
-		delete(v.cp.Groups, key)
-		v.dropped++
-		return
-	}
-	gs := v.cp.Groups[key]
-	g.copyTo(&gs)
-	v.cp.Groups[key] = gs
-}
-
-// copyTo overwrites gs with the entry's plain data, reusing the slices
-// gs already holds. A shared multiset is copied once, under the aggregate
-// that owns it.
-func (g *groupState) copyTo(gs *GroupSnapshot) {
-	gs.Key, gs.Count = g.keyVals, g.count
-	if gs.Aggs == nil {
-		gs.Aggs = make([]AggSnapshot, len(g.aggs))
-	}
-	for i := range g.aggs {
-		as := &gs.Aggs[i]
-		as.Sum.Set(&g.aggs[i].sum)
-		as.Multiset = as.Multiset[:0]
-		if ms := g.aggs[i].multiset; g.aggs[i].owns {
-			if cap(as.Multiset) < ms.Len() {
-				as.Multiset = make([]ValueCount, 0, ms.Len())
-			}
-			ms.Ascend(func(val storage.Value, n int64) bool {
-				as.Multiset = append(as.Multiset, ValueCount{V: val, N: n})
-				return true
-			})
-		}
-	}
-}
-
-// Restore replaces the state with a checkpoint copy's content and adopts
-// snap as the copy later checkpoints patch: the two agree entry for
-// entry afterwards, so nothing is marked touched. The snapshot must come
-// from a view with the same plan shape (key width, aggregate count — an
-// SPJ view's copy has no aggregates and a key as wide as its rows); a
-// mismatch is an error, not a panic, and leaves the state as it was.
-func (v *ViewState) Restore(snap *ViewStateSnapshot) error {
-	groups := make(map[string]*groupState, len(snap.Groups))
-	// Every entry is new to the render order; the next render sorts them.
-	var order keyOrder
-	for k, gs := range snap.Groups {
-		if len(gs.Aggs) != len(v.aggKinds) {
-			//lint:ignore maporder one view's entries share a shape: any of them witnesses the mismatch
-			return fmt.Errorf("ivm: snapshot entry carries %d aggregates, plan has %d", len(gs.Aggs), len(v.aggKinds))
-		}
-		if len(gs.Key) != v.keyCols {
-			//lint:ignore maporder as above
-			return fmt.Errorf("ivm: snapshot entry key width %d, plan has %d", len(gs.Key), v.keyCols)
-		}
-		g := &groupState{key: k, keyVals: gs.Key, count: gs.Count, aggs: newAggStates(v.aggKinds, v.aggSet)}
-		for i := range g.aggs {
-			g.aggs[i].sum.Set(&gs.Aggs[i].Sum)
-			if g.aggs[i].owns {
-				for _, vc := range gs.Aggs[i].Multiset {
-					g.aggs[i].multiset.Set(vc.V, vc.N)
-				}
-			}
-		}
-		groups[k] = g
-		order.created(g)
-	}
-	v.groups, v.order, v.cp, v.dirty, v.dropped = groups, order, snap, nil, 0
-	return nil
 }

@@ -1,12 +1,8 @@
 package ivm
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -14,14 +10,10 @@ import (
 	"abivm/internal/testenv"
 )
 
-// The patched-checkpoint property: however folds and checkpoints
-// interleave, the copy Checkpoint patches is the copy a full rebuild
-// would produce, and a state restored from it is the live state.
-
-// foldView is one view of the property test: its definition and the
-// generator of its delta rows (group columns, then one argument per
+// foldView is one view of the fold property tests: its definition and
+// the generator of its delta rows (group columns, then one argument per
 // aggregate). The domains are small, so rows and whole groups vanish and
-// come back inside a checkpoint interval all the time.
+// come back between two renders all the time.
 type foldView struct {
 	name  string
 	query string
@@ -46,118 +38,12 @@ var foldViews = []foldView{
 	}},
 }
 
-// fullCopy builds the checkpoint copy of v from nothing, by walking all
-// of it.
-func fullCopy(v *ViewState) *ViewStateSnapshot {
-	snap := &ViewStateSnapshot{Groups: map[string]GroupSnapshot{}}
-	for k, g := range v.groups {
-		var gs GroupSnapshot
-		g.copyTo(&gs)
-		snap.Groups[k] = gs
-	}
-	return snap
-}
-
-// diffSnapshots compares two copies entry for entry and describes the
-// first difference, or returns "".
-func diffSnapshots(got, want *ViewStateSnapshot) string {
-	if len(got.Groups) != len(want.Groups) {
-		return fmt.Sprintf("%d entries, want %d", len(got.Groups), len(want.Groups))
-	}
-	for k, w := range want.Groups {
-		g, ok := got.Groups[k]
-		if !ok || g.Count != w.Count || !g.Key.SameKey(w.Key) || len(g.Aggs) != len(w.Aggs) {
-			return fmt.Sprintf("entry %q: %+v, want %+v", k, g, w)
-		}
-		for i := range w.Aggs {
-			ga, wa := g.Aggs[i], w.Aggs[i]
-			// The copy must render the accumulator's very bits.
-			if math.Float64bits(ga.Sum.Float64()) != math.Float64bits(wa.Sum.Float64()) || len(ga.Multiset) != len(wa.Multiset) {
-				return fmt.Sprintf("entry %q aggregate %d: %+v, want %+v", k, i, ga, wa)
-			}
-			for j := range wa.Multiset {
-				if ga.Multiset[j].N != wa.Multiset[j].N || storage.Compare(ga.Multiset[j].V, wa.Multiset[j].V) != 0 {
-					return fmt.Sprintf("entry %q aggregate %d multiset: %+v, want %+v", k, i, ga.Multiset, wa.Multiset)
-				}
-			}
-		}
-	}
-	return ""
-}
-
-func TestPatchedSnapshotEqualsFullCopy(t *testing.T) {
-	for _, fv := range foldViews {
-		fv := fv
-		t.Run(fv.name, func(t *testing.T) {
-			p, err := PlanView(fv.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := int64(1); seed <= 40; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				v := NewViewState(p, nil)
-				var present []storage.Row // the folded delta rows, one element per unit of weight
-				checkpoints := 0
-				for op := 0; op < 300; op++ {
-					switch {
-					case len(present) > 0 && rng.Intn(5) < 2:
-						// Retract a present row, sometimes every copy of it at once.
-						row := present[rng.Intn(len(present))]
-						all := rng.Intn(2) == 0
-						w := int64(0)
-						kept := present[:0]
-						for _, r := range present {
-							if r.SameKey(row) && (all || w == 0) {
-								w--
-								continue
-							}
-							kept = append(kept, r)
-						}
-						present = kept
-						v.AddWeighted(row, w)
-					default:
-						row := fv.row(rng)
-						w := int64(1 + rng.Intn(2))
-						for i := int64(0); i < w; i++ {
-							present = append(present, row)
-						}
-						v.AddWeighted(row, w)
-					}
-					if rng.Intn(7) > 0 {
-						continue
-					}
-					checkpoints++
-					want := v.Result()
-					snap := v.Checkpoint()
-					if d := diffSnapshots(snap, fullCopy(v)); d != "" {
-						t.Fatalf("seed %d op %d: patched copy differs from a full copy: %s", seed, op, d)
-					}
-					restored := NewViewState(p, nil)
-					if err := restored.Restore(snap); err != nil {
-						t.Fatalf("seed %d op %d: %v", seed, op, err)
-					}
-					if got := restored.Result(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d op %d: restored state renders\n%v\nlive state rendered\n%v", seed, op, got, want)
-					}
-					// A crash here recovers into the restored state, which
-					// must go on patching the copy it was rebuilt from.
-					if rng.Intn(3) == 0 {
-						v = restored
-					}
-				}
-				if checkpoints == 0 {
-					t.Fatalf("seed %d: stream took no checkpoint", seed)
-				}
-			}
-		})
-	}
-}
-
 // TestSPJFoldsAsGroupByEveryColumn: an SPJ view is GROUP BY on all of its
 // columns with COUNT(*) rendered by expansion. The same signed stream is
 // folded into the SPJ plan and into the plan rewritten that way, and after
-// every fold, checkpoint and restore the SPJ view's Result is the grouped
-// view's with each row repeated COUNT(*) times. Both are charged the same
+// every fold — and after both states are replaced by fresh ones folded
+// from the rows they hold — the SPJ view's Result is the grouped view's
+// with each row repeated COUNT(*) times. Both are charged the same
 // unit folds; only the one with an aggregate is charged aggregate updates.
 func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
 	spj, err := PlanView(`SELECT t.a, t.b FROM t`)
@@ -207,15 +93,12 @@ func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
 			if rng.Intn(7) > 0 {
 				continue
 			}
-			vSnap, gSnap := v.Checkpoint(), g.Checkpoint()
-			check(op, "checkpoint")
-			if rng.Intn(2) == 0 {
-				v, g = NewViewState(spj, &vStats), NewViewState(grouped, &gStats)
-				if err := errors.Join(v.Restore(vSnap), g.Restore(gSnap)); err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, op, err)
-				}
-				check(op, "restore")
+			v, g = NewViewState(spj, &vStats), NewViewState(grouped, &gStats)
+			for _, r := range present {
+				v.AddWeighted(r, 1)
+				g.AddWeighted(append(r.Clone(), storage.I(1)), 1)
 			}
+			check(op, "refold")
 		}
 		if vStats.RowsMaterial != gStats.RowsMaterial || vStats.AggUpdates != 0 || gStats.AggUpdates != gStats.RowsMaterial {
 			t.Fatalf("seed %d: SPJ view charged %d folds and %d aggregate updates, grouped view %d and %d",
@@ -224,48 +107,8 @@ func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignSnapshot: a copy of another view's shape is an
-// error and leaves the state untouched — an SPJ view's into an aggregate
-// view and back (the aggregate counts differ), and between an SPJ view and
-// a GROUP BY without aggregates, which only the key width tells apart.
-func TestRestoreRejectsForeignSnapshot(t *testing.T) {
-	shapes := []foldView{foldViews[0], foldViews[1],
-		{"distinct", `SELECT t.g FROM t GROUP BY t.g`, func(r *rand.Rand) storage.Row {
-			return storage.Row{storage.I(int64(r.Intn(3)))}
-		}}}
-	rng := rand.New(rand.NewSource(1))
-	states := make([]*ViewState, len(shapes))
-	for i, fv := range shapes {
-		p, err := PlanView(fv.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states[i] = NewViewState(p, nil)
-		for n := 0; n < 20; n++ {
-			states[i].AddWeighted(fv.row(rng), 1)
-		}
-	}
-	for i, into := range states {
-		want := into.Result()
-		for j, from := range states {
-			if i == j {
-				continue
-			}
-			if err := into.Restore(from.Checkpoint()); err == nil {
-				t.Fatalf("view %s restored view %s's copy", shapes[i].name, shapes[j].name)
-			}
-			if got := into.Result(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("failed restore of %s's copy changed %s: %v, want %v", shapes[j].name, shapes[i].name, got, want)
-			}
-		}
-		if err := into.Restore(into.Checkpoint()); err != nil {
-			t.Fatalf("view %s refused its own copy: %v", shapes[i].name, err)
-		}
-	}
-}
-
 // TestFoldIntoExistingEntryAllocs: a fold that lands in an entry the
-// state already holds allocates nothing, checkpointed or not.
+// state already holds allocates nothing.
 func TestFoldIntoExistingEntryAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	for _, fv := range foldViews[:3] {
@@ -280,81 +123,13 @@ func TestFoldIntoExistingEntryAllocs(t *testing.T) {
 			rows[i] = fv.row(rng)
 			v.AddWeighted(rows[i], 2)
 		}
-		v.Checkpoint()
 		if n := testing.AllocsPerRun(20, func() {
 			for _, r := range rows {
 				v.AddWeighted(r, 1)
 				v.AddWeighted(r, -1)
 			}
-			v.Checkpoint()
 		}); n != 0 {
-			t.Errorf("%s: %v allocations folding into existing entries and checkpointing them, want 0", fv.name, n)
-		}
-	}
-}
-
-// TestCheckpointOfExistingEntriesAllocs: a checkpoint that rewrites only
-// entries its copy already holds allocates nothing — the copy holds them
-// by value and rewrites each into the slices it has. Neither does one
-// that puts back into an SPJ view's copy a few entries a previous
-// checkpoint deleted: an SPJ entry has no aggregates, and the map has
-// room where they were.
-func TestCheckpointOfExistingEntriesAllocs(t *testing.T) {
-	testenv.NeedsAllocCounts(t)
-	mallocs := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	for _, fv := range foldViews[:3] {
-		p, err := PlanView(fv.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(4))
-		rows := make([]storage.Row, 64)
-		v := NewViewState(p, &storage.Stats{})
-		for i := range rows {
-			rows[i] = fv.row(rng)
-			v.AddWeighted(rows[i], 2)
-		}
-		v.Checkpoint()
-		for round := 0; round < 3; round++ {
-			for _, r := range rows {
-				v.AddWeighted(r, 1)
-			}
-			if n := mallocs(func() { v.Checkpoint() }); n != 0 {
-				t.Errorf("%s: a checkpoint of touched existing entries allocated %d times, want 0", fv.name, n)
-			}
-		}
-		if p.Aggregate {
-			continue
-		}
-		// Three entries vanish, are checkpointed away and come back.
-		entries := len(v.cp.Groups)
-		var back []storage.Row // three distinct rows
-		for _, r := range rows {
-			if len(back) < 3 && !slices.ContainsFunc(back, r.SameKey) {
-				back = append(back, r)
-			}
-		}
-		for _, r := range back {
-			for _, o := range rows {
-				if o.SameKey(r) {
-					v.AddWeighted(o, -2-3)
-				}
-			}
-		}
-		if v.Checkpoint(); len(v.cp.Groups) != entries-len(back) {
-			t.Fatalf("%s: %d entries left in the copy, want %d", fv.name, len(v.cp.Groups), entries-len(back))
-		}
-		for _, r := range back {
-			v.AddWeighted(r, 1)
-		}
-		if n := mallocs(func() { v.Checkpoint() }); n != 0 {
-			t.Errorf("%s: a checkpoint putting back %d dropped entries allocated %d times, want 0", fv.name, len(back), n)
+			t.Errorf("%s: %v allocations folding into existing entries, want 0", fv.name, n)
 		}
 	}
 }

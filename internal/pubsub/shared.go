@@ -12,12 +12,13 @@ import (
 // sharedEngine is the shared-dataflow engine: the view's sink on the
 // broker's operator graph plus its redo log. The graph holds the
 // modifications — its ingest logs are the one record of every arrival —
-// and does the join work once for all views; the sink holds the per-view
-// cursors, the deltas propagated to it and the folded content, and
-// checkpoints cursors and content in memory. The redo log holds what a
-// recovery replays: drains. The graph itself is not part of a view's
-// recovery point — it survives a per-view crash the way the live
-// database does.
+// and does the join work once for all views, its operators logging the
+// deltas they emit; the sink holds the per-view cursors and the folded
+// content, and checkpoints its cursors alone in memory. The redo log
+// holds what a recovery replays: drains. The graph itself is not part of
+// a view's recovery point — it survives a per-view crash the way the live
+// database does — and a recovery rebuilds the content at the
+// checkpointed cursors from it.
 type sharedEngine struct {
 	*dataflow.ViewHandle
 	g *dataflow.Graph
@@ -54,9 +55,10 @@ func (e *sharedEngine) Checkpoint() error {
 	return nil
 }
 
-// Recover rebuilds the sink from its snapshot plus WAL; the deltas the
-// replayed drains fold are still in the sink's inbox, so the redo is
-// always exact.
+// Recover rebuilds the sink's content at its checkpointed cursors from
+// the graph, then replays the WAL's drains; the deltas they fold are
+// still in the top operator's delta log, which keeps every delta a
+// reader's checkpoint does not cover, so the redo is always exact.
 func (e *sharedEngine) Recover() (bool, error) { return false, e.ViewHandle.Recover() }
 
 func (e *sharedEngine) Sync() error                 { return nil }

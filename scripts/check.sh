@@ -3,8 +3,9 @@
 # abivmlint analyzers: zero live findings and no stale lint:ignore
 # waivers), race-enabled tests (the analyzers' fixture tests among
 # them), the allocation-count tests without the race detector, the
-# committed RESULTS.txt, examples/*/expected.txt and
-# examples/views.dataflow.txt against what the code prints, and the
+# committed RESULTS.txt, examples/*/expected.txt,
+# examples/views.dataflow.txt and the chaos transcripts under
+# cmd/abivm/testdata/chaos against what the code prints, and the
 # nested benchmark module; its last lines are the tracked line counts
 # (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
@@ -45,6 +46,9 @@ make results-check
 
 echo "==> the examples print their expected.txt and compiled plans"
 make examples-check
+
+echo "==> the seeded chaos sweeps print their committed transcripts"
+make chaos-check
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or

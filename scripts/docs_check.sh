@@ -16,6 +16,10 @@
 #      new one an operator cannot look up. A call whose first argument
 #      is not a string literal fails too: its name could be anything, so
 #      neither the catalogue nor this check could see it.
+#   4. Every backticked `Test...` name in DESIGN.md, EXPERIMENTS.md,
+#      OPERATIONS.md, README.md or ARCHITECTURE.md must be declared by a
+#      `func Test...(` in some _test.go file — a doc citing a deleted or
+#      renamed test as coverage fails the check.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -89,8 +93,30 @@ for name in $registered; do
 	fi
 done
 
+# Direction 4: cited tests must exist. A citation is a backtick followed
+# by a Test name (a subtest path after it, `TestX/case`, names TestX); a
+# trailing `*` (`TestX*`) names a family, which some test must start.
+declared=$(grep -rhoE 'func Test[A-Za-z0-9_]+\(' --include='*_test.go' \
+	--exclude-dir=.git --exclude-dir=.bench_build . |
+	sed -E 's/^func //; s/\($//' | sort -u)
+for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
+	[ -f "$doc" ] || continue
+	set -f # a family's `*` is a pattern for grep, not for the shell
+	for name in $(grep -oE '`Test[A-Za-z0-9_]+\*?' "$doc" | tr -d '`' | sort -u); do
+		case "$name" in
+		*'*') pattern="^${name%'*'}" ;;
+		*) pattern="^$name\$" ;;
+		esac
+		if ! printf '%s\n' "$declared" | grep -q "$pattern"; then
+			echo "docs-check: $doc cites $name, which no _test.go declares"
+			fail=1
+		fi
+	done
+	set +f
+done
+
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests that exist"
 	exit 1
 fi
 echo "docs-check: OK"
