@@ -3,7 +3,7 @@ GO ?= go
 # retry loop, stuck worker pool) fails the run instead of wedging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: build test race lint lint-json vet verify results-check examples-check chaos-check fuzz-smoke chaos bench bench-quick bench-pairs serve-smoke compile-smoke docs-check loc
+.PHONY: build test race lint lint-json vet verify results-check examples-check chaos-check fuzz-smoke chaos bench-pairs serve-smoke compile-smoke docs-check loc
 
 build:
 	$(GO) build ./...
@@ -81,15 +81,6 @@ chaos:
 	$(GO) run ./cmd/abivm chaos -seed 1 -runs 50
 	$(GO) run ./cmd/abivm chaos -seed 1 -runs 50 -checkpoint 0
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestChaos' ./internal/fault/
-
-# bench records a full benchmark run into BENCH_<date>.json; set
-# LABEL=name to tag it (e.g. LABEL=optimized).
-bench:
-	sh scripts/bench.sh -label "$(or $(LABEL),local)"
-
-# bench-quick is the CI smoke: one iteration of the headline benches.
-bench-quick:
-	sh scripts/bench.sh -quick -label quick
 
 # bench-pairs runs the wall-clock protocol of a perf PR: alternating
 # parent/change runs of one benchmark/ workload, medians and spreads per

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	abivm [flags] fig1|fig4|fig5|fig6|fig7|tight|all
+//	abivm [flags] fig1|fig4|fig5|fig6|fig7|tight|concave|staged|policies|ablations|all
 //
 // Flags:
 //
@@ -31,7 +31,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: abivm [flags] fig1|fig4|fig5|fig6|fig7|tight|concave|staged|policies|all\n")
+		fmt.Fprintf(os.Stderr, "usage: abivm [flags] fig1|fig4|fig5|fig6|fig7|tight|concave|staged|policies|ablations|all\n")
 		fmt.Fprintf(os.Stderr, "       abivm explain [query]\n")
 		fmt.Fprintf(os.Stderr, "       abivm sim [-costs a:b,..] [-rates r,..] [-C x] [-T n]\n")
 		fmt.Fprintf(os.Stderr, "       abivm chaos [-seed n] [-runs k] [-steps t]\n")
@@ -82,15 +82,16 @@ func main() {
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Workers: *workers, Context: ctx}
 
 	runners := map[string]func(experiments.Config) (*experiments.Table, error){
-		"fig1":     experiments.Fig1Table,
-		"fig4":     experiments.Fig4Table,
-		"fig5":     experiments.Fig5Table,
-		"fig6":     experiments.Fig6Table,
-		"fig7":     experiments.Fig7Table,
-		"tight":    experiments.TightnessTable,
-		"concave":  experiments.ConcaveStudyTable,
-		"staged":   experiments.StagedTable,
-		"policies": experiments.PoliciesTable,
+		"fig1":      experiments.Fig1Table,
+		"fig4":      experiments.Fig4Table,
+		"fig5":      experiments.Fig5Table,
+		"fig6":      experiments.Fig6Table,
+		"fig7":      experiments.Fig7Table,
+		"tight":     experiments.TightnessTable,
+		"concave":   experiments.ConcaveStudyTable,
+		"staged":    experiments.StagedTable,
+		"policies":  experiments.PoliciesTable,
+		"ablations": experiments.AblationsTable,
 	}
 	cmd := flag.Arg(0)
 	if cmd == "all" {

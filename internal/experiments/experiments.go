@@ -8,6 +8,7 @@
 //	Fig. 6 — total cost vs refresh time for NAIVE/OPT-LGM/ADAPT/ONLINE
 //	Fig. 7 — non-uniform arrival streams (SS/SU/FS/FU)
 //	Tightness — OPT_LGM / OPT approaching 2 on the step-cost instance
+//	Ablations — the design choices of DESIGN.md §4, in counted work
 //
 // Absolute numbers are pseudo-milliseconds of engine work units, not the
 // paper's wall-clock seconds; the comparisons the paper draws (who wins,
@@ -165,6 +166,7 @@ func All(cfg Config, w io.Writer) error {
 		{"concave", ConcaveStudyTable},
 		{"staged", StagedTable},
 		{"policies", PoliciesTable},
+		{"ablations", AblationsTable},
 	}
 	for _, r := range runs {
 		tbl, err := r.run(cfg)

@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"abivm/internal/obs"
 )
 
 func quickCfg() Config {
@@ -99,6 +102,28 @@ func TestFig6Ordering(t *testing.T) {
 	}
 	if onlineMSum >= naiveSum {
 		t.Errorf("ONLINE-M (%g) not better than NAIVE (%g)", onlineMSum, naiveSum)
+	}
+}
+
+// TestFig6ObservedMatchesDetached runs the Figure 6 sweep with a metrics
+// registry attached: the instruments record the sweep's searches and
+// leave its results as they are without them.
+func TestFig6ObservedMatchesDetached(t *testing.T) {
+	detached, err := Fig6(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.Obs = obs.NewRegistry()
+	observed, err := Fig6(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(observed, detached) {
+		t.Errorf("observed sweep %+v differs from detached %+v", observed, detached)
+	}
+	if n := cfg.Obs.Counter("astar_searches_total").Value(); n == 0 {
+		t.Error("the attached registry recorded no search")
 	}
 }
 
@@ -245,7 +270,7 @@ func TestAllRendersEveryExperiment(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"Figure 1", "Figure 4", "Figure 5", "Figure 6", "Figure 7",
-		"tightness", "concave", "staged",
+		"tightness", "concave", "staged", "ablations",
 	} {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(want)) {
 			t.Errorf("All output missing %q", want)

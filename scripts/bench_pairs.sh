@@ -4,9 +4,10 @@
 # clock performance. One run of each side per pair, the order flipped from
 # pair to pair so drift of the machine lands on both sides alike; then,
 # per end-to-end metric, the two medians, the two spreads (interquartile
-# range) and in how many pairs the change was the better one. A claim
-# holds when the change wins at least nine pairs of ten and its median is
-# better by more than the parent's spread.
+# range), in how many pairs the change was the better one, and the status
+# `benchmark/run.sh compare` gives the two sides against the metric's
+# BENCHMARK.json bound. A claim holds when the change wins at least nine
+# pairs of ten and its median is better by more than the parent's spread.
 #
 # Usage: scripts/bench_pairs.sh <parent-rev> [-workload W] [-pairs N] [-seed N]
 #
@@ -25,8 +26,14 @@
 # The change side is the working tree as it stands, uncommitted edits
 # included. Every run is `benchmark/run.sh --workload W --seed N`, so both
 # sides see the same input; a content hash or failure count that differs
-# between any two runs fails the script. Reads benchmark/ and
-# BENCHMARK.json, writes only under .bench_build/.
+# between any two runs fails the script. What the tables print is also
+# written, as the record a PR commits, to
+# BENCH_<utc-date>-<workload>-seed<N>.json in the repository root: the
+# environment (nproc, GOMAXPROCS, Go version, parent and change commits,
+# whether the tree was dirty), and per workload and end-to-end metric each
+# side's median and quartiles, the pair wins, the bound and the status.
+# Reads benchmark/ and BENCHMARK.json, writes that record and, besides it,
+# only under .bench_build/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +62,10 @@ while [ $# -gt 0 ]; do
 done
 
 sha=$(git rev-parse --verify "$rev^{commit}")
+change=$(git rev-parse HEAD)
+dirty=false
+[ -z "$(git status --porcelain)" ] || dirty=true
+record=BENCH_$(date -u +%Y-%m-%d)-$workload-seed$seed.json
 parent=$root/.bench_build/pairs/src-$sha
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
@@ -101,10 +112,28 @@ measure() {
 		exit 1
 	fi
 
+	# Each side's runs as one record of `benchmark compare`: the JSON line
+	# each run ends with, tagged with its workload. compare exits 1 when a
+	# row regressed; its rows are read below either way.
+	for side in parent change; do
+		{
+			printf '{"runs":['
+			sep=
+			for f in "$out/$side"-*.txt; do
+				printf '%s' "$sep"
+				sep=,
+				tail -n 1 "$f" | sed "s/^{/{\"workload\":\"$workload\",/"
+			done
+			echo ']}'
+		} >"$out/$side.json"
+	done
+	bash benchmark/run.sh compare "$out/parent.json" "$out/change.json" >"$out/compare.txt" || [ $? -eq 1 ]
+
 	echo "== $workload seed=$seed: $pairs alternating pairs, parent $(git rev-parse --short "$sha") vs working tree"
 	# The report's metric lines are "   name   value unit  (raw ...)"; the
-	# direction of each metric comes from BENCHMARK.json.
-	awk -v pairs="$pairs" -v dir="$out" '
+	# direction and bound of each metric come from BENCHMARK.json, the
+	# status from compare's row for (workload, metric).
+	awk -v pairs="$pairs" -v dir="$out" -v workload="$workload" '
 function sorted(src, n, dst,    a, b, t) {
 	for (a = 1; a <= n; a++) dst[a] = src[a]
 	for (a = 2; a <= n; a++)
@@ -115,9 +144,17 @@ function quantile(s, n, q,    pos, lo) {
 	if (lo >= n) return s[n]
 	return s[lo] + (pos - lo) * (s[lo+1] - s[lo])
 }
+function quartiles(s, n) {
+	return sprintf("{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", quantile(s, n, 0.5), quantile(s, n, 0.25), quantile(s, n, 0.75))
+}
 FILENAME == "BENCHMARK.json" {
 	if ($1 == "\"name\":") { gsub(/[",]/, "", $2); name = $2 }
 	if ($1 == "\"better\":") { gsub(/[",]/, "", $2); better[name] = $2 }
+	if ($1 == "\"bound\":") { gsub(/[",]/, "", $2); bound[name] = $2 }
+	next
+}
+FILENAME ~ /compare\.txt$/ {
+	if ($1 == workload) status[$2] = $NF
 	next
 }
 /^   [a-z0-9_]+ +[-0-9.]+ / {
@@ -127,7 +164,9 @@ FILENAME == "BENCHMARK.json" {
 	val[side, $1, pair + 0] = $2 + 0
 }
 END {
-	printf "%-20s %14s %14s %8s %12s %12s %6s  %s\n", "metric", "parent median", "change median", "delta", "parent iqr", "change iqr", "wins", "unit"
+	printf "%-20s %14s %14s %8s %12s %12s %6s  %-7s %s\n", "metric", "parent median", "change median", "delta", "parent iqr", "change iqr", "wins", "unit", "status"
+	frag = dir "/record.json"
+	printf "{\"workload\": \"%s\", \"metrics\": [", workload > frag
 	for (m = 1; m <= metrics; m++) {
 		name = order[m]; wins = 0
 		for (p = 1; p <= pairs; p++) {
@@ -136,13 +175,36 @@ END {
 		}
 		sorted(a, pairs, sa); sorted(b, pairs, sb)
 		ma = quantile(sa, pairs, 0.5); mb = quantile(sb, pairs, 0.5)
-		printf "%-20s %14.4f %14.4f %+7.1f%% %12.4f %12.4f %3d/%-2d  %s\n", name, ma, mb, (ma ? 100 * (mb - ma) / ma : 0),
-			quantile(sa, pairs, 0.75) - quantile(sa, pairs, 0.25), quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25), wins, pairs, unit[name]
+		st = status[name]
+		printf "%-20s %14.4f %14.4f %+7.1f%% %12.4f %12.4f %3d/%-2d  %-7s %s\n", name, ma, mb, (ma ? 100 * (mb - ma) / ma : 0),
+			quantile(sa, pairs, 0.75) - quantile(sa, pairs, 0.25), quantile(sb, pairs, 0.75) - quantile(sb, pairs, 0.25), wins, pairs, unit[name], st
+		printf "%s\n  {\"metric\": \"%s\", \"unit\": \"%s\", \"better\": \"%s\", \"bound\": %s, \"parent\": %s, \"change\": %s, \"wins\": %d, \"status\": \"%s\"}",
+			(m > 1 ? "," : ""), name, unit[name], better[name], bound[name], quartiles(sa, pairs), quartiles(sb, pairs), wins, st > frag
 	}
-}' BENCHMARK.json "$out"/parent-*.txt "$out"/change-*.txt
+	print "]}" > frag
+}' BENCHMARK.json "$out/compare.txt" "$out"/parent-*.txt "$out"/change-*.txt
 	echo "reports kept in ${out#"$root"/}/"
 }
 
 for workload in $workloads; do
 	measure
 done
+
+# The record: the environment the change side ran in (its report's first
+# line), then one entry per workload.
+env_line=$(head -n 1 "$out/change-1.txt")
+field() { printf '%s\n' "$env_line" | sed -n "s/.*$1=\([^ ]*\).*/\1/p"; }
+{
+	printf '{\n"env": {"nproc": %s, "gomaxprocs": %s, "go_version": "%s", "parent": "%s", "change": "%s", "dirty": %s},\n' \
+		"$(field nproc)" "$(field GOMAXPROCS)" "$(field go)" "$sha" "$change" "$dirty"
+	printf '"seed": %s,\n"pairs": %s,\n"workloads": [\n' "$seed" "$pairs"
+	sep=
+	for workload in $workloads; do
+		printf '%s' "$sep"
+		sep=,
+		cat "$root/.bench_build/pairs/$workload/record.json"
+	done
+	echo ']'
+	echo '}'
+} >"$record"
+echo "wrote $record"

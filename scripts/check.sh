@@ -2,12 +2,12 @@
 # Full verification gate: gofmt, vet, build, domain lint (the three
 # abivmlint analyzers: zero live findings and no stale lint:ignore
 # waivers), race-enabled tests (the analyzers' fixture tests among
-# them), the allocation-count tests without the race detector, the
-# committed RESULTS.txt, examples/*/expected.txt,
-# examples/views.dataflow.txt and the chaos transcripts under
-# cmd/abivm/testdata/chaos against what the code prints, and the
-# nested benchmark module; its last lines are the tracked line counts
-# (scripts/loc.sh).
+# them), the allocation-count tests without the race detector, one
+# iteration of every in-package benchmark, the committed RESULTS.txt,
+# examples/*/expected.txt, examples/views.dataflow.txt and the chaos
+# transcripts under cmd/abivm/testdata/chaos against what the code
+# prints, and the nested benchmark module; its last lines are the
+# tracked line counts (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
 # every Fuzz* target for 10s), which is kept out of this script so the
@@ -40,6 +40,11 @@ go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 # internal/testenv), so the packages that have them run once more without.
 echo "==> go test (allocation counts, no race detector)"
 go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy ./internal/plan
+
+# The in-package benchmarks run once each, so a change that breaks their
+# set-up fails here and not when they are next measured.
+echo "==> go test -bench (one iteration each)"
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "==> RESULTS.txt is what the engine prints"
 make results-check

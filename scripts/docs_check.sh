@@ -16,10 +16,13 @@
 #      new one an operator cannot look up. A call whose first argument
 #      is not a string literal fails too: its name could be anything, so
 #      neither the catalogue nor this check could see it.
-#   4. Every backticked `Test...` name in DESIGN.md, EXPERIMENTS.md,
-#      OPERATIONS.md, README.md or ARCHITECTURE.md must be declared by a
-#      `func Test...(` in some _test.go file — a doc citing a deleted or
-#      renamed test as coverage fails the check.
+#   4. Every backticked `Test...` or `Benchmark...` name in DESIGN.md,
+#      EXPERIMENTS.md, OPERATIONS.md, README.md or ARCHITECTURE.md must
+#      be declared by a `func Test...(` or `func Benchmark...(` in some
+#      _test.go file — a doc citing a deleted or renamed test as coverage,
+#      or a deleted benchmark as a measurement, fails the check. And
+#      EXPERIMENTS.md quotes no "representative run": its numbers come
+#      from RESULTS.txt or a committed record.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -93,16 +96,17 @@ for name in $registered; do
 	fi
 done
 
-# Direction 4: cited tests must exist. A citation is a backtick followed
-# by a Test name (a subtest path after it, `TestX/case`, names TestX); a
-# trailing `*` (`TestX*`) names a family, which some test must start.
-declared=$(grep -rhoE 'func Test[A-Za-z0-9_]+\(' --include='*_test.go' \
+# Direction 4: cited tests and benchmarks must exist. A citation is a
+# backtick followed by a Test or Benchmark name (a subtest path after it,
+# `TestX/case`, names TestX); a trailing `*` (`TestX*`) names a family,
+# which some declared name must start.
+declared=$(grep -rhoE 'func (Test|Benchmark)[A-Za-z0-9_]+\(' --include='*_test.go' \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	sed -E 's/^func //; s/\($//' | sort -u)
 for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
 	[ -f "$doc" ] || continue
 	set -f # a family's `*` is a pattern for grep, not for the shell
-	for name in $(grep -oE '`Test[A-Za-z0-9_]+\*?' "$doc" | tr -d '`' | sort -u); do
+	for name in $(grep -oE '`(Test|Benchmark)[A-Za-z0-9_]+\*?' "$doc" | tr -d '`' | sort -u); do
 		case "$name" in
 		*'*') pattern="^${name%'*'}" ;;
 		*) pattern="^$name\$" ;;
@@ -114,9 +118,13 @@ for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
 	done
 	set +f
 done
+if grep -n 'representative run' EXPERIMENTS.md; then
+	echo "docs-check: EXPERIMENTS.md quotes a representative run; cite RESULTS.txt or a committed BENCH_*.json record"
+	fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests that exist"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests and benchmarks that exist"
 	exit 1
 fi
 echo "docs-check: OK"
