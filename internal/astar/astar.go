@@ -61,9 +61,6 @@ type Options struct {
 	// quantifies how much plan quality Definition 3 trades for its much
 	// smaller search space.
 	AllowNonMinimal bool
-	// Metrics, when non-nil, accumulates search statistics (node counts,
-	// open-heap peak, heuristic tightness) into an obs registry.
-	Metrics *Metrics
 }
 
 // Result carries the optimal LGM plan and search statistics.
@@ -435,7 +432,6 @@ func (s *searcher) run() (*Result, error) {
 	*src = pqItem{t: -1, state: s.getVec(), key: nodeKey{t: -1}}
 	src.h = s.h(src.t, src.state)
 	src.d = src.h
-	rootH := src.h
 	s.items[src.key] = src
 	heap.Push(&s.open, src)
 
@@ -458,7 +454,6 @@ func (s *searcher) run() (*Result, error) {
 		if it.key == destKey {
 			res.Cost = it.g
 			res.Plan = s.reconstruct(destKey)
-			s.opts.Metrics.observeSearch(res, rootH, res.HeapPeak)
 			return res, nil
 		}
 		s.expand(it, res)

@@ -1,11 +1,11 @@
-// Package btree implements an in-memory B-tree ordered map. The storage
-// engine uses it for ordered secondary indexes and the IVM engine for the
-// auxiliary value multisets that make MIN/MAX maintainable under deletes.
+// Package btree implements an in-memory B-tree ordered map. The IVM
+// engine uses it for the auxiliary value multisets that make MIN/MAX
+// maintainable under deletes.
 //
 // The tree is generic over the key type with an explicit comparison
-// function, holds one value per key, and supports point operations,
-// ordered iteration, and range scans. It is not safe for concurrent use;
-// the engine serializes access (single-writer semantics).
+// function, holds one value per key, and supports point operations and
+// ordered iteration. It is not safe for concurrent use; the engine
+// serializes access (single-writer semantics).
 package btree
 
 // degree is the minimum number of children of an internal node (except
@@ -348,63 +348,6 @@ func (m *Map[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 	}
 	if !n.leaf() {
 		return m.ascend(n.children[len(n.children)-1], fn)
-	}
-	return true
-}
-
-// AscendFrom visits entries with key >= lo in ascending order until fn
-// returns false.
-func (m *Map[K, V]) AscendFrom(lo K, fn func(key K, val V) bool) {
-	m.ascendFrom(m.root, lo, fn)
-}
-
-func (m *Map[K, V]) ascendFrom(n *node[K, V], lo K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	start, _ := m.find(n, lo)
-	for i := start; i < len(n.items); i++ {
-		if !n.leaf() {
-			if !m.ascendFrom(n.children[i], lo, fn) {
-				return false
-			}
-		}
-		if !fn(n.items[i].key, n.items[i].val) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return m.ascendFrom(n.children[len(n.children)-1], lo, fn)
-	}
-	return true
-}
-
-// AscendRange visits entries with lo <= key < hi in ascending order until
-// fn returns false.
-func (m *Map[K, V]) AscendRange(lo, hi K, fn func(key K, val V) bool) {
-	m.ascendRange(m.root, lo, hi, fn)
-}
-
-func (m *Map[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	start, _ := m.find(n, lo)
-	for i := start; i < len(n.items); i++ {
-		if !n.leaf() {
-			if !m.ascendRange(n.children[i], lo, hi, fn) {
-				return false
-			}
-		}
-		if m.cmp(n.items[i].key, hi) >= 0 {
-			return false
-		}
-		if !fn(n.items[i].key, n.items[i].val) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return m.ascendRange(n.children[len(n.children)-1], lo, hi, fn)
 	}
 	return true
 }

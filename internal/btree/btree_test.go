@@ -94,30 +94,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	m := New[int, int](intCmp)
-	for i := 0; i < 200; i += 2 { // even keys only
-		m.Set(i, i)
-	}
-	var got []int
-	m.AscendRange(31, 61, func(k, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	var want []int
-	for i := 32; i < 61; i += 2 {
-		want = append(want, i)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	m := New[int, string](intCmp)
 	m.Set(10, "ten")

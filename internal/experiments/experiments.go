@@ -24,7 +24,6 @@ import (
 
 	"abivm/internal/costmodel"
 	"abivm/internal/ivm"
-	"abivm/internal/obs"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
 )
@@ -49,10 +48,6 @@ type Config struct {
 	// picking up tasks and the experiment returns the context's error.
 	// nil means run to completion.
 	Context context.Context
-	// Obs, when non-nil, receives planner and policy metrics from the
-	// sweeps (see internal/obs). nil — the default, and the benched
-	// configuration — keeps the sweeps instrumentation-free.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the standard experiment configuration.

@@ -3,11 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
-
-	"abivm/internal/obs"
 )
 
 func quickCfg() Config {
@@ -102,28 +99,6 @@ func TestFig6Ordering(t *testing.T) {
 	}
 	if onlineMSum >= naiveSum {
 		t.Errorf("ONLINE-M (%g) not better than NAIVE (%g)", onlineMSum, naiveSum)
-	}
-}
-
-// TestFig6ObservedMatchesDetached runs the Figure 6 sweep with a metrics
-// registry attached: the instruments record the sweep's searches and
-// leave its results as they are without them.
-func TestFig6ObservedMatchesDetached(t *testing.T) {
-	detached, err := Fig6(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickCfg()
-	cfg.Obs = obs.NewRegistry()
-	observed, err := Fig6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(observed, detached) {
-		t.Errorf("observed sweep %+v differs from detached %+v", observed, detached)
-	}
-	if n := cfg.Obs.Counter("astar_searches_total").Value(); n == 0 {
-		t.Error("the attached registry recorded no search")
 	}
 }
 

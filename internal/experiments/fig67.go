@@ -40,7 +40,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		times = []int{40, 80, 120, 160, 200}
 		t0 = 120
 	}
-	adaptPlan, err := optPlanUniform(model, c, t0, cfg.searchOptions())
+	adaptPlan, err := optPlanUniform(model, c, t0, astar.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 			return err
 		}
 		res.Naive[i] = in.Cost(in.NaivePlan())
-		opt, err := astar.Search(in, cfg.searchOptions())
+		opt, err := astar.Search(in, astar.Options{})
 		if err != nil {
 			return err
 		}
@@ -75,12 +75,12 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 			return err
 		}
 		res.Adapt[i] = adaptRun.TotalCost
-		onlineRun, err := sim.Run(in, cfg.newOnline(model, c), sim.Options{})
+		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil), sim.Options{})
 		if err != nil {
 			return err
 		}
 		res.Online[i] = onlineRun.TotalCost
-		onlineMRun, err := sim.Run(in, cfg.newOnlineMarginal(model, c), sim.Options{})
+		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil), sim.Options{})
 		if err != nil {
 			return err
 		}
@@ -197,17 +197,17 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 		}
 		cl := &cells[idx]
 		cl.naive = in.Cost(in.NaivePlan())
-		optRes, err := astar.Search(in, cfg.searchOptions())
+		optRes, err := astar.Search(in, astar.Options{})
 		if err != nil {
 			return err
 		}
 		cl.opt = optRes.Cost
-		onlineRun, err := sim.Run(in, cfg.newOnline(model, c), sim.Options{})
+		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil), sim.Options{})
 		if err != nil {
 			return err
 		}
 		cl.online = onlineRun.TotalCost
-		onlineMRun, err := sim.Run(in, cfg.newOnlineMarginal(model, c), sim.Options{})
+		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil), sim.Options{})
 		if err != nil {
 			return err
 		}

@@ -95,23 +95,6 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value — peak
-// tracking (heap high-water marks) without a lock.
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -187,12 +170,6 @@ func LatencyBuckets() []float64 {
 // 64 to ~4M, ×4 per step.
 func SizeBuckets() []float64 {
 	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
-}
-
-// RatioBuckets is the default bound set for dimensionless ratios in
-// (0, ~2], e.g. heuristic-vs-actual cost.
-func RatioBuckets() []float64 {
-	return []float64{0.1, 0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0, 1.05, 1.25, 2.0}
 }
 
 // metricKind tags registry entries.

@@ -22,14 +22,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 3.0 {
 		t.Fatalf("gauge = %g, want 3", got)
 	}
-	g.SetMax(1.0) // below current: no-op
-	if got := g.Value(); got != 3.0 {
-		t.Fatalf("gauge after SetMax(1) = %g, want 3", got)
-	}
-	g.SetMax(7.0)
-	if got := g.Value(); got != 7.0 {
-		t.Fatalf("gauge after SetMax(7) = %g, want 7", got)
-	}
 }
 
 func TestRegistryIdempotentAndLabeled(t *testing.T) {
@@ -113,7 +105,6 @@ func TestNilSinksNoOp(t *testing.T) {
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
-	g.SetMax(9)
 	h.Observe(4)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil-registry instruments must read as zero")
@@ -139,7 +130,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				g.Add(1)
-				g.SetMax(float64(i))
 				h.Observe(float64(i%2) + 0.25)
 				if i%500 == 0 {
 					r.Snapshot()

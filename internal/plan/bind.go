@@ -125,6 +125,14 @@ func bindPredicate(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
 	}, nil
 }
 
+func isLiteral(e sql.Expr) bool {
+	switch e.(type) {
+	case *sql.IntLit, *sql.FloatLit, *sql.StringLit:
+		return true
+	}
+	return false
+}
+
 // outcomes is the set of three-way comparison results under which a
 // comparison operator holds: bit 0 for less, bit 1 for equal, bit 2 for
 // greater.

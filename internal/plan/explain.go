@@ -62,8 +62,6 @@ func explain(sb *strings.Builder, op exec.Op, indent, head, tail string) {
 		one(x.Left())
 	case *exec.SeqScan:
 		line("SeqScan %s", x.Describe())
-	case *exec.IndexRangeScan:
-		line("IndexRangeScan %s", x.Describe())
 	case *exec.RowsSource:
 		line("RowsSource (%d cols)", len(x.Columns()))
 	default:

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"abivm/internal/sql"
-	"abivm/internal/storage"
 )
 
 func TestExplainPaperView(t *testing.T) {
@@ -50,119 +49,5 @@ func TestExplainHashJoinAndFilter(t *testing.T) {
 	out := Explain(op)
 	if !strings.Contains(out, "Filter") {
 		t.Errorf("missing Filter:\n%s", out)
-	}
-}
-
-func TestRangeScanChosenForOrderedIndex(t *testing.T) {
-	db := testDB(t)
-	ps := db.MustTable("partsupp")
-	if err := ps.CreateIndex("ps_cost_ord", storage.OrderedIndex, "supplycost"); err != nil {
-		t.Fatal(err)
-	}
-	sel, err := sql.Parse("SELECT partkey FROM partsupp WHERE supplycost >= 105 AND supplycost < 109")
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := Compile(sel, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Explain(op)
-	if !strings.Contains(out, "IndexRangeScan") {
-		t.Fatalf("planner did not pick the range scan:\n%s", out)
-	}
-	if !strings.Contains(out, "key >= 105") || !strings.Contains(out, "key < 109") {
-		t.Fatalf("bounds missing from explain:\n%s", out)
-	}
-	rows := run(t, db, "SELECT partkey FROM partsupp WHERE supplycost >= 105 AND supplycost < 109", nil)
-	// Costs are 100+i for partkeys 0..11: matching costs 105..108 ->
-	// partkeys 5..8.
-	if len(rows) != 4 {
-		t.Fatalf("range query returned %d rows: %v", len(rows), rows)
-	}
-	seen := map[int64]bool{}
-	for _, r := range rows {
-		seen[r[0].Int()] = true
-	}
-	for k := int64(5); k <= 8; k++ {
-		if !seen[k] {
-			t.Fatalf("missing partkey %d in %v", k, rows)
-		}
-	}
-}
-
-func TestRangeScanEqualityBound(t *testing.T) {
-	db := testDB(t)
-	ps := db.MustTable("partsupp")
-	if err := ps.CreateIndex("ps_cost_ord", storage.OrderedIndex, "supplycost"); err != nil {
-		t.Fatal(err)
-	}
-	rows := run(t, db, "SELECT partkey FROM partsupp WHERE supplycost = 107", nil)
-	if len(rows) != 1 || rows[0][0].Int() != 7 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestRangeScanMatchesSeqScanResults(t *testing.T) {
-	// Property: with and without the ordered index, every range query
-	// returns the same multiset of rows.
-	queries := []string{
-		"SELECT partkey FROM partsupp WHERE supplycost > 103",
-		"SELECT partkey FROM partsupp WHERE supplycost <= 101",
-		"SELECT partkey FROM partsupp WHERE supplycost > 102 AND supplycost <= 110",
-		"SELECT partkey FROM partsupp WHERE 105 <= supplycost", // literal on the left
-	}
-	plain := testDB(t)
-	indexed := testDB(t)
-	if err := indexed.MustTable("partsupp").CreateIndex("ps_cost_ord", storage.OrderedIndex, "supplycost"); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		a := run(t, plain, q, nil)
-		b := run(t, indexed, q, nil)
-		if keyOfRows(a) != keyOfRows(b) {
-			t.Errorf("%s: seq %v != range %v", q, a, b)
-		}
-	}
-}
-
-func keyOfRows(rows []storage.Row) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = storage.EncodeKey(r...)
-	}
-	// Order-insensitive comparison.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return strings.Join(keys, "|")
-}
-
-func TestRangeScanNotUsedForStringMismatch(t *testing.T) {
-	// A numeric bound on a string column must not pick the index.
-	db := testDB(t)
-	region := db.MustTable("region")
-	if err := region.CreateIndex("region_name_ord", storage.OrderedIndex, "name"); err != nil {
-		t.Fatal(err)
-	}
-	sel, err := sql.Parse("SELECT regionkey FROM region WHERE name = 'MIDDLE EAST'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := Compile(sel, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// String equality CAN use the ordered index.
-	if !strings.Contains(Explain(op), "IndexRangeScan") {
-		t.Errorf("string equality should use the ordered index:\n%s", Explain(op))
-	}
-	rows := run(t, db, "SELECT regionkey FROM region WHERE name = 'MIDDLE EAST'", nil)
-	if len(rows) != 1 || rows[0][0].Int() != 0 {
-		t.Fatalf("rows = %v", rows)
 	}
 }

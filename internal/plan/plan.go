@@ -280,15 +280,15 @@ func (c *compiler) pickDriver() string {
 	return best
 }
 
-// scanWithFilters builds the access path for one alias and applies its
-// single-table predicates.
+// scanWithFilters reads one alias — a sequential scan of its table, or
+// its bound source — and applies its single-table predicates.
 func (c *compiler) scanWithFilters(alias string) (exec.Op, error) {
 	fe := c.entries[alias]
 	var op exec.Op
 	if fe.source != nil {
 		op = fe.source
 	} else {
-		op = c.accessPath(alias, fe.table)
+		op = exec.NewSeqScan(fe.table, alias)
 	}
 	for _, e := range c.local[alias] {
 		pred, err := bindPredicate(e, op.Columns())
@@ -298,168 +298,6 @@ func (c *compiler) scanWithFilters(alias string) (exec.Op, error) {
 		op = exec.NewFilter(op, pred)
 	}
 	return op, nil
-}
-
-// accessPath picks the base access path for a table: an ordered-index
-// range scan when a local comparison predicate bounds an indexed column,
-// otherwise a sequential scan. The predicate itself is still applied as
-// a filter by the caller, so the range only narrows the access path.
-func (c *compiler) accessPath(alias string, t *storage.Table) exec.Op {
-	type rangeInfo struct {
-		ix     *storage.Index
-		lo, hi *storage.Bound
-		hits   int
-	}
-	best := map[int]*rangeInfo{} // column position -> accumulated bounds
-	for _, e := range c.local[alias] {
-		b, ok := e.(*sql.BinaryExpr)
-		if !ok {
-			continue
-		}
-		col, lit, op := normalizeComparison(b)
-		if col == nil {
-			continue
-		}
-		pos := c.colPosition(alias, col)
-		if pos < 0 {
-			continue
-		}
-		ix := orderedIndexOn(t, pos)
-		if ix == nil {
-			continue
-		}
-		val, ok := literalValue(lit)
-		if !ok || !typesComparable(t.Schema().Columns[pos].Type, val.T) {
-			continue
-		}
-		info := best[pos]
-		if info == nil {
-			info = &rangeInfo{ix: ix}
-			best[pos] = info
-		}
-		info.hits++
-		switch op {
-		case "=":
-			info.lo = tightenLo(info.lo, &storage.Bound{Value: val})
-			info.hi = tightenHi(info.hi, &storage.Bound{Value: val})
-		case ">", ">=":
-			info.lo = tightenLo(info.lo, &storage.Bound{Value: val, Exclusive: op == ">"})
-		case "<", "<=":
-			info.hi = tightenHi(info.hi, &storage.Bound{Value: val, Exclusive: op == "<"})
-		}
-	}
-	// Pick the most-hit column deterministically: ties must not be
-	// broken by map iteration order, or the chosen index (and with it
-	// the plan's work-unit profile) would vary between runs.
-	positions := make([]int, 0, len(best))
-	for pos := range best {
-		positions = append(positions, pos)
-	}
-	sort.Ints(positions)
-	var chosen *rangeInfo
-	for _, pos := range positions {
-		if info := best[pos]; chosen == nil || info.hits > chosen.hits {
-			chosen = info
-		}
-	}
-	if chosen != nil {
-		if scan, err := exec.NewIndexRangeScan(t, alias, chosen.ix, chosen.lo, chosen.hi); err == nil {
-			return scan
-		}
-	}
-	return exec.NewSeqScan(t, alias)
-}
-
-// normalizeComparison extracts (column, literal, operator-with-column-
-// on-the-left) from a comparison, or nils when the shape does not match.
-func normalizeComparison(b *sql.BinaryExpr) (*sql.ColumnRef, sql.Expr, string) {
-	flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-	if _, ok := flip[b.Op]; !ok {
-		return nil, nil, ""
-	}
-	if col, ok := b.Left.(*sql.ColumnRef); ok && isLiteral(b.Right) {
-		return col, b.Right, b.Op
-	}
-	if col, ok := b.Right.(*sql.ColumnRef); ok && isLiteral(b.Left) {
-		return col, b.Left, flip[b.Op]
-	}
-	return nil, nil, ""
-}
-
-func isLiteral(e sql.Expr) bool {
-	switch e.(type) {
-	case *sql.IntLit, *sql.FloatLit, *sql.StringLit:
-		return true
-	}
-	return false
-}
-
-func literalValue(e sql.Expr) (storage.Value, bool) {
-	switch x := e.(type) {
-	case *sql.IntLit:
-		return storage.I(x.V), true
-	case *sql.FloatLit:
-		return storage.F(x.V), true
-	case *sql.StringLit:
-		return storage.S(x.V), true
-	}
-	return storage.Value{}, false
-}
-
-// typesComparable reports whether a column of type ct can be range-compared
-// with a literal of type lt.
-func typesComparable(ct, lt storage.Type) bool {
-	if ct == storage.TString || lt == storage.TString {
-		return ct == lt
-	}
-	return true // numerics are mutually comparable
-}
-
-// colPosition resolves a column reference to its position in the table's
-// schema, verifying the alias matches.
-func (c *compiler) colPosition(alias string, ref *sql.ColumnRef) int {
-	if ref.Table != "" && ref.Table != alias {
-		return -1
-	}
-	fe := c.entries[alias]
-	if fe.table == nil {
-		return -1
-	}
-	return fe.table.Schema().ColIndex(ref.Column)
-}
-
-// orderedIndexOn finds an ordered index over exactly the given column.
-func orderedIndexOn(t *storage.Table, pos int) *storage.Index {
-	for _, ix := range t.Indexes() {
-		if ix.Kind == storage.OrderedIndex && len(ix.Cols) == 1 && ix.Cols[0] == pos {
-			return ix
-		}
-	}
-	return nil
-}
-
-// tightenLo keeps the stronger (larger) of two lower bounds.
-func tightenLo(cur, next *storage.Bound) *storage.Bound {
-	if cur == nil {
-		return next
-	}
-	c := storage.Compare(next.Value, cur.Value)
-	if c > 0 || (c == 0 && next.Exclusive) {
-		return next
-	}
-	return cur
-}
-
-// tightenHi keeps the stronger (smaller) of two upper bounds.
-func tightenHi(cur, next *storage.Bound) *storage.Bound {
-	if cur == nil {
-		return next
-	}
-	c := storage.Compare(next.Value, cur.Value)
-	if c < 0 || (c == 0 && next.Exclusive) {
-		return next
-	}
-	return cur
 }
 
 // buildJoins assembles the left-deep join tree.

@@ -5,10 +5,9 @@ import (
 	"abivm/internal/obs"
 )
 
-// Metrics is the online-policy instrumentation bundle, labeled by policy
-// name so ONLINE and ONLINE-M report side by side in one registry.
-// Attach with SetMetrics; a nil bundle (the default) adds no work to
-// Act. The instruments capture the paper's Section 4.3 decision loop:
+// Metrics is ONLINE-M's instrumentation bundle, labeled by policy name.
+// Attach with OnlineMarginal.SetMetrics; a nil bundle (the default) adds
+// no work to Act. The instruments capture the paper's Section 4.3 decision loop:
 // how often the state fills (Decisions), how many candidate actions each
 // H(q) scoring pass weighed (Candidates), how large the chosen drains
 // were (ActionMods), and how often the policy was forced into a full

@@ -88,7 +88,6 @@ type Online struct {
 	model *core.CostModel
 	c     float64
 	est   RateEstimator
-	obs   *Metrics
 	sc    actScratch
 
 	costSoFar float64
@@ -143,10 +142,6 @@ func NewOnline(model *core.CostModel, c float64, est RateEstimator) *Online {
 // Name implements Policy.
 func (p *Online) Name() string { return "ONLINE" }
 
-// SetMetrics attaches an instrumentation bundle (see NewMetrics); nil
-// (the default) detaches.
-func (p *Online) SetMetrics(ms *Metrics) { p.obs = ms }
-
 // Reset implements Policy.
 func (p *Online) Reset(n int) {
 	p.est.Reset(n)
@@ -161,7 +156,6 @@ func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	if refresh {
 		act := pre.Clone()
 		p.costSoFar += p.model.Total(act)
-		p.obs.observeRefresh()
 		return act
 	}
 	if !p.model.Full(pre, p.c) {
@@ -177,7 +171,6 @@ func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 		}
 	}
 	p.costSoFar += p.model.Total(best)
-	p.obs.observeDecision(len(candidates), best)
 	return best.Clone()
 }
 

@@ -7,15 +7,12 @@ import (
 )
 
 // probeTable is the fixture of the allocation pins: suppliers 0..n-1
-// under a hash index and an ordered index on nationkey, n/4 rows a
-// bucket.
+// under a hash index on nationkey, n/4 rows a bucket.
 func probeTable(t *testing.T, n int) *Table {
 	t.Helper()
 	tbl := NewTable(suppSchema(t), nil)
-	for name, kind := range map[string]IndexKind{"by_nation": HashIndex, "ord_nation": OrderedIndex} {
-		if err := tbl.CreateIndex(name, kind, "nationkey"); err != nil {
-			t.Fatal(err)
-		}
+	if err := tbl.CreateIndex("by_nation", HashIndex, "nationkey"); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		if err := tbl.Insert(suppRow(i)); err != nil {
@@ -91,27 +88,25 @@ func TestKeyedProbeAllocs(t *testing.T) {
 }
 
 // TestIndexBucketAllocs: maintaining an entry of a bucket that exists,
-// and probing one, allocates nothing on either index kind — the bucket
-// is updated in place and read in place.
+// and probing one, allocates nothing — the bucket is updated in place
+// and read in place.
 func TestIndexBucketAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	tbl := probeTable(t, 64)
 	r, _ := tbl.Get(I(9))
-	for _, name := range []string{"by_nation", "ord_nation"} {
-		ix := tbl.indexes[name]
-		if n := testing.AllocsPerRun(100, func() {
-			ix.remove(r, 9)
-			ix.insert(r, 9)
-		}); n != 0 {
-			t.Errorf("%s: remove+insert into an existing bucket allocated %v times, want 0", name, n)
-		}
-		probe := []Value{I(1)}
-		var buf []Row
-		if n := testing.AllocsPerRun(100, func() {
-			buf = tbl.LookupVia(buf[:0], ix, probe...)
-		}); n != 0 || len(buf) != 16 {
-			t.Errorf("%s: a lookup into a warm buffer allocated %v times for %d rows, want 0 for 16", name, n, len(buf))
-		}
+	ix := tbl.indexes["by_nation"]
+	if n := testing.AllocsPerRun(100, func() {
+		ix.remove(r, 9)
+		ix.insert(r, 9)
+	}); n != 0 {
+		t.Errorf("remove+insert into an existing bucket allocated %v times, want 0", n)
+	}
+	probe := []Value{I(1)}
+	var buf []Row
+	if n := testing.AllocsPerRun(100, func() {
+		buf = tbl.LookupVia(buf[:0], ix, probe...)
+	}); n != 0 || len(buf) != 16 {
+		t.Errorf("a lookup into a warm buffer allocated %v times for %d rows, want 0 for 16", n, len(buf))
 	}
 }
 
@@ -162,23 +157,17 @@ func TestStatsCountersUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"by_nation", "ord_nation"} {
-		for nk := int64(-1); nk < 5; nk++ {
-			if _, err := tbl.LookupIndex(name, I(nk)); err != nil {
-				t.Fatal(err)
-			}
+	for nk := int64(-1); nk < 5; nk++ {
+		if _, err := tbl.LookupIndex("by_nation", I(nk)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	ord := tbl.indexes["ord_nation"]
-	seen := 0
-	tbl.ScanRangeVia(ord, &Bound{Value: I(1)}, &Bound{Value: I(3), Exclusive: true}, func(Row) bool { seen++; return true })
-	tbl.ScanRangeVia(ord, nil, nil, func(Row) bool { seen++; return seen < 70 })
 	tbl.Scan(func(Row) bool { return true })
 	if err := tbl.CreateIndex("late", HashIndex, "nationkey", "name"); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{RowsScanned: 38, IndexProbes: 45, IndexEntries: 147, RowsInserted: 44,
-		RowsDeleted: 6, RowsUpdated: 9, IndexWrites: 242}
+	want := Stats{RowsScanned: 38, IndexProbes: 37, IndexEntries: 52, RowsInserted: 44,
+		RowsDeleted: 6, RowsUpdated: 9, IndexWrites: 174}
 	if got := *tbl.Stats(); got != want {
 		t.Errorf("stats moved:\n got  %+v\n want %+v", got, want)
 	}

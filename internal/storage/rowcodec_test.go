@@ -260,6 +260,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(tSnapshot(2, one))                                                      // one row short
 	f.Add(tSnapshot(2, append(bytes.Clone(one), one...)))                         // duplicate key
 	f.Add(append(tSnapshot(1, one)[:len(tSnapshot(1, one))-1], 0xff, 0xff, 0x03)) // inflated index count
+	f.Add(withIndexKind(valid, 1))                                                // an index kind that no longer exists
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadSnapshot(data)
 		if err != nil {

@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func snapshotDB(t testing.TB) *DB {
 	t.Helper()
@@ -27,7 +31,7 @@ func snapshotDB(t testing.TB) *DB {
 	if err := tbl.CreateIndex("by_bucket", HashIndex, "bucket"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.CreateIndex("by_price", OrderedIndex, "price"); err != nil {
+	if err := tbl.CreateIndex("by_price", HashIndex, "price"); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -65,17 +69,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(rows) != 14 { // ids 3,10,...,94
 		t.Fatalf("bucket lookup = %d rows", len(rows))
 	}
-	ord := got.IndexOn("price")
-	if ord == nil || ord.Kind != OrderedIndex {
-		t.Fatal("ordered index not restored")
+	rows, err = got.LookupIndex("by_price", F(15))
+	if err != nil {
+		t.Fatal(err)
 	}
-	count := 0
-	got.ScanRangeVia(ord, &Bound{Value: F(10)}, &Bound{Value: F(20), Exclusive: true}, func(Row) bool {
-		count++
-		return true
-	})
-	if count != 7 { // prices 10.5, 12, 13.5, 15, 16.5, 18, 19.5
-		t.Fatalf("range after restore = %d rows", count)
+	if len(rows) != 1 || rows[0][0].Int() != 10 {
+		t.Fatalf("price lookup after restore = %v", rows)
 	}
 	// Restored DB starts with clean counters.
 	if restored.Stats().RowsInserted != 0 {
@@ -106,6 +105,34 @@ func TestSnapshotMultipleTables(t *testing.T) {
 func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// withIndexKind returns a copy of a snapshotDB snapshot whose by_price
+// entry names the given index kind.
+func withIndexKind(data []byte, kind byte) []byte {
+	name := AppendString(nil, "by_price")
+	data = bytes.Clone(data)
+	data[bytes.LastIndex(data, name)+len(name)] = kind
+	return data
+}
+
+// TestReadSnapshotRejectsUnknownIndexKind: hash is the only index kind,
+// so bytes naming any other — kind 1 was an ordered index — are refused
+// with an error, not a panic.
+func TestReadSnapshotRejectsUnknownIndexKind(t *testing.T) {
+	valid := snapshotDB(t).AppendSnapshot(nil)
+	if !bytes.Equal(withIndexKind(valid, byte(HashIndex)), valid) {
+		t.Fatal("withIndexKind did not find by_price's kind byte")
+	}
+	for _, kind := range []byte{1, 2, 0xff} {
+		db, err := ReadSnapshot(withIndexKind(valid, kind))
+		if err == nil || db != nil {
+			t.Fatalf("index kind %d accepted", kind)
+		}
+		if !strings.Contains(err.Error(), "unknown index kind") {
+			t.Fatalf("index kind %d: error %q does not name the kind", kind, err)
+		}
 	}
 }
 

@@ -280,25 +280,6 @@ func (t *Table) LookupVia(dst []Row, ix *Index, vals ...Value) []Row {
 	return t.lookupVia(dst, ix, vals)
 }
 
-// ScanRangeVia visits rows whose ordered-index key lies within [lo, hi]
-// (either bound may be nil; exclusivity per bound) in ascending key
-// order until fn returns false. Each visited row counts as one index
-// entry read; the range probe counts as one index probe.
-func (t *Table) ScanRangeVia(ix *Index, lo, hi *Bound, fn func(r Row) bool) {
-	t.stats.IndexProbes++
-	ix.ascendRange(lo, hi, func(_ Value, slots []int) bool {
-		// The rows of one index key come in slot order, so the scan
-		// order is replay-deterministic.
-		for _, slot := range slots {
-			t.stats.IndexEntries++
-			if !fn(t.rows[slot]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // Cursor iterates a table's live rows in slot order, counting scan work.
 type Cursor struct {
 	t    *Table

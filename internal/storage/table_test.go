@@ -231,36 +231,8 @@ func TestIndexBackfillOnCreate(t *testing.T) {
 	if err := tbl.CreateIndex("bad", HashIndex, "missing"); err == nil {
 		t.Fatal("index on missing column accepted")
 	}
-}
-
-func TestOrderedIndex(t *testing.T) {
-	tbl := NewTable(suppSchema(t), nil)
-	if err := tbl.CreateIndex("ord", OrderedIndex, "nationkey"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := tbl.Insert(Row{I(int64(i)), S("s"), I(int64(i % 4))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows, err := tbl.LookupIndex("ord", I(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("ordered lookup returned %d rows", len(rows))
-	}
-	// Deleting removes entries.
-	if _, err := tbl.Delete(I(2)); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = tbl.LookupIndex("ord", I(2))
-	if len(rows) != 4 {
-		t.Fatalf("after delete: %d rows", len(rows))
-	}
-	// Multi-column ordered index rejected.
-	if err := tbl.CreateIndex("ord2", OrderedIndex, "nationkey", "suppkey"); err == nil {
-		t.Fatal("multi-column ordered index accepted")
+	if err := tbl.CreateIndex("bad", HashIndex+1, "nationkey"); err == nil {
+		t.Fatal("index of an unknown kind accepted")
 	}
 }
 
@@ -443,15 +415,12 @@ func TestTableRandomOpsConsistency(t *testing.T) {
 }
 
 // TestUpdateKeepsIndexBucketOrder: an update that leaves the indexed
-// column alone still moves the row to the end of its hash bucket (the
-// order remove-then-insert always produced, which join output order
-// rests on) and leaves an ordered bucket in slot order.
+// column alone still moves the row to the end of its bucket (the order
+// remove-then-insert always produced, which join output order rests
+// on).
 func TestUpdateKeepsIndexBucketOrder(t *testing.T) {
 	tbl := NewTable(suppSchema(t), nil)
 	if err := tbl.CreateIndex("by_nation", HashIndex, "nationkey"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateIndex("ord_nation", OrderedIndex, "nationkey"); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 4; i++ {
@@ -464,20 +433,18 @@ func TestUpdateKeepsIndexBucketOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, want := range map[string][]int64{"by_nation": {4, 1, 3, 2}, "ord_nation": {1, 2, 3, 4}} {
-		rows, err := tbl.LookupIndex(name, I(7))
-		if err != nil {
-			t.Fatal(err)
+	rows, err := tbl.LookupIndex("by_nation", I(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, r := range rows {
+		if renamed := r[1].Str() == "renamed"; renamed != (r[0].Int() <= 2) {
+			t.Errorf("stale row %v", r)
 		}
-		var got []int64
-		for _, r := range rows {
-			if renamed := r[1].Str() == "renamed"; renamed != (r[0].Int() <= 2) {
-				t.Errorf("%s: stale row %v", name, r)
-			}
-			got = append(got, r[0].Int())
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: keys in lookup order %v, want %v", name, got, want)
-		}
+		got = append(got, r[0].Int())
+	}
+	if want := []int64{4, 1, 3, 2}; !slices.Equal(got, want) {
+		t.Errorf("keys in lookup order %v, want %v", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 // Package storage implements the in-memory relational engine underneath
 // the IVM substrate: typed values, schemas, heap tables with primary-key
-// enforcement, hash and ordered secondary indexes, and work-unit
-// accounting. The engine is single-writer: callers serialize access, as
-// the maintenance loop of the paper does.
+// enforcement, hash secondary indexes, and work-unit accounting. The
+// engine is single-writer: callers serialize access, as the maintenance
+// loop of the paper does.
 //
 // Work units are the engine's deterministic cost currency. Every row
 // examined, index probed, or tuple materialized bumps a counter in Stats;

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation drift gate: the repo map in ARCHITECTURE.md must track
 # the package tree, and the metric catalogue the registered series.
-# Three directions:
+# Five directions:
 #
 #   1. Every internal/<pkg> and cmd/<binary> mentioned in
 #      ARCHITECTURE.md or README.md must exist — a doc referencing a
@@ -23,6 +23,9 @@
 #      or a deleted benchmark as a measurement, fails the check. And
 #      EXPERIMENTS.md quotes no "representative run": its numbers come
 #      from RESULTS.txt or a committed record.
+#   5. DESIGN.md and EXPERIMENTS.md describe the code as it is: a line
+#      saying what held "until PR", "before PR" or "since PR" (any case)
+#      fails — the history is git's and CHANGES.md's.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -120,6 +123,12 @@ for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
 done
 if grep -n 'representative run' EXPERIMENTS.md; then
 	echo "docs-check: EXPERIMENTS.md quotes a representative run; cite RESULTS.txt or a committed BENCH_*.json record"
+	fail=1
+fi
+
+# Direction 5: no history narration in the design and experiment docs.
+if grep -niE '\b(until|before|since) PRs?\b' DESIGN.md EXPERIMENTS.md; then
+	echo "docs-check: DESIGN.md or EXPERIMENTS.md narrates history; say what the code does now"
 	fail=1
 fi
 
