@@ -51,20 +51,15 @@ examples-check:
 	$(GO) run ./examples/warehouse | diff - examples/warehouse/expected.txt
 	$(GO) run ./cmd/abivm compile -dataflow -catalog examples/views.sql | diff - examples/views.dataflow.txt
 
-# chaos-check gates the seeded fault-injection sweep the same way: each
-# `abivm chaos -seed 1` variant below is deterministic (fault counts
-# included), so it must print its committed transcript under
-# cmd/abivm/testdata/chaos byte for byte — serial and pure-WAL, each
-# row holding the per-view engine's variants and the shared engine's
-# beside them, and the sharded shared runtime. A change that means to
-# move a fault schedule regenerates them with the same command
-# redirected into the file it is diffed against.
-CHAOS_GOLDEN = cmd/abivm/testdata/chaos
+# chaos-check gates the seeded fault-injection sweep the same way:
+# TestChaosTranscripts runs the three `abivm chaos -seed 1` sweeps
+# (-runs 50, -runs 50 -checkpoint 0, -runs 10 -shards 2), each seed
+# through every recovery variant, and diffs them against their
+# transcripts under cmd/abivm/testdata/chaos byte for byte, fault counts
+# included. A change that means to move a fault schedule regenerates
+# one with `go run ./cmd/abivm chaos -seed 1 <flags> > <file>`.
 chaos-check:
-	$(GO) build -o .bench_build/chaos-abivm ./cmd/abivm
-	.bench_build/chaos-abivm chaos -seed 1 -runs 50 -shared | diff - $(CHAOS_GOLDEN)/runs50-shared.txt
-	.bench_build/chaos-abivm chaos -seed 1 -runs 50 -checkpoint 0 -shared | diff - $(CHAOS_GOLDEN)/runs50-checkpoint0-shared.txt
-	.bench_build/chaos-abivm chaos -seed 1 -runs 10 -shards 2 -shared | diff - $(CHAOS_GOLDEN)/runs10-shards2-shared.txt
+	$(GO) test -count=1 -timeout $(TEST_TIMEOUT) -run '^TestChaosTranscripts$$' ./cmd/abivm
 
 # fuzz-smoke runs every native fuzz target (the SQL front end, the
 # decoders of snapshots, checkpoint segments, WAL frames and the

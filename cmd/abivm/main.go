@@ -11,8 +11,10 @@
 //	-scale   TPC-R scale factor (default 0.005)
 //	-seed    random seed (default 1)
 //	-quick   shrink sweeps/horizons for a fast smoke run
-//	-workers worker pool size for the independent-task sweeps
-//	         (0 = one per CPU, 1 = serial; output is identical either way)
+//
+// The independent-task sweeps run one worker per GOMAXPROCS (set it in
+// the environment; GOMAXPROCS=1 is the serial path). Output is
+// identical for any value.
 package main
 
 import (
@@ -29,7 +31,6 @@ func main() {
 	scale := flag.Float64("scale", 0.005, "TPC-R scale factor")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: abivm [flags] fig1|fig4|fig5|fig6|fig7|tight|concave|staged|policies|ablations|all\n")
 		fmt.Fprintf(os.Stderr, "       abivm explain [query]\n")
@@ -79,7 +80,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Workers: *workers, Context: ctx}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Context: ctx}
 
 	runners := map[string]func(experiments.Config) (*experiments.Table, error){
 		"fig1":      experiments.Fig1Table,

@@ -30,6 +30,3 @@ func ApproxEq(a, b float64) bool {
 // below b or indistinguishable from it. This is the comparison to use for
 // "does this cost fit the budget C" checks.
 func ApproxLE(a, b float64) bool { return a <= b || ApproxEq(a, b) }
-
-// ApproxGE reports a >= b within FloatTolerance.
-func ApproxGE(a, b float64) bool { return a >= b || ApproxEq(a, b) }

@@ -356,7 +356,7 @@ func TestLinearSubadditivityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return IsWellFormed(lin, 64)
+		return CheckInvariants(lin, 64) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -54,8 +54,8 @@ func CheckSubadditive(f core.CostFunc, upTo int) (x, y int) {
 //     tolerance (what makes batching worthwhile at all).
 //
 // Constructor tests call this on every cost-function implementation, and
-// the cost-model fitter calls IsWellFormed (its boolean form) before a
-// measured function is trusted by the planner.
+// the view compiler (viewc) calls it before a measured function is
+// trusted by the planner.
 func CheckInvariants(f core.CostFunc, maxK int) error {
 	if maxK < 1 {
 		return fmt.Errorf("costfn: CheckInvariants needs maxK >= 1, got %d", maxK)
@@ -81,11 +81,4 @@ func CheckInvariants(f core.CostFunc, maxK int) error {
 			x, y, x+y, f.Cost(x+y), x, y, f.Cost(x)+f.Cost(y))
 	}
 	return nil
-}
-
-// IsWellFormed reports whether f satisfies the CostFunc contract over
-// [0, upTo]; it is the boolean probe used by the cost-model fitter before
-// a measured function is trusted.
-func IsWellFormed(f core.CostFunc, upTo int) bool {
-	return CheckInvariants(f, upTo) == nil
 }

@@ -174,7 +174,7 @@ func TestFittedFunctionsAreWellFormed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !costfn.IsWellFormed(lin, 200) {
+		if costfn.CheckInvariants(lin, 200) != nil {
 			t.Errorf("%s: fitted linear function not monotone subadditive", alias)
 		}
 		pw, err := ms.Piecewise()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"abivm/internal/astar"
 	"abivm/internal/bruteforce"
@@ -55,7 +56,7 @@ func ConcaveStudy(cfg Config) (*ConcaveResult, error) {
 	for _, fam := range families {
 		// Instance generation stays serial: the rng is shared across
 		// families and trials, so consuming it in generation order is what
-		// keeps the instance set identical for every Workers value. Only
+		// keeps the instance set identical for every pool size. Only
 		// the exact solves (brute force + A*), which never touch the rng,
 		// fan out below.
 		//
@@ -98,7 +99,7 @@ func ConcaveStudy(cfg Config) (*ConcaveResult, error) {
 			instances = append(instances, in)
 		}
 		ratios := make([]float64, len(instances))
-		err := runIndexed(cfg.ctx(), cfg.workerCount(), len(instances), func(i int) error {
+		err := runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(instances), func(i int) error {
 			in := instances[i]
 			opt, _, err := bruteforce.Optimal(in)
 			if err != nil {

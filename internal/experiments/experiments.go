@@ -38,12 +38,6 @@ type Config struct {
 	// Quick shrinks sweeps and horizons for use in tests; the shapes are
 	// preserved, the resolution is reduced.
 	Quick bool
-	// Workers bounds the worker pool used by the independent-task sweeps
-	// (Fig. 6 refresh times, Fig. 7 streams, concave-study instances).
-	// 0 means one worker per CPU, 1 forces the serial path. Output is
-	// byte-identical for every value: tasks are seeded independently and
-	// results are collected by index.
-	Workers int
 	// Context, when non-nil, cancels in-flight sweeps: workers stop
 	// picking up tasks and the experiment returns the context's error.
 	// nil means run to completion.

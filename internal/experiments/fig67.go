@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"abivm/internal/arrivals"
 	"abivm/internal/astar"
@@ -56,8 +57,8 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	// across the worker pool. The shared model, constraint and adaptPlan
 	// are strictly read-only (CostModel is immutable; Adapt clamps the
 	// plan into fresh vectors without mutating it), and every task writes
-	// only its own index, so any Workers value produces identical output.
-	err = runIndexed(cfg.ctx(), cfg.workerCount(), len(times), func(i int) error {
+	// only its own index, so any pool size produces identical output.
+	err = runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(times), func(i int) error {
 		tEnd := times[i]
 		seq := arrivals.UniformSequence(tEnd+1, 1, 1)
 		in, err := core.NewInstance(seq, model, c)
@@ -178,12 +179,12 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	// (si, rep) alone, so the flattened task list fans out across the
 	// worker pool with results collected per index; aggregation below
 	// then runs serially in stream order, making the output identical
-	// for any Workers value.
+	// for any pool size.
 	type cell struct {
 		naive, opt, online, onlineM float64
 	}
 	cells := make([]cell, len(streams)*seeds)
-	err = runIndexed(cfg.ctx(), cfg.workerCount(), len(cells), func(idx int) error {
+	err = runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(cells), func(idx int) error {
 		si, rep := idx/seeds, idx%seeds
 		sc := streams[si]
 		base := cfg.Seed + int64(si)*20 + int64(rep)*2

@@ -2,20 +2,9 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// workerCount resolves Config.Workers into an actual pool size: 0 means
-// one worker per available CPU (runtime.GOMAXPROCS), 1 means serial,
-// anything larger caps the pool at that many goroutines.
-func (cfg Config) workerCount() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ctx resolves Config.Context, defaulting to the background context.
 func (cfg Config) ctx() context.Context {

@@ -5,15 +5,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-// renderWith runs the given table builders under the given worker count
+// setProcs sets GOMAXPROCS, which sizes the sweeps' worker pool, to n
+// until the test ends. GOMAXPROCS is process-wide, so the tests that
+// call this do not call t.Parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// renderWith runs the given table builders on a pool of the given size
 // and returns the concatenated rendered output.
 func renderWith(t *testing.T, workers int, builders ...func(Config) (*Table, error)) []byte {
 	t.Helper()
-	cfg := Config{Scale: 0.002, Seed: 1, Quick: true, Workers: workers}
+	setProcs(t, workers)
+	cfg := Config{Scale: 0.002, Seed: 1, Quick: true}
 	var buf bytes.Buffer
 	for _, b := range builders {
 		tbl, err := b(cfg)
@@ -26,8 +37,9 @@ func renderWith(t *testing.T, workers int, builders ...func(Config) (*Table, err
 }
 
 // TestParallelOutputByteIdentical is the headline guarantee of the
-// parallel sweeps: for the same seed, -workers=4 must render exactly
-// the bytes -workers=1 renders, for every parallelized experiment.
+// parallel sweeps: for the same seed, a pool of 4 workers must render
+// exactly the bytes a single worker renders, for every parallelized
+// experiment.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	builders := []func(Config) (*Table, error){Fig6Table, Fig7Table, ConcaveStudyTable}
 	serial := renderWith(t, 1, builders...)
@@ -157,13 +169,15 @@ func TestRunIndexedErrorBeatsCancel(t *testing.T) {
 // (shared rng in generation, parallel exact solves) across worker
 // counts; the numeric results must be identical, not merely close.
 func TestConcaveStudyParallelMatchesSerial(t *testing.T) {
-	cfgAt := func(w int) Config { return Config{Scale: 0.002, Seed: 9, Quick: true, Workers: w} }
-	want, err := ConcaveStudy(cfgAt(1))
+	cfg := Config{Scale: 0.002, Seed: 9, Quick: true}
+	setProcs(t, 1)
+	want, err := ConcaveStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := ConcaveStudy(cfgAt(workers))
+		setProcs(t, workers)
+		got, err := ConcaveStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

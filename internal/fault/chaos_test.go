@@ -19,19 +19,12 @@ import (
 	"abivm/internal/pubsub"
 )
 
-// chaosSeeds returns the number of seeded schedules to run: the full 50+
-// of the acceptance criterion normally, a small set in -short mode (the
-// CI chaos smoke job).
-func chaosSeeds(t *testing.T) int64 {
-	t.Helper()
-	if testing.Short() {
-		return 8
-	}
-	return 50
-}
-
+// TestChaosDeterminism runs seeds 1–50 at checkpoint interval 5, one
+// subtest per seed, so a diverging seed fails under its own name. The
+// same sweep is `abivm chaos -seed 1 -runs 50`, whose transcript
+// cmd/abivm's TestChaosTranscripts diffs.
 func TestChaosDeterminism(t *testing.T) {
-	seeds := chaosSeeds(t)
+	const seeds = 50
 	type tally struct {
 		faults   int
 		degraded int
@@ -79,50 +72,10 @@ func TestChaosDeterminism(t *testing.T) {
 			fault.SiteDrainPlan, fault.SiteDrainApply, fault.SiteWALCommit,
 			fault.SiteCheckpoint, fault.SiteCrash,
 		} {
-			if perSite[site] == 0 && !testing.Short() {
+			if perSite[site] == 0 {
 				t.Errorf("site %s never fired across %d seeds", site, len(results))
 			}
 		}
 		t.Logf("chaos: %d seeds, %d faults injected %v", len(results), total, perSite)
 	})
-}
-
-// TestChaosPureWALRecovery is the harder recovery drill: with periodic
-// checkpoints off (the zero CheckpointEvery), the checkpoint site is
-// never polled and every crash replays the whole WAL from the
-// Subscribe-time checkpoint — which must still be an exact redo.
-func TestChaosPureWALRecovery(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rep, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: seed})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if n := rep.Faults[fault.SiteCheckpoint]; n != 0 {
-			t.Errorf("seed %d: checkpoint site fired %d times with periodic checkpoints off", seed, n)
-		}
-		if !rep.Identical {
-			t.Errorf("seed %d: pure-WAL recovery diverged from baseline:\n%s", seed, rep.Diff)
-		}
-	}
-}
-
-// TestChaosIsReproducible re-runs one seed and checks the report itself
-// is stable — the injector schedule, not just the outcome.
-func TestChaosIsReproducible(t *testing.T) {
-	a, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17, CheckpointEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pubsub.RunChaos(pubsub.ChaosConfig{Seed: 17, CheckpointEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalFaults != b.TotalFaults || a.Notifications != b.Notifications {
-		t.Errorf("same seed produced different runs: %+v vs %+v", a, b)
-	}
-	for site, n := range a.Faults {
-		if b.Faults[site] != n {
-			t.Errorf("site %s fired %d then %d times for the same seed", site, n, b.Faults[site])
-		}
-	}
 }

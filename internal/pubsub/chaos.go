@@ -42,34 +42,9 @@ type ChaosConfig struct {
 	// transcripts (so the comparison proves those schedule-independent
 	// too).
 	Shards int
-	// ChainDepth is the checkpoint-chain depth of the incremental
-	// recovery variants; <= 0 derives it from the seed (1..4), so the
-	// seed sweep covers the depth space.
-	ChainDepth int
-	// Shared adds two shared-dataflow variants: the whole workload re-run
-	// on the shared operator-graph runtime (SetSharedDataflow), once
-	// fault-free and once faulted. Both must stay byte-identical to the
-	// classic per-maintainer baseline — the fault-free comparison proves
-	// the hash-consed graph computes the same views, the faulted one that
-	// snapshot+WAL recovery on the shared runtime is an exact redo.
-	Shared bool
-	// Disk adds a disk-backed variant: the faulted run is repeated with
-	// every subscription's WAL and checkpoint segments living in files,
-	// so injected crashes recover through the corruption-hardened disk
-	// path. With intact files the variant must stay byte-identical to
-	// the baseline.
-	Disk bool
 	// DataDir roots the disk variants' files; empty runs them over
-	// per-namespace in-memory file systems (the hermetic default). A
-	// non-empty DataDir implies Disk.
+	// per-namespace in-memory file systems (the hermetic default).
 	DataDir string
-	// DiskFaults additionally repeats the disk run with a seeded
-	// byte-level media injector (torn writes, bit flips, truncations,
-	// dropped files, skipped renames) under the stores. Implies Disk.
-	// The outcome per seed is either byte-identity with the baseline or
-	// a loud full-refresh fallback with corruption counted — silent
-	// divergence fails the comparison.
-	DiskFaults bool
 }
 
 // ChaosReport summarizes a faulted-vs-baseline comparison.
@@ -94,7 +69,7 @@ type ChaosReport struct {
 	// Variants names the recovery configurations that were compared
 	// against the baseline (full checkpoints and an incremental chain on
 	// the serial broker, one combined entry in sharded mode, then the
-	// shared-dataflow and disk variants the config asked for).
+	// shared-dataflow and disk variants).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -296,10 +271,8 @@ const (
 )
 
 // chaosVariant is one row of the comparison table: a recovery
-// configuration (depth as in RuntimeConfig.ChainDepth), whether the
-// config selects it, and its rule.
+// configuration (depth as in RuntimeConfig.ChainDepth) and its rule.
 type chaosVariant struct {
-	on      bool
 	name    string
 	depth   int
 	opener  durable.Opener
@@ -309,23 +282,19 @@ type chaosVariant struct {
 }
 
 // RunChaos runs the seeded workload fault-free once and then once per
-// selected row of the variant table, holding each run to its rule
-// against the baseline. The fault schedule is identical across variants
-// (checkpoint layout never changes which sites are polled), so a
-// divergence isolates a bug in that variant's recovery path; everything
-// is seeded from the workload seed, so one integer (plus the shard
-// count) reproduces the comparison.
+// row of the variant table, holding each run to its rule against the
+// baseline. The fault schedule is identical across variants (checkpoint
+// layout never changes which sites are polled), so a divergence
+// isolates a bug in that variant's recovery path; everything is seeded
+// from the workload seed, so one integer (plus the shard count)
+// reproduces the comparison.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 60
 	}
-	if cfg.DataDir != "" || cfg.DiskFaults {
-		cfg.Disk = true
-	}
-	depth := cfg.ChainDepth
-	if depth <= 0 {
-		depth = 1 + int(((cfg.Seed%4)+4)%4)
-	}
+	// The seed picks the chain depth (1..4), so a seed sweep covers the
+	// depth space.
+	depth := 1 + int(((cfg.Seed%4)+4)%4)
 	sharded, pre := cfg.Shards > 0, ""
 	p := RuntimeConfig{Shards: cfg.Shards, Spec: DefaultWorkloadSpec()}
 	if sharded {
@@ -342,25 +311,31 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true,
 		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	// Serial: full checkpoints (no chain) and a delta chain; sharded: one
-	// combined row. The ChaosConfig fields that select the optional rows
-	// say what each proves.
-	var medias []*fault.Media
-	disk := chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, opener: cfg.diskOpener("disk", nil), faulted: true}
-	for _, v := range []chaosVariant{
-		{on: !sharded, name: "full", depth: -1, faulted: true},
-		{on: !sharded, name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
-		{on: sharded, name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true},
-		{on: !sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
-		{on: cfg.Shared, name: pre + "shared", depth: depth, shared: true},
-		{on: cfg.Shared, name: pre + "shared-faulted", depth: depth, shared: true, faulted: true},
-		{on: sharded && cfg.Disk, name: disk.name, depth: depth, opener: disk.opener, faulted: true},
-		{on: cfg.DiskFaults, name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true, rule: identicalOrLoudFallback,
-			opener: cfg.diskOpener("disk-faulted", &medias)},
-	} {
-		if !v.on {
-			continue
+	// The serial broker compares full checkpoints (no chain) and a delta
+	// chain; the sharded runtime one combined row. Then, in both modes:
+	// the workload on the shared operator graph, fault-free (the
+	// hash-consed graph computes the same views) and faulted (its
+	// snapshot+WAL recovery is an exact redo); every subscription's WAL
+	// and checkpoint segments in files, so crashes recover through the
+	// disk path; and the same under seeded byte-level media damage (torn
+	// writes, bit flips, truncations, dropped files, skipped renames),
+	// where each seed either stays identical or falls back loudly.
+	variants := []chaosVariant{{name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true}}
+	if !sharded {
+		variants = []chaosVariant{
+			{name: "full", depth: -1, faulted: true},
+			{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
 		}
+	}
+	var medias []*fault.Media
+	for _, v := range append(variants,
+		chaosVariant{name: pre + "shared", depth: depth, shared: true},
+		chaosVariant{name: pre + "shared-faulted", depth: depth, shared: true, faulted: true},
+		chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, faulted: true,
+			opener: cfg.diskOpener("disk", nil)},
+		chaosVariant{name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true,
+			opener: cfg.diskOpener("disk-faulted", &medias), rule: identicalOrLoudFallback},
+	) {
 		rep.Variants = append(rep.Variants, v.name)
 		// Track the injectors handed out, to sum fault counts over shards;
 		// the runtime calls the factory sequentially, before any faulted

@@ -61,52 +61,6 @@ func subscribeSharedViews(t testing.TB, b *Broker, n int) {
 	}
 }
 
-// TestChaosSharedDeterminism is the shared-runtime acceptance sweep:
-// for every seed, both shared variants (fault-free and faulted) must be
-// byte-identical to the classic baseline. -short runs the CI smoke
-// subset.
-func TestChaosSharedDeterminism(t *testing.T) {
-	seeds := int64(50)
-	if testing.Short() {
-		seeds = 8
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 40, CheckpointEvery: 5, Shared: true})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !rep.Identical {
-				t.Errorf("seed %d: diverged:\n%s", seed, rep.Diff)
-			}
-			if rep.Notifications == 0 {
-				t.Errorf("seed %d: no notifications — vacuous comparison", seed)
-			}
-		})
-	}
-}
-
-// TestChaosSharedSharded runs the shared variants on the sharded
-// runtime for a couple of seeds: each shard builds its own operator
-// graph over its views, and the outcome must still match the classic
-// sharded baseline.
-func TestChaosSharedSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded shared sweep skipped in -short")
-	}
-	for _, seed := range []int64{2, 11} {
-		rep, err := RunChaos(ChaosConfig{Seed: seed, Steps: 30, CheckpointEvery: 5, Shards: 2, Shared: true})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !rep.Identical {
-			t.Errorf("seed %d: diverged:\n%s", seed, rep.Diff)
-		}
-	}
-}
-
 // TestSharedBrokerSharing pins the sub-linear operator count: six
 // distinct views over the same join spine must build exactly one
 // scan(sales), one scan(stations), and one join — and nothing else: a

@@ -62,6 +62,33 @@ func TestCloneTable(t *testing.T) {
 	}
 }
 
+// TestCloneTableLeavesSourceStats: cloning only reads the source, its
+// work counters included. Shards recovering in the same step clone one
+// live table on different goroutines, so a counter bump here would be a
+// data race.
+func TestCloneTableLeavesSourceStats(t *testing.T) {
+	schema, err := NewSchema("t", []Column{{Name: "k", Type: TInt}}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewDB().CreateTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := src.Insert(Row{I(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := *src.Stats()
+	if _, err := CloneTable(NewDB(), src); err != nil {
+		t.Fatal(err)
+	}
+	if after := *src.Stats(); after != before {
+		t.Errorf("CloneTable moved the source's stats: %+v, want %+v", after, before)
+	}
+}
+
 // TestCloneTableCopiesEachRowOnceAllocs: cloning a table allocates what
 // inserting its rows into a fresh table does — Insert's own copy of each
 // row — and not a second copy on top.

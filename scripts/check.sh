@@ -4,9 +4,8 @@
 # waivers), race-enabled tests (the analyzers' fixture tests among
 # them), the allocation-count tests without the race detector, one
 # iteration of every in-package benchmark, the committed RESULTS.txt,
-# examples/*/expected.txt, examples/views.dataflow.txt and the chaos
-# transcripts under cmd/abivm/testdata/chaos against what the code
-# prints, and the nested benchmark module; its last lines are the
+# examples/*/expected.txt and examples/views.dataflow.txt against what
+# the code prints, and the nested benchmark module; its last lines are the
 # tracked line counts (scripts/loc.sh).
 # This is what `make verify` and CI run; it must pass before merging.
 # CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
@@ -33,6 +32,8 @@ go build ./...
 echo "==> abivmlint"
 go run ./cmd/abivmlint ./...
 
+# Includes TestChaosTranscripts, the chaos sweeps diffed against their
+# committed transcripts (what `make chaos-check` runs alone).
 echo "==> go test -race"
 go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 
@@ -51,9 +52,6 @@ make results-check
 
 echo "==> the examples print their expected.txt and compiled plans"
 make examples-check
-
-echo "==> the seeded chaos sweeps print their committed transcripts"
-make chaos-check
 
 # The benchmark is a nested module (its own go.mod, replace => ../), so
 # the ./... patterns above never reach it: a refactor of ivm, storage or
