@@ -34,6 +34,9 @@ func runSim(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *period < 1 {
+		return fmt.Errorf("-period %d: want a flush period of at least 1 step", *period)
+	}
 
 	var funcs []core.CostFunc
 	for _, spec := range strings.Split(*costsFlag, ",") {
@@ -86,7 +89,7 @@ func runSim(args []string) error {
 		policy.NewOnline(model, *cFlag, nil),
 		policy.NewOnlineMarginal(model, *cFlag, nil),
 	} {
-		res, err := sim.Run(in, pol, sim.Options{})
+		res, err := sim.Run(in, pol)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,7 @@
 //
 //  1. generates the TPC-R data,
 //  2. calibrates the per-table cost functions by measuring real update
-//     batches on the engine (internal/costmodel),
+//     batches through the broker's measurement probe (internal/costmodel),
 //  3. fits linear cost functions and prints them,
 //  4. runs NAIVE, ONLINE, ONLINE-M and ADAPT (wrapping an optimal LGM
 //     plan from the A* planner) over the same update stream, and
@@ -21,8 +21,8 @@ import (
 	"abivm/internal/core"
 	"abivm/internal/costfn"
 	"abivm/internal/costmodel"
-	"abivm/internal/ivm"
 	"abivm/internal/policy"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
 )
@@ -35,18 +35,18 @@ func main() {
 	if err := tpcr.Generate(scratch, cfg); err != nil {
 		log.Fatal(err)
 	}
-	calM, err := ivm.New(scratch, tpcr.PaperView)
+	probe, err := pubsub.NewProbe(scratch, tpcr.PaperView)
 	if err != nil {
 		log.Fatal(err)
 	}
 	gen := tpcr.NewUpdateGen(scratch, cfg, 7)
 	w := storage.DefaultWeights()
 	ks := []int{1, 5, 10, 20, 40, 80, 120}
-	psMeas, err := costmodel.Measure(calM, "PS", gen.PartSuppUpdate, ks, w)
+	psMeas, err := costmodel.Measure(probe, "PS", gen.PartSuppUpdate, ks, w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sMeas, err := costmodel.Measure(calM, "S", gen.SupplierUpdate, ks, w)
+	sMeas, err := costmodel.Measure(probe, "S", gen.SupplierUpdate, ks, w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -118,8 +118,8 @@ func NewInstance(arrivals Arrivals, model *CostModel, c float64) (*Instance, err
 	if model.N() != arrivals.N() {
 		return nil, fmt.Errorf("core: cost model arity %d does not match arrival arity %d", model.N(), arrivals.N())
 	}
-	if c < 0 {
-		return nil, fmt.Errorf("core: negative response-time constraint %g", c)
+	if !(c >= 0) {
+		return nil, fmt.Errorf("core: response-time constraint %g is negative or NaN", c)
 	}
 	return &Instance{Arrivals: arrivals, Model: model, C: c}, nil
 }

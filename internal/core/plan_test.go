@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -67,6 +68,9 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 	if _, err := NewInstance(Arrivals{{1}}, model, -1); err == nil {
 		t.Error("negative constraint accepted")
+	}
+	if _, err := NewInstance(Arrivals{{1}}, model, math.NaN()); err == nil {
+		t.Error("NaN constraint accepted")
 	}
 	if _, err := NewInstance(Arrivals{{1}}, model, 5); err != nil {
 		t.Errorf("valid instance rejected: %v", err)

@@ -1,10 +1,11 @@
 // Package costmodel measures the batch cost functions f_i(k) of a
-// maintained view by driving real update batches through the IVM engine
-// and converting the engine's work-unit counters into pseudo-millisecond
-// costs. This is the paper's methodology ("the cost functions can be ...
-// measured by experiments"): the measured samples back the simulator, the
-// A* planner, and the ONLINE policy, and a least-squares linear fit
-// recovers the (a, b) parameters that Theorems 2 and 4 reason about.
+// maintained view by driving real update batches through a pubsub.Probe —
+// the broker's live-table writer and classic engine — and converting the
+// work units each drain counted into pseudo-millisecond costs. This is
+// the paper's methodology ("the cost functions can be ... measured by
+// experiments"): the measured samples back the simulator, the A* planner,
+// and the ONLINE policy, and a least-squares linear fit recovers the
+// (a, b) parameters that Theorems 2 and 4 reason about.
 package costmodel
 
 import (
@@ -13,6 +14,7 @@ import (
 	"abivm/internal/core"
 	"abivm/internal/costfn"
 	"abivm/internal/ivm"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 )
 
@@ -24,12 +26,13 @@ type Measurement struct {
 }
 
 // Measure samples the cost of processing batches of the given sizes. For
-// each k it applies k modifications from gen, processes them as one
-// batch, and records the pseudo-millisecond cost of that batch under w.
+// each k it applies k modifications from gen through the probe, drains
+// them as one batch, and records the pseudo-millisecond cost of the work
+// that drain counted under w.
 // The database state advances between samples (the workload is pure
 // updates, so table sizes stay constant — the same property the paper's
 // update workload has).
-func Measure(m *ivm.Maintainer, alias string, gen func() ivm.Mod, ks []int, w storage.Weights) (*Measurement, error) {
+func Measure(p *pubsub.Probe, alias string, gen func() ivm.Mod, ks []int, w storage.Weights) (*Measurement, error) {
 	// The sample grid must be strictly increasing: duplicates would fold
 	// two measurements of drifted state into one fitted point, and
 	// out-of-order sizes would break Piecewise's knot ordering silently.
@@ -44,17 +47,16 @@ func Measure(m *ivm.Maintainer, alias string, gen func() ivm.Mod, ks []int, w st
 	out := &Measurement{Alias: alias}
 	for _, k := range ks {
 		for j := 0; j < k; j++ {
-			if err := m.Apply(gen()); err != nil {
+			if err := p.Apply(gen()); err != nil {
 				return nil, err
 			}
 		}
-		before := *m.Stats()
-		if err := m.ProcessBatch(alias, k); err != nil {
+		work, err := p.Drain(alias, k)
+		if err != nil {
 			return nil, err
 		}
-		cost := w.Cost(m.Stats().Sub(before))
 		out.K = append(out.K, k)
-		out.Cost = append(out.Cost, cost)
+		out.Cost = append(out.Cost, w.Cost(work))
 	}
 	return out, nil
 }

@@ -7,11 +7,12 @@ import (
 
 	"abivm/internal/costfn"
 	"abivm/internal/ivm"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
 )
 
-func setup(t *testing.T) (*ivm.Maintainer, *tpcr.UpdateGen) {
+func setup(t *testing.T) (*pubsub.Probe, *tpcr.UpdateGen) {
 	t.Helper()
 	cfg := tpcr.DefaultConfig()
 	cfg.ScaleFactor = 0.002
@@ -19,11 +20,11 @@ func setup(t *testing.T) (*ivm.Maintainer, *tpcr.UpdateGen) {
 	if err := tpcr.Generate(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ivm.New(db, tpcr.PaperView)
+	p, err := pubsub.NewProbe(db, tpcr.PaperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, tpcr.NewUpdateGen(db, cfg, 3)
+	return p, tpcr.NewUpdateGen(db, cfg, 3)
 }
 
 func TestMeasureProducesIncreasingCosts(t *testing.T) {

@@ -5,14 +5,15 @@ import (
 	"math/rand"
 
 	"abivm/internal/ivm"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 )
 
 // Sandbox is an isolated calibration environment for one view: the
-// view's base tables cloned into a scratch database, a maintainer built
+// view's base tables cloned into a scratch database, a pubsub.Probe built
 // over the clones, and one deterministic update generator per FROM
-// alias. Calibration batches drain through the scratch maintainer only —
-// the database the sandbox was built from is never written.
+// alias. Calibration batches drain through the scratch probe only — the
+// database the sandbox was built from is never written.
 //
 // The generated workload is pure updates (the paper's update workload):
 // table sizes stay constant across samples, victims are drawn from the
@@ -22,14 +23,13 @@ import (
 // sandboxes with the same inputs and seed produce identical mod streams
 // and therefore identical measurements.
 type Sandbox struct {
-	db      *storage.DB
-	m       *ivm.Maintainer
-	aliases []string
-	gens    map[string]func() ivm.Mod
+	db   *storage.DB
+	p    *pubsub.Probe
+	gens map[string]func() ivm.Mod
 }
 
 // NewSandbox clones the base tables of the view query out of src and
-// builds the scratch maintainer and per-alias generators. src is only
+// builds the scratch probe and per-alias generators. src is only
 // read, and only during construction.
 func NewSandbox(src *storage.DB, query string, seed int64) (*Sandbox, error) {
 	p, err := ivm.PlanView(query)
@@ -46,13 +46,12 @@ func NewSandbox(src *storage.DB, query string, seed int64) (*Sandbox, error) {
 			return nil, err
 		}
 	}
-	m, err := ivm.New(scratch, query)
+	probe, err := pubsub.NewProbe(scratch, query)
 	if err != nil {
 		return nil, err
 	}
-	sb := &Sandbox{db: scratch, m: m, gens: make(map[string]func() ivm.Mod)}
+	sb := &Sandbox{db: scratch, p: probe, gens: make(map[string]func() ivm.Mod)}
 	for i, s := range p.Sources {
-		sb.aliases = append(sb.aliases, s.Alias)
 		gen, err := newUpdateGen(scratch.MustTable(s.Table), s.Alias, seed+int64(i)*1_000_003)
 		if err != nil {
 			return nil, err
@@ -62,16 +61,6 @@ func NewSandbox(src *storage.DB, query string, seed int64) (*Sandbox, error) {
 	return sb, nil
 }
 
-// Maintainer returns the scratch maintainer the sandbox calibrates.
-func (sb *Sandbox) Maintainer() *ivm.Maintainer { return sb.m }
-
-// Aliases returns the FROM aliases in order.
-func (sb *Sandbox) Aliases() []string { return sb.aliases }
-
-// Gen returns the alias's deterministic modification generator, or nil
-// for an unknown alias.
-func (sb *Sandbox) Gen(alias string) func() ivm.Mod { return sb.gens[alias] }
-
 // Measure samples the alias's batch-cost curve f_i(k) at the given batch
 // sizes inside the sandbox.
 func (sb *Sandbox) Measure(alias string, ks []int, w storage.Weights) (*Measurement, error) {
@@ -79,7 +68,7 @@ func (sb *Sandbox) Measure(alias string, ks []int, w storage.Weights) (*Measurem
 	if !ok {
 		return nil, fmt.Errorf("costmodel: sandbox has no alias %q", alias)
 	}
-	return Measure(sb.m, alias, gen, ks, w)
+	return Measure(sb.p, alias, gen, ks, w)
 }
 
 // newUpdateGen builds a seeded pure-update generator for one base table.

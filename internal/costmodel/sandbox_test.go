@@ -44,7 +44,7 @@ func TestSandboxDoesNotMutateSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alias := range sb.Aliases() {
+	for _, alias := range sb.p.Aliases() {
 		if _, err := sb.Measure(alias, []int{1, 4, 8}, storage.DefaultWeights()); err != nil {
 			t.Fatalf("Measure(%s): %v", alias, err)
 		}
@@ -66,11 +66,11 @@ func TestSandboxWorkloadIsPureUpdates(t *testing.T) {
 	for _, name := range db.TableNames() {
 		sizes[name] = db.MustTable(name).Len()
 	}
-	alias := sb.Aliases()[0]
+	alias := sb.p.Aliases()[0]
 	if _, err := sb.Measure(alias, []int{1, 8, 16}, storage.DefaultWeights()); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range sb.Maintainer().Plan().Sources {
+	for _, src := range sb.p.Plan().Sources {
 		name := src.Table
 		if want, ok := sizes[name]; ok {
 			if got := mustLen(t, sb, name); got != want {
@@ -99,7 +99,7 @@ func TestSandboxDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []*Measurement
-		for _, alias := range sb.Aliases() {
+		for _, alias := range sb.p.Aliases() {
 			ms, err := sb.Measure(alias, []int{1, 4, 8, 16}, storage.DefaultWeights())
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSandboxDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := sb.Measure(sb.Aliases()[0], []int{1, 4, 8, 16}, storage.DefaultWeights())
+	ms, err := sb.Measure(sb.p.Aliases()[0], []int{1, 4, 8, 16}, storage.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCalibrationIgnoresCheckpoints(t *testing.T) {
 		}
 		chain := ivm.NewCheckpointChain(1)
 		var out []*Measurement
-		for _, alias := range sb.Aliases() {
+		for _, alias := range sb.p.Aliases() {
 			for _, ks := range [][]int{{1, 4}, {8, 16}} {
 				ms, err := sb.Measure(alias, ks, storage.DefaultWeights())
 				if err != nil {
@@ -146,13 +146,13 @@ func TestCalibrationIgnoresCheckpoints(t *testing.T) {
 				}
 				out = append(out, ms)
 				if checkpoint {
-					if err := chain.Checkpoint(sb.Maintainer()); err != nil {
+					if err := chain.Checkpoint(sb.p.Maintainer); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 		}
-		return out, *sb.Maintainer().Stats()
+		return out, *sb.p.Stats()
 	}
 	plain, plainStats := run(false)
 	cp, cpStats := run(true)

@@ -55,23 +55,11 @@ func testDB(t *testing.T) *storage.DB {
 	return db
 }
 
-// applyLive applies one modification to the live database (the part
-// Maintainer.Apply does besides enqueueing).
+// applyLive applies one modification to the live database through the
+// broker's writer, ivm.ApplyLive.
 func applyLive(t *testing.T, db *storage.DB, table string, mod ivm.Mod) {
 	t.Helper()
-	tbl, err := db.Table(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch mod.Kind {
-	case ivm.ModInsert:
-		err = tbl.Insert(mod.Row)
-	case ivm.ModDelete:
-		_, err = tbl.Delete(mod.Key...)
-	case ivm.ModUpdate:
-		_, err = tbl.Update(mod.Key, mod.Row)
-	}
-	if err != nil {
+	if err := ivm.ApplyLive(db, table, mod, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,10 +75,11 @@ func renderRows(rows []storage.Row) string {
 // pair couples a classic maintainer and a shared-graph handle over one
 // live database, fed the same modification and drain streams.
 type pair struct {
-	t *testing.T
-	m *ivm.Maintainer
-	h *ViewHandle
-	g *Graph
+	t  *testing.T
+	db *storage.DB
+	m  *ivm.Maintainer
+	h  *ViewHandle
+	g  *Graph
 }
 
 func newPair(t *testing.T, db *storage.DB, g *Graph, query string) *pair {
@@ -107,16 +96,16 @@ func newPair(t *testing.T, db *storage.DB, g *Graph, query string) *pair {
 	if err != nil {
 		t.Fatalf("Subscribe(%q): %v", query, err)
 	}
-	return &pair{t: t, m: m, h: h, g: g}
+	return &pair{t: t, db: db, m: m, h: h, g: g}
 }
 
-// apply routes one modification to both runtimes: the maintainer
-// applies it to the live table and enqueues; the graph ingests it
-// (the live mutation already happened).
+// apply writes one modification to the live table and routes it to both
+// runtimes: the maintainer enqueues it and the graph ingests it.
 func (p *pair) apply(table string, mod ivm.Mod) {
 	p.t.Helper()
-	if err := p.m.Apply(mod); err != nil {
-		p.t.Fatalf("maintainer apply: %v", err)
+	applyLive(p.t, p.db, table, mod)
+	if err := p.m.ApplyDeferred(mod); err != nil {
+		p.t.Fatalf("maintainer enqueue: %v", err)
 	}
 	if err := p.g.Ingest(table, mod); err != nil {
 		p.t.Fatalf("graph ingest: %v", err)
@@ -540,12 +529,7 @@ func TestCheckpointRecover(t *testing.T) {
 		tables, mods := mu.step()
 		for i, mod := range mods {
 			mod.Alias = aliasFor(p.m, tables[i])
-			if err := p.m.Apply(mod); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.g.Ingest(tables[i], mod); err != nil {
-				t.Fatal(err)
-			}
+			p.apply(tables[i], mod)
 		}
 		aliases := p.m.Aliases()
 		alias := aliases[drains.Intn(len(aliases))]

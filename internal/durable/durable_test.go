@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"abivm/internal/exec"
 	"abivm/internal/ivm"
+	"abivm/internal/plan"
 	"abivm/internal/storage"
 )
 
@@ -98,6 +100,27 @@ type rig struct {
 	depth int
 }
 
+// recompute evaluates the view query from scratch over db's live tables
+// through internal/exec — the ground truth a maintainer's content must
+// match once nothing is pending.
+func recompute(t *testing.T, db *storage.DB, query string) []storage.Row {
+	t.Helper()
+	p, err := ivm.PlanView(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch storage.Stats
+	op, err := plan.Compile(p.View, nil, &plan.Options{Resolve: db.Table, Stats: &scratch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func newRig(t *testing.T, fsys FS, depth int) *rig {
 	t.Helper()
 	db := liveDB(t)
@@ -137,10 +160,19 @@ func (r *rig) apply(t *testing.T, base, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		k := int64(base + i)
-		mod := ivm.Insert("PS", storage.Row{storage.I(k), storage.I(k % 6), storage.F(float64(50 + k))})
-		if err := r.m.Apply(mod); err != nil {
-			t.Fatal(err)
-		}
+		insertPS(t, r.db, r.m, ivm.Insert("PS", storage.Row{storage.I(k), storage.I(k % 6), storage.F(float64(50 + k))}))
+	}
+}
+
+// insertPS writes one partsupp modification to the live table with
+// ivm.ApplyLive and queues it on m, as the broker does.
+func insertPS(t *testing.T, db *storage.DB, m *ivm.Maintainer, mod ivm.Mod) {
+	t.Helper()
+	if err := ivm.ApplyLive(db, "partsupp", mod, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ApplyDeferred(mod); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,10 +297,7 @@ func TestStoreRecoverAcrossCheckpointsAndTruncation(t *testing.T) {
 	if err := r.m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := r.m.RecomputeFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := recompute(t, r.db, paperView)
 	if rowsKey(r.m.Result()) != rowsKey(fresh) {
 		t.Fatal("recovered maintainer diverged from ground truth")
 	}
@@ -401,10 +430,7 @@ func TestRecoverCorruptBaseFallsBackToFullRefresh(t *testing.T) {
 	}
 	// The fallback maintainer reflects the live tables exactly and the
 	// store is re-seeded: the next crash recovers exactly again.
-	fresh, err := r.m.RecomputeFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := recompute(t, r.db, paperView)
 	if rowsKey(r.m.Result()) != rowsKey(fresh) {
 		t.Fatal("fallback maintainer does not match live tables")
 	}
@@ -492,9 +518,7 @@ func TestDirOpenerEndToEnd(t *testing.T) {
 	db := liveDB(t)
 	m, _, _ := build(t, db, st, 4)
 	for i := 0; i < 5; i++ {
-		if err := m.Apply(ivm.Insert("PS", storage.Row{storage.I(int64(900 + i)), storage.I(1), storage.F(42)})); err != nil {
-			t.Fatal(err)
-		}
+		insertPS(t, db, m, ivm.Insert("PS", storage.Row{storage.I(int64(900 + i)), storage.I(1), storage.F(42)}))
 	}
 	if err := m.ProcessBatch("PS", 3); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,9 @@ import (
 	"abivm/internal/astar"
 	"abivm/internal/core"
 	"abivm/internal/costfn"
-	"abivm/internal/ivm"
+	"abivm/internal/costmodel"
 	"abivm/internal/policy"
+	"abivm/internal/pubsub"
 	"abivm/internal/sim"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
@@ -66,7 +67,7 @@ func Ablations(Config) (*AblationsResult, error) {
 		return r.Expanded, r.Cost, nil
 	}
 	simulate := func(in *core.Instance, pol policy.Policy) (float64, error) {
-		r, err := sim.Run(in, pol, sim.Options{})
+		r, err := sim.Run(in, pol)
 		if err != nil {
 			return 0, err
 		}
@@ -143,13 +144,12 @@ func Ablations(Config) (*AblationsResult, error) {
 // modifications to one table of the paper's view on a fresh TPC-R
 // database at the given scale, with Supplier's suppkey indexed.
 func batchCost(scale float64, alias string) (float64, error) {
-	const k = 20
 	cfg := tpcr.Config{ScaleFactor: scale, Seed: 1, SupplierSuppkeyIndex: true}
 	db := storage.NewDB()
 	if err := tpcr.Generate(db, cfg); err != nil {
 		return 0, err
 	}
-	m, err := ivm.New(db, tpcr.PaperView)
+	p, err := pubsub.NewProbe(db, tpcr.PaperView)
 	if err != nil {
 		return 0, err
 	}
@@ -158,16 +158,11 @@ func batchCost(scale float64, alias string) (float64, error) {
 	if alias == "S" {
 		mk = gen.SupplierUpdate
 	}
-	for j := 0; j < k; j++ {
-		if err := m.Apply(mk()); err != nil {
-			return 0, err
-		}
-	}
-	before := *m.Stats()
-	if err := m.ProcessBatch(alias, k); err != nil {
+	ms, err := costmodel.Measure(p, alias, mk, []int{20}, storage.DefaultWeights())
+	if err != nil {
 		return 0, err
 	}
-	return storage.DefaultWeights().Cost(m.Stats().Sub(before)), nil
+	return ms.Cost[0], nil
 }
 
 // AblationsTable renders the experiment.

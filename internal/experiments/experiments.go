@@ -23,7 +23,7 @@ import (
 	"strings"
 
 	"abivm/internal/costmodel"
-	"abivm/internal/ivm"
+	"abivm/internal/pubsub"
 	"abivm/internal/storage"
 	"abivm/internal/tpcr"
 )
@@ -97,8 +97,8 @@ func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 func fmt1(k int) string   { return fmt.Sprintf("%d", k) }
 
 // setupView generates a TPC-R database with the given index configuration
-// and wraps the view in a maintainer plus update generator.
-func setupView(cfg Config, view string, supplierIdx, partsuppIdx bool) (*ivm.Maintainer, *tpcr.UpdateGen, error) {
+// and wraps the view in a measurement probe plus update generator.
+func setupView(cfg Config, view string, supplierIdx, partsuppIdx bool) (*pubsub.Probe, *tpcr.UpdateGen, error) {
 	tcfg := tpcr.Config{
 		ScaleFactor:          cfg.Scale,
 		Seed:                 cfg.Seed,
@@ -109,22 +109,22 @@ func setupView(cfg Config, view string, supplierIdx, partsuppIdx bool) (*ivm.Mai
 	if err := tpcr.Generate(db, tcfg); err != nil {
 		return nil, nil, err
 	}
-	m, err := ivm.New(db, view)
+	p, err := pubsub.NewProbe(db, view)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, tpcr.NewUpdateGen(db, tcfg, cfg.Seed+100), nil
+	return p, tpcr.NewUpdateGen(db, tcfg, cfg.Seed+100), nil
 }
 
 // measurePair measures the PS and S batch-cost curves of a maintained
 // view over the given batch sizes.
-func measurePair(m *ivm.Maintainer, gen *tpcr.UpdateGen, ks []int) (ps, s *costmodel.Measurement, err error) {
+func measurePair(p *pubsub.Probe, gen *tpcr.UpdateGen, ks []int) (ps, s *costmodel.Measurement, err error) {
 	w := storage.DefaultWeights()
-	ps, err = costmodel.Measure(m, "PS", gen.PartSuppUpdate, ks, w)
+	ps, err = costmodel.Measure(p, "PS", gen.PartSuppUpdate, ks, w)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err = costmodel.Measure(m, "S", gen.SupplierUpdate, ks, w)
+	s, err = costmodel.Measure(p, "S", gen.SupplierUpdate, ks, w)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"abivm/internal/astar"
 	"abivm/internal/core"
 	"abivm/internal/costmodel"
-	"abivm/internal/ivm"
 	"abivm/internal/policy"
 	"abivm/internal/sim"
 	"abivm/internal/storage"
@@ -84,43 +83,44 @@ func chooseC(model *core.CostModel, quick bool) float64 {
 }
 
 // engineReplay executes a maintenance plan against a freshly generated
-// engine and returns the actual pseudo-ms cost of all its actions.
-// Arrivals are (PS, S) update counts per step; seeds match setupView so
-// the replay sees the same database and update stream every time.
+// probe and returns the actual pseudo-ms cost of all its actions: each
+// step's drains are summed and weighed once. Arrivals are (PS, S) update
+// counts per step; seeds match setupView so the replay sees the same
+// database and update stream every time.
 func engineReplay(cfg Config, arrivalSeq core.Arrivals, plan core.Plan) (float64, error) {
-	m, gen, err := setupView(cfg, tpcr.PaperView, true, false)
+	p, gen, err := setupView(cfg, tpcr.PaperView, true, false)
 	if err != nil {
 		return 0, err
 	}
 	w := storage.DefaultWeights()
 	total := 0.0
 	for t, d := range arrivalSeq {
-		var mods []ivm.Mod
 		for i := 0; i < d[0]; i++ {
-			mods = append(mods, gen.PartSuppUpdate())
+			if err := p.Apply(gen.PartSuppUpdate()); err != nil {
+				return 0, err
+			}
 		}
 		for i := 0; i < d[1]; i++ {
-			mods = append(mods, gen.SupplierUpdate())
-		}
-		if err := m.Apply(mods...); err != nil {
-			return 0, err
+			if err := p.Apply(gen.SupplierUpdate()); err != nil {
+				return 0, err
+			}
 		}
 		act := plan[t]
 		if act == nil || act.IsZero() {
 			continue
 		}
-		before := *m.Stats()
-		if act[0] > 0 {
-			if err := m.ProcessBatch("PS", act[0]); err != nil {
+		var work storage.Stats
+		for i, alias := range []string{"PS", "S"} {
+			if act[i] == 0 {
+				continue
+			}
+			st, err := p.Drain(alias, act[i])
+			if err != nil {
 				return 0, err
 			}
+			work.Add(st)
 		}
-		if act[1] > 0 {
-			if err := m.ProcessBatch("S", act[1]); err != nil {
-				return 0, err
-			}
-		}
-		total += w.Cost(m.Stats().Sub(before))
+		total += w.Cost(work)
 	}
 	return total, nil
 }
@@ -159,7 +159,7 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil), sim.Options{})
+	onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
 	if err != nil {
 		return nil, err
 	}

@@ -71,17 +71,17 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 			return err
 		}
 		res.OptLGM[i] = opt.Cost
-		adaptRun, err := sim.Run(in, policy.NewAdapt(model, c, adaptPlan), sim.Options{})
+		adaptRun, err := sim.Run(in, policy.NewAdapt(model, c, adaptPlan))
 		if err != nil {
 			return err
 		}
 		res.Adapt[i] = adaptRun.TotalCost
-		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil), sim.Options{})
+		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
 		if err != nil {
 			return err
 		}
 		res.Online[i] = onlineRun.TotalCost
-		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil), sim.Options{})
+		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil))
 		if err != nil {
 			return err
 		}
@@ -203,12 +203,12 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 			return err
 		}
 		cl.opt = optRes.Cost
-		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil), sim.Options{})
+		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
 		if err != nil {
 			return err
 		}
 		cl.online = onlineRun.TotalCost
-		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil), sim.Options{})
+		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil))
 		if err != nil {
 			return err
 		}

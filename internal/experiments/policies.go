@@ -87,7 +87,7 @@ func Policies(cfg Config) (*PoliciesResult, error) {
 		{policy.NewOnlineMarginal(model, c, nil), "none"},
 	}
 	for _, e := range pols {
-		run, err := sim.Run(in, e.pol, sim.Options{})
+		run, err := sim.Run(in, e.pol)
 		if err != nil {
 			return nil, err
 		}

@@ -80,13 +80,13 @@ func queuesKey(m *Maintainer) string {
 	return sb.String()
 }
 
-// evalOverReplicas evaluates the view query from scratch over the
-// maintainer's replica tables through internal/exec — the meaning the
-// incrementally maintained content has to match.
-func evalOverReplicas(t *testing.T, m *Maintainer) []storage.Row {
+// evalOver evaluates the view query from scratch over db — the
+// maintainer's replicas or the live tables — through internal/exec: the
+// meaning the incrementally maintained content has to match.
+func evalOver(t *testing.T, m *Maintainer, db *storage.DB) []storage.Row {
 	t.Helper()
 	var scratch storage.Stats
-	op, err := plan.Compile(m.sel, nil, &plan.Options{Resolve: m.replica.Table, Stats: &scratch})
+	op, err := plan.Compile(m.sel, nil, &plan.Options{Resolve: db.Table, Stats: &scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestChainEquivalenceProperty(t *testing.T) {
 			}
 			recoverAll := func() {
 				wantView, wantReplica, wantQueues := rowsKey(roll.m.Result()), replicaKey(roll.m), queuesKey(roll.m)
-				if got := rowsKey(evalOverReplicas(t, roll.m)); got != wantView {
+				if got := rowsKey(evalOver(t, roll.m, roll.m.replica)); got != wantView {
 					t.Fatalf("seed %d depth %d: live view %s, query over its replicas %s", seed, depth, wantView, got)
 				}
 				for i, r := range runs {
@@ -237,7 +237,7 @@ func TestChainEquivalenceProperty(t *testing.T) {
 					if got := queuesKey(rec); got != wantQueues {
 						t.Errorf("seed %d depth %d chain %d: recovered queues %s, want %s", seed, depth, i, got, wantQueues)
 					}
-					if got := rowsKey(evalOverReplicas(t, rec)); got != wantView {
+					if got := rowsKey(evalOver(t, rec, rec.replica)); got != wantView {
 						t.Errorf("seed %d depth %d chain %d: query over recovered replicas %s, want %s", seed, depth, i, got, wantView)
 					}
 				}
@@ -253,7 +253,7 @@ func TestChainEquivalenceProperty(t *testing.T) {
 			}
 			for step := 0; step < 90; step++ {
 				mods := gen.next()
-				if err := roll.m.Apply(mods...); err != nil {
+				if err := apply(roll.m, mods...); err != nil {
 					t.Fatalf("seed %d depth %d: %v", seed, depth, err)
 				}
 				for _, r := range runs[1:] {

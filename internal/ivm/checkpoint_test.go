@@ -35,10 +35,10 @@ func chainFixture(t testing.TB, maxDepth int) (*storage.DB, *Maintainer, *WAL, *
 
 	// A delete and an update make the second delta carry all three
 	// mutation shapes.
-	if err := m.Apply(Delete("PS", storage.I(100))); err != nil {
+	if err := apply(m, Delete("PS", storage.I(100))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Update("S", []storage.Value{storage.I(0)},
+	if err := apply(m, Update("S", []storage.Value{storage.I(0)},
 		storage.Row{storage.I(0), storage.S("S2"), storage.I(1)})); err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func reencode(t testing.TB, seg *segment) []byte {
 func TestSegmentRoundTrip(t *testing.T) {
 	_, m, wal, _ := chainFixture(t, DefaultChainDepth)
 	m.SetNamespace("shard1/east")
-	if err := m.Apply(Delete("PS", storage.I(201))); err != nil {
+	if err := apply(m, Delete("PS", storage.I(201))); err != nil {
 		t.Fatal(err)
 	}
 	for kind, from := range map[segmentKind]uint64{segmentBase: 0, segmentDelta: 7} {

@@ -35,9 +35,7 @@ func TestUnindexedDrainStatsPinned(t *testing.T) {
 	}
 	gen := tpcr.NewUpdateGen(db, cfg, 3)
 	for i := 0; i < 20; i++ {
-		if err := m.Apply(gen.SupplierUpdate()); err != nil {
-			t.Fatal(err)
-		}
+		feed(t, db, m, "supplier", gen.SupplierUpdate())
 	}
 	before := *m.Stats()
 	if err := m.ProcessBatch("S", 20); err != nil {
@@ -62,10 +60,24 @@ func TestUnindexedDrainStatsPinned(t *testing.T) {
 	}
 }
 
+// feed writes each modification to the live table with ApplyLive and
+// queues it on m, as the broker does.
+func feed(t *testing.T, db *storage.DB, m *ivm.Maintainer, table string, mods ...ivm.Mod) {
+	t.Helper()
+	for _, mod := range mods {
+		if err := ivm.ApplyLive(db, table, mod, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ApplyDeferred(mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // dimFixture builds ten stations (even keys in region r0, odd in r1) and
 // an unindexed sales table — thirty sales at station 0, the rest spread
 // over the other nine — and a maintainer for view over them.
-func dimFixture(t *testing.T, sales int, view string) *ivm.Maintainer {
+func dimFixture(t *testing.T, sales int, view string) (*storage.DB, *ivm.Maintainer) {
 	t.Helper()
 	db := storage.NewDB()
 	mk := func(name string, cols []storage.Column, key string) *storage.Table {
@@ -102,7 +114,7 @@ func dimFixture(t *testing.T, sales int, view string) *ivm.Maintainer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return db, m
 }
 
 // TestDimensionDrainScansReplicaOncePerSurvivingBatch is the exact count
@@ -112,7 +124,7 @@ func dimFixture(t *testing.T, sales int, view string) *ivm.Maintainer {
 // insertions or both do — and nothing when none does.
 func TestDimensionDrainScansReplicaOncePerSurvivingBatch(t *testing.T) {
 	const sales = 1000
-	m := dimFixture(t, sales, `SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'r0'`)
+	db, m := dimFixture(t, sales, `SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'r0'`)
 	move := func(station int64, region string) ivm.Mod {
 		return ivm.Update("st", []storage.Value{storage.I(station)}, storage.Row{storage.I(station), storage.S(region)})
 	}
@@ -129,9 +141,7 @@ func TestDimensionDrainScansReplicaOncePerSurvivingBatch(t *testing.T) {
 		{"nothing survives", []ivm.Mod{move(3, "r2")}, 2, 0, 1},
 		{"nets to nothing", []ivm.Mod{move(5, "r0"), move(5, "r1")}, 0, 0, 1},
 	} {
-		if err := m.Apply(tc.batch...); err != nil {
-			t.Fatal(err)
-		}
+		feed(t, db, m, "stations", tc.batch...)
 		before := *m.Stats()
 		if err := m.ProcessBatch("st", len(tc.batch)); err != nil {
 			t.Fatal(err)
@@ -150,13 +160,11 @@ func TestDimensionDrainScansReplicaOncePerSurvivingBatch(t *testing.T) {
 func TestDimensionDrainAllocsIndependentOfFactRows(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	allocs := func(sales int) float64 {
-		m := dimFixture(t, sales, `SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey`)
+		db, m := dimFixture(t, sales, `SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey`)
 		n := 0
 		drain := func() {
 			n++
-			if err := m.Apply(ivm.Update("st", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.S(fmt.Sprint("r", n%2))})); err != nil {
-				t.Fatal(err)
-			}
+			feed(t, db, m, "stations", ivm.Update("st", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.S(fmt.Sprint("r", n%2))}))
 			if err := m.ProcessBatch("st", 1); err != nil {
 				t.Fatal(err)
 			}

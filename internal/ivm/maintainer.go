@@ -12,10 +12,10 @@ import (
 )
 
 // Maintainer incrementally maintains one materialized view. Modifications
-// enter through Apply (which updates the live base tables immediately and
-// enqueues deltas); ProcessBatch drains a prefix of one table's delta
-// queue into the view — the action primitive of the paper's maintenance
-// plans.
+// enter through ApplyDeferred, after ApplyLive has written them to the
+// live base tables, and queue as deltas; ProcessBatch drains a prefix of
+// one table's delta queue into the view — the action primitive of the
+// paper's maintenance plans.
 type Maintainer struct {
 	live    *storage.DB
 	replica *storage.DB
@@ -222,53 +222,11 @@ func (m *Maintainer) initialize() error {
 	return nil
 }
 
-// Apply applies modifications to the live base tables immediately and
-// appends them to the per-table delta queues for later batch processing,
-// matching the paper's execution model.
-func (m *Maintainer) Apply(mods ...Mod) error {
-	for _, mod := range mods {
-		name, ok := m.tables[mod.Alias]
-		if !ok {
-			return fmt.Errorf("ivm: unknown alias %q", mod.Alias)
-		}
-		tbl, err := m.live.Table(name)
-		if err != nil {
-			return err
-		}
-		switch mod.Kind {
-		case ModInsert:
-			if err := tbl.Insert(mod.Row); err != nil {
-				return err
-			}
-		case ModDelete:
-			if _, err := tbl.Delete(mod.Key...); err != nil {
-				return err
-			}
-		case ModUpdate:
-			if !mod.Row.KeyIs(tbl.Schema().Key, mod.Key) {
-				return fmt.Errorf("ivm: update must not change the primary key (alias %q)", mod.Alias)
-			}
-			if _, err := tbl.Update(mod.Key, mod.Row); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("ivm: unknown modification kind %d", mod.Kind)
-		}
-		m.deltas[mod.Alias] = append(m.deltas[mod.Alias], mod)
-		if err := m.logArrival(mod); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ApplyDeferred enqueues modifications for deferred view maintenance
-// WITHOUT applying them to the live base tables. It exists for brokers
-// that multiplex one shared live database across several maintainers:
-// exactly one maintainer applies the live change (Apply) and the others
-// only observe it (ApplyDeferred). The caller is responsible for the
-// modifications actually being applied to the live tables by someone;
-// the replicas stay consistent either way because they are private.
+// WITHOUT applying them to the live base tables: the caller writes each
+// live change once, with ApplyLive, and every maintainer over those
+// tables only observes it. The replicas stay consistent either way
+// because they are private.
 func (m *Maintainer) ApplyDeferred(mods ...Mod) error {
 	for _, mod := range mods {
 		if _, ok := m.tables[mod.Alias]; !ok {
@@ -593,18 +551,3 @@ func (m *Maintainer) Refresh() error {
 // query through the planner produces, enabling direct comparison. Not a
 // read (see ViewState.Result): no two calls may run at once.
 func (m *Maintainer) Result() []storage.Row { return m.view.Result() }
-
-// RecomputeFresh evaluates the view query from scratch against the live
-// base tables (the ground truth after all pending modifications). The
-// work is charged to a throwaway counter, not to maintenance cost.
-func (m *Maintainer) RecomputeFresh() ([]storage.Row, error) {
-	var scratch storage.Stats
-	op, err := plan.Compile(m.sel, nil, &plan.Options{
-		Resolve: m.live.Table,
-		Stats:   &scratch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(op)
-}

@@ -12,6 +12,20 @@ import (
 	"abivm/internal/testenv"
 )
 
+// apply feeds modifications the way the broker does: each is written to
+// its live table with ApplyLive, then queued with ApplyDeferred.
+func apply(m *Maintainer, mods ...Mod) error {
+	for _, mod := range mods {
+		if err := ApplyLive(m.live, m.tables[mod.Alias], mod, true); err != nil {
+			return err
+		}
+		if err := m.ApplyDeferred(mod); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // liveDB builds the miniature TPC-R-shaped database used across the IVM
 // tests: region(2) <- nation(4) <- supplier(6) <- partsupp(12).
 func liveDB(t testing.TB) *storage.DB {
@@ -110,10 +124,7 @@ func assertConsistent(t *testing.T, m *Maintainer) {
 	if err := m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := m.RecomputeFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := evalOver(t, m, m.live)
 	got := m.Result()
 	if rowsKey(got) != rowsKey(fresh) {
 		t.Fatalf("view diverged:\nincremental: %v\nfresh:       %v", got, fresh)
@@ -156,7 +167,7 @@ func TestApplyUpdatesLiveImmediatelyButNotView(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the ME minimum (partkey 0, cost 100) to 50.
-	err = m.Apply(Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(50)}))
+	err = apply(m, Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(50)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +197,7 @@ func TestMinSurvivesDeletionOfMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Delete("PS", storage.I(0))); err != nil { // cost 100, the minimum
+	if err := apply(m, Delete("PS", storage.I(0))); err != nil { // cost 100, the minimum
 		t.Fatal(err)
 	}
 	assertConsistent(t, m)
@@ -205,7 +216,7 @@ func TestSupplierNationkeyUpdateMovesRegion(t *testing.T) {
 	}
 	// Supplier 1 (nation 1, EUROPE) moves to nation 0 (MIDDLE EAST):
 	// partsupp rows with suppkey 1 (keys 1, 7 -> costs 101, 107) join in.
-	err = m.Apply(Update("S", []storage.Value{storage.I(1)}, storage.Row{storage.I(1), storage.S("S"), storage.I(0)}))
+	err = apply(m, Update("S", []storage.Value{storage.I(1)}, storage.Row{storage.I(1), storage.S("S"), storage.I(0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestSupplierNationkeyUpdateMovesRegion(t *testing.T) {
 	}
 	// And out again: all ME suppliers move to EUROPE; group drains.
 	for _, sk := range []int64{0, 1, 2, 4} {
-		err = m.Apply(Update("S", []storage.Value{storage.I(sk)}, storage.Row{storage.I(sk), storage.S("S"), storage.I(1)}))
+		err = apply(m, Update("S", []storage.Value{storage.I(sk)}, storage.Row{storage.I(sk), storage.S("S"), storage.I(1)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +246,7 @@ func TestBatchProcessingOneTableAtATime(t *testing.T) {
 		Update("S", []storage.Value{storage.I(1)}, storage.Row{storage.I(1), storage.S("S"), storage.I(0)}),
 		Update("PS", []storage.Value{storage.I(2)}, storage.Row{storage.I(2), storage.I(2), storage.F(80)}),
 	}
-	if err := m.Apply(mods...); err != nil {
+	if err := apply(m, mods...); err != nil {
 		t.Fatal(err)
 	}
 	if p := m.Pending(); p[0] != 2 || p[1] != 1 {
@@ -279,16 +290,16 @@ func TestApplyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Insert("ZZ", storage.Row{})); err == nil {
+	if err := apply(m, Insert("ZZ", storage.Row{})); err == nil {
 		t.Fatal("unknown alias accepted")
 	}
 	// Key-changing update rejected.
-	err = m.Apply(Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(99), storage.I(0), storage.F(1)}))
+	err = apply(m, Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(99), storage.I(0), storage.F(1)}))
 	if err == nil || !strings.Contains(err.Error(), "primary key") {
 		t.Fatalf("key-changing update: %v", err)
 	}
 	// Duplicate insert propagates the storage error and is not enqueued.
-	err = m.Apply(Insert("PS", storage.Row{storage.I(0), storage.I(0), storage.F(1)}))
+	err = apply(m, Insert("PS", storage.Row{storage.I(0), storage.I(0), storage.F(1)}))
 	if err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
@@ -311,7 +322,7 @@ func TestInsertThenDeleteSameKeyInOneBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(
+	if err := apply(m,
 		Insert("PS", storage.Row{storage.I(50), storage.I(0), storage.F(1)}),
 		Delete("PS", storage.I(50)),
 	); err != nil {
@@ -331,7 +342,7 @@ func TestDeleteThenReinsertSameRowInOneBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(
+	if err := apply(m,
 		Delete("PS", storage.I(0)),
 		Insert("PS", storage.Row{storage.I(0), storage.I(0), storage.F(100)}),
 	); err != nil {
@@ -382,7 +393,7 @@ func TestGroupByView(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertConsistent(t, m)
-	if err := m.Apply(
+	if err := apply(m,
 		Update("ps", []storage.Value{storage.I(3)}, storage.Row{storage.I(3), storage.I(3), storage.F(5)}),
 		Delete("ps", storage.I(7)),
 		Insert("ps", storage.Row{storage.I(40), storage.I(5), storage.F(7)}),
@@ -403,7 +414,7 @@ func TestSPJView(t *testing.T) {
 	if len(m.Result()) != 6 {
 		t.Fatalf("initial SPJ rows = %d", len(m.Result()))
 	}
-	if err := m.Apply(
+	if err := apply(m,
 		Insert("s", storage.Row{storage.I(50), storage.S("X"), storage.I(0)}),
 		Delete("s", storage.I(1)),
 	); err != nil {
@@ -429,7 +440,7 @@ func TestSPJViewWithDuplicates(t *testing.T) {
 		t.Fatalf("initial rows = %d, want 6 (with duplicates)", got)
 	}
 	// Move suppliers around and delete one; multiplicities shift.
-	if err := m.Apply(
+	if err := apply(m,
 		Update("s", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.S("S"), storage.I(3)}),
 		Delete("s", storage.I(5)),
 		Insert("s", storage.Row{storage.I(9), storage.S("S"), storage.I(0)}),
@@ -504,7 +515,7 @@ func TestCostAsymmetryIndexedVsUnindexed(t *testing.T) {
 		return w.Cost(m.Stats().Sub(before))
 	}
 	psCost := cost(func() {
-		if err := m.Apply(Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(90)})); err != nil {
+		if err := apply(m, Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(90)})); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.ProcessBatch("PS", 1); err != nil {
@@ -512,7 +523,7 @@ func TestCostAsymmetryIndexedVsUnindexed(t *testing.T) {
 		}
 	})
 	sCost := cost(func() {
-		if err := m.Apply(Update("S", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.S("S"), storage.I(1)})); err != nil {
+		if err := apply(m, Update("S", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.S("S"), storage.I(1)})); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.ProcessBatch("S", 1); err != nil {
@@ -539,7 +550,7 @@ func TestDeltaPlanPreparedOncePerAlias(t *testing.T) {
 	}
 	drain := func(cost float64) {
 		t.Helper()
-		if err := m.Apply(Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(cost)})); err != nil {
+		if err := apply(m, Update("PS", []storage.Value{storage.I(0)}, storage.Row{storage.I(0), storage.I(0), storage.F(cost)})); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.ProcessBatch("PS", 1); err != nil {
@@ -595,7 +606,7 @@ func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 			k := nextPS
 			nextPS++
 			mod := Insert("PS", storage.Row{storage.I(k), storage.I(int64(rng.Intn(6))), storage.F(float64(rng.Intn(500)))})
-			if err := m.Apply(mod); err != nil {
+			if err := apply(m, mod); err != nil {
 				t.Fatal(err)
 			}
 			livePS[k] = true
@@ -605,7 +616,7 @@ func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 				continue
 			}
 			k := keys[rng.Intn(len(keys))]
-			if err := m.Apply(Delete("PS", storage.I(k))); err != nil {
+			if err := apply(m, Delete("PS", storage.I(k))); err != nil {
 				t.Fatal(err)
 			}
 			delete(livePS, k)
@@ -617,14 +628,14 @@ func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 			k := keys[rng.Intn(len(keys))]
 			row, _ := db.MustTable("partsupp").Get(storage.I(k))
 			newRow := storage.Row{row[0], row[1], storage.F(float64(rng.Intn(500)))}
-			if err := m.Apply(Update("PS", []storage.Value{storage.I(k)}, newRow)); err != nil {
+			if err := apply(m, Update("PS", []storage.Value{storage.I(k)}, newRow)); err != nil {
 				t.Fatal(err)
 			}
 		case 3: // update supplier nationkey
 			sk := int64(rng.Intn(6))
 			row, _ := db.MustTable("supplier").Get(storage.I(sk))
 			newRow := storage.Row{row[0], row[1], storage.I(int64(rng.Intn(4)))}
-			if err := m.Apply(Update("S", []storage.Value{storage.I(sk)}, newRow)); err != nil {
+			if err := apply(m, Update("S", []storage.Value{storage.I(sk)}, newRow)); err != nil {
 				t.Fatal(err)
 			}
 		}

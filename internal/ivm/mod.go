@@ -80,6 +80,33 @@ func Update(alias string, key []storage.Value, row storage.Row) Mod {
 	return Mod{Kind: ModUpdate, Alias: alias, Key: key, Row: row}
 }
 
+// ApplyLive applies one modification to a live base table — the one
+// live-table writer, shared by the broker, the measurement probe and the
+// tests. On a table some view watches it first enforces the rule view
+// maintenance depends on — an update keeps its row's primary key — so
+// a watched table behaves identically whoever writes it; a table nobody
+// watches is simply updated.
+func ApplyLive(db *storage.DB, table string, mod Mod, watched bool) error {
+	tbl, err := db.Table(table)
+	if err != nil {
+		return err
+	}
+	switch mod.Kind {
+	case ModInsert:
+		return tbl.Insert(mod.Row)
+	case ModDelete:
+		_, err := tbl.Delete(mod.Key...)
+		return err
+	case ModUpdate:
+		if watched && !mod.Row.KeyIs(tbl.Schema().Key, mod.Key) {
+			return fmt.Errorf("ivm: update must not change the primary key (table %q)", table)
+		}
+		_, err := tbl.Update(mod.Key, mod.Row)
+		return err
+	}
+	return fmt.Errorf("ivm: unknown modification kind %d", mod.Kind)
+}
+
 // AppendMod appends the packed encoding of mod to dst — the one form a
 // modification takes in checkpoint segments and WAL frames alike:
 //

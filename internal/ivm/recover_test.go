@@ -14,7 +14,7 @@ func applyN(t testing.TB, m *Maintainer, base, n int) {
 	for i := 0; i < n; i++ {
 		k := int64(base + i)
 		mod := Insert("PS", storage.Row{storage.I(k), storage.I(k % 6), storage.F(float64(50 + k))})
-		if err := m.Apply(mod); err != nil {
+		if err := apply(m, mod); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 	cp := fullCheckpoint(t, m)
 	applyN(t, m, 200, 3)
-	if err := m.Apply(Update("S", []storage.Value{storage.I(0)},
+	if err := apply(m, Update("S", []storage.Value{storage.I(0)},
 		storage.Row{storage.I(0), storage.S("S2"), storage.I(1)})); err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
 	applyN(t, m, 100, 5)
 	// Mix in an update and a delete so the drain has both replica
 	// deletions and insertions to roll back.
-	if err := m.Apply(Update("PS", []storage.Value{storage.I(100)},
+	if err := apply(m, Update("PS", []storage.Value{storage.I(100)},
 		storage.Row{storage.I(100), storage.I(3), storage.F(1)})); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Delete("PS", storage.I(101))); err != nil {
+	if err := apply(m, Delete("PS", storage.I(101))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,14 +13,14 @@ import (
 func mixedBurst(t *testing.T, m *Maintainer, base int) {
 	t.Helper()
 	applyN(t, m, base, 5)
-	if err := m.Apply(Update("PS", []storage.Value{storage.I(int64(base))},
+	if err := apply(m, Update("PS", []storage.Value{storage.I(int64(base))},
 		storage.Row{storage.I(int64(base)), storage.I(2), storage.F(float64(base) / 2)})); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Delete("PS", storage.I(int64(base+1)))); err != nil {
+	if err := apply(m, Delete("PS", storage.I(int64(base+1)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Update("S", []storage.Value{storage.I(1)},
+	if err := apply(m, Update("S", []storage.Value{storage.I(1)},
 		storage.Row{storage.I(1), storage.S("S'"), storage.I(int64(base % 4))})); err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,7 @@ func TestRefreshFallbackMatchesRecompute(t *testing.T) {
 			t.Errorf("alias %d: %d mods still pending after Refresh", i, n)
 		}
 	}
-	fresh, err := m.RecomputeFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := evalOver(t, m, m.live)
 	if rowsKey(m.Result()) != rowsKey(fresh) {
 		t.Fatalf("refreshed view diverged from recompute:\nincremental: %v\nfresh:       %v", m.Result(), fresh)
 	}
@@ -143,7 +140,7 @@ func TestCheckpointWALTruncationMidBurst(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		k := int64(300 + i)
 		mod := Insert("PS", storage.Row{storage.I(k), storage.I(k % 6), storage.F(float64(50 + k))})
-		if err := m.Apply(mod); err != nil {
+		if err := apply(m, mod); err != nil {
 			t.Fatal(err)
 		}
 		if err := rec.ApplyDeferred(mod); err != nil {

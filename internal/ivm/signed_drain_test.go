@@ -319,7 +319,7 @@ func TestSignedDrainMatchesTwoPassReference(t *testing.T) {
 					alias := m.aliases[rng.Intn(len(m.aliases))]
 					live := db.MustTable(m.tables[alias])
 					// One batch in five nets to nothing.
-					if err := m.Apply(sdBatch(rng, live, alias, &next, 1+rng.Intn(6), rng.Intn(5) == 0)...); err != nil {
+					if err := apply(m, sdBatch(rng, live, alias, &next, 1+rng.Intn(6), rng.Intn(5) == 0)...); err != nil {
 						t.Fatal(err)
 					}
 					// Drain a prefix of some queue; every few rounds drain
@@ -336,10 +336,7 @@ func TestSignedDrainMatchesTwoPassReference(t *testing.T) {
 								drain(a, p)
 							}
 						}
-						fresh, err := m.RecomputeFresh()
-						if err != nil {
-							t.Fatal(err)
-						}
+						fresh := evalOver(t, m, m.live)
 						if got := m.Result(); rowsKey(got) != rowsKey(fresh) {
 							t.Fatalf("round %d: view diverged from recompute:\nincremental: %v\nfresh:       %v", round, got, fresh)
 						}

@@ -45,7 +45,7 @@ var engineImpls = []struct {
 		}
 		return engineUnderTest{e, func(t *testing.T, table string, mod ivm.Mod) {
 			t.Helper()
-			if err := applyLive(db, table, mod, true); err != nil {
+			if err := ivm.ApplyLive(db, table, mod, true); err != nil {
 				t.Fatal(err)
 			}
 			if err := g.Ingest(table, mod); err != nil {
@@ -64,7 +64,7 @@ func buildClassic(t *testing.T, open durable.Opener) engineUnderTest {
 	}
 	return engineUnderTest{e, func(t *testing.T, table string, mod ivm.Mod) {
 		t.Helper()
-		if err := applyLive(db, table, mod, true); err != nil {
+		if err := ivm.ApplyLive(db, table, mod, true); err != nil {
 			t.Fatal(err)
 		}
 		arrive(t, e, table, mod)

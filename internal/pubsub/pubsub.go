@@ -352,7 +352,7 @@ func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.obs.observePublish()
-	if err := applyLive(b.db, table, mod, b.watches(table)); err != nil {
+	if err := ivm.ApplyLive(b.db, table, mod, b.watches(table)); err != nil {
 		return err
 	}
 	return b.route(table, mod)
@@ -420,32 +420,6 @@ func (b *Broker) watchesTable(table string) bool {
 func (b *Broker) pending(s *sub) core.Vector {
 	s.pendBuf = s.eng.PendingInto(s.pendBuf)
 	return core.Vector(s.pendBuf)
-}
-
-// applyLive applies one modification to a live base table. On a table
-// some subscription watches it first enforces the rule view maintenance
-// depends on — an update must not change the primary key — so a watched
-// table behaves identically whichever broker fronts it; a table nobody
-// watches is simply updated.
-func applyLive(db *storage.DB, table string, mod ivm.Mod, watched bool) error {
-	tbl, err := db.Table(table)
-	if err != nil {
-		return err
-	}
-	switch mod.Kind {
-	case ivm.ModInsert:
-		return tbl.Insert(mod.Row)
-	case ivm.ModDelete:
-		_, err := tbl.Delete(mod.Key...)
-		return err
-	case ivm.ModUpdate:
-		if watched && !mod.Row.KeyIs(tbl.Schema().Key, mod.Key) {
-			return fmt.Errorf("pubsub: update must not change the primary key (table %q)", table)
-		}
-		_, err := tbl.Update(mod.Key, mod.Row)
-		return err
-	}
-	return fmt.Errorf("pubsub: unknown modification kind %d", mod.Kind)
 }
 
 // EndStep closes a time step: every subscription's policy may drain its

@@ -170,7 +170,7 @@ func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	targets := sb.routesFor(table)
-	if err := applyLive(sb.db, table, mod, len(targets) > 0); err != nil {
+	if err := ivm.ApplyLive(sb.db, table, mod, len(targets) > 0); err != nil {
 		return err
 	}
 	for _, sh := range targets {

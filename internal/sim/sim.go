@@ -12,13 +12,6 @@ import (
 	"abivm/internal/policy"
 )
 
-// Event records one non-zero action taken during a run.
-type Event struct {
-	T      int
-	Action core.Vector
-	Cost   float64
-}
-
 // Result summarizes one simulated run.
 type Result struct {
 	Policy string
@@ -35,20 +28,12 @@ type Result struct {
 	// MaxRefreshCost is the largest post-action refresh cost observed
 	// before T; validity requires MaxRefreshCost <= C.
 	MaxRefreshCost float64
-	// Events lists all non-zero actions when trace recording is enabled.
-	Events []Event
-}
-
-// Options tunes a simulation run.
-type Options struct {
-	// RecordTrace keeps the per-action event log in the result.
-	RecordTrace bool
 }
 
 // Run simulates pol over the instance and returns the accounting. The
 // returned plan is always validated against Definition 1; a policy that
 // produces an invalid action is a bug, reported as an error.
-func Run(in *core.Instance, pol policy.Policy, opts Options) (*Result, error) {
+func Run(in *core.Instance, pol policy.Policy) (*Result, error) {
 	n := in.N()
 	tEnd := in.T()
 	pol.Reset(n)
@@ -73,17 +58,13 @@ func Run(in *core.Instance, pol policy.Policy, opts Options) (*Result, error) {
 		state.SubInPlace(act)
 		res.Plan[t] = act
 		if !act.IsZero() {
-			cost := in.Model.Total(act)
-			res.TotalCost += cost
+			res.TotalCost += in.Model.Total(act)
 			res.Actions++
 			for i, k := range act {
 				if k > 0 {
 					res.PerTableCost[i] += in.Model.TableCost(i, k)
 					res.ActionsPerTable[i]++
 				}
-			}
-			if opts.RecordTrace {
-				res.Events = append(res.Events, Event{T: t, Action: act.Clone(), Cost: cost})
 			}
 		}
 		if t < tEnd {
@@ -100,9 +81,9 @@ func Run(in *core.Instance, pol policy.Policy, opts Options) (*Result, error) {
 
 // Replay evaluates a precomputed plan against the instance with the same
 // accounting as Run, validating it first.
-func Replay(in *core.Instance, plan core.Plan, label string, opts Options) (*Result, error) {
+func Replay(in *core.Instance, plan core.Plan, label string) (*Result, error) {
 	if err := in.Validate(plan); err != nil {
 		return nil, err
 	}
-	return Run(in, policy.NewOracle(in.Model, in.C, plan, label), opts)
+	return Run(in, policy.NewOracle(in.Model, in.C, plan, label))
 }

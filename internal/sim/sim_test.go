@@ -30,7 +30,7 @@ func mkInstance(t *testing.T, arr core.Arrivals, c float64) *core.Instance {
 func TestRunNaiveAccounting(t *testing.T) {
 	arr := core.Arrivals{{1, 1}, {5, 5}, {0, 0}}
 	in := mkInstance(t, arr, 10)
-	res, err := Run(in, policy.NewNaive(in.Model, in.C), Options{RecordTrace: true})
+	res, err := Run(in, policy.NewNaive(in.Model, in.C))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,10 @@ func TestRunNaiveAccounting(t *testing.T) {
 	if math.Abs(res.PerTableCost[0]-8) > 1e-9 || math.Abs(res.PerTableCost[1]-7) > 1e-9 {
 		t.Errorf("PerTableCost = %v, want [8 7]", res.PerTableCost)
 	}
-	if len(res.Events) != 1 || res.Events[0].T != 1 {
-		t.Errorf("Events = %v", res.Events)
+	for ti, want := range []core.Vector{{0, 0}, {6, 6}, {0, 0}} {
+		if !res.Plan[ti].Equal(want) {
+			t.Errorf("Plan[%d] = %v, want %v", ti, res.Plan[ti], want)
+		}
 	}
 	if res.MaxRefreshCost > in.C {
 		t.Errorf("MaxRefreshCost %g exceeds C", res.MaxRefreshCost)
@@ -71,7 +73,7 @@ func TestRunCostMatchesInstanceCost(t *testing.T) {
 			arr[ti] = core.Vector{rng.Intn(3), rng.Intn(3)}
 		}
 		in := mkInstance(t, arr, float64(10+rng.Intn(8)))
-		res, err := Run(in, policy.NewOnline(in.Model, in.C, nil), Options{})
+		res, err := Run(in, policy.NewOnline(in.Model, in.C, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +94,7 @@ func TestRunCostMatchesInstanceCost(t *testing.T) {
 func TestRunRejectsRoguePolicy(t *testing.T) {
 	arr := core.Arrivals{{1, 1}, {0, 0}}
 	in := mkInstance(t, arr, 10)
-	if _, err := Run(in, roguePolicy{}, Options{}); err == nil {
+	if _, err := Run(in, roguePolicy{}); err == nil {
 		t.Fatal("rogue policy accepted")
 	}
 }
@@ -113,7 +115,7 @@ func TestRunRejectsLazyRefusal(t *testing.T) {
 	// validation.
 	arr := core.Arrivals{{1, 1}, {0, 0}}
 	in := mkInstance(t, arr, 10)
-	if _, err := Run(in, sleeperPolicy{}, Options{}); err == nil {
+	if _, err := Run(in, sleeperPolicy{}); err == nil {
 		t.Fatal("sleeper policy accepted despite incomplete refresh")
 	}
 }
@@ -130,11 +132,11 @@ func TestReplayValidatesFirst(t *testing.T) {
 	arr := core.Arrivals{{1, 1}, {0, 0}}
 	in := mkInstance(t, arr, 10)
 	bad := core.Plan{{0, 0}, {0, 0}} // incomplete refresh
-	if _, err := Replay(in, bad, "BAD", Options{}); err == nil {
+	if _, err := Replay(in, bad, "BAD"); err == nil {
 		t.Fatal("invalid plan accepted by Replay")
 	}
 	good := in.NaivePlan()
-	res, err := Replay(in, good, "GOOD", Options{})
+	res, err := Replay(in, good, "GOOD")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestMaxRefreshCostNeverExceedsC(t *testing.T) {
 			policy.NewNaive(in.Model, in.C),
 			policy.NewOnline(in.Model, in.C, nil),
 		} {
-			res, err := Run(in, pol, Options{})
+			res, err := Run(in, pol)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,9 @@ package tpcr
 import (
 	"testing"
 
+	"abivm/internal/exec"
 	"abivm/internal/ivm"
+	"abivm/internal/plan"
 	"abivm/internal/storage"
 )
 
@@ -101,6 +103,43 @@ func TestNationRegionMapping(t *testing.T) {
 	}
 }
 
+// apply writes mod to its live table with ivm.ApplyLive and queues it on
+// m, as the broker does.
+func apply(t *testing.T, db *storage.DB, m *ivm.Maintainer, mod ivm.Mod) {
+	t.Helper()
+	for _, src := range m.Plan().Sources {
+		if src.Alias == mod.Alias {
+			if err := ivm.ApplyLive(db, src.Table, mod, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.ApplyDeferred(mod); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recompute evaluates the view query from scratch over db's live tables
+// through internal/exec — the ground truth a maintainer's content must
+// match once nothing is pending.
+func recompute(t *testing.T, db *storage.DB, query string) []storage.Row {
+	t.Helper()
+	p, err := ivm.PlanView(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch storage.Stats
+	op, err := plan.Compile(p.View, nil, &plan.Options{Resolve: db.Table, Stats: &scratch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestPaperViewOverGeneratedData(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScaleFactor = 0.002
@@ -128,12 +167,8 @@ func TestUpdateGenProducesValidMods(t *testing.T) {
 	}
 	gen := NewUpdateGen(db, cfg, 99)
 	for i := 0; i < 50; i++ {
-		if err := m.Apply(gen.PartSuppUpdate()); err != nil {
-			t.Fatalf("partsupp update %d: %v", i, err)
-		}
-		if err := m.Apply(gen.SupplierUpdate()); err != nil {
-			t.Fatalf("supplier update %d: %v", i, err)
-		}
+		apply(t, db, m, gen.PartSuppUpdate())
+		apply(t, db, m, gen.SupplierUpdate())
 	}
 	if p := m.Pending(); p[0] != 50 || p[1] != 50 {
 		t.Fatalf("pending = %v", p)
@@ -141,10 +176,7 @@ func TestUpdateGenProducesValidMods(t *testing.T) {
 	if err := m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := m.RecomputeFresh()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := recompute(t, db, PaperView)
 	got := m.Result()
 	if len(got) != 1 || len(fresh) != 1 || !storage.Equal(got[0][0], fresh[0][0]) {
 		t.Fatalf("incremental %v vs fresh %v", got, fresh)
@@ -177,20 +209,13 @@ func TestRegionGroupViewMaintainedUnderUpdates(t *testing.T) {
 	}
 	gen := NewUpdateGen(db, cfg, 42)
 	for i := 0; i < 120; i++ {
-		if err := m.Apply(gen.PartSuppUpdate()); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Apply(gen.SupplierUpdate()); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, db, m, gen.PartSuppUpdate())
+		apply(t, db, m, gen.SupplierUpdate())
 		if i%30 == 29 {
 			if err := m.Refresh(); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := m.RecomputeFresh()
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := recompute(t, db, RegionGroupView)
 			got := m.Result()
 			if len(got) != len(fresh) {
 				t.Fatalf("step %d: %d groups vs fresh %d", i, len(got), len(fresh))

@@ -30,11 +30,12 @@ import (
 // unset — the demo workload's bound.
 const DefaultQoS = 40.0
 
-// DefaultKs is the default calibration grid of batch sizes.
-var DefaultKs = []int{1, 2, 4, 8, 16, 32}
+// defaultKs is the calibration grid of batch sizes, weighed with
+// storage.DefaultWeights.
+var defaultKs = []int{1, 2, 4, 8, 16, 32}
 
 // Options configures compilation. The zero value is usable: linear fit,
-// seed 0, DefaultKs, default weights, notify every step, DefaultQoS.
+// seed 0, notify every step, DefaultQoS.
 type Options struct {
 	// Name is the subscription name; "view" when empty. CompileCatalog
 	// overrides it per statement.
@@ -47,11 +48,6 @@ type Options struct {
 	// Seed drives the calibration workload generators; the same seed,
 	// database, and query always produce byte-identical models.
 	Seed int64
-	// Ks is the strictly increasing calibration grid; DefaultKs when nil.
-	Ks []int
-	// Weights converts engine work-unit counters to pseudo-ms cost; the
-	// zero value selects storage.DefaultWeights.
-	Weights storage.Weights
 	// Condition is the notification condition; Every(1) when nil.
 	Condition pubsub.Condition
 	// Dataflow targets the shared delta-dataflow runtime: the EXPLAIN
@@ -73,12 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Fit == "" {
 		o.Fit = "linear"
-	}
-	if o.Ks == nil {
-		o.Ks = DefaultKs
-	}
-	if o.Weights == (storage.Weights{}) {
-		o.Weights = storage.DefaultWeights()
 	}
 	if o.Condition == nil {
 		o.Condition = pubsub.Every(1)
@@ -184,7 +174,7 @@ func compileSelect(db *storage.DB, sel *sql.Select, opts Options) (*CompiledView
 	if err != nil {
 		return nil, fmt.Errorf("view %q: calibration sandbox: %w", opts.Name, err)
 	}
-	maxK := 2 * opts.Ks[len(opts.Ks)-1]
+	maxK := 2 * defaultKs[len(defaultKs)-1]
 	cv := &CompiledView{
 		Name: opts.Name, QoS: opts.QoS, Query: query, Plan: plan,
 		Fit: opts.Fit, Seed: opts.Seed, cond: opts.Condition, db: db,
@@ -200,7 +190,7 @@ func compileSelect(db *storage.DB, sel *sql.Select, opts Options) (*CompiledView
 	}
 	funcs := make([]core.CostFunc, 0, len(plan.Sources))
 	for _, src := range plan.Sources {
-		ms, err := sb.Measure(src.Alias, opts.Ks, opts.Weights)
+		ms, err := sb.Measure(src.Alias, defaultKs, storage.DefaultWeights())
 		if err != nil {
 			return nil, fmt.Errorf("view %q: calibrating %s: %w", opts.Name, src.Alias, err)
 		}

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Full verification gate: gofmt, vet, build, domain lint (the three
+# Full verification gate: gofmt, vet, build, the one-calibration-seam
+# guard (no ivm.New outside the engine, the broker and the benchmark),
+# domain lint (the three
 # abivmlint analyzers: zero live findings and no stale lint:ignore
 # waivers), race-enabled tests (the analyzers' fixture tests among
 # them), the allocation-count tests without the race detector, one
@@ -28,6 +30,18 @@ go vet ./...
 
 echo "==> go build"
 go build ./...
+
+# One calibration seam: outside the engine, the broker and the benchmark
+# a view's maintainer comes from pubsub.NewProbe, never from ivm.New, so
+# every measurement counts the work the broker's drains count.
+echo "==> no hand-built maintainer"
+built=$(grep -rn 'ivm\.New(' --include='*.go' . | grep -v '_test\.go' |
+	grep -v -e '^\./internal/ivm/' -e '^\./internal/pubsub/' -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$built" ]; then
+	echo "ivm.New outside internal/ivm, internal/pubsub and benchmark (use pubsub.NewProbe):" >&2
+	echo "$built" >&2
+	exit 1
+fi
 
 echo "==> abivmlint"
 go run ./cmd/abivmlint ./...
