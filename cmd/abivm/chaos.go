@@ -34,8 +34,15 @@ func runChaos(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *runs < 1 {
+	switch {
+	case *runs < 1:
 		return fmt.Errorf("chaos: -runs must be >= 1")
+	case *steps < 1:
+		return fmt.Errorf("chaos: -steps %d: want at least 1 step", *steps)
+	case *cpEvery < 0:
+		return fmt.Errorf("chaos: -checkpoint %d: want a cadence of at least 1 step, or 0 to disable", *cpEvery)
+	case *shards < 0:
+		return fmt.Errorf("chaos: -shards %d: want a shard count, or 0 for the serial broker", *shards)
 	}
 
 	writeChaosHeader(os.Stdout)

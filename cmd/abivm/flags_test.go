@@ -1,0 +1,51 @@
+package main
+
+import (
+	"context"
+	"strings"
+	"testing"
+)
+
+// TestServeRejectsBadFlags: `abivm serve` refuses a step interval that
+// is not positive and negative counts with an error naming the flag,
+// before it builds a workload or listens: no ticker panic, no silent
+// default.
+func TestServeRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-interval", "0"}, "-interval 0s"},
+		{[]string{"-interval", "-1ms"}, "-interval -1ms"},
+		{[]string{"-steps", "-1"}, "-steps -1"},
+		{[]string{"-tracebuf", "-1"}, "-tracebuf -1"},
+		{[]string{"-tracebuf", "0"}, "-tracebuf 0"},
+		{[]string{"-shards", "-1"}, "-shards -1"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-steps", "1", "-interval", "1ms"}, tc.args...)
+		err := runServe(context.Background(), args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("serve %v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestChaosRejectsBadFlags: `abivm chaos` refuses a run of no steps and
+// negative cadences and shard counts with an error naming the flag,
+// instead of running the default 60 steps or the serial broker.
+func TestChaosRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-steps", "0"}, "-steps 0"},
+		{[]string{"-steps", "-1"}, "-steps -1"},
+		{[]string{"-checkpoint", "-1"}, "-checkpoint -1"},
+		{[]string{"-shards", "-1"}, "-shards -1"},
+	} {
+		err := runChaos(context.Background(), append([]string{"-steps", "2"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("chaos %v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -50,7 +50,16 @@ func runServe(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shared && *dataDir != "" {
+	switch {
+	case *interval <= 0:
+		return fmt.Errorf("serve: -interval %s: want a positive step interval", *interval)
+	case *steps < 0:
+		return fmt.Errorf("serve: -steps %d: want a step count, or 0 to run until interrupted", *steps)
+	case *tracebuf < 1:
+		return fmt.Errorf("serve: -tracebuf %d: want a capacity of at least 1 span", *tracebuf)
+	case *shards < 0:
+		return fmt.Errorf("serve: -shards %d: want a shard count, or 0 for the serial broker", *shards)
+	case *shared && *dataDir != "":
 		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
 	}
 	// The sharded runtime widens the workload to 2*shards regions so the

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -189,8 +190,8 @@ func TestArrangementsListing(t *testing.T) {
 // already holds, and whose partner opposite no join accepts, allocates
 // nothing once its bucket's tail has room — the key is probed and
 // bucketed as bytes, only a delta that opens a bucket makes the key a
-// string, and a probe allocates its products' arrays only when it builds
-// one.
+// string, and a probe takes memory from the graph's arena only for a
+// product some join accepts.
 func TestArrangementOnDeltaAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, regions = 20, 12
@@ -272,45 +273,55 @@ func TestTrimWatermarkIsLowestSink(t *testing.T) {
 	checkGraphInvariants(t, "after release and trim", g)
 }
 
-// TestIngestAllocsIndependentOfPartners: one station update allocates
-// the same whether 8 sales or 64 sit at the station. Each of its two
-// deltas probes the station's sales bucket once, and a probe builds all
-// its products in one array and gives those with a base partner one
-// shared coordinate, so the allocations count probes, not products.
+// TestIngestAllocsIndependentOfPartners: a station update allocates
+// about the same whether 8 sales or 64 sit at the station. Each of its
+// two deltas probes the station's sales bucket once and takes every
+// product's row and coordinate from the graph's arena, so what a single
+// update allocates is whether a chunk runs out under it: the test
+// averages 64 steady-state updates, each folded, checkpointed and
+// trimmed before the next, so the delta log and the buckets keep their
+// capacity. Eight times the products refill the value chunk eight times
+// as often — less than one allocation per update more at 64.
 func TestIngestAllocsIndependentOfPartners(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
-	ingestAllocs := func(rowsPerStation int) (allocs uint64) {
+	const warm, measured = 4, 64
+	meanAllocs := func(rowsPerStation int) float64 {
 		g := NewGraph(sizedDB(t, 16*rowsPerStation, rowsPerStation))
 		handles := subscribeRegional(t, g, 0)
-		// Steady state: each round's deltas are folded, checkpointed and
-		// trimmed, so the delta log and the buckets keep their capacity.
-		for round := 0; round < 4; round++ {
+		var total uint64
+		for round := 0; round < warm+measured; round++ {
 			mod := ivm.Mod{
 				Kind: ivm.ModUpdate,
 				Key:  []storage.Value{storage.I(7)},
 				Row:  storage.Row{storage.I(7), storage.S([]string{"EAST", "WEST"}[round%2])},
 			}
-			allocs = mallocsOf(func() {
+			allocs := mallocsOf(func() {
 				if err := g.Ingest("stations", mod); err != nil {
 					t.Fatal(err)
 				}
 			})
+			if round >= warm {
+				total += allocs
+			}
 			if got := len(handles[0].log.deltas); got != 2*rowsPerStation {
 				t.Fatalf("a station update logged %d deltas for the sink, want %d", got, 2*rowsPerStation)
 			}
 			settle(t, handles)
 			g.Trim()
 		}
-		return allocs
+		return float64(total) / measured
 	}
-	if few, many := ingestAllocs(8), ingestAllocs(64); few != many {
-		t.Fatalf("one station update allocated %d times over 8 sales, %d over 64", few, many)
+	few, many := meanAllocs(8), meanAllocs(64)
+	t.Logf("a station update allocates %.2f times on average over 8 sales, %.2f over 64", few, many)
+	if few > 4 || many > 4 || math.Abs(many-few) > 1 {
+		t.Fatalf("a station update allocated %.2f times on average over 8 sales, %.2f over 64; want at most 4 each, within 1 of each other",
+			few, many)
 	}
 }
 
 // TestArrangedProductsOwnTheirRows: the three-way view arranges its
 // inner join's output by region. The join hands out its products as
-// windows of one array per probe; the arrangement keeps copies, so after
+// windows of the graph's arena chunks; the arrangement keeps copies, so after
 // a trim every base row it holds has its own array, capped at its length,
 // and none is a product the join emitted.
 func TestArrangedProductsOwnTheirRows(t *testing.T) {

@@ -406,20 +406,7 @@ func TestSharingOpCount(t *testing.T) {
 	// its own: 24 SELECT lists, 24 sinks, 19 operators (2 scans, 4
 	// filters, 13 joins).
 	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
-	var catalogue []string
-	for r := 0; r < 12; r++ {
-		catalogue = append(catalogue, regionalQuery(regionName(r)))
-	}
-	for _, aggs := range []string{"SUM(s.amount), COUNT(*)", "MIN(s.amount), MAX(s.amount)", "AVG(s.amount)", "COUNT(*)"} {
-		catalogue = append(catalogue, "SELECT st.region, "+aggs+" FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region")
-	}
-	for r := 0; r < 4; r++ {
-		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = '%s'", regionName(r)))
-	}
-	for i := 0; i < 4; i++ {
-		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, s.amount FROM sales AS s WHERE s.amount >= %d", 91+2*i))
-	}
-	for _, q := range catalogue {
+	for _, q := range fanoutCatalogue() {
 		p, err := ivm.PlanView(q)
 		if err != nil {
 			t.Fatal(err)
@@ -821,4 +808,25 @@ func TestRetractedAmountLeavesNoRounding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fanoutCatalogue is the benchmark's 24-view fanout catalogue over a
+// regionalDB of 12 regions: 12 regional aggregates, 4 GROUP BY variants
+// over the unfiltered join, 4 regional row lists repeating the first
+// four regions, 4 sales-only filters.
+func fanoutCatalogue() []string {
+	var catalogue []string
+	for r := 0; r < 12; r++ {
+		catalogue = append(catalogue, regionalQuery(regionName(r)))
+	}
+	for _, aggs := range []string{"SUM(s.amount), COUNT(*)", "MIN(s.amount), MAX(s.amount)", "AVG(s.amount)", "COUNT(*)"} {
+		catalogue = append(catalogue, "SELECT st.region, "+aggs+" FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region")
+	}
+	for r := 0; r < 4; r++ {
+		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = '%s'", regionName(r)))
+	}
+	for i := 0; i < 4; i++ {
+		catalogue = append(catalogue, fmt.Sprintf("SELECT s.salekey, s.amount FROM sales AS s WHERE s.amount >= %d", 91+2*i))
+	}
+	return catalogue
 }

@@ -279,6 +279,7 @@ type Graph struct {
 	views   []*ViewHandle // the attached sinks, in subscribe order
 	logs    []*deltaLog   // one per operator with sinks, in order of their first sink
 	ctr     counters
+	arena   deltaArena // the rows and coordinates deltas carry
 	// arrOrder caches the arrangements in identity order for Trim; realize
 	// and drop reset it. wm is Trim's watermark, reused across calls.
 	arrOrder []*arrangement
@@ -368,7 +369,7 @@ func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc := newScanNode(s.sig, tbl)
+		sc := newScanNode(s.sig, tbl, &g.arena)
 		g.scans[s.table] = sc
 		n = sc
 	case opFilter:
@@ -444,7 +445,7 @@ func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement 
 		g.arrHits++
 		return a
 	}
-	a := newArrangement(id, &g.ctr, child, keys)
+	a := newArrangement(id, &g.ctr, &g.arena, child, keys)
 	g.arrs[id] = a
 	return a
 }

@@ -133,9 +133,10 @@ type scanNode struct {
 	rows      []storage.Row // nil entries are free slots
 	free      []int
 	mods      uint64
+	arena     *deltaArena // the graph's: every coordinate the scan stamps
 }
 
-func newScanNode(sig string, tbl *storage.Table) *scanNode {
+func newScanNode(sig string, tbl *storage.Table, arena *deltaArena) *scanNode {
 	schema := tbl.Schema()
 	cols := make([]exec.Col, len(schema.Columns))
 	for i, c := range schema.Columns {
@@ -152,6 +153,7 @@ func newScanNode(sig string, tbl *storage.Table) *scanNode {
 		keyCols:   schema.Key,
 		slots:     make(map[string]int, tbl.Len()),
 		rows:      make([]storage.Row, 0, tbl.Len()),
+		arena:     arena,
 	}
 	tbl.Scan(func(r storage.Row) bool {
 		var a [64]byte
@@ -175,10 +177,10 @@ func (s *scanNode) store(key []byte, row storage.Row) {
 
 // ingest converts one base-table modification into signed deltas and
 // propagates them. The coordinate is the modification's position on the
-// table's ingest log; an update emits its retraction and insertion
-// under the same coordinate, so views always fold both or neither.
+// table's ingest log, in one window of the graph's arena; an update
+// emits its retraction and insertion under that same window, so views
+// always fold both or neither.
 func (s *scanNode) ingest(mod ivm.Mod) error {
-	seq := s.mods + 1
 	var a [64]byte
 	switch mod.Kind {
 	case ivm.ModInsert:
@@ -187,9 +189,8 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 			return fmt.Errorf("dataflow: insert over existing key on %q", s.tableName)
 		}
 		row := s.keep(key, mod.Row)
-		s.mods = seq
 		s.store(key, row)
-		s.emit(Delta{Row: row, W: 1, Coord: Coord{seq}})
+		s.emit(Delta{Row: row, W: 1, Coord: s.next()})
 	case ivm.ModDelete:
 		key := storage.AppendKey(a[:0], mod.Key...)
 		slot, ok := s.slots[string(key)]
@@ -197,11 +198,10 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 			return fmt.Errorf("dataflow: delete of missing key on %q", s.tableName)
 		}
 		old := s.rows[slot]
-		s.mods = seq
 		delete(s.slots, string(key))
 		s.rows[slot] = nil
 		s.free = append(s.free, slot)
-		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
+		s.emit(Delta{Row: old, W: -1, Coord: s.next()})
 	case ivm.ModUpdate:
 		key := storage.AppendKey(a[:0], mod.Key...)
 		slot, ok := s.slots[string(key)]
@@ -212,14 +212,23 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 			return fmt.Errorf("dataflow: update must not change the primary key on %q", s.tableName)
 		}
 		old, row := s.rows[slot], s.keep(key, mod.Row)
-		s.mods = seq
 		s.rows[slot] = row
-		s.emit(Delta{Row: old, W: -1, Coord: Coord{seq}})
-		s.emit(Delta{Row: row, W: 1, Coord: Coord{seq}})
+		c := s.next()
+		s.emit(Delta{Row: old, W: -1, Coord: c})
+		s.emit(Delta{Row: row, W: 1, Coord: c})
 	default:
 		return fmt.Errorf("dataflow: unknown modification kind %d", mod.Kind)
 	}
 	return nil
+}
+
+// next appends a modification to the ingest log and returns its
+// coordinate.
+func (s *scanNode) next() Coord {
+	s.mods++
+	c := s.arena.coord(1)
+	c[0] = s.mods
+	return c
 }
 
 // keep returns the row to mirror for an inserted or updated row r under
@@ -521,10 +530,11 @@ type arrangement struct {
 	keys   []exec.Scalar
 	groups []*portGroup // attached join sides by (opposite arrangement, side), in attachment order
 	wm     []uint64     // the trim watermark at the child's coordinates, reused
+	arena  *deltaArena  // the graph's: the products its port groups build
 	// copies is set when the child reads more than one table, so its rows
-	// are join products — windows of one probe's shared array
-	// (portGroup.probe): the arrangement keeps a copy of each, lest a
-	// long-lived base entry pin the whole probe.
+	// are join products — windows of an arena chunk (portGroup.probe): the
+	// arrangement keeps a copy of each, lest a long-lived base entry pin
+	// the whole chunk.
 	copies bool
 }
 
@@ -532,7 +542,7 @@ type arrangement struct {
 // there is covered at creation for whichever view's join asked first, and
 // at real, already-covered coordinates for any join attaching later — and
 // subscribes to what follows.
-func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *arrangement {
+func newArrangement(id string, ctr *counters, arena *deltaArena, child node, keys []exec.Scalar) *arrangement {
 	tabs := len(child.tables())
 	a := &arrangement{
 		sideState: newSideState(tabs, ctr),
@@ -540,6 +550,7 @@ func newArrangement(id string, ctr *counters, child node, keys []exec.Scalar) *a
 		child:     child,
 		keys:      keys,
 		wm:        make([]uint64, tabs),
+		arena:     arena,
 		copies:    tabs > 1,
 	}
 	a.seed(child.current(), keys)
@@ -684,16 +695,16 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 // builds the product; the first whose where also accepts it fixes its
 // coordinate; every later join that accepts it emits that same Delta.
 //
-// A probe allocates its products together, when it builds the first: every
-// row is a window of one backing array, capped at its own length so
-// nothing appended to one can reach the next, and every coordinate a
-// window of a second. The products with a base partner share one
-// coordinate, the delta's beside the base's zero; each tail partner's
-// product gets its own. A product every join rejects leaves its space to
-// the next. Consumers alias the windows as they alias any emitted row: a
-// delta log until its readers' checkpoints cover the product, an
-// arrangement over a join not at all (it copies what it keeps), so no
-// long-lived state pins a probe's array.
+// A probe takes its products from the graph's arena (deltaArena): each
+// emitted row is a window of the current value chunk and each coordinate
+// one of the current word chunk, both capped at their length. A product
+// every join rejects leaves its room to the next. The products with a
+// base partner share one coordinate, the delta's beside the base's zero;
+// each tail partner's product gets its own. Consumers alias the windows
+// as they alias any emitted row: a delta log until its readers'
+// checkpoints cover the product, an arrangement's tail until a trim nets
+// it, an arrangement over a join not at all for rows (it copies what it
+// keeps) — so no long-lived state pins a chunk.
 func (g *portGroup) probe(key []byte, d Delta) {
 	live := g.live[:0]
 	for _, j := range g.joins {
@@ -705,16 +716,14 @@ func (g *portGroup) probe(key []byte, d Delta) {
 	if len(live) == 0 {
 		return
 	}
-	ctr := g.other.ctr
+	ctr, arena := g.other.ctr, g.other.arena
 	ctr.probes++
 	b := g.other.buckets[string(key)]
 	if b == nil {
 		return
 	}
-	partners := len(b.base) + len(b.tail)
-	var rows storage.Row
-	var shared, coords Coord
-	for i := 0; i < partners; i++ {
+	var shared Coord
+	for i, n := 0, len(b.base)+len(b.tail); i < n; i++ {
 		var partner storage.Row
 		var w int64
 		var pc Coord // the partner's own coordinate; nil for a base entry
@@ -724,29 +733,28 @@ func (g *portGroup) probe(key []byte, d Delta) {
 			e := &b.tail[i-len(b.base)]
 			partner, w, pc = e.row, e.w, e.coord
 		}
-		var row, rest storage.Row
+		var row storage.Row
 		var out Delta
 		for _, j := range live {
 			if !j.sideWhere(!g.left).pass(partner) {
 				continue
 			}
 			if row == nil {
-				if rows == nil {
-					rows = make(storage.Row, len(j.schema)*partners)
-					shared, coords = pairInto(make(Coord, len(j.tabs)*(1+len(b.tail))), g.left, d.Coord, g.other.zero)
-				}
-				row, rest = pairInto(rows, g.left, d.Row, partner)
+				row = pairInto(arena.row(len(d.Row)+len(partner)), g.left, d.Row, partner)
 				ctr.products++
 			}
 			if !j.where.pass(row) {
 				continue
 			}
 			if out.Row == nil {
+				arena.keepRow(len(row))
+				if pc == nil && shared == nil {
+					shared = pairInto(arena.coord(len(d.Coord)+len(g.other.zero)), g.left, d.Coord, g.other.zero)
+				}
 				out = Delta{Row: row, W: d.W * w, Coord: shared}
 				if pc != nil {
-					out.Coord, coords = pairInto(coords, g.left, d.Coord, pc)
+					out.Coord = pairInto(arena.coord(len(d.Coord)+len(pc)), g.left, d.Coord, pc)
 				}
-				rows = rest
 			}
 			j.emit(out)
 		}
@@ -754,16 +762,14 @@ func (g *portGroup) probe(key []byte, d Delta) {
 }
 
 // pairInto writes a join pair — the arriving side's part and its
-// partner's, left part first — at the front of buf and returns that
-// window, capped at its length, and the rest of buf.
-func pairInto[S ~[]E, E any](buf S, left bool, arriving, partner S) (pair, rest S) {
+// partner's, left part first — into buf, which holds exactly both.
+func pairInto[S ~[]E, E any](buf S, left bool, arriving, partner S) S {
 	l, r := arriving, partner
 	if !left {
 		l, r = partner, arriving
 	}
-	n := copy(buf, l)
-	n += copy(buf[n:], r)
-	return buf[:n:n], buf[n:]
+	copy(buf[copy(buf, l):], r)
+	return buf
 }
 
 // each visits the bucket's entries, base then tail.

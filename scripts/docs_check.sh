@@ -24,8 +24,9 @@
 #      EXPERIMENTS.md quotes no "representative run": its numbers come
 #      from RESULTS.txt or a committed record.
 #   5. DESIGN.md and EXPERIMENTS.md describe the code as it is: a line
-#      saying what held "until PR", "before PR" or "since PR" (any case)
-#      fails — the history is git's and CHANGES.md's.
+#      saying what held "until PR", "before PR", "since PR", "through
+#      PR" or "after PR" (any case) fails — the history is git's and
+#      CHANGES.md's.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -127,7 +128,7 @@ if grep -n 'representative run' EXPERIMENTS.md; then
 fi
 
 # Direction 5: no history narration in the design and experiment docs.
-if grep -niE '\b(until|before|since) PRs?\b' DESIGN.md EXPERIMENTS.md; then
+if grep -niE '\b(until|before|since|through|after) PRs?\b' DESIGN.md EXPERIMENTS.md; then
 	echo "docs-check: DESIGN.md or EXPERIMENTS.md narrates history; say what the code does now"
 	fail=1
 fi
