@@ -37,6 +37,9 @@ func runSim(args []string) error {
 	if *period < 1 {
 		return fmt.Errorf("-period %d: want a flush period of at least 1 step", *period)
 	}
+	if *tFlag < 0 {
+		return fmt.Errorf("-T %d: want a refresh time of at least 0 steps", *tFlag)
+	}
 
 	var funcs []core.CostFunc
 	for _, spec := range strings.Split(*costsFlag, ",") {

@@ -6,14 +6,16 @@ import (
 )
 
 // TestSimRejectsBadFlags: `abivm sim` refuses a flush period below one
-// step and a NaN constraint with an error naming the input, instead of
-// panicking inside PERIODIC or failing every policy's refresh check.
+// step, a negative refresh time and a NaN constraint with an error naming
+// the input, instead of panicking inside PERIODIC or the arrival
+// generator, or failing every policy's refresh check.
 func TestSimRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-period", "0"}, "-period 0"},
+		{[]string{"-T", "-1"}, "-T -1"},
 		{[]string{"-C", "NaN"}, "constraint NaN"},
 	} {
 		err := runSim(tc.args)

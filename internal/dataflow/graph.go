@@ -24,9 +24,10 @@ const (
 
 // opSpec is one operator of a view's canonical plan shape: the
 // side-effect-free description (kind, canonical expressions, signature)
-// computed before any node is built. Subscribe realizes a spec tree
-// into graph nodes, reusing any node whose signature is already
-// interned; Signatures renders the same tree for EXPLAIN output.
+// computed before any node is built. Subscribe binds a spec tree against
+// the graph, then realizes it into graph nodes, reusing any node whose
+// signature is already interned; Signatures renders the same tree for
+// EXPLAIN output.
 type opSpec struct {
 	kind         opKind
 	sig          string
@@ -38,6 +39,16 @@ type opSpec struct {
 	rwhere       []sql.Expr // opJoin: the right input's, likewise
 	residual     []sql.Expr // opJoin: the other multi-table conjuncts, sorted canonically
 	left, right  *opSpec
+
+	// What Graph.bind resolves, for realize to build from. An interned
+	// operator has n, cols and tabs only, and its subtree nothing.
+	n            node
+	cols         []exec.Col
+	tabs         []string
+	tbl          *storage.Table // opScan
+	where        conjunction    // opFilter: conjs; opJoin: residual
+	lkeys, rkeys []exec.Scalar  // opJoin: equiL, equiR
+	lpred, rpred conjunction    // opJoin: lwhere, rwhere
 }
 
 // buildSpecs derives the canonical operator tree for a view plan: a
@@ -214,16 +225,15 @@ func joinExprs(es []sql.Expr, sep string) string {
 	return strings.Join(strs, sep)
 }
 
-// recordSigs appends the spec subtree's signatures in post-order
-// (children before parents) — the reference-count bookkeeping order.
-func recordSigs(s *opSpec, used *[]string) {
+// walk visits the spec subtree in post-order, children before parents.
+func (s *opSpec) walk(fn func(*opSpec)) {
 	if s.left != nil {
-		recordSigs(s.left, used)
+		s.left.walk(fn)
 	}
 	if s.right != nil {
-		recordSigs(s.right, used)
+		s.right.walk(fn)
 	}
-	*used = append(*used, s.sig)
+	fn(s)
 }
 
 // Signatures returns the canonical operator signatures of a view plan
@@ -239,7 +249,7 @@ func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 	if err != nil {
 		return nil, "", err
 	}
-	recordSigs(top, &ops)
+	top.walk(func(s *opSpec) { ops = append(ops, s.sig) })
 	return ops, "project [" + joinExprs(items, ", ") + "]", nil
 }
 
@@ -271,17 +281,16 @@ func Arrangements(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, erro
 type Graph struct {
 	db      *storage.DB
 	nodes   map[string]node
-	refs    map[string]int
 	scans   map[string]*scanNode
-	arrs    map[string]*arrangement // by arrangementID; alive while a join side reads it
+	arrs    map[string]*arrangement // by arrangementID
 	hits    uint64
 	arrHits uint64
 	views   []*ViewHandle // the attached sinks, in subscribe order
 	logs    []*deltaLog   // one per operator with sinks, in order of their first sink
 	ctr     counters
 	arena   deltaArena // the rows and coordinates deltas carry
-	// arrOrder caches the arrangements in identity order for Trim; realize
-	// and drop reset it. wm is Trim's watermark, reused across calls.
+	// arrOrder caches the arrangements in identity order for Trim; arrange
+	// resets it. wm is Trim's watermark, reused across calls.
 	arrOrder []*arrangement
 	wm       map[string]uint64
 }
@@ -291,7 +300,6 @@ func NewGraph(db *storage.DB) *Graph {
 	return &Graph{
 		db:    db,
 		nodes: make(map[string]node),
-		refs:  make(map[string]int),
 		scans: make(map[string]*scanNode),
 		arrs:  make(map[string]*arrangement),
 		wm:    make(map[string]uint64),
@@ -310,31 +318,24 @@ func (g *Graph) schemaOf(table string) (*storage.Schema, error) {
 // operator whose canonical signature is already interned, creating and
 // wiring the rest — attaches a sink holding the view's own projection to
 // the top operator's delta log, computes the view's initial content from
-// the live database, and returns the handle. Each node in the view's plan
-// gains one reference; Release returns them.
+// the live database, and returns the handle. It builds nothing until
+// every check has passed: bind resolves and compiles the operators the
+// graph lacks, newViewHandle checks the sink and computes its content,
+// and only then does realize build the missing operators, which cannot
+// fail. A view that is refused leaves the graph as it was.
 func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 	top, items, err := buildSpecs(p, g.schemaOf)
 	if err != nil {
 		return nil, err
 	}
-	var used []string
-	n, err := g.realize(top, &used)
-	if err != nil {
-		g.sweepUnreferenced(used)
+	if err := g.bind(top); err != nil {
 		return nil, err
 	}
-	h, err := newViewHandle(g, p, n, items, used)
+	h, err := newViewHandle(g, p, top, items)
 	if err != nil {
-		g.sweepUnreferenced(used)
 		return nil, err
 	}
-	for _, sig := range used {
-		g.refs[sig]++
-	}
-	h.log = g.logOf(n)
-	h.log.readers = append(h.log.readers, h)
-	h.from = len(h.log.deltas)
-	g.views = append(g.views, h)
+	h.attach(g.realize(top))
 	return h, nil
 }
 
@@ -352,78 +353,78 @@ func (g *Graph) logOf(n node) *deltaLog {
 	return l
 }
 
-// realize returns the node for a spec, creating it (and recursively its
-// children) unless its signature is already interned. used collects the
-// post-order signatures of the whole subtree either way.
-func (g *Graph) realize(s *opSpec, used *[]string) (node, error) {
-	if existing, ok := g.nodes[s.sig]; ok {
-		before := len(*used)
-		recordSigs(s, used)
-		g.hits += uint64(len(*used) - before)
-		return existing, nil
+// bind resolves everything realize needs to build a spec tree's missing
+// operators, without touching the graph: scan tables, each operator's
+// columns and tables, filter conjuncts, join keys and residuals compiled
+// against them. An interned operator takes its columns and tables from
+// its node, and nothing below it is bound.
+func (g *Graph) bind(s *opSpec) error {
+	if n, ok := g.nodes[s.sig]; ok {
+		s.n, s.cols, s.tabs = n, n.cols(), n.tables()
+		return nil
+	}
+	var err error
+	switch s.kind {
+	case opScan:
+		if s.tbl, err = g.db.Table(s.table); err != nil {
+			return err
+		}
+		s.cols, s.tabs = scanCols(s.tbl.Schema()), []string{s.table}
+	case opFilter:
+		if err := g.bind(s.left); err != nil {
+			return err
+		}
+		s.cols, s.tabs = s.left.cols, s.left.tabs
+		s.where, err = bindConjunction(s.conjs, s.cols)
+	case opJoin:
+		l, r := s.left, s.right
+		if err := g.bind(l); err != nil {
+			return err
+		}
+		if err := g.bind(r); err != nil {
+			return err
+		}
+		s.cols = append(slices.Clip(l.cols), r.cols...)
+		s.tabs = append(slices.Clip(l.tabs), r.tabs...)
+		if s.lkeys, err = bindScalars(s.equiL, l.cols); err != nil {
+			return err
+		}
+		if s.rkeys, err = bindScalars(s.equiR, r.cols); err != nil {
+			return err
+		}
+		if s.lpred, err = bindConjunction(s.lwhere, l.cols); err != nil {
+			return err
+		}
+		if s.rpred, err = bindConjunction(s.rwhere, r.cols); err != nil {
+			return err
+		}
+		s.where, err = bindConjunction(s.residual, s.cols)
+	}
+	return err
+}
+
+// realize returns the node of a bound spec, building it — and recursively
+// its children — unless it is interned. Reused operators, the whole of a
+// reused subtree, count as intern hits.
+func (g *Graph) realize(s *opSpec) node {
+	if s.n != nil {
+		s.walk(func(*opSpec) { g.hits++ })
+		return s.n
 	}
 	var n node
 	switch s.kind {
 	case opScan:
-		tbl, err := g.db.Table(s.table)
-		if err != nil {
-			return nil, err
-		}
-		sc := newScanNode(s.sig, tbl, &g.arena)
+		sc := newScanNode(s.sig, s.tbl, s.cols, &g.arena)
 		g.scans[s.table] = sc
 		n = sc
 	case opFilter:
-		child, err := g.realize(s.left, used)
-		if err != nil {
-			return nil, err
-		}
-		preds, err := bindConjunction(s.conjs, child.cols())
-		if err != nil {
-			return nil, err
-		}
-		n = newFilterNode(s.sig, child, preds)
+		n = newFilterNode(s.sig, g.realize(s.left), s.where)
 	case opJoin:
-		left, err := g.realize(s.left, used)
-		if err != nil {
-			return nil, err
-		}
-		right, err := g.realize(s.right, used)
-		if err != nil {
-			return nil, err
-		}
-		lkeys := make([]exec.Scalar, len(s.equiL))
-		rkeys := make([]exec.Scalar, len(s.equiR))
-		for i := range s.equiL {
-			if lkeys[i], _, err = plan.BindScalar(s.equiL[i], left.cols()); err != nil {
-				return nil, err
-			}
-			if rkeys[i], _, err = plan.BindScalar(s.equiR[i], right.cols()); err != nil {
-				return nil, err
-			}
-		}
-		cols := make([]exec.Col, 0, len(left.cols())+len(right.cols()))
-		cols = append(cols, left.cols()...)
-		cols = append(cols, right.cols()...)
-		lwhere, err := bindConjunction(s.lwhere, left.cols())
-		if err != nil {
-			return nil, err
-		}
-		rwhere, err := bindConjunction(s.rwhere, right.cols())
-		if err != nil {
-			return nil, err
-		}
-		where, err := bindConjunction(s.residual, cols)
-		if err != nil {
-			return nil, err
-		}
-		n = newJoinNode(s.sig, g.arrange(s.arrL, left, lkeys), g.arrange(s.arrR, right, rkeys), lwhere, rwhere, where, cols)
-	default:
-		return nil, fmt.Errorf("dataflow: unknown operator kind %d", s.kind)
+		left, right := g.realize(s.left), g.realize(s.right)
+		n = newJoinNode(s.sig, g.arrange(s.arrL, left, s.lkeys), g.arrange(s.arrR, right, s.rkeys), s.lpred, s.rpred, s.where, s.cols)
 	}
 	g.nodes[s.sig] = n
-	g.arrOrder = nil
-	*used = append(*used, s.sig)
-	return n, nil
+	return n
 }
 
 // bindConjunction binds each conjunct against a schema.
@@ -432,6 +433,18 @@ func bindConjunction(conjs []sql.Expr, cols []exec.Col) (conjunction, error) {
 	for i, e := range conjs {
 		var err error
 		if out[i], err = plan.BindPredicate(e, cols); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// bindScalars binds each expression against a schema.
+func bindScalars(es []sql.Expr, cols []exec.Col) ([]exec.Scalar, error) {
+	out := make([]exec.Scalar, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], _, err = plan.BindScalar(e, cols); err != nil {
 			return nil, err
 		}
 	}
@@ -447,76 +460,8 @@ func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement 
 	}
 	a := newArrangement(id, &g.ctr, &g.arena, child, keys)
 	g.arrs[id] = a
-	return a
-}
-
-// unarrange detaches one join side from its arrangement, which goes —
-// rows, child edge and all — with its last port.
-func (g *Graph) unarrange(a *arrangement, j *joinNode) {
-	a.detachPort(j)
-	if len(a.groups) > 0 {
-		return
-	}
-	a.child.removeOut(a)
-	g.ctr.stateRows -= a.rows()
-	delete(g.arrs, a.id)
-}
-
-// sweepUnreferenced removes nodes created by a failed Subscribe before
-// any reference was taken, parents before children.
-func (g *Graph) sweepUnreferenced(used []string) {
-	for i := len(used) - 1; i >= 0; i-- {
-		sig := used[i]
-		if g.refs[sig] > 0 {
-			continue
-		}
-		if n, ok := g.nodes[sig]; ok {
-			g.drop(sig, n)
-		}
-	}
-}
-
-func (g *Graph) drop(sig string, n node) {
-	n.detach()
-	delete(g.nodes, sig)
-	delete(g.refs, sig)
 	g.arrOrder = nil
-	switch n := n.(type) {
-	case *scanNode:
-		delete(g.scans, n.tableName)
-	case *joinNode:
-		g.unarrange(n.lstate, n)
-		g.unarrange(n.rstate, n)
-	}
-}
-
-// Release detaches a view's sink and returns its node references,
-// dropping (parents before children) every node whose count reaches zero.
-// Shared nodes survive untouched. The sink's delta log goes with its last
-// reader; otherwise it keeps only what the remaining readers have not
-// checkpointed.
-func (g *Graph) Release(h *ViewHandle) {
-	l := h.log
-	l.readers = slices.DeleteFunc(l.readers, func(v *ViewHandle) bool { return v == h })
-	if len(l.readers) == 0 {
-		h.top.removeOut(l)
-		g.ctr.retained -= len(l.deltas)
-		g.logs = slices.DeleteFunc(g.logs, func(m *deltaLog) bool { return m == l })
-	} else {
-		l.trim()
-	}
-	h.log = nil
-	for i := len(h.sigs) - 1; i >= 0; i-- {
-		sig := h.sigs[i]
-		g.refs[sig]--
-		if g.refs[sig] > 0 {
-			continue
-		}
-		if n, ok := g.nodes[sig]; ok {
-			g.drop(sig, n)
-		}
-	}
-	g.views = slices.DeleteFunc(g.views, func(v *ViewHandle) bool { return v == h })
+	return a
 }
 
 // Watches reports whether any subscribed view reads the table.

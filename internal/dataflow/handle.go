@@ -32,7 +32,6 @@ type ViewHandle struct {
 	plan *ivm.DeltaPlan
 
 	top     node
-	sigs    []string      // post-order node signatures (the refcount receipt)
 	project []exec.Scalar // the delta query's SELECT list over the top operator's rows
 	row     storage.Row   // a drain's scratch for one projected delta
 
@@ -143,44 +142,58 @@ func (l *deltaLog) trim() {
 	l.deltas = l.deltas[:kept]
 }
 
-func newViewHandle(g *Graph, p *ivm.DeltaPlan, top node, items []sql.Expr, sigs []string) (*ViewHandle, error) {
+// newViewHandle makes the sink of a view whose spec tree top is bound
+// but not yet realized, and computes its initial content: everything a
+// sink can refuse — the projection binds against the top operator's
+// columns, the spine reads the view's tables in FROM order, the initial
+// query compiles and runs — is checked here, before the graph builds
+// anything. attach connects it once the spine is realized.
+func newViewHandle(g *Graph, p *ivm.DeltaPlan, top *opSpec, items []sql.Expr) (*ViewHandle, error) {
+	project, err := bindScalars(items, top.cols)
+	if err != nil {
+		return nil, err
+	}
 	h := &ViewHandle{
 		g:        g,
 		plan:     p,
-		top:      top,
-		sigs:     sigs,
-		project:  make([]exec.Scalar, len(items)),
+		project:  project,
 		row:      make(storage.Row, len(items)),
 		pos:      make(map[string]int, len(p.Sources)),
-		tabOrder: top.tables(),
+		tabOrder: top.tabs,
 		stats:    &storage.Stats{},
-	}
-	for i, e := range items {
-		sc, _, err := plan.BindScalar(e, top.cols())
-		if err != nil {
-			return nil, err
-		}
-		h.project[i] = sc
 	}
 	if len(h.tabOrder) != len(p.Sources) {
 		return nil, fmt.Errorf("dataflow: view reads %d tables, its top operator %d", len(p.Sources), len(h.tabOrder))
 	}
 	for i, s := range p.Sources {
-		sc := g.scans[s.Table]
-		if sc == nil || h.tabOrder[i] != s.Table {
+		if h.tabOrder[i] != s.Table {
 			return nil, fmt.Errorf("dataflow: table %q is not at position %d of the operator spine", s.Table, i)
 		}
 		h.aliases = append(h.aliases, s.Alias)
 		h.pos[s.Alias] = i
-		h.scans = append(h.scans, sc)
-		h.cursors = append(h.cursors, sc.mods)
 	}
-	h.durable = slices.Clone(h.cursors)
 	h.view = ivm.NewViewState(p, h.stats)
 	if err := h.initialize(); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// attach connects a checked sink to its realized top operator: its
+// cursors start at the tables' ingest-log lengths, which the initial
+// content covers, and it reads the operator's delta log from its end.
+func (h *ViewHandle) attach(top node) {
+	h.top = top
+	for _, t := range h.tabOrder {
+		sc := h.g.scans[t]
+		h.scans = append(h.scans, sc)
+		h.cursors = append(h.cursors, sc.mods)
+	}
+	h.durable = slices.Clone(h.cursors)
+	h.log = h.g.logOf(top)
+	h.log.readers = append(h.log.readers, h)
+	h.from = len(h.log.deltas)
+	h.g.views = append(h.g.views, h)
 }
 
 // initialize computes the initial content by running the delta query
@@ -388,17 +401,16 @@ func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 // logged deltas that every reader's checkpointed cursors now cover — no
 // recovery will take them back again. Everything at or below the captured
 // LSN may be truncated from the WAL afterwards.
-func (h *ViewHandle) Checkpoint() error {
+func (h *ViewHandle) Checkpoint() {
 	if h.obs == nil {
 		h.checkpoint()
-		return nil
+		return
 	}
 	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
 	start := time.Now()
 	h.checkpoint()
 	//lint:ignore nondet measurement of the checkpoint, not part of it
 	h.obs.ObserveCheckpoint(time.Since(start), 0)
-	return nil
 }
 
 func (h *ViewHandle) checkpoint() {

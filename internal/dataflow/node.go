@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"abivm/internal/exec"
@@ -37,14 +36,9 @@ type node interface {
 	// arrangement, which treats it as covered-at-creation (coordinate
 	// zero).
 	current() []weightedRow
-	// addOut / removeOut manage downstream edges: operators, arrangements
-	// and the delta log view sinks read.
+	// addOut adds a downstream edge: an operator, an arrangement or the
+	// delta log view sinks read.
 	addOut(r receiver)
-	removeOut(r receiver)
-	// detach unlinks the node from its children; called when the node's
-	// reference count drops to zero. (A join's ports are the graph's to
-	// release: Graph.drop.)
-	detach()
 	// fanout is the number of downstream consumers: direct edges, the
 	// sinks reading its delta log, and the join ports reached through an
 	// arrangement.
@@ -75,14 +69,6 @@ func (n *nodeBase) sig() string       { return n.signature }
 func (n *nodeBase) tables() []string  { return n.tabs }
 func (n *nodeBase) cols() []exec.Col  { return n.schema }
 func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
-func (n *nodeBase) removeOut(r receiver) {
-	for i, o := range n.outs {
-		if o == r {
-			n.outs = append(n.outs[:i], n.outs[i+1:]...)
-			return
-		}
-	}
-}
 
 // fanout counts an arrangement as the join ports it serves and a delta
 // log as the sinks reading it, so sharing a join input or a log does not
@@ -101,10 +87,6 @@ func (n *nodeBase) fanout() int {
 	}
 	return f
 }
-
-// detach is the leaf's and the join's: a scan has no child, and a join
-// reaches its children through arrangements the graph releases.
-func (n *nodeBase) detach() {}
 
 // emit forwards one delta to every consumer in attachment order
 // (deterministic: subscription order). Every consumer gets the same Delta,
@@ -136,12 +118,18 @@ type scanNode struct {
 	arena     *deltaArena // the graph's: every coordinate the scan stamps
 }
 
-func newScanNode(sig string, tbl *storage.Table, arena *deltaArena) *scanNode {
-	schema := tbl.Schema()
+// scanCols is a base table's output schema.
+func scanCols(schema *storage.Schema) []exec.Col {
 	cols := make([]exec.Col, len(schema.Columns))
 	for i, c := range schema.Columns {
 		cols[i] = exec.Col{Table: schema.Name, Name: c.Name, Type: c.Type}
 	}
+	return cols
+}
+
+// newScanNode mirrors tbl; cols is its output schema (scanCols).
+func newScanNode(sig string, tbl *storage.Table, cols []exec.Col, arena *deltaArena) *scanNode {
+	schema := tbl.Schema()
 	s := &scanNode{
 		nodeBase: nodeBase{
 			signature: sig,
@@ -309,8 +297,6 @@ func (f *filterNode) current() []weightedRow {
 	return out
 }
 
-func (f *filterNode) detach() { f.child.removeOut(f) }
-
 // baseEntry is one consolidated row of an arrangement: its net weight
 // over every input delta the GC watermark has covered. The coordinate is
 // not stored — it is always zero.
@@ -389,16 +375,6 @@ func (s *sideState) bucketFor(key []byte) *bucket {
 		s.buckets[b.key] = b
 	}
 	return b
-}
-
-// rows counts the entries by walking them (tests and teardown; the
-// running total lives in ctr.stateRows).
-func (s *sideState) rows() int {
-	n := 0
-	for _, b := range s.buckets {
-		n += len(b.base) + len(b.tail)
-	}
-	return n
 }
 
 // add appends one arriving delta to its bucket's tail.
@@ -594,14 +570,6 @@ func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
 	}
 	g.joins = append(g.joins, j)
 	g.live = make([]*joinNode, 0, len(g.joins))
-}
-
-// detachPort removes a join's side, and its group with its last join.
-func (a *arrangement) detachPort(j *joinNode) {
-	for _, g := range a.groups {
-		g.joins = slices.DeleteFunc(g.joins, func(k *joinNode) bool { return k == j })
-	}
-	a.groups = slices.DeleteFunc(a.groups, func(g *portGroup) bool { return len(g.joins) == 0 })
 }
 
 // ports is the number of join sides attached.

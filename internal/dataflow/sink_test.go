@@ -57,9 +57,7 @@ func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 			checkpoint := func() {
 				t.Helper()
 				for i, h := range hs {
-					if err := h.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
+					h.Checkpoint()
 					if err := wals[i].TruncateThrough(h.TipLSN()); err != nil {
 						t.Fatal(err)
 					}
@@ -217,9 +215,7 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 		if want := pending + rounds*2*batch; len(h.log.deltas) != want {
 			t.Fatalf("log holds %d deltas after %d drains, want the backlog and the folded ones, %d", len(h.log.deltas), rounds, want)
 		}
-		if err := h.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+		h.Checkpoint()
 		g.Trim()
 		if len(h.log.deltas) != pending {
 			t.Fatalf("checkpoint and trim left %d deltas, want the uncovered backlog of %d", len(h.log.deltas), pending)
@@ -348,9 +344,7 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 		wal := ivm.NewWAL()
 		wal.SetSink(sink)
 		h.AttachWAL(wal)
-		if err := h.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+		h.Checkpoint()
 		content := renderRows(h.Result())
 		sale := func(key, station int64, amount float64) storage.Row {
 			return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
@@ -376,9 +370,7 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 			if got := renderRows(h.Result()); got != content {
 				t.Fatalf("%s: %s\ncontent %s\nwant    %s", query, ctx, got, content)
 			}
-			if err := h.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			h.Checkpoint()
 			if err := h.Recover(); err != nil {
 				t.Fatal(err)
 			}
@@ -433,9 +425,7 @@ func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs = mallocsOf(func() {
-				if err := h.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
+				h.Checkpoint()
 			})
 		}
 		return allocs
@@ -479,9 +469,7 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 		}
 		h.AttachWAL(ivm.NewWAL())
 		h.SetNamespace(fmt.Sprintf("once/%d", i))
-		if err := h.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+		h.Checkpoint()
 		recordLogs(g, recs)
 		sinks = append(sinks, h)
 	}
@@ -526,9 +514,7 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 			if rng.Intn(6) > 0 {
 				continue
 			}
-			if err := h.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			h.Checkpoint()
 			if err := h.WAL().TruncateThrough(h.TipLSN()); err != nil {
 				t.Fatal(err)
 			}

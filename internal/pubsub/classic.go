@@ -131,10 +131,6 @@ func (e *classicEngine) DurableStats() durable.Stats {
 	return e.store.Stats()
 }
 
-// Close has nothing to give back: replicas, log and chain go with the
-// engine, and a store's files are the recovery point of the next open.
-func (e *classicEngine) Close() {}
-
 func (e *classicEngine) SetInjector(inj fault.Injector) {
 	e.inj = inj
 	e.Maintainer.SetInjector(inj)

@@ -55,8 +55,6 @@ type viewEngine interface {
 	// counters (zero in memory).
 	WALLen() int
 	DurableStats() durable.Stats
-	// Close gives back whatever the engine holds outside itself.
-	Close()
 
 	// SetInjector and SetMetrics (re)wire fault injection and the ivm
 	// instrumentation bundle through every part of the engine; nil

@@ -231,8 +231,6 @@ func TestViewEngineContract(t *testing.T) {
 			if rowsText(e.Result()) != rowsText(twin.Result()) {
 				t.Fatalf("refreshed content after recovery %s, twin %s", rowsText(e.Result()), rowsText(twin.Result()))
 			}
-			e.Close()
-			twin.Close()
 		})
 	}
 }

@@ -123,13 +123,6 @@ func newSubObs(reg *obs.Registry, name string) *subObs {
 	}
 }
 
-// zeroGauges resets the health gauges of a subscription that is leaving.
-func (o *subObs) zeroGauges() {
-	for _, g := range []*obs.Gauge{o.stepsBehind, o.costOvershoot, o.pendingMods, o.degraded, o.walRecords} {
-		g.Set(0)
-	}
-}
-
 // SetObs attaches an observability sink: all broker-level instruments,
 // per-subscription gauges (labeled `sub`), the shared maintainer/WAL
 // bundle, span recording on tr (nil disables tracing only), and — when

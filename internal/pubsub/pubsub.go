@@ -129,7 +129,7 @@ type Broker struct {
 	// routes lists, per base table, the subscriptions whose view reads it,
 	// in registration order, each with the alias index its arrivals are
 	// counted under — so a publish walks only its table's readers.
-	// Subscribe and Unsubscribe rebuild it.
+	// Subscribe appends to it.
 	routes map[string][]route
 
 	inj        fault.Injector
@@ -162,6 +162,7 @@ const DefaultCheckpointEvery = 8
 func NewBroker(db *storage.DB) *Broker {
 	return &Broker{
 		db:         db,
+		routes:     make(map[string][]route),
 		cpEvery:    DefaultCheckpointEvery,
 		chainDepth: ivm.DefaultChainDepth,
 	}
@@ -282,7 +283,13 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	}
 	b.wireSub(s)
 	b.subs = append(b.subs, s)
-	b.rebuildRoutes()
+	// The view hears a table's arrivals under the first alias, in FROM
+	// order (the order of every engine's Aliases), it reads the table by.
+	for i, t := range s.tables {
+		if !slices.Contains(s.tables[:i], t) {
+			b.routes[t] = append(b.routes[t], route{s: s, idx: i})
+		}
+	}
 	return nil
 }
 
@@ -300,46 +307,11 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 	return newSharedEngine(b.shared, p, ns)
 }
 
-// Unsubscribe removes a subscription, closes its engine and zeroes its
-// gauges: the registry keeps a series for good, and a view that is gone
-// must not go on reading as backlogged or degraded.
-func (b *Broker) Unsubscribe(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s, err := b.find(name)
-	if err != nil {
-		return err
-	}
-	s.eng.Close()
-	if s.obs != nil {
-		s.obs.zeroGauges()
-	}
-	b.subs = slices.DeleteFunc(b.subs, func(x *sub) bool { return x == s })
-	b.rebuildRoutes()
-	return nil
-}
-
 // route is one subscription's share of a table's arrivals: the
 // subscription and the index of the alias that receives them.
 type route struct {
 	s   *sub
 	idx int
-}
-
-// rebuildRoutes recomputes b.routes from the subscriptions, each table's
-// readers in registration order, each under the first alias, in FROM
-// order (the order of every engine's Aliases), it reads the table by.
-// Caller holds b.mu.
-func (b *Broker) rebuildRoutes() {
-	routes := make(map[string][]route)
-	for _, s := range b.subs {
-		for i, t := range s.tables {
-			if !slices.Contains(s.tables[:i], t) {
-				routes[t] = append(routes[t], route{s: s, idx: i})
-			}
-		}
-	}
-	b.routes = routes
 }
 
 // Publish applies one modification to the shared base tables and routes

@@ -21,7 +21,6 @@ import (
 // checkpointed cursors from it.
 type sharedEngine struct {
 	*dataflow.ViewHandle
-	g *dataflow.Graph
 }
 
 // newSharedEngine compiles the view into g (hash-consing against every
@@ -34,11 +33,8 @@ func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEng
 	}
 	h.AttachWAL(ivm.NewWAL())
 	h.SetNamespace(ns)
-	if err := h.Checkpoint(); err != nil {
-		g.Release(h)
-		return nil, fmt.Errorf("initial checkpoint: %w", err)
-	}
-	return &sharedEngine{ViewHandle: h, g: g}, nil
+	h.Checkpoint()
+	return &sharedEngine{ViewHandle: h}, nil
 }
 
 // Arrive has nothing to add: Graph.Ingest appended the modification to
@@ -46,9 +42,7 @@ func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEng
 func (e *sharedEngine) Arrive(ivm.Mod) error { return nil }
 
 func (e *sharedEngine) Checkpoint() error {
-	if err := e.ViewHandle.Checkpoint(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
+	e.ViewHandle.Checkpoint()
 	if err := e.WAL().TruncateThrough(e.TipLSN()); err != nil {
 		return fmt.Errorf("wal truncation: %w", err)
 	}
@@ -64,10 +58,6 @@ func (e *sharedEngine) Recover() (bool, error) { return false, e.ViewHandle.Reco
 func (e *sharedEngine) Sync() error                 { return nil }
 func (e *sharedEngine) WALLen() int                 { return e.WAL().Len() }
 func (e *sharedEngine) DurableStats() durable.Stats { return durable.Stats{} }
-
-// Close returns the view's operator references to the graph: nodes
-// still referenced by other views survive, the rest are released.
-func (e *sharedEngine) Close() { e.g.Release(e.ViewHandle) }
 
 func (e *sharedEngine) SetMetrics(ms *ivm.Metrics) {
 	e.ViewHandle.SetMetrics(ms)
