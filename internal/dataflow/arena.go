@@ -4,15 +4,17 @@ import "abivm/internal/storage"
 
 // Chunk sizes of a graph's delta arena, in elements: a value chunk
 // (32 KiB) holds some two hundred five-column join products, a word
-// chunk (4 KiB) the coordinates of some hundreds of deltas.
+// chunk (4 KiB) the coordinates of some hundreds of deltas, or of some
+// dozens of summary products.
 const (
 	arenaValues = 1024
 	arenaWords  = 512
 )
 
 // deltaArena is where a graph's deltas get the memory they carry that
-// nothing else owns: the rows a join builds and every coordinate. It is
-// two bump slabs, one of values and one of coordinate words, each cut
+// nothing else owns: the rows a join builds and every coordinate, the
+// summaries summary products carry included. It is two bump slabs, one
+// of values and one of coordinate words, each cut
 // into windows from the front of its current chunk and refilled with a
 // fresh chunk when a request no longer fits. It references only what is
 // left of its current chunks; a full chunk is held by the deltas that
@@ -48,5 +50,17 @@ func (a *deltaArena) keepRow(n int) { a.vals = a.vals[n:] }
 func (a *deltaArena) coord(n int) Coord {
 	c := spare(&a.words, n, arenaWords)
 	a.words = a.words[n:]
+	return c
+}
+
+// carrying returns a fresh coordinate of n entries, consumed, that goes
+// on with the summary of the columns at cols of s (Coord.summary): words
+// copied out of s, which a later trim changes, never the copy. The caller
+// fills the first n.
+func (a *deltaArena) carrying(n int, s *summary, cols []int) Coord {
+	size := n + s.words(cols)
+	c := spare(&a.words, size, arenaWords)
+	a.words = a.words[size:]
+	s.appendWords(c[n:n], cols)
 	return c
 }

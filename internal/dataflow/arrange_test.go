@@ -216,7 +216,7 @@ func TestTrimWatermarkIsLowestSink(t *testing.T) {
 	const nSales, rowsPerStation, first, second = 400, 20, 10, 6
 	g := NewGraph(sizedDB(t, nSales, rowsPerStation))
 	var sinks [2]*ViewHandle
-	for i, q := range []string{trimBenchQuery, "SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey"} {
+	for i, q := range []string{rawJoinQuery, "SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey"} {
 		p, err := ivm.PlanView(q)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,8 @@ func TestTrimWatermarkIsLowestSink(t *testing.T) {
 }
 
 // TestIngestAllocsIndependentOfPartners: a station update allocates
-// about the same whether 8 sales or 64 sit at the station. Each of its
+// about the same whether 8 sales or 64 sit at the station, for a view
+// that reads the join's rows. Each of its
 // two deltas probes the station's sales bucket once and takes every
 // product's row and coordinate from the graph's arena, so what a single
 // update allocates is whether a chunk runs out under it: the test
@@ -262,7 +263,7 @@ func TestIngestAllocsIndependentOfPartners(t *testing.T) {
 	const warm, measured = 4, 64
 	meanAllocs := func(rowsPerStation int) float64 {
 		g := NewGraph(sizedDB(t, 16*rowsPerStation, rowsPerStation))
-		handles := subscribeRegional(t, g, 0)
+		handles := []*ViewHandle{subscribeQuery(t, g, rawJoinQuery)}
 		var total uint64
 		for round := 0; round < warm+measured; round++ {
 			mod := ivm.Mod{

@@ -78,6 +78,10 @@ func regionalDB(tb testing.TB, nSales, rowsPerStation int, regions []string) *st
 
 const trimBenchQuery = "SELECT st.region, SUM(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region"
 
+// rawJoinQuery groups the same join by a sales column, so its sink reads
+// the join's rows, not a summary of sales (summarize).
+const rawJoinQuery = "SELECT s.station, SUM(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY s.station"
+
 // subscribeRegional subscribes the unfiltered trimBenchQuery view and
 // then one regional-filter view for each of the first regional regions:
 // 1+regional joins, all reading scan(sales) by sales.station.

@@ -402,12 +402,13 @@ func TestSharingOpCount(t *testing.T) {
 	// The benchmark's 24-view fanout catalogue: 12 regional aggregates, 4
 	// GROUP BY variants over the unfiltered join, 4 regional row lists
 	// repeating the first four regions, 4 sales-only filters. A regional
-	// view's filter is its join's rwhere, not an operator, so its 13 joins
+	// view's filter is its join's rwhere, not an operator, so its joins
 	// read the two unfiltered scans through two arrangements, which hold
 	// each row once; the sales scan's fan-out still counts the 13 join
 	// sides beside the 4 direct filter edges. No view adds an operator of
 	// its own: 24 SELECT lists, 24 sinks, 19 operators (2 scans, 4
-	// filters, 13 joins).
+	// filters, 13 joins). The aggregate views but MIN/MAX's read their
+	// joins through the sales arrangement's one summary, of sales.amount.
 	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
 	for _, q := range fanoutCatalogue() {
 		p, err := ivm.PlanView(q)
@@ -426,18 +427,32 @@ func TestSharingOpCount(t *testing.T) {
 	if f := fan.scans["sales"].fanout(); f != 17 {
 		t.Fatalf("scan(sales) fans out to %d consumers, want 13 join sides + 4 filters", f)
 	}
+	if sm := fan.arrs[salesByStation].summed; len(sm) != 1 || sm[0].id != "sales.amount" {
+		t.Fatalf("the sales arrangement keeps summaries %+v, want the one of sales.amount", sm)
+	}
 
 	// One station update moving station 5 and its 20 sales from R05 to
 	// R06: its retraction and its insertion each look the station's sales
-	// bucket up once for all 13 joins, and build each product once for
-	// the unfiltered join and the one regional join that accepts it.
+	// bucket up once for all 13 joins. Each builds each product of a sale
+	// once, for the unfiltered join alone, whose MIN/MAX view reads its
+	// rows — the R05 and R06 joins have no reader that does — and one
+	// summary product, for both joins.
 	const k = 20
 	mod := ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(5)}, Row: storage.Row{storage.I(5), storage.S(regionName(6))}}
 	if err := fan.Ingest("stations", mod); err != nil {
 		t.Fatal(err)
 	}
-	if st := fan.Stats(); st.Probes != 2 || st.Products != 2*k {
-		t.Fatalf("a station update with %d sales made %d probes and %d products, want 2 and %d", k, st.Probes, st.Products, 2*k)
+	if st := fan.Stats(); st.Probes != 2 || st.Products != 2*(k+1) {
+		t.Fatalf("a station update with %d sales made %d probes and %d products, want 2 and %d", k, st.Probes, st.Products, 2*(k+1))
+	}
+	// One sales update probes the stations arrangement once per delta and
+	// builds its one product once for every join, whoever reads it how.
+	before := fan.Stats()
+	if err := fan.Ingest("sales", updateSale(7, 20, 55)); err != nil {
+		t.Fatal(err)
+	}
+	if st := fan.Stats(); st.Probes-before.Probes != 2 || st.Products-before.Products != 2 {
+		t.Fatalf("a sales update made %d probes and %d products, want 2 and 2", st.Probes-before.Probes, st.Products-before.Products)
 	}
 }
 

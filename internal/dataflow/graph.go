@@ -40,6 +40,17 @@ type opSpec struct {
 	residual     []sql.Expr // opJoin: the other multi-table conjuncts, sorted canonically
 	left, right  *opSpec
 
+	// summary is set on a view's top join when the view reads it through
+	// a summary of its fact side (see summarize) that sums at least the
+	// columns summed, sorted canonically: sumID is that of exactly those.
+	// factLeft says which side is the fact side, and split is the width of
+	// the left input's rows.
+	summary  bool
+	factLeft bool
+	summed   []sql.Expr
+	sumID    string
+	split    int
+
 	// What Graph.bind resolves, for realize to build from. An interned
 	// operator has n, cols and tabs only, and its subtree nothing.
 	n            node
@@ -49,6 +60,7 @@ type opSpec struct {
 	where        conjunction    // opFilter: conjs; opJoin: residual
 	lkeys, rkeys []exec.Scalar  // opJoin: equiL, equiR
 	lpred, rpred conjunction    // opJoin: lwhere, rwhere
+	sumArgs      []exec.Scalar  // summary: summed, over the fact side's rows
 }
 
 // buildSpecs derives the canonical operator tree for a view plan: a
@@ -63,8 +75,10 @@ type opSpec struct {
 // table-free ones above that. The delta query's SELECT list is
 // not an operator: it is returned beside the tree, canonicalized, for
 // the view's sink to evaluate over the top operator's rows when it folds
-// them. All expressions are canonicalized (alias→table) so structurally
-// equal sub-plans from different views render identical signatures.
+// them. A view whose aggregates can read the fact side of its join
+// pre-aggregated reads its top join through a summary (summarize). All
+// expressions are canonicalized (alias→table) so structurally equal
+// sub-plans from different views render identical signatures.
 func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) (top *opSpec, items []sql.Expr, err error) {
 	sources := make([]sourceTable, len(p.Sources))
 	for i, s := range p.Sources {
@@ -183,7 +197,100 @@ func buildSpecs(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 			return nil, nil, err
 		}
 	}
+	summarize(p, cur, items, sources)
 	return cur, items, nil
+}
+
+// summarize marks a view's top join to be read through a summary of its
+// fact side when the view folds only linear aggregates of the fact side
+// along a key–FK join: the view aggregates, every aggregate is a COUNT,
+// or a SUM or an AVG of a column of the fact table; the top operator
+// joins two tables, the other of which — the dimension — joins on its
+// whole primary key; and every GROUP BY column and every conjunct but the
+// join key is the dimension's. The join is the one every view over it
+// reads — the operators are what they would be without the mark — but
+// its fact side's arrangement keeps a summary of each bucket's base
+// entries, and a dimension-side delta emits to the join one product for
+// the summary beside the products of the bucket's rows, which it builds
+// only for the join's other readers. The view's sink folds the summary's
+// count and exact sums at once and skips the products it stands for. The
+// summary sums every column one of the join's such views sums. That a
+// summed column is numeric is the sink's check (ivm.DeltaPlan.CheckDelta),
+// made before the graph builds anything. The dimension is the right-hand
+// table when both sides qualify.
+func summarize(p *ivm.DeltaPlan, j *opSpec, items []sql.Expr, sources []sourceTable) {
+	if !p.Aggregate || j.kind != opJoin || len(sources) != 2 || len(j.residual) > 0 {
+		return
+	}
+	for _, factLeft := range []bool{true, false} {
+		fact, dim, factWhere, dimKeys := sources[0], sources[1], j.lwhere, j.equiR
+		if !factLeft {
+			fact, dim, factWhere, dimKeys = sources[1], sources[0], j.rwhere, j.equiL
+		}
+		if len(factWhere) > 0 || !isPrimaryKey(dimKeys, dim) {
+			continue
+		}
+		own := func(e sql.Expr) bool { t := tablesOf(e); return len(t) == 1 && t[0] == dim.table }
+		if !slices.ContainsFunc(items[:p.GroupCols], func(e sql.Expr) bool { return !own(e) }) {
+			if summed, ok := summedColumns(p, items, fact.table); ok {
+				j.summary, j.factLeft, j.summed = true, factLeft, summed
+				j.split = len(sources[0].schema.Columns)
+				factArr := j.arrL
+				if !factLeft {
+					factArr = j.arrR
+				}
+				j.sumID = "summary(" + factArr + ", [" + joinExprs(summed, ", ") + "])"
+				return
+			}
+		}
+	}
+}
+
+// isPrimaryKey reports whether join keys are a table's primary key
+// columns, each once.
+func isPrimaryKey(keys []sql.Expr, src sourceTable) bool {
+	if len(keys) != len(src.schema.Key) {
+		return false
+	}
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		ref, ok := k.(*sql.ColumnRef)
+		if !ok || ref.Table != src.table || seen[ref.Column] {
+			return false
+		}
+		seen[ref.Column] = true
+	}
+	for _, c := range src.schema.Key {
+		if !seen[src.schema.Columns[c].Name] {
+			return false
+		}
+	}
+	return true
+}
+
+// summedColumns returns the distinct fact columns a view's SUMs and AVGs
+// read, sorted canonically, or false if an aggregate is neither those nor
+// a COUNT, or sums anything but a column of the fact table.
+func summedColumns(p *ivm.DeltaPlan, items []sql.Expr, fact string) ([]sql.Expr, bool) {
+	var summed []sql.Expr
+	for i, k := range p.AggKinds() {
+		switch k {
+		case exec.AggCount:
+			continue
+		case exec.AggSum, exec.AggAvg:
+		default:
+			return nil, false
+		}
+		ref, ok := items[p.GroupCols+i].(*sql.ColumnRef)
+		if !ok || ref.Table != fact {
+			return nil, false
+		}
+		if !slices.ContainsFunc(summed, func(e sql.Expr) bool { return e.String() == ref.String() }) {
+			summed = append(summed, ref)
+		}
+	}
+	sortExprs(summed)
+	return summed, true
 }
 
 // sigClause renders one residual list of a join signature, or nothing
@@ -254,8 +361,9 @@ func Signatures(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)
 }
 
 // Arrangements returns the identities of the join-input arrangements a
-// view plan reads, left before right, inner joins first, without
-// building any state. Two views share exactly the arrangements whose
+// view plan reads, left before right, inner joins first, and last the
+// summary of its top join's fact side it reads, if it does (summarize),
+// without building any state. Two views share exactly the arrangements and summaries whose
 // identities coincide — a wider overlap than their operators', since
 // joins that differ on the other side still index this one once.
 func Arrangements(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, error)) ([]string, error) {
@@ -269,6 +377,9 @@ func Arrangements(p *ivm.DeltaPlan, schemaOf func(string) (*storage.Schema, erro
 		if s.kind == opJoin {
 			ids = append([]string{s.arrL, s.arrR}, ids...)
 		}
+	}
+	if top.summary {
+		ids = append(ids, top.sumID)
 	}
 	return ids, nil
 }
@@ -361,6 +472,21 @@ func (g *Graph) logOf(n node) *deltaLog {
 func (g *Graph) bind(s *opSpec) error {
 	if n, ok := g.nodes[s.sig]; ok {
 		s.n, s.cols, s.tabs = n, n.cols(), n.tables()
+		if s.summary {
+			j := n.(*joinNode)
+			fact := j.rstate
+			if s.factLeft {
+				fact = j.lstate
+			}
+			if j.fact != nil && j.fact != fact {
+				// Its views read the join through the other side's summary.
+				s.summary = false
+				return nil
+			}
+			var err error
+			s.sumArgs, err = bindScalars(s.summed, fact.child.cols())
+			return err
+		}
 		return nil
 	}
 	var err error
@@ -399,6 +525,13 @@ func (g *Graph) bind(s *opSpec) error {
 			return err
 		}
 		s.where, err = bindConjunction(s.residual, s.cols)
+		if err == nil && s.summary {
+			fact := r
+			if s.factLeft {
+				fact = l
+			}
+			s.sumArgs, err = bindScalars(s.summed, fact.cols)
+		}
 	}
 	return err
 }
@@ -409,6 +542,9 @@ func (g *Graph) bind(s *opSpec) error {
 func (g *Graph) realize(s *opSpec) node {
 	if s.n != nil {
 		s.walk(func(*opSpec) { g.hits++ })
+		if s.summary {
+			s.n.(*joinNode).sumFact(s.factLeft, s.summedKeys(), s.sumArgs)
+		}
 		return s.n
 	}
 	var n node
@@ -421,10 +557,41 @@ func (g *Graph) realize(s *opSpec) node {
 		n = newFilterNode(s.sig, g.realize(s.left), s.where)
 	case opJoin:
 		left, right := g.realize(s.left), g.realize(s.right)
-		n = newJoinNode(s.sig, g.arrange(s.arrL, left, s.lkeys), g.arrange(s.arrR, right, s.rkeys), s.lpred, s.rpred, s.where, s.cols)
+		j := newJoinNode(s.sig, g.arrange(s.arrL, left, s.lkeys), g.arrange(s.arrR, right, s.rkeys), s.lpred, s.rpred, s.where, s.cols)
+		if s.summary {
+			j.sumFact(s.factLeft, s.summedKeys(), s.sumArgs)
+		}
+		n = j
 	}
 	g.nodes[s.sig] = n
 	return n
+}
+
+// summedKeys is the canonical text of the columns a view that reads its
+// top join through a summary sums.
+func (s *opSpec) summedKeys() []string {
+	keys := make([]string, len(s.summed))
+	for i, e := range s.summed {
+		keys[i] = e.String()
+	}
+	return keys
+}
+
+// sumColumns is where the columns summedKeys names will be in the
+// summaries the top join emits once realize has made it sum them: the
+// join's columns, if it is interned, then the spec's it lacks.
+func (s *opSpec) sumColumns() []string {
+	var have []string
+	if s.n != nil {
+		have = s.n.(*joinNode).sumKeys
+	}
+	cols := slices.Clone(have)
+	for _, k := range s.summedKeys() {
+		if !slices.Contains(cols, k) {
+			cols = append(cols, k)
+		}
+	}
+	return cols
 }
 
 // bindConjunction binds each conjunct against a schema.

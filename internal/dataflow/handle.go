@@ -35,6 +35,20 @@ type ViewHandle struct {
 	project []exec.Scalar // the delta query's SELECT list over the top operator's rows
 	row     storage.Row   // a drain's scratch for one projected delta
 
+	// summarized is set when the view reads its top join through a
+	// summary of the fact side (summarize): it folds the join's summary
+	// products and skips those of the fact side's base entries, which have
+	// the zero coordinate at factPos. For the summaries: the GROUP BY list
+	// over a dimension row, each aggregate's index in their sums (-1 for a
+	// COUNT), and a fold's scratch — the sums read back from a summary's
+	// words, and the one each aggregate merges.
+	summarized bool
+	factPos    int
+	groupBy    []exec.Scalar
+	sumArg     []int
+	summed     []exec.ExactSum
+	sums       []*exec.ExactSum
+
 	// Everything per table is held by position: aliases, tabOrder (the top
 	// node's coordinate order), scans and cursors align, because the
 	// operator spine is left-deep in FROM order and a view reads a table
@@ -88,11 +102,12 @@ type handleSnapshot struct {
 // one per operator with sinks. A sink that subscribes later starts with
 // cursors that cover every delta already there.
 type deltaLog struct {
-	src     node
-	deltas  []Delta
-	readers []*ViewHandle // in subscribe order
-	wm      []uint64      // trim's watermark, reused
-	ctr     *counters
+	src        node
+	deltas     []Delta
+	readers    []*ViewHandle // in subscribe order
+	rowReaders int           // the readers that do not read a join through a summary
+	wm         []uint64      // trim's watermark, reused
+	ctr        *counters
 }
 
 func (l *deltaLog) onDelta(d Delta) {
@@ -172,11 +187,43 @@ func newViewHandle(g *Graph, p *ivm.DeltaPlan, top *opSpec, items []sql.Expr) (*
 		h.aliases = append(h.aliases, s.Alias)
 		h.pos[s.Alias] = i
 	}
+	if top.summary {
+		if err := h.bindSummary(p, top, items); err != nil {
+			return nil, err
+		}
+	}
 	h.view = ivm.NewViewState(p, h.stats)
 	if err := h.initialize(); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// bindSummary binds what the sink of a view that reads its join through
+// a summary folds a summary product with: its GROUP BY list over the
+// dimension's columns, and where each aggregate finds its sum among those
+// the join's summaries carry.
+func (h *ViewHandle) bindSummary(p *ivm.DeltaPlan, top *opSpec, items []sql.Expr) error {
+	h.summarized = true
+	dim := top.cols[top.split:]
+	if !top.factLeft {
+		dim, h.factPos = top.cols[:top.split], 1
+	}
+	var err error
+	if h.groupBy, err = bindScalars(items[:p.GroupCols], dim); err != nil {
+		return err
+	}
+	carried := top.sumColumns()
+	for i, k := range p.AggKinds() {
+		arg := -1
+		if k != exec.AggCount {
+			arg = slices.Index(carried, items[p.GroupCols+i].String())
+		}
+		h.sumArg = append(h.sumArg, arg)
+	}
+	h.summed = make([]exec.ExactSum, len(carried))
+	h.sums = make([]*exec.ExactSum, len(h.sumArg))
+	return nil
 }
 
 // attach connects a checked sink to its realized top operator: its
@@ -192,6 +239,9 @@ func (h *ViewHandle) attach(top node) {
 	h.durable = slices.Clone(h.cursors)
 	h.log = h.g.logOf(top)
 	h.log.readers = append(h.log.readers, h)
+	if !h.summarized {
+		h.log.rowReaders++
+	}
 	h.from = len(h.log.deltas)
 	h.g.views = append(h.g.views, h)
 }
@@ -205,6 +255,9 @@ func (h *ViewHandle) initialize() error {
 		Stats:   h.stats,
 	})
 	if err != nil {
+		return err
+	}
+	if err := h.plan.CheckDelta(op.Columns()); err != nil {
 		return err
 	}
 	rows, err := exec.Collect(op)
@@ -351,26 +404,56 @@ func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
 	ds := h.log.deltas[h.from:]
 	lo, hi := len(ds), 0
 	for i, d := range ds {
-		if d.Coord[pos] > old && d.Coord.covered(h.cursors) {
+		if d.Coord[pos] > old && d.Coord.covered(h.cursors) && h.reads(d.Coord) {
 			if w := dir * d.W; w > 0 {
-				h.foldDelta(d.Row, w)
+				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), w)
 			} else {
 				lo, hi = min(lo, i), i+1
 			}
 		}
 	}
 	for i := lo; i < hi; i++ {
-		if d := ds[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) {
-			h.foldDelta(d.Row, dir*d.W)
+		if d := ds[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) && h.reads(d.Coord) {
+			h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), dir*d.W)
 		}
 	}
 	clear(h.row)
 }
 
+// reads reports whether the sink folds a delta of its log with that
+// coordinate: a summary product only if the view reads its join through
+// a summary, and then no product of a fact base entry, which a summary
+// stands for.
+func (h *ViewHandle) reads(c Coord) bool {
+	if len(c) > len(h.cursors) {
+		return h.summarized
+	}
+	return !h.summarized || c[h.factPos] != 0
+}
+
 // foldDelta projects a row of the top operator's output through the
 // SELECT list into the handle's one scratch row and folds it with weight
-// w; the view state only borrows the row.
-func (h *ViewHandle) foldDelta(row storage.Row, w int64) {
+// w; the view state only borrows the row. A summary product — sum holds
+// its summary's words (Coord.summary) — folds as one entry: its GROUP BY
+// values projected from the dimension row, its count and sums merged w
+// times.
+func (h *ViewHandle) foldDelta(row storage.Row, sum []uint64, w int64) {
+	if len(sum) > 0 {
+		for j, sc := range h.groupBy {
+			h.row[j] = sc(row)
+		}
+		n, rest := int64(sum[0]), sum[1:]
+		for i := range h.summed {
+			rest = h.summed[i].SetWords(rest)
+		}
+		for i, a := range h.sumArg {
+			if a >= 0 {
+				h.sums[i] = &h.summed[a]
+			}
+		}
+		h.view.AddSummary(h.row[:len(h.groupBy)], w, n, h.sums)
+		return
+	}
 	for j, sc := range h.project {
 		h.row[j] = sc(row)
 	}
@@ -479,27 +562,33 @@ func (h *ViewHandle) Recover() error {
 
 // rebuild replaces the view state with its content at the checkpointed
 // cursors, computed from the graph — the shared graph's recompute. The
-// top operator's present output is its content when it was created plus
-// every delta it has emitted since; its delta log holds every emitted
-// delta some reader's checkpointed cursors do not cover, so every one
-// these cursors do not cover. Folding the present output and taking those
-// deltas back leaves exactly the deltas the checkpointed cursors cover on
-// top of the content at creation: the view at durable. Positive weights
-// fold first, so no entry count dips below zero on the way. It reads the
-// graph, not the live database, which a sharded broker changes before it
-// ingests.
+// top operator's present output — as the view reads it, with summaries
+// in place of fact base entries if it reads them — is its content when it
+// was created plus every delta it has emitted since; its delta log holds
+// every emitted delta some reader's checkpointed cursors do not cover, so
+// every one these cursors do not cover. Folding the present output and
+// taking those deltas back leaves exactly the deltas the checkpointed
+// cursors cover on top of the content at creation: the view at durable.
+// Positive weights fold first, so no entry count dips below zero on the
+// way. It reads the graph, not the live database, which a sharded broker
+// changes before it ingests.
 func (h *ViewHandle) rebuild() {
 	h.view = ivm.NewViewState(h.plan, h.stats)
-	rows := h.top.current()
+	var rows []weightedRow
+	if h.summarized {
+		rows = h.top.(*joinNode).currentSummarized()
+	} else {
+		rows = h.top.current()
+	}
 	for _, sign := range [2]int64{1, -1} {
 		for _, wr := range rows {
 			if wr.w*sign > 0 {
-				h.foldDelta(wr.row, wr.w)
+				h.foldDelta(wr.row, wr.sum, wr.w)
 			}
 		}
 		for _, d := range h.log.deltas {
-			if -d.W*sign > 0 && !d.Coord.covered(h.durable) {
-				h.foldDelta(d.Row, -d.W)
+			if -d.W*sign > 0 && !d.Coord.covered(h.durable) && h.reads(d.Coord) {
+				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), -d.W)
 			}
 		}
 	}

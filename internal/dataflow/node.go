@@ -2,7 +2,9 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"abivm/internal/exec"
 	"abivm/internal/ivm"
@@ -315,25 +317,42 @@ type tailEntry struct {
 
 // bucket holds one join key's share of an arrangement: the consolidated
 // base (one entry per distinct row, never zero-weight) and the uncovered
-// tail in arrival order. key is the string the bucket is stored under,
-// made once when the bucket was: everything that reaches a bucket later
-// looks it up by the key's bytes, and a trim that empties it deletes it
-// by this.
+// tail in arrival order, and — once a join summarizes the arrangement
+// — sum, the summary of the base over every column in sumCols. key is
+// the string the bucket is stored under, made once when the bucket was:
+// everything that reaches a bucket later looks it up by the key's bytes,
+// and a trim that empties it deletes it by this.
 type bucket struct {
 	key  string
 	base []baseEntry
 	tail []tailEntry
+	sum  summary
 }
 
 // sideState is an arrangement's retained history of its child's output,
 // partitioned by equi-join key so a delta — and a trim — touches only its
 // own bucket. touched lists the buckets whose tail is non-empty, in the
-// order they became so; it is the whole of a trim's work list.
+// order they became so; it is the whole of a trim's work list. summed
+// lists the summaries joins emit of the buckets' bases; each
+// bucket keeps them as one summary over sumCols, every column one of them
+// sums, each once.
 type sideState struct {
 	buckets map[string]*bucket
 	touched []*bucket
 	zero    Coord // the coordinate of every base entry
 	ctr     *counters
+	summed  []summed
+	sumCols []exec.Scalar
+	sumKeys []string // sumCols' canonical expressions
+}
+
+// summed is one summary that joins emit of an arrangement's buckets:
+// its identity (the columns' canonical text, in its order) and where its
+// columns are in sumCols. Joins that sum the same columns of one
+// arrangement emit one summed.
+type summed struct {
+	id   string
+	cols []int
 }
 
 func newSideState(tabs int, ctr *counters) sideState {
@@ -372,9 +391,20 @@ func (s *sideState) bucketFor(key []byte) *bucket {
 	b := s.buckets[string(key)]
 	if b == nil {
 		b = &bucket{key: string(key)}
+		if len(s.sumCols) > 0 {
+			b.sum.sums = make([]exec.ExactSum, len(s.sumCols))
+		}
 		s.buckets[b.key] = b
 	}
 	return b
+}
+
+// sumBase folds w copies of a row entering a bucket's base into its
+// summary, if a join summarizes the arrangement.
+func (s *sideState) sumBase(b *bucket, row storage.Row, w int64) {
+	if len(s.summed) > 0 {
+		b.sum.add(row, w, s.sumCols)
+	}
 }
 
 // add appends one arriving delta to its bucket's tail.
@@ -401,6 +431,7 @@ func (s *sideState) seed(rows []weightedRow, keys []exec.Scalar) {
 		}
 		b := s.bucketFor(key)
 		b.base = appendTight(b.base, baseEntry{row: wr.row, w: wr.w})
+		s.sumBase(b, wr.row, wr.w)
 		s.ctr.stateRows++
 	}
 }
@@ -436,7 +467,7 @@ func (s *sideState) consolidate(wm []uint64) {
 				kept++
 				continue
 			}
-			if b.net(e.row, e.w, s.ctr) {
+			if s.net(b, e.row, e.w) {
 				cancelled = true
 			}
 		}
@@ -463,9 +494,12 @@ func (s *sideState) consolidate(wm []uint64) {
 	s.touched = stillTouched
 }
 
-// net folds one covered delta into the base, reporting whether some
-// entry now weighs zero (the caller compacts once per bucket).
-func (b *bucket) net(row storage.Row, w int64, ctr *counters) bool {
+// net folds one covered delta into a bucket's base and its summaries,
+// reporting whether some entry now weighs zero (the caller compacts once
+// per bucket).
+func (s *sideState) net(b *bucket, row storage.Row, w int64) bool {
+	s.sumBase(b, row, w)
+	ctr := s.ctr
 	for i := range b.base {
 		if b.base[i].row.SameKey(row) {
 			ctr.trimVisited += uint64(i + 1)
@@ -480,14 +514,22 @@ func (b *bucket) net(row storage.Row, w int64, ctr *counters) bool {
 
 // portGroup is the join sides an arrangement serves that read one
 // arrangement opposite on one side: joins of the same two children under
-// the same keys, which differ only in their residuals. A delta probes the
-// opposite bucket once for the whole group, and a product two of its
-// joins accept is built once and emitted by both.
+// the same keys, which differ only in their residuals — or in reading
+// the opposite side's rows through a summary. A delta probes the opposite
+// bucket once for the whole group, and a product two of its joins accept
+// is built once and emitted by both.
 type portGroup struct {
 	other *arrangement
 	left  bool        // the arriving delta is the joins' left input
 	joins []*joinNode // in attachment order
 	live  []*joinNode // a probe's scratch: the joins whose arriving-side residual passes
+	// summaries is set when some join reads other as its summarized fact
+	// side. A probe's scratch then: outs, one summary product per summed of
+	// other, built for the first join reading it; rows, per live join,
+	// whether it takes base entries' products.
+	summaries bool
+	outs      []Delta
+	rows      []bool
 }
 
 // arrangement is one child operator's output indexed by one equi-key
@@ -570,6 +612,46 @@ func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
 	}
 	g.joins = append(g.joins, j)
 	g.live = make([]*joinNode, 0, len(g.joins))
+	g.rows = make([]bool, len(g.joins))
+}
+
+// summaryOf returns the index in summed of the summary of the columns
+// keys names, cols over the arrangement's rows. When no join has emitted
+// it yet, it is added, and every bucket's base summed into the columns
+// its summary lacks — into its count, too, for the arrangement's first.
+func (a *arrangement) summaryOf(keys []string, cols []exec.Scalar) int {
+	id := strings.Join(keys, ", ")
+	for i, sm := range a.summed {
+		if sm.id == id {
+			return i
+		}
+	}
+	first := len(a.summed) == 0
+	sm := summed{id: id}
+	var newCols []exec.Scalar
+	for i, k := range keys {
+		at := slices.Index(a.sumKeys, k)
+		if at < 0 {
+			at = len(a.sumKeys)
+			a.sumKeys = append(a.sumKeys, k)
+			a.sumCols = append(a.sumCols, cols[i])
+			newCols = append(newCols, cols[i])
+		}
+		sm.cols = append(sm.cols, at)
+	}
+	a.summed = append(a.summed, sm)
+	for _, key := range a.sortedKeys() {
+		b := a.buckets[key]
+		more := summary{sums: make([]exec.ExactSum, len(newCols))}
+		for _, e := range b.base {
+			more.add(e.row, e.w, newCols)
+		}
+		if first {
+			b.sum.n = more.n
+		}
+		b.sum.sums = append(b.sum.sums, more.sums...)
+	}
+	return len(a.summed) - 1
 }
 
 // ports is the number of join sides attached.
@@ -600,11 +682,24 @@ func (a *arrangement) trim(wm map[string]uint64) {
 // joins the other side's full retained state (including negative-weight
 // entries), THEN is appended to its own side — each (left, right) pair is
 // produced exactly once, when the later of its two inputs arrives.
+//
+// A join some view reads through a summary (summarize; sumFact sets fact)
+// also emits, for a delta of the side opposite fact — the dimension's —
+// one product for the summary sum of the fact bucket's base entries; it
+// builds the products of the base entries themselves only while some
+// other reader takes them (readsRows). A fact-side delta joins the
+// dimension's rows as in any join. The summary sums the columns sumKeys
+// names (sumArgs, over the fact side's rows): every column one of those
+// views sums, in the order they subscribed.
 type joinNode struct {
 	nodeBase
 	lwhere, rwhere conjunction
 	where          conjunction
 	lstate, rstate *arrangement
+	fact, dim      *arrangement
+	sum            int
+	sumKeys        []string
+	sumArgs        []exec.Scalar
 }
 
 // newJoinNode attaches a join to its two arrangements as one port of
@@ -630,10 +725,72 @@ func newJoinNode(sig string, lstate, rstate *arrangement, lwhere, rwhere, where 
 		where:  where,
 		lstate: lstate,
 		rstate: rstate,
+		sum:    -1,
 	}
 	lstate.attach(j, true, rstate)
 	rstate.attach(j, false, lstate)
 	return j
+}
+
+// sumFact makes the join emit summaries of its fact side — the left
+// side when factLeft — that sum the columns keys names, cols over the
+// fact side's rows, beside those it sums already. It appends those it
+// lacks, so a sink that reads it finds its columns where they were; the
+// summaries it emitted before summed fewer, but only sinks that read it
+// then will ever fold them. The fact side, once chosen, stays.
+func (j *joinNode) sumFact(factLeft bool, keys []string, cols []exec.Scalar) {
+	if j.fact == nil {
+		j.fact, j.dim = j.rstate, j.lstate
+		if factLeft {
+			j.fact, j.dim = j.lstate, j.rstate
+		}
+		for _, g := range j.dim.groups {
+			if g.other == j.fact {
+				g.summaries = true
+			}
+		}
+	}
+	grown := j.sum < 0
+	for i, k := range keys {
+		if !slices.Contains(j.sumKeys, k) {
+			j.sumKeys, j.sumArgs = append(j.sumKeys, k), append(j.sumArgs, cols[i])
+			grown = true
+		}
+	}
+	if grown {
+		j.sum = j.fact.summaryOf(j.sumKeys, j.sumArgs)
+	}
+}
+
+// summaryReader is a receiver that takes a join's summary products too:
+// the delta log sinks read. Every other consumer of a join — an
+// arrangement, a filter — reads its rows alone.
+type summaryReader interface {
+	receiver
+	readsSummaries()
+}
+
+func (l *deltaLog) readsSummaries() {}
+
+// emitSummary forwards a summary product to the join's summary readers.
+func (j *joinNode) emitSummary(d Delta) {
+	for _, o := range j.outs {
+		if r, ok := o.(summaryReader); ok {
+			r.onDelta(d)
+		}
+	}
+}
+
+// readsRows reports whether something reads the join's products of the
+// fact side's base entries: a consumer other than its delta log, or a
+// sink on the log that does not read the join through a summary.
+func (j *joinNode) readsRows() bool {
+	for _, o := range j.outs {
+		if l, ok := o.(*deltaLog); !ok || l.rowReaders > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // sideWhere is the residual over one input's rows.
@@ -663,13 +820,23 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 // builds the product; the first whose where also accepts it fixes its
 // coordinate; every later join that accepts it emits that same Delta.
 //
+// A join that summarizes the opposite side (its fact side) first gets one
+// product for the bucket's summary of its base — built once for every
+// join reading that summary, its coordinate carrying a copy of it — and
+// then the products of the bucket's entries as any join, those of base
+// entries only if it readsRows. Base entries are not even visited when
+// no live join takes their products. The rule that makes a view read a
+// join through a summary (summarize) leaves the join no fact-side or
+// joined-row residual to check.
+//
 // A probe takes its products from the graph's arena (deltaArena): each
 // emitted row is a window of the current value chunk and each coordinate
 // one of the current word chunk, both capped at their length. A product
 // every join rejects leaves its room to the next. The products with a
 // base partner share one coordinate, the delta's beside the base's zero;
-// each tail partner's product gets its own. Consumers alias the windows
-// as they alias any emitted row: a delta log until its readers'
+// each summary product gets that coordinate of its own, its summary past
+// it, and each tail partner's product gets its own. Consumers alias the
+// windows as they alias any emitted row: a delta log until its readers'
 // checkpoints cover the product, an arrangement's tail until a trim nets
 // it, an arrangement over a join not at all for rows (it copies what it
 // keeps) — so no long-lived state pins a chunk.
@@ -691,7 +858,32 @@ func (g *portGroup) probe(key []byte, d Delta) {
 		return
 	}
 	var shared Coord
-	for i, n := 0, len(b.base)+len(b.tail); i < n; i++ {
+	from := 0 // the first entry some live join takes the products of
+	if g.summaries {
+		if len(g.outs) < len(g.other.summed) {
+			g.outs = make([]Delta, len(g.other.summed))
+		}
+		from = len(b.base)
+		for k, j := range live {
+			if g.rows[k] = j.fact != g.other || j.readsRows(); g.rows[k] {
+				from = 0
+			}
+			if j.fact != g.other || len(b.base) == 0 {
+				continue
+			}
+			out := &g.outs[j.sum]
+			if out.Row == nil {
+				n := len(d.Coord) + len(g.other.zero)
+				c := arena.carrying(n, &b.sum, g.other.summed[j.sum].cols)
+				pairInto(c[:n], g.left, d.Coord, g.other.zero)
+				*out = Delta{Row: d.Row, W: d.W, Coord: c}
+				ctr.products++
+			}
+			j.emitSummary(*out)
+		}
+		clear(g.outs)
+	}
+	for i, n := from, len(b.base)+len(b.tail); i < n; i++ {
 		var partner storage.Row
 		var w int64
 		var pc Coord // the partner's own coordinate; nil for a base entry
@@ -703,8 +895,8 @@ func (g *portGroup) probe(key []byte, d Delta) {
 		}
 		var row storage.Row
 		var out Delta
-		for _, j := range live {
-			if !j.sideWhere(!g.left).pass(partner) {
+		for k, j := range live {
+			if pc == nil && g.summaries && !g.rows[k] || !j.sideWhere(!g.left).pass(partner) {
 				continue
 			}
 			if row == nil {
@@ -773,6 +965,41 @@ func (j *joinNode) current() []weightedRow {
 					out = append(out, weightedRow{row: row, w: lw * rw, loose: ltail || rtail})
 				}
 			})
+		})
+	}
+	return out
+}
+
+// currentSummarized is current as a view that reads the join through a
+// summary sees it: each dimension entry paired with its fact bucket's
+// summary, in place of the bucket's base entries, and with the bucket's
+// tail entries.
+func (j *joinNode) currentSummarized() []weightedRow {
+	var out []weightedRow
+	dimWhere := j.rwhere
+	if j.dim == j.lstate {
+		dimWhere = j.lwhere
+	}
+	for _, key := range j.fact.sortedKeys() {
+		db := j.dim.buckets[key]
+		if db == nil {
+			continue
+		}
+		fb := j.fact.buckets[key]
+		db.each(func(drow storage.Row, dw int64, dtail bool) {
+			if !dimWhere.pass(drow) {
+				return
+			}
+			if len(fb.base) > 0 {
+				out = append(out, weightedRow{row: drow, w: dw, loose: dtail, sum: fb.sum.appendWords(nil, j.fact.summed[j.sum].cols)})
+			}
+			for _, e := range fb.tail {
+				row := concatRows(e.row, drow)
+				if j.fact == j.rstate {
+					row = concatRows(drow, e.row)
+				}
+				out = append(out, weightedRow{row: row, w: e.w * dw, loose: true})
+			}
 		})
 	}
 	return out

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -63,6 +64,18 @@ var propQueries = []string{
 	// Three-way join filtered at its last table only, and a table-free
 	// conjunct.
 	"SELECT s.salekey, r.zone FROM sales AS s, stations AS st, regions AS r WHERE s.station = st.stationkey AND st.region = r.region AND r.zone = 'A' AND 2 >= 1",
+}
+
+// summaryQueries sit on either side of the rule that makes a view read
+// its top join's fact side through a summary: a COUNT alone and an AVG,
+// grouped by a station column, do; a SUM under a filter on sales does
+// not. They draw their lags, drains, checkpoints and recoveries
+// from a generator of their own, so the views above keep every seeded
+// event on the step it has without them.
+var summaryQueries = []string{
+	"SELECT st.region, COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region",
+	"SELECT st.stationkey, AVG(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region <> 'WEST' GROUP BY st.stationkey",
+	"SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND s.amount > 4 GROUP BY st.region",
 }
 
 type tableMod struct {
@@ -178,6 +191,15 @@ type propView struct {
 	wal     *ivm.WAL // on handles[0], the trimmed graph's
 	shadow  *storage.DB
 	applied map[string]int // per table: log prefix applied to shadow
+	rng     *rand.Rand     // the view's own draws; nil: the world's
+}
+
+// draws returns the generator a view's drains and checkpoints draw from.
+func (v *propView) draws(world *rand.Rand) *rand.Rand {
+	if v.rng != nil {
+		return v.rng
+	}
+	return world
 }
 
 type propWorld struct {
@@ -357,6 +379,21 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 				}
 				seen[rk] = true
 			}
+			if len(a.summed) > 0 {
+				want := summary{sums: make([]exec.ExactSum, len(a.sumCols))}
+				for _, e := range b.base {
+					want.add(e.row, e.w, a.sumCols)
+				}
+				if b.sum.n != want.n || len(b.sum.sums) != len(want.sums) {
+					t.Fatalf("%s: %s: bucket %q's summary counts %d rows over %d columns, its base %d over %d",
+						ctx, id, key, b.sum.n, len(b.sum.sums), want.n, len(want.sums))
+				}
+				for c := range want.sums {
+					if g, w := b.sum.sums[c].Float64(), want.sums[c].Float64(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s: %s: bucket %q sums %s to %v, its base to %v", ctx, id, key, a.sumKeys[c], g, w)
+					}
+				}
+			}
 		}
 		if withTail != len(a.touched) {
 			t.Fatalf("%s: %s: %d touched keys, %d buckets with a tail", ctx, id, len(a.touched), withTail)
@@ -397,6 +434,10 @@ func edgesTo(n node, r receiver) int {
 type recorder struct{ all []Delta }
 
 func (r *recorder) onDelta(d Delta) { r.all = append(r.all, d) }
+
+// readsSummaries makes a recorder take a join's summary products, as the
+// join's delta log does.
+func (r *recorder) readsSummaries() {}
 
 // recordLogs puts a recorder beside every delta log that has none yet,
 // right below the log's operator: called after each Subscribe, it sees
@@ -445,7 +486,7 @@ func (w *propWorld) trim(rng *rand.Rand, all bool) {
 	w.t.Helper()
 	for _, v := range w.views {
 		h := v.handles[0]
-		if all || rng.Intn(3) > 0 {
+		if all || v.draws(rng).Intn(3) > 0 {
 			h.Checkpoint()
 			if err := v.wal.TruncateThrough(h.TipLSN()); err != nil {
 				w.t.Fatal(err)
@@ -473,6 +514,15 @@ func TestTrimPreservesMeaning(t *testing.T) {
 			for _, i := range []int{0, 1, 2, 5, 6} {
 				w.subscribe(propQueries[i], rng.Float64()*0.8, false)
 			}
+			own := rand.New(rand.NewSource(seed * 104729))
+			for i, q := range summaryQueries {
+				w.subscribe(q, own.Float64()*0.8, false)
+				v := w.views[len(w.views)-1]
+				v.rng = own
+				if summarized := v.handles[0].summarized; summarized != (i < 2) {
+					t.Fatalf("%q reads its join through a summary: %v, want %v", q, summarized, i < 2)
+				}
+			}
 			gen := newPropGen(seed)
 			lateAt := map[int]string{
 				10 + rng.Intn(10): propQueries[3],
@@ -486,11 +536,11 @@ func TestTrimPreservesMeaning(t *testing.T) {
 					w.ingest(tm)
 				}
 				for _, v := range w.views {
-					h := v.handles[0]
+					h, r := v.handles[0], v.draws(rng)
 					pend := h.Pending()
 					for i, alias := range h.Aliases() {
-						if pend[i] > 0 && rng.Float64() >= v.lag {
-							w.drain(v, alias, 1+rng.Intn(pend[i]))
+						if pend[i] > 0 && r.Float64() >= v.lag {
+							w.drain(v, alias, 1+r.Intn(pend[i]))
 						}
 					}
 				}
@@ -508,11 +558,19 @@ func TestTrimPreservesMeaning(t *testing.T) {
 					w.check(ctx + " late subscribe")
 				}
 				if rng.Intn(8) == 0 {
-					v := w.views[rng.Intn(len(w.views))]
+					seeded := slices.DeleteFunc(slices.Clone(w.views), func(v *propView) bool { return v.rng != nil })
+					v := seeded[rng.Intn(len(seeded))]
 					if err := v.handles[0].Recover(); err != nil {
 						t.Fatal(err)
 					}
 					w.check(ctx + " recovered")
+				}
+				if own.Intn(8) == 0 {
+					v := w.views[5+own.Intn(len(summaryQueries))]
+					if err := v.handles[0].Recover(); err != nil {
+						t.Fatal(err)
+					}
+					w.check(ctx + " summary view recovered")
 				}
 			}
 			for _, v := range w.views {

@@ -26,7 +26,12 @@ type recoverPair struct {
 // arrangement holds the inner join's products; a table-free conjunct,
 // which the join above the spine's first pair holds as its residual; a
 // filter over a scan; and a sink that subscribes late to a log two
-// readers already share.
+// readers already share. Two views read their joins through a summary of sales —
+// the first equivalence query and an AVG grouped by station — so a
+// rebuild folds the summaries the join's present output pairs with the
+// stations' rows; the second draws its drains, checkpoints and crashes
+// from a generator of its own, so the other sinks keep every seeded
+// event on the step it has without it.
 func TestRecoverRebuildsFromGraph(t *testing.T) {
 	queries := append(slices.Clone(equivalenceQueries),
 		propQueries[3], // three-way join
@@ -77,6 +82,13 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 			sinks = append(sinks, subscribe(queries[1]))
 			lateAt := 8 + rng.Intn(8)
 			_ = 20 + rng.Intn(8) // an unused draw, so each seed keeps its schedule
+			own := rand.New(rand.NewSource(seed * 7717))
+			summarized := subscribe(summaryQueries[1])
+			for _, rp := range []*recoverPair{sinks[0], summarized} {
+				if !rp.h.summarized {
+					t.Fatalf("%s does not read its join through a summary", rp.h.ns)
+				}
+			}
 
 			check := func(ctx string, rp *recoverPair) {
 				t.Helper()
@@ -114,20 +126,24 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 						}
 					}
 				}
-				for _, rp := range sinks {
+				for _, rp := range append(sinks, summarized) {
+					r := rng
+					if rp == summarized {
+						r = own
+					}
 					pend := rp.h.Pending()
 					for i, alias := range rp.h.Aliases() {
-						if pend[i] == 0 || rng.Intn(3) == 0 {
+						if pend[i] == 0 || r.Intn(3) == 0 {
 							continue
 						}
-						k := 1 + rng.Intn(pend[i])
+						k := 1 + r.Intn(pend[i])
 						for _, h := range []*ViewHandle{rp.h, rp.twin} {
 							if err := h.ProcessBatch(alias, k); err != nil {
 								t.Fatal(err)
 							}
 						}
 					}
-					if rng.Intn(4) == 0 {
+					if r.Intn(4) == 0 {
 						rp.h.Checkpoint()
 						if err := rp.h.WAL().TruncateThrough(rp.h.TipLSN()); err != nil {
 							t.Fatal(err)
@@ -144,6 +160,10 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 					}
 					check(ctx, rp)
 				}
+				if own.Intn(5) == 0 {
+					crashAt(ctx, summarized)
+				}
+				check(ctx, summarized)
 				if step == lateAt {
 					// A third reader of the log sinks[1] and the co-reader
 					// share, holding deltas neither has checkpointed.

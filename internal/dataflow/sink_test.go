@@ -176,14 +176,7 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	const rowsPerStation, batch, rounds = 8, 8, 4
 	drainAllocs := func(backlogStations int) (allocs uint64, pending int) {
 		g := NewGraph(sizedDB(t, 2_000, rowsPerStation))
-		p, err := ivm.PlanView(trimBenchQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := g.Subscribe(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := subscribeQuery(t, g, rawJoinQuery)
 		// The uncovered backlog: region flips of the first stations, each
 		// retracting and re-adding its eight sales, never drained.
 		for st := 0; st < backlogStations; st++ {

@@ -30,7 +30,8 @@ func shapeOf(g *Graph) graphShape {
 
 // TestFailedSubscribeBuildsNothing: a view refused at any stage that can
 // reject one — resolving its scans, binding a filter's conjuncts, a
-// join's keys, its side or joined-row residuals, or the sink's projection
+// join's keys, its side or joined-row residuals, or the sink's projection,
+// or typing what it compares or sums, a column a join's summary would sum too
 // — leaves a graph that already serves views exactly as it was, even
 // when it reads a table no served view reads. A valid view over the same
 // tables subscribes afterwards and, once drained, holds what the same
@@ -55,6 +56,13 @@ func TestFailedSubscribeBuildsNothing(t *testing.T) {
 			"SELECT s.salekey FROM sales AS s, stations AS st, regions AS r WHERE s.station = st.stationkey AND st.region = r.region AND s.amount > 2", "string operands"},
 		{"projection", "SELECT s.amount + r.zone FROM sales AS s, stations AS st, regions AS r WHERE s.station = st.stationkey AND st.region = r.region",
 			"SELECT s.amount, r.zone FROM sales AS s, stations AS st, regions AS r WHERE s.station = st.stationkey AND st.region = r.region", "string operands"},
+		{"aggregate argument", "SELECT SUM(st.region) FROM stations AS st",
+			"SELECT SUM(st.stationkey) FROM stations AS st", "SUM(st.region) over a string argument"},
+		{"comparison", "SELECT s.salekey FROM sales AS s WHERE s.amount > 'x'",
+			"SELECT s.salekey FROM sales AS s WHERE s.amount > 2.5", "comparison of FLOAT with TEXT in sales.amount > 'x'"},
+		// A summary of stations for regions would sum stations.region.
+		{"summed column", "SELECT r.zone, AVG(st.region) FROM stations AS st, regions AS r WHERE st.region = r.region GROUP BY r.zone",
+			"SELECT r.zone, AVG(st.stationkey) FROM stations AS st, regions AS r WHERE st.region = r.region GROUP BY r.zone", "AVG(st.region) over a string argument"},
 	} {
 		t.Run(tc.stage, func(t *testing.T) {
 			db := propDB(t)

@@ -122,6 +122,57 @@ func (s *ExactSum) push(x float64) {
 	s.n++
 }
 
+// Merge folds w copies of the sum t into s: w > 0 adds every term t
+// holds w times, w < 0 retracts each -w times, exactly as folding the
+// terms one at a time would. t's partials, carry and non-finite counts
+// are its terms' exact sum, so they are folded in their stead.
+func (s *ExactSum) Merge(t *ExactSum, w int64) {
+	dir := int64(1)
+	if w < 0 {
+		dir = -1
+	}
+	for n := w; n != 0; n -= dir {
+		for _, x := range t.partials() {
+			s.fold(float64(dir)*x, dir)
+		}
+	}
+	s.carry += w * t.carry
+	s.posInf += w * t.posInf
+	s.negInf += w * t.negInf
+	s.nan += w * t.nan
+}
+
+// AppendWords appends the sum's exact state to dst as words — the
+// partials' count, the carry, the +Inf, -Inf and NaN counts, then the
+// partials' bits — for SetWords to restore bit for bit. It takes
+// Words(s) words.
+func (s *ExactSum) AppendWords(dst []uint64) []uint64 {
+	p := s.partials()
+	dst = append(dst, uint64(len(p)), uint64(s.carry), uint64(s.posInf), uint64(s.negInf), uint64(s.nan))
+	for _, x := range p {
+		dst = append(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// Words is how many words AppendWords writes for the sum.
+func (s *ExactSum) Words() int { return 5 + s.n }
+
+// SetWords makes s the sum whose words AppendWords wrote at the front of
+// w, reusing the memory s spilled to, and returns the rest of w.
+func (s *ExactSum) SetWords(w []uint64) []uint64 {
+	n := int(w[0])
+	spill := s.spill[:0]
+	*s = ExactSum{carry: int64(w[1]), posInf: int64(w[2]), negInf: int64(w[3]), nan: int64(w[4])}
+	if n > len(s.inline) {
+		s.spill = spill
+	}
+	for _, bits := range w[5 : 5+n] {
+		s.push(math.Float64frombits(bits))
+	}
+	return w[5+n:]
+}
+
 // Set makes s a copy of t that shares no memory with it.
 func (s *ExactSum) Set(t *ExactSum) {
 	spill := s.spill[:0]

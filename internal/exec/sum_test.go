@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"abivm/internal/testenv"
@@ -183,10 +184,37 @@ func TestExactSumFoldAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestExactSumMergeAllocsNothing: a summary whose partials fit inline,
+// written to words, read back and merged — added and retracted —
+// allocates nothing once the words have room.
+func TestExactSumMergeAllocsNothing(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	var s, summary, restored ExactSum
+	for _, x := range []float64{0.37, 12.5, 0.01} {
+		summary.Add(x)
+	}
+	words := make([]uint64, 0, summary.Words())
+	if n := testing.AllocsPerRun(1000, func() {
+		restored.SetWords(summary.AppendWords(words[:0]))
+		s.Merge(&restored, 1)
+		s.Merge(&restored, -1)
+		s.Merge(&restored, 2)
+		_ = s.Float64()
+	}); n != 0 {
+		t.Fatalf("merging a summary allocated %v times, want 0", n)
+	}
+	if s.spill != nil || summary.spill != nil {
+		t.Fatal("the summary spilled past the inline partials")
+	}
+}
+
 // FuzzExactSum decodes a stream of ops, 9 bytes each: a byte whose low
 // bit asks for a retraction, then the term's bits. Folded forwards,
 // backwards and in an interleaving of the two halves, every render must
-// be the reference's bits.
+// be the reference's bits. The stream's second half, summed apart,
+// written to words and read back, and merged into a sum of its first
+// half — added once, twice, then taken back — must render as the terms
+// folded one at a time do: the half once, twice, then not at all.
 func FuzzExactSum(f *testing.F) {
 	enc := func(ops ...sumOp) []byte {
 		var b []byte
@@ -204,6 +232,8 @@ func FuzzExactSum(f *testing.F) {
 	f.Add(enc(sumOp{x: top}, sumOp{x: top}, sumOp{x: -top}, sumOp{x: 0x1p970}))
 	f.Add(enc(sumOp{x: math.Inf(1)}, sumOp{x: 0.1}, sumOp{x: math.Inf(1), retract: true}, sumOp{x: math.NaN()}))
 	f.Add(enc(sumOp{x: 5e-324}, sumOp{x: math.Copysign(0, -1)}, sumOp{x: 1}, sumOp{x: 0x1p-53}, sumOp{x: 0x1p-1000}))
+	// A summary carrying multiples of 2^1020 and non-finite counts.
+	f.Add(enc(sumOp{x: 1}, sumOp{x: top}, sumOp{x: top}, sumOp{x: math.Inf(-1)}, sumOp{x: math.NaN(), retract: true}, sumOp{x: top}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ops []sumOp
 		for ; len(data) >= 9; data = data[9:] {
@@ -229,6 +259,27 @@ func FuzzExactSum(f *testing.F) {
 			s.apply(order)
 			if got := s.Float64(); !sameBits(got, want) {
 				t.Fatalf("%v renders %v (%#x), reference %v (%#x)", order, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		var s, summed, summary ExactSum
+		s.apply(ops[:half])
+		summed.apply(ops[half:])
+		words := summed.AppendWords(nil)
+		if len(words) != summed.Words() {
+			t.Fatalf("%v written to %d words, Words says %d", ops[half:], len(words), summed.Words())
+		}
+		if rest := summary.SetWords(words); len(rest) != 0 || !sameBits(summary.Float64(), summed.Float64()) {
+			t.Fatalf("%v read back from its words renders %v, %d words left; was %v", ops[half:], summary.Float64(), len(rest), summed.Float64())
+		}
+		twice := append(slices.Clone(ops), ops[half:]...)
+		for _, step := range []struct {
+			w    int64
+			want float64
+		}{{1, want}, {1, reference(twice)}, {-2, reference(ops[:half])}} {
+			s.Merge(&summary, step.w)
+			if got := s.Float64(); !sameBits(got, step.want) {
+				t.Fatalf("%v merged %+d times into %v renders %v (%#x), its terms one at a time %v (%#x)",
+					ops[half:], step.w, ops[:half], got, math.Float64bits(got), step.want, math.Float64bits(step.want))
 			}
 		}
 	})

@@ -179,6 +179,33 @@ func aggKind(x *sql.AggExpr) (exec.AggKind, error) {
 	return 0, sql.Unsupported(x.Pos, "aggregate %q", x.Func)
 }
 
+// AggKinds returns the kind of each aggregate, in select order: the
+// aggregate whose argument is Delta's item GroupCols+i is the i-th. Empty
+// for SPJ views. The slice is the plan's: callers must not modify it.
+func (p *DeltaPlan) AggKinds() []exec.AggKind { return p.aggKinds }
+
+// CheckDelta refuses a view whose bound delta query hands an aggregate an
+// argument it cannot fold: a SUM or an AVG over a string. cols is the
+// delta query's output schema as the planner bound it. Both engines call
+// it before they fold the view's first row, so such a view is refused at
+// subscription with an error naming the aggregate, never met at a fold.
+func (p *DeltaPlan) CheckDelta(cols []exec.Col) error {
+	aggs := 0
+	for _, it := range p.View.Items {
+		x, ok := it.Expr.(*sql.AggExpr)
+		if !ok {
+			continue
+		}
+		switch k := p.aggKinds[aggs]; {
+		case k != exec.AggSum && k != exec.AggAvg:
+		case cols[p.GroupCols+aggs].Type == storage.TString:
+			return fmt.Errorf("ivm: %s over a string argument", x)
+		}
+		aggs++
+	}
+	return nil
+}
+
 // AggDescriptions renders the aggregate kinds in select order, for
 // reports; empty for SPJ views.
 func (p *DeltaPlan) AggDescriptions() []string {

@@ -213,6 +213,9 @@ func (m *Maintainer) initialize() error {
 	if err != nil {
 		return err
 	}
+	if err := m.plan.CheckDelta(op.Columns()); err != nil {
+		return err
+	}
 	rows, err := exec.Collect(op)
 	if err != nil {
 		return err

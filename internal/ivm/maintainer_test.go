@@ -315,6 +315,23 @@ func TestSelfJoinRejected(t *testing.T) {
 	}
 }
 
+// TestIllTypedViewsRefused: a view that hands SUM or AVG a string, or
+// compares a number with a string, is refused when the maintainer is
+// built, with an error naming the expression — not met as a panic when
+// its first row folds or filters.
+func TestIllTypedViewsRefused(t *testing.T) {
+	for _, tc := range []struct{ query, err string }{
+		{"SELECT SUM(S.sname) FROM supplier AS S", "SUM(S.sname) over a string argument"},
+		{"SELECT N.regionkey, AVG(N.nname) FROM nation AS N GROUP BY N.regionkey", "AVG(N.nname) over a string argument"},
+		{"SELECT PS.partkey FROM partsupp AS PS WHERE PS.supplycost > 'x'", "comparison of FLOAT with TEXT in PS.supplycost > 'x'"},
+		{"SELECT S.suppkey FROM supplier AS S, nation AS N WHERE S.nationkey = N.nationkey AND 'N' <> N.regionkey", "comparison of TEXT with INTEGER in 'N' <> N.regionkey"},
+	} {
+		if _, err := New(liveDB(t), tc.query); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("New(%q) = %v, want an error naming %q", tc.query, err, tc.err)
+		}
+	}
+}
+
 func TestInsertThenDeleteSameKeyInOneBatch(t *testing.T) {
 	// Net delta collapses to nothing: the view must be unaffected and the
 	// replica must stay consistent.

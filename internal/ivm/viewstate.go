@@ -90,28 +90,76 @@ func (v *ViewState) AddWeighted(row storage.Row, w int64) {
 	}
 }
 
-// fold applies one delta row |w| times, w's sign choosing between adding
-// and retracting, and is charged as |w| unit folds. The entry is looked up
-// once, through keyBuf. A new entry keeps its key values: r itself when r
-// is all key and the state's to keep, a copy otherwise.
-func (v *ViewState) fold(r storage.Row, w int64, borrowed bool) {
-	if v.stats != nil {
-		v.stats.RowsMaterial += uint64(max(w, -w))
+// AddSummary folds w copies of a pre-aggregated contribution into the
+// entry of key: n rows whose arguments sum, per aggregate in select
+// order, to sums[i] — nil for a COUNT, which reads no argument. The
+// entry's count moves by w·n and each sum merges w·sums[i] exactly, so
+// the state is what folding the n rows one at a time w times would leave.
+// Every aggregate must be a COUNT, SUM or AVG. key is borrowed like
+// AddWeighted's row. It is charged as one unit fold, however many rows it
+// stands for.
+func (v *ViewState) AddSummary(key storage.Row, w, n int64, sums []*exec.ExactSum) {
+	if w == 0 || n == 0 {
+		return
 	}
-	key := r[:v.keyCols]
+	g := v.entry(key, w, true)
+	if v.stats != nil {
+		v.stats.RowsMaterial++
+		v.stats.AggUpdates += uint64(len(g.aggs))
+	}
+	if g.count+w*n < 0 {
+		panic("ivm: retracting more than the view's entry holds")
+	}
+	g.count += w * n
+	for i := range g.aggs {
+		switch a := &g.aggs[i]; a.kind {
+		case exec.AggCount:
+		case exec.AggSum, exec.AggAvg:
+			a.sum.Merge(sums[i], w)
+		default:
+			panic("ivm: a summary folded into a " + a.kind.String())
+		}
+	}
+	v.settle(g)
+}
+
+// entry returns the entry of a key row about to move by w, making it
+// when it is new; it panics if w retracts from an entry the view does not
+// hold. The entry is looked up once, through keyBuf. A new entry keeps its key
+// values: key itself when the state may keep it, a copy otherwise.
+func (v *ViewState) entry(key storage.Row, w int64, copyKey bool) *groupState {
 	v.keyBuf = storage.AppendKey(v.keyBuf[:0], key...)
 	g := v.groups[string(v.keyBuf)]
 	if g == nil {
 		if w < 0 {
 			panic("ivm: retracting from an entry the view does not hold")
 		}
-		if borrowed || len(key) < len(r) {
+		if copyKey {
 			key = key.Clone()
 		}
 		g = &groupState{key: string(v.keyBuf), keyVals: key, aggs: newAggStates(v.aggKinds, v.aggSet)}
 		v.groups[g.key] = g
 		v.order.created(g)
 	}
+	return g
+}
+
+// settle drops an entry whose count a fold brought to zero.
+func (v *ViewState) settle(g *groupState) {
+	if g.count == 0 {
+		delete(v.groups, g.key)
+		v.order.dropped()
+	}
+}
+
+// fold applies one delta row |w| times, w's sign choosing between adding
+// and retracting, and is charged as |w| unit folds. A new entry keeps r
+// itself as its key values when r is all key and the state's to keep.
+func (v *ViewState) fold(r storage.Row, w int64, borrowed bool) {
+	if v.stats != nil {
+		v.stats.RowsMaterial += uint64(max(w, -w))
+	}
+	g := v.entry(r[:v.keyCols], w, borrowed || v.keyCols < len(r))
 	if g.count+w < 0 {
 		panic("ivm: retracting more than the view's entry holds")
 	}
@@ -125,10 +173,7 @@ func (v *ViewState) fold(r storage.Row, w int64, borrowed bool) {
 			g.aggs[i].remove(arg, v.stats)
 		}
 	}
-	if g.count == 0 {
-		delete(v.groups, g.key)
-		v.order.dropped()
-	}
+	v.settle(g)
 }
 
 // keyOrder keeps the state's entries in key order between renders: sorted

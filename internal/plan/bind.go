@@ -125,6 +125,20 @@ func bindPredicate(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
 	}, nil
 }
 
+// bindCondition is bindPredicate for a query's own conjuncts: it refuses
+// a comparison of a string with a number, which storage.Compare would
+// panic on for every row, naming the conjunct.
+func bindCondition(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
+	if b, ok := e.(*sql.BinaryExpr); ok {
+		_, lt, lerr := bindScalar(b.Left, cols)
+		_, rt, rerr := bindScalar(b.Right, cols)
+		if lerr == nil && rerr == nil && (lt == storage.TString) != (rt == storage.TString) {
+			return nil, fmt.Errorf("plan: comparison of %s with %s in %s", lt, rt, e)
+		}
+	}
+	return bindPredicate(e, cols)
+}
+
 func isLiteral(e sql.Expr) bool {
 	switch e.(type) {
 	case *sql.IntLit, *sql.FloatLit, *sql.StringLit:

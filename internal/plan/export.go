@@ -16,7 +16,8 @@ func BindScalar(e sql.Expr, cols []exec.Col) (exec.Scalar, storage.Type, error) 
 }
 
 // BindPredicate compiles a WHERE conjunct (a comparison) against an
-// input schema — the exported form of the planner's predicate binder.
+// input schema — the exported form of the planner's predicate binder,
+// which refuses a comparison of a string with a number.
 func BindPredicate(e sql.Expr, cols []exec.Col) (exec.Predicate, error) {
-	return bindPredicate(e, cols)
+	return bindCondition(e, cols)
 }

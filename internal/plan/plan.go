@@ -87,7 +87,7 @@ func (c *compiler) compile() (exec.Op, error) {
 	}
 	// Residual predicates (cross-table non-equi conjuncts).
 	for _, e := range c.residue {
-		pred, err := bindPredicate(e, op.Columns())
+		pred, err := bindCondition(e, op.Columns())
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func (c *compiler) scanWithFilters(alias string) (exec.Op, error) {
 		op = exec.NewSeqScan(fe.table, alias)
 	}
 	for _, e := range c.local[alias] {
-		pred, err := bindPredicate(e, op.Columns())
+		pred, err := bindCondition(e, op.Columns())
 		if err != nil {
 			return nil, err
 		}
@@ -422,7 +422,7 @@ func (c *compiler) joinInto(cur exec.Op, next string, keysJoined, keysNew []stri
 // possible).
 func (c *compiler) applyLocalFilters(op exec.Op, alias string) (exec.Op, error) {
 	for _, e := range c.local[alias] {
-		pred, err := bindPredicate(e, op.Columns())
+		pred, err := bindCondition(e, op.Columns())
 		if err != nil {
 			return nil, err
 		}

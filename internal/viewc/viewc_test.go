@@ -187,7 +187,8 @@ CREATE MATERIALIZED VIEW ord QOS 10 AS SELECT s.salekey FROM sales AS s ORDER BY
 // canonical operator signatures, and two views over the same join spine
 // agree on every one of them and differ only in the projection their
 // sinks apply — the compile-time prediction of what the shared runtime
-// will intern.
+// will intern. The view of a SUM by region, which reads the join through
+// a summary of sales, lists that summary under its arrangements.
 func TestCompileDataflowSignatures(t *testing.T) {
 	db := demoDB(t)
 	qa := "SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region"
@@ -206,7 +207,8 @@ func TestCompileDataflowSignatures(t *testing.T) {
 	}
 	for _, want := range []string{"dataflow operators", "scan(sales)", "scan(stations)", "join(",
 		"on=[sales.station=stations.stationkey])\n  sink: project [stations.region, sales.amount]\ndataflow arrangements",
-		"  arrange(scan(sales), [sales.station])\n", "  arrange(scan(stations), [stations.stationkey])\n"} {
+		"  arrange(scan(sales), [sales.station])\n", "  arrange(scan(stations), [stations.stationkey])\n",
+		"  summary(arrange(scan(sales), [sales.station]), [sales.amount])\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dataflow report missing %q:\n%s", want, out)
 		}

@@ -32,6 +32,8 @@
 # environment (nproc, GOMAXPROCS, Go version, parent and change commits,
 # whether the tree was dirty), and per workload and end-to-end metric each
 # side's median and quartiles, the pair wins, the bound and the status.
+# A record is never overwritten: when that name is taken, the record gets
+# the first free one of ...-seed<N>-2.json, ...-seed<N>-3.json and so on.
 # Reads benchmark/ and BENCHMARK.json, writes that record and, besides it,
 # only under .bench_build/.
 set -eu
@@ -65,7 +67,7 @@ sha=$(git rev-parse --verify "$rev^{commit}")
 change=$(git rev-parse HEAD)
 dirty=false
 [ -z "$(git status --porcelain)" ] || dirty=true
-record=BENCH_$(date -u +%Y-%m-%d)-$workload-seed$seed.json
+record=BENCH_$(date -u +%Y-%m-%d)-$workload-seed$seed
 parent=$root/.bench_build/pairs/src-$sha
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
@@ -206,5 +208,17 @@ field() { printf '%s\n' "$env_line" | sed -n "s/.*$1=\([^ ]*\).*/\1/p"; }
 	done
 	echo ']'
 	echo '}'
-} >"$record"
+} >"$record.tmp"
+# The first free name, taken without overwriting: under noclobber the
+# redirection fails on a name that exists, so two runs finishing at once
+# cannot take the same one either.
+base=$record
+n=1
+record=$base.json
+while ! (set -C && cat "$base.tmp" >"$record") 2>/dev/null; do
+	[ -e "$record" ] || { echo "bench_pairs: cannot write $record" >&2; exit 1; }
+	n=$((n + 1))
+	record=$base-$n.json
+done
+rm -f "$base.tmp"
 echo "wrote $record"
