@@ -60,6 +60,7 @@ type opSpec struct {
 	where        conjunction    // opFilter: conjs; opJoin: residual
 	lkeys, rkeys []exec.Scalar  // opJoin: equiL, equiR
 	lpred, rpred conjunction    // opJoin: lwhere, rwhere
+	llit, rlit   *literal       // opJoin: lwhere, rwhere when one literal equality
 	sumArgs      []exec.Scalar  // summary: summed, over the fact side's rows
 }
 
@@ -524,6 +525,7 @@ func (g *Graph) bind(s *opSpec) error {
 		if s.rpred, err = bindConjunction(s.rwhere, r.cols); err != nil {
 			return err
 		}
+		s.llit, s.rlit = literalOf(s.lwhere, l.cols), literalOf(s.rwhere, r.cols)
 		s.where, err = bindConjunction(s.residual, s.cols)
 		if err == nil && s.summary {
 			fact := r
@@ -557,7 +559,7 @@ func (g *Graph) realize(s *opSpec) node {
 		n = newFilterNode(s.sig, g.realize(s.left), s.where)
 	case opJoin:
 		left, right := g.realize(s.left), g.realize(s.right)
-		j := newJoinNode(s.sig, g.arrange(s.arrL, left, s.lkeys), g.arrange(s.arrR, right, s.rkeys), s.lpred, s.rpred, s.where, s.cols)
+		j := newJoinNode(s.sig, g.arrange(s.arrL, left, s.lkeys), g.arrange(s.arrR, right, s.rkeys), s.lpred, s.rpred, s.where, s.llit, s.rlit, s.cols)
 		if s.summary {
 			j.sumFact(s.factLeft, s.summedKeys(), s.sumArgs)
 		}
@@ -592,6 +594,50 @@ func (s *opSpec) sumColumns() []string {
 		}
 	}
 	return cols
+}
+
+// literal is a join input's residual when it is one `column = literal`
+// with a literal of the column's own type — a string for TEXT, an integer
+// for INT: col is the column's position in the input's rows, key the
+// literal's storage.AppendKey encoding. Such a column holds values of its
+// type alone, and equal values of one type share an encoding, so a row
+// passes exactly when its value encodes to key (dispatch). INT = 3.0
+// compares as floats and is not one.
+type literal struct {
+	col int
+	key string
+}
+
+// literalOf returns the literal equality an input's residual is, or nil.
+func literalOf(conjs []sql.Expr, cols []exec.Col) *literal {
+	if len(conjs) != 1 {
+		return nil
+	}
+	be, _ := conjs[0].(*sql.BinaryExpr)
+	if be == nil || be.Op != "=" {
+		return nil
+	}
+	ref, lit := be.Left, be.Right
+	if _, ok := ref.(*sql.ColumnRef); !ok {
+		ref, lit = lit, ref
+	}
+	col := -1
+	if c, ok := ref.(*sql.ColumnRef); ok {
+		col = slices.IndexFunc(cols, func(x exec.Col) bool { return x.Table == c.Table && x.Name == c.Column })
+	}
+	var v storage.Value
+	switch l := lit.(type) {
+	case *sql.StringLit:
+		v = storage.S(l.V)
+	case *sql.IntLit:
+		v = storage.I(l.V)
+	default:
+		return nil
+	}
+	if col < 0 || v.T != cols[col].Type {
+		return nil
+	}
+	return &literal{col: col, key: storage.EncodeKey(v)}
 }
 
 // bindConjunction binds each conjunct against a schema.

@@ -517,19 +517,71 @@ func (s *sideState) net(b *bucket, row storage.Row, w int64) bool {
 // the same keys, which differ only in their residuals — or in reading
 // the opposite side's rows through a summary. A delta probes the opposite
 // bucket once for the whole group, and a product two of its joins accept
-// is built once and emitted by both.
+// is built once and emitted by both. arriving and partner index the joins
+// by their residuals over the arriving delta's rows and over the
+// partner's, so a delta or a product visits only the joins it can reach.
 type portGroup struct {
-	other *arrangement
-	left  bool        // the arriving delta is the joins' left input
-	joins []*joinNode // in attachment order
-	live  []*joinNode // a probe's scratch: the joins whose arriving-side residual passes
+	other             *arrangement
+	left              bool        // the arriving delta is the joins' left input
+	joins             []*joinNode // in attachment order
+	arriving, partner dispatch
+	// A probe's scratch: live, the positions in joins of the joins whose
+	// arriving-side residual passes, ascending; reach, dispatch's.
+	live, reach []int
 	// summaries is set when some join reads other as its summarized fact
 	// side. A probe's scratch then: outs, one summary product per summed of
-	// other, built for the first join reading it; rows, per live join,
-	// whether it takes base entries' products.
+	// other, built for the first join reading it; rows, per position of a
+	// live join, whether it takes base entries' products.
 	summaries bool
 	outs      []Delta
 	rows      []bool
+}
+
+// dispatch indexes a port group's joins by their residual over one
+// side's rows: byLit lists, by the literal's key encoding, the joins whose
+// residual is one literal equality (literal) on column col — the column
+// of the first such join — and others every other join. Both hold
+// positions in the group's joins, ascending.
+type dispatch struct {
+	others []int
+	col    int
+	byLit  map[string][]int
+}
+
+func (d *dispatch) add(pos int, lit *literal) {
+	switch {
+	case lit != nil && d.byLit == nil:
+		d.col, d.byLit = lit.col, map[string][]int{lit.key: {pos}}
+	case d.listed(lit):
+		d.byLit[lit.key] = append(d.byLit[lit.key], pos)
+	default:
+		d.others = append(d.others, pos)
+	}
+}
+
+// listed reports whether a join whose residual is lit is in byLit — and
+// so passes every row reach lists it for without evaluation.
+func (d *dispatch) listed(lit *literal) bool {
+	return lit != nil && d.byLit != nil && lit.col == d.col
+}
+
+// reach returns, ascending, the positions of the joins whose residual
+// row may pass: others, and those whose literal row's value is, which
+// pass it without evaluation. The result may alias others or *buf.
+func (d *dispatch) reach(row storage.Row, buf *[]int) []int {
+	if d.byLit == nil {
+		return d.others
+	}
+	var a [64]byte
+	out, rest := (*buf)[:0], d.others
+	for _, p := range d.byLit[string(storage.AppendKey(a[:0], row[d.col]))] {
+		for len(rest) > 0 && rest[0] < p {
+			out, rest = append(out, rest[0]), rest[1:]
+		}
+		out = append(out, p)
+	}
+	*buf = append(out, rest...)
+	return *buf
 }
 
 // arrangement is one child operator's output indexed by one equi-key
@@ -610,8 +662,10 @@ func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
 		g = &portGroup{other: other, left: left}
 		a.groups = append(a.groups, g)
 	}
+	g.arriving.add(len(g.joins), j.sideLit(left))
+	g.partner.add(len(g.joins), j.sideLit(!left))
 	g.joins = append(g.joins, j)
-	g.live = make([]*joinNode, 0, len(g.joins))
+	g.live = make([]int, 0, len(g.joins))
 	g.rows = make([]bool, len(g.joins))
 }
 
@@ -675,7 +729,9 @@ func (a *arrangement) trim(wm map[string]uint64) {
 // joinNode is a binary equi-join with three residual conjunctions:
 // lwhere over its left input's rows, rwhere over its right input's — the
 // single-table conjuncts of the tables it brings into the spine — and
-// where over the concatenated row. It holds no input state of its own:
+// where over the concatenated row; llit and rlit are lwhere and rwhere
+// when one literal equality, which port groups dispatch on. It holds no
+// input state of its own:
 // lstate and rstate are the graph's arrangements of its children by its
 // key lists, shared with every other join reading the same child under
 // the same keys, whatever its residuals. Delta rule: a delta on one side
@@ -694,6 +750,7 @@ func (a *arrangement) trim(wm map[string]uint64) {
 type joinNode struct {
 	nodeBase
 	lwhere, rwhere conjunction
+	llit, rlit     *literal
 	where          conjunction
 	lstate, rstate *arrangement
 	fact, dim      *arrangement
@@ -706,7 +763,7 @@ type joinNode struct {
 // each. It panics if they are one arrangement: ivm.PlanView rejects
 // self-joins, and a delta must never probe the bucket it is about to
 // join.
-func newJoinNode(sig string, lstate, rstate *arrangement, lwhere, rwhere, where conjunction, cols []exec.Col) *joinNode {
+func newJoinNode(sig string, lstate, rstate *arrangement, lwhere, rwhere, where conjunction, llit, rlit *literal, cols []exec.Col) *joinNode {
 	if lstate == rstate {
 		panic("dataflow: join " + sig + " reads one arrangement on both sides")
 	}
@@ -722,6 +779,8 @@ func newJoinNode(sig string, lstate, rstate *arrangement, lwhere, rwhere, where 
 		},
 		lwhere: lwhere,
 		rwhere: rwhere,
+		llit:   llit,
+		rlit:   rlit,
 		where:  where,
 		lstate: lstate,
 		rstate: rstate,
@@ -801,6 +860,14 @@ func (j *joinNode) sideWhere(left bool) conjunction {
 	return j.rwhere
 }
 
+// sideLit is the literal equality one input's residual is, or nil.
+func (j *joinNode) sideLit(left bool) *literal {
+	if left {
+		return j.llit
+	}
+	return j.rlit
+}
+
 // appendJoinKey appends a row's equi-join key to dst scalar by scalar,
 // as storage.AppendKey does a value list.
 func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
@@ -810,15 +877,20 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 	return dst
 }
 
-// probe offers the arriving delta to every join of the group. The joins
-// whose arriving-side residual rejects it sit the probe out; if none is
-// left, the opposite bucket is not even looked up. Otherwise the bucket
-// for the delta's key is looked up once, and each of its entries — base
-// then tail, each in insertion order — is offered to the remaining joins
-// in attachment order, so every join still emits its products in bucket
-// order. The first join whose partner-side residual accepts an entry
-// builds the product; the first whose where also accepts it fixes its
-// coordinate; every later join that accepts it emits that same Delta.
+// probe offers the arriving delta to the joins of the group it can
+// reach: those the arriving-side dispatch lists for it, of which the
+// joins whose arriving-side residual rejects it sit the probe out; if
+// none is left, the opposite bucket is not even looked up. Otherwise the
+// bucket for the delta's key is looked up once, and each of its entries —
+// base then tail, each in insertion order — is offered to the live joins
+// the partner-side dispatch lists for it, in attachment order, so every
+// join still emits its products in bucket order. The first join whose
+// partner-side residual accepts an entry builds the product; the first
+// whose where also accepts it fixes its coordinate; every later join that
+// accepts it emits that same Delta. A join dispatched by its literal
+// accepts without evaluating its residual, and one the dispatch does not
+// list would have rejected: products, their coordinates and their order
+// are those of offering every entry to every join.
 //
 // A join that summarizes the opposite side (its fact side) first gets one
 // product for the bucket's summary of its base — built once for every
@@ -842,9 +914,9 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 // keeps) — so no long-lived state pins a chunk.
 func (g *portGroup) probe(key []byte, d Delta) {
 	live := g.live[:0]
-	for _, j := range g.joins {
-		if j.sideWhere(g.left).pass(d.Row) {
-			live = append(live, j)
+	for _, p := range g.arriving.reach(d.Row, &g.reach) {
+		if j := g.joins[p]; g.arriving.listed(j.sideLit(g.left)) || j.sideWhere(g.left).pass(d.Row) {
+			live = append(live, p)
 		}
 	}
 	g.live = live
@@ -857,6 +929,7 @@ func (g *portGroup) probe(key []byte, d Delta) {
 	if b == nil {
 		return
 	}
+	dispatched := g.partner.byLit != nil
 	var shared Coord
 	from := 0 // the first entry some live join takes the products of
 	if g.summaries {
@@ -864,8 +937,9 @@ func (g *portGroup) probe(key []byte, d Delta) {
 			g.outs = make([]Delta, len(g.other.summed))
 		}
 		from = len(b.base)
-		for k, j := range live {
-			if g.rows[k] = j.fact != g.other || j.readsRows(); g.rows[k] {
+		for _, p := range live {
+			j := g.joins[p]
+			if g.rows[p] = j.fact != g.other || j.readsRows(); g.rows[p] {
 				from = 0
 			}
 			if j.fact != g.other || len(b.base) == 0 {
@@ -895,8 +969,18 @@ func (g *portGroup) probe(key []byte, d Delta) {
 		}
 		var row storage.Row
 		var out Delta
-		for k, j := range live {
-			if pc == nil && g.summaries && !g.rows[k] || !j.sideWhere(!g.left).pass(partner) {
+		reach := live
+		if dispatched {
+			reach = g.partner.reach(partner, &g.reach)
+		}
+		for _, p := range reach {
+			if dispatched {
+				if _, ok := slices.BinarySearch(live, p); !ok {
+					continue
+				}
+			}
+			j := g.joins[p]
+			if pc == nil && g.summaries && !g.rows[p] || !g.partner.listed(j.sideLit(!g.left)) && !j.sideWhere(!g.left).pass(partner) {
 				continue
 			}
 			if row == nil {

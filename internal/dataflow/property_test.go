@@ -78,6 +78,22 @@ var summaryQueries = []string{
 	"SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND s.amount > 4 GROUP BY st.region",
 }
 
+// literalQueries are sibling joins of sales and stations that differ
+// only in their side residuals: the station's region or key equal to a
+// literal of its own type, written either way round — which port groups
+// dispatch on — beside an INT key equal to a float, an inequality and two
+// conjuncts, which they evaluate, and a literal on the sales side. Like
+// summaryQueries, they draw from a generator of their own.
+var literalQueries = []string{
+	"SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'WEST'",
+	"SELECT s.salekey, s.amount FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND 'EAST' = st.region",
+	"SELECT st.region, COUNT(*), MAX(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.stationkey = 3 GROUP BY st.region",
+	"SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.stationkey = 2.0",
+	"SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region <> 'EAST'",
+	"SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'EAST' AND st.stationkey <> 4",
+	"SELECT st.region, SUM(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND s.station = 1 GROUP BY st.region",
+}
+
 type tableMod struct {
 	table string
 	mod   ivm.Mod
@@ -522,6 +538,11 @@ func TestTrimPreservesMeaning(t *testing.T) {
 				if summarized := v.handles[0].summarized; summarized != (i < 2) {
 					t.Fatalf("%q reads its join through a summary: %v, want %v", q, summarized, i < 2)
 				}
+			}
+			lit := rand.New(rand.NewSource(seed * 7727))
+			for _, q := range literalQueries {
+				w.subscribe(q, lit.Float64()*0.8, false)
+				w.views[len(w.views)-1].rng = lit
 			}
 			gen := newPropGen(seed)
 			lateAt := map[int]string{

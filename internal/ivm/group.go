@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"abivm/internal/btree"
 	"abivm/internal/exec"
 	"abivm/internal/storage"
 )
@@ -25,8 +24,21 @@ type aggState struct {
 	// force a recompute; nil for other aggregates. A group's MINs and MAXes
 	// over one argument read the same multiset (DeltaPlan.aggSet); owns marks
 	// the one aggregate that updates it.
-	multiset *btree.Map[storage.Value, int64]
+	multiset *multiset
 	owns     bool
+}
+
+// multiset is a MIN/MAX argument's contributing values: a count per
+// distinct value, and the least and greatest value cached. Adding a value
+// moves the cache at once; deleting the last copy of a cached extremum
+// marks the cache stale instead, and the next result re-scans the counts.
+// −0.0 is counted as +0.0, the one value storage.Compare equates with
+// another of its type. Keys still tie only where a FLOAT column holds an
+// INT and a FLOAT of one number, which render alike.
+type multiset struct {
+	counts   map[storage.Value]int64
+	min, max storage.Value
+	stale    bool
 }
 
 // newAggStates builds a new group's aggregate states: one multiset per
@@ -38,7 +50,7 @@ func newAggStates(kinds []exec.AggKind, set []int) []aggState {
 		aggs[i].kind = kind
 		switch j := set[i]; {
 		case j == i:
-			aggs[i].multiset, aggs[i].owns = btree.New[storage.Value, int64](storage.Compare), true
+			aggs[i].multiset, aggs[i].owns = &multiset{counts: make(map[storage.Value]int64)}, true
 		case j >= 0:
 			aggs[i].multiset = aggs[j].multiset
 		}
@@ -46,12 +58,67 @@ func newAggStates(kinds []exec.AggKind, set []int) []aggState {
 	return aggs
 }
 
-func countUp(n *int64) { *n++ }
+// multisetKey is the one key of the values equal to v: a zero float is
+// +0.0, whichever sign it carries.
+func multisetKey(v storage.Value) storage.Value {
+	if v.T == storage.TFloat && v.Float() == 0 {
+		return storage.F(0)
+	}
+	return v
+}
 
-func countDown(n *int64) bool { *n--; return *n == 0 }
+// add counts one copy of v.
+func (m *multiset) add(v storage.Value) {
+	v = multisetKey(v)
+	m.counts[v]++
+	switch {
+	case len(m.counts) == 1:
+		m.min, m.max, m.stale = v, v, false
+	case m.stale:
+	case storage.Compare(v, m.min) < 0:
+		m.min = v
+	case storage.Compare(v, m.max) > 0:
+		m.max = v
+	}
+}
+
+// remove uncounts one copy of v; it panics if v has none.
+func (m *multiset) remove(v storage.Value) {
+	v = multisetKey(v)
+	switch n := m.counts[v]; n {
+	case 0:
+		panic("ivm: retracting a value absent from the MIN/MAX multiset")
+	case 1:
+		delete(m.counts, v)
+		m.stale = m.stale || v == m.min || v == m.max
+	default:
+		m.counts[v] = n - 1
+	}
+}
+
+// extrema returns the least and greatest value counted, re-scanning the
+// counts if a deletion left the cache stale. The multiset is not empty.
+func (m *multiset) extrema() (lo, hi storage.Value) {
+	if m.stale {
+		first := true
+		for v := range m.counts {
+			if first || storage.Compare(v, m.min) < 0 {
+				//lint:ignore maporder keys tie only as an INT and a FLOAT of one number, which render alike
+				m.min = v
+			}
+			if first || storage.Compare(v, m.max) > 0 {
+				//lint:ignore maporder keys tie only as an INT and a FLOAT of one number, which render alike
+				m.max = v
+			}
+			first = false
+		}
+		m.stale = false
+	}
+	return m.min, m.max
+}
 
 // add folds one contributing value into the aggregate (v is unused for
-// COUNT). A shared multiset is updated by its owner alone, in one descent.
+// COUNT). A shared multiset is updated by its owner alone.
 func (st *aggState) add(v storage.Value, stats *storage.Stats) {
 	if stats != nil {
 		stats.AggUpdates++
@@ -62,7 +129,7 @@ func (st *aggState) add(v storage.Value, stats *storage.Stats) {
 		st.sum.Add(v.Float())
 	case exec.AggMin, exec.AggMax:
 		if st.owns {
-			st.multiset.Upsert(v, countUp)
+			st.multiset.add(v)
 		}
 	}
 }
@@ -77,8 +144,8 @@ func (st *aggState) remove(v storage.Value, stats *storage.Stats) {
 	case exec.AggSum, exec.AggAvg:
 		st.sum.Sub(v.Float())
 	case exec.AggMin, exec.AggMax:
-		if st.owns && !st.multiset.DeleteIf(v, countDown) {
-			panic("ivm: retracting a value absent from the MIN/MAX multiset")
+		if st.owns {
+			st.multiset.remove(v)
 		}
 	}
 }
@@ -102,12 +169,11 @@ func (st *aggState) result(count int64) storage.Value {
 		if count == 0 {
 			return storage.F(0)
 		}
+		lo, hi := st.multiset.extrema()
 		if st.kind == exec.AggMin {
-			k, _, _ := st.multiset.Min()
-			return k
+			return lo
 		}
-		k, _, _ := st.multiset.Max()
-		return k
+		return hi
 	}
 	return storage.Value{}
 }

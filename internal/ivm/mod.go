@@ -19,9 +19,9 @@
 //
 // MIN and MAX are not incrementally maintainable from the aggregate value
 // alone: deleting the current minimum forces a recompute. The Maintainer
-// keeps a B-tree multiset of contributing values per group, so deletions
-// are O(log n) and never touch the base data — the auxiliary-structure
-// remedy the paper alludes to.
+// keeps a counted multiset of contributing values per group, so deletions
+// never touch the base data — the auxiliary-structure remedy the paper
+// alludes to.
 package ivm
 
 import (

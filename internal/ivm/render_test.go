@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"abivm/internal/btree"
 	"abivm/internal/exec"
 	"abivm/internal/plan"
 	"abivm/internal/storage"
@@ -246,7 +245,7 @@ func TestSharedMinMaxMultiset(t *testing.T) {
 	check := func(ctx string) {
 		t.Helper()
 		for k, g := range v.groups {
-			sets := map[*btree.Map[storage.Value, int64]]bool{}
+			sets := map[*multiset]bool{}
 			owners := 0
 			for _, a := range g.aggs {
 				if a.multiset != nil {

@@ -12,8 +12,8 @@
 // chaos and byte-identity harnesses compare byte-for-byte must compute
 // identical state from identical inputs. That includes the shared engine
 // (internal/dataflow), whose output the chaos harness compares with the
-// classic engine's, the planner, executor and B-tree on both engines'
-// drain paths (internal/plan, internal/exec, internal/btree), and the
+// classic engine's, the planner and executor on both engines' drain
+// paths (internal/plan, internal/exec), and the
 // SQL→IVM compiler path (internal/viewc, internal/costmodel): the same
 // seed, database, and query must calibrate byte-identical cost models.
 // internal/obs (the measurement layer), internal/experiments (the timing
@@ -42,7 +42,6 @@ var Policy = map[string]bool{
 	"internal/dataflow":  true,
 	"internal/exec":      true,
 	"internal/plan":      true,
-	"internal/btree":     true,
 	"internal/pubsub":    true,
 	"internal/core":      true,
 	"internal/astar":     true,

@@ -22,7 +22,6 @@ func TestPolicyTable(t *testing.T) {
 		"abivm/internal/dataflow":  true, // shared engine: chaos compares it with ivm
 		"abivm/internal/exec":      true,
 		"abivm/internal/plan":      true,
-		"abivm/internal/btree":     true,
 		"abivm/internal/core":      true,
 		"abivm/internal/astar":     true,
 		"abivm/internal/fault":     true,

@@ -51,7 +51,6 @@ var engineImpls = []struct {
 			if err := g.Ingest(table, mod); err != nil {
 				t.Fatal(err)
 			}
-			arrive(t, e, table, mod)
 		}}
 	}},
 }
@@ -73,7 +72,7 @@ func buildClassic(t *testing.T, open durable.Opener) engineUnderTest {
 
 // arrive hands mod to the engine under the alias eastQuery reads table
 // through.
-func arrive(t *testing.T, e viewEngine, table string, mod ivm.Mod) {
+func arrive(t *testing.T, e arrivalQueue, table string, mod ivm.Mod) {
 	t.Helper()
 	mod.Alias = map[string]string{"sales": "s", "stations": "st"}[table]
 	if err := e.Arrive(mod); err != nil {

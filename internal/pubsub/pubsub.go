@@ -91,9 +91,11 @@ type sub struct {
 	// eng maintains the view and keeps it recoverable (see viewEngine).
 	eng viewEngine
 	pol policy.Policy
-	// tables is the base table each alias reads, by index in Aliases()
-	// and stepMods: what Broker.routes is built from.
-	tables   []string
+	// arrivals is, per alias index, the route of the table the alias
+	// reads, and consumed its arrival count when the policy last took it:
+	// stepMods, the policy's arrival vector, is their difference.
+	arrivals []*tableRoute
+	consumed []int
 	stepMods core.Vector
 	total    float64
 
@@ -126,11 +128,9 @@ type Broker struct {
 	db   *storage.DB
 	subs []*sub
 	step int
-	// routes lists, per base table, the subscriptions whose view reads it,
-	// in registration order, each with the alias index its arrivals are
-	// counted under — so a publish walks only its table's readers.
-	// Subscribe appends to it.
-	routes map[string][]route
+	// routes holds the route of every table some view reads; Subscribe
+	// makes and extends it.
+	routes map[string]*tableRoute
 
 	inj        fault.Injector
 	cpEvery    int
@@ -162,7 +162,7 @@ const DefaultCheckpointEvery = 8
 func NewBroker(db *storage.DB) *Broker {
 	return &Broker{
 		db:         db,
-		routes:     make(map[string][]route),
+		routes:     make(map[string]*tableRoute),
 		cpEvery:    DefaultCheckpointEvery,
 		chainDepth: ivm.DefaultChainDepth,
 	}
@@ -274,20 +274,24 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	pol.Reset(n)
 	eng.SetInjector(b.inj)
 	s := &sub{
-		cfg: cfg, eng: eng, pol: pol,
-		tables: make([]string, n), stepMods: core.NewVector(n),
-		lastFresh: b.step,
-	}
-	for i, src := range p.Sources {
-		s.tables[i] = src.Table
+		cfg: cfg, eng: eng, pol: pol, arrivals: make([]*tableRoute, n), consumed: make([]int, n),
+		stepMods: core.NewVector(n), lastFresh: b.step,
 	}
 	b.wireSub(s)
 	b.subs = append(b.subs, s)
-	// The view hears a table's arrivals under the first alias, in FROM
-	// order (the order of every engine's Aliases), it reads the table by.
-	for i, t := range s.tables {
-		if !slices.Contains(s.tables[:i], t) {
-			b.routes[t] = append(b.routes[t], route{s: s, idx: i})
+	// The view counts its tables' arrivals from here on, each under its
+	// one alias (PlanView refuses self-joins), in FROM order — the order of
+	// every engine's Aliases.
+	q, queues := eng.(arrivalQueue)
+	for i, src := range p.Sources {
+		rt := b.routes[src.Table]
+		if rt == nil {
+			rt = &tableRoute{}
+			b.routes[src.Table] = rt
+		}
+		s.arrivals[i], s.consumed[i] = rt, rt.arrived
+		if queues {
+			rt.queues = append(rt.queues, queueRoute{q, src.Alias})
 		}
 	}
 	return nil
@@ -307,11 +311,18 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 	return newSharedEngine(b.shared, p, ns)
 }
 
-// route is one subscription's share of a table's arrivals: the
-// subscription and the index of the alias that receives them.
-type route struct {
-	s   *sub
-	idx int
+// tableRoute is what a publish to one base table reaches: the table's
+// arrival count — the paper's d_t, kept once for every subscription
+// reading the table — and the engines that queue each arrival themselves,
+// in registration order, with the alias each receives it under.
+type tableRoute struct {
+	arrived int
+	queues  []queueRoute
+}
+
+type queueRoute struct {
+	q     arrivalQueue
+	alias string
 }
 
 // Publish applies one modification to the shared base tables and routes
@@ -347,32 +358,43 @@ func (b *Broker) routeDeferred(buf []ingest) error {
 }
 
 // route hands one modification, already applied to the live table, to
-// every subscription whose view references the table: the arrival is
-// accepted by the engine under the subscription's own alias and counted
-// toward its policy's step vector. Under the shared runtime the operator
-// graph ingests the modification first, once — that is its one record —
-// propagating deltas to every view's sink in a single pass. Caller holds
-// b.mu.
+// the table's route: the engines that queue arrivals accept it, then it
+// counts, once for every subscription reading the table. Under the shared
+// runtime the operator graph ingests it first, once — that is its one
+// record — propagating deltas to every view's sink in a single pass.
+// Caller holds b.mu.
 func (b *Broker) route(table string, mod ivm.Mod) error {
+	rt := b.routes[table]
+	if rt == nil {
+		return nil
+	}
 	if b.shared != nil && b.shared.Watches(table) {
 		if err := b.shared.Ingest(table, mod); err != nil {
 			return err
 		}
 	}
-	for _, r := range b.routes[table] {
-		mod.Alias = r.s.eng.Aliases()[r.idx]
-		if err := r.s.eng.Arrive(mod); err != nil {
+	for _, qr := range rt.queues {
+		mod.Alias = qr.alias
+		if err := qr.q.Arrive(mod); err != nil {
 			return err
 		}
-		r.s.stepMods[r.idx]++
 	}
+	rt.arrived++
 	return nil
 }
 
 // watches reports whether any subscription's view references the base
 // table. Caller holds b.mu.
 func (b *Broker) watches(table string) bool {
-	return len(b.routes[table]) > 0
+	return b.routes[table] != nil
+}
+
+// consumeArrivals marks every arrival so far as taken: by the policy, or
+// by a fallback recovery, after which they are nobody's.
+func (s *sub) consumeArrivals() {
+	for i, rt := range s.arrivals {
+		s.consumed[i] = rt.arrived
+	}
 }
 
 // watchesTable is watches for callers outside the broker's lock (the
@@ -430,9 +452,12 @@ func (b *Broker) EndStep() ([]Notification, error) {
 			sp.End()
 			return nil, err
 		}
-		// The policy gets the live arrival counter and the pending scratch
-		// as they are: the Policy contract forbids retaining or mutating
+		// The policy gets the arrival vector and the pending scratch as
+		// they are: the Policy contract forbids retaining or mutating
 		// either, and the action it returns must alias neither.
+		for i, rt := range s.arrivals {
+			s.stepMods[i] = rt.arrived - s.consumed[i]
+		}
 		pending := b.pending(s)
 		act := s.pol.Act(b.step, s.stepMods, pending, false)
 		if len(act) != len(pending) || !act.NonNegative() || !act.DominatedBy(pending) {
@@ -441,8 +466,8 @@ func (b *Broker) EndStep() ([]Notification, error) {
 		}
 		drained := !act.IsZero()
 		_, err := b.process(s, act)
-		// Zeroed in place, and only once the action has been used.
-		clear(s.stepMods)
+		// Consumed only once the action has been used.
+		s.consumeArrivals()
 		if err != nil {
 			if !fault.Transient(err) {
 				sp.End()
@@ -544,7 +569,7 @@ func (b *Broker) maybeCrash(s *sub) error {
 		return fmt.Errorf("pubsub: %s: recovery failed: %w", s.cfg.Name, err)
 	}
 	if fallback {
-		clear(s.stepMods)
+		s.consumeArrivals()
 		s.lastFresh = b.step
 		s.degraded = false
 	}

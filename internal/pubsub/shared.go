@@ -37,10 +37,6 @@ func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEng
 	return &sharedEngine{ViewHandle: h}, nil
 }
 
-// Arrive has nothing to add: Graph.Ingest appended the modification to
-// the table's ingest log, where the sink's cursor will find it.
-func (e *sharedEngine) Arrive(ivm.Mod) error { return nil }
-
 func (e *sharedEngine) Checkpoint() error {
 	e.ViewHandle.Checkpoint()
 	if err := e.WAL().TruncateThrough(e.TipLSN()); err != nil {
