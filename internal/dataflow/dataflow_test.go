@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -453,6 +454,37 @@ func TestSharingOpCount(t *testing.T) {
 	}
 	if st := fan.Stats(); st.Probes-before.Probes != 2 || st.Products-before.Products != 2 {
 		t.Fatalf("a sales update made %d probes and %d products, want 2 and 2", st.Probes-before.Probes, st.Products-before.Products)
+	}
+}
+
+// TestGraphStatsAddSumsEveryCount: a sharded broker's graph stats are
+// its graphs' summed, field by field — MaxFanout, a width, takes the
+// widest — so a count added to GraphStats is aggregated the moment Add
+// names it.
+func TestGraphStatsAddSumsEveryCount(t *testing.T) {
+	var s, o GraphStats
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch sv.Field(i).Kind() {
+		case reflect.Int:
+			sv.Field(i).SetInt(int64(i + 1))
+			ov.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Uint64:
+			sv.Field(i).SetUint(uint64(i + 1))
+			ov.Field(i).SetUint(uint64(100 * (i + 1)))
+		default:
+			t.Fatalf("GraphStats.%s is a %s", sv.Type().Field(i).Name, sv.Field(i).Kind())
+		}
+	}
+	s.Add(o)
+	for i := 0; i < sv.NumField(); i++ {
+		name, want := sv.Type().Field(i).Name, 101*(i+1)
+		if name == "MaxFanout" {
+			want = 100 * (i + 1)
+		}
+		if got := fmt.Sprint(sv.Field(i).Interface()); got != fmt.Sprint(want) {
+			t.Errorf("Add left %s = %s, want %d", name, got, want)
+		}
 	}
 }
 

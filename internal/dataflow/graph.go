@@ -776,6 +776,12 @@ type GraphStats struct {
 	// are deterministic work counts.
 	Probes   uint64
 	Products uint64
+	// Folds counts the deltas drains have folded into view states, and
+	// FoldVisits the delta-log entries their walks visited to find them:
+	// FoldVisits/Folds is what a fold costs in log entries walked. Both
+	// are deterministic work counts; recovery's rebuilds are in neither.
+	Folds      uint64
+	FoldVisits uint64
 }
 
 // Add accumulates another graph's shape into s, for aggregating across
@@ -792,6 +798,8 @@ func (s *GraphStats) Add(o GraphStats) {
 	s.TrimVisited += o.TrimVisited
 	s.Probes += o.Probes
 	s.Products += o.Products
+	s.Folds += o.Folds
+	s.FoldVisits += o.FoldVisits
 }
 
 // Stats snapshots the graph shape. It reads counters and walks the
@@ -802,6 +810,7 @@ func (g *Graph) Stats() GraphStats {
 		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
 		Probes: g.ctr.probes, Products: g.ctr.products,
+		Folds: g.ctr.folds, FoldVisits: g.ctr.foldVisits,
 	}
 	for _, n := range g.nodes {
 		if f := n.fanout(); f > st.MaxFanout {

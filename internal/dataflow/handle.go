@@ -74,6 +74,10 @@ type ViewHandle struct {
 	from  int
 	view  *ivm.ViewState
 	stats *storage.Stats
+	// retract is a drain's scratch: the positions in the walked log of the
+	// deltas it folds after the walk. Its capacity is capped
+	// (maxRetractScratch) so one long drain does not pin it.
+	retract []int
 
 	wal  *ivm.WAL
 	inj  fault.Injector
@@ -107,6 +111,7 @@ type deltaLog struct {
 	readers    []*ViewHandle // in subscribe order
 	rowReaders int           // the readers that do not read a join through a summary
 	wm         []uint64      // trim's watermark, reused
+	byFrom     []*ViewHandle // trim's readers in from order, reused
 	ctr        *counters
 }
 
@@ -119,9 +124,11 @@ func (l *deltaLog) onDelta(d Delta) {
 // the per-position minimum of the readers' durable cursors covers — so
 // the log keeps exactly the union of what its readers have not
 // checkpointed. No recovery folds a dropped delta again, and no reader's
-// from points at one: its live cursors cover it too. The capacity follows
-// the peak since the last trim, the length found here: more than twice a
-// quarter's slack over it is given back.
+// from points at one: its live cursors cover it too. Each reader's from
+// becomes the number of deltas kept before it, read off the one running
+// count as the walk passes it: the readers are visited in from order. The
+// capacity follows the peak since the last trim, the length found here:
+// more than twice a quarter's slack over it is given back.
 func (l *deltaLog) trim() {
 	for i := range l.wm {
 		l.wm[i] = math.MaxUint64
@@ -131,22 +138,20 @@ func (l *deltaLog) trim() {
 			l.wm[i] = min(l.wm[i], c)
 		}
 	}
-	peak, kept := len(l.deltas), 0
+	l.byFrom = append(l.byFrom[:0], l.readers...)
+	slices.SortFunc(l.byFrom, func(a, b *ViewHandle) int { return a.from - b.from })
+	peak, kept, r := len(l.deltas), 0, 0
 	for i, d := range l.deltas {
-		for _, h := range l.readers {
-			if h.from == i {
-				h.from = kept
-			}
+		for ; r < len(l.byFrom) && l.byFrom[r].from == i; r++ {
+			l.byFrom[r].from = kept
 		}
 		if !d.Coord.covered(l.wm) {
 			l.deltas[kept] = d
 			kept++
 		}
 	}
-	for _, h := range l.readers {
-		if h.from == peak {
-			h.from = kept
-		}
+	for _, h := range l.byFrom[r:] {
+		h.from = kept
 	}
 	l.ctr.retained -= peak - kept
 	if size := peak + peak/4 + 1; cap(l.deltas) > 2*size {
@@ -388,34 +393,46 @@ func (h *ViewHandle) skipCovered() {
 	}
 }
 
+// maxRetractScratch caps the capacity ViewHandle.retract keeps between
+// drains.
+const maxRetractScratch = 1 << 10
+
 // fold folds every delta a drain newly covers into the view state with
 // its weight times dir: 1 applies the drain, -1 takes it back. Only the
 // cursor at position pos moved, up from old, so those are the deltas above
 // old there that the cursors now cover everywhere — whatever was covered
 // before, and so folded by an earlier drain, is at or below old. They all
-// lie at or after from, where the walk starts. The first walk folds the
-// positive weights and notes the stretch of the log that holds the
-// negative ones; a second walk over that stretch folds them. So no entry
-// count — a row's multiplicity or a group's — dips below zero on the way,
-// whatever order the shared graph emitted the deltas in, and taking a
-// drain back restores its retractions first. Sums are exact, so the order
-// decides nothing else.
+// lie at or after from, where the one walk over the log starts. The walk
+// folds the positive weights as it meets them and notes where the negative
+// ones are; they fold after it, in log order. So no entry count — a row's
+// multiplicity or a group's — dips below zero on the way, whatever order
+// the shared graph emitted the deltas in, and taking a drain back restores
+// its retractions first. Sums are exact, so the order decides nothing
+// else. The graph counts the deltas folded and the log entries visited.
 func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
 	ds := h.log.deltas[h.from:]
-	lo, hi := len(ds), 0
+	folded := 0
 	for i, d := range ds {
 		if d.Coord[pos] > old && d.Coord.covered(h.cursors) && h.reads(d.Coord) {
-			if w := dir * d.W; w > 0 {
+			switch w := dir * d.W; {
+			case w > 0:
 				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), w)
-			} else {
-				lo, hi = min(lo, i), i+1
+				folded++
+			case w < 0:
+				h.retract = append(h.retract, i)
 			}
 		}
 	}
-	for i := lo; i < hi; i++ {
-		if d := ds[i]; dir*d.W < 0 && d.Coord[pos] > old && d.Coord.covered(h.cursors) && h.reads(d.Coord) {
-			h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), dir*d.W)
-		}
+	for _, i := range h.retract {
+		d := ds[i]
+		h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), dir*d.W)
+	}
+	folded += len(h.retract)
+	h.g.ctr.folds += uint64(folded)
+	h.g.ctr.foldVisits += uint64(len(ds))
+	h.retract = h.retract[:0]
+	if cap(h.retract) > maxRetractScratch {
+		h.retract = nil
 	}
 	clear(h.row)
 }

@@ -55,6 +55,8 @@ type counters struct {
 	trimVisited uint64 // arrangement entries examined by trims
 	probes      uint64 // bucket lookups made by port groups
 	products    uint64 // join products built
+	folds       uint64 // deltas drains folded into view states
+	foldVisits  uint64 // delta-log entries drains walked over
 }
 
 // nodeBase carries the shared node mechanics: identity, schema and the

@@ -512,6 +512,66 @@ func (w *propWorld) trim(rng *rand.Rand, all bool) {
 	w.trimmed.Trim()
 }
 
+// TestTrimRepositionsReaders: one log with eight readers at different
+// places, their checkpointed cursors drawn at random. Trim keeps what the
+// rule it replaced kept — for every delta, ask every reader whether it
+// starts there — and moves every reader's from where that rule moved it.
+func TestTrimRepositionsReaders(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := &deltaLog{wm: make([]uint64, 2), ctr: &counters{}}
+		for i := 0; i < 48; i++ {
+			l.deltas = append(l.deltas, Delta{Row: storage.Row{storage.I(int64(i))}, W: 1,
+				Coord: Coord{uint64(1 + rng.Intn(20)), uint64(1 + rng.Intn(20))}})
+		}
+		l.ctr.retained = len(l.deltas)
+		froms := append(rng.Perm(len(l.deltas))[:7], len(l.deltas))
+		rng.Shuffle(len(froms), func(i, j int) { froms[i], froms[j] = froms[j], froms[i] })
+		for _, from := range froms {
+			l.readers = append(l.readers, &ViewHandle{from: from,
+				durable: []uint64{uint64(rng.Intn(21)), uint64(rng.Intn(21))}})
+		}
+		// The rule trim replaced, over copies.
+		wm := []uint64{math.MaxUint64, math.MaxUint64}
+		for _, h := range l.readers {
+			for i, c := range h.durable {
+				wm[i] = min(wm[i], c)
+			}
+		}
+		wantFrom := slices.Clone(froms)
+		var want []Delta
+		for i, d := range l.deltas {
+			for r, from := range froms {
+				if from == i {
+					wantFrom[r] = len(want)
+				}
+			}
+			if !d.Coord.covered(wm) {
+				want = append(want, d)
+			}
+		}
+		for r, from := range froms {
+			if from == len(l.deltas) {
+				wantFrom[r] = len(want)
+			}
+		}
+		l.trim()
+		if len(l.deltas) != len(want) || l.ctr.retained != len(want) {
+			t.Fatalf("seed %d: trim kept %d deltas (%d counted), want %d", seed, len(l.deltas), l.ctr.retained, len(want))
+		}
+		for i, d := range l.deltas {
+			if !d.Row.SameKey(want[i].Row) {
+				t.Fatalf("seed %d: kept delta %d is %v, want %v", seed, i, d.Row, want[i].Row)
+			}
+		}
+		for r, h := range l.readers {
+			if h.from != wantFrom[r] {
+				t.Fatalf("seed %d: reader %d from %d moved to %d, want %d", seed, r, froms[r], h.from, wantFrom[r])
+			}
+		}
+	}
+}
+
 // TestTrimPreservesMeaning is the GC's correctness property: whatever
 // the modification stream, trim schedule and per-view cursor lag, every
 // view equals its query re-evaluated over the base tables at its own

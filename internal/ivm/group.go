@@ -1,16 +1,20 @@
 package ivm
 
 import (
+	"math"
+
 	"abivm/internal/exec"
 	"abivm/internal/storage"
 )
 
 // groupState is one entry of a ViewState, the incrementally maintainable
 // state of one group: a contribution count plus one aggregate state per
-// aggregate item. key is the encoded key values the view holds it under.
-// The view drops an entry when its count reaches zero.
+// aggregate item. hash is its key values' hash, the view's map key, and
+// next the following entry of the chain of keys that share it. The view
+// drops an entry when its count reaches zero.
 type groupState struct {
-	key     string
+	hash    uint64
+	next    *groupState
 	keyVals storage.Row // the group-by values; an SPJ view's whole row
 	count   int64       // joined rows contributing: an SPJ row's multiplicity
 	aggs    []aggState  // empty for an SPJ view
@@ -32,14 +36,23 @@ type aggState struct {
 // distinct value, and the least and greatest value cached. Adding a value
 // moves the cache at once; deleting the last copy of a cached extremum
 // marks the cache stale instead, and the next result re-scans the counts.
-// −0.0 is counted as +0.0, the one value storage.Compare equates with
-// another of its type. Keys still tie only where a FLOAT column holds an
-// INT and a FLOAT of one number, which render alike.
+// An INT or FLOAT value is counted under its type and payload bits, a
+// TEXT value under its string, so neither map hashes a storage.Value;
+// each is made by the first value it counts. −0.0 is counted as +0.0, the
+// one value storage.Compare equates with another of its type. Keys still
+// tie only where a FLOAT column holds an INT and a FLOAT of one number,
+// which render alike.
 type multiset struct {
-	counts   map[storage.Value]int64
+	nums     map[numKey]int64
+	texts    map[string]int64
 	min, max storage.Value
 	stale    bool
 }
+
+// numKey is a numeric value as a multiset counts it: its type and its
+// payload bits, an integer's two's complement or a float's IEEE pattern.
+// Two words, so the map hashes it as plain memory.
+type numKey struct{ t, bits uint64 }
 
 // newAggStates builds a new group's aggregate states: one multiset per
 // distinct MIN/MAX argument, created by the aggregate set[i] == i and
@@ -50,7 +63,7 @@ func newAggStates(kinds []exec.AggKind, set []int) []aggState {
 		aggs[i].kind = kind
 		switch j := set[i]; {
 		case j == i:
-			aggs[i].multiset, aggs[i].owns = &multiset{counts: make(map[storage.Value]int64)}, true
+			aggs[i].multiset, aggs[i].owns = &multiset{}, true
 		case j >= 0:
 			aggs[i].multiset = aggs[j].multiset
 		}
@@ -58,21 +71,44 @@ func newAggStates(kinds []exec.AggKind, set []int) []aggState {
 	return aggs
 }
 
-// multisetKey is the one key of the values equal to v: a zero float is
-// +0.0, whichever sign it carries.
-func multisetKey(v storage.Value) storage.Value {
-	if v.T == storage.TFloat && v.Float() == 0 {
-		return storage.F(0)
+// numKeyOf is the key of the numeric values equal to v in type and
+// number: a zero float is +0.0, whichever sign it carries.
+func numKeyOf(v storage.Value) numKey {
+	if v.T == storage.TInt {
+		return numKey{uint64(storage.TInt), uint64(v.Int())}
 	}
-	return v
+	f := v.Float()
+	if f == 0 {
+		f = 0
+	}
+	return numKey{uint64(storage.TFloat), math.Float64bits(f)}
+}
+
+// value is the value a numeric key counts.
+func (k numKey) value() storage.Value {
+	if k.t == uint64(storage.TInt) {
+		return storage.I(int64(k.bits))
+	}
+	return storage.F(math.Float64frombits(k.bits))
 }
 
 // add counts one copy of v.
 func (m *multiset) add(v storage.Value) {
-	v = multisetKey(v)
-	m.counts[v]++
+	if v.T == storage.TString {
+		if m.texts == nil {
+			m.texts = make(map[string]int64)
+		}
+		m.texts[v.Str()]++
+	} else {
+		if m.nums == nil {
+			m.nums = make(map[numKey]int64)
+		}
+		k := numKeyOf(v)
+		m.nums[k]++
+		v = k.value()
+	}
 	switch {
-	case len(m.counts) == 1:
+	case len(m.nums)+len(m.texts) == 1:
 		m.min, m.max, m.stale = v, v, false
 	case m.stale:
 	case storage.Compare(v, m.min) < 0:
@@ -84,15 +120,28 @@ func (m *multiset) add(v storage.Value) {
 
 // remove uncounts one copy of v; it panics if v has none.
 func (m *multiset) remove(v storage.Value) {
-	v = multisetKey(v)
-	switch n := m.counts[v]; n {
+	var last bool
+	if v.T == storage.TString {
+		last = uncount(m.texts, v.Str())
+	} else {
+		k := numKeyOf(v)
+		last, v = uncount(m.nums, k), k.value()
+	}
+	m.stale = m.stale || last && (v == m.min || v == m.max)
+}
+
+// uncount takes one copy of k from counts, reporting whether it was the
+// last; it panics if there is none.
+func uncount[K comparable](counts map[K]int64, k K) (last bool) {
+	switch n := counts[k]; n {
 	case 0:
 		panic("ivm: retracting a value absent from the MIN/MAX multiset")
 	case 1:
-		delete(m.counts, v)
-		m.stale = m.stale || v == m.min || v == m.max
+		delete(counts, k)
+		return true
 	default:
-		m.counts[v] = n - 1
+		counts[k] = n - 1
+		return false
 	}
 }
 
@@ -101,16 +150,22 @@ func (m *multiset) remove(v storage.Value) {
 func (m *multiset) extrema() (lo, hi storage.Value) {
 	if m.stale {
 		first := true
-		for v := range m.counts {
+		see := func(v storage.Value) {
 			if first || storage.Compare(v, m.min) < 0 {
-				//lint:ignore maporder keys tie only as an INT and a FLOAT of one number, which render alike
 				m.min = v
 			}
 			if first || storage.Compare(v, m.max) > 0 {
-				//lint:ignore maporder keys tie only as an INT and a FLOAT of one number, which render alike
 				m.max = v
 			}
 			first = false
+		}
+		for k := range m.nums {
+			//lint:ignore maporder keys tie only as an INT and a FLOAT of one number, which render alike
+			see(k.value())
+		}
+		for s := range m.texts {
+			//lint:ignore maporder distinct strings never tie
+			see(storage.S(s))
 		}
 		m.stale = false
 	}

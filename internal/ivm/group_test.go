@@ -19,7 +19,7 @@ func TestMultisetAgainstSortedReference(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		values = append(values, storage.F(float64(rng.Intn(40)-20)/4))
 	}
-	m := &multiset{counts: map[storage.Value]int64{}}
+	m := &multiset{}
 	var ref []storage.Value
 	for op := 0; op < 20000; op++ {
 		if len(ref) > 0 && rng.Intn(5) < 2+len(ref)/40 {
@@ -49,7 +49,7 @@ func TestMultisetAgainstSortedReference(t *testing.T) {
 		}
 	}
 	var n int64
-	for _, c := range m.counts {
+	for _, c := range m.nums {
 		n += c
 	}
 	if int(n) != len(ref) {

@@ -12,26 +12,51 @@ import (
 	"abivm/internal/storage"
 )
 
+// heldEntries returns every entry v's map holds, each hash's whole chain,
+// keyed by its encoded key. It fails if two entries share a key or an
+// entry is held under a hash other than its key's or with a zero count.
+func heldEntries(t testing.TB, v *ViewState) map[string]*groupState {
+	t.Helper()
+	out := map[string]*groupState{}
+	for h, head := range v.groups {
+		for g := head; g != nil; g = g.next {
+			k := storage.EncodeKey(g.keyVals...)
+			if out[k] != nil {
+				t.Fatalf("key %q is held twice", k)
+			}
+			if g.hash != h || v.keyHash(g.keyVals) != h {
+				t.Fatalf("key %q is held under hash %x, its hash is %x", k, h, v.keyHash(g.keyVals))
+			}
+			if g.count == 0 {
+				t.Fatalf("key %q is held with nothing folded into it", k)
+			}
+			out[k] = g
+		}
+	}
+	return out
+}
+
 // sortedReference renders v the way Result did before the state kept its
-// entries in order: collect the map's keys, sort.Strings them, render in
-// that order. It reads the map only, never the kept order.
-func sortedReference(v *ViewState) []storage.Row {
-	keys := make([]string, 0, len(v.groups))
-	for k := range v.groups {
+// entries in order: collect the entries' encoded keys, sort.Strings them,
+// render in that order. It reads the map only, never the kept order.
+func sortedReference(t testing.TB, v *ViewState) []storage.Row {
+	groups := heldEntries(t, v)
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var out []storage.Row
 	if !v.isAgg {
 		for _, k := range keys {
-			for i := int64(0); i < v.groups[k].count; i++ {
-				out = append(out, v.groups[k].keyVals)
+			for i := int64(0); i < groups[k].count; i++ {
+				out = append(out, groups[k].keyVals)
 			}
 		}
 		return out
 	}
 	for _, k := range keys {
-		g := v.groups[k]
+		g := groups[k]
 		row := make(storage.Row, len(v.itemRefs))
 		for i, ref := range v.itemRefs {
 			if ref.aggIdx >= 0 {
@@ -71,7 +96,10 @@ func renderBytes(rows []storage.Row) string {
 // — and every render is byte-equal to sorting the map's keys from
 // scratch. Folded rows are borrowed: the test
 // overwrites the buffer after every fold, so a state that kept one
-// without copying renders garbage.
+// without copying renders garbage. Each view runs twice: with the keys'
+// own hashes, and with every key mapped to one hash, so all of a state's
+// entries share one chain that every fold searches and every emptied
+// entry is unlinked from.
 func TestRenderMatchesSortedReference(t *testing.T) {
 	views := append(foldViews[:len(foldViews):len(foldViews)],
 		foldView{"wide-spj", `SELECT t.a, t.b FROM t`, func(r *rand.Rand) storage.Row {
@@ -82,108 +110,124 @@ func TestRenderMatchesSortedReference(t *testing.T) {
 		}},
 	)
 	for _, fv := range views {
-		fv := fv
-		t.Run(fv.name, func(t *testing.T) {
-			p, err := PlanView(fv.query)
-			if err != nil {
-				t.Fatal(err)
+		for _, collide := range []bool{false, true} {
+			name := fv.name
+			if collide {
+				name += "/one-hash"
 			}
-			renders, returns := 0, 0
-			for seed := int64(1); seed <= 30; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				renderEvery := []int{1, 4, 16}[seed%3]
-				v := NewViewState(p, nil)
-				stateKey := func(r storage.Row) string {
-					if p.Aggregate {
-						return storage.EncodeKey(r[:p.GroupCols]...)
-					}
-					return storage.EncodeKey(r...)
-				}
-				var present []storage.Row  // one element per unit of folded weight
-				held := map[string]int64{} // state key -> weight the state holds under it
-				gone := map[string]bool{}  // state keys dropped since the last render
-				var borrowed storage.Row
-				fold := func(row storage.Row, w int64) {
-					k := stateKey(row)
-					if held[k] == 0 && gone[k] {
-						returns++
-					}
-					if held[k] += w; held[k] == 0 {
-						delete(held, k)
-						gone[k] = true
-					}
-					borrowed = append(borrowed[:0], row...)
-					v.AddWeighted(borrowed, w)
-					for i := range borrowed {
-						borrowed[i] = storage.S("overwritten")
-					}
-				}
-				check := func(op int, what string) {
-					renders++
-					clear(gone)
-					got := renderBytes(v.Result())
-					if want := renderBytes(sortedReference(v)); got != want {
-						t.Fatalf("seed %d op %d (%s): rendered\n%q\nsorting from scratch gives\n%q", seed, op, what, got, want)
-					}
-					if p.Aggregate {
-						return
-					}
-					// A bag renders the folded rows themselves: hold it against
-					// the test's own copies, which no fold could have kept.
-					folded := make([]string, len(present))
-					for i, r := range present {
-						folded[i] = storage.EncodeKey(r...) + "\n"
-					}
-					sort.Strings(folded)
-					if want := strings.Join(folded, ""); got != want {
-						t.Fatalf("seed %d op %d (%s): rendered\n%q\nthe rows folded are\n%q", seed, op, what, got, want)
-					}
-				}
-				for op := 0; op < 400; op++ {
-					if len(present) > 0 && rng.Intn(5) < 2 {
-						// Retract a present row, sometimes every copy of it at once.
-						row := present[rng.Intn(len(present))]
-						all := rng.Intn(2) == 0
-						w := int64(0)
-						kept := present[:0]
-						for _, r := range present {
-							if r.SameKey(row) && (all || w == 0) {
-								w--
-								continue
-							}
-							kept = append(kept, r)
-						}
-						present = kept
-						fold(row, w)
-					} else {
-						row := fv.row(rng)
-						w := int64(1 + rng.Intn(2))
-						for i := int64(0); i < w; i++ {
-							present = append(present, row)
-						}
-						fold(row, w)
-					}
-					if rng.Intn(renderEvery) == 0 {
-						check(op, "fold")
-					}
-					if rng.Intn(11) > 0 {
+			t.Run(name, func(t *testing.T) { checkRenderOrder(t, fv, collide) })
+		}
+	}
+}
+
+// checkRenderOrder is TestRenderMatchesSortedReference for one view, its
+// keys hashed apart or, with collide, all to one hash.
+func checkRenderOrder(t *testing.T, fv foldView, collide bool) {
+	p, err := PlanView(fv.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newState := func() *ViewState {
+		v := NewViewState(p, nil)
+		if collide {
+			v.keyHash = func(storage.Row) uint64 { return 42 }
+		}
+		return v
+	}
+	renders, returns := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		renderEvery := []int{1, 4, 16}[seed%3]
+		v := newState()
+		stateKey := func(r storage.Row) string {
+			if p.Aggregate {
+				return storage.EncodeKey(r[:p.GroupCols]...)
+			}
+			return storage.EncodeKey(r...)
+		}
+		var present []storage.Row  // one element per unit of folded weight
+		held := map[string]int64{} // state key -> weight the state holds under it
+		gone := map[string]bool{}  // state keys dropped since the last render
+		var borrowed storage.Row
+		fold := func(row storage.Row, w int64) {
+			k := stateKey(row)
+			if held[k] == 0 && gone[k] {
+				returns++
+			}
+			if held[k] += w; held[k] == 0 {
+				delete(held, k)
+				gone[k] = true
+			}
+			borrowed = append(borrowed[:0], row...)
+			v.AddWeighted(borrowed, w)
+			for i := range borrowed {
+				borrowed[i] = storage.S("overwritten")
+			}
+		}
+		check := func(op int, what string) {
+			renders++
+			clear(gone)
+			got := renderBytes(v.Result())
+			if want := renderBytes(sortedReference(t, v)); got != want {
+				t.Fatalf("seed %d op %d (%s): rendered\n%q\nsorting from scratch gives\n%q", seed, op, what, got, want)
+			}
+			if p.Aggregate {
+				return
+			}
+			// A bag renders the folded rows themselves: hold it against
+			// the test's own copies, which no fold could have kept.
+			folded := make([]string, len(present))
+			for i, r := range present {
+				folded[i] = storage.EncodeKey(r...) + "\n"
+			}
+			sort.Strings(folded)
+			if want := strings.Join(folded, ""); got != want {
+				t.Fatalf("seed %d op %d (%s): rendered\n%q\nthe rows folded are\n%q", seed, op, what, got, want)
+			}
+		}
+		for op := 0; op < 400; op++ {
+			if len(present) > 0 && rng.Intn(5) < 2 {
+				// Retract a present row, sometimes every copy of it at once.
+				row := present[rng.Intn(len(present))]
+				all := rng.Intn(2) == 0
+				w := int64(0)
+				kept := present[:0]
+				for _, r := range present {
+					if r.SameKey(row) && (all || w == 0) {
+						w--
 						continue
 					}
-					if rng.Intn(2) == 0 {
-						// A fresh state folded from the same rows renders alike.
-						v = NewViewState(p, nil)
-						for _, r := range present {
-							v.AddWeighted(r, 1)
-						}
-						check(op, "refold")
-					}
+					kept = append(kept, r)
 				}
-				check(400, "end")
+				present = kept
+				fold(row, w)
+			} else {
+				row := fv.row(rng)
+				w := int64(1 + rng.Intn(2))
+				for i := int64(0); i < w; i++ {
+					present = append(present, row)
+				}
+				fold(row, w)
 			}
-			if returns == 0 {
-				t.Fatalf("%d renders, but no key ever vanished and returned between two of them", renders)
+			if rng.Intn(renderEvery) == 0 {
+				check(op, "fold")
 			}
-		})
+			if rng.Intn(11) > 0 {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				// A fresh state folded from the same rows renders alike.
+				v = newState()
+				for _, r := range present {
+					v.AddWeighted(r, 1)
+				}
+				check(op, "refold")
+			}
+		}
+		check(400, "end")
+	}
+	if returns == 0 {
+		t.Fatalf("%d renders, but no key ever vanished and returned between two of them", renders)
 	}
 }
 
@@ -204,10 +248,10 @@ func TestKeyOrderSweepsUnrendered(t *testing.T) {
 				v.AddWeighted(row(i-10), -1)
 			}
 		}
-		if n := len(v.order.sorted) + len(v.order.fresh); n > 2*len(v.groups)+64 {
-			t.Fatalf("%s: order lists hold %d entries for a state of %d", query, n, len(v.groups))
+		if n, held := len(v.order.sorted)+len(v.order.fresh), len(heldEntries(t, v)); n > 2*held+64 {
+			t.Fatalf("%s: order lists hold %d entries for a state of %d", query, n, held)
 		}
-		if got, want := renderBytes(v.Result()), renderBytes(sortedReference(v)); got != want {
+		if got, want := renderBytes(v.Result()), renderBytes(sortedReference(t, v)); got != want {
 			t.Fatalf("%s: rendered %q, want %q", query, got, want)
 		}
 	}
@@ -244,7 +288,7 @@ func TestSharedMinMaxMultiset(t *testing.T) {
 	delta := func(r storage.Row) storage.Row { return storage.Row{r[1], r[2], r[2], r[3], r[2]} }
 	check := func(ctx string) {
 		t.Helper()
-		for k, g := range v.groups {
+		for k, g := range heldEntries(t, v) {
 			sets := map[*multiset]bool{}
 			owners := 0
 			for _, a := range g.aggs {
@@ -319,7 +363,7 @@ func TestSharedMinMaxMultiset(t *testing.T) {
 			check("emptying group 0")
 		}
 	}
-	if _, ok := v.groups[storage.EncodeKey(storage.I(0))]; ok {
+	if _, ok := heldEntries(t, v)[storage.EncodeKey(storage.I(0))]; ok {
 		t.Fatal("group 0 still held after its last row was retracted")
 	}
 	for i := 0; i < 40; i++ {

@@ -2,41 +2,46 @@ package ivm
 
 import (
 	"slices"
-	"strings"
 
 	"abivm/internal/exec"
 	"abivm/internal/storage"
 )
 
-// ViewState is the foldable content of a maintained view: one map from
-// key to groupState. An aggregate view's key is its group-by columns and
-// the entry carries one state per aggregate; a select-project-join view
-// is GROUP BY on every column with no aggregate — the key is the whole
-// row, the entry's contribution count is the row's multiplicity, and
-// Result expands it. It is the part of a view that consumes signed delta
+// ViewState is the foldable content of a maintained view: its entries
+// (groupState), one per key. An aggregate view's key is its group-by
+// columns and the entry carries one state per aggregate; a
+// select-project-join view is GROUP BY on every column with no aggregate
+// — the key is the whole row, the entry's contribution count is the
+// row's multiplicity, and Result expands it. It is the part of a view that consumes signed delta
 // rows and renders results, factored out of the Maintainer so the shared
 // delta-dataflow runtime (internal/dataflow) folds its operator-graph
 // output through exactly the same state machine — one implementation of
 // the aggregate semantics (including the MIN/MAX multisets), two runtimes
 // on top.
+//
+// The entries are held by the 64-bit hash of their key values
+// (storage.Row.Hash), the entries whose keys share a hash chained through
+// groupState.next and told apart by Row.SameKey. So a fold encodes no key
+// and a new entry keeps no key string, only its key values; the render
+// orders the entries by storage.CompareKeys, which is the order of their
+// encoded keys.
 type ViewState struct {
 	isAgg    bool
 	keyCols  int // leading delta-row columns that are the key: all of them for an SPJ view
 	aggKinds []exec.AggKind
 	aggSet   []int
 	itemRefs []itemRef
-	groups   map[string]*groupState
+	groups   map[uint64]*groupState // by key hash: the head of the chain of the keys that share it
 	stats    *storage.Stats
+
+	// keyHash is storage.Row.Hash; a test maps every key to one hash
+	// through it to exercise the collision chains.
+	keyHash func(storage.Row) uint64
 
 	// The entries in key order, kept between renders so a render costs what
 	// was created or dropped since the previous one. Bringing it up to date
 	// is the one write a Result makes.
 	order keyOrder
-
-	// keyBuf is the one buffer every fold encodes its key into; lookups
-	// index the map with string(keyBuf), which does not allocate, so only a
-	// new entry pays for a key string.
-	keyBuf []byte
 }
 
 // NewViewState builds the empty fold state for a planned view. stats
@@ -52,8 +57,9 @@ func NewViewState(p *DeltaPlan, stats *storage.Stats) *ViewState {
 		aggKinds: p.aggKinds,
 		aggSet:   p.aggSet,
 		itemRefs: p.itemRefs,
-		groups:   make(map[string]*groupState),
+		groups:   make(map[uint64]*groupState),
 		stats:    stats,
+		keyHash:  storage.Row.Hash,
 	}
 }
 
@@ -125,31 +131,48 @@ func (v *ViewState) AddSummary(key storage.Row, w, n int64, sums []*exec.ExactSu
 
 // entry returns the entry of a key row about to move by w, making it
 // when it is new; it panics if w retracts from an entry the view does not
-// hold. The entry is looked up once, through keyBuf. A new entry keeps its key
+// hold. The entry is looked up once, by the key's hash, and found on its
+// chain by its key values. A new entry heads the chain and keeps its key
 // values: key itself when the state may keep it, a copy otherwise.
 func (v *ViewState) entry(key storage.Row, w int64, copyKey bool) *groupState {
-	v.keyBuf = storage.AppendKey(v.keyBuf[:0], key...)
-	g := v.groups[string(v.keyBuf)]
-	if g == nil {
-		if w < 0 {
-			panic("ivm: retracting from an entry the view does not hold")
+	h := v.keyHash(key)
+	head := v.groups[h]
+	for g := head; g != nil; g = g.next {
+		if g.keyVals.SameKey(key) {
+			return g
 		}
-		if copyKey {
-			key = key.Clone()
-		}
-		g = &groupState{key: string(v.keyBuf), keyVals: key, aggs: newAggStates(v.aggKinds, v.aggSet)}
-		v.groups[g.key] = g
-		v.order.created(g)
 	}
+	if w < 0 {
+		panic("ivm: retracting from an entry the view does not hold")
+	}
+	if copyKey {
+		key = key.Clone()
+	}
+	g := &groupState{hash: h, next: head, keyVals: key, aggs: newAggStates(v.aggKinds, v.aggSet)}
+	v.groups[h] = g
+	v.order.created(g)
 	return g
 }
 
-// settle drops an entry whose count a fold brought to zero.
+// settle drops an entry whose count a fold brought to zero, unlinking it
+// from its chain.
 func (v *ViewState) settle(g *groupState) {
-	if g.count == 0 {
-		delete(v.groups, g.key)
-		v.order.dropped()
+	if g.count != 0 {
+		return
 	}
+	switch head := v.groups[g.hash]; {
+	case head != g:
+		for head.next != g {
+			head = head.next
+		}
+		head.next = g.next
+	case g.next != nil:
+		v.groups[g.hash] = g.next
+	default:
+		delete(v.groups, g.hash)
+	}
+	g.next = nil
+	v.order.dropped()
 }
 
 // fold applies one delta row |w| times, w's sign choosing between adding
@@ -206,9 +229,11 @@ func (o *keyOrder) sweep() {
 
 // render returns the live entries in key order. Since the last call only
 // the entries created in between need sorting — among themselves — and
-// merging in from the back: O(d log d) comparisons for d of them plus the
-// moves behind the lowest, and one pass dropping the vanished if there
-// are any. Nothing was created or dropped: nothing to do.
+// merging in from the back, each finding its place among the listed
+// entries by binary search and moving the block behind it at once:
+// O(d log n) comparisons for d of them among n, plus the moves behind the
+// lowest, and one pass dropping the vanished if there are any. Nothing
+// was created or dropped: nothing to do.
 func (o *keyOrder) render() []*groupState {
 	if o.dead > 0 {
 		o.sweep()
@@ -216,17 +241,18 @@ func (o *keyOrder) render() []*groupState {
 	if len(o.fresh) == 0 {
 		return o.sorted
 	}
-	slices.SortFunc(o.fresh, func(a, b *groupState) int { return strings.Compare(a.key, b.key) })
-	i, j := len(o.sorted)-1, len(o.fresh)-1
+	byKey := func(a, b *groupState) int { return storage.CompareKeys(a.keyVals, b.keyVals) }
+	slices.SortFunc(o.fresh, byKey)
+	i := len(o.sorted) // o.sorted[:i] are the listed entries not yet moved
 	o.sorted = append(o.sorted, o.fresh...)
-	for k := len(o.sorted) - 1; j >= 0; k-- {
-		if i >= 0 && o.sorted[i].key > o.fresh[j].key {
-			o.sorted[k] = o.sorted[i]
-			i--
-		} else {
-			o.sorted[k] = o.fresh[j]
-			j--
-		}
+	k := len(o.sorted) // o.sorted[k:] is merged
+	for j := len(o.fresh) - 1; j >= 0; j-- {
+		// A live key is held once, so no listed entry equals a fresh one.
+		at, _ := slices.BinarySearchFunc(o.sorted[:i], o.fresh[j], byKey)
+		k -= i - at
+		copy(o.sorted[k:], o.sorted[at:i])
+		k, i = k-1, at
+		o.sorted[k] = o.fresh[j]
 	}
 	clear(o.fresh)
 	o.fresh = o.fresh[:0]
@@ -234,8 +260,9 @@ func (o *keyOrder) render() []*groupState {
 }
 
 // Result renders the current content in SELECT-item order, rows sorted
-// by key — the group-by values, or for an SPJ view the encoded row, each
-// entry expanded by its count: COUNT(*) rendered as multiplicity — the
+// by key — the group-by values, or for an SPJ view the row, in the order
+// of their key encodings (storage.CompareKeys), each entry expanded by
+// its count: COUNT(*) rendered as multiplicity — the
 // same layout the planner produces for the view query, enabling direct
 // comparison. It brings the state's key order up to date on the way, so
 // like a fold it needs the state to itself: two Results must not run at

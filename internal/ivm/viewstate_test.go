@@ -107,9 +107,12 @@ func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
 	}
 }
 
-// TestFoldIntoExistingEntryAllocs: a fold that lands in an entry the
-// state already holds allocates nothing.
-func TestFoldIntoExistingEntryAllocs(t *testing.T) {
+// TestViewStateFoldAllocs: looking an entry up builds nothing. A fold
+// into an entry the state holds allocates nothing, in an SPJ, a SUM and a
+// MIN/MAX view; a new SPJ entry allocates at most the entry and the copy
+// of its borrowed key values; a retraction that drops an entry allocates
+// nothing.
+func TestViewStateFoldAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	for _, fv := range foldViews[:3] {
 		p, err := PlanView(fv.query)
@@ -131,6 +134,41 @@ func TestFoldIntoExistingEntryAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: %v allocations folding into existing entries, want 0", fv.name, n)
 		}
+	}
+
+	p, err := PlanView(foldViews[0].query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	rows := make([]storage.Row, n+1)
+	for i := range rows {
+		rows[i] = storage.Row{storage.I(int64(i)), storage.S("EAST")}
+	}
+	v := NewViewState(p, &storage.Stats{})
+	// Size the map and the order lists for every entry first.
+	for _, r := range rows {
+		v.AddWeighted(r, 1)
+	}
+	for _, r := range rows {
+		v.AddWeighted(r, -1)
+	}
+	created := 0
+	if got := testing.AllocsPerRun(n, func() {
+		v.AddWeighted(rows[created], 1)
+		created++
+	}); got > 2 {
+		t.Errorf("%v allocations per new SPJ entry, want at most 2", got)
+	}
+	dropped := 0
+	if got := testing.AllocsPerRun(n, func() {
+		v.AddWeighted(rows[dropped], -1)
+		dropped++
+	}); got != 0 {
+		t.Errorf("%v allocations per dropped entry, want 0", got)
+	}
+	if held := len(heldEntries(t, v)); held != 0 {
+		t.Fatalf("%d entries held after every one was retracted", held)
 	}
 }
 

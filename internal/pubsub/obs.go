@@ -41,8 +41,9 @@ type brokerObs struct {
 	// the shared runtime is active (zero otherwise): live operator count,
 	// attached views, cumulative hash-consing intern hits, the widest
 	// operator fan-out, live arrangements and the join sides that reused
-	// one, arrangement rows, deltas buffered in sinks, and the cumulative
-	// count of arrangement entries trims examined.
+	// one, arrangement rows, deltas buffered in sinks, the cumulative
+	// count of arrangement entries trims examined, probes and products,
+	// and the deltas drains folded and the log entries they walked.
 	dfOperators   *obs.Gauge
 	dfViews       *obs.Gauge
 	dfInternHits  *obs.Gauge
@@ -54,6 +55,8 @@ type brokerObs struct {
 	dfTrimVisited *obs.Gauge
 	dfProbes      *obs.Gauge
 	dfProducts    *obs.Gauge
+	dfFolds       *obs.Gauge
+	dfFoldVisits  *obs.Gauge
 
 	// ivm is the maintainer-layer bundle shared by every subscription's
 	// maintainer and WAL; its histograms aggregate across subscriptions.
@@ -90,6 +93,8 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, shard string) *brokerObs {
 		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total", lbl...),
 		dfProbes:      reg.Gauge("ivm_dataflow_probes_total", lbl...),
 		dfProducts:    reg.Gauge("ivm_dataflow_products_total", lbl...),
+		dfFolds:       reg.Gauge("ivm_dataflow_folds_total", lbl...),
+		dfFoldVisits:  reg.Gauge("ivm_dataflow_fold_visits_total", lbl...),
 		// The maintainer-layer bundle stays unlabeled on purpose: ivm
 		// histograms aggregate across every shard's subscriptions, and the
 		// registry dedupes the same-name series so all shards share one
@@ -285,6 +290,8 @@ func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
 	o.dfTrimVisited.Set(float64(st.TrimVisited))
 	o.dfProbes.Set(float64(st.Probes))
 	o.dfProducts.Set(float64(st.Products))
+	o.dfFolds.Set(float64(st.Folds))
+	o.dfFoldVisits.Set(float64(st.FoldVisits))
 }
 
 // syncSub refreshes a subscription's gauges after its share of a step

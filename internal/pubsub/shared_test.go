@@ -249,7 +249,8 @@ func seriesValue(t *testing.T, reg *obs.Registry, name string) float64 {
 // TestSharedStateGauges pins the state-side observability of the shared
 // graph: the ivm_dataflow_state_rows / _retained_deltas /
 // _trim_visited_total / _arrangements / _arrangement_hits_total /
-// _probes_total / _products_total series mirror DataflowStats at every
+// _probes_total / _products_total / _folds_total / _fold_visits_total
+// series mirror DataflowStats at every
 // step boundary, and once the views have
 // refreshed and checkpointed past the last modification, join state is
 // exactly its inputs (every update and delete cancelled) and nothing is
@@ -279,6 +280,8 @@ func TestSharedStateGauges(t *testing.T) {
 			"ivm_dataflow_arrangement_hits_total": float64(st.ArrangementHits),
 			"ivm_dataflow_probes_total":           float64(st.Probes),
 			"ivm_dataflow_products_total":         float64(st.Products),
+			"ivm_dataflow_folds_total":            float64(st.Folds),
+			"ivm_dataflow_fold_visits_total":      float64(st.FoldVisits),
 		} {
 			if got := seriesValue(t, reg, name); got != want {
 				t.Fatalf("step %d: %s = %v, DataflowStats says %v", step, name, got, want)
@@ -318,6 +321,10 @@ func TestSharedStateGauges(t *testing.T) {
 	}
 	if st.Probes == 0 || st.Products == 0 {
 		t.Errorf("%d probes and %d products after 120 steps of joined modifications", st.Probes, st.Products)
+	}
+	// Every fold is found by the walk that visits it.
+	if st.Folds == 0 || st.FoldVisits < st.Folds {
+		t.Errorf("drains folded %d deltas visiting %d log entries", st.Folds, st.FoldVisits)
 	}
 }
 

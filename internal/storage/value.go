@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -146,24 +147,47 @@ func (v Value) String() string {
 	return "?"
 }
 
+// The type tags that lead each value's key encoding. Their byte order is
+// the order CompareKeys gives values of different types.
+const (
+	tagInt    = 'i'
+	tagFloat  = 'f'
+	tagString = 's'
+)
+
+func typeTag(t Type) byte {
+	switch t {
+	case TInt:
+		return tagInt
+	case TFloat:
+		return tagFloat
+	}
+	return tagString
+}
+
+// floatOrder maps a float's bit pattern to an unsigned integer whose
+// order is the IEEE total order: negatives have every bit flipped,
+// positives only the sign bit.
+func floatOrder(bits uint64) uint64 {
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
 // appendValue appends an order-preserving, injective encoding of v to
 // dst. A leading type tag keeps encodings of different types disjoint.
 func appendValue(dst []byte, v Value) []byte {
 	switch v.T {
 	case TInt:
-		dst = append(dst, 'i')
+		dst = append(dst, tagInt)
 		u := v.n ^ (1 << 63) // flip sign bit: preserves order
 		for shift := 56; shift >= 0; shift -= 8 {
 			dst = append(dst, byte(u>>uint(shift)))
 		}
 	case TFloat:
-		dst = append(dst, 'f')
-		bits := v.n
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
+		dst = append(dst, tagFloat)
+		bits := floatOrder(v.n)
 		for shift := 56; shift >= 0; shift -= 8 {
 			dst = append(dst, byte(bits>>uint(shift)))
 		}
@@ -172,7 +196,7 @@ func appendValue(dst []byte, v Value) []byte {
 		// with 00 01, which sorts below every escape: without the escape
 		// ("a\x00sb") and ("a", "b") would share an encoding, and with this
 		// terminator a string still sorts before every extension of itself.
-		dst = append(dst, 's')
+		dst = append(dst, tagString)
 		s := v.s
 		for i := strings.IndexByte(s, 0); i >= 0; i = strings.IndexByte(s, 0) {
 			dst = append(append(dst, s[:i]...), 0x00, 0xFF)
@@ -181,6 +205,36 @@ func appendValue(dst []byte, v Value) []byte {
 		dst = append(append(dst, s...), 0x00, 0x01)
 	}
 	return dst
+}
+
+// CompareKeys orders two value lists exactly as bytes.Compare orders
+// their key encodings, without building either: column by column, a
+// value of another type by its type tag (FLOAT, INT, TEXT), an INT as a
+// signed integer, a FLOAT by the IEEE total order of its bits (−0.0
+// before +0.0, NaNs by bit pattern outside the numbers), a string byte
+// by byte — the escaped, terminated encoding of a string orders as the
+// string itself; a list that is a prefix of the other comes first. Each
+// value's encoding is prefix-free, so the first differing column decides.
+func CompareKeys(a, b []Value) int {
+	for i := range min(len(a), len(b)) {
+		x, y := a[i], b[i]
+		if x.T != y.T {
+			return cmp.Compare(typeTag(x.T), typeTag(y.T))
+		}
+		c := 0
+		switch x.T {
+		case TInt:
+			c = cmp.Compare(int64(x.n), int64(y.n))
+		case TFloat:
+			c = cmp.Compare(floatOrder(x.n), floatOrder(y.n))
+		default:
+			c = strings.Compare(x.s, y.s)
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // AppendKey appends the composite key encoding of vals to dst and
@@ -244,6 +298,50 @@ func (r Row) SameKey(o Row) bool {
 		}
 	}
 	return true
+}
+
+// Hash returns a 64-bit hash of r's values that agrees with SameKey: two
+// rows for which SameKey holds hash alike. It reads the values as
+// SameKey does — type, payload bits, string bytes — and builds nothing,
+// so a map keyed by it, with SameKey settling the rare collision, looks
+// a key up without encoding it.
+func (r Row) Hash() uint64 {
+	h := uint64(len(r)) * hashMul
+	for _, v := range r {
+		h = mix64((h ^ v.n) + uint64(v.T+1)*hashMul)
+		if v.T == TString {
+			h = mix64(h ^ hashString(v.s))
+		}
+	}
+	return h
+}
+
+const hashMul = 0x9e3779b97f4a7c15
+
+// mix64 is MurmurHash3's 64-bit finalizer: a bijection whose every
+// output bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// hashString hashes s eight bytes at a time, its length included.
+func hashString(s string) uint64 {
+	h := uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = mix64(h ^ w)
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w = w<<8 | uint64(s[i])
+	}
+	return mix64(h*hashMul ^ w)
 }
 
 // KeyIs reports whether r's values at cols are exactly keyVals — what

@@ -280,3 +280,76 @@ func FuzzAppendKeyMatchesEncodeKey(f *testing.F) {
 		}
 	})
 }
+
+// sign is c's sign: -1, 0 or 1.
+func sign(c int) int { return min(max(c, -1), 1) }
+
+// TestCompareKeysMatchesEncoding: CompareKeys orders value lists as their
+// key encodings do — across types in one column, at both zeros and NaN
+// bit patterns, over strings with NULs and prefixes, and between lists
+// of unequal length — and rows it calls equal hash alike.
+func TestCompareKeysMatchesEncoding(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	negNaN := math.Float64frombits(0xfff0000000000001)
+	values := []Value{
+		I(math.MinInt64), I(-1), I(0), I(1), I(2), I(math.MaxInt64),
+		F(math.Inf(-1)), F(-2.5), F(math.Copysign(0, -1)), F(0), F(2), F(math.Inf(1)), F(nan), F(negNaN), F(math.NaN()),
+		S(""), S("\x00"), S("\x00\x00"), S("\x00\x01"), S("\x00\xff"), S("\x01"), S("a"), S("a\x00"), S("a\x00b"), S("ab"), S("b"), S("\xff"),
+	}
+	var rows []Row
+	for _, v := range values {
+		rows = append(rows, Row{v})
+		for _, w := range []Value{I(0), F(0), S(""), S("a")} {
+			rows = append(rows, Row{v, w}, Row{w, v}, Row{v, w, v})
+		}
+	}
+	rows = append(rows, Row{}, nil)
+	for _, a := range rows {
+		for _, b := range rows {
+			got := sign(CompareKeys(a, b))
+			want := sign(strings.Compare(EncodeKey(a...), EncodeKey(b...)))
+			if got != want {
+				t.Fatalf("CompareKeys(%v, %v) = %d, the encodings compare %d", a, b, got, want)
+			}
+			if got == 0 && a.Hash() != b.Hash() {
+				t.Fatalf("%v and %v compare equal but hash %x and %x", a, b, a.Hash(), b.Hash())
+			}
+		}
+	}
+	// Different rows of a narrow domain hash apart: a hash-keyed map rarely
+	// has to settle a collision.
+	seen := map[uint64]Row{}
+	for i := int64(0); i < 64; i++ {
+		for _, s := range []string{"", "EAST", "WEST", "EAST\x00"} {
+			for _, r := range []Row{{I(i), S(s)}, {S(s), I(i)}, {F(float64(i)), S(s)}, {I(i)}} {
+				if o, ok := seen[r.Hash()]; ok && !o.SameKey(r) {
+					t.Fatalf("%v and %v hash alike", o, r)
+				}
+				seen[r.Hash()] = r
+			}
+		}
+	}
+}
+
+// FuzzCompareKeys: CompareKeys and the key encoding are one order, and
+// rows that compare equal hash alike — what lets a view keep its entries
+// by hash and render them in encoded-key order without encoding a key.
+func FuzzCompareKeys(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{1, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, []byte{1, 0xff, 0xf0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{2, 2, 'a', 0, 0, 1}, []byte{2, 1, 'a', 2, 0})
+	f.Add([]byte{2, 4, 'a', 0, 's', 'b'}, []byte{2, 1, 'a', 2, 1, 'b'})
+	f.Add([]byte{2, 1, 'a'}, []byte{2, 2, 'a', 'b'})
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ra, rb := fuzzValues(a), fuzzValues(b)
+		got := sign(CompareKeys(ra, rb))
+		if want := sign(strings.Compare(EncodeKey(ra...), EncodeKey(rb...))); got != want {
+			t.Fatalf("CompareKeys(%v, %v) = %d, the encodings compare %d", ra, rb, got, want)
+		}
+		if got == 0 && ra.Hash() != rb.Hash() {
+			t.Fatalf("%v and %v compare equal but hash %x and %x", ra, rb, ra.Hash(), rb.Hash())
+		}
+	})
+}

@@ -2,8 +2,10 @@
 # Fuzz smoke: every native fuzz target (func Fuzz* in a _test.go file of
 # the root module) run for 10s from its seed corpus — today the SQL front
 # end (FuzzParse), the snapshot, checkpoint-segment, WAL-frame and
-# MANIFEST decoders, the key codec, and the exact float accumulator every
-# SUM and AVG folds through (FuzzExactSum). Targets are discovered, not
+# MANIFEST decoders, the key codec, the key order view states render by
+# (FuzzCompareKeys: storage.CompareKeys against the encoded keys' bytes),
+# and the exact float accumulator every SUM and AVG folds through
+# (FuzzExactSum). Targets are discovered, not
 # listed: a new Fuzz* function is picked up by the loop below.
 # `go test -fuzz` takes one package and one target at a time, hence the
 # loop. A crasher the fuzzer finds is written under the package's

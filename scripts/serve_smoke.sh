@@ -101,6 +101,8 @@ smoke sharded-shared "-shards 2 -shared" \
     ivm_dataflow_arrangements \
     ivm_dataflow_arrangement_hits_total \
     ivm_dataflow_probes_total \
-    ivm_dataflow_products_total
+    ivm_dataflow_products_total \
+    ivm_dataflow_folds_total \
+    ivm_dataflow_fold_visits_total
 
 echo "serve_smoke: OK"
