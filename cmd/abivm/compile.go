@@ -30,6 +30,9 @@ func runCompile(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *fit != "linear" && *fit != "piecewise" {
+		return fmt.Errorf("-fit %q: want linear or piecewise", *fit)
+	}
 	db, err := pubsub.DemoDB(pubsub.DefaultWorkloadSpec())
 	if err != nil {
 		return err

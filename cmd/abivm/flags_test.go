@@ -49,3 +49,24 @@ func TestChaosRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRejectsBadFlags: `abivm compile` refuses an unknown cost
+// fit once, naming the flag, before it calibrates any view — not once per
+// view after calibrating them all — and a call with neither a catalog nor
+// one query.
+func TestCompileRejectsBadFlags(t *testing.T) {
+	const query = "SELECT s.salekey FROM sales AS s"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fit", "cubic", query}, `-fit "cubic"`},
+		{[]string{"-fit", "cubic", "-catalog", "no-such-catalog.sql"}, `-fit "cubic"`},
+		{nil, "need -catalog FILE or exactly one query argument"},
+	} {
+		err := runCompile(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("compile %v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}

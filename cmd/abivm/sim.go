@@ -61,6 +61,9 @@ func runSim(args []string) error {
 		}
 		funcs = append(funcs, f)
 	}
+	if len(funcs) > core.MaxTables {
+		return fmt.Errorf("-costs: %d tables, want at most %d", len(funcs), core.MaxTables)
+	}
 	var rates []int
 	for _, r := range strings.Split(*ratesFlag, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(r))

@@ -77,10 +77,10 @@ type Result struct {
 var ErrBudgetExceeded = errors.New("astar: expansion budget exceeded")
 
 // maxKeyTables bounds the instance arity the packed node key supports.
-// It mirrors core's greedy-action enumeration cap (the paper has n <= 5;
+// It is core's greedy-action enumeration cap (the paper has n <= 5;
 // expansion would refuse larger instances anyway), so packing states
 // into a fixed-size array loses no generality.
-const maxKeyTables = 20
+const maxKeyTables = core.MaxTables
 
 // nodeKey identifies a search state — the post-action state right after
 // an action taken at time t — as a comparable value usable directly as a

@@ -2,11 +2,11 @@ package core
 
 import "fmt"
 
-// maxEnumTables caps the subset enumeration used to generate greedy
+// MaxTables caps the subset enumeration used to generate greedy
 // actions. The paper observes n is a very small constant (n <= 5 for its
 // TPC-R views); 20 leaves generous headroom while preventing a 2^n blowup
 // from a mis-constructed instance.
-const maxEnumTables = 20
+const MaxTables = 20
 
 // ActionScratch holds the reusable enumeration buffers behind
 // GreedyActionSet. A caller that enumerates actions once per node
@@ -30,7 +30,7 @@ type ActionScratch struct {
 // residual refresh cost), so minimality is checked against one-bit-removed
 // subsets only.
 //
-// It panics if s has more than maxEnumTables components or does not match
+// It panics if s has more than MaxTables components or does not match
 // the model arity.
 func GreedyActionSet(s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
 	var sc ActionScratch
@@ -41,7 +41,7 @@ func GreedyActionSet(s Vector, m *CostModel, c float64, minimalOnly bool) []Vect
 // GreedyActionSet) to dst and returns the extended slice. The appended
 // action vectors are freshly allocated and owned by the caller; only the
 // scratch's internal enumeration buffers are reused across calls. It
-// panics if s has more than maxEnumTables components or does not match
+// panics if s has more than MaxTables components or does not match
 // the model arity.
 func (sc *ActionScratch) AppendGreedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
 	return sc.greedyActions(dst, s, m, c, minimalOnly, false)
@@ -62,8 +62,8 @@ func (sc *ActionScratch) GreedyActionsInto(dst []Vector, s Vector, m *CostModel,
 // allocating them.
 func (sc *ActionScratch) greedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly, reuse bool) []Vector {
 	n := len(s)
-	if n > maxEnumTables {
-		panic(fmt.Sprintf("core: %d tables exceeds the greedy-action enumeration cap %d", n, maxEnumTables))
+	if n > MaxTables {
+		panic(fmt.Sprintf("core: %d tables exceeds the greedy-action enumeration cap %d", n, MaxTables))
 	}
 	// Tables that actually hold modifications; emptying an empty table is a
 	// no-op, so subsets are built over occupied tables only.

@@ -175,7 +175,6 @@ func TestArenaChunksFreedAfterStall(t *testing.T) {
 			if err := stalled.ProcessBatch("s", stalled.Pending()[0]); err != nil {
 				t.Fatal(err)
 			}
-			stalled.Checkpoint()
 		} else {
 			settle(t, []*ViewHandle{stalled})
 		}

@@ -104,15 +104,14 @@ func subscribeRegional(tb testing.TB, g *Graph, regional int) []*ViewHandle {
 	return handles
 }
 
-// settle refreshes and checkpoints every view, bringing the GC watermark
-// up to everything ingested.
+// settle refreshes every view, bringing the GC watermark up to everything
+// ingested.
 func settle(tb testing.TB, handles []*ViewHandle) {
 	tb.Helper()
 	for _, h := range handles {
 		if err := h.Refresh(); err != nil {
 			tb.Fatal(err)
 		}
-		h.Checkpoint()
 	}
 }
 

@@ -488,18 +488,15 @@ func TestGraphStatsAddSumsEveryCount(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecover crashes a handle mid-stream and recovers it
-// from its snapshot plus WAL replay; the recovered view must match an
-// undisturbed control at every subsequent step.
+// TestCheckpointRecover crashes a handle mid-stream, after the trim a
+// broker runs at its checkpoint cadence, and recovers it at its cursors;
+// the recovered view must match an undisturbed control at every
+// subsequent step.
 func TestCheckpointRecover(t *testing.T) {
 	query := equivalenceQueries[1]
 	db := testDB(t)
 	g := NewGraph(db)
 	p := newPair(t, db, g, query)
-	wal := ivm.NewWAL()
-	p.h.AttachWAL(wal)
-	p.h.SetNamespace("test/view")
-	p.h.Checkpoint()
 
 	mu := newMutator(11)
 	drains := rand.New(rand.NewSource(5))
@@ -521,30 +518,24 @@ func TestCheckpointRecover(t *testing.T) {
 	}
 
 	for i := 0; i < 8; i++ {
-		step(fmt.Sprintf("pre-checkpoint step %d", i))
+		step(fmt.Sprintf("pre-trim step %d", i))
 	}
-	p.h.Checkpoint()
-	if err := wal.TruncateThrough(p.h.TipLSN()); err != nil {
-		t.Fatal(err)
-	}
+	g.Trim()
 	for i := 0; i < 8; i++ {
-		step(fmt.Sprintf("post-checkpoint step %d", i))
+		step(fmt.Sprintf("post-trim step %d", i))
 	}
 
 	// Crash: wipe the volatile per-view state and recover.
-	if err := p.h.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	p.h.Recover()
 	p.check("after recovery")
 	for i := 0; i < 8; i++ {
 		step(fmt.Sprintf("post-recovery step %d", i))
 	}
 }
 
-// TestTrimWatermark garbage-collects below the durable watermark — the
-// trim after a checkpoint at full coverage empties the sink's delta log
-// and consolidates join state — and proves maintenance stays correct
-// afterwards.
+// TestTrimWatermark garbage-collects below the cursors' watermark — the
+// trim at full coverage empties the sink's delta log and consolidates join
+// state — and proves maintenance stays correct afterwards.
 func TestTrimWatermark(t *testing.T) {
 	query := equivalenceQueries[1]
 	db := testDB(t)
@@ -580,11 +571,10 @@ func TestTrimWatermark(t *testing.T) {
 	if len(p.h.log.deltas) == 0 {
 		t.Fatal("twenty steps of drains left nothing logged for the trim to drop")
 	}
-	p.h.Checkpoint()
 	before := g.Stats().StateRows
 	g.Trim()
 	if n := len(p.h.log.deltas); n != 0 {
-		t.Fatalf("log not emptied by a trim after a checkpoint at full coverage: %d deltas", n)
+		t.Fatalf("log not emptied by a trim at full coverage: %d deltas", n)
 	}
 	after := g.Stats().StateRows
 	if after >= before {
@@ -699,7 +689,6 @@ func trimWorkAt(t *testing.T, nSales int) uint64 {
 			}
 		}
 		if step%8 == 0 {
-			h.Checkpoint()
 			g.Trim()
 		}
 	}

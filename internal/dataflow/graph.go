@@ -429,12 +429,12 @@ func (g *Graph) schemaOf(table string) (*storage.Schema, error) {
 // Subscribe compiles a view plan into the graph — reusing every
 // operator whose canonical signature is already interned, creating and
 // wiring the rest — attaches a sink holding the view's own projection to
-// the top operator's delta log, computes the view's initial content from
-// the live database, and returns the handle. It builds nothing until
-// every check has passed: bind resolves and compiles the operators the
-// graph lacks, newViewHandle checks the sink and computes its content,
-// and only then does realize build the missing operators, which cannot
-// fail. A view that is refused leaves the graph as it was.
+// the top operator's delta log, rebuilds the view's first content from
+// the graph, and returns the handle. It builds nothing until every check
+// has passed: bind resolves and compiles the operators the graph lacks,
+// newViewHandle checks the sink, and only then does realize build the
+// missing operators, which cannot fail. A view that is refused leaves the
+// graph as it was.
 func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 	top, items, err := buildSpecs(p, g.schemaOf)
 	if err != nil {
@@ -695,22 +695,21 @@ func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	return sc.ingest(mod)
 }
 
-// Trim garbage-collects graph state below the durability watermarks,
-// below which no recovery will ever put a cursor again — a sink's
-// checkpointed cursors, or its subscribe-time ones before its first
-// checkpoint. Arrangement entries fully below the per-table watermark (the
-// minimum over the sinks reading the table) are netted into their bucket's
-// base, once per arrangement however many joins read it; the cost is
-// proportional to what arrived since the watermark last covered it, not to
-// table sizes or to the number of joins sharing an input. Each delta log
-// drops what all of its own readers have checkpointed, so a stuck view
-// holds back its own operator's log and no other.
+// Trim garbage-collects graph state below the watermarks the sinks'
+// cursors set: cursors never move back, a recovery's included. Arrangement
+// entries fully below the per-table watermark (the minimum over the sinks
+// reading the table) are netted into their bucket's base, once per
+// arrangement however many joins read it; the cost is proportional to what
+// arrived since the watermark last covered it, not to table sizes or to
+// the number of joins sharing an input. Each delta log drops what all of
+// its own readers have drained, so a stuck view holds back its own
+// operator's log and no other.
 func (g *Graph) Trim() {
 	clear(g.wm)
 	for _, h := range g.views {
 		for i, t := range h.tabOrder {
-			if cur, seen := g.wm[t]; !seen || h.durable[i] < cur {
-				g.wm[t] = h.durable[i]
+			if cur, seen := g.wm[t]; !seen || h.cursors[i] < cur {
+				g.wm[t] = h.cursors[i]
 			}
 		}
 	}
@@ -763,8 +762,8 @@ type GraphStats struct {
 	// RetainedDeltas the number of propagated deltas waiting in delta
 	// logs — each once, in the log of the operator that emitted it,
 	// however many views read it, until a Trim finds every reader's
-	// checkpoint covering it. Both should track table sizes and
-	// checkpoint lag, not run length.
+	// cursors covering it. Both should track table sizes and drain lag,
+	// not run length.
 	StateRows      int
 	RetainedDeltas int
 	// TrimVisited counts the arrangement entries Trim has examined so far

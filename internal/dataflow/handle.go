@@ -20,8 +20,9 @@ import (
 // deltas through, and the foldable view state. None of it runs before a
 // drain asks for it. It mirrors the broker-facing surface of
 // ivm.Maintainer — aliases, pending counts, ProcessBatch with the same
-// fault-injection sites, WAL, checkpoint/recover — so the pub/sub layer
-// drives either runtime through the same choreography.
+// fault-injection sites, recover — so the pub/sub layer drives either
+// runtime through the same choreography. Its cursors are its recovery
+// point: they fix the content, and Recover recomputes it from the graph.
 //
 // The asymmetry of the paper survives sharing: operators propagate
 // eagerly, but folding stays per-view and per-table — ProcessBatch
@@ -57,19 +58,18 @@ type ViewHandle struct {
 	pos      map[string]int
 	tabOrder []string
 	scans    []*scanNode // the tables' sources, for their ingest-log lengths
-	cursors  []uint64    // covered ingest-log prefix per table
-	// durable is the cursors the last checkpoint captured — the
-	// subscribe-time cursors before the first: what Recover restores, and
-	// what Graph.Trim's watermarks are minima of.
-	durable []uint64
+	// cursors is the covered ingest-log prefix per table: what fixes the
+	// content, and what Graph.Trim's watermarks are minima of.
+	cursors []uint64
 
 	// log is where a delta propagated to this view waits: the top
 	// operator's delta log, shared with every view over that operator. A
 	// drain folds the deltas its cursor advance newly covers and leaves
-	// them where they are; Graph.Trim drops what every reader's checkpoint
-	// covers. It is graph state, so it survives a sink crash, and Recover
-	// replays drains over it. from is the first of its deltas the cursors
-	// do not cover: a drain's walk starts there.
+	// them where they are; Graph.Trim drops what every reader's cursors
+	// cover. It is graph state, so it survives a sink crash, and Recover
+	// takes back the deltas in it the cursors do not cover. from is the
+	// first of its deltas the cursors do not cover: a drain's walk starts
+	// there.
 	log   *deltaLog
 	from  int
 	view  *ivm.ViewState
@@ -79,38 +79,24 @@ type ViewHandle struct {
 	// (maxRetractScratch) so one long drain does not pin it.
 	retract []int
 
-	wal  *ivm.WAL
-	inj  fault.Injector
-	ns   string
-	obs  *ivm.Metrics
-	snap *handleSnapshot
-}
-
-// handleSnapshot is the checkpoint of a sink besides its cursors
-// (ViewHandle.durable): the WAL position they go with and the namespace.
-// It holds no view content — the cursors fix it, and Recover rebuilds it
-// from the graph (ViewHandle.rebuild) — so a checkpoint copies nothing.
-// It lives in the handle (the in-memory durability tier, like the
-// broker's default checkpoint chain); the shared graph itself is not
-// checkpointed — it survives per-view crashes exactly as the live
-// database does.
-type handleSnapshot struct {
-	lsn uint64
-	ns  string
+	wal *ivm.WAL
+	inj fault.Injector
+	obs *ivm.Metrics
 }
 
 // deltaLog is the one buffer of an operator's output that view sinks
-// read: every delta the operator emitted that some reader's checkpointed
-// cursors do not cover, in emission order, as emitted — unprojected, so
-// each is held once however many views read the operator. The graph keeps
-// one per operator with sinks. A sink that subscribes later starts with
-// cursors that cover every delta already there.
+// read: every delta the operator emitted that the last trim found some
+// reader's cursors not covering, and every one emitted since, in emission
+// order, as emitted — unprojected, so each is held once however many views
+// read the operator. The graph keeps one per operator with sinks. A sink
+// that subscribes later starts with cursors that cover every delta
+// already there.
 type deltaLog struct {
 	src        node
 	deltas     []Delta
 	readers    []*ViewHandle // in subscribe order
 	rowReaders int           // the readers that do not read a join through a summary
-	wm         []uint64      // trim's watermark, reused
+	wm         []uint64      // the last trim's watermark
 	byFrom     []*ViewHandle // trim's readers in from order, reused
 	ctr        *counters
 }
@@ -120,21 +106,20 @@ func (l *deltaLog) onDelta(d Delta) {
 	l.ctr.retained++
 }
 
-// trim drops the deltas every reader's checkpointed cursors cover — those
-// the per-position minimum of the readers' durable cursors covers — so
-// the log keeps exactly the union of what its readers have not
-// checkpointed. No recovery folds a dropped delta again, and no reader's
-// from points at one: its live cursors cover it too. Each reader's from
-// becomes the number of deltas kept before it, read off the one running
-// count as the walk passes it: the readers are visited in from order. The
-// capacity follows the peak since the last trim, the length found here:
-// more than twice a quarter's slack over it is given back.
+// trim drops the deltas every reader's cursors cover — those the
+// per-position minimum of the readers' cursors covers — so the log keeps
+// exactly the union of what its readers have not drained. No recovery
+// takes a dropped delta back, and no reader's from points past one. Each
+// reader's from becomes the number of deltas kept before it, read off the
+// one running count as the walk passes it: the readers are visited in from
+// order. The capacity follows the peak since the last trim, the length
+// found here: more than twice a quarter's slack over it is given back.
 func (l *deltaLog) trim() {
 	for i := range l.wm {
 		l.wm[i] = math.MaxUint64
 	}
 	for _, h := range l.readers {
-		for i, c := range h.durable {
+		for i, c := range h.cursors {
 			l.wm[i] = min(l.wm[i], c)
 		}
 	}
@@ -163,14 +148,21 @@ func (l *deltaLog) trim() {
 }
 
 // newViewHandle makes the sink of a view whose spec tree top is bound
-// but not yet realized, and computes its initial content: everything a
-// sink can refuse — the projection binds against the top operator's
-// columns, the spine reads the view's tables in FROM order, the initial
-// query compiles and runs — is checked here, before the graph builds
-// anything. attach connects it once the spine is realized.
+// but not yet realized: everything a sink can refuse — the projection
+// binds against the top operator's columns and hands every SUM and AVG a
+// number, the spine reads the view's tables in FROM order — is checked
+// here, before the graph builds anything. attach connects it once the
+// spine is realized.
 func newViewHandle(g *Graph, p *ivm.DeltaPlan, top *opSpec, items []sql.Expr) (*ViewHandle, error) {
-	project, err := bindScalars(items, top.cols)
-	if err != nil {
+	project := make([]exec.Scalar, len(items))
+	bound := make([]exec.Col, len(items))
+	for i, e := range items {
+		var err error
+		if project[i], bound[i].Type, err = plan.BindScalar(e, top.cols); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.CheckDelta(bound); err != nil {
 		return nil, err
 	}
 	h := &ViewHandle{
@@ -196,10 +188,6 @@ func newViewHandle(g *Graph, p *ivm.DeltaPlan, top *opSpec, items []sql.Expr) (*
 		if err := h.bindSummary(p, top, items); err != nil {
 			return nil, err
 		}
-	}
-	h.view = ivm.NewViewState(p, h.stats)
-	if err := h.initialize(); err != nil {
-		return nil, err
 	}
 	return h, nil
 }
@@ -232,8 +220,9 @@ func (h *ViewHandle) bindSummary(p *ivm.DeltaPlan, top *opSpec, items []sql.Expr
 }
 
 // attach connects a checked sink to its realized top operator: its
-// cursors start at the tables' ingest-log lengths, which the initial
-// content covers, and it reads the operator's delta log from its end.
+// cursors start at the tables' ingest-log lengths, it reads the
+// operator's delta log from its end, and its first content is the one
+// those cursors fix, rebuilt from the graph.
 func (h *ViewHandle) attach(top node) {
 	h.top = top
 	for _, t := range h.tabOrder {
@@ -241,7 +230,6 @@ func (h *ViewHandle) attach(top node) {
 		h.scans = append(h.scans, sc)
 		h.cursors = append(h.cursors, sc.mods)
 	}
-	h.durable = slices.Clone(h.cursors)
 	h.log = h.g.logOf(top)
 	h.log.readers = append(h.log.readers, h)
 	if !h.summarized {
@@ -249,29 +237,7 @@ func (h *ViewHandle) attach(top node) {
 	}
 	h.from = len(h.log.deltas)
 	h.g.views = append(h.g.views, h)
-}
-
-// initialize computes the initial content by running the delta query
-// over the live database — which is exactly base plus the ingest-log
-// prefixes the subscribe-time cursors cover.
-func (h *ViewHandle) initialize() error {
-	op, err := plan.Compile(h.plan.Delta, nil, &plan.Options{
-		Resolve: h.g.db.Table,
-		Stats:   h.stats,
-	})
-	if err != nil {
-		return err
-	}
-	if err := h.plan.CheckDelta(op.Columns()); err != nil {
-		return err
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		return err
-	}
-	h.view.Add(rows)
-	*h.stats = storage.Stats{} // initial computation is setup cost
-	return nil
+	h.rebuild()
 }
 
 // Aliases returns the FROM aliases in order; index i corresponds to the
@@ -282,20 +248,10 @@ func (h *ViewHandle) Aliases() []string { return h.aliases }
 // setups; operator work is shared and charged to the graph's tables).
 func (h *ViewHandle) Stats() *storage.Stats { return h.stats }
 
-// AttachWAL makes the handle record drain commits to w — all its
-// recovery replays; arrivals are on the graph's ingest logs. A nil w
-// detaches.
+// AttachWAL makes the handle record drain commits to w, and take a drain
+// back when its append fails. Recovery reads no such record: the cursors
+// are the recovery point. A nil w detaches.
 func (h *ViewHandle) AttachWAL(w *ivm.WAL) { h.wal = w }
-
-// WAL returns the attached redo log, or nil.
-func (h *ViewHandle) WAL() *ivm.WAL { return h.wal }
-
-// SetNamespace names the handle's durability namespace; checkpoints
-// carry it and Recover validates it.
-func (h *ViewHandle) SetNamespace(ns string) { h.ns = ns }
-
-// Namespace returns the durability namespace, or "".
-func (h *ViewHandle) Namespace() string { return h.ns }
 
 // SetInjector installs a fault injector consulted at the drain sites.
 func (h *ViewHandle) SetInjector(inj fault.Injector) { h.inj = inj }
@@ -384,8 +340,7 @@ func (h *ViewHandle) processBatch(alias string, k int) error {
 }
 
 // skipCovered moves from past the log's deltas the cursors cover. Cursors
-// only advance between calls (Recover resets from first), so everything
-// before from stays covered.
+// only advance, so everything before from stays covered.
 func (h *ViewHandle) skipCovered() {
 	ds := h.log.deltas
 	for h.from < len(ds) && ds[h.from].Coord.covered(h.cursors) {
@@ -495,100 +450,27 @@ func (h *ViewHandle) Refresh() error {
 // ivm.ViewState.Result).
 func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 
-// Checkpoint records the per-view durable state in memory: the cursors
-// and the WAL position. The content is not copied: the cursors fix it,
-// and Recover rebuilds it from the graph. The next Graph.Trim drops the
-// logged deltas that every reader's checkpointed cursors now cover — no
-// recovery will take them back again. Everything at or below the captured
-// LSN may be truncated from the WAL afterwards.
-func (h *ViewHandle) Checkpoint() {
-	if h.obs == nil {
-		h.checkpoint()
-		return
-	}
-	//lint:ignore nondet checkpoint latency feeds metrics only, never checkpoint content
-	start := time.Now()
-	h.checkpoint()
-	//lint:ignore nondet measurement of the checkpoint, not part of it
-	h.obs.ObserveCheckpoint(time.Since(start), 0)
-}
-
-func (h *ViewHandle) checkpoint() {
-	if h.snap == nil {
-		h.snap = &handleSnapshot{}
-	}
-	h.snap.ns = h.ns
-	copy(h.durable, h.cursors)
-	h.snap.lsn = 0
-	if h.wal != nil {
-		h.snap.lsn = h.wal.LastLSN()
-	}
-}
-
-// TipLSN returns the WAL position the last checkpoint covers.
-func (h *ViewHandle) TipLSN() uint64 {
-	if h.snap == nil {
-		return 0
-	}
-	return h.snap.lsn
-}
-
-// Recover rebuilds the view from its last checkpoint plus the WAL
-// suffix: rebuild the content at the checkpointed cursors from the graph,
-// then redo the logged drains over the delta log as it stands — it holds
-// every delta the checkpointed cursors do not cover, and the shared graph
-// survives a per-view crash as the live database does. The WAL and
-// injector stay detached during replay.
-func (h *ViewHandle) Recover() error {
-	if h.snap == nil {
-		return fmt.Errorf("dataflow: no checkpoint to recover %q from", h.ns)
-	}
-	if h.snap.ns != h.ns {
-		return fmt.Errorf("dataflow: checkpoint namespace %q, want %q", h.snap.ns, h.ns)
-	}
+// Recover drops the view state and rebuilds it at the cursors from the
+// graph, which survives a per-view crash as the live database does. The
+// cursors are the sink's whole recovery point: nothing is replayed.
+func (h *ViewHandle) Recover() {
 	h.rebuild()
-	copy(h.cursors, h.durable)
-	h.from = 0
-	h.skipCovered()
-	wal, inj := h.wal, h.inj
-	h.wal, h.inj = nil, nil
-	replayed := 0
-	if wal != nil {
-		if err := wal.Replay(h.snap.lsn, func(rec ivm.WALRecord) error {
-			replayed++
-			if rec.Kind != ivm.WALDrain {
-				return fmt.Errorf("dataflow: wal record kind %d at lsn %d is not a drain", rec.Kind, rec.LSN)
-			}
-			if err := h.processBatch(rec.Alias, rec.K); err != nil {
-				return fmt.Errorf("dataflow: replaying drain lsn=%d %s/%d: %w", rec.LSN, rec.Alias, rec.K, err)
-			}
-			return nil
-		}); err != nil {
-			h.wal, h.inj = wal, inj
-			return err
-		}
-	}
-	h.wal, h.inj = wal, inj
-	if h.obs != nil {
-		h.obs.ObserveRecovery(replayed)
-	}
-	// Replay work is recovery overhead, not maintenance cost.
-	*h.stats = storage.Stats{}
-	return nil
+	h.obs.ObserveRecovery(0)
 }
 
-// rebuild replaces the view state with its content at the checkpointed
-// cursors, computed from the graph — the shared graph's recompute. The
-// top operator's present output — as the view reads it, with summaries
-// in place of fact base entries if it reads them — is its content when it
-// was created plus every delta it has emitted since; its delta log holds
-// every emitted delta some reader's checkpointed cursors do not cover, so
-// every one these cursors do not cover. Folding the present output and
-// taking those deltas back leaves exactly the deltas the checkpointed
-// cursors cover on top of the content at creation: the view at durable.
-// Positive weights fold first, so no entry count dips below zero on the
-// way. It reads the graph, not the live database, which a sharded broker
-// changes before it ingests.
+// rebuild replaces the view state with its content at the cursors,
+// computed from the graph — the shared graph's recompute, and how a sink
+// gets its first content. The top operator's present output — as the
+// view reads it, with summaries in place of fact base entries if it reads
+// them — is its content when it was created plus every delta it has
+// emitted since; its delta log holds every emitted delta some reader's
+// cursors do not cover, so every one these cursors do not cover. Folding
+// the present output and taking those deltas back leaves exactly the
+// deltas the cursors cover on top of the content at creation. Positive
+// weights fold first, so no entry count dips below zero on the way. It
+// reads the graph, not the live database, which a sharded broker changes
+// before it ingests. Its work is set-up or recovery overhead, not
+// maintenance cost, and is not counted.
 func (h *ViewHandle) rebuild() {
 	h.view = ivm.NewViewState(h.plan, h.stats)
 	var rows []weightedRow
@@ -604,10 +486,11 @@ func (h *ViewHandle) rebuild() {
 			}
 		}
 		for _, d := range h.log.deltas {
-			if -d.W*sign > 0 && !d.Coord.covered(h.durable) && h.reads(d.Coord) {
+			if -d.W*sign > 0 && !d.Coord.covered(h.cursors) && h.reads(d.Coord) {
 				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), -d.W)
 			}
 		}
 	}
 	clear(h.row)
+	*h.stats = storage.Stats{}
 }

@@ -911,7 +911,7 @@ func appendJoinKey(dst []byte, fns []exec.Scalar, r storage.Row) []byte {
 // each summary product gets that coordinate of its own, its summary past
 // it, and each tail partner's product gets its own. Consumers alias the
 // windows as they alias any emitted row: a delta log until its readers'
-// checkpoints cover the product, an arrangement's tail until a trim nets
+// cursors cover the product, an arrangement's tail until a trim nets
 // it, an arrangement over a join not at all for rows (it copies what it
 // keeps) — so no long-lived state pins a chunk.
 func (g *portGroup) probe(key []byte, d Delta) {

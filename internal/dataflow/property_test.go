@@ -69,7 +69,7 @@ var propQueries = []string{
 // summaryQueries sit on either side of the rule that makes a view read
 // its top join's fact side through a summary: a COUNT alone and an AVG,
 // grouped by a station column, do; a SUM under a filter on sales does
-// not. They draw their lags, drains, checkpoints and recoveries
+// not. They draw their lags, drains and recoveries
 // from a generator of their own, so the views above keep every seeded
 // event on the step it has without them.
 var summaryQueries = []string{
@@ -204,13 +204,12 @@ type propView struct {
 	query   string
 	lag     float64 // probability of skipping a drain opportunity
 	handles []*ViewHandle
-	wal     *ivm.WAL // on handles[0], the trimmed graph's
 	shadow  *storage.DB
 	applied map[string]int // per table: log prefix applied to shadow
 	rng     *rand.Rand     // the view's own draws; nil: the world's
 }
 
-// draws returns the generator a view's drains and checkpoints draw from.
+// draws returns the generator a view's drains draw from.
 func (v *propView) draws(world *rand.Rand) *rand.Rand {
 	if v.rng != nil {
 		return v.rng
@@ -237,7 +236,7 @@ func (w *propWorld) subscribe(query string, lag float64, late bool) {
 		w.fresh = append(w.fresh, f)
 		graphs = append(graphs, f)
 	}
-	v := &propView{query: query, lag: lag, wal: ivm.NewWAL(), shadow: propDB(w.t), applied: map[string]int{}}
+	v := &propView{query: query, lag: lag, shadow: propDB(w.t), applied: map[string]int{}}
 	for _, g := range graphs {
 		p, err := ivm.PlanView(query)
 		if err != nil {
@@ -250,8 +249,6 @@ func (w *propWorld) subscribe(query string, lag float64, late bool) {
 		v.handles = append(v.handles, h)
 	}
 	recordLogs(w.trimmed, w.recs)
-	v.handles[0].AttachWAL(v.wal)
-	v.handles[0].Checkpoint()
 	for _, table := range []string{"regions", "stations", "sales"} {
 		for _, mod := range w.log[table] {
 			applyLive(w.t, v.shadow, table, mod)
@@ -309,11 +306,12 @@ func (w *propWorld) check(ctx string) {
 }
 
 // checkGraphInvariants walks the graph's state and holds it against the
-// O(1) counters and the layout rules, as they stand after a trim: a
-// propagated delta waits in the delta log of the operator that emitted it
-// and nowhere else — one log per operator with sinks, its edge exactly
-// once, read by exactly the sinks over that operator — no logged delta is
-// one every reader's last checkpoint covers, and each reader's walk
+// O(1) counters and the layout rules: a propagated delta waits in the
+// delta log of the operator that emitted it and nowhere else — one log per
+// operator with sinks, its edge exactly once, read by exactly the sinks
+// over that operator — no logged delta is one the last trim's watermark
+// covers, that watermark covers nothing a reader's cursors do not, and
+// each reader's walk
 // starts at its first delta its cursors do not cover; every arrangement
 // is read by at least one join side, is its child's edge exactly once and
 // is walked once however many joins share it; base entries distinct and
@@ -332,23 +330,26 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 		}
 		retained += len(l.deltas)
 		for _, d := range l.deltas {
-			if !slices.ContainsFunc(l.readers, func(h *ViewHandle) bool { return !d.Coord.covered(h.durable) }) {
-				t.Fatalf("%s: the log of %s holds %v, which every reader's checkpoint covers", ctx, l.src.sig(), d.Coord)
+			if d.Coord.covered(l.wm) {
+				t.Fatalf("%s: the log of %s holds %v, which its last trim's watermark %v covers", ctx, l.src.sig(), d.Coord, l.wm)
 			}
 		}
-		for _, h := range l.readers {
+		for r, h := range l.readers {
 			sinks++
+			if !Coord(l.wm).covered(h.cursors) {
+				t.Fatalf("%s: the log of %s was trimmed to %v, past reader %d's cursors %v", ctx, l.src.sig(), l.wm, r, h.cursors)
+			}
 			if h.log != l || h.top != l.src || !slices.Contains(g.views, h) {
-				t.Fatalf("%s: sink %q reads the log of %s but is not a sink over it", ctx, h.ns, l.src.sig())
+				t.Fatalf("%s: reader %d reads the log of %s but is not a sink over it", ctx, r, l.src.sig())
 			}
 			if h.from > len(l.deltas) {
-				t.Fatalf("%s: sink %q starts its walk at %d of %d", ctx, h.ns, h.from, len(l.deltas))
+				t.Fatalf("%s: reader %d of %s starts its walk at %d of %d", ctx, r, l.src.sig(), h.from, len(l.deltas))
 			}
 			// Covered up to from, and not at it.
 			for i, d := range l.deltas[:min(h.from+1, len(l.deltas))] {
 				if d.Coord.covered(h.cursors) != (i < h.from) {
-					t.Fatalf("%s: sink %q starts its walk at %d of %d, but its cursors %v cover delta %d at %v: %v",
-						ctx, h.ns, h.from, len(l.deltas), h.cursors, i, d.Coord, i >= h.from)
+					t.Fatalf("%s: reader %d of %s starts its walk at %d of %d, but its cursors %v cover delta %d at %v: %v",
+						ctx, r, l.src.sig(), h.from, len(l.deltas), h.cursors, i, d.Coord, i >= h.from)
 				}
 			}
 		}
@@ -468,22 +469,23 @@ func recordLogs(g *Graph, recs map[*deltaLog]*recorder) {
 }
 
 // checkLogContents holds every delta log against the recording of what
-// its operator emitted: the log is exactly the emitted deltas some reader's
-// checkpointed cursors do not cover — the union of the readers' uncovered
-// deltas — in emission order, each the very row emitted. Checkpointed
-// cursors never move back, so a delta that has left the union never
-// returns to it: the recording keeps only the union.
+// its operator emitted: the log is exactly the emitted deltas its last
+// trim's watermark does not cover — right after a trim, the union of the
+// readers' uncovered deltas — in emission order, each the very row
+// emitted. Cursors never move back, and so neither does the watermark: a
+// delta it has covered stays covered, and the recording keeps only the
+// rest.
 func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*recorder) {
 	t.Helper()
 	for _, l := range g.logs {
 		want := make([]Delta, 0, len(l.deltas))
 		for _, d := range recs[l].all {
-			if slices.ContainsFunc(l.readers, func(h *ViewHandle) bool { return !d.Coord.covered(h.durable) }) {
+			if !d.Coord.covered(l.wm) {
 				want = append(want, d)
 			}
 		}
 		if len(l.deltas) != len(want) {
-			t.Fatalf("%s: the log of %s holds %d deltas, %d emitted ones are above some reader's checkpoint",
+			t.Fatalf("%s: the log of %s holds %d deltas, %d emitted ones are above its last trim's watermark",
 				ctx, l.src.sig(), len(l.deltas), len(want))
 		}
 		for i, d := range l.deltas {
@@ -495,25 +497,8 @@ func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*re
 	}
 }
 
-// trim checkpoints a random subset of the trimmed graph's views (all of
-// them when all is set) and collects below the resulting watermark, the
-// way the broker does at checkpoint cadence.
-func (w *propWorld) trim(rng *rand.Rand, all bool) {
-	w.t.Helper()
-	for _, v := range w.views {
-		h := v.handles[0]
-		if all || v.draws(rng).Intn(3) > 0 {
-			h.Checkpoint()
-			if err := v.wal.TruncateThrough(h.TipLSN()); err != nil {
-				w.t.Fatal(err)
-			}
-		}
-	}
-	w.trimmed.Trim()
-}
-
 // TestTrimRepositionsReaders: one log with eight readers at different
-// places, their checkpointed cursors drawn at random. Trim keeps what the
+// places, their cursors drawn at random. Trim keeps what the
 // rule it replaced kept — for every delta, ask every reader whether it
 // starts there — and moves every reader's from where that rule moved it.
 func TestTrimRepositionsReaders(t *testing.T) {
@@ -529,12 +514,12 @@ func TestTrimRepositionsReaders(t *testing.T) {
 		rng.Shuffle(len(froms), func(i, j int) { froms[i], froms[j] = froms[j], froms[i] })
 		for _, from := range froms {
 			l.readers = append(l.readers, &ViewHandle{from: from,
-				durable: []uint64{uint64(rng.Intn(21)), uint64(rng.Intn(21))}})
+				cursors: []uint64{uint64(rng.Intn(21)), uint64(rng.Intn(21))}})
 		}
 		// The rule trim replaced, over copies.
 		wm := []uint64{math.MaxUint64, math.MaxUint64}
 		for _, h := range l.readers {
-			for i, c := range h.durable {
+			for i, c := range h.cursors {
 				wm[i] = min(wm[i], c)
 			}
 		}
@@ -577,7 +562,7 @@ func TestTrimRepositionsReaders(t *testing.T) {
 // view equals its query re-evaluated over the base tables at its own
 // cursors — on the trimmed graph, on a graph that never trims, and for
 // late subscribers on a graph built fresh when they arrived — and a view
-// recovered from its checkpoint is none the wiser.
+// recovered at its cursors is none the wiser.
 func TestTrimPreservesMeaning(t *testing.T) {
 	schedules := []string{"every", "random", "never"}
 	for seed := int64(1); seed <= 24; seed++ {
@@ -628,10 +613,10 @@ func TestTrimPreservesMeaning(t *testing.T) {
 				w.check(ctx)
 				switch schedule {
 				case "every":
-					w.trim(rng, rng.Intn(2) == 0)
+					w.trimmed.Trim()
 				case "random":
 					if rng.Intn(4) == 0 {
-						w.trim(rng, rng.Intn(2) == 0)
+						w.trimmed.Trim()
 					}
 				}
 				if q, ok := lateAt[step]; ok {
@@ -640,17 +625,11 @@ func TestTrimPreservesMeaning(t *testing.T) {
 				}
 				if rng.Intn(8) == 0 {
 					seeded := slices.DeleteFunc(slices.Clone(w.views), func(v *propView) bool { return v.rng != nil })
-					v := seeded[rng.Intn(len(seeded))]
-					if err := v.handles[0].Recover(); err != nil {
-						t.Fatal(err)
-					}
+					seeded[rng.Intn(len(seeded))].handles[0].Recover()
 					w.check(ctx + " recovered")
 				}
 				if own.Intn(8) == 0 {
-					v := w.views[5+own.Intn(len(summaryQueries))]
-					if err := v.handles[0].Recover(); err != nil {
-						t.Fatal(err)
-					}
+					w.views[5+own.Intn(len(summaryQueries))].handles[0].Recover()
 					w.check(ctx + " summary view recovered")
 				}
 			}
@@ -668,7 +647,7 @@ func TestTrimPreservesMeaning(t *testing.T) {
 				}
 			}
 			w.check("final refresh")
-			w.trim(rng, true)
+			w.trimmed.Trim()
 			w.check("final trim")
 			if st := w.trimmed.Stats(); st.RetainedDeltas != 0 {
 				t.Fatalf("fully covered graph retains %d deltas", st.RetainedDeltas)

@@ -11,17 +11,18 @@ import (
 
 // recoverPair is one view held twice: h on the graph whose sinks crash,
 // twin on a graph fed the same modifications and drains that never
-// crashes, checkpoints or trims.
+// crashes or trims.
 type recoverPair struct {
+	query   string
 	h, twin *ViewHandle
 }
 
-// TestRecoverRebuildsFromGraph: a sink's checkpoint is its cursors, and
-// Recover rebuilds the content from the top operator's present output
+// TestRecoverRebuildsFromGraph: a sink's recovery point is its cursors,
+// and Recover rebuilds the content from the top operator's present output
 // less the logged deltas those cursors do not cover. Sinks crash at
-// random points — after trims, with cursors ahead of their checkpoint
-// and logs holding deltas the checkpoint does not cover — and each
-// recovered view must equal its twin byte for byte, backlog included.
+// random points — after trims, and with logs holding deltas their cursors
+// do not cover — and each recovered view must equal its twin byte for
+// byte, backlog included.
 // The views: every equivalence query; a three-way join, whose outer
 // arrangement holds the inner join's products; a table-free conjunct,
 // which the join above the spine's first pair holds as its residual; a
@@ -29,7 +30,7 @@ type recoverPair struct {
 // readers already share. Two views read their joins through a summary of sales —
 // the first equivalence query and an AVG grouped by station — so a
 // rebuild folds the summaries the join's present output pairs with the
-// stations' rows; the second draws its drains, checkpoints and crashes
+// stations' rows; the second draws its drains and crashes
 // from a generator of its own, so the other sinks keep every seeded
 // event on the step it has without it.
 func TestRecoverRebuildsFromGraph(t *testing.T) {
@@ -39,7 +40,7 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 		"SELECT s.salekey, s.amount FROM sales AS s WHERE s.amount > 6",
 	)
 	const threeWay, tableFree, filterScan = 5, 6, 7
-	lagging := 0
+	uncovered := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 6151))
@@ -51,16 +52,13 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var rp recoverPair
+				rp := recoverPair{query: query}
 				if rp.h, err = crash.Subscribe(p); err != nil {
 					t.Fatal(err)
 				}
 				if rp.twin, err = twin.Subscribe(p); err != nil {
 					t.Fatal(err)
 				}
-				rp.h.AttachWAL(ivm.NewWAL())
-				rp.h.SetNamespace(query)
-				rp.h.Checkpoint()
 				return &rp
 			}
 			var sinks []*recoverPair
@@ -86,30 +84,28 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 			summarized := subscribe(summaryQueries[1])
 			for _, rp := range []*recoverPair{sinks[0], summarized} {
 				if !rp.h.summarized {
-					t.Fatalf("%s does not read its join through a summary", rp.h.ns)
+					t.Fatalf("%s does not read its join through a summary", rp.query)
 				}
 			}
 
 			check := func(ctx string, rp *recoverPair) {
 				t.Helper()
 				if got, want := renderRows(rp.h.Result()), renderRows(rp.twin.Result()); got != want {
-					t.Fatalf("%s: %s\nrecovered: %s\ntwin:      %s", ctx, rp.h.ns, got, want)
+					t.Fatalf("%s: %s\nrecovered: %s\ntwin:      %s", ctx, rp.query, got, want)
 				}
 				if got, want := fmt.Sprint(rp.h.Pending()), fmt.Sprint(rp.twin.Pending()); got != want {
-					t.Fatalf("%s: %s backlog %s, twin %s", ctx, rp.h.ns, got, want)
+					t.Fatalf("%s: %s backlog %s, twin %s", ctx, rp.query, got, want)
 				}
 			}
 			crashAt := func(ctx string, rp *recoverPair) {
 				t.Helper()
 				h := rp.h
-				if !slices.Equal(h.cursors, h.durable) && slices.ContainsFunc(h.log.deltas, func(d Delta) bool {
-					return !d.Coord.covered(h.durable)
+				if slices.ContainsFunc(h.log.deltas, func(d Delta) bool {
+					return !d.Coord.covered(h.cursors) && h.reads(d.Coord)
 				}) {
-					lagging++
+					uncovered++
 				}
-				if err := h.Recover(); err != nil {
-					t.Fatal(err)
-				}
+				h.Recover()
 				check(ctx+" recovered", rp)
 			}
 
@@ -143,12 +139,6 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 							}
 						}
 					}
-					if r.Intn(4) == 0 {
-						rp.h.Checkpoint()
-						if err := rp.h.WAL().TruncateThrough(rp.h.TipLSN()); err != nil {
-							t.Fatal(err)
-						}
-					}
 				}
 				if rng.Intn(2) == 0 {
 					crash.Trim()
@@ -166,7 +156,7 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 				check(ctx, summarized)
 				if step == lateAt {
 					// A third reader of the log sinks[1] and the co-reader
-					// share, holding deltas neither has checkpointed.
+					// share, holding deltas neither has drained.
 					late := subscribe(queries[1])
 					if late.h.log != sinks[1].h.log || len(late.h.log.readers) != 3 {
 						t.Fatalf("late sink reads a log of %d readers, not the one sinks[1] shares", len(late.h.log.readers))
@@ -177,7 +167,7 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 			}
 		})
 	}
-	if lagging == 0 {
-		t.Fatal("no sink crashed with cursors ahead of its checkpoint and uncovered deltas in its log")
+	if uncovered == 0 {
+		t.Fatal("no sink crashed while its log held a delta its cursors do not cover")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"abivm/internal/storage"
 )
 
-// subscribeQuery subscribes one view and takes its first checkpoint.
+// subscribeQuery subscribes one view.
 func subscribeQuery(t *testing.T, g *Graph, query string) *ViewHandle {
 	t.Helper()
 	p, err := ivm.PlanView(query)
@@ -18,17 +18,16 @@ func subscribeQuery(t *testing.T, g *Graph, query string) *ViewHandle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Checkpoint()
 	return h
 }
 
-// TestStuckReaderHoldsBackOnlyItsLog: a view that stops draining and
-// checkpointing holds back the delta log of its own top operator and no
-// other. Its twin over the same join keeps draining, and starts each walk
-// at the log's end — never over the stretch it has covered — while the log
-// keeps every delta since the stuck view's checkpoint; the view over sales
-// alone reads another operator's log, which every trim empties. Once the
-// stuck view drains and checkpoints, the next trim empties its log too.
+// TestStuckReaderHoldsBackOnlyItsLog: a view that stops draining holds
+// back the delta log of its own top operator and no other. Its twin over
+// the same join keeps draining, and starts each walk at the log's end —
+// never over the stretch it has covered — while the log keeps every delta
+// the stuck view's cursors do not cover; the view over sales alone reads
+// another operator's log, which every trim empties. Once the stuck view
+// drains, the next trim empties its log too.
 func TestStuckReaderHoldsBackOnlyItsLog(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -51,7 +50,6 @@ func TestStuckReaderHoldsBackOnlyItsLog(t *testing.T) {
 			if err := h.Refresh(); err != nil {
 				t.Fatal(err)
 			}
-			h.Checkpoint()
 		}
 		held := len(twin.log.deltas)
 		g.Trim()
@@ -59,7 +57,7 @@ func TestStuckReaderHoldsBackOnlyItsLog(t *testing.T) {
 			t.Fatalf("step %d: the stuck view held back another operator's log: %d deltas", step, len(solo.log.deltas))
 		}
 		if len(twin.log.deltas) != held {
-			t.Fatalf("step %d: the trim dropped %d deltas the stuck view has not checkpointed", step, held-len(twin.log.deltas))
+			t.Fatalf("step %d: the trim dropped %d deltas the stuck view has not drained", step, held-len(twin.log.deltas))
 		}
 		if twin.from != len(twin.log.deltas) || stuck.from != 0 {
 			t.Fatalf("step %d: walks start at %d (twin) and %d (stuck) of %d, want the end and the start",
@@ -73,7 +71,6 @@ func TestStuckReaderHoldsBackOnlyItsLog(t *testing.T) {
 	if err := stuck.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	stuck.Checkpoint()
 	g.Trim()
 	if st := g.Stats(); st.RetainedDeltas != 0 || renderRows(stuck.Result()) != renderRows(twin.Result()) {
 		t.Fatalf("the unstuck view left %d deltas, or disagrees with its twin", st.RetainedDeltas)

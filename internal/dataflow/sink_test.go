@@ -27,12 +27,12 @@ func (f *failingSink) AppendRecord(rec ivm.WALRecord) error {
 func (f *failingSink) TruncateRecords(uint64) error { return nil }
 
 // TestRecoverThenCheckpointKeepsPatching runs two handles of one view
-// through the same modifications, drains and checkpoints. One of them
-// crashes and recovers twice, with drains and a checkpoint in between —
-// so the second recovery rebuilds at cursors a recovered sink
-// checkpointed — and suffers one WAL commit that fails and unfolds
-// between two checkpoints; the other is never disturbed. They must agree
-// throughout.
+// through the same modifications and drains, with the trim a broker runs
+// at its checkpoint cadence in between. One of them crashes and recovers
+// twice, with drains and a trim in between — so the second recovery
+// rebuilds at cursors a recovered sink advanced, from a log a trim cut —
+// and suffers one WAL commit that fails and unfolds; the other is never
+// disturbed. They must agree throughout.
 func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 	for qi, query := range equivalenceQueries {
 		t.Run(fmt.Sprintf("view%d", qi), func(t *testing.T) {
@@ -44,25 +44,14 @@ func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 			}
 			sink := &failingSink{}
 			var hs [2]*ViewHandle // 0 crashes, 1 is the control
-			var wals [2]*ivm.WAL
 			for i := range hs {
 				if hs[i], err = g.Subscribe(p); err != nil {
 					t.Fatal(err)
 				}
-				wals[i] = ivm.NewWAL()
-				hs[i].AttachWAL(wals[i])
-				hs[i].SetNamespace(fmt.Sprintf("test/%d", i))
 			}
-			wals[0].SetSink(sink)
-			checkpoint := func() {
-				t.Helper()
-				for i, h := range hs {
-					h.Checkpoint()
-					if err := wals[i].TruncateThrough(h.TipLSN()); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			wal := ivm.NewWAL()
+			wal.SetSink(sink)
+			hs[0].AttachWAL(wal)
 			check := func(ctx string) {
 				t.Helper()
 				if got, want := renderRows(hs[0].Result()), renderRows(hs[1].Result()); got != want {
@@ -116,32 +105,26 @@ func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 			}
 			crash := func(ctx string) {
 				t.Helper()
-				if err := hs[0].Recover(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
+				hs[0].Recover()
 				check(ctx)
 			}
 
-			checkpoint()
 			steps("first interval", 10, false)
-			checkpoint()
-			// The refused drain record stays in the in-memory log; the
-			// checkpoint that closes this interval truncates it away before
-			// any replay could see it.
+			g.Trim()
 			steps("interval with a failed commit", 10, true)
 			if !unfolded {
 				t.Fatal("no drain was due in the interval that should fail one")
 			}
-			checkpoint()
+			g.Trim()
 			steps("before the first crash", 6, false)
 			crash("first recovery")
 			steps("between the crashes", 10, false)
-			checkpoint()
+			g.Trim()
 			steps("before the second crash", 6, false)
 			crash("second recovery")
 			steps("after the second crash", 6, false)
-			checkpoint()
-			crash("recovery with nothing to replay")
+			g.Trim()
+			crash("recovery after a trim")
 		})
 	}
 }
@@ -170,7 +153,7 @@ func updateSale(key int64, rowsPerStation int, amount float64) ivm.Mod {
 // sales updates into existing groups allocates the same — nothing for the
 // log, nothing per covered delta — whether the sink's delta log holds 16
 // or 1,024 deltas the drain does not cover, and however many earlier
-// drains' deltas still wait in it for a checkpoint and a trim.
+// drains' deltas still wait in it for a trim.
 func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, batch, rounds = 8, 8, 4
@@ -203,15 +186,13 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 			})
 		}
 		// A drain moves nothing: the deltas it folded (old and new row of
-		// each update) wait where they arrived until a trim finds a
-		// checkpoint covering them.
+		// each update) wait where they arrived until a trim.
 		if want := pending + rounds*2*batch; len(h.log.deltas) != want {
 			t.Fatalf("log holds %d deltas after %d drains, want the backlog and the folded ones, %d", len(h.log.deltas), rounds, want)
 		}
-		h.Checkpoint()
 		g.Trim()
 		if len(h.log.deltas) != pending {
-			t.Fatalf("checkpoint and trim left %d deltas, want the uncovered backlog of %d", len(h.log.deltas), pending)
+			t.Fatalf("trim left %d deltas, want the uncovered backlog of %d", len(h.log.deltas), pending)
 		}
 		return allocs, pending
 	}
@@ -252,7 +233,7 @@ func TestIngestAllocsIndependentOfViews(t *testing.T) {
 			t.Fatalf("%d views built %+v, want them all on one join", views, st)
 		}
 		// Steady state: the log has held two deltas before and is emptied,
-		// capacity kept, by the checkpoints and the trim that end a round.
+		// capacity kept, by the drains and the trim that end a round.
 		for round := 0; round < 4; round++ {
 			mod := updateSale(7, rowsPerStation, float64(10+round))
 			allocs = mallocsOf(func() {
@@ -314,9 +295,9 @@ func TestAggregateDrainAllocsNothing(t *testing.T) {
 // the SPJ rows, though the sink folds each covered delta rather than net
 // weights. Refused by its WAL append first, the same drain leaves the
 // content exactly as it was too, and so does a recovery after either —
-// rebuilt from the graph, which took back the cancelling deltas the
-// checkpointed cursors do not cover: the amounts include 1e300 and 0.1,
-// so only an exact sum comes back bit for bit.
+// rebuilt from the graph, which takes back the cancelling deltas the
+// cursors do not cover, if any: the amounts include 1e300 and 0.1, so only
+// an exact sum comes back bit for bit.
 func TestCancellingDrainLeavesNothing(t *testing.T) {
 	for _, query := range []string{
 		"SELECT s.salekey, s.amount, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey",
@@ -337,7 +318,6 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 		wal := ivm.NewWAL()
 		wal.SetSink(sink)
 		h.AttachWAL(wal)
-		h.Checkpoint()
 		content := renderRows(h.Result())
 		sale := func(key, station int64, amount float64) storage.Row {
 			return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
@@ -363,10 +343,7 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 			if got := renderRows(h.Result()); got != content {
 				t.Fatalf("%s: %s\ncontent %s\nwant    %s", query, ctx, got, content)
 			}
-			h.Checkpoint()
-			if err := h.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			h.Recover()
 			if got := renderRows(h.Result()); got != content {
 				t.Fatalf("%s: %s, then recovered\ncontent %s\nwant    %s", query, ctx, got, content)
 			}
@@ -382,76 +359,25 @@ func TestCancellingDrainLeavesNothing(t *testing.T) {
 		unchanged("a cancelling drain changed the view")
 		g.Trim()
 		if len(h.log.deltas) != 0 || fmt.Sprint(h.Pending()) != fmt.Sprint(make([]int, len(h.Aliases()))) {
-			t.Fatalf("%s: %d deltas and a backlog of %v left after a checkpoint covering everything", query, len(h.log.deltas), h.Pending())
-		}
-	}
-}
-
-// TestCheckpointAllocsIndependentOfViewSize: a checkpoint after the same
-// eight rows changed allocates nothing over a view of 200 sales or one of
-// 5,000 — an SPJ view, where eight entries vanished and eight appeared,
-// and an aggregate view, where the one group they belong to changed. It
-// records cursors and a WAL position, never content.
-func TestCheckpointAllocsIndependentOfViewSize(t *testing.T) {
-	testenv.NeedsAllocCounts(t)
-	const rowsPerStation, batch = 20, 8
-	checkpointAllocs := func(query string, nSales, salesPerRow int) (allocs uint64) {
-		g := NewGraph(sizedDB(t, nSales, rowsPerStation))
-		p, err := ivm.PlanView(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := g.Subscribe(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(h.Result()); n != nSales/salesPerRow {
-			t.Fatalf("view holds %d rows, want %d", n, nSales/salesPerRow)
-		}
-		for round := 0; round < 4; round++ {
-			for key := int64(0); key < batch; key++ {
-				if err := g.Ingest("sales", updateSale(key, rowsPerStation, float64(100+round))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := h.Refresh(); err != nil {
-				t.Fatal(err)
-			}
-			allocs = mallocsOf(func() {
-				h.Checkpoint()
-			})
-		}
-		return allocs
-	}
-	for _, c := range []struct {
-		query       string
-		salesPerRow int
-	}{
-		{"SELECT s.salekey, s.amount FROM sales AS s", 1},
-		{"SELECT s.station, SUM(s.amount), COUNT(*) FROM sales AS s GROUP BY s.station", rowsPerStation},
-	} {
-		small, large := checkpointAllocs(c.query, 200, c.salesPerRow), checkpointAllocs(c.query, 5_000, c.salesPerRow)
-		if small != 0 || large != 0 {
-			t.Fatalf("%s: checkpoint allocated %d times over 200 rows, %d over 5,000; want 0", c.query, small, large)
+			t.Fatalf("%s: %d deltas and a backlog of %v left after a trim at full coverage", query, len(h.log.deltas), h.Pending())
 		}
 	}
 }
 
 // TestSinkBuffersEachDeltaOnce holds every delta log, at every step of a
-// run with lagging drains, staggered checkpoints, trims and a recovery,
-// against an independent recording of what its operator emitted. The
-// first query is subscribed twice: its two sinks read one log, which
-// holds each delta once. After each trim a log is exactly the emitted
-// deltas some reader's checkpointed cursors do not cover, in emission
-// order — drains and recoveries move nothing — and RetainedDeltas is the
-// sum of the logs because no other copy exists.
+// run with lagging drains, trims and a recovery, against an independent
+// recording of what its operator emitted. The first query is subscribed
+// twice: its two sinks read one log, which holds each delta once. After
+// each trim a log is exactly the emitted deltas some reader's cursors do
+// not cover, in emission order — drains and recoveries move nothing — and
+// RetainedDeltas is the sum of the logs because no other copy exists.
 func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
 	queries := append([]string{equivalenceQueries[0]}, equivalenceQueries...)
 	var sinks []*ViewHandle
 	recs := map[*deltaLog]*recorder{}
-	for i, q := range queries {
+	for _, q := range queries {
 		p, err := ivm.PlanView(q)
 		if err != nil {
 			t.Fatal(err)
@@ -460,9 +386,6 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.AttachWAL(ivm.NewWAL())
-		h.SetNamespace(fmt.Sprintf("once/%d", i))
-		h.Checkpoint()
 		recordLogs(g, recs)
 		sinks = append(sinks, h)
 	}
@@ -503,25 +426,15 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 			}
 		}
 		check(ctx)
-		for _, h := range sinks {
-			if rng.Intn(6) > 0 {
-				continue
-			}
-			h.Checkpoint()
-			if err := h.WAL().TruncateThrough(h.TipLSN()); err != nil {
-				t.Fatal(err)
-			}
-		}
 		g.Trim()
-		check(ctx + " checkpointed and trimmed")
+		check(ctx + " trimmed")
 		if step%9 == 8 {
-			h := sinks[rng.Intn(len(sinks))]
+			i := rng.Intn(len(sinks))
+			h := sinks[i]
 			content, backlog := renderRows(h.Result()), fmt.Sprint(h.Pending())
-			if err := h.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			h.Recover()
 			if renderRows(h.Result()) != content || fmt.Sprint(h.Pending()) != backlog {
-				t.Fatalf("%s: sink %s recovered to a different state", ctx, h.ns)
+				t.Fatalf("%s: sink %d recovered to a different state", ctx, i)
 			}
 			check(ctx + " recovered")
 		}

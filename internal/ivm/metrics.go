@@ -29,10 +29,10 @@ type Metrics struct {
 	// drains — the runtime's integral of the paper's batch sizes k.
 	DrainedMods *obs.Counter
 
-	// WALAppends counts redo-log appends — drain commits, and on the
-	// per-view engine arrivals too (the shared graph records an arrival in
-	// its ingest log, not in any view's redo log); the in-memory WAL has no
-	// separate fsync, so an append is also the durability point.
+	// WALAppends counts redo-log appends — arrivals and drain commits (a
+	// view on the shared graph keeps no redo log: the graph's ingest log
+	// records its arrivals and its cursors its drains); the in-memory WAL
+	// has no separate fsync, so an append is also the durability point.
 	WALAppends     *obs.Counter
 	WALTruncations *obs.Counter
 
@@ -147,12 +147,6 @@ func (ms *Metrics) ObserveRecoveryFallback() {
 // share one set of series.
 func (ms *Metrics) ObserveDrain(elapsed time.Duration, k int, err error) {
 	ms.observeDrain(elapsed, k, err)
-}
-
-// ObserveCheckpoint records one successful full checkpoint taken by an
-// external view runtime.
-func (ms *Metrics) ObserveCheckpoint(elapsed time.Duration, bytes int) {
-	ms.observeCheckpoint(segmentBase, elapsed, bytes)
 }
 
 // ObserveRecovery records one successful recovery by an external view

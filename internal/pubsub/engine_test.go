@@ -21,14 +21,15 @@ type engineUnderTest struct {
 
 // engineImpls builds each implementation of the contract over a fresh
 // database: the classic engine on both durability tiers, and the shared
-// engine. logsArrivals says where the engine keeps an accepted arrival:
-// in its own redo log (classic — a recovery replays it into the queue) or
-// nowhere of its own (shared — the graph's ingest log has it, and outlives
-// the engine's crash).
+// engine. redoLog says whether the engine keeps a redo log of its own:
+// the classic engine logs every accepted arrival and every drain, which a
+// recovery replays; the shared engine logs nothing — the graph's ingest
+// log has every arrival and outlives the engine's crash, and the sink's
+// cursors record its drains.
 var engineImpls = []struct {
-	name         string
-	logsArrivals bool
-	build        func(t *testing.T) engineUnderTest
+	name    string
+	redoLog bool
+	build   func(t *testing.T) engineUnderTest
 }{
 	{"classic", true, func(t *testing.T) engineUnderTest { return buildClassic(t, nil) }},
 	{"classic-disk", true, func(t *testing.T) engineUnderTest { return buildClassic(t, durable.MemOpener()) }},
@@ -39,7 +40,7 @@ var engineImpls = []struct {
 			t.Fatal(err)
 		}
 		g := dataflow.NewGraph(db)
-		e, err := newSharedEngine(g, p, "east")
+		e, err := newSharedEngine(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +119,13 @@ func TestViewEngineContract(t *testing.T) {
 			}
 			initial := rowsText(e.Result())
 			// WALLen is what a recovery would replay since the last
-			// checkpoint: every drain, and the arrivals an engine logs itself.
+			// checkpoint: every arrival and drain, if the engine keeps a
+			// redo log.
 			checkWAL := func(ctx string, arrivals, drains int) {
 				t.Helper()
-				want := drains
-				if impl.logsArrivals {
-					want += arrivals
+				want := 0
+				if impl.redoLog {
+					want = arrivals + drains
 				}
 				if e.WALLen() != want {
 					t.Fatalf("WALLen = %d after %s, want %d", e.WALLen(), ctx, want)

@@ -190,7 +190,8 @@ func (b *Broker) SetInjector(inj fault.Injector) {
 
 // SetCheckpointEvery sets the checkpoint cadence in steps; n <= 0
 // disables periodic checkpoints (the Subscribe-time checkpoint remains
-// the recovery point, with the whole WAL replayed on recovery).
+// the recovery point, with the whole WAL replayed on recovery) and with
+// them the shared graph's trims.
 func (b *Broker) SetCheckpointEvery(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -259,10 +260,10 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	if b.ns != "" {
 		ns = b.ns + "/" + cfg.Name
 	}
-	// The engine is born with its recovery baseline: initial content, redo
-	// log, namespace-stamped first checkpoint — so a crash at any later
-	// point has a recovery point whose ownership is verifiable. The
-	// injector is attached only afterwards.
+	// The engine is born with its recovery baseline — a classic engine's
+	// initial content, redo log and namespace-stamped first checkpoint, a
+	// shared sink's cursors — so a crash at any later point has a recovery
+	// point. The injector is attached only afterwards.
 	eng, err := b.newEngine(p, cfg.Query, ns)
 	if err != nil {
 		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
@@ -308,7 +309,7 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 	if b.opener != nil {
 		return nil, errSharedStore
 	}
-	return newSharedEngine(b.shared, p, ns)
+	return newSharedEngine(b.shared, p)
 }
 
 // tableRoute is what a publish to one base table reaches: the table's
@@ -598,9 +599,9 @@ func (b *Broker) checkpointDue() error {
 			return fmt.Errorf("pubsub: %s: %w", s.cfg.Name, err)
 		}
 	}
-	// With every shared subscription's durable cursor advanced, join state
-	// below the cross-view watermark can never be read at its own
-	// coordinates again — consolidate it.
+	// Join state below the cross-view watermark of the shared sinks'
+	// cursors can never be read at its own coordinates again — consolidate
+	// it, at the checkpoint cadence.
 	if b.shared != nil {
 		b.shared.Trim()
 	}

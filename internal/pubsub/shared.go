@@ -10,55 +10,41 @@ import (
 )
 
 // sharedEngine is the shared-dataflow engine: the view's sink on the
-// broker's operator graph plus its redo log. The graph holds the
-// modifications — its ingest logs are the one record of every arrival —
-// and does the join work once for all views, its operators logging the
-// deltas they emit; the sink holds the per-view cursors and the folded
-// content, and checkpoints its cursors alone in memory. The redo log
-// holds what a recovery replays: drains. The graph itself is not part of
-// a view's recovery point — it survives a per-view crash the way the live
-// database does — and a recovery rebuilds the content at the
-// checkpointed cursors from it.
+// broker's operator graph. The graph holds the modifications — its ingest
+// logs are the one record of every arrival — and does the join work once
+// for all views, its operators logging the deltas they emit; the sink
+// holds the per-view cursors and the folded content. The cursors are the
+// recovery point: they fix the content, so there is no redo log and
+// nothing to checkpoint. The graph itself is not part of a view's
+// recovery point — it survives a per-view crash the way the live database
+// does — and a recovery rebuilds the content at the cursors from it.
 type sharedEngine struct {
 	*dataflow.ViewHandle
 }
 
 // newSharedEngine compiles the view into g (hash-consing against every
-// operator already there), attaches its sink and redo log, and takes the
-// initial checkpoint.
-func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan, ns string) (*sharedEngine, error) {
+// operator already there) and attaches its sink.
+func newSharedEngine(g *dataflow.Graph, p *ivm.DeltaPlan) (*sharedEngine, error) {
 	h, err := g.Subscribe(p)
 	if err != nil {
 		return nil, err
 	}
-	h.AttachWAL(ivm.NewWAL())
-	h.SetNamespace(ns)
-	h.Checkpoint()
 	return &sharedEngine{ViewHandle: h}, nil
 }
 
-func (e *sharedEngine) Checkpoint() error {
-	e.ViewHandle.Checkpoint()
-	if err := e.WAL().TruncateThrough(e.TipLSN()); err != nil {
-		return fmt.Errorf("wal truncation: %w", err)
-	}
-	return nil
-}
+// Checkpoint has nothing to record: the cursors already are the recovery
+// point.
+func (e *sharedEngine) Checkpoint() error { return nil }
 
-// Recover rebuilds the sink's content at its checkpointed cursors from
-// the graph, then replays the WAL's drains; the deltas they fold are
-// still in the top operator's delta log, which keeps every delta a
-// reader's checkpoint does not cover, so the redo is always exact.
-func (e *sharedEngine) Recover() (bool, error) { return false, e.ViewHandle.Recover() }
+// Recover rebuilds the sink's content at its cursors from the graph.
+func (e *sharedEngine) Recover() (bool, error) {
+	e.ViewHandle.Recover()
+	return false, nil
+}
 
 func (e *sharedEngine) Sync() error                 { return nil }
-func (e *sharedEngine) WALLen() int                 { return e.WAL().Len() }
+func (e *sharedEngine) WALLen() int                 { return 0 }
 func (e *sharedEngine) DurableStats() durable.Stats { return durable.Stats{} }
-
-func (e *sharedEngine) SetMetrics(ms *ivm.Metrics) {
-	e.ViewHandle.SetMetrics(ms)
-	e.WAL().SetMetrics(ms)
-}
 
 // errSharedStore refuses the one engine × tier pair that does not
 // exist: the shared graph has no per-operator disk checkpoint.

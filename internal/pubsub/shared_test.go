@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"abivm/internal/dataflow"
 	"abivm/internal/durable"
 	"abivm/internal/exec"
 	"abivm/internal/fault"
@@ -329,10 +330,10 @@ func TestSharedStateGauges(t *testing.T) {
 }
 
 // TestSharedArrivalWritesNoRecord: the graph's ingest log is the one
-// record of an arrival. Publishing to 24 shared views appends nothing to
-// any of their redo logs — no view keeps its own copy of the Mod — while
-// every view's state vector counts the arrival; what the logs do get is
-// one record per committed drain.
+// record of an arrival, and a shared view's cursors the one record of its
+// drains. Publishing to 24 shared views appends no redo-log record — no
+// view keeps its own copy of the Mod — while every view's state vector
+// counts the arrival, and the drains that follow append none either.
 func TestSharedArrivalWritesNoRecord(t *testing.T) {
 	db, err := chaosDB()
 	if err != nil {
@@ -374,11 +375,6 @@ func TestSharedArrivalWritesNoRecord(t *testing.T) {
 			t.Fatalf("%s counts %v pending of %d published", name, h.Pending, published)
 		}
 	}
-	for _, s := range b.subs {
-		if n := s.eng.(*sharedEngine).WAL().Len(); n != 0 {
-			t.Fatalf("%s retains %d records", s.cfg.Name, n)
-		}
-	}
 	// Step 5 fires every view's condition (Every(5)): each refreshes.
 	for step := 0; step <= 5; step++ {
 		if _, err := b.EndStep(); err != nil {
@@ -386,7 +382,7 @@ func TestSharedArrivalWritesNoRecord(t *testing.T) {
 		}
 	}
 	drains := counter("ivm_drains_total") - counter("ivm_drain_failures_total")
-	if got := counter("ivm_wal_appends_total"); got != drains || drains < views {
+	if got := counter("ivm_wal_appends_total"); got != 0 || drains < views {
 		t.Fatalf("redo logs took %v appends for %v committed drains over %d views", got, drains, views)
 	}
 }
@@ -406,23 +402,58 @@ func (c *crashOnce) Hit(site fault.Site) error {
 	return &fault.Error{Site: site, Kind: fault.KindCrash, Seq: 1}
 }
 
+// uncoveredProbe is an injector that never fires. At each poll of the
+// crash site — the top of a subscription's turn, polled once per
+// subscription in order — it counts the turns whose view differs from its
+// query over the live tables: there the sink's log holds a delta its
+// cursors do not cover, which a recovery must take back.
+type uncoveredProbe struct {
+	t         *testing.T
+	b         *Broker
+	polls     int
+	uncovered int
+}
+
+func (p *uncoveredProbe) Hit(site fault.Site) error {
+	if site != fault.SiteCrash {
+		return nil
+	}
+	s := p.b.subs[p.polls%len(p.b.subs)]
+	p.polls++
+	plan, err := ivm.PlanView(s.cfg.Query)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	h, err := dataflow.NewGraph(p.b.db).Subscribe(plan)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if renderRows(h.Result()) != renderRows(s.eng.Result()) {
+		p.uncovered++
+	}
+	return nil
+}
+
 // TestSharedCrashAtEveryStep crashes one shared sink at every
 // (step, subscription) turn of a scripted run in turn — before its first
-// drain, between a drain and the next checkpoint, right after a
-// checkpoint — under a 3-step checkpoint cadence and with periodic
-// checkpoints off, where every recovery replays all drains since
-// subscribe over an inbox nothing has trimmed. Each run's transcript —
-// notifications, and every view's content, state vector and redo-log
-// length after every step — must equal the crash-free run's byte for
-// byte.
+// drain, between drains, right after a trim — under a 3-step checkpoint
+// cadence, which trims the graph, and with periodic checkpoints off,
+// where nothing trims it. Each run's transcript — notifications, and
+// every view's content, state vector and redo-log length after every step
+// — must equal the crash-free run's byte for byte. At some turns the
+// sink's log holds a delta its cursors do not cover, so a recovery there
+// must take it back.
 func TestSharedCrashAtEveryStep(t *testing.T) {
 	const steps, views = 16, 4
 	script := chaosScript(5, steps, DefaultWorkloadSpec())
-	run := func(cpEvery int, inj fault.Injector) (transcript string, walSeen bool) {
+	run := func(cpEvery int, inj fault.Injector) string {
 		t.Helper()
 		cfg := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true,
 			Subscribe: func(_ *storage.DB, rt Runtime) error {
 				subscribeSharedViews(t, rt.(*Broker), views)
+				if p, ok := inj.(*uncoveredProbe); ok {
+					p.b = rt.(*Broker)
+				}
 				return nil
 			}}
 		if inj != nil {
@@ -457,20 +488,23 @@ func TestSharedCrashAtEveryStep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				walSeen = walSeen || h.WALRecords > 0
 				fmt.Fprintf(&out, "step=%d %s pending=%v wal=%d rows=%s\n", step, name, h.Pending, h.WALRecords, renderRows(rows))
 			}
 		}
-		return out.String(), walSeen
+		return out.String()
 	}
 	for _, cpEvery := range []int{3, 0} {
-		want, walSeen := run(cpEvery, nil)
-		if !walSeen {
-			t.Fatalf("cpEvery=%d: no step ended with a logged drain ahead of the checkpoint — no crash would replay anything", cpEvery)
+		want := run(cpEvery, nil)
+		probe := &uncoveredProbe{t: t}
+		if got := run(cpEvery, probe); got != want || probe.polls != steps*views {
+			t.Fatalf("cpEvery=%d: probing changed the run, or polled %d times", cpEvery, probe.polls)
+		}
+		if probe.uncovered == 0 {
+			t.Fatalf("cpEvery=%d: no turn began with a delta in a sink's log its cursors do not cover — no recovery would take one back", cpEvery)
 		}
 		for n := 0; n < steps*views; n++ {
 			inj := &crashOnce{n: n}
-			got, _ := run(cpEvery, inj)
+			got := run(cpEvery, inj)
 			if inj.polls != steps*views {
 				t.Fatalf("cpEvery=%d: crash site polled %d times, want %d", cpEvery, inj.polls, steps*views)
 			}

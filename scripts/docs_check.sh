@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation drift gate: the repo map in ARCHITECTURE.md must track
 # the package tree, and the metric catalogue the registered series.
-# Five directions:
+# Six directions:
 #
 #   1. Every internal/<pkg> and cmd/<binary> mentioned in
 #      ARCHITECTURE.md or README.md must exist — a doc referencing a
@@ -27,6 +27,11 @@
 #      saying what held "until PR", "before PR", "since PR", "through
 #      PR" or "after PR" (any case) fails — the history is git's and
 #      CHANGES.md's.
+#   6. A backticked `T.m` or `pkg.T.m` in DESIGN.md, ARCHITECTURE.md,
+#      OPERATIONS.md, README.md or EXPERIMENTS.md whose T is a type
+#      declared in non-test Go must name a method, a field or an
+#      interface method of T — a doc citing a deleted or renamed member
+#      fails the check. A file name (`node.go`) is not a citation.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -133,8 +138,56 @@ if grep -niE '\b(until|before|since|through|after) PRs?\b' DESIGN.md EXPERIMENTS
 	fail=1
 fi
 
+# Direction 6: cited members must exist. members lists every type
+# declared in non-test Go as `T`, and each of its methods, struct fields
+# (an embedded one under its type's name) and interface methods as `T.m`,
+# over every package that declares a T.
+members=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
+	! -path './.bench_build/*' ! -path '*/testdata/*' -exec awk '
+	/^type [A-Za-z_][A-Za-z0-9_]* / {
+		t = $2; print t
+		body = ($3 == "struct" || $3 == "interface") && $4 == "{"
+		next
+	}
+	body && /^}/ { body = 0; next }
+	body && /^\t[A-Za-z_*]/ {
+		line = $0; sub(/^\t/, "", line); sub(/\/\/.*/, "", line)
+		if (match(line, /^[A-Za-z_][A-Za-z0-9_]*\(/)) {
+			print t "." substr(line, 1, RLENGTH - 1); next
+		}
+		if (line ~ /^\*?[A-Za-z_][A-Za-z0-9_.]*[ \t]*$/) {
+			sub(/^\*/, "", line); sub(/[ \t]*$/, "", line); sub(/.*\./, "", line)
+			print t "." line; next
+		}
+		n = split(line, names, /,[ \t]*/)
+		for (i = 1; i < n; i++) print t "." names[i]
+		sub(/[ \t].*/, "", names[n]); print t "." names[n]
+		next
+	}
+	/^func \(/ {
+		recv = $0; sub(/^func \([^)]*[ *]/, "", recv)
+		if (recv ~ /^func \(/) { recv = $0; sub(/^func \(\*?/, "", recv) }
+		name = recv; sub(/[[)].*/, "", recv)
+		sub(/^[^)]*\) /, "", name); sub(/[[(].*/, "", name)
+		print recv "." name
+	}' {} + | sort -u)
+for doc in DESIGN.md ARCHITECTURE.md OPERATIONS.md README.md EXPERIMENTS.md; do
+	[ -f "$doc" ] || continue
+	for ref in $(grep -oE '`([a-z][a-z0-9]*\.)?[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*`' "$doc" | tr -d '`' | grep -v '\.go$' | sort -u); do
+		set -- $(printf '%s\n' "$ref" | tr '.' ' ')
+		if [ $# -eq 3 ] && printf '%s\n' "$members" | grep -qx "$2"; then
+			shift
+		fi
+		printf '%s\n' "$members" | grep -qx "$1" || continue
+		if ! printf '%s\n' "$members" | grep -qx "$1\.$2"; then
+			echo "docs-check: $doc cites $ref, but $1 has no method or field $2"
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests and benchmarks that exist"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests, benchmarks and members that exist"
 	exit 1
 fi
 echo "docs-check: OK"
