@@ -38,23 +38,27 @@ verify:
 results-check:
 	$(GO) run ./cmd/abivm all | diff - RESULTS.txt
 
-# examples-check gates the library facade's numbers the same way: both
-# examples are deterministic, so each must print its committed
-# expected.txt byte for byte. A change that means to move them
-# regenerates it with `go run ./examples/<name> > examples/<name>/expected.txt`.
-# It also diffs the example catalog's compiled plans, shared-dataflow
+# examples-check gates the library facade's numbers the same way: every
+# example is deterministic, so each must print its committed
+# expected.txt byte for byte — sqlshell reading its committed
+# input.txt on stdin. A change that means to move them regenerates it
+# with `go run ./examples/<name> > examples/<name>/expected.txt`
+# (`< examples/sqlshell/input.txt` for sqlshell). It also diffs the example catalog's compiled plans, shared-dataflow
 # operators and arrangements included, so a change of plan shape shows
 # as a reviewable diff; regenerate with
 # `go run ./cmd/abivm compile -dataflow -catalog examples/views.sql > examples/views.dataflow.txt`.
 examples-check:
 	$(GO) run ./examples/quickstart | diff - examples/quickstart/expected.txt
 	$(GO) run ./examples/warehouse | diff - examples/warehouse/expected.txt
+	$(GO) run ./examples/pubsub | diff - examples/pubsub/expected.txt
+	$(GO) run ./examples/sqlshell < examples/sqlshell/input.txt | diff - examples/sqlshell/expected.txt
 	$(GO) run ./cmd/abivm compile -dataflow -catalog examples/views.sql | diff - examples/views.dataflow.txt
 
 # chaos-check gates the seeded fault-injection sweep the same way:
 # TestChaosTranscripts runs the three `abivm chaos -seed 1` sweeps
 # (-runs 50, -runs 50 -checkpoint 0, -runs 10 -shards 2), each seed
-# through every recovery variant, and diffs them against their
+# through every recovery variant of its broker (the sharded sweep has no
+# shared-graph variants: the sharded broker hosts no graph), and diffs them against their
 # transcripts under cmd/abivm/testdata/chaos byte for byte, fault counts
 # included. A change that means to move a fault schedule regenerates
 # one with `go run ./cmd/abivm chaos -seed 1 <flags> > <file>`.

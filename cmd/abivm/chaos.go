@@ -16,9 +16,10 @@ import (
 // harness for a range of seeds and reports, per seed, how many faults
 // fired, how many notifications degraded, which recovery variants were
 // compared (every variant runs on every seed: full checkpoints,
-// incremental chains, shared and disk ones), and whether every faulted
-// variant stayed byte-identical to the fault-free baseline. Any
-// divergence is a fault-handling bug and makes the command exit nonzero.
+// incremental chains, shared ones on the serial broker, and disk ones),
+// and whether every faulted variant stayed byte-identical to the
+// fault-free baseline. Any divergence is a fault-handling bug and makes
+// the command exit nonzero.
 //
 //	abivm chaos -seed 1 -runs 50 -steps 60
 //	abivm chaos -seed 1 -runs 5 -shards 4

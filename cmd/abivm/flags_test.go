@@ -7,9 +7,9 @@ import (
 )
 
 // TestServeRejectsBadFlags: `abivm serve` refuses a step interval that
-// is not positive and negative counts with an error naming the flag,
-// before it builds a workload or listens: no ticker panic, no silent
-// default.
+// is not positive, negative counts, and the shared graph beside a disk
+// tier or a sharded broker with an error naming the flags, before it
+// builds a workload or listens: no ticker panic, no silent default.
 func TestServeRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -21,6 +21,8 @@ func TestServeRejectsBadFlags(t *testing.T) {
 		{[]string{"-tracebuf", "-1"}, "-tracebuf -1"},
 		{[]string{"-tracebuf", "0"}, "-tracebuf 0"},
 		{[]string{"-shards", "-1"}, "-shards -1"},
+		{[]string{"-shared", "-data-dir", "unused"}, "-shared has no disk durability"},
+		{[]string{"-shards", "2", "-shared"}, "-shared with -shards 2"},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0", "-steps", "1", "-interval", "1ms"}, tc.args...)
 		err := runServe(context.Background(), args)

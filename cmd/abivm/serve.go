@@ -31,7 +31,7 @@ import (
 //	abivm serve -addr 127.0.0.1:8080 -seed 1 -interval 50ms -faults
 //	abivm serve -shared -faults
 //	abivm serve -shards 4 -faults
-//	abivm serve -shards 2 -shared -catalog examples/views.sql
+//	abivm serve -shared -catalog examples/views.sql
 //	abivm serve -data-dir /var/lib/abivm -faults
 //	abivm serve -catalog examples/views.sql
 func runServe(ctx context.Context, args []string) error {
@@ -46,7 +46,7 @@ func runServe(ctx context.Context, args []string) error {
 	shards := fs.Int("shards", 0, "run the sharded broker runtime with this many shards over a 2*shards-region workload (0 = serial broker)")
 	dataDir := fs.String("data-dir", "", "persist each subscription's WAL and checkpoints under this directory (empty = in-memory durability)")
 	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in per-region aggregates")
-	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph (per shard) instead of per-view maintainers (in-memory durability only)")
+	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (serial broker, in-memory durability only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,6 +61,8 @@ func runServe(ctx context.Context, args []string) error {
 		return fmt.Errorf("serve: -shards %d: want a shard count, or 0 for the serial broker", *shards)
 	case *shared && *dataDir != "":
 		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
+	case *shared && *shards > 0:
+		return fmt.Errorf("serve: -shared with -shards %d: the shared graph runs on the serial broker only; drop one", *shards)
 	}
 	// The sharded runtime widens the workload to 2*shards regions so the
 	// placement rule has subscriptions to spread.

@@ -7,9 +7,11 @@
 //
 //	go run ./examples/sqlshell                 # interactive
 //	echo "SELECT COUNT(*) FROM partsupp" | go run ./examples/sqlshell
+//	go run ./examples/sqlshell < examples/sqlshell/input.txt
 //
 // Commands: any SELECT query; `explain <query>` prints the physical
-// plan; `tables` lists the catalog; `quit` exits.
+// plan; `tables` lists the catalog; `quit` (or `exit`) exits. A command
+// may end in `;`.
 package main
 
 import (
@@ -45,12 +47,14 @@ func main() {
 			return
 		}
 		line := strings.TrimSpace(scanner.Text())
+		// A command may end in one `;`, as the banner spells it.
+		cmd := strings.TrimSpace(strings.TrimSuffix(line, ";"))
 		switch {
 		case line == "":
 			continue
-		case strings.EqualFold(line, "quit"), strings.EqualFold(line, "exit"):
+		case strings.EqualFold(cmd, "quit"), strings.EqualFold(cmd, "exit"):
 			return
-		case strings.EqualFold(line, "tables"):
+		case strings.EqualFold(cmd, "tables"):
 			for _, name := range db.TableNames() {
 				tbl := db.MustTable(name)
 				cols := make([]string, len(tbl.Schema().Columns))

@@ -60,7 +60,7 @@ func TestArenaWindowsAreDisjoint(t *testing.T) {
 			gen := newPropGen(7)
 			for step := 0; step < 40; step++ {
 				for _, tm := range gen.step() {
-					if !g.Watches(tm.table) {
+					if g.scans[tm.table] == nil {
 						continue
 					}
 					applyLive(t, db, tm.table, tm.mod)
@@ -166,10 +166,8 @@ func TestArenaChunksFreedAfterStall(t *testing.T) {
 		t.Helper()
 		updateRound(t, g, 8, rowsPerStation, &next)
 		st := next % stations
-		if err := g.Ingest("stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(int64(st))},
-			Row: storage.Row{storage.I(int64(st)), storage.S([]string{"EAST", "WEST"}[next/stations%2])}}); err != nil {
-			t.Fatal(err)
-		}
+		liveIngest(t, g, "stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(int64(st))},
+			Row: storage.Row{storage.I(int64(st)), storage.S([]string{"EAST", "WEST"}[next/stations%2])}})
 		settle(t, handles)
 		if stall {
 			if err := stalled.ProcessBatch("s", stalled.Pending()[0]); err != nil {

@@ -89,6 +89,7 @@ func TestIngestAllocsIndependentOfSharingJoins(t *testing.T) {
 		subscribeRegional(t, g, regional)
 		for round := 0; round < 4; round++ {
 			mod := updateSale(7, rowsPerStation, float64(10+round)) // station 0, region R00
+			applyLive(t, g.db, "sales", mod)
 			allocs = mallocsOf(func() {
 				if err := g.Ingest("sales", mod); err != nil {
 					t.Fatal(err)
@@ -116,6 +117,7 @@ func TestIngestAllocsIndependentOfFilteredJoins(t *testing.T) {
 		g := NewGraph(regionalDB(t, 2_400, rowsPerStation, regionNames(regions)))
 		handles := subscribeRegional(t, g, regional)
 		ingest := func(table string, mod ivm.Mod) uint64 {
+			applyLive(t, g.db, table, mod)
 			return mallocsOf(func() {
 				if err := g.Ingest(table, mod); err != nil {
 					t.Fatal(err)
@@ -271,6 +273,7 @@ func TestIngestAllocsIndependentOfPartners(t *testing.T) {
 				Key:  []storage.Value{storage.I(7)},
 				Row:  storage.Row{storage.I(7), storage.S([]string{"EAST", "WEST"}[round%2])},
 			}
+			applyLive(t, g.db, "stations", mod)
 			allocs := mallocsOf(func() {
 				if err := g.Ingest("stations", mod); err != nil {
 					t.Fatal(err)

@@ -115,7 +115,7 @@ func settle(tb testing.TB, handles []*ViewHandle) {
 	}
 }
 
-// updateRound ingests n in-place amount updates over the first 1,000
+// updateRound applies and ingests n in-place amount updates over the first 1,000
 // sales, continuing the key sequence at *next: the same stream at every
 // size, state size constant over the run.
 func updateRound(tb testing.TB, g *Graph, n, rowsPerStation int, next *int) {
@@ -123,9 +123,7 @@ func updateRound(tb testing.TB, g *Graph, n, rowsPerStation int, next *int) {
 	for i := 0; i < n; i++ {
 		key := int64(*next % 1000)
 		*next++
-		if err := g.Ingest("sales", updateSale(key, rowsPerStation, float64(*next%97+1))); err != nil {
-			tb.Fatal(err)
-		}
+		liveIngest(tb, g, "sales", updateSale(key, rowsPerStation, float64(*next%97+1)))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -60,10 +59,20 @@ func testDB(t *testing.T) *storage.DB {
 
 // applyLive applies one modification to the live database through the
 // broker's writer, ivm.ApplyLive.
-func applyLive(t *testing.T, db *storage.DB, table string, mod ivm.Mod) {
-	t.Helper()
+func applyLive(tb testing.TB, db *storage.DB, table string, mod ivm.Mod) {
+	tb.Helper()
 	if err := ivm.ApplyLive(db, table, mod, true); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+}
+
+// liveIngest applies one modification to the graph's live database, then
+// ingests it: the order Graph.Ingest requires, the serial broker's.
+func liveIngest(tb testing.TB, g *Graph, table string, mod ivm.Mod) {
+	tb.Helper()
+	applyLive(tb, g.db, table, mod)
+	if err := g.Ingest(table, mod); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -440,51 +449,16 @@ func TestSharingOpCount(t *testing.T) {
 	// summary product, for both joins.
 	const k = 20
 	mod := ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(5)}, Row: storage.Row{storage.I(5), storage.S(regionName(6))}}
-	if err := fan.Ingest("stations", mod); err != nil {
-		t.Fatal(err)
-	}
+	liveIngest(t, fan, "stations", mod)
 	if st := fan.Stats(); st.Probes != 2 || st.Products != 2*(k+1) {
 		t.Fatalf("a station update with %d sales made %d probes and %d products, want 2 and %d", k, st.Probes, st.Products, 2*(k+1))
 	}
 	// One sales update probes the stations arrangement once per delta and
 	// builds its one product once for every join, whoever reads it how.
 	before := fan.Stats()
-	if err := fan.Ingest("sales", updateSale(7, 20, 55)); err != nil {
-		t.Fatal(err)
-	}
+	liveIngest(t, fan, "sales", updateSale(7, 20, 55))
 	if st := fan.Stats(); st.Probes-before.Probes != 2 || st.Products-before.Products != 2 {
 		t.Fatalf("a sales update made %d probes and %d products, want 2 and 2", st.Probes-before.Probes, st.Products-before.Products)
-	}
-}
-
-// TestGraphStatsAddSumsEveryCount: a sharded broker's graph stats are
-// its graphs' summed, field by field — MaxFanout, a width, takes the
-// widest — so a count added to GraphStats is aggregated the moment Add
-// names it.
-func TestGraphStatsAddSumsEveryCount(t *testing.T) {
-	var s, o GraphStats
-	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		switch sv.Field(i).Kind() {
-		case reflect.Int:
-			sv.Field(i).SetInt(int64(i + 1))
-			ov.Field(i).SetInt(int64(100 * (i + 1)))
-		case reflect.Uint64:
-			sv.Field(i).SetUint(uint64(i + 1))
-			ov.Field(i).SetUint(uint64(100 * (i + 1)))
-		default:
-			t.Fatalf("GraphStats.%s is a %s", sv.Type().Field(i).Name, sv.Field(i).Kind())
-		}
-	}
-	s.Add(o)
-	for i := 0; i < sv.NumField(); i++ {
-		name, want := sv.Type().Field(i).Name, 101*(i+1)
-		if name == "MaxFanout" {
-			want = 100 * (i + 1)
-		}
-		if got := fmt.Sprint(sv.Field(i).Interface()); got != fmt.Sprint(want) {
-			t.Errorf("Add left %s = %s, want %d", name, got, want)
-		}
 	}
 }
 
@@ -680,9 +654,7 @@ func trimWorkAt(t *testing.T, nSales int) uint64 {
 			mod = ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(key)},
 				Row: storage.Row{storage.I(key), storage.I(key / rowsPerStation), storage.F(float64(10 + rng.Intn(9)))}}
 		}
-		if err := g.Ingest("sales", mod); err != nil {
-			t.Fatal(err)
-		}
+		liveIngest(t, g, "sales", mod)
 		if rng.Intn(3) > 0 { // lag: some steps leave a backlog across a trim
 			if err := h.Refresh(); err != nil {
 				t.Fatal(err)

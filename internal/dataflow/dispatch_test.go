@@ -45,9 +45,7 @@ func fanoutStream(t *testing.T, g *Graph, n int) {
 			table, mod = "stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)},
 				Row: storage.Row{storage.I(k), storage.S(regionName(rng.Intn(12)))}}
 		}
-		if err := g.Ingest(table, mod); err != nil {
-			t.Fatalf("modification %d: %v", i, err)
-		}
+		liveIngest(t, g, table, mod)
 	}
 }
 

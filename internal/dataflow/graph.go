@@ -677,16 +677,13 @@ func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement 
 	return a
 }
 
-// Watches reports whether any subscribed view reads the table.
-func (g *Graph) Watches(table string) bool {
-	_, ok := g.scans[table]
-	return ok
-}
-
 // Ingest appends one base-table modification to the table's ingest log —
 // the one record of the arrival, which every view reading the table
 // counts its backlog against — and propagates the resulting deltas
 // through the whole shared graph, into every view's sink, in one pass.
+// It must follow the modification's write to the live table, before any
+// later write to the table: the graph reads the rows from the table and
+// refuses a modification the table does not reflect.
 func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 	sc, ok := g.scans[table]
 	if !ok {
@@ -781,24 +778,6 @@ type GraphStats struct {
 	// are deterministic work counts; recovery's rebuilds are in neither.
 	Folds      uint64
 	FoldVisits uint64
-}
-
-// Add accumulates another graph's shape into s, for aggregating across
-// a sharded broker's graphs: counts sum, MaxFanout takes the widest.
-func (s *GraphStats) Add(o GraphStats) {
-	s.Nodes += o.Nodes
-	s.Views += o.Views
-	s.InternHits += o.InternHits
-	s.MaxFanout = max(s.MaxFanout, o.MaxFanout)
-	s.Arrangements += o.Arrangements
-	s.ArrangementHits += o.ArrangementHits
-	s.StateRows += o.StateRows
-	s.RetainedDeltas += o.RetainedDeltas
-	s.TrimVisited += o.TrimVisited
-	s.Probes += o.Probes
-	s.Products += o.Products
-	s.Folds += o.Folds
-	s.FoldVisits += o.FoldVisits
 }
 
 // Stats snapshots the graph shape. It reads counters and walks the

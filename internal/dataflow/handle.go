@@ -467,10 +467,9 @@ func (h *ViewHandle) Recover() {
 // cursors do not cover, so every one these cursors do not cover. Folding
 // the present output and taking those deltas back leaves exactly the
 // deltas the cursors cover on top of the content at creation. Positive
-// weights fold first, so no entry count dips below zero on the way. It
-// reads the graph, not the live database, which a sharded broker changes
-// before it ingests. Its work is set-up or recovery overhead, not
-// maintenance cost, and is not counted.
+// weights fold first, so no entry count dips below zero on the way. Its
+// work is set-up or recovery overhead, not maintenance cost, and is not
+// counted.
 func (h *ViewHandle) rebuild() {
 	h.view = ivm.NewViewState(h.plan, h.stats)
 	var rows []weightedRow

@@ -20,9 +20,8 @@ type receiver interface {
 }
 
 // node is one operator in the shared graph. Rows inside deltas are
-// immutable by convention — a scan's are the live table's own, or copied
-// once on ingest, and shared freely downstream — so arrangements and
-// delta logs may alias them.
+// immutable by convention — a scan's are the live table's own, shared
+// freely downstream — so arrangements and delta logs may alias them.
 type node interface {
 	// sig is the canonical structural signature; nodes with equal
 	// signatures compute identical functions of the base tables and are
@@ -101,23 +100,18 @@ func (n *nodeBase) emit(d Delta) {
 	}
 }
 
-// scanNode is a base-table source. It mirrors the live table (base
-// snapshot plus every ingested modification) so deletes and updates can
-// resolve the old row, and stamps each emitted delta with the 1-based
-// ingest sequence number as its coordinate. The mirror is laid out as
-// storage.Table lays out its heap — encoded primary key -> slot, rows by
-// slot, freed slots reused — so a key becomes a string only when an
-// insert stores it; a delete or an update looks its key up as bytes and
-// an update replaces the row in its slot. The rows are the live table's
-// own wherever they can be (see keep), so a base row is held once.
+// scanNode is a base-table source over the live table it follows: every
+// modification it ingests has just been applied to the table, so an
+// insert's or an update's new row is the table's own (Table.Stored) and
+// a delete's or an update's old row is the one that write displaced
+// (Table.Displaced). It holds no copy of the table. It stamps each
+// emitted delta with the 1-based ingest sequence number as its
+// coordinate.
 type scanNode struct {
 	nodeBase
 	tbl       *storage.Table
 	tableName string
 	keyCols   []int
-	slots     map[string]int
-	rows      []storage.Row // nil entries are free slots
-	free      []int
 	mods      uint64
 	arena     *deltaArena // the graph's: every coordinate the scan stamps
 }
@@ -131,10 +125,10 @@ func scanCols(schema *storage.Schema) []exec.Col {
 	return cols
 }
 
-// newScanNode mirrors tbl; cols is its output schema (scanCols).
+// newScanNode reads tbl; cols is its output schema (scanCols).
 func newScanNode(sig string, tbl *storage.Table, cols []exec.Col, arena *deltaArena) *scanNode {
 	schema := tbl.Schema()
-	s := &scanNode{
+	return &scanNode{
 		nodeBase: nodeBase{
 			signature: sig,
 			tabs:      []string{schema.Name},
@@ -143,68 +137,42 @@ func newScanNode(sig string, tbl *storage.Table, cols []exec.Col, arena *deltaAr
 		tbl:       tbl,
 		tableName: schema.Name,
 		keyCols:   schema.Key,
-		slots:     make(map[string]int, tbl.Len()),
-		rows:      make([]storage.Row, 0, tbl.Len()),
 		arena:     arena,
 	}
-	tbl.Scan(func(r storage.Row) bool {
-		var a [64]byte
-		s.store(storage.AppendKeyCols(a[:0], r, s.keyCols), r)
-		return true
-	})
-	return s
 }
 
-// store puts a row under a key the mirror does not hold yet.
-func (s *scanNode) store(key []byte, row storage.Row) {
-	slot := len(s.rows)
-	if n := len(s.free); n > 0 {
-		slot, s.free = s.free[n-1], s.free[:n-1]
-		s.rows[slot] = row
-	} else {
-		s.rows = append(s.rows, row)
-	}
-	s.slots[string(key)] = slot
-}
-
-// ingest converts one base-table modification into signed deltas and
-// propagates them. The coordinate is the modification's position on the
-// table's ingest log, in one window of the graph's arena; an update
-// emits its retraction and insertion under that same window, so views
-// always fold both or neither.
+// ingest converts one base-table modification, which the live table must
+// reflect as its latest write to the key, into signed deltas and
+// propagates them; one it does not reflect is refused before anything
+// moves. The coordinate is the modification's position on the table's
+// ingest log, in one window of the graph's arena; an update emits its
+// retraction and insertion under that same window, so views always fold
+// both or neither.
 func (s *scanNode) ingest(mod ivm.Mod) error {
 	var a [64]byte
 	switch mod.Kind {
 	case ivm.ModInsert:
-		key := storage.AppendKeyCols(a[:0], mod.Row, s.keyCols)
-		if _, ok := s.slots[string(key)]; ok {
-			return fmt.Errorf("dataflow: insert over existing key on %q", s.tableName)
+		row := s.tbl.Stored(storage.AppendKeyCols(a[:0], mod.Row, s.keyCols))
+		if row == nil || !row.SameKey(mod.Row) {
+			return fmt.Errorf("dataflow: insert on %q is not the live table's row", s.tableName)
 		}
-		row := s.keep(key, mod.Row)
-		s.store(key, row)
 		s.emit(Delta{Row: row, W: 1, Coord: s.next()})
 	case ivm.ModDelete:
 		key := storage.AppendKey(a[:0], mod.Key...)
-		slot, ok := s.slots[string(key)]
-		if !ok {
-			return fmt.Errorf("dataflow: delete of missing key on %q", s.tableName)
+		old := s.tbl.Displaced(key)
+		if old == nil || s.tbl.Stored(key) != nil {
+			return fmt.Errorf("dataflow: delete on %q is not the live table's last write", s.tableName)
 		}
-		old := s.rows[slot]
-		delete(s.slots, string(key))
-		s.rows[slot] = nil
-		s.free = append(s.free, slot)
 		s.emit(Delta{Row: old, W: -1, Coord: s.next()})
 	case ivm.ModUpdate:
-		key := storage.AppendKey(a[:0], mod.Key...)
-		slot, ok := s.slots[string(key)]
-		if !ok {
-			return fmt.Errorf("dataflow: update of missing key on %q", s.tableName)
-		}
 		if !mod.Row.KeyIs(s.keyCols, mod.Key) {
 			return fmt.Errorf("dataflow: update must not change the primary key on %q", s.tableName)
 		}
-		old, row := s.rows[slot], s.keep(key, mod.Row)
-		s.rows[slot] = row
+		key := storage.AppendKey(a[:0], mod.Key...)
+		old, row := s.tbl.Displaced(key), s.tbl.Stored(key)
+		if old == nil || row == nil || !row.SameKey(mod.Row) {
+			return fmt.Errorf("dataflow: update on %q is not the live table's last write", s.tableName)
+		}
 		c := s.next()
 		s.emit(Delta{Row: old, W: -1, Coord: c})
 		s.emit(Delta{Row: row, W: 1, Coord: c})
@@ -223,30 +191,10 @@ func (s *scanNode) next() Coord {
 	return c
 }
 
-// keep returns the row to mirror for an inserted or updated row r under
-// an encoded key: the live table's own row under that key when it equals
-// r, as it does whenever the live change was applied just before the
-// ingest (the serial broker's Publish), and a copy of r otherwise — a
-// sharded broker ingests a step's modifications at its end, when a later
-// change to the key may have replaced the live row. The lookup charges
-// the live table no work unit.
-func (s *scanNode) keep(key []byte, r storage.Row) storage.Row {
-	if live := s.tbl.Stored(key); live != nil && live.SameKey(r) {
-		return live
-	}
-	return r.Clone()
-}
-
+// current is the live table in encoded-key order.
 func (s *scanNode) current() []weightedRow {
-	keys := make([]string, 0, len(s.slots))
-	for k := range s.slots {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]weightedRow, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, weightedRow{row: s.rows[s.slots[k]], w: 1})
-	}
+	out := make([]weightedRow, 0, s.tbl.Len())
+	s.tbl.EachStored(func(r storage.Row) { out = append(out, weightedRow{row: r, w: 1}) })
 	return out
 }
 

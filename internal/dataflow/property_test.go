@@ -263,7 +263,7 @@ func (w *propWorld) ingest(tm tableMod) {
 	applyLive(w.t, w.live, tm.table, tm.mod)
 	w.log[tm.table] = append(w.log[tm.table], tm.mod)
 	for _, g := range append([]*Graph{w.trimmed, w.never}, w.fresh...) {
-		if !g.Watches(tm.table) {
+		if g.scans[tm.table] == nil {
 			continue
 		}
 		if err := g.Ingest(tm.table, tm.mod); err != nil {

@@ -115,7 +115,7 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 				for _, tm := range gen.step() {
 					applyLive(t, live, tm.table, tm.mod)
 					for _, g := range []*Graph{crash, twin} {
-						if g.Watches(tm.table) {
+						if g.scans[tm.table] != nil {
 							if err := g.Ingest(tm.table, tm.mod); err != nil {
 								t.Fatal(err)
 							}

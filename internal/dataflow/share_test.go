@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"testing"
 
 	"abivm/internal/ivm"
@@ -77,13 +78,12 @@ func TestStuckReaderHoldsBackOnlyItsLog(t *testing.T) {
 	}
 }
 
-// TestScanSharesLiveRows: a base row is held once. The scan mirrors the
-// live table's rows as they are, and in the serial broker's order — the
-// live change, then Graph.Ingest — an inserted or updated row is the live
-// table's own, in the mirror and in the delta logged for the sink. A
-// modification ingested only after a later change to its key (a sharded
-// broker routes a step's publishes at its end) keeps a copy of its own
-// row, so a drain that covers it alone sees the row as it was inserted.
+// TestScanSharesLiveRows: a base row is held once. The scan keeps no
+// copy of its table: its present output is the live table's own rows,
+// and in the serial broker's order — the live change, then Graph.Ingest —
+// an inserted or updated row is logged for the sink as the live table's
+// own, and a deleted or replaced one as the row the live change
+// displaced.
 func TestScanSharesLiveRows(t *testing.T) {
 	db := testDB(t)
 	g := NewGraph(db)
@@ -92,69 +92,100 @@ func TestScanSharesLiveRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := g.scans["sales"]
 	keyOf := func(k int64) []byte { return storage.AppendKey(nil, storage.I(k)) }
-	mirrored := func(k int64) storage.Row { return sc.rows[sc.slots[string(keyOf(k))]] }
-	shared := func(ctx string, k int64) {
-		t.Helper()
-		if live := sales.Stored(keyOf(k)); live == nil || &mirrored(k)[0] != &live[0] {
-			t.Fatalf("%s: the scan mirrors sale %d as %v apart from the live row %v", ctx, k, mirrored(k), live)
+	same := func(a, b storage.Row) bool { return a != nil && b != nil && &a[0] == &b[0] }
+	current := g.scans["sales"].current()
+	for _, wr := range current {
+		if !same(wr.row, sales.Stored(keyOf(wr.row[0].Int()))) {
+			t.Fatalf("the scan reads sale %v apart from the live row", wr.row)
 		}
+	}
+	if len(current) != sales.Len() {
+		t.Fatalf("the scan reads %d rows of the live table's %d", len(current), sales.Len())
 	}
 	sale := func(key, station int64, amount float64) storage.Row {
 		return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
 	}
 	key := func(k int64) []storage.Value { return []storage.Value{storage.I(k)} }
-	shared("base row", 3)
 	for _, mod := range []ivm.Mod{
 		{Kind: ivm.ModInsert, Row: sale(100, 1, 5)},
 		{Kind: ivm.ModUpdate, Key: key(100), Row: sale(100, 2, 6)},
 		{Kind: ivm.ModUpdate, Key: key(3), Row: sale(3, 4, 7)},
+		{Kind: ivm.ModDelete, Key: key(100)},
 	} {
+		var k int64
+		if mod.Kind == ivm.ModInsert {
+			k = mod.Row[0].Int()
+		} else {
+			k = mod.Key[0].Int()
+		}
+		old := sales.Stored(keyOf(k))
 		applyLive(t, db, "sales", mod)
 		if err := g.Ingest("sales", mod); err != nil {
 			t.Fatal(err)
 		}
-		k := mod.Row[0].Int()
-		shared("after the live change", k)
-		if d := h.log.deltas[len(h.log.deltas)-1]; &d.Row[0] != &mirrored(k)[0] {
-			t.Fatalf("sale %d is logged as a row of its own", k)
+		n := len(h.log.deltas)
+		switch last := h.log.deltas[n-1]; mod.Kind {
+		case ivm.ModInsert:
+			if !same(last.Row, sales.Stored(keyOf(k))) {
+				t.Fatalf("sale %d is logged as a row of its own", k)
+			}
+		case ivm.ModUpdate:
+			if !same(h.log.deltas[n-2].Row, old) || !same(last.Row, sales.Stored(keyOf(k))) {
+				t.Fatalf("the update of sale %d is logged apart from the rows it displaced and wrote", k)
+			}
+		case ivm.ModDelete:
+			if !same(last.Row, old) {
+				t.Fatalf("the delete of sale %d is logged apart from the row it displaced", k)
+			}
 		}
 	}
 	if err := h.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Deferred: both live changes to a key land before the first ingest.
-	deferred := []ivm.Mod{
-		{Kind: ivm.ModInsert, Row: sale(200, 1, 5)},
-		{Kind: ivm.ModUpdate, Key: key(200), Row: sale(200, 5, 9)},
-		{Kind: ivm.ModInsert, Row: sale(201, 2, 4)},
-		{Kind: ivm.ModDelete, Key: key(201)},
+// TestIngestRefusesUnreflectedMods: Graph.Ingest must follow its
+// modification's write to the live table. An insert, a delete and an
+// update with no matching live write, and an insert ingested after a later
+// live write to its key, are each refused, and leave the graph's counts,
+// the scan's ingest log and every delta log as they were.
+func TestIngestRefusesUnreflectedMods(t *testing.T) {
+	db := testDB(t)
+	g := NewGraph(db)
+	subscribeQuery(t, g, equivalenceQueries[1])
+	subscribeQuery(t, g, "SELECT salekey, station, amount FROM sales")
+	sale := func(key, station int64, amount float64) storage.Row {
+		return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
 	}
-	for _, mod := range deferred {
-		applyLive(t, db, "sales", mod)
-	}
-	for i, mod := range deferred {
-		if err := g.Ingest("sales", mod); err != nil {
-			t.Fatal(err)
+	key := func(k int64) []storage.Value { return []storage.Value{storage.I(k)} }
+	applyLive(t, db, "sales", ivm.Mod{Kind: ivm.ModInsert, Row: sale(100, 1, 5)})
+	applyLive(t, db, "sales", ivm.Mod{Kind: ivm.ModUpdate, Key: key(100), Row: sale(100, 2, 6)})
+	sc := g.scans["sales"]
+	logLens := func() []int {
+		var out []int
+		for _, l := range g.logs {
+			out = append(out, len(l.deltas))
 		}
-		if mod.Kind == ivm.ModInsert && !mirrored(mod.Row[0].Int()).SameKey(mod.Row) {
-			t.Fatalf("insert %d ingested after a later change mirrors %v, want %v", i, mirrored(mod.Row[0].Int()), mod.Row)
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		mod  ivm.Mod
+	}{
+		{"an insert with no live write", ivm.Mod{Kind: ivm.ModInsert, Row: sale(300, 1, 5)}},
+		{"a delete with no live write", ivm.Mod{Kind: ivm.ModDelete, Key: key(3)}},
+		{"an update with no live write", ivm.Mod{Kind: ivm.ModUpdate, Key: key(4), Row: sale(4, 1, 2)}},
+		{"an insert after a later live write to its key", ivm.Mod{Kind: ivm.ModInsert, Row: sale(100, 1, 5)}},
+	} {
+		stats, mods, logs := g.Stats(), sc.mods, logLens()
+		if err := g.Ingest("sales", tc.mod); err == nil {
+			t.Errorf("%s was ingested", tc.name)
 		}
-	}
-	shared("update ingested after its insert", 200)
-	if err := h.ProcessBatch(h.Aliases()[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	var got storage.Row
-	for _, r := range h.Result() {
-		if r[0] == storage.I(200) {
-			got = r
+		if g.Stats() != stats || sc.mods != mods || !slices.Equal(logLens(), logs) {
+			t.Errorf("refusing %s moved the graph: stats %+v -> %+v, ingest log %d -> %d, delta logs %v -> %v",
+				tc.name, stats, g.Stats(), mods, sc.mods, logs, logLens())
 		}
-	}
-	if !got.SameKey(deferred[0].Row) {
-		t.Fatalf("a drain covering only the insert shows sale 200 as %v, want %v", got, deferred[0].Row)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestRecoverThenCheckpointKeepsPatching(t *testing.T) {
 					tables, mods := mu.step()
 					for i, mod := range mods {
 						applyLive(t, db, tables[i], mod)
-						if !g.Watches(tables[i]) {
+						if g.scans[tables[i]] == nil {
 							continue
 						}
 						if err := g.Ingest(tables[i], mod); err != nil {
@@ -165,18 +165,14 @@ func TestSinkDrainAllocsIndependentOfPending(t *testing.T) {
 		for st := 0; st < backlogStations; st++ {
 			mod := ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(int64(st))},
 				Row: storage.Row{storage.I(int64(st)), storage.S("NORTH")}}
-			if err := g.Ingest("stations", mod); err != nil {
-				t.Fatal(err)
-			}
+			liveIngest(t, g, "stations", mod)
 		}
 		pending = len(h.log.deltas)
 		// Sales of stations the backlog leaves alone.
 		next := int64(1_000)
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < batch; i++ {
-				if err := g.Ingest("sales", updateSale(next, rowsPerStation, float64(10+round))); err != nil {
-					t.Fatal(err)
-				}
+				liveIngest(t, g, "sales", updateSale(next, rowsPerStation, float64(10+round)))
 				next++
 			}
 			allocs = mallocsOf(func() {
@@ -236,6 +232,7 @@ func TestIngestAllocsIndependentOfViews(t *testing.T) {
 		// capacity kept, by the drains and the trim that end a round.
 		for round := 0; round < 4; round++ {
 			mod := updateSale(7, rowsPerStation, float64(10+round))
+			applyLive(t, g.db, "sales", mod)
 			allocs = mallocsOf(func() {
 				if err := g.Ingest("sales", mod); err != nil {
 					t.Fatal(err)

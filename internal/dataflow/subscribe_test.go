@@ -25,7 +25,7 @@ func shapeOf(g *Graph) graphShape {
 	}
 	var watches []string
 	for _, t := range []string{"sales", "stations", "regions", "missing"} {
-		watches = append(watches, fmt.Sprintf("%s=%v", t, g.Watches(t)))
+		watches = append(watches, fmt.Sprintf("%s=%v", t, g.scans[t] != nil))
 	}
 	return graphShape{stats: g.Stats(), nodes: strings.Join(sigs, "\n"), watches: strings.Join(watches, " ")}
 }
@@ -78,7 +78,7 @@ func TestFailedSubscribeBuildsNothing(t *testing.T) {
 				for i := 0; i < steps; i++ {
 					for _, tm := range gen.step() {
 						applyLive(t, db, tm.table, tm.mod)
-						if g.Watches(tm.table) {
+						if g.scans[tm.table] != nil {
 							if err := g.Ingest(tm.table, tm.mod); err != nil {
 								t.Fatal(err)
 							}

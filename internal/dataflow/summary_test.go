@@ -46,6 +46,7 @@ func summaryWork(t *testing.T, rowsPerStation, warm, measured int) (products, fo
 	for round := 0; round < warm+measured; round++ {
 		before := g.Stats().Products
 		var drained uint64
+		applyLive(t, g.db, "stations", flipStation(round))
 		n := mallocsOf(func() {
 			if err := g.Ingest("stations", flipStation(round)); err != nil {
 				t.Fatal(err)

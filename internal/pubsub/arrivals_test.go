@@ -59,8 +59,8 @@ func (c *crashAt) Hit(site fault.Site) error {
 }
 
 // TestArrivalVectorsUnchanged drives one stream, with fallback
-// recoveries injected, through a per-view, a shared, and two 2-shard
-// brokers, and holds the arrival and pending vectors every policy call
+// recoveries injected, through a per-view, a shared, and a 2-shard
+// broker, and holds the arrival and pending vectors every policy call
 // sees against testdata/arrivals.golden.
 func TestArrivalVectorsUnchanged(t *testing.T) {
 	spec := ScaledWorkloadSpec(4)
@@ -70,7 +70,6 @@ func TestArrivalVectorsUnchanged(t *testing.T) {
 		{Spec: spec},
 		{Spec: spec, Shared: true},
 		{Spec: spec, Shards: 2},
-		{Spec: spec, Shards: 2, Shared: true},
 	} {
 		logs := map[string]*strings.Builder{}
 		cfg.Injectors = func(int) fault.Injector {

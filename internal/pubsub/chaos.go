@@ -67,9 +67,9 @@ type ChaosReport struct {
 	// every faulted variant are byte-identical to the baseline.
 	Identical bool
 	// Variants names the recovery configurations that were compared
-	// against the baseline (full checkpoints and an incremental chain on
-	// the serial broker, one combined entry in sharded mode, then the
-	// shared-dataflow and disk variants).
+	// against the baseline (full checkpoints, an incremental chain and
+	// the shared-dataflow pair on the serial broker, one combined entry in
+	// sharded mode, then the disk variants).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -311,26 +311,27 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true,
 		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	// The serial broker compares full checkpoints (no chain) and a delta
-	// chain; the sharded runtime one combined row. Then, in both modes:
-	// the workload on the shared operator graph, fault-free (the
-	// hash-consed graph computes the same views) and faulted (its
-	// snapshot+WAL recovery is an exact redo); every subscription's WAL
-	// and checkpoint segments in files, so crashes recover through the
-	// disk path; and the same under seeded byte-level media damage (torn
-	// writes, bit flips, truncations, dropped files, skipped renames),
-	// where each seed either stays identical or falls back loudly.
+	// The serial broker compares full checkpoints (no chain), a delta
+	// chain, and the workload on the shared operator graph, fault-free
+	// (the hash-consed graph computes the same views) and faulted (a
+	// sink's recovery rebuilds it at its cursors); the sharded runtime,
+	// which hosts no shared graph, one combined row. Then, in both modes:
+	// every subscription's WAL and checkpoint segments in files, so
+	// crashes recover through the disk path; and the same under seeded
+	// byte-level media damage (torn writes, bit flips, truncations,
+	// dropped files, skipped renames), where each seed either stays
+	// identical or falls back loudly.
 	variants := []chaosVariant{{name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true}}
 	if !sharded {
 		variants = []chaosVariant{
 			{name: "full", depth: -1, faulted: true},
 			{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
+			{name: "shared", depth: depth, shared: true},
+			{name: "shared-faulted", depth: depth, shared: true, faulted: true},
 		}
 	}
 	var medias []*fault.Media
 	for _, v := range append(variants,
-		chaosVariant{name: pre + "shared", depth: depth, shared: true},
-		chaosVariant{name: pre + "shared-faulted", depth: depth, shared: true, faulted: true},
 		chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, faulted: true,
 			opener: cfg.diskOpener("disk", nil)},
 		chaosVariant{name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true,

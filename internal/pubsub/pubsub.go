@@ -369,7 +369,7 @@ func (b *Broker) route(table string, mod ivm.Mod) error {
 	if rt == nil {
 		return nil
 	}
-	if b.shared != nil && b.shared.Watches(table) {
+	if b.shared != nil {
 		if err := b.shared.Ingest(table, mod); err != nil {
 			return err
 		}

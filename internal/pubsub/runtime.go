@@ -44,7 +44,7 @@ type RuntimeConfig struct {
 	// ShardedBroker with n shards.
 	Shards int
 	// Shared puts the subscriptions on the shared delta-dataflow graph
-	// (one per shard) instead of per-view maintainers.
+	// instead of per-view maintainers. Not available with Shards.
 	Shared bool
 	// Opener, when set, backs every subscription with a durable store
 	// under its namespace. Not available with Shared.

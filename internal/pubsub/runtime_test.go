@@ -14,8 +14,9 @@ import (
 // workload on each: whichever runtime is behind the surface, the
 // notifications, final contents and accumulated costs are byte-identical
 // to per-view maintainers on the serial broker with in-memory
-// durability. The one combination that does not exist — the shared graph
-// on disk — must be refused, not silently run in memory.
+// durability. The combinations that do not exist — the shared graph on a
+// sharded broker, and on disk — must be refused, not silently run
+// another way.
 func TestRuntimeMatrix(t *testing.T) {
 	const seed, steps = 3, 40
 	spec := ScaledWorkloadSpec(4)
@@ -41,6 +42,12 @@ func TestRuntimeMatrix(t *testing.T) {
 					name += "/memory"
 				}
 				t.Run(name, func(t *testing.T) {
+					if shared && shards > 0 {
+						if _, err := NewRuntime(cfg); !errors.Is(err, errShardedShared) {
+							t.Fatalf("shared dataflow on a sharded broker: err = %v, want the guard error", err)
+						}
+						return
+					}
 					if shared && disk {
 						if _, err := NewRuntime(cfg); !errors.Is(err, errSharedStore) {
 							t.Fatalf("shared dataflow over a store opener: err = %v, want the guard error", err)

@@ -370,30 +370,17 @@ func (sb *ShardedBroker) SetStoreOpener(open durable.Opener) {
 	sb.each(func(_ int, b *Broker) { b.SetStoreOpener(open) })
 }
 
-// SetSharedDataflow switches every shard onto (or off) the shared
-// delta-dataflow runtime. Each shard builds its own hash-consed operator
-// graph over the shared base tables, so sharing happens among the views
-// co-located on a shard. Enable before subscribing, like the serial
-// broker's SetSharedDataflow; the first failing shard's error wins.
+// SetSharedDataflow refuses to switch the shards onto the shared graph
+// (errShardedShared); switching it off is a no-op.
 func (sb *ShardedBroker) SetSharedDataflow(on bool) error {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for _, sh := range sb.shards {
-		if err := sh.b.SetSharedDataflow(on); err != nil {
-			return fmt.Errorf("pubsub: shard %d: %w", sh.id, err)
-		}
+	if on {
+		return errShardedShared
 	}
 	return nil
 }
 
-// DataflowStats sums the shared operator-graph shape across shards
-// (MaxFanout takes the widest shard). Zero when the classic runtime is
-// active.
-func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats {
-	var total dataflow.GraphStats
-	sb.each(func(_ int, b *Broker) { total.Add(b.DataflowStats()) })
-	return total
-}
+// DataflowStats is the zero value: no shard hosts a shared graph.
+func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats { return dataflow.GraphStats{} }
 
 // DurabilityStats sums the durable-store counters across every shard's
 // subscriptions.

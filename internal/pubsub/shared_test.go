@@ -3,18 +3,14 @@ package pubsub
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
 	"abivm/internal/dataflow"
 	"abivm/internal/durable"
-	"abivm/internal/exec"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/obs"
-	"abivm/internal/plan"
-	"abivm/internal/sql"
 	"abivm/internal/storage"
 )
 
@@ -151,6 +147,17 @@ func TestSharedModeGuards(t *testing.T) {
 	}
 	if st := b3.DataflowStats(); st.Views != 0 || st.Nodes != 0 {
 		t.Errorf("refused subscribe left Views=%d Nodes=%d in the graph", st.Views, st.Nodes)
+	}
+
+	// A sharded broker hosts no shared graph: it routes a step's publishes
+	// after later live writes, which the graph cannot follow.
+	sb := NewShardedBroker(db3, ShardOptions{Shards: 2})
+	defer sb.Close()
+	if err := sb.SetSharedDataflow(true); !errors.Is(err, errShardedShared) {
+		t.Errorf("enabling shared dataflow on a sharded broker: %v", err)
+	}
+	if err := sb.SetSharedDataflow(false); err != nil {
+		t.Errorf("disabling shared dataflow on a sharded broker: %v", err)
 	}
 }
 
@@ -513,95 +520,4 @@ func TestSharedCrashAtEveryStep(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestShardedSharedMatchesRecompute: a sharded broker routes a step's
-// publishes at EndStep, after every live change of the step, so a key
-// inserted and then updated, or inserted and then deleted, in one step
-// reaches its shard's graph when the live table already holds the key's
-// later state. Every notification of the shared runtime still equals its
-// query recomputed from scratch over the live tables.
-func TestShardedSharedMatchesRecompute(t *testing.T) {
-	db, err := chaosDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := NewShardedBroker(db, ShardOptions{Shards: 2})
-	if err := sb.SetSharedDataflow(true); err != nil {
-		t.Fatal(err)
-	}
-	model, err := chaosModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := map[string]string{
-		"rows":    `SELECT s.salekey, s.station, s.amount, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey`,
-		"regions": `SELECT st.region, SUM(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region`,
-		"maxima":  `SELECT s.station, MAX(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY s.station`,
-	}
-	for _, name := range []string{"rows", "regions", "maxima"} {
-		if err := sb.Subscribe(Subscription{Name: name, Query: queries[name], Condition: func(int) bool { return true }, Model: model, QoS: chaosQoS}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sale := func(key, station int64, amount float64) storage.Row {
-		return storage.Row{storage.I(key), storage.I(station), storage.F(amount)}
-	}
-	key := func(k int64) []storage.Value { return []storage.Value{storage.I(k)} }
-	steps := [][]ivm.Mod{
-		{{Kind: ivm.ModInsert, Row: sale(900, 1, 5)}, {Kind: ivm.ModUpdate, Key: key(900), Row: sale(900, 2, 7)}},
-		{{Kind: ivm.ModInsert, Row: sale(901, 3, 4)}, {Kind: ivm.ModDelete, Key: key(901)}},
-		{{Kind: ivm.ModInsert, Row: sale(902, 0, 1)}, {Kind: ivm.ModUpdate, Key: key(902), Row: sale(902, 0, 2)},
-			{Kind: ivm.ModUpdate, Key: key(902), Row: sale(902, 4, 30)}},
-		{{Kind: ivm.ModUpdate, Key: key(900), Row: sale(900, 5, 40)}, {Kind: ivm.ModDelete, Key: key(900)},
-			{Kind: ivm.ModInsert, Row: sale(900, 6, 3)}},
-		{{Kind: ivm.ModUpdate, Key: key(1), Row: sale(1, 3, 50)}, {Kind: ivm.ModDelete, Key: key(1)}},
-	}
-	for step, mods := range steps {
-		for _, mod := range mods {
-			if err := sb.Publish("sales", mod); err != nil {
-				t.Fatal(err)
-			}
-		}
-		notes, err := sb.EndStep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(notes) != len(queries) {
-			t.Fatalf("step %d: %d notifications, want %d", step, len(notes), len(queries))
-		}
-		for _, n := range notes {
-			if got, want := sortedRows(n.Rows), recomputed(t, db, queries[n.Subscription]); got != want {
-				t.Fatalf("step %d: %s notified\n%s\nwant\n%s", step, n.Subscription, got, want)
-			}
-		}
-	}
-}
-
-// sortedRows renders rows one a line, sorted.
-func sortedRows(rows []storage.Row) string {
-	lines := make([]string, len(rows))
-	for i, r := range rows {
-		lines[i] = r.String()
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// recomputed evaluates a query from scratch over db, as sortedRows.
-func recomputed(t *testing.T, db *storage.DB, query string) string {
-	t.Helper()
-	sel, err := sql.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := plan.Compile(sel, db, &plan.Options{Stats: &storage.Stats{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sortedRows(rows)
 }

@@ -16,13 +16,14 @@ var (
 // secondary indexes. Row slots are stable for the lifetime of a row;
 // deleted slots are tombstoned and reused by later inserts.
 type Table struct {
-	schema  *Schema
-	stats   *Stats
-	rows    []Row // nil entries are tombstones
-	free    []int // reusable tombstoned slots
-	pk      map[string]int
-	indexes map[string]*Index
-	live    int
+	schema    *Schema
+	stats     *Stats
+	rows      []Row // nil entries are tombstones
+	free      []int // reusable tombstoned slots
+	pk        map[string]int
+	indexes   map[string]*Index
+	live      int
+	displaced Row // the row the last Delete or Update removed
 }
 
 // NewTable creates an empty table; stats may be shared across tables.
@@ -169,7 +170,7 @@ func (t *Table) Get(keyVals ...Value) (Row, bool) {
 }
 
 // Stored returns the row held under an encoded primary key (AppendKey's
-// encoding), or nil, charging no work unit: it serves a mirror that
+// encoding), or nil, charging no work unit: it serves a reader that
 // shares the table's immutable rows, not a query.
 func (t *Table) Stored(key []byte) Row {
 	slot, ok := t.pk[string(key)]
@@ -177,6 +178,31 @@ func (t *Table) Stored(key []byte) Row {
 		return nil
 	}
 	return t.rows[slot]
+}
+
+// EachStored visits the live rows in encoded primary-key order, charging
+// no work unit, like Stored.
+func (t *Table) EachStored(fn func(r Row)) {
+	keys := make([]string, 0, len(t.pk))
+	for k := range t.pk {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fn(t.rows[t.pk[k]])
+	}
+}
+
+// Displaced returns the row the last Delete or Update removed if it is
+// under an encoded primary key, else nil, charging no work unit: a reader
+// that follows each live write finds a delete's or an update's old row
+// here. It is not table content: snapshots and clones do not carry it.
+func (t *Table) Displaced(key []byte) Row {
+	var a [64]byte
+	if t.displaced == nil || string(AppendKeyCols(a[:0], t.displaced, t.schema.Key)) != string(key) {
+		return nil
+	}
+	return t.displaced
 }
 
 // Delete removes the row with the given primary key and returns it.
@@ -197,6 +223,7 @@ func (t *Table) Delete(keyVals ...Value) (Row, error) {
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
+	t.displaced = r
 	t.stats.RowsDeleted++
 	return r, nil
 }
@@ -232,6 +259,7 @@ func (t *Table) Update(keyVals []Value, newRow Row) (Row, error) {
 		t.stats.IndexWrites += 2
 	}
 	t.rows[slot] = newRow
+	t.displaced = old
 	t.stats.RowsUpdated++
 	return old, nil
 }

@@ -448,3 +448,73 @@ func TestUpdateKeepsIndexBucketOrder(t *testing.T) {
 		t.Errorf("keys in lookup order %v, want %v", got, want)
 	}
 }
+
+// TestTableDisplaced: Displaced returns the row the last Delete or Update
+// removed, under that row's key and no other. An Insert leaves it as it
+// is, and so does a Delete or an Update that fails; neither a clone nor a
+// snapshot round trip carries it.
+func TestTableDisplaced(t *testing.T) {
+	db := NewDB()
+	tbl, err := db.CreateTable(suppSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 3; k++ {
+		if err := tbl.Insert(Row{I(k), S("s"), I(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(k int64) []byte { return AppendKey(nil, I(k)) }
+	displaced := func(ctx string, tbl *Table, want Row, at int64) {
+		t.Helper()
+		for k := int64(1); k <= 5; k++ {
+			got := tbl.Displaced(key(k))
+			if k != at && got != nil {
+				t.Fatalf("%s: key %d displaced %v, want nil", ctx, k, got)
+			}
+			if k == at && (got == nil || &got[0] != &want[0]) {
+				t.Fatalf("%s: key %d displaced %v, want the removed row %v", ctx, k, got, want)
+			}
+		}
+	}
+	displaced("fresh table", tbl, nil, 0)
+	old, err := tbl.Delete(I(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	displaced("after Delete", tbl, old, 1)
+	if err := tbl.Insert(Row{I(1), S("again"), I(1)}); err != nil {
+		t.Fatal(err)
+	}
+	displaced("after Insert", tbl, old, 1)
+	if _, err := tbl.Delete(I(9)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of a missing key: %v", err)
+	}
+	displaced("after a failed Delete", tbl, old, 1)
+	if old, err = tbl.Update([]Value{I(2)}, Row{I(2), S("t"), I(7)}); err != nil {
+		t.Fatal(err)
+	}
+	displaced("after Update", tbl, old, 2)
+	if _, err := tbl.Update([]Value{I(9)}, Row{I(9), S("t"), I(7)}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Update of a missing key: %v", err)
+	}
+	if _, err := tbl.Update([]Value{I(2)}, Row{I(3), S("t"), I(7)}); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("Update onto an existing key: %v", err)
+	}
+	displaced("after failed Updates", tbl, old, 2)
+
+	clone, err := CloneTable(NewDB(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	displaced("clone", clone, nil, 0)
+	back, err := ReadSnapshot(db.AppendSnapshot(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := back.Table("supplier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	displaced("snapshot round trip", restored, nil, 0)
+}
