@@ -55,12 +55,10 @@ examples-check:
 	$(GO) run ./cmd/abivm compile -dataflow -catalog examples/views.sql | diff - examples/views.dataflow.txt
 
 # chaos-check gates the seeded fault-injection sweep the same way:
-# TestChaosTranscripts runs the three `abivm chaos -seed 1` sweeps
-# (-runs 50, -runs 50 -checkpoint 0, -runs 10 -shards 2), each seed
-# through every recovery variant of its broker (the sharded sweep has no
-# shared-graph variants: the sharded broker hosts no graph), and diffs them against their
-# transcripts under cmd/abivm/testdata/chaos byte for byte, fault counts
-# included. A change that means to move a fault schedule regenerates
+# TestChaosTranscripts runs the two `abivm chaos -seed 1` sweeps
+# (-runs 50, -runs 50 -checkpoint 0), each seed through every recovery
+# variant, and diffs them against their transcripts under
+# cmd/abivm/testdata/chaos byte for byte, fault counts included. A change that means to move a fault schedule regenerates
 # one with `go run ./cmd/abivm chaos -seed 1 <flags> > <file>`.
 chaos-check:
 	$(GO) test -count=1 -timeout $(TEST_TIMEOUT) -run '^TestChaosTranscripts$$' ./cmd/abivm

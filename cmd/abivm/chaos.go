@@ -16,13 +16,13 @@ import (
 // harness for a range of seeds and reports, per seed, how many faults
 // fired, how many notifications degraded, which recovery variants were
 // compared (every variant runs on every seed: full checkpoints,
-// incremental chains, shared ones on the serial broker, and disk ones),
+// incremental chains, shared ones, and disk ones),
 // and whether every faulted variant stayed byte-identical to the
 // fault-free baseline. Any divergence is a fault-handling bug and makes
 // the command exit nonzero.
 //
 //	abivm chaos -seed 1 -runs 50 -steps 60
-//	abivm chaos -seed 1 -runs 5 -shards 4
+//	abivm chaos -seed 1 -runs 50 -checkpoint 0
 //	abivm chaos -seed 1 -runs 50 -data-dir /tmp/abivm
 func runChaos(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
@@ -30,7 +30,6 @@ func runChaos(ctx context.Context, args []string) error {
 	runs := fs.Int("runs", 1, "number of consecutive seeds to run")
 	steps := fs.Int("steps", 60, "broker steps per run")
 	cpEvery := fs.Int("checkpoint", 5, "checkpoint cadence in steps (0 disables)")
-	shards := fs.Int("shards", 0, "run the sharded runtime with this many shards and per-shard fault streams (0 = serial broker)")
 	dataDir := fs.String("data-dir", "", "root directory for the disk variants' WAL and checkpoint files (in-memory files if empty)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -42,8 +41,6 @@ func runChaos(ctx context.Context, args []string) error {
 		return fmt.Errorf("chaos: -steps %d: want at least 1 step", *steps)
 	case *cpEvery < 0:
 		return fmt.Errorf("chaos: -checkpoint %d: want a cadence of at least 1 step, or 0 to disable", *cpEvery)
-	case *shards < 0:
-		return fmt.Errorf("chaos: -shards %d: want a shard count, or 0 for the serial broker", *shards)
 	}
 
 	writeChaosHeader(os.Stdout)
@@ -54,7 +51,7 @@ func runChaos(ctx context.Context, args []string) error {
 		}
 		s := *seed + int64(i)
 		rep, err := pubsub.RunChaos(pubsub.ChaosConfig{
-			Seed: s, Steps: *steps, CheckpointEvery: *cpEvery, Shards: *shards, DataDir: *dataDir,
+			Seed: s, Steps: *steps, CheckpointEvery: *cpEvery, DataDir: *dataDir,
 		})
 		if err != nil {
 			return fmt.Errorf("chaos: seed %d: %w", s, err)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestChaosTranscripts is the chaos harness's acceptance sweep. It runs
-// the three committed `abivm chaos -seed 1` sweeps, renders them with
+// the two committed `abivm chaos -seed 1` sweeps, renders them with
 // the command's own row writer and diffs each against its transcript
 // under testdata/chaos: every seed runs every recovery variant, and
 // every row must read identical. Over the reports it then checks that
@@ -42,8 +42,6 @@ func TestChaosTranscripts(t *testing.T) {
 		{file: "runs50-checkpoint0.txt", flags: "-runs 50 -checkpoint 0", runs: 50,
 			cfg:    pubsub.ChaosConfig{Steps: 60},
 			silent: []fault.Site{fault.SiteCheckpoint}, wantExact: true},
-		{file: "runs10-shards2.txt", flags: "-runs 10 -shards 2", runs: 10,
-			cfg: pubsub.ChaosConfig{Steps: 60, CheckpointEvery: 5, Shards: 2}},
 	} {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestServeRejectsBadFlags: `abivm serve` refuses a step interval that
-// is not positive, negative counts, and the shared graph beside a disk
-// tier or a sharded broker with an error naming the flags, before it
+// is not positive, negative counts, the shared graph beside a disk tier,
+// and the retired -shards flag with an error naming the flags, before it
 // builds a workload or listens: no ticker panic, no silent default.
 func TestServeRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -20,9 +20,8 @@ func TestServeRejectsBadFlags(t *testing.T) {
 		{[]string{"-steps", "-1"}, "-steps -1"},
 		{[]string{"-tracebuf", "-1"}, "-tracebuf -1"},
 		{[]string{"-tracebuf", "0"}, "-tracebuf 0"},
-		{[]string{"-shards", "-1"}, "-shards -1"},
 		{[]string{"-shared", "-data-dir", "unused"}, "-shared has no disk durability"},
-		{[]string{"-shards", "2", "-shared"}, "-shared with -shards 2"},
+		{[]string{"-shards", "2"}, "-shards"},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0", "-steps", "1", "-interval", "1ms"}, tc.args...)
 		err := runServe(context.Background(), args)
@@ -32,9 +31,9 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsBadFlags: `abivm chaos` refuses a run of no steps and
-// negative cadences and shard counts with an error naming the flag,
-// instead of running the default 60 steps or the serial broker.
+// TestChaosRejectsBadFlags: `abivm chaos` refuses a run of no steps, a
+// negative cadence and the retired -shards flag with an error naming the
+// flag, instead of running the default 60 steps.
 func TestChaosRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -43,7 +42,7 @@ func TestChaosRejectsBadFlags(t *testing.T) {
 		{[]string{"-steps", "0"}, "-steps 0"},
 		{[]string{"-steps", "-1"}, "-steps -1"},
 		{[]string{"-checkpoint", "-1"}, "-checkpoint -1"},
-		{[]string{"-shards", "-1"}, "-shards -1"},
+		{[]string{"-shards", "2"}, "-shards"},
 	} {
 		err := runChaos(context.Background(), append([]string{"-steps", "2"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

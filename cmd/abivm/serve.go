@@ -30,7 +30,6 @@ import (
 //
 //	abivm serve -addr 127.0.0.1:8080 -seed 1 -interval 50ms -faults
 //	abivm serve -shared -faults
-//	abivm serve -shards 4 -faults
 //	abivm serve -shared -catalog examples/views.sql
 //	abivm serve -data-dir /var/lib/abivm -faults
 //	abivm serve -catalog examples/views.sql
@@ -43,10 +42,9 @@ func runServe(ctx context.Context, args []string) error {
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	faults := fs.Bool("faults", false, "run the workload under seeded fault injection")
 	tracebuf := fs.Int("tracebuf", obs.DefaultTraceCapacity, "span ring-buffer capacity")
-	shards := fs.Int("shards", 0, "run the sharded broker runtime with this many shards over a 2*shards-region workload (0 = serial broker)")
 	dataDir := fs.String("data-dir", "", "persist each subscription's WAL and checkpoints under this directory (empty = in-memory durability)")
 	catalog := fs.String("catalog", "", "serve this views.sql catalog: compile every view and subscribe it instead of the built-in per-region aggregates")
-	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (serial broker, in-memory durability only)")
+	shared := fs.Bool("shared", false, "run the subscriptions on the shared delta-dataflow runtime: one hash-consed operator graph instead of per-view maintainers (in-memory durability only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,24 +55,15 @@ func runServe(ctx context.Context, args []string) error {
 		return fmt.Errorf("serve: -steps %d: want a step count, or 0 to run until interrupted", *steps)
 	case *tracebuf < 1:
 		return fmt.Errorf("serve: -tracebuf %d: want a capacity of at least 1 span", *tracebuf)
-	case *shards < 0:
-		return fmt.Errorf("serve: -shards %d: want a shard count, or 0 for the serial broker", *shards)
 	case *shared && *dataDir != "":
 		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
-	case *shared && *shards > 0:
-		return fmt.Errorf("serve: -shared with -shards %d: the shared graph runs on the serial broker only; drop one", *shards)
 	}
-	// The sharded runtime widens the workload to 2*shards regions so the
-	// placement rule has subscriptions to spread.
-	cfg := pubsub.RuntimeConfig{Seed: *seed, Spec: pubsub.DefaultWorkloadSpec(), Shards: *shards, Shared: *shared}
-	if *shards > 0 {
-		cfg.Spec = pubsub.ScaledWorkloadSpec(2 * (*shards))
-	}
+	cfg := pubsub.RuntimeConfig{Seed: *seed, Spec: pubsub.DefaultWorkloadSpec(), Shared: *shared}
 	if *dataDir != "" {
 		cfg.Opener = durable.DirOpener(*dataDir)
 	}
 	if *faults {
-		cfg.Injectors = pubsub.SeededShardInjectors(*seed, fault.DefaultRates())
+		cfg.Injector = fault.NewSeeded(*seed, fault.DefaultRates())
 	}
 	if *catalog != "" {
 		cfg.Subscribe = subscribeCatalog(*catalog, *seed, *shared)
@@ -83,7 +72,6 @@ func runServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	defer w.Close()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(*tracebuf)
 	w.Broker.SetObs(reg, tr)
@@ -101,7 +89,7 @@ func runServe(ctx context.Context, args []string) error {
 	srv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Printf("abivm serve: http://%s (seed=%d interval=%s faults=%v shards=%d)\n", ln.Addr(), *seed, *interval, *faults, *shards)
+	fmt.Printf("abivm serve: http://%s (seed=%d interval=%s faults=%v)\n", ln.Addr(), *seed, *interval, *faults)
 
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
@@ -141,8 +129,8 @@ loop:
 // view is subscribed as it was compiled. The event stream is the
 // same seeded stations/sales stream the built-in demo uses, so any
 // catalog view over those tables sees live deltas.
-func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pubsub.Runtime) error {
-	return func(db *storage.DB, rt pubsub.Runtime) error {
+func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, *pubsub.Broker) error {
+	return func(db *storage.DB, b *pubsub.Broker) error {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -153,7 +141,7 @@ func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pu
 		}
 		fmt.Printf("abivm serve: compiled %d views from %s\n", len(views), path)
 		for _, cv := range views {
-			if err := rt.Subscribe(cv.Subscription()); err != nil {
+			if err := b.Subscribe(cv.Subscription()); err != nil {
 				return err
 			}
 		}
@@ -163,7 +151,7 @@ func subscribeCatalog(path string, seed int64, shared bool) func(*storage.DB, pu
 
 // brokerHealth aggregates per-subscription broker health into the
 // /healthz probe: healthy iff no subscription is degraded.
-func brokerHealth(b pubsub.Runtime) obs.HealthFunc {
+func brokerHealth(b *pubsub.Broker) obs.HealthFunc {
 	return func() (any, bool) {
 		type subHealth struct {
 			Name string `json:"name"`

@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"fmt"
 	"hash/fnv"
 	"path"
+	"slices"
+	"strings"
 
 	"abivm/internal/fault"
 )
@@ -25,7 +28,7 @@ func MemOpener() Opener {
 // subdirectory of root.
 func DirOpener(root string) Opener {
 	return func(ns string) (*Store, error) {
-		fsys, err := NewDirFS(path.Join(root, ns))
+		fsys, err := nsDirFS(root, ns)
 		if err != nil {
 			return nil, err
 		}
@@ -41,12 +44,22 @@ func DirOpener(root string) Opener {
 // stores interleave.
 func FaultyDirOpener(root string, seed int64, rates fault.MediaRates) Opener {
 	return func(ns string) (*Store, error) {
-		fsys, err := NewDirFS(path.Join(root, ns))
+		fsys, err := nsDirFS(root, ns)
 		if err != nil {
 			return nil, err
 		}
 		return NewStore(fault.NewMedia(fsys, mediaSeed(seed, ns), rates), ns)
 	}
+}
+
+// nsDirFS opens the directory of namespace ns under root. It refuses a
+// namespace that is absolute or has a ".." element, which could name a
+// directory outside root.
+func nsDirFS(root, ns string) (*DirFS, error) {
+	if path.IsAbs(ns) || slices.Contains(strings.Split(ns, "/"), "..") {
+		return nil, fmt.Errorf("durable: namespace %q would leave the data directory", ns)
+	}
+	return NewDirFS(path.Join(root, ns))
 }
 
 // FaultyMemOpener is FaultyDirOpener over per-namespace in-memory file

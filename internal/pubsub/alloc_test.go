@@ -24,7 +24,7 @@ import (
 func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 	t.Helper()
 	w, err := NewDemoWorkload(RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
-		Injectors: SeededShardInjectors(seed, fault.DefaultRates())})
+		Injector: fault.NewSeeded(seed, fault.DefaultRates())})
 	if err != nil {
 		t.Fatalf("NewDemoWorkload: %v", err)
 	}
@@ -33,7 +33,7 @@ func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	return w.Broker.(*Broker)
+	return w.Broker
 }
 
 func TestHealthIntoAllocFree(t *testing.T) {

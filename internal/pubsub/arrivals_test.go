@@ -59,8 +59,7 @@ func (c *crashAt) Hit(site fault.Site) error {
 }
 
 // TestArrivalVectorsUnchanged drives one stream, with fallback
-// recoveries injected, through a per-view, a shared, and a 2-shard
-// broker, and holds the arrival and pending vectors every policy call
+// recoveries injected, through a per-view and a shared broker, and holds the arrival and pending vectors every policy call
 // sees against testdata/arrivals.golden.
 func TestArrivalVectorsUnchanged(t *testing.T) {
 	spec := ScaledWorkloadSpec(4)
@@ -69,13 +68,10 @@ func TestArrivalVectorsUnchanged(t *testing.T) {
 	for _, cfg := range []RuntimeConfig{
 		{Spec: spec},
 		{Spec: spec, Shared: true},
-		{Spec: spec, Shards: 2},
 	} {
 		logs := map[string]*strings.Builder{}
-		cfg.Injectors = func(int) fault.Injector {
-			return &crashAt{at: map[int]bool{4: true, 19: true, 33: true, 58: true, 101: true}}
-		}
-		cfg.Subscribe = func(_ *storage.DB, rt Runtime) error {
+		cfg.Injector = &crashAt{at: map[int]bool{4: true, 19: true, 33: true, 58: true, 101: true}}
+		cfg.Subscribe = func(_ *storage.DB, rt *Broker) error {
 			subs, err := demoSubscriptionsSpec(spec)
 			if err != nil {
 				return err
@@ -104,15 +100,8 @@ func TestArrivalVectorsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrap := func(_ int, b *Broker) {
-			for _, s := range b.subs {
-				s.eng = fallbackEngine{s.eng}
-			}
-		}
-		if sb, ok := rt.(*ShardedBroker); ok {
-			sb.each(wrap)
-		} else {
-			wrap(0, rt.(*Broker))
+		for _, s := range rt.subs {
+			s.eng = fallbackEngine{s.eng}
 		}
 		for step, evs := range script {
 			for _, ev := range evs {
@@ -124,13 +113,13 @@ func TestArrivalVectorsUnchanged(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
-		rt.Close()
 		names := make([]string, 0, len(logs))
 		for name := range logs {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(&out, "# shards=%d shared=%v\n", cfg.Shards, cfg.Shared)
+		// The block header keeps the golden file's format.
+		fmt.Fprintf(&out, "# shards=0 shared=%v\n", cfg.Shared)
 		for _, name := range names {
 			out.WriteString(logs[name].String())
 		}

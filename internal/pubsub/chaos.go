@@ -35,13 +35,6 @@ type ChaosConfig struct {
 	// disables periodic checkpoints, so recovery replays the whole WAL
 	// from the Subscribe-time checkpoint.
 	CheckpointEvery int
-	// Shards selects the runtime: 0 runs the serial broker on the legacy
-	// east/west workload; n >= 1 runs the sharded runtime with n shards
-	// on a widened workload (2n regions) with per-shard fault injectors.
-	// Either way mid-step cost/health samples are folded into the
-	// transcripts (so the comparison proves those schedule-independent
-	// too).
-	Shards int
 	// DataDir roots the disk variants' files; empty runs them over
 	// per-namespace in-memory file systems (the hermetic default).
 	DataDir string
@@ -52,9 +45,6 @@ type ChaosReport struct {
 	Seed          int64
 	Steps         int
 	Notifications int
-	// Shards is the shard count of a sharded-mode run; 0 for the serial
-	// broker.
-	Shards int
 	// Faults is the per-site injected-fault count of the faulted run.
 	Faults map[fault.Site]int
 	// TotalFaults is the number of faults injected.
@@ -67,9 +57,8 @@ type ChaosReport struct {
 	// every faulted variant are byte-identical to the baseline.
 	Identical bool
 	// Variants names the recovery configurations that were compared
-	// against the baseline (full checkpoints, an incremental chain and
-	// the shared-dataflow pair on the serial broker, one combined entry in
-	// sharded mode, then the disk variants).
+	// against the baseline (full checkpoints, an incremental chain, the
+	// shared-dataflow pair, then the disk variants).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -190,18 +179,16 @@ type chaosResult struct {
 // chaosSampleEvery is the step cadence of the mid-step samples.
 const chaosSampleEvery = 10
 
-// chaosRun executes the scripted workload against a fresh runtime built
+// chaosRun executes the scripted workload against a fresh broker built
 // from cfg, checkpointing every cpEvery steps (0: never). Every
 // chaosSampleEvery steps, after the step's publishes and before its
 // EndStep, each subscription's cost and pending vector are sampled into
-// the transcript — the sharded Health routes the owning shard's buffer
-// first, so the sample is the serial broker's.
+// the transcript.
 func chaosRun(script [][]chaosEvent, cfg RuntimeConfig, cpEvery int) (res chaosResult, err error) {
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		return res, err
 	}
-	defer rt.Close()
 	rt.SetCheckpointEvery(cpEvery)
 	subs := rt.Subscriptions()
 	var out strings.Builder
@@ -286,8 +273,7 @@ type chaosVariant struct {
 // baseline. The fault schedule is identical across variants (checkpoint
 // layout never changes which sites are polled), so a divergence
 // isolates a bug in that variant's recovery path; everything is seeded
-// from the workload seed, so one integer (plus the shard count)
-// reproduces the comparison.
+// from the workload seed, so one integer reproduces the comparison.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 60
@@ -295,11 +281,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// The seed picks the chain depth (1..4), so a seed sweep covers the
 	// depth space.
 	depth := 1 + int(((cfg.Seed%4)+4)%4)
-	sharded, pre := cfg.Shards > 0, ""
-	p := RuntimeConfig{Shards: cfg.Shards, Spec: DefaultWorkloadSpec()}
-	if sharded {
-		pre, p.Spec = "sharded-", ScaledWorkloadSpec(2*cfg.Shards)
-	}
+	p := RuntimeConfig{Spec: DefaultWorkloadSpec()}
 	script := chaosScript(cfg.Seed, cfg.Steps, p.Spec)
 
 	// Fault-free output cannot depend on checkpoint layout: one baseline.
@@ -308,48 +290,34 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
 	}
-	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Shards: cfg.Shards, Identical: true,
+	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Identical: true,
 		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	// The serial broker compares full checkpoints (no chain), a delta
-	// chain, and the workload on the shared operator graph, fault-free
-	// (the hash-consed graph computes the same views) and faulted (a
-	// sink's recovery rebuilds it at its cursors); the sharded runtime,
-	// which hosts no shared graph, one combined row. Then, in both modes:
-	// every subscription's WAL and checkpoint segments in files, so
-	// crashes recover through the disk path; and the same under seeded
-	// byte-level media damage (torn writes, bit flips, truncations,
-	// dropped files, skipped renames), where each seed either stays
-	// identical or falls back loudly.
-	variants := []chaosVariant{{name: fmt.Sprintf("sharded(depth=%d)", depth), depth: depth, faulted: true}}
-	if !sharded {
-		variants = []chaosVariant{
-			{name: "full", depth: -1, faulted: true},
-			{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
-			{name: "shared", depth: depth, shared: true},
-			{name: "shared-faulted", depth: depth, shared: true, faulted: true},
-		}
-	}
+	// Compared: full checkpoints (no chain), a delta chain, and the
+	// workload on the shared operator graph, fault-free (the hash-consed
+	// graph computes the same views) and faulted (a sink's recovery
+	// rebuilds it at its cursors). Then every subscription's WAL and
+	// checkpoint segments in files, so crashes recover through the disk
+	// path; and the same under seeded byte-level media damage (torn
+	// writes, bit flips, truncations, dropped files, skipped renames),
+	// where each seed either stays identical or falls back loudly.
 	var medias []*fault.Media
-	for _, v := range append(variants,
-		chaosVariant{name: fmt.Sprintf("%sdisk(depth=%d)", pre, depth), depth: depth, faulted: true,
+	for _, v := range []chaosVariant{
+		{name: "full", depth: -1, faulted: true},
+		{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
+		{name: "shared", depth: depth, shared: true},
+		{name: "shared-faulted", depth: depth, shared: true, faulted: true},
+		{name: fmt.Sprintf("disk(depth=%d)", depth), depth: depth, faulted: true,
 			opener: cfg.diskOpener("disk", nil)},
-		chaosVariant{name: fmt.Sprintf("%sdisk-faulted(depth=%d)", pre, depth), depth: depth, faulted: true,
+		{name: fmt.Sprintf("disk-faulted(depth=%d)", depth), depth: depth, faulted: true,
 			opener: cfg.diskOpener("disk-faulted", &medias), rule: identicalOrLoudFallback},
-	) {
+	} {
 		rep.Variants = append(rep.Variants, v.name)
-		// Track the injectors handed out, to sum fault counts over shards;
-		// the runtime calls the factory sequentially, before any faulted
-		// work, so the append does not race the shards' steps.
-		var injs []*fault.Seeded
-		p.Opener, p.Shared, p.ChainDepth, p.Injectors = v.opener, v.shared, v.depth, nil
+		var inj *fault.Seeded
+		p.Opener, p.Shared, p.ChainDepth, p.Injector = v.opener, v.shared, v.depth, nil
 		if v.faulted {
-			seeded := SeededShardInjectors(cfg.Seed, fault.DefaultRates())
-			p.Injectors = func(shard int) fault.Injector {
-				inj := seeded(shard).(*fault.Seeded)
-				injs = append(injs, inj)
-				return inj
-			}
+			inj = fault.NewSeeded(cfg.Seed, fault.DefaultRates())
+			p.Injector = inj
 		}
 		got, err := chaosRun(script, p, cfg.CheckpointEvery)
 		if err != nil {
@@ -358,13 +326,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// Every faulted variant sees the same fault schedule; report the
 		// counts once, from the first one.
 		if v.faulted && rep.Faults == nil {
-			rep.Faults = map[fault.Site]int{}
-			for _, inj := range injs {
-				for site, n := range inj.Fired() {
-					rep.Faults[site] += n
-				}
-				rep.TotalFaults += inj.Total()
-			}
+			rep.Faults, rep.TotalFaults = inj.Fired(), inj.Total()
 			rep.Degraded = got.degraded
 		}
 		identical := got.output == base.output

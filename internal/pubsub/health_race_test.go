@@ -20,7 +20,7 @@ import (
 // covers it.
 func TestHealthConcurrentWithWorkload(t *testing.T) {
 	w, err := NewDemoWorkload(RuntimeConfig{Seed: 5, Spec: DefaultWorkloadSpec(),
-		Injectors: SeededShardInjectors(5, fault.DefaultRates())})
+		Injector: fault.NewSeeded(5, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestResultConcurrentAfterPartialDrainAndRecover(t *testing.T) {
 		}
 		crash := &crashOnce{n: steps}
 		rt, err := NewRuntime(RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: shared,
-			Injectors: func(int) fault.Injector { return crash },
-			Subscribe: func(_ *storage.DB, rt Runtime) error {
+			Injector: crash,
+			Subscribe: func(_ *storage.DB, rt *Broker) error {
 				for i, q := range queries {
 					if err := rt.Subscribe(Subscription{Name: fmt.Sprintf("v%d", i), Query: q,
 						Condition: Every(steps), Model: model, QoS: chaosQoS}); err != nil {
@@ -154,7 +154,6 @@ func TestResultConcurrentAfterPartialDrainAndRecover(t *testing.T) {
 				}
 			}
 		}
-		rt.Close()
 		if crash.polls <= crash.n {
 			t.Fatalf("shared=%v: crash site polled %d times, the crash at poll %d never fired", shared, crash.polls, crash.n)
 		}

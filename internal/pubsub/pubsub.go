@@ -168,11 +168,6 @@ func NewBroker(db *storage.DB) *Broker {
 	}
 }
 
-// Close releases what the broker holds outside the garbage collector's
-// reach — nothing, for the serial broker, which runs no goroutine; it
-// exists so a Runtime can be closed without asking which broker it is.
-func (b *Broker) Close() {}
-
 // SetInjector installs a fault injector on the broker and every current
 // and future subscription's maintainer. Pass nil to disable injection.
 func (b *Broker) SetInjector(inj fault.Injector) {
@@ -190,8 +185,8 @@ func (b *Broker) SetInjector(inj fault.Injector) {
 
 // SetCheckpointEvery sets the checkpoint cadence in steps; n <= 0
 // disables periodic checkpoints (the Subscribe-time checkpoint remains
-// the recovery point, with the whole WAL replayed on recovery) and with
-// them the shared graph's trims.
+// the recovery point, with the whole WAL replayed on recovery), and the
+// shared graph then trims every DefaultCheckpointEvery steps.
 func (b *Broker) SetCheckpointEvery(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -583,7 +578,15 @@ func (b *Broker) maybeCrash(s *sub) error {
 // checkpoint — recovery simply replays a longer WAL suffix, so nothing
 // degrades.
 func (b *Broker) checkpointDue() error {
-	if b.cpEvery <= 0 || (b.step+1)%b.cpEvery != 0 {
+	if b.cpEvery <= 0 {
+		// No checkpoints, but the shared graph's state still needs its
+		// garbage collected.
+		if b.shared != nil && (b.step+1)%DefaultCheckpointEvery == 0 {
+			b.shared.Trim()
+		}
+		return nil
+	}
+	if (b.step+1)%b.cpEvery != 0 {
 		return nil
 	}
 	for _, s := range b.subs {

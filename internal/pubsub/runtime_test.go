@@ -10,8 +10,9 @@ import (
 )
 
 // TestRuntimeMatrix builds every engine × broker × durability-tier
-// combination through NewRuntime and runs the same fault-free scripted
-// workload on each: whichever runtime is behind the surface, the
+// combination — the serial broker through NewRuntime, the sharded one
+// through NewShardedBroker — and runs the same fault-free scripted
+// workload on each: whichever broker, engine and tier run it, the
 // notifications, final contents and accumulated costs are byte-identical
 // to per-view maintainers on the serial broker with in-memory
 // durability. The combinations that do not exist — the shared graph on a
@@ -28,7 +29,7 @@ func TestRuntimeMatrix(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		for _, shards := range []int{0, 1, 2} {
 			for _, disk := range []bool{false, true} {
-				cfg := RuntimeConfig{Spec: spec, Shards: shards, Shared: shared}
+				cfg := RuntimeConfig{Spec: spec, Shared: shared}
 				name := map[bool]string{false: "classic", true: "shared"}[shared]
 				if shards == 0 {
 					name += "/serial"
@@ -42,19 +43,30 @@ func TestRuntimeMatrix(t *testing.T) {
 					name += "/memory"
 				}
 				t.Run(name, func(t *testing.T) {
-					if shared && shards > 0 {
-						if _, err := NewRuntime(cfg); !errors.Is(err, errShardedShared) {
+					var got string
+					switch {
+					case shards > 0 && shared:
+						db, err := DemoDB(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sb := NewShardedBroker(db, ShardOptions{Shards: shards})
+						defer sb.Close()
+						if err := sb.SetSharedDataflow(true); !errors.Is(err, errShardedShared) {
 							t.Fatalf("shared dataflow on a sharded broker: err = %v, want the guard error", err)
 						}
 						return
-					}
-					if shared && disk {
+					case shards > 0:
+						got = runSharded(t, script, spec, shards, cfg.Opener)
+					case shared && disk:
 						if _, err := NewRuntime(cfg); !errors.Is(err, errSharedStore) {
 							t.Fatalf("shared dataflow over a store opener: err = %v, want the guard error", err)
 						}
 						return
+					default:
+						got = runScript(t, script, cfg)
 					}
-					if got := runScript(t, script, cfg); got != want {
+					if got != want {
 						t.Fatalf("diverged from classic/serial/memory:\n%s", firstDiff(want, got))
 					}
 				})

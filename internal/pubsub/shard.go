@@ -8,7 +8,6 @@ import (
 	"abivm/internal/core"
 	"abivm/internal/dataflow"
 	"abivm/internal/durable"
-	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 )
@@ -43,17 +42,17 @@ type shard struct {
 	weight float64
 }
 
-// ShardedBroker is the sharded broker runtime: N serial Brokers over one
-// shared database, stepped in parallel. Subscriptions are partitioned
-// across the shards, each a full serial Broker with its own maintainers,
-// WAL/checkpoint namespace, retry/degradation state, and fault injector.
-// Publish applies each live-table change exactly once and buffers the
+// ShardedBroker is N serial Brokers over one shared database, stepped in
+// parallel, without fault injection; only the benchmark's sharded-2
+// workload builds one. Subscriptions are partitioned across the shards,
+// each a full serial Broker with its own maintainers, WAL/checkpoint
+// namespace and retry/degradation state. Publish applies each live-table change exactly once and buffers the
 // modification on every shard that watches the table — an arrival does no
 // work, it only adds to the paper's d_t. EndStep routes each shard's
 // buffer and steps the shard, one goroutine per shard, then merges the
 // notifications back into global registration order — which is what
 // makes a single-shard run byte-identical to the serial broker, every
-// observable output included (notifications, results, health, costs).
+// observable output included (notifications, results, costs).
 // All methods are safe for concurrent use and serialize on the broker's
 // own lock; no goroutine outlives the EndStep that started it.
 type ShardedBroker struct {
@@ -89,9 +88,7 @@ func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 }
 
 // Close releases what the broker holds outside the garbage collector's
-// reach — nothing: like the serial Broker it runs no goroutine between
-// calls. It exists so a Runtime can be closed without asking which
-// broker it is.
+// reach — nothing: it runs no goroutine between calls.
 func (sb *ShardedBroker) Close() {}
 
 // flush routes the shard's buffered publishes into its broker, in publish
@@ -164,8 +161,8 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 
 // Publish applies one modification to the shared base tables, exactly
 // once, and buffers it on every shard owning a subscription that
-// references the table. Routing waits for the next EndStep (or a read
-// that needs it: Subscribe, Health).
+// references the table. Routing waits for the next EndStep (or a
+// Subscribe to that shard).
 func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -241,27 +238,18 @@ func (sb *ShardedBroker) EndStep() ([]Notification, error) {
 	return out, nil
 }
 
-// owner finds the shard owning a subscription. Caller holds sb.mu.
-func (sb *ShardedBroker) owner(name string) (*shard, error) {
-	for _, ref := range sb.order {
-		if ref.name == name {
-			return sb.shards[ref.shard], nil
-		}
-	}
-	return nil, fmt.Errorf("pubsub: no subscription %q", name)
-}
-
-// ownerBroker is owner for the reads that do not depend on routing: it
-// takes sb.mu for the lookup only, and the broker's accessors lock
-// themselves.
+// ownerBroker finds the broker of the shard owning a subscription, for
+// the reads that do not depend on routing: it takes sb.mu for the lookup
+// only, and the broker's accessors lock themselves.
 func (sb *ShardedBroker) ownerBroker(name string) (*Broker, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	sh, err := sb.owner(name)
-	if err != nil {
-		return nil, err
+	for _, ref := range sb.order {
+		if ref.name == name {
+			return sb.shards[ref.shard].b, nil
+		}
 	}
-	return sh.b, nil
+	return nil, fmt.Errorf("pubsub: no subscription %q", name)
 }
 
 // each runs f on every shard's broker, in shard order, under sb.mu.
@@ -271,35 +259,6 @@ func (sb *ShardedBroker) each(f func(id int, b *Broker)) {
 	for _, sh := range sb.shards {
 		f(sh.id, sh.b)
 	}
-}
-
-// Subscriptions returns the registered subscription names in global
-// registration order.
-func (sb *ShardedBroker) Subscriptions() []string {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	out := make([]string, len(sb.order))
-	for i, ref := range sb.order {
-		out[i] = ref.name
-	}
-	return out
-}
-
-// Health reports a subscription's fault-tolerance status, delegated to
-// its owning shard after that shard routes its buffer — so it equals the
-// serial broker's Health at every point of a workload, mid-step
-// included. Safe to call while the workload runs.
-func (sb *ShardedBroker) Health(name string) (Health, error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sh, err := sb.owner(name)
-	if err != nil {
-		return Health{}, err
-	}
-	if err := sh.flush(); err != nil {
-		return Health{}, fmt.Errorf("pubsub: shard %d: %w", sh.id, err)
-	}
-	return sh.b.Health(name)
 }
 
 // Result returns the (possibly stale) current content of a subscription.
@@ -342,23 +301,6 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 		out[i] = ShardStat{Shard: sh.id, Subscriptions: sh.subs, Weight: sh.weight, QueueDepth: len(sh.buf)}
 	}
 	return out
-}
-
-// SetInjectors installs per-shard fault injectors: factory(i) builds
-// shard i's injector, so each shard owns an independent deterministic
-// fault stream (a single shared *fault.Seeded would be both racy and
-// schedule-dependent across shards stepping in parallel). A nil factory
-// disables injection everywhere. Convention: give shard i a seed derived
-// from (base, i) with shard 0 getting the base seed, so a 1-shard faulted
-// run replays a serial broker seeded the same way.
-func (sb *ShardedBroker) SetInjectors(factory func(shard int) fault.Injector) {
-	sb.each(func(id int, b *Broker) {
-		if factory == nil {
-			b.SetInjector(nil)
-		} else {
-			b.SetInjector(factory(id))
-		}
-	})
 }
 
 // SetStoreOpener installs a durable-store opener on every shard. Each

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"abivm/internal/core"
-	"abivm/internal/fault"
+	"abivm/internal/durable"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 )
@@ -22,17 +22,66 @@ func demoSubscriptions() ([]Subscription, error) {
 	return demoSubscriptionsSpec(DefaultWorkloadSpec())
 }
 
-// runScript executes a scripted workload on the runtime cfg describes
-// (checkpointing every 5 steps) and renders
-// every notification plus the final contents and accumulated costs —
-// the transcript the runtimes are compared on byte for byte.
+// stepper is the part of the serial and the sharded broker a scripted
+// run drives.
+type stepper interface {
+	Publish(table string, mod ivm.Mod) error
+	EndStep() ([]Notification, error)
+	Result(name string) ([]storage.Row, error)
+	TotalCost(name string) (float64, error)
+	SetCheckpointEvery(n int)
+}
+
+// runScript executes a scripted workload on the broker cfg describes;
+// see transcript.
 func runScript(t *testing.T, script [][]chaosEvent, cfg RuntimeConfig) string {
 	t.Helper()
-	rt, err := NewRuntime(cfg)
+	b, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	return transcript(t, script, b, b.Subscriptions())
+}
+
+// newSharded builds a sharded broker over spec's demo database with
+// open as its store opener (nil: in-memory durability) and the spec's
+// demo subscriptions, whose names it returns in registration order.
+func newSharded(t *testing.T, spec WorkloadSpec, shards int, open durable.Opener) (*ShardedBroker, []string) {
+	t.Helper()
+	db, err := DemoDB(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewShardedBroker(db, ShardOptions{Shards: shards})
+	sb.SetStoreOpener(open)
+	subs, err := demoSubscriptionsSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(subs))
+	for i, sc := range subs {
+		if err := sb.Subscribe(sc); err != nil {
+			t.Fatal(err)
+		}
+		names[i] = sc.Name
+	}
+	return sb, names
+}
+
+// runSharded is runScript on a fault-free sharded broker (newSharded).
+func runSharded(t *testing.T, script [][]chaosEvent, spec WorkloadSpec, shards int, open durable.Opener) string {
+	t.Helper()
+	sb, names := newSharded(t, spec, shards, open)
+	defer sb.Close()
+	return transcript(t, script, sb, names)
+}
+
+// transcript executes a scripted workload on rt (checkpointing every 5
+// steps) and renders every notification plus the final contents and
+// accumulated costs of the named subscriptions — the transcript the
+// brokers are compared on byte for byte.
+func transcript(t *testing.T, script [][]chaosEvent, rt stepper, names []string) string {
+	t.Helper()
 	rt.SetCheckpointEvery(5)
 	var out strings.Builder
 	for t2, evs := range script {
@@ -47,7 +96,7 @@ func runScript(t *testing.T, script [][]chaosEvent, cfg RuntimeConfig) string {
 		}
 		renderNotes(&out, ns)
 	}
-	for _, name := range rt.Subscriptions() {
+	for _, name := range names {
 		rows, err := rt.Result(name)
 		if err != nil {
 			t.Fatal(err)
@@ -69,27 +118,6 @@ func renderNotes(out *strings.Builder, ns []Notification) {
 	}
 }
 
-// TestSingleShardMatchesSerialBrokerUnderFaults extends the fault-free
-// single-shard identity (TestRuntimeMatrix) to faulted runs: shard 0's
-// injector equals the serial broker's, so retries,
-// rollbacks, checkpoints, and crash recoveries replay identically
-// through the sharded publish path.
-func TestSingleShardMatchesSerialBrokerUnderFaults(t *testing.T) {
-	const steps = 60
-	for seed := int64(1); seed <= 5; seed++ {
-		script := chaosScript(seed, steps, DefaultWorkloadSpec())
-		cfg := RuntimeConfig{Spec: DefaultWorkloadSpec(),
-			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}
-		serial := runScript(t, script, cfg)
-		cfg.Shards = 1
-		sharded := runScript(t, script, cfg)
-		if serial != sharded {
-			t.Fatalf("seed %d: faulted single-shard output diverged from serial broker:\n%s",
-				seed, firstDiff(serial, sharded))
-		}
-	}
-}
-
 // TestShardCountInvariantFaultFree: without faults there is no per-shard
 // randomness, so the merged output must not depend on how many shards
 // the subscriptions are spread over.
@@ -99,37 +127,12 @@ func TestShardCountInvariantFaultFree(t *testing.T) {
 	script := chaosScript(seed, steps, spec)
 	var want string
 	for _, shards := range []int{1, 2, 3, 4} {
-		got := runScript(t, script, RuntimeConfig{Spec: spec, Shards: shards})
+		got := runSharded(t, script, spec, shards, nil)
 		if want == "" {
 			want = got
 		} else if got != want {
 			t.Fatalf("shards=%d output diverged from shards=1:\n%s", shards, firstDiff(want, got))
 		}
-	}
-}
-
-// TestShardedDeterminismSameSeed: a faulted sharded run is a pure
-// function of (seed, shard count) — running it twice must be
-// byte-identical, mid-step samples included.
-func TestShardedDeterminismSameSeed(t *testing.T) {
-	const seed, steps, shards = 9, 40, 3
-	spec := ScaledWorkloadSpec(2 * shards)
-	script := chaosScript(seed, steps, spec)
-	var first string
-	for run := 0; run < 2; run++ {
-		res, err := chaosRun(script, RuntimeConfig{Shards: shards, Spec: spec, ChainDepth: 3,
-			Injectors: SeededShardInjectors(seed, fault.DefaultRates())}, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run == 0 {
-			first = res.output
-		} else if res.output != first {
-			t.Fatalf("same seed+shards produced different output:\n%s", firstDiff(first, res.output))
-		}
-	}
-	if !strings.Contains(first, "sample ") {
-		t.Fatal("sharded transcript is missing mid-step samples")
 	}
 }
 
@@ -140,8 +143,8 @@ func TestShardWithZeroSubscriptions(t *testing.T) {
 	const seed, steps = 5, 30
 	script := chaosScript(seed, steps, DefaultWorkloadSpec())
 	// 5 shards, 2 subscriptions: at least 3 shards stay empty.
-	got := runScript(t, script, RuntimeConfig{Spec: DefaultWorkloadSpec(), Shards: 5})
-	want := runScript(t, script, RuntimeConfig{Spec: DefaultWorkloadSpec(), Shards: 1})
+	got := runSharded(t, script, DefaultWorkloadSpec(), 5, nil)
+	want := runSharded(t, script, DefaultWorkloadSpec(), 1, nil)
 	if got != want {
 		t.Fatalf("empty shards changed the merged output:\n%s", firstDiff(want, got))
 	}
@@ -249,51 +252,6 @@ func TestMidRunSubscribeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedHealthMidStepMatchesSerial: Health routes the owning shard's
-// buffer before it reads, so after every publish — mid-step, before the
-// barrier — every subscription's health on a sharded runtime equals the
-// serial broker's on the same script.
-func TestShardedHealthMidStepMatchesSerial(t *testing.T) {
-	const seed, steps = 4, 30
-	spec := ScaledWorkloadSpec(6)
-	script := chaosScript(seed, steps, spec)
-	transcript := func(shards int) string {
-		rt, err := NewRuntime(RuntimeConfig{Spec: spec, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		names := rt.Subscriptions()
-		var out strings.Builder
-		for step, evs := range script {
-			for i, ev := range evs {
-				if err := rt.Publish(ev.table, ev.mod); err != nil {
-					t.Fatalf("shards=%d step %d: %v", shards, step, err)
-				}
-				for _, name := range names {
-					h, err := rt.Health(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fmt.Fprintf(&out, "step=%d pub=%d sub=%s %+v\n", step, i, name, h)
-				}
-			}
-			ns, err := rt.EndStep()
-			if err != nil {
-				t.Fatalf("shards=%d step %d: %v", shards, step, err)
-			}
-			renderNotes(&out, ns)
-		}
-		return out.String()
-	}
-	serial := transcript(0)
-	for _, shards := range []int{1, 3} {
-		if got := transcript(shards); got != serial {
-			t.Fatalf("shards=%d: mid-step health diverged from the serial broker:\n%s", shards, firstDiff(serial, got))
-		}
-	}
-}
-
 // rendezvous is a policy whose Act blocks until want calls have entered
 // it, or a timeout passes, and then drains nothing.
 type rendezvous struct {
@@ -367,10 +325,7 @@ func TestShardedBrokerLeavesNoGoroutines(t *testing.T) {
 	const seed, steps, shards = 2, 20, 4
 	spec := ScaledWorkloadSpec(shards)
 	base := runtime.NumGoroutine()
-	rt, err := NewRuntime(RuntimeConfig{Spec: spec, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, _ := newSharded(t, spec, shards, nil)
 	defer rt.Close()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("construction and subscription started %d goroutines", n-base)

@@ -223,8 +223,7 @@ func TestSharedFaultSitesExercised(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		script := chaosScript(seed, 40, DefaultWorkloadSpec())
 		inj := fault.NewSeeded(seed, fault.DefaultRates())
-		p := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true,
-			Injectors: func(int) fault.Injector { return inj }}
+		p := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true, Injector: inj}
 		if _, err := chaosRun(script, p, 5); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -456,21 +455,18 @@ func TestSharedCrashAtEveryStep(t *testing.T) {
 	run := func(cpEvery int, inj fault.Injector) string {
 		t.Helper()
 		cfg := RuntimeConfig{Spec: DefaultWorkloadSpec(), Shared: true,
-			Subscribe: func(_ *storage.DB, rt Runtime) error {
-				subscribeSharedViews(t, rt.(*Broker), views)
+			Injector: inj,
+			Subscribe: func(_ *storage.DB, rt *Broker) error {
+				subscribeSharedViews(t, rt, views)
 				if p, ok := inj.(*uncoveredProbe); ok {
-					p.b = rt.(*Broker)
+					p.b = rt
 				}
 				return nil
 			}}
-		if inj != nil {
-			cfg.Injectors = func(int) fault.Injector { return inj }
-		}
 		rt, err := NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rt.Close()
 		rt.SetCheckpointEvery(cpEvery)
 		var out strings.Builder
 		for step, evs := range script {
@@ -519,5 +515,37 @@ func TestSharedCrashAtEveryStep(t *testing.T) {
 				t.Fatalf("cpEvery=%d: crash at step %d, subscription %d diverged from the crash-free run:\n%s", cpEvery, n/views, n%views, firstDiff(want, got))
 			}
 		}
+	}
+}
+
+// TestSharedTrimsWithoutCheckpoints: with periodic checkpoints off the
+// shared graph still collects its garbage, at the default cadence, so
+// the delta logs it retains do not grow with the length of the run.
+func TestSharedTrimsWithoutCheckpoints(t *testing.T) {
+	const seed, steps = 3, 400
+	spec := ScaledWorkloadSpec(4)
+	b, err := NewRuntime(RuntimeConfig{Spec: spec, Shared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetCheckpointEvery(0)
+	var at100 int
+	for step, evs := range chaosScript(seed, steps, spec) {
+		for _, ev := range evs {
+			if err := b.Publish(ev.table, ev.mod); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		if _, err := b.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step+1 == 100 {
+			at100 = b.DataflowStats().RetainedDeltas
+		}
+	}
+	at400 := b.DataflowStats().RetainedDeltas
+	t.Logf("retained deltas: %d after 100 steps, %d after 400", at100, at400)
+	if at400 >= 2*at100 {
+		t.Fatalf("the logs retain %d deltas after %d steps against %d after 100: nothing trims them", at400, steps, at100)
 	}
 }

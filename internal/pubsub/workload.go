@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 )
@@ -14,7 +13,7 @@ import (
 // seed sales rows the base tables start with, and the region partition
 // the subscriptions aggregate over (one subscription per region). The
 // legacy two-region spec is DefaultWorkloadSpec; ScaledWorkloadSpec
-// widens it so a sharded broker has enough subscriptions to spread.
+// widens it to more regions, and so more subscriptions.
 type WorkloadSpec struct {
 	Stations  int
 	SalesRows int
@@ -30,8 +29,7 @@ func DefaultWorkloadSpec() WorkloadSpec {
 }
 
 // ScaledWorkloadSpec widens the workload to n regions (R00, R01, …) with
-// four stations and twenty seed sales rows per region — the shape the
-// sharded runtime is benchmarked and chaos-tested on.
+// four stations and twenty seed sales rows per region.
 func ScaledWorkloadSpec(n int) WorkloadSpec {
 	if n < 1 {
 		n = 1
@@ -116,26 +114,26 @@ func demoSubscriptionsSpec(spec WorkloadSpec) ([]Subscription, error) {
 }
 
 // DemoWorkload is a self-contained, endlessly steppable pub/sub workload
-// over the chaos harness's stations/sales schema: a runtime built by
+// over the chaos harness's stations/sales schema: a broker built by
 // NewRuntime plus the seeded event stream that feeds it. `abivm serve`
 // drives one to have live data behind its metrics endpoint; everything
 // it does is deterministic in the seed and the fault schedule.
 type DemoWorkload struct {
-	// Broker is the underlying runtime; attach observability with SetObs
+	// Broker is the underlying broker; attach observability with SetObs
 	// and inspect subscriptions through the usual accessors.
-	Broker Runtime
+	Broker *Broker
 
 	gen *eventGen
 }
 
-// NewDemoWorkload builds the runtime cfg describes and the event stream
+// NewDemoWorkload builds the broker cfg describes and the event stream
 // for cfg.Seed over cfg.Spec.
 func NewDemoWorkload(cfg RuntimeConfig) (*DemoWorkload, error) {
-	rt, err := NewRuntime(cfg)
+	b, err := NewRuntime(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &DemoWorkload{Broker: rt, gen: newEventGenSpec(cfg.Seed, cfg.Spec)}, nil
+	return &DemoWorkload{Broker: b, gen: newEventGenSpec(cfg.Seed, cfg.Spec)}, nil
 }
 
 // Step publishes one generated step of modifications and closes the
@@ -147,17 +145,4 @@ func (w *DemoWorkload) Step() ([]Notification, error) {
 		}
 	}
 	return w.Broker.EndStep()
-}
-
-// Close closes the runtime.
-func (w *DemoWorkload) Close() { w.Broker.Close() }
-
-// SeededShardInjectors returns a per-shard injector factory: shard i
-// gets an independent deterministic fault.Seeded stream derived from
-// (seed, i), with shard 0 receiving the base seed — so a one-shard
-// faulted run replays a serial broker seeded identically.
-func SeededShardInjectors(seed int64, rates fault.Rates) func(shard int) fault.Injector {
-	return func(shard int) fault.Injector {
-		return fault.NewSeeded(seed+int64(shard)*1000003, rates)
-	}
 }

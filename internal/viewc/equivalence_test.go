@@ -20,14 +20,14 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 	const seed, steps = 11, 40
 	spec := pubsub.DefaultWorkloadSpec()
 
-	run := func(wire func(rt pubsub.Runtime, views []*CompiledView) error) string {
+	run := func(wire func(b *pubsub.Broker, views []*CompiledView) error) string {
 		w, err := pubsub.NewDemoWorkload(pubsub.RuntimeConfig{Seed: seed, Spec: spec,
-			Subscribe: func(db *storage.DB, rt pubsub.Runtime) error {
+			Subscribe: func(db *storage.DB, b *pubsub.Broker) error {
 				views, err := CompileCatalog(db, demoCatalog, Options{Seed: seed, Condition: pubsub.Every(5)})
 				if err != nil {
 					return err
 				}
-				return wire(rt, views)
+				return wire(b, views)
 			}})
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 		return sb.String()
 	}
 
-	compiled := run(func(b pubsub.Runtime, views []*CompiledView) error {
+	compiled := run(func(b *pubsub.Broker, views []*CompiledView) error {
 		for _, cv := range views {
 			if err := b.Subscribe(cv.Subscription()); err != nil {
 				return err
@@ -54,7 +54,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 		}
 		return nil
 	})
-	handWired := run(func(b pubsub.Runtime, views []*CompiledView) error {
+	handWired := run(func(b *pubsub.Broker, views []*CompiledView) error {
 		for _, cv := range views {
 			// Spread the compiled parts into a plain Subscription by hand —
 			// the pre-compiler wiring style.
@@ -79,7 +79,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 }
 
 // TestCompiledOnShardedBroker: a compiled subscription works on the sharded
-// runtime too.
+// broker too.
 func TestCompiledOnShardedBroker(t *testing.T) {
 	spec := pubsub.ScaledWorkloadSpec(4)
 	db, err := pubsub.DemoDB(spec)
@@ -97,7 +97,19 @@ func TestCompiledOnShardedBroker(t *testing.T) {
 			t.Fatalf("%s: %v", cv.Name, err)
 		}
 	}
-	if got := len(sb.Subscriptions()); got != len(views) {
+	got := 0
+	for _, st := range sb.ShardStats() {
+		got += st.Subscriptions
+	}
+	if got != len(views) {
 		t.Fatalf("registered %d subscriptions, want %d", got, len(views))
+	}
+	if _, err := sb.EndStep(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cv := range views {
+		if _, err := sb.Result(cv.Name); err != nil {
+			t.Fatalf("%s: %v", cv.Name, err)
+		}
 	}
 }

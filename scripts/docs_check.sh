@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation drift gate: the repo map in ARCHITECTURE.md must track
 # the package tree, and the metric catalogue the registered series.
-# Six directions:
+# Seven directions:
 #
 #   1. Every internal/<pkg> and cmd/<binary> mentioned in
 #      ARCHITECTURE.md or README.md must exist — a doc referencing a
@@ -32,6 +32,13 @@
 #      declared in non-test Go must name a method, a field or an
 #      interface method of T — a doc citing a deleted or renamed member
 #      fails the check. A file name (`node.go`) is not a citation.
+#   7. Every flag README.md or OPERATIONS.md documents for `abivm` must
+#      exist: each `-flag` on an `abivm <cmd> ...` or
+#      `go run ./cmd/abivm <cmd> ...` line, and each `-flag` row of a
+#      flag table (attributed to the subcommand of the last such line
+#      above it), must be defined by <cmd>'s FlagSet in
+#      cmd/abivm/<cmd>.go or by the top-level flag set in main.go. A doc
+#      showing a deleted or renamed flag fails the check.
 #
 # Run via `make docs-check` or the CI docs-check job.
 set -eu
@@ -186,8 +193,53 @@ for doc in DESIGN.md ARCHITECTURE.md OPERATIONS.md README.md EXPERIMENTS.md; do
 	done
 done
 
+# Direction 7: documented CLI flags must exist. The awk prints one
+# "doc:line cmd -flag" per documented flag: a command is what follows
+# "abivm " up to the end of its code span, a comment or shell
+# punctuation ($(...) substitutions dropped), its subcommand the first
+# bare lower-case word (flags before it are top-level ones).
+top=$(grep -oE 'flag\.[A-Za-z0-9]+\("[A-Za-z0-9-]+"' cmd/abivm/main.go | sed -E 's/.*"(.*)"/\1/')
+documented=$(awk '
+	/^\| `-[A-Za-z][A-Za-z0-9-]*`/ {
+		f = $0; sub(/^\| `/, "", f); sub(/`.*/, "", f)
+		print FILENAME ":" FNR " " cmd " " f
+		next
+	}
+	{
+		line = $0
+		while (match(line, /(^|[ `(\/])abivm( |$)/)) {
+			line = substr(line, RSTART + RLENGTH)
+			seg = line
+			gsub(/\$\([^)]*\)/, "", seg)
+			if (match(seg, /[`|;&#<>]/)) seg = substr(seg, 1, RSTART - 1)
+			n = split(seg, tok, /[ \t]+/)
+			c = ""
+			for (i = 1; i <= n && c == ""; i++) if (tok[i] ~ /^[a-z][a-z0-9]*$/) c = tok[i]
+			if (c != "") cmd = c
+			for (i = 1; i <= n; i++) if (tok[i] ~ /^-[A-Za-z][A-Za-z0-9-]*(=.*)?$/) {
+				f = tok[i]; sub(/=.*/, "", f)
+				print FILENAME ":" FNR " " c " " f
+			}
+		}
+	}' README.md OPERATIONS.md)
+stale=$(printf '%s\n' "$documented" | while read -r where cmd f; do
+	[ -n "$f" ] || continue
+	defined=$top
+	if [ -n "$cmd" ] && [ -f "cmd/abivm/$cmd.go" ]; then
+		defined="$defined
+$(grep -oE 'fs\.[A-Za-z0-9]+\("[A-Za-z0-9-]+"' "cmd/abivm/$cmd.go" | sed -E 's/.*"(.*)"/\1/')"
+	fi
+	if ! printf '%s\n' "$defined" | grep -qx -- "${f#-}"; then
+		echo "docs-check: $where documents abivm ${cmd:-(top level)} $f, which no flag set defines"
+	fi
+done)
+if [ -n "$stale" ]; then
+	printf '%s\n' "$stale"
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests, benchmarks and members that exist"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests, benchmarks, members and abivm flags that exist"
 	exit 1
 fi
 echo "docs-check: OK"

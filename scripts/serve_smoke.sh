@@ -1,12 +1,10 @@
 #!/bin/sh
-# Serve smoke: start `abivm serve` against the demo workload — on the
-# serial broker, on the sharded runtime (-shards 4) and on the shared
-# dataflow graph (-shared) — scrape the ops endpoints, and assert the
-# required metric series exist; then assert that serve refuses the
-# shared graph on the sharded runtime (-shards 2 -shared). This is
-# the end-to-end proof that the observability wiring — broker, shard
-# runtime, maintainer, fault injector — actually emits on a live
-# process, not just in unit tests.
+# Serve smoke: start `abivm serve` against the demo workload — with
+# per-view maintainers and on the shared dataflow graph (-shared) —
+# scrape the ops endpoints, and assert the required metric series exist.
+# This is the end-to-end proof that the observability wiring — broker,
+# maintainer, fault injector — actually emits on a live process, not
+# just in unit tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -83,17 +81,10 @@ smoke() {
     echo "serve_smoke($mode): OK"
 }
 
-smoke serial ""
+smoke classic ""
 
-# Sharded runtime: the serial series must survive (now shard-labeled) and
-# the shard-runtime series must appear.
-smoke sharded "-shards 4" \
-    pubsub_shards \
-    pubsub_shard_queue_depth \
-    pubsub_shard_weight
-
-# Shared dataflow on the serial broker: the graph-shape series must
-# appear next to the serial ones.
+# Shared dataflow: the graph-shape series must appear next to the
+# broker's.
 smoke shared "-shared" \
     ivm_dataflow_operators \
     ivm_dataflow_views \
@@ -103,18 +94,5 @@ smoke shared "-shared" \
     ivm_dataflow_products_total \
     ivm_dataflow_folds_total \
     ivm_dataflow_fold_visits_total
-
-# The sharded runtime hosts no shared graph: serve must refuse the pair
-# at its flag check, naming both flags.
-if /tmp/abivm-smoke serve -addr "$ADDR" -steps 1 -shards 2 -shared >"$LOG" 2>&1; then
-    echo "serve_smoke(sharded-shared): serve -shards 2 -shared exited 0" >&2
-    exit 1
-fi
-if ! grep -q -- '-shared' "$LOG" || ! grep -q -- '-shards' "$LOG"; then
-    echo "serve_smoke(sharded-shared): the refusal does not name -shared and -shards; log:" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-echo "serve_smoke(sharded-shared refused): OK"
 
 echo "serve_smoke: OK"
