@@ -27,7 +27,9 @@ lint-json:
 vet:
 	$(GO) vet ./...
 
-# verify is the merge gate: everything CI runs, in one command.
+# verify is the merge gate: CI's verify job in one command, the docs
+# check included. CI runs fuzz-smoke, serve-smoke, compile-smoke and its
+# disk-chaos steps apart from it.
 verify:
 	sh scripts/check.sh
 

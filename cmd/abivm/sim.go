@@ -57,7 +57,7 @@ func runSim(args []string) error {
 		}
 		f, err := costfn.NewLinear(a, b)
 		if err != nil {
-			return err
+			return fmt.Errorf("-costs %s: %w", spec, err)
 		}
 		funcs = append(funcs, f)
 	}

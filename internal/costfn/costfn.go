@@ -28,13 +28,18 @@ type Linear struct {
 	B float64 // per-batch setup cost; must be >= 0
 }
 
+// positive and nonNegative are the constructors' parameter checks,
+// written so that NaN fails them; +Inf fails too.
+func positive(x float64) bool    { return x > 0 && !math.IsInf(x, 1) }
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // NewLinear validates and returns a Linear cost function.
 func NewLinear(a, b float64) (Linear, error) {
-	if a <= 0 {
-		return Linear{}, fmt.Errorf("costfn: linear slope must be positive, got %g", a)
+	if !positive(a) {
+		return Linear{}, fmt.Errorf("costfn: linear slope must be positive and finite, got %g", a)
 	}
-	if b < 0 {
-		return Linear{}, fmt.Errorf("costfn: linear intercept must be non-negative, got %g", b)
+	if !nonNegative(b) {
+		return Linear{}, fmt.Errorf("costfn: linear intercept must be non-negative and finite, got %g", b)
 	}
 	return Linear{A: a, B: b}, nil
 }
@@ -68,8 +73,8 @@ func NewStep(blockSize int, blockCost float64) (Step, error) {
 	if blockSize < 1 {
 		return Step{}, fmt.Errorf("costfn: block size must be >= 1, got %d", blockSize)
 	}
-	if blockCost <= 0 {
-		return Step{}, fmt.Errorf("costfn: block cost must be positive, got %g", blockCost)
+	if !positive(blockCost) {
+		return Step{}, fmt.Errorf("costfn: block cost must be positive and finite, got %g", blockCost)
 	}
 	return Step{BlockSize: blockSize, BlockCost: blockCost}, nil
 }
@@ -103,14 +108,14 @@ type Power struct {
 
 // NewPower validates and returns a Power cost function.
 func NewPower(a, e, b float64) (Power, error) {
-	if a <= 0 {
-		return Power{}, fmt.Errorf("costfn: power scale must be positive, got %g", a)
+	if !positive(a) {
+		return Power{}, fmt.Errorf("costfn: power scale must be positive and finite, got %g", a)
 	}
-	if e <= 0 || e > 1 {
+	if !(e > 0 && e <= 1) {
 		return Power{}, fmt.Errorf("costfn: power exponent must be in (0,1], got %g", e)
 	}
-	if b < 0 {
-		return Power{}, fmt.Errorf("costfn: power setup cost must be non-negative, got %g", b)
+	if !nonNegative(b) {
+		return Power{}, fmt.Errorf("costfn: power setup cost must be non-negative and finite, got %g", b)
 	}
 	return Power{A: a, E: e, B: b}, nil
 }
@@ -132,11 +137,11 @@ type Log struct {
 
 // NewLog validates and returns a Log cost function.
 func NewLog(a, b float64) (Log, error) {
-	if a <= 0 {
-		return Log{}, fmt.Errorf("costfn: log scale must be positive, got %g", a)
+	if !positive(a) {
+		return Log{}, fmt.Errorf("costfn: log scale must be positive and finite, got %g", a)
 	}
-	if b < 0 {
-		return Log{}, fmt.Errorf("costfn: log setup cost must be non-negative, got %g", b)
+	if !nonNegative(b) {
+		return Log{}, fmt.Errorf("costfn: log setup cost must be non-negative and finite, got %g", b)
 	}
 	return Log{A: a, B: b}, nil
 }
@@ -180,6 +185,9 @@ func NewPiecewiseLinear(knots []Knot) (*PiecewiseLinear, error) {
 		if i > 0 {
 			if kn.K <= knots[i-1].K {
 				return nil, fmt.Errorf("costfn: knot batch sizes must strictly increase (knot %d)", i)
+			}
+			if !nonNegative(kn.Cost) {
+				return nil, fmt.Errorf("costfn: knot cost must be non-negative and finite, got %g (knot %d)", kn.Cost, i)
 			}
 			if kn.Cost < knots[i-1].Cost {
 				return nil, fmt.Errorf("costfn: knot costs must be non-decreasing (knot %d)", i)
@@ -242,7 +250,8 @@ func NewCapped(inner core.CostFunc, cap float64) (Capped, error) {
 	if inner == nil {
 		return Capped{}, fmt.Errorf("costfn: capped needs an inner function")
 	}
-	if cap <= 0 {
+	// +Inf is a valid cap (none); NaN is not.
+	if !(cap > 0) {
 		return Capped{}, fmt.Errorf("costfn: cap must be positive, got %g", cap)
 	}
 	return Capped{Inner: inner, Cap: cap}, nil

@@ -38,7 +38,19 @@ func TestNewLinearValidation(t *testing.T) {
 	if _, err := NewLinear(1, -1); err == nil {
 		t.Error("negative intercept accepted")
 	}
+	for _, x := range nonFinite {
+		if _, err := NewLinear(x, 1); err == nil {
+			t.Errorf("slope %g accepted", x)
+		}
+		if _, err := NewLinear(1, x); err == nil {
+			t.Errorf("intercept %g accepted", x)
+		}
+	}
 }
+
+// nonFinite holds values every constructor refuses for every cost
+// parameter; NaN passes a plain `a <= 0` test.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 
 func TestLinearMaxBatch(t *testing.T) {
 	f, _ := NewLinear(2, 3)
@@ -113,6 +125,11 @@ func TestNewStepValidation(t *testing.T) {
 	if _, err := NewStep(1, 0); err == nil {
 		t.Error("zero block cost accepted")
 	}
+	for _, x := range nonFinite {
+		if _, err := NewStep(1, x); err == nil {
+			t.Errorf("block cost %g accepted", x)
+		}
+	}
 }
 
 func TestPowerAndLog(t *testing.T) {
@@ -154,6 +171,23 @@ func TestNewPowerValidation(t *testing.T) {
 	if _, err := NewPower(1, 0.5, -1); err == nil {
 		t.Error("negative setup accepted")
 	}
+	for _, x := range nonFinite {
+		if _, err := NewPower(x, 0.5, 0); err == nil {
+			t.Errorf("scale %g accepted", x)
+		}
+		if _, err := NewPower(1, x, 0); err == nil {
+			t.Errorf("exponent %g accepted", x)
+		}
+		if _, err := NewPower(1, 0.5, x); err == nil {
+			t.Errorf("setup %g accepted", x)
+		}
+		if _, err := NewLog(x, 0); err == nil {
+			t.Errorf("log scale %g accepted", x)
+		}
+		if _, err := NewLog(1, x); err == nil {
+			t.Errorf("log setup %g accepted", x)
+		}
+	}
 }
 
 func TestPiecewiseLinear(t *testing.T) {
@@ -190,6 +224,14 @@ func TestNewPiecewiseLinearValidation(t *testing.T) {
 	}
 	if _, err := NewPiecewiseLinear([]Knot{{0, 0}, {5, 3}, {6, 2}}); err == nil {
 		t.Error("decreasing cost accepted")
+	}
+	for _, x := range nonFinite {
+		if _, err := NewPiecewiseLinear([]Knot{{0, 0}, {5, x}}); err == nil {
+			t.Errorf("knot cost %g accepted", x)
+		}
+		if _, err := NewPiecewiseLinear([]Knot{{0, 0}, {5, 3}, {6, x}}); err == nil {
+			t.Errorf("last knot cost %g accepted", x)
+		}
 	}
 }
 
@@ -229,6 +271,9 @@ func TestNewCappedValidation(t *testing.T) {
 	}
 	if _, err := NewCapped(lin, 0); err == nil {
 		t.Error("zero cap accepted")
+	}
+	if _, err := NewCapped(lin, math.NaN()); err == nil {
+		t.Error("NaN cap accepted")
 	}
 }
 

@@ -511,7 +511,7 @@ func TestTruncateRetainsBackToBaseLSN(t *testing.T) {
 
 func TestDirOpenerEndToEnd(t *testing.T) {
 	open := DirOpener(t.TempDir())
-	st, err := open("shard0/orders")
+	st, err := open("eu/orders")
 	if err != nil {
 		t.Fatal(err)
 	}

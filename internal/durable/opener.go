@@ -10,9 +10,9 @@ import (
 	"abivm/internal/fault"
 )
 
-// Opener constructs the durable store for one maintainer namespace; the
-// broker calls it at Subscribe time. Namespaces may contain slashes
-// ("shard0/orders"), which map to subdirectories.
+// Opener constructs the durable store for one maintainer namespace, the
+// subscription's name, at Subscribe time. Namespaces may contain slashes
+// ("eu/orders"), which map to subdirectories.
 type Opener func(ns string) (*Store, error)
 
 // MemOpener returns an Opener over per-namespace in-memory file

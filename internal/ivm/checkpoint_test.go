@@ -298,7 +298,7 @@ func TestChainValidatesNamespace(t *testing.T) {
 	}
 	wal := NewWAL()
 	m.AttachWAL(wal)
-	m.SetNamespace("shard1/east")
+	m.SetNamespace("eu/east")
 	chain := NewCheckpointChain(DefaultChainDepth)
 	if err := chain.Checkpoint(m); err != nil {
 		t.Fatal(err)
@@ -310,10 +310,10 @@ func TestChainValidatesNamespace(t *testing.T) {
 	if err := chain.Checkpoint(m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverChainNamespaced(db, paperView, "shard2/east", chain, wal, nil); err == nil {
+	if _, err := RecoverChainNamespaced(db, paperView, "us/east", chain, wal, nil); err == nil {
 		t.Error("foreign-namespace chain accepted")
 	}
-	if _, err := RecoverChainNamespaced(db, paperView, "shard1/east", chain, wal, nil); err != nil {
+	if _, err := RecoverChainNamespaced(db, paperView, "eu/east", chain, wal, nil); err != nil {
 		t.Errorf("owner recovery failed: %v", err)
 	}
 }

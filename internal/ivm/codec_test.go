@@ -116,7 +116,7 @@ func reencode(t testing.TB, seg *segment) []byte {
 // to what was written and re-encode to the same bytes.
 func TestSegmentRoundTrip(t *testing.T) {
 	_, m, wal, _ := chainFixture(t, DefaultChainDepth)
-	m.SetNamespace("shard1/east")
+	m.SetNamespace("eu/east")
 	if err := apply(m, Delete("PS", storage.I(201))); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seg.kind != kind || seg.ns != "shard1/east" || seg.fromLSN != from || seg.lsn != wal.LastLSN() {
+		if seg.kind != kind || seg.ns != "eu/east" || seg.fromLSN != from || seg.lsn != wal.LastLSN() {
 			t.Errorf("decoded header %+v", seg)
 		}
 		if len(seg.queues) != len(m.aliases) {

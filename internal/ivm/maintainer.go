@@ -46,9 +46,9 @@ type Maintainer struct {
 
 	// ns is the maintainer's durability namespace. It is stamped into
 	// every checkpoint segment, and RecoverChainNamespaced refuses a
-	// chain whose namespace does not match — the guard that keeps a
-	// sharded broker from restoring one shard's subscription from another
-	// shard's recovery point.
+	// chain whose namespace does not match — the guard that makes a disk
+	// chain replayed into another subscription's maintainer fail before
+	// any state is rebuilt.
 	ns string
 
 	// dirty tracks, per replica table, the primary keys committed drains
@@ -131,8 +131,8 @@ func (m *Maintainer) Plan() *DeltaPlan { return m.plan }
 // RecoverChain. A nil w detaches.
 func (m *Maintainer) AttachWAL(w *WAL) { m.wal = w }
 
-// SetNamespace names the maintainer's durability namespace (typically
-// "<shard>/<subscription>"). Checkpoints taken afterwards carry the
+// SetNamespace names the maintainer's durability namespace (the broker
+// uses the subscription's name). Checkpoints taken afterwards carry the
 // namespace, and RecoverChainNamespaced validates it.
 func (m *Maintainer) SetNamespace(ns string) { m.ns = ns }
 

@@ -17,29 +17,29 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	}
 	wal := NewWAL()
 	m.AttachWAL(wal)
-	m.SetNamespace("shard2/east")
-	if got := m.Namespace(); got != "shard2/east" {
+	m.SetNamespace("eu/east")
+	if got := m.Namespace(); got != "eu/east" {
 		t.Fatalf("Namespace() = %q after SetNamespace", got)
 	}
 	applyN(t, m, 100, 4)
 	cp := fullCheckpoint(t, m)
 
 	// Matching namespace: recovery succeeds and the namespace survives.
-	rec, err := RecoverChainNamespaced(db, paperView, "shard2/east", cp, wal, nil)
+	rec, err := RecoverChainNamespaced(db, paperView, "eu/east", cp, wal, nil)
 	if err != nil {
 		t.Fatalf("matching namespace: %v", err)
 	}
-	if got := rec.Namespace(); got != "shard2/east" {
-		t.Errorf("recovered namespace %q, want shard2/east", got)
+	if got := rec.Namespace(); got != "eu/east" {
+		t.Errorf("recovered namespace %q, want eu/east", got)
 	}
 	if got := pendingKey(rec); got != pendingKey(m) {
 		t.Errorf("recovered pending %s, want %s", got, pendingKey(m))
 	}
 
 	// Foreign namespace: refused with both names in the error.
-	if _, err := RecoverChainNamespaced(db, paperView, "shard0/east", cp, wal, nil); err == nil {
-		t.Fatal("recovering another shard's checkpoint succeeded")
-	} else if !strings.Contains(err.Error(), "shard2/east") || !strings.Contains(err.Error(), "shard0/east") {
+	if _, err := RecoverChainNamespaced(db, paperView, "us/east", cp, wal, nil); err == nil {
+		t.Fatal("recovering another subscription's checkpoint succeeded")
+	} else if !strings.Contains(err.Error(), "eu/east") || !strings.Contains(err.Error(), "us/east") {
 		t.Errorf("mismatch error %q does not name both namespaces", err)
 	}
 
@@ -49,7 +49,7 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverChain on namespaced checkpoint: %v", err)
 	}
-	if got := rec2.Namespace(); got != "shard2/east" {
+	if got := rec2.Namespace(); got != "eu/east" {
 		t.Errorf("RecoverChain dropped the namespace: %q", got)
 	}
 
@@ -62,7 +62,7 @@ func TestRecoverNamespacedValidatesOwnership(t *testing.T) {
 	if _, err := RecoverChainNamespaced(db, paperView, "", cp2, nil, nil); err != nil {
 		t.Errorf("empty-namespace recovery: %v", err)
 	}
-	if _, err := RecoverChainNamespaced(db, paperView, "shard1/west", cp2, nil, nil); err == nil {
-		t.Error("un-namespaced checkpoint recovered under a shard namespace")
+	if _, err := RecoverChainNamespaced(db, paperView, "us/west", cp2, nil, nil); err == nil {
+		t.Error("un-namespaced checkpoint recovered under a named namespace")
 	}
 }

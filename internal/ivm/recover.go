@@ -22,11 +22,11 @@ func RecoverChain(live *storage.DB, query string, chain *CheckpointChain, wal *W
 // RecoverChainNamespaced is RecoverChain with a namespace check and an
 // instrumentation bundle. The chain must have been written by a
 // maintainer whose namespace is exactly ns, otherwise recovery fails
-// before any state is rebuilt — a sharded broker uses this to guarantee
-// each shard restores only its own subscriptions' recovery points
-// ("<shard>/<subscription>" namespaces). A successful recovery is
-// counted in ms, its replayed WAL suffix length observed, and ms is
-// attached to the recovered maintainer; nil ms measures nothing.
+// before any state is rebuilt, so a chain replayed into another
+// subscription's maintainer fails instead of rebuilding the wrong view.
+// A successful recovery is counted in ms, its replayed WAL suffix length
+// observed, and ms is attached to the recovered maintainer; nil ms
+// measures nothing.
 func RecoverChainNamespaced(live *storage.DB, query, ns string, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
 	return recoverChain(live, query, ns, true, chain, wal, ms)
 }

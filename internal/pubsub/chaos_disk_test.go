@@ -30,7 +30,7 @@ func TestChaosDataDirOnDisk(t *testing.T) {
 // store's namespace, and neither directory opener lets it name a
 // directory outside the opener's root. A name that climbs out ("..") or
 // is absolute is refused at Subscribe and creates nothing; a nested name
-// ("shard0/east") stays legal and lands under the root.
+// ("eu/east") stays legal and lands under the root.
 func TestSubscribeKeepsStoresInDataDir(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -66,10 +66,10 @@ func TestSubscribeKeepsStoresInDataDir(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, "escaped")); !os.IsNotExist(err) {
 				t.Errorf("a refused subscription created %s (stat: %v)", filepath.Join(dir, "escaped"), err)
 			}
-			if err := subscribe("shard0/east"); err != nil {
+			if err := subscribe("eu/east"); err != nil {
 				t.Fatalf("nested namespace: %v", err)
 			}
-			if _, err := os.Stat(filepath.Join(root, "shard0", "east", "MANIFEST")); err != nil {
+			if _, err := os.Stat(filepath.Join(root, "eu", "east", "MANIFEST")); err != nil {
 				t.Fatalf("nested namespace's store is not under the root: %v", err)
 			}
 			if got := b.Subscriptions(); len(got) != 1 {

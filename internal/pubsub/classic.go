@@ -89,7 +89,8 @@ func (e *classicEngine) Checkpoint() error {
 
 // Recover rebuilds the maintainer. In memory the chain and log survive
 // the simulated crash and the redo is exact; recovery validates the
-// chain's namespace, so a shard can only restore its own subscription.
+// chain's namespace, so a chain replayed into another subscription's
+// maintainer fails before any state is rebuilt.
 // On disk the in-memory log and chain die with the process and
 // everything is rebuilt from the store's files. When those are too
 // damaged to replay, the store resets itself and the engine is built

@@ -21,11 +21,6 @@ type brokerObs struct {
 	reg *obs.Registry
 	tr  *obs.Tracer
 
-	// shard is the `shard` label value stamped onto every broker-level
-	// series and the step span; "" (a standalone broker) emits the same
-	// unlabeled series as before sharding existed.
-	shard string
-
 	steps         *obs.Counter
 	stepLatency   *obs.Histogram
 	publishes     *obs.Counter
@@ -63,43 +58,34 @@ type brokerObs struct {
 	ivm *ivm.Metrics
 }
 
-func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, shard string) *brokerObs {
-	var lbl []string
-	if shard != "" {
-		lbl = []string{"shard", shard}
-	}
+func newBrokerObs(reg *obs.Registry, tr *obs.Tracer) *brokerObs {
 	return &brokerObs{
 		reg:           reg,
 		tr:            tr,
-		shard:         shard,
-		steps:         reg.Counter("pubsub_steps_total", lbl...),
-		stepLatency:   reg.Histogram("pubsub_step_latency_seconds", obs.LatencyBuckets(), lbl...),
-		publishes:     reg.Counter("pubsub_publishes_total", lbl...),
-		notifications: reg.Counter("pubsub_notifications_total", lbl...),
-		degradedNotes: reg.Counter("pubsub_degraded_notifications_total", lbl...),
-		degradedSteps: reg.Counter("pubsub_degraded_sub_steps_total", lbl...),
-		retries:       reg.Counter("pubsub_retries_total", lbl...),
-		retryGiveups:  reg.Counter("pubsub_retry_giveups_total", lbl...),
-		crashRecovers: reg.Counter("pubsub_crash_recoveries_total", lbl...),
-		refreshCost:   reg.Histogram("pubsub_refresh_cost", obs.SizeBuckets(), lbl...),
-		dfOperators:   reg.Gauge("ivm_dataflow_operators", lbl...),
-		dfViews:       reg.Gauge("ivm_dataflow_views", lbl...),
-		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total", lbl...),
-		dfMaxFanout:   reg.Gauge("ivm_dataflow_max_fanout", lbl...),
-		dfArrs:        reg.Gauge("ivm_dataflow_arrangements", lbl...),
-		dfArrHits:     reg.Gauge("ivm_dataflow_arrangement_hits_total", lbl...),
-		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows", lbl...),
-		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas", lbl...),
-		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total", lbl...),
-		dfProbes:      reg.Gauge("ivm_dataflow_probes_total", lbl...),
-		dfProducts:    reg.Gauge("ivm_dataflow_products_total", lbl...),
-		dfFolds:       reg.Gauge("ivm_dataflow_folds_total", lbl...),
-		dfFoldVisits:  reg.Gauge("ivm_dataflow_fold_visits_total", lbl...),
-		// The maintainer-layer bundle stays unlabeled on purpose: ivm
-		// histograms aggregate across every shard's subscriptions, and the
-		// registry dedupes the same-name series so all shards share one
-		// instance.
-		ivm: ivm.NewMetrics(reg),
+		steps:         reg.Counter("pubsub_steps_total"),
+		stepLatency:   reg.Histogram("pubsub_step_latency_seconds", obs.LatencyBuckets()),
+		publishes:     reg.Counter("pubsub_publishes_total"),
+		notifications: reg.Counter("pubsub_notifications_total"),
+		degradedNotes: reg.Counter("pubsub_degraded_notifications_total"),
+		degradedSteps: reg.Counter("pubsub_degraded_sub_steps_total"),
+		retries:       reg.Counter("pubsub_retries_total"),
+		retryGiveups:  reg.Counter("pubsub_retry_giveups_total"),
+		crashRecovers: reg.Counter("pubsub_crash_recoveries_total"),
+		refreshCost:   reg.Histogram("pubsub_refresh_cost", obs.SizeBuckets()),
+		dfOperators:   reg.Gauge("ivm_dataflow_operators"),
+		dfViews:       reg.Gauge("ivm_dataflow_views"),
+		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total"),
+		dfMaxFanout:   reg.Gauge("ivm_dataflow_max_fanout"),
+		dfArrs:        reg.Gauge("ivm_dataflow_arrangements"),
+		dfArrHits:     reg.Gauge("ivm_dataflow_arrangement_hits_total"),
+		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows"),
+		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas"),
+		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total"),
+		dfProbes:      reg.Gauge("ivm_dataflow_probes_total"),
+		dfProducts:    reg.Gauge("ivm_dataflow_products_total"),
+		dfFolds:       reg.Gauge("ivm_dataflow_folds_total"),
+		dfFoldVisits:  reg.Gauge("ivm_dataflow_fold_visits_total"),
+		ivm:           ivm.NewMetrics(reg),
 	}
 }
 
@@ -151,7 +137,7 @@ func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 		}
 		return
 	}
-	b.obs = newBrokerObs(reg, tr, b.shardLabel)
+	b.obs = newBrokerObs(reg, tr)
 	for _, s := range b.subs {
 		b.wireSub(s)
 	}
@@ -192,13 +178,8 @@ func (b *Broker) observeInjector() {
 		return
 	}
 	reg := b.obs.reg
-	shard := b.shardLabel
 	seeded.SetObserver(func(site fault.Site, kind fault.Kind) {
-		kv := []string{"site", string(site), "kind", kind.String()}
-		if shard != "" {
-			kv = append(kv, "shard", shard)
-		}
-		reg.Counter("fault_injections_total", kv...).Inc()
+		reg.Counter("fault_injections_total", "site", string(site), "kind", kind.String()).Inc()
 	})
 }
 
@@ -211,9 +192,6 @@ func (o *brokerObs) startStep(step int) (*obs.Span, time.Time) {
 	}
 	sp := o.tr.Start("step")
 	sp.Attr("step", strconv.Itoa(step))
-	if o.shard != "" {
-		sp.Attr("shard", o.shard)
-	}
 	//lint:ignore nondet step latency feeds metrics only, never broker state
 	return sp, time.Now()
 }

@@ -145,14 +145,6 @@ type Broker struct {
 	// later subscriptions compile into (see SetSharedDataflow); nil
 	// selects the classic one-maintainer-per-view runtime.
 	shared *dataflow.Graph
-
-	// Sharded-runtime identity, set by ShardedBroker before any
-	// subscription exists: ns prefixes the durability namespace of every
-	// subscription ("shard3/east"), shardLabel is the `shard` label value
-	// stamped onto the broker-level metric series. Both are empty for a
-	// standalone broker.
-	ns         string
-	shardLabel string
 }
 
 // DefaultCheckpointEvery is the default checkpoint cadence in steps.
@@ -248,18 +240,12 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	if cfg.Model.N() != n {
 		return fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
 	}
-	// The durability namespace ("<shard>/<name>" under a sharded broker,
-	// "<name>" standalone) names the recovery point whichever engine
-	// backs the view.
-	ns := cfg.Name
-	if b.ns != "" {
-		ns = b.ns + "/" + cfg.Name
-	}
 	// The engine is born with its recovery baseline — a classic engine's
-	// initial content, redo log and namespace-stamped first checkpoint, a
-	// shared sink's cursors — so a crash at any later point has a recovery
-	// point. The injector is attached only afterwards.
-	eng, err := b.newEngine(p, cfg.Query, ns)
+	// initial content, redo log and first checkpoint stamped with the
+	// subscription's name as its durability namespace, a shared sink's
+	// cursors — so a crash at any later point has a recovery point. The
+	// injector is attached only afterwards.
+	eng, err := b.newEngine(p, cfg.Query, cfg.Name)
 	if err != nil {
 		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
 	}
@@ -337,22 +323,6 @@ func (b *Broker) Publish(table string, mod ivm.Mod) error {
 	return b.route(table, mod)
 }
 
-// routeDeferred is the shard half of the sharded broker's publish path:
-// the ShardedBroker applied each live change exactly once at Publish, and
-// the shard routes its buffered copies here, in publish order, WITHOUT
-// touching the live base tables.
-func (b *Broker) routeDeferred(buf []ingest) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, in := range buf {
-		b.obs.observePublish()
-		if err := b.route(in.table, in.mod); err != nil {
-			return fmt.Errorf("deferred publish on %q: %w", in.table, err)
-		}
-	}
-	return nil
-}
-
 // route hands one modification, already applied to the live table, to
 // the table's route: the engines that queue arrivals accept it, then it
 // counts, once for every subscription reading the table. Under the shared
@@ -391,14 +361,6 @@ func (s *sub) consumeArrivals() {
 	for i, rt := range s.arrivals {
 		s.consumed[i] = rt.arrived
 	}
-}
-
-// watchesTable is watches for callers outside the broker's lock (the
-// sharded broker's routing cache).
-func (b *Broker) watchesTable(table string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.watches(table)
 }
 
 // pending returns s's state vector through the subscription's reusable

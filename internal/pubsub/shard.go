@@ -1,14 +1,15 @@
 package pubsub
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"abivm/internal/core"
 	"abivm/internal/dataflow"
 	"abivm/internal/durable"
 	"abivm/internal/ivm"
+	"abivm/internal/obs"
 	"abivm/internal/storage"
 )
 
@@ -35,7 +36,6 @@ type shard struct {
 	// buf holds the modifications published to the shard since it last
 	// routed, in publish order; their live-table effect already happened.
 	buf []ingest
-	so  *shardObs
 
 	// The assignment load lightestShard balances.
 	subs   int
@@ -45,16 +45,18 @@ type shard struct {
 // ShardedBroker is N serial Brokers over one shared database, stepped in
 // parallel, without fault injection; only the benchmark's sharded-2
 // workload builds one. Subscriptions are partitioned across the shards,
-// each a full serial Broker with its own maintainers, WAL/checkpoint
-// namespace and retry/degradation state. Publish applies each live-table change exactly once and buffers the
-// modification on every shard that watches the table — an arrival does no
-// work, it only adds to the paper's d_t. EndStep routes each shard's
-// buffer and steps the shard, one goroutine per shard, then merges the
-// notifications back into global registration order — which is what
-// makes a single-shard run byte-identical to the serial broker, every
-// observable output included (notifications, results, costs).
-// All methods are safe for concurrent use and serialize on the broker's
-// own lock; no goroutine outlives the EndStep that started it.
+// each a full serial Broker with its own maintainers and
+// retry/degradation state; a subscription's durability namespace is its
+// name, which Subscribe keeps unique across shards. Publish applies each
+// live-table change exactly once and buffers the modification on every
+// shard that watches the table — an arrival does no work, it only adds
+// to the paper's d_t. EndStep routes each shard's buffer and steps the
+// shard, one goroutine per shard, then merges the notifications back
+// into global registration order — which is what makes a single-shard
+// run byte-identical to the serial broker, every observable output
+// included (notifications, results, costs). All methods are safe for
+// concurrent use and serialize on the broker's own lock; no goroutine
+// outlives the EndStep that started it.
 type ShardedBroker struct {
 	mu     sync.Mutex
 	db     *storage.DB
@@ -79,10 +81,7 @@ type subRef struct {
 func NewShardedBroker(db *storage.DB, opts ShardOptions) *ShardedBroker {
 	sb := &ShardedBroker{db: db}
 	for i := 0; i < max(opts.Shards, 1); i++ {
-		b := NewBroker(db)
-		b.ns = "shard" + strconv.Itoa(i)
-		b.shardLabel = strconv.Itoa(i)
-		sb.shards = append(sb.shards, &shard{id: i, b: b})
+		sb.shards = append(sb.shards, &shard{id: i, b: NewBroker(db)})
 	}
 	return sb
 }
@@ -100,8 +99,23 @@ func (sh *shard) flush() error {
 	}
 	err := sh.b.routeDeferred(sh.buf)
 	sh.buf = sh.buf[:0]
-	sh.so.observeDepth(0)
 	return err
+}
+
+// routeDeferred is the shard half of the sharded broker's publish path:
+// the ShardedBroker applied each live change exactly once at Publish, and
+// the shard routes its buffered copies here, in publish order, WITHOUT
+// touching the live base tables.
+func (b *Broker) routeDeferred(buf []ingest) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, in := range buf {
+		b.obs.observePublish()
+		if err := b.route(in.table, in.mod); err != nil {
+			return fmt.Errorf("deferred publish on %q: %w", in.table, err)
+		}
+	}
+	return nil
 }
 
 // lightestShard is the placement rule: the shard with the least
@@ -155,7 +169,6 @@ func (sb *ShardedBroker) Subscribe(cfg Subscription) error {
 	sh.weight += subWeight(cfg)
 	sb.order = append(sb.order, subRef{name: cfg.Name, shard: sh.id})
 	sb.routes = nil
-	sh.so.observeLoad(sh)
 	return nil
 }
 
@@ -172,7 +185,6 @@ func (sb *ShardedBroker) Publish(table string, mod ivm.Mod) error {
 	}
 	for _, sh := range targets {
 		sh.buf = append(sh.buf, ingest{table: table, mod: mod})
-		sh.so.observeDepth(len(sh.buf))
 	}
 	return nil
 }
@@ -194,6 +206,14 @@ func (sb *ShardedBroker) routesFor(table string) []*shard {
 	}
 	sb.routes[table] = targets
 	return targets
+}
+
+// watchesTable is watches for callers outside the broker's lock (the
+// sharded broker's routing cache).
+func (b *Broker) watchesTable(table string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.watches(table)
 }
 
 // EndStep closes a time step across every shard: one goroutine per shard
@@ -253,11 +273,11 @@ func (sb *ShardedBroker) ownerBroker(name string) (*Broker, error) {
 }
 
 // each runs f on every shard's broker, in shard order, under sb.mu.
-func (sb *ShardedBroker) each(f func(id int, b *Broker)) {
+func (sb *ShardedBroker) each(f func(b *Broker)) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	for _, sh := range sb.shards {
-		f(sh.id, sh.b)
+		f(sh.b)
 	}
 }
 
@@ -303,14 +323,20 @@ func (sb *ShardedBroker) ShardStats() []ShardStat {
 	return out
 }
 
-// SetStoreOpener installs a durable-store opener on every shard. Each
-// shard prefixes its subscriptions' durability namespaces with
-// "shard<i>/", so one opener rooted at a single directory gives every
-// subscription its own subtree. Install before subscribing, like the
-// serial broker's SetStoreOpener.
+// SetStoreOpener installs a durable-store opener on every shard. A
+// subscription's namespace is its name, unique across shards, so one
+// opener rooted at a single directory gives every subscription its own
+// subtree. Install before subscribing, like the serial broker's
+// SetStoreOpener.
 func (sb *ShardedBroker) SetStoreOpener(open durable.Opener) {
-	sb.each(func(_ int, b *Broker) { b.SetStoreOpener(open) })
+	sb.each(func(b *Broker) { b.SetStoreOpener(open) })
 }
+
+// errShardedShared refuses the shared graph under the sharded broker: a
+// shard routes a step's publishes at EndStep, after later live writes,
+// and the graph reads each modification's rows from the live table it
+// must just have written.
+var errShardedShared = errors.New("pubsub: shared dataflow is incompatible with a sharded broker")
 
 // SetSharedDataflow refuses to switch the shards onto the shared graph
 // (errShardedShared); switching it off is a no-op.
@@ -328,11 +354,19 @@ func (sb *ShardedBroker) DataflowStats() dataflow.GraphStats { return dataflow.G
 // subscriptions.
 func (sb *ShardedBroker) DurabilityStats() durable.Stats {
 	var total durable.Stats
-	sb.each(func(_ int, b *Broker) { total.Add(b.DurabilityStats()) })
+	sb.each(func(b *Broker) { total.Add(b.DurabilityStats()) })
 	return total
 }
 
 // SetCheckpointEvery sets every shard's checkpoint cadence in steps.
 func (sb *ShardedBroker) SetCheckpointEvery(n int) {
-	sb.each(func(_ int, b *Broker) { b.SetCheckpointEvery(n) })
+	sb.each(func(b *Broker) { b.SetCheckpointEvery(n) })
+}
+
+// SetObs attaches an observability sink to every shard's Broker: the
+// shards report into the serial broker's own series, which the registry
+// dedupes, so a counter reads the sum over shards. A nil registry
+// detaches everything.
+func (sb *ShardedBroker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
+	sb.each(func(b *Broker) { b.SetObs(reg, tr) })
 }

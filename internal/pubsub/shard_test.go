@@ -2,6 +2,8 @@ package pubsub
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"abivm/internal/core"
 	"abivm/internal/durable"
 	"abivm/internal/ivm"
+	"abivm/internal/obs"
 	"abivm/internal/storage"
 )
 
@@ -353,5 +356,93 @@ func TestShardedBrokerLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines outlived the steps", n-base)
+	}
+}
+
+// seriesNames runs script on rt (see transcript) and returns the names
+// of the series reg then holds, failing on any series labeled `shard`.
+func seriesNames(t *testing.T, script [][]chaosEvent, rt stepper, reg *obs.Registry) map[string]bool {
+	t.Helper()
+	transcript(t, script, rt, nil)
+	names := map[string]bool{}
+	for _, m := range reg.Snapshot() {
+		for _, l := range m.Labels {
+			if l.Key == "shard" {
+				t.Errorf("series %s carries a shard label", m.Key())
+			}
+		}
+		names[m.Name] = true
+	}
+	return names
+}
+
+// TestShardedObsIsTheSerialBrokersSeries: the shards report into the
+// serial broker's own series — no `shard` label, no shard-only series —
+// so a counter reads the sum over shards.
+func TestShardedObsIsTheSerialBrokersSeries(t *testing.T) {
+	const seed, steps, shards = 4, 12, 2
+	spec := ScaledWorkloadSpec(4)
+	script := chaosScript(seed, steps, spec)
+
+	sb, _ := newSharded(t, spec, shards, nil)
+	defer sb.Close()
+	sreg := obs.NewRegistry()
+	sb.SetObs(sreg, obs.NewTracer(64))
+	sharded := seriesNames(t, script, sb, sreg)
+
+	db, err := DemoDB(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(db)
+	subs, err := demoSubscriptionsSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range subs {
+		if err := b.Subscribe(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	b.SetObs(reg, obs.NewTracer(64))
+	serial := seriesNames(t, script, b, reg)
+
+	for name := range sharded {
+		if strings.HasPrefix(name, "pubsub_shard") {
+			t.Errorf("sharded broker registered %s", name)
+		}
+		if !serial[name] {
+			t.Errorf("series %s is the sharded broker's only", name)
+		}
+	}
+	for name := range serial {
+		if !sharded[name] {
+			t.Errorf("series %s is the serial broker's only", name)
+		}
+	}
+	if got := sreg.Counter("pubsub_steps_total").Value(); got != shards*steps {
+		t.Errorf("pubsub_steps_total = %d after %d steps on %d shards, want %d", got, steps, shards, shards*steps)
+	}
+}
+
+// TestShardedStoresKeyedBySubscriptionName: a subscription's durability
+// namespace is its name on whichever shard it lands, so one directory
+// opener puts every store directly under its root.
+func TestShardedStoresKeyedBySubscriptionName(t *testing.T) {
+	root := t.TempDir()
+	sb, names := newSharded(t, ScaledWorkloadSpec(4), 2, durable.DirOpener(root))
+	defer sb.Close()
+	for _, name := range names {
+		if _, err := os.Stat(filepath.Join(root, name, "MANIFEST")); err != nil {
+			t.Errorf("subscription %s's store is not at <root>/%s: %v", name, name, err)
+		}
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(names) {
+		t.Errorf("root holds %d entries, want one per subscription (%v)", len(entries), names)
 	}
 }

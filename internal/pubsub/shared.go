@@ -50,12 +50,6 @@ func (e *sharedEngine) DurableStats() durable.Stats { return durable.Stats{} }
 // exist: the shared graph has no per-operator disk checkpoint.
 var errSharedStore = errors.New("pubsub: shared dataflow is incompatible with a durable store opener")
 
-// errShardedShared refuses the shared graph under the sharded broker: a
-// shard routes a step's publishes at EndStep, after later live writes,
-// and the graph reads each modification's rows from the live table it
-// must just have written.
-var errShardedShared = errors.New("pubsub: shared dataflow is incompatible with a sharded broker")
-
 // SetSharedDataflow switches the broker to the shared delta-dataflow
 // runtime: subscriptions registered afterwards compile into one
 // hash-consed operator graph (structurally equal sub-plans run once,

@@ -10,6 +10,7 @@ package tpcr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"abivm/internal/ivm"
@@ -76,11 +77,15 @@ func (c Config) Sizes() (suppliers, parts, partsupps int) {
 
 // Generate populates db with the TPC-R-style tables and indexes.
 func Generate(db *storage.DB, cfg Config) error {
-	if cfg.ScaleFactor <= 0 {
-		return fmt.Errorf("tpcr: scale factor must be positive, got %g", cfg.ScaleFactor)
+	// Written so that NaN fails too; +Inf would overflow the table sizes.
+	if !(cfg.ScaleFactor > 0) || math.IsInf(cfg.ScaleFactor, 1) {
+		return fmt.Errorf("tpcr: scale factor must be a positive finite number, got %g", cfg.ScaleFactor)
+	}
+	nSupp, nPart, _ := cfg.Sizes()
+	if !fourSuppliersPerPart(nSupp) {
+		return fmt.Errorf("tpcr: scale factor %g gives %d suppliers, too few for four distinct ones per part", cfg.ScaleFactor, nSupp)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	nSupp, nPart, _ := cfg.Sizes()
 
 	region, err := createTable(db, "region", []storage.Column{
 		{Name: "regionkey", Type: storage.TInt},
@@ -176,7 +181,7 @@ func Generate(db *storage.DB, cfg Config) error {
 		for j := 0; j < 4; j++ {
 			// TPC-R's supplier assignment spreads each part's four
 			// entries across the supplier space.
-			sk := (p + j*(nSupp/4+1)) % nSupp
+			sk := (p + j*suppStride(nSupp)) % nSupp
 			row := storage.Row{
 				storage.I(int64(p)),
 				storage.I(int64(sk)),
@@ -194,6 +199,21 @@ func Generate(db *storage.DB, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// suppStride is the step between a part's four suppliers.
+func suppStride(nSupp int) int { return nSupp/4 + 1 }
+
+// fourSuppliersPerPart reports whether suppStride gives every part four
+// distinct suppliers: no multiple 1–3 of the stride wraps onto the
+// supplier count. It fails for 1–4, 6, 9 and 12 suppliers.
+func fourSuppliersPerPart(nSupp int) bool {
+	for d := 1; d < 4; d++ {
+		if d*suppStride(nSupp)%nSupp == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func createTable(db *storage.DB, name string, cols []storage.Column, key ...string) (*storage.Table, error) {
@@ -258,7 +278,7 @@ func NewUpdateGen(db *storage.DB, cfg Config, seed int64) *UpdateGen {
 func (g *UpdateGen) PartSuppUpdate() ivm.Mod {
 	p := int64(g.rng.Intn(g.nPart))
 	j := g.rng.Intn(4)
-	sk := (int(p) + j*(g.nSupp/4+1)) % g.nSupp
+	sk := (int(p) + j*suppStride(g.nSupp)) % g.nSupp
 	key := []storage.Value{storage.I(p), storage.I(int64(sk))}
 	old, ok := g.db.MustTable("partsupp").Get(key...)
 	if !ok {

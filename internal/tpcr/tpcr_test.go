@@ -1,6 +1,8 @@
 package tpcr
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"abivm/internal/exec"
@@ -64,10 +66,38 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation: a scale that is not a positive finite number,
+// or whose supplier count cannot give a part four distinct suppliers, is
+// refused before any table exists, with an error naming the scale and
+// the count.
 func TestGenerateValidation(t *testing.T) {
-	db := storage.NewDB()
-	if err := Generate(db, Config{ScaleFactor: 0}); err == nil {
-		t.Fatal("zero scale factor accepted")
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+		want  string
+	}{
+		{0, false, "positive finite"},
+		{-1, false, "positive finite"},
+		{math.NaN(), false, "NaN"},
+		{math.Inf(1), false, "+Inf"},
+		{0.0004, false, "4 suppliers"},
+		{0.0009, false, "9 suppliers"},
+		{0.00121, false, "12 suppliers"},
+		{0.0005, true, ""},
+		{0.0012, true, ""},
+	} {
+		db := storage.NewDB()
+		err := Generate(db, Config{ScaleFactor: tc.scale, Seed: 1})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("scale %g: %v", tc.scale, err)
+		case !tc.ok && err == nil:
+			t.Errorf("scale %g accepted", tc.scale)
+		case !tc.ok && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("scale %g: error %q does not name %q", tc.scale, err, tc.want)
+		case !tc.ok && len(db.TableNames()) != 0:
+			t.Errorf("scale %g: refused after creating %v", tc.scale, db.TableNames())
+		}
 	}
 }
 

@@ -8,12 +8,15 @@
 # them), the allocation-count tests without the race detector, one
 # iteration of every in-package benchmark, the committed RESULTS.txt,
 # examples/*/expected.txt and examples/views.dataflow.txt against what
-# the code prints, and the nested benchmark module; its last lines are the
-# tracked line counts (scripts/loc.sh).
-# This is what `make verify` and CI run; it must pass before merging.
-# CI's verify job then runs `make fuzz-smoke` (scripts/fuzz_smoke.sh:
-# every Fuzz* target for 10s), which is kept out of this script so the
-# gate's run time does not grow with the number of fuzz targets.
+# the code prints, the docs check (scripts/docs_check.sh) and the nested
+# benchmark module; its last lines are the tracked line counts
+# (scripts/loc.sh).
+# This is what `make verify` and CI's verify job run; it must pass before
+# merging. CI's verify job then runs `make fuzz-smoke`
+# (scripts/fuzz_smoke.sh: every Fuzz* target for 10s), which is kept out
+# of this script so the gate's run time does not grow with the number of
+# fuzz targets; serve-smoke, compile-smoke and disk-chaos are CI jobs of
+# their own.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,6 +48,11 @@ if [ -n "$built" ]; then
 	echo "$built" >&2
 	exit 1
 fi
+
+# The docs name only code that exists: OPERATIONS.md's metric catalogue,
+# ARCHITECTURE.md's repo map, cited tests, methods and flags.
+echo "==> docs check"
+sh scripts/docs_check.sh
 
 echo "==> abivmlint"
 go run ./cmd/abivmlint ./...

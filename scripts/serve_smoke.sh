@@ -10,11 +10,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 ADDR="${SERVE_ADDR:-127.0.0.1:18321}"
-LOG="$(mktemp)"
+# The binary and the log live in one private directory the trap removes,
+# so nothing stays behind and concurrent runs cannot clobber each other.
+TMP="$(mktemp -d)"
+BIN="$TMP/abivm"
+LOG="$TMP/serve.log"
 PID=""
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT INT TERM
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
 
-go build -o /tmp/abivm-smoke ./cmd/abivm
+go build -o "$BIN" ./cmd/abivm
 
 # smoke <mode-name> <extra-serve-flags> <extra metric names...>
 smoke() {
@@ -22,7 +26,7 @@ smoke() {
     extra_flags="$2"
     shift 2
     # shellcheck disable=SC2086  # extra_flags is a deliberate word list
-    /tmp/abivm-smoke serve -addr "$ADDR" -interval 10ms -faults -pprof $extra_flags >"$LOG" 2>&1 &
+    "$BIN" serve -addr "$ADDR" -interval 10ms -faults -pprof $extra_flags >"$LOG" 2>&1 &
     PID=$!
 
     # Wait for the endpoint (and a few workload steps) to come up.
