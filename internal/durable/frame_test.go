@@ -142,7 +142,7 @@ func FuzzReadFrame(f *testing.F) {
 
 func testManifest() *manifest {
 	return &manifest{
-		Namespace: "eu/orders",
+		Namespace: "europe/orders",
 		Gen:       9,
 		BaseName:  baseSegName(9),
 		BaseCRC:   0xdeadbeef,
