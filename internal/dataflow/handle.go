@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"abivm/internal/exec"
 	"abivm/internal/fault"
@@ -81,7 +80,6 @@ type ViewHandle struct {
 
 	wal *ivm.WAL
 	inj fault.Injector
-	obs *ivm.Metrics
 }
 
 // deltaLog is the one buffer of an operator's output that view sinks
@@ -256,9 +254,6 @@ func (h *ViewHandle) AttachWAL(w *ivm.WAL) { h.wal = w }
 // SetInjector installs a fault injector consulted at the drain sites.
 func (h *ViewHandle) SetInjector(inj fault.Injector) { h.inj = inj }
 
-// SetMetrics attaches the maintainer instrumentation bundle.
-func (h *ViewHandle) SetMetrics(ms *ivm.Metrics) { h.obs = ms }
-
 func (h *ViewHandle) hit(site fault.Site) error {
 	if h.inj == nil {
 		return nil
@@ -289,18 +284,6 @@ func (h *ViewHandle) PendingInto(dst []int) []int {
 // sites (plan, apply, wal-commit) hit in the same order so chaos
 // scripts consume injector polls identically in both modes.
 func (h *ViewHandle) ProcessBatch(alias string, k int) error {
-	if h.obs == nil {
-		return h.processBatch(alias, k)
-	}
-	//lint:ignore nondet drain latency feeds metrics only, never maintained state
-	start := time.Now()
-	err := h.processBatch(alias, k)
-	//lint:ignore nondet measurement of the drain, not part of it
-	h.obs.ObserveDrain(time.Since(start), k, err)
-	return err
-}
-
-func (h *ViewHandle) processBatch(alias string, k int) error {
 	i, ok := h.pos[alias]
 	if !ok {
 		return fmt.Errorf("dataflow: unknown alias %q", alias)
@@ -455,7 +438,6 @@ func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 // cursors are the sink's whole recovery point: nothing is replayed.
 func (h *ViewHandle) Recover() {
 	h.rebuild()
-	h.obs.ObserveRecovery(0)
 }
 
 // rebuild replaces the view state with its content at the cursors,

@@ -22,7 +22,9 @@ type Corruption struct {
 // corruption forced the last rung: the store was reset, M, WAL and Chain
 // are nil, and the caller recomputes the view from current base state —
 // un-drained deltas are lost. Corruptions lists every artifact the
-// ladder stepped over either way.
+// ladder stepped over either way. Of the three rebuilt objects only M
+// carries a metrics bundle (the one Recover was given); the store counts
+// the damage in its own Stats.
 type Recovery struct {
 	M           *ivm.Maintainer
 	WAL         *ivm.WAL
@@ -38,7 +40,6 @@ type scanState struct {
 	recs    []ivm.WALRecord
 	segs    []walSeg
 	events  []Corruption
-	quars   int
 	repairs int
 }
 
@@ -63,16 +64,15 @@ func (s *scanState) last() uint64 {
 // not shadow a fresh one. If both fail the file simply stays; generation
 // and LSN naming keeps leftovers from ever being mistaken for live
 // artifacts.
-func (st *Store) quarantineLocked(name string) bool {
+func (st *Store) quarantineLocked(name string) {
 	qname := fmt.Sprintf("%s%06d-%s", quarantinePrefix, st.qseq, name)
 	st.qseq++
 	if err := st.fs.Rename(name, qname); err != nil {
 		if rmErr := st.fs.Remove(name); rmErr != nil {
-			return false
+			return
 		}
 	}
 	st.stats.Quarantined++
-	return true
 }
 
 // scanWALLocked reads every WAL segment in LSN order and accepts the
@@ -109,17 +109,13 @@ func (st *Store) scanWALLocked() scanState {
 		if broken {
 			sc.events = append(sc.events, Corruption{Artifact: c.name,
 				Detail: "unreachable past a damaged segment"})
-			if st.quarantineLocked(c.name) {
-				sc.quars++
-			}
+			st.quarantineLocked(c.name)
 			continue
 		}
 		if len(sc.segs) > 0 && c.first != sc.last()+1 {
 			sc.events = append(sc.events, Corruption{Artifact: c.name,
 				Detail: fmt.Sprintf("segment starts at lsn %d, log covers %d (gap)", c.first, sc.last())})
-			if st.quarantineLocked(c.name) {
-				sc.quars++
-			}
+			st.quarantineLocked(c.name)
 			broken = true
 			continue
 		}
@@ -127,8 +123,8 @@ func (st *Store) scanWALLocked() scanState {
 		if err != nil {
 			sc.events = append(sc.events, Corruption{Artifact: c.name,
 				Detail: fmt.Sprintf("reading segment: %v", err)})
-			if !errors.Is(err, iofs.ErrNotExist) && st.quarantineLocked(c.name) {
-				sc.quars++
+			if !errors.Is(err, iofs.ErrNotExist) {
+				st.quarantineLocked(c.name)
 			}
 			broken = true
 			continue
@@ -157,9 +153,7 @@ func (st *Store) scanWALLocked() scanState {
 		}
 		sc.events = append(sc.events, Corruption{Artifact: c.name,
 			Detail: fmt.Sprintf("truncating log at lsn %d: %s", expect-1, defect)})
-		if st.quarantineLocked(c.name) {
-			sc.quars++
-		}
+		st.quarantineLocked(c.name)
 		if goodOff > 0 {
 			// Rewrite the valid prefix under the original name so the log
 			// ends cleanly on disk; if the repair write is itself lost to
@@ -185,7 +179,6 @@ type chainState struct {
 	tip    uint64
 	ok     bool
 	events []Corruption
-	quars  int
 }
 
 // loadChainLocked reads and validates the checkpoint chain: manifest
@@ -197,8 +190,8 @@ func (st *Store) loadChainLocked() chainState {
 	var cs chainState
 	fail := func(artifact, detail string, quarantine bool) {
 		cs.events = append(cs.events, Corruption{Artifact: artifact, Detail: detail})
-		if quarantine && st.quarantineLocked(artifact) {
-			cs.quars++
+		if quarantine {
+			st.quarantineLocked(artifact)
 		}
 	}
 	data, err := st.fs.ReadFile(manifestName)
@@ -261,7 +254,7 @@ func (st *Store) loadChainLocked() chainState {
 //     from the live tables — current state, with un-drained deltas lost
 //     — the way it built it in the first place, and that build's base
 //     checkpoint re-seeds the store. Loud (Fallback flag, corruption
-//     metrics), never silent.
+//     counters in Stats), never silent.
 //
 // The store detects silent tail loss with its in-memory acknowledged-LSN
 // watermark: a scan that ends below the last successful Sync means an
@@ -270,9 +263,10 @@ func (st *Store) loadChainLocked() chainState {
 // watermark and trusts the scan — the same trust a real log places in
 // its last fsync.
 //
-// On the exact rungs the rebuilt maintainer has the store re-attached as
-// WAL sink and chain store, and ms attached to maintainer, WAL, and
-// chain.
+// On the exact rungs the rebuilt WAL and chain have the store
+// re-attached as sink and chain store, and the rebuilt maintainer carries
+// ms, the one metrics bundle of the classic tier. Detected, quarantined
+// and fallen-back-on damage is counted in Stats, not in ms.
 func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.Metrics) (*Recovery, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -282,14 +276,12 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 
 	cs := st.loadChainLocked()
 	events := cs.events
-	quars := cs.quars
 	if !cs.ok {
-		return st.fallbackLocked(ms, events, quars), nil
+		return st.fallbackLocked(events), nil
 	}
 
 	sc := st.scanWALLocked()
 	events = append(events, sc.events...)
-	quars += sc.quars
 
 	// Coverage: every record the last sync acknowledged must be reachable
 	// — on disk past the chain tip, or subsumed by the chain itself.
@@ -297,12 +289,12 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 	if covered < st.ackedLSN {
 		events = append(events, Corruption{Artifact: walName(st.ackedLSN),
 			Detail: fmt.Sprintf("log ends at lsn %d but sync acknowledged %d (silent tail loss)", covered, st.ackedLSN)})
-		return st.fallbackLocked(ms, events, quars), nil
+		return st.fallbackLocked(events), nil
 	}
 	if sc.last() > cs.tip && sc.first() > cs.tip+1 {
 		events = append(events, Corruption{Artifact: walName(sc.first()),
 			Detail: fmt.Sprintf("log starts at lsn %d, past the chain tip %d (gap)", sc.first(), cs.tip)})
-		return st.fallbackLocked(ms, events, quars), nil
+		return st.fallbackLocked(events), nil
 	}
 
 	chain := ivm.RestoreChain(cs.base, cs.deltas, cs.tip, maxDepth)
@@ -324,7 +316,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 		// visibility. Last rung.
 		events = append(events, Corruption{Artifact: cs.man.BaseName,
 			Detail: fmt.Sprintf("chain replay failed: %v", err)})
-		return st.fallbackLocked(ms, events, quars), nil
+		return st.fallbackLocked(events), nil
 	}
 
 	// Adopt the surviving file state. If the scan ended at or below the
@@ -361,8 +353,6 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 		st.gen = cs.man.Gen
 	}
 	st.stats.Corruptions += len(events)
-	st.ms = ms
-	ms.ObserveRecoveryCorruption(len(events), quars)
 
 	wal.SetSink(st)
 	chain.SetStore(st)
@@ -372,7 +362,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 // fallbackLocked takes the ladder's last rung: quarantining already
 // happened at detection time, so this just resets the store to a fresh
 // (but generation-continuous) state and reports the damage.
-func (st *Store) fallbackLocked(ms *ivm.Metrics, events []Corruption, quars int) *Recovery {
+func (st *Store) fallbackLocked(events []Corruption) *Recovery {
 	st.buf = nil
 	st.bufFirst = 0
 	st.rotate = false
@@ -383,9 +373,6 @@ func (st *Store) fallbackLocked(ms *ivm.Metrics, events []Corruption, quars int)
 	st.man = nil
 	st.stats.Corruptions += len(events)
 	st.stats.Fallbacks++
-	st.ms = ms
-	ms.ObserveRecoveryCorruption(len(events), quars)
-	ms.ObserveRecoveryFallback()
 	return &Recovery{Fallback: true, Corruptions: events}
 }
 

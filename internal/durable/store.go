@@ -113,7 +113,6 @@ type Store struct {
 	mu sync.Mutex
 	fs FS
 	ns string
-	ms *ivm.Metrics
 
 	// WAL state: buffered frames not yet on disk (buf, starting at LSN
 	// bufFirst), the on-disk segments in LSN order, and three
@@ -164,14 +163,6 @@ func (st *Store) Media() *fault.Media {
 		return m
 	}
 	return nil
-}
-
-// SetMetrics attaches the maintainer instrumentation bundle the store
-// reports syncs and recovery corruption through; nil detaches.
-func (st *Store) SetMetrics(ms *ivm.Metrics) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.ms = ms
 }
 
 // Stats returns a snapshot of the durability counters.
@@ -233,7 +224,6 @@ func (st *Store) syncLocked() error {
 	st.ackedLSN = st.lastLSN
 	st.stats.Syncs++
 	st.stats.SyncBytes += len(st.buf)
-	st.ms.ObserveWALSync(len(st.buf))
 	st.buf = st.buf[:0]
 	st.bufFirst = 0
 	return nil

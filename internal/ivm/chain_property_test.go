@@ -177,7 +177,7 @@ func TestChainEquivalenceProperty(t *testing.T) {
 			store := &recordingStore{}
 			roll.chain.SetStore(store)
 			ms := NewMetrics(obs.NewRegistry())
-			roll.chain.SetMetrics(ms)
+			roll.m.SetMetrics(ms)
 			rollovers := int64(0)
 
 			checkpoint := func() {

@@ -195,7 +195,6 @@ type CheckpointChain struct {
 	maxDepth int
 
 	store ChainStore
-	obs   *Metrics
 }
 
 // NewCheckpointChain returns an empty chain rolling over beyond maxDepth
@@ -219,10 +218,6 @@ func RestoreChain(base []byte, deltas [][]byte, tipLSN uint64, maxDepth int) *Ch
 	c.tipLSN = tipLSN
 	return c
 }
-
-// SetMetrics attaches an instrumentation bundle observing rollovers,
-// compactions, and chain depth; nil detaches.
-func (c *CheckpointChain) SetMetrics(ms *Metrics) { c.obs = ms }
 
 // SetStore attaches a durable mirror receiving every base and delta
 // segment the chain writes from now on; nil detaches. Attach before the
@@ -277,7 +272,7 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	c.tipLSN = lsn
 	if rollover {
 		if c.base != nil {
-			c.obs.observeCompaction()
+			m.obs.observeCompaction()
 		}
 		c.base, c.deltas = seg, nil
 		return c.putBase(lsn)
@@ -316,7 +311,6 @@ func (c *CheckpointChain) Compact() error {
 	}
 	c.base = replica.AppendSnapshot(buf)
 	c.deltas = nil
-	c.obs.observeCompaction()
 	return c.putBase(c.tipLSN)
 }
 

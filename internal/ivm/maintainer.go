@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"fmt"
-	"time"
 
 	"abivm/internal/exec"
 	"abivm/internal/fault"
@@ -62,8 +61,8 @@ type Maintainer struct {
 	// allocation, the exact-size copy it hands out.
 	cpBuf []byte
 
-	// Observability hook: nil (the default) means no measurement work at
-	// all on the drain path, including time.Now calls.
+	// obs counts the maintainer's redo-log appends and truncations,
+	// checkpoints and recovery replay; nil (the default) measures nothing.
 	obs *Metrics
 }
 
@@ -158,12 +157,12 @@ func (m *Maintainer) hit(site fault.Site) error {
 	return m.inj.Hit(site)
 }
 
-// logArrival appends an arrival record for an accepted modification.
-func (m *Maintainer) logArrival(mod Mod) error {
-	if m.wal == nil {
-		return nil
-	}
-	_, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod})
+// TruncateWAL drops the attached redo log's records through lsn (see
+// WAL.TruncateThrough) — a checkpoint covering lsn makes them
+// unnecessary for recovery — and counts the truncation.
+func (m *Maintainer) TruncateWAL(lsn uint64) error {
+	err := m.wal.TruncateThrough(lsn)
+	m.obs.observeWALTruncate()
 	return err
 }
 
@@ -236,7 +235,12 @@ func (m *Maintainer) ApplyDeferred(mods ...Mod) error {
 			return fmt.Errorf("ivm: unknown alias %q", mod.Alias)
 		}
 		m.deltas[mod.Alias] = append(m.deltas[mod.Alias], mod)
-		if err := m.logArrival(mod); err != nil {
+		if m.wal == nil {
+			continue
+		}
+		_, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod})
+		m.obs.observeWALAppend()
+		if err != nil {
 			return err
 		}
 	}
@@ -273,18 +277,6 @@ func (m *Maintainer) PendingInto(dst []int) []int {
 // point. Work units charged to Stats by a failed attempt are not undone:
 // failed work is still work.
 func (m *Maintainer) ProcessBatch(alias string, k int) error {
-	if m.obs == nil {
-		return m.processBatch(alias, k)
-	}
-	//lint:ignore nondet drain latency feeds metrics only, never maintained state
-	start := time.Now()
-	err := m.processBatch(alias, k)
-	//lint:ignore nondet measurement of the drain, not part of it
-	m.obs.observeDrain(time.Since(start), k, err)
-	return err
-}
-
-func (m *Maintainer) processBatch(alias string, k int) error {
 	queue, ok := m.deltas[alias]
 	if !ok {
 		if _, known := m.tables[alias]; !known {
@@ -358,7 +350,9 @@ func (m *Maintainer) processBatch(alias string, k int) error {
 	// for the next incremental checkpoint, trim the queue.
 	m.view.FoldSigned(out, outMinus, 1)
 	if m.wal != nil {
-		if _, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k}); err != nil {
+		_, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k})
+		m.obs.observeWALAppend()
+		if err != nil {
 			m.view.FoldSigned(out, outMinus, -1)
 			return rollback(fmt.Errorf("ivm: wal commit: %w", err))
 		}

@@ -24,9 +24,9 @@ func RecoverChain(live *storage.DB, query string, chain *CheckpointChain, wal *W
 // maintainer whose namespace is exactly ns, otherwise recovery fails
 // before any state is rebuilt, so a chain replayed into another
 // subscription's maintainer fails instead of rebuilding the wrong view.
-// A successful recovery is counted in ms, its replayed WAL suffix length
-// observed, and ms is attached to the recovered maintainer; nil ms
-// measures nothing.
+// A successful recovery observes its replayed WAL suffix length in ms and
+// attaches ms to the recovered maintainer, which counts its own log and
+// checkpoints from then on; nil ms measures nothing.
 func RecoverChainNamespaced(live *storage.DB, query, ns string, chain *CheckpointChain, wal *WAL, ms *Metrics) (*Maintainer, error) {
 	return recoverChain(live, query, ns, true, chain, wal, ms)
 }

@@ -63,7 +63,6 @@ type WAL struct {
 	period int
 	next   uint64
 	sink   WALSink
-	obs    *Metrics
 }
 
 // NewWAL returns an empty log.
@@ -99,19 +98,11 @@ func (w *WAL) SetSink(sink WALSink) {
 	w.sink = sink
 }
 
-// SetMetrics attaches an instrumentation bundle recording appends and
-// truncations; nil detaches.
-func (w *WAL) SetMetrics(ms *Metrics) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.obs = ms
-}
-
 // Append assigns the next LSN to rec and appends it, returning the LSN.
-// Without a sink the in-memory append itself is the durability point, so
-// the append counter doubles as the sync counter; with a sink attached
-// the record is also handed to the durable mirror (which buffers it
-// until its explicit sync point — see internal/durable).
+// Without a sink the in-memory append itself is the durability point;
+// with a sink attached the record is also handed to the durable mirror
+// (which buffers it until its explicit sync point — see
+// internal/durable).
 func (w *WAL) Append(rec WALRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -121,7 +112,6 @@ func (w *WAL) Append(rec WALRecord) (uint64, error) {
 		w.recs = make([]WALRecord, 0, w.period)
 	}
 	w.recs = append(w.recs, rec)
-	w.obs.observeWALAppend()
 	if w.sink != nil {
 		if err := w.sink.AppendRecord(rec); err != nil {
 			return rec.LSN, fmt.Errorf("ivm: wal sink append lsn=%d: %w", rec.LSN, err)
@@ -189,7 +179,6 @@ func (w *WAL) TruncateThrough(lsn uint64) error {
 	} else {
 		w.recs = w.recs[i:]
 	}
-	w.obs.observeWALTruncate()
 	if w.sink != nil {
 		if err := w.sink.TruncateRecords(lsn); err != nil {
 			return fmt.Errorf("ivm: wal sink truncate lsn=%d: %w", lsn, err)

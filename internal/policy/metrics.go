@@ -9,12 +9,10 @@ import (
 // Attach with OnlineMarginal.SetMetrics; a nil bundle (the default) adds
 // no work to Act. The instruments capture the paper's Section 4.3 decision loop:
 // how often the state fills (Decisions), how many candidate actions each
-// H(q) scoring pass weighed (Candidates), how large the chosen drains
-// were (ActionMods), and how often the policy was forced into a full
-// refresh (Refreshes).
+// H(q) scoring pass weighed (Candidates) and how large the chosen drains
+// were (ActionMods).
 type Metrics struct {
 	Decisions  *obs.Counter
-	Refreshes  *obs.Counter
 	Candidates *obs.Counter
 	ActionMods *obs.Histogram
 }
@@ -27,7 +25,6 @@ func NewMetrics(r *obs.Registry, policy string) *Metrics {
 	}
 	return &Metrics{
 		Decisions:  r.Counter("policy_decisions_total", "policy", policy),
-		Refreshes:  r.Counter("policy_refreshes_total", "policy", policy),
 		Candidates: r.Counter("policy_candidates_total", "policy", policy),
 		ActionMods: r.Histogram("policy_action_mods",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "policy", policy),
@@ -46,12 +43,4 @@ func (ms *Metrics) observeDecision(candidates int, act core.Vector) {
 		total += k
 	}
 	ms.ActionMods.Observe(float64(total))
-}
-
-// observeRefresh records one forced full refresh.
-func (ms *Metrics) observeRefresh() {
-	if ms == nil {
-		return
-	}
-	ms.Refreshes.Inc()
 }

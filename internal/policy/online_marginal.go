@@ -51,7 +51,6 @@ func (p *OnlineMarginal) Reset(n int) { p.inner.Reset(n) }
 func (p *OnlineMarginal) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	p.est.Observe(d)
 	if refresh {
-		p.obs.observeRefresh()
 		return pre.Clone()
 	}
 	if !p.model.Full(pre, p.c) {

@@ -81,7 +81,7 @@ func (e *classicEngine) Checkpoint() error {
 	if err := e.chain.Checkpoint(e.Maintainer); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := e.wal.TruncateThrough(e.chain.TipLSN()); err != nil {
+	if err := e.TruncateWAL(e.chain.TipLSN()); err != nil {
 		return fmt.Errorf("wal truncation: %w", err)
 	}
 	return nil
@@ -137,12 +137,9 @@ func (e *classicEngine) SetInjector(inj fault.Injector) {
 	e.Maintainer.SetInjector(inj)
 }
 
+// SetMetrics attaches the bundle to the maintainer, the one part that
+// carries it; every recovery hands it on to the maintainer it rebuilds.
 func (e *classicEngine) SetMetrics(ms *ivm.Metrics) {
 	e.ms = ms
 	e.Maintainer.SetMetrics(ms)
-	e.wal.SetMetrics(ms)
-	e.chain.SetMetrics(ms)
-	if e.store != nil {
-		e.store.SetMetrics(ms)
-	}
 }

@@ -50,9 +50,11 @@ type viewEngine interface {
 	WALLen() int
 	DurableStats() durable.Stats
 
-	// SetInjector and SetMetrics (re)wire fault injection and the ivm
-	// instrumentation bundle through every part of the engine; nil
-	// detaches.
+	// SetInjector (re)wires fault injection through every part of the
+	// engine, SetMetrics the ivm bundle into a classic engine's maintainer
+	// — the one part that carries it; the shared engine has none. The
+	// broker counts drains and recoveries itself and copies the disk
+	// tier's counters from DurableStats. Nil detaches.
 	SetInjector(fault.Injector)
 	SetMetrics(ms *ivm.Metrics)
 }

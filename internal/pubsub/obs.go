@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abivm/internal/dataflow"
+	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/obs"
@@ -12,8 +13,9 @@ import (
 )
 
 // brokerObs is the broker's instrumentation bundle. A nil *brokerObs —
-// the default until SetObs — is the detached state: every method is a
-// nil-receiver no-op and the step loop performs no measurement work at
+// the default until SetObs — is the detached state: every method but
+// observeDrain and syncDurable, whose callers test for nil, is a
+// nil-receiver no-op, and the step loop performs no measurement work at
 // all (no time.Now, no gauge math). Every instrument is registered at
 // attach time with a constant name; per-subscription series differ only
 // in the `sub` label.
@@ -31,6 +33,25 @@ type brokerObs struct {
 	retryGiveups  *obs.Counter
 	crashRecovers *obs.Counter
 	refreshCost   *obs.Histogram
+
+	// The engine series the broker decides, the same on either engine:
+	// every drain attempt (process) — its failures, the latency and
+	// modifications of the committed ones — and every crash recovery that
+	// did not fall back (maybeCrash).
+	drains        *obs.Counter
+	drainFailures *obs.Counter
+	drainLatency  *obs.Histogram
+	drainedMods   *obs.Counter
+	recoveries    *obs.Counter
+
+	// The disk tier's series, copied from the stores' own durable.Stats
+	// at the end of each step; dur is the sum the last copy saw.
+	walSyncs     *obs.Counter
+	walSyncBytes *obs.Counter
+	corruptions  *obs.Counter
+	quarantines  *obs.Counter
+	fallbacks    *obs.Counter
+	dur          durable.Stats
 
 	// Shared-dataflow graph shape, synced at the end of each step while
 	// the shared runtime is active (zero otherwise): live operator count,
@@ -53,12 +74,15 @@ type brokerObs struct {
 	dfFolds       *obs.Gauge
 	dfFoldVisits  *obs.Gauge
 
-	// ivm is the maintainer-layer bundle shared by every subscription's
-	// maintainer and WAL; its histograms aggregate across subscriptions.
+	// ivm is the bundle every classic subscription's maintainer counts
+	// its redo log, checkpoints and recovery replay in; its histograms
+	// aggregate across subscriptions.
 	ivm *ivm.Metrics
 }
 
-func newBrokerObs(reg *obs.Registry, tr *obs.Tracer) *brokerObs {
+// newBrokerObs registers the broker's instruments; dur is the stores'
+// counters so far, which the disk-tier series do not count.
+func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, dur durable.Stats) *brokerObs {
 	return &brokerObs{
 		reg:           reg,
 		tr:            tr,
@@ -72,6 +96,17 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer) *brokerObs {
 		retryGiveups:  reg.Counter("pubsub_retry_giveups_total"),
 		crashRecovers: reg.Counter("pubsub_crash_recoveries_total"),
 		refreshCost:   reg.Histogram("pubsub_refresh_cost", obs.SizeBuckets()),
+		drains:        reg.Counter("ivm_drains_total"),
+		drainFailures: reg.Counter("ivm_drain_failures_total"),
+		drainLatency:  reg.Histogram("ivm_drain_latency_seconds", obs.LatencyBuckets()),
+		drainedMods:   reg.Counter("ivm_drained_mods_total"),
+		recoveries:    reg.Counter("ivm_recoveries_total"),
+		walSyncs:      reg.Counter("ivm_wal_sync_total"),
+		walSyncBytes:  reg.Counter("ivm_wal_sync_bytes_total"),
+		corruptions:   reg.Counter("ivm_recovery_corruption_total"),
+		quarantines:   reg.Counter("ivm_recovery_corruption_quarantined_total"),
+		fallbacks:     reg.Counter("ivm_recovery_corruption_fallbacks_total"),
+		dur:           dur,
 		dfOperators:   reg.Gauge("ivm_dataflow_operators"),
 		dfViews:       reg.Gauge("ivm_dataflow_views"),
 		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total"),
@@ -114,12 +149,15 @@ func newSubObs(reg *obs.Registry, name string) *subObs {
 	}
 }
 
-// SetObs attaches an observability sink: all broker-level instruments,
-// per-subscription gauges (labeled `sub`), the shared maintainer/WAL
-// bundle, span recording on tr (nil disables tracing only), and — when
-// the current injector is a *fault.Seeded — a per-site fault counter via
-// its observer hook. Subscriptions added later are wired on Subscribe.
-// A nil registry detaches everything.
+// SetObs attaches an observability sink: all broker-level instruments
+// (among them the drain, recovery and disk-tier series the broker counts
+// for every engine), per-subscription gauges (labeled `sub`), the ivm
+// bundle each classic maintainer counts its own log and checkpoints in,
+// span recording on tr (nil disables tracing only), and — when the
+// current injector is a *fault.Seeded — a per-site fault counter via its
+// observer hook. Subscriptions added later are wired on Subscribe. The
+// sink counts only what happens after it is attached. A nil registry
+// detaches everything.
 func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -137,7 +175,7 @@ func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 		}
 		return
 	}
-	b.obs = newBrokerObs(reg, tr)
+	b.obs = newBrokerObs(reg, tr, b.durabilityStats())
 	for _, s := range b.subs {
 		b.wireSub(s)
 	}
@@ -244,11 +282,38 @@ func (o *brokerObs) observeRetryGiveup() {
 	o.retryGiveups.Inc()
 }
 
-func (o *brokerObs) observeCrashRecovery() {
+// observeDrain records one drain attempt's outcome.
+func (o *brokerObs) observeDrain(elapsed time.Duration, k int, err error) {
+	o.drains.Inc()
+	if err != nil {
+		o.drainFailures.Inc()
+		return
+	}
+	o.drainLatency.Observe(elapsed.Seconds())
+	o.drainedMods.Add(int64(k))
+}
+
+// observeCrashRecovery records one crash recovery; one that did not fall
+// back also counts as an engine recovery.
+func (o *brokerObs) observeCrashRecovery(fallback bool) {
 	if o == nil {
 		return
 	}
 	o.crashRecovers.Inc()
+	if !fallback {
+		o.recoveries.Inc()
+	}
+}
+
+// syncDurable adds what the stores' counters grew by since the last copy
+// to the disk-tier series.
+func (o *brokerObs) syncDurable(st durable.Stats) {
+	o.walSyncs.Add(int64(st.Syncs - o.dur.Syncs))
+	o.walSyncBytes.Add(int64(st.SyncBytes - o.dur.SyncBytes))
+	o.corruptions.Add(int64(st.Corruptions - o.dur.Corruptions))
+	o.quarantines.Add(int64(st.Quarantined - o.dur.Quarantined))
+	o.fallbacks.Add(int64(st.Fallbacks - o.dur.Fallbacks))
+	o.dur = st
 }
 
 // syncDataflow mirrors the shared operator graph's shape onto the

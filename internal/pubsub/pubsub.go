@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"abivm/internal/core"
 	"abivm/internal/dataflow"
@@ -203,6 +204,11 @@ func (b *Broker) SetStoreOpener(open durable.Opener) {
 func (b *Broker) DurabilityStats() durable.Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	return b.durabilityStats()
+}
+
+// durabilityStats is DurabilityStats for callers holding b.mu.
+func (b *Broker) durabilityStats() durable.Stats {
 	var total durable.Stats
 	for _, s := range b.subs {
 		total.Add(s.eng.DurableStats())
@@ -467,6 +473,7 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	}
 	if b.obs != nil {
 		b.obs.syncDataflow(b.dataflowStats())
+		b.obs.syncDurable(b.durabilityStats())
 	}
 	b.obs.observeStep(stepStart)
 	b.step++
@@ -531,7 +538,7 @@ func (b *Broker) maybeCrash(s *sub) error {
 		s.lastFresh = b.step
 		s.degraded = false
 	}
-	b.obs.observeCrashRecovery()
+	b.obs.observeCrashRecovery(fallback)
 	return nil
 }
 
@@ -586,14 +593,14 @@ func (b *Broker) process(s *sub, act core.Vector) (float64, error) {
 		if k == 0 {
 			continue
 		}
-		err := s.eng.ProcessBatch(alias, k)
+		err := b.drain(s, alias, k)
 		for tries := 1; err != nil && fault.Transient(err); tries++ {
 			if tries == fault.MaxAttempts {
 				b.obs.observeRetryGiveup()
 				break
 			}
 			b.obs.observeRetry()
-			err = s.eng.ProcessBatch(alias, k)
+			err = b.drain(s, alias, k)
 		}
 		if err != nil {
 			return cost, err
@@ -603,6 +610,20 @@ func (b *Broker) process(s *sub, act core.Vector) (float64, error) {
 		s.total += c
 	}
 	return cost, nil
+}
+
+// drain makes one drain attempt on s's engine — the one place a drain of
+// either engine is timed and counted, when a sink is attached.
+func (b *Broker) drain(s *sub, alias string, k int) error {
+	if b.obs == nil {
+		return s.eng.ProcessBatch(alias, k)
+	}
+	//lint:ignore nondet drain latency feeds metrics only, never broker state
+	start := time.Now()
+	err := s.eng.ProcessBatch(alias, k)
+	//lint:ignore nondet measurement of the drain, not part of it
+	b.obs.observeDrain(time.Since(start), k, err)
+	return err
 }
 
 // Refresh brings a subscription's content up to date on demand, outside

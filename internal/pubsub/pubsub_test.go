@@ -383,7 +383,6 @@ func TestDefaultPolicyReportsDecisions(t *testing.T) {
 	if got := series("policy_action_mods").Count; float64(got) != decisions {
 		t.Fatalf("policy_action_mods observed %d actions for %v decisions", got, decisions)
 	}
-	series("policy_refreshes_total")
 	b.SetObs(nil, nil)
 	run(script[40:])
 	if got := series("policy_decisions_total").Value; got != decisions {

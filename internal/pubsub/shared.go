@@ -42,6 +42,10 @@ func (e *sharedEngine) Recover() (bool, error) {
 	return false, nil
 }
 
+// SetMetrics has nothing to attach: a sink keeps no redo log and takes
+// no checkpoint, and the broker counts its drains and recoveries.
+func (e *sharedEngine) SetMetrics(*ivm.Metrics) {}
+
 func (e *sharedEngine) Sync() error                 { return nil }
 func (e *sharedEngine) WALLen() int                 { return 0 }
 func (e *sharedEngine) DurableStats() durable.Stats { return durable.Stats{} }

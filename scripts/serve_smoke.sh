@@ -56,7 +56,6 @@ smoke() {
         policy_decisions_total \
         policy_candidates_total \
         policy_action_mods \
-        policy_refreshes_total \
         fault_injections_total \
         "$@"; do
         if ! printf '%s\n' "$METRICS" | grep -q "^$name"; then
