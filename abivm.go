@@ -204,22 +204,41 @@ func (v *View) EndStep() (core.Vector, float64, error) {
 }
 
 // Refresh drains every delta queue and returns the up-to-date view
-// content. Thanks to the constraint maintained by EndStep, the model cost
-// of a refresh never exceeds C. Engine failures are returned as errors;
-// it panics only if the pending counts are corrupted (negative), which
-// the engine never produces.
+// content, rows the caller owns. Thanks to the constraint maintained by
+// EndStep, the model cost of a refresh never exceeds C. Engine failures
+// are returned as errors; it panics only if the pending counts are
+// corrupted (negative), which the engine never produces.
 func (v *View) Refresh() ([]storage.Row, float64, error) {
 	n, err := v.b.Refresh(sub)
 	if err != nil {
 		return nil, 0, err
 	}
-	return n.Rows, n.RefreshCost, nil
+	return ownRows(n.Rows), n.RefreshCost, nil
 }
 
 // Result returns the view content as of the last processed batches
-// (possibly stale with respect to the live tables); it panics only if
-// the view's subscription is gone from its broker.
-func (v *View) Result() []storage.Row { return must(v.b.Result(sub)) }
+// (possibly stale with respect to the live tables), rows the caller owns;
+// it panics only if the view's subscription is gone from its broker.
+func (v *View) Result() []storage.Row { return ownRows(must(v.b.Result(sub))) }
+
+// ownRows copies rows into one value array: the broker's rows are shared
+// with the view's state, and an edit to one would corrupt it.
+func ownRows(rows []storage.Row) []storage.Row {
+	if rows == nil {
+		return nil
+	}
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals := make([]storage.Value, 0, n)
+	out := make([]storage.Row, len(rows))
+	for i, r := range rows {
+		vals = append(vals, r...)
+		out[i] = vals[len(vals)-len(r) : len(vals) : len(vals)]
+	}
+	return out
+}
 
 // Pending returns the per-table delta queue sizes; it panics only if the
 // view's subscription is gone from its broker.

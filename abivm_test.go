@@ -207,6 +207,71 @@ func TestViewResultMatchesEngineAfterRefresh(t *testing.T) {
 	}
 }
 
+// TestViewRowsAreTheCallers: editing a row Refresh or Result returned
+// leaves the view as it was. The edited row's delete then drains as
+// any other, and the content equals a recompute over the live table.
+func TestViewRowsAreTheCallers(t *testing.T) {
+	db := storage.NewDB()
+	schema, err := storage.NewSchema("items", []storage.Column{
+		{Name: "k", Type: storage.TInt},
+		{Name: "v", Type: storage.TFloat},
+	}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := db.CreateTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 4; k++ {
+		if err := items.Insert(storage.Row{storage.I(k), storage.F(float64(k))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const query = "SELECT i.k, i.v FROM items AS i"
+	model := core.NewCostModel(mustLin(t, 1, 1))
+	v, err := NewView(db, query, WithConstraint(model, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Apply(InsertRow("i", storage.Row{storage.I(5000), storage.F(7)})); err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := v.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(rows []storage.Row) {
+		t.Helper()
+		for _, r := range rows {
+			if storage.Equal(r[0], storage.I(5000)) {
+				r[1] = storage.F(999)
+				return
+			}
+		}
+		t.Fatalf("rows %v lack key 5000", rows)
+	}
+	edit(rows)
+	edit(v.Result())
+	if err := v.Apply(DeleteRow("i", storage.I(5000))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.EndStep(); err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err = v.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewView(db, query, WithConstraint(model, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rows), fmt.Sprint(fresh.Result()); got != want {
+		t.Fatalf("content after the delete %s, recomputed %s", got, want)
+	}
+}
+
 func TestViewWithCustomPolicy(t *testing.T) {
 	db := testDB(t)
 	model := testModel(t)

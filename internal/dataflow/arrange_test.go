@@ -172,10 +172,11 @@ func TestArrangementsListing(t *testing.T) {
 
 // TestArrangementOnDeltaAllocs: a delta whose join key the arrangement
 // already holds, and whose partner opposite no join accepts, allocates
-// nothing once its bucket's tail has room — the key is probed and
+// nothing while the arrangement's log has room — the key is probed and
 // bucketed as bytes, only a delta that opens a bucket makes the key a
-// string, and a probe takes memory from the graph's arena only for a
-// product some join accepts.
+// string, the delta joins its bucket's tail by a link in the one log,
+// and a probe takes memory from the graph's arena only for a product
+// some join accepts.
 func TestArrangementOnDeltaAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const rowsPerStation, regions = 20, 12
@@ -197,16 +198,20 @@ func TestArrangementOnDeltaAllocs(t *testing.T) {
 	d := Delta{Row: storage.Row{storage.I(-1), storage.I(1), storage.F(1)}, W: 1, Coord: Coord{1}}
 	roomy := 0
 	for i := 0; i < 12; i++ {
-		hadRoom := len(b.tail) < cap(b.tail)
+		hadRoom := len(sales.log) < cap(sales.log)
 		if n := mallocsOf(func() { sales.onDelta(d) }); hadRoom && n != 0 {
-			t.Fatalf("delta %d into an existing bucket with tail room allocated %d times, want 0", i, n)
+			t.Fatalf("delta %d into an existing bucket with log room allocated %d times, want 0", i, n)
 		}
 		if hadRoom {
 			roomy++
 		}
 	}
-	if roomy == 0 || len(b.tail) != 12 || len(sales.touched) != 1 || sales.touched[0] != b {
-		t.Fatalf("%d deltas had tail room; tail %d, touched %d", roomy, len(b.tail), len(sales.touched))
+	chain := 0
+	for i := b.first; i >= 0; i = sales.log[i].next {
+		chain++
+	}
+	if roomy == 0 || len(sales.log) != 12 || chain != 12 || b.last != 11 {
+		t.Fatalf("%d deltas had log room; log %d, chain %d ending at %d", roomy, len(sales.log), chain, b.last)
 	}
 }
 
@@ -338,10 +343,10 @@ func TestArrangedProductsOwnTheirRows(t *testing.T) {
 	}
 	owners := make(map[*storage.Value]bool)
 	rows := 0
+	if len(a.log) != 0 {
+		t.Fatalf("the arrangement keeps %d tail entries after a full trim", len(a.log))
+	}
 	for _, b := range a.buckets {
-		if len(b.tail) != 0 {
-			t.Fatalf("bucket %q keeps %d tail entries after a full trim", b.key, len(b.tail))
-		}
 		for _, e := range b.base {
 			rows++
 			if cap(e.row) != len(e.row) {

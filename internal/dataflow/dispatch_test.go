@@ -16,6 +16,16 @@ import (
 // updates that may move a sale, and station region moves.
 func fanoutStream(t *testing.T, g *Graph, n int) {
 	t.Helper()
+	next := fanoutMods()
+	for i := 0; i < n; i++ {
+		table, mod := next()
+		liveIngest(t, g, table, mod)
+	}
+}
+
+// fanoutMods returns fanoutStream's generator: each call the next
+// modification of the one seeded stream, with its table.
+func fanoutMods() func() (string, ivm.Mod) {
 	rng := rand.New(rand.NewSource(43))
 	live := make([]int64, 240)
 	for i := range live {
@@ -25,27 +35,25 @@ func fanoutStream(t *testing.T, g *Graph, n int) {
 	sale := func(k int64) storage.Row {
 		return storage.Row{storage.I(k), storage.I(int64(rng.Intn(12))), storage.F(float64(1 + rng.Intn(50)))}
 	}
-	for i := 0; i < n; i++ {
-		var table string
-		var mod ivm.Mod
+	return func() (string, ivm.Mod) {
 		switch r := rng.Intn(10); {
 		case r < 5 || len(live) == 0:
-			table, mod = "sales", ivm.Mod{Kind: ivm.ModInsert, Row: sale(next)}
 			live = append(live, next)
 			next++
+			return "sales", ivm.Mod{Kind: ivm.ModInsert, Row: sale(next - 1)}
 		case r < 7:
 			at := rng.Intn(len(live))
-			table, mod = "sales", ivm.Mod{Kind: ivm.ModDelete, Key: []storage.Value{storage.I(live[at])}}
+			k := live[at]
 			live = append(live[:at], live[at+1:]...)
+			return "sales", ivm.Mod{Kind: ivm.ModDelete, Key: []storage.Value{storage.I(k)}}
 		case r < 8:
 			k := live[rng.Intn(len(live))]
-			table, mod = "sales", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)}, Row: sale(k)}
+			return "sales", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)}, Row: sale(k)}
 		default:
 			k := int64(rng.Intn(12))
-			table, mod = "stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)},
+			return "stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)},
 				Row: storage.Row{storage.I(k), storage.S(regionName(rng.Intn(12)))}}
 		}
-		liveIngest(t, g, table, mod)
 	}
 }
 
@@ -80,6 +88,44 @@ func TestFanoutProbesAndProducts(t *testing.T) {
 	}
 	if got, want := h.Sum64(), uint64(0xb597bd38d0e71f96); got != want {
 		t.Fatalf("the logs were sent deltas hashing to %#x, want %#x", got, want)
+	}
+}
+
+// TestFanoutTrimCounts pins the state work of fanoutStream's stream
+// through the fanout catalogue under partial drains and a trim every 8
+// steps: what the trims examined, what the arrangements hold, and what
+// the drains folded and walked. The counts are those of netting each
+// bucket's covered deltas in arrival order into its base by a linear
+// search, and of folding each covered delta once.
+func TestFanoutTrimCounts(t *testing.T) {
+	g := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
+	var handles []*ViewHandle
+	for _, q := range fanoutCatalogue() {
+		handles = append(handles, subscribeQuery(t, g, q))
+	}
+	next := fanoutMods()
+	drains := rand.New(rand.NewSource(51))
+	for step := 0; step < 200; step++ {
+		for i := 0; i < 10; i++ {
+			table, mod := next()
+			liveIngest(t, g, table, mod)
+		}
+		for _, h := range handles {
+			pend := h.Pending()
+			if i := drains.Intn(len(pend)); pend[i] > 0 {
+				if err := h.ProcessBatch(h.Aliases()[i], 1+drains.Intn(pend[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if step%8 == 7 {
+			g.Trim()
+		}
+	}
+	st := g.Stats()
+	if st.TrimVisited != 73713 || st.StateRows != 923 || st.Folds != 127450 || st.FoldVisits != 1121139 {
+		t.Fatalf("TrimVisited %d, StateRows %d, Folds %d, FoldVisits %d; want %d, %d, %d, %d",
+			st.TrimVisited, st.StateRows, st.Folds, st.FoldVisits, 73713, 923, 127450, 1121139)
 	}
 }
 

@@ -429,7 +429,8 @@ func (h *ViewHandle) Refresh() error {
 }
 
 // Result renders the current view content — same layout as the
-// per-view maintainer and the planner, and like theirs not a read (see
+// per-view maintainer and the planner, and like theirs not a read, its
+// rows shared with the view state and read-only (see
 // ivm.ViewState.Result).
 func (h *ViewHandle) Result() []storage.Row { return h.view.Result() }
 

@@ -258,42 +258,48 @@ type baseEntry struct {
 }
 
 // tailEntry is one input delta of an arrangement that some live cursor
-// may still be below: row, attribution, signed weight.
+// may still be below — row, attribution, signed weight — and its place
+// in the arrangement's log: its bucket, and the log index of the
+// bucket's next tail entry, -1 at the end of the chain.
 type tailEntry struct {
 	row   storage.Row
 	coord Coord
 	w     int64
+	b     *bucket
+	next  int
 }
 
 // bucket holds one join key's share of an arrangement: the consolidated
-// base (one entry per distinct row, never zero-weight) and the uncovered
-// tail in arrival order, and — once a join summarizes the arrangement
-// — sum, the summary of the base over every column in sumCols. key is
-// the string the bucket is stored under, made once when the bucket was:
-// everything that reaches a bucket later looks it up by the key's bytes,
-// and a trim that empties it deletes it by this.
+// base (one entry per distinct row, never zero-weight), the log indices
+// of its tail's first and last entries (-1 without a tail), and — once
+// a join summarizes the arrangement — sum, the summary of the base over
+// every column in sumCols. key is the string the bucket is stored under,
+// made once: everything that reaches a bucket later looks it up by the
+// key's bytes, and a trim that empties it deletes it by this.
 type bucket struct {
-	key  string
-	base []baseEntry
-	tail []tailEntry
-	sum  summary
+	key         string
+	base        []baseEntry
+	first, last int
+	sum         summary
 }
 
 // sideState is an arrangement's retained history of its child's output,
-// partitioned by equi-join key so a delta — and a trim — touches only its
-// own bucket. touched lists the buckets whose tail is non-empty, in the
-// order they became so; it is the whole of a trim's work list. summed
-// lists the summaries joins emit of the buckets' bases; each
-// bucket keeps them as one summary over sumCols, every column one of them
-// sums, each once.
+// partitioned by equi-join key so a probe touches only its own bucket.
+// log holds every delta no trim has netted yet in arrival order, each
+// bucket's tail chained through it: one slice, and a trim's whole work
+// list. peak is its length at the last trim; cancelled is a trim's
+// scratch. summed lists the summaries joins emit of the buckets' bases,
+// kept per bucket as one summary over sumCols, each column once.
 type sideState struct {
-	buckets map[string]*bucket
-	touched []*bucket
-	zero    Coord // the coordinate of every base entry
-	ctr     *counters
-	summed  []summed
-	sumCols []exec.Scalar
-	sumKeys []string // sumCols' canonical expressions
+	buckets   map[string]*bucket
+	log       []tailEntry
+	peak      int
+	cancelled []*bucket
+	zero      Coord // the coordinate of every base entry
+	ctr       *counters
+	summed    []summed
+	sumCols   []exec.Scalar
+	sumKeys   []string // sumCols' canonical expressions
 }
 
 // summed is one summary that joins emit of an arrangement's buckets:
@@ -340,7 +346,7 @@ func truncTight[T any](s []T, n int) []T {
 func (s *sideState) bucketFor(key []byte) *bucket {
 	b := s.buckets[string(key)]
 	if b == nil {
-		b = &bucket{key: string(key)}
+		b = &bucket{key: string(key), first: -1, last: -1}
 		if len(s.sumCols) > 0 {
 			b.sum.sums = make([]exec.ExactSum, len(s.sumCols))
 		}
@@ -357,14 +363,22 @@ func (s *sideState) sumBase(b *bucket, row storage.Row, w int64) {
 	}
 }
 
-// add appends one arriving delta to its bucket's tail.
+// add appends one arriving delta to the log and its bucket's tail.
 func (s *sideState) add(key []byte, d Delta) {
 	b := s.bucketFor(key)
-	if len(b.tail) == 0 {
-		s.touched = append(s.touched, b)
-	}
-	b.tail = appendTight(b.tail, tailEntry{row: d.Row, coord: d.Coord, w: d.W})
+	s.link(b, len(s.log))
+	s.log = append(s.log, tailEntry{row: d.Row, coord: d.Coord, w: d.W, b: b, next: -1})
 	s.ctr.stateRows++
+}
+
+// link chains log index i onto the end of b's tail.
+func (s *sideState) link(b *bucket, i int) {
+	if b.first < 0 {
+		b.first = i
+	} else {
+		s.log[b.last].next = i
+	}
+	b.last = i
 }
 
 // seed loads a child's present output. Netted rows are base entries as
@@ -397,56 +411,62 @@ func (s *sideState) sortedKeys() []string {
 	return keys
 }
 
-// consolidate nets every tail entry the watermark covers into its bucket's
-// base — cancelling to zero removes the row — and keeps the rest. Only
-// touched buckets are visited, so the cost is O(deltas since the last
-// trim × bucket size), independent of the arrangement's total size. Safe
-// because every live cursor is at or above the watermark and new
-// subscribers start fully covered: nobody can ever distinguish a covered
-// entry's coordinate from zero again. wm aligns with the child's
-// coordinates.
+// consolidate walks the log once: a covered entry is netted into its
+// bucket's base, in arrival order; the rest move down the log, relinked
+// onto their emptied chains. After the walk the buckets where a row
+// cancelled are compacted, and one left with nothing is deleted. Cost:
+// O(deltas since the last trim × bucket size), never the arrangement's
+// size. Safe because every live cursor is at or above wm (the child's
+// coordinates) and new subscribers start fully covered. The capacity
+// follows the peak, as deltaLog.trim's does.
 func (s *sideState) consolidate(wm []uint64) {
-	stillTouched := s.touched[:0]
-	for _, b := range s.touched {
-		s.ctr.trimVisited += uint64(len(b.tail))
-		before := len(b.base) + len(b.tail)
-		kept, cancelled := 0, false
-		for _, e := range b.tail {
-			if !e.coord.covered(wm) {
-				b.tail[kept] = e
-				kept++
-				continue
-			}
-			if s.net(b, e.row, e.w) {
-				cancelled = true
+	s.peak = len(s.log)
+	s.ctr.trimVisited += uint64(s.peak)
+	for _, e := range s.log {
+		e.b.first, e.b.last = -1, -1
+	}
+	kept := 0
+	for _, e := range s.log {
+		if !e.coord.covered(wm) {
+			s.link(e.b, kept)
+			e.next = -1
+			s.log[kept] = e
+			kept++
+			continue
+		}
+		before := len(e.b.base)
+		if s.net(e.b, e.row, e.w) {
+			s.cancelled = append(s.cancelled, e.b)
+		}
+		s.ctr.stateRows += len(e.b.base) - before - 1
+	}
+	for _, b := range s.cancelled {
+		live := 0
+		for _, e := range b.base {
+			if e.w != 0 {
+				b.base[live] = e
+				live++
 			}
 		}
-		b.tail = truncTight(b.tail, kept)
-		if cancelled {
-			live := 0
-			for _, e := range b.base {
-				if e.w != 0 {
-					b.base[live] = e
-					live++
-				}
-			}
-			b.base = truncTight(b.base, live)
-		}
-		s.ctr.stateRows += len(b.base) + len(b.tail) - before
-		switch {
-		case kept > 0:
-			stillTouched = append(stillTouched, b)
-		case len(b.base) == 0:
+		s.ctr.stateRows -= len(b.base) - live
+		b.base = truncTight(b.base, live)
+		if live == 0 && b.first < 0 {
 			delete(s.buckets, b.key)
 		}
 	}
-	clear(s.touched[len(stillTouched):])
-	s.touched = stillTouched
+	clear(s.cancelled)
+	s.cancelled = s.cancelled[:0]
+	if size := s.peak + s.peak/4 + 1; cap(s.log) > 2*size {
+		s.log = append(make([]tailEntry, 0, size), s.log[:kept]...)
+		return
+	}
+	clear(s.log[kept:s.peak])
+	s.log = s.log[:kept]
 }
 
 // net folds one covered delta into a bucket's base and its summaries,
-// reporting whether some entry now weighs zero (the caller compacts once
-// per bucket).
+// reporting whether some entry now weighs zero (the caller compacts the
+// bucket after the walk).
 func (s *sideState) net(b *bucket, row storage.Row, w int64) bool {
 	s.sumBase(b, row, w)
 	ctr := s.ctr
@@ -535,7 +555,7 @@ func (d *dispatch) reach(row storage.Row, buf *[]int) []int {
 }
 
 // arrangement is one child operator's output indexed by one equi-key
-// list, in sideState's base/tail bucket layout. The graph interns one per
+// list, as sideState lays it out. The graph interns one per
 // (child signature, canonical key list); it subscribes to the child once
 // and is referenced — not owned — by every join side that reads that
 // child under those keys, so a delta is key-encoded, bucketed and later
@@ -907,15 +927,18 @@ func (g *portGroup) probe(key []byte, d Delta) {
 		}
 		clear(g.outs)
 	}
-	for i, n := from, len(b.base)+len(b.tail); i < n; i++ {
+	// i walks the base from from, then t the tail's chain.
+	for i, t := from, b.first; i < len(b.base) || t >= 0; {
 		var partner storage.Row
 		var w int64
 		var pc Coord // the partner's own coordinate; nil for a base entry
 		if i < len(b.base) {
 			partner, w = b.base[i].row, b.base[i].w
+			i++
 		} else {
-			e := &b.tail[i-len(b.base)]
+			e := &g.other.log[t]
 			partner, w, pc = e.row, e.w, e.coord
+			t = e.next
 		}
 		var row storage.Row
 		var out Delta
@@ -966,13 +989,13 @@ func pairInto[S ~[]E, E any](buf S, left bool, arriving, partner S) S {
 	return buf
 }
 
-// each visits the bucket's entries, base then tail.
-func (b *bucket) each(fn func(row storage.Row, w int64, tail bool)) {
+// each visits a bucket's entries, base then tail.
+func (s *sideState) each(b *bucket, fn func(row storage.Row, w int64, tail bool)) {
 	for _, e := range b.base {
 		fn(e.row, e.w, false)
 	}
-	for _, e := range b.tail {
-		fn(e.row, e.w, true)
+	for i := b.first; i >= 0; i = s.log[i].next {
+		fn(s.log[i].row, s.log[i].w, true)
 	}
 }
 
@@ -987,11 +1010,11 @@ func (j *joinNode) current() []weightedRow {
 		if rb == nil {
 			continue
 		}
-		j.lstate.buckets[key].each(func(lrow storage.Row, lw int64, ltail bool) {
+		j.lstate.each(j.lstate.buckets[key], func(lrow storage.Row, lw int64, ltail bool) {
 			if !j.lwhere.pass(lrow) {
 				return
 			}
-			rb.each(func(rrow storage.Row, rw int64, rtail bool) {
+			j.rstate.each(rb, func(rrow storage.Row, rw int64, rtail bool) {
 				if !j.rwhere.pass(rrow) {
 					return
 				}
@@ -1020,14 +1043,15 @@ func (j *joinNode) currentSummarized() []weightedRow {
 			continue
 		}
 		fb := j.fact.buckets[key]
-		db.each(func(drow storage.Row, dw int64, dtail bool) {
+		j.dim.each(db, func(drow storage.Row, dw int64, dtail bool) {
 			if !dimWhere.pass(drow) {
 				return
 			}
 			if len(fb.base) > 0 {
 				out = append(out, weightedRow{row: drow, w: dw, loose: dtail, sum: fb.sum.appendWords(nil, j.fact.summed[j.sum].cols)})
 			}
-			for _, e := range fb.tail {
+			for i := fb.first; i >= 0; i = j.fact.log[i].next {
+				e := &j.fact.log[i]
 				row := concatRows(e.row, drow)
 				if j.fact == j.rstate {
 					row = concatRows(drow, e.row)

@@ -316,8 +316,10 @@ func (w *propWorld) check(ctx string) {
 // is read by at least one join side, is its child's edge exactly once and
 // is walked once however many joins share it; base entries distinct and
 // non-zero within a bucket, every bucket stored under the key it
-// remembers, touched = the buckets with a non-empty tail, no empty
-// buckets, capacity slack bounded.
+// remembers, no empty buckets, base slack bounded; every log entry's
+// bucket is held under its key, each bucket's chain lists exactly its
+// entries of the log in log order, and the log's capacity follows its
+// peak.
 func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
 	rows, retained, sinks, sides, joins := 0, 0, 0, 0, 0
@@ -372,21 +374,36 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 			t.Fatalf("%s: %s kept with no join side reading it", ctx, id)
 		}
 		sides += a.ports()
-		sideRows, withTail := 0, 0
+		for i, e := range a.log {
+			if a.buckets[e.b.key] != e.b {
+				t.Fatalf("%s: %s: log entry %d's bucket %q is not held under its key", ctx, id, i, e.b.key)
+			}
+		}
+		if p := max(a.peak, len(a.log)); cap(a.log) > 2*(p+p/4+1) {
+			t.Fatalf("%s: %s: log capacity %d over length %d, peak %d", ctx, id, cap(a.log), len(a.log), a.peak)
+		}
+		sideRows, chained := len(a.log), 0
 		for key, b := range a.buckets {
-			if len(b.base)+len(b.tail) == 0 {
+			if len(b.base) == 0 && b.first < 0 {
 				t.Fatalf("%s: %s: empty bucket %q kept", ctx, id, key)
 			}
 			if b.key != key {
 				t.Fatalf("%s: %s: bucket stored under %q remembers %q", ctx, id, key, b.key)
 			}
-			if cap(b.base) > 2*len(b.base)+1 || cap(b.tail) > 2*len(b.tail)+1 {
-				t.Fatalf("%s: %s: bucket %q slack: base %d/%d tail %d/%d", ctx, id, key,
-					len(b.base), cap(b.base), len(b.tail), cap(b.tail))
+			if cap(b.base) > 2*len(b.base)+1 {
+				t.Fatalf("%s: %s: bucket %q slack: base %d/%d", ctx, id, key, len(b.base), cap(b.base))
 			}
-			sideRows += len(b.base) + len(b.tail)
-			if len(b.tail) > 0 {
-				withTail++
+			sideRows += len(b.base)
+			last := -1
+			for i := b.first; i >= 0; i = a.log[i].next {
+				if i <= last || i >= len(a.log) || a.log[i].b != b {
+					t.Fatalf("%s: %s: bucket %q chains log entry %d after %d: out of order, past the log or not its own", ctx, id, key, i, last)
+				}
+				last = i
+				chained++
+			}
+			if last != b.last {
+				t.Fatalf("%s: %s: bucket %q's chain ends at %d, it remembers %d", ctx, id, key, last, b.last)
 			}
 			seen := map[string]bool{}
 			for _, e := range b.base {
@@ -412,13 +429,8 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 				}
 			}
 		}
-		if withTail != len(a.touched) {
-			t.Fatalf("%s: %s: %d touched keys, %d buckets with a tail", ctx, id, len(a.touched), withTail)
-		}
-		for _, b := range a.touched {
-			if a.buckets[b.key] != b || len(b.tail) == 0 {
-				t.Fatalf("%s: %s: touched bucket %q is not held or has no tail", ctx, id, b.key)
-			}
+		if chained != len(a.log) {
+			t.Fatalf("%s: %s: the chains list %d entries, the log holds %d", ctx, id, chained, len(a.log))
 		}
 		rows += sideRows
 	}
@@ -653,8 +665,8 @@ func TestTrimPreservesMeaning(t *testing.T) {
 				t.Fatalf("fully covered graph retains %d deltas", st.RetainedDeltas)
 			}
 			for id, a := range w.trimmed.arrs {
-				if len(a.touched) != 0 {
-					t.Fatalf("fully covered %s keeps %d tails", id, len(a.touched))
+				if len(a.log) != 0 {
+					t.Fatalf("fully covered %s keeps %d tail entries", id, len(a.log))
 				}
 			}
 		})

@@ -168,7 +168,7 @@ func TestLateSubscriberMatchesRecompute(t *testing.T) {
 				late := subscribeQuery(t, g, q)
 				ctx := fmt.Sprintf("seed %d step %d: %s", seed, step, q)
 				j := late.top.(*joinNode)
-				if len(j.lstate.touched)+len(j.rstate.touched) == 0 ||
+				if len(j.lstate.log)+len(j.rstate.log) == 0 ||
 					!slices.ContainsFunc(late.log.deltas, func(d Delta) bool { return late.reads(d.Coord) }) {
 					t.Fatalf("%s: subscribed beside no arrangement tail or no logged delta it reads", ctx)
 				}

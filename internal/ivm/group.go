@@ -20,6 +20,29 @@ type groupState struct {
 	aggs    []aggState  // empty for an SPJ view
 }
 
+// keyedGroup is an entry and its copy of a key of at most two values in
+// one allocation, not two.
+type keyedGroup struct {
+	groupState
+	vals [2]storage.Value
+}
+
+// newEntry returns an entry whose keyVals are key itself, or with
+// copyKey its own copy of key, in its own allocation when key has at most
+// two values.
+func newEntry(key storage.Row, copyKey bool) *groupState {
+	switch {
+	case !copyKey:
+		return &groupState{keyVals: key}
+	case len(key) > len(keyedGroup{}.vals):
+		return &groupState{keyVals: key.Clone()}
+	}
+	k := &keyedGroup{}
+	n := copy(k.vals[:], key)
+	k.keyVals = k.vals[:n:n]
+	return &k.groupState
+}
+
 // aggState is the incremental state of one aggregate.
 type aggState struct {
 	kind exec.AggKind

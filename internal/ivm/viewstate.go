@@ -133,7 +133,9 @@ func (v *ViewState) AddSummary(key storage.Row, w, n int64, sums []*exec.ExactSu
 // when it is new; it panics if w retracts from an entry the view does not
 // hold. The entry is looked up once, by the key's hash, and found on its
 // chain by its key values. A new entry heads the chain and keeps its key
-// values: key itself when the state may keep it, a copy otherwise.
+// values: key itself when the state may keep it, a copy otherwise
+// (newEntry). An entry is never reused, so a rendered row aliasing
+// its key values stays as rendered.
 func (v *ViewState) entry(key storage.Row, w int64, copyKey bool) *groupState {
 	h := v.keyHash(key)
 	head := v.groups[h]
@@ -145,10 +147,8 @@ func (v *ViewState) entry(key storage.Row, w int64, copyKey bool) *groupState {
 	if w < 0 {
 		panic("ivm: retracting from an entry the view does not hold")
 	}
-	if copyKey {
-		key = key.Clone()
-	}
-	g := &groupState{hash: h, next: head, keyVals: key, aggs: newAggStates(v.aggKinds, v.aggSet)}
+	g := newEntry(key, copyKey)
+	g.hash, g.next, g.aggs = h, head, newAggStates(v.aggKinds, v.aggSet)
 	v.groups[h] = g
 	v.order.created(g)
 	return g
@@ -266,7 +266,8 @@ func (o *keyOrder) render() []*groupState {
 // same layout the planner produces for the view query, enabling direct
 // comparison. It brings the state's key order up to date on the way, so
 // like a fold it needs the state to itself: two Results must not run at
-// once.
+// once. The rows are shared with the state and read-only: an SPJ view's
+// are its entries' key values, an aggregate view's cut from one array.
 func (v *ViewState) Result() []storage.Row {
 	groups := v.order.render()
 	if !v.isAgg {
@@ -287,9 +288,12 @@ func (v *ViewState) Result() []storage.Row {
 		// has contributed to renders, mirroring exec.HashAgg.
 		groups = []*groupState{{aggs: newAggStates(v.aggKinds, v.aggSet)}}
 	}
+	width := len(v.itemRefs)
+	vals := make([]storage.Value, len(groups)*width)
 	out := make([]storage.Row, 0, len(groups))
 	for _, g := range groups {
-		row := make(storage.Row, len(v.itemRefs))
+		row := storage.Row(vals[:width:width])
+		vals = vals[width:]
 		for i, ref := range v.itemRefs {
 			if ref.aggIdx >= 0 {
 				row[i] = g.aggs[ref.aggIdx].result(g.count)

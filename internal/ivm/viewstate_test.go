@@ -109,9 +109,9 @@ func TestSPJFoldsAsGroupByEveryColumn(t *testing.T) {
 
 // TestViewStateFoldAllocs: looking an entry up builds nothing. A fold
 // into an entry the state holds allocates nothing, in an SPJ, a SUM and a
-// MIN/MAX view; a new SPJ entry allocates at most the entry and the copy
-// of its borrowed key values; a retraction that drops an entry allocates
-// nothing.
+// MIN/MAX view; a new two-column SPJ entry allocates once, the entry and
+// the copy of its borrowed key values together; a retraction that drops
+// an entry allocates nothing.
 func TestViewStateFoldAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	for _, fv := range foldViews[:3] {
@@ -157,8 +157,8 @@ func TestViewStateFoldAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(n, func() {
 		v.AddWeighted(rows[created], 1)
 		created++
-	}); got > 2 {
-		t.Errorf("%v allocations per new SPJ entry, want at most 2", got)
+	}); got > 1 {
+		t.Errorf("%v allocations per new SPJ entry, want at most 1", got)
 	}
 	dropped := 0
 	if got := testing.AllocsPerRun(n, func() {
@@ -169,6 +169,29 @@ func TestViewStateFoldAllocs(t *testing.T) {
 	}
 	if held := len(heldEntries(t, v)); held != 0 {
 		t.Fatalf("%d entries held after every one was retracted", held)
+	}
+}
+
+// TestViewStateResultAllocs: a render of a state whose entries are all
+// listed allocates its row slice, and an aggregate view's one value array
+// besides, however many rows it renders.
+func TestViewStateResultAllocs(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	for i, want := range []float64{1, 2, 2} {
+		fv := foldViews[i]
+		p, err := PlanView(fv.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewViewState(p, nil)
+		rng := rand.New(rand.NewSource(9))
+		for j := 0; j < 64; j++ {
+			v.AddWeighted(fv.row(rng), 1)
+		}
+		rows := len(v.Result())
+		if got := testing.AllocsPerRun(20, func() { v.Result() }); got != want || rows < 3 {
+			t.Errorf("%s: a render of %d rows allocates %v times, want %v", fv.name, rows, got, want)
+		}
 	}
 }
 

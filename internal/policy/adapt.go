@@ -24,6 +24,7 @@ type Adapt struct {
 	model *core.CostModel
 	c     float64
 	plan  core.Plan // plan over [0, T0], plan[T0] is the full refresh
+	buf   actBuf
 }
 
 // NewAdapt returns the ADAPT policy wrapping a plan computed for refresh
@@ -45,22 +46,8 @@ func (p *Adapt) Reset(int) {}
 // Act implements Policy.
 func (p *Adapt) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	if refresh {
-		return pre.Clone()
+		return p.buf.of(pre)
 	}
-	phase := t % len(p.plan)
-	act := core.NewVector(len(pre))
-	if planned := p.plan[phase]; planned != nil {
-		for i, k := range planned {
-			if k > pre[i] {
-				k = pre[i]
-			}
-			act[i] = k
-		}
-	}
-	post := pre.Sub(act)
-	if p.model.Full(post, p.c) {
-		extra := core.CheapestGreedyMinimalAction(post, p.model, p.c)
-		act.AddInPlace(extra)
-	}
+	act, _ := p.buf.planned(p.plan[t%len(p.plan)], pre, p.model, p.c)
 	return act
 }

@@ -25,10 +25,7 @@ func overlaps(a, b core.Vector) bool {
 // random stream, forcing full states and ending on a refresh, and checks
 // the Policy contract at every step: Act leaves d and pre as it found
 // them, and the action it returns aliases neither — the broker passes its
-// live arrival counter and pending scratch and keeps using both. A zero
-// action it returned stays zero: a policy may hand the same one out
-// again, but never write to it. The online policies' idle Act, on a
-// state that is not full, allocates nothing.
+// live arrival counter and pending scratch and keeps using both.
 func TestActKeepsItsContract(t *testing.T) {
 	model := mkModel(t)
 	const c = 10.0
@@ -52,7 +49,6 @@ func TestActKeepsItsContract(t *testing.T) {
 			pol.Reset(2)
 			state := core.NewVector(2)
 			acted := 0
-			var idle []core.Vector
 			for ti, arrived := range arr {
 				d := arrived.Clone()
 				state.AddInPlace(d)
@@ -64,9 +60,7 @@ func TestActKeepsItsContract(t *testing.T) {
 				if overlaps(act, d) || overlaps(act, pre) {
 					t.Fatalf("t=%d: the action %v aliases d or pre", ti, act)
 				}
-				if act.IsZero() {
-					idle = append(idle, act)
-				} else {
+				if !act.IsZero() {
 					acted++
 				}
 				state.SubInPlace(act)
@@ -74,57 +68,46 @@ func TestActKeepsItsContract(t *testing.T) {
 			if acted < 2 || !state.IsZero() {
 				t.Fatalf("%d drains, final state %v: the stream did not exercise the policy", acted, state)
 			}
-			for _, act := range idle {
-				if !act.IsZero() {
-					t.Fatalf("a zero action the policy returned now reads %v", act)
-				}
-			}
-			if name := pol.Name(); name != "ONLINE" && name != "ONLINE-M" {
-				return
-			}
-			t.Run("idle", func(t *testing.T) {
-				testenv.NeedsAllocCounts(t)
-				pol.Reset(2)
-				d, pre := core.Vector{1, 0}, core.Vector{1, 1}
-				if model.Full(pre, c) {
-					t.Fatalf("state %v is full", pre)
-				}
-				if allocs := testing.AllocsPerRun(100, func() {
-					if !pol.Act(0, d, pre, false).IsZero() {
-						t.Fatal("acted on a state that is not full")
-					}
-				}); allocs != 0 {
-					t.Errorf("an idle Act allocates %v times, want 0", allocs)
-				}
-			})
 		})
 	}
 }
 
-// TestOnlineActAllocatesOnlyItsAction: once warm, a decision on a full
-// state allocates the action it returns and nothing else — the
-// candidates, the post-action state each is scored on and the tie-break
-// keys live in scratch that outlives the call.
-func TestOnlineActAllocatesOnlyItsAction(t *testing.T) {
+// TestOnlineActAllocatesNothing: once warm, an online policy's Act
+// allocates nothing, whether it idles on a state that is not full, acts
+// on a full one or drains everything at a refresh — the candidates, the
+// post-action state each is scored on, the tie-break keys and the action
+// it returns live in scratch that outlives the call.
+func TestOnlineActAllocatesNothing(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	model := mkModel(t)
 	const c = 10.0
-	for _, pol := range []Policy{NewOnlineMarginal(model, c, nil), NewOnline(model, c, nil)} {
-		pol.Reset(2)
-		d, pre := core.Vector{2, 3}, core.Vector{9, 12}
-		if !model.Full(pre, c) {
-			t.Fatalf("state %v is not full", pre)
-		}
-		step := 0
-		pol.Act(step, d, pre, false)
-		allocs := testing.AllocsPerRun(100, func() {
-			step++
-			if act := pol.Act(step, d, pre, false); act.IsZero() {
-				t.Fatalf("%s took no action on a full state", pol.Name())
-			}
-		})
-		if allocs != 1 {
-			t.Errorf("%s: Act on a full state allocates %v times, want 1 (the action)", pol.Name(), allocs)
+	for _, pol := range []Policy{NewOnline(model, c, nil), NewOnlineMarginal(model, c, nil)} {
+		for _, tc := range []struct {
+			name    string
+			pre     core.Vector
+			full    bool
+			refresh bool
+		}{
+			{"idle", core.Vector{1, 1}, false, false},
+			{"full", core.Vector{9, 12}, true, false},
+			{"refresh", core.Vector{9, 12}, true, true},
+		} {
+			t.Run(pol.Name()+"/"+tc.name, func(t *testing.T) {
+				pol.Reset(2)
+				if model.Full(tc.pre, c) != tc.full {
+					t.Fatalf("state %v: full %v, want %v", tc.pre, !tc.full, tc.full)
+				}
+				d, step := core.Vector{1, 0}, 0
+				pol.Act(step, d, tc.pre, tc.refresh)
+				if allocs := testing.AllocsPerRun(100, func() {
+					step++
+					if act := pol.Act(step, d, tc.pre, tc.refresh); act.IsZero() == tc.full {
+						t.Fatalf("Act on %v returned %v", tc.pre, act)
+					}
+				}); allocs != 0 {
+					t.Errorf("Act allocates %v times, want 0", allocs)
+				}
+			})
 		}
 	}
 }

@@ -96,23 +96,12 @@ type Online struct {
 
 // actScratch is what the online policies reuse from one decision to the
 // next — the enumeration buffers, the candidate actions, the post-action
-// state a candidate is scored on and the zero action of a step they do
-// not act at — so a decision allocates only the action it returns, and a
-// step without one nothing.
+// state a candidate is scored on and the action returned — so once warm
+// a decision allocates nothing.
 type actScratch struct {
 	enum  core.ActionScratch
 	cands []core.Vector
-	post  core.Vector
-	idle  core.Vector
-}
-
-// none returns the zero action over n tables, the same vector every time:
-// callers only read an action.
-func (sc *actScratch) none(n int) core.Vector {
-	if len(sc.idle) != n {
-		sc.idle = core.NewVector(n)
-	}
-	return sc.idle
+	buf   actBuf
 }
 
 // candidates enumerates the greedy minimal valid actions of pre into the
@@ -120,14 +109,6 @@ func (sc *actScratch) none(n int) core.Vector {
 func (sc *actScratch) candidates(pre core.Vector, m *core.CostModel, c float64) []core.Vector {
 	sc.cands = sc.enum.GreedyActionsInto(sc.cands, pre, m, c, true)
 	return sc.cands
-}
-
-// postOf returns pre - q in the scratch's post-state vector, valid until
-// the next call.
-func (sc *actScratch) postOf(pre, q core.Vector) core.Vector {
-	sc.post = append(sc.post[:0], pre...)
-	sc.post.SubInPlace(q)
-	return sc.post
 }
 
 // NewOnline returns the ONLINE policy. If est is nil an EWMA estimator
@@ -154,12 +135,11 @@ func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	p.est.Observe(d)
 	p.steps++
 	if refresh {
-		act := pre.Clone()
-		p.costSoFar += p.model.Total(act)
-		return act
+		p.costSoFar += p.model.Total(pre)
+		return p.sc.buf.of(pre)
 	}
 	if !p.model.Full(pre, p.c) {
-		return p.sc.none(len(pre))
+		return p.sc.buf.none(len(pre))
 	}
 	candidates := p.sc.candidates(pre, p.model, p.c)
 	var best core.Vector
@@ -171,12 +151,12 @@ func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 		}
 	}
 	p.costSoFar += p.model.Total(best)
-	return best.Clone()
+	return p.sc.buf.of(best)
 }
 
 // scoreH evaluates H(q) at time t for pre-action state pre.
 func (p *Online) scoreH(t int, pre, q core.Vector) float64 {
-	ttf := p.timeToFull(p.sc.postOf(pre, q))
+	ttf := p.timeToFull(p.sc.buf.postOf(pre, q))
 	return (p.costSoFar + p.model.Total(q)) / float64(t+ttf)
 }
 

@@ -51,21 +51,21 @@ func (p *OnlineMarginal) Reset(n int) { p.inner.Reset(n) }
 func (p *OnlineMarginal) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	p.est.Observe(d)
 	if refresh {
-		return pre.Clone()
+		return p.sc.buf.of(pre)
 	}
 	if !p.model.Full(pre, p.c) {
-		return p.sc.none(len(pre))
+		return p.sc.buf.none(len(pre))
 	}
 	candidates := p.sc.candidates(pre, p.model, p.c)
 	var best core.Vector
 	bestScore := 0.0
 	for _, q := range candidates {
-		ttf := p.inner.timeToFull(p.sc.postOf(pre, q))
+		ttf := p.inner.timeToFull(p.sc.buf.postOf(pre, q))
 		score := p.model.Total(q) / float64(ttf)
 		if best == nil || score < bestScore || (core.ApproxEq(score, bestScore) && q.KeyLess(best)) {
 			best, bestScore = q, score
 		}
 	}
 	p.obs.observeDecision(len(candidates), best)
-	return best.Clone()
+	return p.sc.buf.of(best)
 }

@@ -14,6 +14,7 @@ type Periodic struct {
 	model  *core.CostModel
 	c      float64
 	period int
+	buf    actBuf
 }
 
 // NewPeriodic returns a periodic policy flushing every period steps.
@@ -33,7 +34,7 @@ func (p *Periodic) Reset(int) {}
 // Act implements Policy.
 func (p *Periodic) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	if refresh || (t+1)%p.period == 0 || p.model.Full(pre, p.c) {
-		return pre.Clone()
+		return p.buf.of(pre)
 	}
-	return core.NewVector(len(pre))
+	return p.buf.none(len(pre))
 }

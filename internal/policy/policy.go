@@ -33,10 +33,57 @@ type Policy interface {
 	// Implementations must not retain or mutate d or pre, and the returned
 	// vector must alias neither: callers pass their live vectors (the
 	// broker its arrival counter and pending scratch) and go on using
-	// them beside the action. The returned action is read-only to the
-	// caller: a policy may return the same vector again (the online
-	// policies return one zero vector whenever they do not act).
+	// them beside the action. The returned action is the policy's own and
+	// read-only to the caller, valid until the policy's next Act or
+	// Reset: every policy here fills one vector of its own and returns it
+	// each time, so a decision allocates nothing. A caller that keeps an
+	// action past that clones it (sim.Run does, for its plan).
 	Act(t int, d, pre core.Vector, refresh bool) core.Vector
+}
+
+// actBuf is the action a policy fills and returns, reused by every Act,
+// and the post-action state an action is checked or scored on.
+type actBuf struct{ act, post core.Vector }
+
+// none returns the action set to drain nothing from n tables.
+func (b *actBuf) none(n int) core.Vector {
+	if len(b.act) != n {
+		b.act = core.NewVector(n)
+	}
+	clear(b.act)
+	return b.act
+}
+
+// of returns the action set to v: every pending modification when v is
+// the pre-action state.
+func (b *actBuf) of(v core.Vector) core.Vector {
+	b.act = append(b.act[:0], v...)
+	return b.act
+}
+
+// planned returns the action set to a planned step clamped to pre — no
+// drain where the plan has no step — and topped up with the cheapest
+// greedy minimal valid action when it would leave pre full, reporting
+// whether it was.
+func (b *actBuf) planned(step, pre core.Vector, m *core.CostModel, c float64) (core.Vector, bool) {
+	act := b.none(len(pre))
+	for i, k := range step {
+		act[i] = min(k, pre[i])
+	}
+	post := b.postOf(pre, act)
+	if !m.Full(post, c) {
+		return act, false
+	}
+	act.AddInPlace(core.CheapestGreedyMinimalAction(post, m, c))
+	return act, true
+}
+
+// postOf returns pre - q in the buffer's post-state vector, valid until
+// the next call.
+func (b *actBuf) postOf(pre, q core.Vector) core.Vector {
+	b.post = append(b.post[:0], pre...)
+	b.post.SubInPlace(q)
+	return b.post
 }
 
 // Naive is the symmetric deferred-maintenance baseline: batch everything,
@@ -45,6 +92,7 @@ type Policy interface {
 type Naive struct {
 	model *core.CostModel
 	c     float64
+	buf   actBuf
 }
 
 // NewNaive returns the NAIVE policy for the given cost model and
@@ -62,9 +110,9 @@ func (p *Naive) Reset(int) {}
 // Act drains everything when the state is full or the view refreshes.
 func (p *Naive) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	if refresh || p.model.Full(pre, p.c) {
-		return pre.Clone()
+		return p.buf.of(pre)
 	}
-	return core.NewVector(len(pre))
+	return p.buf.none(len(pre))
 }
 
 // Oracle replays a precomputed plan. Actions are clamped to the available
@@ -76,6 +124,7 @@ type Oracle struct {
 	c     float64
 	plan  core.Plan
 	label string
+	buf   actBuf
 }
 
 // NewOracle returns a policy replaying plan; label is the reported name
@@ -95,23 +144,13 @@ func (p *Oracle) Reset(int) {}
 // a full state it is topped up with the cheapest valid completion.
 func (p *Oracle) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	if refresh {
-		return pre.Clone()
+		return p.buf.of(pre)
 	}
-	act := core.NewVector(len(pre))
-	if t < len(p.plan) && p.plan[t] != nil {
-		for i, k := range p.plan[t] {
-			if k > pre[i] {
-				k = pre[i]
-			}
-			act[i] = k
-		}
+	var step core.Vector
+	if t < len(p.plan) {
+		step = p.plan[t]
 	}
-	post := pre.Sub(act)
-	if p.model.Full(post, p.c) {
-		// Plan diverged from observed arrivals; complete with the cheapest
-		// greedy minimal action on the remaining state.
-		extra := core.CheapestGreedyMinimalAction(post, p.model, p.c)
-		act.AddInPlace(extra)
-	}
+	// A top-up means the plan diverged from the observed arrivals.
+	act, _ := p.buf.planned(step, pre, p.model, p.c)
 	return act
 }

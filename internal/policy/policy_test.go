@@ -36,7 +36,7 @@ func drive(t *testing.T, pol Policy, arr core.Arrivals, model *core.CostModel, c
 			t.Fatalf("%s: out-of-range action %v at t=%d (state %v)", pol.Name(), act, ti, state)
 		}
 		state.SubInPlace(act)
-		plan[ti] = act
+		plan[ti] = act.Clone()
 	}
 	return plan
 }

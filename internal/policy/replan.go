@@ -25,6 +25,7 @@ type AdaptReplan struct {
 
 	plan      core.Plan
 	planStart int
+	buf       actBuf
 }
 
 // NewAdaptReplan returns a replanning ADAPT policy. If est is nil an
@@ -53,26 +54,17 @@ func (p *AdaptReplan) Reset(n int) {
 func (p *AdaptReplan) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	p.est.Observe(d)
 	if refresh {
-		return pre.Clone()
+		return p.buf.of(pre)
 	}
 	if p.plan == nil || t-p.planStart >= len(p.plan) {
 		p.replan(t, pre)
 	}
-	act := core.NewVector(len(pre))
+	var step core.Vector
 	if p.plan != nil {
-		if planned := p.plan[t-p.planStart]; planned != nil {
-			for i, k := range planned {
-				if k > pre[i] {
-					k = pre[i]
-				}
-				act[i] = k
-			}
-		}
+		step = p.plan[t-p.planStart]
 	}
-	post := pre.Sub(act)
-	if p.model.Full(post, p.c) {
-		extra := core.CheapestGreedyMinimalAction(post, p.model, p.c)
-		act.AddInPlace(extra)
+	act, toppedUp := p.buf.planned(step, pre, p.model, p.c)
+	if toppedUp {
 		// The plan's assumptions broke; replan at the next step.
 		p.plan = nil
 	}

@@ -51,7 +51,9 @@ type Notification struct {
 	Step         int
 	// Rows is the refreshed content of the subscription's query. For a
 	// degraded notification it is instead the last consistent snapshot —
-	// stale but never half-applied, since every drain is atomic.
+	// stale but never half-applied, since every drain is atomic. The rows
+	// are shared with the view (ivm.ViewState.Result) and read-only: a
+	// caller that edits one must copy it first.
 	Rows []storage.Row
 	// RefreshCost is the model cost of bringing the content up to date;
 	// for non-degraded notifications the broker guarantees RefreshCost <=
@@ -146,6 +148,10 @@ type Broker struct {
 	// later subscriptions compile into (see SetSharedDataflow); nil
 	// selects the classic one-maintainer-per-view runtime.
 	shared *dataflow.Graph
+
+	// notes is EndStep's scratch: the step's notifications as they fire,
+	// copied out once at the end of the step.
+	notes []Notification
 }
 
 // DefaultCheckpointEvery is the default checkpoint cadence in steps.
@@ -382,7 +388,9 @@ func (b *Broker) pending(s *sub) core.Vector {
 
 // EndStep closes a time step: every subscription's policy may drain its
 // delta queues, and subscriptions whose conditions fire are refreshed
-// and notified. The returned notifications carry the refreshed contents.
+// and notified. The returned notifications carry the refreshed contents;
+// the slice is the caller's, one allocation of exactly its length, or nil
+// when no condition fired.
 //
 // EndStep keeps the broker's QoS promise under faults: transient drain
 // failures are retried within the step's budget; a crash event recovers
@@ -408,7 +416,10 @@ func (b *Broker) EndStep() ([]Notification, error) {
 			return nil, fmt.Errorf("pubsub: %s: wal sync: %w", s.cfg.Name, err)
 		}
 	}
-	var out []Notification
+	defer func() {
+		clear(b.notes)
+		b.notes = b.notes[:0]
+	}()
 	for _, s := range b.subs {
 		sp := root.Child("sub")
 		sp.Attr("sub", s.cfg.Name)
@@ -463,7 +474,7 @@ func (b *Broker) EndStep() ([]Notification, error) {
 				sp.End()
 				return nil, err
 			}
-			out = append(out, n)
+			b.notes = append(b.notes, n)
 		}
 		b.obs.syncSub(b, s)
 		sp.End()
@@ -477,7 +488,10 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	}
 	b.obs.observeStep(stepStart)
 	b.step++
-	return out, nil
+	if len(b.notes) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(b.notes), nil
 }
 
 // notify refreshes s fully and builds its notification. A refresh that
@@ -676,6 +690,7 @@ func (b *Broker) TotalCost(name string) (float64, error) {
 
 // Result returns the (possibly stale) current content of a subscription.
 // It takes the exclusive lock: an engine's Result updates its render order.
+// The rows are shared with the view and read-only, as a Notification's.
 func (b *Broker) Result(name string) ([]storage.Row, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

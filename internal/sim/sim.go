@@ -56,7 +56,8 @@ func Run(in *core.Instance, pol policy.Policy) (*Result, error) {
 			return nil, fmt.Errorf("sim: policy %s returned out-of-range action %v at t=%d (state %v)", pol.Name(), act, t, state)
 		}
 		state.SubInPlace(act)
-		res.Plan[t] = act
+		// The action is the policy's until its next Act: the plan keeps a copy.
+		res.Plan[t] = act.Clone()
 		if !act.IsZero() {
 			res.TotalCost += in.Model.Total(act)
 			res.Actions++

@@ -120,6 +120,34 @@ func TestRunRejectsLazyRefusal(t *testing.T) {
 	}
 }
 
+// TestRunKeepsEachAction: a policy that returns one vector it refills
+// every step, as the Policy contract allows, still leaves a plan whose
+// every step holds the action taken then.
+func TestRunKeepsEachAction(t *testing.T) {
+	arr := core.Arrivals{{1, 2}, {3, 0}, {0, 4}, {2, 2}}
+	in := mkInstance(t, arr, 1e9)
+	res, err := Run(in, &reusingPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, act := range res.Plan {
+		if !act.Equal(arr[ti]) {
+			t.Fatalf("plan step %d reads %v, the policy drained %v", ti, act, arr[ti])
+		}
+	}
+}
+
+// reusingPolicy drains each step's arrivals, returning them in the one
+// vector it owns.
+type reusingPolicy struct{ act core.Vector }
+
+func (*reusingPolicy) Name() string { return "REUSING" }
+func (*reusingPolicy) Reset(int)    {}
+func (p *reusingPolicy) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
+	p.act = append(p.act[:0], d...)
+	return p.act
+}
+
 type sleeperPolicy struct{}
 
 func (sleeperPolicy) Name() string { return "SLEEPER" }

@@ -63,9 +63,33 @@ echo "==> go test -race"
 go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 
 # testing.AllocsPerRun assertions skip themselves under -race (see
-# internal/testenv), so the packages that have them run once more without.
+# internal/testenv), so the packages that have them run once more without,
+# selected by -run 'Alloc'. A Test function that calls
+# testenv.NeedsAllocCounts must have Alloc in its name and sit in one of
+# these packages, or that run never reaches it.
+alloc_pkgs="./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy ./internal/plan"
+echo "==> every allocation-count test is in the run without the race detector"
+unreached=$(grep -rl 'testenv\.NeedsAllocCounts(' --include='*_test.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' | sort |
+	while read -r f; do
+		pkg=$(dirname "$f")
+		case " $alloc_pkgs " in
+		*" $pkg "*) ;;
+		*) echo "$f: package $pkg is not in the allocation-count run" ;;
+		esac
+		awk -v f="$f" '
+			/^func / { name = $2; sub(/\(.*/, "", name) }
+			/testenv\.NeedsAllocCounts\(/ && name ~ /^Test/ && name !~ /Alloc/ {
+				print f ":" FNR ": " name " calls testenv.NeedsAllocCounts without Alloc in its name"
+			}
+		' "$f"
+	done)
+if [ -n "$unreached" ]; then
+	echo "$unreached" >&2
+	exit 1
+fi
 echo "==> go test (allocation counts, no race detector)"
-go test -run 'Alloc' ./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy ./internal/plan
+# shellcheck disable=SC2086 # alloc_pkgs is a word list
+go test -run 'Alloc' $alloc_pkgs
 
 # The in-package benchmarks run once each, so a change that breaks their
 # set-up fails here and not when they are next measured.
