@@ -15,11 +15,10 @@ import (
 // runChaos implements `abivm chaos`: it runs the seeded fault-injection
 // harness for a range of seeds and reports, per seed, how many faults
 // fired, how many notifications degraded, which recovery variants were
-// compared (every variant runs on every seed: full checkpoints,
-// incremental chains, shared ones, and disk ones),
-// and whether every faulted variant stayed byte-identical to the
-// fault-free baseline. Any divergence is a fault-handling bug and makes
-// the command exit nonzero.
+// compared (every variant runs on every seed: the in-memory checkpoint
+// chain, the shared graph, and disk-backed stores), and whether every
+// faulted variant stayed byte-identical to the fault-free baseline. Any
+// divergence is a fault-handling bug and makes the command exit nonzero.
 //
 //	abivm chaos -seed 1 -runs 50 -steps 60
 //	abivm chaos -seed 1 -runs 50 -checkpoint 0

@@ -53,7 +53,7 @@ func TestArenaWindowsAreDisjoint(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rec := &recorder{}
+			rec := newRecorder()
 			for _, n := range sortedByKey(g.nodes) {
 				n.addOut(rec)
 			}
@@ -69,7 +69,7 @@ func TestArenaWindowsAreDisjoint(t *testing.T) {
 					}
 				}
 			}
-			all := rec.all
+			all := rec.deltas
 			products := 0
 			for _, d := range all {
 				if cap(d.Row) != len(d.Row) || cap(d.Coord) != len(d.Coord) {

@@ -320,7 +320,7 @@ func TestArrangedProductsOwnTheirRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := "join(scan(sales), scan(stations), on=[sales.station=stations.stationkey])"
-	emitted := &recorder{}
+	emitted := newRecorder()
 	g.nodes[inner].addOut(emitted)
 	gen := newPropGen(34)
 	for step := 0; step < 40; step++ {
@@ -334,11 +334,11 @@ func TestArrangedProductsOwnTheirRows(t *testing.T) {
 	settle(t, []*ViewHandle{h})
 	g.Trim()
 	a := g.arrs["arrange("+inner+", [stations.region])"]
-	if a == nil || len(emitted.all) == 0 {
-		t.Fatalf("arrangement %v; the inner join emitted %d products", a, len(emitted.all))
+	if a == nil || len(emitted.deltas) == 0 {
+		t.Fatalf("arrangement %v; the inner join emitted %d products", a, len(emitted.deltas))
 	}
-	products := make(map[*storage.Value]bool, len(emitted.all))
-	for _, d := range emitted.all {
+	products := make(map[*storage.Value]bool, len(emitted.deltas))
+	for _, d := range emitted.deltas {
 		products[&d.Row[0]] = true
 	}
 	owners := make(map[*storage.Value]bool)

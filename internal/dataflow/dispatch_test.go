@@ -73,7 +73,7 @@ func TestFanoutProbesAndProducts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := map[*deltaLog]*recorder{}
+	recs := map[*deltaLog]*deltaLog{}
 	recordLogs(g, recs)
 	fanoutStream(t, g, 2000)
 	if st := g.Stats(); st.Probes != 2573 || st.Products != 132925 {
@@ -82,7 +82,7 @@ func TestFanoutProbesAndProducts(t *testing.T) {
 	h := fnv.New64a()
 	for _, l := range g.logs {
 		fmt.Fprintf(h, "%s\n", l.src.sig())
-		for _, d := range recs[l].all {
+		for _, d := range recs[l].deltas {
 			fmt.Fprintf(h, "%v %d %v\n", d.Row, d.W, d.Coord)
 		}
 	}

@@ -791,21 +791,13 @@ func (j *joinNode) sumFact(factLeft bool, keys []string, cols []exec.Scalar) {
 	}
 }
 
-// summaryReader is a receiver that takes a join's summary products too:
-// the delta log sinks read. Every other consumer of a join — an
-// arrangement, a filter — reads its rows alone.
-type summaryReader interface {
-	receiver
-	readsSummaries()
-}
-
-func (l *deltaLog) readsSummaries() {}
-
-// emitSummary forwards a summary product to the join's summary readers.
+// emitSummary forwards a summary product to the join's delta log, the
+// one consumer that reads summaries: an arrangement or a filter below a
+// join reads its rows alone.
 func (j *joinNode) emitSummary(d Delta) {
 	for _, o := range j.outs {
-		if r, ok := o.(summaryReader); ok {
-			r.onDelta(d)
+		if l, ok := o.(*deltaLog); ok {
+			l.onDelta(d)
 		}
 	}
 }

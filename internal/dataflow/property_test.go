@@ -225,7 +225,7 @@ type propWorld struct {
 	never   *Graph
 	fresh   []*Graph
 	views   []*propView
-	recs    map[*deltaLog]*recorder // what each log of the trimmed graph was sent
+	recs    map[*deltaLog]*deltaLog // what each log of the trimmed graph was sent
 }
 
 func (w *propWorld) subscribe(query string, lag float64, late bool) {
@@ -459,22 +459,20 @@ func edgesTo(n node, r receiver) int {
 	return c
 }
 
-// recorder is the test's own copy of everything an operator emitted.
-type recorder struct{ all []Delta }
-
-func (r *recorder) onDelta(d Delta) { r.all = append(r.all, d) }
-
-// readsSummaries makes a recorder take a join's summary products, as the
-// join's delta log does.
-func (r *recorder) readsSummaries() {}
+// newRecorder makes the test's own copy of everything an operator
+// emitted: a delta log with counters of its own that no trim reaches.
+// Being a log, it takes a join's summary products as the join's own log
+// does; its one row reader makes the join emit its rows too, as to any
+// consumer beside the log.
+func newRecorder() *deltaLog { return &deltaLog{rowReaders: 1, ctr: &counters{}} }
 
 // recordLogs puts a recorder beside every delta log that has none yet,
 // right below the log's operator: called after each Subscribe, it sees
 // everything the log has been sent.
-func recordLogs(g *Graph, recs map[*deltaLog]*recorder) {
+func recordLogs(g *Graph, recs map[*deltaLog]*deltaLog) {
 	for _, l := range g.logs {
 		if recs[l] == nil {
-			recs[l] = &recorder{}
+			recs[l] = newRecorder()
 			l.src.addOut(recs[l])
 		}
 	}
@@ -487,11 +485,11 @@ func recordLogs(g *Graph, recs map[*deltaLog]*recorder) {
 // emitted. Cursors never move back, and so neither does the watermark: a
 // delta it has covered stays covered, and the recording keeps only the
 // rest.
-func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*recorder) {
+func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*deltaLog) {
 	t.Helper()
 	for _, l := range g.logs {
 		want := make([]Delta, 0, len(l.deltas))
-		for _, d := range recs[l].all {
+		for _, d := range recs[l].deltas {
 			if !d.Coord.covered(l.wm) {
 				want = append(want, d)
 			}
@@ -505,7 +503,7 @@ func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*re
 				t.Fatalf("%s: the log of %s holds %v at %d, emitted %v", ctx, l.src.sig(), d, i, want[i])
 			}
 		}
-		recs[l].all = want
+		recs[l].deltas = want
 	}
 }
 
@@ -583,7 +581,7 @@ func TestTrimPreservesMeaning(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 7919))
 			live := propDB(t)
 			w := &propWorld{t: t, live: live, log: map[string][]ivm.Mod{}, trimmed: NewGraph(live), never: NewGraph(live)}
-			w.recs = map[*deltaLog]*recorder{}
+			w.recs = map[*deltaLog]*deltaLog{}
 			for _, i := range []int{0, 1, 2, 5, 6} {
 				w.subscribe(propQueries[i], rng.Float64()*0.8, false)
 			}

@@ -373,7 +373,7 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 	g := NewGraph(db)
 	queries := append([]string{equivalenceQueries[0]}, equivalenceQueries...)
 	var sinks []*ViewHandle
-	recs := map[*deltaLog]*recorder{}
+	recs := map[*deltaLog]*deltaLog{}
 	for _, q := range queries {
 		p, err := ivm.PlanView(q)
 		if err != nil {

@@ -538,3 +538,68 @@ func TestDirOpenerEndToEnd(t *testing.T) {
 		t.Fatalf("recovered view %s, want %s", got, wantView)
 	}
 }
+
+// TestDirOpenerNestedNamespacesKeepTheirFiles: under one DirOpener the
+// directory of "eu" holds that of "eu/orders". Each store lists, sweeps
+// and recovers its own directory's files alone, so both namespaces, each
+// checkpointed, appended to and synced, recover exactly through fresh
+// stores over the same directories.
+func TestDirOpenerNestedNamespacesKeepTheirFiles(t *testing.T) {
+	root := t.TempDir()
+	open := DirOpener(root)
+	var rigs []*rig
+	for _, ns := range []string{"eu/orders", "eu"} {
+		st, err := open(ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &rig{db: liveDB(t), fs: st.fs, st: st, depth: ivm.DefaultChainDepth}
+		r.m, r.wal, r.chain = build(t, r.db, st, r.depth)
+		rigs = append(rigs, r)
+	}
+	for i, r := range rigs {
+		r.apply(t, 100*(i+1), 4)
+		r.drain(t, "PS", 2)
+		r.checkpoint(t)
+		r.apply(t, 500+100*i, 3)
+		r.drain(t, "PS", 1)
+		r.sync(t)
+	}
+	reopen := DirOpener(root)
+	for _, r := range rigs {
+		want := r.snapshot()
+		st, err := reopen(r.st.ns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.Recover(r.db, paperView, r.depth, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Fallback {
+			t.Fatalf("%s: recovery fell back: %v", r.st.ns, rec.Corruptions)
+		}
+		r.m, r.wal, r.chain = rec.M, rec.WAL, rec.Chain
+		if got := r.snapshot(); got != want {
+			t.Fatalf("%s: recovered state %+v, want %+v", r.st.ns, got, want)
+		}
+	}
+}
+
+// TestDirOpenerRefusesAliasingNamespaces: a namespace that leaves the
+// data directory, names its directory in more than one way or not at
+// all, or takes a quarantine directory's name is refused, so no two
+// namespaces share a directory.
+func TestDirOpenerRefusesAliasingNamespaces(t *testing.T) {
+	open := DirOpener(t.TempDir())
+	for _, ns := range []string{"/eu", "../eu", "eu/../..", "a//b", "a/b/", "./a", "a/./b", "", ".", "eu/quarantine"} {
+		if _, err := open(ns); err == nil {
+			t.Errorf("DirOpener accepted namespace %q", ns)
+		}
+	}
+	for _, ns := range []string{"eu", "eu/orders", "a.b"} {
+		if _, err := open(ns); err != nil {
+			t.Errorf("DirOpener refused namespace %q: %v", ns, err)
+		}
+	}
+}

@@ -152,8 +152,12 @@ func (d *DirFS) Remove(name string) error {
 	return nil
 }
 
-// List implements FS. WalkDir visits lexically, so the result is sorted
-// without an extra pass; a missing root lists empty.
+// List implements FS: the files of the root directory and of its
+// quarantine directory. Any other subdirectory is another namespace's
+// (DirOpener nests "eu/orders" inside "eu"), so List does not enter it,
+// and no store sweeps or recovers from a neighbour's files. WalkDir
+// visits lexically, so the result is sorted without an extra pass; a
+// missing root lists empty.
 func (d *DirFS) List() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(d.root, func(p string, de iofs.DirEntry, err error) error {
@@ -163,14 +167,18 @@ func (d *DirFS) List() ([]string, error) {
 			}
 			return err
 		}
-		if de.IsDir() {
-			return nil
-		}
 		rel, err := filepath.Rel(d.root, p)
 		if err != nil {
 			return err
 		}
-		out = append(out, filepath.ToSlash(rel))
+		rel = filepath.ToSlash(rel)
+		if de.IsDir() {
+			if rel == "." || rel+"/" == quarantinePrefix {
+				return nil
+			}
+			return filepath.SkipDir
+		}
+		out = append(out, rel)
 		return nil
 	})
 	if err != nil {

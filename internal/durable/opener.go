@@ -54,10 +54,19 @@ func FaultyDirOpener(root string, seed int64, rates fault.MediaRates) Opener {
 
 // nsDirFS opens the directory of namespace ns under root. It refuses a
 // namespace that is absolute or has a ".." element, which could name a
-// directory outside root.
+// directory outside root, and one that names its directory in more than
+// one way ("a//b", "a/b/", "./a") or not at all ("", "."), which would
+// let two namespaces share a directory. It refuses a "quarantine"
+// element too: "eu/quarantine" is where the store of "eu" quarantines.
 func nsDirFS(root, ns string) (*DirFS, error) {
-	if path.IsAbs(ns) || slices.Contains(strings.Split(ns, "/"), "..") {
+	elems := strings.Split(ns, "/")
+	switch {
+	case path.IsAbs(ns) || slices.Contains(elems, ".."):
 		return nil, fmt.Errorf("durable: namespace %q would leave the data directory", ns)
+	case ns != path.Clean(ns) || ns == ".":
+		return nil, fmt.Errorf("durable: namespace %q is not a clean relative path", ns)
+	case slices.Contains(elems, strings.TrimSuffix(quarantinePrefix, "/")):
+		return nil, fmt.Errorf("durable: namespace %q has a quarantine directory's name", ns)
 	}
 	return NewDirFS(path.Join(root, ns))
 }

@@ -6,69 +6,10 @@ import (
 	"runtime"
 	"testing"
 
-	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
 	"abivm/internal/testenv"
 )
-
-// The shared-lock read path HealthInto runs on every scrape, concurrent
-// with the step loop. It is written to be allocation-free in steady state
-// (caller-supplied scratch); this test pins that property so a refactor
-// that quietly reintroduces a per-call allocation fails loudly instead of
-// showing up as GC pressure under load.
-
-// steppedBroker returns a demo broker advanced through enough faulted
-// steps that subscriptions have pending deltas, WAL records, and (for
-// some seeds) degradations — so the read path exercises real state, not
-// empty vectors.
-func steppedBroker(t testing.TB, seed int64, steps int) *Broker {
-	t.Helper()
-	w, err := NewDemoWorkload(RuntimeConfig{Seed: seed, Spec: DefaultWorkloadSpec(),
-		Injector: fault.NewSeeded(seed, fault.DefaultRates())})
-	if err != nil {
-		t.Fatalf("NewDemoWorkload: %v", err)
-	}
-	for i := 0; i < steps; i++ {
-		if _, err := w.Step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	return w.Broker
-}
-
-func TestHealthIntoAllocFree(t *testing.T) {
-	testenv.NeedsAllocCounts(t)
-	b := steppedBroker(t, 11, 20)
-	var h Health
-	// First call sizes h.Pending; steady state starts at the second.
-	if err := b.HealthInto("east", &h); err != nil {
-		t.Fatalf("HealthInto warm-up: %v", err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := b.HealthInto("east", &h); err != nil {
-			t.Fatalf("HealthInto: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("HealthInto with reused scratch: %v allocs/op, want 0", allocs)
-	}
-}
-
-func BenchmarkHealthInto(b *testing.B) {
-	br := steppedBroker(b, 11, 20)
-	var h Health
-	if err := br.HealthInto("east", &h); err != nil {
-		b.Fatalf("HealthInto warm-up: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := br.HealthInto("east", &h); err != nil {
-			b.Fatalf("HealthInto: %v", err)
-		}
-	}
-}
 
 // publishAllocsPerSub measures what routing one modification costs per
 // watching subscription: the allocation count of a batch of sales

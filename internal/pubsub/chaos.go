@@ -57,8 +57,8 @@ type ChaosReport struct {
 	// every faulted variant are byte-identical to the baseline.
 	Identical bool
 	// Variants names the recovery configurations that were compared
-	// against the baseline (full checkpoints, an incremental chain, the
-	// shared-dataflow pair, then the disk variants).
+	// against the baseline (the in-memory chain, the shared-dataflow
+	// pair, then the disk variants).
 	Variants []string
 	// Diff holds a diagnostic excerpt of the first divergence, prefixed
 	// with the diverging variant's name.
@@ -258,10 +258,9 @@ const (
 )
 
 // chaosVariant is one row of the comparison table: a recovery
-// configuration (depth as in RuntimeConfig.ChainDepth) and its rule.
+// configuration and its rule.
 type chaosVariant struct {
 	name    string
-	depth   int
 	opener  durable.Opener
 	shared  bool
 	faulted bool
@@ -278,14 +277,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 60
 	}
-	// The seed picks the chain depth (1..4), so a seed sweep covers the
-	// depth space.
-	depth := 1 + int(((cfg.Seed%4)+4)%4)
 	p := RuntimeConfig{Spec: DefaultWorkloadSpec()}
 	script := chaosScript(cfg.Seed, cfg.Steps, p.Spec)
 
 	// Fault-free output cannot depend on checkpoint layout: one baseline.
-	p.ChainDepth = depth
 	base, err := chaosRun(script, p, cfg.CheckpointEvery)
 	if err != nil {
 		return nil, fmt.Errorf("chaos seed %d: baseline run: %w", cfg.Seed, err)
@@ -293,7 +288,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep := &ChaosReport{Seed: cfg.Seed, Steps: cfg.Steps, Identical: true,
 		Notifications: strings.Count("\n"+base.output, "\nstep=")}
 
-	// Compared: full checkpoints (no chain), a delta chain, and the
+	// Compared: the per-view engines' in-memory checkpoint chain, the
 	// workload on the shared operator graph, fault-free (the hash-consed
 	// graph computes the same views) and faulted (a sink's recovery
 	// rebuilds it at its cursors). Then every subscription's WAL and
@@ -303,18 +298,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// where each seed either stays identical or falls back loudly.
 	var medias []*fault.Media
 	for _, v := range []chaosVariant{
-		{name: "full", depth: -1, faulted: true},
-		{name: fmt.Sprintf("incremental(depth=%d)", depth), depth: depth, faulted: true},
-		{name: "shared", depth: depth, shared: true},
-		{name: "shared-faulted", depth: depth, shared: true, faulted: true},
-		{name: fmt.Sprintf("disk(depth=%d)", depth), depth: depth, faulted: true,
-			opener: cfg.diskOpener("disk", nil)},
-		{name: fmt.Sprintf("disk-faulted(depth=%d)", depth), depth: depth, faulted: true,
+		{name: "memory", faulted: true},
+		{name: "shared", shared: true},
+		{name: "shared-faulted", shared: true, faulted: true},
+		{name: "disk", faulted: true, opener: cfg.diskOpener("disk", nil)},
+		{name: "disk-faulted", faulted: true,
 			opener: cfg.diskOpener("disk-faulted", &medias), rule: identicalOrLoudFallback},
 	} {
 		rep.Variants = append(rep.Variants, v.name)
 		var inj *fault.Seeded
-		p.Opener, p.Shared, p.ChainDepth, p.Injector = v.opener, v.shared, v.depth, nil
+		p.Opener, p.Shared, p.Injector = v.opener, v.shared, nil
 		if v.faulted {
 			inj = fault.NewSeeded(cfg.Seed, fault.DefaultRates())
 			p.Injector = inj

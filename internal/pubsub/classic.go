@@ -26,7 +26,6 @@ type classicEngine struct {
 	// What a recovery rebuilds from and re-attaches.
 	db    *storage.DB
 	query string
-	depth int
 	inj   fault.Injector
 	ms    *ivm.Metrics
 }
@@ -34,8 +33,8 @@ type classicEngine struct {
 // newClassicEngine opens the namespace's store when open is non-nil and
 // builds the engine over it, so the very first base segment already
 // lands in files and a crash before the first step recovers from them.
-func newClassicEngine(db *storage.DB, query, ns string, depth int, open durable.Opener) (*classicEngine, error) {
-	e := &classicEngine{db: db, query: query, depth: depth}
+func newClassicEngine(db *storage.DB, query, ns string, open durable.Opener) (*classicEngine, error) {
+	e := &classicEngine{db: db, query: query}
 	if open != nil {
 		var err error
 		if e.store, err = open(ns); err != nil {
@@ -57,7 +56,7 @@ func (e *classicEngine) build(ns string) error {
 	if err != nil {
 		return err
 	}
-	e.Maintainer, e.wal, e.chain = m, ivm.NewWAL(), ivm.NewCheckpointChain(e.depth)
+	e.Maintainer, e.wal, e.chain = m, ivm.NewWAL(), ivm.NewCheckpointChain(ivm.DefaultChainDepth)
 	m.AttachWAL(e.wal)
 	m.SetNamespace(ns)
 	if e.store != nil {
@@ -103,7 +102,7 @@ func (e *classicEngine) Recover() (fallback bool, err error) {
 			return false, err
 		}
 		e.Maintainer = m
-	} else if rec, err := e.store.Recover(e.db, e.query, e.depth, e.ms); err != nil {
+	} else if rec, err := e.store.Recover(e.db, e.query, ivm.DefaultChainDepth, e.ms); err != nil {
 		return false, fmt.Errorf("disk: %w", err)
 	} else if fallback = rec.Fallback; !fallback {
 		e.Maintainer, e.wal, e.chain = rec.M, rec.WAL, rec.Chain

@@ -58,15 +58,3 @@ type viewEngine interface {
 	SetInjector(fault.Injector)
 	SetMetrics(ms *ivm.Metrics)
 }
-
-// arrivalQueue is an engine that queues each arrival itself: the classic
-// engine. A shared-graph engine is not one — the graph's ingest log is
-// the one record of every arrival.
-type arrivalQueue interface {
-	// Arrive accepts one modification whose live-table effect already
-	// happened, under the view's own alias: from here on it counts in the
-	// state vector and survives a crash of the engine, wherever the engine
-	// keeps it. One Mod, not a variadic list — a variadic call through an
-	// interface heap-allocates its slice on every routed modification.
-	Arrive(mod ivm.Mod) error
-}

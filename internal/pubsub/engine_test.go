@@ -58,7 +58,7 @@ var engineImpls = []struct {
 
 func buildClassic(t *testing.T, open durable.Opener) engineUnderTest {
 	db := salesDB(t)
-	e, err := newClassicEngine(db, eastQuery, "east", 2, open)
+	e, err := newClassicEngine(db, eastQuery, "east", open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func buildClassic(t *testing.T, open durable.Opener) engineUnderTest {
 
 // arrive hands mod to the engine under the alias eastQuery reads table
 // through.
-func arrive(t *testing.T, e arrivalQueue, table string, mod ivm.Mod) {
+func arrive(t *testing.T, e *classicEngine, table string, mod ivm.Mod) {
 	t.Helper()
 	mod.Alias = map[string]string{"sales": "s", "stations": "st"}[table]
 	if err := e.Arrive(mod); err != nil {

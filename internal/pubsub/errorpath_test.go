@@ -1,11 +1,13 @@
 package pubsub
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"abivm/internal/core"
+	"abivm/internal/costfn"
 	"abivm/internal/ivm"
 	"abivm/internal/policy"
 	"abivm/internal/storage"
@@ -190,6 +192,42 @@ func TestSubscribeRejectsInvalidQoS(t *testing.T) {
 		if !core.Vector(h.Pending).IsZero() {
 			t.Fatalf("step %d: QoS 0 left %v pending", i, h.Pending)
 		}
+	}
+}
+
+// TestSubscribeRejectsViewOverTableCap: the policies enumerate subsets of
+// a view's tables, up to core.MaxTables of them, so Subscribe refuses a
+// view over more, naming the cap, and subscribes nothing — instead of the
+// first full state panicking the broker.
+func TestSubscribeRejectsViewOverTableCap(t *testing.T) {
+	db := storage.NewDB()
+	n := core.MaxTables + 1
+	from, on := make([]string, n), make([]string, n-1)
+	fs := make([]core.CostFunc, n)
+	for i := range from {
+		schema, err := storage.NewSchema(fmt.Sprintf("t%d", i), []storage.Column{{Name: "k", Type: storage.TInt}}, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateTable(schema); err != nil {
+			t.Fatal(err)
+		}
+		from[i] = fmt.Sprintf("t%d AS a%d", i, i)
+		if i > 0 {
+			on[i-1] = fmt.Sprintf("a%d.k = a%d.k", i-1, i)
+		}
+		if fs[i], err = costfn.NewLinear(1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewBroker(db)
+	err := b.Subscribe(Subscription{Name: "wide", Query: "SELECT COUNT(*) FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(on, " AND "),
+		Condition: Every(1), Model: core.NewCostModel(fs...), QoS: 1})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(core.MaxTables)) {
+		t.Fatalf("Subscribe over %d tables: err = %v, want one naming the cap %d", n, err, core.MaxTables)
+	}
+	if subs := b.Subscriptions(); len(subs) != 0 {
+		t.Fatalf("a refused view left subscriptions %v", subs)
 	}
 }
 

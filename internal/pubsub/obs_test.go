@@ -6,7 +6,9 @@ import (
 
 	"abivm/internal/durable"
 	"abivm/internal/fault"
+	"abivm/internal/ivm"
 	"abivm/internal/obs"
+	"abivm/internal/storage"
 )
 
 // engineSeries reads every ivm_*, pubsub_* and policy_* counter value and
@@ -51,7 +53,7 @@ func TestDiskRecoveryKeepsMaintainerSeries(t *testing.T) {
 	script := chaosScript(1, steps, spec)
 	run := func(crash bool) (growth [][]int64, recoveries int64) {
 		t.Helper()
-		b, err := NewRuntime(RuntimeConfig{Spec: spec, Opener: durable.MemOpener(), ChainDepth: 1})
+		b, err := NewRuntime(RuntimeConfig{Spec: spec, Opener: durable.MemOpener()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +103,50 @@ func TestDiskRecoveryKeepsMaintainerSeries(t *testing.T) {
 	}
 }
 
+// TestChainRollsOverAtDefaultDepth: a per-view engine's checkpoint chain
+// takes ivm.DefaultChainDepth delta segments after its base, on either
+// durability tier, so of one subscription's checkpoints every fifth rolls
+// over to a fresh base: one rollover after 5 checkpoints, two after 10.
+func TestChainRollsOverAtDefaultDepth(t *testing.T) {
+	spec := DefaultWorkloadSpec()
+	subscribeOne := func(_ *storage.DB, b *Broker) error {
+		subs, err := demoSubscriptionsSpec(spec)
+		if err != nil {
+			return err
+		}
+		return b.Subscribe(subs[0])
+	}
+	for _, tier := range []struct {
+		name string
+		open durable.Opener
+	}{{"memory", nil}, {"disk", durable.MemOpener()}} {
+		b, err := NewRuntime(RuntimeConfig{Spec: spec, Opener: tier.open, Subscribe: subscribeOne})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		b.SetObs(reg, nil)
+		b.SetCheckpointEvery(1)
+		for step, evs := range chaosScript(1, 10, spec) {
+			for _, ev := range evs {
+				if err := b.Publish(ev.table, ev.mod); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := b.EndStep(); err != nil {
+				t.Fatalf("%s step %d: %v", tier.name, step, err)
+			}
+			s, checkpoints := engineSeries(reg), int64(step+1)
+			if got := s["ivm_checkpoint_deltas_total"] + s["ivm_checkpoint_compactions_total"]; got != checkpoints {
+				t.Fatalf("%s: %d delta segments and rollovers after %d checkpoints", tier.name, got, checkpoints)
+			}
+			if got, want := s["ivm_checkpoint_compactions_total"], checkpoints/(ivm.DefaultChainDepth+1); got != want {
+				t.Errorf("%s: %d rollovers after %d checkpoints, want %d", tier.name, got, checkpoints, want)
+			}
+		}
+	}
+}
+
 // seriesRun drives the chaos demo script of one seed on one variant under
 // the seeded injector, checkpointing every 5 steps, with the registry
 // attached before step attachAt, and returns the engine series before
@@ -110,7 +156,7 @@ func TestDiskRecoveryKeepsMaintainerSeries(t *testing.T) {
 func seriesRun(t *testing.T, seed int64, variant string, attachAt, snapAt int) (snap, end map[string]int64) {
 	t.Helper()
 	spec := DefaultWorkloadSpec()
-	cfg := RuntimeConfig{Spec: spec, ChainDepth: 1 + int(seed%4), Injector: fault.NewSeeded(seed, fault.DefaultRates())}
+	cfg := RuntimeConfig{Spec: spec, Injector: fault.NewSeeded(seed, fault.DefaultRates())}
 	switch variant {
 	case "disk-faulted":
 		cfg.Opener = durable.FaultyMemOpener(seed, fault.DefaultMediaRates())
@@ -158,15 +204,16 @@ func seriesRun(t *testing.T, seed int64, variant string, attachAt, snapAt int) (
 
 // parentSeries are the series totals, summed over seeds 1–5, that the
 // code before the broker counted drains and recoveries itself read on
-// seriesRun (its policy_refreshes_total, always 0, is gone).
+// seriesRun with its chain depth at ivm.DefaultChainDepth (its
+// policy_refreshes_total, always 0, is gone).
 var parentSeries = map[string]map[string]int64{
 	"memory": {
-		"ivm_checkpoint_bytes":                                32,
-		"ivm_checkpoint_compactions_total":                    32,
-		"ivm_checkpoint_delta_bytes":                          72,
-		"ivm_checkpoint_deltas_total":                         72,
+		"ivm_checkpoint_bytes":                                17,
+		"ivm_checkpoint_compactions_total":                    17,
+		"ivm_checkpoint_delta_bytes":                          87,
+		"ivm_checkpoint_deltas_total":                         87,
 		"ivm_checkpoint_seconds":                              104,
-		"ivm_checkpoints_total":                               32,
+		"ivm_checkpoints_total":                               17,
 		"ivm_drain_failures_total":                            26,
 		"ivm_drain_latency_seconds":                           126,
 		"ivm_drained_mods_total":                              1151,
@@ -199,25 +246,25 @@ var parentSeries = map[string]map[string]int64{
 		`pubsub_sub_notifications_total{sub="west"}`:          25,
 	},
 	"disk-faulted": {
-		"ivm_checkpoint_bytes":                                36,
-		"ivm_checkpoint_compactions_total":                    19,
-		"ivm_checkpoint_delta_bytes":                          75,
-		"ivm_checkpoint_deltas_total":                         75,
-		"ivm_checkpoint_seconds":                              111,
-		"ivm_checkpoints_total":                               36,
-		"ivm_drain_failures_total":                            28,
+		"ivm_checkpoint_bytes":                                20,
+		"ivm_checkpoint_compactions_total":                    7,
+		"ivm_checkpoint_delta_bytes":                          92,
+		"ivm_checkpoint_deltas_total":                         92,
+		"ivm_checkpoint_seconds":                              112,
+		"ivm_checkpoints_total":                               20,
+		"ivm_drain_failures_total":                            26,
 		"ivm_drain_latency_seconds":                           124,
 		"ivm_drained_mods_total":                              1077,
-		"ivm_drains_total":                                    152,
-		"ivm_recoveries_total":                                12,
-		"ivm_recovery_corruption_fallbacks_total":             6,
-		"ivm_recovery_corruption_quarantined_total":           9,
-		"ivm_recovery_corruption_total":                       16,
-		"ivm_recovery_replayed_records":                       12,
-		"ivm_wal_appends_total":                               903,
-		"ivm_wal_sync_bytes_total":                            34210,
+		"ivm_drains_total":                                    150,
+		"ivm_recoveries_total":                                10,
+		"ivm_recovery_corruption_fallbacks_total":             8,
+		"ivm_recovery_corruption_quarantined_total":           25,
+		"ivm_recovery_corruption_total":                       34,
+		"ivm_recovery_replayed_records":                       10,
+		"ivm_wal_appends_total":                               878,
+		"ivm_wal_sync_bytes_total":                            34201,
 		"ivm_wal_sync_total":                                  613,
-		"ivm_wal_truncations_total":                           70,
+		"ivm_wal_truncations_total":                           69,
 		`policy_action_mods{policy="ONLINE-M"}`:               0,
 		`policy_candidates_total{policy="ONLINE-M"}`:          0,
 		`policy_decisions_total{policy="ONLINE-M"}`:           0,
@@ -227,7 +274,7 @@ var parentSeries = map[string]map[string]int64{
 		"pubsub_notifications_total":                          65,
 		"pubsub_publishes_total":                              614,
 		"pubsub_refresh_cost":                                 65,
-		"pubsub_retries_total":                                28,
+		"pubsub_retries_total":                                26,
 		"pubsub_retry_giveups_total":                          0,
 		"pubsub_step_latency_seconds":                         300,
 		"pubsub_steps_total":                                  300,
@@ -283,9 +330,9 @@ var parentSeries = map[string]map[string]int64{
 // replays nothing.
 var seriesChanged = map[string]map[string]int64{
 	"disk-faulted": {
-		"ivm_wal_appends_total":            1352, // 903
-		"ivm_wal_truncations_total":        105,  // 70
-		"ivm_checkpoint_compactions_total": 30,   // 19
+		"ivm_wal_appends_total":            1352, // 878
+		"ivm_wal_truncations_total":        104,  // 69
+		"ivm_checkpoint_compactions_total": 12,   // 7
 	},
 	"shared": {
 		"ivm_recovery_replayed_records": 0, // 19

@@ -109,8 +109,7 @@ type sub struct {
 
 	// pendBuf is the scratch slice behind Broker.pending: reused across
 	// steps so polling the state vector allocates nothing. Only the
-	// exclusive-lock step path may touch it; the shared-lock reader
-	// HealthInto uses caller scratch instead.
+	// exclusive-lock step path may touch it.
 	pendBuf []int
 
 	// obs holds the subscription's labeled metric series; nil until the
@@ -135,10 +134,9 @@ type Broker struct {
 	// makes and extends it.
 	routes map[string]*tableRoute
 
-	inj        fault.Injector
-	cpEvery    int
-	chainDepth int
-	obs        *brokerObs
+	inj     fault.Injector
+	cpEvery int
+	obs     *brokerObs
 
 	// opener, when set, gives every later subscription a disk-backed
 	// durability store keyed by its namespace.
@@ -160,10 +158,9 @@ const DefaultCheckpointEvery = 8
 // NewBroker wraps a database of base tables.
 func NewBroker(db *storage.DB) *Broker {
 	return &Broker{
-		db:         db,
-		routes:     make(map[string]*tableRoute),
-		cpEvery:    DefaultCheckpointEvery,
-		chainDepth: ivm.DefaultChainDepth,
+		db:      db,
+		routes:  make(map[string]*tableRoute),
+		cpEvery: DefaultCheckpointEvery,
 	}
 }
 
@@ -249,6 +246,12 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 		return fmt.Errorf("pubsub: subscription %q: %w", cfg.Name, err)
 	}
 	n := len(p.Sources)
+	// The policies enumerate subsets of the view's tables, up to
+	// core.MaxTables of them; past the cap the first full state would
+	// panic inside the step loop.
+	if n > core.MaxTables {
+		return fmt.Errorf("pubsub: subscription %q: view reads %d tables, more than the %d a policy can schedule", cfg.Name, n, core.MaxTables)
+	}
 	if cfg.Model.N() != n {
 		return fmt.Errorf("pubsub: subscription %q: model covers %d tables, view has %d", cfg.Name, cfg.Model.N(), n)
 	}
@@ -276,7 +279,7 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 	// The view counts its tables' arrivals from here on, each under its
 	// one alias (PlanView refuses self-joins), in FROM order — the order of
 	// every engine's Aliases.
-	q, queues := eng.(arrivalQueue)
+	q, queues := eng.(*classicEngine)
 	for i, src := range p.Sources {
 		rt := b.routes[src.Table]
 		if rt == nil {
@@ -297,7 +300,7 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 // tier. Caller holds b.mu.
 func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, error) {
 	if b.shared == nil {
-		return newClassicEngine(b.db, query, ns, b.chainDepth, b.opener)
+		return newClassicEngine(b.db, query, ns, b.opener)
 	}
 	if b.opener != nil {
 		return nil, errSharedStore
@@ -307,15 +310,17 @@ func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, erro
 
 // tableRoute is what a publish to one base table reaches: the table's
 // arrival count — the paper's d_t, kept once for every subscription
-// reading the table — and the engines that queue each arrival themselves,
-// in registration order, with the alias each receives it under.
+// reading the table — and the classic engines, which queue each arrival
+// themselves, in registration order, with the alias each receives it
+// under. A shared-graph engine is not among them: the graph's ingest log
+// is the one record of every arrival.
 type tableRoute struct {
 	arrived int
 	queues  []queueRoute
 }
 
 type queueRoute struct {
-	q     arrivalQueue
+	q     *classicEngine
 	alias string
 }
 
@@ -379,8 +384,7 @@ func (s *sub) consumeArrivals() {
 // scratch slice — the allocation-free variant of Pending() for the
 // step loop, which polls the vector several times per subscription per
 // step. The returned vector is valid until the next pending call for
-// the same subscription. Callers must hold b.mu exclusively; the
-// shared-lock reader HealthInto uses caller scratch instead.
+// the same subscription. Callers must hold b.mu exclusively.
 func (b *Broker) pending(s *sub) core.Vector {
 	s.pendBuf = s.eng.PendingInto(s.pendBuf)
 	return core.Vector(s.pendBuf)
@@ -717,30 +721,16 @@ type Health struct {
 // Health reports a subscription's fault-tolerance status. It is safe to
 // call concurrently with the workload loop (e.g. from the ops endpoint).
 func (b *Broker) Health(name string) (Health, error) {
-	var h Health
-	err := b.HealthInto(name, &h)
-	if err != nil {
-		return Health{}, err
-	}
-	return h, nil
-}
-
-// HealthInto fills h with a subscription's fault-tolerance status,
-// reusing h.Pending as scratch — the allocation-free variant of Health
-// for pollers (the ops endpoint, the chaos harness) that scrape every
-// step. The shared-lock section itself never allocates; only growing an
-// undersized h.Pending does, so a reused h reaches steady state after
-// one call.
-func (b *Broker) HealthInto(name string, h *Health) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	s, err := b.find(name)
 	if err != nil {
-		return err
+		return Health{}, err
 	}
-	h.Degraded = s.degraded
-	h.StepsBehind = b.step - s.lastFresh
-	h.Pending = s.eng.PendingInto(h.Pending)
-	h.WALRecords = s.eng.WALLen()
-	return nil
+	return Health{
+		Degraded:    s.degraded,
+		StepsBehind: b.step - s.lastFresh,
+		Pending:     s.eng.PendingInto(nil),
+		WALRecords:  s.eng.WALLen(),
+	}, nil
 }

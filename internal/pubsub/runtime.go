@@ -21,12 +21,6 @@ type RuntimeConfig struct {
 	// Opener, when set, backs every subscription with a durable store
 	// under its namespace. Not available with Shared.
 	Opener durable.Opener
-	// ChainDepth is how many incremental delta segments a per-view
-	// maintainer's checkpoint chain accumulates before rolling over to a
-	// fresh full base, fixed for the broker's life. 0 selects
-	// ivm.DefaultChainDepth; a negative depth keeps no chain — every
-	// checkpoint writes a full base.
-	ChainDepth int
 	// Injector is the broker's fault injector (see SetInjector). Nil runs
 	// fault-free.
 	Injector fault.Injector
@@ -44,12 +38,6 @@ func NewRuntime(cfg RuntimeConfig) (*Broker, error) {
 		return nil, err
 	}
 	b := NewBroker(db)
-	switch {
-	case cfg.ChainDepth > 0:
-		b.chainDepth = cfg.ChainDepth
-	case cfg.ChainDepth < 0:
-		b.chainDepth = 0
-	}
 	if cfg.Injector != nil {
 		b.SetInjector(cfg.Injector)
 	}

@@ -1,11 +1,10 @@
 #!/bin/sh
 # Full verification gate: gofmt, vet, build, the one-calibration-seam
 # guard (no ivm.New outside the engine, the broker's classic engine and
-# probe, and the benchmark),
-# domain lint (the three
-# abivmlint analyzers: zero live findings and no stale lint:ignore
-# waivers), race-enabled tests (the analyzers' fixture tests among
-# them), the allocation-count tests without the race detector, one
+# probe, and the benchmark), domain lint (the three abivmlint analyzers:
+# zero live findings and no stale lint:ignore waivers; the JSON report is
+# left in abivmlint.json), race-enabled tests (the analyzers' fixture
+# tests among them), the allocation-count tests without the race detector, one
 # iteration of every in-package benchmark, the committed RESULTS.txt,
 # examples/*/expected.txt and examples/views.dataflow.txt against what
 # the code prints, the docs check (scripts/docs_check.sh) and the nested
@@ -54,8 +53,15 @@ fi
 echo "==> docs check"
 sh scripts/docs_check.sh
 
+# The JSON report (live findings, waivers with their reasons, counts) is
+# written either way, for CI to publish; a live finding or a stale
+# waiver still fails the gate, and its findings are printed here.
 echo "==> abivmlint"
-go run ./cmd/abivmlint ./...
+if ! go run ./cmd/abivmlint -json ./... > abivmlint.json; then
+	echo "abivmlint live findings (full report in abivmlint.json):" >&2
+	sed -n '/^  "findings": \[/,/^  \],/p' abivmlint.json >&2
+	exit 1
+fi
 
 # Includes TestChaosTranscripts, the chaos sweeps diffed against their
 # committed transcripts (what `make chaos-check` runs alone).
