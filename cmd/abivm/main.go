@@ -56,7 +56,7 @@ func main() {
 		}
 		return
 	case "sim":
-		if err := runSim(flag.Args()[1:]); err != nil {
+		if err := runSim(os.Stdout, flag.Args()[1:]); err != nil {
 			fail(err)
 		}
 		return

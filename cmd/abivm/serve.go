@@ -58,7 +58,7 @@ func runServe(ctx context.Context, args []string) error {
 	case *shared && *dataDir != "":
 		return fmt.Errorf("serve: -shared has no disk durability yet; drop -data-dir")
 	}
-	cfg := pubsub.RuntimeConfig{Seed: *seed, Spec: pubsub.DefaultWorkloadSpec(), Shared: *shared}
+	cfg := pubsub.RuntimeConfig{Spec: pubsub.DefaultWorkloadSpec(), Shared: *shared}
 	if *dataDir != "" {
 		cfg.Opener = durable.DirOpener(*dataDir)
 	}
@@ -68,7 +68,7 @@ func runServe(ctx context.Context, args []string) error {
 	if *catalog != "" {
 		cfg.Subscribe = subscribeCatalog(*catalog, *seed, *shared)
 	}
-	w, err := pubsub.NewDemoWorkload(cfg)
+	w, err := pubsub.NewDemoWorkload(*seed, cfg)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,10 +22,11 @@ import (
 
 // runSim implements `abivm sim`: a self-contained planner/simulator for
 // user-specified linear cost functions, arrival rates, constraint and
-// horizon. It compares NAIVE, PERIODIC, ONLINE, ONLINE-M, and OPT-LGM.
+// horizon. It compares NAIVE, PERIODIC, ONLINE, ONLINE-M, and OPT-LGM,
+// writing the table to w.
 //
 //	abivm sim -costs 0.03:2.5,0.09:20 -rates 1,1 -C 30 -T 1000
-func runSim(args []string) error {
+func runSim(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
 	costsFlag := fs.String("costs", "0.03:2.5,0.09:20", "per-table linear costs a:b, comma separated")
 	ratesFlag := fs.String("rates", "1,1", "per-table arrival rates (modifications per step)")
@@ -83,10 +85,10 @@ func runSim(args []string) error {
 		return err
 	}
 
-	fmt.Printf("%d tables, C=%.4g, T=%d, rates=%v\n\n", model.N(), *cFlag, *tFlag, rates)
-	fmt.Printf("%-10s %14s %10s\n", "policy", "total cost", "actions")
+	fmt.Fprintf(w, "%d tables, C=%.4g, T=%d, rates=%v\n\n", model.N(), *cFlag, *tFlag, rates)
+	fmt.Fprintf(w, "%-10s %14s %10s\n", "policy", "total cost", "actions")
 	report := func(name string, cost float64, actions int) {
-		fmt.Printf("%-10s %14.2f %10d\n", name, cost, actions)
+		fmt.Fprintf(w, "%-10s %14.2f %10d\n", name, cost, actions)
 	}
 
 	for _, pol := range []policy.Policy{
@@ -112,7 +114,7 @@ func runSim(args []string) error {
 		}
 	}
 	report("OPT-LGM", opt.Cost, actions)
-	fmt.Printf("\nA*: %d nodes expanded, %d generated\n", opt.Expanded, opt.Generated)
+	fmt.Fprintf(w, "\nA*: %d nodes expanded, %d generated\n", opt.Expanded, opt.Generated)
 	return nil
 }
 

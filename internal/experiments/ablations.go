@@ -99,7 +99,7 @@ func Ablations(Config) (*AblationsResult, error) {
 	if in, err = ablationInstance(bursty); err != nil {
 		return nil, err
 	}
-	if res.EWMACost, err = simulate(in, policy.NewOnline(in.Model, in.C, policy.NewEWMA(0.2))); err != nil {
+	if res.EWMACost, err = simulate(in, policy.NewOnline(in.Model, in.C, policy.NewEWMA())); err != nil {
 		return nil, err
 	}
 	// The bursty stream's long-run rate: 3 per step, on 10 steps of 50.

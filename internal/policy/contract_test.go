@@ -32,7 +32,6 @@ func TestActKeepsItsContract(t *testing.T) {
 	plan := planFor(t, model, c, 6)
 	policies := []Policy{
 		NewNaive(model, c),
-		NewOracle(model, c, plan, "OPT"),
 		NewPeriodic(model, c, 4),
 		NewOnline(model, c, nil),
 		NewOnlineMarginal(model, c, nil),

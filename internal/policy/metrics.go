@@ -5,12 +5,12 @@ import (
 	"abivm/internal/obs"
 )
 
-// Metrics is ONLINE-M's instrumentation bundle, labeled by policy name.
-// Attach with OnlineMarginal.SetMetrics; a nil bundle (the default) adds
-// no work to Act. The instruments capture the paper's Section 4.3 decision loop:
-// how often the state fills (Decisions), how many candidate actions each
-// H(q) scoring pass weighed (Candidates) and how large the chosen drains
-// were (ActionMods).
+// Metrics is the online policy's instrumentation bundle, labeled by
+// policy name. Attach with Online.SetMetrics; a nil bundle (the default)
+// adds no work to Act. The instruments capture the paper's Section 4.3
+// decision loop: how often the state fills (Decisions), how many
+// candidate actions each H(q) scoring pass weighed (Candidates) and how
+// large the chosen drains were (ActionMods).
 type Metrics struct {
 	Decisions  *obs.Counter
 	Candidates *obs.Counter

@@ -20,21 +20,27 @@ type RateEstimator interface {
 	Rates() []float64
 }
 
+// ewmaAlpha is EWMA's smoothing factor, in (0, 1]: a larger one adapts
+// faster to rate changes but is noisier on unstable streams.
+const ewmaAlpha = 0.2
+
 // EWMA is an exponentially weighted moving-average rate estimator with
-// smoothing factor Alpha in (0, 1]; larger Alpha adapts faster to rate
-// changes but is noisier on unstable streams.
+// smoothing factor ewmaAlpha.
 type EWMA struct {
-	Alpha float64
 	rates []float64
 	seen  bool
 }
 
-// NewEWMA returns an EWMA estimator with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("policy: EWMA alpha must be in (0,1]")
+// NewEWMA returns an EWMA estimator.
+func NewEWMA() *EWMA { return &EWMA{} }
+
+// orEWMA returns est, or an EWMA estimator when est is nil: the default
+// of every policy that estimates rates.
+func orEWMA(est RateEstimator) RateEstimator {
+	if est == nil {
+		return NewEWMA()
 	}
-	return &EWMA{Alpha: alpha}
+	return est
 }
 
 // Reset implements RateEstimator.
@@ -53,7 +59,7 @@ func (e *EWMA) Observe(d core.Vector) {
 		return
 	}
 	for i, x := range d {
-		e.rates[i] += e.Alpha * (float64(x) - e.rates[i])
+		e.rates[i] += ewmaAlpha * (float64(x) - e.rates[i])
 	}
 }
 
@@ -84,79 +90,101 @@ func (f FixedRates) Rates() []float64 { return f }
 // where F_t is the maintenance cost already incurred and TimeToFull
 // predicts how many further steps the post-action state can absorb before
 // becoming full again, given the estimated arrival rates.
+//
+// ONLINE-M (NewOnlineMarginal) is this library's extension: it scores
+// candidate actions by their marginal cost rate
+//
+//	H'(q) = f(q) / TimeToFull(s_t - q)
+//
+// instead of the paper's cumulative average. The cumulative form has a
+// cold-start pathology on intercept-heavy cost structures: while the
+// accumulated cost F_t is small, a tiny action with a tiny time-to-full
+// keeps the historical average low even though its marginal rate is far
+// worse than the alternatives, and the policy can lock into draining one
+// modification per step. Scoring the marginal rate compares what each
+// action buys from now on, which is the quantity a long-run-average
+// minimizer actually controls. The paper lists a cost bound for its
+// online heuristic as an open problem; this variant is the corresponding
+// engineering improvement, evaluated in the ablation bench.
+//
+// The enumeration buffers, the candidate actions, the post-action state a
+// candidate is scored on and the action returned are reused from one
+// decision to the next, so once warm a decision allocates nothing.
 type Online struct {
-	model *core.CostModel
-	c     float64
-	est   RateEstimator
-	sc    actScratch
+	model    *core.CostModel
+	c        float64
+	est      RateEstimator
+	marginal bool // score H'(q), not H(q)
+	obs      *Metrics
 
-	costSoFar float64
-	steps     int // steps observed since Reset; used as t in H when t=0
-}
-
-// actScratch is what the online policies reuse from one decision to the
-// next — the enumeration buffers, the candidate actions, the post-action
-// state a candidate is scored on and the action returned — so once warm
-// a decision allocates nothing.
-type actScratch struct {
 	enum  core.ActionScratch
 	cands []core.Vector
 	buf   actBuf
+
+	costSoFar float64
 }
 
-// candidates enumerates the greedy minimal valid actions of pre into the
-// scratch; they are valid until the next call.
-func (sc *actScratch) candidates(pre core.Vector, m *core.CostModel, c float64) []core.Vector {
-	sc.cands = sc.enum.GreedyActionsInto(sc.cands, pre, m, c, true)
-	return sc.cands
-}
-
-// NewOnline returns the ONLINE policy. If est is nil an EWMA estimator
-// with alpha 0.2 is used.
+// NewOnline returns the ONLINE policy. If est is nil an EWMA estimator is
+// used.
 func NewOnline(model *core.CostModel, c float64, est RateEstimator) *Online {
-	if est == nil {
-		est = NewEWMA(0.2)
-	}
-	return &Online{model: model, c: c, est: est}
+	return &Online{model: model, c: c, est: orEWMA(est)}
+}
+
+// NewOnlineMarginal returns the ONLINE-M policy, ONLINE scoring the
+// marginal cost rate. If est is nil an EWMA estimator is used.
+func NewOnlineMarginal(model *core.CostModel, c float64, est RateEstimator) *Online {
+	return &Online{model: model, c: c, est: orEWMA(est), marginal: true}
 }
 
 // Name implements Policy.
-func (p *Online) Name() string { return "ONLINE" }
+func (p *Online) Name() string {
+	if p.marginal {
+		return "ONLINE-M"
+	}
+	return "ONLINE"
+}
+
+// SetMetrics attaches an instrumentation bundle (see NewMetrics); nil
+// (the default) detaches.
+func (p *Online) SetMetrics(ms *Metrics) { p.obs = ms }
 
 // Reset implements Policy.
 func (p *Online) Reset(n int) {
 	p.est.Reset(n)
 	p.costSoFar = 0
-	p.steps = 0
 }
 
 // Act implements Policy.
 func (p *Online) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	p.est.Observe(d)
-	p.steps++
 	if refresh {
 		p.costSoFar += p.model.Total(pre)
-		return p.sc.buf.of(pre)
+		return p.buf.of(pre)
 	}
 	if !p.model.Full(pre, p.c) {
-		return p.sc.buf.none(len(pre))
+		return p.buf.none(len(pre))
 	}
-	candidates := p.sc.candidates(pre, p.model, p.c)
+	p.cands = p.enum.GreedyActionsInto(p.cands, pre, p.model, p.c, true)
 	var best core.Vector
 	bestH := 0.0
-	for _, q := range candidates {
+	for _, q := range p.cands {
 		h := p.scoreH(t, pre, q)
 		if best == nil || h < bestH || (core.ApproxEq(h, bestH) && q.KeyLess(best)) {
 			best, bestH = q, h
 		}
 	}
 	p.costSoFar += p.model.Total(best)
-	return p.sc.buf.of(best)
+	p.obs.observeDecision(len(p.cands), best)
+	return p.buf.of(best)
 }
 
-// scoreH evaluates H(q) at time t for pre-action state pre.
+// scoreH evaluates candidate q at time t for pre-action state pre: H'(q)
+// for ONLINE-M, H(q) for ONLINE.
 func (p *Online) scoreH(t int, pre, q core.Vector) float64 {
-	ttf := p.timeToFull(p.sc.buf.postOf(pre, q))
+	ttf := p.timeToFull(p.buf.postOf(pre, q))
+	if p.marginal {
+		return p.model.Total(q) / float64(ttf)
+	}
 	return (p.costSoFar + p.model.Total(q)) / float64(t+ttf)
 }
 

@@ -9,8 +9,10 @@
 //   - Adapt — Section 4.2: execute a plan precomputed for an estimated
 //     refresh time T0; truncate if the true refresh comes earlier, repeat
 //     the plan if it comes later.
-//   - Oracle — replays a precomputed plan verbatim (e.g. the optimal LGM
-//     plan from the astar package); the perfect-knowledge upper baseline.
+//
+// Two extensions are variants of these: PERIODIC is Naive with a flush
+// period (NewPeriodic), and ONLINE-M is Online scoring the marginal cost
+// rate (NewOnlineMarginal).
 //
 // All policies share the Policy interface consumed by the sim package. A
 // policy is driven one step at a time: it observes the arrivals, sees the
@@ -89,10 +91,17 @@ func (b *actBuf) postOf(pre, q core.Vector) core.Vector {
 // Naive is the symmetric deferred-maintenance baseline: batch everything,
 // and when the response-time constraint is violated (or the view is
 // refreshed), process all accumulated modifications from all tables.
+//
+// With a flush period it is PERIODIC, the classic periodic-maintenance
+// baseline (Colby et al., SIGMOD 97, discussed in the paper's related
+// work): every period steps it also drains every delta queue, regardless
+// of the constraint. A fixed period cannot adapt to arrival bursts, so the
+// drain on a full state stays as the safety net that keeps it valid.
 type Naive struct {
-	model *core.CostModel
-	c     float64
-	buf   actBuf
+	model  *core.CostModel
+	c      float64
+	period int // 0: no scheduled flush
+	buf    actBuf
 }
 
 // NewNaive returns the NAIVE policy for the given cost model and
@@ -101,56 +110,31 @@ func NewNaive(model *core.CostModel, c float64) *Naive {
 	return &Naive{model: model, c: c}
 }
 
+// NewPeriodic returns the PERIODIC policy: NAIVE that also flushes every
+// period steps.
+func NewPeriodic(model *core.CostModel, c float64, period int) *Naive {
+	if period < 1 {
+		panic("policy: period must be >= 1")
+	}
+	return &Naive{model: model, c: c, period: period}
+}
+
 // Name implements Policy.
-func (p *Naive) Name() string { return "NAIVE" }
+func (p *Naive) Name() string {
+	if p.period > 0 {
+		return "PERIODIC"
+	}
+	return "NAIVE"
+}
 
 // Reset implements Policy.
 func (p *Naive) Reset(int) {}
 
-// Act drains everything when the state is full or the view refreshes.
+// Act drains everything when the state is full, a scheduled flush falls
+// due or the view refreshes.
 func (p *Naive) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
-	if refresh || p.model.Full(pre, p.c) {
+	if refresh || (p.period > 0 && (t+1)%p.period == 0) || p.model.Full(pre, p.c) {
 		return p.buf.of(pre)
 	}
 	return p.buf.none(len(pre))
-}
-
-// Oracle replays a precomputed plan. Actions are clamped to the available
-// state so that replaying a plan against a slightly different arrival
-// sequence stays well-formed, and a safety net keeps the run valid if the
-// plan and the observed arrivals diverge.
-type Oracle struct {
-	model *core.CostModel
-	c     float64
-	plan  core.Plan
-	label string
-	buf   actBuf
-}
-
-// NewOracle returns a policy replaying plan; label is the reported name
-// (e.g. "OPT-LGM").
-func NewOracle(model *core.CostModel, c float64, plan core.Plan, label string) *Oracle {
-	return &Oracle{model: model, c: c, plan: plan, label: label}
-}
-
-// Name implements Policy.
-func (p *Oracle) Name() string { return p.label }
-
-// Reset implements Policy.
-func (p *Oracle) Reset(int) {}
-
-// Act replays the planned action at t, clamped to the available state;
-// at refresh it drains everything, and if the planned action would leave
-// a full state it is topped up with the cheapest valid completion.
-func (p *Oracle) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
-	if refresh {
-		return p.buf.of(pre)
-	}
-	var step core.Vector
-	if t < len(p.plan) {
-		step = p.plan[t]
-	}
-	// A top-up means the plan diverged from the observed arrivals.
-	act, _ := p.buf.planned(step, pre, p.model, p.c)
-	return act
 }

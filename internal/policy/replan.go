@@ -29,15 +29,12 @@ type AdaptReplan struct {
 }
 
 // NewAdaptReplan returns a replanning ADAPT policy. If est is nil an
-// EWMA estimator with alpha 0.2 is used.
+// EWMA estimator is used.
 func NewAdaptReplan(model *core.CostModel, c float64, horizon int, est RateEstimator) *AdaptReplan {
 	if horizon < 1 {
 		panic("policy: replanning horizon must be >= 1")
 	}
-	if est == nil {
-		est = NewEWMA(0.2)
-	}
-	return &AdaptReplan{model: model, c: c, est: est, Horizon: horizon}
+	return &AdaptReplan{model: model, c: c, est: orEWMA(est), Horizon: horizon}
 }
 
 // Name implements Policy.

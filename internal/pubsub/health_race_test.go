@@ -19,7 +19,7 @@ import (
 // live, and the race detector proves the broker's RWMutex contract
 // covers it.
 func TestHealthConcurrentWithWorkload(t *testing.T) {
-	w, err := NewDemoWorkload(RuntimeConfig{Seed: 5, Spec: DefaultWorkloadSpec(),
+	w, err := NewDemoWorkload(5, RuntimeConfig{Spec: DefaultWorkloadSpec(),
 		Injector: fault.NewSeeded(5, fault.DefaultRates())})
 	if err != nil {
 		t.Fatal(err)

@@ -200,8 +200,8 @@ func (b *Broker) wireSub(s *sub) {
 
 // defaultPolicy returns the subscription's policy when the broker chose
 // it — a policy the subscriber brought is the subscriber's to instrument.
-func (s *sub) defaultPolicy() (*policy.OnlineMarginal, bool) {
-	om, ok := s.pol.(*policy.OnlineMarginal)
+func (s *sub) defaultPolicy() (*policy.Online, bool) {
+	om, ok := s.pol.(*policy.Online)
 	return om, ok && s.cfg.Policy == nil
 }
 

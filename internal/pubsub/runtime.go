@@ -11,8 +11,6 @@ import (
 // are per-view maintainers, in-memory durability, no faults and one
 // aggregate subscription per region of Spec.
 type RuntimeConfig struct {
-	// Seed seeds a DemoWorkload's event stream; NewRuntime does not read it.
-	Seed int64
 	// Spec sizes the stations/sales base tables and names the regions.
 	Spec WorkloadSpec
 	// Shared puts the subscriptions on the shared delta-dataflow graph

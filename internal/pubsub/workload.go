@@ -127,13 +127,13 @@ type DemoWorkload struct {
 }
 
 // NewDemoWorkload builds the broker cfg describes and the event stream
-// for cfg.Seed over cfg.Spec.
-func NewDemoWorkload(cfg RuntimeConfig) (*DemoWorkload, error) {
+// for seed over cfg.Spec.
+func NewDemoWorkload(seed int64, cfg RuntimeConfig) (*DemoWorkload, error) {
 	b, err := NewRuntime(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &DemoWorkload{Broker: b, gen: newEventGenSpec(cfg.Seed, cfg.Spec)}, nil
+	return &DemoWorkload{Broker: b, gen: newEventGenSpec(seed, cfg.Spec)}, nil
 }
 
 // Step publishes one generated step of modifications and closes the

@@ -1,8 +1,7 @@
 // Package sim drives maintenance policies over arrival sequences in
 // discrete time, enforcing the response-time constraint and accounting
 // costs. It is the measurement harness behind the paper's Figures 5–7:
-// policies are simulated against a cost model, and the resulting plans can
-// also be replayed against the real IVM engine for validation.
+// policies are simulated against a cost model.
 package sim
 
 import (
@@ -78,13 +77,4 @@ func Run(in *core.Instance, pol policy.Policy) (*Result, error) {
 		return nil, fmt.Errorf("sim: policy %s produced an invalid plan: %w", pol.Name(), err)
 	}
 	return res, nil
-}
-
-// Replay evaluates a precomputed plan against the instance with the same
-// accounting as Run, validating it first.
-func Replay(in *core.Instance, plan core.Plan, label string) (*Result, error) {
-	if err := in.Validate(plan); err != nil {
-		return nil, err
-	}
-	return Run(in, policy.NewOracle(in.Model, in.C, plan, label))
 }

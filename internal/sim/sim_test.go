@@ -156,26 +156,6 @@ func (sleeperPolicy) Act(t int, d, pre core.Vector, refresh bool) core.Vector {
 	return core.NewVector(len(pre))
 }
 
-func TestReplayValidatesFirst(t *testing.T) {
-	arr := core.Arrivals{{1, 1}, {0, 0}}
-	in := mkInstance(t, arr, 10)
-	bad := core.Plan{{0, 0}, {0, 0}} // incomplete refresh
-	if _, err := Replay(in, bad, "BAD"); err == nil {
-		t.Fatal("invalid plan accepted by Replay")
-	}
-	good := in.NaivePlan()
-	res, err := Replay(in, good, "GOOD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy != "GOOD" {
-		t.Errorf("Policy = %q", res.Policy)
-	}
-	if want := in.Cost(good); math.Abs(res.TotalCost-want) > 1e-9 {
-		t.Errorf("replay cost %g != plan cost %g", res.TotalCost, want)
-	}
-}
-
 func TestMaxRefreshCostNeverExceedsC(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {

@@ -21,7 +21,7 @@ func TestCompiledMatchesHandWired(t *testing.T) {
 	spec := pubsub.DefaultWorkloadSpec()
 
 	run := func(wire func(b *pubsub.Broker, views []*CompiledView) error) string {
-		w, err := pubsub.NewDemoWorkload(pubsub.RuntimeConfig{Seed: seed, Spec: spec,
+		w, err := pubsub.NewDemoWorkload(seed, pubsub.RuntimeConfig{Spec: spec,
 			Subscribe: func(db *storage.DB, b *pubsub.Broker) error {
 				views, err := CompileCatalog(db, demoCatalog, Options{Seed: seed, Condition: pubsub.Every(5)})
 				if err != nil {

@@ -2,9 +2,11 @@
 # The non-test Go line counts ROADMAP item 5 tracks: every *.go that is not
 # a *_test.go under a package directory, counted with wc -l. The serving
 # stack's two engines (pubsub + ivm + dataflow) are one total; the root
-# abivm facade, storage, exec and durable are listed each. The lint suite
+# abivm facade, storage, exec and durable are listed each. The scheduling
+# side — the runtime policies, the simulator, the plan model and the A*
+# planner — is a second line, each package listed. The lint suite
 # (internal/lint + cmd/abivmlint, analyzer fixtures under testdata left
-# out) is a second line.
+# out) is a third.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,4 +24,5 @@ loc() {
 }
 
 echo "non-test Go lines: pubsub+ivm+dataflow $(loc pubsub ivm dataflow), root $(count . -maxdepth 1), storage $(loc storage), exec $(loc exec), durable $(loc durable)"
+echo "non-test Go lines: policy $(loc policy), sim $(loc sim), core $(loc core), astar $(loc astar)"
 echo "non-test Go lines: lint $(count internal/lint cmd/abivmlint)"
