@@ -119,20 +119,14 @@ func (c Coord) covered(cursors []uint64) bool {
 	return true
 }
 
-// weightedRow is a row with a multiplicity — the unit of an operator's
-// materialized current output (used to seed join states). Rows not
-// marked loose are netted: distinct from one another and non-zero.
-// Loose rows may repeat or cancel.
-type weightedRow struct {
-	row   storage.Row
-	w     int64
-	loose bool
-	sum   []uint64 // a join's row for a summary (currentSummarized): its words (Coord.summary)
-}
-
-// concatRows concatenates a join pair into the combined output row.
-func concatRows(l, r storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+// visitor receives an operator's present output (node.current) one
+// weighted row at a time and counts what the walk visits: live-table rows
+// and arrangement entries. Rows not marked loose are netted: distinct
+// from one another and non-zero; loose rows may repeat or cancel. sum
+// holds the words of a join's row for a summary (currentSummarized,
+// Coord.summary). row and sum are lent for the call alone — a join hands
+// every pair over in one scratch row — so fn copies what it keeps.
+type visitor struct {
+	fn     func(row storage.Row, w int64, loose bool, sum []uint64)
+	visits uint64
 }

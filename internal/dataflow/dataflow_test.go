@@ -419,6 +419,10 @@ func TestSharingOpCount(t *testing.T) {
 	// its own: 24 SELECT lists, 24 sinks, 19 operators (2 scans, 4
 	// filters, 13 joins). The aggregate views but MIN/MAX's read their
 	// joins through the sales arrangement's one summary, of sales.amount.
+	// Their rebuilds visit the stations each reaches — one a regional
+	// view, 12 a grouped one — the MIN/MAX view's also the 240 sales, a
+	// row list its station and that station's 20 sales, and a filter the
+	// 240 sales: 12 + 3·12 + 252 + 4·21 + 4·240.
 	fan := NewGraph(regionalDB(t, 240, 20, regionNames(12)))
 	for _, q := range fanoutCatalogue() {
 		p, err := ivm.PlanView(q)
@@ -430,7 +434,7 @@ func TestSharingOpCount(t *testing.T) {
 		}
 	}
 	want := GraphStats{Nodes: 19, Views: 24, InternHits: 49, MaxFanout: 17, Arrangements: 2, ArrangementHits: 24,
-		StateRows: 240 + 12}
+		StateRows: 240 + 12, RebuildVisits: 12 + 3*12 + 252 + 4*21 + 4*240}
 	if got := fan.Stats(); got != want {
 		t.Fatalf("fanout catalogue built %+v, want %+v", got, want)
 	}

@@ -721,14 +721,20 @@ func (g *Graph) Trim() {
 	}
 }
 
-// sortedByKey returns the map's values in key order, so no iteration
-// order leaks from the map. Never nil.
-func sortedByKey[V any](m map[string]V) []V {
+// sortedKeys returns the map's keys in sorted order — the iteration order
+// wherever one is needed, so none leaks from the map.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// sortedByKey returns the map's values in key order. Never nil.
+func sortedByKey[V any](m map[string]V) []V {
+	keys := sortedKeys(m)
 	out := make([]V, len(keys))
 	for i, k := range keys {
 		out[i] = m[k]
@@ -778,6 +784,12 @@ type GraphStats struct {
 	// are deterministic work counts; recovery's rebuilds are in neither.
 	Folds      uint64
 	FoldVisits uint64
+	// RebuildVisits counts the live-table rows and arrangement entries the
+	// sinks' rebuilds — at Subscribe and at each recovery — have visited: a
+	// rebuild of a view over a join whose side residual is one literal
+	// equality visits the entries at that literal's keys alone, whatever
+	// the arrangements hold. A deterministic work count.
+	RebuildVisits uint64
 }
 
 // Stats snapshots the graph shape. It reads counters and walks the
@@ -788,7 +800,7 @@ func (g *Graph) Stats() GraphStats {
 		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
 		Probes: g.ctr.probes, Products: g.ctr.products,
-		Folds: g.ctr.folds, FoldVisits: g.ctr.foldVisits,
+		Folds: g.ctr.folds, FoldVisits: g.ctr.foldVisits, RebuildVisits: g.ctr.rebuilds,
 	}
 	for _, n := range g.nodes {
 		if f := n.fanout(); f > st.MaxFanout {

@@ -96,10 +96,25 @@ type deltaLog struct {
 	rowReaders int           // the readers that do not read a join through a summary
 	wm         []uint64      // the last trim's watermark
 	byFrom     []*ViewHandle // trim's readers in from order, reused
+	high       int           // the lengths trims found, smoothed (trim)
 	ctr        *counters
 }
 
+// A delta log's capacity follows high (deltaLog.trim): logSwing bounds
+// how far high may stand above the last length a trim found, and logSlack
+// is the room over high a log is given when it grows or gives capacity
+// back, in deltas.
+const (
+	logSwing = 64
+	logSlack = 16
+)
+
+// onDelta appends a delta, growing the log at once to logSlack over high
+// when it is full.
 func (l *deltaLog) onDelta(d Delta) {
+	if n := len(l.deltas); n == cap(l.deltas) {
+		l.deltas = slices.Grow(l.deltas, max(1, l.high+logSlack-n))
+	}
 	l.deltas = append(l.deltas, d)
 	l.ctr.retained++
 }
@@ -110,8 +125,13 @@ func (l *deltaLog) onDelta(d Delta) {
 // takes a dropped delta back, and no reader's from points past one. Each
 // reader's from becomes the number of deltas kept before it, read off the
 // one running count as the walk passes it: the readers are visited in from
-// order. The capacity follows the peak since the last trim, the length
-// found here: more than twice a quarter's slack over it is given back.
+// order. A log's length here swings widely from one trim to the next, and
+// capacity fitted to the last length alone was given back only to be
+// grown again at the next. So the capacity follows high: the largest
+// length found lately, losing a thirty-second a trim, but never more than
+// logSwing above this trim's, so what a stalled reader held is given back
+// at the trim after it drained. Capacity more than half again beyond
+// high plus logSlack is given back.
 func (l *deltaLog) trim() {
 	for i := range l.wm {
 		l.wm[i] = math.MaxUint64
@@ -137,7 +157,8 @@ func (l *deltaLog) trim() {
 		h.from = kept
 	}
 	l.ctr.retained -= peak - kept
-	if size := peak + peak/4 + 1; cap(l.deltas) > 2*size {
+	l.high = min(max(peak, l.high-l.high/32), peak+logSwing)
+	if size := l.high + logSlack; 2*cap(l.deltas) > 3*size {
 		l.deltas = append(make([]Delta, 0, size), l.deltas[:kept]...)
 		return
 	}
@@ -450,29 +471,49 @@ func (h *ViewHandle) Recover() {
 // cursors do not cover, so every one these cursors do not cover. Folding
 // the present output and taking those deltas back leaves exactly the
 // deltas the cursors cover on top of the content at creation. Positive
-// weights fold first, so no entry count dips below zero on the way. Its
-// work is set-up or recovery overhead, not maintenance cost, and is not
-// counted.
+// weights fold first, so no entry count dips below zero on the way: the
+// output's as the walk hands them over, the log's after it, and then the
+// output's negative rows, copied in the walk, and the log's taken-back
+// insertions. Sums are exact, so the order decides nothing else. Its work
+// is set-up or recovery overhead, not maintenance cost: the graph counts
+// what its walk visits (RebuildVisits), and no fold.
 func (h *ViewHandle) rebuild() {
 	h.view = ivm.NewViewState(h.plan, h.stats)
-	var rows []weightedRow
+	type retraction struct {
+		row storage.Row
+		w   int64
+		sum []uint64
+	}
+	var negative []retraction
+	v := visitor{fn: func(row storage.Row, w int64, _ bool, sum []uint64) {
+		switch {
+		case w > 0:
+			h.foldDelta(row, sum, w)
+		case w < 0:
+			negative = append(negative, retraction{row.Clone(), w, slices.Clone(sum)})
+		}
+	}}
 	if h.summarized {
-		rows = h.top.(*joinNode).currentSummarized()
+		h.top.(*joinNode).currentSummarized(&v)
 	} else {
-		rows = h.top.current()
+		h.top.current(&v)
 	}
-	for _, sign := range [2]int64{1, -1} {
-		for _, wr := range rows {
-			if wr.w*sign > 0 {
-				h.foldDelta(wr.row, wr.sum, wr.w)
-			}
-		}
-		for _, d := range h.log.deltas {
-			if -d.W*sign > 0 && !d.Coord.covered(h.cursors) && h.reads(d.Coord) {
-				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), -d.W)
-			}
-		}
+	h.g.ctr.rebuilds += v.visits
+	h.takeBack(-1)
+	for _, r := range negative {
+		h.foldDelta(r.row, r.sum, r.w)
 	}
+	h.takeBack(1)
 	clear(h.row)
 	*h.stats = storage.Stats{}
+}
+
+// takeBack folds, negated, the logged deltas of weight sign sign that the
+// cursors do not cover and the sink reads.
+func (h *ViewHandle) takeBack(sign int64) {
+	for _, d := range h.log.deltas {
+		if d.W*sign > 0 && !d.Coord.covered(h.cursors) && h.reads(d.Coord) {
+			h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), -d.W)
+		}
+	}
 }

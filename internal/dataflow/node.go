@@ -3,7 +3,6 @@ package dataflow
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"abivm/internal/exec"
@@ -32,11 +31,11 @@ type node interface {
 	tables() []string
 	// cols returns the output schema for binding parent expressions.
 	cols() []exec.Col
-	// current returns a deterministic snapshot of the node's present
-	// output as net weighted rows — the seed of a newly created
+	// current hands the node's present output to v one weighted row at a
+	// time, in a deterministic order: the seed of a newly created
 	// arrangement, which treats it as covered-at-creation (coordinate
-	// zero).
-	current() []weightedRow
+	// zero), and a sink's rebuild.
+	current(v *visitor)
 	// addOut adds a downstream edge: an operator, an arrangement or the
 	// delta log view sinks read.
 	addOut(r receiver)
@@ -56,6 +55,7 @@ type counters struct {
 	products    uint64 // join products built
 	folds       uint64 // deltas drains folded into view states
 	foldVisits  uint64 // delta-log entries drains walked over
+	rebuilds    uint64 // table rows and arrangement entries rebuilds visited
 }
 
 // nodeBase carries the shared node mechanics: identity, schema and the
@@ -191,11 +191,12 @@ func (s *scanNode) next() Coord {
 	return c
 }
 
-// current is the live table in encoded-key order.
-func (s *scanNode) current() []weightedRow {
-	out := make([]weightedRow, 0, s.tbl.Len())
-	s.tbl.EachStored(func(r storage.Row) { out = append(out, weightedRow{row: r, w: 1}) })
-	return out
+// current is the live table in slot order, its own rows.
+func (s *scanNode) current(v *visitor) {
+	s.tbl.EachStored(func(r storage.Row) {
+		v.visits++
+		v.fn(r, 1, false, nil)
+	})
 }
 
 // conjunction is a list of bound predicates that a row passes when it
@@ -239,14 +240,14 @@ func (f *filterNode) onDelta(d Delta) {
 	}
 }
 
-func (f *filterNode) current() []weightedRow {
-	var out []weightedRow
-	for _, wr := range f.child.current() {
-		if f.preds.pass(wr.row) {
-			out = append(out, wr)
+func (f *filterNode) current(v *visitor) {
+	inner := visitor{fn: func(row storage.Row, w int64, loose bool, sum []uint64) {
+		if f.preds.pass(row) {
+			v.fn(row, w, loose, sum)
 		}
-	}
-	return out
+	}}
+	f.child.current(&inner)
+	v.visits += inner.visits
 }
 
 // baseEntry is one consolidated row of an arrangement: its net weight
@@ -287,19 +288,110 @@ type bucket struct {
 // partitioned by equi-join key so a probe touches only its own bucket.
 // log holds every delta no trim has netted yet in arrival order, each
 // bucket's tail chained through it: one slice, and a trim's whole work
-// list. peak is its length at the last trim; cancelled is a trim's
-// scratch. summed lists the summaries joins emit of the buckets' bases,
-// kept per bucket as one summary over sumCols, each column once.
+// list. peak is its length at the last trim; cancelled and gone are a
+// trim's scratch: the buckets where a netted entry left a zero weight,
+// and, when the side keeps literal indexes, those entries' rows. summed lists the
+// summaries joins emit of the buckets' bases, kept per bucket as one
+// summary over sumCols, each column once. lits are the literal indexes
+// joins dispatching on a column of this side read at a rebuild.
 type sideState struct {
 	buckets   map[string]*bucket
 	log       []tailEntry
 	peak      int
 	cancelled []*bucket
+	gone      []storage.Row
 	zero      Coord // the coordinate of every base entry
 	ctr       *counters
 	summed    []summed
 	sumCols   []exec.Scalar
 	sumKeys   []string // sumCols' canonical expressions
+	lits      []*litIndex
+}
+
+// litIndex lists, per value of one column (its key encoding), the keys
+// of the buckets with an entry, base or tail, holding that value — the
+// buckets where a join whose residual on this side is one literal
+// equality on the column can find a row it accepts. An entry's value is
+// listed when it arrives and dropped when a trim nets away the bucket's
+// last entry holding it. Tail retractions stay listed until then, so the
+// lists are a superset, and a reader still checks the residual.
+type litIndex struct {
+	col   int
+	lists map[string]*litList
+}
+
+// litList is one value's list: the bucket keys, sorted, and the value's
+// encoding, made once, which the index drops the list by when it empties.
+type litList struct {
+	value string
+	keys  []string
+}
+
+// note lists bucket key under row's value.
+func (ix *litIndex) note(key string, row storage.Row) {
+	var a [64]byte
+	v := storage.AppendKey(a[:0], row[ix.col])
+	l := ix.lists[string(v)]
+	if l == nil {
+		l = &litList{value: string(v)}
+		ix.lists[l.value] = l
+	}
+	if i, found := slices.BinarySearch(l.keys, key); !found {
+		l.keys = slices.Insert(l.keys, i, key)
+	}
+}
+
+// indexLiteral makes the arrangement keep a literal index on col, filled
+// from every bucket, unless it keeps one already.
+func (s *sideState) indexLiteral(col int) {
+	if slices.ContainsFunc(s.lits, func(ix *litIndex) bool { return ix.col == col }) {
+		return
+	}
+	ix := &litIndex{col: col, lists: make(map[string]*litList)}
+	s.lits = append(s.lits, ix)
+	for _, b := range s.buckets {
+		s.each(b, func(row storage.Row, _ int64, _ bool) { ix.note(b.key, row) })
+	}
+}
+
+// litKeys returns the keys of the buckets lit's index lists for its
+// value, sorted and read-only, or false when the arrangement keeps no
+// index on lit's column.
+func (s *sideState) litKeys(lit *literal) ([]string, bool) {
+	if lit == nil {
+		return nil, false
+	}
+	for _, ix := range s.lits {
+		if ix.col == lit.col {
+			if l := ix.lists[lit.key]; l != nil {
+				return l.keys, true
+			}
+			return nil, true
+		}
+	}
+	return nil, false
+}
+
+// unlist drops bucket b from the list of row's value in every literal
+// index once no entry of b, base or tail, holds that value.
+func (s *sideState) unlist(b *bucket, row storage.Row) {
+	var a [64]byte
+	for _, ix := range s.lits {
+		val, held := row[ix.col], false
+		s.each(b, func(r storage.Row, _ int64, _ bool) { held = held || r[ix.col] == val })
+		if held {
+			continue
+		}
+		l := ix.lists[string(storage.AppendKey(a[:0], val))]
+		if l == nil {
+			continue
+		}
+		if i, found := slices.BinarySearch(l.keys, b.key); found {
+			if l.keys = slices.Delete(l.keys, i, i+1); len(l.keys) == 0 {
+				delete(ix.lists, l.value)
+			}
+		}
+	}
 }
 
 // summed is one summary that joins emit of an arrangement's buckets:
@@ -363,12 +455,16 @@ func (s *sideState) sumBase(b *bucket, row storage.Row, w int64) {
 	}
 }
 
-// add appends one arriving delta to the log and its bucket's tail.
+// add appends one arriving delta to the log and its bucket's tail, and
+// lists the bucket under its value in every literal index.
 func (s *sideState) add(key []byte, d Delta) {
 	b := s.bucketFor(key)
 	s.link(b, len(s.log))
 	s.log = append(s.log, tailEntry{row: d.Row, coord: d.Coord, w: d.W, b: b, next: -1})
 	s.ctr.stateRows++
+	for _, ix := range s.lits {
+		ix.note(b.key, d.Row)
+	}
 }
 
 // link chains log index i onto the end of b's tail.
@@ -381,40 +477,12 @@ func (s *sideState) link(b *bucket, i int) {
 	b.last = i
 }
 
-// seed loads a child's present output. Netted rows are base entries as
-// they stand; loose ones enter the tail under the zero coordinate, which
-// every watermark covers, so the next trim nets them like any other
-// covered delta.
-func (s *sideState) seed(rows []weightedRow, keys []exec.Scalar) {
-	var a [64]byte
-	for _, wr := range rows {
-		key := appendJoinKey(a[:0], keys, wr.row)
-		if wr.loose {
-			s.add(key, Delta{Row: wr.row, W: wr.w, Coord: s.zero})
-			continue
-		}
-		b := s.bucketFor(key)
-		b.base = appendTight(b.base, baseEntry{row: wr.row, w: wr.w})
-		s.sumBase(b, wr.row, wr.w)
-		s.ctr.stateRows++
-	}
-}
-
-// sortedKeys returns the bucket keys in sorted order — the global
-// iteration order wherever one is needed, so none leaks from the map.
-func (s *sideState) sortedKeys() []string {
-	keys := make([]string, 0, len(s.buckets))
-	for k := range s.buckets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // consolidate walks the log once: a covered entry is netted into its
 // bucket's base, in arrival order; the rest move down the log, relinked
 // onto their emptied chains. After the walk the buckets where a row
-// cancelled are compacted, and one left with nothing is deleted. Cost:
+// cancelled are compacted, one left with nothing is deleted, and the
+// literal indexes drop each such bucket from its row's value's list once
+// no entry of it holds the value. Cost:
 // O(deltas since the last trim × bucket size), never the arrangement's
 // size. Safe because every live cursor is at or above wm (the child's
 // coordinates) and new subscribers start fully covered. The capacity
@@ -437,6 +505,9 @@ func (s *sideState) consolidate(wm []uint64) {
 		before := len(e.b.base)
 		if s.net(e.b, e.row, e.w) {
 			s.cancelled = append(s.cancelled, e.b)
+			if len(s.lits) > 0 {
+				s.gone = append(s.gone, e.row)
+			}
 		}
 		s.ctr.stateRows += len(e.b.base) - before - 1
 	}
@@ -454,6 +525,11 @@ func (s *sideState) consolidate(wm []uint64) {
 			delete(s.buckets, b.key)
 		}
 	}
+	for i, row := range s.gone {
+		s.unlist(s.cancelled[i], row)
+	}
+	clear(s.gone)
+	s.gone = s.gone[:0]
 	clear(s.cancelled)
 	s.cancelled = s.cancelled[:0]
 	if size := s.peak + s.peak/4 + 1; cap(s.log) > 2*size {
@@ -593,9 +669,32 @@ func newArrangement(id string, ctr *counters, arena *deltaArena, child node, key
 		arena:     arena,
 		copies:    tabs > 1,
 	}
-	a.seed(child.current(), keys)
+	a.seed()
 	child.addOut(a)
 	return a
+}
+
+// seed loads the child's present output. Netted rows are base entries as
+// they stand; loose ones enter the tail under the zero coordinate, which
+// every watermark covers, so the next trim nets them like any other
+// covered delta. A join's rows are lent for the visit (visitor), so the
+// arrangement keeps a copy of each (copies).
+func (a *arrangement) seed() {
+	var buf [64]byte
+	a.child.current(&visitor{fn: func(row storage.Row, w int64, loose bool, _ []uint64) {
+		if a.copies {
+			row = row.Clone()
+		}
+		key := appendJoinKey(buf[:0], a.keys, row)
+		if loose {
+			a.add(key, Delta{Row: row, W: w, Coord: a.zero})
+			return
+		}
+		b := a.bucketFor(key)
+		b.base = appendTight(b.base, baseEntry{row: row, w: w})
+		a.sumBase(b, row, w)
+		a.ctr.stateRows++
+	}})
 }
 
 // onDelta encodes the key once — into a stack buffer: it becomes a
@@ -632,6 +731,9 @@ func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
 		g = &portGroup{other: other, left: left}
 		a.groups = append(a.groups, g)
 	}
+	if lit := j.sideLit(left); lit != nil {
+		a.indexLiteral(lit.col)
+	}
 	g.arriving.add(len(g.joins), j.sideLit(left))
 	g.partner.add(len(g.joins), j.sideLit(!left))
 	g.joins = append(g.joins, j)
@@ -664,7 +766,7 @@ func (a *arrangement) summaryOf(keys []string, cols []exec.Scalar) int {
 		sm.cols = append(sm.cols, at)
 	}
 	a.summed = append(a.summed, sm)
-	for _, key := range a.sortedKeys() {
+	for _, key := range sortedKeys(a.buckets) {
 		b := a.buckets[key]
 		more := summary{sums: make([]exec.ExactSum, len(newCols))}
 		for _, e := range b.base {
@@ -991,66 +1093,111 @@ func (s *sideState) each(b *bucket, fn func(row storage.Row, w int64, tail bool)
 	}
 }
 
-// current pairs the two sides bucket by bucket in sorted key order,
-// keeping the pairs all three residuals pass. Products of two base
+// sideEntry is one entry of a bucket as a rebuild pairs it: its row, its
+// weight and whether it is in the tail.
+type sideEntry struct {
+	row  storage.Row
+	w    int64
+	tail bool
+}
+
+// passing appends to dst the entries of b, base then tail, that where
+// passes, counting every entry it visits in v.
+func (s *sideState) passing(dst []sideEntry, b *bucket, where conjunction, v *visitor) []sideEntry {
+	s.each(b, func(row storage.Row, w int64, tail bool) {
+		v.visits++
+		if where.pass(row) {
+			dst = append(dst, sideEntry{row: row, w: w, tail: tail})
+		}
+	})
+	return dst
+}
+
+// pairKeys calls fn, in key order, with the buckets of a and b at every
+// key both hold. When lit is a literal a indexes, only the keys its index
+// lists for the literal are looked at; otherwise every key of the one of
+// a and b with fewer buckets.
+func pairKeys(a, b *arrangement, lit *literal, fn func(ab, bb *bucket)) {
+	keys, ok := a.litKeys(lit)
+	if !ok {
+		small := a
+		if len(b.buckets) < len(a.buckets) {
+			small = b
+		}
+		keys = sortedKeys(small.buckets)
+	}
+	for _, k := range keys {
+		if ab, bb := a.buckets[k], b.buckets[k]; ab != nil && bb != nil {
+			fn(ab, bb)
+		}
+	}
+}
+
+// current pairs the two sides key by key in sorted key order, keeping
+// the pairs all three residuals pass, each pair lent in one scratch row.
+// One side is walked first: the side whose residual is a literal — the
+// right one when both are — which only the keys its arrangement's literal
+// index lists for the literal reach; else the filtered side, the right
+// one unless only the left is filtered. A key where none of that side's
+// entries passes costs the other side nothing. Products of two base
 // entries are distinct and non-zero because base entries are; any product
 // involving a tail entry is loose.
-func (j *joinNode) current() []weightedRow {
-	var out []weightedRow
-	for _, key := range j.lstate.sortedKeys() {
-		rb := j.rstate.buckets[key]
-		if rb == nil {
-			continue
-		}
-		j.lstate.each(j.lstate.buckets[key], func(lrow storage.Row, lw int64, ltail bool) {
-			if !j.lwhere.pass(lrow) {
-				return
-			}
-			j.rstate.each(rb, func(rrow storage.Row, rw int64, rtail bool) {
-				if !j.rwhere.pass(rrow) {
-					return
-				}
-				if row := concatRows(lrow, rrow); j.where.pass(row) {
-					out = append(out, weightedRow{row: row, w: lw * rw, loose: ltail || rtail})
-				}
-			})
-		})
+func (j *joinNode) current(v *visitor) {
+	// Left first only when the left residual is the literal, or the only filter.
+	leftFirst := j.rlit == nil && (j.llit != nil || len(j.rwhere) == 0 && len(j.lwhere) > 0)
+	first, second := j.rstate, j.lstate
+	if leftFirst {
+		first, second = j.lstate, j.rstate
 	}
-	return out
+	row := make(storage.Row, len(j.schema))
+	var fs, ss []sideEntry
+	pairKeys(first, second, j.sideLit(leftFirst), func(fb, sb *bucket) {
+		if fs = first.passing(fs[:0], fb, j.sideWhere(leftFirst), v); len(fs) == 0 {
+			return
+		}
+		ss = second.passing(ss[:0], sb, j.sideWhere(!leftFirst), v)
+		ls, rs := ss, fs
+		if leftFirst {
+			ls, rs = fs, ss
+		}
+		for _, l := range ls {
+			copy(row, l.row)
+			for _, r := range rs {
+				copy(row[len(l.row):], r.row)
+				if j.where.pass(row) {
+					v.fn(row, l.w*r.w, l.tail || r.tail, nil)
+				}
+			}
+		}
+	})
 }
 
 // currentSummarized is current as a view that reads the join through a
 // summary sees it: each dimension entry paired with its fact bucket's
-// summary, in place of the bucket's base entries, and with the bucket's
-// tail entries.
-func (j *joinNode) currentSummarized() []weightedRow {
-	var out []weightedRow
-	dimWhere := j.rwhere
-	if j.dim == j.lstate {
-		dimWhere = j.lwhere
-	}
-	for _, key := range j.fact.sortedKeys() {
-		db := j.dim.buckets[key]
-		if db == nil {
-			continue
-		}
-		fb := j.fact.buckets[key]
+// summary, in place of the bucket's base entries — its words lent in one
+// scratch slice — and with the bucket's tail entries. The dimension side
+// is walked first, at the keys its literal index lists when its residual
+// is a literal.
+func (j *joinNode) currentSummarized(v *visitor) {
+	dimLeft := j.dim == j.lstate
+	dimWhere, cols := j.sideWhere(dimLeft), j.fact.summed[j.sum].cols
+	row := make(storage.Row, len(j.schema))
+	var words []uint64
+	pairKeys(j.dim, j.fact, j.sideLit(dimLeft), func(db, fb *bucket) {
 		j.dim.each(db, func(drow storage.Row, dw int64, dtail bool) {
+			v.visits++
 			if !dimWhere.pass(drow) {
 				return
 			}
 			if len(fb.base) > 0 {
-				out = append(out, weightedRow{row: drow, w: dw, loose: dtail, sum: fb.sum.appendWords(nil, j.fact.summed[j.sum].cols)})
+				words = fb.sum.appendWords(words[:0], cols)
+				v.fn(drow, dw, dtail, words)
 			}
 			for i := fb.first; i >= 0; i = j.fact.log[i].next {
 				e := &j.fact.log[i]
-				row := concatRows(e.row, drow)
-				if j.fact == j.rstate {
-					row = concatRows(drow, e.row)
-				}
-				out = append(out, weightedRow{row: row, w: e.w * dw, loose: true})
+				v.visits++
+				v.fn(pairInto(row, dimLeft, drow, e.row), e.w*dw, true, nil)
 			}
 		})
-	}
-	return out
+	})
 }

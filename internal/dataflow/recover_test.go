@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"abivm/internal/ivm"
+	"abivm/internal/storage"
 )
 
 // recoverPair is one view held twice: h on the graph whose sinks crash,
@@ -169,5 +170,138 @@ func TestRecoverRebuildsFromGraph(t *testing.T) {
 	}
 	if uncovered == 0 {
 		t.Fatal("no sink crashed while its log held a delta its cursors do not cover")
+	}
+}
+
+// TestRebuildIgnoresSlotOrder: a rebuild walks the live tables in slot
+// order, and no content depends on it. Churn frees low sales slots and
+// fills them with new, higher keys, and moves sales between stations and
+// stations between regions, so the sales table's slot order is not its
+// key order. Then each shape — a filter over a scan, a join dispatched on
+// a region literal, a join read through a summary with and without one,
+// an unfiltered join and a three-way join — subscribes late to a graph
+// that met the churn empty, with tails in its arrangements and deltas in
+// its logs, and crashes and recovers between rounds of more churn. Each
+// view equals the query recomputed over the live tables and a twin that
+// subscribed before the churn on a graph of its own and never crashed.
+func TestRebuildIgnoresSlotOrder(t *testing.T) {
+	queries := []string{
+		"SELECT s.salekey, s.amount FROM sales AS s WHERE s.amount > 6",
+		"SELECT s.salekey, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'WEST'",
+		"SELECT SUM(s.amount), COUNT(*) FROM sales AS s, stations AS st WHERE s.station = st.stationkey AND st.region = 'EAST'",
+		"SELECT st.region, COUNT(*), SUM(s.amount), AVG(s.amount) FROM sales AS s, stations AS st WHERE s.station = st.stationkey GROUP BY st.region",
+		"SELECT s.salekey, s.amount, st.region FROM sales AS s, stations AS st WHERE s.station = st.stationkey",
+		propQueries[3],
+	}
+	db := propDB(t)
+	g, twinGraph := NewGraph(db), NewGraph(db)
+	var twins []*ViewHandle
+	for _, q := range queries {
+		twins = append(twins, subscribeQuery(t, twinGraph, q))
+	}
+	rng := rand.New(rand.NewSource(11))
+	live := make([]int64, 20)
+	for i := range live {
+		live[i] = int64(i)
+	}
+	next := int64(100)
+	apply := func(table string, mod ivm.Mod) {
+		applyLive(t, db, table, mod)
+		for _, gr := range []*Graph{g, twinGraph} {
+			if gr.scans[table] != nil {
+				if err := gr.Ingest(table, mod); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	sale := func(k int64) storage.Row {
+		return storage.Row{storage.I(k), storage.I(int64(rng.Intn(6))), storage.F(float64(1+rng.Intn(12)) + rng.Float64()/4)}
+	}
+	churn := func() {
+		slices.Sort(live)
+		for _, k := range live[:3] { // the lowest keys hold the lowest slots
+			apply("sales", ivm.Mod{Kind: ivm.ModDelete, Key: []storage.Value{storage.I(k)}})
+		}
+		live = live[3:]
+		for range 3 { // into the slots just freed
+			apply("sales", ivm.Mod{Kind: ivm.ModInsert, Row: sale(next)})
+			live = append(live, next)
+			next++
+		}
+		for range 3 { // maybe to another station
+			k := live[rng.Intn(len(live))]
+			apply("sales", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(k)}, Row: sale(k)})
+		}
+		for range 2 {
+			st := int64(rng.Intn(6))
+			apply("stations", ivm.Mod{Kind: ivm.ModUpdate, Key: []storage.Value{storage.I(st)},
+				Row: storage.Row{storage.I(st), storage.S([]string{"EAST", "WEST"}[rng.Intn(2)])}})
+		}
+	}
+	check := func(ctx string, views []*ViewHandle) {
+		t.Helper()
+		for i, h := range views {
+			if err := twins[i].Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonical(h.Result()), recompute(t, db, queries[i]); got != want {
+				t.Fatalf("%s: %s\nmaintained\n%s\nrecomputed\n%s", ctx, queries[i], got, want)
+			}
+			if got, want := renderRows(h.Result()), renderRows(twins[i].Result()); got != want {
+				t.Fatalf("%s: %s\nrebuilt: %s\ntwin:    %s", ctx, queries[i], got, want)
+			}
+		}
+	}
+
+	for range 4 {
+		churn()
+	}
+	var keys []int64
+	sales, err := db.Table("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sales.EachStored(func(r storage.Row) { keys = append(keys, r[0].Int()) })
+	if slices.IsSorted(keys) {
+		t.Fatalf("churn left the sales slots in key order: %v", keys)
+	}
+	var views []*ViewHandle
+	for i, q := range queries {
+		views = append(views, subscribeQuery(t, g, q))
+		churn() // later views find tails and logged deltas the earlier ones left
+		if i == 0 {
+			g.Trim()
+		}
+	}
+	j3, ok := views[5].top.(*joinNode)
+	if _, filtered := views[0].top.(*filterNode); !filtered || views[1].top.(*joinNode).rlit == nil ||
+		!views[2].summarized || !views[3].summarized || views[4].summarized || !ok || len(j3.tables()) != 3 {
+		t.Fatal("the views are not the shapes named")
+	}
+	for _, h := range views {
+		if err := h.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("late subscribers", views)
+	for round := 0; round < 24; round++ {
+		churn()
+		for _, h := range views {
+			if pend := h.Pending(); rng.Intn(2) == 0 && pend[0] > 0 {
+				if err := h.ProcessBatch(h.Aliases()[0], 1+rng.Intn(pend[0])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.Recover() // with a backlog the cursors do not cover
+			if err := h.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%2 == 1 {
+			g.Trim()
+			checkGraphInvariants(t, fmt.Sprintf("round %d trimmed", round), g)
+		}
+		check(fmt.Sprintf("round %d recovered", round), views)
 	}
 }

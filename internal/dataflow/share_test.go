@@ -94,10 +94,11 @@ func TestScanSharesLiveRows(t *testing.T) {
 	}
 	keyOf := func(k int64) []byte { return storage.AppendKey(nil, storage.I(k)) }
 	same := func(a, b storage.Row) bool { return a != nil && b != nil && &a[0] == &b[0] }
-	current := g.scans["sales"].current()
-	for _, wr := range current {
-		if !same(wr.row, sales.Stored(keyOf(wr.row[0].Int()))) {
-			t.Fatalf("the scan reads sale %v apart from the live row", wr.row)
+	var current []storage.Row
+	g.scans["sales"].current(&visitor{fn: func(row storage.Row, _ int64, _ bool, _ []uint64) { current = append(current, row) }})
+	for _, row := range current {
+		if !same(row, sales.Stored(keyOf(row[0].Int()))) {
+			t.Fatalf("the scan reads sale %v apart from the live row", row)
 		}
 	}
 	if len(current) != sales.Len() {

@@ -437,3 +437,47 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaLogCapacitySettles: a delta log whose length at a trim swings
+// at random between 8 and 88 deltas settles on one capacity: after the
+// first 8 trims, no append grows it and no trim gives any back, where
+// capacity fitted to the last length alone changed 114 times in the next
+// 192 — given back whenever the length fell by half, grown again when it
+// rose. What a stalled reader held is still given back at the trim after
+// the one that drops it.
+func TestDeltaLogCapacitySettles(t *testing.T) {
+	reader := &ViewHandle{cursors: []uint64{0}}
+	l := &deltaLog{readers: []*ViewHandle{reader}, wm: make([]uint64, 1), ctr: &counters{}}
+	var coord uint64
+	changes, last := 0, 0
+	noteCap := func(counted bool) {
+		if c := cap(l.deltas); c != last {
+			last = c
+			if counted {
+				changes++
+			}
+		}
+	}
+	cycle := func(n int, counted bool) {
+		for range n {
+			coord++
+			l.onDelta(Delta{W: 1, Coord: Coord{coord}})
+			noteCap(counted)
+		}
+		reader.cursors[0] = coord
+		l.trim()
+		noteCap(counted)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		cycle(8+rng.Intn(81), i >= 8)
+	}
+	if changes != 0 {
+		t.Fatalf("the capacity changed %d times over 192 trims of a log 8 to 88 deltas long, want none", changes)
+	}
+	cycle(20000, false) // a stalled reader drains
+	cycle(50, false)
+	if c := cap(l.deltas); c > 2*(50+logSwing+logSlack) {
+		t.Fatalf("a log of 50 deltas keeps the capacity of %d after a stall", c)
+	}
+}

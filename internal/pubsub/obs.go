@@ -73,6 +73,7 @@ type brokerObs struct {
 	dfProducts    *obs.Gauge
 	dfFolds       *obs.Gauge
 	dfFoldVisits  *obs.Gauge
+	dfRebuilds    *obs.Gauge
 
 	// ivm is the bundle every classic subscription's maintainer counts
 	// its redo log, checkpoints and recovery replay in; its histograms
@@ -120,6 +121,7 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, dur durable.Stats) *brokerO
 		dfProducts:    reg.Gauge("ivm_dataflow_products_total"),
 		dfFolds:       reg.Gauge("ivm_dataflow_folds_total"),
 		dfFoldVisits:  reg.Gauge("ivm_dataflow_fold_visits_total"),
+		dfRebuilds:    reg.Gauge("ivm_dataflow_rebuild_visits_total"),
 		ivm:           ivm.NewMetrics(reg),
 	}
 }
@@ -335,6 +337,7 @@ func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
 	o.dfProducts.Set(float64(st.Products))
 	o.dfFolds.Set(float64(st.Folds))
 	o.dfFoldVisits.Set(float64(st.FoldVisits))
+	o.dfRebuilds.Set(float64(st.RebuildVisits))
 }
 
 // syncSub refreshes a subscription's gauges after its share of a step

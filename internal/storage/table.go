@@ -180,16 +180,14 @@ func (t *Table) Stored(key []byte) Row {
 	return t.rows[slot]
 }
 
-// EachStored visits the live rows in encoded primary-key order, charging
-// no work unit, like Stored.
+// EachStored visits the live rows in slot order, charging no work unit,
+// like Stored. Slot order is deterministic but not key order: a deleted
+// row's slot goes to a later insert.
 func (t *Table) EachStored(fn func(r Row)) {
-	keys := make([]string, 0, len(t.pk))
-	for k := range t.pk {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(t.rows[t.pk[k]])
+	for _, r := range t.rows {
+		if r != nil {
+			fn(r)
+		}
 	}
 }
 
