@@ -98,7 +98,7 @@ func WithPolicy(kind PolicyKind) Option {
 }
 
 // WithCustomPolicy installs a caller-provided policy implementation (for
-// example an Adapt policy wrapping a precomputed plan, or an Oracle).
+// example an Adapt policy wrapping a precomputed plan).
 func WithCustomPolicy(p policy.Policy) Option {
 	return func(cfg *config) { cfg.custom = p }
 }

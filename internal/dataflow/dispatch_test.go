@@ -81,7 +81,7 @@ func TestFanoutProbesAndProducts(t *testing.T) {
 	}
 	h := fnv.New64a()
 	for _, l := range g.logs {
-		fmt.Fprintf(h, "%s\n", l.src.sig())
+		fmt.Fprintf(h, "%s\n", srcOf(g, l).sig())
 		for _, d := range recs[l].deltas {
 			fmt.Fprintf(h, "%v %d %v\n", d.Row, d.W, d.Coord)
 		}

@@ -395,16 +395,14 @@ type Graph struct {
 	nodes   map[string]node
 	scans   map[string]*scanNode
 	arrs    map[string]*arrangement // by arrangementID
+	arrList []*arrangement          // the same in creation order, which Trim nets them in
 	hits    uint64
 	arrHits uint64
 	views   []*ViewHandle // the attached sinks, in subscribe order
 	logs    []*deltaLog   // one per operator with sinks, in order of their first sink
 	ctr     counters
-	arena   deltaArena // the rows and coordinates deltas carry
-	// arrOrder caches the arrangements in identity order for Trim; arrange
-	// resets it. wm is Trim's watermark, reused across calls.
-	arrOrder []*arrangement
-	wm       map[string]uint64
+	arena   deltaArena        // the rows and coordinates deltas carry
+	wm      map[string]uint64 // Trim's watermark, reused across calls
 }
 
 // NewGraph builds an empty operator graph over the live database.
@@ -454,15 +452,13 @@ func (g *Graph) Subscribe(p *ivm.DeltaPlan) (*ViewHandle, error) {
 // logOf returns the delta log of an operator's output, making it — and
 // wiring it below the operator — for the operator's first sink.
 func (g *Graph) logOf(n node) *deltaLog {
-	for _, l := range g.logs {
-		if l.src == n {
-			return l
-		}
+	b := n.base()
+	if b.log == nil {
+		b.log = &deltaLog{wm: make([]uint64, len(n.tables())), ctr: &g.ctr}
+		n.addOut(b.log)
+		g.logs = append(g.logs, b.log)
 	}
-	l := &deltaLog{src: n, wm: make([]uint64, len(n.tables())), ctr: &g.ctr}
-	n.addOut(l)
-	g.logs = append(g.logs, l)
-	return l
+	return b.log
 }
 
 // bind resolves everything realize needs to build a spec tree's missing
@@ -673,7 +669,7 @@ func (g *Graph) arrange(id string, child node, keys []exec.Scalar) *arrangement 
 	}
 	a := newArrangement(id, &g.ctr, &g.arena, child, keys)
 	g.arrs[id] = a
-	g.arrOrder = nil
+	g.arrList = append(g.arrList, a)
 	return a
 }
 
@@ -710,10 +706,7 @@ func (g *Graph) Trim() {
 			}
 		}
 	}
-	if g.arrOrder == nil {
-		g.arrOrder = sortedByKey(g.arrs)
-	}
-	for _, a := range g.arrOrder {
+	for _, a := range g.arrList {
 		a.trim(g.wm)
 	}
 	for _, l := range g.logs {
@@ -730,16 +723,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// sortedByKey returns the map's values in key order. Never nil.
-func sortedByKey[V any](m map[string]V) []V {
-	keys := sortedKeys(m)
-	out := make([]V, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
 }
 
 // GraphStats is the observable shape of the shared graph.

@@ -90,12 +90,10 @@ type ViewHandle struct {
 // that subscribes later starts with cursors that cover every delta
 // already there.
 type deltaLog struct {
-	src        node
 	deltas     []Delta
 	readers    []*ViewHandle // in subscribe order
 	rowReaders int           // the readers that do not read a join through a summary
 	wm         []uint64      // the last trim's watermark
-	byFrom     []*ViewHandle // trim's readers in from order, reused
 	high       int           // the lengths trims found, smoothed (trim)
 	ctr        *counters
 }
@@ -122,16 +120,15 @@ func (l *deltaLog) onDelta(d Delta) {
 // trim drops the deltas every reader's cursors cover — those the
 // per-position minimum of the readers' cursors covers — so the log keeps
 // exactly the union of what its readers have not drained. No recovery
-// takes a dropped delta back, and no reader's from points past one. Each
-// reader's from becomes the number of deltas kept before it, read off the
-// one running count as the walk passes it: the readers are visited in from
-// order. A log's length here swings widely from one trim to the next, and
-// capacity fitted to the last length alone was given back only to be
-// grown again at the next. So the capacity follows high: the largest
-// length found lately, losing a thirty-second a trim, but never more than
-// logSwing above this trim's, so what a stalled reader held is given back
-// at the trim after it drained. Capacity more than half again beyond
-// high plus logSlack is given back.
+// takes a dropped delta back. A reader's from is its first delta its
+// cursors do not cover, which a trim keeps, so skipCovered finds it again
+// in the compacted log. A log's length here swings widely from one trim
+// to the next, and capacity fitted to the last length alone was given
+// back only to be grown again at the next. So the capacity follows high:
+// the largest length found lately, losing a thirty-second a trim, but
+// never more than logSwing above this trim's, so what a stalled reader
+// held is given back at the trim after it drained. Capacity more than
+// half again beyond high plus logSlack is given back.
 func (l *deltaLog) trim() {
 	for i := range l.wm {
 		l.wm[i] = math.MaxUint64
@@ -141,29 +138,25 @@ func (l *deltaLog) trim() {
 			l.wm[i] = min(l.wm[i], c)
 		}
 	}
-	l.byFrom = append(l.byFrom[:0], l.readers...)
-	slices.SortFunc(l.byFrom, func(a, b *ViewHandle) int { return a.from - b.from })
-	peak, kept, r := len(l.deltas), 0, 0
-	for i, d := range l.deltas {
-		for ; r < len(l.byFrom) && l.byFrom[r].from == i; r++ {
-			l.byFrom[r].from = kept
-		}
+	peak, kept := len(l.deltas), 0
+	for _, d := range l.deltas {
 		if !d.Coord.covered(l.wm) {
 			l.deltas[kept] = d
 			kept++
 		}
 	}
-	for _, h := range l.byFrom[r:] {
-		h.from = kept
-	}
 	l.ctr.retained -= peak - kept
 	l.high = min(max(peak, l.high-l.high/32), peak+logSwing)
 	if size := l.high + logSlack; 2*cap(l.deltas) > 3*size {
 		l.deltas = append(make([]Delta, 0, size), l.deltas[:kept]...)
-		return
+	} else {
+		clear(l.deltas[kept:peak])
+		l.deltas = l.deltas[:kept]
 	}
-	clear(l.deltas[kept:peak])
-	l.deltas = l.deltas[:kept]
+	for _, h := range l.readers {
+		h.from = 0
+		h.skipCovered()
+	}
 }
 
 // newViewHandle makes the sink of a view whose spec tree top is bound
@@ -267,9 +260,9 @@ func (h *ViewHandle) Aliases() []string { return h.aliases }
 // setups; operator work is shared and charged to the graph's tables).
 func (h *ViewHandle) Stats() *storage.Stats { return h.stats }
 
-// AttachWAL makes the handle record drain commits to w, and take a drain
-// back when its append fails. Recovery reads no such record: the cursors
-// are the recovery point. A nil w detaches.
+// AttachWAL makes the handle record each drain to w before it commits, so
+// a drain whose append fails changes nothing. Recovery reads no such
+// record: the cursors are the recovery point. A nil w detaches.
 func (h *ViewHandle) AttachWAL(w *ivm.WAL) { h.wal = w }
 
 // SetInjector installs a fault injector consulted at the drain sites.
@@ -326,18 +319,16 @@ func (h *ViewHandle) ProcessBatch(alias string, k int) error {
 	if err := h.hit(fault.SiteWALCommit); err != nil {
 		return err
 	}
-	// Commit point: advance the cursor, fold the deltas it newly covers,
-	// log the drain. A failed log append takes the fold and the cursor back.
-	old := h.cursors[i]
-	h.cursors[i] = old + uint64(k)
-	h.fold(i, old, 1)
+	// Commit point: log the drain, then advance the cursor and fold the
+	// deltas it newly covers. A failed log append has changed nothing.
 	if h.wal != nil {
 		if _, err := h.wal.Append(ivm.WALRecord{Kind: ivm.WALDrain, Alias: alias, K: k}); err != nil {
-			h.fold(i, old, -1)
-			h.cursors[i] = old
 			return fmt.Errorf("dataflow: wal commit: %w", err)
 		}
 	}
+	old := h.cursors[i]
+	h.cursors[i] = old + uint64(k)
+	h.fold(i, old)
 	h.skipCovered()
 	h.stats.BatchSetups++
 	return nil
@@ -356,35 +347,34 @@ func (h *ViewHandle) skipCovered() {
 // drains.
 const maxRetractScratch = 1 << 10
 
-// fold folds every delta a drain newly covers into the view state with
-// its weight times dir: 1 applies the drain, -1 takes it back. Only the
-// cursor at position pos moved, up from old, so those are the deltas above
-// old there that the cursors now cover everywhere — whatever was covered
-// before, and so folded by an earlier drain, is at or below old. They all
-// lie at or after from, where the one walk over the log starts. The walk
-// folds the positive weights as it meets them and notes where the negative
-// ones are; they fold after it, in log order. So no entry count — a row's
-// multiplicity or a group's — dips below zero on the way, whatever order
-// the shared graph emitted the deltas in, and taking a drain back restores
-// its retractions first. Sums are exact, so the order decides nothing
-// else. The graph counts the deltas folded and the log entries visited.
-func (h *ViewHandle) fold(pos int, old uint64, dir int64) {
+// fold folds every delta a drain newly covers into the view state. Only
+// the cursor at position pos moved, up from old, so those are the deltas
+// above old there that the cursors now cover everywhere — whatever was
+// covered before, and so folded by an earlier drain, is at or below old.
+// They all lie at or after from, where the one walk over the log starts.
+// The walk folds the positive weights as it meets them and notes where
+// the negative ones are; they fold after it, in log order. So no entry
+// count — a row's multiplicity or a group's — dips below zero on the way,
+// whatever order the shared graph emitted the deltas in. Sums are exact,
+// so the order decides nothing else. The graph counts the deltas folded
+// and the log entries visited.
+func (h *ViewHandle) fold(pos int, old uint64) {
 	ds := h.log.deltas[h.from:]
 	folded := 0
 	for i, d := range ds {
 		if d.Coord[pos] > old && d.Coord.covered(h.cursors) && h.reads(d.Coord) {
-			switch w := dir * d.W; {
-			case w > 0:
-				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), w)
+			switch {
+			case d.W > 0:
+				h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), d.W)
 				folded++
-			case w < 0:
+			case d.W < 0:
 				h.retract = append(h.retract, i)
 			}
 		}
 	}
 	for _, i := range h.retract {
 		d := ds[i]
-		h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), dir*d.W)
+		h.foldDelta(d.Row, d.Coord.summary(len(h.cursors)), d.W)
 	}
 	folded += len(h.retract)
 	h.g.ctr.folds += uint64(folded)

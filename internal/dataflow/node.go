@@ -39,6 +39,8 @@ type node interface {
 	// addOut adds a downstream edge: an operator, an arrangement or the
 	// delta log view sinks read.
 	addOut(r receiver)
+	// base is the mechanics every operator shares, its delta log among them.
+	base() *nodeBase
 	// fanout is the number of downstream consumers: direct edges, the
 	// sinks reading its delta log, and the join ports reached through an
 	// arrangement.
@@ -58,20 +60,23 @@ type counters struct {
 	rebuilds    uint64 // table rows and arrangement entries rebuilds visited
 }
 
-// nodeBase carries the shared node mechanics: identity, schema and the
-// downstream edge list. Operators keep nothing they emit — a delta
-// waits in the arrangements and the delta log downstream, nowhere else.
+// nodeBase carries the shared node mechanics: identity, schema, the
+// downstream edge list and the delta log its sinks read, nil until the
+// first (Graph.logOf). Operators keep nothing they emit — a delta waits
+// in the arrangements and the delta log downstream, nowhere else.
 type nodeBase struct {
 	signature string
 	tabs      []string
 	schema    []exec.Col
 	outs      []receiver
+	log       *deltaLog
 }
 
 func (n *nodeBase) sig() string       { return n.signature }
 func (n *nodeBase) tables() []string  { return n.tabs }
 func (n *nodeBase) cols() []exec.Col  { return n.schema }
 func (n *nodeBase) addOut(r receiver) { n.outs = append(n.outs, r) }
+func (n *nodeBase) base() *nodeBase   { return n }
 
 // fanout counts an arrangement as the join ports it serves and a delta
 // log as the sinks reading it, so sharing a join input or a log does not
@@ -737,8 +742,7 @@ func (a *arrangement) attach(j *joinNode, left bool, other *arrangement) {
 	g.arriving.add(len(g.joins), j.sideLit(left))
 	g.partner.add(len(g.joins), j.sideLit(!left))
 	g.joins = append(g.joins, j)
-	g.live = make([]int, 0, len(g.joins))
-	g.rows = make([]bool, len(g.joins))
+	g.rows = append(g.rows, false)
 }
 
 // summaryOf returns the index in summed of the summary of the columns

@@ -324,35 +324,34 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	t.Helper()
 	rows, retained, sinks, sides, joins := 0, 0, 0, 0, 0
 	for _, l := range g.logs {
-		if g.nodes[l.src.sig()] != l.src || edgesTo(l.src, l) != 1 {
-			t.Fatalf("%s: the log of %s hangs off an operator the graph does not hold, or not once", ctx, l.src.sig())
+		src := srcOf(g, l)
+		if src == nil || edgesTo(src, l) != 1 {
+			t.Fatalf("%s: a log hangs off no operator the graph holds, or not once", ctx)
 		}
 		if len(l.readers) == 0 {
-			t.Fatalf("%s: the log of %s kept with no reader", ctx, l.src.sig())
+			t.Fatalf("%s: the log of %s kept with no reader", ctx, src.sig())
 		}
 		retained += len(l.deltas)
 		for _, d := range l.deltas {
 			if d.Coord.covered(l.wm) {
-				t.Fatalf("%s: the log of %s holds %v, which its last trim's watermark %v covers", ctx, l.src.sig(), d.Coord, l.wm)
+				t.Fatalf("%s: the log of %s holds %v, which its last trim's watermark %v covers", ctx, src.sig(), d.Coord, l.wm)
 			}
 		}
 		for r, h := range l.readers {
 			sinks++
 			if !Coord(l.wm).covered(h.cursors) {
-				t.Fatalf("%s: the log of %s was trimmed to %v, past reader %d's cursors %v", ctx, l.src.sig(), l.wm, r, h.cursors)
+				t.Fatalf("%s: the log of %s was trimmed to %v, past reader %d's cursors %v", ctx, src.sig(), l.wm, r, h.cursors)
 			}
-			if h.log != l || h.top != l.src || !slices.Contains(g.views, h) {
-				t.Fatalf("%s: reader %d reads the log of %s but is not a sink over it", ctx, r, l.src.sig())
+			if h.log != l || h.top != src || !slices.Contains(g.views, h) {
+				t.Fatalf("%s: reader %d reads the log of %s but is not a sink over it", ctx, r, src.sig())
 			}
-			if h.from > len(l.deltas) {
-				t.Fatalf("%s: reader %d of %s starts its walk at %d of %d", ctx, r, l.src.sig(), h.from, len(l.deltas))
+			first := slices.IndexFunc(l.deltas, func(d Delta) bool { return !d.Coord.covered(h.cursors) })
+			if first < 0 {
+				first = len(l.deltas)
 			}
-			// Covered up to from, and not at it.
-			for i, d := range l.deltas[:min(h.from+1, len(l.deltas))] {
-				if d.Coord.covered(h.cursors) != (i < h.from) {
-					t.Fatalf("%s: reader %d of %s starts its walk at %d of %d, but its cursors %v cover delta %d at %v: %v",
-						ctx, r, l.src.sig(), h.from, len(l.deltas), h.cursors, i, d.Coord, i >= h.from)
-				}
+			if h.from != first {
+				t.Fatalf("%s: reader %d of %s starts its walk at %d of %d, but its first delta its cursors %v do not cover is %d",
+					ctx, r, src.sig(), h.from, len(l.deltas), h.cursors, first)
 			}
 		}
 	}
@@ -444,6 +443,25 @@ func checkGraphInvariants(t *testing.T, ctx string, g *Graph) {
 	}
 }
 
+// srcOf returns the operator whose delta log l is, or nil.
+func srcOf(g *Graph, l *deltaLog) node {
+	for _, n := range g.nodes {
+		if n.base().log == l {
+			return n
+		}
+	}
+	return nil
+}
+
+// sortedByKey returns the map's values in key order.
+func sortedByKey[V any](m map[string]V) []V {
+	var out []V
+	for _, k := range sortedKeys(m) {
+		out = append(out, m[k])
+	}
+	return out
+}
+
 // consumers exposes an operator's edge list to the walk above; every
 // operator embeds nodeBase.
 func (n *nodeBase) consumers() []receiver { return n.outs }
@@ -473,7 +491,7 @@ func recordLogs(g *Graph, recs map[*deltaLog]*deltaLog) {
 	for _, l := range g.logs {
 		if recs[l] == nil {
 			recs[l] = newRecorder()
-			l.src.addOut(recs[l])
+			srcOf(g, l).addOut(recs[l])
 		}
 	}
 }
@@ -496,21 +514,22 @@ func checkLogContents(t *testing.T, ctx string, g *Graph, recs map[*deltaLog]*de
 		}
 		if len(l.deltas) != len(want) {
 			t.Fatalf("%s: the log of %s holds %d deltas, %d emitted ones are above its last trim's watermark",
-				ctx, l.src.sig(), len(l.deltas), len(want))
+				ctx, srcOf(g, l).sig(), len(l.deltas), len(want))
 		}
 		for i, d := range l.deltas {
 			if &d.Row[0] != &want[i].Row[0] || d.W != want[i].W || !slices.Equal(d.Coord, want[i].Coord) {
-				t.Fatalf("%s: the log of %s holds %v at %d, emitted %v", ctx, l.src.sig(), d, i, want[i])
+				t.Fatalf("%s: the log of %s holds %v at %d, emitted %v", ctx, srcOf(g, l).sig(), d, i, want[i])
 			}
 		}
 		recs[l].deltas = want
 	}
 }
 
-// TestTrimRepositionsReaders: one log with eight readers at different
-// places, their cursors drawn at random. Trim keeps what the
-// rule it replaced kept — for every delta, ask every reader whether it
-// starts there — and moves every reader's from where that rule moved it.
+// TestTrimRepositionsReaders: one log with eight readers, their cursors
+// drawn at random and each starting its walk at its first delta they do
+// not cover. Trim keeps exactly the deltas the readers' least cursors do
+// not cover, and moves every reader's from to the number of kept deltas
+// before it — still its first uncovered delta.
 func TestTrimRepositionsReaders(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -520,24 +539,20 @@ func TestTrimRepositionsReaders(t *testing.T) {
 				Coord: Coord{uint64(1 + rng.Intn(20)), uint64(1 + rng.Intn(20))}})
 		}
 		l.ctr.retained = len(l.deltas)
-		froms := append(rng.Perm(len(l.deltas))[:7], len(l.deltas))
-		rng.Shuffle(len(froms), func(i, j int) { froms[i], froms[j] = froms[j], froms[i] })
-		for _, from := range froms {
-			l.readers = append(l.readers, &ViewHandle{from: from,
-				cursors: []uint64{uint64(rng.Intn(21)), uint64(rng.Intn(21))}})
-		}
-		// The rule trim replaced, over copies.
 		wm := []uint64{math.MaxUint64, math.MaxUint64}
-		for _, h := range l.readers {
+		for range 8 {
+			h := &ViewHandle{log: l, cursors: []uint64{uint64(rng.Intn(21)), uint64(rng.Intn(21))}}
+			h.skipCovered()
+			l.readers = append(l.readers, h)
 			for i, c := range h.cursors {
 				wm[i] = min(wm[i], c)
 			}
 		}
-		wantFrom := slices.Clone(froms)
 		var want []Delta
+		wantFrom := make([]int, len(l.readers))
 		for i, d := range l.deltas {
-			for r, from := range froms {
-				if from == i {
+			for r, h := range l.readers {
+				if h.from == i {
 					wantFrom[r] = len(want)
 				}
 			}
@@ -545,8 +560,8 @@ func TestTrimRepositionsReaders(t *testing.T) {
 				want = append(want, d)
 			}
 		}
-		for r, from := range froms {
-			if from == len(l.deltas) {
+		for r, h := range l.readers {
+			if h.from == len(l.deltas) {
 				wantFrom[r] = len(want)
 			}
 		}
@@ -561,7 +576,7 @@ func TestTrimRepositionsReaders(t *testing.T) {
 		}
 		for r, h := range l.readers {
 			if h.from != wantFrom[r] {
-				t.Fatalf("seed %d: reader %d from %d moved to %d, want %d", seed, r, froms[r], h.from, wantFrom[r])
+				t.Fatalf("seed %d: reader %d moved to %d, want %d", seed, r, h.from, wantFrom[r])
 			}
 		}
 	}

@@ -446,8 +446,9 @@ func TestSinkBuffersEachDeltaOnce(t *testing.T) {
 // rose. What a stalled reader held is still given back at the trim after
 // the one that drops it.
 func TestDeltaLogCapacitySettles(t *testing.T) {
-	reader := &ViewHandle{cursors: []uint64{0}}
-	l := &deltaLog{readers: []*ViewHandle{reader}, wm: make([]uint64, 1), ctr: &counters{}}
+	l := &deltaLog{wm: make([]uint64, 1), ctr: &counters{}}
+	reader := &ViewHandle{log: l, cursors: []uint64{0}}
+	l.readers = []*ViewHandle{reader}
 	var coord uint64
 	changes, last := 0, 0
 	noteCap := func(counted bool) {
@@ -465,6 +466,7 @@ func TestDeltaLogCapacitySettles(t *testing.T) {
 			noteCap(counted)
 		}
 		reader.cursors[0] = coord
+		reader.skipCovered()
 		l.trim()
 		noteCap(counted)
 	}

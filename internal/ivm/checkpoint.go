@@ -198,11 +198,8 @@ type CheckpointChain struct {
 }
 
 // NewCheckpointChain returns an empty chain rolling over beyond maxDepth
-// delta segments; maxDepth < 0 selects DefaultChainDepth.
+// delta segments.
 func NewCheckpointChain(maxDepth int) *CheckpointChain {
-	if maxDepth < 0 {
-		maxDepth = DefaultChainDepth
-	}
 	return &CheckpointChain{maxDepth: maxDepth}
 }
 
@@ -210,13 +207,9 @@ func NewCheckpointChain(maxDepth int) *CheckpointChain {
 // backend: the base, the delta segments in chain order, and the WAL
 // position the last segment covers through. The caller attests the
 // segments form a valid FromLSN→LSN chain (recovery re-validates them
-// when it folds the chain); maxDepth < 0 selects DefaultChainDepth.
+// when it folds the chain).
 func RestoreChain(base []byte, deltas [][]byte, tipLSN uint64, maxDepth int) *CheckpointChain {
-	c := NewCheckpointChain(maxDepth)
-	c.base = base
-	c.deltas = deltas
-	c.tipLSN = tipLSN
-	return c
+	return &CheckpointChain{base: base, deltas: deltas, tipLSN: tipLSN, maxDepth: maxDepth}
 }
 
 // SetStore attaches a durable mirror receiving every base and delta

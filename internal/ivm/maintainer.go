@@ -345,18 +345,18 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 		return rollback(err)
 	}
 
-	// Commit point: fold the delta into the view state (exact inverse
-	// deltas, cannot fail), log the drain, mark the touched keys dirty
-	// for the next incremental checkpoint, trim the queue.
-	m.view.FoldSigned(out, outMinus, 1)
+	// Commit point: log the drain — a failed append rolls the replica
+	// back and leaves the view untouched — then fold the delta into the
+	// view state (cannot fail), mark the touched keys dirty for the next
+	// incremental checkpoint, trim the queue.
 	if m.wal != nil {
 		_, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k})
 		m.obs.observeWALAppend()
 		if err != nil {
-			m.view.FoldSigned(out, outMinus, -1)
 			return rollback(fmt.Errorf("ivm: wal commit: %w", err))
 		}
 	}
+	m.view.FoldSigned(out, outMinus)
 	m.stats.BatchSetups++
 	m.markDirty(m.tables[alias], repl, delta)
 	// Recycle the drained prefix in place instead of re-slicing: the

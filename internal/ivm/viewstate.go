@@ -75,14 +75,14 @@ func (v *ViewState) Add(rows []storage.Row) {
 }
 
 // FoldSigned folds one signed delta batch in slice order: rows[:minus]
-// with weight -w each, then rows[minus:] with weight +w. w is 1 to apply
-// the batch and -1 to take it back. The state keeps the rows.
-func (v *ViewState) FoldSigned(rows []storage.Row, minus int, w int64) {
+// with weight -1 each, then rows[minus:] with weight +1. The state keeps
+// the rows.
+func (v *ViewState) FoldSigned(rows []storage.Row, minus int) {
 	for _, r := range rows[:minus] {
-		v.fold(r, -w, false)
+		v.fold(r, -1, false)
 	}
 	for _, r := range rows[minus:] {
-		v.fold(r, w, false)
+		v.fold(r, 1, false)
 	}
 }
 

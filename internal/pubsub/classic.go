@@ -30,17 +30,12 @@ type classicEngine struct {
 	ms    *ivm.Metrics
 }
 
-// newClassicEngine opens the namespace's store when open is non-nil and
-// builds the engine over it, so the very first base segment already
-// lands in files and a crash before the first step recovers from them.
-func newClassicEngine(db *storage.DB, query, ns string, open durable.Opener) (*classicEngine, error) {
-	e := &classicEngine{db: db, query: query}
-	if open != nil {
-		var err error
-		if e.store, err = open(ns); err != nil {
-			return nil, fmt.Errorf("opening durable store: %w", err)
-		}
-	}
+// newClassicEngine builds the engine over the namespace's disk store, or
+// in memory when store is nil. The store is attached before the base
+// checkpoint, so the very first base segment already lands in files and a
+// crash before the first step recovers from them.
+func newClassicEngine(db *storage.DB, query, ns string, store *durable.Store) (*classicEngine, error) {
+	e := &classicEngine{db: db, query: query, store: store}
 	if err := e.build(ns); err != nil {
 		return nil, err
 	}
@@ -113,23 +108,7 @@ func (e *classicEngine) Recover() (fallback bool, err error) {
 	return fallback, nil
 }
 
-// Sync flushes the disk-backed WAL, so the on-disk log matches the
-// in-memory one.
-func (e *classicEngine) Sync() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.store.Sync()
-}
-
 func (e *classicEngine) WALLen() int { return e.wal.Len() }
-
-func (e *classicEngine) DurableStats() durable.Stats {
-	if e.store == nil {
-		return durable.Stats{}
-	}
-	return e.store.Stats()
-}
 
 func (e *classicEngine) SetInjector(inj fault.Injector) {
 	e.inj = inj

@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
 	"abivm/internal/storage"
@@ -41,20 +40,15 @@ type viewEngine interface {
 	// too damaged for an exact redo and the view was recomputed from the
 	// live tables instead — un-drained arrivals are gone.
 	Recover() (fallback bool, err error)
-	// Sync is the durability barrier: when it returns, every logged record
-	// is as durable as the engine's tier can make it.
-	Sync() error
 	// WALLen is the number of redo-log records a recovery would replay —
-	// those not yet covered by a checkpoint; DurableStats the disk tier's
-	// counters (zero in memory).
+	// those not yet covered by a checkpoint.
 	WALLen() int
-	DurableStats() durable.Stats
 
 	// SetInjector (re)wires fault injection through every part of the
 	// engine, SetMetrics the ivm bundle into a classic engine's maintainer
 	// — the one part that carries it; the shared engine has none. The
-	// broker counts drains and recoveries itself and copies the disk
-	// tier's counters from DurableStats. Nil detaches.
+	// broker counts drains and recoveries itself and reads the disk
+	// tier's counters from the stores it opened. Nil detaches.
 	SetInjector(fault.Injector)
 	SetMetrics(ms *ivm.Metrics)
 }

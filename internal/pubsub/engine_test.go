@@ -16,7 +16,19 @@ import (
 // live-table change and, for the shared engine, the graph ingest.
 type engineUnderTest struct {
 	viewEngine
-	feed func(t *testing.T, table string, mod ivm.Mod)
+	feed  func(t *testing.T, table string, mod ivm.Mod)
+	store *durable.Store // the disk tier's, which the broker would sync; nil in memory
+}
+
+// sync is the broker's durability barrier for this engine alone.
+func (e engineUnderTest) sync(t *testing.T) {
+	t.Helper()
+	if e.store == nil {
+		return
+	}
+	if err := e.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // engineImpls builds each implementation of the contract over a fresh
@@ -44,7 +56,7 @@ var engineImpls = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return engineUnderTest{e, func(t *testing.T, table string, mod ivm.Mod) {
+		return engineUnderTest{viewEngine: e, feed: func(t *testing.T, table string, mod ivm.Mod) {
 			t.Helper()
 			if err := ivm.ApplyLive(db, table, mod, true); err != nil {
 				t.Fatal(err)
@@ -58,11 +70,18 @@ var engineImpls = []struct {
 
 func buildClassic(t *testing.T, open durable.Opener) engineUnderTest {
 	db := salesDB(t)
-	e, err := newClassicEngine(db, eastQuery, "east", open)
+	var store *durable.Store
+	if open != nil {
+		var err error
+		if store, err = open("east"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := newClassicEngine(db, eastQuery, "east", store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engineUnderTest{e, func(t *testing.T, table string, mod ivm.Mod) {
+	return engineUnderTest{viewEngine: e, store: store, feed: func(t *testing.T, table string, mod ivm.Mod) {
 		t.Helper()
 		if err := ivm.ApplyLive(db, table, mod, true); err != nil {
 			t.Fatal(err)
@@ -192,9 +211,7 @@ func TestViewEngineContract(t *testing.T) {
 			if e.WALLen() != 0 {
 				t.Fatalf("WALLen = %d after a checkpoint", e.WALLen())
 			}
-			if err := e.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			e.sync(t)
 
 			// Crash with a checkpoint behind and a WAL suffix ahead (one
 			// drain, one arrival): the recovered engine equals a twin that
@@ -213,9 +230,7 @@ func TestViewEngineContract(t *testing.T) {
 				}
 				x.feed(t, late.table, late.mod)
 			}
-			if err := e.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			e.sync(t)
 			checkWAL("a checkpoint, a drain and an arrival", 1, 1)
 			fallback, err := e.Recover()
 			if err != nil || fallback {
@@ -254,9 +269,7 @@ func TestViewEngineContractDiskFallback(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	e.sync(t)
 	names, err := fsys.List()
 	if err != nil {
 		t.Fatal(err)
@@ -305,9 +318,7 @@ func TestViewEngineContractDiskFallback(t *testing.T) {
 	if err := e.ProcessBatch("s", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	e.sync(t)
 	wantPending, wantRows := pendingOf(e), rowsText(e.Result())
 	if fallback, err := e.Recover(); err != nil || fallback {
 		t.Fatalf("second Recover: fallback=%v err=%v", fallback, err)

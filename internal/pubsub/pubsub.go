@@ -139,8 +139,10 @@ type Broker struct {
 	obs     *brokerObs
 
 	// opener, when set, gives every later subscription a disk-backed
-	// durability store keyed by its namespace.
+	// durability store keyed by its namespace; stores holds those it
+	// opened, in subscription order.
 	opener durable.Opener
+	stores []*durable.Store
 
 	// shared, when set, is the shared delta-dataflow operator graph all
 	// later subscriptions compile into (see SetSharedDataflow); nil
@@ -181,8 +183,8 @@ func (b *Broker) SetInjector(inj fault.Injector) {
 
 // SetCheckpointEvery sets the checkpoint cadence in steps; n <= 0
 // disables periodic checkpoints (the Subscribe-time checkpoint remains
-// the recovery point, with the whole WAL replayed on recovery), and the
-// shared graph then trims every DefaultCheckpointEvery steps.
+// the recovery point, with the whole WAL replayed on recovery). The
+// shared graph trims every DefaultCheckpointEvery steps whatever it is.
 func (b *Broker) SetCheckpointEvery(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -213,8 +215,8 @@ func (b *Broker) DurabilityStats() durable.Stats {
 // durabilityStats is DurabilityStats for callers holding b.mu.
 func (b *Broker) durabilityStats() durable.Stats {
 	var total durable.Stats
-	for _, s := range b.subs {
-		total.Add(s.eng.DurableStats())
+	for _, st := range b.stores {
+		total.Add(st.Stats())
 	}
 	return total
 }
@@ -300,7 +302,21 @@ func (b *Broker) Subscribe(cfg Subscription) error {
 // tier. Caller holds b.mu.
 func (b *Broker) newEngine(p *ivm.DeltaPlan, query, ns string) (viewEngine, error) {
 	if b.shared == nil {
-		return newClassicEngine(b.db, query, ns, b.opener)
+		var store *durable.Store
+		if b.opener != nil {
+			var err error
+			if store, err = b.opener(ns); err != nil {
+				return nil, fmt.Errorf("opening durable store: %w", err)
+			}
+		}
+		e, err := newClassicEngine(b.db, query, ns, store)
+		if err != nil {
+			return nil, err
+		}
+		if store != nil {
+			b.stores = append(b.stores, store)
+		}
+		return e, nil
 	}
 	if b.opener != nil {
 		return nil, errSharedStore
@@ -415,9 +431,9 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	// recovery is byte-identical to the in-memory one. (Appends made
 	// later in this step are covered by the next step's barrier, and a
 	// crash is only ever simulated at the top of a subscription's turn.)
-	for _, s := range b.subs {
-		if err := s.eng.Sync(); err != nil {
-			return nil, fmt.Errorf("pubsub: %s: wal sync: %w", s.cfg.Name, err)
+	for _, st := range b.stores {
+		if err := st.Sync(); err != nil {
+			return nil, fmt.Errorf("pubsub: %s: wal sync: %w", st.Namespace(), err)
 		}
 	}
 	defer func() {
@@ -561,19 +577,18 @@ func (b *Broker) maybeCrash(s *sub) error {
 }
 
 // checkpointDue takes the periodic per-subscription checkpoints, each
-// truncating the WAL prefix it covers. An injected checkpoint failure skips that subscription's
-// checkpoint — recovery simply replays a longer WAL suffix, so nothing
-// degrades.
+// truncating the WAL prefix it covers, and trims the shared graph. An
+// injected checkpoint failure skips that subscription's checkpoint —
+// recovery simply replays a longer WAL suffix, so nothing degrades. The
+// graph trims every DefaultCheckpointEvery steps whatever the checkpoint
+// cadence: join state below the cross-view watermark of the shared sinks'
+// cursors can never be read at its own coordinates again, and a sink has
+// nothing to checkpoint.
 func (b *Broker) checkpointDue() error {
-	if b.cpEvery <= 0 {
-		// No checkpoints, but the shared graph's state still needs its
-		// garbage collected.
-		if b.shared != nil && (b.step+1)%DefaultCheckpointEvery == 0 {
-			b.shared.Trim()
-		}
-		return nil
+	if b.shared != nil && (b.step+1)%DefaultCheckpointEvery == 0 {
+		b.shared.Trim()
 	}
-	if (b.step+1)%b.cpEvery != 0 {
+	if b.cpEvery <= 0 || (b.step+1)%b.cpEvery != 0 {
 		return nil
 	}
 	for _, s := range b.subs {
@@ -588,12 +603,6 @@ func (b *Broker) checkpointDue() error {
 		if err := s.eng.Checkpoint(); err != nil {
 			return fmt.Errorf("pubsub: %s: %w", s.cfg.Name, err)
 		}
-	}
-	// Join state below the cross-view watermark of the shared sinks'
-	// cursors can never be read at its own coordinates again — consolidate
-	// it, at the checkpoint cadence.
-	if b.shared != nil {
-		b.shared.Trim()
 	}
 	return nil
 }

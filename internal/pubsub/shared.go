@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"abivm/internal/dataflow"
-	"abivm/internal/durable"
 	"abivm/internal/ivm"
 )
 
@@ -46,9 +45,7 @@ func (e *sharedEngine) Recover() (bool, error) {
 // no checkpoint, and the broker counts its drains and recoveries.
 func (e *sharedEngine) SetMetrics(*ivm.Metrics) {}
 
-func (e *sharedEngine) Sync() error                 { return nil }
-func (e *sharedEngine) WALLen() int                 { return 0 }
-func (e *sharedEngine) DurableStats() durable.Stats { return durable.Stats{} }
+func (e *sharedEngine) WALLen() int { return 0 }
 
 // errSharedStore refuses the one engine × tier pair that does not
 // exist: the shared graph has no per-operator disk checkpoint.

@@ -69,26 +69,22 @@ echo "==> go test -race"
 go test -race -timeout "${TEST_TIMEOUT:-10m}" ./...
 
 # testing.AllocsPerRun assertions skip themselves under -race (see
-# internal/testenv), so the packages that have them run once more without,
-# selected by -run 'Alloc'. A Test function that calls
-# testenv.NeedsAllocCounts must have Alloc in its name and sit in one of
-# these packages, or that run never reaches it.
-alloc_pkgs="./internal/exec ./internal/storage ./internal/pubsub ./internal/ivm ./internal/durable ./internal/dataflow ./internal/policy ./internal/plan"
+# internal/testenv), so the packages whose tests call
+# testenv.NeedsAllocCounts run once more without, selected by -run
+# 'Alloc'. Such a Test function must have Alloc in its name, or that run
+# never reaches it.
+alloc_files=$(grep -rl 'testenv\.NeedsAllocCounts(' --include='*_test.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' | sort)
+# shellcheck disable=SC2086 # alloc_files is a word list
+alloc_pkgs=$(for f in $alloc_files; do dirname "$f"; done | sort -u)
 echo "==> every allocation-count test is in the run without the race detector"
-unreached=$(grep -rl 'testenv\.NeedsAllocCounts(' --include='*_test.go' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' | sort |
-	while read -r f; do
-		pkg=$(dirname "$f")
-		case " $alloc_pkgs " in
-		*" $pkg "*) ;;
-		*) echo "$f: package $pkg is not in the allocation-count run" ;;
-		esac
-		awk -v f="$f" '
-			/^func / { name = $2; sub(/\(.*/, "", name) }
-			/testenv\.NeedsAllocCounts\(/ && name ~ /^Test/ && name !~ /Alloc/ {
-				print f ":" FNR ": " name " calls testenv.NeedsAllocCounts without Alloc in its name"
-			}
-		' "$f"
-	done)
+# shellcheck disable=SC2086 # alloc_files is a word list
+unreached=$(awk '
+	FNR == 1 { name = "" }
+	/^func / { name = $2; sub(/\(.*/, "", name) }
+	/testenv\.NeedsAllocCounts\(/ && name ~ /^Test/ && name !~ /Alloc/ {
+		print FILENAME ":" FNR ": " name " calls testenv.NeedsAllocCounts without Alloc in its name"
+	}
+' $alloc_files)
 if [ -n "$unreached" ]; then
 	echo "$unreached" >&2
 	exit 1
