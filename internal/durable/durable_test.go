@@ -402,6 +402,17 @@ func TestRecoverCorruptWALFrameTruncatesAtTear(t *testing.T) {
 	r.assertExact(t, true)
 }
 
+// TestRecoverIgnoresForeignWALNames: a file whose name walName does not
+// produce is not a log segment, even when it parses as hex, so its
+// damaged bytes neither raise a corruption nor cut the log short.
+func TestRecoverIgnoresForeignWALNames(t *testing.T) {
+	r := deltaRig(t)
+	if err := r.fs.WriteFile("wal-000000000000000A.log", []byte("not a segment")); err != nil {
+		t.Fatal(err)
+	}
+	r.assertExact(t, false)
+}
+
 func TestRecoverCorruptBaseFallsBackToFullRefresh(t *testing.T) {
 	r := deltaRig(t)
 	// Un-checkpointed pending work that a full refresh legitimately

@@ -223,7 +223,10 @@ func TestWALNames(t *testing.T) {
 			t.Errorf("walName(%d) = %s, parsed to (%d, %v)", lsn, name, got, ok)
 		}
 	}
-	for _, bad := range []string{"wal-.log", "wal-00000000000000zz.log", "MANIFEST", "quarantine/000001-wal-0000000000000001.log"} {
+	// Upper-case hex names the same LSN as walName's lower case but sorts
+	// elsewhere, so it is not a segment name either.
+	for _, bad := range []string{"wal-.log", "wal-00000000000000zz.log", "wal-00000000000000AB.log",
+		"MANIFEST", "quarantine/000001-wal-0000000000000001.log"} {
 		if _, ok := parseWALName(bad); ok {
 			t.Errorf("parseWALName accepted %q", bad)
 		}

@@ -37,10 +37,9 @@ type Recovery struct {
 // longest valid contiguous record run, the segments that survive
 // (including repaired ones), and the damage found along the way.
 type scanState struct {
-	recs    []ivm.WALRecord
-	segs    []walSeg
-	events  []Corruption
-	repairs int
+	recs   []ivm.WALRecord
+	segs   []walSeg
+	events []Corruption
 }
 
 func (s *scanState) first() uint64 {
@@ -160,7 +159,6 @@ func (st *Store) scanWALLocked() scanState {
 			// the media, the next recovery just finds a shorter log.
 			if err := st.writeAtomic(c.name, data[:goodOff]); err == nil {
 				sc.segs = append(sc.segs, walSeg{name: c.name, first: c.first})
-				sc.repairs++
 			}
 		}
 		broken = true

@@ -40,7 +40,7 @@ func parseWALName(name string) (uint64, bool) {
 		return 0, false
 	}
 	first, err := strconv.ParseUint(name[len(prefix):len(prefix)+16], 16, 64)
-	if err != nil {
+	if err != nil || walName(first) != name {
 		return 0, false
 	}
 	return first, true

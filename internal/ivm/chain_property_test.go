@@ -86,7 +86,7 @@ func queuesKey(m *Maintainer) string {
 func evalOver(t *testing.T, m *Maintainer, db *storage.DB) []storage.Row {
 	t.Helper()
 	var scratch storage.Stats
-	op, err := plan.Compile(m.sel, nil, &plan.Options{Resolve: db.Table, Stats: &scratch})
+	op, err := plan.Compile(m.plan.View, nil, &plan.Options{Resolve: db.Table, Stats: &scratch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"abivm/internal/exec"
 	"abivm/internal/fault"
 	"abivm/internal/plan"
-	"abivm/internal/sql"
 	"abivm/internal/storage"
 )
 
@@ -20,21 +19,19 @@ type Maintainer struct {
 	replica *storage.DB
 	stats   *storage.Stats // maintenance-side work units (replica DB)
 
-	sel     *sql.Select
-	plan    *DeltaPlan        // the derivation behind sel/deltaSel, inspectable
+	plan    *DeltaPlan        // the view's delta derivation, inspectable
 	aliases []string          // FROM order; index i is the paper's table i
 	tables  map[string]string // alias -> table name
 	deltas  map[string][]Mod
 
 	// view is the foldable content, keyed entries with counts and aggregate
 	// states, shared with the dataflow runtime (see viewstate.go).
-	view     *ViewState
-	deltaSel *sql.Select // join query emitting (group cols..., agg args...)
+	view *ViewState
 
-	// prepared holds, per alias, deltaSel compiled with that alias's
-	// table replaced by a rebindable batch source — built on the alias's
-	// first drain and reused by every later one. The operators point at
-	// the replica's tables, so setReplica drops them.
+	// prepared holds, per alias, the delta query (plan.Delta) compiled
+	// with that alias's table replaced by a rebindable batch source —
+	// built on its first drain and reused by every later one. The
+	// operators point at the replica's tables, so setReplica drops them.
 	prepared map[string]*preparedDelta
 
 	// Fault-tolerance hooks: an optional redo log of arrivals and drain
@@ -105,14 +102,12 @@ func newSkeleton(live *storage.DB, query string) (*Maintainer, error) {
 		return nil, err
 	}
 	m := &Maintainer{
-		live:     live,
-		sel:      p.View,
-		plan:     p,
-		tables:   make(map[string]string),
-		deltas:   make(map[string][]Mod),
-		dirty:    make(map[string]storage.KeySet),
-		view:     NewViewState(p, nil),
-		deltaSel: p.Delta,
+		live:   live,
+		plan:   p,
+		tables: make(map[string]string),
+		deltas: make(map[string][]Mod),
+		dirty:  make(map[string]storage.KeySet),
+		view:   NewViewState(p, nil),
 	}
 	for _, s := range p.Sources {
 		m.tables[s.Alias] = s.Table
@@ -205,7 +200,7 @@ func (m *Maintainer) setReplica(db *storage.DB) {
 // over the full replicas (an "insert everything" delta), charged as setup
 // rather than maintenance.
 func (m *Maintainer) initialize() error {
-	op, err := plan.Compile(m.deltaSel, nil, &plan.Options{
+	op, err := plan.Compile(m.plan.Delta, nil, &plan.Options{
 		Resolve: m.replica.Table,
 		Stats:   m.stats,
 	})
@@ -270,8 +265,8 @@ func (m *Maintainer) PendingInto(dst []int) []int {
 // Stats is the paper's f_i(k).
 //
 // The drain is atomic: the plan phase (net-delta replay and delta joins)
-// mutates nothing, and the mutation phase keeps an undo journal, so any
-// failure — injected or real — rolls the maintainer back to the exact
+// mutates nothing, and the mutation phase counts its replica writes, so
+// any failure — injected or real — rolls the maintainer back to the exact
 // pre-action state and the error is safe to retry. View-state folding,
 // the WAL commit record, and the queue trim happen only at the commit
 // point. Work units charged to Stats by a failed attempt are not undone:
@@ -297,7 +292,7 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 	repl := m.replica.MustTable(m.tables[alias])
 	// The batch as one signed relation: delta[:minus] are the rows it
 	// retracts, delta[minus:] the rows it inserts.
-	delta, minus, err := m.netDelta(repl, batch)
+	delta, minus, keys, err := m.netDelta(repl, batch)
 	if err != nil {
 		return err
 	}
@@ -307,42 +302,42 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 		return err
 	}
 
-	// Mutation phase: bring replica i up to the post-batch state, keeping
-	// an undo journal so a mid-batch failure restores the pre-action
-	// replica instead of leaving half-applied deltas.
-	var undo []func() error
-	rollback := func(cause error) error {
-		for i := len(undo) - 1; i >= 0; i-- {
-			if rerr := undo[i](); rerr != nil {
-				// A failing undo means the replica is corrupt; surface it
-				// as a distinct, non-retryable error.
-				return fmt.Errorf("ivm: rollback after %v failed: %w", cause, rerr)
-			}
+	// Mutation phase: bring replica i up to the post-batch state, the
+	// deletions delta[:minus] first, then the insertions delta[minus:]. A
+	// mid-batch failure takes back the writes made, newest first, which
+	// two counts name, restoring the pre-action replica.
+	deleted, inserted := 0, 0
+	keyCols := repl.Schema().Key
+	undo := func(cause error) error {
+		var err error
+		for i := minus + inserted - 1; i >= minus && err == nil; i-- {
+			_, err = repl.Delete(delta[i].Project(keyCols)...)
+		}
+		for i := deleted - 1; i >= 0 && err == nil; i-- {
+			err = repl.Insert(delta[i])
+		}
+		if err != nil { // the replica is corrupt: a distinct, non-retryable error
+			return fmt.Errorf("ivm: rollback after %v failed: %w", cause, err)
 		}
 		return cause
 	}
-	for _, r := range delta[:minus] {
-		row := r
-		if _, err := repl.Delete(row.Project(repl.Schema().Key)...); err != nil {
-			return rollback(fmt.Errorf("ivm: replica delete: %w", err))
+	for _, row := range delta[:minus] {
+		if _, err := repl.Delete(row.Project(keyCols)...); err != nil {
+			return undo(fmt.Errorf("ivm: replica delete: %w", err))
 		}
-		undo = append(undo, func() error { return repl.Insert(row) })
+		deleted++
 	}
 	if err := m.hit(fault.SiteDrainApply); err != nil {
-		return rollback(err)
+		return undo(err)
 	}
-	for _, r := range delta[minus:] {
-		row := r
+	for _, row := range delta[minus:] {
 		if err := repl.Insert(row); err != nil {
-			return rollback(fmt.Errorf("ivm: replica insert: %w", err))
+			return undo(fmt.Errorf("ivm: replica insert: %w", err))
 		}
-		undo = append(undo, func() error {
-			_, derr := repl.Delete(row.Project(repl.Schema().Key)...)
-			return derr
-		})
+		inserted++
 	}
 	if err := m.hit(fault.SiteWALCommit); err != nil {
-		return rollback(err)
+		return undo(err)
 	}
 
 	// Commit point: log the drain — a failed append rolls the replica
@@ -353,12 +348,12 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 		_, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k})
 		m.obs.observeWALAppend()
 		if err != nil {
-			return rollback(fmt.Errorf("ivm: wal commit: %w", err))
+			return undo(fmt.Errorf("ivm: wal commit: %w", err))
 		}
 	}
 	m.view.FoldSigned(out, outMinus)
 	m.stats.BatchSetups++
-	m.markDirty(m.tables[alias], repl, delta)
+	m.markDirty(m.tables[alias], keys)
 	// Recycle the drained prefix in place instead of re-slicing: the
 	// queue is an append/drain cycle, and keeping the backing array's
 	// start fixed lets future arrivals reuse the freed cells. The batch
@@ -373,24 +368,20 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 	return nil
 }
 
-// markDirty records the primary keys of rows as changed since the last
-// checkpoint segment. Over-marking is safe: the snapshot delta resolves
-// every dirty key against the current replica state at write time.
-func (m *Maintainer) markDirty(table string, repl *storage.Table, rows []storage.Row) {
-	if len(rows) == 0 {
-		return
-	}
+// markDirty records the keys whose rows a drain changed as dirty since
+// the last checkpoint segment, storing the encoding and values netDelta
+// took of each: marking encodes and projects nothing. Over-marking is
+// safe: the snapshot delta resolves every dirty key against the current
+// replica state at write time.
+func (m *Maintainer) markDirty(table string, keys []touchedKey) {
 	ks := m.dirty[table]
 	if ks == nil {
 		ks = storage.KeySet{}
 		m.dirty[table] = ks
 	}
-	keyCols := repl.Schema().Key
-	var a [64]byte
-	for _, r := range rows {
-		key := storage.AppendKeyCols(a[:0], r, keyCols)
-		if _, marked := ks[string(key)]; !marked {
-			ks[string(key)] = r.Project(keyCols)
+	for _, k := range keys {
+		if _, marked := ks[k.enc]; !marked && (k.initial != nil || k.final != nil) {
+			ks[k.enc] = k.vals
 		}
 	}
 }
@@ -405,72 +396,80 @@ func (m *Maintainer) clearDirty() {
 	}
 }
 
+// touchedKey is a primary key a batch touches: its encoding, its values
+// (an insert's key projection or a modification's own Key), and its
+// replica row at batch start and after the batch (nil when absent).
+type touchedKey struct {
+	enc            string
+	vals           []storage.Value
+	initial, final storage.Row
+}
+
 // netDelta replays a batch against the replica state and collapses it to
 // one signed relation: per key, in first-touch order, the row the batch
-// retracts (rows[:minus]) and the row it inserts (rows[minus:]).
-func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (rows []storage.Row, minus int, err error) {
-	type keyState struct {
-		initial storage.Row // replica row at batch start; nil if absent
-		final   storage.Row // row after replaying the batch; nil if absent
-	}
-	states := map[string]*keyState{}
-	order := []*keyState{} // first-touch order, for deterministic output
-	lookup := func(keyVals []storage.Value) *keyState {
-		k := storage.EncodeKey(keyVals...)
-		st, ok := states[k]
-		if !ok {
-			st = &keyState{}
-			if row, found := repl.Get(keyVals...); found {
-				st.initial = row
-				st.final = row
-			}
-			states[k] = st
-			order = append(order, st)
+// retracts (rows[:minus]) and the row it inserts (rows[minus:]). keys are
+// the touched keys in that order; a key the batch left as it found it has
+// neither row.
+func (m *Maintainer) netDelta(repl *storage.Table, batch []Mod) (rows []storage.Row, minus int, keys []touchedKey, err error) {
+	keys = make([]touchedKey, 0, len(batch))
+	at := make(map[string]int, len(batch)) // encoding -> index in keys
+	var a [64]byte
+	// touch returns the key, first touching it (and reading its replica
+	// row); the pointer is good until the next touch.
+	touch := func(vals []storage.Value) *touchedKey {
+		enc := storage.AppendKey(a[:0], vals...)
+		if i, ok := at[string(enc)]; ok {
+			return &keys[i]
 		}
-		return st
+		k := touchedKey{enc: string(enc), vals: vals}
+		if cur, found := repl.Get(vals...); found {
+			k.initial, k.final = cur, cur
+		}
+		at[k.enc] = len(keys)
+		keys = append(keys, k)
+		return &keys[len(keys)-1]
 	}
 	for _, mod := range batch {
 		switch mod.Kind {
 		case ModInsert:
-			st := lookup(mod.Row.Project(repl.Schema().Key))
-			if st.final != nil {
-				return nil, 0, fmt.Errorf("ivm: replay insert over existing key %v", mod.Row)
+			k := touch(mod.Row.Project(repl.Schema().Key))
+			if k.final != nil {
+				return nil, 0, nil, fmt.Errorf("ivm: replay insert over existing key %v", mod.Row)
 			}
-			st.final = mod.Row
+			k.final = mod.Row
 		case ModDelete:
-			st := lookup(mod.Key)
-			if st.final == nil {
-				return nil, 0, fmt.Errorf("ivm: replay delete of missing key %v", mod.Key)
+			k := touch(mod.Key)
+			if k.final == nil {
+				return nil, 0, nil, fmt.Errorf("ivm: replay delete of missing key %v", mod.Key)
 			}
-			st.final = nil
+			k.final = nil
 		case ModUpdate:
-			st := lookup(mod.Key)
-			if st.final == nil {
-				return nil, 0, fmt.Errorf("ivm: replay update of missing key %v", mod.Key)
+			k := touch(mod.Key)
+			if k.final == nil {
+				return nil, 0, nil, fmt.Errorf("ivm: replay update of missing key %v", mod.Key)
 			}
-			st.final = mod.Row
+			k.final = mod.Row
 		}
 	}
-	// A key whose row the batch left as it found it contributes nothing;
-	// clearing it here lets the two passes below test one field each.
-	for _, st := range order {
-		if st.initial != nil && st.final != nil && rowsEqual(st.initial, st.final) {
-			st.initial, st.final = nil, nil
+	rows = make([]storage.Row, 0, 2*len(keys))
+	for i := range keys {
+		// A key whose row the batch left as it found it contributes
+		// nothing; clearing it lets each pass test one field.
+		k := &keys[i]
+		if k.initial != nil && k.final != nil && rowsEqual(k.initial, k.final) {
+			k.initial, k.final = nil, nil
 		}
-	}
-	rows = make([]storage.Row, 0, 2*len(order))
-	for _, st := range order {
-		if st.initial != nil {
-			rows = append(rows, st.initial)
+		if k.initial != nil {
+			rows = append(rows, k.initial)
 		}
 	}
 	minus = len(rows)
-	for _, st := range order {
-		if st.final != nil {
-			rows = append(rows, st.final)
+	for _, k := range keys {
+		if k.final != nil {
+			rows = append(rows, k.final)
 		}
 	}
-	return rows, minus, nil
+	return rows, minus, keys, nil
 }
 
 func rowsEqual(a, b storage.Row) bool {
@@ -516,7 +515,7 @@ func (m *Maintainer) preparedFor(alias string, repl *storage.Table) (*preparedDe
 		cols[i] = exec.Col{Table: alias, Name: c.Name, Type: c.Type}
 	}
 	src := exec.NewRowsSource(cols, nil, m.stats)
-	op, err := plan.Compile(m.deltaSel, nil, &plan.Options{
+	op, err := plan.Compile(m.plan.Delta, nil, &plan.Options{
 		Sources: map[string]exec.Op{alias: src},
 		Resolve: m.replica.Table,
 		Stats:   m.stats,

@@ -675,23 +675,25 @@ func TestRandomizedMaintenanceAgainstRecompute(t *testing.T) {
 	assertConsistent(t, m)
 }
 
-// TestMarkDirtyAllocs: marking a key that is already dirty looks it up
-// as bytes and allocates nothing; only a key new to the set costs its
-// string and its key values.
+// TestMarkDirtyAllocs: marking stores the encoding and values netDelta
+// took of each changed key, so re-marking a key that is already dirty
+// allocates nothing, and a key the batch left as it found it is not
+// marked.
 func TestMarkDirtyAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	m, err := New(liveDB(t), paperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl := m.replica.MustTable("partsupp")
-	rows := []storage.Row{
-		{storage.I(3), storage.I(3), storage.F(1)},
-		{storage.I(4), storage.I(4), storage.F(2)},
-		{storage.I(3), storage.I(3), storage.F(3)},
+	key := func(v int64) touchedKey {
+		return touchedKey{enc: storage.EncodeKey(storage.I(v)), vals: []storage.Value{storage.I(v)}}
 	}
-	m.markDirty("partsupp", repl, rows)
-	if n := testing.AllocsPerRun(100, func() { m.markDirty("partsupp", repl, rows) }); n != 0 {
+	inserted, deleted, unchanged := key(3), key(4), key(5)
+	inserted.final = storage.Row{storage.I(3), storage.I(3), storage.F(1)}
+	deleted.initial = storage.Row{storage.I(4), storage.I(4), storage.F(2)}
+	keys := []touchedKey{inserted, deleted, unchanged}
+	m.markDirty("partsupp", keys)
+	if n := testing.AllocsPerRun(100, func() { m.markDirty("partsupp", keys) }); n != 0 {
 		t.Errorf("re-marking dirty keys allocated %v times, want 0", n)
 	}
 	ks := m.dirty["partsupp"]

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"abivm/internal/fault"
@@ -127,15 +128,27 @@ func TestRecoverRejectsBadCheckpoint(t *testing.T) {
 	}
 }
 
-func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
-	db := liveDB(t)
-	m, err := New(db, paperView)
+// drainState is what a failed drain must leave as it found it: the
+// replica's snapshot bytes, the delta queues, the view and the dirty set.
+func drainState(m *Maintainer) string {
+	return fmt.Sprintf("replica %x\nqueues %v\nview %s\ndirty %v",
+		m.replica.AppendSnapshot(nil), m.deltas, rowsKey(m.Result()), m.dirty)
+}
+
+// rollbackFixture is a maintainer with one drain committed (so the dirty
+// set is not empty) and, queued on PS, five inserts and an update and a
+// delete of the drained rows, so a drain of the whole queue has both
+// replica deletions and insertions to roll back.
+func rollbackFixture(t *testing.T) *Maintainer {
+	t.Helper()
+	m, err := New(liveDB(t), paperView)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyN(t, m, 100, 5)
-	// Mix in an update and a delete so the drain has both replica
-	// deletions and insertions to roll back.
+	applyN(t, m, 100, 7)
+	if err := m.ProcessBatch("PS", 2); err != nil {
+		t.Fatal(err)
+	}
 	if err := apply(m, Update("PS", []storage.Value{storage.I(100)},
 		storage.Row{storage.I(100), storage.I(3), storage.F(1)})); err != nil {
 		t.Fatal(err)
@@ -143,10 +156,12 @@ func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
 	if err := apply(m, Delete("PS", storage.I(101))); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
 
-	wantPending := pendingKey(m)
-	wantView := rowsKey(m.Result())
-
+func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
+	m := rollbackFixture(t)
+	want := drainState(m)
 	for _, site := range []fault.Site{fault.SiteDrainPlan, fault.SiteDrainApply, fault.SiteWALCommit} {
 		m.SetInjector(fault.AlwaysAt(site))
 		err := m.ProcessBatch("PS", 7)
@@ -156,11 +171,8 @@ func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
 		if !fault.Transient(err) {
 			t.Fatalf("%s: error %v is not transient", site, err)
 		}
-		if got := pendingKey(m); got != wantPending {
-			t.Fatalf("%s: pending %s after failed drain, want %s", site, got, wantPending)
-		}
-		if got := rowsKey(m.Result()); got != wantView {
-			t.Fatalf("%s: view changed after failed drain", site)
+		if got := drainState(m); got != want {
+			t.Fatalf("%s: failed drain changed the maintainer:\n got %s\nwant %s", site, got, want)
 		}
 	}
 
@@ -171,6 +183,72 @@ func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertConsistent(t, m)
+}
+
+// refusingSink is a WAL sink that refuses drain records while refuse is
+// set and accepts everything else.
+type refusingSink struct{ refuse bool }
+
+func (s *refusingSink) AppendRecord(rec WALRecord) error {
+	if s.refuse && rec.Kind == WALDrain {
+		return fmt.Errorf("sink refuses drain of %d on %s", rec.K, rec.Alias)
+	}
+	return nil
+}
+
+func (s *refusingSink) TruncateRecords(uint64) error { return nil }
+
+// TestProcessBatchRollsBackPartialApply fails a drain after it has
+// written part of the replica — partway through its insertions, and
+// after all of them when the redo log refuses the drain record — and
+// checks that the rollback takes back exactly the writes made, so the
+// same drain succeeds once the fault is gone.
+func TestProcessBatchRollsBackPartialApply(t *testing.T) {
+	t.Run("insert", func(t *testing.T) {
+		m := rollbackFixture(t)
+		// A row one column too wide, queued without touching the live
+		// table: the net delta and the delta join take it, and the
+		// replica refuses it after the batch's other insertions.
+		good := storage.Row{storage.I(200), storage.I(2), storage.F(7)}
+		if err := m.ApplyDeferred(Insert("PS", append(good.Clone(), storage.I(0)))); err != nil {
+			t.Fatal(err)
+		}
+		want := drainState(m)
+		if err := m.ProcessBatch("PS", 8); err == nil || !strings.Contains(err.Error(), "replica insert") {
+			t.Fatalf("drain with a row of the wrong arity: error %v, want a replica insert error", err)
+		}
+		if got := drainState(m); got != want {
+			t.Fatalf("failed drain changed the maintainer:\n got %s\nwant %s", got, want)
+		}
+		if err := ApplyLive(m.live, "partsupp", Insert("PS", good), true); err != nil {
+			t.Fatal(err)
+		}
+		m.deltas["PS"][7].Row = good
+		if err := m.ProcessBatch("PS", 8); err != nil {
+			t.Fatal(err)
+		}
+		assertConsistent(t, m)
+	})
+	t.Run("wal", func(t *testing.T) {
+		m := rollbackFixture(t)
+		sink := &refusingSink{}
+		w := NewWAL()
+		w.SetSink(sink)
+		m.AttachWAL(w)
+		sink.refuse = true
+		want := drainState(m)
+		if err := m.ProcessBatch("PS", 7); err == nil {
+			t.Fatal("a drain the redo log refused committed")
+		}
+		if got := drainState(m); got != want {
+			t.Fatalf("failed drain changed the maintainer:\n got %s\nwant %s", got, want)
+		}
+		sink.refuse = false
+		if err := m.ProcessBatch("PS", 7); err != nil {
+			t.Fatal(err)
+		}
+		assertConsistent(t, m)
+	})
 }
 
 func TestProcessBatchRetryAfterRollbackMatchesFaultFree(t *testing.T) {

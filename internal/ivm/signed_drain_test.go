@@ -221,7 +221,7 @@ func refDeltaJoin(t *testing.T, m *Maintainer, alias string, rows []storage.Row)
 		cols[i] = exec.Col{Table: alias, Name: c.Name, Type: c.Type}
 	}
 	var scratch storage.Stats
-	op, err := plan.Compile(m.deltaSel, nil, &plan.Options{
+	op, err := plan.Compile(m.plan.Delta, nil, &plan.Options{
 		Sources: map[string]exec.Op{alias: exec.NewRowsSource(cols, rows, &scratch)},
 		Resolve: m.replica.Table,
 		Stats:   &scratch,
@@ -278,7 +278,7 @@ func TestSignedDrainMatchesTwoPassReference(t *testing.T) {
 					del, ins := refNetDelta(repl, batch)
 					wantMinus, wantPlus := refDeltaJoin(t, m, alias, del), refDeltaJoin(t, m, alias, ins)
 
-					delta, minus, err := m.netDelta(repl, batch)
+					delta, minus, _, err := m.netDelta(repl, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -354,7 +354,7 @@ func TestSignedDrainMatchesTwoPassReference(t *testing.T) {
 func refInitial(t *testing.T, m *Maintainer) []storage.Row {
 	t.Helper()
 	var scratch storage.Stats
-	op, err := plan.Compile(m.deltaSel, nil, &plan.Options{Resolve: m.replica.Table, Stats: &scratch})
+	op, err := plan.Compile(m.plan.Delta, nil, &plan.Options{Resolve: m.replica.Table, Stats: &scratch})
 	if err != nil {
 		t.Fatal(err)
 	}

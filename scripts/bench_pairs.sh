@@ -35,7 +35,7 @@
 # A record is never overwritten: when that name is taken, the record gets
 # the first free one of ...-seed<N>-2.json, ...-seed<N>-3.json and so on.
 # Reads benchmark/ and BENCHMARK.json, writes that record and, besides it,
-# only under .bench_build/.
+# only under .bench_build/; the parent's unpack is removed on exit.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,11 +69,14 @@ dirty=false
 [ -z "$(git status --porcelain)" ] || dirty=true
 record=BENCH_$(date -u +%Y-%m-%d)-$workload-seed$seed
 parent=$root/.bench_build/pairs/src-$sha
-if [ ! -d "$parent" ]; then
-	mkdir -p "$parent.tmp"
-	git archive "$sha" | tar -x -C "$parent.tmp"
-	mv "$parent.tmp" "$parent"
-fi
+# The unpack holds its own build cache (~115 MB): it goes when the script
+# exits, after the record is written, whether or not the runs succeeded.
+trap 'rm -rf "$parent" "$parent.tmp"' EXIT
+trap 'exit 130' HUP INT TERM
+rm -rf "$parent" "$parent.tmp"
+mkdir -p "$parent.tmp"
+git archive "$sha" | tar -x -C "$parent.tmp"
+mv "$parent.tmp" "$parent"
 
 # The names in BENCHMARK.json's "workloads" list, in file order.
 workloads=$workload
