@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 
 	"abivm/internal/experiments"
 )
@@ -82,18 +83,6 @@ func main() {
 	}
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Context: ctx}
 
-	runners := map[string]func(experiments.Config) (*experiments.Table, error){
-		"fig1":      experiments.Fig1Table,
-		"fig4":      experiments.Fig4Table,
-		"fig5":      experiments.Fig5Table,
-		"fig6":      experiments.Fig6Table,
-		"fig7":      experiments.Fig7Table,
-		"tight":     experiments.TightnessTable,
-		"concave":   experiments.ConcaveStudyTable,
-		"staged":    experiments.StagedTable,
-		"policies":  experiments.PoliciesTable,
-		"ablations": experiments.AblationsTable,
-	}
 	cmd := flag.Arg(0)
 	if cmd == "all" {
 		if err := experiments.All(cfg, os.Stdout); err != nil {
@@ -102,12 +91,12 @@ func main() {
 		}
 		return
 	}
-	run, ok := runners[cmd]
-	if !ok {
+	i := slices.IndexFunc(experiments.Experiments, func(e experiments.Experiment) bool { return e.Name == cmd })
+	if i < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	tbl, err := run(cfg)
+	tbl, err := experiments.Experiments[i].Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abivm:", err)
 		os.Exit(1)

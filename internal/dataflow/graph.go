@@ -398,8 +398,7 @@ type Graph struct {
 	arrList []*arrangement          // the same in creation order, which Trim nets them in
 	hits    uint64
 	arrHits uint64
-	views   []*ViewHandle // the attached sinks, in subscribe order
-	logs    []*deltaLog   // one per operator with sinks, in order of their first sink
+	logs    []*deltaLog // one per operator with sinks, in order of their first sink; its readers are the sinks
 	ctr     counters
 	arena   deltaArena        // the rows and coordinates deltas carry
 	wm      map[string]uint64 // Trim's watermark, reused across calls
@@ -699,10 +698,12 @@ func (g *Graph) Ingest(table string, mod ivm.Mod) error {
 // operator's log and no other.
 func (g *Graph) Trim() {
 	clear(g.wm)
-	for _, h := range g.views {
-		for i, t := range h.tabOrder {
-			if cur, seen := g.wm[t]; !seen || h.cursors[i] < cur {
-				g.wm[t] = h.cursors[i]
+	for _, l := range g.logs {
+		for _, h := range l.readers {
+			for i, t := range h.tabOrder {
+				if cur, seen := g.wm[t]; !seen || h.cursors[i] < cur {
+					g.wm[t] = h.cursors[i]
+				}
 			}
 		}
 	}
@@ -775,15 +776,18 @@ type GraphStats struct {
 	RebuildVisits uint64
 }
 
-// Stats snapshots the graph shape. It reads counters and walks the
-// operator list, never operator state.
+// Stats snapshots the graph shape. It reads counters and walks the delta
+// logs and the operator list, never operator state.
 func (g *Graph) Stats() GraphStats {
 	st := GraphStats{
-		Nodes: len(g.nodes), Views: len(g.views), InternHits: g.hits,
+		Nodes: len(g.nodes), InternHits: g.hits,
 		Arrangements: len(g.arrs), ArrangementHits: g.arrHits,
 		StateRows: g.ctr.stateRows, RetainedDeltas: g.ctr.retained, TrimVisited: g.ctr.trimVisited,
 		Probes: g.ctr.probes, Products: g.ctr.products,
 		Folds: g.ctr.folds, FoldVisits: g.ctr.foldVisits, RebuildVisits: g.ctr.rebuilds,
+	}
+	for _, l := range g.logs {
+		st.Views += len(l.readers)
 	}
 	for _, n := range g.nodes {
 		if f := n.fanout(); f > st.MaxFanout {

@@ -248,7 +248,6 @@ func (h *ViewHandle) attach(top node) {
 		h.log.rowReaders++
 	}
 	h.from = len(h.log.deltas)
-	h.g.views = append(h.g.views, h)
 	h.rebuild()
 }
 

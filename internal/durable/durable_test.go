@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -237,12 +238,12 @@ func (r *rig) crash(t *testing.T) *Recovery {
 		t.Fatal(err)
 	}
 	if rec.Fallback {
-		if rec.M != nil || rec.WAL != nil || rec.Chain != nil {
+		if rec.M != nil || rec.Chain != nil {
 			t.Fatal("fallback recovery returned a maintainer")
 		}
 		r.m, r.wal, r.chain = build(t, r.db, r.st, r.depth)
 	} else {
-		r.m, r.wal, r.chain = rec.M, rec.WAL, rec.Chain
+		r.m, r.wal, r.chain = rec.M, rec.M.WAL(), rec.Chain
 	}
 	return rec
 }
@@ -301,6 +302,38 @@ func TestStoreRecoverAcrossCheckpointsAndTruncation(t *testing.T) {
 	if rowsKey(r.m.Result()) != rowsKey(fresh) {
 		t.Fatal("recovered maintainer diverged from ground truth")
 	}
+}
+
+// drainRefusingStore is a WAL sink over a real Store that refuses the
+// next drain record while refuse is set.
+type drainRefusingStore struct {
+	*Store
+	refuse bool
+}
+
+func (s *drainRefusingStore) AppendRecord(rec ivm.WALRecord) error {
+	if s.refuse && rec.Kind == ivm.WALDrain {
+		s.refuse = false
+		return fmt.Errorf("refusing drain lsn %d", rec.LSN)
+	}
+	return s.Store.AppendRecord(rec)
+}
+
+// TestRefusedDrainRecordRetriesAndRecoversExactly: a drain record the
+// store refuses takes no LSN, so the retried drain's record extends the
+// store's log, and the files recover the maintainer byte-identically.
+func TestRefusedDrainRecordRetriesAndRecoversExactly(t *testing.T) {
+	r := newRig(t, NewMemFS(), 4)
+	r.apply(t, 100, 6)
+	r.drain(t, "PS", 2)
+	r.wal.SetSink(&drainRefusingStore{Store: r.st, refuse: true})
+	if err := r.m.ProcessBatch("PS", 3); err == nil {
+		t.Fatal("a drain the store refused committed")
+	}
+	r.drain(t, "PS", 3)
+	r.apply(t, 200, 2)
+	r.sync(t)
+	r.assertExact(t, false)
 }
 
 // corruptFile flips one byte of a stored file at off (negative counts
@@ -502,7 +535,7 @@ func TestRecoverSilentTailLossDetectedByWatermark(t *testing.T) {
 func TestTruncateRetainsBackToBaseLSN(t *testing.T) {
 	r := deltaRig(t)
 	// The chain tip is past the base, so truncation must keep the
-	// segments covering (baseLSN, tip] even though the in-memory WAL
+	// segments covering (manifest base LSN, tip] even though the in-memory WAL
 	// dropped them.
 	if len(findFiles(t, r.fs, "wal-")) == 0 {
 		t.Fatal("truncation deleted the log back past the manifest base")
@@ -590,7 +623,7 @@ func TestDirOpenerNestedNamespacesKeepTheirFiles(t *testing.T) {
 		if rec.Fallback {
 			t.Fatalf("%s: recovery fell back: %v", r.st.ns, rec.Corruptions)
 		}
-		r.m, r.wal, r.chain = rec.M, rec.WAL, rec.Chain
+		r.m, r.wal, r.chain = rec.M, rec.M.WAL(), rec.Chain
 		if got := r.snapshot(); got != want {
 			t.Fatalf("%s: recovered state %+v, want %+v", r.st.ns, got, want)
 		}

@@ -17,17 +17,16 @@ type Corruption struct {
 }
 
 // Recovery is the result of Store.Recover: the ladder rung taken and, on
-// an exact rung, the rebuilt maintainer with its WAL and checkpoint
-// chain (byte-identical to the crashed maintainer). Fallback is true when
-// corruption forced the last rung: the store was reset, M, WAL and Chain
-// are nil, and the caller recomputes the view from current base state —
-// un-drained deltas are lost. Corruptions lists every artifact the
-// ladder stepped over either way. Of the three rebuilt objects only M
-// carries a metrics bundle (the one Recover was given); the store counts
-// the damage in its own Stats.
+// an exact rung, the rebuilt maintainer, its WAL attached (M.WAL()), and
+// its checkpoint chain (byte-identical to the crashed maintainer).
+// Fallback is true when corruption forced the last rung: the store was
+// reset, M and Chain are nil, and the caller recomputes the view from
+// current base state — un-drained deltas are lost. Corruptions lists
+// every artifact the ladder stepped over either way. M carries a metrics
+// bundle (the one Recover was given); the store counts the damage in its
+// own Stats.
 type Recovery struct {
 	M           *ivm.Maintainer
-	WAL         *ivm.WAL
 	Chain       *ivm.CheckpointChain
 	Fallback    bool
 	Corruptions []Corruption
@@ -248,7 +247,7 @@ func (st *Store) loadChainLocked() chainState {
 //     exact.
 //  3. Full refresh: the chain or the acknowledged log is unrecoverable,
 //     so the store resets itself to a fresh generation and returns
-//     Fallback with M, WAL and Chain nil. The caller rebuilds the view
+//     Fallback with M and Chain nil. The caller rebuilds the view
 //     from the live tables — current state, with un-drained deltas lost
 //     — the way it built it in the first place, and that build's base
 //     checkpoint re-seeds the store. Loud (Fallback flag, corruption
@@ -342,11 +341,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 	st.rotate = true
 	st.lastLSN = lastLSN
 	st.ackedLSN = lastLSN
-	if len(sc.segs) > 0 {
-		st.ackedLSN = sc.last()
-	}
 	st.man = cs.man
-	st.baseLSN = cs.man.BaseLSN
 	if cs.man.Gen > st.gen {
 		st.gen = cs.man.Gen
 	}
@@ -354,7 +349,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 
 	wal.SetSink(st)
 	chain.SetStore(st)
-	return &Recovery{M: m, WAL: wal, Chain: chain, Corruptions: events}, nil
+	return &Recovery{M: m, Chain: chain, Corruptions: events}, nil
 }
 
 // fallbackLocked takes the ladder's last rung: quarantining already
@@ -367,7 +362,6 @@ func (st *Store) fallbackLocked(events []Corruption) *Recovery {
 	st.segs = nil
 	st.lastLSN = 0
 	st.ackedLSN = 0
-	st.baseLSN = 0
 	st.man = nil
 	st.stats.Corruptions += len(events)
 	st.stats.Fallbacks++

@@ -97,13 +97,16 @@ func (s *Stats) Add(o Stats) {
 
 // Store is the durable backend for one maintainer: it implements
 // ivm.WALSink (mirroring the redo log into segment files) and
-// ivm.ChainStore (mirroring checkpoint segments plus the manifest).
-// Appends are buffered in memory; Sync is the durability point, called
-// by the broker at its step boundary and implicitly before every
-// truncation. A Store survives the (simulated) crash of its maintainer —
-// like the in-memory WAL it backs, it is owned by the broker — and
-// Recover rebuilds maintainer, WAL, and chain from the file state — or,
-// when the files are past repair, resets itself for a rebuild.
+// ivm.ChainStore (mirroring checkpoint segments plus the manifest). The
+// WAL and the chain call it before they change, so a record or segment
+// the store refuses is in neither, and a retry extends the store where
+// it left off. Appends are buffered in memory; Sync is the durability
+// point, called by the broker at its step boundary and implicitly before
+// every truncation. A Store survives the (simulated) crash of its
+// maintainer — like the in-memory WAL it backs, it is owned by the
+// broker — and Recover rebuilds maintainer, WAL, and chain from the file
+// state — or, when the files are past repair, resets itself for a
+// rebuild.
 //
 // Store is safe for concurrent use, but recovery exactness relies on the
 // broker's sequencing: at every crash point the last Sync must have
@@ -115,22 +118,21 @@ type Store struct {
 	ns string
 
 	// WAL state: buffered frames not yet on disk (buf, starting at LSN
-	// bufFirst), the on-disk segments in LSN order, and three
-	// watermarks — lastLSN (last buffered append), ackedLSN (last append
-	// covered by a successful Sync: the durability high-water mark that
-	// lets recovery detect a torn tail cut exactly on a frame boundary),
-	// and baseLSN (the manifest base position, the retention floor that
-	// keeps enough log around to replay over a corrupt delta segment).
+	// bufFirst), the on-disk segments in LSN order, and two watermarks —
+	// lastLSN (last buffered append) and ackedLSN (last append covered by
+	// a successful Sync: the durability high-water mark that lets
+	// recovery detect a torn tail cut exactly on a frame boundary).
 	buf      []byte
 	bufFirst uint64
 	rotate   bool
 	segs     []walSeg
 	lastLSN  uint64
 	ackedLSN uint64
-	baseLSN  uint64
 
-	// Checkpoint state: the current manifest and its generation counter
-	// (monotonic across chain resets and fallbacks).
+	// Checkpoint state: the current manifest, whose base position is the
+	// WAL retention floor that keeps enough log around to replay over a
+	// corrupt delta segment, and its generation counter (monotonic across
+	// chain resets and fallbacks).
 	man *manifest
 	gen uint64
 
@@ -245,8 +247,8 @@ func (st *Store) TruncateRecords(lsn uint64) error {
 	}
 	st.rotate = true
 	floor := lsn
-	if st.man != nil && st.baseLSN < floor {
-		floor = st.baseLSN
+	if st.man != nil && st.man.BaseLSN < floor {
+		floor = st.man.BaseLSN
 	}
 	// Deleting retained log is never required for correctness, so a
 	// failed Remove just ends this round of reclamation — the segment
@@ -302,7 +304,6 @@ func (st *Store) PutBase(seg []byte, lsn uint64) error {
 		return err
 	}
 	st.man = man
-	st.baseLSN = lsn
 	st.sweepLocked()
 	return nil
 }

@@ -139,28 +139,32 @@ func batchSweep(quick bool) []int {
 	return []int{1, 10, 25, 50, 100, 150, 200, 300, 400, 500, 750, 1000}
 }
 
+// Experiment is one table of the reproduction under its command name.
+type Experiment struct {
+	Name string
+	Run  func(Config) (*Table, error)
+}
+
+// Experiments lists every experiment in the order All renders them.
+var Experiments = []Experiment{
+	{"fig1", Fig1Table},
+	{"fig4", Fig4Table},
+	{"fig5", Fig5Table},
+	{"fig6", Fig6Table},
+	{"fig7", Fig7Table},
+	{"tight", TightnessTable},
+	{"concave", ConcaveStudyTable},
+	{"staged", StagedTable},
+	{"policies", PoliciesTable},
+	{"ablations", AblationsTable},
+}
+
 // All runs every experiment and renders the tables to w.
 func All(cfg Config, w io.Writer) error {
-	type namedRun struct {
-		name string
-		run  func(Config) (*Table, error)
-	}
-	runs := []namedRun{
-		{"fig1", Fig1Table},
-		{"fig4", Fig4Table},
-		{"fig5", Fig5Table},
-		{"fig6", Fig6Table},
-		{"fig7", Fig7Table},
-		{"tight", TightnessTable},
-		{"concave", ConcaveStudyTable},
-		{"staged", StagedTable},
-		{"policies", PoliciesTable},
-		{"ablations", AblationsTable},
-	}
-	for _, r := range runs {
-		tbl, err := r.run(cfg)
+	for _, e := range Experiments {
+		tbl, err := e.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", r.name, err)
+			return fmt.Errorf("experiments: %s: %w", e.Name, err)
 		}
 		tbl.Render(w)
 	}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"math/rand"
 	"sync"
@@ -233,11 +232,4 @@ func (m *Media) Total() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.total
-}
-
-// String summarizes the injector for diagnostics.
-func (m *Media) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("media{faults=%d}", m.total)
 }

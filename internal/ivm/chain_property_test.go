@@ -43,16 +43,31 @@ type storeCall struct {
 	from, lsn uint64
 }
 
-// recordingStore is a ChainStore that remembers its calls.
-type recordingStore struct{ calls []storeCall }
+// recordingStore is a ChainStore that remembers the calls it accepts and
+// the chain they built. While refuseBase or refuseDelta is set it refuses
+// that kind of segment.
+type recordingStore struct {
+	calls                   []storeCall
+	refuseBase, refuseDelta bool
+	base                    []byte
+	deltas                  [][]byte
+}
 
-func (s *recordingStore) PutBase(_ []byte, lsn uint64) error {
+func (s *recordingStore) PutBase(seg []byte, lsn uint64) error {
+	if s.refuseBase {
+		return fmt.Errorf("store refuses base at lsn %d", lsn)
+	}
 	s.calls = append(s.calls, storeCall{base: true, lsn: lsn})
+	s.base, s.deltas = seg, nil
 	return nil
 }
 
-func (s *recordingStore) PutDelta(_ []byte, from, lsn uint64) error {
+func (s *recordingStore) PutDelta(seg []byte, from, lsn uint64) error {
+	if s.refuseDelta {
+		return fmt.Errorf("store refuses delta %d→%d", from, lsn)
+	}
 	s.calls = append(s.calls, storeCall{from: from, lsn: lsn})
+	s.deltas = append(s.deltas, seg)
 	return nil
 }
 
@@ -291,65 +306,107 @@ func TestChainEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestChainRolloverFailureLeavesChainIntact: when the base of a rollover
-// cannot be encoded, the chain keeps its old base, deltas and tip — it
-// still recovers — and the dirty keys stay marked for the retry.
+// TestChainRolloverFailureLeavesChainIntact: when a checkpoint's segment
+// cannot be encoded, or its store refuses it — the base of a rollover or
+// a delta — the chain keeps its old base, deltas and tip, so it still
+// recovers, and the dirty keys stay marked: the retry's segment carries
+// them, and the chain the store holds recovers the live maintainer too.
 func TestChainRolloverFailureLeavesChainIntact(t *testing.T) {
-	db := liveDB(t)
-	r := newChainRun(t, db, paperView, 1)
-	store := &recordingStore{}
-	r.chain.SetStore(store)
-	for i := 0; i < 2; i++ { // base, then the one delta the depth allows
-		applyN(t, r.m, 100+10*i, 3)
-		if err := r.m.ProcessBatch("PS", 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.chain.Checkpoint(r.m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	applyN(t, r.m, 200, 2)
-	if err := r.m.ProcessBatch("PS", 2); err != nil {
-		t.Fatal(err)
-	}
-	base, deltas, tip, calls := r.chain.base, r.chain.deltas, r.chain.TipLSN(), len(store.calls)
+	for _, tc := range []struct {
+		name string
+		// segments is how many the depth-1 chain holds before the failing
+		// checkpoint: with 2 (a base and a delta) it rolls over.
+		segments int
+		fail     func(m *Maintainer, store *recordingStore) (undo func())
+	}{
+		{"encode", 2, func(m *Maintainer, _ *recordingStore) func() {
+			// AppendMod refuses a value of no known type: the queue
+			// snapshot, and with it the base, fails to encode.
+			good := m.deltas["PS"]
+			m.deltas["PS"] = append(good[:len(good):len(good)], Mod{Kind: ModInsert, Alias: "PS", Row: storage.Row{{T: 9}}})
+			return func() { m.deltas["PS"] = good }
+		}},
+		{"put-base", 2, func(_ *Maintainer, store *recordingStore) func() {
+			store.refuseBase = true
+			return func() { store.refuseBase = false }
+		}},
+		{"put-delta", 1, func(_ *Maintainer, store *recordingStore) func() {
+			store.refuseDelta = true
+			return func() { store.refuseDelta = false }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := liveDB(t)
+			r := newChainRun(t, db, paperView, 1)
+			store := &recordingStore{}
+			r.chain.SetStore(store)
+			for i := 0; i < tc.segments; i++ {
+				applyN(t, r.m, 100+10*i, 3)
+				if err := r.m.ProcessBatch("PS", 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.chain.Checkpoint(r.m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			applyN(t, r.m, 200, 2)
+			if err := r.m.ProcessBatch("PS", 2); err != nil {
+				t.Fatal(err)
+			}
+			base, deltas, tip, calls := r.chain.base, r.chain.deltas, r.chain.TipLSN(), len(store.calls)
+			dirty := fmt.Sprint(r.m.dirty)
+			if len(r.m.dirty["partsupp"]) == 0 {
+				t.Fatal("the drains marked no key dirty; the test would prove nothing")
+			}
 
-	// AppendMod refuses a value of no known type: the queue snapshot, and
-	// with it the base, fails to encode.
-	good := r.m.deltas["PS"]
-	r.m.deltas["PS"] = append(good[:len(good):len(good)], Mod{Kind: ModInsert, Alias: "PS", Row: storage.Row{{T: 9}}})
-	if err := r.chain.Checkpoint(r.m); err == nil {
-		t.Fatal("rollover with an unencodable queue succeeded")
-	}
-	r.m.deltas["PS"] = good
-	if !bytes.Equal(r.chain.base, base) || len(r.chain.deltas) != len(deltas) || r.chain.TipLSN() != tip {
-		t.Fatalf("failed rollover changed the chain: depth %d tip %d, want depth %d tip %d",
-			r.chain.Depth(), r.chain.TipLSN(), len(deltas), tip)
-	}
-	for i := range deltas {
-		if !bytes.Equal(r.chain.deltas[i], deltas[i]) {
-			t.Fatalf("failed rollover rewrote delta %d", i)
-		}
-	}
-	if len(store.calls) != calls {
-		t.Fatalf("failed rollover reached the store: %+v", store.calls[calls:])
-	}
-	if len(r.m.dirty["partsupp"]) == 0 {
-		t.Fatal("failed rollover cleared the dirty keys it did not capture")
-	}
-	rec, err := RecoverChain(db, paperView, r.chain, r.wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replicaKey(rec) != replicaKey(r.m) || queuesKey(rec) != queuesKey(r.m) || rowsKey(rec.Result()) != rowsKey(r.m.Result()) {
-		t.Fatal("recovery from the untouched chain diverged from the live maintainer")
-	}
-	// The retry rolls over.
-	if err := r.chain.Checkpoint(r.m); err != nil {
-		t.Fatal(err)
-	}
-	if r.chain.Depth() != 0 || !store.calls[len(store.calls)-1].base {
-		t.Fatalf("retry did not roll over: depth %d, last store call %+v", r.chain.Depth(), store.calls[len(store.calls)-1])
+			undo := tc.fail(r.m, store)
+			if err := r.chain.Checkpoint(r.m); err == nil {
+				t.Fatal("the failing checkpoint succeeded")
+			}
+			undo()
+			if !bytes.Equal(r.chain.base, base) || len(r.chain.deltas) != len(deltas) || r.chain.TipLSN() != tip {
+				t.Fatalf("failed checkpoint changed the chain: depth %d tip %d, want depth %d tip %d",
+					r.chain.Depth(), r.chain.TipLSN(), len(deltas), tip)
+			}
+			for i := range deltas {
+				if !bytes.Equal(r.chain.deltas[i], deltas[i]) {
+					t.Fatalf("failed checkpoint rewrote delta %d", i)
+				}
+			}
+			if len(store.calls) != calls {
+				t.Fatalf("failed checkpoint reached the store: %+v", store.calls[calls:])
+			}
+			if got := fmt.Sprint(r.m.dirty); got != dirty {
+				t.Fatalf("failed checkpoint changed the dirty keys: %s, want %s", got, dirty)
+			}
+			rec, err := RecoverChain(db, paperView, r.chain, r.wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replicaKey(rec) != replicaKey(r.m) || queuesKey(rec) != queuesKey(r.m) || rowsKey(rec.Result()) != rowsKey(r.m.Result()) {
+				t.Fatal("recovery from the untouched chain diverged from the live maintainer")
+			}
+
+			// The retry writes the segment the failed checkpoint did not.
+			if err := r.chain.Checkpoint(r.m); err != nil {
+				t.Fatal(err)
+			}
+			last := store.calls[len(store.calls)-1]
+			if rollover := tc.segments == 2; last.base != rollover || r.chain.Depth() != len(store.deltas) {
+				t.Fatalf("retry: depth %d, last store call %+v, want a rollover %v", r.chain.Depth(), last, rollover)
+			}
+			stored := RestoreChain(store.base, store.deltas, last.lsn, 1)
+			if err := r.wal.TruncateThrough(last.lsn); err != nil {
+				t.Fatal(err)
+			}
+			rec, err = RecoverChain(db, paperView, stored, r.wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replicaKey(rec) != replicaKey(r.m) || queuesKey(rec) != queuesKey(r.m) || rowsKey(rec.Result()) != rowsKey(r.m.Result()) {
+				t.Fatal("recovery from the store's chain diverged from the live maintainer")
+			}
+		})
 	}
 }
 

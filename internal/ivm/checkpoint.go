@@ -172,8 +172,9 @@ const DefaultChainDepth = 4
 // chain to a single base segment covering WAL position lsn (the first
 // checkpoint, a rollover, a compaction); PutDelta receives every
 // appended delta segment with its FromLSN→LSN link. Calls arrive in
-// mutation order on the broker's serial checkpoint path; a store error
-// aborts the checkpoint that triggered it.
+// mutation order on the broker's serial checkpoint path, each before
+// the chain adopts its segment: a store error aborts the checkpoint or
+// compaction that triggered it and leaves the chain as it was.
 type ChainStore interface {
 	PutBase(seg []byte, lsn uint64) error
 	PutDelta(seg []byte, fromLSN, lsn uint64) error
@@ -218,17 +219,6 @@ func RestoreChain(base []byte, deltas [][]byte, tipLSN uint64, maxDepth int) *Ch
 // the store already holds) — existing segments are not replayed into it.
 func (c *CheckpointChain) SetStore(st ChainStore) { c.store = st }
 
-// putBase mirrors a chain-resetting base segment to the store, if any.
-func (c *CheckpointChain) putBase(lsn uint64) error {
-	if c.store == nil {
-		return nil
-	}
-	if err := c.store.PutBase(c.base, lsn); err != nil {
-		return fmt.Errorf("ivm: chain store base: %w", err)
-	}
-	return nil
-}
-
 // TipLSN returns the WAL position the chain covers through: everything
 // at or below it may be truncated from the WAL.
 func (c *CheckpointChain) TipLSN() uint64 { return c.tipLSN }
@@ -242,9 +232,12 @@ func (c *CheckpointChain) Depth() int { return len(c.deltas) }
 // second case is the rollover: the maintainer *is* the state at the
 // chain tip, so the fresh base is serialized straight from its replica
 // and replaces base and deltas alike — no step ever decodes, folds and
-// re-encodes the segments it wrote (Compact does that, offline). On
-// success the chain's tip covers the maintainer's current WAL position,
-// so the caller may truncate the WAL through TipLSN.
+// re-encodes the segments it wrote (Compact does that, offline). The
+// store, if any, takes the segment before the chain does: a segment that
+// fails to encode or that the store refuses leaves the chain, its tip
+// and the maintainer's dirty keys as they were. On success the chain's
+// tip covers the maintainer's current WAL position, so the caller may
+// truncate the WAL through TipLSN.
 func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	lsn := uint64(0)
 	if w := m.WAL(); w != nil {
@@ -257,25 +250,29 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 	}
 	seg, err := m.checkpointSegment(kind, fromLSN, lsn)
 	if err != nil {
-		// Nothing was swapped: the chain still recovers to its old tip.
 		return err
+	}
+	if c.store != nil {
+		if rollover {
+			err = c.store.PutBase(seg, lsn)
+		} else {
+			err = c.store.PutDelta(seg, fromLSN, lsn)
+		}
+		if err != nil {
+			return fmt.Errorf("ivm: chain store: %w", err)
+		}
 	}
 	// The segment owns the changes behind the dirty keys now.
 	m.clearDirty()
 	c.tipLSN = lsn
-	if rollover {
-		if c.base != nil {
-			m.obs.observeCompaction()
-		}
-		c.base, c.deltas = seg, nil
-		return c.putBase(lsn)
+	if !rollover {
+		c.deltas = append(c.deltas, seg)
+		return nil
 	}
-	c.deltas = append(c.deltas, seg)
-	if c.store != nil {
-		if err := c.store.PutDelta(seg, fromLSN, lsn); err != nil {
-			return fmt.Errorf("ivm: chain store delta: %w", err)
-		}
+	if c.base != nil {
+		m.obs.observeCompaction()
 	}
+	c.base, c.deltas = seg, nil
 	return nil
 }
 
@@ -284,9 +281,10 @@ func (c *CheckpointChain) Checkpoint(m *Maintainer) error {
 // the already-written segments — the maintainer is not consulted — so
 // it is safe to run at any point between checkpoints: recovery from the
 // compacted chain produces byte-identical state to recovery from the
-// original chain. Checkpoint never calls it (a rollover gets the same
-// base from the live replica for less); it serves callers that hold
-// segments but no maintainer.
+// original chain. A base the store refuses leaves the chain as it was.
+// Checkpoint never calls it (a rollover gets the same base from the live
+// replica for less); it serves callers that hold segments but no
+// maintainer.
 func (c *CheckpointChain) Compact() error {
 	if len(c.deltas) == 0 {
 		return nil
@@ -302,9 +300,14 @@ func (c *CheckpointChain) Compact() error {
 	if err != nil {
 		return fmt.Errorf("ivm: encoding compacted base: %w", err)
 	}
-	c.base = replica.AppendSnapshot(buf)
-	c.deltas = nil
-	return c.putBase(c.tipLSN)
+	base := replica.AppendSnapshot(buf)
+	if c.store != nil {
+		if err := c.store.PutBase(base, c.tipLSN); err != nil {
+			return fmt.Errorf("ivm: chain store: %w", err)
+		}
+	}
+	c.base, c.deltas = base, nil
+	return nil
 }
 
 // foldChain decodes a chain's base and folds its delta segments over

@@ -240,26 +240,37 @@ func (p *DeltaPlan) Explain(resolve func(string) (*storage.Table, error)) (strin
 		if err != nil {
 			return "", err
 		}
-		schema := tbl.Schema()
-		cols := make([]exec.Col, len(schema.Columns))
-		for i, c := range schema.Columns {
-			cols[i] = exec.Col{Table: src.Alias, Name: c.Name, Type: c.Type}
-		}
-		cursor := exec.NewRowsSource(cols, nil, &scratch)
-		op, err := plan.Compile(p.Delta, nil, &plan.Options{
-			Sources: map[string]exec.Op{src.Alias: cursor},
-			Resolve: resolve,
-			Stats:   &scratch,
-		})
+		d, err := p.prepare(src.Alias, tbl, resolve, &scratch)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&sb, "Δ%s (table %s):\n", src.Alias, src.Table)
-		for _, line := range strings.Split(strings.TrimRight(plan.Explain(op), "\n"), "\n") {
+		for _, line := range strings.Split(strings.TrimRight(plan.Explain(d.op), "\n"), "\n") {
 			sb.WriteString("  ")
 			sb.WriteString(line)
 			sb.WriteString("\n")
 		}
 	}
 	return sb.String(), nil
+}
+
+// prepare compiles the delta query with alias's table, tbl, replaced by a
+// rebindable batch source, for drains and Explain alike; every other
+// table resolves through resolve.
+func (p *DeltaPlan) prepare(alias string, tbl *storage.Table, resolve func(string) (*storage.Table, error), stats *storage.Stats) (*preparedDelta, error) {
+	schema := tbl.Schema()
+	cols := make([]exec.Col, len(schema.Columns))
+	for i, c := range schema.Columns {
+		cols[i] = exec.Col{Table: alias, Name: c.Name, Type: c.Type}
+	}
+	src := exec.NewRowsSource(cols, nil, stats)
+	op, err := plan.Compile(p.Delta, nil, &plan.Options{
+		Sources: map[string]exec.Op{alias: src},
+		Resolve: resolve,
+		Stats:   stats,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &preparedDelta{src: src, op: op}, nil
 }

@@ -223,21 +223,21 @@ func (m *Maintainer) initialize() error {
 // WITHOUT applying them to the live base tables: the caller writes each
 // live change once, with ApplyLive, and every maintainer over those
 // tables only observes it. The replicas stay consistent either way
-// because they are private.
+// because they are private. Each modification is logged before it is
+// queued: one the redo log refuses is not queued, nor any after it.
 func (m *Maintainer) ApplyDeferred(mods ...Mod) error {
 	for _, mod := range mods {
 		if _, ok := m.tables[mod.Alias]; !ok {
 			return fmt.Errorf("ivm: unknown alias %q", mod.Alias)
 		}
+		if m.wal != nil {
+			_, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod})
+			m.obs.observeWALAppend()
+			if err != nil {
+				return err
+			}
+		}
 		m.deltas[mod.Alias] = append(m.deltas[mod.Alias], mod)
-		if m.wal == nil {
-			continue
-		}
-		_, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod})
-		m.obs.observeWALAppend()
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -509,21 +509,10 @@ func (m *Maintainer) preparedFor(alias string, repl *storage.Table) (*preparedDe
 	if p := m.prepared[alias]; p != nil {
 		return p, nil
 	}
-	schema := repl.Schema()
-	cols := make([]exec.Col, len(schema.Columns))
-	for i, c := range schema.Columns {
-		cols[i] = exec.Col{Table: alias, Name: c.Name, Type: c.Type}
-	}
-	src := exec.NewRowsSource(cols, nil, m.stats)
-	op, err := plan.Compile(m.plan.Delta, nil, &plan.Options{
-		Sources: map[string]exec.Op{alias: src},
-		Resolve: m.replica.Table,
-		Stats:   m.stats,
-	})
+	p, err := m.plan.prepare(alias, repl, m.replica.Table, m.stats)
 	if err != nil {
 		return nil, err
 	}
-	p := &preparedDelta{src: src, op: op}
 	m.prepared[alias] = p
 	return p, nil
 }

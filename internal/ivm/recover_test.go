@@ -185,13 +185,16 @@ func TestProcessBatchRollsBackOnMidApplyFault(t *testing.T) {
 	assertConsistent(t, m)
 }
 
-// refusingSink is a WAL sink that refuses drain records while refuse is
-// set and accepts everything else.
-type refusingSink struct{ refuse bool }
+// refusingSink is a WAL sink that refuses records of one kind while
+// refuse is set and accepts everything else.
+type refusingSink struct {
+	kind   WALKind
+	refuse bool
+}
 
 func (s *refusingSink) AppendRecord(rec WALRecord) error {
-	if s.refuse && rec.Kind == WALDrain {
-		return fmt.Errorf("sink refuses drain of %d on %s", rec.K, rec.Alias)
+	if s.refuse && rec.Kind == s.kind {
+		return fmt.Errorf("sink refuses lsn %d", rec.LSN)
 	}
 	return nil
 }
@@ -202,7 +205,8 @@ func (s *refusingSink) TruncateRecords(uint64) error { return nil }
 // written part of the replica — partway through its insertions, and
 // after all of them when the redo log refuses the drain record — and
 // checks that the rollback takes back exactly the writes made, so the
-// same drain succeeds once the fault is gone.
+// same drain succeeds once the fault is gone — and that the refused drain
+// record is not in the log, so recovery replays the retry alone.
 func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 	t.Run("insert", func(t *testing.T) {
 		m := rollbackFixture(t)
@@ -231,10 +235,11 @@ func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 	})
 	t.Run("wal", func(t *testing.T) {
 		m := rollbackFixture(t)
-		sink := &refusingSink{}
+		sink := &refusingSink{kind: WALDrain}
 		w := NewWAL()
 		w.SetSink(sink)
 		m.AttachWAL(w)
+		chain := fullCheckpoint(t, m)
 		sink.refuse = true
 		want := drainState(m)
 		if err := m.ProcessBatch("PS", 7); err == nil {
@@ -248,7 +253,53 @@ func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertConsistent(t, m)
+		applyN(t, m, 200, 3)
+		rec, err := RecoverChain(m.live, paperView, chain, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pendingKey(rec) != pendingKey(m) || rowsKey(rec.Result()) != rowsKey(m.Result()) {
+			t.Fatalf("recovered pending %s view %s, want pending %s view %s",
+				pendingKey(rec), rowsKey(rec.Result()), pendingKey(m), rowsKey(m.Result()))
+		}
 	})
+}
+
+// TestApplyDeferredRefusedArrivalQueuesNothing: an arrival the redo log
+// refuses is not queued and takes no LSN, so the maintainer and its log
+// stay in step and the same arrival can be offered again.
+func TestApplyDeferredRefusedArrivalQueuesNothing(t *testing.T) {
+	m, err := New(liveDB(t), paperView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &refusingSink{kind: WALArrival}
+	w := NewWAL()
+	w.SetSink(sink)
+	m.AttachWAL(w)
+	chain := fullCheckpoint(t, m)
+	applyN(t, m, 100, 7)
+	want, lsn := drainState(m), w.LastLSN()
+	sink.refuse = true
+	mod := Insert("PS", storage.Row{storage.I(107), storage.I(1), storage.F(57)})
+	if err := m.ApplyDeferred(mod); err == nil {
+		t.Fatal("an arrival the redo log refused was accepted")
+	}
+	if got := drainState(m); got != want {
+		t.Fatalf("refused arrival changed the maintainer:\n got %s\nwant %s", got, want)
+	}
+	if got := w.LastLSN(); got != lsn {
+		t.Fatalf("refused arrival took lsn %d (log was at %d)", got, lsn)
+	}
+	sink.refuse = false
+	applyN(t, m, 107, 1)
+	rec, err := RecoverChain(m.live, paperView, chain, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queuesKey(rec) != queuesKey(m) {
+		t.Fatalf("recovered queues %s, want %s", queuesKey(rec), queuesKey(m))
+	}
 }
 
 func TestProcessBatchRetryAfterRollbackMatchesFaultFree(t *testing.T) {

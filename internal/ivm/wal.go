@@ -40,10 +40,10 @@ type WALRecord struct {
 // WALSink mirrors the log's mutations to a durable backend (see
 // internal/durable). AppendRecord receives every record in LSN order
 // and TruncateRecords every truncation, both invoked under the WAL's
-// lock, so a sink observes exactly the in-memory mutation sequence. A
-// sink error surfaces to the WAL caller; the in-memory mutation has
-// already happened by then, so callers must treat a sink failure as a
-// durability failure of the whole log, not of one record.
+// lock and before the in-memory log changes, so a sink observes exactly
+// the in-memory mutation sequence. A sink error surfaces to the WAL
+// caller and the in-memory log stays as it was: a refused record takes
+// no LSN, and the caller may retry.
 type WALSink interface {
 	AppendRecord(rec WALRecord) error
 	TruncateRecords(lsn uint64) error
@@ -100,23 +100,23 @@ func (w *WAL) SetSink(sink WALSink) {
 
 // Append assigns the next LSN to rec and appends it, returning the LSN.
 // Without a sink the in-memory append itself is the durability point;
-// with a sink attached the record is also handed to the durable mirror
+// with a sink attached the record is handed to the durable mirror first
 // (which buffers it until its explicit sync point — see
-// internal/durable).
+// internal/durable), and a record the sink refuses is not appended.
 func (w *WAL) Append(rec WALRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	rec.LSN = w.next
+	if w.sink != nil {
+		if err := w.sink.AppendRecord(rec); err != nil {
+			return 0, fmt.Errorf("ivm: wal sink append lsn=%d: %w", rec.LSN, err)
+		}
+	}
 	w.next++
 	if w.recs == nil {
 		w.recs = make([]WALRecord, 0, w.period)
 	}
 	w.recs = append(w.recs, rec)
-	if w.sink != nil {
-		if err := w.sink.AppendRecord(rec); err != nil {
-			return rec.LSN, fmt.Errorf("ivm: wal sink append lsn=%d: %w", rec.LSN, err)
-		}
-	}
 	return rec.LSN, nil
 }
 
@@ -165,11 +165,16 @@ func (w *WAL) Replay(lsn uint64, fn func(WALRecord) error) error {
 // — a checkpoint period's worth, so the period appends without regrowing
 // — and never goes back onto the old one, which a Replay may still be
 // reading. With a sink attached the truncation is mirrored to the durable
-// backend (which may retain a longer suffix for its own fallback ladder);
-// a sink error is returned after the in-memory truncation has happened.
+// backend first (which may retain a longer suffix for its own fallback
+// ladder); a sink error is returned with the in-memory log untouched.
 func (w *WAL) TruncateThrough(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.sink != nil {
+		if err := w.sink.TruncateRecords(lsn); err != nil {
+			return fmt.Errorf("ivm: wal sink truncate lsn=%d: %w", lsn, err)
+		}
+	}
 	i := w.suffixFrom(lsn)
 	if i == len(w.recs) {
 		if i > 0 {
@@ -179,11 +184,6 @@ func (w *WAL) TruncateThrough(lsn uint64) error {
 	} else {
 		w.recs = w.recs[i:]
 	}
-	if w.sink != nil {
-		if err := w.sink.TruncateRecords(lsn); err != nil {
-			return fmt.Errorf("ivm: wal sink truncate lsn=%d: %w", lsn, err)
-		}
-	}
 	return nil
 }
 
@@ -192,11 +192,4 @@ func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.recs)
-}
-
-// String summarizes the log for diagnostics.
-func (w *WAL) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return fmt.Sprintf("wal{records=%d, next=%d}", len(w.recs), w.next)
 }

@@ -16,10 +16,9 @@ import (
 // segment is mirrored to disk and a crash recovers from the files,
 // through the store's corruption-hardened ladder, instead.
 type classicEngine struct {
-	// Maintainer is the live view; Recover replaces it (and, on the disk
-	// tier, the log and chain with it).
+	// Maintainer is the live view, with its redo log attached; Recover
+	// replaces it (and, on the disk tier, the log and chain with it).
 	*ivm.Maintainer
-	wal   *ivm.WAL
 	chain *ivm.CheckpointChain
 	store *durable.Store // nil: the in-memory tier
 
@@ -51,11 +50,11 @@ func (e *classicEngine) build(ns string) error {
 	if err != nil {
 		return err
 	}
-	e.Maintainer, e.wal, e.chain = m, ivm.NewWAL(), ivm.NewCheckpointChain(ivm.DefaultChainDepth)
-	m.AttachWAL(e.wal)
+	e.Maintainer, e.chain = m, ivm.NewCheckpointChain(ivm.DefaultChainDepth)
+	m.AttachWAL(ivm.NewWAL())
 	m.SetNamespace(ns)
 	if e.store != nil {
-		e.wal.SetSink(e.store)
+		m.WAL().SetSink(e.store)
 		e.chain.SetStore(e.store)
 	}
 	e.SetMetrics(e.ms)
@@ -92,7 +91,7 @@ func (e *classicEngine) Checkpoint() error {
 func (e *classicEngine) Recover() (fallback bool, err error) {
 	ns := e.Namespace()
 	if e.store == nil {
-		m, err := ivm.RecoverChainNamespaced(e.db, e.query, ns, e.chain, e.wal, e.ms)
+		m, err := ivm.RecoverChainNamespaced(e.db, e.query, ns, e.chain, e.WAL(), e.ms)
 		if err != nil {
 			return false, err
 		}
@@ -100,7 +99,7 @@ func (e *classicEngine) Recover() (fallback bool, err error) {
 	} else if rec, err := e.store.Recover(e.db, e.query, ivm.DefaultChainDepth, e.ms); err != nil {
 		return false, fmt.Errorf("disk: %w", err)
 	} else if fallback = rec.Fallback; !fallback {
-		e.Maintainer, e.wal, e.chain = rec.M, rec.WAL, rec.Chain
+		e.Maintainer, e.chain = rec.M, rec.Chain
 	} else if err := e.build(ns); err != nil {
 		return false, fmt.Errorf("disk fallback: %w", err)
 	}
@@ -108,7 +107,7 @@ func (e *classicEngine) Recover() (fallback bool, err error) {
 	return fallback, nil
 }
 
-func (e *classicEngine) WALLen() int { return e.wal.Len() }
+func (e *classicEngine) WALLen() int { return e.WAL().Len() }
 
 func (e *classicEngine) SetInjector(inj fault.Injector) {
 	e.inj = inj

@@ -89,23 +89,19 @@ func (p *SingleStage) Act(t int, s State, refresh bool) Action {
 }
 
 // TwoStage exploits intra-query asymmetry: it may run stage A alone,
-// staging survivors in front of the expensive stage B. Stage A of a
-// table is drained eagerly whenever its marginal cost rate is below the
-// eagerness threshold (cheap, setup-free prefixes are near-free and
-// shrink the future stage-B population); stage B is drained lazily, only
-// when the constraint forces it, whole tables at a time, cheapest first.
+// staging survivors in front of the expensive stage B. Stage A of every
+// table is drained eagerly each step (cheap, setup-free prefixes are
+// near-free and shrink the future stage-B population); stage B is
+// drained lazily, only when the constraint forces it, whole tables at a
+// time, cheapest first.
 type TwoStage struct {
 	m *Model
 	c float64
-	// EagerRate is the per-modification stage-A cost below which the
-	// prefix is drained every step. Defaults to +Inf (always eager).
-	EagerRate float64
 }
 
-// NewTwoStage returns the two-stage scheduler with an always-eager
-// stage A.
+// NewTwoStage returns the two-stage scheduler.
 func NewTwoStage(m *Model, c float64) *TwoStage {
-	return &TwoStage{m: m, c: c, EagerRate: 1e308}
+	return &TwoStage{m: m, c: c}
 }
 
 // Name implements Scheduler.
@@ -122,17 +118,14 @@ func (p *TwoStage) Act(t int, s State, refresh bool) Action {
 	n := p.m.N()
 	act := Action{StageA: core.NewVector(n), StageB: core.NewVector(n)}
 	work := s.Clone()
-	// Eager stage A: drain cheap prefixes every step.
+	// Eager stage A: drain every prefix every step.
 	for i := 0; i < n; i++ {
 		if work.U[i] == 0 {
 			continue
 		}
-		perMod := p.m.tables[i].A.Cost(work.U[i]) / float64(work.U[i])
-		if perMod <= p.EagerRate {
-			act.StageA[i] = work.U[i]
-			work.G[i] += p.m.survivors(i, work.U[i])
-			work.U[i] = 0
-		}
+		act.StageA[i] = work.U[i]
+		work.G[i] += p.m.survivors(i, work.U[i])
+		work.U[i] = 0
 	}
 	// Lazy stage B: only when forced, cheapest whole stage first.
 	for p.m.Full(work, p.c) {
