@@ -118,9 +118,9 @@ func (p *DeltaPlan) deriveDelta() error {
 				}
 				arg = &sql.IntLit{V: 1}
 			}
-			kind, err := aggKind(x)
-			if err != nil {
-				return err
+			kind, ok := plan.AggKind(x.Func)
+			if !ok {
+				return sql.Unsupported(x.Pos, "aggregate %q", x.Func)
 			}
 			p.itemRefs[i] = itemRef{groupIdx: -1, aggIdx: len(p.aggKinds)}
 			p.aggKinds = append(p.aggKinds, kind)
@@ -161,22 +161,6 @@ func multisetOf(kinds []exec.AggKind, args []string) int {
 		}
 	}
 	return last
-}
-
-func aggKind(x *sql.AggExpr) (exec.AggKind, error) {
-	switch x.Func {
-	case sql.AggMin:
-		return exec.AggMin, nil
-	case sql.AggMax:
-		return exec.AggMax, nil
-	case sql.AggSum:
-		return exec.AggSum, nil
-	case sql.AggCount:
-		return exec.AggCount, nil
-	case sql.AggAvg:
-		return exec.AggAvg, nil
-	}
-	return 0, sql.Unsupported(x.Pos, "aggregate %q", x.Func)
 }
 
 // AggKinds returns the kind of each aggregate, in select order: the

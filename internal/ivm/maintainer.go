@@ -231,11 +231,10 @@ func (m *Maintainer) ApplyDeferred(mods ...Mod) error {
 			return fmt.Errorf("ivm: unknown alias %q", mod.Alias)
 		}
 		if m.wal != nil {
-			_, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod})
-			m.obs.observeWALAppend()
-			if err != nil {
+			if _, err := m.wal.Append(WALRecord{Kind: WALArrival, Mod: mod}); err != nil {
 				return err
 			}
+			m.obs.observeWALAppend()
 		}
 		m.deltas[mod.Alias] = append(m.deltas[mod.Alias], mod)
 	}
@@ -345,11 +344,10 @@ func (m *Maintainer) ProcessBatch(alias string, k int) error {
 	// view state (cannot fail), mark the touched keys dirty for the next
 	// incremental checkpoint, trim the queue.
 	if m.wal != nil {
-		_, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k})
-		m.obs.observeWALAppend()
-		if err != nil {
+		if _, err := m.wal.Append(WALRecord{Kind: WALDrain, Alias: alias, K: k}); err != nil {
 			return undo(fmt.Errorf("ivm: wal commit: %w", err))
 		}
+		m.obs.observeWALAppend()
 	}
 	m.view.FoldSigned(out, outMinus)
 	m.stats.BatchSetups++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abivm/internal/fault"
+	"abivm/internal/obs"
 	"abivm/internal/storage"
 )
 
@@ -201,12 +202,27 @@ func (s *refusingSink) AppendRecord(rec WALRecord) error {
 
 func (s *refusingSink) TruncateRecords(uint64) error { return nil }
 
+// countAppends attaches a metrics bundle to m and returns a check that
+// ivm_wal_appends_total has counted exactly the records w accepted since.
+func countAppends(t *testing.T, m *Maintainer, w *WAL) func() {
+	ms := NewMetrics(obs.NewRegistry())
+	m.SetMetrics(ms)
+	from := w.LastLSN()
+	return func() {
+		t.Helper()
+		if got, want := ms.WALAppends.Value(), int64(w.LastLSN()-from); got != want {
+			t.Errorf("ivm_wal_appends_total counted %d appends, the log accepted %d", got, want)
+		}
+	}
+}
+
 // TestProcessBatchRollsBackPartialApply fails a drain after it has
 // written part of the replica — partway through its insertions, and
 // after all of them when the redo log refuses the drain record — and
 // checks that the rollback takes back exactly the writes made, so the
 // same drain succeeds once the fault is gone — and that the refused drain
-// record is not in the log, so recovery replays the retry alone.
+// record is not in the log, so recovery replays the retry alone, nor
+// counted as an append.
 func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 	t.Run("insert", func(t *testing.T) {
 		m := rollbackFixture(t)
@@ -240,6 +256,7 @@ func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 		w.SetSink(sink)
 		m.AttachWAL(w)
 		chain := fullCheckpoint(t, m)
+		checkAppends := countAppends(t, m, w)
 		sink.refuse = true
 		want := drainState(m)
 		if err := m.ProcessBatch("PS", 7); err == nil {
@@ -254,6 +271,7 @@ func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 		}
 		assertConsistent(t, m)
 		applyN(t, m, 200, 3)
+		checkAppends()
 		rec, err := RecoverChain(m.live, paperView, chain, w)
 		if err != nil {
 			t.Fatal(err)
@@ -266,8 +284,9 @@ func TestProcessBatchRollsBackPartialApply(t *testing.T) {
 }
 
 // TestApplyDeferredRefusedArrivalQueuesNothing: an arrival the redo log
-// refuses is not queued and takes no LSN, so the maintainer and its log
-// stay in step and the same arrival can be offered again.
+// refuses is not queued, takes no LSN and is not counted as an append, so
+// the maintainer and its log stay in step and the same arrival can be
+// offered again.
 func TestApplyDeferredRefusedArrivalQueuesNothing(t *testing.T) {
 	m, err := New(liveDB(t), paperView)
 	if err != nil {
@@ -278,6 +297,7 @@ func TestApplyDeferredRefusedArrivalQueuesNothing(t *testing.T) {
 	w.SetSink(sink)
 	m.AttachWAL(w)
 	chain := fullCheckpoint(t, m)
+	checkAppends := countAppends(t, m, w)
 	applyN(t, m, 100, 7)
 	want, lsn := drainState(m), w.LastLSN()
 	sink.refuse = true
@@ -293,6 +313,7 @@ func TestApplyDeferredRefusedArrivalQueuesNothing(t *testing.T) {
 	}
 	sink.refuse = false
 	applyN(t, m, 107, 1)
+	checkAppends()
 	rec, err := RecoverChain(m.live, paperView, chain, w)
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,9 @@
 //     caller-owned copy of every metric.
 //
 // Metric names are registered with compile-time constant strings only —
-// the abivmlint metricname analyzer rejects fmt.Sprintf-style dynamic
-// names, which would unbounded the registry and break dashboards.
+// scripts/docs_check.sh rejects a registration whose name is not a string
+// literal, since a dynamic name would unbound the registry and break
+// dashboards.
 // Dynamic dimensions (subscription names, fault sites) go into labels.
 package obs
 
@@ -199,20 +200,22 @@ type Label struct {
 	Value string
 }
 
-// metric is one registered instrument.
+// metric is one registered instrument. A gauge with fn set reads fn()
+// at each snapshot instead of g.
 type metric struct {
 	name   string
 	labels []Label
 	kind   metricKind
 	c      *Counter
 	g      *Gauge
+	fn     func() float64
 	h      *Histogram
 }
 
-// Registry holds named metrics. Registration (Counter/Gauge/Histogram)
-// takes a short lock and is idempotent — the same name+labels returns
-// the same instrument — so instrumented components register once at
-// attach time and hot paths touch only the lock-free instruments.
+// Registry holds named metrics. Registration (Counter/Gauge/GaugeFunc/
+// Histogram) takes a short lock and is idempotent — the same name+labels
+// returns the same instrument — so instrumented components register once
+// at attach time and hot paths touch only the lock-free instruments.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -338,6 +341,24 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 	return m.g
 }
 
+// GaugeFunc registers fn as the level of the gauge under name+labels:
+// every snapshot calls it, after releasing the registry's lock, so fn
+// may take other locks and register metrics. A later registration under
+// the same name and labels replaces fn. Panics and nil behavior mirror
+// Gauge.
+func (r *Registry) GaugeFunc(name string, fn func() float64, labelPairs ...string) {
+	if r == nil {
+		return
+	}
+	m, err := r.lookup(name, kindGauge, labelPairs)
+	if err != nil {
+		panic(err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m.fn = fn
+}
+
 // Histogram returns the histogram registered under name+labels with the
 // given bucket upper bounds, creating it on first use (later calls keep
 // the first bounds). Panics and nil behavior mirror Counter, plus a
@@ -388,14 +409,16 @@ func (s MetricSnapshot) Key() string { return id(s.Name, s.Labels) }
 // Snapshot returns every metric's current state, sorted by canonical
 // key. The result is caller-owned; concurrent updates during the
 // snapshot may be partially visible per metric but never corrupt it.
+// Entries are copied under the registry's lock and a GaugeFunc's
+// function is called after it is released.
 func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	ms := make([]*metric, 0, len(r.metrics))
+	ms := make([]metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
-		ms = append(ms, m)
+		ms = append(ms, *m)
 	}
 	r.mu.Unlock()
 	sort.Slice(ms, func(i, j int) bool { return id(ms[i].name, ms[i].labels) < id(ms[j].name, ms[j].labels) })
@@ -411,6 +434,9 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			s.Value = float64(m.c.Value())
 		case kindGauge:
 			s.Value = m.g.Value()
+			if m.fn != nil {
+				s.Value = m.fn()
+			}
 		case kindHistogram:
 			h := m.h
 			if h == nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -63,6 +64,63 @@ func TestRegistryPanicsAreAttachTime(t *testing.T) {
 	mustPanic("kind conflict", func() { r.Gauge("taken") })
 	mustPanic("empty bounds", func() { r.Histogram("hist", nil) })
 	mustPanic("unsorted bounds", func() { r.Histogram("hist2", []float64{2, 1}) })
+}
+
+// TestGaugeFuncReadsAtSnapshot: a GaugeFunc's level is what its function
+// returns when the snapshot is taken, a later registration under the
+// same name and labels replaces the function, and a function may
+// register metrics itself — it runs outside the registry's lock.
+func TestGaugeFuncReadsAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	level := func() float64 {
+		t.Helper()
+		for _, m := range r.Snapshot() {
+			if m.Key() == `depth{sub="east"}` {
+				if m.Type != "gauge" {
+					t.Fatalf("depth is a %s, want a gauge", m.Type)
+				}
+				return m.Value
+			}
+		}
+		t.Fatal("depth not in the snapshot")
+		return 0
+	}
+	v := 1.0
+	r.GaugeFunc("depth", func() float64 { return v }, "sub", "east")
+	if got := level(); got != 1 {
+		t.Fatalf("depth = %g, want 1", got)
+	}
+	v = 7
+	if got := level(); got != 7 {
+		t.Fatalf("depth = %g after the state moved to 7", got)
+	}
+	r.GaugeFunc("depth", func() float64 { return -v }, "sub", "east")
+	if got := level(); got != -7 {
+		t.Fatalf("depth = %g after re-registration, want -7", got)
+	}
+	r.GaugeFunc("depth", func() float64 {
+		r.Counter("registered_in_snapshot_total").Inc()
+		return 3
+	}, "sub", "east")
+	done := make(chan []MetricSnapshot)
+	go func() { done <- r.Snapshot() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a GaugeFunc that registers a metric deadlocked the snapshot")
+	}
+	if got := r.Counter("registered_in_snapshot_total").Value(); got != 1 {
+		t.Fatalf("the function ran %d times in one snapshot, want 1", got)
+	}
+	var nilReg *Registry
+	nilReg.GaugeFunc("depth", func() float64 { return 1 }) // no-op
+	r.Counter("taken_total")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GaugeFunc over a counter's name did not panic")
+		}
+	}()
+	r.GaugeFunc("taken_total", func() float64 { return 1 })
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -551,9 +551,9 @@ func (c *compiler) buildAggregate(op exec.Op) (exec.Op, error) {
 }
 
 func (c *compiler) bindAgg(x *sql.AggExpr, inCols []exec.Col, alias string) (exec.AggSpec, error) {
-	kind, err := aggKind(x.Func)
-	if err != nil {
-		return exec.AggSpec{}, err
+	kind, ok := AggKind(x.Func)
+	if !ok {
+		return exec.AggSpec{}, fmt.Errorf("plan: unknown aggregate %q", x.Func)
 	}
 	name := alias
 	if name == "" {
@@ -575,18 +575,20 @@ func (c *compiler) bindAgg(x *sql.AggExpr, inCols []exec.Col, alias string) (exe
 	return exec.AggSpec{Kind: kind, Arg: scalar, Name: name}, nil
 }
 
-func aggKind(f sql.AggFunc) (exec.AggKind, error) {
+// AggKind maps an aggregate function to the operator kind that computes
+// it; false for a function no operator computes.
+func AggKind(f sql.AggFunc) (exec.AggKind, bool) {
 	switch f {
 	case sql.AggMin:
-		return exec.AggMin, nil
+		return exec.AggMin, true
 	case sql.AggMax:
-		return exec.AggMax, nil
+		return exec.AggMax, true
 	case sql.AggSum:
-		return exec.AggSum, nil
+		return exec.AggSum, true
 	case sql.AggCount:
-		return exec.AggCount, nil
+		return exec.AggCount, true
 	case sql.AggAvg:
-		return exec.AggAvg, nil
+		return exec.AggAvg, true
 	}
-	return 0, fmt.Errorf("plan: unknown aggregate %q", f)
+	return 0, false
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // TestHealthConcurrentWithWorkload hammers the broker's read-side API —
-// Health, Subscriptions, Result, TotalCost — from several goroutines
-// while the demo workload publishes, drains, degrades, and
-// crash-recovers underneath, with the observability sink attached so the
-// metrics/trace paths run too. It exists to run under `go test -race`:
+// Health, Subscriptions, Result, TotalCost and a registry snapshot, whose
+// levels read the broker — from several goroutines while the demo
+// workload publishes, drains, degrades, and crash-recovers underneath,
+// with the observability sink attached so the metrics/trace paths run
+// too. It exists to run under `go test -race`:
 // the scrape-while-stepping pattern is exactly what `abivm serve` does
 // live, and the race detector proves the broker's RWMutex contract
 // covers it.
@@ -24,7 +25,8 @@ func TestHealthConcurrentWithWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Broker.SetObs(obs.NewRegistry(), obs.NewTracer(64))
+	reg := obs.NewRegistry()
+	w.Broker.SetObs(reg, obs.NewTracer(64))
 
 	const (
 		scrapers = 4
@@ -42,6 +44,7 @@ func TestHealthConcurrentWithWorkload(t *testing.T) {
 					return
 				default:
 				}
+				reg.Snapshot()
 				names := w.Broker.Subscriptions()
 				if len(names) != 2 {
 					t.Errorf("Subscriptions returned %d names, want 2", len(names))

@@ -4,7 +4,7 @@ import (
 	"strconv"
 	"time"
 
-	"abivm/internal/dataflow"
+	"abivm/internal/core"
 	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
@@ -16,9 +16,11 @@ import (
 // the default until SetObs — is the detached state: every method but
 // observeDrain and syncDurable, whose callers test for nil, is a
 // nil-receiver no-op, and the step loop performs no measurement work at
-// all (no time.Now, no gauge math). Every instrument is registered at
-// attach time with a constant name; per-subscription series differ only
-// in the `sub` label.
+// all (no time.Now). Every instrument is registered at attach time with a
+// constant name; per-subscription series differ only in the `sub` label.
+// The levels — the graph's shape and each subscription's status — are
+// GaugeFuncs that read the broker at each scrape, so the step loop keeps
+// no copy of them.
 type brokerObs struct {
 	reg *obs.Registry
 	tr  *obs.Tracer
@@ -53,37 +55,32 @@ type brokerObs struct {
 	fallbacks    *obs.Counter
 	dur          durable.Stats
 
-	// Shared-dataflow graph shape, synced at the end of each step while
-	// the shared runtime is active (zero otherwise): live operator count,
-	// attached views, cumulative hash-consing intern hits, the widest
-	// operator fan-out, live arrangements and the join sides that reused
-	// one, arrangement rows, deltas buffered in sinks, the cumulative
-	// count of arrangement entries trims examined, probes and products,
-	// and the deltas drains folded and the log entries they walked.
-	dfOperators   *obs.Gauge
-	dfViews       *obs.Gauge
-	dfInternHits  *obs.Gauge
-	dfMaxFanout   *obs.Gauge
-	dfArrs        *obs.Gauge
-	dfArrHits     *obs.Gauge
-	dfStateRows   *obs.Gauge
-	dfRetained    *obs.Gauge
-	dfTrimVisited *obs.Gauge
-	dfProbes      *obs.Gauge
-	dfProducts    *obs.Gauge
-	dfFolds       *obs.Gauge
-	dfFoldVisits  *obs.Gauge
-	dfRebuilds    *obs.Gauge
-
 	// ivm is the bundle every classic subscription's maintainer counts
 	// its redo log, checkpoints and recovery replay in; its histograms
 	// aggregate across subscriptions.
 	ivm *ivm.Metrics
 }
 
-// newBrokerObs registers the broker's instruments; dur is the stores'
-// counters so far, which the disk-tier series do not count.
-func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, dur durable.Stats) *brokerObs {
+// newBrokerObs registers b's instruments. The disk-tier series count
+// from the stores' counters as they are now. The ivm_dataflow_* levels
+// read the shared graph's shape at each scrape (zero while the classic
+// runtime is active). Caller holds b.mu.
+func newBrokerObs(b *Broker, reg *obs.Registry, tr *obs.Tracer) *brokerObs {
+	df := b.DataflowStats
+	reg.GaugeFunc("ivm_dataflow_operators", func() float64 { return float64(df().Nodes) })
+	reg.GaugeFunc("ivm_dataflow_views", func() float64 { return float64(df().Views) })
+	reg.GaugeFunc("ivm_dataflow_intern_hits_total", func() float64 { return float64(df().InternHits) })
+	reg.GaugeFunc("ivm_dataflow_max_fanout", func() float64 { return float64(df().MaxFanout) })
+	reg.GaugeFunc("ivm_dataflow_arrangements", func() float64 { return float64(df().Arrangements) })
+	reg.GaugeFunc("ivm_dataflow_arrangement_hits_total", func() float64 { return float64(df().ArrangementHits) })
+	reg.GaugeFunc("ivm_dataflow_state_rows", func() float64 { return float64(df().StateRows) })
+	reg.GaugeFunc("ivm_dataflow_retained_deltas", func() float64 { return float64(df().RetainedDeltas) })
+	reg.GaugeFunc("ivm_dataflow_trim_visited_total", func() float64 { return float64(df().TrimVisited) })
+	reg.GaugeFunc("ivm_dataflow_probes_total", func() float64 { return float64(df().Probes) })
+	reg.GaugeFunc("ivm_dataflow_products_total", func() float64 { return float64(df().Products) })
+	reg.GaugeFunc("ivm_dataflow_folds_total", func() float64 { return float64(df().Folds) })
+	reg.GaugeFunc("ivm_dataflow_fold_visits_total", func() float64 { return float64(df().FoldVisits) })
+	reg.GaugeFunc("ivm_dataflow_rebuild_visits_total", func() float64 { return float64(df().RebuildVisits) })
 	return &brokerObs{
 		reg:           reg,
 		tr:            tr,
@@ -107,59 +104,27 @@ func newBrokerObs(reg *obs.Registry, tr *obs.Tracer, dur durable.Stats) *brokerO
 		corruptions:   reg.Counter("ivm_recovery_corruption_total"),
 		quarantines:   reg.Counter("ivm_recovery_corruption_quarantined_total"),
 		fallbacks:     reg.Counter("ivm_recovery_corruption_fallbacks_total"),
-		dur:           dur,
-		dfOperators:   reg.Gauge("ivm_dataflow_operators"),
-		dfViews:       reg.Gauge("ivm_dataflow_views"),
-		dfInternHits:  reg.Gauge("ivm_dataflow_intern_hits_total"),
-		dfMaxFanout:   reg.Gauge("ivm_dataflow_max_fanout"),
-		dfArrs:        reg.Gauge("ivm_dataflow_arrangements"),
-		dfArrHits:     reg.Gauge("ivm_dataflow_arrangement_hits_total"),
-		dfStateRows:   reg.Gauge("ivm_dataflow_state_rows"),
-		dfRetained:    reg.Gauge("ivm_dataflow_retained_deltas"),
-		dfTrimVisited: reg.Gauge("ivm_dataflow_trim_visited_total"),
-		dfProbes:      reg.Gauge("ivm_dataflow_probes_total"),
-		dfProducts:    reg.Gauge("ivm_dataflow_products_total"),
-		dfFolds:       reg.Gauge("ivm_dataflow_folds_total"),
-		dfFoldVisits:  reg.Gauge("ivm_dataflow_fold_visits_total"),
-		dfRebuilds:    reg.Gauge("ivm_dataflow_rebuild_visits_total"),
+		dur:           b.durabilityStats(),
 		ivm:           ivm.NewMetrics(reg),
 	}
 }
 
-// subObs holds one subscription's labeled series. The gauges mirror the
-// Health snapshot continuously: steps-behind, QoS overshoot, backlog
-// size, degraded flag, and retained WAL length.
+// subObs holds one subscription's labeled counters.
 type subObs struct {
 	notifications *obs.Counter
 	degradedNotes *obs.Counter
-	stepsBehind   *obs.Gauge
-	costOvershoot *obs.Gauge
-	pendingMods   *obs.Gauge
-	degraded      *obs.Gauge
-	walRecords    *obs.Gauge
-}
-
-func newSubObs(reg *obs.Registry, name string) *subObs {
-	return &subObs{
-		notifications: reg.Counter("pubsub_sub_notifications_total", "sub", name),
-		degradedNotes: reg.Counter("pubsub_sub_degraded_notifications_total", "sub", name),
-		stepsBehind:   reg.Gauge("pubsub_sub_steps_behind", "sub", name),
-		costOvershoot: reg.Gauge("pubsub_sub_cost_overshoot", "sub", name),
-		pendingMods:   reg.Gauge("pubsub_sub_pending_mods", "sub", name),
-		degraded:      reg.Gauge("pubsub_sub_degraded", "sub", name),
-		walRecords:    reg.Gauge("pubsub_sub_wal_records", "sub", name),
-	}
 }
 
 // SetObs attaches an observability sink: all broker-level instruments
 // (among them the drain, recovery and disk-tier series the broker counts
-// for every engine), per-subscription gauges (labeled `sub`), the ivm
+// for every engine), per-subscription series (labeled `sub`), the ivm
 // bundle each classic maintainer counts its own log and checkpoints in,
 // span recording on tr (nil disables tracing only), and — when the
 // current injector is a *fault.Seeded — a per-site fault counter via its
 // observer hook. Subscriptions added later are wired on Subscribe. The
 // sink counts only what happens after it is attached. A nil registry
-// detaches everything.
+// detaches: the old registry's counters and histograms stop, while its
+// levels, which read the broker at each scrape, go on reading it.
 func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -177,20 +142,42 @@ func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 		}
 		return
 	}
-	b.obs = newBrokerObs(reg, tr, b.durabilityStats())
+	b.obs = newBrokerObs(b, reg, tr)
 	for _, s := range b.subs {
 		b.wireSub(s)
 	}
 	b.observeInjector()
 }
 
-// wireSub attaches the current sink to one subscription. Caller holds
-// b.mu.
+// wireSub attaches the current sink to one subscription. Its levels read
+// the subscription under the broker's read lock at each scrape, so they
+// are the values Health reports. Caller holds b.mu.
 func (b *Broker) wireSub(s *sub) {
 	if b.obs == nil {
 		return
 	}
-	s.obs = newSubObs(b.obs.reg, s.cfg.Name)
+	reg, name := b.obs.reg, s.cfg.Name
+	s.obs = &subObs{
+		notifications: reg.Counter("pubsub_sub_notifications_total", "sub", name),
+		degradedNotes: reg.Counter("pubsub_sub_degraded_notifications_total", "sub", name),
+	}
+	read := func(f func() float64) func() float64 {
+		return func() float64 {
+			b.mu.RLock()
+			defer b.mu.RUnlock()
+			return f()
+		}
+	}
+	reg.GaugeFunc("pubsub_sub_steps_behind", read(func() float64 { return float64(b.step - s.lastFresh) }), "sub", name)
+	reg.GaugeFunc("pubsub_sub_pending_mods", read(func() float64 { return float64(core.Vector(s.eng.PendingInto(nil)).Sum()) }), "sub", name)
+	reg.GaugeFunc("pubsub_sub_cost_overshoot", read(func() float64 { return s.overshoot(s.eng.PendingInto(nil)) }), "sub", name)
+	reg.GaugeFunc("pubsub_sub_degraded", read(func() float64 {
+		if s.degraded {
+			return 1
+		}
+		return 0
+	}), "sub", name)
+	reg.GaugeFunc("pubsub_sub_wal_records", read(func() float64 { return float64(s.eng.WALLen()) }), "sub", name)
 	s.eng.SetMetrics(b.obs.ivm)
 	// The decision-loop series are labeled by policy name only, so every
 	// subscription's policy reports into the same registry-deduped
@@ -262,8 +249,6 @@ func (o *brokerObs) observeNotification(s *sub, n Notification) {
 	o.notifications.Inc()
 	o.refreshCost.Observe(n.RefreshCost)
 	s.obs.notifications.Inc()
-	s.obs.stepsBehind.Set(float64(n.StepsBehind))
-	s.obs.costOvershoot.Set(n.CostOvershoot)
 	if n.Degraded {
 		o.degradedNotes.Inc()
 		s.obs.degradedNotes.Inc()
@@ -316,57 +301,4 @@ func (o *brokerObs) syncDurable(st durable.Stats) {
 	o.quarantines.Add(int64(st.Quarantined - o.dur.Quarantined))
 	o.fallbacks.Add(int64(st.Fallbacks - o.dur.Fallbacks))
 	o.dur = st
-}
-
-// syncDataflow mirrors the shared operator graph's shape onto the
-// ivm_dataflow_* gauges.
-func (o *brokerObs) syncDataflow(st dataflow.GraphStats) {
-	if o == nil {
-		return
-	}
-	o.dfOperators.Set(float64(st.Nodes))
-	o.dfViews.Set(float64(st.Views))
-	o.dfInternHits.Set(float64(st.InternHits))
-	o.dfMaxFanout.Set(float64(st.MaxFanout))
-	o.dfArrs.Set(float64(st.Arrangements))
-	o.dfArrHits.Set(float64(st.ArrangementHits))
-	o.dfStateRows.Set(float64(st.StateRows))
-	o.dfRetained.Set(float64(st.RetainedDeltas))
-	o.dfTrimVisited.Set(float64(st.TrimVisited))
-	o.dfProbes.Set(float64(st.Probes))
-	o.dfProducts.Set(float64(st.Products))
-	o.dfFolds.Set(float64(st.Folds))
-	o.dfFoldVisits.Set(float64(st.FoldVisits))
-	o.dfRebuilds.Set(float64(st.RebuildVisits))
-}
-
-// syncSub refreshes a subscription's gauges after its share of a step
-// and accumulates degraded time. Caller guarantees o != nil checks are
-// unnecessary only via the nil-receiver no-op.
-func (o *brokerObs) syncSub(b *Broker, s *sub) {
-	if o == nil {
-		return
-	}
-	// syncSub runs on the step path under the broker's exclusive lock, so
-	// the subscription's reusable pending scratch is safe here.
-	pending := b.pending(s)
-	total := 0
-	for _, k := range pending {
-		total += k
-	}
-	s.obs.pendingMods.Set(float64(total))
-	s.obs.stepsBehind.Set(float64(b.step - s.lastFresh))
-	s.obs.walRecords.Set(float64(s.eng.WALLen()))
-	if s.degraded {
-		s.obs.degraded.Set(1)
-		o.degradedSteps.Inc()
-		over := s.cfg.Model.Total(pending) - s.cfg.QoS
-		if over < 0 {
-			over = 0
-		}
-		s.obs.costOvershoot.Set(over)
-	} else {
-		s.obs.degraded.Set(0)
-		s.obs.costOvershoot.Set(0)
-	}
 }

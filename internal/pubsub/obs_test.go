@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"abivm/internal/core"
 	"abivm/internal/durable"
 	"abivm/internal/fault"
 	"abivm/internal/ivm"
@@ -28,6 +29,161 @@ func engineSeries(reg *obs.Registry) map[string]int64 {
 		}
 	}
 	return out
+}
+
+// levels reads every gauge off reg, keyed by series (labels included).
+func levels(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		if m.Type == "gauge" {
+			out[m.Key()] = m.Value
+		}
+	}
+	return out
+}
+
+// TestSubGaugesReadHealth: after every step, each pubsub_sub_* level of
+// every subscription is what Health reports for it — steps behind,
+// pending modifications summed, the degraded flag, retained redo-log
+// records — and its cost overshoot is how far the pending refresh cost
+// exceeds C while it is degraded, on the classic, the shared and a
+// 2-shard broker. Every drain fails from step 10 to step 24, so the
+// subscriptions, the demo's under a tighter C, degrade with a backlog
+// past C, then heal.
+func TestSubGaugesReadHealth(t *testing.T) {
+	const steps, faultFrom, faultTo, qos = 40, 10, 25, 8.0
+	spec := DefaultWorkloadSpec()
+	script := chaosScript(2, steps, spec)
+	subs, err := demoSubscriptionsSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscribe := func(b interface{ Subscribe(Subscription) error }) {
+		for _, sc := range subs {
+			sc.QoS = qos
+			if err := b.Subscribe(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, rt := range []string{"classic", "shared", "sharded-2"} {
+		t.Run(rt, func(t *testing.T) {
+			var (
+				br    stepper
+				each  func(func(*Broker))
+				owner func(string) (*Broker, error)
+			)
+			if rt == "sharded-2" {
+				db, err := DemoDB(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb := NewShardedBroker(db, ShardOptions{Shards: 2})
+				subscribe(sb)
+				br, each, owner = sb, sb.each, sb.ownerBroker
+			} else {
+				b, err := NewRuntime(RuntimeConfig{Spec: spec, Shared: rt == "shared", Subscribe: func(_ *storage.DB, b *Broker) error {
+					subscribe(b)
+					return nil
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				br, each = b, func(f func(*Broker)) { f(b) }
+				owner = func(string) (*Broker, error) { return b, nil }
+			}
+			reg := obs.NewRegistry()
+			each(func(b *Broker) { b.SetObs(reg, nil) })
+			degradedSteps, overshoots := 0, 0
+			for step, evs := range script {
+				switch step {
+				case faultFrom:
+					each(func(b *Broker) { b.SetInjector(fault.AlwaysAt(fault.SiteDrainPlan)) })
+				case faultTo:
+					each(func(b *Broker) { b.SetInjector(nil) })
+				}
+				for _, ev := range evs {
+					if err := br.Publish(ev.table, ev.mod); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := br.EndStep(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				got := levels(reg)
+				for _, sc := range subs {
+					b, err := owner(sc.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h, err := b.Health(sc.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					degraded, over := 0.0, 0.0
+					if h.Degraded {
+						degraded, over = 1, max(sc.Model.Total(h.Pending)-qos, 0)
+						degradedSteps++
+					}
+					if over > 0 {
+						overshoots++
+					}
+					for name, want := range map[string]float64{
+						"pubsub_sub_steps_behind":   float64(h.StepsBehind),
+						"pubsub_sub_pending_mods":   float64(core.Vector(h.Pending).Sum()),
+						"pubsub_sub_degraded":       degraded,
+						"pubsub_sub_wal_records":    float64(h.WALRecords),
+						"pubsub_sub_cost_overshoot": over,
+					} {
+						key := name + `{sub="` + sc.Name + `"}`
+						if v, ok := got[key]; !ok || v != want {
+							t.Errorf("step %d: %s = %v (registered %v), Health says %v", step, key, v, ok, want)
+						}
+					}
+				}
+			}
+			if degradedSteps == 0 || overshoots == 0 {
+				t.Fatalf("%d degraded subscription-steps, %d with a cost overshoot: the check is vacuous", degradedSteps, overshoots)
+			}
+		})
+	}
+}
+
+// TestRefreshShowsInSubGauges: a Refresh between steps brings the
+// subscription up to date, and its levels say so at once — they read the
+// subscription, not a copy made at the last step's end.
+func TestRefreshShowsInSubGauges(t *testing.T) {
+	spec := DefaultWorkloadSpec()
+	b, err := NewRuntime(RuntimeConfig{Spec: spec, Shared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	b.SetObs(reg, nil)
+	for step, evs := range chaosScript(3, 5, spec) {
+		for _, ev := range evs {
+			if err := b.Publish(ev.table, ev.mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := b.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	const pending = `pubsub_sub_pending_mods{sub="east"}`
+	if got := levels(reg)[pending]; got == 0 {
+		t.Fatalf("%s = 0 before the refresh: the check is vacuous", pending)
+	}
+	if _, err := b.Refresh("east"); err != nil {
+		t.Fatal(err)
+	}
+	h, err := b.Health("east")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := levels(reg)[pending], float64(core.Vector(h.Pending).Sum()); got != 0 || want != 0 {
+		t.Errorf("after Refresh: %s = %v, Health says %v pending, want 0", pending, got, h.Pending)
+	}
 }
 
 // copiedDurable reads the five disk-tier series the broker copies from

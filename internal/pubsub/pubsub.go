@@ -496,14 +496,15 @@ func (b *Broker) EndStep() ([]Notification, error) {
 			}
 			b.notes = append(b.notes, n)
 		}
-		b.obs.syncSub(b, s)
+		if s.degraded && b.obs != nil {
+			b.obs.degradedSteps.Inc()
+		}
 		sp.End()
 	}
 	if err := b.checkpointDue(); err != nil {
 		return nil, err
 	}
 	if b.obs != nil {
-		b.obs.syncDataflow(b.dataflowStats())
 		b.obs.syncDurable(b.durabilityStats())
 	}
 	b.obs.observeStep(stepStart)
@@ -535,10 +536,6 @@ func (b *Broker) notify(s *sub) (Notification, error) {
 		return Notification{}, err
 	}
 	s.degraded = true
-	over := s.cfg.Model.Total(b.pending(s)) - s.cfg.QoS
-	if over < 0 {
-		over = 0
-	}
 	n := Notification{
 		Subscription:  s.cfg.Name,
 		Step:          b.step,
@@ -546,10 +543,20 @@ func (b *Broker) notify(s *sub) (Notification, error) {
 		RefreshCost:   cost,
 		Degraded:      true,
 		StepsBehind:   b.step - s.lastFresh,
-		CostOvershoot: over,
+		CostOvershoot: s.overshoot(b.pending(s)),
 	}
 	b.obs.observeNotification(s, n)
 	return n, nil
+}
+
+// overshoot is how far pending's refresh cost exceeds the QoS bound C
+// while s is degraded: the unrepaired part of the constraint, 0 whenever
+// the bound is kept.
+func (s *sub) overshoot(pending core.Vector) float64 {
+	if !s.degraded {
+		return 0
+	}
+	return max(s.cfg.Model.Total(pending)-s.cfg.QoS, 0)
 }
 
 // maybeCrash polls the crash site and, when it fires, simulates a crash

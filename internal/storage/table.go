@@ -328,6 +328,3 @@ func (c *Cursor) Next() (Row, bool) {
 	}
 	return nil, false
 }
-
-// Reset repositions the cursor before the first row.
-func (c *Cursor) Reset() { c.slot = 0 }

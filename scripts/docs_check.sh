@@ -11,11 +11,11 @@
 #      check.
 #   3. OPERATIONS.md's metric catalogue (section 2) and the series the
 #      code registers — the string-literal first argument of every
-#      Counter(/Gauge(/Histogram( call outside tests — must be the same
-#      set: a deleted series left in the catalogue fails, and so does a
-#      new one an operator cannot look up. A call whose first argument
-#      is not a string literal fails too: its name could be anything, so
-#      neither the catalogue nor this check could see it.
+#      Counter(/Gauge(/GaugeFunc(/Histogram( call outside tests — must
+#      be the same set: a deleted series left in the catalogue fails, and
+#      so does a new one an operator cannot look up. A call whose first
+#      argument is not a string literal fails too: its name could be
+#      anything, so neither the catalogue nor this check could see it.
 #   4. Every backticked `Test...` or `Benchmark...` name in DESIGN.md,
 #      EXPERIMENTS.md, OPERATIONS.md, README.md or ARCHITECTURE.md must
 #      be declared by a `func Test...(` or `func Benchmark...(` in some
@@ -79,7 +79,7 @@ done
 
 # Direction 3: catalogue <-> registered series. First, every name must
 # be a literal on the call's own line, or the grep below misses it.
-dynamic=$(grep -rnE '\.(Counter|Gauge|Histogram)\(([^"]|$)' \
+dynamic=$(grep -rnE '\.(Counter|Gauge|GaugeFunc|Histogram)\(([^"]|$)' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal || true)
 if [ -n "$dynamic" ]; then
 	printf '%s\n' "$dynamic" | sed 's/^/docs-check: metric name is not a string literal: /'
@@ -89,7 +89,7 @@ fi
 # with a {label} suffix) whose prefix some registered series has;
 # `pubsub_sub_*`-style globs name a family, not a series, and are
 # skipped.
-registered=$(grep -rhoE '\.(Counter|Gauge|Histogram)\("[a-z0-9_]+"' \
+registered=$(grep -rhoE '\.(Counter|Gauge|GaugeFunc|Histogram)\("[a-z0-9_]+"' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal |
 	sed -E 's/.*"([a-z0-9_]+)"/\1/' | sort -u)
 prefixes=$(printf '%s\n' "$registered" | cut -d_ -f1 | sort -u | paste -sd'|' -)
@@ -101,7 +101,7 @@ catalogued=$(sed -n '/^## 2\. /,/^## 3\. /p' OPERATIONS.md |
 }
 for name in $catalogued; do
 	if ! printf '%s\n' "$registered" | grep -qx "$name"; then
-		echo "docs-check: OPERATIONS.md's metric catalogue names $name, which no Counter(/Gauge(/Histogram( call registers"
+		echo "docs-check: OPERATIONS.md's metric catalogue names $name, which no Counter(/Gauge(/GaugeFunc(/Histogram( call registers"
 		fail=1
 	fi
 done
