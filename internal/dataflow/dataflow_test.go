@@ -266,9 +266,10 @@ func TestEquivalenceWithMaintainer(t *testing.T) {
 	}
 }
 
-// TestEquivalenceSingleTableMods exercises queries whose tables see no
-// mods at all for long stretches (cursor coverage with frozen
-// coordinates).
+// TestEquivalenceLateSubscriber: a view subscribed to the graph after
+// ten steps of modifications starts from the live state with an empty
+// backlog, and under random partial drains it and the first view go on
+// matching their maintainers step for step.
 func TestEquivalenceLateSubscriber(t *testing.T) {
 	query := equivalenceQueries[1]
 	db := testDB(t)

@@ -30,12 +30,12 @@ var (
 )
 
 // fig4Model returns the paper-view cost model for the configuration,
-// memoized per (Scale, Seed, Quick, fit). Profiling shows the TPC-R
-// generation + curve measurement behind it dominates the figure suite
-// (~70% of BenchmarkFig6VaryRefresh), and Fig5/Fig6/Fig7/Policies all
-// rebuild the identical model; CostModel is immutable after
-// construction, so one shared instance serves every caller, including
-// concurrent parallel-sweep workers. Errors are not cached.
+// memoized per (Scale, Seed, Quick, fit). The TPC-R generation + curve
+// measurement behind it dominates the figure suite, and
+// Fig5/Fig6/Fig7/Policies all rebuild the identical model; CostModel is
+// immutable after construction, so one shared instance serves every
+// caller, including concurrent parallel-sweep workers. Errors are not
+// cached.
 func fig4Model(cfg Config, fit string) (*core.CostModel, error) {
 	key := modelCacheKey{scale: cfg.Scale, seed: cfg.Seed, quick: cfg.Quick, fit: fit}
 	modelCacheMu.Lock()

@@ -1,6 +1,7 @@
 // Package obs is the observability subsystem of the ABIVM runtime: a
-// std-lib-only metrics registry (counters, gauges, fixed-bucket
-// histograms), lightweight trace spans recorded into a bounded ring
+// std-lib-only metrics registry (counters and fixed-bucket histograms,
+// plus the counters and gauges a collect function reads from its owner
+// at each scrape), lightweight trace spans recorded into a bounded ring
 // buffer, and an HTTP mux exposing both plus health and profiling
 // endpoints (see serve.go). The paper's evaluation is all about measured
 // per-step costs and constraint headroom (Section 5, Figs. 5-7); this
@@ -16,10 +17,11 @@
 //     so hot paths never contend on a registry lock.
 //   - Near-zero cost when no sink is attached: instrumented components
 //     hold nil metric structs by default and skip all measurement work
-//     (including time.Now calls) behind one nil check. The Fig6
-//     benchmark guards this property against the committed baseline.
+//     (including time.Now calls) behind one nil check. The allocation
+//     tests of internal/pubsub run the step loop detached, so
+//     measurement work that allocates there fails them.
 //   - Snapshot-able for tests: Snapshot returns a consistent, sorted,
-//     caller-owned copy of every metric.
+//     caller-owned copy of every series.
 //
 // Metric names are registered with compile-time constant strings only —
 // scripts/docs_check.sh rejects a registration whose name is not a string
@@ -29,8 +31,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,42 +70,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an instantaneous float64 value. The zero value is usable;
-// all methods are safe for concurrent use and nil receivers no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add accumulates v via a CAS loop.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram counts observations into fixed upper-bound buckets plus an
@@ -173,26 +141,12 @@ func SizeBuckets() []float64 {
 	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 }
 
-// metricKind tags registry entries.
-type metricKind uint8
-
+// The series types, as a snapshot and the text format name them.
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	typeCounter   = "counter"
+	typeGauge     = "gauge"
+	typeHistogram = "histogram"
 )
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "unknown"
-}
 
 // Label is one name dimension, e.g. {Key: "sub", Value: "east"}.
 type Label struct {
@@ -200,25 +154,34 @@ type Label struct {
 	Value string
 }
 
-// metric is one registered instrument. A gauge with fn set reads fn()
-// at each snapshot instead of g.
+// metric is one registered instrument: a counter or a histogram, set at
+// registration and never replaced.
 type metric struct {
+	key    string // id(name, labels), the registry's map key
 	name   string
 	labels []Label
-	kind   metricKind
+	kind   string // typeCounter or typeHistogram
 	c      *Counter
-	g      *Gauge
-	fn     func() float64
 	h      *Histogram
 }
 
-// Registry holds named metrics. Registration (Counter/Gauge/GaugeFunc/
-// Histogram) takes a short lock and is idempotent — the same name+labels
-// returns the same instrument — so instrumented components register once
-// at attach time and hot paths touch only the lock-free instruments.
+// collectFunc is one owner's reporter of series read at the scrape.
+type collectFunc struct {
+	owner any
+	fn    func(*Collector)
+}
+
+// Registry holds named metrics. Registration (Counter/Histogram) takes a
+// short lock and is idempotent — the same name+labels returns the same
+// instrument — so instrumented components register once at attach time
+// and hot paths touch only the lock-free instruments. Series that read
+// their owner's state — levels, and counts the owner keeps itself — are
+// reported at each snapshot by the owner's collect function (Collect).
 type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]*metric
+	mu       sync.Mutex
+	metrics  map[string]*metric
+	list     []*metric // the metrics, in registration order
+	collects []collectFunc
 }
 
 // NewRegistry returns an empty registry.
@@ -227,12 +190,18 @@ func NewRegistry() *Registry {
 }
 
 // id renders the canonical registry key: name plus labels in the given
-// order (call sites use fixed label orders, so no sorting is needed).
+// order (call sites use fixed label orders, so no sorting is needed),
+// each value escaped as the text format requires.
 func id(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
+	n := len(name) + 2
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + 4
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i, l := range labels {
@@ -241,12 +210,17 @@ func id(name string, labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(l.Value)
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// labelEscaper escapes a label value's backslash, double quote and
+// newline as the text format requires; a value with none is returned as
+// it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // validName enforces the metric/label-key grammar.
 func validName(s string) bool {
@@ -286,8 +260,8 @@ func pairsToLabels(name string, kv []string) ([]Label, error) {
 }
 
 // lookup returns or creates the entry for name+labels, enforcing kind
-// consistency.
-func (r *Registry) lookup(name string, kind metricKind, kv []string) (*metric, error) {
+// consistency; a new histogram takes bounds.
+func (r *Registry) lookup(name string, kind string, bounds []float64, kv []string) (*metric, error) {
 	labels, err := pairsToLabels(name, kv)
 	if err != nil {
 		return nil, err
@@ -301,14 +275,16 @@ func (r *Registry) lookup(name string, kind metricKind, kv []string) (*metric, e
 		}
 		return m, nil
 	}
-	m := &metric{name: name, labels: labels, kind: kind}
-	switch kind {
-	case kindCounter:
+	m := &metric{key: key, name: name, labels: labels, kind: kind}
+	if kind == typeHistogram {
+		if m.h, err = newHistogram(bounds); err != nil {
+			return nil, err
+		}
+	} else {
 		m.c = &Counter{}
-	case kindGauge:
-		m.g = &Gauge{}
 	}
 	r.metrics[key] = m
+	r.list = append(r.list, m)
 	return m, nil
 }
 
@@ -321,66 +297,78 @@ func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m, err := r.lookup(name, kindCounter, labelPairs)
+	m, err := r.lookup(name, typeCounter, nil, labelPairs)
 	if err != nil {
 		panic(err)
 	}
 	return m.c
 }
 
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use. Panics and nil behavior mirror Counter.
-func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m, err := r.lookup(name, kindGauge, labelPairs)
-	if err != nil {
-		panic(err)
-	}
-	return m.g
-}
-
-// GaugeFunc registers fn as the level of the gauge under name+labels:
-// every snapshot calls it, after releasing the registry's lock, so fn
-// may take other locks and register metrics. A later registration under
-// the same name and labels replaces fn. Panics and nil behavior mirror
-// Gauge.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labelPairs ...string) {
-	if r == nil {
-		return
-	}
-	m, err := r.lookup(name, kindGauge, labelPairs)
-	if err != nil {
-		panic(err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.fn = fn
-}
-
 // Histogram returns the histogram registered under name+labels with the
 // given bucket upper bounds, creating it on first use (later calls keep
 // the first bounds). Panics and nil behavior mirror Counter, plus a
-// panic on empty or non-increasing bounds.
+// panic on empty or non-increasing bounds at creation.
 func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m, err := r.lookup(name, kindHistogram, labelPairs)
+	m, err := r.lookup(name, typeHistogram, bounds, labelPairs)
 	if err != nil {
 		panic(err)
 	}
+	return m.h
+}
+
+// Collect registers fn as owner's collect function: every snapshot calls
+// it once, after releasing the registry's lock, so fn may take its
+// owner's locks and register metrics, and fn reports the series it reads
+// through the Collector. A later Collect from the same owner replaces fn,
+// and a nil fn removes it. owner must be comparable (a pointer, say).
+// Series that several owners report under one key are summed. A nil
+// registry ignores the call.
+func (r *Registry) Collect(owner any, fn func(*Collector)) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.h == nil {
-		h, err := newHistogram(bounds)
-		if err != nil {
-			panic(err)
-		}
-		m.h = h
+	switch i := slices.IndexFunc(r.collects, func(c collectFunc) bool { return c.owner == owner }); {
+	case i < 0 && fn != nil:
+		r.collects = append(r.collects, collectFunc{owner: owner, fn: fn})
+	case i >= 0 && fn == nil:
+		r.collects = slices.Delete(r.collects, i, i+1)
+	case i >= 0:
+		r.collects[i].fn = fn
 	}
-	return m.h
+}
+
+// Collector receives the series collect functions report during one
+// snapshot: snaps[i] is the series under registry key keys[i].
+type Collector struct {
+	keys  []string
+	snaps []MetricSnapshot
+}
+
+// Counter reports v as the count of the counter under name and the
+// alternating key,value label pairs. It panics on an invalid name or odd
+// label pairs, like Registry.Counter.
+func (c *Collector) Counter(name string, v float64, labelPairs ...string) {
+	c.add(name, typeCounter, v, labelPairs)
+}
+
+// Gauge reports v as the level of the gauge under name+labels. Panics
+// mirror Counter.
+func (c *Collector) Gauge(name string, v float64, labelPairs ...string) {
+	c.add(name, typeGauge, v, labelPairs)
+}
+
+func (c *Collector) add(name string, kind string, v float64, kv []string) {
+	labels, err := pairsToLabels(name, kv)
+	if err != nil {
+		panic(err)
+	}
+	c.keys = append(c.keys, id(name, labels))
+	c.snaps = append(c.snaps, MetricSnapshot{Name: name, Labels: labels, Type: kind, Value: v})
 }
 
 // Bucket is one histogram bucket in a snapshot: the cumulative count of
@@ -406,53 +394,72 @@ type MetricSnapshot struct {
 // Key renders the snapshot's canonical name{labels} identity.
 func (s MetricSnapshot) Key() string { return id(s.Name, s.Labels) }
 
-// Snapshot returns every metric's current state, sorted by canonical
-// key. The result is caller-owned; concurrent updates during the
-// snapshot may be partially visible per metric but never corrupt it.
-// Entries are copied under the registry's lock and a GaugeFunc's
-// function is called after it is released.
+// snapshot reads the instrument's current state.
+func (m *metric) snapshot() MetricSnapshot {
+	s := MetricSnapshot{
+		Name:   m.name,
+		Labels: slices.Clone(m.labels),
+		Type:   m.kind,
+	}
+	if m.kind == typeCounter {
+		s.Value = float64(m.c.Value())
+		return s
+	}
+	h := m.h
+	s.Count = h.Count()
+	s.Sum = h.Sum()
+	s.Buckets = make([]Bucket, 0, len(h.bounds)+1)
+	cum := int64(0)
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		s.Buckets = append(s.Buckets, Bucket{UpperBound: b, Count: cum})
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	s.Buckets = append(s.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
+	return s
+}
+
+// Snapshot returns every series' current state, sorted by canonical key:
+// the registered instruments and what each collect function reports,
+// with the values of equal keys summed. The result is caller-owned;
+// concurrent updates during the snapshot may be partially visible per
+// metric but never corrupt it. The registry's lock is held only to list
+// the instruments and collect functions. It panics when two series
+// under one key differ in kind, or are histograms.
 func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	ms := make([]metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		ms = append(ms, *m)
-	}
+	ms := slices.Clone(r.list)
+	collects := slices.Clone(r.collects)
 	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return id(ms[i].name, ms[i].labels) < id(ms[j].name, ms[j].labels) })
-	out := make([]MetricSnapshot, 0, len(ms))
+	c := &Collector{keys: make([]string, 0, len(ms)), snaps: make([]MetricSnapshot, 0, len(ms))}
 	for _, m := range ms {
-		s := MetricSnapshot{
-			Name:   m.name,
-			Labels: append([]Label(nil), m.labels...),
-			Type:   m.kind.String(),
+		c.keys = append(c.keys, m.key)
+		c.snaps = append(c.snaps, m.snapshot())
+	}
+	for _, cf := range collects {
+		cf.fn(c)
+	}
+	// Sort positions, not the snapshots; equal keys stay in report order,
+	// so they sum in collect-function order.
+	order := make([]int, len(c.keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(strings.Compare(c.keys[a], c.keys[b]), a-b) })
+	out := make([]MetricSnapshot, 0, len(order))
+	for i, at := range order {
+		if i == 0 || c.keys[at] != c.keys[order[i-1]] {
+			out = append(out, c.snaps[at])
+			continue
 		}
-		switch m.kind {
-		case kindCounter:
-			s.Value = float64(m.c.Value())
-		case kindGauge:
-			s.Value = m.g.Value()
-			if m.fn != nil {
-				s.Value = m.fn()
-			}
-		case kindHistogram:
-			h := m.h
-			if h == nil {
-				break
-			}
-			s.Count = h.Count()
-			s.Sum = h.Sum()
-			cum := int64(0)
-			for i, b := range h.bounds {
-				cum += h.counts[i].Load()
-				s.Buckets = append(s.Buckets, Bucket{UpperBound: b, Count: cum})
-			}
-			cum += h.counts[len(h.bounds)].Load()
-			s.Buckets = append(s.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
+		last, s := &out[len(out)-1], c.snaps[at]
+		if last.Type != s.Type || last.Type == typeHistogram {
+			panic(fmt.Errorf("obs: metric %q reported as a %s and as a %s", c.keys[at], last.Type, s.Type))
 		}
-		out = append(out, s)
+		last.Value += s.Value
 	}
 	return out
 }

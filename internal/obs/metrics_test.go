@@ -1,11 +1,15 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"abivm/internal/testenv"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -17,11 +21,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("depth")
-	g.Set(2.5)
-	g.Add(0.5)
-	if got := g.Value(); got != 3.0 {
-		t.Fatalf("gauge = %g, want 3", got)
+	r.Collect(r, func(c *Collector) { c.Gauge("depth", 2.5) })
+	snaps := r.Snapshot()
+	if len(snaps) != 2 || snaps[0].Key() != "depth" || snaps[0].Type != "gauge" || snaps[0].Value != 2.5 {
+		t.Fatalf("snapshot = %+v, want depth first, a gauge at 2.5", snaps)
 	}
 }
 
@@ -61,66 +64,118 @@ func TestRegistryPanicsAreAttachTime(t *testing.T) {
 	mustPanic("invalid name", func() { r.Counter("Bad-Name") })
 	mustPanic("odd labels", func() { r.Counter("ok_name", "k") })
 	r.Counter("taken")
-	mustPanic("kind conflict", func() { r.Gauge("taken") })
+	mustPanic("kind conflict", func() { r.Histogram("taken", []float64{1}) })
 	mustPanic("empty bounds", func() { r.Histogram("hist", nil) })
 	mustPanic("unsorted bounds", func() { r.Histogram("hist2", []float64{2, 1}) })
 }
 
-// TestGaugeFuncReadsAtSnapshot: a GaugeFunc's level is what its function
-// returns when the snapshot is taken, a later registration under the
-// same name and labels replaces the function, and a function may
-// register metrics itself — it runs outside the registry's lock.
-func TestGaugeFuncReadsAtSnapshot(t *testing.T) {
-	r := NewRegistry()
-	level := func() float64 {
-		t.Helper()
-		for _, m := range r.Snapshot() {
-			if m.Key() == `depth{sub="east"}` {
-				if m.Type != "gauge" {
-					t.Fatalf("depth is a %s, want a gauge", m.Type)
-				}
-				return m.Value
+// level returns the value of the series under key in one snapshot of r,
+// failing t when it is missing or not of type typ.
+func level(t *testing.T, r *Registry, key, typ string) float64 {
+	t.Helper()
+	for _, m := range r.Snapshot() {
+		if m.Key() == key {
+			if m.Type != typ {
+				t.Fatalf("%s is a %s, want a %s", key, m.Type, typ)
 			}
+			return m.Value
 		}
-		t.Fatal("depth not in the snapshot")
-		return 0
 	}
+	t.Fatalf("%s not in the snapshot", key)
+	return 0
+}
+
+// TestCollectReadsAtSnapshot: a collect function's series are what it
+// reports when the snapshot is taken; a later Collect from the same
+// owner replaces the function and a nil one removes it; equal keys that
+// two owners report are summed; and a function may register metrics
+// itself — it runs outside the registry's lock — but a key reported as
+// two kinds panics.
+func TestCollectReadsAtSnapshot(t *testing.T) {
+	r := NewRegistry()
 	v := 1.0
-	r.GaugeFunc("depth", func() float64 { return v }, "sub", "east")
-	if got := level(); got != 1 {
+	east, west := new(int), new(int)
+	r.Collect(east, func(c *Collector) {
+		c.Gauge("depth", v, "sub", "east")
+		c.Counter("moved_total", 2)
+	})
+	if got := level(t, r, `depth{sub="east"}`, "gauge"); got != 1 {
 		t.Fatalf("depth = %g, want 1", got)
 	}
 	v = 7
-	if got := level(); got != 7 {
+	if got := level(t, r, `depth{sub="east"}`, "gauge"); got != 7 {
 		t.Fatalf("depth = %g after the state moved to 7", got)
 	}
-	r.GaugeFunc("depth", func() float64 { return -v }, "sub", "east")
-	if got := level(); got != -7 {
-		t.Fatalf("depth = %g after re-registration, want -7", got)
+	r.Collect(west, func(c *Collector) { c.Counter("moved_total", 3) })
+	if got := level(t, r, "moved_total", "counter"); got != 5 {
+		t.Fatalf("moved_total = %g over two owners reporting 2 and 3, want 5", got)
 	}
-	r.GaugeFunc("depth", func() float64 {
+	r.Collect(east, func(c *Collector) { c.Gauge("depth", -v, "sub", "east") })
+	if got := level(t, r, `depth{sub="east"}`, "gauge"); got != -7 {
+		t.Fatalf("depth = %g after east's function was replaced, want -7", got)
+	}
+	if got := level(t, r, "moved_total", "counter"); got != 3 {
+		t.Fatalf("moved_total = %g after east stopped reporting it, want 3", got)
+	}
+	r.Collect(west, nil)
+	if n := len(r.Snapshot()); n != 1 {
+		t.Fatalf("%d series after west's function was removed, want 1", n)
+	}
+	r.Collect(east, func(c *Collector) {
 		r.Counter("registered_in_snapshot_total").Inc()
-		return 3
-	}, "sub", "east")
+		c.Gauge("depth", 3)
+	})
 	done := make(chan []MetricSnapshot)
 	go func() { done <- r.Snapshot() }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a GaugeFunc that registers a metric deadlocked the snapshot")
+		t.Fatal("a collect function that registers a metric deadlocked the snapshot")
 	}
 	if got := r.Counter("registered_in_snapshot_total").Value(); got != 1 {
 		t.Fatalf("the function ran %d times in one snapshot, want 1", got)
 	}
 	var nilReg *Registry
-	nilReg.GaugeFunc("depth", func() float64 { return 1 }) // no-op
-	r.Counter("taken_total")
+	nilReg.Collect(east, func(c *Collector) { c.Gauge("depth", 1) }) // no-op
+	r.Collect(east, func(c *Collector) { c.Gauge("depth", 3) })
+	r.Collect(west, func(c *Collector) { c.Counter("registered_in_snapshot_total", 1) })
+	if got := level(t, r, "registered_in_snapshot_total", "counter"); got != 2 {
+		t.Fatalf("a registered counter at 1 and a reported one at 1 read %g, want 2", got)
+	}
+	r.Collect(west, func(c *Collector) { c.Counter("depth", 1) })
 	defer func() {
 		if recover() == nil {
-			t.Fatal("GaugeFunc over a counter's name did not panic")
+			t.Fatal("a key reported as a gauge and a counter did not panic")
 		}
 	}()
-	r.GaugeFunc("taken_total", func() float64 { return 1 })
+	r.Snapshot()
+}
+
+// TestSnapshotAllocsPerSeries: one snapshot's allocations grow linearly
+// with its series — a fixed number per registered counter and per
+// reported gauge, whatever their count — so a scrape of a large
+// population costs what its series do, not a factor log n more for
+// rebuilding keys while it sorts them.
+func TestSnapshotAllocsPerSeries(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	perSeries := func(n int) float64 {
+		r := NewRegistry()
+		subs := make([]string, n/2)
+		for i := range subs {
+			subs[i] = fmt.Sprintf("s%d", i)
+			r.Counter("notes_total", "sub", subs[i]).Inc()
+		}
+		r.Collect(r, func(c *Collector) {
+			for i, s := range subs {
+				c.Gauge("depth", float64(i), "sub", s)
+			}
+		})
+		return testing.AllocsPerRun(3, func() { r.Snapshot() }) / float64(n)
+	}
+	small, large := perSeries(100), perSeries(10_000)
+	if math.Abs(large-small) > 0.1*small {
+		t.Fatalf("a snapshot made %.2f allocations per series at 100 series, %.2f at 10,000: want within 10%%", small, large)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -157,14 +212,12 @@ func TestHistogramBuckets(t *testing.T) {
 func TestNilSinksNoOp(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z", []float64{1})
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(4)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	r.Collect(r, func(c *Collector) { c.Gauge("y", 1) })
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil-registry instruments must read as zero")
 	}
 	if r.Snapshot() != nil {
@@ -172,7 +225,8 @@ func TestNilSinksNoOp(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers one registry from many goroutines; run
+// TestConcurrentUpdates hammers one registry from many goroutines, each
+// also (re)registering a collect function over its own progress; run
 // under -race this is the package's race-cleanliness proof.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
@@ -183,13 +237,14 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("ops_total")
-			g := r.Gauge("level")
 			h := r.Histogram("obs_hist", []float64{0.5, 1})
+			var done atomic.Int64
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				done.Add(1)
 				h.Observe(float64(i%2) + 0.25)
 				if i%500 == 0 {
+					r.Collect(&done, func(c *Collector) { c.Gauge("level", float64(done.Load())) })
 					r.Snapshot()
 				}
 			}
@@ -199,7 +254,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("ops_total").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := r.Gauge("level").Value(); got != workers*per {
+	if got := level(t, r, "level", "gauge"); got != workers*per {
 		t.Fatalf("gauge sum = %g, want %d", got, workers*per)
 	}
 	if got := r.Histogram("obs_hist", []float64{0.5, 1}).Count(); got != workers*per {
@@ -210,7 +265,10 @@ func TestConcurrentUpdates(t *testing.T) {
 func TestWriteMetricsText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total", "sub", "east").Add(3)
-	r.Gauge("level").Set(1.5)
+	r.Collect(r, func(c *Collector) {
+		c.Gauge("level", 1.5)
+		c.Counter("moved_total", 2)
+	})
 	r.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
 	var b strings.Builder
 	WriteMetricsText(&b, r)
@@ -220,6 +278,8 @@ func TestWriteMetricsText(t *testing.T) {
 		`reqs_total{sub="east"} 3`,
 		"# TYPE level gauge",
 		"level 1.5",
+		"# TYPE moved_total counter",
+		"moved_total 2",
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{le="0.1"} 1`,
 		`lat_seconds_bucket{le="+Inf"} 1`,
@@ -229,5 +289,24 @@ func TestWriteMetricsText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text exposition missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteMetricsTextEscapesLabelValues: a label value's backslash,
+// double quote and newline are written as \\, \" and \n, as the text
+// format requires, so no subscription name can end a sample's label set
+// or line early and make a scraper reject the page.
+func TestWriteMetricsTextEscapesLabelValues(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("notes_total", "sub", "east\"1").Inc()
+	r.Collect(r, func(c *Collector) { c.Gauge("degraded", 1, "sub", "a\\b\nc") })
+	var b strings.Builder
+	WriteMetricsText(&b, r)
+	want := "# TYPE degraded gauge\n" +
+		`degraded{sub="a\\b\nc"} 1` + "\n" +
+		"# TYPE notes_total counter\n" +
+		`notes_total{sub="east\"1"} 1` + "\n"
+	if got := b.String(); got != want {
+		t.Fatalf("text exposition:\n%s\nwant:\n%s", got, want)
 	}
 }

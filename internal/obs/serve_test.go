@@ -12,7 +12,7 @@ import (
 func testMux(healthy bool) *http.ServeMux {
 	r := NewRegistry()
 	r.Counter("pubsub_steps_total").Add(7)
-	r.Gauge("pubsub_sub_steps_behind", "sub", "east").Set(2)
+	r.Collect(r, func(c *Collector) { c.Gauge("pubsub_sub_steps_behind", 2, "sub", "east") })
 	tr := NewTracer(8)
 	s := tr.Start("step")
 	s.Child("drain").End()

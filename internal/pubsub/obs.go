@@ -14,13 +14,13 @@ import (
 
 // brokerObs is the broker's instrumentation bundle. A nil *brokerObs —
 // the default until SetObs — is the detached state: every method but
-// observeDrain and syncDurable, whose callers test for nil, is a
-// nil-receiver no-op, and the step loop performs no measurement work at
-// all (no time.Now). Every instrument is registered at attach time with a
-// constant name; per-subscription series differ only in the `sub` label.
-// The levels — the graph's shape and each subscription's status — are
-// GaugeFuncs that read the broker at each scrape, so the step loop keeps
-// no copy of them.
+// observeDrain, whose caller tests for nil, is a nil-receiver no-op, and
+// the step loop performs no measurement work at all (no time.Now). Every
+// instrument is registered at attach time with a constant name;
+// per-subscription series differ only in the `sub` label. What the broker
+// already keeps — the graph's shape and counts, the stores' counters and
+// each subscription's status — its collect function reads at each
+// scrape, so the step loop keeps no copy of it.
 type brokerObs struct {
 	reg *obs.Registry
 	tr  *obs.Tracer
@@ -46,42 +46,16 @@ type brokerObs struct {
 	drainedMods   *obs.Counter
 	recoveries    *obs.Counter
 
-	// The disk tier's series, copied from the stores' own durable.Stats
-	// at the end of each step; dur is the sum the last copy saw.
-	walSyncs     *obs.Counter
-	walSyncBytes *obs.Counter
-	corruptions  *obs.Counter
-	quarantines  *obs.Counter
-	fallbacks    *obs.Counter
-	dur          durable.Stats
-
 	// ivm is the bundle every classic subscription's maintainer counts
 	// its redo log, checkpoints and recovery replay in; its histograms
 	// aggregate across subscriptions.
 	ivm *ivm.Metrics
 }
 
-// newBrokerObs registers b's instruments. The disk-tier series count
-// from the stores' counters as they are now. The ivm_dataflow_* levels
-// read the shared graph's shape at each scrape (zero while the classic
-// runtime is active). Caller holds b.mu.
+// newBrokerObs registers b's instruments and its collect function. Caller
+// holds b.mu.
 func newBrokerObs(b *Broker, reg *obs.Registry, tr *obs.Tracer) *brokerObs {
-	df := b.DataflowStats
-	reg.GaugeFunc("ivm_dataflow_operators", func() float64 { return float64(df().Nodes) })
-	reg.GaugeFunc("ivm_dataflow_views", func() float64 { return float64(df().Views) })
-	reg.GaugeFunc("ivm_dataflow_intern_hits_total", func() float64 { return float64(df().InternHits) })
-	reg.GaugeFunc("ivm_dataflow_max_fanout", func() float64 { return float64(df().MaxFanout) })
-	reg.GaugeFunc("ivm_dataflow_arrangements", func() float64 { return float64(df().Arrangements) })
-	reg.GaugeFunc("ivm_dataflow_arrangement_hits_total", func() float64 { return float64(df().ArrangementHits) })
-	reg.GaugeFunc("ivm_dataflow_state_rows", func() float64 { return float64(df().StateRows) })
-	reg.GaugeFunc("ivm_dataflow_retained_deltas", func() float64 { return float64(df().RetainedDeltas) })
-	reg.GaugeFunc("ivm_dataflow_trim_visited_total", func() float64 { return float64(df().TrimVisited) })
-	reg.GaugeFunc("ivm_dataflow_probes_total", func() float64 { return float64(df().Probes) })
-	reg.GaugeFunc("ivm_dataflow_products_total", func() float64 { return float64(df().Products) })
-	reg.GaugeFunc("ivm_dataflow_folds_total", func() float64 { return float64(df().Folds) })
-	reg.GaugeFunc("ivm_dataflow_fold_visits_total", func() float64 { return float64(df().FoldVisits) })
-	reg.GaugeFunc("ivm_dataflow_rebuild_visits_total", func() float64 { return float64(df().RebuildVisits) })
-	return &brokerObs{
+	o := &brokerObs{
 		reg:           reg,
 		tr:            tr,
 		steps:         reg.Counter("pubsub_steps_total"),
@@ -99,13 +73,54 @@ func newBrokerObs(b *Broker, reg *obs.Registry, tr *obs.Tracer) *brokerObs {
 		drainLatency:  reg.Histogram("ivm_drain_latency_seconds", obs.LatencyBuckets()),
 		drainedMods:   reg.Counter("ivm_drained_mods_total"),
 		recoveries:    reg.Counter("ivm_recoveries_total"),
-		walSyncs:      reg.Counter("ivm_wal_sync_total"),
-		walSyncBytes:  reg.Counter("ivm_wal_sync_bytes_total"),
-		corruptions:   reg.Counter("ivm_recovery_corruption_total"),
-		quarantines:   reg.Counter("ivm_recovery_corruption_quarantined_total"),
-		fallbacks:     reg.Counter("ivm_recovery_corruption_fallbacks_total"),
-		dur:           b.durabilityStats(),
 		ivm:           ivm.NewMetrics(reg),
+	}
+	attached := b.durabilityStats()
+	reg.Collect(b, func(c *obs.Collector) { b.collect(c, attached) })
+	return o
+}
+
+// collect reports, under one read lock, the series b reads from what it
+// keeps: the shared graph's shape and counts (zero while the classic
+// runtime is active), the disk tier's counters less what they read at
+// attach, and each subscription's levels — the values Health reports.
+func (b *Broker) collect(c *obs.Collector, attached durable.Stats) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	df := b.dataflowStats()
+	c.Gauge("ivm_dataflow_operators", float64(df.Nodes))
+	c.Gauge("ivm_dataflow_views", float64(df.Views))
+	c.Gauge("ivm_dataflow_max_fanout", float64(df.MaxFanout))
+	c.Gauge("ivm_dataflow_arrangements", float64(df.Arrangements))
+	c.Gauge("ivm_dataflow_state_rows", float64(df.StateRows))
+	c.Gauge("ivm_dataflow_retained_deltas", float64(df.RetainedDeltas))
+	c.Counter("ivm_dataflow_intern_hits_total", float64(df.InternHits))
+	c.Counter("ivm_dataflow_arrangement_hits_total", float64(df.ArrangementHits))
+	c.Counter("ivm_dataflow_trim_visited_total", float64(df.TrimVisited))
+	c.Counter("ivm_dataflow_probes_total", float64(df.Probes))
+	c.Counter("ivm_dataflow_products_total", float64(df.Products))
+	c.Counter("ivm_dataflow_folds_total", float64(df.Folds))
+	c.Counter("ivm_dataflow_fold_visits_total", float64(df.FoldVisits))
+	c.Counter("ivm_dataflow_rebuild_visits_total", float64(df.RebuildVisits))
+	dur := b.durabilityStats()
+	c.Counter("ivm_wal_sync_total", float64(dur.Syncs-attached.Syncs))
+	c.Counter("ivm_wal_sync_bytes_total", float64(dur.SyncBytes-attached.SyncBytes))
+	c.Counter("ivm_recovery_corruption_total", float64(dur.Corruptions-attached.Corruptions))
+	c.Counter("ivm_recovery_corruption_quarantined_total", float64(dur.Quarantined-attached.Quarantined))
+	c.Counter("ivm_recovery_corruption_fallbacks_total", float64(dur.Fallbacks-attached.Fallbacks))
+	var pending []int
+	for _, s := range b.subs {
+		pending = s.eng.PendingInto(pending)
+		degraded := 0.0
+		if s.degraded {
+			degraded = 1
+		}
+		name := s.cfg.Name
+		c.Gauge("pubsub_sub_steps_behind", float64(b.step-s.lastFresh), "sub", name)
+		c.Gauge("pubsub_sub_pending_mods", float64(core.Vector(pending).Sum()), "sub", name)
+		c.Gauge("pubsub_sub_cost_overshoot", s.overshoot(pending), "sub", name)
+		c.Gauge("pubsub_sub_degraded", degraded, "sub", name)
+		c.Gauge("pubsub_sub_wal_records", float64(s.eng.WALLen()), "sub", name)
 	}
 }
 
@@ -115,75 +130,55 @@ type subObs struct {
 	degradedNotes *obs.Counter
 }
 
-// SetObs attaches an observability sink: all broker-level instruments
+// SetObs attaches an observability sink: all broker-level series
 // (among them the drain, recovery and disk-tier series the broker counts
-// for every engine), per-subscription series (labeled `sub`), the ivm
+// or reads for every engine), per-subscription series (labeled `sub`), the ivm
 // bundle each classic maintainer counts its own log and checkpoints in,
 // span recording on tr (nil disables tracing only), and — when the
 // current injector is a *fault.Seeded — a per-site fault counter via its
 // observer hook. Subscriptions added later are wired on Subscribe. The
-// sink counts only what happens after it is attached. A nil registry
-// detaches: the old registry's counters and histograms stop, while its
-// levels, which read the broker at each scrape, go on reading it.
+// sink counts only what happens after it is attached. Attaching another
+// registry, or nil, detaches the old one: its counters and histograms
+// stop where they are, and the series the broker's collect function
+// reported leave it.
 func (b *Broker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if reg == nil {
+	if b.obs != nil {
+		b.obs.reg.Collect(b, nil)
 		b.obs = nil
-		for _, s := range b.subs {
-			s.obs = nil
-			s.eng.SetMetrics(nil)
-			if om, ok := s.defaultPolicy(); ok {
-				om.SetMetrics(nil)
-			}
-		}
-		if seeded, ok := b.inj.(*fault.Seeded); ok {
-			seeded.SetObserver(nil)
-		}
-		return
 	}
-	b.obs = newBrokerObs(b, reg, tr)
+	if reg != nil {
+		b.obs = newBrokerObs(b, reg, tr)
+	} else if seeded, ok := b.inj.(*fault.Seeded); ok {
+		seeded.SetObserver(nil)
+	}
 	for _, s := range b.subs {
 		b.wireSub(s)
 	}
 	b.observeInjector()
 }
 
-// wireSub attaches the current sink to one subscription. Its levels read
-// the subscription under the broker's read lock at each scrape, so they
-// are the values Health reports. Caller holds b.mu.
+// wireSub attaches the current sink, or none, to one subscription: its
+// two labeled counters, the ivm bundle and its policy's series (its
+// levels are the broker's collect function's). Caller holds b.mu.
 func (b *Broker) wireSub(s *sub) {
-	if b.obs == nil {
-		return
-	}
-	reg, name := b.obs.reg, s.cfg.Name
-	s.obs = &subObs{
-		notifications: reg.Counter("pubsub_sub_notifications_total", "sub", name),
-		degradedNotes: reg.Counter("pubsub_sub_degraded_notifications_total", "sub", name),
-	}
-	read := func(f func() float64) func() float64 {
-		return func() float64 {
-			b.mu.RLock()
-			defer b.mu.RUnlock()
-			return f()
+	var reg *obs.Registry
+	var ms *ivm.Metrics
+	s.obs = nil
+	if b.obs != nil {
+		reg, ms = b.obs.reg, b.obs.ivm
+		s.obs = &subObs{
+			notifications: reg.Counter("pubsub_sub_notifications_total", "sub", s.cfg.Name),
+			degradedNotes: reg.Counter("pubsub_sub_degraded_notifications_total", "sub", s.cfg.Name),
 		}
 	}
-	reg.GaugeFunc("pubsub_sub_steps_behind", read(func() float64 { return float64(b.step - s.lastFresh) }), "sub", name)
-	reg.GaugeFunc("pubsub_sub_pending_mods", read(func() float64 { return float64(core.Vector(s.eng.PendingInto(nil)).Sum()) }), "sub", name)
-	reg.GaugeFunc("pubsub_sub_cost_overshoot", read(func() float64 { return s.overshoot(s.eng.PendingInto(nil)) }), "sub", name)
-	reg.GaugeFunc("pubsub_sub_degraded", read(func() float64 {
-		if s.degraded {
-			return 1
-		}
-		return 0
-	}), "sub", name)
-	reg.GaugeFunc("pubsub_sub_wal_records", read(func() float64 { return float64(s.eng.WALLen()) }), "sub", name)
-	s.eng.SetMetrics(b.obs.ivm)
+	s.eng.SetMetrics(ms)
 	// The decision-loop series are labeled by policy name only, so every
 	// subscription's policy reports into the same registry-deduped
 	// instruments.
 	if om, ok := s.defaultPolicy(); ok {
-		om.SetMetrics(policy.NewMetrics(b.obs.reg, om.Name()))
+		om.SetMetrics(policy.NewMetrics(reg, om.Name()))
 	}
 }
 
@@ -290,15 +285,4 @@ func (o *brokerObs) observeCrashRecovery(fallback bool) {
 	if !fallback {
 		o.recoveries.Inc()
 	}
-}
-
-// syncDurable adds what the stores' counters grew by since the last copy
-// to the disk-tier series.
-func (o *brokerObs) syncDurable(st durable.Stats) {
-	o.walSyncs.Add(int64(st.Syncs - o.dur.Syncs))
-	o.walSyncBytes.Add(int64(st.SyncBytes - o.dur.SyncBytes))
-	o.corruptions.Add(int64(st.Corruptions - o.dur.Corruptions))
-	o.quarantines.Add(int64(st.Quarantined - o.dur.Quarantined))
-	o.fallbacks.Add(int64(st.Fallbacks - o.dur.Fallbacks))
-	o.dur = st
 }

@@ -13,12 +13,14 @@ import (
 )
 
 // engineSeries reads every ivm_*, pubsub_* and policy_* counter value and
-// histogram count off reg, keyed by series (labels included). Gauges —
-// the ivm_dataflow_* shape among them — are levels, not event counts.
+// histogram count off reg, keyed by series (labels included). Gauges are
+// levels, not event counts, and the ivm_dataflow_* series are the shared
+// graph's, not the engines'.
 func engineSeries(reg *obs.Registry) map[string]int64 {
 	out := map[string]int64{}
 	for _, m := range reg.Snapshot() {
-		if !strings.HasPrefix(m.Name, "ivm_") && !strings.HasPrefix(m.Name, "pubsub_") && !strings.HasPrefix(m.Name, "policy_") {
+		if !strings.HasPrefix(m.Name, "ivm_") && !strings.HasPrefix(m.Name, "pubsub_") && !strings.HasPrefix(m.Name, "policy_") ||
+			strings.HasPrefix(m.Name, "ivm_dataflow_") {
 			continue
 		}
 		switch m.Type {
@@ -186,15 +188,75 @@ func TestRefreshShowsInSubGauges(t *testing.T) {
 	}
 }
 
-// copiedDurable reads the five disk-tier series the broker copies from
-// its stores back as a durable.Stats.
-func copiedDurable(s map[string]int64) durable.Stats {
+// diskSeries reads the five disk-tier series back as a durable.Stats.
+func diskSeries(s map[string]int64) durable.Stats {
 	return durable.Stats{
 		Syncs:       int(s["ivm_wal_sync_total"]),
 		SyncBytes:   int(s["ivm_wal_sync_bytes_total"]),
 		Corruptions: int(s["ivm_recovery_corruption_total"]),
 		Quarantined: int(s["ivm_recovery_corruption_quarantined_total"]),
 		Fallbacks:   int(s["ivm_recovery_corruption_fallbacks_total"]),
+	}
+}
+
+// grownSince is what the stores counted between at and st.
+func grownSince(st, at durable.Stats) durable.Stats {
+	return durable.Stats{
+		Syncs:       st.Syncs - at.Syncs,
+		SyncBytes:   st.SyncBytes - at.SyncBytes,
+		Corruptions: st.Corruptions - at.Corruptions,
+		Quarantined: st.Quarantined - at.Quarantined,
+		Fallbacks:   st.Fallbacks - at.Fallbacks,
+	}
+}
+
+// TestShardedDiskSeriesSumShards: on a 2-shard broker whose
+// subscriptions keep disk stores over damaged media and crash now and
+// then, the five disk-tier series read, after every step, what the
+// stores of both shards counted since the registry was attached — each
+// shard's broker reports its own stores' growth, and the registry sums
+// the two.
+func TestShardedDiskSeriesSumShards(t *testing.T) {
+	const seed, steps, attachAt = 3, 60, 10
+	spec := DefaultWorkloadSpec()
+	sb, _ := newSharded(t, spec, 2, durable.FaultyMemOpener(seed, fault.DefaultMediaRates()))
+	defer sb.Close()
+	sb.SetCheckpointEvery(5)
+	shard := int64(0)
+	sb.each(func(b *Broker) {
+		shard++
+		b.SetInjector(fault.NewSeeded(seed*10+shard, fault.DefaultRates()))
+	})
+	reg := obs.NewRegistry()
+	var base []durable.Stats
+	for step, evs := range chaosScript(seed, steps, spec) {
+		if step == attachAt {
+			sb.SetObs(reg, nil)
+			sb.each(func(b *Broker) { base = append(base, b.DurabilityStats()) })
+		}
+		for _, ev := range evs {
+			if err := sb.Publish(ev.table, ev.mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sb.EndStep(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step < attachAt {
+			continue
+		}
+		var want durable.Stats
+		i := 0
+		sb.each(func(b *Broker) {
+			want.Add(grownSince(b.DurabilityStats(), base[i]))
+			i++
+		})
+		if got := diskSeries(engineSeries(reg)); got != want {
+			t.Fatalf("step %d: disk-tier series %+v, the shards' stores counted %+v since attach", step, got, want)
+		}
+		if step == steps-1 && (want.Syncs == 0 || want.Corruptions == 0 || base[0].Syncs == 0 || base[1].Syncs == 0) {
+			t.Fatalf("%+v since attach, %+v before: the check is vacuous", want, base)
+		}
 	}
 }
 
@@ -345,13 +407,8 @@ func seriesRun(t *testing.T, seed int64, variant string, attachAt, snapAt int) (
 		if step < attachAt {
 			continue
 		}
-		want := b.DurabilityStats()
-		want.Syncs -= base.Syncs
-		want.SyncBytes -= base.SyncBytes
-		want.Corruptions -= base.Corruptions
-		want.Quarantined -= base.Quarantined
-		want.Fallbacks -= base.Fallbacks
-		if got := copiedDurable(engineSeries(reg)); got != want {
+		want := grownSince(b.DurabilityStats(), base)
+		if got := diskSeries(engineSeries(reg)); got != want {
 			t.Fatalf("seed %d %s step %d: disk-tier series %+v, stores counted %+v", seed, variant, step, got, want)
 		}
 	}
@@ -496,8 +553,8 @@ var seriesChanged = map[string]map[string]int64{
 }
 
 // TestEngineSeriesCountedOnce pins where every engine series is counted:
-// drains and recoveries by the broker, the disk tier's counters copied
-// from the stores at each step's end, the redo log and checkpoints by the
+// drains and recoveries by the broker, the disk tier's counters by the
+// stores (the broker reports them at the scrape), the redo log and checkpoints by the
 // maintainer. Over the chaos demo script, seeds 1–5, on the per-view
 // engine in memory and over damaged files and on the shared graph, every
 // total equals parentSeries but for seriesChanged, and a registry

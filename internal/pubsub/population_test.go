@@ -1,6 +1,10 @@
 package pubsub
 
-import "testing"
+import (
+	"testing"
+
+	"abivm/internal/obs"
+)
 
 // subscribePopulation builds the demo broker over ScaledWorkloadSpec(n)
 // on the shared graph, with its n region views subscribed: n regions of
@@ -43,5 +47,23 @@ var populationSink *Broker
 func BenchmarkSubscribePopulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		populationSink = subscribePopulation(b, 2000)
+	}
+}
+
+// scrapeSink keeps BenchmarkScrapePopulation's result reachable.
+var scrapeSink []obs.MetricSnapshot
+
+// BenchmarkScrapePopulation times one registry snapshot — what a
+// /metrics scrape reads — of the 2,000 region views of
+// ScaledWorkloadSpec(2000) on the shared graph, with the registry
+// attached after they subscribed.
+func BenchmarkScrapePopulation(b *testing.B) {
+	br := subscribePopulation(b, 2000)
+	reg := obs.NewRegistry()
+	br.SetObs(reg, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scrapeSink = reg.Snapshot()
 	}
 }

@@ -504,9 +504,6 @@ func (b *Broker) EndStep() ([]Notification, error) {
 	if err := b.checkpointDue(); err != nil {
 		return nil, err
 	}
-	if b.obs != nil {
-		b.obs.syncDurable(b.durabilityStats())
-	}
 	b.obs.observeStep(stepStart)
 	b.step++
 	if len(b.notes) == 0 {

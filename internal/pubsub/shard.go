@@ -365,8 +365,8 @@ func (sb *ShardedBroker) SetCheckpointEvery(n int) {
 
 // SetObs attaches an observability sink to every shard's Broker: the
 // shards report into the serial broker's own series, which the registry
-// dedupes, so a counter reads the sum over shards. A nil registry
-// detaches everything.
+// dedupes or, for what each shard's collect function reads, sums, so a
+// counter reads the sum over shards. A nil registry detaches everything.
 func (sb *ShardedBroker) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	sb.each(func(b *Broker) { b.SetObs(reg, tr) })
 }

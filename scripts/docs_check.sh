@@ -10,19 +10,24 @@
 #      a new package landing without a line in the repo map fails the
 #      check.
 #   3. OPERATIONS.md's metric catalogue (section 2) and the series the
-#      code registers — the string-literal first argument of every
-#      Counter(/Gauge(/GaugeFunc(/Histogram( call outside tests — must
-#      be the same set: a deleted series left in the catalogue fails, and
-#      so does a new one an operator cannot look up. A call whose first
+#      code registers or reports — the string-literal first argument of
+#      every Counter(/Gauge(/Histogram( call outside tests — must be the
+#      same set: a deleted series left in the catalogue fails, and so
+#      does a new one an operator cannot look up. A call whose first
 #      argument is not a string literal fails too: its name could be
 #      anything, so neither the catalogue nor this check could see it.
-#   4. Every backticked `Test...` or `Benchmark...` name in DESIGN.md,
-#      EXPERIMENTS.md, OPERATIONS.md, README.md or ARCHITECTURE.md must
-#      be declared by a `func Test...(` or `func Benchmark...(` in some
-#      _test.go file — a doc citing a deleted or renamed test as coverage,
-#      or a deleted benchmark as a measurement, fails the check. And
-#      EXPERIMENTS.md quotes no "representative run": its numbers come
-#      from RESULTS.txt or a committed record.
+#      And a counter's name ends in _total while a gauge's or a
+#      histogram's does not, so the suffix tells a dashboard the type.
+#   4. Every backticked `Test...`, `Benchmark...` or `Fuzz...` name in
+#      DESIGN.md, EXPERIMENTS.md, OPERATIONS.md, README.md or
+#      ARCHITECTURE.md, and every such name in a // comment of a .go file
+#      outside benchmark/ (a module that changes only with the benchmark
+#      itself), must be declared by a `func Test...(`, `func
+#      Benchmark...(` or `func Fuzz...(` in some _test.go file — a doc or
+#      comment citing a deleted or renamed test as coverage, or a deleted
+#      benchmark as a measurement, fails the check. And EXPERIMENTS.md
+#      quotes no "representative run": its numbers come from RESULTS.txt
+#      or a committed record.
 #   5. DESIGN.md and EXPERIMENTS.md describe the code as it is: a line
 #      saying what held "until PR", "before PR", "since PR", "through
 #      PR" or "after PR" (any case) fails — the history is git's and
@@ -79,7 +84,7 @@ done
 
 # Direction 3: catalogue <-> registered series. First, every name must
 # be a literal on the call's own line, or the grep below misses it.
-dynamic=$(grep -rnE '\.(Counter|Gauge|GaugeFunc|Histogram)\(([^"]|$)' \
+dynamic=$(grep -rnE '\.(Counter|Gauge|Histogram)\(([^"]|$)' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal || true)
 if [ -n "$dynamic" ]; then
 	printf '%s\n' "$dynamic" | sed 's/^/docs-check: metric name is not a string literal: /'
@@ -89,9 +94,17 @@ fi
 # with a {label} suffix) whose prefix some registered series has;
 # `pubsub_sub_*`-style globs name a family, not a series, and are
 # skipped.
-registered=$(grep -rhoE '\.(Counter|Gauge|GaugeFunc|Histogram)\("[a-z0-9_]+"' \
+calls=$(grep -rhoE '\.(Counter|Gauge|Histogram)\("[a-z0-9_]+"' \
 	--include='*.go' --exclude='*_test.go' --exclude-dir=testdata cmd internal |
-	sed -E 's/.*"([a-z0-9_]+)"/\1/' | sort -u)
+	sed -E 's/^\.([A-Za-z]+)\("([a-z0-9_]+)"/\1 \2/' | sort -u)
+misnamed=$(printf '%s\n' "$calls" | awk '
+	$1 == "Counter" && $2 !~ /_total$/ { print $2 " is a counter not named *_total" }
+	$1 != "Counter" && $2 ~ /_total$/ { print $2 " is a " tolower($1) " named *_total" }')
+if [ -n "$misnamed" ]; then
+	printf '%s\n' "$misnamed" | sed 's/^/docs-check: /'
+	fail=1
+fi
+registered=$(printf '%s\n' "$calls" | cut -d' ' -f2 | sort -u)
 prefixes=$(printf '%s\n' "$registered" | cut -d_ -f1 | sort -u | paste -sd'|' -)
 catalogued=$(sed -n '/^## 2\. /,/^## 3\. /p' OPERATIONS.md |
 	grep -oE "\`($prefixes)_[a-z0-9_]+[\`{]" | tr -d '`{' | sort -u)
@@ -101,7 +114,7 @@ catalogued=$(sed -n '/^## 2\. /,/^## 3\. /p' OPERATIONS.md |
 }
 for name in $catalogued; do
 	if ! printf '%s\n' "$registered" | grep -qx "$name"; then
-		echo "docs-check: OPERATIONS.md's metric catalogue names $name, which no Counter(/Gauge(/GaugeFunc(/Histogram( call registers"
+		echo "docs-check: OPERATIONS.md's metric catalogue names $name, which no Counter(/Gauge(/Histogram( call registers"
 		fail=1
 	fi
 done
@@ -112,28 +125,40 @@ for name in $registered; do
 	fi
 done
 
-# Direction 4: cited tests and benchmarks must exist. A citation is a
-# backtick followed by a Test or Benchmark name (a subtest path after it,
-# `TestX/case`, names TestX); a trailing `*` (`TestX*`) names a family,
-# which some declared name must start.
-declared=$(grep -rhoE 'func (Test|Benchmark)[A-Za-z0-9_]+\(' --include='*_test.go' \
+# Direction 4: cited tests and benchmarks must exist. A citation in a
+# doc is a backtick followed by a Test, Benchmark or Fuzz name (a subtest
+# path after it, `TestX/case`, names TestX); in a .go comment it is such
+# a name, a capital letter after its prefix. A trailing `*` (`TestX*`)
+# names a family, which some declared name must start.
+declared=$(grep -rhoE 'func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+\(' --include='*_test.go' \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	sed -E 's/^func //; s/\($//' | sort -u)
-for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
-	[ -f "$doc" ] || continue
-	set -f # a family's `*` is a pattern for grep, not for the shell
-	for name in $(grep -oE '`(Test|Benchmark)[A-Za-z0-9_]+\*?' "$doc" | tr -d '`' | sort -u); do
-		case "$name" in
-		*'*') pattern="^${name%'*'}" ;;
-		*) pattern="^$name\$" ;;
-		esac
-		if ! printf '%s\n' "$declared" | grep -q "$pattern"; then
-			echo "docs-check: $doc cites $name, which no _test.go declares"
-			fail=1
-		fi
+citations=$(
+	for doc in DESIGN.md EXPERIMENTS.md OPERATIONS.md README.md ARCHITECTURE.md; do
+		[ -f "$doc" ] || continue
+		grep -oE '`(Test|Benchmark|Fuzz)[A-Za-z0-9_]+\*?' "$doc" | tr -d '`' | sort -u | sed "s|^|$doc |"
 	done
-	set +f
-done
+	grep -rnoE '//.*' --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build \
+		--exclude-dir=testdata --exclude-dir=benchmark . |
+		grep -oE '^[^:]+:[0-9]+:|(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*\*?' |
+		awk '/:$/ { at = substr($0, 3, length($0) - 3); next } { print at, $0 }'
+)
+set -f # a family's `*` is a pattern for grep, not for the shell
+stale=$(printf '%s\n' "$citations" | while read -r where name; do
+	[ -n "$name" ] || continue
+	case "$name" in
+	*'*') pattern="^${name%'*'}" ;;
+	*) pattern="^$name\$" ;;
+	esac
+	if ! printf '%s\n' "$declared" | grep -q "$pattern"; then
+		echo "docs-check: $where cites $name, which no _test.go declares"
+	fi
+done)
+set +f
+if [ -n "$stale" ]; then
+	printf '%s\n' "$stale"
+	fail=1
+fi
 if grep -n 'representative run' EXPERIMENTS.md; then
 	echo "docs-check: EXPERIMENTS.md quotes a representative run; cite RESULTS.txt or a committed BENCH_*.json record"
 	fail=1
@@ -239,7 +264,7 @@ if [ -n "$stale" ]; then
 fi
 
 if [ "$fail" -ne 0 ]; then
-	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs to cite tests, benchmarks, members and abivm flags that exist"
+	echo "docs-check: FAILED — update ARCHITECTURE.md/README.md to match the package tree, OPERATIONS.md to match the registered series, the docs and comments to cite tests, benchmarks, members and abivm flags that exist, counters to be named *_total"
 	exit 1
 fi
 echo "docs-check: OK"
