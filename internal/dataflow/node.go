@@ -117,6 +117,7 @@ type scanNode struct {
 	tbl       *storage.Table
 	tableName string
 	keyCols   []int
+	keyVals   []storage.Value // an insert's key values, reused
 	mods      uint64
 	arena     *deltaArena // the graph's: every coordinate the scan stamps
 }
@@ -154,18 +155,20 @@ func newScanNode(sig string, tbl *storage.Table, cols []exec.Col, arena *deltaAr
 // retraction and insertion under that same window, so views always fold
 // both or neither.
 func (s *scanNode) ingest(mod ivm.Mod) error {
-	var a [64]byte
 	switch mod.Kind {
 	case ivm.ModInsert:
-		row := s.tbl.Stored(storage.AppendKeyCols(a[:0], mod.Row, s.keyCols))
+		s.keyVals = s.keyVals[:0]
+		for _, c := range s.keyCols {
+			s.keyVals = append(s.keyVals, mod.Row[c])
+		}
+		row := s.tbl.Stored(s.keyVals...)
 		if row == nil || !row.SameKey(mod.Row) {
 			return fmt.Errorf("dataflow: insert on %q is not the live table's row", s.tableName)
 		}
 		s.emit(Delta{Row: row, W: 1, Coord: s.next()})
 	case ivm.ModDelete:
-		key := storage.AppendKey(a[:0], mod.Key...)
-		old := s.tbl.Displaced(key)
-		if old == nil || s.tbl.Stored(key) != nil {
+		old := s.tbl.Displaced(mod.Key...)
+		if old == nil || s.tbl.Stored(mod.Key...) != nil {
 			return fmt.Errorf("dataflow: delete on %q is not the live table's last write", s.tableName)
 		}
 		s.emit(Delta{Row: old, W: -1, Coord: s.next()})
@@ -173,8 +176,7 @@ func (s *scanNode) ingest(mod ivm.Mod) error {
 		if !mod.Row.KeyIs(s.keyCols, mod.Key) {
 			return fmt.Errorf("dataflow: update must not change the primary key on %q", s.tableName)
 		}
-		key := storage.AppendKey(a[:0], mod.Key...)
-		old, row := s.tbl.Displaced(key), s.tbl.Stored(key)
+		old, row := s.tbl.Displaced(mod.Key...), s.tbl.Stored(mod.Key...)
 		if old == nil || row == nil || !row.SameKey(mod.Row) {
 			return fmt.Errorf("dataflow: update on %q is not the live table's last write", s.tableName)
 		}

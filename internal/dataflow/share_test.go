@@ -92,7 +92,7 @@ func TestScanSharesLiveRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyOf := func(k int64) []byte { return storage.AppendKey(nil, storage.I(k)) }
+	keyOf := func(k int64) storage.Value { return storage.I(k) }
 	same := func(a, b storage.Row) bool { return a != nil && b != nil && &a[0] == &b[0] }
 	var current []storage.Row
 	g.scans["sales"].current(&visitor{fn: func(row storage.Row, _ int64, _ bool, _ []uint64) { current = append(current, row) }})

@@ -449,3 +449,75 @@ func TestIndexLoopJoinProbeAllocs(t *testing.T) {
 		t.Errorf("a run emitting %d rows allocated %.0f times, want 100 rows and one allocation each", emitted, a)
 	}
 }
+
+// TestHashJoinKeyCollisions: keyed on either input, with the real key
+// hash and with every join key mapped to one hash, the join emits what a
+// join keyed by EncodeKey does. The key pool puts INT 1 beside FLOAT 1,
+// −0 beside +0, two NaN payloads and a string in one column, so only the
+// column-by-column check on a chain tells those keys apart.
+// Mutation-checked: a chain walk that takes the first bucket without
+// comparing its owner's columns fails it.
+func TestHashJoinKeyCollisions(t *testing.T) {
+	pool := []storage.Value{storage.I(1), storage.F(1), storage.F(0), storage.F(math.Copysign(0, -1)),
+		storage.F(math.Float64frombits(0x7ff8000000000001)), storage.F(math.Float64frombits(0xfff8000000000abc)),
+		storage.S(""), storage.S("1")}
+	side := func(rng *rand.Rand, alias string, nkeys int) ([]Col, []storage.Row, []int) {
+		cols := []Col{{Table: alias, Name: "id", Type: storage.TInt}}
+		keys := make([]int, nkeys)
+		for i := range keys {
+			keys[i] = len(cols)
+			cols = append(cols, Col{Table: alias, Name: fmt.Sprint("k", i), Type: storage.TFloat})
+		}
+		rows := make([]storage.Row, rng.Intn(30))
+		for i := range rows {
+			rows[i] = storage.Row{storage.I(int64(i))}
+			for range keys {
+				rows[i] = append(rows[i], pool[rng.Intn(len(pool))])
+			}
+		}
+		return cols, rows, keys
+	}
+	// encodedJoin is the reference: the right rows bucketed by the
+	// EncodeKey string of their join key, probed left-major.
+	encodedJoin := func(c joinCase) []storage.Row {
+		byKey := map[string][]storage.Row{}
+		for _, r := range c.right {
+			k := storage.EncodeKey(r.Project(c.rkeys)...)
+			byKey[k] = append(byKey[k], r)
+		}
+		var out []storage.Row
+		for _, l := range c.left {
+			for _, r := range byKey[storage.EncodeKey(l.Project(c.lkeys)...)] {
+				out = append(out, append(l.Clone(), r...))
+			}
+		}
+		return out
+	}
+	for _, hashing := range []string{"hashed", "one chain"} {
+		if hashing == "one chain" {
+			keyHash = func(storage.Row, []int) uint64 { return 42 }
+			t.Cleanup(func() { keyHash = storage.HashCols })
+		}
+		rng := rand.New(rand.NewSource(60))
+		matched := 0
+		for i := 0; i < 300; i++ {
+			var c joinCase
+			nkeys := 1 + rng.Intn(2)
+			c.lcols, c.left, c.lkeys = side(rng, "l", nkeys)
+			c.rcols, c.right, c.rkeys = side(rng, "r", nkeys)
+			want := encodedJoin(c)
+			matched += len(want)
+			for _, run := range []struct {
+				name                string
+				hideLeft, hideRight bool
+			}{{"keyed on right", true, false}, {"keyed on left", false, true}} {
+				if rows, _, _, _ := runJoin(t, c, run.hideLeft, run.hideRight); !sameRows(rows, want) {
+					t.Fatalf("%s, case %d (%d x %d rows), %s: got %v\nwant %v", hashing, i, len(c.left), len(c.right), run.name, rows, want)
+				}
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("%s: no case joined a row", hashing)
+		}
+	}
+}

@@ -33,24 +33,39 @@ import (
 // HashBuildRows per right row read, one HashProbeRows per left row — the
 // model of the paper's DBMS, which pays a scan of the stored side per
 // non-empty batch.
+//
+// A join key is hashed, never encoded: slots files each bucket under
+// the hash of its key columns (storage.HashCols), the buckets whose keys
+// share a hash are chained, and a bucket matches a row whose key columns
+// hold the values of the row that registered it (Row.SameKey's rule).
 type HashJoin struct {
 	left, right         Op
 	leftKeys, rightKeys []int
 	cols                []Col
 	stats               *storage.Stats
 
-	keyBuf   []byte          // reused key encoding
-	slots    map[string]int  // encoded join key -> position in buckets
-	buckets  [][]storage.Row // right rows per key, in right-input order
-	leftRows []storage.Row   // the left input, when it was read up front
-	leftOrds []int           // source ordinal of each leftRows entry, when the left input reports one
-	onLeft   bool            // slots holds the left input's keys only
+	slots    map[uint64]int // join key hash -> position in buckets of the first bucket on its chain
+	buckets  []joinBucket   // in registration order
+	leftRows []storage.Row  // the left input, when it was read up front
+	leftOrds []int          // source ordinal of each leftRows entry, when the left input reports one
+	onLeft   bool           // slots holds the left input's keys only
 	leftI    int
 
 	curLeft storage.Row
 	matches []storage.Row
 	matchI  int
 }
+
+// joinBucket is the right rows under one join key, in right-input order.
+type joinBucket struct {
+	owner storage.Row   // the row that registered the key
+	rows  []storage.Row // the right rows with the key
+	next  int           // the next bucket whose key has the same hash, or -1
+}
+
+// keyHash is storage.HashCols; a test maps every join key to one hash
+// through it to exercise the bucket chains.
+var keyHash = storage.HashCols
 
 // NewHashJoin joins left and right on equality of the key columns.
 func NewHashJoin(left, right Op, leftKeys, rightKeys []int, stats *storage.Stats) (*HashJoin, error) {
@@ -90,7 +105,7 @@ func (j *HashJoin) Open() (err error) {
 	ln, lok := rowBound(j.left)
 	rn, rok := rowBound(j.right)
 	j.onLeft = lok && (!rok || ln <= rn)
-	j.slots = make(map[string]int)
+	j.slots = make(map[uint64]int)
 	if j.onLeft {
 		if err := j.left.Open(); err != nil {
 			return err
@@ -127,7 +142,7 @@ func (j *HashJoin) Open() (err error) {
 			j.stats.HashBuildRows++
 		}
 		if b, ok := j.slot(r, j.rightKeys, !j.onLeft); ok {
-			j.buckets[b] = append(j.buckets[b], r)
+			j.buckets[b].rows = append(j.buckets[b].rows, r)
 		}
 	}
 	if j.onLeft {
@@ -136,21 +151,33 @@ func (j *HashJoin) Open() (err error) {
 	return j.left.Open()
 }
 
-// slot returns the bucket position of the row's join key, registering
-// the key with an empty bucket when it is new and add is set. Only a
-// registration allocates (the map's copy of the key).
+// slot returns the bucket position of the row's join key (at keys),
+// registering the key with an empty bucket when it is new and add is
+// set; a bucket is keyed by its owner's columns at ownKeys, the keys of
+// the side that registers. Only a registration allocates, and only when
+// the map or the bucket list grows.
 func (j *HashJoin) slot(r storage.Row, keys []int, add bool) (int, bool) {
-	j.keyBuf = j.keyBuf[:0]
-	for _, k := range keys {
-		j.keyBuf = storage.AppendKey(j.keyBuf, r[k])
+	ownKeys := j.rightKeys
+	if j.onLeft {
+		ownKeys = j.leftKeys
 	}
-	b, ok := j.slots[string(j.keyBuf)]
-	if !ok && add {
-		b, ok = len(j.buckets), true
-		j.slots[string(j.keyBuf)] = b
-		j.buckets = append(j.buckets, nil)
+	h := keyHash(r, keys)
+	head, ok := j.slots[h]
+	if !ok {
+		head = -1
 	}
-	return b, ok
+	for b := head; b >= 0; b = j.buckets[b].next {
+		if storage.SameCols(j.buckets[b].owner, ownKeys, r, keys) {
+			return b, true
+		}
+	}
+	if !add {
+		return 0, false
+	}
+	b := len(j.buckets)
+	j.slots[h] = b
+	j.buckets = append(j.buckets, joinBucket{owner: r, next: head})
+	return b, true
 }
 
 // Next implements Op.
@@ -186,7 +213,7 @@ func (j *HashJoin) Next() (storage.Row, bool) {
 		}
 		j.matches, j.matchI = nil, 0
 		if b, ok := j.slot(l, j.leftKeys, false); ok {
-			j.matches = j.buckets[b]
+			j.matches = j.buckets[b].rows
 		}
 	}
 }

@@ -26,10 +26,10 @@ func suppRow(i int) Row {
 	return Row{I(int64(i)), S("supplier-" + string(rune('a'+i%26)) + string(rune('a'+i/26%26))), I(int64(i % 4))}
 }
 
-// TestKeyedProbeAllocs pins the key-path rule — a key is bytes until it
-// is stored: looking up, deleting or updating under a key the table
-// already holds builds no string, and an insert builds exactly the one
-// its primary-key map keeps.
+// TestKeyedProbeAllocs pins the key path — a key is hashed, never
+// encoded: looking up, deleting or updating under a key the table
+// already holds allocates nothing beyond the new row's clone, and
+// neither does an insert or an update that moves a row to a new key.
 func TestKeyedProbeAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const runs = 100
@@ -73,7 +73,7 @@ func TestKeyedProbeAllocs(t *testing.T) {
 	}
 
 	// One insert a run into the slots and buckets the deletes freed:
-	// the row's clone and the primary-key string.
+	// the row's clone and nothing else.
 	next = 0
 	ins := suppRow(0)
 	if n := testing.AllocsPerRun(runs, func() {
@@ -82,8 +82,22 @@ func TestKeyedProbeAllocs(t *testing.T) {
 		if err := tbl.Insert(ins); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Errorf("Insert into existing index buckets allocated %v times, want at most 2", n)
+	}); n != 1 {
+		t.Errorf("Insert into existing index buckets allocated %v times, want 1", n)
+	}
+
+	// One update a run that moves row 7 to a new primary key, its indexed
+	// columns as they were: the new row's clone and nothing else.
+	moving := probeTable(t, 8)
+	from, to := make([]Value, 1), suppRow(7)
+	if n := testing.AllocsPerRun(runs, func() {
+		from[0] = to[0]
+		to[0] = I(to[0].Int() + 1000)
+		if _, err := moving.Update(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Update that changes the primary key allocated %v times, want 1", n)
 	}
 }
 

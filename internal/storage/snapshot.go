@@ -212,7 +212,7 @@ func (db *DB) AppendSnapshotDelta(dst []byte, dirty map[string]KeySet) ([]byte, 
 		for _, k := range keys {
 			// Resolve through the primary-key index directly: a checkpoint
 			// must not charge probe work to the shared maintenance counters.
-			if slot, found := t.pk[k]; found {
+			if _, slot := t.findKey(ks[k]); slot >= 0 {
 				dst = AppendRow(append(dst, deltaUpsert), t.rows[slot])
 			} else {
 				dst = AppendRow(append(dst, deltaDelete), ks[k])

@@ -15,15 +15,37 @@ var (
 // Table is a heap of rows with a primary-key hash index and optional
 // secondary indexes. Row slots are stable for the lifetime of a row;
 // deleted slots are tombstoned and reused by later inserts.
+//
+// The primary-key index files each live slot under the hash of its key
+// columns (keyHash, which is HashCols): pk holds the first slot with a
+// hash, next chains the slots whose keys share it, and a slot on the
+// chain matches when its key columns are the probe's, column by column
+// (Row.SameKey's rule). So a probe or an insert hashes the key values
+// and encodes nothing.
 type Table struct {
 	schema    *Schema
 	stats     *Stats
-	rows      []Row // nil entries are tombstones
-	free      []int // reusable tombstoned slots
-	pk        map[string]int
+	rows      []Row            // nil entries are tombstones
+	free      []int            // reusable tombstoned slots
+	pk        map[uint64]int32 // key hash -> the first slot on its chain
+	next      []int32          // per slot: the next slot on its chain, or -1
+	keyOrds   []int            // 0..len(key)-1: where a key-value list holds its columns
 	indexes   map[string]*Index
 	live      int
 	displaced Row // the row the last Delete or Update removed
+}
+
+// keyHash is HashCols; a test maps every key to one hash through it to
+// exercise the collision chains of the primary keys and the indexes.
+var keyHash = HashCols
+
+// ordinals returns 0..n-1, the columns of a key-value list.
+func ordinals(n int) []int {
+	ords := make([]int, n)
+	for i := range ords {
+		ords[i] = i
+	}
+	return ords
 }
 
 // NewTable creates an empty table; stats may be shared across tables.
@@ -34,9 +56,62 @@ func NewTable(schema *Schema, stats *Stats) *Table {
 	return &Table{
 		schema:  schema,
 		stats:   stats,
-		pk:      make(map[string]int),
+		pk:      make(map[uint64]int32),
+		keyOrds: ordinals(len(schema.Key)),
 		indexes: make(map[string]*Index),
 	}
+}
+
+// find returns the hash of the primary key that r holds at cols and the
+// slot holding that key, or -1.
+func (t *Table) find(r Row, cols []int) (uint64, int) {
+	h := keyHash(r, cols)
+	s, ok := t.pk[h]
+	if !ok {
+		return h, -1
+	}
+	for ; s >= 0; s = t.next[s] {
+		if SameCols(t.rows[s], t.schema.Key, r, cols) {
+			return h, int(s)
+		}
+	}
+	return h, -1
+}
+
+// findKey is find for a list of primary-key values; a list of another
+// length finds nothing.
+func (t *Table) findKey(vals []Value) (uint64, int) {
+	if len(vals) != len(t.keyOrds) {
+		return 0, -1
+	}
+	return t.find(vals, t.keyOrds)
+}
+
+// link files slot at the head of hash h's chain.
+func (t *Table) link(h uint64, slot int) {
+	head, ok := t.pk[h]
+	if !ok {
+		head = -1
+	}
+	t.next[slot] = head
+	t.pk[h] = int32(slot)
+}
+
+// unlink takes slot off hash h's chain.
+func (t *Table) unlink(h uint64, slot int) {
+	s := t.pk[h]
+	if int(s) == slot {
+		if n := t.next[slot]; n >= 0 {
+			t.pk[h] = n
+		} else {
+			delete(t.pk, h)
+		}
+		return
+	}
+	for int(t.next[s]) != slot {
+		s = t.next[s]
+	}
+	t.next[s] = t.next[slot]
 }
 
 // Schema returns the table's schema.
@@ -132,9 +207,8 @@ func (t *Table) Insert(r Row) error {
 	if err := t.schema.CheckRow(r); err != nil {
 		return err
 	}
-	var a [64]byte
-	key := AppendKeyCols(a[:0], r, t.schema.Key)
-	if _, dup := t.pk[string(key)]; dup {
+	h, dup := t.find(r, t.schema.Key)
+	if dup >= 0 {
 		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.schema.Name, r.Project(t.schema.Key))
 	}
 	r = r.Clone()
@@ -146,8 +220,9 @@ func (t *Table) Insert(r Row) error {
 	} else {
 		slot = len(t.rows)
 		t.rows = append(t.rows, r)
+		t.next = append(t.next, -1)
 	}
-	t.pk[string(key)] = slot // a new key enters the map: its string is made here
+	t.link(h, slot)
 	for _, ix := range t.indexes {
 		ix.insert(r, slot)
 		t.stats.IndexWrites++
@@ -160,21 +235,20 @@ func (t *Table) Insert(r Row) error {
 // Get returns the row with the given primary-key values.
 func (t *Table) Get(keyVals ...Value) (Row, bool) {
 	t.stats.IndexProbes++
-	var a [64]byte
-	slot, ok := t.pk[string(AppendKey(a[:0], keyVals...))]
-	if !ok {
+	_, slot := t.findKey(keyVals)
+	if slot < 0 {
 		return nil, false
 	}
 	t.stats.IndexEntries++
 	return t.rows[slot], true
 }
 
-// Stored returns the row held under an encoded primary key (AppendKey's
-// encoding), or nil, charging no work unit: it serves a reader that
-// shares the table's immutable rows, not a query.
-func (t *Table) Stored(key []byte) Row {
-	slot, ok := t.pk[string(key)]
-	if !ok {
+// Stored returns the row with the given primary-key values, or nil,
+// charging no work unit: it serves a reader that shares the table's
+// immutable rows, not a query.
+func (t *Table) Stored(keyVals ...Value) Row {
+	_, slot := t.findKey(keyVals)
+	if slot < 0 {
 		return nil
 	}
 	return t.rows[slot]
@@ -191,13 +265,13 @@ func (t *Table) EachStored(fn func(r Row)) {
 	}
 }
 
-// Displaced returns the row the last Delete or Update removed if it is
-// under an encoded primary key, else nil, charging no work unit: a reader
-// that follows each live write finds a delete's or an update's old row
-// here. It is not table content: snapshots and clones do not carry it.
-func (t *Table) Displaced(key []byte) Row {
-	var a [64]byte
-	if t.displaced == nil || string(AppendKeyCols(a[:0], t.displaced, t.schema.Key)) != string(key) {
+// Displaced returns the row the last Delete or Update removed if its
+// primary-key values are keyVals, else nil, charging no work unit: a
+// reader that follows each live write finds a delete's or an update's
+// old row here. It is not table content: snapshots and clones do not
+// carry it.
+func (t *Table) Displaced(keyVals ...Value) Row {
+	if t.displaced == nil || !t.displaced.KeyIs(t.schema.Key, keyVals) {
 		return nil
 	}
 	return t.displaced
@@ -205,11 +279,9 @@ func (t *Table) Displaced(key []byte) Row {
 
 // Delete removes the row with the given primary key and returns it.
 func (t *Table) Delete(keyVals ...Value) (Row, error) {
-	var a [64]byte
-	key := AppendKey(a[:0], keyVals...)
 	t.stats.IndexProbes++
-	slot, ok := t.pk[string(key)]
-	if !ok {
+	h, slot := t.findKey(keyVals)
+	if slot < 0 {
 		return nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.schema.Name, keyVals)
 	}
 	r := t.rows[slot]
@@ -217,7 +289,7 @@ func (t *Table) Delete(keyVals ...Value) (Row, error) {
 		ix.remove(r, slot)
 		t.stats.IndexWrites++
 	}
-	delete(t.pk, string(key))
+	t.unlink(h, slot)
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
@@ -232,21 +304,19 @@ func (t *Table) Update(keyVals []Value, newRow Row) (Row, error) {
 	if err := t.schema.CheckRow(newRow); err != nil {
 		return nil, err
 	}
-	var a, b [64]byte
-	oldKey := AppendKey(a[:0], keyVals...)
 	t.stats.IndexProbes++
-	slot, ok := t.pk[string(oldKey)]
-	if !ok {
+	oldHash, slot := t.findKey(keyVals)
+	if slot < 0 {
 		return nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.schema.Name, keyVals)
 	}
 	old := t.rows[slot]
 	if !newRow.KeyIs(t.schema.Key, keyVals) {
-		newKey := AppendKeyCols(b[:0], newRow, t.schema.Key)
-		if _, dup := t.pk[string(newKey)]; dup {
+		newHash, dup := t.find(newRow, t.schema.Key)
+		if dup >= 0 {
 			return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.schema.Name, newRow.Project(t.schema.Key))
 		}
-		delete(t.pk, string(oldKey))
-		t.pk[string(newKey)] = slot
+		t.unlink(oldHash, slot)
+		t.link(newHash, slot)
 	}
 	newRow = newRow.Clone()
 	for _, ix := range t.indexes {
@@ -287,8 +357,8 @@ func (t *Table) LookupIndex(name string, vals ...Value) ([]Row, error) {
 }
 
 // lookupVia resolves an equality lookup through an index, accounting
-// work, and appends the matching rows to dst. The probe key is encoded
-// on the stack and the index's slot bucket is read in place, so with a
+// work, and appends the matching rows to dst. The probe key is hashed,
+// not encoded, and the index's slot bucket is read in place, so with a
 // dst of sufficient capacity a lookup allocates nothing.
 func (t *Table) lookupVia(dst []Row, ix *Index, vals []Value) []Row {
 	t.stats.IndexProbes++

@@ -464,7 +464,7 @@ func TestTableDisplaced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	key := func(k int64) []byte { return AppendKey(nil, I(k)) }
+	key := func(k int64) Value { return I(k) }
 	displaced := func(ctx string, tbl *Table, want Row, at int64) {
 		t.Helper()
 		for k := int64(1); k <= 5; k++ {

@@ -239,24 +239,15 @@ func CompareKeys(a, b []Value) int {
 
 // AppendKey appends the composite key encoding of vals to dst and
 // returns the extended buffer: string(AppendKey(nil, vals...)) is
-// EncodeKey(vals...). It is the form every keyed probe uses — the rule
-// throughout the engine is that a key stays bytes until it is stored:
-// encode into a stack buffer (var a [64]byte; AppendKey(a[:0], ...)),
-// look up as m[string(buf)], which builds no string, and convert only
-// when a key that is not in the map yet has to enter it.
+// EncodeKey(vals...). Tables, indexes and hash joins hash their keys
+// (HashCols) and encode none; a map that does keep encoded keys (an
+// arrangement's buckets, a drain's net delta) follows one rule: encode
+// into a stack buffer (var a [64]byte; AppendKey(a[:0], ...)), look up
+// as m[string(buf)], which builds no string, and convert only when a
+// key that is not in the map yet has to enter it.
 func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-// AppendKeyCols appends the key encoding of r's values at cols to dst:
-// AppendKey(dst, r.Project(cols)...) without the projection. It is how a
-// row's primary or index key is encoded for a probe.
-func AppendKeyCols(dst []byte, r Row, cols []int) []byte {
-	for _, c := range cols {
-		dst = appendValue(dst, r[c])
 	}
 	return dst
 }
@@ -308,10 +299,38 @@ func (r Row) SameKey(o Row) bool {
 func (r Row) Hash() uint64 {
 	h := uint64(len(r)) * hashMul
 	for _, v := range r {
-		h = mix64((h ^ v.n) + uint64(v.T+1)*hashMul)
-		if v.T == TString {
-			h = mix64(h ^ hashString(v.s))
+		h = hashValue(h, v)
+	}
+	return h
+}
+
+// HashCols returns r.Project(cols).Hash() without the projection: the
+// hash a table, an index or a join files a row's key under.
+func HashCols(r Row, cols []int) uint64 {
+	h := uint64(len(cols)) * hashMul
+	for _, c := range cols {
+		h = hashValue(h, r[c])
+	}
+	return h
+}
+
+// SameCols reports whether a's values at ac are b's at bc, column by
+// column with SameKey's rule: SameKey of the two projections, without
+// building either. It confirms a key that HashCols found.
+func SameCols(a Row, ac []int, b Row, bc []int) bool {
+	for i, c := range ac {
+		if a[c] != b[bc[i]] {
+			return false
 		}
+	}
+	return true
+}
+
+// hashValue folds one value into a running key hash.
+func hashValue(h uint64, v Value) uint64 {
+	h = mix64((h ^ v.n) + uint64(v.T+1)*hashMul)
+	if v.T == TString {
+		h = mix64(h ^ hashString(v.s))
 	}
 	return h
 }

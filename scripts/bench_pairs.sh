@@ -69,13 +69,19 @@ dirty=false
 [ -z "$(git status --porcelain)" ] || dirty=true
 record=BENCH_$(date -u +%Y-%m-%d)-$workload-seed$seed
 parent=$root/.bench_build/pairs/src-$sha
-# The unpack holds its own build cache (~115 MB): it goes when the script
-# exits, after the record is written, whether or not the runs succeeded.
+# The unpack goes when the script exits, after the record is written,
+# whether or not the runs succeeded.
 trap 'rm -rf "$parent" "$parent.tmp"' EXIT
 trap 'exit 130' HUP INT TERM
 rm -rf "$parent" "$parent.tmp"
-mkdir -p "$parent.tmp"
+mkdir -p "$parent.tmp/.bench_build" "$root/.bench_build/gocache"
 git archive "$sha" | tar -x -C "$parent.tmp"
+# The parent builds into the working tree's Go build cache through a
+# symbolic link, so the standard library and whatever else the two
+# checkouts share is compiled once (a fresh cache costs ~30 s and
+# ~100 MB). The cache is content-addressed and safe to share; removing
+# the unpack removes the link, not the cache.
+ln -s "$root/.bench_build/gocache" "$parent.tmp/.bench_build/gocache"
 mv "$parent.tmp" "$parent"
 
 # The names in BENCHMARK.json's "workloads" list, in file order.
