@@ -452,11 +452,13 @@ func TestIndexLoopJoinProbeAllocs(t *testing.T) {
 
 // TestHashJoinKeyCollisions: keyed on either input, with the real key
 // hash and with every join key mapped to one hash, the join emits what a
-// join keyed by EncodeKey does. The key pool puts INT 1 beside FLOAT 1,
-// −0 beside +0, two NaN payloads and a string in one column, so only the
-// column-by-column check on a chain tells those keys apart.
-// Mutation-checked: a chain walk that takes the first bucket without
-// comparing its owner's columns fails it.
+// join keyed by EncodeKey does — over a row source and over a table
+// scan, whose stored side a left-keyed join reads as the table's kept
+// key hashes. The key pool puts INT 1 beside FLOAT 1, −0 beside +0, two
+// NaN payloads and a string in one column, so only the column-by-column
+// check on a chain tells those keys apart; a table's FLOAT columns hold
+// the numeric rows only. Mutation-checked: a chain walk that takes the
+// first bucket without comparing its owner's columns fails it.
 func TestHashJoinKeyCollisions(t *testing.T) {
 	pool := []storage.Value{storage.I(1), storage.F(1), storage.F(0), storage.F(math.Copysign(0, -1)),
 		storage.F(math.Float64frombits(0x7ff8000000000001)), storage.F(math.Float64frombits(0xfff8000000000abc)),
@@ -495,11 +497,11 @@ func TestHashJoinKeyCollisions(t *testing.T) {
 	}
 	for _, hashing := range []string{"hashed", "one chain"} {
 		if hashing == "one chain" {
-			keyHash = func(storage.Row, []int) uint64 { return 42 }
-			t.Cleanup(func() { keyHash = storage.HashCols })
+			storage.KeyHash = func(storage.Row, []int) uint64 { return 42 }
+			t.Cleanup(func() { storage.KeyHash = storage.HashCols })
 		}
 		rng := rand.New(rand.NewSource(60))
-		matched := 0
+		matched, tableMatched, hashScans := 0, 0, 0
 		for i := 0; i < 300; i++ {
 			var c joinCase
 			nkeys := 1 + rng.Intn(2)
@@ -515,9 +517,185 @@ func TestHashJoinKeyCollisions(t *testing.T) {
 					t.Fatalf("%s, case %d (%d x %d rows), %s: got %v\nwant %v", hashing, i, len(c.left), len(c.right), run.name, rows, want)
 				}
 			}
+			tc := c
+			tc.right = nil
+			for _, r := range c.right {
+				if numeric(r[1:]) {
+					tc.right = append(tc.right, r)
+				}
+			}
+			tbl := tableOf(t, tc)
+			want = encodedJoin(tc)
+			tableMatched += len(want)
+			for _, hideLeft := range []bool{true, false} {
+				name := "table scan, keyed by the rule"
+				if hideLeft {
+					name = "table scan, keyed on right"
+				}
+				rows, onLeft := runTableJoin(t, tc, tbl, hideLeft)
+				if !sameRows(rows, want) {
+					t.Fatalf("%s, case %d (%d x %d rows), %s: got %v\nwant %v", hashing, i, len(tc.left), len(tc.right), name, rows, want)
+				}
+				if onLeft && len(tc.left) > 0 {
+					hashScans++
+				}
+			}
 		}
-		if matched == 0 {
-			t.Fatalf("%s: no case joined a row", hashing)
+		if matched == 0 || tableMatched == 0 {
+			t.Fatalf("%s: %d rows joined over row sources and %d over tables, want some of each", hashing, matched, tableMatched)
+		}
+		if hashScans == 0 {
+			t.Fatalf("%s: no case read a table's key hashes", hashing)
 		}
 	}
+}
+
+// numeric reports whether every value is an INT or a FLOAT, which a
+// FLOAT column accepts.
+func numeric(vals []storage.Value) bool {
+	for _, v := range vals {
+		if v.T == storage.TString {
+			return false
+		}
+	}
+	return true
+}
+
+// tableOf stores the case's right rows in a table keyed by their first
+// column, in order, so the table's slot order is c.right's.
+func tableOf(t *testing.T, c joinCase) *storage.Table {
+	t.Helper()
+	cols := make([]storage.Column, len(c.rcols))
+	for i, col := range c.rcols {
+		cols[i] = storage.Column{Name: col.Name, Type: col.Type}
+	}
+	return mkTable(t, "r", cols, c.rcols[0].Name, c.right)
+}
+
+// runTableJoin joins the case's left rows against a scan of tbl, the
+// left bound optionally hidden, and returns the rows and whether the
+// join was keyed on the left.
+func runTableJoin(t *testing.T, c joinCase, tbl *storage.Table, hideLeft bool) ([]storage.Row, bool) {
+	t.Helper()
+	var left Op = NewRowsSource(c.lcols, c.left, nil)
+	if hideLeft {
+		left = unbounded{left}
+	}
+	j, err := NewHashJoin(left, NewSeqScan(tbl, "r"), c.lkeys, c.rkeys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Collect(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, j.onLeft
+}
+
+// TestHashJoinTableScanMatchesRowLoop: over a table churned by seeded
+// inserts, deletes and updates — slots reused, join columns changed,
+// primary keys changed — a left-keyed join that reads the scanned
+// table's kept key hashes emits the rows, the order and the
+// CollectSplit boundary of the same join made to read the rows (its
+// scan behind a wrapper), and charges every storage.Stats field alike,
+// the first scan that builds the hashes included. Mutation-checked: an
+// Insert or an Update that leaves the kept hash stale fails it.
+func TestHashJoinTableScanMatchesRowLoop(t *testing.T) {
+	pool := []storage.Value{storage.I(1), storage.F(1), storage.F(0), storage.F(math.Copysign(0, -1)),
+		storage.F(2.5), storage.F(math.Float64frombits(0x7ff8000000000001)), storage.I(7)}
+	cols := []storage.Column{{Name: "id", Type: storage.TInt}, {Name: "k", Type: storage.TFloat}, {Name: "pay", Type: storage.TFloat}}
+	schema, err := storage.NewSchema("r", cols, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st storage.Stats
+	tbl := storage.NewTable(schema, &st)
+	scan := NewSeqScan(tbl, "r")
+	lcols := []Col{{Table: "l", Name: "id", Type: storage.TInt}, {Table: "l", Name: "k", Type: storage.TFloat}}
+	rng := rand.New(rand.NewSource(61))
+	row := func(id int64) storage.Row {
+		return storage.Row{storage.I(id), pool[rng.Intn(len(pool))], storage.F(rng.Float64())}
+	}
+	var live []int64 // the ids the table holds
+	nextID := int64(0)
+	runs, hashScans, joined := 0, 0, 0
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4 || len(live) == 0: // insert, into a freed slot when there is one
+			if err := tbl.Insert(row(nextID)); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, nextID)
+			nextID++
+		case op < 6: // delete
+			i := rng.Intn(len(live))
+			if _, err := tbl.Delete(storage.I(live[i])); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case op < 8: // update the join column, the key kept
+			i := rng.Intn(len(live))
+			if _, err := tbl.Update([]storage.Value{storage.I(live[i])}, row(live[i])); err != nil {
+				t.Fatal(err)
+			}
+		case op < 9: // update onto a new primary key
+			i := rng.Intn(len(live))
+			if _, err := tbl.Update([]storage.Value{storage.I(live[i])}, row(nextID)); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = nextID
+			nextID++
+		default:
+			batch := make([]storage.Row, rng.Intn(min(6, tbl.Len()+1)))
+			for i := range batch {
+				batch[i] = storage.Row{storage.I(int64(i)), pool[rng.Intn(len(pool))]}
+			}
+			minus := rng.Intn(len(batch) + 1)
+			type result struct {
+				rows   []storage.Row
+				split  int
+				stats  storage.Stats
+				onLeft bool
+			}
+			run := func(right Op) result {
+				j, err := NewHashJoin(NewRowsSource(lcols, batch, &st), right, []int{1}, []int{1}, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := st
+				rows, split, err := CollectSplit(j, minus)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return result{rows, split, st.Sub(before), j.onLeft}
+			}
+			// The hash scan goes first on odd steps, so the run that builds
+			// the kept hashes is compared too.
+			var hashed, read result
+			if step%2 == 1 {
+				hashed, read = run(scan), run(&spy{Op: scan})
+			} else {
+				read, hashed = run(&spy{Op: scan}), run(scan)
+			}
+			if !sameRows(hashed.rows, read.rows) || hashed.split != read.split {
+				t.Fatalf("step %d (%d live rows, batch %v, minus %d): hash scan gave %v split at %d, row loop %v split at %d",
+					step, tbl.Len(), batch, minus, hashed.rows, hashed.split, read.rows, read.split)
+			}
+			if hashed.stats != read.stats {
+				t.Fatalf("step %d: hash scan charged %+v, row loop %+v", step, hashed.stats, read.stats)
+			}
+			if !hashed.onLeft || !read.onLeft {
+				t.Fatalf("step %d: keyed on left %v (hash scan) and %v (row loop), want both", step, hashed.onLeft, read.onLeft)
+			}
+			runs++
+			if len(batch) > 0 {
+				hashScans++
+			}
+			joined += len(hashed.rows)
+		}
+	}
+	if hashScans < 50 || joined == 0 {
+		t.Fatalf("%d joins, %d with a batch, %d rows joined: the churn exercised too little", runs, hashScans, joined)
+	}
+	t.Logf("%d joins, %d with a batch, %d rows joined, %d live rows at the end", runs, hashScans, joined, tbl.Len())
 }

@@ -35,9 +35,16 @@ import (
 // non-empty batch.
 //
 // A join key is hashed, never encoded: slots files each bucket under
-// the hash of its key columns (storage.HashCols), the buckets whose keys
+// the hash of its key columns (storage.KeyHash), the buckets whose keys
 // share a hash are chained, and a bucket matches a row whose key columns
 // hold the values of the row that registered it (Row.SameKey's rule).
+//
+// Keyed on the left over a bare table scan, the stored side is read as
+// its table's kept key hashes (Table.ScanKeyHashes), not as rows: a
+// hash goes through a 64-bit prefilter of the registered hashes and
+// then the slot map, and the row is read only when the hash is on a
+// chain, to confirm the key. The charges, the buckets and their order
+// are the row-reading loop's.
 type HashJoin struct {
 	left, right         Op
 	leftKeys, rightKeys []int
@@ -46,6 +53,7 @@ type HashJoin struct {
 
 	slots    map[uint64]int // join key hash -> position in buckets of the first bucket on its chain
 	buckets  []joinBucket   // in registration order
+	hashBits uint64         // bit hashBit(h) set for every hash in slots
 	leftRows []storage.Row  // the left input, when it was read up front
 	leftOrds []int          // source ordinal of each leftRows entry, when the left input reports one
 	onLeft   bool           // slots holds the left input's keys only
@@ -62,10 +70,6 @@ type joinBucket struct {
 	rows  []storage.Row // the right rows with the key
 	next  int           // the next bucket whose key has the same hash, or -1
 }
-
-// keyHash is storage.HashCols; a test maps every join key to one hash
-// through it to exercise the bucket chains.
-var keyHash = storage.HashCols
 
 // NewHashJoin joins left and right on equality of the key columns.
 func NewHashJoin(left, right Op, leftKeys, rightKeys []int, stats *storage.Stats) (*HashJoin, error) {
@@ -126,6 +130,10 @@ func (j *HashJoin) Open() (err error) {
 			return nil
 		}
 	}
+	if scan, ok := j.right.(*SeqScan); ok && j.onLeft {
+		j.scanHashes(scan.table)
+		return nil
+	}
 	if err := j.right.Open(); err != nil {
 		return err
 	}
@@ -151,33 +159,68 @@ func (j *HashJoin) Open() (err error) {
 	return j.left.Open()
 }
 
+// scanHashes is Open's read of a table scan when the left input's keys
+// are registered (see HashJoin). It charges what the row-reading loop
+// does: one BatchSetups, and per live row one HashBuildRows here and one
+// RowsScanned on the table.
+func (j *HashJoin) scanHashes(t *storage.Table) {
+	t.ScanKeyHashes(j.rightKeys, func(slot int, h uint64) {
+		if j.hashBits&hashBit(h) == 0 {
+			return
+		}
+		r := t.Slot(slot)
+		if b, ok := j.find(h, r, j.rightKeys); ok {
+			j.buckets[b].rows = append(j.buckets[b].rows, r)
+		}
+	})
+	if j.stats != nil {
+		j.stats.BatchSetups++
+		j.stats.HashBuildRows += uint64(t.Len())
+	}
+}
+
+// hashBit is the prefilter bit of a key hash: one of 64, picked by the
+// hash's top bits.
+func hashBit(h uint64) uint64 { return 1 << (h >> 58) }
+
 // slot returns the bucket position of the row's join key (at keys),
 // registering the key with an empty bucket when it is new and add is
-// set; a bucket is keyed by its owner's columns at ownKeys, the keys of
-// the side that registers. Only a registration allocates, and only when
-// the map or the bucket list grows.
+// set. Only a registration allocates, and only when the map or the
+// bucket list grows.
 func (j *HashJoin) slot(r storage.Row, keys []int, add bool) (int, bool) {
+	h := storage.KeyHash(r, keys)
+	if b, ok := j.find(h, r, keys); ok || !add {
+		return b, ok
+	}
+	head, ok := j.slots[h]
+	if !ok {
+		head = -1
+	}
+	b := len(j.buckets)
+	j.slots[h] = b
+	j.hashBits |= hashBit(h)
+	j.buckets = append(j.buckets, joinBucket{owner: r, next: head})
+	return b, true
+}
+
+// find walks the chain of hash h for the bucket of the row's join key
+// (at keys); a bucket is keyed by its owner's columns at the keys of the
+// side that registers.
+func (j *HashJoin) find(h uint64, r storage.Row, keys []int) (int, bool) {
 	ownKeys := j.rightKeys
 	if j.onLeft {
 		ownKeys = j.leftKeys
 	}
-	h := keyHash(r, keys)
 	head, ok := j.slots[h]
 	if !ok {
-		head = -1
+		return 0, false
 	}
 	for b := head; b >= 0; b = j.buckets[b].next {
 		if storage.SameCols(j.buckets[b].owner, ownKeys, r, keys) {
 			return b, true
 		}
 	}
-	if !add {
-		return 0, false
-	}
-	b := len(j.buckets)
-	j.slots[h] = b
-	j.buckets = append(j.buckets, joinBucket{owner: r, next: head})
-	return b, true
+	return 0, false
 }
 
 // Next implements Op.
@@ -241,7 +284,7 @@ func (j *HashJoin) Close() {
 // reuse (a prepared plan) pins nothing between runs. The ordinals are
 // plain ints and keep their buffer.
 func (j *HashJoin) release() {
-	j.slots, j.buckets, j.leftRows = nil, nil, nil
+	j.slots, j.buckets, j.leftRows, j.hashBits = nil, nil, nil, 0
 	j.leftOrds = j.leftOrds[:0]
 	j.leftI = 0
 	j.curLeft, j.matches, j.matchI = nil, nil, 0

@@ -13,8 +13,8 @@ import (
 // test ends, so every primary key and index key shares one chain and
 // only the column-by-column check tells keys apart.
 func collide(t testing.TB) {
-	keyHash = func(Row, []int) uint64 { return 42 }
-	t.Cleanup(func() { keyHash = HashCols })
+	KeyHash = func(Row, []int) uint64 { return 42 }
+	t.Cleanup(func() { KeyHash = HashCols })
 }
 
 // TestHashColsAgreesWithKeys: over the golden values, HashCols is
@@ -128,13 +128,61 @@ func (s *script) next() int {
 
 func (s *script) pick(pool []Value) Value { return pool[s.next()%len(pool)] }
 
+// scriptHashed is the column lists whose key hashes the script's table
+// keeps: one a secondary index also covers, and two columns in another
+// order than the table's.
+var scriptHashed = [][]int{{2}, {3, 0}}
+
+// keepHashes scans tbl's key hashes of every scriptHashed list, which
+// builds the kept columns the table does not have yet.
+func keepHashes(tbl *Table) {
+	for _, cols := range scriptHashed {
+		tbl.ScanKeyHashes(cols, func(int, uint64) {})
+	}
+}
+
+// checkHashes fails unless tbl keeps exactly want hash columns and each
+// live slot's kept hash is KeyHash of its row, which ScanKeyHashes hands
+// out for exactly the live slots, in slot order.
+func checkHashes(t testing.TB, tbl *Table, want int) {
+	if len(tbl.hashCols) != want {
+		t.Fatalf("table keeps %d hash columns, want %d", len(tbl.hashCols), want)
+	}
+	for _, c := range tbl.hashCols {
+		var live []int
+		for slot, r := range tbl.rows {
+			if r == nil {
+				continue
+			}
+			live = append(live, slot)
+			if got, want := c.hashes[slot], KeyHash(r, c.cols); got != want {
+				t.Fatalf("slot %d (%v): kept hash of columns %v is %x, KeyHash %x", slot, r, c.cols, got, want)
+			}
+		}
+		var seen []int
+		tbl.ScanKeyHashes(c.cols, func(slot int, h uint64) {
+			seen = append(seen, slot)
+			if h != c.hashes[slot] {
+				t.Fatalf("ScanKeyHashes handed slot %d hash %x, it keeps %x", slot, h, c.hashes[slot])
+			}
+		})
+		if !slices.Equal(seen, live) {
+			t.Fatalf("ScanKeyHashes visited slots %v, the live ones are %v", seen, live)
+		}
+	}
+}
+
 // runTableScript plays a script of Insert, Update under the same key and
 // under a new one, Delete, Get, LookupIndex, CloneTable, snapshot round
 // trips and snapshot-delta round trips against a reference keyed by
-// EncodeKey, and fails at the first disagreement.
+// EncodeKey, and fails at the first disagreement. The table keeps the
+// key hashes of scriptHashed throughout, checked after every operation;
+// a clone or a snapshot's copy must come without them, and gets them
+// again before the script goes on.
 func runTableScript(t testing.TB, ops []byte) {
 	db := scriptDB(t)
 	tbl := db.MustTable("t")
+	keepHashes(tbl)
 	ref := map[string]Row{}
 	base, dirty := db.AppendSnapshot(nil), KeySet{}
 	mark := func(key []Value) { dirty[EncodeKey(key...)] = key }
@@ -207,6 +255,8 @@ func runTableScript(t testing.TB, ops []byte) {
 			}
 			db = clone
 			checkContent(t, tbl, ref)
+			checkHashes(t, tbl, 0)
+			keepHashes(tbl)
 		case 9: // snapshot round trip: the script goes on against the copy
 			var err error
 			if db, err = ReadSnapshot(db.AppendSnapshot(nil)); err != nil {
@@ -214,6 +264,8 @@ func runTableScript(t testing.TB, ops []byte) {
 			}
 			tbl = db.MustTable("t")
 			checkContent(t, tbl, ref)
+			checkHashes(t, tbl, 0)
+			keepHashes(tbl)
 		case 10, 11: // snapshot delta since the last base, applied to that base
 			delta, err := db.AppendSnapshotDelta(nil, map[string]KeySet{"t": dirty})
 			if err != nil {
@@ -227,8 +279,10 @@ func runTableScript(t testing.TB, ops []byte) {
 				t.Fatalf("step %d: ApplySnapshotDelta: %v", step, err)
 			}
 			checkContent(t, restored.MustTable("t"), ref)
+			checkHashes(t, restored.MustTable("t"), 0)
 			base, dirty = db.AppendSnapshot(nil), KeySet{}
 		}
+		checkHashes(t, tbl, len(scriptHashed))
 	}
 	checkContent(t, tbl, ref)
 }
@@ -286,7 +340,8 @@ func checkLookup(t testing.TB, tbl *Table, ref map[string]Row, index string, col
 // TestTableOpsMatchEncodedKeys plays seeded scripts against the
 // reference, once with the real key hash and once with every key on one
 // chain. Mutation-checked: a chain walk that takes the first slot or
-// bucket without comparing its columns fails it.
+// bucket without comparing its columns fails it, and so does an Insert
+// or an Update that leaves a kept key hash stale.
 func TestTableOpsMatchEncodedKeys(t *testing.T) {
 	for _, hashing := range []string{"hashed", "one chain"} {
 		if hashing == "one chain" {

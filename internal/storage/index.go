@@ -16,7 +16,7 @@ const (
 
 // Index is a secondary index over one or more columns of a table. It
 // files each bucket of row slots under the hash of its key columns
-// (keyHash, as the primary key does); the buckets whose keys share a
+// (KeyHash, as the primary key does); the buckets whose keys share a
 // hash are chained, and a bucket is told apart by the key columns of the
 // row that opened it.
 type Index struct {
@@ -51,7 +51,7 @@ func newIndex(name string, kind IndexKind, cols []int) (*Index, error) {
 // find returns the hash of the index key that r holds at cols and its
 // bucket, or nil.
 func (ix *Index) find(r Row, cols []int) (uint64, *bucket) {
-	h := keyHash(r, cols)
+	h := KeyHash(r, cols)
 	b := ix.hash[h]
 	for b != nil && !SameCols(b.owner, ix.Cols, r, cols) {
 		b = b.next

@@ -29,7 +29,9 @@ func suppRow(i int) Row {
 // TestKeyedProbeAllocs pins the key path — a key is hashed, never
 // encoded: looking up, deleting or updating under a key the table
 // already holds allocates nothing beyond the new row's clone, and
-// neither does an insert or an update that moves a row to a new key.
+// neither does an insert or an update that moves a row to a new key,
+// nor an insert into a reused slot or an update of a table that keeps
+// a hash column.
 func TestKeyedProbeAllocs(t *testing.T) {
 	testenv.NeedsAllocCounts(t)
 	const runs = 100
@@ -98,6 +100,100 @@ func TestKeyedProbeAllocs(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("Update that changes the primary key allocated %v times, want 1", n)
+	}
+
+	// A table that keeps the key hashes of its name column: an insert into
+	// a slot a delete freed, and an update that changes the hashed column,
+	// write the kept hash in place, so the row's clone is all they
+	// allocate.
+	hashed := probeTable(t, runs+8)
+	hashed.ScanKeyHashes([]int{1}, func(int, uint64) {})
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls its function runs+1 times
+		if _, err := hashed.Delete(I(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		ins[0] = I(int64(next))
+		next++
+		if err := hashed.Insert(ins); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Insert into a reused slot of a table keeping a hash column allocated %v times, want 1", n)
+	}
+	renamed := suppRow(7)
+	names := []Value{S("renamed-a"), S("renamed-b")}
+	flip := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		renamed[1] = names[flip%2]
+		flip++
+		if _, err := hashed.Update(key, renamed); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Update of the hashed column of a table keeping a hash column allocated %v times, want 1", n)
+	}
+	if _, slot := hashed.findKey(key); hashed.hashCols[0].hashes[slot] != KeyHash(renamed, []int{1}) {
+		t.Errorf("kept hash of row 7 is %x after the updates, KeyHash of its row %x", hashed.hashCols[0].hashes[slot], KeyHash(renamed, []int{1}))
+	}
+}
+
+// TestHashColumnOnlyWhereScanned: a table keeps a hash column only for
+// a column list ScanKeyHashes was asked for, one per list however often
+// it is asked; inserts, updates, deletes, Scan, cursors, index lookups,
+// CloneTable and snapshots build none, and a clone or a snapshot's copy
+// of a table that keeps one does not carry it.
+func TestHashColumnOnlyWhereScanned(t *testing.T) {
+	db := NewDB()
+	tbl, err := db.CreateTable(suppSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("by_nation", HashIndex, "nationkey"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := tbl.Insert(suppRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.Update([]Value{I(3)}, suppRow(30)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Delete(I(4)); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Scan(func(Row) bool { return true })
+	for c := tbl.NewCursor(); ; {
+		if _, ok := c.Next(); !ok {
+			break
+		}
+	}
+	if _, err := tbl.LookupIndex("by_nation", I(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tbl.hashCols); n != 0 {
+		t.Fatalf("a table no key-hash scan read keeps %d hash columns", n)
+	}
+	for i := 0; i < 3; i++ {
+		tbl.ScanKeyHashes([]int{2}, func(int, uint64) {})
+	}
+	tbl.ScanKeyHashes([]int{1, 2}, func(int, uint64) {})
+	if n := len(tbl.hashCols); n != 2 {
+		t.Fatalf("after scans of two column lists the table keeps %d hash columns, want 2", n)
+	}
+	clone, err := CloneTable(NewDB(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadSnapshot(db.AppendSnapshot(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := len(clone.hashCols), len(restored.MustTable(tbl.Schema().Name).hashCols); a != 0 || b != 0 {
+		t.Errorf("a clone keeps %d hash columns and a snapshot's copy %d, want none", a, b)
 	}
 }
 

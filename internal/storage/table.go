@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -17,11 +18,11 @@ var (
 // deleted slots are tombstoned and reused by later inserts.
 //
 // The primary-key index files each live slot under the hash of its key
-// columns (keyHash, which is HashCols): pk holds the first slot with a
-// hash, next chains the slots whose keys share it, and a slot on the
-// chain matches when its key columns are the probe's, column by column
-// (Row.SameKey's rule). So a probe or an insert hashes the key values
-// and encodes nothing.
+// columns (KeyHash): pk holds the first slot with a hash, next chains
+// the slots whose keys share it, and a slot on the chain matches when
+// its key columns are the probe's, column by column (Row.SameKey's
+// rule). So a probe or an insert hashes the key values and encodes
+// nothing.
 type Table struct {
 	schema    *Schema
 	stats     *Stats
@@ -31,13 +32,35 @@ type Table struct {
 	next      []int32          // per slot: the next slot on its chain, or -1
 	keyOrds   []int            // 0..len(key)-1: where a key-value list holds its columns
 	indexes   map[string]*Index
+	hashCols  []hashColumn // built by ScanKeyHashes, one per column list it was asked for
 	live      int
 	displaced Row // the row the last Delete or Update removed
 }
 
-// keyHash is HashCols; a test maps every key to one hash through it to
-// exercise the collision chains of the primary keys and the indexes.
-var keyHash = HashCols
+// hashColumn is the KeyHash of every slot's row at cols, in slot order:
+// what a scan that only wants key hashes reads instead of the rows. A
+// dead slot's entry is stale and never read.
+type hashColumn struct {
+	cols   []int
+	hashes []uint64 // len(Table.rows)
+}
+
+// set files the hash of r, the row now in slot, growing the column by
+// one when slot is new.
+func (c *hashColumn) set(slot int, r Row) {
+	h := KeyHash(r, c.cols)
+	if slot == len(c.hashes) {
+		c.hashes = append(c.hashes, h)
+		return
+	}
+	c.hashes[slot] = h
+}
+
+// KeyHash is the hash every table, index, kept hash column and
+// exec.HashJoin files a key under: HashCols. It is one variable so a
+// test can map every key to one hash, for storage and exec alike, and
+// exercise the collision chains; nothing else sets it.
+var KeyHash = HashCols
 
 // ordinals returns 0..n-1, the columns of a key-value list.
 func ordinals(n int) []int {
@@ -65,7 +88,7 @@ func NewTable(schema *Schema, stats *Stats) *Table {
 // find returns the hash of the primary key that r holds at cols and the
 // slot holding that key, or -1.
 func (t *Table) find(r Row, cols []int) (uint64, int) {
-	h := keyHash(r, cols)
+	h := KeyHash(r, cols)
 	s, ok := t.pk[h]
 	if !ok {
 		return h, -1
@@ -227,6 +250,9 @@ func (t *Table) Insert(r Row) error {
 		ix.insert(r, slot)
 		t.stats.IndexWrites++
 	}
+	for i := range t.hashCols {
+		t.hashCols[i].set(slot, r)
+	}
 	t.live++
 	t.stats.RowsInserted++
 	return nil
@@ -326,6 +352,9 @@ func (t *Table) Update(keyVals []Value, newRow Row) (Row, error) {
 		}
 		t.stats.IndexWrites += 2
 	}
+	for i := range t.hashCols {
+		t.hashCols[i].set(slot, newRow)
+	}
 	t.rows[slot] = newRow
 	t.displaced = old
 	t.stats.RowsUpdated++
@@ -345,6 +374,48 @@ func (t *Table) Scan(fn func(r Row) bool) {
 		}
 	}
 }
+
+// ScanKeyHashes visits every live slot in slot order with the KeyHash
+// of its row's columns at cols, charging one scanned work unit per slot
+// as Scan does, and reads no row: the hashes come from a column the
+// table keeps for cols. The first scan of a column list builds it as it
+// goes, charging nothing more; Insert and Update keep it current;
+// CloneTable and snapshots do not carry it, so a table never scanned
+// this way holds none. fn reads a row it wants through Slot and must not
+// write to the table.
+func (t *Table) ScanKeyHashes(cols []int, fn func(slot int, h uint64)) {
+	hashes, kept := t.keptHashes(cols)
+	n := 0
+	for slot, r := range t.rows {
+		if r == nil {
+			continue
+		}
+		if !kept {
+			hashes[slot] = KeyHash(r, cols)
+		}
+		n++
+		fn(slot, hashes[slot])
+	}
+	if !kept {
+		t.hashCols = append(t.hashCols, hashColumn{cols: slices.Clone(cols), hashes: hashes})
+	}
+	t.stats.RowsScanned += uint64(n)
+}
+
+// keptHashes returns the hash column kept for cols and true, or an
+// empty one, a slot each, and false.
+func (t *Table) keptHashes(cols []int) ([]uint64, bool) {
+	for _, c := range t.hashCols {
+		if slices.Equal(c.cols, cols) {
+			return c.hashes, true
+		}
+	}
+	return make([]uint64, len(t.rows)), false
+}
+
+// Slot returns the row in slot, nil when the slot is dead, charging no
+// work unit: ScanKeyHashes has charged the scan.
+func (t *Table) Slot(slot int) Row { return t.rows[slot] }
 
 // LookupIndex returns the rows whose index key equals vals, via the named
 // index.

@@ -4,9 +4,10 @@
 # end (FuzzParse), the snapshot, checkpoint-segment, WAL-frame and
 # MANIFEST decoders, the key codec, the key order view states render by
 # (FuzzCompareKeys: storage.CompareKeys against the encoded keys' bytes),
-# the hashed key paths of storage's tables and indexes (FuzzTableOps:
-# table operations, clones and snapshots against a reference keyed by
-# EncodeKey), and the exact float accumulator every SUM and AVG folds
+# the hashed key paths of storage's tables, indexes and kept hash
+# columns (FuzzTableOps: table operations, clones and snapshots against a
+# reference keyed by EncodeKey, each kept key hash checked against its
+# row), and the exact float accumulator every SUM and AVG folds
 # through (FuzzExactSum). Targets are discovered, not
 # listed: a new Fuzz* function is picked up by the loop below.
 # `go test -fuzz` takes one package and one target at a time, hence the
