@@ -11,10 +11,6 @@
 //	-scale   TPC-R scale factor (default 0.005)
 //	-seed    random seed (default 1)
 //	-quick   shrink sweeps/horizons for a fast smoke run
-//
-// The independent-task sweeps run one worker per GOMAXPROCS (set it in
-// the environment; GOMAXPROCS=1 is the serial path). Output is
-// identical for any value.
 package main
 
 import (
@@ -46,10 +42,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// An interrupt cancels long sweeps and chaos runs cleanly instead of
-	// killing the process mid-table.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	switch flag.Arg(0) {
 	case "explain":
 		if err := runExplain(*scale, *seed, flag.Args()[1:]); err != nil {
@@ -62,14 +54,10 @@ func main() {
 		}
 		return
 	case "chaos":
-		if err := runChaos(ctx, flag.Args()[1:]); err != nil {
-			fail(err)
-		}
+		runInterruptible(runChaos)
 		return
 	case "serve":
-		if err := runServe(ctx, flag.Args()[1:]); err != nil {
-			fail(err)
-		}
+		runInterruptible(runServe)
 		return
 	case "compile":
 		if err := runCompile(flag.Args()[1:]); err != nil {
@@ -81,7 +69,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Context: ctx}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick}
 
 	cmd := flag.Arg(0)
 	if cmd == "all" {
@@ -102,4 +90,15 @@ func main() {
 		os.Exit(1)
 	}
 	tbl.Render(os.Stdout)
+}
+
+// runInterruptible runs one of the two commands that read the interrupt:
+// chaos stops between runs and serve shuts its server down. Every other
+// command keeps Go's default and dies at Ctrl-C.
+func runInterruptible(run func(context.Context, []string) error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, flag.Args()[1:]); err != nil {
+		fail(err)
+	}
 }

@@ -103,10 +103,12 @@ func (k nodeKey) stateLess(o nodeKey) bool {
 	return false
 }
 
-// pqItem is a priority-queue entry for one open node.
+// pqItem is one search node: its priority-queue entry while open, its
+// best parent link, and whether it has been expanded. One map holds every
+// node generated, so relaxing an edge costs a single lookup.
 type pqItem struct {
 	t     int
-	state core.Vector
+	state core.Vector // nil once the node is expanded
 	key   nodeKey
 	g     float64 // best known path cost from source
 	// h is the heuristic value of the node, computed once when the node
@@ -114,9 +116,15 @@ type pqItem struct {
 	// path — so a decrease-key must reuse it rather than re-evaluate;
 	// recomputing was pure waste on the old hot path, and caching is
 	// behaviour-neutral (see TestHeuristicCachePure).
-	h     float64
-	d     float64 // g + h
-	index int
+	h      float64
+	d      float64 // g + h
+	index  int
+	closed bool // expanded: its g is final
+	// parent and action are the best known incoming edge: the node was
+	// reached from parent by applying action at time t. The source has
+	// no parent.
+	parent *pqItem
+	action core.Vector
 }
 
 type priorityQueue []*pqItem
@@ -237,10 +245,8 @@ type searcher struct {
 	totals core.Vector   // total arrivals per table (the t == -1 suffix)
 	lbs    []*tableLB    // per-table heuristic lower bounds
 
-	open    priorityQueue
-	items   map[nodeKey]*pqItem
-	parents map[nodeKey]parentLink
-	closed  map[nodeKey]struct{}
+	open  priorityQueue
+	nodes map[nodeKey]*pqItem
 
 	// Scratch buffers: accScratch backs the fullness probes of nextFull,
 	// preScratch the accumulated pre-action state of the node being
@@ -251,17 +257,9 @@ type searcher struct {
 	actionsBuf []core.Vector
 	actScratch core.ActionScratch
 
-	// vecFree and itemFree recycle state/action vectors and queue items
-	// the search has exclusive ownership of (see putVec).
-	vecFree  []core.Vector
-	itemFree []*pqItem
-}
-
-// parentLink records how a node was best reached, for plan reconstruction.
-type parentLink struct {
-	from   nodeKey
-	action core.Vector
-	t      int // time the action was applied (== child node's t)
+	// vecFree recycles state and action vectors the search has
+	// exclusive ownership of (see putVec).
+	vecFree []core.Vector
 }
 
 // Search finds an optimal LGM plan for the instance. It assumes perfect
@@ -297,9 +295,7 @@ func newSearcher(in *core.Instance, opts Options) *searcher {
 		suffix:     in.Arrivals.SuffixTotals(),
 		totals:     in.Arrivals.TotalPerTable(),
 		lbs:        make([]*tableLB, n),
-		items:      map[nodeKey]*pqItem{},
-		parents:    map[nodeKey]parentLink{},
-		closed:     map[nodeKey]struct{}{},
+		nodes:      map[nodeKey]*pqItem{},
 		accScratch: core.NewVector(n),
 		preScratch: core.NewVector(n),
 	}
@@ -406,61 +402,39 @@ func (s *searcher) putVec(v core.Vector) {
 	s.vecFree = append(s.vecFree, v)
 }
 
-// getItem returns a queue entry, reusing popped-and-expanded ones.
-func (s *searcher) getItem() *pqItem {
-	if k := len(s.itemFree); k > 0 {
-		it := s.itemFree[k-1]
-		s.itemFree = s.itemFree[:k-1]
-		return it
-	}
-	return &pqItem{}
-}
-
-// recycleItem reclaims an expanded queue entry and its state vector.
-func (s *searcher) recycleItem(it *pqItem) {
-	s.putVec(it.state)
-	it.state = nil
-	s.itemFree = append(s.itemFree, it)
-}
-
 func (s *searcher) run() (*Result, error) {
 	tEnd := s.in.T()
 	destKey := nodeKey{t: int32(tEnd)}
 
 	// Source: t == -1, zero state.
-	src := s.getItem()
-	*src = pqItem{t: -1, state: s.getVec(), key: nodeKey{t: -1}}
+	src := &pqItem{t: -1, state: s.getVec(), key: nodeKey{t: -1}}
 	src.h = s.h(src.t, src.state)
 	src.d = src.h
-	s.items[src.key] = src
+	s.nodes[src.key] = src
 	heap.Push(&s.open, src)
 
 	res := &Result{HeapPeak: 1}
 	for s.open.Len() > 0 {
+		// Decrease-key goes through heap.Fix on the live entry, so every
+		// node is pushed once and popped once.
 		it := heap.Pop(&s.open).(*pqItem)
-		delete(s.items, it.key)
-		// Decrease-key goes through heap.Fix on the live entry, so a
-		// popped item is never stale; the closed check is a defensive
-		// invariant only.
-		if _, done := s.closed[it.key]; done {
-			s.recycleItem(it)
-			continue
-		}
-		s.closed[it.key] = struct{}{}
+		it.closed = true
 		res.Expanded++
 		if s.opts.MaxExpansions > 0 && res.Expanded > s.opts.MaxExpansions {
 			return nil, ErrBudgetExceeded
 		}
 		if it.key == destKey {
 			res.Cost = it.g
-			res.Plan = s.reconstruct(destKey)
+			res.Plan = s.reconstruct(it)
 			return res, nil
 		}
 		s.expand(it, res)
 		if n := len(s.open); n > res.HeapPeak {
 			res.HeapPeak = n
 		}
-		s.recycleItem(it)
+		// The key holds the state from here on; the vector is no longer read.
+		s.putVec(it.state)
+		it.state = nil
 	}
 	return nil, errors.New("astar: destination unreachable (internal invariant violated)")
 }
@@ -499,26 +473,26 @@ func (s *searcher) relax(parent *pqItem, t int, pre, action core.Vector, weight 
 			key.s[i] = int32(pre[i] - action[i])
 		}
 	}
-	if _, done := s.closed[key]; done {
+	existing, seen := s.nodes[key]
+	if seen && existing.closed {
 		s.putVec(action)
 		return
 	}
 	res.Generated++
 	g := parent.g + weight
-	if existing, ok := s.items[key]; ok {
+	if seen {
 		if g >= existing.g {
 			s.putVec(action)
 			return
 		}
 		// Decrease-key: the cached existing.h stays valid (h depends only
-		// on the node), only g and the parent link change.
+		// on the node), only g and the parent link change. The node was
+		// the old action's sole holder.
 		existing.g = g
 		existing.d = g + existing.h
 		heap.Fix(&s.open, existing.index)
-		old := s.parents[key]
-		// The search owns action and the parent map is its sole holder.
-		s.parents[key] = parentLink{from: parent.key, action: action, t: t}
-		s.putVec(old.action)
+		s.putVec(existing.action)
+		existing.parent, existing.action = parent, action
 		return
 	}
 	state := s.getVec()
@@ -527,32 +501,24 @@ func (s *searcher) relax(parent *pqItem, t int, pre, action core.Vector, weight 
 			state[i] = pre[i] - action[i]
 		}
 	}
-	item := s.getItem()
-	*item = pqItem{t: t, state: state, key: key, g: g}
+	// The search owns action and the new node is its sole holder.
+	item := &pqItem{t: t, state: state, key: key, g: g, parent: parent, action: action}
 	item.h = s.h(t, state)
 	item.d = g + item.h
-	s.items[key] = item
-	// The search owns action and the parent map is its sole holder.
-	s.parents[key] = parentLink{from: parent.key, action: action, t: t}
+	s.nodes[key] = item
 	heap.Push(&s.open, item)
 }
 
-// reconstruct rebuilds the plan from parent links.
-func (s *searcher) reconstruct(destKey nodeKey) core.Plan {
+// reconstruct rebuilds the plan from the parent links ending at dest.
+func (s *searcher) reconstruct(dest *pqItem) core.Plan {
 	tEnd := s.in.T()
 	n := s.in.N()
 	plan := make(core.Plan, tEnd+1)
 	for t := range plan {
 		plan[t] = core.NewVector(n)
 	}
-	k := destKey
-	for {
-		link, ok := s.parents[k]
-		if !ok {
-			break
-		}
-		plan[link.t] = link.action.Clone()
-		k = link.from
+	for nd := dest; nd.parent != nil; nd = nd.parent {
+		plan[nd.t] = nd.action.Clone()
 	}
 	return plan
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"abivm/internal/astar"
 	"abivm/internal/bruteforce"
@@ -54,24 +53,9 @@ func ConcaveStudy(cfg Config) (*ConcaveResult, error) {
 	}
 	res := &ConcaveResult{}
 	for _, fam := range families {
-		// Instance generation stays serial: the rng is shared across
-		// families and trials, so consuming it in generation order is what
-		// keeps the instance set identical for every pool size. Only
-		// the exact solves (brute force + A*), which never touch the rng,
-		// fan out below.
-		//
-		// The serial code skipped instances after solving, when the brute
-		// force reported opt ~ 0. That happens exactly when no arrivals
-		// occur: every family's cost function charges at least ~0.35 for a
-		// single modification (linear slope >= 0.5, power coefficient
-		// >= 0.5, log 0.5*ln 2, step height >= 0.5) and every arrival must
-		// be processed by some action or the final refresh, so any
-		// non-empty instance costs well above the old 1e-9 threshold.
-		// Checking arrivals at generation time therefore skips the same
-		// instances — and consumes the rng identically — without needing
-		// the solve result.
-		instances := make([]*core.Instance, 0, trials)
-		for len(instances) < trials {
+		worst, sum := 0.0, 0.0
+		ok := true
+		for n := 0; n < trials; {
 			f1, err := fam.mk()
 			if err != nil {
 				return nil, err
@@ -96,31 +80,18 @@ func ConcaveStudy(cfg Config) (*ConcaveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			instances = append(instances, in)
-		}
-		ratios := make([]float64, len(instances))
-		err := runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(instances), func(i int) error {
-			in := instances[i]
 			opt, _, err := bruteforce.Optimal(in)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if opt <= 1e-9 {
-				return fmt.Errorf("concave study: non-empty %s instance has ~zero optimal cost", fam.name)
+				return nil, fmt.Errorf("concave study: non-empty %s instance has ~zero optimal cost", fam.name)
 			}
 			lgm, err := astar.Search(in, astar.Options{})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			ratios[i] = lgm.Cost / opt
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		worst, sum := 0.0, 0.0
-		ok := true
-		for _, ratio := range ratios {
+			ratio := lgm.Cost / opt
 			if ratio > worst {
 				worst = ratio
 			}
@@ -128,11 +99,12 @@ func ConcaveStudy(cfg Config) (*ConcaveResult, error) {
 				ok = false
 			}
 			sum += ratio
+			n++
 		}
 		res.Families = append(res.Families, fam.name)
-		res.Trials = append(res.Trials, len(ratios))
+		res.Trials = append(res.Trials, trials)
 		res.WorstGap = append(res.WorstGap, worst)
-		res.MeanGap = append(res.MeanGap, sum/float64(len(ratios)))
+		res.MeanGap = append(res.MeanGap, sum/float64(trials))
 		res.TheoremOK = append(res.TheoremOK, ok)
 	}
 	return res, nil

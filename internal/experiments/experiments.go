@@ -17,7 +17,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -38,10 +37,6 @@ type Config struct {
 	// Quick shrinks sweeps and horizons for use in tests; the shapes are
 	// preserved, the resolution is reduced.
 	Quick bool
-	// Context, when non-nil, cancels in-flight sweeps: workers stop
-	// picking up tasks and the experiment returns the context's error.
-	// nil means run to completion.
-	Context context.Context
 }
 
 // DefaultConfig returns the standard experiment configuration.

@@ -34,8 +34,7 @@ var (
 // measurement behind it dominates the figure suite, and
 // Fig5/Fig6/Fig7/Policies all rebuild the identical model; CostModel is
 // immutable after construction, so one shared instance serves every
-// caller, including concurrent parallel-sweep workers. Errors are not
-// cached.
+// caller. Errors are not cached.
 func fig4Model(cfg Config, fit string) (*core.CostModel, error) {
 	key := modelCacheKey{scale: cfg.Scale, seed: cfg.Seed, quick: cfg.Quick, fit: fit}
 	modelCacheMu.Lock()

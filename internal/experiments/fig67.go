@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"abivm/internal/arrivals"
 	"abivm/internal/astar"
@@ -45,51 +44,34 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig6Result{
-		C: c, AdaptT0: t0, RefreshTimes: times,
-		Naive:   make([]float64, len(times)),
-		OptLGM:  make([]float64, len(times)),
-		Adapt:   make([]float64, len(times)),
-		Online:  make([]float64, len(times)),
-		OnlineM: make([]float64, len(times)),
-	}
-	// Each refresh time is an independent instance, so the points fan out
-	// across the worker pool. The shared model, constraint and adaptPlan
-	// are strictly read-only (CostModel is immutable; Adapt clamps the
-	// plan into fresh vectors without mutating it), and every task writes
-	// only its own index, so any pool size produces identical output.
-	err = runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(times), func(i int) error {
-		tEnd := times[i]
+	res := &Fig6Result{C: c, AdaptT0: t0, RefreshTimes: times}
+	for _, tEnd := range times {
 		seq := arrivals.UniformSequence(tEnd+1, 1, 1)
 		in, err := core.NewInstance(seq, model, c)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.Naive[i] = in.Cost(in.NaivePlan())
+		res.Naive = append(res.Naive, in.Cost(in.NaivePlan()))
 		opt, err := astar.Search(in, astar.Options{})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.OptLGM[i] = opt.Cost
+		res.OptLGM = append(res.OptLGM, opt.Cost)
 		adaptRun, err := sim.Run(in, policy.NewAdapt(model, c, adaptPlan))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.Adapt[i] = adaptRun.TotalCost
+		res.Adapt = append(res.Adapt, adaptRun.TotalCost)
 		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.Online[i] = onlineRun.TotalCost
+		res.Online = append(res.Online, onlineRun.TotalCost)
 		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.OnlineM[i] = onlineMRun.TotalCost
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		res.OnlineM = append(res.OnlineM, onlineMRun.TotalCost)
 	}
 	return res, nil
 }
@@ -175,57 +157,34 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 		{"FU (fast/unstable)", 0.9, 5},
 	}
 	res := &Fig7Result{C: c, T: tEnd, Seeds: seeds}
-	// Every (stream, repetition) pair derives its own rng seeds from
-	// (si, rep) alone, so the flattened task list fans out across the
-	// worker pool with results collected per index; aggregation below
-	// then runs serially in stream order, making the output identical
-	// for any pool size.
-	type cell struct {
-		naive, opt, online, onlineM float64
-	}
-	cells := make([]cell, len(streams)*seeds)
-	err = runIndexed(cfg.ctx(), runtime.GOMAXPROCS(0), len(cells), func(idx int) error {
-		si, rep := idx/seeds, idx%seeds
-		sc := streams[si]
-		base := cfg.Seed + int64(si)*20 + int64(rep)*2
-		seq := arrivals.Sequence(tEnd+1,
-			arrivals.NewNonUniform(sc.p, 1, sc.sigma, base+1),
-			arrivals.NewNonUniform(sc.p, 1, sc.sigma, base+2),
-		)
-		in, err := core.NewInstance(seq, model, c)
-		if err != nil {
-			return err
-		}
-		cl := &cells[idx]
-		cl.naive = in.Cost(in.NaivePlan())
-		optRes, err := astar.Search(in, astar.Options{})
-		if err != nil {
-			return err
-		}
-		cl.opt = optRes.Cost
-		onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
-		if err != nil {
-			return err
-		}
-		cl.online = onlineRun.TotalCost
-		onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil))
-		if err != nil {
-			return err
-		}
-		cl.onlineM = onlineMRun.TotalCost
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	for si, sc := range streams {
 		var naive, opt, online, onlineM []float64
 		for rep := 0; rep < seeds; rep++ {
-			cl := cells[si*seeds+rep]
-			naive = append(naive, cl.naive)
-			opt = append(opt, cl.opt)
-			online = append(online, cl.online)
-			onlineM = append(onlineM, cl.onlineM)
+			base := cfg.Seed + int64(si)*20 + int64(rep)*2
+			seq := arrivals.Sequence(tEnd+1,
+				arrivals.NewNonUniform(sc.p, 1, sc.sigma, base+1),
+				arrivals.NewNonUniform(sc.p, 1, sc.sigma, base+2),
+			)
+			in, err := core.NewInstance(seq, model, c)
+			if err != nil {
+				return nil, err
+			}
+			naive = append(naive, in.Cost(in.NaivePlan()))
+			optRes, err := astar.Search(in, astar.Options{})
+			if err != nil {
+				return nil, err
+			}
+			opt = append(opt, optRes.Cost)
+			onlineRun, err := sim.Run(in, policy.NewOnline(model, c, nil))
+			if err != nil {
+				return nil, err
+			}
+			online = append(online, onlineRun.TotalCost)
+			onlineMRun, err := sim.Run(in, policy.NewOnlineMarginal(model, c, nil))
+			if err != nil {
+				return nil, err
+			}
+			onlineM = append(onlineM, onlineMRun.TotalCost)
 		}
 		res.Streams = append(res.Streams, sc.name)
 		res.Naive = append(res.Naive, mean(naive))

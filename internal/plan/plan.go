@@ -60,6 +60,12 @@ type joinEdge struct {
 	expr       sql.Expr
 }
 
+// keyCol is a join key column on the already-joined side, qualified by
+// the alias that contributed it.
+type keyCol struct {
+	alias, col string
+}
+
 type compiler struct {
 	sel     *sql.Select
 	resolve func(string) (*storage.Table, error)
@@ -81,7 +87,7 @@ func (c *compiler) compile() (exec.Op, error) {
 	if err := c.classifyWhere(); err != nil {
 		return nil, err
 	}
-	op, joined, err := c.buildJoins()
+	op, err := c.buildJoins()
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +99,6 @@ func (c *compiler) compile() (exec.Op, error) {
 		}
 		op = exec.NewFilter(op, pred)
 	}
-	_ = joined
 	if c.sel.HasAggregates() || len(c.sel.GroupBy) > 0 {
 		op, err = c.buildAggregate(op)
 	} else {
@@ -301,53 +306,55 @@ func (c *compiler) scanWithFilters(alias string) (exec.Op, error) {
 }
 
 // buildJoins assembles the left-deep join tree.
-func (c *compiler) buildJoins() (exec.Op, map[string]bool, error) {
+func (c *compiler) buildJoins() (exec.Op, error) {
 	driver := c.pickDriver()
 	op, err := c.scanWithFilters(driver)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	joined := map[string]bool{driver: true}
 	remaining := len(c.order) - 1
 	for remaining > 0 {
 		next, keysJoined, keysNew, err := c.nextJoin(joined)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		op, err = c.joinInto(op, next, keysJoined, keysNew)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		joined[next] = true
 		remaining--
 	}
-	return op, joined, nil
+	return op, nil
 }
 
 // nextJoin selects the next alias connected to the joined set and the
 // join column pairs (on the joined side and the new side). Aliases with
 // an index covering their join columns are preferred.
-func (c *compiler) nextJoin(joined map[string]bool) (string, []string, []string, error) {
+func (c *compiler) nextJoin(joined map[string]bool) (string, []keyCol, []string, error) {
 	type candidate struct {
-		alias               string
-		joinedCols, newCols []string
-		indexed             bool
-		order               int
+		alias      string
+		joinedCols []keyCol
+		newCols    []string
+		indexed    bool
+		order      int
 	}
 	var cands []candidate
 	for pos, alias := range c.order {
 		if joined[alias] {
 			continue
 		}
-		var jc, nc []string
+		var jc []keyCol
+		var nc []string
 		for _, e := range c.edges {
 			switch {
 			case e.a == alias && joined[e.b]:
 				nc = append(nc, e.colA)
-				jc = append(jc, e.colB+"\x00"+e.b)
+				jc = append(jc, keyCol{alias: e.b, col: e.colB})
 			case e.b == alias && joined[e.a]:
 				nc = append(nc, e.colB)
-				jc = append(jc, e.colA+"\x00"+e.a)
+				jc = append(jc, keyCol{alias: e.a, col: e.colA})
 			}
 		}
 		if len(nc) == 0 {
@@ -372,16 +379,15 @@ func (c *compiler) nextJoin(joined map[string]bool) (string, []string, []string,
 	return best.alias, best.joinedCols, best.newCols, nil
 }
 
-// joinInto joins alias `next` into the current tree. keysJoined entries
-// are "column\x00alias" pairs identifying the joined-side key columns.
-func (c *compiler) joinInto(cur exec.Op, next string, keysJoined, keysNew []string) (exec.Op, error) {
+// joinInto joins alias `next` into the current tree on the joined-side
+// key columns keysJoined and the new side's columns keysNew.
+func (c *compiler) joinInto(cur exec.Op, next string, keysJoined []keyCol, keysNew []string) (exec.Op, error) {
 	curCols := cur.Columns()
 	leftKeys := make([]int, len(keysJoined))
 	for i, kc := range keysJoined {
-		col, alias := splitKey(kc)
-		idx := exec.FindCol(curCols, alias, col)
+		idx := exec.FindCol(curCols, kc.alias, kc.col)
 		if idx < 0 {
-			return nil, fmt.Errorf("plan: join key %s.%s not found in current output", alias, col)
+			return nil, fmt.Errorf("plan: join key %s.%s not found in current output", kc.alias, kc.col)
 		}
 		leftKeys[i] = idx
 	}
@@ -429,15 +435,6 @@ func (c *compiler) applyLocalFilters(op exec.Op, alias string) (exec.Op, error) 
 		op = exec.NewFilter(op, pred)
 	}
 	return op, nil
-}
-
-func splitKey(s string) (col, alias string) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == 0 {
-			return s[:i], s[i+1:]
-		}
-	}
-	return s, ""
 }
 
 // buildProjection emits the SELECT list for non-aggregate queries.

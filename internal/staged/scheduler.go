@@ -9,7 +9,6 @@ import (
 // Scheduler decides staged maintenance actions online.
 type Scheduler interface {
 	Name() string
-	Reset(n int)
 	// Act is called once per step with the pre-action state (arrivals of
 	// the step already in U); refresh marks the final step, where the
 	// returned action must drain everything through both stages.
@@ -42,9 +41,6 @@ func NewSingleStage(m *Model, c float64) *SingleStage { return &SingleStage{m: m
 
 // Name implements Scheduler.
 func (p *SingleStage) Name() string { return "SINGLE-STAGE" }
-
-// Reset implements Scheduler.
-func (p *SingleStage) Reset(int) {}
 
 // Act implements Scheduler.
 func (p *SingleStage) Act(t int, s State, refresh bool) Action {
@@ -107,9 +103,6 @@ func NewTwoStage(m *Model, c float64) *TwoStage {
 // Name implements Scheduler.
 func (p *TwoStage) Name() string { return "TWO-STAGE" }
 
-// Reset implements Scheduler.
-func (p *TwoStage) Reset(int) {}
-
 // Act implements Scheduler.
 func (p *TwoStage) Act(t int, s State, refresh bool) Action {
 	if refresh {
@@ -171,7 +164,6 @@ func Run(m *Model, sched Scheduler, arrivals core.Arrivals, c float64) (*RunResu
 	if arrivals.N() != m.N() {
 		return nil, fmt.Errorf("staged: arrivals cover %d tables, model %d", arrivals.N(), m.N())
 	}
-	sched.Reset(m.N())
 	s := NewState(m.N())
 	res := &RunResult{Scheduler: sched.Name()}
 	tEnd := arrivals.T()

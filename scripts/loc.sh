@@ -6,7 +6,9 @@
 # side — the runtime policies, the simulator, the plan model and the A*
 # planner — is a second line, each package listed. The lint suite
 # (internal/lint + cmd/abivmlint, analyzer fixtures under testdata left
-# out) is a third.
+# out) is a third. The evaluation side — the figure experiments, the
+# staged-maintenance study, the cost-model fitting and the TPC-R
+# generator — is a fourth, each package listed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,3 +28,4 @@ loc() {
 echo "non-test Go lines: pubsub+ivm+dataflow $(loc pubsub ivm dataflow), root $(count . -maxdepth 1), storage $(loc storage), exec $(loc exec), durable $(loc durable)"
 echo "non-test Go lines: policy $(loc policy), sim $(loc sim), core $(loc core), astar $(loc astar)"
 echo "non-test Go lines: lint $(count internal/lint cmd/abivmlint)"
+echo "non-test Go lines: experiments $(loc experiments), staged $(loc staged), costmodel $(loc costmodel), tpcr $(loc tpcr)"
