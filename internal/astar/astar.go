@@ -30,11 +30,11 @@
 // paper's bound wherever the latter is valid (e.g. linear costs), so this
 // is a strict strengthening, not a behavioural change.
 //
-// The implementation keeps the search allocation-lean: nodes are keyed by
-// a fixed-size comparable (t, state) packing instead of formatted strings,
-// the heuristic value is computed once per node and cached on its queue
-// entry, and the state/action vectors that flow through expansion are
-// drawn from a per-search free list once the search provably owns them.
+// The implementation keeps the search allocation-lean: a node is its
+// fixed-size comparable (t, state) key and owns no vectors. Expansion
+// decodes the state from the key into a scratch vector, the heuristic
+// value is computed once per node and cached on its queue entry, and the
+// plan derives each edge's action from the states at its two ends.
 package astar
 
 import (
@@ -107,24 +107,20 @@ func (k nodeKey) stateLess(o nodeKey) bool {
 // best parent link, and whether it has been expanded. One map holds every
 // node generated, so relaxing an edge costs a single lookup.
 type pqItem struct {
-	t     int
-	state core.Vector // nil once the node is expanded
-	key   nodeKey
-	g     float64 // best known path cost from source
+	key nodeKey
+	g   float64 // best known path cost from source
 	// h is the heuristic value of the node, computed once when the node
 	// is first generated. h depends only on (t, state) — never on the
 	// path — so a decrease-key must reuse it rather than re-evaluate;
 	// recomputing was pure waste on the old hot path, and caching is
 	// behaviour-neutral (see TestHeuristicCachePure).
 	h      float64
-	d      float64 // g + h
 	index  int
 	closed bool // expanded: its g is final
-	// parent and action are the best known incoming edge: the node was
-	// reached from parent by applying action at time t. The source has
-	// no parent.
+	// parent is the best known incoming edge: the node was reached from
+	// parent by the action that takes the parent's state, accumulated to
+	// key.t, to key.s. The source has no parent.
 	parent *pqItem
-	action core.Vector
 }
 
 type priorityQueue []*pqItem
@@ -133,13 +129,13 @@ func (pq priorityQueue) Len() int { return len(pq) }
 func (pq priorityQueue) Less(i, j int) bool {
 	// Heap ordering must be a strict weak order; epsilon comparisons are
 	// not transitive.
-	if pq[i].d != pq[j].d {
-		return pq[i].d < pq[j].d
+	if di, dj := pq[i].g+pq[i].h, pq[j].g+pq[j].h; di != dj {
+		return di < dj
 	}
 	// Tie-break on later time to reach the destination sooner; then on
 	// the packed state for determinism.
-	if pq[i].t != pq[j].t {
-		return pq[i].t > pq[j].t
+	if pq[i].key.t != pq[j].key.t {
+		return pq[i].key.t > pq[j].key.t
 	}
 	return pq[i].key.stateLess(pq[j].key)
 }
@@ -248,18 +244,17 @@ type searcher struct {
 	open  priorityQueue
 	nodes map[nodeKey]*pqItem
 
-	// Scratch buffers: accScratch backs the fullness probes of nextFull,
-	// preScratch the accumulated pre-action state of the node being
-	// expanded, actionsBuf the greedy action list, actScratch the
-	// enumeration buffers inside core.
-	accScratch core.Vector
-	preScratch core.Vector
-	actionsBuf []core.Vector
-	actScratch core.ActionScratch
-
-	// vecFree recycles state and action vectors the search has
-	// exclusive ownership of (see putVec).
-	vecFree []core.Vector
+	// Scratch buffers: stateScratch holds the state decoded from a node's
+	// key, accScratch backs the fullness probes of nextFull, preScratch
+	// the accumulated pre-action state of the node being expanded,
+	// postScratch a successor's post-action state, actionsBuf the greedy
+	// action list, actScratch the enumeration buffers inside core.
+	stateScratch core.Vector
+	accScratch   core.Vector
+	preScratch   core.Vector
+	postScratch  core.Vector
+	actionsBuf   []core.Vector
+	actScratch   core.ActionScratch
 }
 
 // Search finds an optimal LGM plan for the instance. It assumes perfect
@@ -289,15 +284,17 @@ func newSearcher(in *core.Instance, opts Options) *searcher {
 		copy(prefix[t], running)
 	}
 	s := &searcher{
-		in:         in,
-		opts:       opts,
-		prefix:     prefix,
-		suffix:     in.Arrivals.SuffixTotals(),
-		totals:     in.Arrivals.TotalPerTable(),
-		lbs:        make([]*tableLB, n),
-		nodes:      map[nodeKey]*pqItem{},
-		accScratch: core.NewVector(n),
-		preScratch: core.NewVector(n),
+		in:           in,
+		opts:         opts,
+		prefix:       prefix,
+		suffix:       in.Arrivals.SuffixTotals(),
+		totals:       in.Arrivals.TotalPerTable(),
+		lbs:          make([]*tableLB, n),
+		nodes:        map[nodeKey]*pqItem{},
+		stateScratch: core.NewVector(n),
+		accScratch:   core.NewVector(n),
+		preScratch:   core.NewVector(n),
+		postScratch:  core.NewVector(n),
 	}
 	maxStep := in.Arrivals.MaxPerStep()
 	for i := 0; i < n; i++ {
@@ -377,29 +374,13 @@ func (s *searcher) h(t int, state core.Vector) float64 {
 	return total
 }
 
-// getVec returns a zeroed vector of instance arity, reusing the free
-// list when possible.
-func (s *searcher) getVec() core.Vector {
-	if k := len(s.vecFree); k > 0 {
-		v := s.vecFree[k-1]
-		s.vecFree = s.vecFree[:k-1]
-		for i := range v {
-			v[i] = 0
-		}
-		return v
+// stateOf decodes the state of the node keyed k into the searcher's
+// state scratch, valid until the next call.
+func (s *searcher) stateOf(k nodeKey) core.Vector {
+	for i := range s.stateScratch {
+		s.stateScratch[i] = int(k.s[i])
 	}
-	return core.NewVector(s.in.N())
-}
-
-// putVec hands v back to the free list. The caller vouches that the
-// search owns v exclusively: nothing reads it after this call, so a
-// later getVec may repurpose the backing array.
-func (s *searcher) putVec(v core.Vector) {
-	if v == nil {
-		return
-	}
-	// Ownership transfers to the free list by the putVec contract.
-	s.vecFree = append(s.vecFree, v)
+	return s.stateScratch
 }
 
 func (s *searcher) run() (*Result, error) {
@@ -407,9 +388,8 @@ func (s *searcher) run() (*Result, error) {
 	destKey := nodeKey{t: int32(tEnd)}
 
 	// Source: t == -1, zero state.
-	src := &pqItem{t: -1, state: s.getVec(), key: nodeKey{t: -1}}
-	src.h = s.h(src.t, src.state)
-	src.d = src.h
+	src := &pqItem{key: nodeKey{t: -1}}
+	src.h = s.h(-1, s.stateOf(src.key))
 	s.nodes[src.key] = src
 	heap.Push(&s.open, src)
 
@@ -432,9 +412,6 @@ func (s *searcher) run() (*Result, error) {
 		if n := len(s.open); n > res.HeapPeak {
 			res.HeapPeak = n
 		}
-		// The key holds the state from here on; the vector is no longer read.
-		s.putVec(it.state)
-		it.state = nil
 	}
 	return nil, errors.New("astar: destination unreachable (internal invariant violated)")
 }
@@ -443,68 +420,54 @@ func (s *searcher) run() (*Result, error) {
 // each resulting edge.
 func (s *searcher) expand(it *pqItem, res *Result) {
 	tEnd := s.in.T()
-	t2 := s.nextFull(it.state, it.t)
+	t, state := int(it.key.t), s.stateOf(it.key)
+	t2 := s.nextFull(state, t)
 	if t2 >= tEnd {
 		// Either the state never fills again (the only remaining move is
 		// the refresh at T) or fullness first strikes exactly at T (the
 		// refresh drains everything): one edge to the destination whose
 		// action is the whole accumulated backlog.
-		s.accumulateInto(s.preScratch, it.state, it.t, tEnd)
-		action := s.getVec()
-		copy(action, s.preScratch)
-		s.relax(it, tEnd, nil, action, s.in.Model.Total(action), res)
+		s.accumulateInto(s.preScratch, state, t, tEnd)
+		s.relax(it, tEnd, nil, s.in.Model.Total(s.preScratch), res)
 		return
 	}
-	s.accumulateInto(s.preScratch, it.state, it.t, t2)
-	s.actionsBuf = s.actScratch.AppendGreedyActions(s.actionsBuf[:0], s.preScratch, s.in.Model, s.in.C, !s.opts.AllowNonMinimal)
+	s.accumulateInto(s.preScratch, state, t, t2)
+	s.actionsBuf = s.actScratch.GreedyActionsInto(s.actionsBuf, s.preScratch, s.in.Model, s.in.C, !s.opts.AllowNonMinimal)
 	for _, q := range s.actionsBuf {
-		s.relax(it, t2, s.preScratch, q, s.in.Model.Total(q), res)
+		for i := range q {
+			s.postScratch[i] = s.preScratch[i] - q[i]
+		}
+		s.relax(it, t2, s.postScratch, s.in.Model.Total(q), res)
 	}
 }
 
-// relax processes one generated edge parent -> (t, pre-q) with the given
-// action and weight. pre == nil means the successor is the zero state
-// (refresh edges). The search takes ownership of action: it is either
-// retained as the node's best parent link or returned to the free list.
-func (s *searcher) relax(parent *pqItem, t int, pre, action core.Vector, weight float64, res *Result) {
+// relax processes one generated edge parent -> (t, post) of the given
+// weight. post is the successor's post-action state; nil is the zero
+// state (refresh edges). relax keeps no reference to post.
+func (s *searcher) relax(parent *pqItem, t int, post core.Vector, weight float64, res *Result) {
 	key := nodeKey{t: int32(t)}
-	if pre != nil {
-		for i := range pre {
-			key.s[i] = int32(pre[i] - action[i])
-		}
+	for i, v := range post {
+		key.s[i] = int32(v)
 	}
 	existing, seen := s.nodes[key]
 	if seen && existing.closed {
-		s.putVec(action)
 		return
 	}
 	res.Generated++
 	g := parent.g + weight
 	if seen {
 		if g >= existing.g {
-			s.putVec(action)
 			return
 		}
 		// Decrease-key: the cached existing.h stays valid (h depends only
-		// on the node), only g and the parent link change. The node was
-		// the old action's sole holder.
+		// on the node), only g and the parent link change.
 		existing.g = g
-		existing.d = g + existing.h
 		heap.Fix(&s.open, existing.index)
-		s.putVec(existing.action)
-		existing.parent, existing.action = parent, action
+		existing.parent = parent
 		return
 	}
-	state := s.getVec()
-	if pre != nil {
-		for i := range pre {
-			state[i] = pre[i] - action[i]
-		}
-	}
-	// The search owns action and the new node is its sole holder.
-	item := &pqItem{t: t, state: state, key: key, g: g, parent: parent, action: action}
-	item.h = s.h(t, state)
-	item.d = g + item.h
+	item := &pqItem{key: key, g: g, parent: parent}
+	item.h = s.h(t, post)
 	s.nodes[key] = item
 	heap.Push(&s.open, item)
 }
@@ -517,8 +480,15 @@ func (s *searcher) reconstruct(dest *pqItem) core.Plan {
 	for t := range plan {
 		plan[t] = core.NewVector(n)
 	}
+	// Each edge's action is the parent's state accumulated to the
+	// child's time, minus the child's post-action state.
 	for nd := dest; nd.parent != nil; nd = nd.parent {
-		plan[nd.t] = nd.action.Clone()
+		t := int(nd.key.t)
+		q := plan[t]
+		s.accumulateInto(q, s.stateOf(nd.parent.key), int(nd.parent.key.t), t)
+		for i := range q {
+			q[i] -= int(nd.key.s[i])
+		}
 	}
 	return plan
 }

@@ -1,9 +1,10 @@
 package astar
 
 // Tests pinning the behaviour of the allocation-lean search rewrite:
-// packed node keys, the cached per-node heuristic, and the pooled
-// state/action vectors must be invisible — same optimal costs, same
-// deterministic search counters as the original string-keyed code.
+// packed node keys, the cached per-node heuristic, and actions derived
+// from the states at an edge's two ends must be invisible — same optimal
+// costs, same deterministic search counters as the original string-keyed
+// code.
 
 import (
 	"container/heap"
@@ -13,6 +14,7 @@ import (
 
 	"abivm/internal/core"
 	"abivm/internal/costfn"
+	"abivm/internal/testenv"
 )
 
 // refItem / refQueue implement the reference search's priority queue.
@@ -222,12 +224,13 @@ func TestSearchCountersDeterministic(t *testing.T) {
 	}
 }
 
-// TestSearchCountersGolden pins the exact search effort on one fixed
-// instance. The values encode the current expansion order (packed-key
-// tie-breaks, cached heuristic); an unintended behavioural change to
-// the search — not just a perf tweak — shows up here first. Regenerate
-// by running the test and copying the reported counts if the search
-// order is changed on purpose.
+// TestSearchCountersGolden pins the exact search effort and the returned
+// plan on one fixed instance. The values encode the current expansion
+// order (packed-key tie-breaks, cached heuristic) and, step by step, the
+// actions the plan derives from its nodes' states; an unintended
+// behavioural change to the search — not just a perf tweak — shows up
+// here first. Regenerate by running the test and copying the reported
+// values if the search order is changed on purpose.
 func TestSearchCountersGolden(t *testing.T) {
 	lin, _ := costfn.NewLinear(1, 2)
 	st, _ := costfn.NewStep(3, 1.5)
@@ -240,12 +243,53 @@ func TestSearchCountersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantExpanded, wantGenerated, wantCost = 8, 11, 39.0
-	if res.Expanded != wantExpanded || res.Generated != wantGenerated {
-		t.Errorf("search effort changed: expanded=%d generated=%d, want %d/%d",
-			res.Expanded, res.Generated, wantExpanded, wantGenerated)
+	const wantExpanded, wantGenerated, wantHeapPeak, wantCost = 8, 11, 5, 39.0
+	if res.Expanded != wantExpanded || res.Generated != wantGenerated || res.HeapPeak != wantHeapPeak {
+		t.Errorf("search effort changed: expanded=%d generated=%d heap peak=%d, want %d/%d/%d",
+			res.Expanded, res.Generated, res.HeapPeak, wantExpanded, wantGenerated, wantHeapPeak)
 	}
 	if absDiff(res.Cost, wantCost) > 1e-9 {
 		t.Errorf("optimal cost changed: %g, want %g", res.Cost, wantCost)
+	}
+	wantPlan := core.Plan{
+		{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 4}, {11, 0}, {0, 0}, {0, 0},
+		{0, 0}, {0, 0}, {0, 0}, {7, 0}, {0, 0}, {0, 0}, {6, 0}, {0, 12},
+	}
+	if len(res.Plan) != len(wantPlan) {
+		t.Fatalf("plan has %d steps, want %d", len(res.Plan), len(wantPlan))
+	}
+	for ti, q := range wantPlan {
+		if !res.Plan[ti].Equal(q) {
+			t.Errorf("plan step %d = %v, want %v", ti, res.Plan[ti], q)
+		}
+	}
+}
+
+// TestSearchAllocsPerGeneratedNode bounds what one search allocates per
+// generated edge on a fixed 400-step two-table instance. A node owns no
+// vectors, so what remains per edge is about one: the node itself, plus
+// the node map's and heap's growth. A node that carried its own state and
+// action vectors again would read well above the bound.
+func TestSearchAllocsPerGeneratedNode(t *testing.T) {
+	testenv.NeedsAllocCounts(t)
+	lin, _ := costfn.NewLinear(1, 2)
+	st, _ := costfn.NewStep(3, 1.5)
+	arr := make(core.Arrivals, 400)
+	for i := range arr {
+		arr[i] = core.Vector{(i*7 + 3) % 4, (i*5 + 1) % 3}
+	}
+	in := mkInstance(t, arr, []core.CostFunc{lin, st}, 12)
+	res, err := Search(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Search(in, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / float64(res.Generated); per > 1.2 {
+		t.Fatalf("%.0f allocations over %d generated edges = %.3f per edge, want <= 1.2",
+			allocs, res.Generated, per)
 	}
 }

@@ -10,8 +10,8 @@ const MaxTables = 20
 
 // ActionScratch holds the reusable enumeration buffers behind
 // GreedyActionSet. A caller that enumerates actions once per node
-// expansion (the A* searcher) keeps one scratch and calls
-// AppendGreedyActions to avoid re-allocating the buffers every time.
+// expansion or per step (the A* searcher, ONLINE) keeps one scratch and
+// calls GreedyActionsInto to avoid re-allocating the buffers every time.
 // The zero value is ready to use; a scratch must not be used from
 // multiple goroutines at once.
 type ActionScratch struct {
@@ -34,33 +34,19 @@ type ActionScratch struct {
 // the model arity.
 func GreedyActionSet(s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
 	var sc ActionScratch
-	return sc.AppendGreedyActions(nil, s, m, c, minimalOnly)
+	return sc.GreedyActionsInto(nil, s, m, c, minimalOnly)
 }
 
-// AppendGreedyActions appends the greedy action set of s (see
-// GreedyActionSet) to dst and returns the extended slice. The appended
-// action vectors are freshly allocated and owned by the caller; only the
-// scratch's internal enumeration buffers are reused across calls. It
-// panics if s has more than MaxTables components or does not match
-// the model arity.
-func (sc *ActionScratch) AppendGreedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
-	return sc.greedyActions(dst, s, m, c, minimalOnly, false)
-}
-
-// GreedyActionsInto is AppendGreedyActions into dst[:0] for a caller that
-// is done with the actions before its next call: each action overwrites
-// the vector of its length that dst's backing array already holds at its
-// position, and only a missing one is allocated, so a caller that passes
-// back the slice it got allocates nothing once the set stops growing. The
-// returned vectors are valid until the next call with the same dst.
+// GreedyActionsInto writes the greedy action set of s (see
+// GreedyActionSet) into dst[:0] for a caller that is done with the
+// actions before its next call: each action overwrites the vector of its
+// length that dst's backing array already holds at its position, and only
+// a missing one is allocated, so a caller that passes back the slice it
+// got allocates nothing once the set stops growing. The returned vectors
+// are valid until the next call with the same dst. It panics if s has
+// more than MaxTables components or does not match the model arity.
 func (sc *ActionScratch) GreedyActionsInto(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly bool) []Vector {
-	return sc.greedyActions(dst[:0], s, m, c, minimalOnly, true)
-}
-
-// greedyActions appends the greedy action set of s to dst; reuse
-// overwrites the vectors dst's spare capacity holds instead of
-// allocating them.
-func (sc *ActionScratch) greedyActions(dst []Vector, s Vector, m *CostModel, c float64, minimalOnly, reuse bool) []Vector {
+	dst = dst[:0]
 	n := len(s)
 	if n > MaxTables {
 		panic(fmt.Sprintf("core: %d tables exceeds the greedy-action enumeration cap %d", n, MaxTables))
@@ -113,7 +99,7 @@ func (sc *ActionScratch) greedyActions(dst []Vector, s Vector, m *CostModel, c f
 			}
 		}
 		var act Vector
-		if reuse && len(dst) < cap(dst) {
+		if len(dst) < cap(dst) {
 			if v := dst[:len(dst)+1][len(dst)]; len(v) == n {
 				act = v
 				clear(act)

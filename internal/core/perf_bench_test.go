@@ -50,7 +50,7 @@ func BenchmarkGreedyActionSet(b *testing.B) {
 		var buf []Vector
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = sc.AppendGreedyActions(buf[:0], s, m, c, true)
+			buf = sc.GreedyActionsInto(buf, s, m, c, true)
 		}
 	})
 }

@@ -593,14 +593,14 @@ func (s *opSpec) sumColumns() []string {
 
 // literal is a join input's residual when it is one `column = literal`
 // with a literal of the column's own type — a string for TEXT, an integer
-// for INT: col is the column's position in the input's rows, key the
-// literal's storage.AppendKey encoding. Such a column holds values of its
-// type alone, and equal values of one type share an encoding, so a row
-// passes exactly when its value encodes to key (dispatch). INT = 3.0
-// compares as floats and is not one.
+// for INT: col is the column's position in the input's rows, value the
+// literal. Such a column holds values of its type alone, and values of
+// one type that compare equal are == as structs, so a row passes exactly
+// when its value is == value (dispatch). INT = 3.0 compares as floats and
+// is not one.
 type literal struct {
-	col int
-	key string
+	col   int
+	value storage.Value
 }
 
 // literalOf returns the literal equality an input's residual is, or nil.
@@ -632,7 +632,7 @@ func literalOf(conjs []sql.Expr, cols []exec.Col) *literal {
 	if col < 0 || v.T != cols[col].Type {
 		return nil
 	}
-	return &literal{col: col, key: storage.EncodeKey(v)}
+	return &literal{col: col, value: v}
 }
 
 // bindConjunction binds each conjunct against a schema.

@@ -315,36 +315,24 @@ type sideState struct {
 	lits      []*litIndex
 }
 
-// litIndex lists, per value of one column (its key encoding), the keys
-// of the buckets with an entry, base or tail, holding that value — the
-// buckets where a join whose residual on this side is one literal
-// equality on the column can find a row it accepts. An entry's value is
-// listed when it arrives and dropped when a trim nets away the bucket's
-// last entry holding it. Tail retractions stay listed until then, so the
-// lists are a superset, and a reader still checks the residual.
+// litIndex lists, per value of one column, the keys, sorted, of the
+// buckets with an entry, base or tail, holding that value — the buckets
+// where a join whose residual on this side is one literal equality on
+// the column can find a row it accepts. An entry's value is listed when
+// it arrives and dropped when a trim nets away the bucket's last entry
+// holding it. Tail retractions stay listed until then, so the lists are
+// a superset, and a reader still checks the residual.
 type litIndex struct {
 	col   int
-	lists map[string]*litList
-}
-
-// litList is one value's list: the bucket keys, sorted, and the value's
-// encoding, made once, which the index drops the list by when it empties.
-type litList struct {
-	value string
-	keys  []string
+	lists map[storage.Value][]string
 }
 
 // note lists bucket key under row's value.
 func (ix *litIndex) note(key string, row storage.Row) {
-	var a [64]byte
-	v := storage.AppendKey(a[:0], row[ix.col])
-	l := ix.lists[string(v)]
-	if l == nil {
-		l = &litList{value: string(v)}
-		ix.lists[l.value] = l
-	}
-	if i, found := slices.BinarySearch(l.keys, key); !found {
-		l.keys = slices.Insert(l.keys, i, key)
+	v := row[ix.col]
+	keys := ix.lists[v]
+	if i, found := slices.BinarySearch(keys, key); !found {
+		ix.lists[v] = slices.Insert(keys, i, key)
 	}
 }
 
@@ -354,7 +342,7 @@ func (s *sideState) indexLiteral(col int) {
 	if slices.ContainsFunc(s.lits, func(ix *litIndex) bool { return ix.col == col }) {
 		return
 	}
-	ix := &litIndex{col: col, lists: make(map[string]*litList)}
+	ix := &litIndex{col: col, lists: make(map[storage.Value][]string)}
 	s.lits = append(s.lits, ix)
 	for _, b := range s.buckets {
 		s.each(b, func(row storage.Row, _ int64, _ bool) { ix.note(b.key, row) })
@@ -370,10 +358,7 @@ func (s *sideState) litKeys(lit *literal) ([]string, bool) {
 	}
 	for _, ix := range s.lits {
 		if ix.col == lit.col {
-			if l := ix.lists[lit.key]; l != nil {
-				return l.keys, true
-			}
-			return nil, true
+			return ix.lists[lit.value], true
 		}
 	}
 	return nil, false
@@ -382,20 +367,18 @@ func (s *sideState) litKeys(lit *literal) ([]string, bool) {
 // unlist drops bucket b from the list of row's value in every literal
 // index once no entry of b, base or tail, holds that value.
 func (s *sideState) unlist(b *bucket, row storage.Row) {
-	var a [64]byte
 	for _, ix := range s.lits {
 		val, held := row[ix.col], false
 		s.each(b, func(r storage.Row, _ int64, _ bool) { held = held || r[ix.col] == val })
 		if held {
 			continue
 		}
-		l := ix.lists[string(storage.AppendKey(a[:0], val))]
-		if l == nil {
-			continue
-		}
-		if i, found := slices.BinarySearch(l.keys, b.key); found {
-			if l.keys = slices.Delete(l.keys, i, i+1); len(l.keys) == 0 {
-				delete(ix.lists, l.value)
+		keys := ix.lists[val]
+		if i, found := slices.BinarySearch(keys, b.key); found {
+			if keys = slices.Delete(keys, i, i+1); len(keys) == 0 {
+				delete(ix.lists, val)
+			} else {
+				ix.lists[val] = keys
 			}
 		}
 	}
@@ -591,22 +574,22 @@ type portGroup struct {
 }
 
 // dispatch indexes a port group's joins by their residual over one
-// side's rows: byLit lists, by the literal's key encoding, the joins whose
+// side's rows: byLit lists, by the literal's value, the joins whose
 // residual is one literal equality (literal) on column col — the column
 // of the first such join — and others every other join. Both hold
 // positions in the group's joins, ascending.
 type dispatch struct {
 	others []int
 	col    int
-	byLit  map[string][]int
+	byLit  map[storage.Value][]int
 }
 
 func (d *dispatch) add(pos int, lit *literal) {
 	switch {
 	case lit != nil && d.byLit == nil:
-		d.col, d.byLit = lit.col, map[string][]int{lit.key: {pos}}
+		d.col, d.byLit = lit.col, map[storage.Value][]int{lit.value: {pos}}
 	case d.listed(lit):
-		d.byLit[lit.key] = append(d.byLit[lit.key], pos)
+		d.byLit[lit.value] = append(d.byLit[lit.value], pos)
 	default:
 		d.others = append(d.others, pos)
 	}
@@ -625,9 +608,8 @@ func (d *dispatch) reach(row storage.Row, buf *[]int) []int {
 	if d.byLit == nil {
 		return d.others
 	}
-	var a [64]byte
 	out, rest := (*buf)[:0], d.others
-	for _, p := range d.byLit[string(storage.AppendKey(a[:0], row[d.col]))] {
+	for _, p := range d.byLit[row[d.col]] {
 		for len(rest) > 0 && rest[0] < p {
 			out, rest = append(out, rest[0]), rest[1:]
 		}

@@ -282,7 +282,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 
 	// Coverage: every record the last sync acknowledged must be reachable
 	// — on disk past the chain tip, or subsumed by the chain itself.
-	covered := max64(sc.last(), cs.tip)
+	covered := max(sc.last(), cs.tip)
 	if covered < st.ackedLSN {
 		events = append(events, Corruption{Artifact: walName(st.ackedLSN),
 			Detail: fmt.Sprintf("log ends at lsn %d but sync acknowledged %d (silent tail loss)", covered, st.ackedLSN)})
@@ -299,7 +299,7 @@ func (st *Store) Recover(live *storage.DB, query string, maxDepth int, ms *ivm.M
 	for len(suffix) > 0 && suffix[0].LSN <= cs.tip {
 		suffix = suffix[1:]
 	}
-	lastLSN := max64(cs.tip, sc.last())
+	lastLSN := max(cs.tip, sc.last())
 	wal, err := ivm.RestoreWAL(suffix, lastLSN+1)
 	if err != nil {
 		// The scan guarantees ascending contiguous LSNs, so this is a
@@ -366,12 +366,4 @@ func (st *Store) fallbackLocked(events []Corruption) *Recovery {
 	st.stats.Corruptions += len(events)
 	st.stats.Fallbacks++
 	return &Recovery{Fallback: true, Corruptions: events}
-}
-
-// max64 returns the larger of two LSNs.
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -24,8 +24,8 @@ func heldEntries(t testing.TB, v *ViewState) map[string]*groupState {
 			if out[k] != nil {
 				t.Fatalf("key %q is held twice", k)
 			}
-			if g.hash != h || v.keyHash(g.keyVals) != h {
-				t.Fatalf("key %q is held under hash %x, its hash is %x", k, h, v.keyHash(g.keyVals))
+			if kh := storage.KeyHash(g.keyVals, v.keyOrds); g.hash != h || kh != h {
+				t.Fatalf("key %q is held under hash %x, its hash is %x", k, h, kh)
 			}
 			if g.count == 0 {
 				t.Fatalf("key %q is held with nothing folded into it", k)
@@ -127,18 +127,15 @@ func checkRenderOrder(t *testing.T, fv foldView, collide bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newState := func() *ViewState {
-		v := NewViewState(p, nil)
-		if collide {
-			v.keyHash = func(storage.Row) uint64 { return 42 }
-		}
-		return v
+	if collide {
+		storage.KeyHash = func(storage.Row, []int) uint64 { return 42 }
+		t.Cleanup(func() { storage.KeyHash = storage.HashCols })
 	}
 	renders, returns := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		renderEvery := []int{1, 4, 16}[seed%3]
-		v := newState()
+		v := NewViewState(p, nil)
 		stateKey := func(r storage.Row) string {
 			if p.Aggregate {
 				return storage.EncodeKey(r[:p.GroupCols]...)
@@ -217,7 +214,7 @@ func checkRenderOrder(t *testing.T, fv foldView, collide bool) {
 			}
 			if rng.Intn(2) == 0 {
 				// A fresh state folded from the same rows renders alike.
-				v = newState()
+				v = NewViewState(p, nil)
 				for _, r := range present {
 					v.AddWeighted(r, 1)
 				}

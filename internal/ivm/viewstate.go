@@ -20,23 +20,21 @@ import (
 // on top.
 //
 // The entries are held by the 64-bit hash of their key values
-// (storage.Row.Hash), the entries whose keys share a hash chained through
-// groupState.next and told apart by Row.SameKey. So a fold encodes no key
-// and a new entry keeps no key string, only its key values; the render
-// orders the entries by storage.CompareKeys, which is the order of their
-// encoded keys.
+// (storage.KeyHash, which tables and indexes file their keys under), the
+// entries whose keys share a hash chained through groupState.next and
+// told apart by Row.SameKey. So a fold encodes no key and a new entry
+// keeps no key string, only its key values; the render orders the
+// entries by storage.CompareKeys, which is the order of their encoded
+// keys.
 type ViewState struct {
 	isAgg    bool
-	keyCols  int // leading delta-row columns that are the key: all of them for an SPJ view
+	keyCols  int   // leading delta-row columns that are the key: all of them for an SPJ view
+	keyOrds  []int // 0..keyCols-1, the key row's columns storage.KeyHash reads
 	aggKinds []exec.AggKind
 	aggSet   []int
 	itemRefs []itemRef
 	groups   map[uint64]*groupState // by key hash: the head of the chain of the keys that share it
 	stats    *storage.Stats
-
-	// keyHash is storage.Row.Hash; a test maps every key to one hash
-	// through it to exercise the collision chains.
-	keyHash func(storage.Row) uint64
 
 	// The entries in key order, kept between renders so a render costs what
 	// was created or dropped since the previous one. Bringing it up to date
@@ -51,15 +49,19 @@ func NewViewState(p *DeltaPlan, stats *storage.Stats) *ViewState {
 	if !p.Aggregate {
 		keyCols = len(p.Delta.Items)
 	}
+	keyOrds := make([]int, keyCols)
+	for i := range keyOrds {
+		keyOrds[i] = i
+	}
 	return &ViewState{
 		isAgg:    p.Aggregate,
 		keyCols:  keyCols,
+		keyOrds:  keyOrds,
 		aggKinds: p.aggKinds,
 		aggSet:   p.aggSet,
 		itemRefs: p.itemRefs,
 		groups:   make(map[uint64]*groupState),
 		stats:    stats,
-		keyHash:  storage.Row.Hash,
 	}
 }
 
@@ -137,7 +139,7 @@ func (v *ViewState) AddSummary(key storage.Row, w, n int64, sums []*exec.ExactSu
 // (newEntry). An entry is never reused, so a rendered row aliasing
 // its key values stays as rendered.
 func (v *ViewState) entry(key storage.Row, w int64, copyKey bool) *groupState {
-	h := v.keyHash(key)
+	h := storage.KeyHash(key, v.keyOrds)
 	head := v.groups[h]
 	for g := head; g != nil; g = g.next {
 		if g.keyVals.SameKey(key) {
