@@ -3,7 +3,7 @@ package dataflow
 import "abivm/internal/storage"
 
 // Chunk sizes of a graph's delta arena, in elements: a value chunk
-// (32 KiB) holds some two hundred five-column join products, a word
+// (16 KiB) holds some two hundred five-column join products, a word
 // chunk (4 KiB) the coordinates of some hundreds of deltas, or of some
 // dozens of summary products.
 const (

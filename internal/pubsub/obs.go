@@ -10,6 +10,7 @@ import (
 	"abivm/internal/ivm"
 	"abivm/internal/obs"
 	"abivm/internal/policy"
+	"abivm/internal/storage"
 )
 
 // brokerObs is the broker's instrumentation bundle. A nil *brokerObs —
@@ -77,7 +78,21 @@ func newBrokerObs(b *Broker, reg *obs.Registry, tr *obs.Tracer) *brokerObs {
 	}
 	attached := b.durabilityStats()
 	reg.Collect(b, func(c *obs.Collector) { b.collect(c, attached) })
+	reg.Collect(internerOwner{}, collectInterner)
 	return o
+}
+
+// internerOwner keys the interner's collect function: every broker on a
+// registry — each shard of a ShardedBroker too — registers it under the
+// same owner, so the process-wide levels are reported once, not summed.
+type internerOwner struct{}
+
+// collectInterner reports the process's string interner, which only
+// grows: interned text is never freed.
+func collectInterner(c *obs.Collector) {
+	n, bytes := storage.InternStats()
+	c.Gauge("ivm_storage_interned_strings", float64(n))
+	c.Gauge("ivm_storage_interned_bytes", float64(bytes))
 }
 
 // collect reports, under one read lock, the series b reads from what it

@@ -591,3 +591,21 @@ func TestEngineSeriesCountedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestInternerGaugesReportedOnce: the process's string interner is
+// reported as two levels that equal storage.InternStats at the scrape,
+// once per registry however many brokers attach — a 2-shard broker
+// does not double them.
+func TestInternerGaugesReportedOnce(t *testing.T) {
+	sb, _ := newSharded(t, DefaultWorkloadSpec(), 2, nil)
+	defer sb.Close()
+	reg := obs.NewRegistry()
+	sb.SetObs(reg, nil)
+	storage.S(t.Name()) // grows the interner after attach: the levels are read at the scrape
+	got := levels(reg)
+	n, bytes := storage.InternStats()
+	if got["ivm_storage_interned_strings"] != float64(n) || got["ivm_storage_interned_bytes"] != float64(bytes) {
+		t.Fatalf("interner levels strings=%v bytes=%v, InternStats says (%d, %d)",
+			got["ivm_storage_interned_strings"], got["ivm_storage_interned_bytes"], n, bytes)
+	}
+}

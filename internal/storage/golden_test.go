@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,16 +14,41 @@ import (
 
 // updateGolden rewrites testdata/value_golden.txt from the running code.
 // The committed file was written by the commit before Value became
-// {T, n, s}; it is regenerated only by a change that means to move an
-// encoding, an ordering or a float semantic.
+// {T, n, s}, its hash column by the commit before Value became {T, n};
+// it is regenerated only by a change that means to move an encoding, an
+// ordering, a float semantic or a key hash.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/value_golden.txt")
 
 // TestValueSize pins the width the row-copying paths pay for: one type
-// byte (padded), one 8-byte number slot, one string header.
+// byte (padded) and one 8-byte payload slot.
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
+}
+
+// TestValueHoldsNoPointer fails when a field of Value can hold a
+// pointer, at any depth: a row of such values is memory the collector
+// scans again.
+func TestValueHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %s, which can hold a pointer", path, typ.Kind())
+		}
+	}
+	walk("Value", reflect.TypeOf(Value{}))
 }
 
 // goldenValues is the vector set: every constructor, with the integers
@@ -39,8 +65,9 @@ func goldenValues() []Value {
 
 // goldenLines renders everything the representation must not move: per
 // value its key encoding, its packed row encoding and what that decodes
-// and re-encodes to, and its display form; per ordered pair the outcome
-// of Compare (or that it panics), Equal and SameKey.
+// and re-encodes to, its display form and the hash a one-column key of
+// it files under; per ordered pair the outcome of Compare (or that it
+// panics), Equal and SameKey.
 func goldenLines(t *testing.T) []string {
 	vals := goldenValues()
 	var lines []string
@@ -50,9 +77,9 @@ func goldenLines(t *testing.T) []string {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("value %d: DecodeRow: %v, %d bytes left", i, err, len(rest))
 		}
-		lines = append(lines, fmt.Sprintf("v %d type=%s key=%s row=%s rekey=%s rerow=%s str=%q",
+		lines = append(lines, fmt.Sprintf("v %d type=%s key=%s row=%s rekey=%s rerow=%s str=%q hash=%016x",
 			i, v.T, hex.EncodeToString(AppendKey(nil, v)), hex.EncodeToString(packed),
-			hex.EncodeToString(AppendKey(nil, dec...)), hex.EncodeToString(AppendRow(nil, dec)), v.String()))
+			hex.EncodeToString(AppendKey(nil, dec...)), hex.EncodeToString(AppendRow(nil, dec)), v.String(), Row{v}.Hash()))
 	}
 	for i, a := range vals {
 		for j, b := range vals {

@@ -36,8 +36,7 @@ func AppendRow(dst []byte, r Row) []byte {
 		case TFloat:
 			dst = binary.LittleEndian.AppendUint64(dst, v.n)
 		case TString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-			dst = append(dst, v.s...)
+			dst = AppendString(dst, entry(v.n).s)
 		}
 	}
 	return dst
@@ -55,7 +54,8 @@ func rowSize(r Row) int {
 		case TFloat:
 			n += 8
 		case TString:
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
+			l := len(entry(v.n).s)
+			n += uvarintLen(uint64(l)) + l
 		}
 	}
 	return n
@@ -70,10 +70,11 @@ func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 // src, appending them to dst (pass a reused row's [:0] to decode without
 // allocating), and returns the row and the unread remainder of src. A
 // string length is checked against the bytes that remain before
-// anything is allocated from it, and decoded strings are copies, so the
-// result never aliases src. Only the shortest form of a varint is
-// accepted, here and in Reader: a row has exactly one encoding, so what
-// decodes re-encodes to the bytes it came from.
+// anything is allocated from it, and a decoded string is interned (a
+// new one as a copy), so the result never aliases src. Only the
+// shortest form of a varint is accepted, here and in Reader: a row has
+// exactly one encoding, so what decodes re-encodes to the bytes it came
+// from.
 func DecodeRow(dst Row, src []byte, arity int) (Row, []byte, error) {
 	for i := 0; i < arity; i++ {
 		if len(src) == 0 {
@@ -99,7 +100,7 @@ func DecodeRow(dst Row, src []byte, arity int) (Row, []byte, error) {
 				return nil, nil, fmt.Errorf("storage: packed row: bad string length at value %d", i)
 			}
 			end := n + int(l)
-			dst, src = append(dst, S(string(src[n:end]))), src[end:]
+			dst, src = append(dst, Value{T: TString, n: internBytes(src[n:end])}), src[end:]
 		default:
 			return nil, nil, fmt.Errorf("storage: packed row: unknown value tag %d at value %d", tag, i)
 		}

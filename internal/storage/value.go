@@ -43,15 +43,16 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Value is a typed scalar, 32 bytes wide. The zero Value is the integer
-// 0. A number lives in n — an integer as its two's-complement bits, a
-// float as its IEEE-754 bit pattern — and a string in s; the constructors
-// leave the slot a type does not use zero, so two values share a key
-// encoding exactly when they are == as structs.
+// Value is a typed scalar, 16 bytes wide and free of pointers, so the
+// collector never scans a row. The zero Value is the integer 0. The
+// payload lives in n: an integer as its two's-complement bits, a float
+// as its IEEE-754 bit pattern, a string as its id in the process-wide
+// interner (intern.go), where "" is id 0. A string is interned exactly
+// once, so two values share a key encoding exactly when they are == as
+// structs.
 type Value struct {
 	T Type
 	n uint64
-	s string
 }
 
 // I returns an integer value.
@@ -60,8 +61,8 @@ func I(v int64) Value { return Value{T: TInt, n: uint64(v)} }
 // F returns a float value.
 func F(v float64) Value { return Value{T: TFloat, n: math.Float64bits(v)} }
 
-// S returns a string value.
-func S(v string) Value { return Value{T: TString, s: v} }
+// S returns a string value, interning v if the process has not seen it.
+func S(v string) Value { return Value{T: TString, n: intern(v)} }
 
 // Int returns the integer payload; it panics on other types.
 func (v Value) Int() int64 {
@@ -88,7 +89,7 @@ func (v Value) Str() string {
 	if v.T != TString {
 		panic(fmt.Sprintf("storage: Str() on %s value", v.T))
 	}
-	return v.s
+	return entry(v.n).s
 }
 
 // numeric reports whether the value is an int or float.
@@ -120,13 +121,10 @@ func Compare(a, b Value) int {
 		return 0
 	}
 	if a.T == TString && b.T == TString {
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
+		if a.n == b.n {
+			return 0
 		}
-		return 0
+		return strings.Compare(entry(a.n).s, entry(b.n).s)
 	}
 	panic(fmt.Sprintf("storage: incomparable values %s and %s", a.T, b.T))
 }
@@ -142,7 +140,7 @@ func (v Value) String() string {
 	case TFloat:
 		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case TString:
-		return v.s
+		return entry(v.n).s
 	}
 	return "?"
 }
@@ -197,7 +195,7 @@ func appendValue(dst []byte, v Value) []byte {
 		// ("a\x00sb") and ("a", "b") would share an encoding, and with this
 		// terminator a string still sorts before every extension of itself.
 		dst = append(dst, tagString)
-		s := v.s
+		s := entry(v.n).s
 		for i := strings.IndexByte(s, 0); i >= 0; i = strings.IndexByte(s, 0) {
 			dst = append(append(dst, s[:i]...), 0x00, 0xFF)
 			s = s[i+1:]
@@ -228,7 +226,9 @@ func CompareKeys(a, b []Value) int {
 		case TFloat:
 			c = cmp.Compare(floatOrder(x.n), floatOrder(y.n))
 		default:
-			c = strings.Compare(x.s, y.s)
+			if x.n != y.n {
+				c = strings.Compare(entry(x.n).s, entry(y.n).s)
+			}
 		}
 		if c != 0 {
 			return c
@@ -326,13 +326,14 @@ func SameCols(a Row, ac []int, b Row, bc []int) bool {
 	return true
 }
 
-// hashValue folds one value into a running key hash.
+// hashValue folds one value into a running key hash: a number by its
+// payload bits, a string by its bytes' hashString, which the interner
+// keeps beside the string, so hashing a key reads no text.
 func hashValue(h uint64, v Value) uint64 {
-	h = mix64((h ^ v.n) + uint64(v.T+1)*hashMul)
 	if v.T == TString {
-		h = mix64(h ^ hashString(v.s))
+		return mix64(mix64(h+uint64(v.T+1)*hashMul) ^ entry(v.n).h)
 	}
-	return h
+	return mix64((h ^ v.n) + uint64(v.T+1)*hashMul)
 }
 
 const hashMul = 0x9e3779b97f4a7c15

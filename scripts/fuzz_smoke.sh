@@ -4,6 +4,8 @@
 # end (FuzzParse), the snapshot, checkpoint-segment, WAL-frame and
 # MANIFEST decoders, the key codec, the key order view states render by
 # (FuzzCompareKeys: storage.CompareKeys against the encoded keys' bytes),
+# the string interner (FuzzInternedStrings: S is injective, and interned
+# strings compare as strings.Compare and hash as their bytes did),
 # the hashed key paths of storage's tables, indexes and kept hash
 # columns (FuzzTableOps: table operations, clones and snapshots against a
 # reference keyed by EncodeKey, each kept key hash checked against its
